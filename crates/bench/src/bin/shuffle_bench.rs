@@ -1,11 +1,12 @@
-//! Wall-clock shuffle benchmark: sort-merge path vs global-sort reference
-//! on uniform and skewed key distributions.
+//! Wall-clock shuffle benchmark: the sort-merge shuffle on uniform and
+//! skewed key distributions, under memory pressure, and across executor
+//! thread counts.
 //!
 //! Usage: `shuffle_bench [--smoke] [--out <path>] [--pressure-out <path>]
 //! [--threads-out <path>]`
 //!
 //! * `--smoke` — CI sizes (2^14..2^18) instead of the full sweep
-//!   (2^16..2^20); also the sanity gate is what CI fails on.
+//!   (2^16..2^20); the sanity gates are what CI fails on.
 //! * `--out <path>` — where to write the JSON document (default
 //!   `BENCH_shuffle.json` in the current directory).
 //! * `--pressure-out <path>` — where to write the memory-pressure sweep
@@ -13,26 +14,18 @@
 //! * `--threads-out <path>` — where to write the executor-scaling sweep
 //!   (default `BENCH_shuffle_threads.json`).
 //!
-//! Exit status is non-zero if any sanity gate fails:
+//! Exit status is non-zero if any sanity gate fails. The digest checks
+//! are exact, immune to host noise; shuffle *speed* is gated against the
+//! parent commit by the `build-shuffle` workload of `BENCHMARK.json` (the
+//! one-time sort-merge-vs-global-sort comparison this bin used to gate is
+//! recorded in EXPERIMENTS.md).
 //!
-//! 1. **Reduce-side sort burden** (both distributions, largest size): the
-//!    k-way merge's seconds must stay below the reference path's decode +
-//!    global-sort seconds. This is the structural claim of the sort-merge
-//!    shuffle — the sort moved to the map side — and it is robust to host
-//!    noise.
-//! 2. **Wall clock** (uniform keys only, largest size): the sort-merge
-//!    path must not exceed the reference path by more than 15%. The
-//!    tolerance absorbs machine noise; the skewed cell is reported but not
-//!    wall-gated, since on low-cardinality keys a single
-//!    duplicate-optimized sort is close to linear and the two paths
-//!    legitimately trade places.
-//! 3. **Pressure correctness** (every budget level): shrinking the
+//! 1. **Pressure correctness** (every budget level): shrinking the
 //!    per-task memory budget must leave the output digest bit-identical
 //!    to the unconstrained run, and the tightest budget must actually
 //!    exercise the external path (multiple spill passes per task plus at
-//!    least one intermediate merge pass). These are exact checks, immune
-//!    to host noise.
-//! 4. **Executor scaling** (largest thread count): the output digest must
+//!    least one intermediate merge pass).
+//! 2. **Executor scaling** (largest thread count): the output digest must
 //!    be bit-identical to the serial (`threads=1`) run — exact, always
 //!    enforced — and on hosts exposing more than one core the
 //!    multi-threaded wall time must not exceed the serial wall time by
@@ -42,9 +35,6 @@
 use std::path::PathBuf;
 
 use dwmaxerr_bench::{experiments, report};
-
-/// Headroom the merge path gets over the reference before the gate fails.
-const SANITY_RATIO: f64 = 1.15;
 
 fn main() {
     let mut smoke = false;
@@ -136,28 +126,7 @@ fn main() {
     }
     println!("wrote {}", threads_path.display());
 
-    // Sanity gates at the largest size only — smaller sizes are
-    // noise-bound.
-    let largest = *sizes.iter().max().expect("non-empty sizes");
     let mut failed = false;
-    for (records, dist, ratio) in experiments::merge_ratios(&samples) {
-        if records == largest && ratio >= 1.0 {
-            eprintln!(
-                "SANITY FAIL: reduce-side sort burden {ratio:.2}x reference at {records} \
-                 records ({dist}) — the k-way merge must beat re-sorting"
-            );
-            failed = true;
-        }
-    }
-    for (records, dist, ratio) in experiments::ratios(&samples) {
-        if records == largest && dist == "uniform" && ratio > SANITY_RATIO {
-            eprintln!(
-                "SANITY FAIL: sort-merge wall {ratio:.2}x reference at {records} records \
-                 ({dist}) exceeds the {SANITY_RATIO:.2}x gate"
-            );
-            failed = true;
-        }
-    }
     // Pressure gates: exact, noise-immune.
     let base = &pressure[0];
     for s in &pressure[1..] {

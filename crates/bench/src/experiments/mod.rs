@@ -23,8 +23,8 @@ pub use progressive::{progressive_sweep, ProgressiveSample, ProgressiveSweep};
 pub use scalability::{fig5a, fig5b, fig5c, fig5d};
 pub use serve::{serve_sweep, ServeSample, ServeSweep};
 pub use shuffle::{
-    merge_ratios, pressure_sweep, pressure_table, pressure_to_json as shuffle_pressure_json,
-    ratios, shuffle_sweep, shuffle_table, thread_speedups, threads_sweep, threads_table,
+    pressure_sweep, pressure_table, pressure_to_json as shuffle_pressure_json, shuffle_sweep,
+    shuffle_table, thread_speedups, threads_sweep, threads_table,
     threads_to_json as shuffle_threads_json, to_json as shuffle_json, PressureSample,
     ShuffleSample, ThreadsSample,
 };

@@ -1,21 +1,20 @@
-//! Shuffle micro-benchmark: the sort-merge path (map-side sorted spills +
-//! k-way reduce merge) against the global-sort reference path on the same
-//! synthetic workloads.
+//! Shuffle micro-benchmark: the sort-merge shuffle (map-side sorted spills
+//! plus a k-way reduce merge) on synthetic workloads, at rest, under memory
+//! pressure, and across executor thread counts.
 //!
 //! Unlike the paper-figure experiments this one reports **wall-clock**
-//! phase times, not simulated cluster seconds: the two paths are
-//! byte-identical by construction (the simulated cost model cannot tell
-//! them apart), so the quantity of interest is the real CPU cost of
-//! sorting and merging the shuffle stream.
+//! phase times, not simulated cluster seconds: the quantity of interest is
+//! the real CPU cost of sorting and merging the shuffle stream.
 
+use dwmaxerr_runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr_runtime::{
-    Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext, ShufflePath, SpillBackend,
+    Cluster, ClusterConfig, JobBuilder, JobOutput, MapContext, ReduceContext, SpillBackend,
 };
 
 use crate::report::{bytes, cluster_stamp, secs, Table};
 use crate::setup::timed;
 
-/// One measured (size, distribution, path) cell: best-of-reps wall time
+/// One measured (size, distribution) cell: best-of-reps wall time
 /// plus the phase breakdown from [`dwmaxerr_runtime::metrics::JobMetrics`]
 /// of the best rep.
 #[derive(Debug, Clone)]
@@ -24,13 +23,11 @@ pub struct ShuffleSample {
     pub records: usize,
     /// Key distribution: `"uniform"` or `"skewed"`.
     pub distribution: &'static str,
-    /// Shuffle path: `"sort_merge"` or `"global_sort"`.
-    pub path: &'static str,
     /// Best-of-reps wall-clock seconds for the whole job.
     pub wall_secs: f64,
     /// Sum of per-map-task wall seconds (includes spill time).
     pub map_secs: f64,
-    /// Sum of per-map-task spill-sort seconds (0 on the reference path).
+    /// Sum of per-map-task spill-sort seconds.
     pub spill_secs: f64,
     /// Sum of per-reduce-task merge/sort seconds.
     pub merge_secs: f64,
@@ -90,8 +87,27 @@ fn bench_config() -> ClusterConfig {
     cfg
 }
 
-fn bench_cluster() -> Cluster {
-    Cluster::new(bench_config())
+/// The one job every cell runs — group by key, sum the values — timed on
+/// the wall clock.
+fn run_job(
+    name: &str,
+    cluster: &Cluster,
+    splits: &[Vec<(u64, f64)>],
+) -> (JobOutput<u64, f64>, f64) {
+    timed(|| {
+        JobBuilder::new(name)
+            .map(|split: &Vec<(u64, f64)>, ctx: &mut MapContext<u64, f64>| {
+                for &(k, v) in split {
+                    ctx.emit(k, v);
+                }
+            })
+            .reducers(REDUCERS)
+            .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
+                ctx.emit(*k, vals.sum());
+            })
+            .run(cluster, splits)
+            .expect("bench job succeeds: pressure degrades gracefully instead of failing")
+    })
 }
 
 /// Sums a metric vector; `+ 0.0` normalises the `-0.0` an empty float
@@ -100,36 +116,17 @@ fn total(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() + 0.0
 }
 
-/// Runs one (size, distribution, path) cell [`REPS`] times, keeping the
-/// rep with the best wall time.
-pub fn measure(records: usize, skewed: bool, path: ShufflePath) -> ShuffleSample {
+/// Runs one (size, distribution) cell [`REPS`] times, keeping the rep with
+/// the best wall time.
+pub fn measure(records: usize, skewed: bool) -> ShuffleSample {
     let splits = make_splits(records, skewed, 0x5EED ^ records as u64);
     let mut best: Option<ShuffleSample> = None;
     for _ in 0..REPS {
-        let cluster = bench_cluster();
-        let (out, wall) = timed(|| {
-            JobBuilder::new("shuffle-bench")
-                .map(|split: &Vec<(u64, f64)>, ctx: &mut MapContext<u64, f64>| {
-                    for &(k, v) in split {
-                        ctx.emit(k, v);
-                    }
-                })
-                .reducers(REDUCERS)
-                .shuffle_path(path)
-                .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
-                    ctx.emit(*k, vals.sum());
-                })
-                .run(&cluster, &splits)
-                .expect("bench job succeeds")
-        });
+        let (out, wall) = run_job("shuffle-bench", &Cluster::new(bench_config()), &splits);
         let m = &out.metrics;
         let sample = ShuffleSample {
             records,
             distribution: if skewed { "skewed" } else { "uniform" },
-            path: match path {
-                ShufflePath::SortMerge => "sort_merge",
-                ShufflePath::GlobalSort => "global_sort",
-            },
             wall_secs: wall,
             map_secs: total(&m.map_task_secs),
             spill_secs: total(&m.spill_secs),
@@ -146,35 +143,31 @@ pub fn measure(records: usize, skewed: bool, path: ShufflePath) -> ShuffleSample
     best.expect("at least one rep")
 }
 
-/// Runs the full sweep: both paths × both distributions × `sizes`.
+/// Runs the full sweep: both distributions × `sizes`.
 pub fn shuffle_sweep(sizes: &[usize]) -> Vec<ShuffleSample> {
     let mut samples = Vec::new();
     for &records in sizes {
         for skewed in [false, true] {
-            for path in [ShufflePath::SortMerge, ShufflePath::GlobalSort] {
-                samples.push(measure(records, skewed, path));
-            }
+            samples.push(measure(records, skewed));
         }
     }
     samples
 }
 
-/// Renders the sweep as a markdown table with per-size merge/reference
-/// wall-time ratios.
+/// Renders the sweep as a markdown table.
 pub fn shuffle_table(samples: &[ShuffleSample]) -> Table {
     let mut t = Table::new(
-        "Shuffle: sort-merge vs global-sort reference (wall clock)",
+        "Shuffle: sort-merge (wall clock)",
         "Hadoop's shuffle sorts map output at spill time and k-way merges on \
          the reduce side instead of re-sorting the concatenated stream",
         &[
-            "records", "dist", "path", "wall", "spill", "merge", "shuffle", "runs",
+            "records", "dist", "wall", "spill", "merge", "shuffle", "runs",
         ],
     );
     for s in samples {
         t.row(vec![
             s.records.to_string(),
             s.distribution.to_string(),
-            s.path.to_string(),
             secs(s.wall_secs),
             secs(s.spill_secs),
             secs(s.merge_secs),
@@ -182,49 +175,13 @@ pub fn shuffle_table(samples: &[ShuffleSample]) -> Table {
             s.spill_runs.to_string(),
         ]);
     }
-    let merge = merge_ratios(samples);
-    for ((records, dist, wall), (_, _, reduce_sort)) in ratios(samples).into_iter().zip(merge) {
-        t.note(format!(
-            "{records} records / {dist}: sort-merge wall = {wall:.2}x reference, \
-             reduce-side sort burden = {reduce_sort:.2}x"
-        ));
-    }
     t
 }
 
-/// Per-(size, distribution) ratio of sort-merge wall time to reference
-/// wall time (< 1.0 means the merge path is faster).
-pub fn ratios(samples: &[ShuffleSample]) -> Vec<(usize, &'static str, f64)> {
-    paired(samples, |m, r| m.wall_secs / r.wall_secs.max(1e-12))
-}
-
-/// Per-(size, distribution) ratio of *reduce-side sort burden*: the k-way
-/// merge's seconds over the reference path's decode + global-sort seconds.
-/// This is the structural claim of the sort-merge shuffle — the reduce
-/// phase (the scarcer resource: Hadoop clusters run far fewer reduce slots
-/// than map slots) stops paying for the sort — and unlike the wall ratio
-/// it is robust to host noise.
-pub fn merge_ratios(samples: &[ShuffleSample]) -> Vec<(usize, &'static str, f64)> {
-    paired(samples, |m, r| m.merge_secs / r.merge_secs.max(1e-12))
-}
-
-fn paired(
-    samples: &[ShuffleSample],
-    f: impl Fn(&ShuffleSample, &ShuffleSample) -> f64,
-) -> Vec<(usize, &'static str, f64)> {
-    let mut out = Vec::new();
-    for s in samples.iter().filter(|s| s.path == "sort_merge") {
-        if let Some(r) = samples.iter().find(|r| {
-            r.path == "global_sort" && r.records == s.records && r.distribution == s.distribution
-        }) {
-            out.push((s.records, s.distribution, f(s, r)));
-        }
-    }
-    out
-}
-
 /// Serialises the sweep as the `BENCH_shuffle.json` document: metadata
-/// plus one object per sample. Hand-rolled JSON — the build is offline.
+/// plus one object per sample (`"path"` is the constant `"sort_merge"`, kept
+/// so rows stay comparable with baselines recorded when a second path
+/// existed). Hand-rolled JSON — the build is offline.
 pub fn to_json(samples: &[ShuffleSample], smoke: bool) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
@@ -233,13 +190,12 @@ pub fn to_json(samples: &[ShuffleSample], smoke: bool) -> String {
     ));
     for (i, x) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"records\": {}, \"distribution\": \"{}\", \"path\": \"{}\", \
+            "    {{\"records\": {}, \"distribution\": \"{}\", \"path\": \"sort_merge\", \
              \"wall_secs\": {:.6}, \"map_secs\": {:.6}, \"spill_secs\": {:.6}, \
              \"merge_secs\": {:.6}, \"reduce_secs\": {:.6}, \"shuffle_bytes\": {}, \
              \"spill_runs\": {}, \"merge_fan_in\": {}}}{}\n",
             x.records,
             x.distribution,
-            x.path,
             x.wall_secs,
             x.map_secs,
             x.spill_secs,
@@ -291,14 +247,12 @@ pub struct PressureSample {
 /// FNV-1a over the little-endian encoding of output pairs; the sweep's
 /// bit-identity check.
 fn output_digest(pairs: &[(u64, f64)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FnvHasher::new();
     for &(k, v) in pairs {
-        for b in k.to_le_bytes().into_iter().chain(v.to_bits().to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        h.write(&k.to_le_bytes());
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Reps for pressure cells — constrained runs touch real disk, so fewer
@@ -313,30 +267,13 @@ pub fn measure_pressure(records: usize, budget: u64, sort_factor: u64) -> Pressu
     let splits = make_splits(records, true, 0x5EED ^ records as u64);
     let mut best: Option<PressureSample> = None;
     for _ in 0..PRESSURE_REPS {
-        let mut cfg = ClusterConfig::with_slots(SPLITS, REDUCERS);
-        cfg.task_startup = std::time::Duration::ZERO;
-        cfg.job_setup = std::time::Duration::ZERO;
-        cfg.speculative_execution = false;
+        let mut cfg = bench_config();
         if budget != u64::MAX {
             cfg.task_memory_bytes = budget;
             cfg.io_sort_factor = sort_factor as usize;
             cfg.spill_backend = SpillBackend::Disk;
         }
-        let cluster = Cluster::new(cfg);
-        let (out, wall) = timed(|| {
-            JobBuilder::new("shuffle-pressure")
-                .map(|split: &Vec<(u64, f64)>, ctx: &mut MapContext<u64, f64>| {
-                    for &(k, v) in split {
-                        ctx.emit(k, v);
-                    }
-                })
-                .reducers(REDUCERS)
-                .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
-                    ctx.emit(*k, vals.sum());
-                })
-                .run(&cluster, &splits)
-                .expect("pressure job degrades gracefully instead of failing")
-        });
+        let (out, wall) = run_job("shuffle-pressure", &Cluster::new(cfg), &splits);
         let m = &out.metrics;
         let sample = PressureSample {
             records,
@@ -481,21 +418,7 @@ pub fn measure_threads(records: usize, threads: usize) -> ThreadsSample {
     for _ in 0..REPS {
         let mut cfg = bench_config();
         cfg.threads = threads;
-        let cluster = Cluster::new(cfg);
-        let (out, wall) = timed(|| {
-            JobBuilder::new("shuffle-threads")
-                .map(|split: &Vec<(u64, f64)>, ctx: &mut MapContext<u64, f64>| {
-                    for &(k, v) in split {
-                        ctx.emit(k, v);
-                    }
-                })
-                .reducers(REDUCERS)
-                .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
-                    ctx.emit(*k, vals.sum());
-                })
-                .run(&cluster, &splits)
-                .expect("threads cell succeeds")
-        });
+        let (out, wall) = run_job("shuffle-threads", &Cluster::new(cfg), &splits);
         let m = &out.metrics;
         let sample = ThreadsSample {
             records,
@@ -631,28 +554,25 @@ mod tests {
     }
 
     #[test]
-    fn sweep_produces_matched_pairs_and_valid_json() {
+    fn sweep_produces_one_row_per_cell_and_valid_json() {
         let samples = shuffle_sweep(&[512]);
-        assert_eq!(samples.len(), 4); // 2 dists x 2 paths
-        let rs = ratios(&samples);
-        assert_eq!(rs.len(), 2);
-        for (_, _, ratio) in &rs {
-            assert!(ratio.is_finite() && *ratio > 0.0);
-        }
-        // Both paths moved identical bytes.
-        for (_, dist, _) in &rs {
-            let pair: Vec<_> = samples.iter().filter(|s| s.distribution == *dist).collect();
-            assert_eq!(pair[0].shuffle_bytes, pair[1].shuffle_bytes);
+        assert_eq!(samples.len(), 2); // 2 dists
+        for s in &samples {
+            assert!(s.wall_secs.is_finite() && s.wall_secs > 0.0);
+            // 512 records x (8-byte key + 8-byte value).
+            assert_eq!(s.shuffle_bytes, 512 * 16);
+            assert_eq!(s.spill_runs, s.merge_fan_in);
         }
         let json = to_json(&samples, true);
         assert!(json.contains("\"benchmark\": \"shuffle\""));
-        assert_eq!(json.matches("\"records\":").count(), 4);
+        assert_eq!(json.matches("\"records\":").count(), 2);
+        assert_eq!(json.matches("\"path\": \"sort_merge\"").count(), 2);
         // Reproducibility stamp: topology + (absent) fault seed.
         assert!(json.contains(&format!("\"cluster\": {{\"map_slots\": {SPLITS}")));
         assert!(json.contains("\"spill_backend\": \"memory\""));
         assert!(json.contains("\"fault_seed\": null"));
         let table = shuffle_table(&samples).to_markdown();
-        assert!(table.contains("sort_merge"));
+        assert!(table.contains("uniform") && table.contains("skewed"));
     }
 
     #[test]

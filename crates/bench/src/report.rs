@@ -233,8 +233,7 @@ pub fn slot_utilisation_table(title: impl Into<String>, events: &[TraceEvent]) -
 /// Builds a shuffle-structure table from a recorded trace: one row per
 /// stage (jobs grouped by name, summed over pipeline rounds) showing the
 /// physical shape of its shuffle — reduce partitions fetched, bytes moved,
-/// and total sorted-run fan-in the k-way merges consumed (0 everywhere
-/// means the job ran the global-sort reference path).
+/// and total sorted-run fan-in the k-way merges consumed.
 pub fn shuffle_structure_table(title: impl Into<String>, events: &[TraceEvent]) -> Table {
     struct Row {
         partitions: u64,

@@ -83,10 +83,9 @@ impl WireSink for CountingSink {
 
 /// Streaming FNV-1a hasher over wire bytes.
 ///
-/// Uses the same constants as the engine's buffer-level `fnv1a`, so feeding
-/// a value through [`Wire::stream`] yields exactly
-/// `fnv1a(&codec::encoded(&value))` — the default partitioner relies on this
-/// equivalence to keep partition assignment stable while skipping the
+/// Feeding a value through [`Wire::stream`] yields exactly
+/// [`fnv1a`]`(&codec::encoded(&value))` — the default partitioner relies on
+/// this equivalence to keep partition assignment stable while skipping the
 /// per-record encode allocation.
 #[derive(Debug, Clone)]
 pub struct FnvHasher {
@@ -127,6 +126,14 @@ impl WireSink for FnvHasher {
         }
         self.state = h;
     }
+}
+
+/// FNV-1a over a whole buffer: the spill-frame (`DWR2`) and request-frame
+/// (`DWQ1`) checksum, and what [`FnvHasher`] computes incrementally.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hasher = FnvHasher::new();
+    hasher.write(bytes);
+    hasher.finish()
 }
 
 /// Types that can be serialized to and from the shuffle wire format.

@@ -76,8 +76,9 @@
 //! | [`error`]     | [`RuntimeError`]: typed failures (task exhaustion, OOM, bad partitioner, codec) |
 //! | [`executor`]  | Work-stealing thread pool: map/reduce attempts, spill sorts, and merge passes on real cores, deterministically |
 //! | [`fault`]     | Seeded [`FaultPlan`]: targeted/probabilistic attempt failures and stragglers |
-//! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; executes phases and emits metrics + trace |
+//! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; a driver over the map / spill / fetch / merge / reduce phase modules |
 //! | [`metrics`]   | Per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
+//! | [`mod@reference`] | The shuffle oracle the engine is tested against: concatenate, stable-sort, group, reduce |
 //! | [`pipeline`]  | Declarative multi-stage [`Pipeline`] driver with glue, loops, and phased execution ([`Progressive`] snapshot handles) |
 //! | [`scheduler`] | Slot-limited wave scheduler: attempts → simulated makespan |
 //! | [`trace`]     | Structured event log: task/shuffle/fault spans, JSONL + Chrome exporters |
@@ -90,6 +91,7 @@ pub mod fault;
 pub mod job;
 pub mod metrics;
 pub mod pipeline;
+pub mod reference;
 pub mod scheduler;
 pub mod trace;
 
@@ -99,7 +101,7 @@ pub use executor::Executor;
 pub use fault::{
     FailureKind, FaultKind, FaultPlan, NodeFailure, Straggler, TargetedFault, TaskPhase,
 };
-pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext, ShufflePath};
+pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext};
 pub use metrics::{
     AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Phase, PhaseMetrics,
     RecoveryStats, SimTime, StageMetrics, TaskAttempt,

@@ -288,30 +288,25 @@ pub struct JobMetrics {
     /// Measured per-reduce-task seconds.
     pub reduce_task_secs: Vec<f64>,
     /// Per-map-task seconds spent sorting spill buffers (subset of the
-    /// task's entry in `map_task_secs`). Empty on the reference
-    /// global-sort shuffle path, which has no spill phase.
+    /// task's entry in `map_task_secs`).
     pub spill_secs: Vec<f64>,
-    /// Per-reduce-task seconds spent in the merge (k-way heap merge on the
-    /// sort-merge path; decode + global sort on the reference path) —
-    /// a subset of the task's entry in `reduce_task_secs`.
+    /// Per-reduce-task seconds spent in the k-way merge — a subset of the
+    /// task's entry in `reduce_task_secs`.
     pub merge_secs: Vec<f64>,
     /// Per-map-task count of non-empty sorted runs produced at spill time
     /// (one per reduce partition per spill pass; a task that stays under
-    /// the `io_sort_bytes` budget spills exactly once). Empty on the
-    /// reference path.
+    /// the `io_sort_bytes` budget spills exactly once).
     pub spill_runs: Vec<u64>,
     /// Per-map-task count of spill passes (1 unless the task's buffered
-    /// emission crossed the `io_sort_bytes` budget mid-map). Empty on the
-    /// reference path.
+    /// emission crossed the `io_sort_bytes` budget mid-map).
     pub spill_passes: Vec<u64>,
     /// Per-reduce-task merge fan-in: the number of sorted runs fetched
     /// from the shuffle for the task's k-way merge (before any
-    /// intermediate passes collapse them). Empty on the reference path.
+    /// intermediate passes collapse them).
     pub merge_fan_in: Vec<u64>,
     /// Per-reduce-task count of *intermediate* merge passes run because
     /// the fetched run count exceeded `io_sort_factor` (0 when the final
-    /// streaming merge handled all runs directly). Empty on the reference
-    /// path.
+    /// streaming merge handled all runs directly).
     pub merge_passes: Vec<u64>,
     /// Wire bytes written to local disk by map-side spills (framed run
     /// payloads; 0 when every task stayed within one spill and the run

@@ -226,6 +226,15 @@ pub struct PhaseSchedule {
     pub blacklisted: Vec<(usize, f64)>,
 }
 
+impl PhaseSchedule {
+    /// The attempt whose result `task` kept: its one successful attempt.
+    pub(crate) fn winner(&self, task: usize) -> Option<&TaskAttempt> {
+        self.attempts
+            .iter()
+            .find(|a| a.task == task && a.outcome == AttemptOutcome::Succeeded)
+    }
+}
+
 /// Entry in the ready queue of the attempt simulator.
 #[derive(Debug, Clone)]
 struct Ready {

@@ -205,10 +205,8 @@ pub enum TraceEventKind {
         /// Codec-encoded bytes crossing the shuffle for this partition.
         bytes: u64,
         /// Sorted runs fetched by this partition's reducer (its merge
-        /// fan-in): at most one non-empty run per map-task spill pass on
-        /// the sort-merge shuffle path (one per map task unless the spill
-        /// budget forced extra passes); 0 on the reference global-sort
-        /// path, which moves one concatenated buffer instead.
+        /// fan-in): at most one non-empty run per map-task spill pass (one
+        /// per map task unless the spill budget forced extra passes).
         runs: u64,
     },
     /// A map task's buffered emission crossed the spill budget

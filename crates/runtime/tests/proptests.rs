@@ -302,109 +302,114 @@ mod codec_edge_cases {
 }
 
 mod shuffle_equivalence {
-    //! The sort-merge shuffle (map-side sorted spills + k-way reduce merge)
-    //! must be observationally identical to the global-sort reference path:
-    //! same output pairs in the same order, same shuffle-byte accounting.
-    //! Duplicate keys across runs, empty splits, single-split jobs, and
-    //! NaN-bearing f64 payloads are all exercised by the generators.
+    //! The engine's shuffle (map-side sorted spills + k-way reduce merge)
+    //! must be observationally identical to the oracle
+    //! `reference::shuffle_reduce`: same output pairs in the same order,
+    //! same shuffle-byte and record accounting, per partition. Duplicate
+    //! keys across runs, empty splits, single-split jobs, NaN-bearing f64
+    //! payloads, memory pressure, both spill backends and node faults are
+    //! all exercised by the generators.
 
     use dwmaxerr_runtime::codec::{encoded, FnvHasher, Wire, WireSink};
+    use dwmaxerr_runtime::reference::shuffle_reduce;
+    use dwmaxerr_runtime::trace::TraceEventKind;
     use dwmaxerr_runtime::{
-        Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext, ShufflePath,
+        Cluster, ClusterConfig, FaultPlan, JobBuilder, MapContext, ReduceContext, SpillBackend,
     };
     use proptest::prelude::*;
 
-    fn quiet_cluster(reducers_hint: usize) -> Cluster {
-        let mut cfg = ClusterConfig::with_slots(4.max(reducers_hint), 2.max(reducers_hint));
+    /// Pairs (values as bits, so NaN payloads stay comparable),
+    /// `shuffle_bytes`, `shuffle_records`, per-partition shuffle bytes.
+    type Observed = (Vec<(u32, u64)>, u64, u64, Vec<u64>);
+
+    fn quiet_config(reducers: usize) -> ClusterConfig {
+        let mut cfg = ClusterConfig::with_slots(4.max(reducers), 2.max(reducers));
         cfg.task_startup = std::time::Duration::ZERO;
         cfg.job_setup = std::time::Duration::ZERO;
-        Cluster::new(cfg)
+        cfg
     }
 
-    /// Runs the identity-grouping job on the given shuffle path and returns
-    /// (pairs-as-bits, shuffle_bytes, shuffle_records). Values are
-    /// f64-from-bits so NaN payloads stay comparable.
-    fn run_path(
+    /// Bit-preserving combiner: keep the first value per key.
+    fn first(_k: &u32, vals: &mut dyn Iterator<Item = f64>) -> f64 {
+        vals.next().expect("non-empty group")
+    }
+
+    /// Without a combiner the reducer emits every value, so intra-group
+    /// order is observable. With one it applies the combiner's own fold —
+    /// Hadoop's contract: each spill carries its own partial fold, so only
+    /// a reducer that finishes the same associative fold sees the same
+    /// answer however often the map side spilled.
+    fn reducer(
+        combine: bool,
+    ) -> impl Fn(&u32, &mut dyn Iterator<Item = f64>, &mut ReduceContext<u32, f64>) + Copy + Sync
+    {
+        move |k, vals, ctx| {
+            if combine {
+                ctx.emit(*k, first(k, vals));
+            } else {
+                for v in vals {
+                    ctx.emit(*k, v);
+                }
+            }
+        }
+    }
+
+    fn bits(pairs: Vec<(u32, f64)>) -> Vec<(u32, u64)> {
+        pairs.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+    }
+
+    /// Runs the grouping job on the engine under `cfg`.
+    fn run_engine(
         splits: &[Vec<(u32, u64)>],
         reducers: usize,
         combine: bool,
-        path: ShufflePath,
-    ) -> (Vec<(u32, u64)>, u64, u64) {
-        let cluster = quiet_cluster(reducers);
+        cfg: ClusterConfig,
+    ) -> Observed {
+        let cluster = Cluster::new(cfg);
         let mut stage = JobBuilder::new("prop-shuffle-eq")
             .map(|split: &Vec<(u32, u64)>, ctx: &mut MapContext<u32, f64>| {
                 for &(k, bits) in split {
                     ctx.emit(k, f64::from_bits(bits));
                 }
             })
-            .reducers(reducers)
-            .shuffle_path(path);
+            .reducers(reducers);
         if combine {
-            // Bit-preserving combiner: keep the first value per key.
-            stage = stage.combine_with(|_k, vals: &mut dyn Iterator<Item = f64>| {
-                vals.next().expect("non-empty group")
-            });
+            stage = stage.combine_with(first);
         }
         let out = stage
-            .reduce(|k, vals, ctx: &mut ReduceContext<u32, f64>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            })
+            .reduce(reducer(combine))
             .run(&cluster, splits)
             .unwrap();
-        let pairs = out
-            .pairs
-            .into_iter()
-            .map(|(k, v)| (k, v.to_bits()))
+        let per_partition = cluster
+            .trace_events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::ShufflePartition { bytes, .. } => Some(bytes),
+                _ => None,
+            })
             .collect();
         (
-            pairs,
+            bits(out.pairs),
             out.metrics.shuffle_bytes,
             out.metrics.shuffle_records,
+            per_partition,
         )
     }
 
-    /// Like [`run_path`] (no combiner) but with explicit spill knobs, so
-    /// tiny `io.sort.mb` budgets force multi-run external spills and small
-    /// `io.sort.factor` fan-ins force intermediate merge passes.
-    fn run_constrained(
-        splits: &[Vec<(u32, u64)>],
-        reducers: usize,
-        io_sort_bytes: u64,
-        io_sort_factor: usize,
-        path: ShufflePath,
-    ) -> (Vec<(u32, u64)>, u64, u64) {
-        let mut cfg = ClusterConfig::with_slots(4.max(reducers), 2.max(reducers));
-        cfg.task_startup = std::time::Duration::ZERO;
-        cfg.job_setup = std::time::Duration::ZERO;
-        cfg.io_sort_bytes = io_sort_bytes;
-        cfg.io_sort_factor = io_sort_factor;
-        let cluster = Cluster::new(cfg);
-        let out = JobBuilder::new("prop-multi-pass")
-            .map(|split: &Vec<(u32, u64)>, ctx: &mut MapContext<u32, f64>| {
-                for &(k, bits) in split {
-                    ctx.emit(k, f64::from_bits(bits));
-                }
-            })
-            .reducers(reducers)
-            .shuffle_path(path)
-            .reduce(|k, vals, ctx: &mut ReduceContext<u32, f64>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            })
-            .run(&cluster, splits)
-            .unwrap();
-        let pairs = out
-            .pairs
-            .into_iter()
-            .map(|(k, v)| (k, v.to_bits()))
+    /// The same job through the oracle.
+    fn run_oracle(splits: &[Vec<(u32, u64)>], reducers: usize, combine: bool) -> Observed {
+        let emitted: Vec<Vec<(u32, f64)>> = splits
+            .iter()
+            .map(|s| s.iter().map(|&(k, b)| (k, f64::from_bits(b))).collect())
             .collect();
+        let combiner = if combine { Some(&first as _) } else { None };
+        let (pairs, per_partition, records) =
+            shuffle_reduce(&emitted, reducers, combiner, reducer(combine));
         (
-            pairs,
-            out.metrics.shuffle_bytes,
-            out.metrics.shuffle_records,
+            bits(pairs),
+            per_partition.iter().sum(),
+            records,
+            per_partition,
         )
     }
 
@@ -424,16 +429,13 @@ mod shuffle_equivalence {
             reducers in 1usize..4,
             fan_in in 2usize..4,
         ) {
-            let multi = run_constrained(&splits, reducers, 32, fan_in, ShufflePath::SortMerge);
-            let single =
-                run_constrained(&splits, reducers, 100 << 20, 100, ShufflePath::SortMerge);
-            let reference =
-                run_constrained(&splits, reducers, 100 << 20, 100, ShufflePath::GlobalSort);
-            prop_assert_eq!(&multi.0, &single.0, "multi-pass pairs diverge from single-pass");
-            prop_assert_eq!(multi.1, single.1, "multi-pass shuffle bytes diverge");
-            prop_assert_eq!(multi.2, single.2, "multi-pass shuffle records diverge");
-            prop_assert_eq!(&single.0, &reference.0, "sort-merge diverges from reference");
-            prop_assert_eq!(single.1, reference.1);
+            let mut cfg = quiet_config(reducers);
+            cfg.io_sort_bytes = 32;
+            cfg.io_sort_factor = fan_in;
+            let multi = run_engine(&splits, reducers, false, cfg);
+            let single = run_engine(&splits, reducers, false, quiet_config(reducers));
+            prop_assert_eq!(&multi, &single, "multi-pass diverges from single-pass");
+            prop_assert_eq!(single, run_oracle(&splits, reducers, false));
         }
 
         #[test]
@@ -446,12 +448,37 @@ mod shuffle_equivalence {
             ),
             reducers in 1usize..4,
             combine in any::<bool>(),
+            // The engine under pressure and faults, jointly: a tiny or huge
+            // spill budget, a small merge fan-in, either spill backend, and
+            // a seeded plan that kills one node (before the job, or after
+            // the maps so their outputs are lost) and corrupts one map
+            // task's runs.
+            tiny_budget in any::<bool>(),
+            fan_in in 2usize..4,
+            disk in any::<bool>(),
+            fault_seed in any::<u64>(),
         ) {
-            let merge = run_path(&splits, reducers, combine, ShufflePath::SortMerge);
-            let reference = run_path(&splits, reducers, combine, ShufflePath::GlobalSort);
-            prop_assert_eq!(merge.0, reference.0, "pair streams diverge");
-            prop_assert_eq!(merge.1, reference.1, "shuffle bytes diverge");
-            prop_assert_eq!(merge.2, reference.2, "shuffle records diverge");
+            let mut cfg = quiet_config(reducers);
+            cfg.io_sort_bytes = if tiny_budget { 32 } else { 100 << 20 };
+            cfg.io_sort_factor = fan_in;
+            cfg.spill_backend = if disk { SpillBackend::Disk } else { SpillBackend::Memory };
+            let kill_at = if fault_seed & 1 == 0 { 0.0 } else { 1000.0 };
+            cfg.fault_plan = Some(
+                FaultPlan::seeded(fault_seed)
+                    .with_node_failure((fault_seed >> 1) as usize % 4, kill_at)
+                    .with_corrupt_run((fault_seed >> 3) as usize % splits.len()),
+            );
+            let engine = run_engine(&splits, reducers, combine, cfg);
+            let oracle = run_oracle(&splits, reducers, combine);
+            prop_assert_eq!(&engine.0, &oracle.0, "pair streams diverge");
+            // A combiner folds once per spill, so a task that spilled
+            // mid-map ships more (partial) records than the oracle's
+            // single per-task fold; the accounting is comparable otherwise.
+            if !(combine && tiny_budget) {
+                prop_assert_eq!(engine.1, oracle.1, "shuffle bytes diverge");
+                prop_assert_eq!(engine.2, oracle.2, "shuffle records diverge");
+                prop_assert_eq!(engine.3, oracle.3, "per-partition bytes diverge");
+            }
         }
 
         #[test]
@@ -459,9 +486,8 @@ mod shuffle_equivalence {
             records in prop::collection::vec((any::<u32>(), any::<u64>()), 0..40),
         ) {
             let splits = vec![records];
-            let merge = run_path(&splits, 2, false, ShufflePath::SortMerge);
-            let reference = run_path(&splits, 2, false, ShufflePath::GlobalSort);
-            prop_assert_eq!(merge, reference);
+            let engine = run_engine(&splits, 2, false, quiet_config(2));
+            prop_assert_eq!(engine, run_oracle(&splits, 2, false));
         }
 
         #[test]

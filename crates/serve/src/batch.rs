@@ -22,33 +22,31 @@
 //!
 //! # Strict vs partial
 //!
-//! The original [`execute`] API is **all-or-nothing**: one malformed
-//! query fails the whole batch with an `Err` before any work is done.
-//! That is the right contract for an internal caller that built the
-//! batch itself — a malformed query is a bug, and failing loudly beats
-//! serving around it. It is the *wrong* contract for a multiplexed
-//! batch: the networked front (see [`crate::net`]) drains queries from
-//! many independent clients into one batch, and one client's bad query
-//! must not poison its co-batched neighbours. [`execute_partial`] is
-//! the lenient flavour: every query gets its own
-//! `Result<Answer, ServeError>` slot, malformed queries error
-//! individually, and every valid sibling is still answered — bitwise
-//! identical to what the strict path would have produced for it.
+//! There is one evaluator, [`execute_partial_routed`]: every query gets
+//! its own `Result<Answer, ServeError>` slot, malformed queries error
+//! individually, and every valid sibling is still answered. That is the
+//! contract a multiplexed batch needs: the networked front (see
+//! [`crate::net`]) drains queries from many independent clients into one
+//! batch, and one client's bad query must not poison its co-batched
+//! neighbours. The strict [`execute`] is the same evaluation plus a
+//! first-error collect: **all-or-nothing**, the first malformed query in
+//! input order fails the whole batch with its `Err` — the right contract
+//! for an internal caller that built the batch itself, where a malformed
+//! query is a bug and failing loudly beats serving around it.
 //!
-//! The partial flavour optionally routes through a [`ShardRouter`]
-//! ([`execute_partial_routed`]): queries whose shard has no live
-//! replica error individually with
+//! The evaluator optionally routes through a [`ShardRouter`]: queries
+//! whose shard has no live replica error individually with
 //! [`ServeError::ShardUnavailable`] while the rest of the batch
 //! proceeds, and the batch's node fan-out is reported in
 //! [`BatchStats::nodes`].
 //!
 //! Shard groups are independent — no query crosses groups, and repeats
-//! of a query always route to the same group — so [`execute_on`] fans
-//! the groups across a work-stealing [`Executor`]: each group evaluates
-//! with its own memo on whatever worker picks it up, answers scatter
-//! back positionally, and stats fold in group order. The answers *and*
-//! the [`BatchStats`] are bit-identical to the serial path at any
-//! thread count. The same holds for the partial flavour.
+//! of a query always route to the same group — so given a work-stealing
+//! [`Executor`] the evaluator fans the groups across it: each group
+//! evaluates with its own memo on whatever worker picks it up, answers
+//! scatter back positionally, and stats fold in group order. The answers
+//! *and* the [`BatchStats`] are bit-identical to the serial path at any
+//! thread count.
 
 use std::collections::HashMap;
 
@@ -121,8 +119,8 @@ fn shard_of(sharded: &ShardedSynopsis, q: Query) -> Result<usize, ServeError> {
 }
 
 /// Executes `queries` against the reader's pinned snapshot, grouped by
-/// shard, answers in input order. Strict: one malformed query fails the
-/// whole batch before any work. See the [module docs](self).
+/// shard, answers in input order. Strict: the first malformed query (in
+/// input order) fails the whole batch. See the [module docs](self).
 pub fn execute(reader: &StoreReader, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
     execute_with_stats(reader, queries).map(|(answers, _)| answers)
 }
@@ -132,33 +130,14 @@ pub fn execute_with_stats(
     reader: &StoreReader,
     queries: &[Query],
 ) -> Result<(Vec<Answer>, BatchStats), ServeError> {
-    execute_inner(reader, queries, None)
-}
-
-/// [`execute`], fanning shard groups across `pool`'s workers. Answers
-/// and stats are bit-identical to the serial [`execute`] — grouping is a
-/// pure function of the query, so no memo hit ever crosses a group.
-pub fn execute_on(
-    reader: &StoreReader,
-    queries: &[Query],
-    pool: &Executor,
-) -> Result<Vec<Answer>, ServeError> {
-    execute_inner(reader, queries, Some(pool)).map(|(answers, _)| answers)
-}
-
-/// [`execute_on`], also returning [`BatchStats`].
-pub fn execute_with_stats_on(
-    reader: &StoreReader,
-    queries: &[Query],
-    pool: &Executor,
-) -> Result<(Vec<Answer>, BatchStats), ServeError> {
-    execute_inner(reader, queries, Some(pool))
+    let (results, stats) = execute_partial_routed(reader, queries, None, None);
+    let answers = results.into_iter().collect::<Result<_, _>>()?;
+    Ok((answers, stats))
 }
 
 /// Lenient batch execution: every query gets its own result slot, in
-/// input order. Malformed queries error individually; valid queries are
-/// answered bitwise-identically to the strict path. Never fails as a
-/// whole.
+/// input order. Malformed queries error individually; their valid
+/// siblings are still answered. Never fails as a whole.
 pub fn execute_partial(reader: &StoreReader, queries: &[Query]) -> Vec<Result<Answer, ServeError>> {
     execute_partial_routed(reader, queries, None, None).0
 }
@@ -171,19 +150,11 @@ pub fn execute_partial_with_stats(
     execute_partial_routed(reader, queries, None, None)
 }
 
-/// [`execute_partial`], fanning shard groups across `pool`. Results and
-/// stats are bit-identical to the serial partial path.
-pub fn execute_partial_with_stats_on(
-    reader: &StoreReader,
-    queries: &[Query],
-    pool: &Executor,
-) -> (Vec<Result<Answer, ServeError>>, BatchStats) {
-    execute_partial_routed(reader, queries, None, Some(pool))
-}
-
-/// The full lenient path: optional shard→node routing (queries on
-/// unroutable shards error individually) and optional parallel group
-/// fan-out. This is what the networked front calls per request.
+/// The evaluator behind every entry point: optional shard→node routing
+/// (queries on unroutable shards error individually) and optional
+/// parallel group fan-out across `pool` (results and stats bit-identical
+/// to the serial path). This is what the networked front calls per
+/// request.
 pub fn execute_partial_routed(
     reader: &StoreReader,
     queries: &[Query],
@@ -275,79 +246,6 @@ pub fn execute_partial_routed(
     (results, stats)
 }
 
-/// One shard group's evaluation: answers for the group's query indices
-/// (positional) plus its memo/evaluation counts, or the group's first
-/// error in query order.
-type GroupResult = Result<(Vec<Answer>, usize, usize), ServeError>;
-
-fn execute_inner(
-    reader: &StoreReader,
-    queries: &[Query],
-    pool: Option<&Executor>,
-) -> Result<(Vec<Answer>, BatchStats), ServeError> {
-    let sharded = reader.sharded();
-
-    // Validate and route up front so a malformed query fails the batch
-    // before any work is done (the strict contract — see the module
-    // docs for when to use the partial flavour instead).
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); sharded.num_shards()];
-    for (i, &q) in queries.iter().enumerate() {
-        buckets[shard_of(sharded, q)?].push(i);
-    }
-    buckets.retain(|b| !b.is_empty());
-
-    // Evaluate one group with a group-local memo. Identical queries
-    // always share a primary shard, so a local memo sees every repeat
-    // the serial batch-wide memo would have seen.
-    let eval_group = |bucket: &Vec<usize>| -> GroupResult {
-        let mut memo: HashMap<Query, Answer> = HashMap::new();
-        let mut out = Vec::with_capacity(bucket.len());
-        let mut hits = 0usize;
-        let mut evaluated = 0usize;
-        for &i in bucket {
-            let q = queries[i];
-            let answer = if let Some(&hit) = memo.get(&q) {
-                hits += 1;
-                hit
-            } else {
-                evaluated += 1;
-                let fresh = match q {
-                    Query::Point { x } => reader.point(x)?,
-                    Query::RangeSum { l, h } => reader.range_sum(l, h)?,
-                };
-                memo.insert(q, fresh);
-                fresh
-            };
-            out.push(answer);
-        }
-        Ok((out, hits, evaluated))
-    };
-    let group_results: Vec<GroupResult> = match pool {
-        Some(pool) => pool.run_indexed(&buckets, |_, bucket| eval_group(bucket)),
-        None => buckets.iter().map(eval_group).collect(),
-    };
-
-    // Scatter positionally and fold stats in group order — completion
-    // order never influences the output. The first failed group (in
-    // group order) surfaces its error exactly as the serial loop would.
-    let mut stats = BatchStats::default();
-    let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
-    for (bucket, result) in buckets.iter().zip(group_results) {
-        let (group_answers, hits, evaluated) = result?;
-        stats.shard_groups += 1;
-        stats.memo_hits += hits;
-        stats.evaluated += evaluated;
-        for (&i, answer) in bucket.iter().zip(group_answers) {
-            answers[i] = Some(answer);
-        }
-    }
-    let answers = answers
-        .into_iter()
-        .map(|a| a.expect("every query routed to a bucket"))
-        .collect();
-    Ok((answers, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,9 +325,10 @@ mod tests {
         let (serial, serial_stats) = execute_with_stats(&r, &queries).unwrap();
         for threads in [1, 2, 4] {
             let pool = Executor::new(threads);
-            let (par, par_stats) = execute_with_stats_on(&r, &queries, &pool).unwrap();
+            let (par, par_stats) = execute_partial_routed(&r, &queries, None, Some(&pool));
             assert_eq!(par_stats, serial_stats, "stats at threads={threads}");
             for (a, b) in par.iter().zip(&serial) {
+                let a = a.as_ref().expect("valid query answered");
                 assert_eq!(a.value.to_bits(), b.value.to_bits());
                 assert_eq!(a.err_abs, b.err_abs);
                 assert_eq!(a.version, b.version);
@@ -535,7 +434,7 @@ mod tests {
         let (serial, serial_stats) = execute_partial_with_stats(&r, &mixed);
         for threads in [1, 2, 4] {
             let pool = Executor::new(threads);
-            let (par, par_stats) = execute_partial_with_stats_on(&r, &mixed, &pool);
+            let (par, par_stats) = execute_partial_routed(&r, &mixed, None, Some(&pool));
             assert_eq!(par_stats, serial_stats, "stats at threads={threads}");
             for (a, b) in par.iter().zip(&serial) {
                 match (a, b) {

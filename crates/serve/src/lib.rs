@@ -45,8 +45,8 @@ pub mod shard;
 pub mod store;
 
 pub use batch::{
-    execute, execute_on, execute_partial, execute_partial_routed, execute_partial_with_stats,
-    execute_partial_with_stats_on, execute_with_stats, execute_with_stats_on, BatchStats, Query,
+    execute, execute_partial, execute_partial_routed, execute_partial_with_stats,
+    execute_with_stats, BatchStats, Query,
 };
 pub use error::ServeError;
 pub use net::{NetClient, NetServer, NetServerConfig, NetServerStats, QueryResponse, SlotResult};

@@ -43,7 +43,8 @@
 //! [`max_connections`](NetServerConfig::max_connections) connection
 //! threads (excess connections receive one `OVERLOADED` response and
 //! are closed), at most [`max_batch`](NetServerConfig::max_batch)
-//! queries per request (oversized batches are shed with `OVERLOADED`,
+//! queries per request (oversized batches — and batches whose answers
+//! would not fit a response frame — are shed with `OVERLOADED`,
 //! connection kept), and a per-connection
 //! [`read_timeout`](NetServerConfig::read_timeout) that closes idle
 //! connections — which also bounds how long a graceful
@@ -67,7 +68,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dwmaxerr_core::query::{Answer, RelBound};
-use dwmaxerr_runtime::codec::{encoded, CodecError, FnvHasher, Wire, WireSink};
+use dwmaxerr_runtime::codec::{encoded, fnv1a, CodecError, Wire, WireSink};
 use dwmaxerr_runtime::{threads_from_env, Executor};
 
 use crate::batch::{execute_partial_routed, Query};
@@ -272,14 +273,16 @@ impl Wire for QueryResponse {
 // Framing
 // ---------------------------------------------------------------------------
 
-fn fnv1a(payload: &[u8]) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write(payload);
-    h.finish()
-}
-
+/// Writes one frame. A payload over the size cap is refused with
+/// `InvalidInput` before any byte is written — the peer would have to
+/// reject the frame and drop the connection — so the stream stays in sync.
 fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
+    if payload.len() > MAX_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "frame payload over size cap",
+        ));
+    }
     w.write_all(&MAGIC)?;
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
@@ -611,7 +614,7 @@ fn accept_loop(
         if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
             shared.shed.fetch_add(1, Ordering::Relaxed);
             let mut stream = stream;
-            let _ = respond(&mut stream, 0, status::OVERLOADED, 0, Vec::new());
+            let _ = refuse(&mut stream, 0, status::OVERLOADED);
             continue;
         }
 
@@ -627,18 +630,14 @@ fn accept_loop(
     }
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    id: u64,
-    status_code: u8,
-    version: u64,
-    slots: Vec<SlotResult>,
-) -> io::Result<()> {
+/// Answers request `id` with a request-level status other than `OK`:
+/// nothing was evaluated, so no version and no slots.
+fn refuse(stream: &mut TcpStream, id: u64, status_code: u8) -> io::Result<()> {
     let response = QueryResponse {
         id,
         status: status_code,
-        version,
-        slots,
+        version: 0,
+        slots: Vec::new(),
     };
     write_frame(stream, &encoded(&response))
 }
@@ -659,7 +658,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
                 // Undecodable stream: tell the client why, then drop the
                 // connection (we can no longer find frame boundaries).
                 shared.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond(&mut stream, 0, status::BAD_FRAME, 0, Vec::new());
+                let _ = refuse(&mut stream, 0, status::BAD_FRAME);
                 return Err(e);
             }
             Err(e) => return Err(e), // timeout / reset: close quietly
@@ -681,7 +680,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
             Ok(req) => req,
             Err(_) => {
                 shared.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond(&mut stream, 0, status::BAD_FRAME, 0, Vec::new());
+                let _ = refuse(&mut stream, 0, status::BAD_FRAME);
                 return Err(bad_data("undecodable request body"));
             }
         };
@@ -689,7 +688,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         // Batch bound: shed oversized batches, keep the connection.
         if queries.len() > shared.cfg.max_batch {
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            respond(&mut stream, id, status::OVERLOADED, 0, Vec::new())?;
+            refuse(&mut stream, id, status::OVERLOADED)?;
             continue;
         }
 
@@ -697,7 +696,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         let reader = match shared.store.reader() {
             Ok(r) => r,
             Err(_) => {
-                respond(&mut stream, id, status::EMPTY_STORE, 0, Vec::new())?;
+                refuse(&mut stream, id, status::EMPTY_STORE)?;
                 continue;
             }
         };
@@ -720,6 +719,20 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
             })
             .collect();
         let answered = slots.len() as u64 - failed;
+        let response = encoded(&QueryResponse {
+            id,
+            status: status::OK,
+            version: reader.version(),
+            slots,
+        });
+        // A batch under `max_batch` can still answer with more bytes than
+        // a frame may carry (a slot outweighs its query): shed it like an
+        // oversized batch rather than emit a frame the client must reject.
+        if response.len() > MAX_PAYLOAD {
+            shared.shed.fetch_add(1, Ordering::Relaxed);
+            refuse(&mut stream, id, status::OVERLOADED)?;
+            continue;
+        }
 
         // Record stats *before* writing the response: once a client holds
         // the response, `NetServer::stats()` must already account for it.
@@ -729,7 +742,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         shared.answered.fetch_add(answered, Ordering::Relaxed);
         shared.failed_queries.fetch_add(failed, Ordering::Relaxed);
 
-        respond(&mut stream, id, status::OK, reader.version(), slots)?;
+        write_frame(&mut stream, &response)?;
     }
 }
 
@@ -881,6 +894,12 @@ mod tests {
             read_frame(&mut cursor).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+
+        // Over the size cap: refused before any byte reaches the wire.
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &vec![0u8; MAX_PAYLOAD + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "no partial frame");
     }
 
     #[test]
@@ -977,6 +996,31 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.bad_frames, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_cap_response_is_shed_and_the_connection_survives() {
+        let cfg = NetServerConfig {
+            max_batch: 1 << 20,
+            ..small_cfg()
+        };
+        let server = NetServer::spawn(store(), None, cfg).unwrap();
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+
+        // 700K point queries: ~9 bytes each on the way in (6.3 MB, under
+        // the 16 MiB cap), >= 27 bytes per answer slot on the way out
+        // (18.9 MB, over it).
+        let big: Vec<Query> = (0..700_000).map(|i| Query::Point { x: i % 8 }).collect();
+        let response = client.request(&big).unwrap();
+        assert_eq!(response.status, status::OVERLOADED);
+        assert!(response.slots.is_empty());
+        let ok = client.request(&[Query::Point { x: 0 }]).unwrap();
+        assert_eq!(ok.status, status::OK, "connection stays usable after shed");
+
+        let stats = server.stats();
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.requests, 1, "only the small batch counts as served");
         server.shutdown();
     }
 

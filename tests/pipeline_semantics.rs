@@ -23,6 +23,7 @@ use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use dwmaxerr::core::dmin_rel_var::{dmin_rel_var, DmrvConfig};
 use dwmaxerr::datagen::synthetic::uniform;
+use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::{Cluster, ClusterConfig, DriverMetrics, FaultPlan, TaskPhase};
 use dwmaxerr::wavelet::Synopsis;
 
@@ -82,25 +83,18 @@ fn dih_names() -> String {
     names.join(",")
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn syn_digest(s: &Synopsis) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FnvHasher::new();
     for &(i, v) in s.entries() {
-        fnv1a(&mut h, &i.to_le_bytes());
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+        h.write(&i.to_le_bytes());
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn hp_digest(s: &dwmaxerr::algos::haar_plus::HaarPlusSynopsis) -> u64 {
     use dwmaxerr::algos::haar_plus::Role;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FnvHasher::new();
     for &(i, role, v) in s.entries() {
         let r: u8 = match role {
             Role::Head => 0,
@@ -108,11 +102,11 @@ fn hp_digest(s: &dwmaxerr::algos::haar_plus::HaarPlusSynopsis) -> u64 {
             Role::RightSupp => 2,
             Role::Top => 3,
         };
-        fnv1a(&mut h, &i.to_le_bytes());
-        fnv1a(&mut h, &[r]);
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+        h.write(&i.to_le_bytes());
+        h.write(&[r]);
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn quiet_cluster(plan: Option<FaultPlan>) -> Cluster {

@@ -22,6 +22,7 @@ use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::progressive::{
     IncrementalConventional, IncrementalDGreedyAbs, PhasedSynopsisDriver, StreamWindow,
 };
+use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::trace::{self, summary};
 use dwmaxerr::runtime::{
     Cluster, ClusterConfig, FaultPlan, Phase, Pipeline, SpillBackend, TaskPhase,
@@ -60,20 +61,13 @@ fn int_data(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn syn_digest(s: &Synopsis) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FnvHasher::new();
     for &(i, v) in s.entries() {
-        fnv1a(&mut h, &i.to_le_bytes());
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+        h.write(&i.to_le_bytes());
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn hostile_plan() -> FaultPlan {

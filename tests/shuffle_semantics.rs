@@ -1,16 +1,17 @@
-//! Cross-path shuffle guarantees, pinned at the workspace level: the
-//! sort-merge shuffle (the default) and the global-sort reference path must
-//! be observationally indistinguishable on the same job —
+//! Shuffle guarantees, pinned at the workspace level: the engine's
+//! sort-merge shuffle must be observationally indistinguishable from the
+//! oracle [`reference::shuffle_reduce`] on the same job —
 //!
 //! * identical output pair streams (grouping, order, bit patterns),
 //! * identical shuffle-byte and record accounting, in [`JobMetrics`] and in
 //!   the `shuffle_partition` trace events,
-//! * sort-merge populates its extra observability (per-map spill runs,
-//!   per-reduce merge fan-in) while the reference path leaves it empty,
-//! * traces from both paths pass [`trace::validate`].
+//! * the engine populates its observability (per-map spill runs,
+//!   per-reduce merge fan-in),
+//! * its traces pass [`trace::validate`].
 
+use dwmaxerr::runtime::reference;
 use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
-use dwmaxerr::runtime::{Cluster, ClusterConfig, JobBuilder, ShufflePath, SpillBackend};
+use dwmaxerr::runtime::{Cluster, ClusterConfig, JobBuilder, SpillBackend};
 use dwmaxerr::runtime::{JobOutput, MapContext, ReduceContext};
 
 /// Backend comes from `DWM_SPILL_BACKEND` (default memory) so a CI leg
@@ -23,30 +24,41 @@ fn quiet_cluster() -> Cluster {
     Cluster::new(cfg)
 }
 
-/// Runs a word-count-shaped job (skewed keys, one empty split, optional
-/// combiner) on the given path; returns the output and the trace events.
-fn run_job(path: ShufflePath, combine: bool) -> (JobOutput<u64, f64>, Vec<TraceEvent>) {
-    let cluster = quiet_cluster();
-    // Skewed: key 0 dominates, some keys unique, split 2 empty.
-    let splits: Vec<Vec<u64>> = vec![
+/// Skewed: key 0 dominates, some keys unique, split 2 empty.
+fn skewed_splits() -> Vec<Vec<u64>> {
+    vec![
         vec![0, 0, 0, 5, 9, 0, 3],
         vec![0, 3, 3, 7, 0],
         vec![],
         vec![11, 0, 5],
-    ];
+    ]
+}
+
+fn sum(_k: &u64, vals: &mut dyn Iterator<Item = f64>) -> f64 {
+    vals.sum()
+}
+
+fn emit_sum(k: &u64, vals: &mut dyn Iterator<Item = f64>, ctx: &mut ReduceContext<u64, f64>) {
+    ctx.emit(*k, vals.sum())
+}
+
+/// Runs a word-count-shaped job (skewed keys, one empty split, optional
+/// combiner) on the engine; returns the output and the trace events.
+fn run_job(combine: bool) -> (JobOutput<u64, f64>, Vec<TraceEvent>) {
+    let cluster = quiet_cluster();
+    let splits = skewed_splits();
     let mut stage = JobBuilder::new("shufsem")
         .map(|split: &Vec<u64>, ctx: &mut MapContext<u64, f64>| {
             for &x in split {
                 ctx.emit(x, x as f64 + 0.5);
             }
         })
-        .reducers(3)
-        .shuffle_path(path);
+        .reducers(3);
     if combine {
-        stage = stage.combine_with(|_k, vals: &mut dyn Iterator<Item = f64>| vals.sum());
+        stage = stage.combine_with(sum);
     }
     let out = stage
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| ctx.emit(*k, vals.sum()))
+        .reduce(emit_sum)
         .run(&cluster, &splits)
         .expect("job succeeds");
     (out, cluster.trace_events())
@@ -68,27 +80,29 @@ fn partition_bytes(events: &[TraceEvent]) -> Vec<(usize, u64)> {
 #[test]
 fn both_paths_produce_identical_output_and_accounting() {
     for combine in [false, true] {
-        let (merge, merge_events) = run_job(ShufflePath::SortMerge, combine);
-        let (reference, ref_events) = run_job(ShufflePath::GlobalSort, combine);
+        let (merge, merge_events) = run_job(combine);
+        let emitted: Vec<Vec<(u64, f64)>> = skewed_splits()
+            .iter()
+            .map(|s| s.iter().map(|&x| (x, x as f64 + 0.5)).collect())
+            .collect();
+        let combiner = if combine { Some(&sum as _) } else { None };
+        let (pairs, bytes, records) = reference::shuffle_reduce(&emitted, 3, combiner, emit_sum);
 
-        let bits = |out: &JobOutput<u64, f64>| -> Vec<(u64, u64)> {
-            out.pairs.iter().map(|&(k, v)| (k, v.to_bits())).collect()
+        let bits = |pairs: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            pairs.iter().map(|&(k, v)| (k, v.to_bits())).collect()
         };
-        assert_eq!(bits(&merge), bits(&reference), "combine={combine}");
-        assert_eq!(merge.metrics.shuffle_bytes, reference.metrics.shuffle_bytes);
-        assert_eq!(
-            merge.metrics.shuffle_records,
-            reference.metrics.shuffle_records
-        );
+        assert_eq!(bits(&merge.pairs), bits(&pairs), "combine={combine}");
+        assert_eq!(merge.metrics.shuffle_bytes, bytes.iter().sum::<u64>());
+        assert_eq!(merge.metrics.shuffle_records, records);
         // Per-partition shuffle bytes in the trace agree too.
-        assert_eq!(partition_bytes(&merge_events), partition_bytes(&ref_events));
+        let per_partition: Vec<(usize, u64)> = bytes.into_iter().enumerate().collect();
+        assert_eq!(partition_bytes(&merge_events), per_partition);
     }
 }
 
 #[test]
 fn sort_merge_reports_spills_and_fan_in_reference_does_not() {
-    let (merge, merge_events) = run_job(ShufflePath::SortMerge, false);
-    let (reference, _) = run_job(ShufflePath::GlobalSort, false);
+    let (merge, merge_events) = run_job(false);
 
     // One spill-run count per map task; one fan-in per reducer.
     assert_eq!(merge.metrics.spill_runs.len(), 4);
@@ -104,13 +118,6 @@ fn sort_merge_reports_spills_and_fan_in_reference_does_not() {
         merge.metrics.spill_runs.iter().sum::<u64>()
     );
 
-    // Reference path: no spill/fan-in observability (but merge_secs is
-    // still measured — it times the reference sort there).
-    assert!(reference.metrics.spill_runs.is_empty());
-    assert!(reference.metrics.merge_fan_in.is_empty());
-    assert!(reference.metrics.spill_secs.is_empty());
-    assert_eq!(reference.metrics.merge_secs.len(), 3);
-
     // Trace events carry the same fan-in as the metrics.
     let trace_runs: Vec<u64> = merge_events
         .iter()
@@ -124,11 +131,9 @@ fn sort_merge_reports_spills_and_fan_in_reference_does_not() {
 
 #[test]
 fn traces_from_both_paths_validate() {
-    for path in [ShufflePath::SortMerge, ShufflePath::GlobalSort] {
-        for combine in [false, true] {
-            let (_, events) = run_job(path, combine);
-            trace::validate(&events).expect("trace validates");
-        }
+    for combine in [false, true] {
+        let (_, events) = run_job(combine);
+        trace::validate(&events).expect("trace validates");
     }
 }
 
@@ -137,31 +142,31 @@ fn tie_order_matches_reference_under_duplicate_heavy_input() {
     // Every split emits the same few keys many times: groups span every
     // run, so the k-way merge's tie-break (run index = map task order) is
     // fully exercised. Values encode (split, position) so any reordering
-    // relative to the reference path changes the observed value stream.
+    // relative to the oracle changes the observed value stream.
     let splits: Vec<Vec<(u64, u64)>> = (0..5)
         .map(|s| (0..30).map(|i| (i % 3, s * 1000 + i)).collect())
         .collect();
-    let run = |path: ShufflePath| {
-        let cluster = quiet_cluster();
-        JobBuilder::new("ties")
-            .map(|split: &Vec<(u64, u64)>, ctx: &mut MapContext<u64, u64>| {
-                for &(k, v) in split {
-                    ctx.emit(k, v);
-                }
-            })
-            .reducers(2)
-            .shuffle_path(path)
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, u64>| {
-                // Emit each value so intra-group order is observable.
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            })
-            .run(&cluster, &splits)
-            .expect("job succeeds")
-            .pairs
-    };
-    assert_eq!(run(ShufflePath::SortMerge), run(ShufflePath::GlobalSort));
+    // Emit each value so intra-group order is observable.
+    let emit_all =
+        |k: &u64, vals: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
+            for v in vals {
+                ctx.emit(*k, v);
+            }
+        };
+    let engine = JobBuilder::new("ties")
+        .map(|split: &Vec<(u64, u64)>, ctx: &mut MapContext<u64, u64>| {
+            for &(k, v) in split {
+                ctx.emit(k, v);
+            }
+        })
+        .reducers(2)
+        .reduce(emit_all)
+        .run(&quiet_cluster(), &splits)
+        .expect("job succeeds");
+    let (pairs, bytes, records) = reference::shuffle_reduce(&splits, 2, None, emit_all);
+    assert_eq!(engine.pairs, pairs);
+    assert_eq!(engine.metrics.shuffle_bytes, bytes.iter().sum::<u64>());
+    assert_eq!(engine.metrics.shuffle_records, records);
 }
 
 #[test]
