@@ -21,11 +21,11 @@ use dwmaxerr_core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr_core::CoreError;
 use dwmaxerr_datagen::synthetic::uniform;
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::trace::{self, summary, TraceEvent};
+use dwmaxerr_runtime::trace::{self, json, summary, TraceEvent};
 use dwmaxerr_runtime::{AttemptStats, Cluster, ClusterConfig, FaultPlan, RecoveryStats, TaskPhase};
 
 use crate::report::{
-    cluster_stamp, critical_path_table, host_cores, secs, shuffle_structure_table,
+    bench_document, critical_path_table, host_cores, secs, shuffle_structure_table,
     slot_utilisation_table, stage_breakdown, Table,
 };
 use crate::setup::{timed, Scale};
@@ -249,38 +249,31 @@ pub struct NodeFaultSweep {
 impl NodeFaultSweep {
     /// Serialises the sweep as the `BENCH_fault_nodes.json` document,
     /// stamped with the cluster/node topology and the fault seed.
-    /// Hand-rolled JSON — the build is offline.
     pub fn to_json(&self, smoke: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"benchmark\": \"fault_nodes\",\n  \"smoke\": {smoke},\n  \
-             \"fault_seed\": {},\n  \"cluster\": {},\n  \
-             \"clean_sim_secs\": {:.6},\n  \"samples\": [\n",
-            self.seed,
-            cluster_stamp(&faulty_config(None)),
-            self.clean_secs,
-        ));
-        for (i, x) in self.samples.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"nodes_killed\": {}, \"corruption\": {}, \"sim_secs\": {:.6}, \
-                 \"overhead_pct\": {:.2}, \"nodes_failed\": {}, \"maps_reexecuted\": {}, \
-                 \"fetch_retries\": {}, \"corrupt_runs\": {}, \"nodes_blacklisted\": {}, \
-                 \"identical\": {}}}{}\n",
-                x.nodes_killed,
-                x.corruption,
-                x.sim_secs,
-                (x.sim_secs / self.clean_secs - 1.0) * 100.0,
-                x.recovery.nodes_failed,
-                x.recovery.maps_reexecuted,
-                x.recovery.fetch_retries,
-                x.recovery.corrupt_runs,
-                x.recovery.nodes_blacklisted,
-                x.identical,
-                if i + 1 < self.samples.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let header = [
+            ("fault_seed", self.seed.into()),
+            ("clean_sim_secs", self.clean_secs.into()),
+        ];
+        let rows = self
+            .samples
+            .iter()
+            .map(|x| {
+                let overhead_pct = (x.sim_secs / self.clean_secs - 1.0) * 100.0;
+                json::object([
+                    ("nodes_killed", x.nodes_killed.into()),
+                    ("corruption", x.corruption.into()),
+                    ("sim_secs", x.sim_secs.into()),
+                    ("overhead_pct", overhead_pct.into()),
+                    ("nodes_failed", x.recovery.nodes_failed.into()),
+                    ("maps_reexecuted", x.recovery.maps_reexecuted.into()),
+                    ("fetch_retries", x.recovery.fetch_retries.into()),
+                    ("corrupt_runs", x.recovery.corrupt_runs.into()),
+                    ("nodes_blacklisted", x.recovery.nodes_blacklisted.into()),
+                    ("identical", x.identical.into()),
+                ])
+            })
+            .collect();
+        bench_document("fault_nodes", smoke, &faulty_config(None), header, rows)
     }
 }
 
@@ -564,23 +557,45 @@ mod tests {
             clean_secs: 2.0,
             seed: 9,
         };
-        let json = sweep.to_json(true);
-        assert!(json.contains("\"benchmark\": \"fault_nodes\""));
-        assert!(json.contains("\"fault_seed\": 9"));
+        let text = sweep.to_json(true);
+        assert!(text.ends_with("}\n") && text.lines().count() == 1);
+        let doc = json::parse(&text).expect("valid JSON");
+        let u64_at = |v: &json::Value, key: &str| v.get(key).and_then(json::Value::as_u64);
+        let str_at = |key: &str| doc.get(key).and_then(json::Value::as_str);
+        assert_eq!(str_at("benchmark"), Some("fault_nodes"));
+        assert_eq!(doc.get("smoke"), Some(&json::Value::Bool(true)));
+        assert_eq!(u64_at(&doc, "fault_seed"), Some(9));
+        assert_eq!(doc.get("clean_sim_secs"), Some(&json::Value::Num(2.0)));
         // Topology stamp matches the paper cluster the sweep runs on. The
-        // trailing executor-thread and host-core fields are host-dependent,
-        // so the assertion stops at the field names.
-        assert!(json.contains(
-            "\"cluster\": {\"map_slots\": 40, \"reduce_slots\": 16, \"nodes\": 8, \
-             \"maps_per_node\": 5, \"reduces_per_node\": 2, \"spill_backend\": \"memory\", \
-             \"threads\": "
-        ));
-        assert!(json.contains("\"host_cores\": "));
-        assert_eq!(json.matches("\"nodes_killed\":").count(), 2);
-        assert!(json.contains("\"overhead_pct\": 50.00"));
-        assert!(json.contains("\"maps_reexecuted\": 7"));
-        // Trailing-comma discipline: one separator between the two samples.
-        assert!(json.contains("\"identical\": true},\n"));
-        assert!(json.ends_with("\"identical\": true}\n  ]\n}\n"));
+        // executor-thread and host-core fields are host-dependent, so the
+        // assertion stops at their presence.
+        let cluster = doc.get("cluster").unwrap();
+        for (key, want) in [
+            ("map_slots", 40),
+            ("reduce_slots", 16),
+            ("nodes", 8),
+            ("maps_per_node", 5),
+            ("reduces_per_node", 2),
+        ] {
+            assert_eq!(u64_at(cluster, key), Some(want), "{key}");
+        }
+        assert_eq!(
+            cluster.get("spill_backend").and_then(json::Value::as_str),
+            Some("memory")
+        );
+        assert!(u64_at(cluster, "threads").is_some());
+        assert!(u64_at(cluster, "host_cores").is_some());
+        let rows = doc
+            .get("samples")
+            .and_then(json::Value::as_array)
+            .expect("samples");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(u64_at(&rows[0], "nodes_killed"), Some(0));
+        assert_eq!(u64_at(&rows[1], "nodes_killed"), Some(3));
+        assert_eq!(rows[1].get("overhead_pct"), Some(&json::Value::Num(50.0)));
+        assert_eq!(u64_at(&rows[1], "maps_reexecuted"), Some(7));
+        for row in rows {
+            assert_eq!(row.get("identical"), Some(&json::Value::Bool(true)));
+        }
     }
 }

@@ -28,12 +28,13 @@ use std::time::{Duration, Instant};
 use dwmaxerr_core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr_core::query::ErrorBound;
 use dwmaxerr_datagen::{wd_like, Distribution};
+use dwmaxerr_runtime::trace::json;
 use dwmaxerr_runtime::{Cluster, ClusterConfig, NodeTopology};
 use dwmaxerr_serve::{
     NetClient, NetServer, NetServerConfig, Query, ShardRouter, SlotResult, SynopsisStore,
 };
 
-use crate::report::{cluster_stamp, Table};
+use crate::report::{bench_document, Table};
 
 /// Nodes in the simulated topology the router places shards on.
 const NODES: usize = 4;
@@ -338,38 +339,32 @@ impl NetServeSweep {
 
     /// The `BENCH_net_serve.json` document.
     pub fn to_json(&self, smoke: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"benchmark\": \"net_serve\",\n  \"smoke\": {smoke},\n  \
-             \"n\": {},\n  \"budget\": {},\n  \"synopsis_size\": {},\n  \
-             \"err_abs\": {:.9},\n  \"nodes\": {NODES},\n  \
-             \"replication\": {REPLICATION},\n  \"cluster\": {},\n  \"samples\": [\n",
-            self.n,
-            self.budget,
-            self.synopsis_size,
-            self.err_abs,
-            cluster_stamp(&ClusterConfig::default()),
-        ));
-        for (i, x) in self.samples.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"shards\": {}, \"clients\": {}, \"batch\": {}, \
-                 \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                 \"queries\": {}, \"malformed\": {}, \"bound_violations\": {}, \
-                 \"poisoned_batches\": {}}}{}\n",
-                x.shards,
-                x.clients,
-                x.batch,
-                x.qps,
-                x.p50_ms,
-                x.p99_ms,
-                x.queries,
-                x.malformed,
-                x.bound_violations,
-                x.poisoned_batches,
-                if i + 1 < self.samples.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let header = [
+            ("n", self.n.into()),
+            ("budget", self.budget.into()),
+            ("synopsis_size", self.synopsis_size.into()),
+            ("err_abs", self.err_abs.into()),
+            ("nodes", NODES.into()),
+            ("replication", REPLICATION.into()),
+        ];
+        let rows = self
+            .samples
+            .iter()
+            .map(|x| {
+                json::object([
+                    ("shards", x.shards.into()),
+                    ("clients", x.clients.into()),
+                    ("batch", x.batch.into()),
+                    ("qps", x.qps.into()),
+                    ("p50_ms", x.p50_ms.into()),
+                    ("p99_ms", x.p99_ms.into()),
+                    ("queries", x.queries.into()),
+                    ("malformed", x.malformed.into()),
+                    ("bound_violations", x.bound_violations.into()),
+                    ("poisoned_batches", x.poisoned_batches.into()),
+                ])
+            })
+            .collect();
+        bench_document("net_serve", smoke, &ClusterConfig::default(), header, rows)
     }
 }

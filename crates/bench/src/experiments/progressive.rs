@@ -23,10 +23,10 @@ use std::path::Path;
 use dwmaxerr_core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr_core::progressive::PhasedSynopsisDriver;
 use dwmaxerr_datagen::wd_like;
-use dwmaxerr_runtime::trace::{self, summary};
+use dwmaxerr_runtime::trace::{self, json, summary};
 use dwmaxerr_runtime::{Cluster, ClusterConfig};
 
-use crate::report::{cluster_stamp, secs, Table};
+use crate::report::{bench_document, secs, Table};
 
 /// Steady-state averages for one append size.
 #[derive(Debug, Clone, Copy)]
@@ -218,37 +218,35 @@ impl ProgressiveSweep {
 
     /// The `BENCH_progressive.json` document.
     pub fn to_json(&self, smoke: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"benchmark\": \"progressive\",\n  \"smoke\": {smoke},\n  \
-             \"n\": {},\n  \"base_leaves\": {},\n  \"budget\": {},\n  \
-             \"cluster\": {},\n  \"samples\": [\n",
-            self.n,
-            self.base_leaves,
-            self.budget,
-            cluster_stamp(&ClusterConfig::default()),
-        ));
-        for (i, x) in self.samples.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"append\": {}, \"fraction\": {:.6}, \"dirty_bases\": {:.3}, \
-                 \"foreground_tasks\": {:.3}, \"background_tasks\": {:.3}, \
-                 \"greedy_runs\": {:.3}, \"full_rebuild_tasks\": {}, \
-                 \"staleness_secs\": {:.6}, \"refinement_secs\": {:.6}, \
-                 \"identical\": {}}}{}\n",
-                x.append,
-                x.fraction,
-                x.dirty_bases,
-                x.foreground_tasks,
-                x.background_tasks,
-                x.greedy_runs,
-                x.full_rebuild_tasks,
-                x.staleness_secs,
-                x.refinement_secs,
-                x.identical,
-                if i + 1 < self.samples.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let header = [
+            ("n", self.n.into()),
+            ("base_leaves", self.base_leaves.into()),
+            ("budget", self.budget.into()),
+        ];
+        let rows = self
+            .samples
+            .iter()
+            .map(|x| {
+                json::object([
+                    ("append", x.append.into()),
+                    ("fraction", x.fraction.into()),
+                    ("dirty_bases", x.dirty_bases.into()),
+                    ("foreground_tasks", x.foreground_tasks.into()),
+                    ("background_tasks", x.background_tasks.into()),
+                    ("greedy_runs", x.greedy_runs.into()),
+                    ("full_rebuild_tasks", x.full_rebuild_tasks.into()),
+                    ("staleness_secs", x.staleness_secs.into()),
+                    ("refinement_secs", x.refinement_secs.into()),
+                    ("identical", x.identical.into()),
+                ])
+            })
+            .collect();
+        bench_document(
+            "progressive",
+            smoke,
+            &ClusterConfig::default(),
+            header,
+            rows,
+        )
     }
 }

@@ -21,10 +21,11 @@ use std::time::Instant;
 use dwmaxerr_core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr_core::query::ErrorBound;
 use dwmaxerr_datagen::{wd_like, Distribution};
+use dwmaxerr_runtime::trace::json;
 use dwmaxerr_runtime::{Cluster, ClusterConfig};
 use dwmaxerr_serve::{execute_with_stats, Query, SynopsisStore};
 
-use crate::report::{cluster_stamp, Table};
+use crate::report::{bench_document, Table};
 
 /// One `(mix, shards, batch)` cell of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -200,33 +201,27 @@ impl ServeSweep {
 
     /// The `BENCH_serve.json` document.
     pub fn to_json(&self, smoke: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"benchmark\": \"serve\",\n  \"smoke\": {smoke},\n  \
-             \"n\": {},\n  \"budget\": {},\n  \"synopsis_size\": {},\n  \
-             \"err_abs\": {:.9},\n  \"cluster\": {},\n  \"samples\": [\n",
-            self.n,
-            self.budget,
-            self.synopsis_size,
-            self.err_abs,
-            cluster_stamp(&ClusterConfig::default()),
-        ));
-        for (i, x) in self.samples.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"mix\": \"{}\", \"shards\": {}, \"batch\": {}, \
-                 \"qps\": {:.1}, \"memo_hit_rate\": {:.6}, \
-                 \"bound_violations\": {}, \"queries\": {}}}{}\n",
-                x.mix,
-                x.shards,
-                x.batch,
-                x.qps,
-                x.memo_hit_rate,
-                x.bound_violations,
-                x.queries,
-                if i + 1 < self.samples.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let header = [
+            ("n", self.n.into()),
+            ("budget", self.budget.into()),
+            ("synopsis_size", self.synopsis_size.into()),
+            ("err_abs", self.err_abs.into()),
+        ];
+        let rows = self
+            .samples
+            .iter()
+            .map(|x| {
+                json::object([
+                    ("mix", x.mix.into()),
+                    ("shards", x.shards.into()),
+                    ("batch", x.batch.into()),
+                    ("qps", x.qps.into()),
+                    ("memo_hit_rate", x.memo_hit_rate.into()),
+                    ("bound_violations", x.bound_violations.into()),
+                    ("queries", x.queries.into()),
+                ])
+            })
+            .collect();
+        bench_document("serve", smoke, &ClusterConfig::default(), header, rows)
     }
 }

@@ -7,11 +7,12 @@
 //! the real CPU cost of sorting and merging the shuffle stream.
 
 use dwmaxerr_runtime::codec::{FnvHasher, WireSink};
+use dwmaxerr_runtime::trace::json;
 use dwmaxerr_runtime::{
     Cluster, ClusterConfig, JobBuilder, JobOutput, MapContext, ReduceContext, SpillBackend,
 };
 
-use crate::report::{bytes, cluster_stamp, secs, Table};
+use crate::report::{bench_document, bytes, secs, Table};
 use crate::setup::timed;
 
 /// One measured (size, distribution) cell: best-of-reps wall time
@@ -181,34 +182,38 @@ pub fn shuffle_table(samples: &[ShuffleSample]) -> Table {
 /// Serialises the sweep as the `BENCH_shuffle.json` document: metadata
 /// plus one object per sample (`"path"` is the constant `"sort_merge"`, kept
 /// so rows stay comparable with baselines recorded when a second path
-/// existed). Hand-rolled JSON — the build is offline.
+/// existed).
 pub fn to_json(samples: &[ShuffleSample], smoke: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"benchmark\": \"shuffle\",\n  \"smoke\": {smoke},\n  \"splits\": {SPLITS},\n  \"reducers\": {REDUCERS},\n  \"reps\": {REPS},\n  \"cluster\": {},\n  \"fault_seed\": null,\n  \"samples\": [\n",
-        cluster_stamp(&bench_config()),
-    ));
-    for (i, x) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"records\": {}, \"distribution\": \"{}\", \"path\": \"sort_merge\", \
-             \"wall_secs\": {:.6}, \"map_secs\": {:.6}, \"spill_secs\": {:.6}, \
-             \"merge_secs\": {:.6}, \"reduce_secs\": {:.6}, \"shuffle_bytes\": {}, \
-             \"spill_runs\": {}, \"merge_fan_in\": {}}}{}\n",
-            x.records,
-            x.distribution,
-            x.wall_secs,
-            x.map_secs,
-            x.spill_secs,
-            x.merge_secs,
-            x.reduce_secs,
-            x.shuffle_bytes,
-            x.spill_runs,
-            x.merge_fan_in,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = samples
+        .iter()
+        .map(|x| {
+            json::object([
+                ("records", x.records.into()),
+                ("distribution", x.distribution.into()),
+                ("path", "sort_merge".into()),
+                ("wall_secs", x.wall_secs.into()),
+                ("map_secs", x.map_secs.into()),
+                ("spill_secs", x.spill_secs.into()),
+                ("merge_secs", x.merge_secs.into()),
+                ("reduce_secs", x.reduce_secs.into()),
+                ("shuffle_bytes", x.shuffle_bytes.into()),
+                ("spill_runs", x.spill_runs.into()),
+                ("merge_fan_in", x.merge_fan_in.into()),
+            ])
+        })
+        .collect();
+    bench_document("shuffle", smoke, &bench_config(), sweep_header(REPS), rows)
+}
+
+/// The header fields the three shuffle documents share. None of the
+/// sweeps injects faults, so `fault_seed` is `null`.
+fn sweep_header(reps: usize) -> Vec<(&'static str, json::Value)> {
+    vec![
+        ("splits", SPLITS.into()),
+        ("reducers", REDUCERS.into()),
+        ("reps", reps.into()),
+        ("fault_seed", json::Value::Null),
+    ]
 }
 
 /// One measured memory-pressure cell: the same workload run under a
@@ -347,46 +352,38 @@ pub fn pressure_table(samples: &[PressureSample]) -> Table {
 }
 
 /// Serialises the pressure sweep as the `BENCH_shuffle_pressure.json`
-/// document. Hand-rolled JSON — the build is offline. The unconstrained
-/// baseline row reports `"task_memory_bytes": null`.
+/// document. The unconstrained baseline row reports
+/// `"task_memory_bytes": null`.
 pub fn pressure_to_json(samples: &[PressureSample], smoke: bool) -> String {
-    let mut s = String::from("{\n");
     // Constrained cells run their spills through the disk backend, so the
     // stamp records that; the unconstrained baseline stays in memory.
     let mut stamp_cfg = bench_config();
     stamp_cfg.spill_backend = SpillBackend::Disk;
-    s.push_str(&format!(
-        "  \"benchmark\": \"shuffle_pressure\",\n  \"smoke\": {smoke},\n  \"splits\": {SPLITS},\n  \"reducers\": {REDUCERS},\n  \"reps\": {PRESSURE_REPS},\n  \"cluster\": {},\n  \"fault_seed\": null,\n  \"samples\": [\n",
-        cluster_stamp(&stamp_cfg),
-    ));
-    for (i, x) in samples.iter().enumerate() {
-        let budget = if x.task_memory_bytes == u64::MAX {
-            "null".to_string()
-        } else {
-            x.task_memory_bytes.to_string()
-        };
-        s.push_str(&format!(
-            "    {{\"records\": {}, \"task_memory_bytes\": {}, \"sort_factor\": {}, \
-             \"wall_secs\": {:.6}, \"spill_secs\": {:.6}, \"merge_secs\": {:.6}, \
-             \"spill_runs\": {}, \"max_spill_passes\": {}, \"merge_passes\": {}, \
-             \"disk_spill_bytes\": {}, \"disk_merge_bytes\": {}, \"digest\": \"{:016x}\"}}{}\n",
-            x.records,
-            budget,
-            x.sort_factor,
-            x.wall_secs,
-            x.spill_secs,
-            x.merge_secs,
-            x.spill_runs,
-            x.max_spill_passes,
-            x.merge_passes,
-            x.disk_spill_bytes,
-            x.disk_merge_bytes,
-            x.digest,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = samples
+        .iter()
+        .map(|x| {
+            let budget = match x.task_memory_bytes {
+                u64::MAX => json::Value::Null,
+                bytes => bytes.into(),
+            };
+            json::object([
+                ("records", x.records.into()),
+                ("task_memory_bytes", budget),
+                ("sort_factor", x.sort_factor.into()),
+                ("wall_secs", x.wall_secs.into()),
+                ("spill_secs", x.spill_secs.into()),
+                ("merge_secs", x.merge_secs.into()),
+                ("spill_runs", x.spill_runs.into()),
+                ("max_spill_passes", x.max_spill_passes.into()),
+                ("merge_passes", x.merge_passes.into()),
+                ("disk_spill_bytes", x.disk_spill_bytes.into()),
+                ("disk_merge_bytes", x.disk_merge_bytes.into()),
+                ("digest", format!("{:016x}", x.digest).into()),
+            ])
+        })
+        .collect();
+    let header = sweep_header(PRESSURE_REPS);
+    bench_document("shuffle_pressure", smoke, &stamp_cfg, header, rows)
 }
 
 /// One measured executor-scaling cell: the skewed sort-merge workload
@@ -496,38 +493,40 @@ pub fn threads_table(samples: &[ThreadsSample]) -> Table {
 }
 
 /// Serialises the executor-scaling sweep as the
-/// `BENCH_shuffle_threads.json` document. Hand-rolled JSON — the build is
-/// offline.
+/// `BENCH_shuffle_threads.json` document.
 pub fn threads_to_json(samples: &[ThreadsSample], smoke: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"benchmark\": \"shuffle_threads\",\n  \"smoke\": {smoke},\n  \"splits\": {SPLITS},\n  \"reducers\": {REDUCERS},\n  \"reps\": {REPS},\n  \"host_cores\": {},\n  \"cluster\": {},\n  \"fault_seed\": null,\n  \"samples\": [\n",
-        crate::report::host_cores(),
-        cluster_stamp(&bench_config()),
-    ));
-    let speedups = thread_speedups(samples);
-    for (i, (x, (_, speedup))) in samples.iter().zip(&speedups).enumerate() {
-        s.push_str(&format!(
-            "    {{\"records\": {}, \"threads\": {}, \"wall_secs\": {:.6}, \
-             \"spill_secs\": {:.6}, \"merge_secs\": {:.6}, \"speedup\": {:.4}, \
-             \"digest\": \"{:016x}\"}}{}\n",
-            x.records,
-            x.threads,
-            x.wall_secs,
-            x.spill_secs,
-            x.merge_secs,
-            speedup,
-            x.digest,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = samples
+        .iter()
+        .zip(thread_speedups(samples))
+        .map(|(x, (_, speedup))| {
+            json::object([
+                ("records", x.records.into()),
+                ("threads", x.threads.into()),
+                ("wall_secs", x.wall_secs.into()),
+                ("spill_secs", x.spill_secs.into()),
+                ("merge_secs", x.merge_secs.into()),
+                ("speedup", speedup.into()),
+                ("digest", format!("{:016x}", x.digest).into()),
+            ])
+        })
+        .collect();
+    let mut header = sweep_header(REPS);
+    header.push(("host_cores", crate::report::host_cores().into()));
+    bench_document("shuffle_threads", smoke, &bench_config(), header, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::Value;
+
+    fn str_at<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+        v.get(key).and_then(Value::as_str)
+    }
+
+    fn u64_at(v: &Value, key: &str) -> Option<u64> {
+        v.get(key).and_then(Value::as_u64)
+    }
 
     #[test]
     fn splits_are_deterministic_and_sized() {
@@ -563,14 +562,19 @@ mod tests {
             assert_eq!(s.shuffle_bytes, 512 * 16);
             assert_eq!(s.spill_runs, s.merge_fan_in);
         }
-        let json = to_json(&samples, true);
-        assert!(json.contains("\"benchmark\": \"shuffle\""));
-        assert_eq!(json.matches("\"records\":").count(), 2);
-        assert_eq!(json.matches("\"path\": \"sort_merge\"").count(), 2);
+        let doc = json::parse(&to_json(&samples, true)).expect("valid JSON");
+        assert_eq!(str_at(&doc, "benchmark"), Some("shuffle"));
+        let rows = doc.get("samples").and_then(Value::as_array).unwrap();
+        assert_eq!(rows.len(), 2);
+        for (row, s) in rows.iter().zip(&samples) {
+            assert_eq!(u64_at(row, "records"), Some(s.records as u64));
+            assert_eq!(str_at(row, "path"), Some("sort_merge"));
+        }
         // Reproducibility stamp: topology + (absent) fault seed.
-        assert!(json.contains(&format!("\"cluster\": {{\"map_slots\": {SPLITS}")));
-        assert!(json.contains("\"spill_backend\": \"memory\""));
-        assert!(json.contains("\"fault_seed\": null"));
+        let cluster = doc.get("cluster").unwrap();
+        assert_eq!(u64_at(cluster, "map_slots"), Some(SPLITS as u64));
+        assert_eq!(str_at(cluster, "spill_backend"), Some("memory"));
+        assert_eq!(doc.get("fault_seed"), Some(&Value::Null));
         let table = shuffle_table(&samples).to_markdown();
         assert!(table.contains("uniform") && table.contains("skewed"));
     }
@@ -589,10 +593,13 @@ mod tests {
         for (_, sp) in &speedups {
             assert!(sp.is_finite() && *sp > 0.0);
         }
-        let json = threads_to_json(&samples, true);
-        assert!(json.contains("\"benchmark\": \"shuffle_threads\""));
-        assert!(json.contains("\"host_cores\":"));
-        assert_eq!(json.matches("\"threads\":").count(), 3 + 1); // 3 rows + stamp
+        let doc = json::parse(&threads_to_json(&samples, true)).expect("valid JSON");
+        assert_eq!(str_at(&doc, "benchmark"), Some("shuffle_threads"));
+        assert!(u64_at(&doc, "host_cores").is_some());
+        let rows = doc.get("samples").and_then(Value::as_array).unwrap();
+        let row_threads: Vec<_> = rows.iter().map(|r| u64_at(r, "threads")).collect();
+        assert_eq!(row_threads, [Some(1), Some(2), Some(4)]);
+        assert!(u64_at(doc.get("cluster").unwrap(), "threads").is_some());
         let table = threads_table(&samples).to_markdown();
         assert!(table.contains("bit-identical"));
     }
@@ -618,12 +625,16 @@ mod tests {
         assert!(tight.merge_passes >= 1, "{tight:?}");
         assert!(tight.disk_spill_bytes > 0 && tight.disk_merge_bytes > 0);
 
-        let json = pressure_to_json(&samples, true);
-        assert!(json.contains("\"benchmark\": \"shuffle_pressure\""));
-        assert!(json.contains("\"task_memory_bytes\": null"));
-        assert_eq!(json.matches("\"records\":").count(), 3);
-        assert!(json.contains("\"spill_backend\": \"disk\""));
-        assert!(json.contains("\"fault_seed\": null"));
+        let doc = json::parse(&pressure_to_json(&samples, true)).expect("valid JSON");
+        assert_eq!(str_at(&doc, "benchmark"), Some("shuffle_pressure"));
+        let rows = doc.get("samples").and_then(Value::as_array).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|r| u64_at(r, "records") == Some(1024)));
+        assert_eq!(rows[0].get("task_memory_bytes"), Some(&Value::Null));
+        assert_eq!(u64_at(&rows[2], "task_memory_bytes"), Some(256));
+        let cluster = doc.get("cluster").unwrap();
+        assert_eq!(str_at(cluster, "spill_backend"), Some("disk"));
+        assert_eq!(doc.get("fault_seed"), Some(&Value::Null));
         let table = pressure_table(&samples).to_markdown();
         assert!(table.contains("unbounded"));
         assert!(table.contains("bit-identical"));

@@ -1,8 +1,9 @@
-//! Markdown table reporting for the experiment harness.
+//! Markdown table and `BENCH_*.json` reporting for the experiment harness.
 
 use std::fmt::Write as _;
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
+use dwmaxerr_runtime::trace::json::{self, Value};
 use dwmaxerr_runtime::trace::{summary, TraceEvent, TraceEventKind};
 use dwmaxerr_runtime::ClusterConfig;
 
@@ -90,20 +91,40 @@ impl Table {
 /// `host_cores` (the machine's physical parallelism) make wall-clock
 /// numbers comparable across machines: a speedup table recorded on a
 /// 1-core CI runner is expected to be flat, and the stamp says so.
-pub fn cluster_stamp(cfg: &ClusterConfig) -> String {
-    format!(
-        "{{\"map_slots\": {}, \"reduce_slots\": {}, \"nodes\": {}, \
-         \"maps_per_node\": {}, \"reduces_per_node\": {}, \"spill_backend\": \"{}\", \
-         \"threads\": {}, \"host_cores\": {}}}",
-        cfg.map_slots,
-        cfg.reduce_slots,
-        cfg.nodes,
-        cfg.maps_per_node(),
-        cfg.reduces_per_node(),
-        cfg.spill_backend.as_str(),
-        cfg.threads,
-        host_cores(),
-    )
+pub fn cluster_stamp(cfg: &ClusterConfig) -> Value {
+    json::object([
+        ("map_slots", cfg.map_slots.into()),
+        ("reduce_slots", cfg.reduce_slots.into()),
+        ("nodes", cfg.nodes.into()),
+        ("maps_per_node", cfg.maps_per_node().into()),
+        ("reduces_per_node", cfg.reduces_per_node().into()),
+        ("spill_backend", cfg.spill_backend.as_str().into()),
+        ("threads", cfg.threads.into()),
+        ("host_cores", host_cores().into()),
+    ])
+}
+
+/// Serialises one `BENCH_*.json` document: the envelope every benchmark
+/// shares (`benchmark`, `smoke`, the [`cluster_stamp`] of `cluster`, and
+/// `samples`) around the benchmark's own `header` fields (sweep
+/// parameters, and `fault_seed` where the document carries one). One
+/// line, keys sorted, newline-terminated.
+pub fn bench_document(
+    benchmark: &str,
+    smoke: bool,
+    cluster: &ClusterConfig,
+    header: impl IntoIterator<Item = (&'static str, Value)>,
+    samples: Vec<Value>,
+) -> String {
+    let envelope = [
+        ("benchmark", benchmark.into()),
+        ("smoke", smoke.into()),
+        ("cluster", cluster_stamp(cluster)),
+        ("samples", Value::Arr(samples)),
+    ];
+    let mut doc = json::write(&json::object(envelope.into_iter().chain(header)));
+    doc.push('\n');
+    doc
 }
 
 /// Physical core count of the host machine (1 when undetectable).

@@ -30,13 +30,20 @@
 //!
 //! # Exporters
 //!
-//! [`to_jsonl`] writes one JSON object per line in a stable schema (see
+//! The event schema is declared once, in the `trace_events!` table below:
+//! each kind states its variant, its `ev` tag and its typed fields, and
+//! the [`TraceEventKind`] enum, [`TraceEventKind::tag`], the ordered field
+//! list and the parser are derived from it. [`to_jsonl`] writes one JSON
+//! object per line — `seq`, `t`, `ev`, then that field list (see
 //! [`TraceEvent::to_jsonl`]); [`chrome_trace`] writes the Chrome
 //! trace-event format, loadable in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing`, with one track per simulated slot. Both round-trip
-//! / parse through the vendored [`json`] mini-parser (the build is
-//! offline, so serde is not available; the schema is hand-encoded and
-//! hand-validated instead).
+//! `chrome://tracing`, with one track per simulated slot, choosing per
+//! kind only where and how the event is drawn and taking `args` from the
+//! same field list. Both are written and parsed through the vendored
+//! [`json`] module (the build is offline, so serde is not available); no
+//! exporter spells JSON text by hand. Only [`TraceEvent::digest`] is
+//! hand-written per kind, because the golden-sequence tests pin its exact
+//! strings.
 //!
 //! # Example
 //!
@@ -62,7 +69,11 @@
 //! assert_eq!(attempts, 4);
 //! ```
 
-use std::fmt::Write as _;
+// Function-length budget (threshold in clippy.toml) for this module tree:
+// the exporters and the validator must not regrow into one long match per
+// concern.
+#![warn(clippy::too_many_lines)]
+
 use std::sync::Mutex;
 
 use crate::fault::{FailureKind, TaskPhase};
@@ -93,16 +104,6 @@ impl JobPhase {
             JobPhase::Reduce => "reduce",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, TraceError> {
-        match s {
-            "setup" => Ok(JobPhase::Setup),
-            "map" => Ok(JobPhase::Map),
-            "shuffle" => Ok(JobPhase::Shuffle),
-            "reduce" => Ok(JobPhase::Reduce),
-            other => Err(TraceError(format!("unknown job phase {other:?}"))),
-        }
-    }
 }
 
 impl std::fmt::Display for JobPhase {
@@ -111,11 +112,191 @@ impl std::fmt::Display for JobPhase {
     }
 }
 
-/// What a [`TraceEvent`] records.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEventKind {
+/// One typed event field's JSON form. Every field type a
+/// [`TraceEventKind`] variant carries implements it, so the schema table
+/// below is the only place that knows which fields an event has.
+trait Field: Sized {
+    /// How "field … is not …" parse errors name the type.
+    const EXPECTED: &'static str;
+    /// The field's JSON value.
+    fn to_json(&self) -> json::Value;
+    /// Inverts [`Field::to_json`]; `None` for a value of the wrong JSON
+    /// type or one that names no variant.
+    fn from_json(v: &json::Value) -> Option<Self>;
+}
+
+impl Field for String {
+    const EXPECTED: &'static str = "a string";
+    fn to_json(&self) -> json::Value {
+        self.as_str().into()
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl Field for u64 {
+    const EXPECTED: &'static str = "an unsigned integer";
+    fn to_json(&self) -> json::Value {
+        (*self).into()
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        v.as_u64()
+    }
+}
+
+impl Field for usize {
+    const EXPECTED: &'static str = u64::EXPECTED;
+    fn to_json(&self) -> json::Value {
+        (*self).into()
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        v.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+}
+
+impl Field for f64 {
+    const EXPECTED: &'static str = "a number";
+    fn to_json(&self) -> json::Value {
+        (*self).into()
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        v.as_f64()
+    }
+}
+
+impl Field for bool {
+    const EXPECTED: &'static str = "a boolean";
+    fn to_json(&self) -> json::Value {
+        (*self).into()
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        v.as_bool()
+    }
+}
+
+impl Field for Phase {
+    const EXPECTED: &'static str = "a pipeline phase";
+    fn to_json(&self) -> json::Value {
+        self.label().into()
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        Phase::parse_label(v.as_str()?)
+    }
+}
+
+/// Optional fields are written as `null`, never omitted.
+impl<T: Field> Field for Option<T> {
+    const EXPECTED: &'static str = T::EXPECTED;
+    fn to_json(&self) -> json::Value {
+        self.as_ref().map_or(json::Value::Null, T::to_json)
+    }
+    fn from_json(v: &json::Value) -> Option<Self> {
+        match v {
+            json::Value::Null => Some(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+/// Implements [`Field`] for a C-like enum whose variants are named in the
+/// schema by their `as_str()`.
+macro_rules! named_field {
+    ($ty:ident, $expected:literal: $($variant:ident),+) => {
+        impl Field for $ty {
+            const EXPECTED: &'static str = $expected;
+            fn to_json(&self) -> json::Value {
+                self.as_str().into()
+            }
+            fn from_json(v: &json::Value) -> Option<Self> {
+                let name = v.as_str()?;
+                [$($ty::$variant),+].into_iter().find(|x| x.as_str() == name)
+            }
+        }
+    };
+}
+
+named_field!(JobPhase, "a job phase": Setup, Map, Shuffle, Reduce);
+named_field!(TaskPhase, "a task phase": Map, Reduce);
+named_field!(AttemptKind, "an attempt kind": Regular, Retry, Speculative);
+named_field!(AttemptOutcome, "an attempt outcome": Succeeded, Failed, Killed);
+named_field!(FailureKind, "a failure kind": Panic, Injected, NodeLost);
+
+/// Reads field `key` of a parsed JSONL line. A field the schema declares
+/// with a default takes it when the key is absent or `null`: such fields
+/// were added after traces without them had been written.
+fn parse_field<T: Field>(
+    line: &json::Value,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, TraceError> {
+    match (line.get(key), default) {
+        (None | Some(json::Value::Null), Some(default)) => Ok(default),
+        (None, None) => Err(TraceError(format!("missing field {key:?}"))),
+        (Some(v), _) => T::from_json(v)
+            .ok_or_else(|| TraceError(format!("field {key:?} is not {}", T::EXPECTED))),
+    }
+}
+
+/// Declares the event schema: each kind states its variant, its `ev` tag
+/// and its typed fields (in JSONL order, `= default` marking fields older
+/// traces lack) once, and the [`TraceEventKind`] enum, its tag, its
+/// ordered field list and its parser are all derived from that.
+macro_rules! trace_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $tag:literal $({$(
+            $(#[$fmeta:meta])*
+            $field:ident: $ty:ty $(= $default:expr)?
+        ),* $(,)?})?
+    ),* $(,)?) => {
+        /// What a [`TraceEvent`] records.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEventKind {$(
+            $(#[$vmeta])*
+            $variant $({$(
+                $(#[$fmeta])*
+                $field: $ty,
+            )*})?,
+        )*}
+
+        impl TraceEventKind {
+            /// The event type tag: the `ev` field of the JSONL schema.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(TraceEventKind::$variant $({ $($field: _),* })? => $tag,)*
+                }
+            }
+
+            /// The kind's fields as `(name, value)` pairs in schema order.
+            fn fields(&self) -> Vec<(&'static str, json::Value)> {
+                match self {$(
+                    TraceEventKind::$variant $({ $($field),* })? => {
+                        vec![$($((stringify!($field), $field.to_json())),*)?]
+                    }
+                )*}
+            }
+
+            /// Rebuilds the kind tagged `tag` from a parsed JSONL line.
+            fn from_fields(tag: &str, line: &json::Value) -> Result<Self, TraceError> {
+                Ok(match tag {
+                    $($tag => TraceEventKind::$variant $({$(
+                        $field: parse_field(
+                            line,
+                            stringify!($field),
+                            None $(.or(Some($default)))?,
+                        )?,
+                    )*})?,)*
+                    other => return Err(TraceError(format!("unknown event type {other:?}"))),
+                })
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A job's simulated timeline begins (`time` is its start).
-    JobBegin {
+    JobBegin = "job_begin" {
         /// Job name.
         job: String,
         /// Number of map tasks (= input splits).
@@ -124,7 +305,7 @@ pub enum TraceEventKind {
         reducers: usize,
     },
     /// A job's simulated timeline ends (`time` is its end).
-    JobEnd {
+    JobEnd = "job_end" {
         /// Job name.
         job: String,
         /// The job's end-to-end simulated seconds. Carried explicitly so
@@ -133,14 +314,14 @@ pub enum TraceEventKind {
         sim_secs: f64,
     },
     /// A job failed with a typed error before producing a timeline.
-    JobAborted {
+    JobAborted = "job_aborted" {
         /// Job name.
         job: String,
         /// The rendered [`crate::RuntimeError`].
         reason: String,
     },
     /// A phase span opens at `time`.
-    PhaseBegin {
+    PhaseBegin = "phase_begin" {
         /// Owning job name.
         job: String,
         /// Which phase.
@@ -150,7 +331,7 @@ pub enum TraceEventKind {
         slots: usize,
     },
     /// A phase span closes at `time`.
-    PhaseEnd {
+    PhaseEnd = "phase_end" {
         /// Owning job name.
         job: String,
         /// Which phase.
@@ -160,7 +341,7 @@ pub enum TraceEventKind {
     },
     /// One task attempt as placed on the slot schedule; `time` is its
     /// simulated start.
-    Attempt {
+    Attempt = "attempt" {
         /// Owning job name.
         job: String,
         /// Map or reduce.
@@ -177,15 +358,15 @@ pub enum TraceEventKind {
         slot: usize,
         /// Node hosting the slot (0 on single-node topologies and in
         /// traces written before node fault domains existed).
-        node: usize,
+        node: usize = 0,
         /// Simulated end time (absolute, same timebase as `time`).
         end: f64,
         /// Why it crashed, when `outcome` is failed.
-        failure: Option<FailureKind>,
+        failure: Option<FailureKind> = None,
     },
     /// A scheduling wave opens: `started` first attempts were admitted
     /// together at `time`.
-    Wave {
+    Wave = "wave" {
         /// Owning job name.
         job: String,
         /// Map or reduce.
@@ -197,7 +378,7 @@ pub enum TraceEventKind {
     },
     /// Wire-encoded bytes fetched by one reduce partition (emitted at the
     /// shuffle span's start).
-    ShufflePartition {
+    ShufflePartition = "shuffle_partition" {
         /// Owning job name.
         job: String,
         /// Reduce partition index.
@@ -206,8 +387,9 @@ pub enum TraceEventKind {
         bytes: u64,
         /// Sorted runs fetched by this partition's reducer (its merge
         /// fan-in): at most one non-empty run per map-task spill pass (one
-        /// per map task unless the spill budget forced extra passes).
-        runs: u64,
+        /// per map task unless the spill budget forced extra passes). 0 in
+        /// traces written before merge fan-in was recorded.
+        runs: u64 = 0,
     },
     /// A map task's buffered emission crossed the spill budget
     /// (`io_sort_bytes`) and was sorted and written out as one run per
@@ -215,7 +397,7 @@ pub enum TraceEventKind {
     /// once — single-spill tasks are the memory-resident common case and
     /// keep the golden event sequences unchanged. `time` is the owning
     /// attempt's simulated end.
-    Spill {
+    Spill = "spill" {
         /// Owning job name.
         job: String,
         /// Map task index.
@@ -232,7 +414,7 @@ pub enum TraceEventKind {
     /// one new run. Emitted only when intermediate passes actually
     /// happened (fan-in below run count); the final streaming merge is
     /// not an event. `time` is the owning attempt's simulated start.
-    MergePass {
+    MergePass = "merge_pass" {
         /// Owning job name.
         job: String,
         /// Reduce partition index.
@@ -249,7 +431,7 @@ pub enum TraceEventKind {
     /// working set exceeds `task_memory_bytes`); the job aborts without a
     /// phase timeline. Always followed by a [`TraceEventKind::JobAborted`]
     /// for the same job.
-    TaskAborted {
+    TaskAborted = "task_aborted" {
         /// Owning job name.
         job: String,
         /// Map or reduce.
@@ -261,7 +443,7 @@ pub enum TraceEventKind {
     },
     /// A seeded [`crate::fault::FaultPlan`] crashed an attempt; `time` is
     /// when the failure was observed (the attempt's simulated end).
-    FaultInjected {
+    FaultInjected = "fault_injected" {
         /// Owning job name.
         job: String,
         /// Map or reduce.
@@ -275,7 +457,7 @@ pub enum TraceEventKind {
     /// every attempt running on the node at `time` fails with
     /// [`FailureKind::NodeLost`], and completed map outputs hosted there
     /// are lost for the shuffle.
-    NodeDown {
+    NodeDown = "node_down" {
         /// Owning job name.
         job: String,
         /// Node index that went down.
@@ -287,7 +469,7 @@ pub enum TraceEventKind {
     },
     /// A reducer exhausted its fetch retries against one map task's lost
     /// or corrupt output; `time` is the reducer attempt's simulated start.
-    FetchFailed {
+    FetchFailed = "fetch_failed" {
         /// Owning job name.
         job: String,
         /// Reduce partition whose fetch failed.
@@ -300,7 +482,7 @@ pub enum TraceEventKind {
     /// A completed map task was re-executed on a surviving node because
     /// its output was lost or corrupt; its regenerated runs substitute
     /// bit-identically into every reducer's merge.
-    MapReexecuted {
+    MapReexecuted = "map_reexecuted" {
         /// Owning job name.
         job: String,
         /// Map task index that re-ran.
@@ -310,7 +492,7 @@ pub enum TraceEventKind {
     },
     /// A node crossed the failure threshold and stopped receiving new
     /// attempts for the rest of the phase (Hadoop node blacklisting).
-    NodeBlacklisted {
+    NodeBlacklisted = "node_blacklisted" {
         /// Owning job name.
         job: String,
         /// Blacklisted node index.
@@ -319,24 +501,24 @@ pub enum TraceEventKind {
         failures: usize,
     },
     /// A pipeline stage starts (wraps the stage's job span).
-    StageBegin {
+    StageBegin = "stage_begin" {
         /// Stage name (the job's name).
         stage: String,
     },
     /// A pipeline stage ends.
-    StageEnd {
+    StageEnd = "stage_end" {
         /// Stage name (the job's name).
         stage: String,
     },
     /// Driver-side glue ran between stages ([`crate::Pipeline::then`] /
     /// `try_then`). Glue is free on the simulated clock; the event marks
     /// the transition point in the plan.
-    Glue,
+    Glue = "glue",
     /// The pipeline driver opened an execution phase
     /// ([`crate::Pipeline::enter_phase`]): stages that follow run under
     /// this tag until the next `phase_started`. Only phased plans emit it,
     /// so linear plans keep their golden event sequences unchanged.
-    PhaseStarted {
+    PhaseStarted = "phase_started" {
         /// The phase being entered (foreground or background refinement).
         phase: Phase,
     },
@@ -344,7 +526,7 @@ pub enum TraceEventKind {
     /// [`crate::Progressive`] handle ([`crate::Pipeline::checkpoint`] /
     /// [`crate::Pipeline::publish`]); `time` is the simulated instant the
     /// snapshot became servable.
-    SnapshotPublished {
+    SnapshotPublished = "snapshot_published" {
         /// The progressive handle's label.
         label: String,
         /// 1-based publish count for the label; [`validate`] checks it
@@ -366,418 +548,34 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Formats an f64 with Rust's shortest round-trip representation (valid
-/// JSON for all finite values).
-fn fmt_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "trace times must be finite");
-    format!("{v}")
-}
-
-/// Escapes a string for inclusion in a JSON document (without the quotes).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TraceEvent {
     /// Serializes the event as one line of JSONL.
     ///
     /// The schema is stable: every line carries `seq` (integer), `t`
-    /// (simulated seconds, float) and `ev` (the event type tag), followed
-    /// by the type's fields in a fixed order. Optional fields are encoded
-    /// as `null`, never omitted. [`TraceEvent::from_jsonl`] inverts this
-    /// exactly.
+    /// (simulated seconds, float) and `ev` (the event type tag,
+    /// [`TraceEventKind::tag`]), followed by the type's fields in their
+    /// declared order. Optional fields are encoded as `null`, never
+    /// omitted. [`TraceEvent::from_jsonl`] inverts this exactly.
     pub fn to_jsonl(&self) -> String {
-        let mut s = format!("{{\"seq\":{},\"t\":{}", self.seq, fmt_f64(self.time));
-        match &self.kind {
-            TraceEventKind::JobBegin {
-                job,
-                maps,
-                reducers,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"job_begin\",\"job\":\"{}\",\"maps\":{maps},\"reducers\":{reducers}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::JobEnd { job, sim_secs } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"job_end\",\"job\":\"{}\",\"sim_secs\":{}",
-                    esc(job),
-                    fmt_f64(*sim_secs)
-                );
-            }
-            TraceEventKind::JobAborted { job, reason } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"job_aborted\",\"job\":\"{}\",\"reason\":\"{}\"",
-                    esc(job),
-                    esc(reason)
-                );
-            }
-            TraceEventKind::PhaseBegin { job, phase, slots } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"phase_begin\",\"job\":\"{}\",\"phase\":\"{}\",\"slots\":{slots}",
-                    esc(job),
-                    phase.as_str()
-                );
-            }
-            TraceEventKind::PhaseEnd {
-                job,
-                phase,
-                sim_secs,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"phase_end\",\"job\":\"{}\",\"phase\":\"{}\",\"sim_secs\":{}",
-                    esc(job),
-                    phase.as_str(),
-                    fmt_f64(*sim_secs)
-                );
-            }
-            TraceEventKind::Attempt {
-                job,
-                phase,
-                task,
-                attempt,
-                kind,
-                outcome,
-                slot,
-                node,
-                end,
-                failure,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"attempt\",\"job\":\"{}\",\"phase\":\"{}\",\"task\":{task},\
-                     \"attempt\":{attempt},\"kind\":\"{}\",\"outcome\":\"{}\",\"slot\":{slot},\
-                     \"node\":{node},\"end\":{},\"failure\":{}",
-                    esc(job),
-                    phase.as_str(),
-                    kind.as_str(),
-                    outcome.as_str(),
-                    fmt_f64(*end),
-                    match failure {
-                        Some(f) => format!("\"{}\"", f.as_str()),
-                        None => "null".to_string(),
-                    }
-                );
-            }
-            TraceEventKind::Wave {
-                job,
-                phase,
-                wave,
-                started,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"wave\",\"job\":\"{}\",\"phase\":\"{}\",\"wave\":{wave},\
-                     \"started\":{started}",
-                    esc(job),
-                    phase.as_str()
-                );
-            }
-            TraceEventKind::ShufflePartition {
-                job,
-                partition,
-                bytes,
-                runs,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"shuffle_partition\",\"job\":\"{}\",\"partition\":{partition},\
-                     \"bytes\":{bytes},\"runs\":{runs}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::Spill {
-                job,
-                task,
-                spill,
-                runs,
-                bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"spill\",\"job\":\"{}\",\"task\":{task},\"spill\":{spill},\
-                     \"runs\":{runs},\"bytes\":{bytes}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::MergePass {
-                job,
-                partition,
-                pass,
-                fan_in,
-                bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"merge_pass\",\"job\":\"{}\",\"partition\":{partition},\
-                     \"pass\":{pass},\"fan_in\":{fan_in},\"bytes\":{bytes}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::TaskAborted {
-                job,
-                phase,
-                task,
-                reason,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"task_aborted\",\"job\":\"{}\",\"phase\":\"{}\",\"task\":{task},\
-                     \"reason\":\"{}\"",
-                    esc(job),
-                    phase.as_str(),
-                    esc(reason)
-                );
-            }
-            TraceEventKind::FaultInjected {
-                job,
-                phase,
-                task,
-                attempt,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"fault_injected\",\"job\":\"{}\",\"phase\":\"{}\",\"task\":{task},\
-                     \"attempt\":{attempt}",
-                    esc(job),
-                    phase.as_str()
-                );
-            }
-            TraceEventKind::NodeDown {
-                job,
-                node,
-                permanent,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"node_down\",\"job\":\"{}\",\"node\":{node},\"permanent\":{permanent}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::FetchFailed {
-                job,
-                partition,
-                map_task,
-                retries,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"fetch_failed\",\"job\":\"{}\",\"partition\":{partition},\
-                     \"map_task\":{map_task},\"retries\":{retries}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::MapReexecuted { job, task, node } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"map_reexecuted\",\"job\":\"{}\",\"task\":{task},\"node\":{node}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::NodeBlacklisted {
-                job,
-                node,
-                failures,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"node_blacklisted\",\"job\":\"{}\",\"node\":{node},\
-                     \"failures\":{failures}",
-                    esc(job)
-                );
-            }
-            TraceEventKind::StageBegin { stage } => {
-                let _ = write!(s, ",\"ev\":\"stage_begin\",\"stage\":\"{}\"", esc(stage));
-            }
-            TraceEventKind::StageEnd { stage } => {
-                let _ = write!(s, ",\"ev\":\"stage_end\",\"stage\":\"{}\"", esc(stage));
-            }
-            TraceEventKind::Glue => {
-                s.push_str(",\"ev\":\"glue\"");
-            }
-            TraceEventKind::PhaseStarted { phase } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"phase_started\",\"phase\":\"{}\"",
-                    phase.label()
-                );
-            }
-            TraceEventKind::SnapshotPublished { label, version } => {
-                let _ = write!(
-                    s,
-                    ",\"ev\":\"snapshot_published\",\"label\":\"{}\",\"version\":{version}",
-                    esc(label)
-                );
-            }
-        }
-        s.push('}');
-        s
+        let mut fields = vec![
+            ("seq", self.seq.into()),
+            ("t", self.time.into()),
+            ("ev", self.kind.tag().into()),
+        ];
+        fields.extend(self.kind.fields());
+        json::write_object(&fields)
     }
 
     /// Parses one JSONL line produced by [`TraceEvent::to_jsonl`].
     pub fn from_jsonl(line: &str) -> Result<TraceEvent, TraceError> {
         let v = json::parse(line).map_err(|e| TraceError(format!("bad JSON: {e}")))?;
-        let seq = field_u64(&v, "seq")?;
-        let time = field_f64(&v, "t")?;
-        let ev = field_str(&v, "ev")?;
-        let kind = match ev.as_str() {
-            "job_begin" => TraceEventKind::JobBegin {
-                job: field_str(&v, "job")?,
-                maps: field_u64(&v, "maps")? as usize,
-                reducers: field_u64(&v, "reducers")? as usize,
-            },
-            "job_end" => TraceEventKind::JobEnd {
-                job: field_str(&v, "job")?,
-                sim_secs: field_f64(&v, "sim_secs")?,
-            },
-            "job_aborted" => TraceEventKind::JobAborted {
-                job: field_str(&v, "job")?,
-                reason: field_str(&v, "reason")?,
-            },
-            "phase_begin" => TraceEventKind::PhaseBegin {
-                job: field_str(&v, "job")?,
-                phase: JobPhase::parse(&field_str(&v, "phase")?)?,
-                slots: field_u64(&v, "slots")? as usize,
-            },
-            "phase_end" => TraceEventKind::PhaseEnd {
-                job: field_str(&v, "job")?,
-                phase: JobPhase::parse(&field_str(&v, "phase")?)?,
-                sim_secs: field_f64(&v, "sim_secs")?,
-            },
-            "attempt" => TraceEventKind::Attempt {
-                job: field_str(&v, "job")?,
-                phase: parse_task_phase(&field_str(&v, "phase")?)?,
-                task: field_u64(&v, "task")? as usize,
-                attempt: field_u64(&v, "attempt")? as usize,
-                kind: parse_attempt_kind(&field_str(&v, "kind")?)?,
-                outcome: parse_outcome(&field_str(&v, "outcome")?)?,
-                slot: field_u64(&v, "slot")? as usize,
-                // Absent in traces written before node fault domains;
-                // those ran on a single implicit node 0.
-                node: match v.get("node") {
-                    None | Some(json::Value::Null) => 0,
-                    Some(other) => other.as_u64().ok_or_else(|| {
-                        TraceError("field \"node\" is not an unsigned integer".into())
-                    })? as usize,
-                },
-                end: field_f64(&v, "end")?,
-                failure: match v.get("failure") {
-                    None | Some(json::Value::Null) => None,
-                    Some(json::Value::Str(s)) => Some(parse_failure(s)?),
-                    Some(other) => return Err(TraceError(format!("bad failure field: {other:?}"))),
-                },
-            },
-            "wave" => TraceEventKind::Wave {
-                job: field_str(&v, "job")?,
-                phase: parse_task_phase(&field_str(&v, "phase")?)?,
-                wave: field_u64(&v, "wave")? as usize,
-                started: field_u64(&v, "started")? as usize,
-            },
-            "shuffle_partition" => TraceEventKind::ShufflePartition {
-                job: field_str(&v, "job")?,
-                partition: field_u64(&v, "partition")? as usize,
-                bytes: field_u64(&v, "bytes")?,
-                // Absent in traces written before the sort-merge shuffle
-                // recorded merge fan-in; default to 0 for those.
-                runs: match v.get("runs") {
-                    None | Some(json::Value::Null) => 0,
-                    Some(other) => other.as_u64().ok_or_else(|| {
-                        TraceError("field \"runs\" is not an unsigned integer".into())
-                    })?,
-                },
-            },
-            "spill" => TraceEventKind::Spill {
-                job: field_str(&v, "job")?,
-                task: field_u64(&v, "task")? as usize,
-                spill: field_u64(&v, "spill")? as usize,
-                runs: field_u64(&v, "runs")?,
-                bytes: field_u64(&v, "bytes")?,
-            },
-            "merge_pass" => TraceEventKind::MergePass {
-                job: field_str(&v, "job")?,
-                partition: field_u64(&v, "partition")? as usize,
-                pass: field_u64(&v, "pass")? as usize,
-                fan_in: field_u64(&v, "fan_in")?,
-                bytes: field_u64(&v, "bytes")?,
-            },
-            "task_aborted" => TraceEventKind::TaskAborted {
-                job: field_str(&v, "job")?,
-                phase: parse_task_phase(&field_str(&v, "phase")?)?,
-                task: field_u64(&v, "task")? as usize,
-                reason: field_str(&v, "reason")?,
-            },
-            "fault_injected" => TraceEventKind::FaultInjected {
-                job: field_str(&v, "job")?,
-                phase: parse_task_phase(&field_str(&v, "phase")?)?,
-                task: field_u64(&v, "task")? as usize,
-                attempt: field_u64(&v, "attempt")? as usize,
-            },
-            "node_down" => TraceEventKind::NodeDown {
-                job: field_str(&v, "job")?,
-                node: field_u64(&v, "node")? as usize,
-                permanent: field(&v, "permanent")?
-                    .as_bool()
-                    .ok_or_else(|| TraceError("field \"permanent\" is not a boolean".into()))?,
-            },
-            "fetch_failed" => TraceEventKind::FetchFailed {
-                job: field_str(&v, "job")?,
-                partition: field_u64(&v, "partition")? as usize,
-                map_task: field_u64(&v, "map_task")? as usize,
-                retries: field_u64(&v, "retries")?,
-            },
-            "map_reexecuted" => TraceEventKind::MapReexecuted {
-                job: field_str(&v, "job")?,
-                task: field_u64(&v, "task")? as usize,
-                node: field_u64(&v, "node")? as usize,
-            },
-            "node_blacklisted" => TraceEventKind::NodeBlacklisted {
-                job: field_str(&v, "job")?,
-                node: field_u64(&v, "node")? as usize,
-                failures: field_u64(&v, "failures")? as usize,
-            },
-            "stage_begin" => TraceEventKind::StageBegin {
-                stage: field_str(&v, "stage")?,
-            },
-            "stage_end" => TraceEventKind::StageEnd {
-                stage: field_str(&v, "stage")?,
-            },
-            "glue" => TraceEventKind::Glue,
-            "phase_started" => TraceEventKind::PhaseStarted {
-                phase: {
-                    let label = field_str(&v, "phase")?;
-                    Phase::parse_label(&label)
-                        .ok_or_else(|| TraceError(format!("unknown pipeline phase {label:?}")))?
-                },
-            },
-            "snapshot_published" => TraceEventKind::SnapshotPublished {
-                label: field_str(&v, "label")?,
-                version: field_u64(&v, "version")?,
-            },
-            other => return Err(TraceError(format!("unknown event type {other:?}"))),
-        };
-        Ok(TraceEvent { seq, time, kind })
+        let ev: String = parse_field(&v, "ev", None)?;
+        Ok(TraceEvent {
+            seq: parse_field(&v, "seq", None)?,
+            time: parse_field(&v, "t", None)?,
+            kind: TraceEventKind::from_fields(&ev, &v)?,
+        })
     }
-
     /// A stable, timestamp-free structural rendering of the event, for
     /// golden-sequence tests: measured durations vary run to run, the
     /// *sequence* of events on a deterministic workload does not.
@@ -817,8 +615,8 @@ impl TraceEvent {
                 wave,
                 started,
             } => format!("wave({job} {phase} w{wave} started={started})"),
-            // `runs` is deliberately excluded: the digest is shared by both
-            // shuffle paths and pinned by golden-sequence tests.
+            // `runs` is deliberately excluded: the golden-sequence tests pin
+            // this exact string.
             TraceEventKind::ShufflePartition {
                 job,
                 partition,
@@ -878,65 +676,6 @@ impl TraceEvent {
             }
         }
     }
-}
-
-fn parse_task_phase(s: &str) -> Result<TaskPhase, TraceError> {
-    match s {
-        "map" => Ok(TaskPhase::Map),
-        "reduce" => Ok(TaskPhase::Reduce),
-        other => Err(TraceError(format!("unknown task phase {other:?}"))),
-    }
-}
-
-fn parse_attempt_kind(s: &str) -> Result<AttemptKind, TraceError> {
-    match s {
-        "regular" => Ok(AttemptKind::Regular),
-        "retry" => Ok(AttemptKind::Retry),
-        "speculative" => Ok(AttemptKind::Speculative),
-        other => Err(TraceError(format!("unknown attempt kind {other:?}"))),
-    }
-}
-
-fn parse_outcome(s: &str) -> Result<AttemptOutcome, TraceError> {
-    match s {
-        "ok" => Ok(AttemptOutcome::Succeeded),
-        "failed" => Ok(AttemptOutcome::Failed),
-        "killed" => Ok(AttemptOutcome::Killed),
-        other => Err(TraceError(format!("unknown outcome {other:?}"))),
-    }
-}
-
-fn parse_failure(s: &str) -> Result<FailureKind, TraceError> {
-    match s {
-        "panic" => Ok(FailureKind::Panic),
-        "injected" => Ok(FailureKind::Injected),
-        "node_lost" => Ok(FailureKind::NodeLost),
-        other => Err(TraceError(format!("unknown failure kind {other:?}"))),
-    }
-}
-
-fn field<'a>(v: &'a json::Value, key: &str) -> Result<&'a json::Value, TraceError> {
-    v.get(key)
-        .ok_or_else(|| TraceError(format!("missing field {key:?}")))
-}
-
-fn field_u64(v: &json::Value, key: &str) -> Result<u64, TraceError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| TraceError(format!("field {key:?} is not an unsigned integer")))
-}
-
-fn field_f64(v: &json::Value, key: &str) -> Result<f64, TraceError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| TraceError(format!("field {key:?} is not a number")))
-}
-
-fn field_str(v: &json::Value, key: &str) -> Result<String, TraceError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| TraceError(format!("field {key:?} is not a string")))
 }
 
 /// A trace serialization, parsing, or validation error.
@@ -1087,6 +826,207 @@ fn slot_tid(phase: TaskPhase, slot: usize) -> u64 {
     }
 }
 
+/// The shuffle phase span lives on the shuffle track, the others on the
+/// driver's.
+fn phase_tid(phase: JobPhase) -> u64 {
+    match phase {
+        JobPhase::Shuffle => TID_SHUFFLE,
+        _ => TID_DRIVER,
+    }
+}
+
+/// How [`chrome_trace`] draws one event.
+enum ChromeShape {
+    /// Opens a span; the `Close` with the same name and category draws it.
+    Open,
+    /// Closes the innermost open span of the same name and category. The
+    /// span lasts the simulated seconds given, or, with `None`, until this
+    /// event's timestamp.
+    Close(Option<f64>),
+    /// A whole span, from the event's timestamp to the simulated end time
+    /// given.
+    Span(f64),
+    /// An instant with the given scope (`t`hread, `p`rocess or `g`lobal).
+    Instant(&'static str),
+    /// One sample of a counter series.
+    Counter,
+}
+
+/// Where and how [`chrome_trace`] draws one event: everything about its
+/// Chrome form that is a choice and not a field (`args` is the field
+/// list itself).
+struct ChromeMark {
+    tid: u64,
+    shape: ChromeShape,
+    cat: String,
+    name: String,
+}
+
+/// The per-kind drawing table of [`chrome_trace`].
+fn chrome_mark(kind: &TraceEventKind) -> ChromeMark {
+    use ChromeShape::{Close, Counter, Instant, Open, Span};
+    use TraceEventKind as K;
+    let (tid, shape, cat, name) = match kind {
+        K::JobBegin { job, .. } => (TID_DRIVER, Open, "job", job.clone()),
+        K::JobEnd { job, sim_secs } => (TID_DRIVER, Close(Some(*sim_secs)), "job", job.clone()),
+        K::JobAborted { job, .. } => {
+            let name = format!("aborted: {job}");
+            (TID_DRIVER, Instant("p"), "fault", name)
+        }
+        K::PhaseBegin { job, phase, .. } => {
+            let name = format!("{job} {phase}");
+            (phase_tid(*phase), Open, "phase", name)
+        }
+        K::PhaseEnd {
+            job,
+            phase,
+            sim_secs,
+        } => {
+            let name = format!("{job} {phase}");
+            (phase_tid(*phase), Close(Some(*sim_secs)), "phase", name)
+        }
+        K::Attempt {
+            phase,
+            task,
+            attempt,
+            kind,
+            outcome,
+            slot,
+            end,
+            ..
+        } => {
+            let short = match phase {
+                TaskPhase::Map => "m",
+                TaskPhase::Reduce => "r",
+            };
+            let suffix = match kind {
+                AttemptKind::Regular => "",
+                AttemptKind::Retry => " retry",
+                AttemptKind::Speculative => " spec",
+            };
+            return ChromeMark {
+                tid: slot_tid(*phase, *slot),
+                shape: Span(*end),
+                cat: format!("task,{},{}", kind.as_str(), outcome.as_str()),
+                name: format!("{short}{task} a{attempt}{suffix}"),
+            };
+        }
+        K::Wave {
+            phase,
+            wave,
+            started,
+            ..
+        } => {
+            let name = format!("{phase} wave {wave} (+{started})");
+            (TID_DRIVER, Instant("p"), "wave", name)
+        }
+        K::ShufflePartition { partition, .. } => {
+            let name = format!("shuffle p{partition}");
+            (TID_SHUFFLE, Counter, "shuffle", name)
+        }
+        K::Spill { task, spill, .. } => {
+            let name = format!("spill m{task} s{spill}");
+            (TID_DRIVER, Instant("p"), "spill", name)
+        }
+        K::MergePass {
+            partition, pass, ..
+        } => {
+            let name = format!("merge p{partition} pass{pass}");
+            (TID_DRIVER, Instant("p"), "merge", name)
+        }
+        K::TaskAborted { phase, task, .. } => {
+            let name = format!("task aborted {phase}{task}");
+            (TID_DRIVER, Instant("p"), "fault", name)
+        }
+        K::FaultInjected {
+            phase,
+            task,
+            attempt,
+            ..
+        } => {
+            let name = format!("fault {phase}{task} a{attempt}");
+            (TID_DRIVER, Instant("p"), "fault", name)
+        }
+        K::NodeDown {
+            node, permanent, ..
+        } => {
+            let suffix = if *permanent { " (permanent)" } else { "" };
+            let name = format!("node {node} down{suffix}");
+            (TID_DRIVER, Instant("g"), "fault", name)
+        }
+        K::FetchFailed {
+            partition,
+            map_task,
+            ..
+        } => {
+            let name = format!("fetch failed p{partition} ← m{map_task}");
+            (TID_SHUFFLE, Instant("p"), "fault", name)
+        }
+        K::MapReexecuted { task, node, .. } => {
+            let name = format!("re-exec m{task} on n{node}");
+            (TID_DRIVER, Instant("p"), "recovery", name)
+        }
+        K::NodeBlacklisted { node, .. } => {
+            let name = format!("node {node} blacklisted");
+            (TID_DRIVER, Instant("p"), "fault", name)
+        }
+        K::StageBegin { stage } => (TID_PIPELINE, Open, "stage", stage.clone()),
+        K::StageEnd { stage } => (TID_PIPELINE, Close(None), "stage", stage.clone()),
+        K::Glue => (TID_PIPELINE, Instant("t"), "stage", "glue".to_string()),
+        K::PhaseStarted { phase } => {
+            let name = format!("phase {phase}");
+            (TID_PIPELINE, Instant("t"), "phase", name)
+        }
+        K::SnapshotPublished { label, version } => {
+            let name = format!("publish {label} v{version}");
+            (TID_PIPELINE, Instant("p"), "snapshot", name)
+        }
+    };
+    ChromeMark {
+        tid,
+        shape,
+        cat: cat.to_string(),
+        name,
+    }
+}
+
+/// One Chrome metadata (`ph: "M"`) event naming a process or thread.
+fn chrome_meta(tid: u64, what: &str, name: &str) -> String {
+    json::write_object(&[
+        ("ph", "M".into()),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+        ("name", what.into()),
+        ("args", json::object([("name", name.into())])),
+    ])
+}
+
+/// The metadata header of [`chrome_trace`]: the process, the three fixed
+/// tracks, and one named thread per simulated slot that ran an attempt.
+fn chrome_header(events: &[TraceEvent]) -> Vec<String> {
+    let mut lines = vec![
+        chrome_meta(0, "process_name", "dwmaxerr simulated cluster"),
+        chrome_meta(TID_DRIVER, "thread_name", "driver"),
+        chrome_meta(TID_SHUFFLE, "thread_name", "shuffle"),
+        chrome_meta(TID_PIPELINE, "thread_name", "pipeline"),
+    ];
+    let mut named_slots: Vec<u64> = Vec::new();
+    for e in events {
+        if let TraceEventKind::Attempt { phase, slot, .. } = &e.kind {
+            let tid = slot_tid(*phase, *slot);
+            if !named_slots.contains(&tid) {
+                named_slots.push(tid);
+                lines.push(chrome_meta(
+                    tid,
+                    "thread_name",
+                    &format!("{phase} slot {slot}"),
+                ));
+            }
+        }
+    }
+    lines
+}
+
 /// Exports events in the Chrome trace-event JSON format, loadable in
 /// Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 ///
@@ -1095,308 +1035,44 @@ fn slot_tid(phase: TaskPhase, slot: usize) -> u64 {
 /// shuffle span and per-partition byte counters, `pipeline` carries stage
 /// spans and glue instants, and every simulated map/reduce slot is its own
 /// thread carrying that slot's attempt spans. Timestamps are simulated
-/// microseconds.
+/// microseconds; every element's `args` is the event's full JSONL field
+/// list (for a begin/end pair, the end event's).
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let us = |t: f64| fmt_f64(t * 1e6);
-    let mut lines: Vec<String> = Vec::new();
-    let meta = |tid: u64, name: &str| {
-        format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
-        )
-    };
-    lines.push(
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"dwmaxerr simulated cluster\"}}"
-            .to_string(),
-    );
-    lines.push(meta(TID_DRIVER, "driver"));
-    lines.push(meta(TID_SHUFFLE, "shuffle"));
-    lines.push(meta(TID_PIPELINE, "pipeline"));
-    let mut named_slots: Vec<u64> = Vec::new();
+    let mut lines = chrome_header(events);
+    // Open spans awaiting their end event: (category, name, begin time).
+    let mut open: Vec<(String, String, f64)> = Vec::new();
     for e in events {
-        if let TraceEventKind::Attempt { phase, slot, .. } = &e.kind {
-            let tid = slot_tid(*phase, *slot);
-            if !named_slots.contains(&tid) {
-                named_slots.push(tid);
-                lines.push(meta(tid, &format!("{} slot {}", phase.as_str(), slot)));
+        let mark = chrome_mark(&e.kind);
+        // (ph, begin, duration, instant scope) of the element to draw.
+        let (ph, begin, dur, scope) = match mark.shape {
+            ChromeShape::Open => {
+                open.push((mark.cat, mark.name, e.time));
+                continue;
             }
-        }
-    }
-
-    // Open spans awaiting their end event, keyed by name.
-    let mut open_jobs: Vec<(String, f64)> = Vec::new();
-    let mut open_phases: Vec<(String, JobPhase, f64)> = Vec::new();
-    let mut open_stages: Vec<(String, f64)> = Vec::new();
-    for e in events {
-        match &e.kind {
-            TraceEventKind::JobBegin { job, .. } => open_jobs.push((job.clone(), e.time)),
-            TraceEventKind::JobEnd { job, sim_secs } => {
-                if let Some(pos) = open_jobs.iter().rposition(|(j, _)| j == job) {
-                    let (_, begin) = open_jobs.remove(pos);
-                    lines.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"dur\":{},\
-                         \"name\":\"{}\",\"cat\":\"job\",\"args\":{{\"sim_secs\":{}}}}}",
-                        us(begin),
-                        us(*sim_secs),
-                        esc(job),
-                        fmt_f64(*sim_secs)
-                    ));
-                }
-            }
-            TraceEventKind::JobAborted { job, reason } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"aborted: {}\",\"cat\":\"fault\",\"args\":{{\"reason\":\"{}\"}}}}",
-                    us(e.time),
-                    esc(job),
-                    esc(reason)
-                ));
-            }
-            TraceEventKind::PhaseBegin { job, phase, .. } => {
-                open_phases.push((job.clone(), *phase, e.time));
-            }
-            TraceEventKind::PhaseEnd {
-                job,
-                phase,
-                sim_secs,
-            } => {
-                if let Some(pos) = open_phases
-                    .iter()
-                    .rposition(|(j, p, _)| j == job && p == phase)
-                {
-                    let (_, _, begin) = open_phases.remove(pos);
-                    let tid = if *phase == JobPhase::Shuffle {
-                        TID_SHUFFLE
-                    } else {
-                        TID_DRIVER
-                    };
-                    lines.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                         \"name\":\"{} {}\",\"cat\":\"phase\",\"args\":{{}}}}",
-                        us(begin),
-                        us(*sim_secs),
-                        esc(job),
-                        phase.as_str()
-                    ));
-                }
-            }
-            TraceEventKind::Attempt {
-                job,
-                phase,
-                task,
-                attempt,
-                kind,
-                outcome,
-                slot,
-                node,
-                end,
-                failure,
-            } => {
-                let short = match phase {
-                    TaskPhase::Map => "m",
-                    TaskPhase::Reduce => "r",
+            ChromeShape::Close(secs) => {
+                let same = |(c, n, _): &(String, String, f64)| *c == mark.cat && *n == mark.name;
+                let Some(pos) = open.iter().rposition(same) else {
+                    continue;
                 };
-                let suffix = match kind {
-                    AttemptKind::Regular => "",
-                    AttemptKind::Retry => " retry",
-                    AttemptKind::Speculative => " spec",
-                };
-                lines.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{short}{task} a{attempt}{suffix}\",\"cat\":\"task,{},{}\",\
-                     \"args\":{{\"job\":\"{}\",\"task\":{task},\"attempt\":{attempt},\
-                     \"node\":{node},\"kind\":\"{}\",\"outcome\":\"{}\",\"failure\":\"{}\"}}}}",
-                    slot_tid(*phase, *slot),
-                    us(e.time),
-                    us(end - e.time),
-                    kind.as_str(),
-                    outcome.as_str(),
-                    esc(job),
-                    kind.as_str(),
-                    outcome.as_str(),
-                    failure.map_or("-", FailureKind::as_str)
-                ));
+                let (_, _, begin) = open.remove(pos);
+                ("X", begin, Some(secs.unwrap_or(e.time - begin)), None)
             }
-            TraceEventKind::Wave {
-                job,
-                phase,
-                wave,
-                started,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"{} wave {wave} (+{started})\",\"cat\":\"wave\",\
-                     \"args\":{{\"job\":\"{}\"}}}}",
-                    us(e.time),
-                    phase.as_str(),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::ShufflePartition {
-                job,
-                partition,
-                bytes,
-                runs,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{TID_SHUFFLE},\"ts\":{},\
-                     \"name\":\"shuffle p{partition}\",\"args\":{{\"bytes\":{bytes},\
-                     \"runs\":{runs},\"job\":\"{}\"}}}}",
-                    us(e.time),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::Spill {
-                job,
-                task,
-                spill,
-                runs,
-                bytes,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"spill m{task} s{spill}\",\"cat\":\"spill\",\
-                     \"args\":{{\"job\":\"{}\",\"runs\":{runs},\"bytes\":{bytes}}}}}",
-                    us(e.time),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::MergePass {
-                job,
-                partition,
-                pass,
-                fan_in,
-                bytes,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"merge p{partition} pass{pass}\",\"cat\":\"merge\",\
-                     \"args\":{{\"job\":\"{}\",\"fan_in\":{fan_in},\"bytes\":{bytes}}}}}",
-                    us(e.time),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::TaskAborted {
-                job,
-                phase,
-                task,
-                reason,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"task aborted {}{task}\",\"cat\":\"fault\",\
-                     \"args\":{{\"job\":\"{}\",\"reason\":\"{}\"}}}}",
-                    us(e.time),
-                    phase.as_str(),
-                    esc(job),
-                    esc(reason)
-                ));
-            }
-            TraceEventKind::FaultInjected {
-                job,
-                phase,
-                task,
-                attempt,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"fault {}{task} a{attempt}\",\"cat\":\"fault\",\
-                     \"args\":{{\"job\":\"{}\"}}}}",
-                    us(e.time),
-                    phase.as_str(),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::NodeDown {
-                job,
-                node,
-                permanent,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"g\",\
-                     \"name\":\"node {node} down{}\",\"cat\":\"fault\",\
-                     \"args\":{{\"job\":\"{}\",\"permanent\":{permanent}}}}}",
-                    us(e.time),
-                    if *permanent { " (permanent)" } else { "" },
-                    esc(job)
-                ));
-            }
-            TraceEventKind::FetchFailed {
-                job,
-                partition,
-                map_task,
-                retries,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_SHUFFLE},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"fetch failed p{partition} ← m{map_task}\",\"cat\":\"fault\",\
-                     \"args\":{{\"job\":\"{}\",\"retries\":{retries}}}}}",
-                    us(e.time),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::MapReexecuted { job, task, node } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"re-exec m{task} on n{node}\",\"cat\":\"recovery\",\
-                     \"args\":{{\"job\":\"{}\"}}}}",
-                    us(e.time),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::NodeBlacklisted {
-                job,
-                node,
-                failures,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_DRIVER},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"node {node} blacklisted\",\"cat\":\"fault\",\
-                     \"args\":{{\"job\":\"{}\",\"failures\":{failures}}}}}",
-                    us(e.time),
-                    esc(job)
-                ));
-            }
-            TraceEventKind::StageBegin { stage } => open_stages.push((stage.clone(), e.time)),
-            TraceEventKind::StageEnd { stage } => {
-                if let Some(pos) = open_stages.iter().rposition(|(s, _)| s == stage) {
-                    let (_, begin) = open_stages.remove(pos);
-                    lines.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{TID_PIPELINE},\"ts\":{},\"dur\":{},\
-                         \"name\":\"{}\",\"cat\":\"stage\",\"args\":{{}}}}",
-                        us(begin),
-                        us(e.time - begin),
-                        esc(stage)
-                    ));
-                }
-            }
-            TraceEventKind::Glue => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_PIPELINE},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"glue\",\"cat\":\"stage\",\"args\":{{}}}}",
-                    us(e.time)
-                ));
-            }
-            TraceEventKind::PhaseStarted { phase } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_PIPELINE},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"phase {}\",\"cat\":\"phase\",\"args\":{{}}}}",
-                    us(e.time),
-                    phase.label()
-                ));
-            }
-            TraceEventKind::SnapshotPublished { label, version } => {
-                lines.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{TID_PIPELINE},\"ts\":{},\"s\":\"p\",\
-                     \"name\":\"publish {} v{version}\",\"cat\":\"snapshot\",\
-                     \"args\":{{\"version\":{version}}}}}",
-                    us(e.time),
-                    esc(label)
-                ));
-            }
-        }
+            ChromeShape::Span(end) => ("X", e.time, Some(end - e.time), None),
+            ChromeShape::Instant(scope) => ("i", e.time, None, Some(scope)),
+            ChromeShape::Counter => ("C", e.time, None, None),
+        };
+        let mut fields = vec![
+            ("ph", ph.into()),
+            ("pid", 1u64.into()),
+            ("tid", mark.tid.into()),
+            ("ts", (begin * 1e6).into()),
+        ];
+        fields.extend(dur.map(|d| ("dur", (d * 1e6).into())));
+        fields.extend(scope.map(|s| ("s", s.into())));
+        fields.push(("name", mark.name.into()));
+        fields.push(("cat", mark.cat.into()));
+        fields.push(("args", json::object(e.kind.fields())));
+        lines.push(json::write_object(&fields));
     }
     format!(
         "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
@@ -1547,6 +1223,54 @@ pub fn validate(events: &[TraceEvent]) -> Result<(), TraceError> {
     Ok(())
 }
 
+/// The order a job's four phase spans must appear in.
+const PHASES: [JobPhase; 4] = [
+    JobPhase::Setup,
+    JobPhase::Map,
+    JobPhase::Shuffle,
+    JobPhase::Reduce,
+];
+
+/// The checks [`validate_job`] makes once a job's block is complete: its
+/// `sim_secs` is the sum of its phases' (`phase_sum`) and no narrower than
+/// its begin→end span (`span_secs`), and no two attempt `spans` (task
+/// phase, slot, start, end) of one task phase overlap on a slot.
+fn validate_job_end(
+    job: &str,
+    sim_secs: f64,
+    span_secs: f64,
+    phase_sum: f64,
+    spans: &mut [(TaskPhase, usize, f64, f64)],
+) -> Result<(), TraceError> {
+    let err = |msg: String| Err(TraceError(msg));
+    let tol = 1e-9 * sim_secs.abs().max(1.0);
+    if (phase_sum - sim_secs).abs() > tol {
+        return err(format!(
+            "{job}: phase sim_secs sum {phase_sum} != job sim_secs {sim_secs}"
+        ));
+    }
+    if span_secs - sim_secs > 1e-6 * sim_secs.max(1.0) {
+        return err(format!(
+            "{job}: job span {span_secs} wider than sim_secs {sim_secs}"
+        ));
+    }
+    spans.sort_by(|a, b| {
+        (a.0 as usize, a.1)
+            .cmp(&(b.0 as usize, b.1))
+            .then(a.2.total_cmp(&b.2))
+    });
+    for w in spans.windows(2) {
+        let (p1, s1, _, end1) = w[0];
+        let (p2, s2, start2, _) = w[1];
+        if p1 == p2 && s1 == s2 && start2 < end1 - 1e-12 {
+            return err(format!(
+                "{job}: overlapping attempts on {p1} slot {s1} ({start2} < {end1})"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Validates one job's contiguous event block starting at `events[begin]`
 /// (a `job_begin` for `job`); returns the index one past its `job_end`.
 fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize, TraceError> {
@@ -1556,12 +1280,6 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
         TraceEventKind::JobBegin { maps, reducers, .. } => (*maps as u64, *reducers as u64),
         _ => unreachable!("validate_job is called on a job_begin event"),
     };
-    const PHASES: [JobPhase; 4] = [
-        JobPhase::Setup,
-        JobPhase::Map,
-        JobPhase::Shuffle,
-        JobPhase::Reduce,
-    ];
     let mut next_phase = 0usize; // index into PHASES of the next expected begin
     let mut open_phase: Option<(JobPhase, f64)> = None;
     let mut phase_sum = 0.0f64;
@@ -1581,34 +1299,7 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                 if let Some((p, _)) = open_phase {
                     return err(format!("{job}: job_end with open phase {p}"));
                 }
-                let tol = 1e-9 * sim_secs.abs().max(1.0);
-                if (phase_sum - sim_secs).abs() > tol {
-                    return err(format!(
-                        "{job}: phase sim_secs sum {phase_sum} != job sim_secs {sim_secs}"
-                    ));
-                }
-                if (e.time - t_begin) - sim_secs > 1e-6 * sim_secs.max(1.0) {
-                    return err(format!(
-                        "{job}: job span {} wider than sim_secs {sim_secs}",
-                        e.time - t_begin
-                    ));
-                }
-                // Per-slot overlap check, per task phase.
-                spans.sort_by(|a, b| {
-                    (a.0 as usize, a.1)
-                        .cmp(&(b.0 as usize, b.1))
-                        .then(a.2.total_cmp(&b.2))
-                });
-                for w in spans.windows(2) {
-                    let (p1, s1, _, end1) = w[0];
-                    let (p2, s2, start2, _) = w[1];
-                    if p1 == p2 && s1 == s2 && start2 < end1 - 1e-12 {
-                        return err(format!(
-                            "{job}: overlapping attempts on {p1} slot {s1} \
-                             ({start2} < {end1})"
-                        ));
-                    }
-                }
+                validate_job_end(job, *sim_secs, e.time - t_begin, phase_sum, &mut spans)?;
                 return Ok(i + 1);
             }
             TraceEventKind::PhaseBegin { job: j, phase, .. } => {
@@ -1746,186 +1437,133 @@ mod tests {
         TraceEvent { seq, time, kind }
     }
 
+    /// One sample of every event kind, in an order [`chrome_trace`] can
+    /// pair: the job, phase and stage spans each open before they close.
+    /// Event `i` has `seq` `i` and time `i / 16`.
+    fn all_kinds_samples() -> Vec<TraceEvent> {
+        use TraceEventKind as K;
+        let job = || "j".to_string();
+        let quoted = || "a \"quoted\"\nname".to_string();
+        let kinds = vec![
+            K::JobBegin {
+                job: quoted(),
+                maps: 3,
+                reducers: 2,
+            },
+            K::PhaseBegin {
+                job: job(),
+                phase: JobPhase::Map,
+                slots: 4,
+            },
+            K::Attempt {
+                job: job(),
+                phase: TaskPhase::Map,
+                task: 1,
+                attempt: 2,
+                kind: AttemptKind::Retry,
+                outcome: AttemptOutcome::Failed,
+                slot: 3,
+                node: 1,
+                end: 0.375,
+                failure: Some(FailureKind::Injected),
+            },
+            K::Wave {
+                job: job(),
+                phase: TaskPhase::Reduce,
+                wave: 1,
+                started: 4,
+            },
+            K::ShufflePartition {
+                job: job(),
+                partition: 0,
+                bytes: 123_456,
+                runs: 3,
+            },
+            K::FaultInjected {
+                job: job(),
+                phase: TaskPhase::Map,
+                task: 0,
+                attempt: 1,
+            },
+            K::PhaseEnd {
+                job: job(),
+                phase: JobPhase::Map,
+                sim_secs: 0.575,
+            },
+            K::JobEnd {
+                job: quoted(),
+                sim_secs: 0.8,
+            },
+            K::JobAborted {
+                job: job(),
+                reason: "task failed: \\ backslash".into(),
+            },
+            K::StageBegin { stage: "s".into() },
+            K::StageEnd { stage: "s".into() },
+            K::Glue,
+            K::Spill {
+                job: job(),
+                task: 2,
+                spill: 1,
+                runs: 3,
+                bytes: 4096,
+            },
+            K::MergePass {
+                job: job(),
+                partition: 1,
+                pass: 0,
+                fan_in: 3,
+                bytes: 8192,
+            },
+            K::TaskAborted {
+                job: job(),
+                phase: TaskPhase::Map,
+                task: 0,
+                reason: "needs 2000 bytes, budget 1000".into(),
+            },
+            K::NodeDown {
+                job: job(),
+                node: 3,
+                permanent: true,
+            },
+            K::FetchFailed {
+                job: job(),
+                partition: 1,
+                map_task: 2,
+                retries: 3,
+            },
+            K::MapReexecuted {
+                job: job(),
+                task: 2,
+                node: 0,
+            },
+            K::NodeBlacklisted {
+                job: job(),
+                node: 5,
+                failures: 3,
+            },
+            K::PhaseStarted {
+                phase: Phase::Background(2),
+            },
+            K::SnapshotPublished {
+                label: "synopsis \"v2\"".into(),
+                version: 3,
+            },
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| ev(i as u64, i as f64 / 16.0, kind))
+            .collect()
+    }
+
     #[test]
     fn jsonl_round_trips_every_kind() {
-        let samples = vec![
-            ev(
-                0,
-                0.0,
-                TraceEventKind::JobBegin {
-                    job: "a \"quoted\"\nname".into(),
-                    maps: 3,
-                    reducers: 2,
-                },
-            ),
-            ev(
-                1,
-                0.125,
-                TraceEventKind::PhaseBegin {
-                    job: "j".into(),
-                    phase: JobPhase::Map,
-                    slots: 4,
-                },
-            ),
-            ev(
-                2,
-                0.25,
-                TraceEventKind::Attempt {
-                    job: "j".into(),
-                    phase: TaskPhase::Map,
-                    task: 1,
-                    attempt: 2,
-                    kind: AttemptKind::Retry,
-                    outcome: AttemptOutcome::Failed,
-                    slot: 3,
-                    node: 1,
-                    end: 0.375,
-                    failure: Some(FailureKind::Injected),
-                },
-            ),
-            ev(
-                3,
-                0.5,
-                TraceEventKind::Wave {
-                    job: "j".into(),
-                    phase: TaskPhase::Reduce,
-                    wave: 1,
-                    started: 4,
-                },
-            ),
-            ev(
-                4,
-                0.5,
-                TraceEventKind::ShufflePartition {
-                    job: "j".into(),
-                    partition: 0,
-                    bytes: 123_456,
-                    runs: 3,
-                },
-            ),
-            ev(
-                5,
-                0.6,
-                TraceEventKind::FaultInjected {
-                    job: "j".into(),
-                    phase: TaskPhase::Map,
-                    task: 0,
-                    attempt: 1,
-                },
-            ),
-            ev(
-                6,
-                0.7,
-                TraceEventKind::PhaseEnd {
-                    job: "j".into(),
-                    phase: JobPhase::Map,
-                    sim_secs: 0.575,
-                },
-            ),
-            ev(
-                7,
-                0.8,
-                TraceEventKind::JobEnd {
-                    job: "j".into(),
-                    sim_secs: 0.8,
-                },
-            ),
-            ev(
-                8,
-                0.8,
-                TraceEventKind::JobAborted {
-                    job: "j".into(),
-                    reason: "task failed: \\ backslash".into(),
-                },
-            ),
-            ev(9, 0.8, TraceEventKind::StageBegin { stage: "s".into() }),
-            ev(10, 0.9, TraceEventKind::StageEnd { stage: "s".into() }),
-            ev(11, 0.9, TraceEventKind::Glue),
-            ev(
-                12,
-                0.95,
-                TraceEventKind::Spill {
-                    job: "j".into(),
-                    task: 2,
-                    spill: 1,
-                    runs: 3,
-                    bytes: 4096,
-                },
-            ),
-            ev(
-                13,
-                0.96,
-                TraceEventKind::MergePass {
-                    job: "j".into(),
-                    partition: 1,
-                    pass: 0,
-                    fan_in: 3,
-                    bytes: 8192,
-                },
-            ),
-            ev(
-                14,
-                0.97,
-                TraceEventKind::TaskAborted {
-                    job: "j".into(),
-                    phase: TaskPhase::Map,
-                    task: 0,
-                    reason: "needs 2000 bytes, budget 1000".into(),
-                },
-            ),
-            ev(
-                15,
-                0.98,
-                TraceEventKind::NodeDown {
-                    job: "j".into(),
-                    node: 3,
-                    permanent: true,
-                },
-            ),
-            ev(
-                16,
-                0.98,
-                TraceEventKind::FetchFailed {
-                    job: "j".into(),
-                    partition: 1,
-                    map_task: 2,
-                    retries: 3,
-                },
-            ),
-            ev(
-                17,
-                0.99,
-                TraceEventKind::MapReexecuted {
-                    job: "j".into(),
-                    task: 2,
-                    node: 0,
-                },
-            ),
-            ev(
-                18,
-                0.99,
-                TraceEventKind::NodeBlacklisted {
-                    job: "j".into(),
-                    node: 5,
-                    failures: 3,
-                },
-            ),
-            ev(
-                19,
-                1.0,
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Background(2),
-                },
-            ),
-            ev(
-                20,
-                1.0,
-                TraceEventKind::SnapshotPublished {
-                    label: "synopsis \"v2\"".into(),
-                    version: 3,
-                },
-            ),
-        ];
+        let samples = all_kinds_samples();
+        let mut tags: Vec<&str> = samples.iter().map(|e| e.kind.tag()).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), 21, "one sample per event kind");
         for e in &samples {
             let line = e.to_jsonl();
             let back = TraceEvent::from_jsonl(&line).expect(&line);
@@ -1933,6 +1571,127 @@ mod tests {
         }
         let doc = to_jsonl(&samples);
         assert_eq!(from_jsonl(&doc).unwrap(), samples);
+    }
+
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        // One case per field type; the expected lines are the bytes the
+        // hand-written exporter produced before the schema table existed.
+        let cases = [
+            (
+                // Strings: quote, backslash, newline and a control char;
+                // a float time that needs all 17 digits.
+                ev(
+                    7,
+                    0.1 + 0.2,
+                    TraceEventKind::JobAborted {
+                        job: "a\"b\\c\nd\u{1}e\tf".into(),
+                        reason: "µ ←".into(),
+                    },
+                ),
+                r#"{"seq":7,"t":0.30000000000000004,"ev":"job_aborted","job":"a\"b\\c\nd\u0001e\tf","reason":"µ ←"}"#,
+            ),
+            (
+                // usize, named enums, a float field, `failure: null`.
+                ev(
+                    2,
+                    0.25,
+                    TraceEventKind::Attempt {
+                        job: "j".into(),
+                        phase: TaskPhase::Reduce,
+                        task: 1,
+                        attempt: 2,
+                        kind: AttemptKind::Speculative,
+                        outcome: AttemptOutcome::Killed,
+                        slot: 3,
+                        node: 1,
+                        end: 1.0 / 3.0,
+                        failure: None,
+                    },
+                ),
+                r#"{"seq":2,"t":0.25,"ev":"attempt","job":"j","phase":"reduce","task":1,"attempt":2,"kind":"speculative","outcome":"killed","slot":3,"node":1,"end":0.3333333333333333,"failure":null}"#,
+            ),
+            (
+                // A present optional field; whole-number floats print bare.
+                ev(
+                    3,
+                    0.0,
+                    TraceEventKind::Attempt {
+                        job: "j".into(),
+                        phase: TaskPhase::Map,
+                        task: 0,
+                        attempt: 1,
+                        kind: AttemptKind::Regular,
+                        outcome: AttemptOutcome::Failed,
+                        slot: 0,
+                        node: 0,
+                        end: 2.0,
+                        failure: Some(FailureKind::NodeLost),
+                    },
+                ),
+                r#"{"seq":3,"t":0,"ev":"attempt","job":"j","phase":"map","task":0,"attempt":1,"kind":"regular","outcome":"failed","slot":0,"node":0,"end":2,"failure":"node_lost"}"#,
+            ),
+            (
+                // u64 fields.
+                ev(
+                    4,
+                    0.5,
+                    TraceEventKind::ShufflePartition {
+                        job: "j".into(),
+                        partition: 0,
+                        bytes: 123_456_789_012,
+                        runs: 3,
+                    },
+                ),
+                r#"{"seq":4,"t":0.5,"ev":"shuffle_partition","job":"j","partition":0,"bytes":123456789012,"runs":3}"#,
+            ),
+            (
+                // A boolean.
+                ev(
+                    15,
+                    0.98,
+                    TraceEventKind::NodeDown {
+                        job: "j".into(),
+                        node: 3,
+                        permanent: true,
+                    },
+                ),
+                r#"{"seq":15,"t":0.98,"ev":"node_down","job":"j","node":3,"permanent":true}"#,
+            ),
+            (
+                // A job phase.
+                ev(
+                    6,
+                    1e-7,
+                    TraceEventKind::PhaseEnd {
+                        job: "j".into(),
+                        phase: JobPhase::Shuffle,
+                        sim_secs: 1.5e-9,
+                    },
+                ),
+                r#"{"seq":6,"t":0.0000001,"ev":"phase_end","job":"j","phase":"shuffle","sim_secs":0.0000000015}"#,
+            ),
+            (
+                // A pipeline phase label.
+                ev(
+                    19,
+                    1.0,
+                    TraceEventKind::PhaseStarted {
+                        phase: Phase::Background(2),
+                    },
+                ),
+                r#"{"seq":19,"t":1,"ev":"phase_started","phase":"background(2)"}"#,
+            ),
+            (
+                // No fields at all.
+                ev(11, 0.9, TraceEventKind::Glue),
+                r#"{"seq":11,"t":0.9,"ev":"glue"}"#,
+            ),
+        ];
+        for (event, line) in cases {
+            assert_eq!(event.to_jsonl(), line);
+            assert_eq!(TraceEvent::from_jsonl(line).unwrap(), event);
+        }
     }
 
     #[test]
@@ -2347,59 +2106,59 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_expected_tracks() {
-        let events = vec![
-            ev(
-                0,
-                0.0,
-                TraceEventKind::JobBegin {
-                    job: "wc".into(),
-                    maps: 1,
-                    reducers: 1,
-                },
-            ),
-            ev(
-                1,
-                0.0,
-                TraceEventKind::Attempt {
-                    job: "wc".into(),
-                    phase: TaskPhase::Map,
-                    task: 0,
-                    attempt: 1,
-                    kind: AttemptKind::Regular,
-                    outcome: AttemptOutcome::Succeeded,
-                    slot: 2,
-                    node: 0,
-                    end: 1.0,
-                    failure: None,
-                },
-            ),
-            ev(
-                2,
-                1.5,
-                TraceEventKind::JobEnd {
-                    job: "wc".into(),
-                    sim_secs: 1.5,
-                },
-            ),
-        ];
-        let doc = chrome_trace(&events);
+        let doc = chrome_trace(&all_kinds_samples());
         let v = json::parse(&doc).expect("chrome trace parses as JSON");
         let arr = v
             .get("traceEvents")
             .and_then(json::Value::as_array)
             .unwrap();
-        // 4 fixed metadata + 1 slot metadata + attempt X + job X.
-        assert_eq!(arr.len(), 7);
-        let xs: Vec<_> = arr
-            .iter()
-            .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
-            .collect();
-        assert_eq!(xs.len(), 2);
-        for x in xs {
-            assert!(x.get("ts").and_then(json::Value::as_f64).is_some());
-            assert!(x.get("dur").and_then(json::Value::as_f64).is_some());
+        let mut count = std::collections::BTreeMap::new();
+        for e in arr {
+            let ph = e.get("ph").and_then(json::Value::as_str).expect("ph");
+            *count.entry(ph).or_insert(0usize) += 1;
+            assert_eq!(e.get("pid").and_then(json::Value::as_u64), Some(1));
+            assert!(e.get("tid").and_then(json::Value::as_u64).is_some());
+            assert!(e.get("name").and_then(json::Value::as_str).is_some());
+            let num = |key| e.get(key).and_then(json::Value::as_f64);
+            match ph {
+                "X" => {
+                    for key in ["ts", "dur"] {
+                        let v = num(key).unwrap_or_else(|| panic!("span without {key}: {e:?}"));
+                        assert!(v.is_finite() && v >= 0.0, "{key} {v}: {e:?}");
+                    }
+                }
+                "i" | "C" => assert!(num("ts").is_some(), "{e:?}"),
+                "M" => continue,
+                other => panic!("unexpected ph {other:?}"),
+            }
+            // Every drawn element carries its event's field list.
+            assert!(matches!(e.get("args"), Some(json::Value::Obj(_))), "{e:?}");
+            assert!(e.get("cat").and_then(json::Value::as_str).is_some());
         }
-        // The map slot 2 thread is named.
-        assert!(doc.contains("map slot 2"));
+        // 4 fixed metadata + 1 slot metadata; the job, phase, stage and
+        // attempt spans; the shuffle_partition counter; the 13 other kinds
+        // as instants.
+        let expected = [("C", 1), ("M", 5), ("X", 4), ("i", 13)];
+        assert_eq!(count.into_iter().collect::<Vec<_>>(), expected);
+        // The map slot 3 thread is named, and a span keeps its end event's
+        // fields as args.
+        assert!(doc.contains("map slot 3"));
+        let job_span = arr
+            .iter()
+            .find(|e| e.get("cat").and_then(json::Value::as_str) == Some("job"))
+            .unwrap();
+        assert_eq!(
+            job_span.get("name").and_then(json::Value::as_str),
+            Some("a \"quoted\"\nname")
+        );
+        assert_eq!(job_span.get("ts").and_then(json::Value::as_f64), Some(0.0));
+        assert_eq!(
+            job_span.get("dur").and_then(json::Value::as_f64),
+            Some(0.8 * 1e6)
+        );
+        assert_eq!(
+            job_span.get("args").and_then(|a| a.get("sim_secs")),
+            Some(&json::Value::Num(0.8))
+        );
     }
 }

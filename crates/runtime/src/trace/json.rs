@@ -1,13 +1,20 @@
-//! A minimal JSON value model and recursive-descent parser.
+//! A minimal JSON value model with a recursive-descent parser and a
+//! compact writer.
 //!
-//! Vendored because the build runs offline with no serde available. It
-//! covers exactly what trace consumers need: parsing JSONL trace lines and
-//! Chrome trace-event documents back into a typed tree for validation.
-//! Numbers are held as `f64` (the trace schema never emits integers
-//! outside the 2^53 exact range), strings support full `\uXXXX` escapes
-//! including surrogate pairs, and parsing rejects trailing garbage.
+//! Vendored because the build runs offline with no serde available. It is
+//! the one JSON implementation of the workspace: the trace exporters
+//! (JSONL lines, Chrome trace-event documents) and the bench reports are
+//! written through [`write()`] / [`write_object`], and trace consumers read
+//! them back into a typed tree through [`parse`]. Numbers are held as
+//! `f64` (nothing here emits integers outside the 2^53 exact range) and
+//! written in Rust's shortest round-trip form, so a written number parses
+//! back to the same bits; non-finite numbers, which JSON cannot carry, are
+//! written as `null`. Strings support full `\uXXXX` escapes including
+//! surrogate pairs, and parsing rejects trailing garbage and documents
+//! nested deeper than 128 levels.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +87,122 @@ impl Value {
     }
 }
 
+impl From<f64> for Value {
+    fn from(n: f64) -> Value {
+        Value::Num(n)
+    }
+}
+
+/// Exact up to 2^53; larger integers round to the nearest `f64`.
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+/// Exact up to 2^53; larger integers round to the nearest `f64`.
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+/// Builds an object from `(key, value)` pairs. Members are kept sorted by
+/// key; use [`write_object`] where the written order matters.
+pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Serialises `value` compactly on one line.
+pub fn write(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(value, &mut out);
+    out
+}
+
+/// Serialises an object whose members appear in exactly the order given
+/// (a [`Value::Obj`] sorts its keys; the JSONL trace schema promises
+/// field order).
+pub fn write_object(members: &[(&str, Value)]) -> String {
+    let mut out = String::new();
+    write_members(members.iter().map(|(k, v)| (*k, v)), &mut out);
+    out
+}
+
+fn write_value(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        // Rust's shortest round-trip form is plain decimal notation, which
+        // is valid JSON.
+        Value::Num(n) if n.is_finite() => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Num(_) => out.push_str("null"),
+        Value::Str(s) => write_str(s, out),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(item, out);
+            }
+            out.push(']');
+        }
+        Value::Obj(map) => write_members(map.iter().map(|(k, v)| (k.as_str(), v)), out),
+    }
+}
+
+fn write_members<'a>(members: impl Iterator<Item = (&'a str, &'a Value)>, out: &mut String) {
+    out.push('{');
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(key, out);
+        out.push(':');
+        write_value(value, out);
+    }
+    out.push('}');
+}
+
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// A JSON parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -97,11 +220,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a hostile document (a megabyte of
+/// `[`) overflows the stack; the deepest document this workspace writes
+/// nests 4 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace and nesting
+/// deeper than 128 arrays/objects are errors.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -115,6 +246,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -155,8 +288,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -400,5 +544,70 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(ParseError {
+                msg: "nesting too deep".to_string(),
+                at: MAX_DEPTH,
+            })
+        );
+        // Objects count toward the same cap.
+        let objects = format!("{}1{}", "{\"k\":".repeat(129), "}".repeat(129));
+        assert_eq!(parse(&objects).unwrap_err().msg, "nesting too deep");
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+        // Used to overflow the stack and abort the process.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn written_documents_parse_back_to_the_same_value() {
+        let doc = object([
+            (
+                "name",
+                Value::from("\"quoted\" \\ tab\t nl\n cr\r ctl\u{1} µs"),
+            ),
+            ("ok", true.into()),
+            ("none", Value::Null),
+            (
+                "values",
+                Value::Arr(vec![
+                    0.0.into(),
+                    (-1.5).into(),
+                    1.2034e-7.into(),
+                    f64::MAX.into(),
+                    f64::MIN_POSITIVE.into(),
+                    (0.1 + 0.2).into(),
+                    7u64.into(),
+                    9usize.into(),
+                ]),
+            ),
+            ("nested", object([("unit", "ms".into())])),
+        ]);
+        let text = write(&doc);
+        assert!(!text.contains('\n'), "one line: {text}");
+        assert_eq!(parse(&text).expect("parses"), doc);
+    }
+
+    #[test]
+    fn writer_output_is_compact_ordered_and_null_for_non_finite() {
+        assert_eq!(
+            write(&object([("b", 1u64.into()), ("a", Value::Arr(vec![]))])),
+            "{\"a\":[],\"b\":1}"
+        );
+        assert_eq!(
+            write_object(&[("b", 0.5.into()), ("a", "x\u{1f}".into())]),
+            "{\"b\":0.5,\"a\":\"x\\u001f\"}"
+        );
+        assert_eq!(write_object(&[]), "{}");
+        assert_eq!(
+            write(&Value::Arr(vec![f64::NAN.into(), f64::INFINITY.into()])),
+            "[null,null]"
+        );
     }
 }
