@@ -300,7 +300,7 @@ impl NetServeSweep {
                  {NODES} nodes, replication {REPLICATION})",
                 self.n, self.budget, self.synopsis_size, self.err_abs
             ),
-            "concurrent TCP clients drain mixed batches through the DWQ1 front; \
+            "concurrent TCP clients drain mixed batches through the DWQ2 front; \
              ~1/64 queries are deliberately malformed and must error individually",
             &[
                 "shards",

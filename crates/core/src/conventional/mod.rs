@@ -30,21 +30,32 @@ pub(crate) fn norm_factor(topo: &TreeTopology, i: usize) -> f64 {
 }
 
 /// Keeps the `b` entries with the largest `|normalized value|` from
-/// `(node, raw value)` pairs; ties break to the lower node id.
+/// `(node, raw value)` pairs, largest first; ties break to the lower node
+/// id. The magnitude is computed once per entry and only the kept `b` are
+/// sorted — the order is total, so selecting then sorting yields exactly
+/// the prefix a full sort would.
 pub(crate) fn top_b_by_normalized(
     pairs: impl IntoIterator<Item = (u64, f64)>,
     n: usize,
     b: usize,
 ) -> Vec<(u32, f64)> {
+    if b == 0 {
+        return Vec::new();
+    }
     let topo = TreeTopology::new(n).expect("power-of-two n");
-    let mut all: Vec<(u64, f64)> = pairs.into_iter().collect();
-    all.sort_unstable_by(|&(i, vi), &(j, vj)| {
-        let ni = vi.abs() * norm_factor(&topo, i as usize);
-        let nj = vj.abs() * norm_factor(&topo, j as usize);
+    let mut all: Vec<(f64, u64, f64)> = pairs
+        .into_iter()
+        .map(|(i, v)| (v.abs() * norm_factor(&topo, i as usize), i, v))
+        .collect();
+    let by_magnitude_then_node = |&(ni, i, _): &(f64, u64, f64), &(nj, j, _): &(f64, u64, f64)| {
         nj.partial_cmp(&ni).expect("finite").then(i.cmp(&j))
-    });
-    all.truncate(b);
-    all.into_iter().map(|(i, v)| (i as u32, v)).collect()
+    };
+    if b < all.len() {
+        all.select_nth_unstable_by(b - 1, by_magnitude_then_node);
+        all.truncate(b);
+    }
+    all.sort_unstable_by(by_magnitude_then_node);
+    all.into_iter().map(|(_, i, v)| (i as u32, v)).collect()
 }
 
 #[cfg(test)]
@@ -96,6 +107,45 @@ mod tests {
         let top = top_b_by_normalized(pairs, 8, 3);
         let idx: Vec<u32> = top.iter().map(|&(i, _)| i).collect();
         assert_eq!(idx, vec![0, 5, 7]);
+    }
+
+    /// The full-sort formulation `top_b_by_normalized` replaced: sort every
+    /// pair, recomputing both magnitudes per comparison, then truncate.
+    fn top_b_by_full_sort(mut all: Vec<(u64, f64)>, n: usize, b: usize) -> Vec<(u32, f64)> {
+        let topo = TreeTopology::new(n).unwrap();
+        all.sort_unstable_by(|&(i, vi), &(j, vj)| {
+            let ni = vi.abs() * norm_factor(&topo, i as usize);
+            let nj = vj.abs() * norm_factor(&topo, j as usize);
+            nj.partial_cmp(&ni).unwrap().then(i.cmp(&j))
+        });
+        all.truncate(b);
+        all.into_iter().map(|(i, v)| (i as u32, v)).collect()
+    }
+
+    // Select-then-sort keeps exactly what the full sort kept, in the same
+    // order — with few distinct magnitudes (so ties at the cut are the norm,
+    // across levels too: 4 at level 2 ties 2 at level 0) and `b` at 0, 1,
+    // the length and past it.
+    proptest::proptest! {
+        #[test]
+        fn top_b_select_matches_full_sort(
+            values in proptest::collection::vec(-4i32..=4, 64),
+            keep in proptest::collection::vec(proptest::prelude::any::<bool>(), 64),
+            b_mid in 0usize..70,
+        ) {
+            let pairs: Vec<(u64, f64)> = values
+                .iter()
+                .zip(&keep)
+                .enumerate()
+                .filter(|(_, (_, &k))| k)
+                .map(|(i, (&v, _))| (i as u64, f64::from(v)))
+                .collect();
+            for b in [0, 1, b_mid, pairs.len(), pairs.len() + 3] {
+                let got = top_b_by_normalized(pairs.iter().copied(), 64, b);
+                let want = top_b_by_full_sort(pairs.clone(), 64, b);
+                proptest::prop_assert_eq!(got, want, "b = {}", b);
+            }
+        }
     }
 
     #[test]

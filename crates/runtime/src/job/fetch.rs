@@ -7,7 +7,7 @@ use std::collections::{BTreeSet, HashSet};
 use super::map::MapTaskResult;
 use super::spill::{Run, SpillStore};
 use crate::cluster::ClusterConfig;
-use crate::codec::fnv1a;
+use crate::codec::checksum64;
 use crate::error::RuntimeError;
 use crate::fault::{FaultPlan, NodeFailure};
 use crate::metrics::RecoveryStats;
@@ -24,7 +24,7 @@ pub(super) struct ShuffleRun {
     map_task: usize,
     /// Spill sequence of the run within `(map_task, partition)`.
     seq: usize,
-    /// FNV-1a of the payload as shipped by the map side — populated for
+    /// [`checksum64`] of the payload as shipped by the map side — populated for
     /// inline runs when node faults are active (stored runs carry their
     /// checksum in the spill store); `None` means "not verified at fetch".
     checksum: Option<u64>,
@@ -33,7 +33,7 @@ pub(super) struct ShuffleRun {
 impl ShuffleRun {
     fn is_corrupt(&self, store: &SpillStore) -> bool {
         match &self.run {
-            Run::Inline(buf) => self.checksum.is_some_and(|sum| fnv1a(buf) != sum),
+            Run::Inline(buf) => self.checksum.is_some_and(|sum| checksum64(buf) != sum),
             Run::Stored(handle) => store.read(*handle).is_err(),
         }
     }
@@ -60,12 +60,14 @@ pub(super) fn route(
                     let corrupts = plan.corrupts_run(map_task, p, seq);
                     match &mut run {
                         Run::Inline(buf) => {
-                            checksum = Some(fnv1a(buf));
+                            checksum = Some(checksum64(buf));
                             if corrupts {
                                 *buf.last_mut().expect("runs are non-empty") ^= 0xFF;
                             }
                         }
-                        Run::Stored(handle) if corrupts => store.corrupt(*handle),
+                        Run::Stored(handle) if corrupts => {
+                            store.corrupt(*handle, handle.len as usize - 1);
+                        }
                         Run::Stored(_) => {}
                     }
                 }

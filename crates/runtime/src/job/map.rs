@@ -73,8 +73,12 @@ impl<K: Wire + Ord + Send, V: Wire + Send> MapContext<'_, K, V> {
 
 /// The default partitioner, Hadoop's `HashPartitioner`: FNV-1a over the
 /// key's wire bytes, streamed straight into the hasher — no per-record
-/// encode buffer.
+/// encode buffer — and no hash at all for a single reducer, where every
+/// key lands in partition 0 whatever it hashes to.
 pub fn default_partition<K: Wire>(key: &K, parts: usize) -> usize {
+    if parts == 1 {
+        return 0;
+    }
     let mut hasher = FnvHasher::new();
     key.stream(&mut hasher);
     (hasher.finish() % parts as u64) as usize
@@ -556,10 +560,10 @@ mod tests {
             let mut h = FnvHasher::new();
             k.stream(&mut h);
             for parts in [1usize, 2, 3, 7, 16] {
-                assert_eq!(
-                    (h.finish() % parts as u64) as usize,
-                    (fnv1a_reference(&enc) % parts as u64) as usize
-                );
+                let reference = (fnv1a_reference(&enc) % parts as u64) as usize;
+                assert_eq!((h.finish() % parts as u64) as usize, reference);
+                // `parts == 1` skips the hash; the answer is still the formula's.
+                assert_eq!(default_partition(&k, parts), reference);
             }
         }
     }

@@ -15,7 +15,7 @@
 //! | Phase      | Owns |
 //! |------------|------|
 //! | `map`    | `MapContext` (the collector), `SpillControl` (the `io.sort.mb` meter), the spill sort / combiner fold, `MapPhase` |
-//! | `spill`  | `SpillStore` and the `DWR2` run framing |
+//! | `spill`  | `SpillStore` and its `DWR3` run frame (`codec::frame`) |
 //! | `fetch`  | `ShuffleRun` routing, fetch verification, lost-map re-execution |
 //! | `merge`  | `KWayMerge` (loser tree) and the `io.sort.factor` intermediate passes |
 //! | `reduce` | `ReduceContext` and the reduce task body |

@@ -1,6 +1,7 @@
 //! Spill phase storage: the per-job [`SpillStore`] that holds map-side
-//! spill runs and intermediate merge runs, the `DWR2` run framing, and the
-//! [`Run`] handle a sorted run travels as.
+//! spill runs and intermediate merge runs, the `DWR3` instantiation of
+//! [`codec::frame`](crate::codec::frame) its disk backend writes them in,
+//! and the [`Run`] handle a sorted run travels as.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -8,7 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cluster::SpillBackend;
-use crate::codec::fnv1a;
+use crate::codec::checksum64;
+use crate::codec::frame::{Format, FrameError, LenWidth};
 use crate::fault::TaskPhase;
 
 /// Identifies the attempt that wrote a spill run: `(phase, task, attempt)`.
@@ -16,14 +18,14 @@ use crate::fault::TaskPhase;
 /// by this tag.
 pub(super) type AttemptTag = (TaskPhase, usize, usize);
 
-/// Magic prefix of a framed spill-run file (`DWR2`: the checksummed
-/// revision of the original `DWR1` frame).
-const SPILL_FRAME_MAGIC: &[u8; 4] = b"DWR2";
-/// Frame overhead per run: 4-byte magic + 8-byte little-endian payload
-/// length + 8-byte little-endian FNV-1a checksum footer. Charged to
-/// disk-byte accounting on both backends so Memory and Disk runs cost the
-/// same on the simulated clock.
-pub(super) const SPILL_FRAME_BYTES: u64 = 20;
+/// The frame of a spill-run file. The store only opens files it wrote, and
+/// opening allocates nothing for the length field, so the cap merely keeps
+/// `len + overhead` far from overflow.
+const RUN_FRAME: Format = Format::new(*b"DWR3", LenWidth::U64, isize::MAX as usize >> 1);
+/// Frame overhead per run (20 bytes: magic, u64 length, checksum footer).
+/// Charged to disk-byte accounting on both backends so Memory and Disk
+/// runs cost the same on the simulated clock.
+pub(super) const SPILL_FRAME_BYTES: u64 = RUN_FRAME.overhead() as u64;
 
 /// A run stored in the job's [`SpillStore`]: an opaque id plus the
 /// payload length (kept on the handle so shuffle byte accounting never
@@ -34,11 +36,11 @@ pub(super) struct RunHandle {
     pub(super) len: u64,
 }
 
-/// A stored run's ledger entry: the attempt that owns it, its bytes when
-/// the backend is [`SpillBackend::Memory`] (`None` on disk, where the
-/// bytes live in the run file), and the FNV-1a checksum of the payload as
-/// written — verified on every read on both backends.
-type StoredRun = (AttemptTag, Option<Arc<Vec<u8>>>, u64);
+/// A stored run's ledger entry: the attempt that owns it and, when the
+/// backend is [`SpillBackend::Memory`], its bytes with their
+/// [`checksum64`] as written (`None` on disk, where both live in the run
+/// file's frame). Either way every read verifies the checksum.
+type StoredRun = (AttemptTag, Option<(Arc<Vec<u8>>, u64)>);
 
 /// Where one sorted run physically lives between its map task and the
 /// reduce merge.
@@ -99,7 +101,7 @@ pub(super) struct CorruptRun;
 /// The [`SpillBackend::Memory`] backend keeps each run as an
 /// `Arc<Vec<u8>>` — reads are reference-count bumps, deterministic and
 /// filesystem-free. The [`SpillBackend::Disk`] backend writes each run as
-/// a framed file (magic + length + payload, validated on read) under a
+/// a `DWR3` frame file (validated on read) under a
 /// process-unique temp dir that is removed when the store drops. Either
 /// way every run is tagged with the attempt that wrote it, so a panicked
 /// attempt's orphans can be deleted before the retry runs.
@@ -130,24 +132,25 @@ impl SpillStore {
         self.dir.join(format!("run-{id}.spill"))
     }
 
-    /// Stores one sorted run, returning its handle. The payload's FNV-1a
-    /// checksum is recorded on both backends (on disk as the frame's
+    /// Stores one sorted run, returning its handle. The payload's
+    /// [`checksum64`] is recorded on both backends (on disk as the frame's
     /// footer) and verified on every read. A disk-backend I/O failure
     /// panics, which surfaces as an attempt failure and burns a retry —
     /// the Hadoop behaviour for a task that cannot spill.
     pub(super) fn write(&self, owner: AttemptTag, payload: Vec<u8>) -> RunHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let len = payload.len() as u64;
-        let checksum = fnv1a(&payload);
         let data = match self.backend {
-            SpillBackend::Memory => Some(Arc::new(payload)),
+            SpillBackend::Memory => {
+                let checksum = checksum64(&payload);
+                Some((Arc::new(payload), checksum))
+            }
             SpillBackend::Disk => {
                 std::fs::create_dir_all(&self.dir).expect("create spill dir");
-                let mut framed = Vec::with_capacity(payload.len() + SPILL_FRAME_BYTES as usize);
-                framed.extend_from_slice(SPILL_FRAME_MAGIC);
-                framed.extend_from_slice(&len.to_le_bytes());
-                framed.extend_from_slice(&payload);
-                framed.extend_from_slice(&checksum.to_le_bytes());
+                let mut framed = Vec::with_capacity(payload.len() + RUN_FRAME.overhead());
+                RUN_FRAME
+                    .build(&mut framed, |buf| buf.extend_from_slice(&payload))
+                    .expect("spill run under the frame cap");
                 std::fs::write(self.run_path(id), framed).expect("write spill run");
                 None
             }
@@ -155,7 +158,7 @@ impl SpillStore {
         self.runs
             .lock()
             .expect("spill lock")
-            .insert(id, (owner, data, checksum));
+            .insert(id, (owner, data));
         RunHandle { id, len }
     }
 
@@ -166,60 +169,46 @@ impl SpillStore {
     /// fault); a structurally intact frame whose payload hashes differently
     /// returns [`CorruptRun`] so the fetch layer can recover.
     pub(super) fn read(&self, handle: RunHandle) -> Result<Arc<Vec<u8>>, CorruptRun> {
-        let (payload, checksum) = match self.backend {
+        match self.backend {
             SpillBackend::Memory => {
                 let runs = self.runs.lock().expect("spill lock");
-                let (_, data, checksum) = runs.get(&handle.id).expect("live spill run");
-                (
-                    data.clone().expect("memory-backend run has data"),
-                    *checksum,
-                )
+                let (_, data) = runs.get(&handle.id).expect("live spill run");
+                let (payload, checksum) = data.clone().expect("memory-backend run has data");
+                drop(runs);
+                if checksum64(&payload) != checksum {
+                    return Err(CorruptRun);
+                }
+                Ok(payload)
             }
             SpillBackend::Disk => {
                 let framed = std::fs::read(self.run_path(handle.id)).expect("read spill run");
-                assert!(
-                    framed.len() >= SPILL_FRAME_BYTES as usize && &framed[..4] == SPILL_FRAME_MAGIC,
-                    "corrupt spill frame"
-                );
-                let len = u64::from_le_bytes(framed[4..12].try_into().expect("8 bytes"));
-                assert_eq!(
-                    framed.len() as u64 - SPILL_FRAME_BYTES,
-                    len,
-                    "truncated spill run"
-                );
-                let footer = framed.len() - 8;
-                let checksum = u64::from_le_bytes(framed[footer..].try_into().expect("8 bytes"));
-                (Arc::new(framed[12..footer].to_vec()), checksum)
+                match RUN_FRAME.open(&framed) {
+                    Ok(payload) => Ok(Arc::new(payload.to_vec())),
+                    Err(FrameError::ChecksumMismatch) => Err(CorruptRun),
+                    Err(e) => panic!("corrupt spill frame: {e:?}"),
+                }
             }
-        };
-        if fnv1a(&payload) != checksum {
-            return Err(CorruptRun);
         }
-        Ok(payload)
     }
 
-    /// Flips one payload byte of a stored run without touching its
+    /// Flips payload byte `at` of a stored run without touching its
     /// recorded checksum — the seeded [`crate::fault::FaultKind::CorruptRun`]
     /// injection, detected by the next [`SpillStore::read`].
-    pub(super) fn corrupt(&self, handle: RunHandle) {
+    pub(super) fn corrupt(&self, handle: RunHandle, at: usize) {
+        assert!((at as u64) < handle.len, "corruption offset past the run");
         match self.backend {
             SpillBackend::Memory => {
                 let mut runs = self.runs.lock().expect("spill lock");
-                let (_, data, _) = runs.get_mut(&handle.id).expect("live spill run");
-                let arc = data.as_mut().expect("memory-backend run has data");
+                let (_, data) = runs.get_mut(&handle.id).expect("live spill run");
+                let (arc, _) = data.as_mut().expect("memory-backend run has data");
                 let mut bytes = (**arc).clone();
-                if let Some(last) = bytes.last_mut() {
-                    *last ^= 0xFF;
-                }
+                bytes[at] ^= 0xFF;
                 *arc = Arc::new(bytes);
             }
             SpillBackend::Disk => {
                 let path = self.run_path(handle.id);
                 let mut framed = std::fs::read(&path).expect("read spill run");
-                let payload_end = framed.len() - 8;
-                if payload_end > SPILL_FRAME_BYTES as usize - 8 {
-                    framed[payload_end - 1] ^= 0xFF;
-                }
+                framed[RUN_FRAME.header_bytes() + at] ^= 0xFF;
                 std::fs::write(&path, framed).expect("rewrite spill run");
             }
         }
@@ -286,19 +275,35 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_is_surfaced_as_corrupt_run() {
+        let payload: Vec<u8> = (0..100).collect();
         for backend in [SpillBackend::Memory, SpillBackend::Disk] {
             let store = SpillStore::new(backend);
             let owner = (TaskPhase::Map, 0, 1);
-            let run = store.write(owner, vec![9, 8, 7, 6]);
-            assert_eq!(*store.read(run).expect("clean run"), vec![9, 8, 7, 6]);
-            store.corrupt(run);
-            assert!(
-                store.read(run).is_err(),
-                "{backend:?}: flipped byte must fail the checksum"
-            );
+            for at in [0, payload.len() / 2, payload.len() - 1] {
+                let run = store.write(owner, payload.clone());
+                assert_eq!(*store.read(run).expect("clean run"), payload);
+                store.corrupt(run, at);
+                assert!(
+                    store.read(run).is_err(),
+                    "{backend:?}: flipped byte {at} must fail the checksum"
+                );
+            }
             // Corruption is per-run: a sibling run still reads clean.
             let sibling = store.write(owner, vec![1, 2]);
             assert_eq!(*store.read(sibling).expect("clean run"), vec![1, 2]);
         }
+    }
+
+    #[test]
+    fn disk_runs_are_dwr3_frames_with_the_accounted_overhead() {
+        assert_eq!(SPILL_FRAME_BYTES, 20);
+        let store = SpillStore::new(SpillBackend::Disk);
+        let run = store.write((TaskPhase::Map, 0, 1), vec![9, 8, 7, 6]);
+        let file = std::fs::read(store.run_path(run.id)).unwrap();
+        assert_eq!(file.len() as u64, run.len + SPILL_FRAME_BYTES);
+        assert_eq!(&file[..4], b"DWR3");
+        assert_eq!(file[4..12], 4u64.to_le_bytes());
+        assert_eq!(file[12..16], [9, 8, 7, 6]);
+        assert_eq!(file[16..], checksum64(&[9, 8, 7, 6]).to_le_bytes());
     }
 }

@@ -521,6 +521,165 @@ mod shuffle_equivalence {
     }
 }
 
+mod frame_codec {
+    //! `codec::frame` under both instantiations' shapes (u64 length as
+    //! `DWR3`, u32 length as `DWQ2`) and `codec::checksum64` under it:
+    //! every frame round-trips through both decoders, and every mutation
+    //! of a valid frame is a typed error from both — never a panic, never
+    //! an `Ok`, never a read past the header of an over-cap frame.
+
+    use dwmaxerr_runtime::codec::frame::{Format, FrameError, LenWidth};
+    use dwmaxerr_runtime::codec::{checksum64, FnvHasher, WireSink};
+    use proptest::prelude::*;
+    use std::io::ErrorKind;
+
+    const CAP: usize = 256;
+    const FORMATS: [Format; 2] = [
+        Format::new(*b"DWR3", LenWidth::U64, CAP),
+        Format::new(*b"DWQ2", LenWidth::U32, CAP),
+    ];
+
+    fn frame_of(format: &Format, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        format
+            .build(&mut frame, |buf| buf.extend_from_slice(payload))
+            .expect("under the cap");
+        frame
+    }
+
+    /// The stream decoder's verdict on `bytes` in `open`'s vocabulary:
+    /// `Ok` with the payload, or the error and how many bytes it consumed.
+    fn read_verdict(format: &Format, bytes: &[u8]) -> Result<Vec<u8>, (ErrorKind, usize)> {
+        let mut source = bytes;
+        match format.read(&mut source) {
+            Ok(Some(payload)) => Ok(payload),
+            Ok(None) => Err((ErrorKind::UnexpectedEof, 0)),
+            Err(e) => Err((e.kind(), bytes.len() - source.len())),
+        }
+    }
+
+    /// Asserts both decoders reject `bytes`; `open` with exactly `want`.
+    fn assert_rejected(format: &Format, bytes: &[u8], want: FrameError, what: &str) {
+        assert_eq!(format.open(bytes), Err(want), "open: {what}");
+        let (kind, _) = read_verdict(format, bytes).expect_err(what);
+        let want_kind = match want {
+            // A stream cannot see a short frame's end coming; a long
+            // frame's extra bytes are the next frame's problem.
+            FrameError::BadLength => ErrorKind::UnexpectedEof,
+            _ => ErrorKind::InvalidData,
+        };
+        assert_eq!(kind, want_kind, "read: {what}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_single_bit_flip_changes_checksum64(
+            payload in prop::collection::vec(any::<u8>(), 0..=100),
+        ) {
+            // Lengths 0..=100 cover whole stripes and the 8-, 4- and
+            // 1-byte tails, alone and combined.
+            let clean = checksum64(&payload);
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_ne!(checksum64(&flipped), clean, "bit {}", bit);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            // Length is folded in: a zero byte more or less is not a no-op.
+            flipped.push(0);
+            prop_assert_ne!(checksum64(&flipped), clean);
+        }
+
+        #[test]
+        fn frames_roundtrip_through_both_decoders(
+            payload in prop::collection::vec(any::<u8>(), 0..=CAP),
+        ) {
+            for format in &FORMATS {
+                let frame = frame_of(format, &payload);
+                prop_assert_eq!(frame.len(), payload.len() + format.overhead());
+                prop_assert_eq!(format.open(&frame), Ok(&payload[..]));
+                prop_assert_eq!(read_verdict(format, &frame), Ok(payload.clone()));
+            }
+        }
+
+        #[test]
+        fn every_mutation_of_a_valid_frame_is_a_typed_error(
+            payload in prop::collection::vec(any::<u8>(), 1..=100),
+            mask in 1u8..=255,
+            lie in 1usize..=100,
+        ) {
+            for format in &FORMATS {
+                let frame = frame_of(format, &payload);
+                let header = format.header_bytes();
+
+                // Truncated at every prefix length.
+                for cut in 0..frame.len() {
+                    assert_rejected(format, &frame[..cut], FrameError::BadLength, "truncated");
+                }
+
+                // Each byte flipped: the field it lands in names the error,
+                // except in the length field, where it depends on the lie.
+                for at in 0..frame.len() {
+                    let mut bad = frame.clone();
+                    bad[at] ^= mask;
+                    if at < 4 {
+                        assert_rejected(format, &bad, FrameError::BadMagic, "flipped magic");
+                    } else if at >= header {
+                        assert_rejected(format, &bad, FrameError::ChecksumMismatch, "flipped body");
+                    } else {
+                        prop_assert!(format.open(&bad).is_err(), "flipped length");
+                        prop_assert!(read_verdict(format, &bad).is_err(), "flipped length");
+                    }
+                }
+
+                // A length over the cap: refused with only the header read,
+                // so nothing was allocated for it.
+                let mut over = frame.clone();
+                over[4..8].copy_from_slice(&((CAP + lie) as u32).to_le_bytes());
+                prop_assert_eq!(format.open(&over), Err(FrameError::OverCap));
+                prop_assert_eq!(
+                    read_verdict(format, &over),
+                    Err((ErrorKind::InvalidData, header))
+                );
+
+                // A length under the cap that lies, both ways.
+                for wrong in [payload.len() + lie, payload.len() - 1] {
+                    let mut bad = frame.clone();
+                    bad[4..8].copy_from_slice(&(wrong as u32).to_le_bytes());
+                    prop_assert_eq!(format.open(&bad), Err(FrameError::BadLength));
+                    prop_assert!(read_verdict(format, &bad).is_err(), "length lies");
+                }
+
+                // A valid frame with a garbage tail: not a frame as a whole;
+                // as a stream, the frame and then a bad magic.
+                let tailed = [&frame[..], b"garbage!"].concat();
+                prop_assert_eq!(format.open(&tailed), Err(FrameError::BadLength));
+                let mut source = &tailed[..];
+                prop_assert_eq!(format.read(&mut source).unwrap(), Some(payload.clone()));
+                prop_assert_eq!(
+                    format.read(&mut source).unwrap_err().kind(),
+                    ErrorKind::InvalidData
+                );
+
+                // The previous revisions of both framings.
+                for old_magic in [b"DWR2", b"DWQ1"] {
+                    let mut old = frame.clone();
+                    old[..4].copy_from_slice(old_magic);
+                    assert_rejected(format, &old, FrameError::BadMagic, "old magic");
+                }
+                let mut fnv = FnvHasher::new();
+                fnv.write(&payload);
+                let mut old_footer = frame.clone();
+                let footer = old_footer.len() - 8;
+                old_footer[footer..].copy_from_slice(&fnv.finish().to_le_bytes());
+                assert_rejected(format, &old_footer, FrameError::ChecksumMismatch, "FNV footer");
+            }
+        }
+    }
+}
+
 mod corruption {
     use dwmaxerr_runtime::codec::{CodecError, Wire};
     use dwmaxerr_runtime::{

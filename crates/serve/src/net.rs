@@ -11,14 +11,15 @@
 //! many clients evaluate in parallel on per-shard workers while every
 //! answer still carries its error bound and pinned store version.
 //!
-//! # Wire protocol (`DWQ1`)
+//! # Wire protocol (`DWQ2`)
 //!
-//! Binary, length-prefixed, checksummed — the same framing discipline
-//! as the runtime's `DWR2` spill format, built from the same
+//! Binary, length-prefixed, checksummed: the `DWQ2` instantiation of the
+//! runtime's one frame codec ([`codec::frame`](dwmaxerr_runtime::codec::frame),
+//! which also frames spill runs as `DWR3`) around payloads in the
 //! [`Wire`] codec (all integers little-endian):
 //!
 //! ```text
-//! frame    := "DWQ1" | u32 payload_len | payload | u64 fnv1a(payload)
+//! frame    := "DWQ2" | u32 payload_len | payload | u64 checksum64(payload)
 //! request  := u64 id | Vec<Query>
 //! response := u64 id | u8 status | u64 version | Vec<SlotResult>
 //! Query    := 0u8 x:u64            (point)
@@ -36,6 +37,12 @@
 //! never poison co-batched siblings: they come back as individual
 //! [`SlotResult::Error`] slots while every valid sibling carries a
 //! bound-stamped [`Answer`].
+//!
+//! A frame is encoded in place and leaves in one `send`; it is received in
+//! two `recv`s (header, then payload and footer) when it arrives whole.
+//! Bad magic, a length over the 16 MiB cap (checked before anything is
+//! allocated for it) and a checksum mismatch all answer `BAD_FRAME` and
+//! close the connection.
 //!
 //! # Backpressure and shedding
 //!
@@ -60,7 +67,7 @@
 //! yields bit-identical answers regardless of thread count or
 //! co-batched traffic. See DESIGN.md §16.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -68,7 +75,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dwmaxerr_core::query::{Answer, RelBound};
-use dwmaxerr_runtime::codec::{encoded, fnv1a, CodecError, Wire, WireSink};
+use dwmaxerr_runtime::codec::frame::{Format, LenWidth};
+use dwmaxerr_runtime::codec::{encode_slice, CodecError, Wire, WireSink};
 use dwmaxerr_runtime::{threads_from_env, Executor};
 
 use crate::batch::{execute_partial_routed, Query};
@@ -78,10 +86,10 @@ use crate::error::ServeError;
 use crate::router::ShardRouter;
 use crate::store::SynopsisStore;
 
-/// Frame magic: "DWQ1" (Distributed Wavelet Query, v1).
-const MAGIC: [u8; 4] = *b"DWQ1";
-/// Hard payload cap — anything larger is a malformed or hostile frame.
-const MAX_PAYLOAD: usize = 16 << 20;
+/// The query frame: "DWQ2" (Distributed Wavelet Query, v2), u32 length,
+/// and a hard 16 MiB payload cap — anything larger is a malformed or
+/// hostile frame.
+const FRAME: Format = Format::new(*b"DWQ2", LenWidth::U32, 16 << 20);
 
 // ---------------------------------------------------------------------------
 // Wire impls for the protocol types
@@ -269,59 +277,16 @@ impl Wire for QueryResponse {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------------
-
-/// Writes one frame. A payload over the size cap is refused with
-/// `InvalidInput` before any byte is written — the peer would have to
-/// reject the frame and drop the connection — so the stream stays in sync.
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame payload over size cap",
-        ));
-    }
-    w.write_all(&MAGIC)?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
-    w.flush()
+/// One query frame around whatever `fill` encodes; `InvalidInput` if that
+/// is over the cap.
+fn framed(fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
+    let mut frame = Vec::new();
+    FRAME.build(&mut frame, fill)?;
+    Ok(frame)
 }
 
 fn bad_data(context: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, context.to_string())
-}
-
-/// Reads one frame's payload. `Ok(None)` is a clean EOF at a frame
-/// boundary; `InvalidData` errors are protocol violations (bad magic,
-/// oversized payload, checksum mismatch).
-fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    // First byte read separately so EOF-between-frames is clean.
-    let mut first = [0u8; 1];
-    if r.read(&mut first)? == 0 {
-        return Ok(None);
-    }
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest)?;
-    if [first[0], rest[0], rest[1], rest[2]] != MAGIC {
-        return Err(bad_data("bad frame magic"));
-    }
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(bad_data("frame payload over size cap"));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut sum_bytes = [0u8; 8];
-    r.read_exact(&mut sum_bytes)?;
-    if u64::from_le_bytes(sum_bytes) != fnv1a(&payload) {
-        return Err(bad_data("frame checksum mismatch"));
-    }
-    Ok(Some(payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -639,7 +604,7 @@ fn refuse(stream: &mut TcpStream, id: u64, status_code: u8) -> io::Result<()> {
         version: 0,
         slots: Vec::new(),
     };
-    write_frame(stream, &encoded(&response))
+    stream.write_all(&framed(|buf| response.encode(buf))?)
 }
 
 /// Drains one connection's request frames until EOF, timeout, shutdown,
@@ -651,7 +616,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let payload = match read_frame(&mut stream) {
+        let payload = match FRAME.read(&mut stream) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // clean EOF
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -719,20 +684,20 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
             })
             .collect();
         let answered = slots.len() as u64 - failed;
-        let response = encoded(&QueryResponse {
+        let response = QueryResponse {
             id,
             status: status::OK,
             version: reader.version(),
             slots,
-        });
+        };
         // A batch under `max_batch` can still answer with more bytes than
         // a frame may carry (a slot outweighs its query): shed it like an
         // oversized batch rather than emit a frame the client must reject.
-        if response.len() > MAX_PAYLOAD {
+        let Ok(frame) = framed(|buf| response.encode(buf)) else {
             shared.shed.fetch_add(1, Ordering::Relaxed);
             refuse(&mut stream, id, status::OVERLOADED)?;
             continue;
-        }
+        };
 
         // Record stats *before* writing the response: once a client holds
         // the response, `NetServer::stats()` must already account for it.
@@ -742,7 +707,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         shared.answered.fetch_add(answered, Ordering::Relaxed);
         shared.failed_queries.fetch_add(failed, Ordering::Relaxed);
 
-        write_frame(&mut stream, &response)?;
+        stream.write_all(&frame)?;
     }
 }
 
@@ -750,7 +715,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
 // Client
 // ---------------------------------------------------------------------------
 
-/// A blocking client for the `DWQ1` protocol: one TCP connection,
+/// A blocking client for the `DWQ2` protocol: one TCP connection,
 /// sequential request/response with auto-incrementing ids.
 #[derive(Debug)]
 pub struct NetClient {
@@ -778,16 +743,13 @@ impl NetClient {
     pub fn request(&mut self, queries: &[Query]) -> io::Result<QueryResponse> {
         let id = self.next_id;
         self.next_id += 1;
-        let mut payload = Vec::new();
-        id.encode(&mut payload);
-        queries.to_vec().encode(&mut payload);
-        write_frame(&mut self.stream, &payload)?;
+        let frame = framed(|buf| {
+            id.encode(buf);
+            encode_slice(queries, buf);
+        })?;
+        self.stream.write_all(&frame)?;
 
-        let body = read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        let mut cursor: &[u8] = &body;
-        let response = QueryResponse::decode(&mut cursor)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let response = self.read_response()?;
         if response.id != id && response.id != 0 {
             return Err(bad_data("response id mismatch"));
         }
@@ -804,7 +766,8 @@ impl NetClient {
     /// Reads one response frame without sending anything — pairs with
     /// [`send_raw`](Self::send_raw) in protocol tests.
     pub fn read_response(&mut self) -> io::Result<QueryResponse> {
-        let body = read_frame(&mut self.stream)?
+        let body = FRAME
+            .read(&mut self.stream)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
         let mut cursor: &[u8] = &body;
         QueryResponse::decode(&mut cursor)
@@ -816,6 +779,7 @@ impl NetClient {
 mod tests {
     use super::*;
     use dwmaxerr_core::query::ErrorBound;
+    use dwmaxerr_runtime::codec::encoded;
     use dwmaxerr_wavelet::transform::forward;
     use dwmaxerr_wavelet::Synopsis;
 
@@ -870,36 +834,91 @@ mod tests {
         assert_eq!(QueryResponse::decode(&mut cursor).unwrap(), response);
     }
 
+    /// A valid request frame for `queries`, as [`NetClient::request`]
+    /// builds it.
+    fn request_frame(id: u64, queries: &[Query]) -> Vec<u8> {
+        framed(|buf| {
+            id.encode(buf);
+            encode_slice(queries, buf);
+        })
+        .unwrap()
+    }
+
     #[test]
-    fn frame_roundtrip_and_corruption_detection() {
-        let payload = b"hello frames".to_vec();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        let mut cursor: &[u8] = &wire;
-        assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload));
-        assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    fn query_frame_is_dwq2_with_16_bytes_of_overhead() {
+        let queries = [Query::Point { x: 3 }, Query::RangeSum { l: 1, h: 6 }];
+        let frame = request_frame(7, &queries);
+        let payload = encoded(&(7u64, queries.to_vec()));
+        assert_eq!(FRAME.overhead(), 16);
+        assert_eq!(&frame[..4], b"DWQ2");
+        assert_eq!(frame[4..8], (payload.len() as u32).to_le_bytes());
+        assert_eq!(frame[8..frame.len() - 8], payload[..]);
+        assert_eq!(FRAME.read(&mut &frame[..]).unwrap(), Some(payload));
 
-        // Flip a payload byte: checksum mismatch.
-        let mut corrupt = wire.clone();
-        corrupt[9] ^= 0xff;
-        let mut cursor: &[u8] = &corrupt;
-        let err = read_frame(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // Bad magic.
-        let mut bad = wire.clone();
-        bad[0] = b'X';
-        let mut cursor: &[u8] = &bad;
-        assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-
-        // Over the size cap: refused before any byte reaches the wire.
-        let mut wire = Vec::new();
-        let err = write_frame(&mut wire, &vec![0u8; MAX_PAYLOAD + 1]).unwrap_err();
+        // Over the size cap: refused before anything could be sent.
+        let err = FRAME
+            .build(&mut Vec::new(), |buf| {
+                buf.resize(buf.len() + (16 << 20) + 1, 0)
+            })
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(wire.is_empty(), "no partial frame");
+    }
+
+    /// Every way a request stream can be wrong on the wire — truncated,
+    /// flipped, over the cap, the old `DWQ1` magic, an FNV footer under the
+    /// new magic, an undecodable body — answers `BAD_FRAME` and closes that
+    /// connection only.
+    #[test]
+    fn hostile_frames_get_bad_frame_and_a_disconnect() {
+        let server = NetServer::spawn(store(), None, small_cfg()).unwrap();
+        let mut neighbour = NetClient::connect(server.local_addr()).unwrap();
+        let good = request_frame(1, &[Query::Point { x: 2 }]);
+        let footer = good.len() - 8;
+
+        let mut flipped_payload = good.clone();
+        flipped_payload[10] ^= 0x01;
+        let mut old_magic = good.clone();
+        old_magic[..4].copy_from_slice(b"DWQ1");
+        let mut fnv_footer = good.clone();
+        let mut fnv = dwmaxerr_runtime::codec::FnvHasher::new();
+        fnv.write(&good[8..footer]);
+        fnv_footer[footer..].copy_from_slice(&fnv.finish().to_le_bytes());
+        let mut over_cap = good.clone();
+        over_cap[4..8].copy_from_slice(&((16u32 << 20) + 1).to_le_bytes());
+        // A well-framed payload whose `Vec<Query>` length lies.
+        let lying_body = framed(|buf| {
+            1u64.encode(buf);
+            u32::MAX.encode(buf);
+        })
+        .unwrap();
+
+        let hostile = [flipped_payload, old_magic, fnv_footer, over_cap, lying_body];
+        for (i, bytes) in hostile.iter().enumerate() {
+            let mut client = NetClient::connect(server.local_addr()).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            client.send_raw(bytes).unwrap();
+            let bad = client.read_response().unwrap();
+            assert_eq!(bad.status, status::BAD_FRAME, "case {i}");
+            // EOF, or a reset when the server closed with bytes unread.
+            let closed = client.read_response().unwrap_err().kind();
+            assert!(
+                !matches!(closed, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                "case {i}: connection left open"
+            );
+            let ok = neighbour.request(&[Query::Point { x: 0 }]).unwrap();
+            assert_eq!(ok.status, status::OK, "case {i}: neighbour unaffected");
+        }
+        assert_eq!(server.stats().bad_frames, hostile.len() as u64);
+
+        // A valid frame followed by garbage: the frame is answered, the
+        // garbage is the next frame's bad magic.
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        client.send_raw(&[&good[..], b"garbage!"].concat()).unwrap();
+        assert_eq!(client.read_response().unwrap().status, status::OK);
+        assert_eq!(client.read_response().unwrap().status, status::BAD_FRAME);
+        server.shutdown();
     }
 
     #[test]
