@@ -112,7 +112,7 @@ const INF: u32 = u32::MAX;
 
 /// A Haar+ DP row: per quantized incoming value, the minimal retained-node
 /// count in the subtree and the chosen child shifts `(a, b)` in grid steps.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HpRow {
     /// Grid index of the first cell.
     pub lo: i64,
@@ -138,6 +138,22 @@ impl HpRow {
     #[inline]
     fn hi(&self) -> i64 {
         self.lo + self.costs.len() as i64
+    }
+
+    /// The replay rule of the top-down pass: entered with incoming grid
+    /// value `v`, the triad applies child shifts `(a, b)` and its children
+    /// are entered with `v + a` and `v + b`. `v` must lie in the window.
+    #[inline]
+    pub fn step(&self, v: i64) -> ((i64, i64), i64, i64) {
+        let off = (v - self.lo) as usize;
+        let (a, b) = (i64::from(self.shift_l[off]), i64::from(self.shift_r[off]));
+        ((a, b), v + a, v + b)
+    }
+
+    /// The root rule, for the root triad's row: the cheapest total count
+    /// and the top node's grid value (the triad's incoming value), if any.
+    pub fn resolve_root(&self) -> Option<(u32, i64)> {
+        crate::min_haar_space::resolve_root(self.lo, &self.costs)
     }
 
     /// The minimum cost over the whole window and its grid position.
@@ -188,18 +204,14 @@ impl From<MhsError> for HaarPlusError {
     }
 }
 
+/// A data leaf's pseudo-row: MinHaarSpace's window, with no shifts.
 fn leaf_row(d: f64, p: &MhsParams) -> Result<HpRow, HaarPlusError> {
-    let lo = ((d - p.epsilon) / p.delta).ceil() as i64;
-    let hi = ((d + p.epsilon) / p.delta).floor() as i64;
-    if hi < lo {
-        return Err(HaarPlusError::DeltaTooCoarse);
-    }
-    let len = (hi - lo + 1) as usize;
+    let leaf = crate::min_haar_space::leaf_row(d, p)?;
     Ok(HpRow {
-        lo,
-        costs: vec![0; len],
-        shift_l: vec![0; len],
-        shift_r: vec![0; len],
+        lo: leaf.lo,
+        costs: leaf.costs,
+        shift_l: leaf.choices.clone(),
+        shift_r: leaf.choices,
     })
 }
 
@@ -293,7 +305,7 @@ pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<HpRow>, HaarPlusE
 }
 
 /// Decomposes chosen child shifts `(a, b)` into minimal triad entries.
-fn triad_entries(node: u32, a: i64, b: i64, delta: f64, out: &mut Vec<(u32, Role, f64)>) {
+pub fn triad_entries(node: u32, a: i64, b: i64, delta: f64, out: &mut Vec<(u32, Role, f64)>) {
     if a == 0 && b == 0 {
         return;
     }
@@ -346,21 +358,9 @@ pub fn haar_plus_min_space(data: &[f64], p: &MhsParams) -> Result<HaarPlusSoluti
     }
     let rows = subtree_rows(data, p)?;
     // Top node: incoming to the root triad is the top value z (cost z≠0).
-    let root = &rows[1];
-    let mut best = (INF, 0i64);
-    for (t, &c) in root.costs.iter().enumerate() {
-        let v = root.lo + t as i64;
-        if c == INF {
-            continue;
-        }
-        let total = c + u32::from(v != 0);
-        if total < best.0 || (total == best.0 && v == 0) {
-            best = (total, v);
-        }
-    }
-    if best.0 == INF {
-        return Err(HaarPlusError::DeltaTooCoarse);
-    }
+    let best = rows[1]
+        .resolve_root()
+        .ok_or(HaarPlusError::DeltaTooCoarse)?;
     let mut entries: Vec<(u32, Role, f64)> = Vec::new();
     if best.1 != 0 {
         entries.push((0, Role::Top, best.1 as f64 * p.delta));
@@ -368,15 +368,11 @@ pub fn haar_plus_min_space(data: &[f64], p: &MhsParams) -> Result<HaarPlusSoluti
     // Replay choices top-down.
     let mut stack = vec![(1usize, best.1)];
     while let Some((i, v)) = stack.pop() {
-        let off = (v - rows[i].lo) as usize;
-        let (a, b) = (
-            i64::from(rows[i].shift_l[off]),
-            i64::from(rows[i].shift_r[off]),
-        );
+        let ((a, b), left, right) = rows[i].step(v);
         triad_entries(i as u32, a, b, p.delta, &mut entries);
         if 2 * i < n {
-            stack.push((2 * i, v + a));
-            stack.push((2 * i + 1, v + b));
+            stack.push((2 * i, left));
+            stack.push((2 * i + 1, right));
         }
     }
     entries.sort_by_key(|&(i, _, _)| i);

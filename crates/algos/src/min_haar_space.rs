@@ -101,7 +101,7 @@ impl From<WaveletError> for MhsError {
 /// indices; value = index × δ), the minimal coefficient count inside the
 /// subtree and the optimal value `z` to assign at the subtree's root
 /// coefficient (in grid steps; 0 = do not retain).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
     /// Grid index of the first cell.
     pub lo: i64,
@@ -145,17 +145,38 @@ impl Row {
         self.costs.iter().all(|&c| c == INFEASIBLE)
     }
 
-    /// The grid index of the minimum-cost cell (ties to the lower index).
-    pub fn best(&self) -> Option<(i64, u32)> {
-        let (mut best_v, mut best_c) = (0, INFEASIBLE);
-        for (t, &c) in self.costs.iter().enumerate() {
-            if c < best_c {
-                best_c = c;
-                best_v = self.lo + t as i64;
-            }
-        }
-        (best_c != INFEASIBLE).then_some((best_v, best_c))
+    /// The replay rule of the top-down pass: entered with incoming grid
+    /// value `v`, the node retains `z` (grid steps; 0 = nothing) and its
+    /// children are entered with `v + z` and `v - z`.
+    #[inline]
+    pub fn step(&self, v: i64) -> (i32, i64, i64) {
+        let z = self.choice(v);
+        (z, v + i64::from(z), v - i64::from(z))
     }
+
+    /// The root rule, for the row of node `c_1`: the cheapest total count
+    /// and `c_0`'s grid value `z0` (the incoming value of `c_1`), if any.
+    pub fn resolve_root(&self) -> Option<(u32, i64)> {
+        resolve_root(self.lo, &self.costs)
+    }
+}
+
+/// `c_0` adds `z0` to every leaf and costs one coefficient unless `z0 = 0`:
+/// minimizes `costs[z0] + (z0 != 0)` over the window starting at grid index
+/// `lo`, ties to `z0 = 0`. The Haar+ top node obeys the same rule.
+pub(crate) fn resolve_root(lo: i64, costs: &[u32]) -> Option<(u32, i64)> {
+    let mut best = (INFEASIBLE, 0i64);
+    for (t, &c) in costs.iter().enumerate() {
+        if c == INFEASIBLE {
+            continue;
+        }
+        let v = lo + t as i64;
+        let total = c + u32::from(v != 0);
+        if total < best.0 || (total == best.0 && v == 0) {
+            best = (total, v);
+        }
+    }
+    (best.0 != INFEASIBLE).then_some(best)
 }
 
 /// Builds the pseudo-row of a single data leaf `d`: cost 0 for every grid
@@ -297,13 +318,13 @@ pub fn extract(rows: &[Row], z0: i64, p: &MhsParams) -> Vec<(u32, f64)> {
     // Stack of (node, incoming grid value).
     let mut stack = vec![(1usize, z0)];
     while let Some((i, v)) = stack.pop() {
-        let z = rows[i].choice(v);
+        let (z, left, right) = rows[i].step(v);
         if z != 0 {
             entries.push((i as u32, f64::from(z) * p.delta));
         }
         if 2 * i < m {
-            stack.push((2 * i, v + i64::from(z)));
-            stack.push((2 * i + 1, v - i64::from(z)));
+            stack.push((2 * i, left));
+            stack.push((2 * i + 1, right));
         }
     }
     entries
@@ -336,25 +357,7 @@ pub fn min_haar_space(data: &[f64], p: &MhsParams) -> Result<MhsSolution, MhsErr
         });
     }
     let rows = subtree_rows(data, p)?;
-    // Root: c_0 contributes +z0 to every leaf; incoming to node 1 is z0.
-    let root = &rows[1];
-    let mut best_total = INFEASIBLE;
-    let mut best_z0 = 0i64;
-    for t in 0..root.costs.len() {
-        let v = root.lo + t as i64;
-        let c = root.costs[t];
-        if c == INFEASIBLE {
-            continue;
-        }
-        let total = c + u32::from(v != 0);
-        if total < best_total || (total == best_total && v == 0) {
-            best_total = total;
-            best_z0 = v;
-        }
-    }
-    if best_total == INFEASIBLE {
-        return Err(MhsError::DeltaTooCoarse);
-    }
+    let (best_total, best_z0) = rows[1].resolve_root().ok_or(MhsError::DeltaTooCoarse)?;
     let entries = extract(&rows, best_z0, p);
     debug_assert_eq!(entries.len(), best_total as usize);
     let synopsis = Synopsis::from_entries(n, entries)?;
@@ -544,13 +547,14 @@ mod tests {
     }
 
     #[test]
-    fn row_best_and_accessors() {
+    fn row_accessors_and_rules() {
         let row = Row {
             lo: 10,
             costs: vec![INFEASIBLE, 3, 2, 5],
             choices: vec![0, 1, -2, 0],
         };
-        assert_eq!(row.best(), Some((12, 2)));
+        assert_eq!(row.resolve_root(), Some((3, 12)));
+        assert_eq!(row.step(12), (-2, 10, 14));
         assert_eq!(row.hi(), 14);
         assert_eq!(row.choice(12), -2);
         assert_eq!(row.choice(9), 0);

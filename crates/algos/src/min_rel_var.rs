@@ -66,7 +66,7 @@ pub struct MrvCell {
 
 /// A DP row: cells indexed by space allotment `b = 0..cells.len()` units,
 /// plus the subtree's minimum norm (needed to scale ancestor variance).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MrvRow {
     /// `min over leaves of max(|d|, S)` for this subtree.
     pub min_norm: f64,
@@ -85,6 +85,33 @@ impl MrvRow {
     #[inline]
     pub fn cell(&self, b: usize) -> MrvCell {
         self.cells[b.min(self.cells.len() - 1)]
+    }
+
+    /// The replay rule of the top-down pass: entered with `b` space
+    /// units, the node keeps `y` probability units and hands its children
+    /// `l` and `rem - l`, `rem` clamped exactly as [`combine`] clamped it.
+    /// `children` are the rows this one was combined from (`None` above
+    /// two data leaves, which take nothing).
+    pub fn step(&self, children: Option<(&MrvRow, &MrvRow)>, b: usize) -> (u16, usize, usize) {
+        let cell = self.cell(b);
+        let joint = children.map_or(0, |(l, r)| l.cells.len() - 1 + r.cells.len() - 1);
+        let rem = (b.min(self.cells.len() - 1) - cell.y as usize).min(joint);
+        (cell.y, cell.l as usize, rem - cell.l as usize)
+    }
+
+    /// The root rule, for the row of node `c_1` under `c_0 = c0` with
+    /// `cap` space units in total: `c_0`'s variance reaches every leaf.
+    /// Returns `(error bound, c_0's probability units, units for c_1)`.
+    pub fn resolve_root(&self, c0: f64, cap: usize, p: &MrvParams) -> (f64, u32, usize) {
+        let mut best = (f64::INFINITY, 0u32, 0usize);
+        for u in 0..=(p.q as usize).min(cap) as u32 {
+            let rem = (cap - u as usize).min(self.cells.len() - 1);
+            let v = self.v(rem) + variance(c0, u, p.q) / (self.min_norm * self.min_norm);
+            if v < best.0 {
+                best = (v, u, rem);
+            }
+        }
+        best
     }
 }
 
@@ -268,17 +295,7 @@ pub fn min_rel_var(
         });
     }
     let rows = subtree_rows(&coeffs[1..], data, cap, p)?;
-    let root = &rows[1];
-    // Resolve c_0: its variance reaches every leaf.
-    let mut best = (f64::INFINITY, 0u32, 0usize); // (v, y0 units, b1)
-    for u in 0..=(q.min(cap)) as u32 {
-        let var0 = variance(coeffs[0], u, p.q);
-        let rem = cap - u as usize;
-        let v = root.v(rem) + var0 / (root.min_norm * root.min_norm);
-        if v < best.0 {
-            best = (v, u, rem.min(root.cells.len() - 1));
-        }
-    }
+    let best = rows[1].resolve_root(coeffs[0], cap, p); // (v, y0 units, b1)
 
     // Extract the allocation top-down.
     let mut allocation: Vec<(u32, u16)> = Vec::new();
@@ -287,17 +304,14 @@ pub fn min_rel_var(
     }
     let mut stack = vec![(1usize, best.2)];
     while let Some((i, bi)) = stack.pop() {
-        let cell = rows[i].cell(bi);
-        if cell.y > 0 {
-            allocation.push((i as u32, cell.y));
+        let children = (2 * i < n).then(|| (&rows[2 * i], &rows[2 * i + 1]));
+        let (y, left, right) = rows[i].step(children, bi);
+        if y > 0 {
+            allocation.push((i as u32, y));
         }
-        if 2 * i < n {
-            // Replicate combine()'s clamping so children receive exactly
-            // the budget the stored (y, l) choice assumed.
-            let joint = rows[2 * i].cells.len() - 1 + rows[2 * i + 1].cells.len() - 1;
-            let rem = (bi.min(rows[i].cells.len() - 1) - cell.y as usize).min(joint);
-            stack.push((2 * i, cell.l as usize));
-            stack.push((2 * i + 1, rem - cell.l as usize));
+        if children.is_some() {
+            stack.push((2 * i, left));
+            stack.push((2 * i + 1, right));
         }
     }
 

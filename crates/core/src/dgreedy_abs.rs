@@ -79,30 +79,31 @@ pub struct DGreedyAbsResult {
     pub metrics: DriverMetrics,
 }
 
-/// Shared driver-side context broadcast to level-1 workers.
-struct Broadcast {
-    partition: BasePartition,
-    root_coeffs: Vec<f64>,
+/// Shared driver-side context broadcast to level-1 workers (DGreedyRel
+/// broadcasts the same).
+pub(crate) struct Broadcast {
+    pub(crate) partition: BasePartition,
+    pub(crate) root_coeffs: Vec<f64>,
     /// Root-sub-tree removal order (genRootSets' `L_root`).
-    removal_order: Vec<usize>,
+    pub(crate) removal_order: Vec<usize>,
     /// Candidate count: sets `k = 0..=max_k`.
-    max_k: usize,
-    bucket_width: f64,
+    pub(crate) max_k: usize,
+    pub(crate) bucket_width: f64,
 }
 
 impl Broadcast {
     /// Root nodes *removed* under candidate `k` (all but the last `k`
     /// removals).
-    fn removed_under(&self, k: usize) -> &[usize] {
+    pub(crate) fn removed_under(&self, k: usize) -> &[usize] {
         &self.removal_order[..self.removal_order.len() - k]
     }
 
     /// Root nodes *retained* under candidate `k`.
-    fn retained_under(&self, k: usize) -> &[usize] {
+    pub(crate) fn retained_under(&self, k: usize) -> &[usize] {
         &self.removal_order[self.removal_order.len() - k..]
     }
 
-    fn bucket(&self, error: f64) -> i64 {
+    pub(crate) fn bucket(&self, error: f64) -> i64 {
         bucket_of(error, self.bucket_width)
     }
 }

@@ -17,7 +17,9 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
+use crate::dgreedy_abs::{histogram_batches, Broadcast};
 use crate::error::CoreError;
+use crate::eval::max_error_job;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
 
@@ -56,80 +58,6 @@ pub struct DGreedyRelResult {
     pub best_croot_size: usize,
     /// Pipeline metrics.
     pub metrics: DriverMetrics,
-}
-
-struct Broadcast {
-    partition: BasePartition,
-    root_coeffs: Vec<f64>,
-    removal_order: Vec<usize>,
-    max_k: usize,
-    bucket_width: f64,
-    sanity: f64,
-}
-
-impl Broadcast {
-    fn removed_under(&self, k: usize) -> &[usize] {
-        &self.removal_order[..self.removal_order.len() - k]
-    }
-    fn retained_under(&self, k: usize) -> &[usize] {
-        &self.removal_order[self.removal_order.len() - k..]
-    }
-    fn bucket(&self, error: f64) -> i64 {
-        (error / self.bucket_width).floor() as i64
-    }
-}
-
-fn histogram_batches(trace: &[dwmaxerr_algos::Removal], bc: &Broadcast) -> Vec<(i64, u32)> {
-    let mut out = Vec::new();
-    let mut max_bucket = i64::MIN;
-    let mut count = 0u32;
-    for r in trace {
-        let b = bc.bucket(r.error_after);
-        if b <= max_bucket {
-            count += 1;
-        } else {
-            if count > 0 {
-                out.push((max_bucket, count));
-            }
-            max_bucket = b;
-            count = 1;
-        }
-    }
-    if count > 0 {
-        out.push((max_bucket, count));
-    }
-    out
-}
-
-/// Distributed max-rel evaluation (the relative-error sibling of
-/// [`crate::dmin_haar_space::distributed_max_abs`]).
-pub fn distributed_max_rel(
-    cluster: &Cluster,
-    splits: &[SliceSplit],
-    synopsis: &Synopsis,
-    sanity: f64,
-) -> Result<(f64, dwmaxerr_runtime::JobMetrics), CoreError> {
-    let syn = Arc::new(synopsis.clone());
-    let out = JobBuilder::new("eval-max-rel")
-        .map(move |split: &SliceSplit, ctx: &mut MapContext<u8, f64>| {
-            let mut local_max = 0.0f64;
-            for (off, &d) in split.slice().iter().enumerate() {
-                let approx = syn.reconstruct_value(split.start() + off);
-                local_max = local_max.max((approx - d).abs() / d.abs().max(sanity));
-            }
-            ctx.emit(0, local_max);
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|_k, vals, ctx: &mut ReduceContext<u8, f64>| {
-            ctx.emit(0, vals.fold(0.0, f64::max));
-        })
-        .run(cluster, splits)?;
-    let err = out
-        .pairs
-        .first()
-        .map(|&(_, e)| e)
-        .ok_or(CoreError::Protocol("evaluation job produced no output"))?;
-    Ok((err, out.metrics))
 }
 
 /// Runs DGreedyRel over `data` with budget `b`.
@@ -189,8 +117,8 @@ pub fn dgreedy_rel(
         removal_order,
         max_k,
         bucket_width: cfg.bucket_width,
-        sanity: cfg.sanity,
     });
+    let sanity = cfg.sanity;
 
     // ---- Job 1: ErrHistGreedyRel + combineResults ----
     let bc1 = Arc::clone(&bc);
@@ -212,7 +140,7 @@ pub fn dgreedy_rel(
                         .push(k as u32);
                 }
                 for (_, (e, ks)) in by_err {
-                    let mut g = GreedyRel::new_subtree(&details, split.slice(), e, bc.sanity)
+                    let mut g = GreedyRel::new_subtree(&details, split.slice(), e, sanity)
                         .expect("valid subtree");
                     // The *floor*: the relative error this sub-tree already
                     // carries from deleted root nodes, before any local
@@ -222,7 +150,7 @@ pub fn dgreedy_rel(
                     // a count-0 histogram record.
                     let floor = g.current_error();
                     let trace = g.run_to_empty();
-                    let batches = histogram_batches(&trace, bc);
+                    let batches = histogram_batches(&trace, bc.bucket_width);
                     for &k in &ks {
                         ctx.emit(k, (bc.bucket(floor), 0));
                         for &(bucket, count) in &batches {
@@ -299,7 +227,7 @@ pub fn dgreedy_rel(
                 let e = bc
                     .partition
                     .incoming_error(&bc.root_coeffs, bc.removed_under(best_k), j);
-                let mut g = GreedyRel::new_subtree(&details, split.slice(), e, bc.sanity)
+                let mut g = GreedyRel::new_subtree(&details, split.slice(), e, sanity)
                     .expect("valid subtree");
                 let trace = g.run_to_empty();
                 let mut max_bucket = i64::MIN;
@@ -333,8 +261,13 @@ pub fn dgreedy_rel(
             Ok(Synopsis::from_entries(n, entries)?)
         })?;
 
-    let (error, eval_metrics) =
-        distributed_max_rel(pipe.cluster(), &splits, pipe.value(), cfg.sanity)?;
+    let (error, eval_metrics) = max_error_job(
+        pipe.cluster(),
+        "eval-max-rel",
+        &splits,
+        pipe.value(),
+        |approx, d| (approx - d).abs() / d.abs().max(sanity),
+    )?;
     let (synopsis, metrics) = pipe.record(eval_metrics).finish();
 
     Ok(DGreedyRelResult {

@@ -1,57 +1,34 @@
-//! DHaarPlus: the Section-4 framework applied to the Haar+ DP \[23\] —
-//! the third DP family run through the same locality-preserving layer
-//! decomposition (after DMHaarSpace and DMinRelVar), substantiating the
-//! paper's claim that the framework parallelizes *all* the existing DP
-//! algorithms for the problem.
+//! DHaarPlus: the Section-4 framework (`crate::layered`)
+//! instantiated with the Haar+ DP \[23\] — the third DP family run
+//! through the same locality-preserving layer decomposition (after
+//! DMHaarSpace and DMinRelVar), substantiating the paper's claim that the
+//! framework parallelizes *all* the existing DP algorithms for the
+//! problem.
 //!
-//! Identical phasing to [`mod@crate::dmin_haar_space`]: base workers solve
-//! their slice bottom-up and emit the local root's row; upper layers
-//! combine `fan_in` sibling rows; the driver resolves the top node; a
-//! top-down pass re-enters each sub-problem and replays the triad choices.
+//! The row is the Haar+ triad row, the top-down carry is the quantized
+//! incoming value of a sub-tree root, and a node's contribution is its
+//! triad's non-zero child shifts `(a, b)`.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+#![warn(clippy::too_many_lines)]
 
 use dwmaxerr_algos::haar_plus::{
-    combine, subtree_rows, HaarPlusError, HaarPlusSynopsis, HpRow, Role,
+    combine, haar_plus_min_space, subtree_rows, triad_entries, HaarPlusError, HaarPlusSynopsis,
+    HpRow, Role,
 };
-use dwmaxerr_algos::min_haar_space::MhsParams;
+use dwmaxerr_algos::min_haar_space::{MhsError, MhsParams};
 use dwmaxerr_runtime::codec::{CodecError, Wire};
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::Cluster;
 
 use crate::error::CoreError;
-use crate::splits::{aligned_splits, SliceSplit};
+use crate::layered::{self, LayeredDp};
 
 impl From<HaarPlusError> for CoreError {
     fn from(e: HaarPlusError) -> Self {
         match e {
-            HaarPlusError::DeltaTooCoarse => {
-                CoreError::Mhs(dwmaxerr_algos::min_haar_space::MhsError::DeltaTooCoarse)
-            }
+            HaarPlusError::DeltaTooCoarse => CoreError::Mhs(MhsError::DeltaTooCoarse),
             HaarPlusError::Wavelet(w) => CoreError::Wavelet(w),
         }
-    }
-}
-
-/// Wire wrapper for Haar+ rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireHpRow(pub HpRow);
-
-impl Wire for WireHpRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.lo.encode(buf);
-        self.0.costs.encode(buf);
-        self.0.shift_l.encode(buf);
-        self.0.shift_r.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(WireHpRow(HpRow {
-            lo: i64::decode(buf)?,
-            costs: Vec::<u32>::decode(buf)?,
-            shift_l: Vec::<i32>::decode(buf)?,
-            shift_r: Vec::<i32>::decode(buf)?,
-        }))
     }
 }
 
@@ -86,48 +63,55 @@ pub struct DhpResult {
     pub metrics: DriverMetrics,
 }
 
-#[derive(Debug, Clone)]
-struct RowGroup {
-    first: u64,
-    rows: Vec<HpRow>,
-}
+/// The Haar+ DP as a framework instance.
+struct Hp(MhsParams);
 
-fn mini_tree_rows(input: &[HpRow]) -> Vec<HpRow> {
-    let f = input.len();
-    debug_assert!(f.is_power_of_two() && f >= 2);
-    let empty = HpRow {
-        lo: 0,
-        costs: Vec::new(),
-        shift_l: Vec::new(),
-        shift_r: Vec::new(),
-    };
-    let mut rows = vec![empty; f];
-    for i in (1..f).rev() {
-        rows[i] = if 2 * i < f {
-            let (l, r) = rows.split_at(2 * i + 1);
-            combine(&l[2 * i], &r[0])
-        } else {
-            let base = (i - f / 2) * 2;
-            combine(&input[base], &input[base + 1])
-        };
-    }
-    rows
-}
+impl LayeredDp for Hp {
+    type Row = HpRow;
+    type Report = ();
+    /// Quantized incoming value of a sub-tree root.
+    type Carry = i64;
+    /// The triad's child shifts `(a, b)`, not both zero.
+    type Pick = (i32, i32);
+    const PREFIX: &'static str = "dhp";
 
-/// Decomposes a triad's chosen shifts into synopsis entries.
-fn triad_entries(node: u32, a: i64, b: i64, delta: f64, out: &mut Vec<(u32, Role, f64)>) {
-    if a == 0 && b == 0 {
-        return;
+    fn base_rows(&self, slice: &[f64]) -> Option<((), Vec<HpRow>)> {
+        subtree_rows(slice, &self.0).ok().map(|rows| ((), rows))
     }
-    if a == -b {
-        out.push((node, Role::Head, a as f64 * delta));
-    } else {
-        if a != 0 {
-            out.push((node, Role::LeftSupp, a as f64 * delta));
-        }
-        if b != 0 {
-            out.push((node, Role::RightSupp, b as f64 * delta));
-        }
+
+    fn combine(&self, _node: u64, left: &HpRow, right: &HpRow) -> HpRow {
+        combine(left, right)
+    }
+
+    fn step(
+        &self,
+        row: &HpRow,
+        _: Option<(&HpRow, &HpRow)>,
+        v: &i64,
+    ) -> (Option<(i32, i32)>, i64, i64) {
+        let ((a, b), left, right) = row.step(*v);
+        let pick = (a != 0 || b != 0).then_some((a as i32, b as i32));
+        (pick, left, right)
+    }
+
+    fn row_bytes(row: &HpRow) -> u64 {
+        (8 + row.costs.len() * 12) as u64
+    }
+
+    fn encode_row(row: &HpRow, buf: &mut Vec<u8>) {
+        row.lo.encode(buf);
+        row.costs.encode(buf);
+        row.shift_l.encode(buf);
+        row.shift_r.encode(buf);
+    }
+
+    fn decode_row(buf: &mut &[u8]) -> Result<HpRow, CodecError> {
+        Ok(HpRow {
+            lo: i64::decode(buf)?,
+            costs: Vec::<u32>::decode(buf)?,
+            shift_l: Vec::<i32>::decode(buf)?,
+            shift_r: Vec::<i32>::decode(buf)?,
+        })
     }
 }
 
@@ -138,247 +122,31 @@ pub fn dhaar_plus(
     params: &MhsParams,
     cfg: &DhpConfig,
 ) -> Result<DhpResult, CoreError> {
-    let n = data.len();
-    dwmaxerr_wavelet::error::ensure_pow2(n)?;
-    let s = cfg.base_leaves.clamp(2, n);
-    let fan_in = cfg.fan_in.max(2);
-    if !s.is_power_of_two() || !fan_in.is_power_of_two() {
-        return Err(CoreError::Protocol(
-            "base_leaves and fan_in must be powers of two",
-        ));
-    }
-    if n < s.max(4) {
-        let sol = dwmaxerr_algos::haar_plus::haar_plus_min_space(data, params)?;
+    let mut dp = Hp(*params);
+    let Some(up) = layered::bottom_up(cluster, data, cfg.base_leaves, cfg.fan_in, &mut dp)? else {
+        let sol = haar_plus_min_space(data, params)?;
         return Ok(DhpResult {
             size: sol.size,
             actual_error: sol.actual_error,
             synopsis: sol.synopsis,
             metrics: DriverMetrics::new(),
         });
-    }
-    let splits = aligned_splits(data, s);
-    let num_base = n / s;
-    let p = *params;
+    };
+    let (total, top) = up.root.resolve_root().ok_or(MhsError::DeltaTooCoarse)?;
+    let (picks, _, metrics) = up.top_down(&dp, top)?;
 
-    // ---- Bottom-up: base layer ----
-    let base_job =
-        JobBuilder::new("dhp-layer0")
-            .map(
-                move |split: &SliceSplit, ctx: &mut MapContext<u64, (u8, WireHpRow)>| {
-                    match subtree_rows(split.slice(), &p) {
-                        Ok(rows) => ctx.emit(
-                            num_base as u64 + split.id as u64,
-                            (0, WireHpRow(rows[1].clone())),
-                        ),
-                        Err(_) => ctx.emit(
-                            u64::MAX,
-                            (
-                                1,
-                                WireHpRow(HpRow {
-                                    lo: 0,
-                                    costs: vec![],
-                                    shift_l: vec![],
-                                    shift_r: vec![],
-                                }),
-                            ),
-                        ),
-                    }
-                },
-            )
-            .input_bytes(SliceSplit::bytes)
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, (u8, WireHpRow)>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-    let mut pipe = Pipeline::on(cluster).stage(&base_job, &splits)?.try_then(
-        |(_, pairs)| -> Result<Vec<(u64, HpRow)>, CoreError> {
-            let mut layer: Vec<(u64, HpRow)> = Vec::new();
-            for (k, (fail, WireHpRow(row))) in pairs {
-                if fail == 1 {
-                    return Err(HaarPlusError::DeltaTooCoarse.into());
-                }
-                layer.push((k, row));
-            }
-            layer.sort_unstable_by_key(|&(k, _)| k);
-            Ok(layer)
-        },
-    )?;
-
-    // ---- Bottom-up: upper layers (remember groups for the replay) ----
-    let mut group_stack: Vec<Vec<RowGroup>> = Vec::new();
-    while pipe.value().len() > 1 {
-        let layer = pipe.value();
-        let f = fan_in.min(layer.len());
-        let groups: Vec<RowGroup> = layer
-            .chunks(f)
-            .map(|chunk| RowGroup {
-                first: chunk[0].0,
-                rows: chunk.iter().map(|(_, r)| r.clone()).collect(),
-            })
-            .collect();
-        let up_job = JobBuilder::new("dhp-layer-up")
-            .map(
-                move |group: &RowGroup, ctx: &mut MapContext<u64, WireHpRow>| {
-                    let rows = mini_tree_rows(&group.rows);
-                    ctx.emit(
-                        group.first / group.rows.len() as u64,
-                        WireHpRow(rows[1].clone()),
-                    );
-                },
-            )
-            .input_bytes(|g: &RowGroup| {
-                g.rows.iter().map(|r| (8 + r.costs.len() * 12) as u64).sum()
-            })
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, WireHpRow>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-        pipe = pipe.stage(&up_job, &groups)?.then(|(_, pairs)| {
-            let mut layer: Vec<(u64, HpRow)> =
-                pairs.into_iter().map(|(k, WireHpRow(r))| (k, r)).collect();
-            layer.sort_unstable_by_key(|&(k, _)| k);
-            layer
-        });
-        group_stack.push(groups);
-    }
-
-    // ---- Top node resolution ----
-    let root = &pipe.value()[0].1;
-    let mut best = (u32::MAX, 0i64);
-    for (t, &c) in root.costs.iter().enumerate() {
-        let v = root.lo + t as i64;
-        if c == u32::MAX {
-            continue;
-        }
-        let total = c + u32::from(v != 0);
-        if total < best.0 || (total == best.0 && v == 0) {
-            best = (total, v);
-        }
-    }
-    if best.0 == u32::MAX {
-        return Err(HaarPlusError::DeltaTooCoarse.into());
-    }
     let mut entries: Vec<(u32, Role, f64)> = Vec::new();
-    if best.1 != 0 {
-        entries.push((0, Role::Top, best.1 as f64 * params.delta));
+    if top != 0 {
+        entries.push((0, Role::Top, top as f64 * params.delta));
     }
-
-    // ---- Top-down replay through the upper layers ----
-    let mut pipe = pipe.then(|_| ());
-    let mut incoming: HashMap<u64, i64> = HashMap::new();
-    incoming.insert(1, best.1);
-    for groups in group_stack.into_iter().rev() {
-        let tagged: Vec<(RowGroup, i64)> = groups
-            .into_iter()
-            .map(|g| {
-                let parent = g.first / g.rows.len() as u64;
-                (g, *incoming.get(&parent).expect("incoming for every group"))
-            })
-            .collect();
-        let extract_job = JobBuilder::new("dhp-extract")
-            .map(
-                move |(group, v_root): &(RowGroup, i64),
-                      ctx: &mut MapContext<u64, (i64, i64, u8)>| {
-                    let f = group.rows.len();
-                    let rows = mini_tree_rows(&group.rows);
-                    let mut stack = vec![(1usize, *v_root)];
-                    while let Some((i, v)) = stack.pop() {
-                        let off = (v - rows[i].lo) as usize;
-                        let a = i64::from(rows[i].shift_l[off]);
-                        let b = i64::from(rows[i].shift_r[off]);
-                        let depth = usize::BITS - 1 - i.leading_zeros();
-                        let g_id =
-                            ((group.first / f as u64) << depth) + (i as u64 - (1u64 << depth));
-                        if a != 0 || b != 0 {
-                            ctx.emit(g_id, (a, b, 1));
-                        }
-                        if 2 * i < f {
-                            stack.push((2 * i, v + a));
-                            stack.push((2 * i + 1, v + b));
-                        } else {
-                            let base = (i - f / 2) * 2;
-                            let child = group.first + base as u64;
-                            ctx.emit(child, (v + a, 0, 0));
-                            ctx.emit(child + 1, (v + b, 0, 0));
-                        }
-                    }
-                },
-            )
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, (i64, i64, u8)>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-        pipe = pipe.stage(&extract_job, &tagged)?.then(|(_, pairs)| {
-            for (node, (x, y, tag)) in pairs {
-                if tag == 1 {
-                    triad_entries(node as u32, x, y, params.delta, &mut entries);
-                } else {
-                    incoming.insert(node, x);
-                }
-            }
-        });
+    for (node, (a, b)) in picks {
+        let (a, b) = (i64::from(a), i64::from(b));
+        triad_entries(node as u32, a, b, params.delta, &mut entries);
     }
-
-    // ---- Base-layer replay ----
-    let base_incoming: Vec<i64> = (0..num_base)
-        .map(|j| {
-            if num_base == 1 {
-                best.1
-            } else {
-                *incoming
-                    .get(&(num_base as u64 + j as u64))
-                    .expect("incoming for every base root")
-            }
-        })
-        .collect();
-    let bi = Arc::new(base_incoming);
-    let bi2 = Arc::clone(&bi);
-    let base_extract_job = JobBuilder::new("dhp-extract-base")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u64, (i64, i64)>| {
-                let rows = subtree_rows(split.slice(), &p).expect("phase A ran");
-                let m = split.len();
-                let mut stack = vec![(1usize, bi2[split.id as usize])];
-                while let Some((i, v)) = stack.pop() {
-                    let off = (v - rows[i].lo) as usize;
-                    let a = i64::from(rows[i].shift_l[off]);
-                    let b = i64::from(rows[i].shift_r[off]);
-                    if a != 0 || b != 0 {
-                        let depth = usize::BITS - 1 - i.leading_zeros();
-                        let root = num_base as u64 + split.id as u64;
-                        let g = (root << depth) + (i as u64 - (1u64 << depth));
-                        ctx.emit(g, (a, b));
-                    }
-                    if 2 * i < m {
-                        stack.push((2 * i, v + a));
-                        stack.push((2 * i + 1, v + b));
-                    }
-                }
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, (i64, i64)>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let ((), metrics) = pipe
-        .stage(&base_extract_job, &splits)?
-        .then(|(_, pairs)| {
-            for (node, (a, b)) in pairs {
-                triad_entries(node as u32, a, b, params.delta, &mut entries);
-            }
-        })
-        .finish();
-
     entries.sort_by_key(|&(i, _, _)| i);
-    debug_assert_eq!(entries.len(), best.0 as usize);
-    let synopsis = HaarPlusSynopsis::from_entries_unchecked(n, entries);
-    let approx = synopsis.reconstruct_all();
-    let actual_error = dwmaxerr_wavelet::metrics::max_abs(data, &approx);
+    debug_assert_eq!(entries.len(), total as usize);
+    let synopsis = HaarPlusSynopsis::from_entries_unchecked(data.len(), entries);
+    let actual_error = dwmaxerr_wavelet::metrics::max_abs(data, &synopsis.reconstruct_all());
     Ok(DhpResult {
         size: synopsis.size(),
         synopsis,
@@ -390,7 +158,6 @@ pub fn dhaar_plus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_algos::haar_plus::haar_plus_min_space;
     use dwmaxerr_runtime::ClusterConfig;
 
     fn test_cluster() -> Cluster {

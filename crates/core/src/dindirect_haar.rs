@@ -13,14 +13,15 @@
 //!   synopsis, computed with [`crate::conventional::con`] and a
 //!   distributed evaluation job.
 
-use dwmaxerr_algos::indirect_haar::indirect_haar;
+use dwmaxerr_algos::indirect_haar::{indirect_haar, indirect_haar_centralized};
 use dwmaxerr_algos::min_haar_space::{MhsError, MhsParams};
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::dmin_haar_space::{distributed_max_abs, dmin_haar_space, DmhsConfig};
+use crate::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use crate::error::CoreError;
+use crate::eval::max_error_job;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
 
@@ -64,6 +65,16 @@ pub fn dindirect_haar(
 ) -> Result<DIndirectHaarResult, CoreError> {
     let n = data.len();
     dwmaxerr_wavelet::error::ensure_pow2(n)?;
+    if n < 2 {
+        // One value has no tree to partition (as in `layered::bottom_up`).
+        let report = indirect_haar_centralized(data, b, cfg.delta)?;
+        return Ok(DIndirectHaarResult {
+            synopsis: report.synopsis,
+            error: report.error,
+            probes: report.probes,
+            metrics: DriverMetrics::new(),
+        });
+    }
     let s = cfg.probe.base_leaves.clamp(2, n);
     let partition = BasePartition::new(n, s)?;
     let splits = aligned_splits(data, s);
@@ -121,7 +132,10 @@ pub fn dindirect_haar(
 
     // ---- Upper bound (Algorithm 2 line 1): CON's max-abs error ----
     let (conv_syn, conv_metrics) = crate::conventional::con(cluster, data, b, s)?;
-    let (e_u, eval_metrics) = distributed_max_abs(cluster, &splits, &conv_syn)?;
+    let (e_u, eval_metrics) =
+        max_error_job(cluster, "eval-max-abs", &splits, &conv_syn, |approx, d| {
+            (approx - d).abs()
+        })?;
     let pipe = pipe.absorb(conv_metrics).record(eval_metrics);
 
     // ---- Binary search with DMHaarSpace probes ----
@@ -154,7 +168,6 @@ pub fn dindirect_haar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_algos::indirect_haar::indirect_haar_centralized;
     use dwmaxerr_runtime::ClusterConfig;
     use dwmaxerr_wavelet::metrics::max_abs;
 

@@ -1,51 +1,26 @@
-//! DMHaarSpace: the distributed MinHaarSpace probe built from the
-//! Section-4 framework (Algorithm 1 plus the top-down extraction pass).
+//! DMHaarSpace: the distributed MinHaarSpace probe — the Section-4
+//! framework (`crate::layered`) instantiated with the MinHaarSpace DP.
 //!
-//! **Bottom-up phase.** Layer 0's workers each own a base data slice,
-//! run the MinHaarSpace DP locally and emit the M-row of their local root
-//! (`O(ε/δ)` cells — Eq. 6's communication bound). Upper layers group
-//! `fan_in` sibling rows per worker (the locality-preserving partitioning)
-//! and combine them into the next row, until the row of node `c_1`
-//! remains; the driver then resolves the root (`c_0`) assignment.
-//!
-//! **Top-down phase.** Workers are stateless between jobs (as in Hadoop),
-//! so the extraction re-enters each sub-problem exactly as the paper
-//! describes ("we re-enter the sub-problem of the topmost sub-tree"):
-//! every layer's workers recompute their local rows, replay the optimal
-//! choices for their assigned incoming value, emit the retained
-//! coefficients, and forward incoming values to their children in the
-//! next job.
+//! The row is MinHaarSpace's `M[j]` (`O(ε/δ)` cells — Eq. 6's
+//! communication bound), the top-down carry is the quantized incoming
+//! value of a sub-tree root, and a node's contribution is the grid value
+//! `z ≠ 0` it retains. This module supplies those, resolves `c_0` on the
+//! driver, assembles the synopsis and measures its true error with a
+//! distributed evaluation job.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+#![warn(clippy::too_many_lines)]
 
-use dwmaxerr_algos::min_haar_space::{subtree_rows, MhsError, MhsParams, Row, INFEASIBLE};
+use dwmaxerr_algos::min_haar_space::{
+    combine, min_haar_space, subtree_rows, MhsError, MhsParams, Row,
+};
 use dwmaxerr_runtime::codec::{CodecError, Wire};
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::Cluster;
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
-use crate::splits::{aligned_splits, SliceSplit};
-
-/// Wire wrapper for DP rows (the `M[j]` messages of Algorithm 1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRow(pub Row);
-
-impl Wire for WireRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.lo.encode(buf);
-        self.0.costs.encode(buf);
-        self.0.choices.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(WireRow(Row {
-            lo: i64::decode(buf)?,
-            costs: Vec::<u32>::decode(buf)?,
-            choices: Vec::<i32>::decode(buf)?,
-        }))
-    }
-}
+use crate::eval::max_error_job;
+use crate::layered::{self, LayeredDp};
 
 /// DMHaarSpace configuration.
 #[derive(Debug, Clone)]
@@ -78,48 +53,57 @@ pub struct DmhsResult {
     pub metrics: DriverMetrics,
 }
 
-/// A group of sibling rows for an upper-layer worker.
-#[derive(Debug, Clone)]
-struct RowGroup {
-    /// Global node id of the first row.
-    first: u64,
-    rows: Vec<Row>,
-}
+/// MinHaarSpace as a framework instance.
+struct Mhs(MhsParams);
 
-/// Global node id of mini-tree-internal node `local` for a worker whose
-/// input rows start at global node `first` with `fan_in` rows.
-fn mini_to_global(first: u64, fan_in: usize, local: usize) -> u64 {
-    let root = first / fan_in as u64;
-    let depth = usize::BITS - 1 - local.leading_zeros();
-    (root << depth) + (local as u64 - (1u64 << depth))
-}
+impl LayeredDp for Mhs {
+    type Row = Row;
+    type Report = ();
+    /// Quantized incoming value of a sub-tree root.
+    type Carry = i64;
+    /// The retained grid value `z ≠ 0`.
+    type Pick = i32;
+    const PREFIX: &'static str = "dmhs";
 
-/// Combines `fan_in` sibling rows into all internal rows of the worker's
-/// mini-tree (`rows[1]` = the mini root; index 0 unused). `input[i]` is the
-/// row of global node `first + i`.
-fn mini_tree_rows(input: &[Row]) -> Vec<Row> {
-    let f = input.len();
-    debug_assert!(f.is_power_of_two() && f >= 2);
-    let empty = Row {
-        lo: 0,
-        costs: Vec::new(),
-        choices: Vec::new(),
-    };
-    let mut rows = vec![empty; f];
-    for i in (1..f).rev() {
-        rows[i] = if 2 * i < f {
-            let (l, r) = rows.split_at(2 * i + 1);
-            dwmaxerr_algos::min_haar_space::combine(&l[2 * i], &r[0])
-        } else {
-            let base = (i - f / 2) * 2;
-            dwmaxerr_algos::min_haar_space::combine(&input[base], &input[base + 1])
-        };
+    fn base_rows(&self, slice: &[f64]) -> Option<((), Vec<Row>)> {
+        subtree_rows(slice, &self.0).ok().map(|rows| ((), rows))
     }
-    rows
-}
 
-/// Sentinel node id used by mappers to signal quantization infeasibility.
-const FAIL_NODE: u64 = u64::MAX;
+    fn base_memory(&self, leaves: usize) -> u64 {
+        dwmaxerr_algos::memory::min_haar_space_bytes(leaves, self.0.epsilon, self.0.delta)
+    }
+
+    fn combine(&self, _node: u64, left: &Row, right: &Row) -> Row {
+        combine(left, right)
+    }
+
+    fn dead(row: &Row) -> bool {
+        row.all_infeasible()
+    }
+
+    fn step(&self, row: &Row, _: Option<(&Row, &Row)>, v: &i64) -> (Option<i32>, i64, i64) {
+        let (z, left, right) = row.step(*v);
+        ((z != 0).then_some(z), left, right)
+    }
+
+    fn row_bytes(row: &Row) -> u64 {
+        (16 + row.costs.len() * 8) as u64
+    }
+
+    fn encode_row(row: &Row, buf: &mut Vec<u8>) {
+        row.lo.encode(buf);
+        row.costs.encode(buf);
+        row.choices.encode(buf);
+    }
+
+    fn decode_row(buf: &mut &[u8]) -> Result<Row, CodecError> {
+        Ok(Row {
+            lo: i64::decode(buf)?,
+            costs: Vec::<u32>::decode(buf)?,
+            choices: Vec::<i32>::decode(buf)?,
+        })
+    }
+}
 
 /// Runs the DMHaarSpace probe: the minimal-size unrestricted synopsis with
 /// max-abs error ≤ `params.epsilon` under δ-quantization, computed through
@@ -130,284 +114,33 @@ pub fn dmin_haar_space(
     params: &MhsParams,
     cfg: &DmhsConfig,
 ) -> Result<DmhsResult, CoreError> {
-    let n = data.len();
-    dwmaxerr_wavelet::error::ensure_pow2(n)?;
-    let s = cfg.base_leaves.clamp(2, n);
-    let fan_in = cfg.fan_in.max(2);
-    if !s.is_power_of_two() || !fan_in.is_power_of_two() {
-        return Err(CoreError::Protocol(
-            "base_leaves and fan_in must be powers of two",
-        ));
-    }
-    if n < 2 {
-        // Trivial: delegate to the centralized solver.
-        let sol = dwmaxerr_algos::min_haar_space::min_haar_space(data, params)?;
+    let mut dp = Mhs(*params);
+    let Some(up) = layered::bottom_up(cluster, data, cfg.base_leaves, cfg.fan_in, &mut dp)? else {
+        let sol = min_haar_space(data, params)?;
         return Ok(DmhsResult {
             size: sol.size,
             actual_error: sol.actual_error,
             synopsis: sol.synopsis,
             metrics: DriverMetrics::new(),
         });
-    }
-    let splits = aligned_splits(data, s);
-    let num_base = n / s;
-    let p = *params;
+    };
+    let (total, z0) = up.root.resolve_root().ok_or(MhsError::DeltaTooCoarse)?;
+    let (picks, splits, mut metrics) = up.top_down(&dp, z0)?;
 
-    // ---- Bottom-up: layer 0 (base slices -> base-root rows) ----
-    let base_job = JobBuilder::new("dmhs-layer0")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u64, WireRow>| {
-                match subtree_rows(split.slice(), &p) {
-                    Ok(rows) => {
-                        // Global id of this base sub-tree's root node.
-                        ctx.emit(num_base as u64 + split.id as u64, WireRow(rows[1].clone()));
-                    }
-                    Err(_) => {
-                        ctx.emit(
-                            FAIL_NODE,
-                            WireRow(Row {
-                                lo: 0,
-                                costs: vec![INFEASIBLE],
-                                choices: vec![0],
-                            }),
-                        );
-                    }
-                }
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .task_memory(move |s: &SliceSplit| {
-            dwmaxerr_algos::memory::min_haar_space_bytes(s.len(), p.epsilon, p.delta)
-        })
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, WireRow>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let mut pipe = Pipeline::on(cluster).stage(&base_job, &splits)?.try_then(
-        |(_, pairs)| -> Result<Vec<(u64, Row)>, CoreError> {
-            let mut layer: Vec<(u64, Row)> =
-                pairs.into_iter().map(|(k, WireRow(r))| (k, r)).collect();
-            if layer.iter().any(|(k, _)| *k == FAIL_NODE) {
-                return Err(CoreError::Mhs(MhsError::DeltaTooCoarse));
-            }
-            layer.sort_unstable_by_key(|&(k, _)| k);
-            Ok(layer)
-        },
-    )?;
-
-    // Remember every layer's rows for the top-down pass.
-    let mut boundaries: Vec<Vec<(u64, Row)>> = vec![pipe.value().clone()];
-
-    // ---- Bottom-up: upper layers ----
-    while pipe.value().len() > 1 {
-        let layer = pipe.value();
-        let f = fan_in.min(layer.len());
-        let groups: Vec<RowGroup> = layer
-            .chunks(f)
-            .map(|chunk| RowGroup {
-                first: chunk[0].0,
-                rows: chunk.iter().map(|(_, r)| r.clone()).collect(),
-            })
-            .collect();
-        let up_job = JobBuilder::new("dmhs-layer-up")
-            .map(
-                move |group: &RowGroup, ctx: &mut MapContext<u64, WireRow>| {
-                    let rows = mini_tree_rows(&group.rows);
-                    let parent = group.first / f as u64;
-                    if rows[1].all_infeasible() {
-                        ctx.emit(FAIL_NODE, WireRow(rows[1].clone()));
-                    } else {
-                        ctx.emit(parent, WireRow(rows[1].clone()));
-                    }
-                },
-            )
-            .input_bytes(|g: &RowGroup| {
-                g.rows.iter().map(|r| (16 + r.costs.len() * 8) as u64).sum()
-            })
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, WireRow>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-        pipe = pipe.stage(&up_job, &groups)?.try_then(
-            |(_, pairs)| -> Result<Vec<(u64, Row)>, CoreError> {
-                let mut layer: Vec<(u64, Row)> =
-                    pairs.into_iter().map(|(k, WireRow(r))| (k, r)).collect();
-                if layer.iter().any(|(k, _)| *k == FAIL_NODE) {
-                    return Err(CoreError::Mhs(MhsError::DeltaTooCoarse));
-                }
-                layer.sort_unstable_by_key(|&(k, _)| k);
-                boundaries.push(layer.clone());
-                Ok(layer)
-            },
-        )?;
-    }
-
-    // ---- Root resolution (driver): choose c_0's value z0 ----
-    let layer = pipe.value();
-    let root_row = &layer[0].1;
-    debug_assert_eq!(layer[0].0, 1);
-    let mut best_total = INFEASIBLE;
-    let mut best_z0 = 0i64;
-    for t in 0..root_row.costs.len() {
-        let v = root_row.lo + t as i64;
-        let c = root_row.costs[t];
-        if c == INFEASIBLE {
-            continue;
-        }
-        let total = c + u32::from(v != 0);
-        if total < best_total || (total == best_total && v == 0) {
-            best_total = total;
-            best_z0 = v;
-        }
-    }
-    if best_total == INFEASIBLE {
-        return Err(CoreError::Mhs(MhsError::DeltaTooCoarse));
-    }
-
-    // ---- Top-down extraction ----
-    let mut pipe = pipe.then(|_| ());
-    let mut entries: Vec<(u32, f64)> = Vec::new();
-    if best_z0 != 0 {
-        entries.push((0u32, best_z0 as f64 * params.delta));
-    }
-    // incoming[node] = grid value entering that node's sub-problem.
-    let mut incoming: HashMap<u64, i64> = HashMap::new();
-    incoming.insert(1, best_z0);
-
-    // Recompute the bottom-up grouping (the driver kept each layer's rows
-    // in `boundaries`), then process groups in top-down order.
-    let mut group_stack: Vec<Vec<RowGroup>> = Vec::new();
-    {
-        let mut rows_at = boundaries[0].clone();
-        while rows_at.len() > 1 {
-            let f = fan_in.min(rows_at.len());
-            let groups: Vec<RowGroup> = rows_at
-                .chunks(f)
-                .map(|chunk| RowGroup {
-                    first: chunk[0].0,
-                    rows: chunk.iter().map(|(_, r)| r.clone()).collect(),
-                })
-                .collect();
-            let next: Vec<(u64, Row)> = groups
-                .iter()
-                .map(|g| {
-                    (
-                        g.first / g.rows.len() as u64,
-                        mini_tree_rows(&g.rows)[1].clone(),
-                    )
-                })
-                .collect();
-            group_stack.push(groups);
-            rows_at = next;
-        }
-    }
-    for groups in group_stack.into_iter().rev() {
-        // Attach each group's incoming value.
-        let tagged: Vec<(RowGroup, i64)> = groups
-            .into_iter()
-            .map(|g| {
-                let parent = g.first / g.rows.len() as u64;
-                let v = *incoming
-                    .get(&parent)
-                    .expect("incoming value for every group root");
-                (g, v)
-            })
-            .collect();
-        let extract_job = JobBuilder::new("dmhs-extract")
-            .map(
-                move |(group, v_root): &(RowGroup, i64),
-                      ctx: &mut MapContext<u64, (i64, u32, f64)>| {
-                    let f = group.rows.len();
-                    let rows = mini_tree_rows(&group.rows);
-                    // Replay choices down the mini-tree.
-                    let mut stack = vec![(1usize, *v_root)];
-                    while let Some((i, v)) = stack.pop() {
-                        let z = rows[i].choice(v);
-                        if z != 0 {
-                            let g = mini_to_global(group.first, f, i);
-                            // key = child marker 0 means "synopsis entry".
-                            ctx.emit(g, (0, 1, f64::from(z)));
-                        }
-                        if 2 * i < f {
-                            stack.push((2 * i, v + i64::from(z)));
-                            stack.push((2 * i + 1, v - i64::from(z)));
-                        } else {
-                            let base = (i - f / 2) * 2;
-                            let left_child = group.first + base as u64;
-                            ctx.emit(left_child, (v + i64::from(z), 0, 0.0));
-                            ctx.emit(left_child + 1, (v - i64::from(z), 0, 0.0));
-                        }
-                    }
-                },
-            )
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, (i64, u32, f64)>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-        pipe = pipe.stage(&extract_job, &tagged)?.then(|(_, pairs)| {
-            for (node, (v, tag, z)) in pairs {
-                if tag == 1 {
-                    entries.push((node as u32, z * params.delta));
-                } else {
-                    incoming.insert(node, v);
-                }
-            }
-        });
-    }
-
-    // ---- Base layer extraction ----
-    let base_incoming: Vec<i64> = (0..num_base)
-        .map(|j| {
-            *incoming
-                .get(&(num_base as u64 + j as u64))
-                .expect("incoming value for every base root")
-        })
+    let mut entries: Vec<(u32, f64)> = picks
+        .into_iter()
+        .map(|(node, z)| (node as u32, f64::from(z) * params.delta))
         .collect();
-    let base_incoming = Arc::new(base_incoming);
-    let bi = Arc::clone(&base_incoming);
-    let base_extract_job = JobBuilder::new("dmhs-extract-base")
-        .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
-            let rows = subtree_rows(split.slice(), &p).expect("phase A succeeded");
-            let m = split.len();
-            let v0 = bi[split.id as usize];
-            let mut stack = vec![(1usize, v0)];
-            while let Some((i, v)) = stack.pop() {
-                let z = rows[i].choice(v);
-                if z != 0 {
-                    // Global id within base sub-tree: heap self-similarity.
-                    let depth = usize::BITS - 1 - i.leading_zeros();
-                    let root = num_base as u64 + split.id as u64;
-                    let g = (root << depth) + (i as u64 - (1u64 << depth));
-                    ctx.emit(g, f64::from(z) * p.delta);
-                }
-                if 2 * i < m {
-                    stack.push((2 * i, v + i64::from(z)));
-                    stack.push((2 * i + 1, v - i64::from(z)));
-                }
-            }
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let pipe = pipe.stage(&base_extract_job, &splits)?.try_then(
-        |(_, pairs)| -> Result<Synopsis, CoreError> {
-            for (node, value) in pairs {
-                entries.push((node as u32, value));
-            }
-            debug_assert_eq!(entries.len(), best_total as usize);
-            Ok(Synopsis::from_entries(n, std::mem::take(&mut entries))?)
-        },
-    )?;
-
-    // ---- Distributed evaluation of the actual error ----
-    let (actual_error, eval_metrics) = distributed_max_abs(pipe.cluster(), &splits, pipe.value())?;
-    let (synopsis, metrics) = pipe.record(eval_metrics).finish();
+    if z0 != 0 {
+        entries.push((0, z0 as f64 * params.delta));
+    }
+    debug_assert_eq!(entries.len(), total as usize);
+    let synopsis = Synopsis::from_entries(data.len(), entries)?;
+    let (actual_error, eval_metrics) =
+        max_error_job(cluster, "eval-max-abs", &splits, &synopsis, |approx, d| {
+            (approx - d).abs()
+        })?;
+    metrics.push(eval_metrics);
 
     Ok(DmhsResult {
         size: synopsis.size(),
@@ -417,42 +150,10 @@ pub fn dmin_haar_space(
     })
 }
 
-/// Distributed max-abs evaluation: every worker reconstructs its slice
-/// from a broadcast synopsis and emits its local maximum; one reducer
-/// takes the global max. (Also used to compute DIndirectHaar's upper
-/// bound, Algorithm 2 line 1.)
-pub fn distributed_max_abs(
-    cluster: &Cluster,
-    splits: &[SliceSplit],
-    synopsis: &Synopsis,
-) -> Result<(f64, dwmaxerr_runtime::JobMetrics), CoreError> {
-    let syn = Arc::new(synopsis.clone());
-    let out = JobBuilder::new("eval-max-abs")
-        .map(move |split: &SliceSplit, ctx: &mut MapContext<u8, f64>| {
-            let mut local_max = 0.0f64;
-            for (off, &d) in split.slice().iter().enumerate() {
-                let approx = syn.reconstruct_value(split.start() + off);
-                local_max = local_max.max((approx - d).abs());
-            }
-            ctx.emit(0, local_max);
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|_k, vals, ctx: &mut ReduceContext<u8, f64>| {
-            ctx.emit(0, vals.fold(0.0, f64::max));
-        })
-        .run(cluster, splits)?;
-    let err = out
-        .pairs
-        .first()
-        .map(|&(_, e)| e)
-        .ok_or(CoreError::Protocol("evaluation job produced no output"))?;
-    Ok((err, out.metrics))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_algos::min_haar_space::min_haar_space;
+    use dwmaxerr_algos::min_haar_space::INFEASIBLE;
     use dwmaxerr_runtime::ClusterConfig;
     use dwmaxerr_wavelet::metrics::max_abs;
 
@@ -533,19 +234,10 @@ mod tests {
             choices: vec![0, -3, 7],
         };
         let mut buf = Vec::new();
-        WireRow(row.clone()).encode(&mut buf);
+        Mhs::encode_row(&row, &mut buf);
         let mut s = buf.as_slice();
-        let back = WireRow::decode(&mut s).unwrap();
-        assert_eq!(back.0, row);
+        let back = Mhs::decode_row(&mut s).unwrap();
+        assert_eq!(back, row);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn mini_tree_global_ids() {
-        // Rows for nodes 8..12 (fan_in 4): mini root = node 2, its children
-        // nodes 4 and 5.
-        assert_eq!(mini_to_global(8, 4, 1), 2);
-        assert_eq!(mini_to_global(8, 4, 2), 4);
-        assert_eq!(mini_to_global(8, 4, 3), 5);
     }
 }

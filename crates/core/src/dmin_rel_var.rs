@@ -1,11 +1,12 @@
-//! DMinRelVar: the Section-4 framework applied to the MinRelVar DP \[12\]
-//! — the paper's own illustration of the framework (its Figure 2 shows
-//! MinRelVar's `(v, y, l)` cells being combined).
+//! DMinRelVar: the Section-4 framework (`crate::layered`)
+//! instantiated with the MinRelVar DP \[12\] — the paper's own
+//! illustration of the framework (its Figure 2 shows MinRelVar's
+//! `(v, y, l)` cells being combined).
 //!
-//! Structure is identical to [`mod@crate::dmin_haar_space`]: layer-0 workers
-//! solve their base sub-tree bottom-up and emit the local root's M-row;
-//! upper layers combine `fan_in` sibling rows; the driver resolves `c_0`;
-//! a top-down pass re-enters each sub-problem to extract the allocation.
+//! The row is MinRelVar's `M[j]`, the top-down carry is the space budget
+//! of a sub-tree root, and a node's contribution is its retention
+//! probability `y > 0`. A combine needs the node's own coefficient, so
+//! base workers report their slice average beside the row.
 //!
 //! The important difference is the M-row size: `O(B·q)` cells per row
 //! instead of MinHaarSpace's `O(ε/δ)`. That makes the per-stage
@@ -14,46 +15,19 @@
 //! SIGMOD'16 paper pivots to the dual Problem 2. The
 //! `dp_communication` ablation bench measures this blow-up.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+#![warn(clippy::too_many_lines)]
 
-use dwmaxerr_algos::min_rel_var::{combine, subtree_rows, CoinFlipper, MrvCell, MrvParams, MrvRow};
+use dwmaxerr_algos::min_rel_var::{
+    combine, min_rel_var, subtree_rows, CoinFlipper, MrvCell, MrvParams, MrvRow,
+};
 use dwmaxerr_runtime::codec::{CodecError, Wire};
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::Cluster;
+use dwmaxerr_wavelet::transform::forward;
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
-use crate::splits::{aligned_splits, SliceSplit};
-
-/// Wire wrapper for MinRelVar rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireMrvRow(pub MrvRow);
-
-impl Wire for WireMrvRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.min_norm.encode(buf);
-        (self.0.cells.len() as u32).encode(buf);
-        for c in &self.0.cells {
-            c.v.encode(buf);
-            c.y.encode(buf);
-            c.l.encode(buf);
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let min_norm = f64::decode(buf)?;
-        let len = u32::decode(buf)? as usize;
-        let mut cells = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            cells.push(MrvCell {
-                v: f64::decode(buf)?,
-                y: u16::decode(buf)?,
-                l: u32::decode(buf)?,
-            });
-        }
-        Ok(WireMrvRow(MrvRow { min_norm, cells }))
-    }
-}
+use crate::layered::{self, LayeredDp};
 
 /// DMinRelVar configuration.
 #[derive(Debug, Clone)]
@@ -81,43 +55,78 @@ pub struct DmrvResult {
     pub metrics: DriverMetrics,
 }
 
-/// A group of sibling rows plus the coefficients of the mini-tree above
-/// them (an upper-layer worker's input).
-#[derive(Debug, Clone)]
-struct RowGroup {
-    first: u64,
-    rows: Vec<MrvRow>,
-    /// Coefficients of the mini-tree's internal nodes, heap order
-    /// (index 0 unused), taken from the root coefficients.
-    mini_coeffs: Vec<f64>,
+/// MinRelVar as a framework instance.
+struct Mrv {
+    p: MrvParams,
+    /// Space units any row may need (`min(B, N) · q`).
     cap: usize,
+    /// `c_0 .. c_{R-1}`: the transform of the base-slice averages, known
+    /// once layer 0 has reported.
+    root_coeffs: Vec<f64>,
 }
 
-/// Internal rows of a worker's mini-tree above `input` rows.
-fn mini_tree_rows(group: &RowGroup, p: &MrvParams) -> Vec<MrvRow> {
-    let f = group.rows.len();
-    debug_assert!(f.is_power_of_two() && f >= 2);
-    let empty = MrvRow {
-        min_norm: 1.0,
-        cells: Vec::new(),
-    };
-    let mut rows = vec![empty; f];
-    for i in (1..f).rev() {
-        rows[i] = if 2 * i < f {
-            let (l, r) = rows.split_at(2 * i + 1);
-            combine(&l[2 * i], &r[0], group.mini_coeffs[i], group.cap, p)
-        } else {
-            let base = (i - f / 2) * 2;
-            combine(
-                &group.rows[base],
-                &group.rows[base + 1],
-                group.mini_coeffs[i],
-                group.cap,
-                p,
-            )
-        };
+impl LayeredDp for Mrv {
+    type Row = MrvRow;
+    /// The slice average (a leaf of the root sub-tree).
+    type Report = f64;
+    /// Space units granted to a sub-tree root.
+    type Carry = u32;
+    /// Retention-probability units `y > 0`.
+    type Pick = u16;
+    const PREFIX: &'static str = "dmrv";
+
+    fn base_rows(&self, slice: &[f64]) -> Option<(f64, Vec<MrvRow>)> {
+        let w = forward(slice).expect("pow2 slice");
+        let rows = subtree_rows(&w[1..], slice, self.cap, &self.p).expect("valid subtree");
+        Some((w[0], rows))
     }
-    rows
+
+    fn absorb(&mut self, averages: Vec<f64>) {
+        self.root_coeffs = forward(&averages).expect("pow2 averages");
+    }
+
+    fn combine(&self, node: u64, left: &MrvRow, right: &MrvRow) -> MrvRow {
+        let c = self.root_coeffs[node as usize];
+        combine(left, right, c, self.cap, &self.p)
+    }
+
+    fn step(
+        &self,
+        row: &MrvRow,
+        children: Option<(&MrvRow, &MrvRow)>,
+        b: &u32,
+    ) -> (Option<u16>, u32, u32) {
+        let (y, left, right) = row.step(children, *b as usize);
+        ((y > 0).then_some(y), left as u32, right as u32)
+    }
+
+    fn row_bytes(row: &MrvRow) -> u64 {
+        (12 + row.cells.len() * 14) as u64
+    }
+
+    fn encode_row(row: &MrvRow, buf: &mut Vec<u8>) {
+        row.min_norm.encode(buf);
+        (row.cells.len() as u32).encode(buf);
+        for c in &row.cells {
+            c.v.encode(buf);
+            c.y.encode(buf);
+            c.l.encode(buf);
+        }
+    }
+
+    fn decode_row(buf: &mut &[u8]) -> Result<MrvRow, CodecError> {
+        let min_norm = f64::decode(buf)?;
+        let len = u32::decode(buf)? as usize;
+        let mut cells = Vec::with_capacity(len.min(1 << 20));
+        for _ in 0..len {
+            cells.push(MrvCell {
+                v: f64::decode(buf)?,
+                y: u16::decode(buf)?,
+                l: u32::decode(buf)?,
+            });
+        }
+        Ok(MrvRow { min_norm, cells })
+    }
 }
 
 /// Runs DMinRelVar: the probabilistic max-rel synopsis with expected
@@ -128,284 +137,44 @@ pub fn dmin_rel_var(
     b: usize,
     cfg: &DmrvConfig,
 ) -> Result<DmrvResult, CoreError> {
-    let n = data.len();
-    dwmaxerr_wavelet::error::ensure_pow2(n)?;
-    let s = cfg.base_leaves.clamp(2, n);
-    let fan_in = cfg.fan_in.max(2);
-    if !s.is_power_of_two() || !fan_in.is_power_of_two() {
-        return Err(CoreError::Protocol(
-            "base_leaves and fan_in must be powers of two",
-        ));
-    }
-    if n < 2 {
-        let sol = dwmaxerr_algos::min_rel_var::min_rel_var(data, b, &cfg.params, cfg.seed)?;
+    let (n, p) = (data.len(), cfg.params);
+    let mut dp = Mrv {
+        p,
+        cap: b.min(n) * p.q as usize,
+        root_coeffs: Vec::new(),
+    };
+    let Some(up) = layered::bottom_up(cluster, data, cfg.base_leaves, cfg.fan_in, &mut dp)? else {
+        let sol = min_rel_var(data, b, &p, cfg.seed)?;
         return Ok(DmrvResult {
             synopsis: sol.synopsis,
             nse_bound: sol.nse_bound,
             expected_size: sol.expected_size,
             metrics: DriverMetrics::new(),
         });
-    }
-    let splits = aligned_splits(data, s);
-    let num_base = n / s;
-    let p = cfg.params;
-    let q = p.q as usize;
-    let cap = (b * q).min(n * q);
-
-    // The upper-tree coefficients come from the slice averages (needed by
-    // the mini-tree combines); gather them with the base rows in one job.
-    let base_job = JobBuilder::new("dmrv-layer0")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u64, (f64, WireMrvRow)>| {
-                let w = dwmaxerr_wavelet::transform::forward(split.slice()).expect("pow2 slice");
-                let rows = subtree_rows(&w[1..], split.slice(), cap, &p).expect("valid subtree");
-                ctx.emit(
-                    num_base as u64 + split.id as u64,
-                    (w[0], WireMrvRow(rows[1].clone())),
-                );
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, (f64, WireMrvRow)>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let pipe = Pipeline::on(cluster)
-        .stage(&base_job, &splits)?
-        .then(|(_, pairs)| {
-            let mut layer: Vec<(u64, MrvRow)> = Vec::with_capacity(num_base);
-            let mut averages = vec![0.0; num_base];
-            for (k, (avg, WireMrvRow(row))) in pairs {
-                averages[(k - num_base as u64) as usize] = avg;
-                layer.push((k, row));
-            }
-            layer.sort_unstable_by_key(|&(k, _)| k);
-            let root_coeffs =
-                dwmaxerr_wavelet::transform::forward(&averages).expect("pow2 averages");
-            (layer, root_coeffs)
-        });
-    let root_coeffs = pipe.value().1.clone();
-    let mut pipe = pipe.then(|(layer, _)| layer);
-
-    let mini_coeffs_for = |first: u64, f: usize| -> Vec<f64> {
-        // Global ids of the mini-tree internal nodes; their coefficients
-        // live in the upper (root) coefficient array.
-        let mut v = vec![0.0; f];
-        for (i, slot) in v.iter_mut().enumerate().skip(1) {
-            let depth = usize::BITS - 1 - i.leading_zeros();
-            let root = first / f as u64;
-            let g = ((root << depth) + (i as u64 - (1u64 << depth))) as usize;
-            *slot = root_coeffs[g];
-        }
-        v
     };
-
-    // ---- Bottom-up layers ----
-    let mut group_stack: Vec<Vec<RowGroup>> = Vec::new();
-    while pipe.value().len() > 1 {
-        let layer = pipe.value();
-        let f = fan_in.min(layer.len());
-        let groups: Vec<RowGroup> = layer
-            .chunks(f)
-            .map(|chunk| RowGroup {
-                first: chunk[0].0,
-                rows: chunk.iter().map(|(_, r)| r.clone()).collect(),
-                mini_coeffs: mini_coeffs_for(chunk[0].0, f),
-                cap,
-            })
-            .collect();
-        let up_job = JobBuilder::new("dmrv-layer-up")
-            .map(
-                move |group: &RowGroup, ctx: &mut MapContext<u64, WireMrvRow>| {
-                    let rows = mini_tree_rows(group, &p);
-                    ctx.emit(
-                        group.first / group.rows.len() as u64,
-                        WireMrvRow(rows[1].clone()),
-                    );
-                },
-            )
-            .input_bytes(|g: &RowGroup| {
-                g.rows
-                    .iter()
-                    .map(|r| (12 + r.cells.len() * 14) as u64)
-                    .sum()
-            })
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, WireMrvRow>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-        pipe = pipe.stage(&up_job, &groups)?.then(|(_, pairs)| {
-            let mut layer: Vec<(u64, MrvRow)> =
-                pairs.into_iter().map(|(k, WireMrvRow(r))| (k, r)).collect();
-            layer.sort_unstable_by_key(|&(k, _)| k);
-            layer
-        });
-        group_stack.push(groups);
+    let (nse_bound, y0, b1) = up.root.resolve_root(dp.root_coeffs[0], dp.cap, &p);
+    let (mut allocation, _, metrics) = up.top_down(&dp, b1 as u32)?;
+    if y0 > 0 {
+        allocation.push((0, y0 as u16));
     }
 
-    // ---- Root resolution: c_0 ----
-    let root_row = &pipe.value()[0].1;
-    let mut best = (f64::INFINITY, 0u32, 0usize);
-    for u in 0..=(q.min(cap)) as u32 {
-        let var0 = if root_coeffs[0] == 0.0 {
-            0.0
-        } else if u == 0 {
-            root_coeffs[0] * root_coeffs[0]
-        } else if u as usize >= q {
-            0.0
-        } else {
-            let y = f64::from(u) / f64::from(p.q);
-            root_coeffs[0] * root_coeffs[0] * (1.0 - y) / y
-        };
-        let rem = (cap - u as usize).min(root_row.cells.len() - 1);
-        let v = root_row.v(rem) + var0 / (root_row.min_norm * root_row.min_norm);
-        if v < best.0 {
-            best = (v, u, rem);
-        }
-    }
-
-    // ---- Top-down extraction through the same groups ----
-    let mut pipe = pipe.then(|_| ());
-    let mut allocation: Vec<(u64, u16)> = Vec::new();
-    if best.1 > 0 {
-        allocation.push((0, best.1 as u16));
-    }
-    let mut budgets: HashMap<u64, usize> = HashMap::new();
-    budgets.insert(1, best.2);
-    for groups in group_stack.into_iter().rev() {
-        let tagged: Vec<(RowGroup, usize)> = groups
-            .into_iter()
-            .map(|g| {
-                let parent = g.first / g.rows.len() as u64;
-                let bu = *budgets.get(&parent).expect("budget for every group root");
-                (g, bu)
-            })
-            .collect();
-        let extract_job = JobBuilder::new("dmrv-extract")
-            .map(
-                move |(group, b_root): &(RowGroup, usize),
-                      ctx: &mut MapContext<u64, (u32, u32)>| {
-                    let f = group.rows.len();
-                    let rows = mini_tree_rows(group, &p);
-                    let mut stack = vec![(1usize, *b_root)];
-                    while let Some((i, bi)) = stack.pop() {
-                        let cell = rows[i].cell(bi);
-                        let depth = usize::BITS - 1 - i.leading_zeros();
-                        let g_id =
-                            ((group.first / f as u64) << depth) + (i as u64 - (1u64 << depth));
-                        if cell.y > 0 {
-                            // Allocation record (tag 1).
-                            ctx.emit(g_id, (1, u32::from(cell.y)));
-                        }
-                        let (l_len, r_len) = if 2 * i < f {
-                            (rows[2 * i].cells.len(), rows[2 * i + 1].cells.len())
-                        } else {
-                            let base = (i - f / 2) * 2;
-                            (
-                                group.rows[base].cells.len(),
-                                group.rows[base + 1].cells.len(),
-                            )
-                        };
-                        let joint = l_len - 1 + r_len - 1;
-                        let rem = (bi.min(rows[i].cells.len() - 1) - cell.y as usize).min(joint);
-                        if 2 * i < f {
-                            stack.push((2 * i, cell.l as usize));
-                            stack.push((2 * i + 1, rem - cell.l as usize));
-                        } else {
-                            // Budget handoff to the next layer (tag 0).
-                            let child = group.first + ((i - f / 2) * 2) as u64;
-                            ctx.emit(child, (0, cell.l));
-                            ctx.emit(child + 1, (0, (rem - cell.l as usize) as u32));
-                        }
-                    }
-                },
-            )
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, (u32, u32)>| {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
-            });
-        pipe = pipe.stage(&extract_job, &tagged)?.then(|(_, pairs)| {
-            for (node, (tag, val)) in pairs {
-                if tag == 1 {
-                    allocation.push((node, val as u16));
-                } else {
-                    budgets.insert(node, val as usize);
-                }
-            }
-        });
-    }
-
-    // ---- Base-layer extraction ----
-    let base_budgets: Vec<usize> = (0..num_base)
-        .map(|j| {
-            if num_base == 1 {
-                best.2
-            } else {
-                *budgets
-                    .get(&(num_base as u64 + j as u64))
-                    .expect("budget for every base root")
-            }
-        })
-        .collect();
-    let base_budgets = Arc::new(base_budgets);
-    let bb = Arc::clone(&base_budgets);
-    let base_extract_job = JobBuilder::new("dmrv-extract-base")
-        .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, u16>| {
-            let w = dwmaxerr_wavelet::transform::forward(split.slice()).expect("pow2 slice");
-            let rows = subtree_rows(&w[1..], split.slice(), cap, &p).expect("phase A ran");
-            let m = split.len();
-            let mut stack = vec![(1usize, bb[split.id as usize])];
-            while let Some((i, bi)) = stack.pop() {
-                let cell = rows[i].cell(bi);
-                if cell.y > 0 {
-                    let depth = usize::BITS - 1 - i.leading_zeros();
-                    let root = num_base as u64 + split.id as u64;
-                    let g = (root << depth) + (i as u64 - (1u64 << depth));
-                    ctx.emit(g, cell.y);
-                }
-                if 2 * i < m {
-                    let joint = rows[2 * i].cells.len() - 1 + rows[2 * i + 1].cells.len() - 1;
-                    let rem = (bi.min(rows[i].cells.len() - 1) - cell.y as usize).min(joint);
-                    stack.push((2 * i, cell.l as usize));
-                    stack.push((2 * i + 1, rem - cell.l as usize));
-                }
-            }
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, u16>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let ((), metrics) = pipe
-        .stage(&base_extract_job, &splits)?
-        .then(|(_, pairs)| {
-            for (node, yu) in pairs {
-                allocation.push((node, yu));
-            }
-        })
-        .finish();
-
-    // ---- Coin flips (driver-side, to match the centralized seed) ----
-    allocation.sort_unstable_by_key(|&(i, _)| i);
-    let coeffs = dwmaxerr_wavelet::transform::forward(data)?;
+    // Coin flips on the driver, in node order, to match the centralized seed.
+    allocation.sort_unstable_by_key(|&(node, _)| node);
+    let coeffs = forward(data)?;
     let mut flipper = CoinFlipper::new(cfg.seed);
     let mut entries = Vec::new();
-    let mut expected = 0.0;
+    let mut expected_size = 0.0;
     for &(node, yu) in &allocation {
         let y = f64::from(yu) / f64::from(p.q);
-        expected += y;
+        expected_size += y;
         if flipper.flip(y) {
             entries.push((node as u32, coeffs[node as usize] / y));
         }
     }
     Ok(DmrvResult {
         synopsis: Synopsis::from_entries(n, entries)?,
-        nse_bound: best.0,
-        expected_size: expected,
+        nse_bound,
+        expected_size,
         metrics,
     })
 }
@@ -413,7 +182,6 @@ pub fn dmin_rel_var(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_algos::min_rel_var::min_rel_var;
     use dwmaxerr_runtime::ClusterConfig;
 
     fn test_cluster() -> Cluster {
@@ -516,10 +284,10 @@ mod tests {
             ],
         };
         let mut buf = Vec::new();
-        WireMrvRow(row.clone()).encode(&mut buf);
+        Mrv::encode_row(&row, &mut buf);
         let mut s = buf.as_slice();
-        let back = WireMrvRow::decode(&mut s).unwrap();
-        assert_eq!(back.0, row);
+        let back = Mrv::decode_row(&mut s).unwrap();
+        assert_eq!(back, row);
         assert!(s.is_empty());
     }
 }

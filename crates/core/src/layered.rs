@@ -1,0 +1,540 @@
+//! The Section-4 framework, written once for *any* bottom-up error-tree
+//! DP: Algorithm 1 plus the top-down extraction pass. A DP family plugs in
+//! through [`LayeredDp`]; everything else — validation, splits, the four
+//! jobs, grouping, hand-offs, global node ids, messages — lives here.
+//!
+//! **Bottom-up** ([`bottom_up`]). Layer 0's workers each own a base data
+//! slice, solve the DP locally and emit the row of their local root — the
+//! `M[j]` message whose size is Eq. 6's communication bound. Upper layers
+//! group `fan_in` sibling rows per worker (the locality-preserving
+//! partitioning of [`LayerPlan`]) and combine them through the worker's
+//! mini-tree into the next row, until the row of node `c_1` remains; the
+//! instance then resolves `c_0` on the driver.
+//!
+//! **Top-down** ([`BottomUp::top_down`]). Workers are stateless between
+//! jobs (as in Hadoop), so the extraction re-enters each sub-problem as
+//! the paper describes ("we re-enter the sub-problem of the topmost
+//! sub-tree"): every layer's workers recompute their rows, replay the
+//! optimal choices from the carry handed to their root, emit what each
+//! node contributes and hand a carry to each child sub-tree's next job.
+
+#![warn(clippy::too_many_lines)]
+
+use std::collections::HashMap;
+
+use dwmaxerr_algos::min_haar_space::MhsError;
+use dwmaxerr_runtime::codec::{CodecError, Wire};
+use dwmaxerr_runtime::metrics::DriverMetrics;
+use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+
+use crate::error::CoreError;
+use crate::partition::{heap_descendant, LayerPlan};
+use crate::splits::{aligned_splits, SliceSplit};
+
+/// One bottom-up error-tree DP, as the framework sees it.
+pub(crate) trait LayeredDp: Sync {
+    /// The DP row `M[j]` of one node.
+    type Row: Clone + Default + Send + Sync;
+    /// What a base worker reports beside its root row (often nothing).
+    type Report: Wire + Default + Send;
+    /// What a parent hands a child top-down (an incoming value, a budget).
+    type Carry: Wire + Clone + Send + Sync;
+    /// What a node contributes to the synopsis when it contributes.
+    type Pick: Wire + Send;
+
+    /// Names the jobs: `{PREFIX}-layer0`, `-layer-up`, `-extract`, `-extract-base`.
+    const PREFIX: &'static str;
+
+    /// Solves one base slice: its report and all rows of its sub-tree in
+    /// heap order (`rows[1]` = local root, `[0]` unused); `None` = infeasible.
+    fn base_rows(&self, slice: &[f64]) -> Option<(Self::Report, Vec<Self::Row>)>;
+
+    /// Declared working set of [`LayeredDp::base_rows`] over `leaves`
+    /// values; the engine refuses tasks above the cluster's budget.
+    fn base_memory(&self, _leaves: usize) -> u64 {
+        0
+    }
+
+    /// Layer 0's reports, in base order, before any [`LayeredDp::combine`].
+    fn absorb(&mut self, _reports: Vec<Self::Report>) {}
+
+    /// The row of global node `node` from its children's rows.
+    fn combine(&self, node: u64, left: &Self::Row, right: &Self::Row) -> Self::Row;
+
+    /// True when a combined row admits no solution at all.
+    fn dead(_row: &Self::Row) -> bool {
+        false
+    }
+
+    /// The replay rule: a node entered with `carry` contributes the
+    /// returned pick (if any) and hands its left and right child the two
+    /// returned carries. `children` are the rows `row` was combined from —
+    /// `None` above two data leaves, where the carries go nowhere.
+    fn step(
+        &self,
+        row: &Self::Row,
+        children: Option<(&Self::Row, &Self::Row)>,
+        carry: &Self::Carry,
+    ) -> (Option<Self::Pick>, Self::Carry, Self::Carry);
+
+    /// Logical bytes of one row (a `-layer-up` task's simulated read).
+    fn row_bytes(row: &Self::Row) -> u64;
+
+    /// The row's wire form (the Eq. 6 message).
+    fn encode_row(row: &Self::Row, buf: &mut Vec<u8>);
+
+    /// Inverse of [`LayeredDp::encode_row`].
+    fn decode_row(buf: &mut &[u8]) -> Result<Self::Row, CodecError>;
+}
+
+/// A row on the wire.
+struct RowMsg<D: LayeredDp>(D::Row);
+
+impl<D: LayeredDp> Wire for RowMsg<D> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        D::encode_row(&self.0, buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        D::decode_row(buf).map(RowMsg)
+    }
+}
+
+/// The upper layers' top-down message, keyed by global node id: what that
+/// node contributes, or the carry entering that sub-tree root.
+enum Down<P, C> {
+    Carry(C),
+    Pick(P),
+}
+
+impl<P: Wire, C: Wire> Wire for Down<P, C> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Down::Carry(c) => {
+                buf.push(0);
+                c.encode(buf);
+            }
+            Down::Pick(p) => {
+                buf.push(1);
+                p.encode(buf);
+            }
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(buf)? {
+            0 => Ok(Down::Carry(C::decode(buf)?)),
+            1 => Ok(Down::Pick(P::decode(buf)?)),
+            _ => Err(CodecError {
+                context: "layered top-down tag",
+            }),
+        }
+    }
+}
+
+/// `fan_in` sibling rows: one upper-layer worker's input. The mini-tree
+/// above them is rooted at global node `root`, so `rows[i]` is the row of
+/// global node `root * rows.len() + i`.
+struct Group<R> {
+    root: u64,
+    rows: Vec<R>,
+}
+
+/// Key under which a worker reports that its sub-problem has no solution.
+const FAIL_NODE: u64 = u64::MAX;
+
+/// Every reducer of the framework forwards its records unchanged.
+fn forward<K: Clone, V>(key: &K, vals: &mut dyn Iterator<Item = V>, ctx: &mut ReduceContext<K, V>) {
+    for v in vals {
+        ctx.emit(key.clone(), v);
+    }
+}
+
+/// Driver glue after a bottom-up job: the layer's records in node order
+/// (a layer of `w` rows holds global nodes `w .. 2w`). A DP fails one way —
+/// no grid point in some feasible window — so [`FAIL_NODE`] is that error.
+fn sorted_layer<T>(mut pairs: Vec<(u64, T)>) -> Result<impl Iterator<Item = T>, CoreError> {
+    if pairs.iter().any(|&(node, _)| node == FAIL_NODE) {
+        return Err(CoreError::Mhs(MhsError::DeltaTooCoarse));
+    }
+    pairs.sort_unstable_by_key(|&(node, _)| node);
+    Ok(pairs.into_iter().map(|(_, record)| record))
+}
+
+/// All rows of the mini-tree above `group.rows`, heap order (`[1]` = the
+/// mini root, index 0 unused).
+fn mini_tree<D: LayeredDp>(dp: &D, group: &Group<D::Row>) -> Vec<D::Row> {
+    let f = group.rows.len();
+    let mut rows = vec![D::Row::default(); f];
+    for i in (1..f).rev() {
+        let node = heap_descendant(group.root, i);
+        rows[i] = if 2 * i < f {
+            dp.combine(node, &rows[2 * i], &rows[2 * i + 1])
+        } else {
+            dp.combine(node, &group.rows[2 * i - f], &group.rows[2 * i - f + 1])
+        };
+    }
+    rows
+}
+
+/// Replays the optimal choices down the heap `rows` rooted at global node
+/// `root`, entered with `carry`. `inputs` are the rows below the heap's
+/// lowest level: a group's input rows, each handed its `Down::Carry`, or
+/// empty for a base sub-tree, which sits on data leaves.
+fn replay<D: LayeredDp>(
+    dp: &D,
+    rows: &[D::Row],
+    inputs: &[D::Row],
+    root: u64,
+    carry: D::Carry,
+    emit: &mut dyn FnMut(u64, Down<D::Pick, D::Carry>),
+) {
+    let m = rows.len();
+    let mut stack = vec![(1usize, carry)];
+    while let Some((i, carry)) = stack.pop() {
+        let children = if 2 * i < m {
+            Some((&rows[2 * i], &rows[2 * i + 1]))
+        } else {
+            inputs.get(2 * i - m).zip(inputs.get(2 * i - m + 1))
+        };
+        let (pick, left, right) = dp.step(&rows[i], children, &carry);
+        if let Some(pick) = pick {
+            emit(heap_descendant(root, i), Down::Pick(pick));
+        }
+        if 2 * i < m {
+            stack.push((2 * i, left));
+            stack.push((2 * i + 1, right));
+        } else if !inputs.is_empty() {
+            let child = heap_descendant(root, 2 * i);
+            emit(child, Down::Carry(left));
+            emit(child + 1, Down::Carry(right));
+        }
+    }
+}
+
+/// Takes the carry the layer above handed to sub-tree root `node`.
+fn hand_off<C>(carries: &mut HashMap<u64, C>, node: u64) -> Result<C, CoreError> {
+    carries.remove(&node).ok_or(CoreError::Protocol(
+        "no top-down hand-off reached a sub-tree root",
+    ))
+}
+
+/// Picks as `(global node id, pick)`, the base splits, both phases' ledger.
+pub(crate) type Extracted<P> = (Vec<(u64, P)>, Vec<SliceSplit>, DriverMetrics);
+
+/// The finished bottom-up phase, ready to be re-entered top-down.
+pub(crate) struct BottomUp<'c, D: LayeredDp> {
+    /// The row of node `c_1`, from which the instance resolves `c_0`.
+    pub(crate) root: D::Row,
+    pipe: Pipeline<'c, ()>,
+    splits: Vec<SliceSplit>,
+    /// The groups of each upper layer, bottom layer first.
+    layers: Vec<Vec<Group<D::Row>>>,
+}
+
+/// Algorithm 1 over `data`. `Ok(None)` when there is no tree to layer
+/// (`data.len() < 2`): the caller answers with its centralized solver.
+pub(crate) fn bottom_up<'c, D: LayeredDp>(
+    cluster: &'c Cluster,
+    data: &[f64],
+    base_leaves: usize,
+    fan_in: usize,
+    dp: &mut D,
+) -> Result<Option<BottomUp<'c, D>>, CoreError> {
+    let n = data.len();
+    dwmaxerr_wavelet::error::ensure_pow2(n)?;
+    if n < 2 {
+        return Ok(None);
+    }
+    let (base_leaves, fan_in) = (base_leaves.clamp(2, n), fan_in.max(2));
+    let plan = LayerPlan::new(n, base_leaves, fan_in)?;
+    let splits = aligned_splits(data, base_leaves);
+    let num_base = plan.base_count() as u64;
+
+    let mut layer: Vec<D::Row> = Vec::new();
+    let mut pipe = {
+        let dp = &*dp;
+        let memory = dp.base_memory(base_leaves);
+        let job = JobBuilder::new(format!("{}-layer0", D::PREFIX))
+            .map(
+                |split: &SliceSplit, ctx: &mut MapContext<u64, (D::Report, RowMsg<D>)>| match dp
+                    .base_rows(split.slice())
+                {
+                    Some((report, mut rows)) => ctx.emit(
+                        num_base + u64::from(split.id),
+                        (report, RowMsg(rows.swap_remove(1))),
+                    ),
+                    None => ctx.emit(FAIL_NODE, (D::Report::default(), RowMsg(D::Row::default()))),
+                },
+            )
+            .input_bytes(SliceSplit::bytes)
+            .task_memory(move |_| memory)
+            .reduce(forward);
+        Pipeline::on(cluster).stage(&job, &splits)?
+    }
+    .try_then(|((), pairs)| -> Result<(), CoreError> {
+        let (reports, rows) = sorted_layer(pairs)?
+            .map(|(report, RowMsg(row))| (report, row))
+            .unzip();
+        layer = rows;
+        dp.absorb(reports);
+        Ok(())
+    })?;
+
+    let dp = &*dp;
+    let mut layers = Vec::new();
+    for width in plan.upper_layer_row_counts() {
+        debug_assert_eq!(layer.len(), width);
+        let f = fan_in.min(width);
+        let mut rows = std::mem::take(&mut layer).into_iter();
+        let groups: Vec<Group<D::Row>> = (width / f..2 * width / f)
+            .map(|root| Group {
+                root: root as u64,
+                rows: rows.by_ref().take(f).collect(),
+            })
+            .collect();
+        let job = JobBuilder::new(format!("{}-layer-up", D::PREFIX))
+            .map(
+                |group: &Group<D::Row>, ctx: &mut MapContext<u64, RowMsg<D>>| {
+                    let root = mini_tree(dp, group).swap_remove(1);
+                    let key = if D::dead(&root) {
+                        FAIL_NODE
+                    } else {
+                        group.root
+                    };
+                    ctx.emit(key, RowMsg(root));
+                },
+            )
+            .input_bytes(|g: &Group<D::Row>| g.rows.iter().map(D::row_bytes).sum())
+            .reduce(forward);
+        pipe = pipe
+            .stage(&job, &groups)?
+            .try_then(|((), pairs)| -> Result<(), CoreError> {
+                layer = sorted_layer(pairs)?.map(|RowMsg(row)| row).collect();
+                Ok(())
+            })?;
+        layers.push(groups);
+    }
+    let root = layer
+        .pop()
+        .ok_or(CoreError::Protocol("bottom-up produced no root row"))?;
+    Ok(Some(BottomUp {
+        root,
+        pipe,
+        splits,
+        layers,
+    }))
+}
+
+impl<D: LayeredDp> BottomUp<'_, D> {
+    /// The extraction pass: node `c_1` is entered with `root_carry`.
+    pub(crate) fn top_down(
+        self,
+        dp: &D,
+        root_carry: D::Carry,
+    ) -> Result<Extracted<D::Pick>, CoreError> {
+        let mut picks: Vec<(u64, D::Pick)> = Vec::new();
+        let mut carries: HashMap<u64, D::Carry> = HashMap::from([(1, root_carry)]);
+        let mut pipe = self.pipe;
+        for groups in self.layers.into_iter().rev() {
+            let entered = groups
+                .into_iter()
+                .map(|g| hand_off(&mut carries, g.root).map(|carry| (g, carry)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let job = JobBuilder::new(format!("{}-extract", D::PREFIX))
+                .map(
+                    |(group, carry): &(Group<D::Row>, D::Carry),
+                     ctx: &mut MapContext<u64, Down<D::Pick, D::Carry>>| {
+                        let rows = mini_tree(dp, group);
+                        replay(
+                            dp,
+                            &rows,
+                            &group.rows,
+                            group.root,
+                            carry.clone(),
+                            &mut |node, msg| ctx.emit(node, msg),
+                        );
+                    },
+                )
+                .reduce(forward);
+            pipe = pipe.stage(&job, &entered)?.then(|((), pairs)| {
+                for (node, msg) in pairs {
+                    match msg {
+                        Down::Pick(pick) => picks.push((node, pick)),
+                        Down::Carry(carry) => {
+                            carries.insert(node, carry);
+                        }
+                    }
+                }
+            });
+        }
+
+        let num_base = self.splits.len() as u64;
+        let base_carries = (0..num_base)
+            .map(|j| hand_off(&mut carries, num_base + j))
+            .collect::<Result<Vec<_>, _>>()?;
+        let job = JobBuilder::new(format!("{}-extract-base", D::PREFIX))
+            .map(|split: &SliceSplit, ctx: &mut MapContext<u64, D::Pick>| {
+                let (_, rows) = dp.base_rows(split.slice()).expect("solved by layer 0");
+                replay(
+                    dp,
+                    &rows,
+                    &[],
+                    num_base + u64::from(split.id),
+                    base_carries[split.id as usize].clone(),
+                    &mut |node, msg| {
+                        if let Down::Pick(pick) = msg {
+                            ctx.emit(node, pick);
+                        }
+                    },
+                );
+            })
+            .input_bytes(SliceSplit::bytes)
+            .reduce(forward);
+        let ((), metrics) = pipe
+            .stage(&job, &self.splits)?
+            .then(|((), pairs)| picks.extend(pairs))
+            .finish();
+        Ok((picks, self.splits, metrics))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dwmaxerr_runtime::ClusterConfig;
+
+    /// A DP that only counts: a node's row is the number of data leaves
+    /// under it, the carry entering a node is the global id that node
+    /// should have, and every node contributes that carry.
+    struct Census {
+        n: u64,
+    }
+
+    impl LayeredDp for Census {
+        type Row = u64;
+        type Report = ();
+        type Carry = u64;
+        type Pick = u64;
+        const PREFIX: &'static str = "census";
+
+        fn base_rows(&self, slice: &[f64]) -> Option<((), Vec<u64>)> {
+            let m = slice.len();
+            let leaves = |i: usize| if i == 0 { 0 } else { (m >> i.ilog2()) as u64 };
+            Some(((), (0..m).map(leaves).collect()))
+        }
+
+        fn combine(&self, node: u64, left: &u64, right: &u64) -> u64 {
+            assert_eq!(left + right, self.n >> node.ilog2(), "node {node}");
+            left + right
+        }
+
+        fn step(
+            &self,
+            row: &u64,
+            children: Option<(&u64, &u64)>,
+            id: &u64,
+        ) -> (Option<u64>, u64, u64) {
+            assert_eq!(
+                *row,
+                self.n >> id.ilog2(),
+                "node {id} entered with the wrong row"
+            );
+            assert_eq!(children.map_or(2, |(l, r)| l + r), *row, "node {id}");
+            (Some(*id), 2 * id, 2 * id + 1)
+        }
+
+        fn row_bytes(_: &u64) -> u64 {
+            8
+        }
+
+        fn encode_row(row: &u64, buf: &mut Vec<u8>) {
+            row.encode(buf);
+        }
+
+        fn decode_row(buf: &mut &[u8]) -> Result<u64, CodecError> {
+            u64::decode(buf)
+        }
+    }
+
+    fn test_cluster() -> Cluster {
+        let mut cfg = ClusterConfig::with_slots(4, 2);
+        cfg.task_startup = std::time::Duration::from_micros(10);
+        cfg.job_setup = std::time::Duration::from_micros(10);
+        Cluster::new(cfg)
+    }
+
+    #[test]
+    fn every_node_is_stepped_once_with_its_global_id() {
+        let cluster = test_cluster();
+        for n in [2usize, 4, 16, 64] {
+            let data = vec![0.0; n];
+            let bases = (1..=n.ilog2()).map(|k| 1usize << k);
+            for (s, fan_in) in bases.flat_map(|s| [2, 4, 64].map(|f| (s, f))) {
+                let tag = format!("n={n} base_leaves={s} fan_in={fan_in}");
+                let mut dp = Census { n: n as u64 };
+                let up = bottom_up(&cluster, &data, s, fan_in, &mut dp)
+                    .unwrap()
+                    .expect("n >= 2 is layered");
+                assert_eq!(up.root, n as u64, "{tag}");
+                let upper = up.layers.len();
+                let (mut picks, splits, metrics) = up.top_down(&dp, 1).unwrap();
+                assert_eq!(splits.len(), n / s, "{tag}");
+
+                // Every internal node 1..n stepped exactly once, under the
+                // id the hand-offs carried down to it — which also means
+                // every base root received its hand-off.
+                picks.sort_unstable();
+                let expected: Vec<(u64, u64)> = (1..n as u64).map(|g| (g, g)).collect();
+                assert_eq!(picks, expected, "{tag}");
+
+                let plan = LayerPlan::new(n, s, fan_in).unwrap();
+                assert_eq!(upper + 1, plan.stages(), "{tag}");
+                let names: Vec<&str> = metrics.jobs.iter().map(|j| j.name.as_str()).collect();
+                let mut want = vec!["census-layer0"];
+                want.extend(std::iter::repeat_n("census-layer-up", upper));
+                want.extend(std::iter::repeat_n("census-extract", upper));
+                want.push("census-extract-base");
+                assert_eq!(names, want, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_value_is_not_layered_and_bad_shapes_are_typed_errors() {
+        let cluster = test_cluster();
+        let mut dp = Census { n: 1 };
+        assert!(bottom_up(&cluster, &[5.0], 8, 2, &mut dp)
+            .unwrap()
+            .is_none());
+        for (data, s, f) in [
+            (vec![], 2, 2),
+            (vec![0.0; 6], 2, 2),
+            (vec![0.0; 8], 3, 2),
+            (vec![0.0; 8], 2, 3),
+        ] {
+            let got = bottom_up(&cluster, &data, s, f, &mut dp).map(|up| up.is_some());
+            assert!(
+                matches!(got, Err(CoreError::Wavelet(_))),
+                "{data:?} {s} {f}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_missing_hand_off_is_a_protocol_error() {
+        let mut carries: HashMap<u64, u64> = HashMap::from([(2, 7)]);
+        assert_eq!(hand_off(&mut carries, 2), Ok(7));
+        assert!(matches!(
+            hand_off(&mut carries, 2),
+            Err(CoreError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn mini_tree_global_ids() {
+        // Rows for nodes 8..12 (fan_in 4): mini root = node 2, its children
+        // nodes 4 and 5.
+        assert_eq!(heap_descendant(8 / 4, 1), 2);
+        assert_eq!(heap_descendant(8 / 4, 2), 4);
+        assert_eq!(heap_descendant(8 / 4, 3), 5);
+    }
+}

@@ -7,8 +7,8 @@
 //!   underlies everything (Section 4, Figures 3-4).
 //! * [`mod@dgreedy_abs`] / [`mod@dgreedy_rel`] — the distributed greedy algorithms
 //!   (Section 5, Algorithms 3-6).
-//! * [`mod@dmin_haar_space`] — DMHaarSpace, the distributed DP probe built
-//!   from the Section-4 framework (Algorithm 1).
+//! * [`mod@dmin_haar_space`] — DMHaarSpace, the distributed DP probe: the
+//!   Section-4 framework (Algorithm 1) instantiated with MinHaarSpace.
 //! * [`mod@dindirect_haar`] — DIndirectHaar, binary search over DMHaarSpace
 //!   probes (Algorithm 2).
 //! * [`conventional`] — the parallel conventional-synopsis baselines of
@@ -19,13 +19,15 @@
 //! | Module                 | Role |
 //! |------------------------|------|
 //! | [`partition`]          | Locality-preserving error-tree partitioning: base partitions and [`LayerPlan`] |
+//! | `layered` (private)    | The one layered DP driver: validation via [`LayerPlan`], the `-layer0` / `-layer-up` / `-extract` / `-extract-base` jobs, hand-offs, global node ids |
+//! | `eval` (private)       | The `eval-max-abs` / `eval-max-rel` evaluation job |
 //! | [`splits`]             | Typed split payloads shipped to map tasks across all algorithms |
 //! | [`mod@dgreedy_abs`]    | DGreedyAbs: distributed greedy, max-abs error (Algorithms 3-4) |
 //! | [`mod@dgreedy_rel`]    | DGreedyRel: relative-error variant (Algorithms 5-6) |
-//! | [`mod@dmin_haar_space`]| DMHaarSpace: distributed quantized DP probe (Algorithm 1) |
+//! | [`mod@dmin_haar_space`]| DMHaarSpace: the framework's MinHaarSpace instance (Algorithm 1's probe) |
 //! | [`mod@dindirect_haar`] | DIndirectHaar: binary search over DMHaarSpace probes (Algorithm 2) |
-//! | [`mod@dhaar_plus`]     | DHaarPlus: the Haar+ tree variant of the layered framework |
-//! | [`mod@dmin_rel_var`]   | DMinRelVar: relative-variance DP on the layered framework |
+//! | [`mod@dhaar_plus`]     | DHaarPlus: the framework's Haar+ instance |
+//! | [`mod@dmin_rel_var`]   | DMinRelVar: the framework's MinRelVar instance |
 //! | [`conventional`]       | Appendix-A baselines: CON, Send-V, Send-Coef(-combined), H-WTopk |
 //! | [`progressive`]        | Streaming windows, incremental CON/DGreedyAbs maintenance, phased serving driver |
 //! | [`query`]              | Bounded point/range-sum query API: every answer carries its error guarantee |
@@ -39,6 +41,8 @@ pub mod dindirect_haar;
 pub mod dmin_haar_space;
 pub mod dmin_rel_var;
 pub mod error;
+mod eval;
+mod layered;
 pub mod partition;
 pub mod progressive;
 pub mod query;

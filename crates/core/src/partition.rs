@@ -22,6 +22,15 @@
 use dwmaxerr_wavelet::tree::TreeTopology;
 use dwmaxerr_wavelet::WaveletError;
 
+/// Heap self-similarity: the global id of the node at heap position
+/// `local` (`1` = its own root) of the sub-tree rooted at global node
+/// `root` — a base sub-tree or one of the layered framework's mini-trees.
+#[inline]
+pub(crate) fn heap_descendant(root: u64, local: usize) -> u64 {
+    let depth = local.ilog2();
+    (root << depth) + (local as u64 - (1u64 << depth))
+}
+
 /// The root/base split of an `n`-leaf error tree with base sub-trees of
 /// `s` leaves each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +97,7 @@ impl BasePartition {
     #[inline]
     pub fn local_to_global(&self, j: usize, local: usize) -> usize {
         debug_assert!(local >= 1 && local < self.s);
-        let depth = usize::BITS - 1 - local.leading_zeros();
-        (self.base_root(j) << depth) + (local - (1usize << depth))
+        heap_descendant(self.base_root(j) as u64, local) as usize
     }
 
     /// Maps a global node id inside base sub-tree `j` back to its local id.

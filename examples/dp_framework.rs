@@ -1,5 +1,6 @@
-//! The Section-4 framework's generality: one partitioning scheme, two DP
-//! families.
+//! The Section-4 framework's generality: one driver (`core::layered` —
+//! Algorithm 1 plus the top-down extraction pass), two of its three DP
+//! instances.
 //!
 //! Runs the same layered MapReduce decomposition over (a) MinHaarSpace
 //! (the dual Problem 2, `O(ε/δ)` rows) and (b) MinRelVar (the

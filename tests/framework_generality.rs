@@ -133,3 +133,99 @@ fn budget_edges_on_nyct() {
     assert!(tiny.synopsis.size() <= 2);
     assert!(tiny.error.is_finite());
 }
+
+/// Degenerate shapes through all four entry points of the framework: every
+/// `(n, base_leaves, fan_in)` either answers exactly as the centralized
+/// solver does or is refused with a typed error — never a panic. (At
+/// `n = 1` all four used to panic in `clamp(2, n)`.)
+#[test]
+fn degenerate_shapes_match_the_centralized_solvers_or_fail_typed() {
+    use dwmaxerr::algos::haar_plus::haar_plus_min_space;
+    use dwmaxerr::algos::indirect_haar::indirect_haar_centralized;
+    use dwmaxerr::algos::min_haar_space::min_haar_space;
+    use dwmaxerr::algos::min_rel_var::min_rel_var;
+    use dwmaxerr::core::CoreError;
+
+    fn refused<T: std::fmt::Debug>(r: Result<T, CoreError>, tag: &str) {
+        assert!(
+            matches!(r, Err(CoreError::Wavelet(_) | CoreError::Protocol(_))),
+            "{tag}: expected a typed shape error, got {r:?}"
+        );
+    }
+
+    let c = cluster();
+    let values = [5.0, 1.0, 7.5, 3.0, 9.0, 2.0];
+    let params = MhsParams::new(1.0, 0.5).unwrap();
+    let (mrv, seed, b) = (MrvParams::new(2, 1.0).unwrap(), 3, 2);
+    for n in [0usize, 1, 2, 4, 6] {
+        let data = &values[..n];
+        for base_leaves in [0, 1, 3, n, 2 * n] {
+            for fan_in in [0usize, 1, 3, 64] {
+                let tag = format!("n={n} base_leaves={base_leaves} fan_in={fan_in}");
+                let probe = DmhsConfig {
+                    base_leaves,
+                    fan_in,
+                };
+                let mhs = dmin_haar_space(&c, data, &params, &probe);
+                let hp = dhaar_plus(
+                    &c,
+                    data,
+                    &params,
+                    &DhpConfig {
+                        base_leaves,
+                        fan_in,
+                    },
+                );
+                let rv = dmin_rel_var(
+                    &c,
+                    data,
+                    b,
+                    &DmrvConfig {
+                        base_leaves,
+                        fan_in,
+                        params: mrv,
+                        seed,
+                    },
+                );
+                let dih_cfg = DIndirectHaarConfig { delta: 0.5, probe };
+                let dih = dindirect_haar(&c, data, b, &dih_cfg);
+
+                // One value is answered whatever the shape; a tree needs
+                // power-of-two `n`, clamped `base_leaves` and `fan_in`.
+                let answered = n == 1
+                    || (n.is_power_of_two()
+                        && base_leaves.clamp(2, n).is_power_of_two()
+                        && fan_in.max(2).is_power_of_two());
+                if !answered {
+                    refused(mhs, &tag);
+                    refused(hp, &tag);
+                    refused(rv, &tag);
+                    refused(dih, &tag);
+                    continue;
+                }
+                let (mhs, hp, rv, dih) = (mhs.unwrap(), hp.unwrap(), rv.unwrap(), dih.unwrap());
+                assert_eq!(
+                    mhs.size,
+                    min_haar_space(data, &params).unwrap().size,
+                    "{tag}"
+                );
+                assert_eq!(
+                    hp.size,
+                    haar_plus_min_space(data, &params).unwrap().size,
+                    "{tag}"
+                );
+                let central = min_rel_var(data, b, &mrv, seed).unwrap();
+                assert!((rv.nse_bound - central.nse_bound).abs() < 1e-9, "{tag}");
+                // The two searches start from different bounds (Algorithm 2
+                // lines 1-2 are computed distributedly): one quantum of slack.
+                let central = indirect_haar_centralized(data, b, 0.5).unwrap();
+                assert!(dih.synopsis.size() <= b, "{tag}");
+                assert!((dih.error - central.error).abs() <= 0.5 + 1e-9, "{tag}");
+                if n == 1 {
+                    assert_eq!(mhs.metrics.job_count(), 0, "{tag}: one value runs no job");
+                    assert_eq!(dih.error, central.error, "{tag}");
+                }
+            }
+        }
+    }
+}

@@ -10,7 +10,9 @@
 //! * the FNV-1a digest over the synopsis entry bytes is unchanged,
 //! * the executed job-name sequence is unchanged (same stages, same order),
 //! * both still hold under an injected [`FaultPlan`] (deterministic
-//!   recovery), and
+//!   recovery),
+//! * the three DP families' row exchange — records per job, bottom-up
+//!   bytes — is unchanged ([`DP_ROW_EXCHANGE`]), and
 //! * [`DriverMetrics::per_stage`] partitions the job ledger exactly.
 
 use dwmaxerr::algos::min_haar_space::MhsParams;
@@ -66,6 +68,19 @@ const GOLDENS: &[(&str, u64, &str)] = &[
         0x328506b2097b1244,
         "hwtopk-round1,hwtopk-round2,hwtopk-round3",
     ),
+];
+
+/// Eq. 6's quantity, golden rather than only measured by the
+/// `dp_communication` ablation: per DP family, the `shuffle_records` of
+/// every job of its chain and the `shuffle_bytes` of the bottom-up row
+/// exchange (`-layer0`, then the two `-layer-up` jobs), captured on the
+/// golden workload before the three drivers were folded into
+/// `core::layered` — but for DHaarPlus's layer 0, whose eight records lost
+/// a one-byte failure flag there (18,856 B before).
+const DP_ROW_EXCHANGE: &[(&str, &[u64], [u64; 3])] = &[
+    ("dmin_haar_space", &[8, 2, 1, 2, 8, 0, 8], [6424, 1600, 800]),
+    ("dmin_rel_var", &[8, 2, 1, 2, 11, 12], [3920, 964, 482]),
+    ("dhaar_plus", &[8, 2, 1, 2, 8, 0], [18848, 4820, 2416]),
 ];
 
 /// One full DMHaarSpace chain on the golden workload (two merge layers,
@@ -286,6 +301,21 @@ fn assert_matches_goldens(results: &[(&'static str, u64, String, DriverMetrics)]
 #[test]
 fn pipelines_reproduce_seed_synopses_bit_identically() {
     assert_matches_goldens(&run_all(None), "clean");
+}
+
+#[test]
+fn dp_row_exchange_is_golden() {
+    let results = run_all(None);
+    for (name, records, row_bytes) in DP_ROW_EXCHANGE {
+        let (_, _, _, metrics) = results
+            .iter()
+            .find(|(n, ..)| n == name)
+            .expect("a golden row per DP family");
+        let got: Vec<u64> = metrics.jobs.iter().map(|j| j.shuffle_records).collect();
+        assert_eq!(&got, records, "{name}: per-job shuffle_records moved");
+        let bytes: Vec<u64> = metrics.jobs[..3].iter().map(|j| j.shuffle_bytes).collect();
+        assert_eq!(bytes, row_bytes, "{name}: bottom-up row bytes moved");
+    }
 }
 
 #[test]
