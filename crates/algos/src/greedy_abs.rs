@@ -11,19 +11,23 @@
 //! MA_k = max(|max_l - c_k|, |min_l - c_k|, |max_r + c_k|, |min_r + c_k|)
 //! ```
 //!
-//! The algorithm keeps all coefficients in an indexed min-heap by `MA_k`,
-//! repeatedly discards the minimum, updates descendant/ancestor extrema and
-//! re-keys them, and — since max-abs is not monotone in the number of
-//! removals — keeps discarding *past* the budget `B`, finally choosing the
-//! best of the last `B+1` states.
+//! The algorithm repeatedly discards the coefficient with the smallest
+//! `MA_k`, updates descendant/ancestor extrema and — since max-abs is not
+//! monotone in the number of removals — keeps discarding *past* the budget
+//! `B`, finally choosing the best of the last `B+1` states.
+//!
+//! There is no separate priority queue: the error tree is its own
+//! tournament. Every node carries `best`, the smallest `(MA, id)` among
+//! the retained nodes of its sub-tree, so the next discard is read off the
+//! root, and the two walks a discard already makes — down the discarded
+//! node's sub-tree to shift extrema, up its ancestor path to recompute
+//! them — refresh `best` along the way (DESIGN.md §3.2).
 //!
 //! The same engine runs on a full error tree (with the average coefficient
 //! `c_0`) or on a *base sub-tree* with a uniform incoming error `e_in`
 //! (Section 5.2), which is what DGreedyAbs's level-1 workers execute.
 
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
-
-use crate::heap::IndexedMinHeap;
 
 /// One step of the greedy removal sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,6 +39,83 @@ pub struct Removal {
     pub error_after: f64,
 }
 
+/// A node's bid to be discarded next, ordered by `(|key|.to_bits(), id)`.
+///
+/// `MA` and `MR` are maxima of absolute values, so only the magnitude of a
+/// key means anything (`new` clears the sign bit, which at most turns a
+/// `-0.0` into `0.0`), and the bit pattern of a magnitude orders exactly
+/// like its value on finite keys and `+∞` — the `(f64, id)` order of a
+/// heap, ties on the smaller id. A NaN key sorts after `+∞` instead of
+/// poisoning comparisons, and [`Candidate::NONE`] sorts after every bid a
+/// node can make.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Candidate(u128);
+
+impl Candidate {
+    /// The `best` of a sub-tree with no retained node.
+    pub(crate) const NONE: Candidate = Candidate(u128::MAX);
+
+    #[inline]
+    pub(crate) fn new(key: f64, id: usize) -> Self {
+        Candidate((key.abs().to_bits() as u128) << 32 | id as u32 as u128)
+    }
+
+    #[inline]
+    pub(crate) fn id(self) -> usize {
+        self.0 as u32 as usize
+    }
+}
+
+/// One error-tree node: everything a discard reads or writes about it, so
+/// both walks touch one cache line per node.
+#[derive(Debug, Clone)]
+struct Node {
+    /// Signed-error extrema over the node's left and right leaves.
+    max_l: f64,
+    min_l: f64,
+    max_r: f64,
+    min_r: f64,
+    coeff: f64,
+    /// The smallest bid among the retained nodes of this sub-tree.
+    best: Candidate,
+    /// Retained nodes in this sub-tree, this node included.
+    live: u32,
+    retained: bool,
+}
+
+impl Node {
+    /// `MA_k` (Eq. 8).
+    #[inline]
+    fn ma(&self) -> f64 {
+        let c = self.coeff;
+        (self.max_l - c)
+            .abs()
+            .max((self.min_l - c).abs())
+            .max((self.max_r + c).abs())
+            .max((self.min_r + c).abs())
+    }
+
+    /// `(max, min)` signed error over all leaves below the node.
+    #[inline]
+    fn extrema(&self) -> (f64, f64) {
+        (self.max_l.max(self.max_r), self.min_l.min(self.min_r))
+    }
+
+    /// The sub-tree's smallest bid: the node's own, while it is retained,
+    /// against the smallest of its children's sub-trees.
+    #[inline]
+    fn best_over(&self, id: usize, best_below: Candidate) -> Candidate {
+        if self.retained {
+            best_below.min(Candidate::new(self.ma(), id))
+        } else {
+            best_below
+        }
+    }
+}
+
+// `memory::greedy_abs_bytes` charges this layout.
+const _: () = assert!(std::mem::size_of::<Node>() == 64);
+
 /// GreedyAbs state over a (sub)tree with `m` leaves.
 ///
 /// Node ids are local: id 0 is the average slot (present only in full-tree
@@ -43,18 +124,10 @@ pub struct Removal {
 #[derive(Debug, Clone)]
 pub struct GreedyAbs {
     m: usize,
-    /// `coeff\[0\]` = average (if any); `coeff[1..m]` = details.
-    coeff: Vec<f64>,
-    has_average: bool,
-    /// Signed accumulated error per leaf.
-    err: Vec<f64>,
-    /// Per-internal-node signed-error extrema over left/right leaves.
-    max_l: Vec<f64>,
-    min_l: Vec<f64>,
-    max_r: Vec<f64>,
-    min_r: Vec<f64>,
-    alive: Vec<bool>,
-    heap: IndexedMinHeap,
+    /// `nodes[0]` holds the average (its `coeff` and `retained` only);
+    /// `nodes[1..m]` are the details. A one-leaf tree has no detail, so a
+    /// discarded stand-in `nodes[1]` carries its leaf's error.
+    nodes: Vec<Node>,
 }
 
 impl GreedyAbs {
@@ -62,7 +135,7 @@ impl GreedyAbs {
     /// (`c_0` first). `coeffs.len()` must be a power of two.
     pub fn new_full(coeffs: &[f64]) -> Result<Self, WaveletError> {
         dwmaxerr_wavelet::error::ensure_pow2(coeffs.len())?;
-        Ok(Self::build(coeffs.to_vec(), true, 0.0))
+        Ok(Self::build(coeffs.iter().copied(), true, 0.0))
     }
 
     /// Builds the state for a base sub-tree: `details` holds the `m - 1`
@@ -76,33 +149,39 @@ impl GreedyAbs {
         if m < 2 {
             return Err(WaveletError::Empty);
         }
-        let mut coeff = Vec::with_capacity(m);
-        coeff.push(0.0); // unused average slot
-        coeff.extend_from_slice(details);
-        Ok(Self::build(coeff, false, incoming_err))
+        // The average slot stays unused.
+        let coeffs = std::iter::once(0.0).chain(details.iter().copied());
+        Ok(Self::build(coeffs, false, incoming_err))
     }
 
-    fn build(coeff: Vec<f64>, has_average: bool, initial_err: f64) -> Self {
-        let m = coeff.len();
-        let mut state = GreedyAbs {
-            m,
+    fn build(coeffs: impl Iterator<Item = f64>, has_average: bool, initial_err: f64) -> Self {
+        let node = |coeff, retained| Node {
+            max_l: initial_err,
+            min_l: initial_err,
+            max_r: initial_err,
+            min_r: initial_err,
             coeff,
-            has_average,
-            err: vec![initial_err; m],
-            max_l: vec![initial_err; m],
-            min_l: vec![initial_err; m],
-            max_r: vec![initial_err; m],
-            min_r: vec![initial_err; m],
-            alive: vec![false; m],
-            heap: IndexedMinHeap::with_capacity(m),
+            best: Candidate::NONE,
+            live: 0,
+            retained,
         };
-        for i in 1..m {
-            state.alive[i] = true;
-            state.heap.insert(i, state.ma(i));
+        let mut nodes: Vec<Node> = coeffs.map(|c| node(c, true)).collect();
+        let m = nodes.len();
+        nodes[0].retained = has_average;
+        if m == 1 {
+            nodes.push(node(0.0, false));
         }
-        if has_average {
-            state.alive[0] = true;
-            state.heap.insert(0, state.ma_average());
+        let mut state = GreedyAbs { m, nodes };
+        for i in (1..m).rev() {
+            let (live, best) = if 2 * i < m {
+                let (l, r) = (&state.nodes[2 * i], &state.nodes[2 * i + 1]);
+                (l.live + r.live, l.best.min(r.best))
+            } else {
+                (0, Candidate::NONE)
+            };
+            let node = &mut state.nodes[i];
+            node.live = live + 1;
+            node.best = node.best_over(i, best);
         }
         state
     }
@@ -116,168 +195,112 @@ impl GreedyAbs {
     /// Number of coefficients still retained.
     #[inline]
     pub fn retained(&self) -> usize {
-        self.heap.len()
+        self.nodes[1].live as usize + usize::from(self.nodes[0].retained)
     }
 
     /// The current running max-abs error over all leaves.
     pub fn current_error(&self) -> f64 {
-        let (gmax, gmin) = self.global_extrema();
+        let (gmax, gmin) = self.nodes[1].extrema();
         gmax.abs().max(gmin.abs())
-    }
-
-    #[inline]
-    fn global_extrema(&self) -> (f64, f64) {
-        if self.m == 1 {
-            (self.err[0], self.err[0])
-        } else {
-            (
-                self.max_l[1].max(self.max_r[1]),
-                self.min_l[1].min(self.min_r[1]),
-            )
-        }
-    }
-
-    /// `MA_k` for detail node `k` (Eq. 8).
-    #[inline]
-    fn ma(&self, k: usize) -> f64 {
-        let c = self.coeff[k];
-        (self.max_l[k] - c)
-            .abs()
-            .max((self.min_l[k] - c).abs())
-            .max((self.max_r[k] + c).abs())
-            .max((self.min_r[k] + c).abs())
     }
 
     /// `MA_0` for the average coefficient: its removal shifts every leaf by
     /// `-c_0`.
     #[inline]
     fn ma_average(&self) -> f64 {
-        let c0 = self.coeff[0];
-        let (gmax, gmin) = self.global_extrema();
+        let c0 = self.nodes[0].coeff;
+        let (gmax, gmin) = self.nodes[1].extrema();
         (gmax - c0).abs().max((gmin - c0).abs())
     }
 
-    #[inline]
-    fn level(i: usize) -> u32 {
-        usize::BITS - 1 - i.leading_zeros()
-    }
-
-    /// Leaf span `[start, start + width)` of detail node `i >= 1`.
-    #[inline]
-    fn span(&self, i: usize) -> (usize, usize) {
-        let l = Self::level(i);
-        let width = self.m >> l;
-        ((i - (1usize << l)) * width, width)
-    }
-
-    /// Shifts all four extrema of every internal node in the subtree rooted
-    /// at `start_node` by `delta`, re-keying alive nodes.
-    fn shift_internal_subtree(&mut self, start_node: usize, delta: f64) {
-        let mut start = start_node;
-        let mut count = 1;
-        while start < self.m {
-            let end = (start + count).min(self.m);
-            for i in start..end {
-                self.max_l[i] += delta;
-                self.min_l[i] += delta;
-                self.max_r[i] += delta;
-                self.min_r[i] += delta;
-                if self.alive[i] {
-                    let ma = self.ma(i);
-                    self.heap.update(i, ma);
-                }
-            }
-            start *= 2;
-            count *= 2;
+    /// Shifts the extrema of node `i` and of its descendants by `delta`,
+    /// children first, and returns the sub-tree's refreshed `best`.
+    ///
+    /// Stops below a node with `live == 0`: a node's extrema are read by
+    /// its own `MA` while it is retained and by its parent's recomputation
+    /// on the ancestor walk of a discard below that parent — and under a
+    /// sub-tree with nothing left to discard neither happens again.
+    fn shift_subtree(&mut self, i: usize, delta: f64) -> Candidate {
+        let node = &mut self.nodes[i];
+        node.max_l += delta;
+        node.min_l += delta;
+        node.max_r += delta;
+        node.min_r += delta;
+        if node.live == 0 {
+            return Candidate::NONE;
         }
+        let best_below = self.shift_children(i, delta, delta);
+        let node = &mut self.nodes[i];
+        node.best = node.best_over(i, best_below);
+        node.best
     }
 
-    /// Recomputes node `a`'s extrema from its children.
-    fn refresh_from_children(&mut self, a: usize) {
-        if 2 * a < self.m {
-            // Internal children.
-            let (l, r) = (2 * a, 2 * a + 1);
-            self.max_l[a] = self.max_l[l].max(self.max_r[l]);
-            self.min_l[a] = self.min_l[l].min(self.min_r[l]);
-            self.max_r[a] = self.max_l[r].max(self.max_r[r]);
-            self.min_r[a] = self.min_l[r].min(self.min_r[r]);
-        } else {
-            // Leaf children.
-            let (start, _) = self.span(a);
-            self.max_l[a] = self.err[start];
-            self.min_l[a] = self.err[start];
-            self.max_r[a] = self.err[start + 1];
-            self.min_r[a] = self.err[start + 1];
+    /// Shifts the sub-trees of `i`'s left and right child and returns the
+    /// smaller of their refreshed `best`s (`NONE` on the bottom level,
+    /// whose children are leaves).
+    #[inline]
+    fn shift_children(&mut self, i: usize, delta_l: f64, delta_r: f64) -> Candidate {
+        if 2 * i >= self.m {
+            return Candidate::NONE;
         }
+        let left = self.shift_subtree(2 * i, delta_l);
+        left.min(self.shift_subtree(2 * i + 1, delta_r))
     }
 
-    /// Discards detail node `k`, updating errors, extrema and heap keys.
+    /// Discards detail node `k`, updating extrema, `live` and `best` on
+    /// its sub-tree and on its ancestor path.
     fn discard_detail(&mut self, k: usize) {
-        let c = self.coeff[k];
-        self.alive[k] = false;
-        let (start, width) = self.span(k);
-        let mid = start + width / 2;
-        for j in start..mid {
-            self.err[j] -= c;
-        }
-        for j in mid..start + width {
-            self.err[j] += c;
-        }
-        if 2 * k < self.m {
-            self.shift_internal_subtree(2 * k, -c);
-            self.shift_internal_subtree(2 * k + 1, c);
-        }
-        // k's own extrema shift by side (dead, but ancestors read them).
-        self.max_l[k] -= c;
-        self.min_l[k] -= c;
-        self.max_r[k] += c;
-        self.min_r[k] += c;
-        // Ancestors: recompute extrema bottom-up and re-key alive ones.
+        let c = self.nodes[k].coeff;
+        let best_below = self.shift_children(k, -c, c);
+        let node = &mut self.nodes[k];
+        // k's own extrema shift by side (discarded, but ancestors read them).
+        node.max_l -= c;
+        node.min_l -= c;
+        node.max_r += c;
+        node.min_r += c;
+        node.retained = false;
+        node.live -= 1;
+        node.best = best_below;
+        // Ancestors: recompute extrema and `best` from the two children.
         let mut a = k / 2;
         while a >= 1 {
-            self.refresh_from_children(a);
-            if self.alive[a] {
-                let ma = self.ma(a);
-                self.heap.update(a, ma);
-            }
+            let (l, r) = (&self.nodes[2 * a], &self.nodes[2 * a + 1]);
+            let ((max_l, min_l), (max_r, min_r)) = (l.extrema(), r.extrema());
+            let best_below = l.best.min(r.best);
+            let node = &mut self.nodes[a];
+            node.max_l = max_l;
+            node.min_l = min_l;
+            node.max_r = max_r;
+            node.min_r = min_r;
+            node.live -= 1;
+            node.best = node.best_over(a, best_below);
             a /= 2;
-        }
-        if self.has_average && self.alive[0] {
-            let ma0 = self.ma_average();
-            self.heap.update(0, ma0);
         }
     }
 
     /// Discards the average coefficient: every leaf shifts by `-c_0`.
     fn discard_average(&mut self) {
-        let c0 = self.coeff[0];
-        self.alive[0] = false;
-        for e in &mut self.err {
-            *e -= c0;
-        }
-        for i in 1..self.m {
-            self.max_l[i] -= c0;
-            self.min_l[i] -= c0;
-            self.max_r[i] -= c0;
-            self.min_r[i] -= c0;
-            if self.alive[i] {
-                let ma = self.ma(i);
-                self.heap.update(i, ma);
-            }
-        }
+        self.nodes[0].retained = false;
+        self.shift_subtree(1, -self.nodes[0].coeff);
     }
 
     /// Discards the node with the smallest `MA` and returns the removal
     /// record, or `None` when every coefficient is gone.
     pub fn step(&mut self) -> Option<Removal> {
-        let (k, _ma) = self.heap.pop()?;
-        if k == 0 {
+        let mut next = self.nodes[1].best;
+        if self.nodes[0].retained {
+            next = next.min(Candidate::new(self.ma_average(), 0));
+        }
+        if next == Candidate::NONE {
+            return None;
+        }
+        if next.id() == 0 {
             self.discard_average();
         } else {
-            self.discard_detail(k);
+            self.discard_detail(next.id());
         }
         Some(Removal {
-            node: k as u32,
+            node: next.id() as u32,
             error_after: self.current_error(),
         })
     }
@@ -285,7 +308,7 @@ impl GreedyAbs {
     /// Runs the greedy loop until no coefficient remains, returning the
     /// complete removal sequence (the ordered list `L_j` of Section 5.2).
     pub fn run_to_empty(&mut self) -> Vec<Removal> {
-        let mut out = Vec::with_capacity(self.heap.len());
+        let mut out = Vec::with_capacity(self.retained());
         while let Some(r) = self.step() {
             out.push(r);
         }

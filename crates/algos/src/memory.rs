@@ -10,20 +10,20 @@
 //! reproduce those OOM boundaries deterministically instead of actually
 //! exhausting the host.
 //!
-//! The estimates count the dominant data structures only (arrays, heaps,
-//! DP rows, shuffle buffers); constants are derived from the concrete
+//! The estimates count the dominant data structures only (arrays, error
+//! trees, DP rows, shuffle buffers); constants are derived from the concrete
 //! Rust layouts in this workspace.
 
-/// Peak bytes for a full GreedyAbs run over `n` coefficients: the
-/// coefficient array, per-leaf errors, four extrema arrays, liveness, the
-/// indexed heap (positions + heap + keys) and the removal trace.
+/// Peak bytes for a full GreedyAbs run over `n` coefficients: one 64-byte
+/// error-tree node per coefficient (four extrema, the coefficient, the
+/// sub-tree's smallest `(MA, id)`, its retained count and the node's own
+/// flag — the tree is its own priority queue) and the 16-byte entry the
+/// node leaves in the removal trace.
 pub fn greedy_abs_bytes(n: usize) -> u64 {
-    let n = n as u64;
-    // coeff 8 + err 8 + extrema 32 + alive 1 + heap (4+4+8) + trace 16.
-    n * (8 + 8 + 32 + 1 + 16 + 16)
+    (n as u64) * (64 + 16)
 }
 
-/// Peak bytes for GreedyRel: GreedyAbs's skeleton plus envelopes. On
+/// Peak bytes for GreedyRel: GreedyAbs's tournament plus envelopes. On
 /// realistic data hull sizes are small; we charge an average of
 /// `avg_hull_lines` 16-byte lines per internal node plus per-leaf
 /// denominators.
@@ -102,6 +102,9 @@ mod tests {
         let one_gib = GIB;
         assert!(greedy_abs_bytes(1 << 20) < one_gib);
         assert!(greedy_rel_bytes(1 << 24, 8) > one_gib);
+        // The largest power-of-two sub-tree a default 1 GiB task admits.
+        assert!(greedy_abs_bytes(1 << 23) <= one_gib);
+        assert!(greedy_abs_bytes(1 << 24) > one_gib);
     }
 
     #[test]
