@@ -352,10 +352,22 @@ pub fn greedy_abs_synopsis(coeffs: &[f64], b: usize) -> Result<(Synopsis, f64), 
     let mut state = GreedyAbs::new_full(coeffs)?;
     let trace = state.run_to_empty();
     let (t, err) = best_prefix(&trace, n, b);
-    let removed: std::collections::HashSet<u32> = trace[..t].iter().map(|r| r.node).collect();
-    let retained: Vec<u32> = (0..n as u32).filter(|i| !removed.contains(i)).collect();
-    let synopsis = Synopsis::retain_indices(coeffs, &retained)?;
-    Ok((synopsis, err))
+    Ok((synopsis_without(coeffs, &trace[..t])?, err))
+}
+
+/// The synopsis that keeps every coefficient but the `removed` ones.
+pub(crate) fn synopsis_without(
+    coeffs: &[f64],
+    removed: &[Removal],
+) -> Result<Synopsis, WaveletError> {
+    let mut keep = vec![true; coeffs.len()];
+    for r in removed {
+        keep[r.node as usize] = false;
+    }
+    let retained: Vec<u32> = (0..coeffs.len() as u32)
+        .filter(|&i| keep[i as usize])
+        .collect();
+    Synopsis::retain_indices(coeffs, &retained)
 }
 
 #[cfg(test)]

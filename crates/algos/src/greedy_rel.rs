@@ -19,11 +19,15 @@
 //! hull lines, keeping envelopes far smaller than leaf counts in practice
 //! — this is why GreedyRel, like GreedyAbs, behaves near-linearly despite
 //! a super-linear worst case.
+//!
+//! The next discard is read off the same tournament as in
+//! [`crate::greedy_abs`]: every node keeps the smallest `(MR, id)` of its
+//! sub-tree, refreshed children first on the way down a shifted sub-tree
+//! and on the ancestor walk that re-merges the envelopes.
 
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
-use crate::greedy_abs::Removal;
-use crate::heap::IndexedMinHeap;
+use crate::greedy_abs::{best_prefix, synopsis_without, Candidate, Removal};
 
 /// A line `y = slope * x + icept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +53,11 @@ struct Envelope {
 impl Envelope {
     /// Builds the envelope from lines (need not be sorted).
     fn build(mut lines: Vec<Line>) -> Self {
+        // Total order: non-finite data must not panic the sort.
         lines.sort_unstable_by(|a, b| {
             a.slope
-                .partial_cmp(&b.slope)
-                .expect("finite slopes")
-                .then(a.icept.partial_cmp(&b.icept).expect("finite intercepts"))
+                .total_cmp(&b.slope)
+                .then(a.icept.total_cmp(&b.icept))
         });
         Self::from_sorted(lines.into_iter())
     }
@@ -142,7 +146,6 @@ impl Envelope {
 pub struct GreedyRel {
     m: usize,
     coeff: Vec<f64>,
-    has_average: bool,
     /// Signed accumulated error per leaf.
     err: Vec<f64>,
     /// Per-leaf denominator `max(|d_j|, sanity)`.
@@ -150,7 +153,11 @@ pub struct GreedyRel {
     /// Upper envelope per internal node (index 0 unused).
     env: Vec<Envelope>,
     alive: Vec<bool>,
-    heap: IndexedMinHeap,
+    /// Retained nodes per sub-tree, its root included.
+    live: Vec<u32>,
+    /// The smallest `(MR, id)` among the retained nodes of each sub-tree:
+    /// the tournament of [`crate::greedy_abs`], kept beside the envelopes.
+    best: Vec<Candidate>,
 }
 
 impl GreedyRel {
@@ -197,38 +204,32 @@ impl GreedyRel {
     ) -> Self {
         let m = coeff.len();
         let denom: Vec<f64> = data.iter().map(|d| d.abs().max(sanity)).collect();
+        // A one-leaf tree has no detail node: a discarded stand-in root
+        // carries its leaf's envelope.
+        let slots = m.max(2);
         let mut state = GreedyRel {
             m,
             coeff,
-            has_average,
             err: vec![initial_err; m],
             denom,
-            env: vec![Envelope::default(); m],
-            alive: vec![false; m],
-            heap: IndexedMinHeap::with_capacity(m),
+            env: vec![Envelope::default(); slots],
+            alive: vec![false; slots],
+            live: vec![0; slots],
+            best: vec![Candidate::NONE; slots],
         };
-        // Build envelopes bottom-up.
+        state.alive[0] = has_average;
+        if m == 1 {
+            state.env[1] = Envelope::build(state.leaf_lines(0).to_vec());
+        }
+        // Build envelopes and the tournament bottom-up.
         for i in (1..m).rev() {
-            state.env[i] = if 2 * i < m {
-                Envelope::merge(&state.env[2 * i], &state.env[2 * i + 1])
-            } else {
-                let (start, _) = state.span(i);
-                let mut lines = Vec::with_capacity(4);
-                for j in [start, start + 1] {
-                    lines.extend(state.leaf_lines(j));
-                }
-                Envelope::build(lines)
-            };
-        }
-        for i in 1..m {
+            state.rebuild_env(i);
             state.alive[i] = true;
-            let mr = state.mr(i);
-            state.heap.insert(i, mr);
-        }
-        if has_average {
-            state.alive[0] = true;
-            let mr0 = state.mr_average();
-            state.heap.insert(0, mr0);
+            state.live[i] = 1;
+            if 2 * i < m {
+                state.live[i] += state.live[2 * i] + state.live[2 * i + 1];
+            }
+            state.refresh_best(i);
         }
         state
     }
@@ -288,15 +289,12 @@ impl GreedyRel {
 
     /// The current running maximum relative error.
     pub fn current_error(&self) -> f64 {
-        if self.m == 1 {
-            return self.err[0].abs() / self.denom[0];
-        }
         self.env[1].eval(0.0)
     }
 
     /// Number of coefficients still retained.
     pub fn retained(&self) -> usize {
-        self.heap.len()
+        self.live[1] as usize + usize::from(self.alive[0])
     }
 
     /// Total hull lines across all envelopes (exposed for tests/benches:
@@ -305,30 +303,42 @@ impl GreedyRel {
         self.env.iter().map(Envelope::len).sum()
     }
 
-    /// Shifts the errors and envelopes of the whole subtree rooted at
-    /// `node` by `delta`, re-keying alive nodes.
-    fn shift_subtree(&mut self, node: usize, delta: f64) {
-        if node >= self.m {
-            return;
+    /// Shifts the errors and envelopes of the subtree rooted at `node` by
+    /// `delta` and returns the sub-tree's refreshed `best`.
+    ///
+    /// Children first: `mr(i)` evaluates the *children's* envelopes, so
+    /// they must already describe the shifted state. Stops below a node
+    /// with `live == 0`, whose envelope its parent still merges but under
+    /// which nothing is keyed, merged or discarded again.
+    fn shift_subtree(&mut self, node: usize, delta: f64) -> Candidate {
+        self.env[node].shift(delta);
+        if self.live[node] == 0 {
+            return Candidate::NONE;
         }
-        let (start, width) = self.span(node);
-        for j in start..start + width {
-            self.err[j] += delta;
+        if 2 * node < self.m {
+            self.shift_subtree(2 * node, delta);
+            self.shift_subtree(2 * node + 1, delta);
+        } else {
+            let (start, _) = self.span(node);
+            self.err[start] += delta;
+            self.err[start + 1] += delta;
         }
-        let mut lvl_start = node;
-        let mut count = 1;
-        while lvl_start < self.m {
-            let end = (lvl_start + count).min(self.m);
-            for i in lvl_start..end {
-                self.env[i].shift(delta);
-                if self.alive[i] {
-                    let mr = self.mr(i);
-                    self.heap.update(i, mr);
-                }
-            }
-            lvl_start *= 2;
-            count *= 2;
+        self.refresh_best(node)
+    }
+
+    /// Recomputes `best[i]` from node `i`'s own `MR`, while it is retained,
+    /// and its children's `best`s.
+    fn refresh_best(&mut self, i: usize) -> Candidate {
+        let mut best = if self.alive[i] {
+            Candidate::new(self.mr(i), i)
+        } else {
+            Candidate::NONE
+        };
+        if 2 * i < self.m {
+            best = best.min(self.best[2 * i]).min(self.best[2 * i + 1]);
         }
+        self.best[i] = best;
+        best
     }
 
     /// Rebuilds node `i`'s envelope from its children.
@@ -355,36 +365,32 @@ impl GreedyRel {
             self.err[start] -= c;
             self.err[start + 1] += c;
         }
-        // Re-merge k and its ancestors from updated children.
-        self.rebuild_env(k);
-        let mut a = k / 2;
+        // Re-merge k and its ancestors from updated children, refreshing
+        // the tournament on the same walk.
+        let mut a = k;
         while a >= 1 {
             self.rebuild_env(a);
-            if self.alive[a] {
-                let mr = self.mr(a);
-                self.heap.update(a, mr);
-            }
+            self.live[a] -= 1;
+            self.refresh_best(a);
             a /= 2;
-        }
-        if self.has_average && self.alive[0] {
-            let mr0 = self.mr_average();
-            self.heap.update(0, mr0);
         }
     }
 
     fn discard_average(&mut self) {
-        let c0 = self.coeff[0];
         self.alive[0] = false;
-        if self.m == 1 {
-            self.err[0] -= c0;
-            return;
-        }
-        self.shift_subtree(1, -c0);
+        self.shift_subtree(1, -self.coeff[0]);
     }
 
     /// Discards the node with the smallest `MR`.
     pub fn step(&mut self) -> Option<Removal> {
-        let (k, _mr) = self.heap.pop()?;
+        let mut next = self.best[1];
+        if self.alive[0] {
+            next = next.min(Candidate::new(self.mr_average(), 0));
+        }
+        if next == Candidate::NONE {
+            return None;
+        }
+        let k = next.id();
         if k == 0 {
             self.discard_average();
         } else {
@@ -398,7 +404,7 @@ impl GreedyRel {
 
     /// Runs until no coefficient remains, returning the removal sequence.
     pub fn run_to_empty(&mut self) -> Vec<Removal> {
-        let mut out = Vec::with_capacity(self.heap.len());
+        let mut out = Vec::with_capacity(self.retained());
         while let Some(r) = self.step() {
             out.push(r);
         }
@@ -417,11 +423,8 @@ pub fn greedy_rel_synopsis(
     let n = coeffs.len();
     let mut state = GreedyRel::new_full(coeffs, data, sanity)?;
     let trace = state.run_to_empty();
-    let (t, err) = crate::greedy_abs::best_prefix(&trace, n, b);
-    let removed: std::collections::HashSet<u32> = trace[..t].iter().map(|r| r.node).collect();
-    let retained: Vec<u32> = (0..n as u32).filter(|i| !removed.contains(i)).collect();
-    let synopsis = Synopsis::retain_indices(coeffs, &retained)?;
-    Ok((synopsis, err))
+    let (t, err) = best_prefix(&trace, n, b);
+    Ok((synopsis_without(coeffs, &trace[..t])?, err))
 }
 
 #[cfg(test)]
@@ -582,6 +585,24 @@ mod tests {
         assert_eq!(r.node, 1);
         // After removal: err = [1-4, 1+4] = [-3, 5]; rel = max(0.3, 2.5).
         assert!((r.error_after - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_coefficient_tree() {
+        // Only the average: MR_0 = |err_0 - c_0| / m_0 = 5 / 5.
+        let mut g = GreedyRel::new_full(&[5.0], &[5.0], 1.0).unwrap();
+        assert_eq!(g.retained(), 1);
+        assert_eq!(g.current_error(), 0.0);
+        let r = g.step().unwrap();
+        assert_eq!(r.node, 0);
+        assert!((r.error_after - 1.0).abs() < 1e-12);
+        assert!(g.step().is_none());
+
+        let (kept, err) = greedy_rel_synopsis(&[5.0], &[5.0], 1, 1.0).unwrap();
+        assert_eq!((kept.size(), err), (1, 0.0));
+        let (dropped, err) = greedy_rel_synopsis(&[5.0], &[5.0], 0, 1.0).unwrap();
+        assert_eq!(dropped.size(), 0);
+        assert!((err - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -26,20 +26,18 @@
 //! | Module                | Role |
 //! |-----------------------|------|
 //! | [`conventional`]      | Linear-time L2-optimal thresholding (Section 2.3) |
-//! | [`greedy_abs`]        | GreedyAbs engine over sub-trees with incoming context |
-//! | [`greedy_rel`]        | GreedyRel: relative-error greedy with sanity bound |
+//! | [`greedy_abs`]        | GreedyAbs engine over sub-trees with incoming context; the error tree is its own priority queue |
+//! | [`greedy_rel`]        | GreedyRel: relative-error greedy with sanity bound, same sub-tree minima |
 //! | [`mod@min_haar_space`]| MinHaarSpace quantized DP rows and combiner |
 //! | [`mod@indirect_haar`] | IndirectHaar: binary search over MinHaarSpace probes |
 //! | [`haar_plus`]         | Haar+ tree DP (MinHaarSpace/IndirectHaar on Haar+) |
 //! | [`mod@min_rel_var`]   | MinRelVar: relative-variance DP |
-//! | [`heap`]              | The lazy max-heap shared by the greedy engines |
 //! | [`memory`]            | Working-set accounting used for task memory estimates |
 
 pub mod conventional;
 pub mod greedy_abs;
 pub mod greedy_rel;
 pub mod haar_plus;
-pub mod heap;
 pub mod indirect_haar;
 pub mod memory;
 pub mod min_haar_space;
