@@ -38,9 +38,11 @@ const GOLDENS: &[(&str, u64, &str)] = &[
         0x9cd78121061a16d6,
         "dgreedyabs-averages,dgreedyabs-errhist,dgreedyabs-synopsis",
     ),
+    // Not the seed's digest (0x96152d5454b8b41c): that one recorded
+    // GreedyRel discarding by stale `MR` keys; this is the arg-min's.
     (
         "dgreedy_rel",
-        0x96152d5454b8b41c,
+        0xb70da7aed7b443fe,
         "dgreedyrel-averages,dgreedyrel-errhist,dgreedyrel-synopsis,eval-max-rel",
     ),
     ("dmin_haar_space", 0x5522dada1daf9f24, MHS_CHAIN),
