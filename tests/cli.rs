@@ -108,3 +108,27 @@ fn helpful_errors() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// A one-line file is a one-coefficient tree; `greedy-rel` used to panic
+/// on it where `greedy-abs` answered.
+#[test]
+fn build_accepts_a_single_value() {
+    let data = tmp("one.csv");
+    std::fs::write(&data, "5\n").unwrap();
+    for algo in ["greedy-abs", "greedy-rel"] {
+        let syn = tmp(&format!("one-{algo}.csv"));
+        let out = dwm()
+            .args(["build", "--input", data.to_str().unwrap()])
+            .args(["--budget", "1", "--algo", algo])
+            .args(["--out", syn.to_str().unwrap()])
+            .output()
+            .expect("build runs");
+        assert!(
+            out.status.success(),
+            "{algo}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let _ = std::fs::remove_file(&syn);
+    }
+    let _ = std::fs::remove_file(&data);
+}

@@ -241,3 +241,58 @@ fn degenerate_shapes() {
         "a spike needs log N + 1 = 7 <= 8 coefficients: {err}"
     );
 }
+
+/// The DGreedyAbs / DGreedyRel rows of the input-edge table: every
+/// `(data, B)` gets a synopsis within its budget or a typed refusal — never
+/// a panic or a hang. `n <= base_leaves` (one base sub-tree, a one-coefficient
+/// root) is the default configuration's common case on small inputs;
+/// DGreedyRel used to panic there on the driver thread.
+#[test]
+fn greedy_drivers_survive_edge_inputs() {
+    let c = cluster();
+    let tiny = f64::MIN_POSITIVE / 4.0;
+    let mut spiked = vec![1.0; 16];
+    spiked[5] = f64::NAN;
+    let mut unbounded = vec![2.0; 16];
+    unbounded[3] = f64::INFINITY;
+    unbounded[12] = f64::NEG_INFINITY;
+    let inputs: Vec<Vec<f64>> = vec![
+        vec![],
+        vec![5.0],
+        vec![3.0, -3.0],
+        vec![1.0, 2.0, 3.0],
+        vec![7.5; 16],
+        (0..64).map(|i| ((i * 37) % 23) as f64).collect(),
+        spiked,
+        unbounded,
+        vec![tiny, -tiny, 0.0, 2.0 * tiny, tiny, tiny, -tiny, 0.0],
+    ];
+    for data in &inputs {
+        let n = data.len();
+        // The only refusal is of the shape: a tree needs 2^k >= 2 values.
+        let shape_ok = n >= 2 && n.is_power_of_two();
+        for b in [0, 1, n, n + 3] {
+            for base_leaves in [4, 1 << 12] {
+                let abs_cfg = DGreedyAbsConfig {
+                    base_leaves,
+                    ..DGreedyAbsConfig::default()
+                };
+                let rel_cfg = DGreedyRelConfig {
+                    base_leaves,
+                    ..DGreedyRelConfig::default()
+                };
+                let sizes = [
+                    dgreedy_abs(&c, data, b, &abs_cfg).map(|d| d.synopsis.size()),
+                    dgreedy_rel(&c, data, b, &rel_cfg).map(|d| d.synopsis.size()),
+                ];
+                for (algo, size) in ["dgreedy_abs", "dgreedy_rel"].iter().zip(sizes) {
+                    let tag = format!("{algo} b={b} base_leaves={base_leaves} data={data:?}");
+                    match size {
+                        Ok(size) => assert!(shape_ok && size <= b, "{tag}: size {size}"),
+                        Err(e) => assert!(!shape_ok, "{tag}: {e}"),
+                    }
+                }
+            }
+        }
+    }
+}
