@@ -66,8 +66,8 @@ impl Candidate {
     }
 }
 
-/// One error-tree node: everything a discard reads or writes about it, so
-/// both walks touch one cache line per node.
+/// One error-tree node: everything a discard reads or writes about it, in
+/// 64 contiguous bytes, so both walks touch one place per node.
 #[derive(Debug, Clone)]
 struct Node {
     /// Signed-error extrema over the node's left and right leaves.
