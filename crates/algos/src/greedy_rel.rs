@@ -304,16 +304,16 @@ impl GreedyRel {
     }
 
     /// Shifts the errors and envelopes of the subtree rooted at `node` by
-    /// `delta` and returns the sub-tree's refreshed `best`.
+    /// `delta` and refreshes its `best`s.
     ///
     /// Children first: `mr(i)` evaluates the *children's* envelopes, so
     /// they must already describe the shifted state. Stops below a node
     /// with `live == 0`, whose envelope its parent still merges but under
     /// which nothing is keyed, merged or discarded again.
-    fn shift_subtree(&mut self, node: usize, delta: f64) -> Candidate {
+    fn shift_subtree(&mut self, node: usize, delta: f64) {
         self.env[node].shift(delta);
         if self.live[node] == 0 {
-            return Candidate::NONE;
+            return;
         }
         if 2 * node < self.m {
             self.shift_subtree(2 * node, delta);
@@ -323,12 +323,12 @@ impl GreedyRel {
             self.err[start] += delta;
             self.err[start + 1] += delta;
         }
-        self.refresh_best(node)
+        self.refresh_best(node);
     }
 
     /// Recomputes `best[i]` from node `i`'s own `MR`, while it is retained,
     /// and its children's `best`s.
-    fn refresh_best(&mut self, i: usize) -> Candidate {
+    fn refresh_best(&mut self, i: usize) {
         let mut best = if self.alive[i] {
             Candidate::new(self.mr(i), i)
         } else {
@@ -338,7 +338,6 @@ impl GreedyRel {
             best = best.min(self.best[2 * i]).min(self.best[2 * i + 1]);
         }
         self.best[i] = best;
-        best
     }
 
     /// Rebuilds node `i`'s envelope from its children.
