@@ -197,7 +197,10 @@ pub fn dgreedy_rel(
             let mut best_cut = f64::MIN;
             for (k, (cut, estimate)) in pairs {
                 let score = estimate * cfg.bucket_width;
-                if score < best_score {
+                // Canonical tie-break on the smaller candidate, as in
+                // DGreedyAbs: the winner must not depend on which reducer
+                // a candidate landed on.
+                if score < best_score || (score == best_score && (k as usize) < best_k) {
                     best_score = score;
                     best_k = k as usize;
                     best_cut = cut;
