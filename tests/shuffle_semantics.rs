@@ -9,10 +9,15 @@
 //!   per-reduce merge fan-in),
 //! * its traces pass [`trace::validate`].
 
+use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
+use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
+use dwmaxerr::datagen::synthetic::uniform;
+use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::reference;
 use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
 use dwmaxerr::runtime::{Cluster, ClusterConfig, JobBuilder, SpillBackend};
 use dwmaxerr::runtime::{JobOutput, MapContext, ReduceContext};
+use dwmaxerr::wavelet::Synopsis;
 
 /// Backend comes from `DWM_SPILL_BACKEND` (default memory) so a CI leg
 /// can replay the whole suite against the on-disk spill store.
@@ -235,5 +240,65 @@ fn constrained_memory_runs_externally_and_stays_bit_identical() {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, TraceEventKind::MergePass { .. })));
+    }
+}
+
+/// FNV-1a over the synopsis entry bytes (the digest of
+/// `tests/pipeline_semantics.rs`).
+fn syn_digest(s: &Synopsis) -> u64 {
+    let mut h = FnvHasher::new();
+    for &(i, v) in s.entries() {
+        h.write(&i.to_le_bytes());
+        h.write(&v.to_bits().to_le_bytes());
+    }
+    h.finish()
+}
+
+#[test]
+fn greedy_drivers_are_invariant_over_reducers_and_spill_pressure() {
+    // The errhist stage of DGreedyAbs / DGreedyRel is the one place where
+    // a driver chooses how candidates map to level-2 reducers. Neither
+    // that choice nor how often the map side spills (sort buffers down to
+    // 64 B — smaller than one record — under fan-in 2) may reach the
+    // output: one synopsis and one error bit pattern per algorithm.
+    const ABS: (u64, u64) = (0x8b06e8f3d730ee38, 0x407d7ce53543aeab);
+    const REL: (u64, u64) = (0xfdf15c080cd80d8e, 0x402a6a402645b700);
+    let data = uniform(1 << 12, 1000.0, 7);
+    let (b, base_leaves) = (256, 128);
+    for reducers in [1, 2, 4, 7, 33, 100] {
+        for pressure in [None, Some((512, 2)), Some((64, 2))] {
+            let mut cfg = ClusterConfig::with_slots(4, 3);
+            cfg.task_startup = std::time::Duration::ZERO;
+            cfg.job_setup = std::time::Duration::ZERO;
+            cfg.spill_backend = SpillBackend::from_env();
+            if let Some((bytes, factor)) = pressure {
+                cfg.io_sort_bytes = bytes;
+                cfg.io_sort_factor = factor;
+            }
+            let cluster = Cluster::new(cfg);
+            let tag = format!("reducers={reducers} pressure={pressure:?}");
+            let abs_cfg = DGreedyAbsConfig {
+                base_leaves,
+                reducers,
+                ..DGreedyAbsConfig::default()
+            };
+            let abs = dgreedy_abs(&cluster, &data, b, &abs_cfg).expect("dgreedy_abs");
+            assert_eq!(
+                (syn_digest(&abs.synopsis), abs.estimated_error.to_bits()),
+                ABS,
+                "dgreedy_abs {tag}"
+            );
+            let rel_cfg = DGreedyRelConfig {
+                base_leaves,
+                reducers,
+                ..DGreedyRelConfig::default()
+            };
+            let rel = dgreedy_rel(&cluster, &data, b, &rel_cfg).expect("dgreedy_rel");
+            assert_eq!(
+                (syn_digest(&rel.synopsis), rel.error.to_bits()),
+                REL,
+                "dgreedy_rel {tag}"
+            );
+        }
     }
 }
