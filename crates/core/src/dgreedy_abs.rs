@@ -14,26 +14,29 @@
 //! 3. **ErrHistGreedyAbs job** (Algorithm 3 + histogram optimization) —
 //!    each level-1 worker runs GreedyAbs over its base sub-tree once per
 //!    *distinct* incoming error (`log R + 2` runs, Section 5.3), batches
-//!    removals into error buckets of width `e_b`, and emits per-candidate
-//!    histograms `(C_root id) -> (bucket, count)` instead of node lists —
-//!    the paper's I/O optimization.
+//!    removals into error buckets of width `e_b`, and ships each run's
+//!    histogram of `(bucket, count)` entries instead of node lists — the
+//!    paper's I/O optimization — once per level-2 reducer that owns a
+//!    candidate `C_root` of that incoming error.
 //! 4. **combineResults** (Algorithm 5, level-2 reducers) — per candidate,
-//!    merge histograms in descending error order and read off the error at
-//!    the `B - |C_root|` cut; the driver picks the best candidate as
-//!    `max(cut error, ρ_k)` minimized over `k`.
+//!    select over its histograms the error at the `B - |C_root|` cut; the
+//!    driver picks the best candidate as `max(cut error, ρ_k)` minimized
+//!    over `k`. Both levels are [`crate::errhist`]'s, shared with
+//!    DGreedyRel.
 //! 5. **Synopsis job** — level-1 workers rerun GreedyAbs only for the
 //!    winning `C_root`, emitting actual `(node, coefficient)` pairs
 //!    filtered to removal errors around the winning cut; a single reducer
 //!    keeps the top `B - |C_root|`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dwmaxerr_algos::greedy_abs::GreedyAbs;
+use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
+use crate::errhist::{errhist_stage, ErrHistEngine};
 use crate::error::CoreError;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
@@ -89,6 +92,10 @@ pub(crate) struct Broadcast {
     /// Candidate count: sets `k = 0..=max_k`.
     pub(crate) max_k: usize,
     pub(crate) bucket_width: f64,
+    /// The synopsis budget `B`.
+    pub(crate) budget: usize,
+    /// Level-2 workers of the errhist stage.
+    pub(crate) reducers: usize,
 }
 
 impl Broadcast {
@@ -140,6 +147,30 @@ pub(crate) fn histogram_batches(
         out.push((max_bucket, count));
     }
     out
+}
+
+/// DGreedyAbs's errhist stage: GreedyAbs at level 1, the cut bucket (0
+/// when everything fits) at level 2. No floor — the driver's root run
+/// gives `ρ_k` exactly.
+pub(crate) struct AbsEngine;
+
+impl ErrHistEngine for AbsEngine {
+    type Out = f64;
+
+    const JOB: &'static str = "dgreedyabs-errhist";
+
+    fn task_memory(leaves: usize) -> u64 {
+        dwmaxerr_algos::memory::greedy_abs_bytes(leaves)
+    }
+
+    fn run(&self, details: &[f64], _slice: &[f64], incoming: f64) -> (f64, Vec<Removal>) {
+        let mut g = GreedyAbs::new_subtree(details, incoming).expect("valid subtree");
+        (f64::NEG_INFINITY, g.run_to_empty())
+    }
+
+    fn finish(&self, cut: Option<i64>, _floor: i64) -> f64 {
+        cut.map_or(0.0, |bucket| bucket as f64)
+    }
 }
 
 /// Runs DGreedyAbs over `data` with budget `b` on the given cluster.
@@ -204,66 +235,12 @@ pub fn dgreedy_abs(
         removal_order,
         max_k,
         bucket_width: cfg.bucket_width,
+        budget: b,
+        reducers: cfg.reducers,
     });
 
     // ---- Job 1: ErrHistGreedyAbs (level 1) + combineResults (level 2) ----
-    let bc1 = Arc::clone(&bc);
-    let hist_job = JobBuilder::new("dgreedyabs-errhist")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u32, (i64, u32)>| {
-                let bc = &bc1;
-                let (details, _avg) = bc.partition.base_details_from_data(split.slice());
-                let j = split.id as usize;
-                // Group candidate sets by their (few) distinct incoming errors.
-                let mut by_err: HashMap<u64, (f64, Vec<u32>)> = HashMap::new();
-                for k in 0..=bc.max_k {
-                    let e = bc
-                        .partition
-                        .incoming_error(&bc.root_coeffs, bc.removed_under(k), j);
-                    by_err
-                        .entry(e.to_bits())
-                        .or_insert_with(|| (e, Vec::new()))
-                        .1
-                        .push(k as u32);
-                }
-                ctx.add_counter("distinct_incoming_errors", by_err.len() as u64);
-                for (_, (e, ks)) in by_err {
-                    let mut g = GreedyAbs::new_subtree(&details, e).expect("valid subtree");
-                    let trace = g.run_to_empty();
-                    let batches = histogram_batches(&trace, bc.bucket_width);
-                    ctx.add_counter("greedy_runs", 1);
-                    for &k in &ks {
-                        for &(bucket, count) in &batches {
-                            ctx.emit(k, (bucket, count));
-                        }
-                    }
-                }
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .task_memory(|s: &SliceSplit| dwmaxerr_algos::memory::greedy_abs_bytes(s.len()))
-        .reducers(cfg.reducers)
-        .partition_by(|k: &u32, parts| *k as usize % parts)
-        .reduce(move |k: &u32, vals, ctx: &mut ReduceContext<u32, f64>| {
-            // combineResults (Algorithm 5): merge histograms in
-            // descending error order; the achieved error is the bucket
-            // of the first node excluded from the B - |C_root| keep set.
-            let mut batches: Vec<(i64, u32)> = vals.collect();
-            batches.sort_unstable_by_key(|&(bucket, _)| std::cmp::Reverse(bucket));
-            let keep = (b - *k as usize) as u64;
-            let mut cum = 0u64;
-            let mut cut = 0.0f64;
-            for (bucket, count) in batches {
-                if cum + u64::from(count) > keep {
-                    cut = bucket as f64;
-                    break;
-                }
-                cum += u64::from(count);
-            }
-            ctx.emit(*k, cut);
-        });
-    let pipe = pipe
-        .stage(&hist_job, &splits)?
+    let pipe = errhist_stage(pipe, &splits, &bc, &AbsEngine)?
         // ---- Pick the best candidate: max(cut_k, rho_k), minimized ----
         .try_then(|(_, pairs)| -> Result<_, CoreError> {
             let mut best_k = 0usize;

@@ -9,15 +9,16 @@
 //! approximation of the true per-leaf denominators, so the final error is
 //! re-measured exactly by a distributed evaluation job.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dwmaxerr_algos::greedy_rel::GreedyRel;
+use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::dgreedy_abs::{histogram_batches, Broadcast};
+use crate::dgreedy_abs::Broadcast;
+use crate::errhist::{errhist_stage, ErrHistEngine};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
 use crate::partition::BasePartition;
@@ -58,6 +59,41 @@ pub struct DGreedyRelResult {
     pub best_croot_size: usize,
     /// Pipeline metrics.
     pub metrics: DriverMetrics,
+}
+
+/// DGreedyRel's errhist stage: GreedyRel at level 1; level 2 reports the
+/// cut bucket (`f64::MIN` when everything fits) and the estimate
+/// `max(cut, floor, 0)`.
+pub(crate) struct RelEngine {
+    pub(crate) sanity: f64,
+}
+
+impl ErrHistEngine for RelEngine {
+    type Out = (f64, f64);
+
+    const JOB: &'static str = "dgreedyrel-errhist";
+
+    fn task_memory(leaves: usize) -> u64 {
+        dwmaxerr_algos::memory::greedy_rel_bytes(leaves, 8)
+    }
+
+    fn run(&self, details: &[f64], slice: &[f64], incoming: f64) -> (f64, Vec<Removal>) {
+        let mut g =
+            GreedyRel::new_subtree(details, slice, incoming, self.sanity).expect("valid subtree");
+        // The *floor*: the relative error this sub-tree already carries
+        // from deleted root nodes, before any local removal. Unlike the
+        // absolute case (where the driver's root-run gives it exactly),
+        // relative floors depend on per-leaf denominators only the worker
+        // knows. A sub-tree keeping all its nodes still carries it, so it
+        // bounds the candidate's error from below.
+        let floor = g.current_error();
+        (floor, g.run_to_empty())
+    }
+
+    fn finish(&self, cut: Option<i64>, floor: i64) -> (f64, f64) {
+        let cut = cut.map_or(f64::MIN, |bucket| bucket as f64);
+        (cut, cut.max(floor as f64).max(0.0))
+    }
 }
 
 /// Runs DGreedyRel over `data` with budget `b`.
@@ -117,81 +153,14 @@ pub fn dgreedy_rel(
         removal_order,
         max_k,
         bucket_width: cfg.bucket_width,
+        budget: b,
+        reducers: cfg.reducers,
     });
     let sanity = cfg.sanity;
 
     // ---- Job 1: ErrHistGreedyRel + combineResults ----
-    let bc1 = Arc::clone(&bc);
-    let hist_job = JobBuilder::new("dgreedyrel-errhist")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u32, (i64, u32)>| {
-                let bc = &bc1;
-                let (details, _avg) = bc.partition.base_details_from_data(split.slice());
-                let j = split.id as usize;
-                let mut by_err: HashMap<u64, (f64, Vec<u32>)> = HashMap::new();
-                for k in 0..=bc.max_k {
-                    let e = bc
-                        .partition
-                        .incoming_error(&bc.root_coeffs, bc.removed_under(k), j);
-                    by_err
-                        .entry(e.to_bits())
-                        .or_insert_with(|| (e, Vec::new()))
-                        .1
-                        .push(k as u32);
-                }
-                for (_, (e, ks)) in by_err {
-                    let mut g = GreedyRel::new_subtree(&details, split.slice(), e, sanity)
-                        .expect("valid subtree");
-                    // The *floor*: the relative error this sub-tree already
-                    // carries from deleted root nodes, before any local
-                    // removal. Unlike the absolute case (where the driver's
-                    // root-run gives it exactly), relative floors depend on
-                    // per-leaf denominators only the worker knows — emitted as
-                    // a count-0 histogram record.
-                    let floor = g.current_error();
-                    let trace = g.run_to_empty();
-                    let batches = histogram_batches(&trace, bc.bucket_width);
-                    for &k in &ks {
-                        ctx.emit(k, (bc.bucket(floor), 0));
-                        for &(bucket, count) in &batches {
-                            ctx.emit(k, (bucket, count));
-                        }
-                    }
-                }
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .task_memory(|s: &SliceSplit| dwmaxerr_algos::memory::greedy_rel_bytes(s.len(), 8))
-        .reducers(cfg.reducers)
-        .partition_by(|k: &u32, parts| *k as usize % parts)
-        .reduce(
-            move |k: &u32, vals, ctx: &mut ReduceContext<u32, (f64, f64)>| {
-                // combineResults with floors: count-0 records bound the error
-                // from below (a sub-tree keeping all its nodes still carries
-                // its incoming-error floor); counted records drive the cut.
-                let mut batches: Vec<(i64, u32)> = vals.collect();
-                batches.sort_unstable_by_key(|&(bucket, _)| std::cmp::Reverse(bucket));
-                let keep = (b - *k as usize) as u64;
-                let mut cum = 0u64;
-                let mut cut = f64::MIN;
-                let mut floor = f64::MIN;
-                for (bucket, count) in batches {
-                    if count == 0 {
-                        floor = floor.max(bucket as f64);
-                        continue;
-                    }
-                    if cut == f64::MIN && cum + u64::from(count) > keep {
-                        cut = bucket as f64;
-                    }
-                    cum += u64::from(count);
-                }
-                let estimate = cut.max(floor).max(0.0);
-                ctx.emit(*k, (cut, estimate));
-            },
-        );
-    let pipe = pipe
-        .stage(&hist_job, &splits)?
-        .try_then(|(_, pairs)| -> Result<_, CoreError> {
+    let pipe = errhist_stage(pipe, &splits, &bc, &RelEngine { sanity })?.try_then(
+        |(_, pairs)| -> Result<_, CoreError> {
             let mut best_k = 0usize;
             let mut best_score = f64::INFINITY;
             let mut best_cut = f64::MIN;
@@ -210,7 +179,8 @@ pub fn dgreedy_rel(
                 return Err(CoreError::Protocol("no candidate produced a cut"));
             }
             Ok((best_k, best_cut))
-        })?;
+        },
+    )?;
     let (best_k, best_cut) = *pipe.value();
 
     // ---- Job 2: emit actual nodes for the winning C_root ----

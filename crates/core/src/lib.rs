@@ -20,6 +20,7 @@
 //! |------------------------|------|
 //! | [`partition`]          | Locality-preserving error-tree partitioning: base partitions and [`LayerPlan`] |
 //! | `layered` (private)    | The one layered DP driver: validation via [`LayerPlan`], the `-layer0` / `-layer-up` / `-extract` / `-extract-base` jobs, hand-offs, global node ids |
+//! | `errhist` (private)    | The one errhist stage of DGreedyAbs / DGreedyRel: grouping by incoming error, block ownership, whole-histogram emission, the cut by selection |
 //! | `eval` (private)       | The `eval-max-abs` / `eval-max-rel` evaluation job |
 //! | [`splits`]             | Typed split payloads shipped to map tasks across all algorithms |
 //! | [`mod@dgreedy_abs`]    | DGreedyAbs: distributed greedy, max-abs error (Algorithms 3-4) |
@@ -40,6 +41,7 @@ pub mod dhaar_plus;
 pub mod dindirect_haar;
 pub mod dmin_haar_space;
 pub mod dmin_rel_var;
+mod errhist;
 pub mod error;
 mod eval;
 mod layered;

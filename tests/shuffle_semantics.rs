@@ -15,7 +15,7 @@ use dwmaxerr::datagen::synthetic::uniform;
 use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::reference;
 use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
-use dwmaxerr::runtime::{Cluster, ClusterConfig, JobBuilder, SpillBackend};
+use dwmaxerr::runtime::{Cluster, ClusterConfig, DriverMetrics, JobBuilder, SpillBackend};
 use dwmaxerr::runtime::{JobOutput, MapContext, ReduceContext};
 use dwmaxerr::wavelet::Synopsis;
 
@@ -260,11 +260,28 @@ fn greedy_drivers_are_invariant_over_reducers_and_spill_pressure() {
     // a driver chooses how candidates map to level-2 reducers. Neither
     // that choice nor how often the map side spills (sort buffers down to
     // 64 B — smaller than one record — under fan-in 2) may reach the
-    // output: one synopsis and one error bit pattern per algorithm.
+    // output: one synopsis and one error bit pattern per algorithm. What
+    // the choice does decide is the stage's traffic: a histogram crosses
+    // the shuffle once per incoming-error group and reducer block, so one
+    // reducer receives exactly one record per group, and every further
+    // block boundary costs a base at most one more.
     const ABS: (u64, u64) = (0x8b06e8f3d730ee38, 0x407d7ce53543aeab);
     const REL: (u64, u64) = (0xfdf15c080cd80d8e, 0x402a6a402645b700);
     let data = uniform(1 << 12, 1000.0, 7);
     let (b, base_leaves) = (256, 128);
+    let num_base = (data.len() / base_leaves) as u64;
+    let check_traffic = |metrics: &DriverMetrics, job: &str, reducers: usize, tag: &str| {
+        let errhist = metrics.jobs.iter().find(|j| j.name == job).expect(job);
+        let groups = errhist.counter("distinct_incoming_errors");
+        let blocks = reducers.min(num_base as usize + 1) as u64;
+        assert!(groups >= num_base, "{job} {tag}: {groups} groups");
+        assert!(
+            errhist.shuffle_records >= groups
+                && errhist.shuffle_records <= groups + (blocks - 1) * num_base,
+            "{job} {tag}: {} records for {groups} groups",
+            errhist.shuffle_records
+        );
+    };
     for reducers in [1, 2, 4, 7, 33, 100] {
         for pressure in [None, Some((512, 2)), Some((64, 2))] {
             let mut cfg = ClusterConfig::with_slots(4, 3);
@@ -288,6 +305,7 @@ fn greedy_drivers_are_invariant_over_reducers_and_spill_pressure() {
                 ABS,
                 "dgreedy_abs {tag}"
             );
+            check_traffic(&abs.metrics, "dgreedyabs-errhist", reducers, &tag);
             let rel_cfg = DGreedyRelConfig {
                 base_leaves,
                 reducers,
@@ -299,6 +317,7 @@ fn greedy_drivers_are_invariant_over_reducers_and_spill_pressure() {
                 REL,
                 "dgreedy_rel {tag}"
             );
+            check_traffic(&rel.metrics, "dgreedyrel-errhist", reducers, &tag);
         }
     }
 }
