@@ -36,7 +36,7 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::errhist::{errhist_stage, ErrHistEngine};
+use crate::errhist::{errhist_stage, finite_averages, ErrHistEngine};
 use crate::error::CoreError;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
@@ -201,13 +201,10 @@ pub fn dgreedy_abs(
         });
     let pipe = Pipeline::on(cluster)
         .stage(&avg_job, &splits)?
-        .then(|(_, pairs)| {
-            let mut averages = vec![0.0; partition.num_base()];
-            for (j, avg) in pairs {
-                averages[j as usize] = avg;
-            }
-            partition.root_coeffs_from_averages(&averages)
-        });
+        .try_then(|(_, pairs)| {
+            let averages = finite_averages(partition.num_base(), pairs)?;
+            Ok::<_, CoreError>(partition.root_coeffs_from_averages(&averages))
+        })?;
     let root_coeffs = pipe.value().clone();
 
     // ---- genRootSets (Algorithm 4): centralized GreedyAbs on the root ----

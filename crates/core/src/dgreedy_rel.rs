@@ -18,7 +18,7 @@ use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext}
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::dgreedy_abs::Broadcast;
-use crate::errhist::{errhist_stage, ErrHistEngine};
+use crate::errhist::{errhist_stage, finite_averages, ErrHistEngine};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
 use crate::partition::BasePartition;
@@ -130,14 +130,11 @@ pub fn dgreedy_rel(
         });
     let pipe = Pipeline::on(cluster)
         .stage(&avg_job, &splits)?
-        .then(|(_, pairs)| {
-            let mut averages = vec![0.0; partition.num_base()];
-            for (j, avg) in pairs {
-                averages[j as usize] = avg;
-            }
+        .try_then(|(_, pairs)| {
+            let averages = finite_averages(partition.num_base(), pairs)?;
             let root_coeffs = partition.root_coeffs_from_averages(&averages);
-            (averages, root_coeffs)
-        });
+            Ok::<_, CoreError>((averages, root_coeffs))
+        })?;
     let (averages, root_coeffs) = pipe.value().clone();
 
     // ---- genRootSets with GreedyRel over the averages ----

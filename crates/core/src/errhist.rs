@@ -31,6 +31,7 @@ use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{JobBuilder, MapContext, Pipeline, ReduceContext, RuntimeError};
 
 use crate::dgreedy_abs::{histogram_batches, Broadcast};
+use crate::error::CoreError;
 use crate::splits::SliceSplit;
 
 /// What differs between the two drivers' errhist stages.
@@ -65,6 +66,24 @@ type HistRecord = (u32, Vec<u32>, i64, Vec<(i64, u32)>);
 /// The level-2 reducer that owns candidate `k` of `candidates`.
 fn block_of(k: usize, candidates: usize, reducers: usize) -> usize {
     k * reducers / candidates
+}
+
+/// Base averages in base order from the averages job's output, refusing
+/// non-finite data: any NaN or ±∞ value makes its base average non-finite,
+/// and on such data the error buckets (and so the advertised bound) mean
+/// nothing.
+pub(crate) fn finite_averages(
+    num_base: usize,
+    pairs: Vec<(u32, f64)>,
+) -> Result<Vec<f64>, CoreError> {
+    let mut averages = vec![0.0; num_base];
+    for (j, avg) in pairs {
+        if !avg.is_finite() {
+            return Err(CoreError::NonFiniteInput { base: j as usize });
+        }
+        averages[j as usize] = avg;
+    }
+    Ok(averages)
 }
 
 /// Runs the errhist job over `splits` (one per base sub-tree); the output

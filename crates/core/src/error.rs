@@ -17,6 +17,12 @@ pub enum CoreError {
     Mhs(MhsError),
     /// An invariant of the distributed protocol was violated (a bug).
     Protocol(&'static str),
+    /// The input holds NaN or ±∞ (or values whose sum overflows) in base
+    /// slice `base`: no error bound can be advertised over it.
+    NonFiniteInput {
+        /// The first base slice (in base order) whose average is not finite.
+        base: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -26,6 +32,12 @@ impl fmt::Display for CoreError {
             CoreError::Runtime(e) => write!(f, "{e}"),
             CoreError::Mhs(e) => write!(f, "{e}"),
             CoreError::Protocol(m) => write!(f, "protocol violation: {m}"),
+            CoreError::NonFiniteInput { base } => {
+                write!(
+                    f,
+                    "non-finite input: the average of base slice {base} is NaN or infinite"
+                )
+            }
         }
     }
 }

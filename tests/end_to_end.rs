@@ -8,6 +8,7 @@ use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
 use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::DmhsConfig;
+use dwmaxerr::core::CoreError;
 use dwmaxerr::datagen::{nyct_like, wd_like};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
 use dwmaxerr::wavelet::metrics::{evaluate, max_abs};
@@ -243,10 +244,12 @@ fn degenerate_shapes() {
 }
 
 /// The DGreedyAbs / DGreedyRel rows of the input-edge table: every
-/// `(data, B)` gets a synopsis within its budget or a typed refusal — never
-/// a panic or a hang. `n <= base_leaves` (one base sub-tree, a one-coefficient
+/// `(data, B)` gets a synopsis within its budget *and within the error it
+/// advertises*, or a typed refusal — never a panic, a hang or a silently
+/// wrong bound. `n <= base_leaves` (one base sub-tree, a one-coefficient
 /// root) is the default configuration's common case on small inputs;
-/// DGreedyRel used to panic there on the driver thread.
+/// DGreedyRel used to panic there on the driver thread, and DGreedyAbs used
+/// to advertise `estimated_error = 0` over NaN / ±∞ data.
 #[test]
 fn greedy_drivers_survive_edge_inputs() {
     let c = cluster();
@@ -256,6 +259,9 @@ fn greedy_drivers_survive_edge_inputs() {
     let mut unbounded = vec![2.0; 16];
     unbounded[3] = f64::INFINITY;
     unbounded[12] = f64::NEG_INFINITY;
+    // One NaN among 64 values measured max_abs = 22 under an advertised 0.
+    let mut holed: Vec<f64> = (0..64).map(|i| ((i * 37) % 23) as f64).collect();
+    holed[29] = f64::NAN;
     let inputs: Vec<Vec<f64>> = vec![
         vec![],
         vec![5.0],
@@ -265,32 +271,57 @@ fn greedy_drivers_survive_edge_inputs() {
         (0..64).map(|i| ((i * 37) % 23) as f64).collect(),
         spiked,
         unbounded,
+        holed,
         vec![tiny, -tiny, 0.0, 2.0 * tiny, tiny, tiny, -tiny, 0.0],
     ];
     for data in &inputs {
         let n = data.len();
-        // The only refusal is of the shape: a tree needs 2^k >= 2 values.
+        // Two refusals: of the shape (a tree needs 2^k >= 2 values) and of
+        // values no bound can be advertised over.
         let shape_ok = n >= 2 && n.is_power_of_two();
+        let finite = data.iter().all(|v| v.is_finite());
         for b in [0, 1, n, n + 3] {
             for base_leaves in [4, 1 << 12] {
+                let tag = format!("b={b} base_leaves={base_leaves} data={data:?}");
                 let abs_cfg = DGreedyAbsConfig {
                     base_leaves,
                     ..DGreedyAbsConfig::default()
                 };
+                match dgreedy_abs(&c, data, b, &abs_cfg) {
+                    Ok(d) => {
+                        assert!(shape_ok && finite, "dgreedy_abs {tag}: built");
+                        assert!(d.synopsis.size() <= b, "dgreedy_abs {tag}: size");
+                        let measured = max_abs(data, &d.synopsis.reconstruct_all());
+                        assert!(
+                            measured <= d.estimated_error + abs_cfg.bucket_width + 1e-6,
+                            "dgreedy_abs {tag}: measured {measured} vs advertised {}",
+                            d.estimated_error
+                        );
+                    }
+                    Err(CoreError::NonFiniteInput { .. }) => {
+                        assert!(shape_ok && !finite, "dgreedy_abs {tag}")
+                    }
+                    Err(e) => assert!(!shape_ok, "dgreedy_abs {tag}: {e}"),
+                }
                 let rel_cfg = DGreedyRelConfig {
                     base_leaves,
                     ..DGreedyRelConfig::default()
                 };
-                let sizes = [
-                    dgreedy_abs(&c, data, b, &abs_cfg).map(|d| d.synopsis.size()),
-                    dgreedy_rel(&c, data, b, &rel_cfg).map(|d| d.synopsis.size()),
-                ];
-                for (algo, size) in ["dgreedy_abs", "dgreedy_rel"].iter().zip(sizes) {
-                    let tag = format!("{algo} b={b} base_leaves={base_leaves} data={data:?}");
-                    match size {
-                        Ok(size) => assert!(shape_ok && size <= b, "{tag}: size {size}"),
-                        Err(e) => assert!(!shape_ok, "{tag}: {e}"),
+                match dgreedy_rel(&c, data, b, &rel_cfg) {
+                    Ok(d) => {
+                        assert!(shape_ok && finite, "dgreedy_rel {tag}: built");
+                        assert!(d.synopsis.size() <= b, "dgreedy_rel {tag}: size");
+                        let measured = evaluate(data, &d.synopsis, rel_cfg.sanity).max_rel;
+                        assert!(
+                            measured <= d.error + 1e-9,
+                            "dgreedy_rel {tag}: measured {measured} vs advertised {}",
+                            d.error
+                        );
                     }
+                    Err(CoreError::NonFiniteInput { .. }) => {
+                        assert!(shape_ok && !finite, "dgreedy_rel {tag}")
+                    }
+                    Err(e) => assert!(!shape_ok, "dgreedy_rel {tag}: {e}"),
                 }
             }
         }
