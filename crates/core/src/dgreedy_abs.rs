@@ -185,6 +185,9 @@ pub fn dgreedy_abs(
     if cfg.bucket_width.is_nan() || cfg.bucket_width <= 0.0 {
         return Err(CoreError::Protocol("bucket_width must be positive"));
     }
+    if cfg.reducers == 0 {
+        return Err(CoreError::Protocol("reducers must be positive"));
+    }
     let splits = aligned_splits(data, partition.base_leaves());
 
     // ---- Job 0: base-slice averages -> root sub-tree coefficients ----

@@ -114,6 +114,9 @@ pub fn dgreedy_rel(
             "bucket_width and sanity must be positive",
         ));
     }
+    if cfg.reducers == 0 {
+        return Err(CoreError::Protocol("reducers must be positive"));
+    }
     let splits = aligned_splits(data, partition.base_leaves());
 
     // ---- Job 0: averages -> root coefficients ----

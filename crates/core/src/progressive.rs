@@ -398,6 +398,9 @@ impl IncrementalDGreedyAbs {
         if cfg.bucket_width.is_nan() || cfg.bucket_width <= 0.0 {
             return Err(CoreError::Protocol("bucket_width must be positive"));
         }
+        if cfg.reducers == 0 {
+            return Err(CoreError::Protocol("reducers must be positive"));
+        }
         let r = partition.num_base();
         let mut this = IncrementalDGreedyAbs {
             partition,

@@ -8,7 +8,7 @@ use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
 use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::DmhsConfig;
-use dwmaxerr::core::CoreError;
+use dwmaxerr::core::{CoreError, IncrementalDGreedyAbs};
 use dwmaxerr::datagen::{nyct_like, wd_like};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
 use dwmaxerr::wavelet::metrics::{evaluate, max_abs};
@@ -326,4 +326,34 @@ fn greedy_drivers_survive_edge_inputs() {
             }
         }
     }
+}
+
+/// `reducers: 0` is a parameter error like `bucket_width <= 0`, not a
+/// panic inside the job builder.
+#[test]
+fn zero_reducers_is_a_typed_error() {
+    let c = cluster();
+    let data: Vec<f64> = (0..64).map(f64::from).collect();
+    let abs_cfg = DGreedyAbsConfig {
+        base_leaves: 8,
+        reducers: 0,
+        ..DGreedyAbsConfig::default()
+    };
+    assert!(matches!(
+        dgreedy_abs(&c, &data, 8, &abs_cfg),
+        Err(CoreError::Protocol(_))
+    ));
+    let rel_cfg = DGreedyRelConfig {
+        base_leaves: 8,
+        reducers: 0,
+        ..DGreedyRelConfig::default()
+    };
+    assert!(matches!(
+        dgreedy_rel(&c, &data, 8, &rel_cfg),
+        Err(CoreError::Protocol(_))
+    ));
+    assert!(matches!(
+        IncrementalDGreedyAbs::new(64, 8, &abs_cfg),
+        Err(CoreError::Protocol(_))
+    ));
 }
