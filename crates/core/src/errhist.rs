@@ -19,10 +19,9 @@
 //! `groups × reducers`.
 //!
 //! **Level 2** ([`combine_block`]). One reduce call per block: its working
-//! set is the block's histograms, indexed by `(candidate, base)`. The cut
-//! of a candidate is a weighted selection over its `R` histograms
-//! ([`select_cut`]) — they arrive ascending in bucket, so nothing is
-//! gathered or sorted.
+//! set is the block's histograms. The cut of a candidate is a weighted
+//! selection over the `R` histograms that serve it ([`select_cut`]) — they
+//! arrive ascending in bucket, so nothing is gathered or sorted.
 
 #![warn(clippy::too_many_lines)]
 
@@ -58,10 +57,11 @@ pub(crate) trait ErrHistEngine: Sync {
     fn finish(&self, cut: Option<i64>, floor: i64) -> Self::Out;
 }
 
-/// One histogram on the wire: base `j`, the candidates of one
-/// incoming-error group that the receiving reducer owns, the group's floor
-/// bucket and its `(bucket, count)` batches.
-type HistRecord = (u32, Vec<u32>, i64, Vec<(i64, u32)>);
+/// One histogram on the wire: the candidates of one incoming-error group
+/// that the receiving reducer owns, the group's floor bucket and its
+/// `(bucket, count)` batches. Which base it came from does not matter — a
+/// candidate's cut is a function of the multiset of its histograms.
+type HistRecord = (Vec<u32>, i64, Vec<(i64, u32)>);
 
 /// The level-2 reducer that owns candidate `k` of `candidates`.
 fn block_of(k: usize, candidates: usize, reducers: usize) -> usize {
@@ -105,7 +105,7 @@ pub(crate) fn errhist_stage<'c, T, E: ErrHistEngine>(
         .reducers(bc.reducers)
         .partition_by(|block: &u32, _parts| *block as usize)
         .reduce(|block: &u32, vals, ctx: &mut ReduceContext<u32, E::Out>| {
-            combine_block(bc, engine, *block as usize, vals.collect(), ctx);
+            combine_block(bc, engine, *block as usize, vals, ctx);
         });
     pipe.stage(&job, splits)
 }
@@ -120,14 +120,13 @@ fn emit_histograms<E: ErrHistEngine>(
     ctx: &mut MapContext<u32, HistRecord>,
 ) {
     let (details, _avg) = bc.partition.base_details_from_data(split.slice());
-    let j = split.id as usize;
     // Group the candidates by their (few) distinct incoming errors, in
     // first-seen order so the emission order is the same on every run.
     let mut groups: Vec<(f64, Vec<u32>)> = Vec::new();
     for k in 0..=bc.max_k {
-        let e = bc
-            .partition
-            .incoming_error(&bc.root_coeffs, bc.removed_under(k), j);
+        let e =
+            bc.partition
+                .incoming_error(&bc.root_coeffs, bc.removed_under(k), split.id as usize);
         match groups
             .iter_mut()
             .find(|(seen, _)| seen.to_bits() == e.to_bits())
@@ -147,53 +146,37 @@ fn emit_histograms<E: ErrHistEngine>(
             ctx.add_counter("histogram_entries", batches.len() as u64);
             ctx.emit(
                 block(owned[0]) as u32,
-                (split.id, owned.to_vec(), bc.bucket(floor), batches.clone()),
+                (owned.to_vec(), bc.bucket(floor), batches.clone()),
             );
         }
     }
 }
 
 /// `combineResults` (Algorithm 5) for one block of candidates: per owned
-/// candidate, the cut over the `R` histograms its incoming errors select
-/// and the largest floor among them.
+/// candidate, the cut over the `R` histograms that serve it — one per base
+/// sub-tree — and the largest floor among them.
 fn combine_block<E: ErrHistEngine>(
     bc: &Broadcast,
     engine: &E,
     block: usize,
-    records: Vec<HistRecord>,
+    records: impl Iterator<Item = HistRecord>,
     ctx: &mut ReduceContext<u32, E::Out>,
 ) {
-    let r = bc.partition.num_base();
-    let candidates = bc.max_k + 1;
-    let owned: Vec<usize> = (0..candidates)
-        .filter(|&k| block_of(k, candidates, bc.reducers) == block)
+    let records: Vec<_> = records
+        .map(|(ks, floor, batches)| (ks, floor, at_or_above(&batches)))
         .collect();
-    let Some(&first) = owned.first() else { return };
-    // (candidate, base) -> the record that serves it.
-    let mut serving = vec![usize::MAX; owned.len() * r];
-    let mut floors = Vec::with_capacity(records.len());
-    let mut histograms = Vec::with_capacity(records.len());
-    for (idx, (j, ks, floor, batches)) in records.into_iter().enumerate() {
-        for k in ks {
-            serving[(k as usize - first) * r + j as usize] = idx;
-        }
-        floors.push(floor);
-        histograms.push(at_or_above(&batches));
-    }
-    for (&k, serving) in owned.iter().zip(serving.chunks(r)) {
-        let mine: Vec<&[(i64, u64)]> = serving
-            .iter()
-            .map(|&idx| {
-                histograms
-                    .get(idx)
-                    .expect("every base serves every owned candidate")
-            })
-            .map(Vec::as_slice)
-            .collect();
-        let cut = select_cut(&mine, (bc.budget - k) as u64);
-        let floor = serving.iter().map(|&idx| floors[idx]).max();
-        let floor = floor.expect("at least one base sub-tree");
-        ctx.emit(k as u32, engine.finish(cut, floor));
+    let candidates = bc.max_k + 1;
+    for k in (0..candidates).filter(|&k| block_of(k, candidates, bc.reducers) == block) {
+        let serving = || records.iter().filter(|(ks, ..)| ks.contains(&(k as u32)));
+        let histograms: Vec<&[(i64, u64)]> = serving().map(|(.., h)| h.as_slice()).collect();
+        assert_eq!(
+            histograms.len(),
+            bc.partition.num_base(),
+            "every base sub-tree serves every candidate once"
+        );
+        let cut = select_cut(&histograms, (bc.budget - k) as u64);
+        let floor = serving().map(|&(_, floor, _)| floor).max();
+        ctx.emit(k as u32, engine.finish(cut, floor.unwrap_or(i64::MIN)));
     }
 }
 
