@@ -21,8 +21,8 @@
 //! 4. **combineResults** (Algorithm 5, level-2 reducers) — per candidate,
 //!    select over its histograms the error at the `B - |C_root|` cut; the
 //!    driver picks the best candidate as `max(cut error, ρ_k)` minimized
-//!    over `k`. Both levels are [`crate::errhist`]'s, shared with
-//!    DGreedyRel.
+//!    over `k`. Both levels live in the crate-private `errhist` module,
+//!    shared with DGreedyRel.
 //! 5. **Synopsis job** — level-1 workers rerun GreedyAbs only for the
 //!    winning `C_root`, emitting actual `(node, coefficient)` pairs
 //!    filtered to removal errors around the winning cut; a single reducer
