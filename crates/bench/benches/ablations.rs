@@ -47,8 +47,8 @@ fn bucket_width_ablation() -> Table {
         };
         let res = dgreedy_abs(&cluster, &data, b, &cfg).expect("runs");
         // Entries shipped by the errhist stage, copies included: a shuffle
-        // record there is a whole histogram, so `shuffle_records` no longer
-        // sees the bucket width.
+        // record there is a whole histogram, so `shuffle_records` does not
+        // see the bucket width.
         let entries: u64 = res
             .metrics
             .jobs

@@ -36,7 +36,7 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::errhist::{errhist_stage, finite_averages, ErrHistEngine};
+use crate::errhist::{errhist_stage, ErrHistEngine};
 use crate::error::CoreError;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
@@ -147,6 +147,24 @@ pub(crate) fn histogram_batches(
         out.push((max_bucket, count));
     }
     out
+}
+
+/// Base averages in base order from the averages job's output, refusing
+/// non-finite data: any NaN or ±∞ value makes its base average non-finite,
+/// and on such data the error buckets (and so the advertised bound) mean
+/// nothing.
+pub(crate) fn finite_averages(
+    num_base: usize,
+    pairs: Vec<(u32, f64)>,
+) -> Result<Vec<f64>, CoreError> {
+    let mut averages = vec![0.0; num_base];
+    for (j, avg) in pairs {
+        if !avg.is_finite() {
+            return Err(CoreError::NonFiniteInput { base: j as usize });
+        }
+        averages[j as usize] = avg;
+    }
+    Ok(averages)
 }
 
 /// DGreedyAbs's errhist stage: GreedyAbs at level 1, the cut bucket (0

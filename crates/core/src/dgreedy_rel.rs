@@ -17,8 +17,8 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::dgreedy_abs::Broadcast;
-use crate::errhist::{errhist_stage, finite_averages, ErrHistEngine};
+use crate::dgreedy_abs::{finite_averages, Broadcast};
+use crate::errhist::{errhist_stage, ErrHistEngine};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
 use crate::partition::BasePartition;

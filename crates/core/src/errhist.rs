@@ -30,7 +30,6 @@ use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{JobBuilder, MapContext, Pipeline, ReduceContext, RuntimeError};
 
 use crate::dgreedy_abs::{histogram_batches, Broadcast};
-use crate::error::CoreError;
 use crate::splits::SliceSplit;
 
 /// What differs between the two drivers' errhist stages.
@@ -68,24 +67,6 @@ fn block_of(k: usize, candidates: usize, reducers: usize) -> usize {
     k * reducers / candidates
 }
 
-/// Base averages in base order from the averages job's output, refusing
-/// non-finite data: any NaN or ±∞ value makes its base average non-finite,
-/// and on such data the error buckets (and so the advertised bound) mean
-/// nothing.
-pub(crate) fn finite_averages(
-    num_base: usize,
-    pairs: Vec<(u32, f64)>,
-) -> Result<Vec<f64>, CoreError> {
-    let mut averages = vec![0.0; num_base];
-    for (j, avg) in pairs {
-        if !avg.is_finite() {
-            return Err(CoreError::NonFiniteInput { base: j as usize });
-        }
-        averages[j as usize] = avg;
-    }
-    Ok(averages)
-}
-
 /// Runs the errhist job over `splits` (one per base sub-tree); the output
 /// pairs are `(k, E::Out)` in ascending `k`.
 pub(crate) fn errhist_stage<'c, T, E: ErrHistEngine>(
@@ -120,13 +101,14 @@ fn emit_histograms<E: ErrHistEngine>(
     ctx: &mut MapContext<u32, HistRecord>,
 ) {
     let (details, _avg) = bc.partition.base_details_from_data(split.slice());
+    let j = split.id as usize;
     // Group the candidates by their (few) distinct incoming errors, in
     // first-seen order so the emission order is the same on every run.
     let mut groups: Vec<(f64, Vec<u32>)> = Vec::new();
     for k in 0..=bc.max_k {
-        let e =
-            bc.partition
-                .incoming_error(&bc.root_coeffs, bc.removed_under(k), split.id as usize);
+        let e = bc
+            .partition
+            .incoming_error(&bc.root_coeffs, bc.removed_under(k), j);
         match groups
             .iter_mut()
             .find(|(seen, _)| seen.to_bits() == e.to_bits())

@@ -282,46 +282,42 @@ fn greedy_drivers_survive_edge_inputs() {
         let finite = data.iter().all(|v| v.is_finite());
         for b in [0, 1, n, n + 3] {
             for base_leaves in [4, 1 << 12] {
-                let tag = format!("b={b} base_leaves={base_leaves} data={data:?}");
                 let abs_cfg = DGreedyAbsConfig {
                     base_leaves,
                     ..DGreedyAbsConfig::default()
                 };
-                match dgreedy_abs(&c, data, b, &abs_cfg) {
-                    Ok(d) => {
-                        assert!(shape_ok && finite, "dgreedy_abs {tag}: built");
-                        assert!(d.synopsis.size() <= b, "dgreedy_abs {tag}: size");
-                        let measured = max_abs(data, &d.synopsis.reconstruct_all());
-                        assert!(
-                            measured <= d.estimated_error + abs_cfg.bucket_width + 1e-6,
-                            "dgreedy_abs {tag}: measured {measured} vs advertised {}",
-                            d.estimated_error
-                        );
-                    }
-                    Err(CoreError::NonFiniteInput { .. }) => {
-                        assert!(shape_ok && !finite, "dgreedy_abs {tag}")
-                    }
-                    Err(e) => assert!(!shape_ok, "dgreedy_abs {tag}: {e}"),
-                }
                 let rel_cfg = DGreedyRelConfig {
                     base_leaves,
                     ..DGreedyRelConfig::default()
                 };
-                match dgreedy_rel(&c, data, b, &rel_cfg) {
-                    Ok(d) => {
-                        assert!(shape_ok && finite, "dgreedy_rel {tag}: built");
-                        assert!(d.synopsis.size() <= b, "dgreedy_rel {tag}: size");
+                // (size, measured error, the most the result advertises)
+                let outcomes = [
+                    dgreedy_abs(&c, data, b, &abs_cfg).map(|d| {
+                        let measured = max_abs(data, &d.synopsis.reconstruct_all());
+                        let promised = d.estimated_error + abs_cfg.bucket_width + 1e-6;
+                        (d.synopsis.size(), measured, promised)
+                    }),
+                    dgreedy_rel(&c, data, b, &rel_cfg).map(|d| {
                         let measured = evaluate(data, &d.synopsis, rel_cfg.sanity).max_rel;
-                        assert!(
-                            measured <= d.error + 1e-9,
-                            "dgreedy_rel {tag}: measured {measured} vs advertised {}",
-                            d.error
-                        );
+                        (d.synopsis.size(), measured, d.error + 1e-9)
+                    }),
+                ];
+                for (algo, outcome) in ["dgreedy_abs", "dgreedy_rel"].iter().zip(outcomes) {
+                    let tag = format!("{algo} b={b} base_leaves={base_leaves} data={data:?}");
+                    match outcome {
+                        Ok((size, measured, promised)) => {
+                            assert!(shape_ok && finite, "{tag}: built");
+                            assert!(size <= b, "{tag}: size {size}");
+                            assert!(
+                                measured <= promised,
+                                "{tag}: measured {measured} vs advertised {promised}"
+                            );
+                        }
+                        Err(CoreError::NonFiniteInput { .. }) => {
+                            assert!(shape_ok && !finite, "{tag}")
+                        }
+                        Err(e) => assert!(!shape_ok, "{tag}: {e}"),
                     }
-                    Err(CoreError::NonFiniteInput { .. }) => {
-                        assert!(shape_ok && !finite, "dgreedy_rel {tag}")
-                    }
-                    Err(e) => assert!(!shape_ok, "dgreedy_rel {tag}: {e}"),
                 }
             }
         }

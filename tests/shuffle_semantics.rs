@@ -21,12 +21,16 @@ use dwmaxerr::wavelet::Synopsis;
 
 /// Backend comes from `DWM_SPILL_BACKEND` (default memory) so a CI leg
 /// can replay the whole suite against the on-disk spill store.
-fn quiet_cluster() -> Cluster {
+fn quiet_config() -> ClusterConfig {
     let mut cfg = ClusterConfig::with_slots(4, 3);
     cfg.task_startup = std::time::Duration::ZERO;
     cfg.job_setup = std::time::Duration::ZERO;
     cfg.spill_backend = SpillBackend::from_env();
-    Cluster::new(cfg)
+    cfg
+}
+
+fn quiet_cluster() -> Cluster {
+    Cluster::new(quiet_config())
 }
 
 /// Skewed: key 0 dominates, some keys unique, split 2 empty.
@@ -284,10 +288,7 @@ fn greedy_drivers_are_invariant_over_reducers_and_spill_pressure() {
     };
     for reducers in [1, 2, 4, 7, 33, 100] {
         for pressure in [None, Some((512, 2)), Some((64, 2))] {
-            let mut cfg = ClusterConfig::with_slots(4, 3);
-            cfg.task_startup = std::time::Duration::ZERO;
-            cfg.job_setup = std::time::Duration::ZERO;
-            cfg.spill_backend = SpillBackend::from_env();
+            let mut cfg = quiet_config();
             if let Some((bytes, factor)) = pressure {
                 cfg.io_sort_bytes = bytes;
                 cfg.io_sort_factor = factor;
