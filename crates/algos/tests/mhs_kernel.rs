@@ -1,0 +1,202 @@
+//! Kernel-level pins for the MinHaarSpace row recurrence, independent of
+//! any distributed driver: every cell of every row `subtree_rows` builds —
+//! window, cost and tie-broken choice — on the input shapes the drivers
+//! feed it.
+
+use dwmaxerr_algos::min_haar_space::{subtree_rows, MhsError, MhsParams, Row};
+use dwmaxerr_datagen::{uniform, wd_like};
+
+/// FNV-1a over `(lo, costs, choices)` of every row, in heap order.
+fn rows_digest(rows: &[Row]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut write = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for row in &rows[1..] {
+        write(&row.lo.to_le_bytes());
+        write(&(row.costs.len() as u64).to_le_bytes());
+        for c in &row.costs {
+            write(&c.to_le_bytes());
+        }
+        for z in &row.choices {
+            write(&z.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The four input shapes, 512 values each (shorter inputs are prefixes).
+fn shapes() -> [(&'static str, Vec<f64>); 4] {
+    let n = 512;
+    [
+        // Whole numbers in [0, 56]: what `build-dp` feeds DIndirectHaar.
+        (
+            "uniform-ints",
+            uniform(n, 56.0, 17)
+                .into_iter()
+                .map(f64::round)
+                .collect::<Vec<f64>>(),
+        ),
+        // The smooth WD surrogate, scaled off the grid.
+        (
+            "wd-like",
+            wd_like(n, 4e-3, 5).into_iter().map(|x| x / 7.0).collect(),
+        ),
+        ("all-equal", vec![13.0; n]),
+        // Two values, the rare one far away: leaf windows that do not
+        // overlap, so the closed form's cost-1 branch and wide `z`.
+        (
+            "spikes",
+            (0..n)
+                .map(|i| if i % 37 == 5 { 90.5 } else { 2.0 })
+                .collect(),
+        ),
+    ]
+}
+
+const LEAVES: [usize; 3] = [2, 64, 512];
+
+const PARAMS: [(f64, f64); 5] = [(0.0, 1.0), (3.3, 1.0), (25.0, 1.0), (7.0, 3.0), (12.5, 0.5)];
+
+/// Stands in for the digest where the grid has no point in some window
+/// (`DeltaTooCoarse`).
+const TOO_COARSE: u64 = 0;
+
+/// `GOLDENS[shape][leaves][params]`, captured from the per-cell scan kernel
+/// (`combine` + `trim`) this file was written against.
+const GOLDENS: [[[u64; 5]; 3]; 4] = [
+    // uniform-ints
+    [
+        [
+            0xd2bb_8c11_0f11_655f,
+            0x9ff5_1bac_a11c_0799,
+            0xa722_caef_b905_56b3,
+            0xb6f4_70a6_46f1_ab2a,
+            0x7c46_1ae3_e837_4995,
+        ],
+        [
+            TOO_COARSE,
+            0x1d12_c665_e8c4_1d73,
+            0xf26a_eba1_4a91_8bf4,
+            0x172c_e819_54bd_2aca,
+            0x4060_5659_42d1_54e5,
+        ],
+        [
+            TOO_COARSE,
+            0x6e95_6f4d_2e08_3133,
+            0x6306_a45d_4f22_d86b,
+            TOO_COARSE,
+            0x477c_cd02_fcec_0e9d,
+        ],
+    ],
+    // wd-like
+    [
+        [
+            TOO_COARSE,
+            0x0fd8_75e2_fb2d_6466,
+            0xc643_4935_1279_d77c,
+            0xdd33_c694_fd66_f3a0,
+            0x1a21_c4cc_44a2_8c76,
+        ],
+        [
+            TOO_COARSE,
+            0xf6fb_3924_b647_2b52,
+            0x091a_38b8_68ea_1dce,
+            0x5cf3_0430_bae9_aeea,
+            0x3a8e_d2cf_d9de_e05d,
+        ],
+        [
+            TOO_COARSE,
+            0xb908_d597_7618_50eb,
+            0x117e_67b9_ae65_7269,
+            TOO_COARSE,
+            0x01c0_7f4f_b765_0332,
+        ],
+    ],
+    // all-equal
+    [
+        [
+            0x44c7_5152_4b8e_fa69,
+            0xb787_3bb0_1538_2708,
+            0x2eb5_1faf_c800_79d5,
+            0x52f1_5a35_6372_3f82,
+            0x5d7d_247e_47fd_8517,
+        ],
+        [
+            0x3714_fa28_2c60_3d69,
+            0x0ff5_34f0_e67b_d1e8,
+            0x4efc_6079_eb01_c655,
+            0x5f13_6287_f94e_1762,
+            0x60b2_057a_6eb4_03d7,
+        ],
+        [
+            0x05c3_149c_846d_9d69,
+            0x28ca_430f_ac3a_4de8,
+            0x5f6a_46ba_27bd_f655,
+            0x561b_708f_c22c_3362,
+            0x7a44_476e_12c9_1bd7,
+        ],
+    ],
+    // spikes
+    [
+        [
+            0x8023_7c86_67fa_df86,
+            0x70e0_da75_e84f_423a,
+            0xa12b_c664_e43f_0e38,
+            0xf164_717a_3fab_f238,
+            0xef7a_d0d1_9f66_4efa,
+        ],
+        [
+            TOO_COARSE,
+            0x5592_2127_551c_3b29,
+            0xe2f5_b38c_2ced_9b97,
+            0x6262_3d63_f0b9_ce41,
+            0x8b5b_47dc_dab2_3e04,
+        ],
+        [
+            TOO_COARSE,
+            0xb4fb_48ee_834d_8aba,
+            0x99b1_2f7d_ad62_598e,
+            0x0703_e3dc_289d_a580,
+            0x5b4e_aa88_9a92_e43f,
+        ],
+    ],
+];
+
+#[test]
+fn subtree_rows_are_golden() {
+    let mut got = [[[TOO_COARSE; 5]; 3]; 4];
+    for (s, (_, data)) in shapes().iter().enumerate() {
+        for (l, &leaves) in LEAVES.iter().enumerate() {
+            for (k, &(eps, delta)) in PARAMS.iter().enumerate() {
+                let p = MhsParams::new(eps, delta).unwrap();
+                got[s][l][k] = match subtree_rows(&data[..leaves], &p) {
+                    Ok(rows) => {
+                        assert_eq!(rows.len(), leaves);
+                        rows_digest(&rows)
+                    }
+                    Err(MhsError::DeltaTooCoarse) => TOO_COARSE,
+                    Err(e) => panic!("unexpected error: {e}"),
+                };
+            }
+        }
+    }
+    if got != GOLDENS {
+        for ((name, _), shape) in shapes().iter().zip(&got) {
+            println!("// {name}\n{shape:#x?},");
+        }
+    }
+    assert_eq!(got, GOLDENS);
+}
+
+#[test]
+fn off_grid_data_is_too_coarse_at_every_size() {
+    // ε = 0.4 under δ = 1: a datum at x.45 has no grid point within ε.
+    let p = MhsParams::new(0.4, 1.0).unwrap();
+    for leaves in LEAVES {
+        let data: Vec<f64> = (0..leaves).map(|i| (i % 9) as f64 + 0.45).collect();
+        assert_eq!(subtree_rows(&data, &p), Err(MhsError::DeltaTooCoarse));
+    }
+}
