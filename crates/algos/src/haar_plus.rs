@@ -26,12 +26,14 @@
 //! plus a budget-search wrapper for Problem 1, mirroring the IndirectHaar
 //! construction.
 
+#![warn(clippy::too_many_lines)]
+
 use dwmaxerr_wavelet::error::ensure_pow2;
 use dwmaxerr_wavelet::tree::TreeTopology;
 use dwmaxerr_wavelet::WaveletError;
 use std::fmt;
 
-use crate::min_haar_space::{MhsError, MhsParams};
+use crate::min_haar_space::{first_sum, min_sum, MhsError, MhsParams, Paired};
 
 /// The role of a retained Haar+ node within its triad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +175,8 @@ impl HpRow {
 pub enum HaarPlusError {
     /// δ too coarse for ε (no grid point in a leaf window).
     DeltaTooCoarse,
+    /// A datum is NaN, infinite or off the grid ([`MhsError::OffGrid`]).
+    OffGrid,
     /// Input shape error.
     Wavelet(WaveletError),
 }
@@ -181,6 +185,7 @@ impl fmt::Display for HaarPlusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HaarPlusError::DeltaTooCoarse => write!(f, "delta too coarse for epsilon"),
+            HaarPlusError::OffGrid => write!(f, "{}", MhsError::OffGrid),
             HaarPlusError::Wavelet(e) => write!(f, "{e}"),
         }
     }
@@ -198,6 +203,7 @@ impl From<MhsError> for HaarPlusError {
     fn from(e: MhsError) -> Self {
         match e {
             MhsError::DeltaTooCoarse => HaarPlusError::DeltaTooCoarse,
+            MhsError::OffGrid => HaarPlusError::OffGrid,
             MhsError::Wavelet(w) => HaarPlusError::Wavelet(w),
             MhsError::BadParams(_) => HaarPlusError::DeltaTooCoarse,
         }
@@ -230,6 +236,12 @@ pub fn combine(left: &HpRow, right: &HpRow) -> HpRow {
     let len = (hi - lo) as usize;
     let (l_min_v, l_min_c) = left.min_cell();
     let (r_min_v, r_min_c) = right.min_cell();
+    let mut scratch = Vec::new();
+    let pairs = Paired::new(
+        (left.lo, &left.costs),
+        (right.lo, &right.costs),
+        &mut scratch,
+    );
     let mut costs = vec![INF; len];
     let mut shift_l = vec![0i32; len];
     let mut shift_r = vec![0i32; len];
@@ -248,22 +260,25 @@ pub fn combine(left: &HpRow, right: &HpRow) -> HpRow {
         }
         let mut best = best_l.saturating_add(best_r);
         let (mut ba, mut bb) = (a_l, a_r);
-        // Head coupling: a = h, b = -h, h != 0, cost 1 total.
-        let h_lo = (left.lo - v).max(v - (right.hi() - 1));
-        let h_hi = ((left.hi() - 1) - v).min(v - right.lo);
-        for h in h_lo..=h_hi {
-            if h == 0 {
-                continue;
-            }
-            let c = left
-                .cost(v + h)
-                .saturating_add(right.cost(v - h))
-                .saturating_add(1);
-            if c < best {
-                best = c;
-                ba = h as i32;
-                bb = -h as i32;
-            }
+        // Head coupling: a = h, b = -h, h != 0, cost 1 total — the pairs
+        // of `v` either side of h = 0, the first strict minimum winning.
+        let (h_lo, l, r) = pairs.at(v);
+        let below = (-h_lo).clamp(0, l.len() as i64) as usize;
+        let above = (1 - h_lo).clamp(0, l.len() as i64) as usize;
+        let (m_below, m_above) = (
+            min_sum(&l[..below], &r[..below]),
+            min_sum(&l[above..], &r[above..]),
+        );
+        let m = m_below.min(m_above);
+        if m.saturating_add(1) < best {
+            let at = if m_below <= m_above {
+                first_sum(&l[..below], &r[..below], m)
+            } else {
+                above + first_sum(&l[above..], &r[above..], m)
+            };
+            best = m + 1;
+            ba = (h_lo + at as i64) as i32;
+            bb = -ba;
         }
         costs[t] = best;
         shift_l[t] = ba;
@@ -340,6 +355,7 @@ pub fn haar_plus_min_space(data: &[f64], p: &MhsParams) -> Result<HaarPlusSoluti
     ensure_pow2(n)?;
     if n == 1 {
         let d = data[0];
+        crate::min_haar_space::leaf_window(d, p)?; // refuses a datum the grid cannot hold
         let mut entries = Vec::new();
         if d.abs() > p.epsilon {
             let g = (d / p.delta).round();
@@ -441,11 +457,66 @@ mod tests {
     use super::*;
     use crate::min_haar_space::min_haar_space;
     use dwmaxerr_wavelet::metrics::max_abs;
+    use proptest::prelude::*;
 
     const PAPER_DATA: [f64; 8] = [5.0, 5.0, 0.0, 26.0, 1.0, 3.0, 14.0, 2.0];
 
     fn params(e: f64, d: f64) -> MhsParams {
         MhsParams::new(e, d).unwrap()
+    }
+
+    /// `combine` with the head coupling scanned `h` by `h` through the
+    /// bounds-checked accessor, as it was before [`Paired`]: the oracle.
+    fn combine_by_scan(left: &HpRow, right: &HpRow) -> HpRow {
+        let lo = left.lo.min(right.lo);
+        let (l_min_v, l_min_c) = left.min_cell();
+        let (r_min_v, r_min_c) = right.min_cell();
+        let mut row = HpRow {
+            lo,
+            ..HpRow::default()
+        };
+        for v in lo..left.hi().max(right.hi()) {
+            let side = |row: &HpRow, min_v: i64, min_c: u32| {
+                if row.cost(v) <= min_c.saturating_add(1) {
+                    (row.cost(v), 0)
+                } else {
+                    (min_c + 1, (min_v - v) as i32)
+                }
+            };
+            let ((best_l, a_l), (best_r, a_r)) =
+                (side(left, l_min_v, l_min_c), side(right, r_min_v, r_min_c));
+            let (mut best, mut ba, mut bb) = (best_l.saturating_add(best_r), a_l, a_r);
+            let h_lo = (left.lo - v).max(v - (right.hi() - 1));
+            let h_hi = ((left.hi() - 1) - v).min(v - right.lo);
+            for h in (h_lo..=h_hi).filter(|&h| h != 0) {
+                let c = left.cost(v + h) + right.cost(v - h) + 1;
+                if c < best {
+                    (best, ba, bb) = (c, h as i32, -h as i32);
+                }
+            }
+            row.costs.push(best);
+            row.shift_l.push(ba);
+            row.shift_r.push(bb);
+        }
+        row
+    }
+
+    fn child_row() -> impl Strategy<Value = HpRow> {
+        (-30i64..30, prop::collection::vec(0u32..5, 1..20usize)).prop_map(|(lo, costs)| HpRow {
+            lo,
+            shift_l: vec![0; costs.len()],
+            shift_r: vec![0; costs.len()],
+            costs,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn combine_equals_the_per_shift_scan(left in child_row(), right in child_row()) {
+            prop_assert_eq!(combine(&left, &right), combine_by_scan(&left, &right));
+        }
     }
 
     #[test]

@@ -32,10 +32,11 @@ pub fn greedy_rel_bytes(n: usize, avg_hull_lines: usize) -> u64 {
 }
 
 /// Peak bytes for a MinHaarSpace run: all `n` DP rows of `O(2ε/δ)` cells
-/// (8 bytes per cell: `u32` cost + `i32` choice) plus the data.
+/// (8 bytes per cell: `u32` cost + `i32` choice), each behind a 56-byte
+/// `Row` header (a grid index and two `Vec`s), plus the 8-byte datum.
 pub fn min_haar_space_bytes(n: usize, epsilon: f64, delta: f64) -> u64 {
     let cells = (2.0 * epsilon / delta).ceil() as u64 + 2;
-    (n as u64) * (8 * cells + 16)
+    (n as u64) * (8 * cells + 56 + 8)
 }
 
 /// Peak bytes for IndirectHaar: the worst probe is at the upper bound
@@ -93,6 +94,38 @@ mod tests {
         // IndirectHaar on NYCT: achieved error ~570, delta = 50.
         assert!(indirect_haar_bytes(n17, 600.0, 50.0) < 8 * GIB);
         assert!(indirect_haar_bytes(n17 * 4, 600.0, 50.0) > 8 * GIB);
+    }
+
+    #[test]
+    fn min_haar_space_model_covers_the_rows_held() {
+        use crate::min_haar_space::{subtree_rows, MhsParams, Row};
+        use dwmaxerr_datagen::{uniform, wd_like};
+        // What `subtree_rows` holds when it returns: every node's cells
+        // (a `u32` cost and an `i32` choice each) and its `Row` header,
+        // beside the data it was given.
+        let held = |data: &[f64], eps: f64, delta: f64| {
+            let rows = subtree_rows(data, &MhsParams::new(eps, delta).unwrap()).unwrap();
+            let cells: usize = rows.iter().map(|r| r.costs.len()).sum();
+            (cells * 8 + rows.len() * std::mem::size_of::<Row>() + data.len() * 8) as f64
+        };
+        // `build-dp`'s base slices at the ε its search settles on, and the
+        // WD surrogate at Figure 9's `(ε/δ)² ≈ 36`.
+        let ints: Vec<f64> = uniform(512, 56.0, 17).into_iter().map(f64::round).collect();
+        let wd = wd_like(4096, 1e-4, 5);
+        for (name, data, eps, delta) in [
+            ("build-dp", &ints, 25.0, 1.0),
+            ("build-dp wide", &ints, 40.0, 1.0),
+            ("wd-like", &wd, 12.0, 2.0),
+            ("wd-like fine", &wd, 30.0, 0.5),
+        ] {
+            let ratio =
+                min_haar_space_bytes(data.len(), eps, delta) as f64 / held(data, eps, delta);
+            println!("{name}: model / held = {ratio:.3}");
+            assert!(
+                (1.0..=1.5).contains(&ratio),
+                "{name}: model / held = {ratio}"
+            );
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! retained count gets to the unquantized optimum — the paper's
 //! quality/time knob (Figure 6).
 
+#![warn(clippy::too_many_lines)]
+
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
 use std::fmt;
 
@@ -70,6 +72,10 @@ pub enum MhsError {
     /// no grid point (the paper hits exactly this for Zipf-1.5 with
     /// δ ∈ {50, 100}, Section 6.2).
     DeltaTooCoarse,
+    /// A datum is NaN or infinite, or so large against δ that its window
+    /// leaves the grid the rows index (2^30 steps either side of 0): no
+    /// bound can be advertised over it.
+    OffGrid,
     /// Input shape error.
     Wavelet(WaveletError),
 }
@@ -82,6 +88,12 @@ impl fmt::Display for MhsError {
                 write!(
                     f,
                     "delta too coarse: a feasible window contains no grid point"
+                )
+            }
+            MhsError::OffGrid => {
+                write!(
+                    f,
+                    "a datum is NaN, infinite or beyond 2^30 grid steps of delta"
                 )
             }
             MhsError::Wavelet(e) => write!(f, "{e}"),
@@ -179,14 +191,30 @@ pub(crate) fn resolve_root(lo: i64, costs: &[u32]) -> Option<(u32, i64)> {
     (best.0 != INFEASIBLE).then_some(best)
 }
 
-/// Builds the pseudo-row of a single data leaf `d`: cost 0 for every grid
-/// point within ε of `d`, infeasible elsewhere.
-pub fn leaf_row(d: f64, p: &MhsParams) -> Result<Row, MhsError> {
-    let lo = ((d - p.epsilon) / p.delta).ceil() as i64;
-    let hi = ((d + p.epsilon) / p.delta).floor() as i64;
+/// Leaf windows must stay within this many grid steps of 0: every window
+/// of the tree then does too, and any retained value `z` — a difference of
+/// two window indices — fits a row's `i32` choices.
+const GRID_LIMIT: f64 = (i32::MAX / 2) as f64;
+
+/// The grid window `lo ..= hi` of a single data leaf `d`: every grid point
+/// within ε of it.
+pub(crate) fn leaf_window(d: f64, p: &MhsParams) -> Result<(i64, i64), MhsError> {
+    let lo = ((d - p.epsilon) / p.delta).ceil();
+    let hi = ((d + p.epsilon) / p.delta).floor();
+    // Written so that a NaN bound fails it.
+    if !(lo >= -GRID_LIMIT && hi <= GRID_LIMIT) {
+        return Err(MhsError::OffGrid);
+    }
     if hi < lo {
         return Err(MhsError::DeltaTooCoarse);
     }
+    Ok((lo as i64, hi as i64))
+}
+
+/// Builds the pseudo-row of a single data leaf `d`: cost 0 for every grid
+/// point within ε of `d`, infeasible elsewhere.
+pub fn leaf_row(d: f64, p: &MhsParams) -> Result<Row, MhsError> {
+    let (lo, hi) = leaf_window(d, p)?;
     let len = (hi - lo + 1) as usize;
     Ok(Row {
         lo,
@@ -195,65 +223,175 @@ pub fn leaf_row(d: f64, p: &MhsParams) -> Result<Row, MhsError> {
     })
 }
 
-/// Combines the rows of a node's two children into the node's row
-/// (the recurrence of Section 4, Figure 2).
-pub fn combine(left: &Row, right: &Row) -> Row {
-    let lo = left.lo.min(right.lo);
-    let hi = left.hi().max(right.hi());
-    let len = (hi - lo) as usize;
-    let mut costs = vec![INFEASIBLE; len];
-    let mut choices = vec![0i32; len];
-    for t in 0..len {
-        let v = lo + t as i64;
-        // z must put v+z inside the left window and v-z inside the right.
-        let z_lo = (left.lo - v).max(v - (right.hi() - 1));
-        let z_hi = ((left.hi() - 1) - v).min(v - right.lo);
-        let mut best = INFEASIBLE;
-        let mut best_z = 0i32;
-        let mut z = z_lo;
-        while z <= z_hi {
-            let cl = left.cost(v + z);
-            let cr = right.cost(v - z);
-            if cl != INFEASIBLE && cr != INFEASIBLE {
-                let cost = cl + cr + u32::from(z != 0);
-                // Prefer z = 0 on ties (cheaper synopsis, no benefit to a
-                // retained coefficient of equal cost).
-                if cost < best || (cost == best && z == 0) {
-                    best = cost;
-                    best_z = z as i32;
-                }
-            }
-            z += 1;
-        }
-        costs[t] = best;
-        choices[t] = best_z;
-    }
-    trim(Row { lo, costs, choices })
+/// Two sibling rows' costs laid out for the recurrence's inner loop: a
+/// parent cell `v` pairs left cell `v + z` with right cell `v − z`, so with
+/// the right costs reversed the pairs of one `v`, `z` ascending, are two
+/// forward slices — a window that slides two cells per step of `v`.
+pub(crate) struct Paired<'a> {
+    left_lo: i64,
+    right_lo: i64,
+    left: &'a [u32],
+    reversed: &'a [u32],
 }
 
-/// Shrinks a row to its feasible interval. Feasible cells always form a
-/// contiguous interval: `v` is feasible iff `2v` lies in the Minkowski sum
-/// of the children's feasible windows, which is an interval. Trimming keeps
-/// every row at `O(2ε/δ)` cells — the paper's row-size bound.
-fn trim(row: Row) -> Row {
-    let first = row.costs.iter().position(|&c| c != INFEASIBLE);
-    let Some(first) = first else {
-        return Row {
-            lo: row.lo,
-            costs: vec![INFEASIBLE],
-            choices: vec![0],
-        };
-    };
-    let last = row
-        .costs
-        .iter()
-        .rposition(|&c| c != INFEASIBLE)
-        .expect("first exists");
-    Row {
-        lo: row.lo + first as i64,
-        costs: row.costs[first..=last].to_vec(),
-        choices: row.choices[first..=last].to_vec(),
+impl<'a> Paired<'a> {
+    /// Pairs the windows starting at grid indices `left_lo` and `right_lo`;
+    /// `scratch` is overwritten with the reversed right costs.
+    pub(crate) fn new(
+        (left_lo, left): (i64, &'a [u32]),
+        (right_lo, right): (i64, &[u32]),
+        scratch: &'a mut Vec<u32>,
+    ) -> Self {
+        scratch.clear();
+        scratch.extend(right.iter().rev());
+        Paired {
+            left_lo,
+            right_lo,
+            left,
+            reversed: scratch,
+        }
     }
+
+    /// The pairs of parent cell `v`: the smallest `z` that reaches both
+    /// windows, then the left and right costs at that `z`, `z + 1`, …
+    /// (empty when no `z` does).
+    #[inline]
+    pub(crate) fn at(&self, v: i64) -> (i64, &[u32], &[u32]) {
+        let (n1, n2) = (self.left.len() as i64, self.reversed.len() as i64);
+        // Left cell `i` pairs with right cell `s − i`, which sits at
+        // `i + (n2 − 1 − s)` of the reversed costs.
+        let s = 2 * v - self.left_lo - self.right_lo;
+        let first = (s - (n2 - 1)).max(0);
+        let last = s.min(n1 - 1);
+        if last < first {
+            return (0, &[], &[]);
+        }
+        let len = (last - first + 1) as usize;
+        (
+            self.left_lo + first - v,
+            &self.left[first as usize..][..len],
+            &self.reversed[(first + n2 - 1 - s) as usize..][..len],
+        )
+    }
+}
+
+/// The smallest `l[i] + r[i]` over two slices of one length
+/// ([`INFEASIBLE`] when they are empty). Costs count coefficients, so the
+/// sums cannot overflow.
+#[inline]
+pub(crate) fn min_sum(l: &[u32], r: &[u32]) -> u32 {
+    debug_assert_eq!(l.len(), r.len());
+    l.iter().zip(r).fold(INFEASIBLE, |m, (&a, &b)| m.min(a + b))
+}
+
+/// The first `i` with `l[i] + r[i] == m`, for an `m` that [`min_sum`]
+/// returned over the same slices.
+#[inline]
+pub(crate) fn first_sum(l: &[u32], r: &[u32], m: u32) -> usize {
+    l.iter()
+        .zip(r)
+        .position(|(&a, &b)| a + b == m)
+        .expect("m is attained")
+}
+
+/// A live row is wholly feasible (see [`combine`]); the only other row is
+/// the dead one, whose first cell says so. An empty row counts as dead.
+fn is_dead(row: &Row) -> bool {
+    row.costs.first().copied().unwrap_or(INFEASIBLE) == INFEASIBLE
+}
+
+/// The one-cell row of a node with no feasible incoming value.
+fn dead_row(lo: i64) -> Row {
+    Row {
+        lo,
+        costs: vec![INFEASIBLE],
+        choices: vec![0],
+    }
+}
+
+/// The parent's window under children windows `a1 ..= b1` and `a2 ..= b2`:
+/// `v` is feasible iff some `z` puts `v + z` in the left window and
+/// `v − z` in the right, i.e. iff `2v` lies in their Minkowski sum.
+fn parent_window((a1, b1): (i64, i64), (a2, b2): (i64, i64)) -> (i64, i64) {
+    ((a1 + a2 + 1).div_euclid(2), (b1 + b2).div_euclid(2))
+}
+
+/// Combines the rows of a node's two children into the node's row
+/// (the recurrence of Section 4, Figure 2).
+///
+/// Each child is either dead (one [`INFEASIBLE`] cell) or *wholly
+/// feasible*: leaf rows are, and the cells of a parent that admit a `z`
+/// are exactly those whose double lies in the Minkowski sum of the
+/// children's windows — an interval, which is the window this returns. So
+/// no cell is tested for feasibility and no row is ever trimmed, and every
+/// row keeps the paper's `O(2ε/δ)` size.
+pub fn combine(left: &Row, right: &Row) -> Row {
+    combine_with(left, right, &mut Vec::new())
+}
+
+/// [`combine`] with the caller's scratch buffer for [`Paired`].
+fn combine_with(left: &Row, right: &Row, scratch: &mut Vec<u32>) -> Row {
+    if is_dead(left) || is_dead(right) {
+        return dead_row(left.lo.min(right.lo));
+    }
+    debug_assert!(!left.costs.contains(&INFEASIBLE) && !right.costs.contains(&INFEASIBLE));
+    let (lo, hi) = parent_window((left.lo, left.hi() - 1), (right.lo, right.hi() - 1));
+    if hi < lo {
+        return dead_row(left.lo.min(right.lo));
+    }
+    let pairs = Paired::new((left.lo, &left.costs), (right.lo, &right.costs), scratch);
+    let cheapest = |row: &Row| row.costs.iter().fold(INFEASIBLE, |m, &c| m.min(c));
+    let floor = cheapest(left) + cheapest(right);
+    let len = (hi - lo + 1) as usize;
+    let mut costs = Vec::with_capacity(len);
+    let mut choices = Vec::with_capacity(len);
+    for v in lo..=hi {
+        // The cell is `min over z of (z != 0) + L[v + z] + R[v − z]` with
+        // ties to z = 0 (no benefit to a retained coefficient of equal
+        // cost), then to the smallest z: with `m` the smallest sum over
+        // the window, z = 0 wins iff its sum is at most `m + 1` — and no
+        // `m` is below `floor`, which settles most cells without the pass.
+        let (z_lo, l, r) = pairs.at(v);
+        let unretained = usize::try_from(-z_lo)
+            .ok()
+            .and_then(|at| Some(l.get(at)? + r.get(at)?))
+            .unwrap_or(INFEASIBLE);
+        let m = if unretained <= floor + 1 {
+            floor
+        } else {
+            min_sum(l, r)
+        };
+        if unretained <= m + 1 {
+            costs.push(unretained);
+            choices.push(0);
+        } else {
+            costs.push(m + 1);
+            choices.push((z_lo + first_sum(l, r, m) as i64) as i32);
+        }
+    }
+    Row { lo, costs, choices }
+}
+
+/// The row above two data leaves with windows `a1 ..= b1` and
+/// `a2 ..= b2`, in closed form: leaf cells all cost 0, so a cell costs 0
+/// where both windows hold `v` and otherwise 1 with the smallest `z` that
+/// reaches both.
+fn leaf_pair_row((a1, b1): (i64, i64), (a2, b2): (i64, i64)) -> Row {
+    let (lo, hi) = parent_window((a1, b1), (a2, b2));
+    if hi < lo {
+        return dead_row(a1.min(a2));
+    }
+    let shared = a1.max(a2)..=b1.min(b2);
+    let (costs, choices) = (lo..=hi)
+        .map(|v| {
+            if shared.contains(&v) {
+                (0, 0)
+            } else {
+                (1, (a1 - v).max(v - b2) as i32)
+            }
+        })
+        .unzip();
+    Row { lo, costs, choices }
 }
 
 /// All DP rows of a (sub)tree over `data`: `rows[i]` is the row of local
@@ -265,27 +403,17 @@ pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<Row>, MhsError> {
     if m < 2 {
         return Err(MhsError::BadParams("subtree needs at least 2 leaves"));
     }
-    let mut rows: Vec<Row> = Vec::new();
-    rows.resize(
-        m,
-        Row {
-            lo: 0,
-            costs: Vec::new(),
-            choices: Vec::new(),
-        },
-    );
+    let mut rows = vec![Row::default(); m];
+    let mut reversed = Vec::new();
     // Lowest internal level first: nodes m/2 .. m have leaf children.
     for i in (1..m).rev() {
         let row = if 2 * i < m {
-            let (l, r) = rows.split_at(2 * i + 1);
-            combine(&l[2 * i], &r[0])
+            combine_with(&rows[2 * i], &rows[2 * i + 1], &mut reversed)
         } else {
             let base = (i - m / 2) * 2;
-            let l = leaf_row(data[base], p)?;
-            let r = leaf_row(data[base + 1], p)?;
-            combine(&l, &r)
+            leaf_pair_row(leaf_window(data[base], p)?, leaf_window(data[base + 1], p)?)
         };
-        if row.all_infeasible() {
+        if is_dead(&row) {
             return Err(MhsError::DeltaTooCoarse);
         }
         rows[i] = row;
@@ -338,6 +466,7 @@ pub fn min_haar_space(data: &[f64], p: &MhsParams) -> Result<MhsSolution, MhsErr
     if n == 1 {
         // Single value: retain c_0 = nearest grid point iff |d| > ε.
         let d = data[0];
+        leaf_window(d, p)?; // refuses a datum the grid cannot hold
         let entries = if d.abs() <= p.epsilon {
             Vec::new()
         } else {
@@ -374,11 +503,91 @@ pub fn min_haar_space(data: &[f64], p: &MhsParams) -> Result<MhsSolution, MhsErr
 mod tests {
     use super::*;
     use dwmaxerr_wavelet::metrics::max_abs;
+    use proptest::prelude::*;
 
     const PAPER_DATA: [f64; 8] = [5.0, 5.0, 0.0, 26.0, 1.0, 3.0, 14.0, 2.0];
 
     fn params(e: f64, d: f64) -> MhsParams {
         MhsParams::new(e, d).unwrap()
+    }
+
+    /// `combine` as it was before the windowed pass — every `z` of every
+    /// cell of the union of the windows scanned through the bounds-checked
+    /// accessors, then trimmed to the feasible interval — kept as the
+    /// oracle of the kernel, tie-breaks included.
+    fn combine_by_scan(left: &Row, right: &Row) -> Row {
+        let lo = left.lo.min(right.lo);
+        let hi = left.hi().max(right.hi());
+        let cells = (lo..hi).map(|v| {
+            let z_lo = (left.lo - v).max(v - (right.hi() - 1));
+            let z_hi = ((left.hi() - 1) - v).min(v - right.lo);
+            let (mut best, mut best_z) = (INFEASIBLE, 0i32);
+            for z in z_lo..=z_hi {
+                let (cl, cr) = (left.cost(v + z), right.cost(v - z));
+                if cl != INFEASIBLE && cr != INFEASIBLE {
+                    let cost = cl + cr + u32::from(z != 0);
+                    if cost < best || (cost == best && z == 0) {
+                        (best, best_z) = (cost, z as i32);
+                    }
+                }
+            }
+            (best, best_z)
+        });
+        let (costs, choices): (Vec<u32>, Vec<i32>) = cells.unzip();
+        let Some(first) = costs.iter().position(|&c| c != INFEASIBLE) else {
+            return dead_row(lo);
+        };
+        let last = costs.iter().rposition(|&c| c != INFEASIBLE).unwrap();
+        Row {
+            lo: lo + first as i64,
+            costs: costs[first..=last].to_vec(),
+            choices: choices[first..=last].to_vec(),
+        }
+    }
+
+    #[test]
+    fn leaf_pair_closed_form_equals_the_scan_over_leaf_rows() {
+        // Every pair of windows of 1..=4 cells up to 12 apart: disjoint,
+        // touching, nested, equal, and the one-cell pairs whose odd sum
+        // leaves the parent no grid point.
+        let windows = |lo: i64| (lo..lo + 4).map(move |hi| (lo, hi));
+        let zeros = |(lo, hi): (i64, i64)| Row {
+            lo,
+            costs: vec![0; (hi - lo + 1) as usize],
+            choices: vec![0; (hi - lo + 1) as usize],
+        };
+        for w1 in windows(0) {
+            for w2 in (-12..=12).flat_map(windows) {
+                let want = combine_by_scan(&zeros(w1), &zeros(w2));
+                assert_eq!(leaf_pair_row(w1, w2), want, "{w1:?} {w2:?}");
+                assert_eq!(combine(&zeros(w1), &zeros(w2)), want, "{w1:?} {w2:?}");
+            }
+        }
+        assert!(is_dead(&leaf_pair_row((3, 3), (4, 4))));
+        assert!(!is_dead(&leaf_pair_row((3, 3), (5, 5))));
+    }
+
+    /// A wholly feasible row with small costs (so sums tie often), or —
+    /// a quarter of the time — the dead row.
+    fn child_row() -> impl Strategy<Value = Row> {
+        let live = (-30i64..30, prop::collection::vec(0u32..5, 1..20usize));
+        (prop::option::of(live), -30i64..30).prop_map(|(live, dead_lo)| match live {
+            Some((lo, costs)) => Row {
+                lo,
+                choices: vec![0; costs.len()],
+                costs,
+            },
+            None => dead_row(dead_lo),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn combine_equals_the_per_cell_scan(left in child_row(), right in child_row()) {
+            prop_assert_eq!(combine(&left, &right), combine_by_scan(&left, &right));
+        }
     }
 
     #[test]
@@ -447,6 +656,38 @@ mod tests {
             min_haar_space(&data, &p),
             Err(MhsError::DeltaTooCoarse)
         ));
+    }
+
+    #[test]
+    fn data_the_grid_cannot_hold_is_refused() {
+        // A NaN leaf used to be windowed as 0 (`NaN as i64`) and the solve
+        // to return `Ok` with `actual_error = 2 <= ε` over data it never
+        // looked at; +∞ and 1e300 overflowed the window arithmetic (a
+        // panic in debug builds), −∞ panicked in every build.
+        let p = params(2.0, 1.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -2e9] {
+            let mut data = PAPER_DATA;
+            data[5] = bad;
+            assert_eq!(min_haar_space(&data, &p).err(), Some(MhsError::OffGrid));
+            assert_eq!(min_haar_space(&[bad], &p).err(), Some(MhsError::OffGrid));
+            assert_eq!(leaf_row(bad, &p), Err(MhsError::OffGrid));
+        }
+        // So is an ε that swallows the grid, and the limit itself is inside.
+        let wide = params(f64::INFINITY, 1.0);
+        assert_eq!(leaf_row(0.0, &wide), Err(MhsError::OffGrid));
+        let edge = GRID_LIMIT - 2.0;
+        assert_eq!(
+            leaf_window(edge, &p),
+            Ok((edge as i64 - 2, edge as i64 + 2))
+        );
+        assert_eq!(leaf_window(edge + 1.0, &p), Err(MhsError::OffGrid));
+        // ... where the widest `z` a row can hold still fits its `i32`.
+        let sol = min_haar_space(&[edge, -edge], &p).unwrap();
+        assert!(sol.size == 1 && sol.actual_error <= 2.0, "{sol:?}");
+        // Subnormals are ordinary values next to 0.
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        let sol = min_haar_space(&[tiny, -tiny, 0.0, 7.0], &p).unwrap();
+        assert!(sol.actual_error <= 2.0);
     }
 
     #[test]
