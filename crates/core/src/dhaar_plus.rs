@@ -27,6 +27,7 @@ impl From<HaarPlusError> for CoreError {
     fn from(e: HaarPlusError) -> Self {
         match e {
             HaarPlusError::DeltaTooCoarse => CoreError::Mhs(MhsError::DeltaTooCoarse),
+            HaarPlusError::OffGrid => CoreError::Mhs(MhsError::OffGrid),
             HaarPlusError::Wavelet(w) => CoreError::Wavelet(w),
         }
     }
@@ -75,8 +76,8 @@ impl LayeredDp for Hp {
     type Pick = (i32, i32);
     const PREFIX: &'static str = "dhp";
 
-    fn base_rows(&self, slice: &[f64]) -> Option<((), Vec<HpRow>)> {
-        subtree_rows(slice, &self.0).ok().map(|rows| ((), rows))
+    fn base_rows(&self, slice: &[f64]) -> Result<((), Vec<HpRow>), CoreError> {
+        Ok(((), subtree_rows(slice, &self.0)?))
     }
 
     fn combine(&self, _node: u64, left: &HpRow, right: &HpRow) -> HpRow {

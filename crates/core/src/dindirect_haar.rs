@@ -19,6 +19,7 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
+use crate::dgreedy_abs::finite_averages;
 use crate::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
@@ -91,7 +92,7 @@ pub fn dindirect_haar(
             move |split: &SliceSplit, ctx: &mut MapContext<u8, (f64, f64)>| {
                 let (details, avg) = part.base_details_from_data(split.slice());
                 let mut mags: Vec<f64> = details.iter().map(|c| c.abs()).collect();
-                mags.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
+                mags.sort_unstable_by(|a, b| b.total_cmp(a));
                 mags.truncate(keep);
                 for m in mags {
                     ctx.emit(0, (m, 0.0));
@@ -107,27 +108,26 @@ pub fn dindirect_haar(
                 ctx.emit(*k, v);
             }
         });
-    let pipe = Pipeline::on(cluster)
-        .stage(&lb_job, &splits)?
-        .then(|(_, pairs)| {
+    // NaN or ±∞ anywhere makes its slice average non-finite: refused here,
+    // before the first probe, because no ε bounds such data.
+    let pipe = Pipeline::on(cluster).stage(&lb_job, &splits)?.try_then(
+        |(_, pairs)| -> Result<f64, CoreError> {
             let mut mags: Vec<f64> = Vec::new();
-            let mut averages = vec![0.0; partition.num_base()];
+            let mut averages = Vec::new();
             for (k, (value, tag)) in pairs {
                 if k == 0 {
                     mags.push(value);
                 } else {
-                    averages[tag as usize] = value;
+                    averages.push((tag as u32, value));
                 }
             }
+            let averages = finite_averages(partition.num_base(), averages)?;
             let root = partition.root_coeffs_from_averages(&averages);
             mags.extend(root.iter().map(|c| c.abs()));
-            mags.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
-            if keep <= mags.len() {
-                mags[keep - 1]
-            } else {
-                0.0
-            }
-        });
+            mags.sort_unstable_by(|a, b| b.total_cmp(a));
+            Ok(mags.get(keep - 1).copied().unwrap_or(0.0))
+        },
+    )?;
     let e_l = *pipe.value();
 
     // ---- Upper bound (Algorithm 2 line 1): CON's max-abs error ----

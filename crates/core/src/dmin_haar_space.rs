@@ -65,8 +65,8 @@ impl LayeredDp for Mhs {
     type Pick = i32;
     const PREFIX: &'static str = "dmhs";
 
-    fn base_rows(&self, slice: &[f64]) -> Option<((), Vec<Row>)> {
-        subtree_rows(slice, &self.0).ok().map(|rows| ((), rows))
+    fn base_rows(&self, slice: &[f64]) -> Result<((), Vec<Row>), CoreError> {
+        Ok(((), subtree_rows(slice, &self.0)?))
     }
 
     fn base_memory(&self, leaves: usize) -> u64 {

@@ -75,10 +75,10 @@ impl LayeredDp for Mrv {
     type Pick = u16;
     const PREFIX: &'static str = "dmrv";
 
-    fn base_rows(&self, slice: &[f64]) -> Option<(f64, Vec<MrvRow>)> {
+    fn base_rows(&self, slice: &[f64]) -> Result<(f64, Vec<MrvRow>), CoreError> {
         let w = forward(slice).expect("pow2 slice");
         let rows = subtree_rows(&w[1..], slice, self.cap, &self.p).expect("valid subtree");
-        Some((w[0], rows))
+        Ok((w[0], rows))
     }
 
     fn absorb(&mut self, averages: Vec<f64>) {

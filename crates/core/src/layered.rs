@@ -46,8 +46,9 @@ pub(crate) trait LayeredDp: Sync {
     const PREFIX: &'static str;
 
     /// Solves one base slice: its report and all rows of its sub-tree in
-    /// heap order (`rows[1]` = local root, `[0]` unused); `None` = infeasible.
-    fn base_rows(&self, slice: &[f64]) -> Option<(Self::Report, Vec<Self::Row>)>;
+    /// heap order (`rows[1]` = local root, `[0]` unused), or why it has no
+    /// solution.
+    fn base_rows(&self, slice: &[f64]) -> Result<(Self::Report, Vec<Self::Row>), CoreError>;
 
     /// Declared working set of [`LayeredDp::base_rows`] over `leaves`
     /// values; the engine refuses tasks above the cluster's budget.
@@ -138,8 +139,10 @@ struct Group<R> {
     rows: Vec<R>,
 }
 
-/// Key under which a worker reports that its sub-problem has no solution.
+/// Keys under which a worker reports that its sub-problem has no solution:
+/// no grid point in some feasible window, or a datum the grid cannot hold.
 const FAIL_NODE: u64 = u64::MAX;
+const OFF_GRID_NODE: u64 = u64::MAX - 1;
 
 /// Every reducer of the framework forwards its records unchanged.
 fn forward<K: Clone, V>(key: &K, vals: &mut dyn Iterator<Item = V>, ctx: &mut ReduceContext<K, V>) {
@@ -149,11 +152,17 @@ fn forward<K: Clone, V>(key: &K, vals: &mut dyn Iterator<Item = V>, ctx: &mut Re
 }
 
 /// Driver glue after a bottom-up job: the layer's records in node order
-/// (a layer of `w` rows holds global nodes `w .. 2w`). A DP fails one way —
-/// no grid point in some feasible window — so [`FAIL_NODE`] is that error.
+/// (a layer of `w` rows holds global nodes `w .. 2w`), or the failure a
+/// worker reported — bad data before a bad grid, whichever slice hit it
+/// first, because a caller searching over ε retries only the latter.
 fn sorted_layer<T>(mut pairs: Vec<(u64, T)>) -> Result<impl Iterator<Item = T>, CoreError> {
-    if pairs.iter().any(|&(node, _)| node == FAIL_NODE) {
-        return Err(CoreError::Mhs(MhsError::DeltaTooCoarse));
+    for (key, failure) in [
+        (OFF_GRID_NODE, MhsError::OffGrid),
+        (FAIL_NODE, MhsError::DeltaTooCoarse),
+    ] {
+        if pairs.iter().any(|&(node, _)| node == key) {
+            return Err(CoreError::Mhs(failure));
+        }
     }
     pairs.sort_unstable_by_key(|&(node, _)| node);
     Ok(pairs.into_iter().map(|(_, record)| record))
@@ -258,11 +267,17 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
                 |split: &SliceSplit, ctx: &mut MapContext<u64, (D::Report, RowMsg<D>)>| match dp
                     .base_rows(split.slice())
                 {
-                    Some((report, mut rows)) => ctx.emit(
+                    Ok((report, mut rows)) => ctx.emit(
                         num_base + u64::from(split.id),
                         (report, RowMsg(rows.swap_remove(1))),
                     ),
-                    None => ctx.emit(FAIL_NODE, (D::Report::default(), RowMsg(D::Row::default()))),
+                    Err(e) => {
+                        let key = match e {
+                            CoreError::Mhs(MhsError::OffGrid) => OFF_GRID_NODE,
+                            _ => FAIL_NODE,
+                        };
+                        ctx.emit(key, (D::Report::default(), RowMsg(D::Row::default())));
+                    }
                 },
             )
             .input_bytes(SliceSplit::bytes)
@@ -416,10 +431,10 @@ mod tests {
         type Pick = u64;
         const PREFIX: &'static str = "census";
 
-        fn base_rows(&self, slice: &[f64]) -> Option<((), Vec<u64>)> {
+        fn base_rows(&self, slice: &[f64]) -> Result<((), Vec<u64>), CoreError> {
             let m = slice.len();
             let leaves = |i: usize| if i == 0 { 0 } else { (m >> i.ilog2()) as u64 };
-            Some(((), (0..m).map(leaves).collect()))
+            Ok(((), (0..m).map(leaves).collect()))
         }
 
         fn combine(&self, node: u64, left: &u64, right: &u64) -> u64 {

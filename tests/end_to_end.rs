@@ -3,11 +3,13 @@
 
 use dwmaxerr::algos::greedy_abs_synopsis;
 use dwmaxerr::algos::indirect_haar::indirect_haar_centralized;
+use dwmaxerr::algos::min_haar_space::{MhsError, MhsParams};
 use dwmaxerr::core::conventional::{con, hwtopk, send_coef, send_v};
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
+use dwmaxerr::core::dhaar_plus::{dhaar_plus, DhpConfig};
 use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
-use dwmaxerr::core::dmin_haar_space::DmhsConfig;
+use dwmaxerr::core::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use dwmaxerr::core::{CoreError, IncrementalDGreedyAbs};
 use dwmaxerr::datagen::{nyct_like, wd_like};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
@@ -318,6 +320,86 @@ fn greedy_drivers_survive_edge_inputs() {
                         }
                         Err(e) => assert!(!shape_ok, "{tag}: {e}"),
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The DP drivers' rows of the same table. A MinHaarSpace leaf used to
+/// window a NaN datum as 0 and advertise `actual_error <= ε` over data it
+/// never looked at; `+∞` and `1e300` overflowed the window arithmetic
+/// (a panic in debug builds) and `-∞` panicked in every build.
+#[test]
+fn dp_drivers_survive_edge_inputs() {
+    let c = cluster();
+    let tiny = f64::MIN_POSITIVE / 4.0;
+    let base: Vec<f64> = (0..16).map(|i| ((i * 5) % 11) as f64).collect();
+    let with = |at: usize, value: f64| {
+        let mut data = base.clone();
+        data[at] = value;
+        data
+    };
+    let inputs = [
+        base.clone(),
+        with(6, tiny),
+        with(6, f64::NAN),
+        with(0, f64::INFINITY),
+        with(15, f64::NEG_INFINITY),
+        with(9, 1e300),
+    ];
+    let (eps, b) = (2.0, 6);
+    let params = MhsParams::new(eps, 1.0).unwrap();
+    for data in &inputs {
+        let finite = data.iter().all(|v| v.is_finite());
+        let on_grid = data.iter().all(|v| v.abs() < 1e9);
+        for base_leaves in [4, 1 << 12] {
+            let probe = DmhsConfig {
+                base_leaves,
+                fan_in: 2,
+            };
+            let hp_cfg = DhpConfig {
+                base_leaves,
+                fan_in: 2,
+            };
+            let ih_cfg = DIndirectHaarConfig { delta: 1.0, probe };
+            // (measured error, advertised error, size, size allowed)
+            let outcomes = [
+                dmin_haar_space(&c, data, &params, &ih_cfg.probe).map(|d| {
+                    let measured = max_abs(data, &d.synopsis.reconstruct_all());
+                    (measured, d.actual_error.min(eps), d.size, data.len())
+                }),
+                dhaar_plus(&c, data, &params, &hp_cfg).map(|d| {
+                    let measured = max_abs(data, &d.synopsis.reconstruct_all());
+                    (measured, d.actual_error.min(eps), d.size, data.len())
+                }),
+                dindirect_haar(&c, data, b, &ih_cfg).map(|d| {
+                    let measured = max_abs(data, &d.synopsis.reconstruct_all());
+                    (measured, d.error, d.synopsis.size(), b)
+                }),
+            ];
+            for (algo, outcome) in ["dmin_haar_space", "dhaar_plus", "dindirect_haar"]
+                .iter()
+                .zip(outcomes)
+            {
+                let tag = format!("{algo} base_leaves={base_leaves} data={data:?}");
+                match outcome {
+                    Ok((measured, advertised, size, allowed)) => {
+                        assert!(finite && on_grid, "{tag}: built");
+                        assert!(size <= allowed, "{tag}: size {size}");
+                        assert!(
+                            measured <= advertised + 1e-9,
+                            "{tag}: measured {measured} vs advertised {advertised}"
+                        );
+                    }
+                    // DIndirectHaar reads every value before its first probe.
+                    Err(CoreError::NonFiniteInput { .. }) => {
+                        assert!(!finite && *algo == "dindirect_haar", "{tag}")
+                    }
+                    Err(CoreError::Mhs(MhsError::OffGrid)) => {
+                        assert!(!on_grid || (!finite && *algo != "dindirect_haar"), "{tag}")
+                    }
+                    Err(e) => panic!("{tag}: {e}"),
                 }
             }
         }
