@@ -465,40 +465,62 @@ mod tests {
         MhsParams::new(e, d).unwrap()
     }
 
-    /// `combine` with the head coupling scanned `h` by `h` through the
-    /// bounds-checked accessor, as it was before [`Paired`]: the oracle.
+    /// `combine` as it was before [`Paired`], body unchanged: the head
+    /// coupling scanned `h` by `h` through the bounds-checked accessor.
+    /// Kept as the oracle, tie-breaks included.
     fn combine_by_scan(left: &HpRow, right: &HpRow) -> HpRow {
+        // The parent window spans both children's windows: any inside value is
+        // reachable; outside values are the parent's parent's problem.
         let lo = left.lo.min(right.lo);
+        let hi = left.hi().max(right.hi());
+        let len = (hi - lo) as usize;
         let (l_min_v, l_min_c) = left.min_cell();
         let (r_min_v, r_min_c) = right.min_cell();
-        let mut row = HpRow {
-            lo,
-            ..HpRow::default()
-        };
-        for v in lo..left.hi().max(right.hi()) {
-            let side = |row: &HpRow, min_v: i64, min_c: u32| {
-                if row.cost(v) <= min_c.saturating_add(1) {
-                    (row.cost(v), 0)
-                } else {
-                    (min_c + 1, (min_v - v) as i32)
-                }
-            };
-            let ((best_l, a_l), (best_r, a_r)) =
-                (side(left, l_min_v, l_min_c), side(right, r_min_v, r_min_c));
-            let (mut best, mut ba, mut bb) = (best_l.saturating_add(best_r), a_l, a_r);
+        let mut costs = vec![INF; len];
+        let mut shift_l = vec![0i32; len];
+        let mut shift_r = vec![0i32; len];
+        for t in 0..len {
+            let v = lo + t as i64;
+            // Independent sides.
+            let (mut best_l, mut a_l) = (l_min_c.saturating_add(1), (l_min_v - v) as i32);
+            if left.cost(v) <= best_l {
+                best_l = left.cost(v);
+                a_l = 0;
+            }
+            let (mut best_r, mut a_r) = (r_min_c.saturating_add(1), (r_min_v - v) as i32);
+            if right.cost(v) <= best_r {
+                best_r = right.cost(v);
+                a_r = 0;
+            }
+            let mut best = best_l.saturating_add(best_r);
+            let (mut ba, mut bb) = (a_l, a_r);
+            // Head coupling: a = h, b = -h, h != 0, cost 1 total.
             let h_lo = (left.lo - v).max(v - (right.hi() - 1));
             let h_hi = ((left.hi() - 1) - v).min(v - right.lo);
-            for h in (h_lo..=h_hi).filter(|&h| h != 0) {
-                let c = left.cost(v + h) + right.cost(v - h) + 1;
+            for h in h_lo..=h_hi {
+                if h == 0 {
+                    continue;
+                }
+                let c = left
+                    .cost(v + h)
+                    .saturating_add(right.cost(v - h))
+                    .saturating_add(1);
                 if c < best {
-                    (best, ba, bb) = (c, h as i32, -h as i32);
+                    best = c;
+                    ba = h as i32;
+                    bb = -h as i32;
                 }
             }
-            row.costs.push(best);
-            row.shift_l.push(ba);
-            row.shift_r.push(bb);
+            costs[t] = best;
+            shift_l[t] = ba;
+            shift_r[t] = bb;
         }
-        row
+        HpRow {
+            lo,
+            costs,
+            shift_l,
+            shift_r,
+        }
     }
 
     fn child_row() -> impl Strategy<Value = HpRow> {

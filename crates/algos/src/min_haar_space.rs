@@ -152,7 +152,9 @@ impl Row {
         self.lo + self.costs.len() as i64
     }
 
-    /// True when no cell is feasible.
+    /// True when no cell is feasible: the dead row (or an empty one). Any
+    /// other row is wholly feasible (see [`combine`]), so this reads one
+    /// cell of it.
     pub fn all_infeasible(&self) -> bool {
         self.costs.iter().all(|&c| c == INFEASIBLE)
     }
@@ -294,12 +296,6 @@ pub(crate) fn first_sum(l: &[u32], r: &[u32], m: u32) -> usize {
         .expect("m is attained")
 }
 
-/// A live row is wholly feasible (see [`combine`]); the only other row is
-/// the dead one, whose first cell says so. An empty row counts as dead.
-fn is_dead(row: &Row) -> bool {
-    row.costs.first().copied().unwrap_or(INFEASIBLE) == INFEASIBLE
-}
-
 /// The one-cell row of a node with no feasible incoming value.
 fn dead_row(lo: i64) -> Row {
     Row {
@@ -331,7 +327,7 @@ pub fn combine(left: &Row, right: &Row) -> Row {
 
 /// [`combine`] with the caller's scratch buffer for [`Paired`].
 fn combine_with(left: &Row, right: &Row, scratch: &mut Vec<u32>) -> Row {
-    if is_dead(left) || is_dead(right) {
+    if left.all_infeasible() || right.all_infeasible() {
         return dead_row(left.lo.min(right.lo));
     }
     debug_assert!(!left.costs.contains(&INFEASIBLE) && !right.costs.contains(&INFEASIBLE));
@@ -413,7 +409,7 @@ pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<Row>, MhsError> {
             let base = (i - m / 2) * 2;
             leaf_pair_row(leaf_window(data[base], p)?, leaf_window(data[base + 1], p)?)
         };
-        if is_dead(&row) {
+        if row.all_infeasible() {
             return Err(MhsError::DeltaTooCoarse);
         }
         rows[i] = row;
@@ -511,37 +507,63 @@ mod tests {
         MhsParams::new(e, d).unwrap()
     }
 
-    /// `combine` as it was before the windowed pass — every `z` of every
-    /// cell of the union of the windows scanned through the bounds-checked
-    /// accessors, then trimmed to the feasible interval — kept as the
-    /// oracle of the kernel, tie-breaks included.
+    /// `combine` as it was before the windowed pass, body unchanged: every
+    /// `z` of every cell of the union of the windows scanned through the
+    /// bounds-checked accessors, the row then trimmed to its feasible
+    /// interval. Kept as the oracle of the kernel, tie-breaks included.
     fn combine_by_scan(left: &Row, right: &Row) -> Row {
         let lo = left.lo.min(right.lo);
         let hi = left.hi().max(right.hi());
-        let cells = (lo..hi).map(|v| {
+        let len = (hi - lo) as usize;
+        let mut costs = vec![INFEASIBLE; len];
+        let mut choices = vec![0i32; len];
+        for t in 0..len {
+            let v = lo + t as i64;
+            // z must put v+z inside the left window and v-z inside the right.
             let z_lo = (left.lo - v).max(v - (right.hi() - 1));
             let z_hi = ((left.hi() - 1) - v).min(v - right.lo);
-            let (mut best, mut best_z) = (INFEASIBLE, 0i32);
-            for z in z_lo..=z_hi {
-                let (cl, cr) = (left.cost(v + z), right.cost(v - z));
+            let mut best = INFEASIBLE;
+            let mut best_z = 0i32;
+            let mut z = z_lo;
+            while z <= z_hi {
+                let cl = left.cost(v + z);
+                let cr = right.cost(v - z);
                 if cl != INFEASIBLE && cr != INFEASIBLE {
                     let cost = cl + cr + u32::from(z != 0);
+                    // Prefer z = 0 on ties (cheaper synopsis, no benefit to a
+                    // retained coefficient of equal cost).
                     if cost < best || (cost == best && z == 0) {
-                        (best, best_z) = (cost, z as i32);
+                        best = cost;
+                        best_z = z as i32;
                     }
                 }
+                z += 1;
             }
-            (best, best_z)
-        });
-        let (costs, choices): (Vec<u32>, Vec<i32>) = cells.unzip();
-        let Some(first) = costs.iter().position(|&c| c != INFEASIBLE) else {
-            return dead_row(lo);
+            costs[t] = best;
+            choices[t] = best_z;
+        }
+        trim(Row { lo, costs, choices })
+    }
+
+    /// The oracle's second half: shrinks a row to its feasible interval.
+    fn trim(row: Row) -> Row {
+        let first = row.costs.iter().position(|&c| c != INFEASIBLE);
+        let Some(first) = first else {
+            return Row {
+                lo: row.lo,
+                costs: vec![INFEASIBLE],
+                choices: vec![0],
+            };
         };
-        let last = costs.iter().rposition(|&c| c != INFEASIBLE).unwrap();
+        let last = row
+            .costs
+            .iter()
+            .rposition(|&c| c != INFEASIBLE)
+            .expect("first exists");
         Row {
-            lo: lo + first as i64,
-            costs: costs[first..=last].to_vec(),
-            choices: choices[first..=last].to_vec(),
+            lo: row.lo + first as i64,
+            costs: row.costs[first..=last].to_vec(),
+            choices: row.choices[first..=last].to_vec(),
         }
     }
 
@@ -563,8 +585,8 @@ mod tests {
                 assert_eq!(combine(&zeros(w1), &zeros(w2)), want, "{w1:?} {w2:?}");
             }
         }
-        assert!(is_dead(&leaf_pair_row((3, 3), (4, 4))));
-        assert!(!is_dead(&leaf_pair_row((3, 3), (5, 5))));
+        assert!(leaf_pair_row((3, 3), (4, 4)).all_infeasible());
+        assert!(!leaf_pair_row((3, 3), (5, 5)).all_infeasible());
     }
 
     /// A wholly feasible row with small costs (so sums tie often), or —
