@@ -149,24 +149,6 @@ pub(crate) fn histogram_batches(
     out
 }
 
-/// Base averages in base order from the averages job's output, refusing
-/// non-finite data: any NaN or ±∞ value makes its base average non-finite,
-/// and on such data the error buckets (and so the advertised bound) mean
-/// nothing.
-pub(crate) fn finite_averages(
-    num_base: usize,
-    pairs: Vec<(u32, f64)>,
-) -> Result<Vec<f64>, CoreError> {
-    let mut averages = vec![0.0; num_base];
-    for (j, avg) in pairs {
-        if !avg.is_finite() {
-            return Err(CoreError::NonFiniteInput { base: j as usize });
-        }
-        averages[j as usize] = avg;
-    }
-    Ok(averages)
-}
-
 /// DGreedyAbs's errhist stage: GreedyAbs at level 1, the cut bucket (0
 /// when everything fits) at level 2. No floor — the driver's root run
 /// gives `ρ_k` exactly.
@@ -223,7 +205,7 @@ pub fn dgreedy_abs(
     let pipe = Pipeline::on(cluster)
         .stage(&avg_job, &splits)?
         .try_then(|(_, pairs)| {
-            let averages = finite_averages(partition.num_base(), pairs)?;
+            let averages = partition.finite_averages(pairs)?;
             Ok::<_, CoreError>(partition.root_coeffs_from_averages(&averages))
         })?;
     let root_coeffs = pipe.value().clone();

@@ -17,7 +17,7 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::dgreedy_abs::{finite_averages, Broadcast};
+use crate::dgreedy_abs::Broadcast;
 use crate::errhist::{errhist_stage, ErrHistEngine};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
@@ -134,7 +134,7 @@ pub fn dgreedy_rel(
     let pipe = Pipeline::on(cluster)
         .stage(&avg_job, &splits)?
         .try_then(|(_, pairs)| {
-            let averages = finite_averages(partition.num_base(), pairs)?;
+            let averages = partition.finite_averages(pairs)?;
             let root_coeffs = partition.root_coeffs_from_averages(&averages);
             Ok::<_, CoreError>((averages, root_coeffs))
         })?;

@@ -19,7 +19,6 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::dgreedy_abs::finite_averages;
 use crate::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
@@ -121,7 +120,7 @@ pub fn dindirect_haar(
                     averages.push((tag as u32, value));
                 }
             }
-            let averages = finite_averages(partition.num_base(), averages)?;
+            let averages = partition.finite_averages(averages)?;
             let root = partition.root_coeffs_from_averages(&averages);
             mags.extend(root.iter().map(|c| c.abs()));
             mags.sort_unstable_by(|a, b| b.total_cmp(a));

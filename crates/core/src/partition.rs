@@ -22,6 +22,8 @@
 use dwmaxerr_wavelet::tree::TreeTopology;
 use dwmaxerr_wavelet::WaveletError;
 
+use crate::error::CoreError;
+
 /// Heap self-similarity: the global id of the node at heap position
 /// `local` (`1` = its own root) of the sub-tree rooted at global node
 /// `root` — a base sub-tree or one of the layered framework's mini-trees.
@@ -142,6 +144,20 @@ impl BasePartition {
     pub fn root_coeffs_from_averages(&self, averages: &[f64]) -> Vec<f64> {
         debug_assert_eq!(averages.len(), self.r);
         dwmaxerr_wavelet::transform::forward(averages).expect("power-of-two averages")
+    }
+
+    /// Base averages in base order from `(base, average)` records,
+    /// refusing non-finite data: any NaN or ±∞ value makes its base average
+    /// non-finite, and over such data no error bound means anything.
+    pub(crate) fn finite_averages(&self, pairs: Vec<(u32, f64)>) -> Result<Vec<f64>, CoreError> {
+        let mut averages = vec![0.0; self.num_base()];
+        for (j, avg) in pairs {
+            if !avg.is_finite() {
+                return Err(CoreError::NonFiniteInput { base: j as usize });
+            }
+            averages[j as usize] = avg;
+        }
+        Ok(averages)
     }
 
     /// The topology of the root sub-tree viewed as an `R`-leaf error tree
