@@ -396,7 +396,9 @@ pub struct NetServerStats {
 
 struct ServerShared {
     store: SynopsisStore,
-    router: Mutex<Option<ShardRouter>>,
+    /// Behind an `Arc` so a request takes its view of the table with one
+    /// reference-count bump; liveness changes copy on write.
+    router: Mutex<Option<Arc<ShardRouter>>>,
     pool: Executor,
     cfg: NetServerConfig,
     shutdown: AtomicBool,
@@ -453,7 +455,7 @@ impl NetServer {
         };
         let shared = Arc::new(ServerShared {
             store,
-            router: Mutex::new(router),
+            router: Mutex::new(router.map(Arc::new)),
             pool: Executor::new(threads),
             cfg,
             shutdown: AtomicBool::new(false),
@@ -521,7 +523,7 @@ impl NetServer {
     /// individually with `ShardUnavailable`.
     pub fn mark_node_down(&self, node: usize) {
         if let Some(r) = self.shared.router.lock().expect("router lock").as_mut() {
-            r.mark_down(node);
+            Arc::make_mut(r).mark_down(node);
         }
     }
 
@@ -529,7 +531,7 @@ impl NetServer {
     /// one).
     pub fn mark_node_up(&self, node: usize) {
         if let Some(r) = self.shared.router.lock().expect("router lock").as_mut() {
-            r.mark_up(node);
+            Arc::make_mut(r).mark_up(node);
         }
     }
 
@@ -668,7 +670,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         let start = Instant::now();
         let router = shared.router.lock().expect("router lock").clone();
         let (results, _stats) =
-            execute_partial_routed(&reader, &queries, router.as_ref(), Some(&shared.pool));
+            execute_partial_routed(&reader, &queries, router.as_deref(), Some(&shared.pool));
         let mut failed = 0u64;
         let slots: Vec<SlotResult> = results
             .into_iter()

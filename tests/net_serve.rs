@@ -296,6 +296,31 @@ fn node_kill_with_replication_stays_servable() {
             }
         }
 
+        // A range reads the shards of both its endpoints: one that ends
+        // in dead shard 1 errors like the point beside it, one inside
+        // live shard 0 still answers.
+        let across = [
+            Query::RangeSum {
+                l: BASE - 1,
+                h: BASE,
+            },
+            Query::Point { x: BASE },
+            Query::RangeSum { l: 0, h: BASE - 1 },
+        ];
+        let ranges = client.request(&across).unwrap();
+        assert_eq!(ranges.status, status::OK);
+        assert!(ranges.slots[2].is_ok(), "a range inside a live shard");
+        for slot in &ranges.slots[..2] {
+            match (replication, slot) {
+                (2, slot) => assert!(slot.is_ok(), "replication 2 hides the kill"),
+                (_, SlotResult::Error { code, message }) => {
+                    assert_eq!(*code, status::SHARD_UNAVAILABLE);
+                    assert!(message.contains("shard 1"), "{message}");
+                }
+                (_, slot) => panic!("read dead shard 1 and answered: {slot:?}"),
+            }
+        }
+
         // Recovery restores full service.
         server.mark_node_up(1);
         let recovered = client.request(&queries).unwrap();
