@@ -1,7 +1,7 @@
 //! Acceptance tests for phased execution and incremental maintenance
 //! (the progressive serving layer).
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **Golden digest** — the phased driver's *final* (background) synopsis
 //!    is bit-identical to a one-shot `dgreedy_abs` build of the same
@@ -14,6 +14,8 @@
 //!    append/slide schedules (power-of-two fills and ragged zero-padded
 //!    tails alike) and require the incrementally maintained CON and
 //!    DGreedyAbs synopses to equal from-scratch builds bit for bit.
+//! 4. **Golden tick schedule** — a fixed ten-tick schedule pins what each
+//!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served.
 
 use std::time::Duration;
 
@@ -27,6 +29,7 @@ use dwmaxerr::runtime::trace::{self, summary};
 use dwmaxerr::runtime::{
     Cluster, ClusterConfig, FaultPlan, Phase, Pipeline, SpillBackend, TaskPhase,
 };
+use dwmaxerr::wavelet::metrics::max_abs;
 use dwmaxerr::wavelet::Synopsis;
 use proptest::prelude::*;
 
@@ -201,6 +204,124 @@ fn incremental_tick_work_is_proportional_to_dirty_subtrees() {
     assert!(!summary::phase_spans(&events).is_empty());
 }
 
+/// One row of [`TICK_SCHEDULE`]: `(dirty_bases, foreground_tasks,
+/// background_tasks, greedy_runs, coarse digest, exact digest,
+/// exact_error bits, best |C_root|)`.
+type TickRow = (usize, usize, usize, usize, u64, u64, u64, usize);
+
+/// What each tick of `tick_schedule_is_golden` re-ran and served, captured
+/// while Section 5 was still written three times (before `core::errhist`
+/// became the one driver). Which work an update repeats is the
+/// maintainers' contract; the tests above only bound it by inequalities.
+#[rustfmt::skip]
+const TICK_SCHEDULE: &[TickRow] = &[
+    (16, 16, 48, 126, 0x4783f61835e1e8ab, 0x4989ac2abd97e857, 0x40446e8000000000, 1),
+    (1, 1, 3, 8, 0xf7552be0abf4e7e9, 0x4abefaa938e60961, 0x4044ee8000000000, 1),
+    (1, 1, 33, 75, 0x774e891f58d939b8, 0x3a5a18412d669b4d, 0x4045038000000000, 1),
+    (2, 2, 34, 78, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
+    (0, 0, 0, 0, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
+    (1, 1, 33, 73, 0xcecd2f4c6eacd9f4, 0xe03c04704ba8c5d8, 0x40450d0000000000, 1),
+    (15, 15, 47, 121, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
+    (1, 1, 3, 8, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
+    (1, 1, 3, 8, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
+    (0, 0, 0, 0, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
+];
+
+/// Ten ticks over a 256-value ring of 16 bases, budget 32: the full fill;
+/// a mean-preserving overwrite of base 0; three values that move base 1's
+/// mean; an append straddling bases 1 and 2; an empty append; one value;
+/// a wrap-around of the ring (15 bases touched, the write position ends
+/// inside base 0); the rest of base 0 rewritten with the values it already
+/// holds; a mean-preserving overwrite of base 1; an empty append.
+#[test]
+fn tick_schedule_is_golden() {
+    let cluster = cluster_on(SpillBackend::from_env(), None);
+    let budget = 32;
+    let mut driver = PhasedSynopsisDriver::new(N, budget, &dg_cfg()).unwrap();
+    // `BASE` integers with the sum of `old`: the base average is reproduced
+    // bit for bit.
+    let same_sum = |old: &[f64], salt: usize| -> Vec<f64> {
+        let mut fresh: Vec<f64> = (0..BASE - 1)
+            .map(|i| ((i * 13 + salt) % 29) as f64)
+            .collect();
+        fresh.push(old.iter().sum::<f64>() - fresh.iter().sum::<f64>());
+        fresh
+    };
+
+    let mut got: Vec<TickRow> = Vec::new();
+    for tick in 0..10 {
+        let held = driver.window().data();
+        let values = match tick {
+            0 => int_data(N, 5),
+            1 => same_sum(&held[..BASE], 0),
+            2 => vec![96.0, 0.0, 55.0],
+            3 => int_data(BASE + 4, 9),
+            5 => vec![41.0],
+            6 => int_data(N - 40 + 8, 77),
+            7 => held[8..BASE].to_vec(),
+            8 => same_sum(&held[BASE..2 * BASE], 3),
+            _ => Vec::new(),
+        };
+        let report = driver.tick(&cluster, &values).unwrap();
+        let window = driver.window().data();
+        assert_eq!(
+            driver.window().pushed() as usize % N,
+            [0, 16, 19, 39, 39, 40, 8, 16, 32, 32][tick],
+            "write position after tick {tick}"
+        );
+
+        // The coarse snapshot is superseded before `tick` returns; it is
+        // pinned through the one-shot CON it must equal and the error the
+        // driver measured on its own copy.
+        let (coarse, _) = con(
+            &cluster_on(SpillBackend::Memory, None),
+            window,
+            budget,
+            BASE,
+        )
+        .unwrap();
+        assert_eq!(
+            report.coarse_error.to_bits(),
+            max_abs(window, &coarse.reconstruct_all()).to_bits(),
+            "tick {tick}"
+        );
+        let one_shot = dgreedy_abs(
+            &cluster_on(SpillBackend::Memory, None),
+            window,
+            budget,
+            &dg_cfg(),
+        )
+        .unwrap();
+        let latest = driver.latest().unwrap();
+        assert_eq!(latest.value.synopsis, one_shot.synopsis, "tick {tick}");
+        assert_eq!(
+            latest.value.guaranteed_error,
+            Some(report.exact_error),
+            "tick {tick}"
+        );
+        got.push((
+            report.dirty_bases,
+            report.foreground_tasks,
+            report.background_tasks,
+            report.greedy_runs,
+            syn_digest(&coarse),
+            syn_digest(&latest.value.synopsis),
+            report.exact_error.to_bits(),
+            one_shot.best_croot_size,
+        ));
+    }
+    let listing: Vec<String> = got
+        .iter()
+        .map(|r| {
+            format!(
+                "({}, {}, {}, {}, {:#018x}, {:#018x}, {:#018x}, {}),",
+                r.0, r.1, r.2, r.3, r.4, r.5, r.6, r.7
+            )
+        })
+        .collect();
+    assert_eq!(got, TICK_SCHEDULE, "measured:\n{}", listing.join("\n"));
+}
+
 /// Arbitrary window shape plus an append schedule: initial fill length
 /// (possibly ragged), then 1..4 appends of 1..=2·BASE values each.
 fn append_schedule() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>)> {
@@ -220,10 +341,21 @@ proptest! {
     // incremental DGreedyAbs equals a from-scratch build bit for bit —
     // coefficient set and guaranteed error alike — through ragged
     // zero-padded prefixes and full ring wrap-around.
+    // The candidate cap and the reducer count reach the incremental path
+    // only through the steps it shares with the batch driver.
     #[test]
-    fn incremental_dgreedy_equals_from_scratch((fill, appends) in append_schedule()) {
+    fn incremental_dgreedy_equals_from_scratch(
+        (fill, appends) in append_schedule(),
+        capped in any::<bool>(),
+        three_reducers in any::<bool>(),
+    ) {
         let n = 64;
-        let cfg = DGreedyAbsConfig { base_leaves: 8, bucket_width: 1e-9, reducers: 2, max_candidates: None };
+        let cfg = DGreedyAbsConfig {
+            base_leaves: 8,
+            bucket_width: 1e-9,
+            reducers: if three_reducers { 3 } else { 1 },
+            max_candidates: capped.then_some(2),
+        };
         let cluster = cluster_on(SpillBackend::from_env(), None);
         let mut window = StreamWindow::new(n, 8).unwrap();
         let mut inc = IncrementalDGreedyAbs::new(n, 12, &cfg).unwrap();
