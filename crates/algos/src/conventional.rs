@@ -16,8 +16,7 @@ pub fn top_b_normalized(tree: &ErrorTree, b: usize) -> Vec<u32> {
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_unstable_by(|&a, &bb| {
         tree.normalized_abs(bb as usize)
-            .partial_cmp(&tree.normalized_abs(a as usize))
-            .expect("finite coefficients")
+            .total_cmp(&tree.normalized_abs(a as usize))
             .then(a.cmp(&bb))
     });
     order.truncate(b.min(n));

@@ -39,7 +39,7 @@ pub fn error_bounds(coeffs: &[f64], data: &[f64], b: usize) -> (f64, f64) {
         0.0
     } else {
         let mut mags: Vec<f64> = coeffs.iter().map(|c| c.abs()).collect();
-        mags.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
+        mags.sort_unstable_by(|a, b| b.total_cmp(a));
         mags[b]
     };
     let tree = ErrorTree::from_coefficients(coeffs.to_vec()).expect("valid coeffs");

@@ -75,7 +75,7 @@ fn kth_largest(mut values: Vec<f64>, k: usize) -> f64 {
     if values.len() < k || k == 0 {
         return 0.0;
     }
-    values.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
+    values.sort_unstable_by(|a, b| b.total_cmp(a));
     values[k - 1]
 }
 
@@ -117,7 +117,7 @@ pub fn hwtopk(
         .map(
             move |split: &SliceSplit, ctx: &mut MapContext<u64, (u32, f64)>| {
                 let mut partials = local_partials(n, split);
-                partials.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+                partials.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));
                 let len = partials.len();
                 let hi = k.min(len);
                 let lo = k.min(len.saturating_sub(hi));
@@ -181,7 +181,7 @@ pub fn hwtopk(
         .map(
             move |split: &SliceSplit, ctx: &mut MapContext<u64, (u32, f64)>| {
                 let mut partials = local_partials(n, split);
-                partials.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+                partials.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));
                 let len = partials.len();
                 let hi = k.min(len);
                 let lo = k.min(len.saturating_sub(hi));

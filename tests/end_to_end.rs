@@ -1,6 +1,7 @@
 //! End-to-end integration tests across crates, driven through the
 //! `dwmaxerr` facade exactly as a downstream user would.
 
+use dwmaxerr::algos::conventional::conventional_synopsis;
 use dwmaxerr::algos::greedy_abs_synopsis;
 use dwmaxerr::algos::indirect_haar::indirect_haar_centralized;
 use dwmaxerr::algos::min_haar_space::{MhsError, MhsParams};
@@ -405,6 +406,61 @@ fn dp_drivers_survive_edge_inputs() {
                     }
                     Err(e) => panic!("{tag}: {e}"),
                 }
+            }
+        }
+    }
+}
+
+/// The conventional family's rows of the same table — CON, Send-V,
+/// Send-Coef, H-WTopk, the centralized reference they must equal, and the
+/// centralized IndirectHaar search. Each of them used to sort with
+/// `partial_cmp(..).expect("finite")`, so one NaN cell aborted the process.
+#[test]
+fn conventional_family_survives_edge_inputs() {
+    let c = cluster();
+    let tiny = f64::MIN_POSITIVE / 4.0;
+    let base: Vec<f64> = (0..16).map(|i| ((i * 5) % 11) as f64).collect();
+    let with = |at: usize, value: f64| {
+        let mut data = base.clone();
+        data[at] = value;
+        data
+    };
+    // (data, every algorithm must reproduce the reference synopsis)
+    let inputs = [
+        (base.clone(), true),
+        (with(6, tiny), true),
+        (with(6, f64::NAN), false),
+        (with(0, f64::INFINITY), false),
+        (with(15, f64::NEG_INFINITY), false),
+        (with(9, 1e300), false),
+    ];
+    for (data, exact) in &inputs {
+        let n = data.len();
+        let finite = data.iter().all(|v| v.is_finite());
+        for b in [0, 1, n, n + 3] {
+            let reference = conventional_synopsis(&forward(data).unwrap(), b).unwrap();
+            let built = [
+                ("reference", reference.clone()),
+                ("con", con(&c, data, b, 4).unwrap().0),
+                ("send_v", send_v(&c, data, b, 4).unwrap().0),
+                ("send_coef", send_coef(&c, data, b, 5).unwrap().0),
+                ("hwtopk", hwtopk(&c, data, b, 5).unwrap().synopsis),
+            ];
+            for (algo, synopsis) in &built {
+                let tag = format!("{algo} b={b} data={data:?}");
+                assert!(synopsis.size() <= b, "{tag}: size {}", synopsis.size());
+                if *exact {
+                    assert_eq!(synopsis, &reference, "{tag}");
+                }
+            }
+            let tag = format!("indirect_haar b={b} data={data:?}");
+            match indirect_haar_centralized(data, b, 1.0) {
+                Ok(report) => {
+                    assert!(finite, "{tag}: built");
+                    assert!(report.synopsis.size() <= b, "{tag}");
+                }
+                Err(MhsError::OffGrid) => assert!(!exact, "{tag}"),
+                Err(e) => panic!("{tag}: {e}"),
             }
         }
     }
