@@ -8,13 +8,45 @@
 //! `O(N)` but — unlike Send-Coef — each coefficient crosses the wire
 //! exactly once, fully computed.
 
+#![warn(clippy::too_many_lines)]
+
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::pipeline::StagedPipeline;
+use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, RuntimeError};
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
+use crate::layered::forward;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
+
+/// Runs CON's job `name` over `splits`, base slices of `partition` (any
+/// subset of them): the output pairs are every detail coefficient on its
+/// global node id and every slice average on the reserved key `< R` (the
+/// split id — detail node ids are all `≥ R`).
+pub(crate) fn con_stage<'c, T>(
+    pipe: Pipeline<'c, T>,
+    name: &str,
+    partition: BasePartition,
+    splits: &[SliceSplit],
+) -> Result<StagedPipeline<'c, T, u64, f64>, RuntimeError> {
+    let job = JobBuilder::new(name)
+        .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
+            let (details, avg) = partition.base_details_from_data(split.slice());
+            for (local, &c) in details.iter().enumerate() {
+                let global = partition.local_to_global(split.id as usize, local + 1);
+                ctx.emit(global as u64, c);
+            }
+            ctx.emit(split.id as u64, avg);
+        })
+        .input_bytes(SliceSplit::bytes)
+        // Pass everything through; the top-B selection happens
+        // driver-side so the averages (keys < R) can be transformed
+        // into root coefficients first. The reducer still performs the
+        // sort-merge, as in the paper's design.
+        .reduce(forward);
+    pipe.stage(&job, splits)
+}
 
 /// Runs CON: the conventional B-term synopsis with locality-preserving
 /// partitioning into `base_leaves`-sized slices.
@@ -29,48 +61,20 @@ pub fn con(
     let partition = BasePartition::new(n, s)?;
     let splits = aligned_splits(data, s);
     let num_base = partition.num_base() as u64;
-    let part = partition;
-
-    let job = JobBuilder::new("con")
-        .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
-            let (details, avg) = part.base_details_from_data(split.slice());
-            for (local, &c) in details.iter().enumerate() {
-                let global = part.local_to_global(split.id as usize, local + 1);
-                ctx.emit(global as u64, c);
-            }
-            // Averages travel on reserved keys < R... they must not
-            // collide with detail node ids (all ≥ R), so key = split id.
-            ctx.emit(split.id as u64, avg);
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
-            // Pass everything through; the top-B selection happens
-            // driver-side so the averages (keys < R) can be transformed
-            // into root coefficients first. The reducer still performs the
-            // sort-merge, as in the paper's design.
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-
-    let (entries, metrics) = Pipeline::on(cluster)
-        .stage(&job, &splits)?
-        .then(|(_, pairs)| {
+    Ok(con_stage(Pipeline::on(cluster), "con", partition, &splits)?
+        .try_then(|((), pairs)| {
             let mut averages = vec![0.0; num_base as usize];
-            let mut coeff_pairs: Vec<(u64, f64)> = Vec::with_capacity(n);
+            let mut details: Vec<(u64, f64)> = Vec::with_capacity(n);
             for (k, v) in pairs {
                 if k < num_base {
                     averages[k as usize] = v;
                 } else {
-                    coeff_pairs.push((k, v));
+                    details.push((k, v));
                 }
             }
-            let root = partition.root_coeffs_from_averages(&averages);
-            coeff_pairs.extend(root.iter().enumerate().map(|(i, &c)| (i as u64, c)));
-            super::top_b_by_normalized(coeff_pairs, n, b)
-        })
-        .finish();
-    Ok((Synopsis::from_entries(n, entries)?, metrics))
+            super::select_top_b(partition, &averages, details, b)
+        })?
+        .finish())
 }
 
 #[cfg(test)]

@@ -17,11 +17,16 @@ mod send_coef_impl;
 mod send_v_impl;
 
 pub use con_impl::con;
+pub(crate) use con_impl::con_stage;
 pub use hwtopk_impl::{hwtopk, HWTopkReport};
 pub use send_coef_impl::{send_coef, send_coef_combined};
 pub use send_v_impl::send_v;
 
 use dwmaxerr_wavelet::tree::TreeTopology;
+use dwmaxerr_wavelet::Synopsis;
+
+use crate::error::CoreError;
+use crate::partition::BasePartition;
 
 /// The L2 normalization factor of node `i` in an `n`-value tree:
 /// `1 / sqrt(2^level(i))`.
@@ -48,7 +53,7 @@ pub(crate) fn top_b_by_normalized(
         .map(|(i, v)| (v.abs() * norm_factor(&topo, i as usize), i, v))
         .collect();
     let by_magnitude_then_node = |&(ni, i, _): &(f64, u64, f64), &(nj, j, _): &(f64, u64, f64)| {
-        nj.partial_cmp(&ni).expect("finite").then(i.cmp(&j))
+        nj.total_cmp(&ni).then(i.cmp(&j))
     };
     if b < all.len() {
         all.select_nth_unstable_by(b - 1, by_magnitude_then_node);
@@ -56,6 +61,24 @@ pub(crate) fn top_b_by_normalized(
     }
     all.sort_unstable_by(by_magnitude_then_node);
     all.into_iter().map(|(_, i, v)| (i as u32, v)).collect()
+}
+
+/// CON's driver side: the base `averages` become the root sub-tree's
+/// coefficients, which join the base sub-trees' `details` (`(global node,
+/// coefficient)`, any order); the `b` largest in normalized value stay.
+pub(crate) fn select_top_b(
+    partition: BasePartition,
+    averages: &[f64],
+    mut details: Vec<(u64, f64)>,
+    b: usize,
+) -> Result<Synopsis, CoreError> {
+    let root = partition.root_coeffs_from_averages(averages);
+    details.extend(root.iter().enumerate().map(|(i, &c)| (i as u64, c)));
+    let n = partition.n();
+    Ok(Synopsis::from_entries(
+        n,
+        top_b_by_normalized(details, n, b),
+    )?)
 }
 
 #[cfg(test)]
@@ -116,7 +139,7 @@ mod tests {
         all.sort_unstable_by(|&(i, vi), &(j, vj)| {
             let ni = vi.abs() * norm_factor(&topo, i as usize);
             let nj = vj.abs() * norm_factor(&topo, j as usize);
-            nj.partial_cmp(&ni).unwrap().then(i.cmp(&j))
+            nj.total_cmp(&ni).then(i.cmp(&j))
         });
         all.truncate(b);
         all.into_iter().map(|(i, v)| (i as u32, v)).collect()

@@ -21,25 +21,27 @@
 //! 4. **combineResults** (Algorithm 5, level-2 reducers) — per candidate,
 //!    select over its histograms the error at the `B - |C_root|` cut; the
 //!    driver picks the best candidate as `max(cut error, ρ_k)` minimized
-//!    over `k`. Both levels live in the crate-private `errhist` module,
-//!    shared with DGreedyRel.
+//!    over `k`.
 //! 5. **Synopsis job** — level-1 workers rerun GreedyAbs only for the
 //!    winning `C_root`, emitting actual `(node, coefficient)` pairs
 //!    filtered to removal errors around the winning cut; a single reducer
 //!    keeps the top `B - |C_root|`.
+//!
+//! Every step lives in the crate-private `errhist` module, shared with
+//! DGreedyRel and the incremental maintainer; this module is the public
+//! face and `AbsEngine`, what GreedyAbs contributes.
 
-use std::sync::Arc;
+#![warn(clippy::too_many_lines)]
 
 use dwmaxerr_algos::greedy_abs::GreedyAbs;
 use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
-use dwmaxerr_wavelet::Synopsis;
+use dwmaxerr_runtime::Cluster;
+use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
-use crate::errhist::{errhist_stage, ErrHistEngine};
+use crate::errhist::{self, bucket_of, ErrHistEngine, Shape};
 use crate::error::CoreError;
-use crate::partition::BasePartition;
-use crate::splits::{aligned_splits, SliceSplit};
+use crate::splits::aligned_splits;
 
 /// Tuning knobs for DGreedyAbs.
 #[derive(Debug, Clone)]
@@ -82,85 +84,26 @@ pub struct DGreedyAbsResult {
     pub metrics: DriverMetrics,
 }
 
-/// Shared driver-side context broadcast to level-1 workers (DGreedyRel
-/// broadcasts the same).
-pub(crate) struct Broadcast {
-    pub(crate) partition: BasePartition,
-    pub(crate) root_coeffs: Vec<f64>,
-    /// Root-sub-tree removal order (genRootSets' `L_root`).
-    pub(crate) removal_order: Vec<usize>,
-    /// Candidate count: sets `k = 0..=max_k`.
-    pub(crate) max_k: usize,
-    pub(crate) bucket_width: f64,
-    /// The synopsis budget `B`.
-    pub(crate) budget: usize,
-    /// Level-2 workers of the errhist stage.
-    pub(crate) reducers: usize,
-}
-
-impl Broadcast {
-    /// Root nodes *removed* under candidate `k` (all but the last `k`
-    /// removals).
-    pub(crate) fn removed_under(&self, k: usize) -> &[usize] {
-        &self.removal_order[..self.removal_order.len() - k]
-    }
-
-    /// Root nodes *retained* under candidate `k`.
-    pub(crate) fn retained_under(&self, k: usize) -> &[usize] {
-        &self.removal_order[self.removal_order.len() - k..]
-    }
-
-    pub(crate) fn bucket(&self, error: f64) -> i64 {
-        bucket_of(error, self.bucket_width)
-    }
-}
-
-/// The error bucket of `error` at bucket width `width` (Algorithm 3).
-/// Shared with the incremental driver so cached and fresh runs bucket
-/// identically.
-pub(crate) fn bucket_of(error: f64, width: f64) -> i64 {
-    (error / width).floor() as i64
-}
-
-/// Batches a removal trace into `(running-max bucket, count)` histogram
-/// entries (Algorithm 3's `discardNode`, histogram form).
-pub(crate) fn histogram_batches(
-    trace: &[dwmaxerr_algos::Removal],
-    bucket_width: f64,
-) -> Vec<(i64, u32)> {
-    let mut out = Vec::new();
-    let mut max_bucket = i64::MIN;
-    let mut count = 0u32;
-    for r in trace {
-        let b = bucket_of(r.error_after, bucket_width);
-        if b <= max_bucket {
-            count += 1;
-        } else {
-            if count > 0 {
-                out.push((max_bucket, count));
-            }
-            max_bucket = b;
-            count = 1;
-        }
-    }
-    if count > 0 {
-        out.push((max_bucket, count));
-    }
-    out
-}
-
-/// DGreedyAbs's errhist stage: GreedyAbs at level 1, the cut bucket (0
-/// when everything fits) at level 2. No floor — the driver's root run
-/// gives `ρ_k` exactly.
+/// DGreedyAbs's side of Section 5: GreedyAbs at both levels, the cut bucket
+/// (0 when everything fits) out of level 2. No floor — the driver's root
+/// run gives `ρ_k` exactly.
 pub(crate) struct AbsEngine;
 
 impl ErrHistEngine for AbsEngine {
     type Out = f64;
 
-    const JOB: &'static str = "dgreedyabs-errhist";
+    const PREFIX: &'static str = "dgreedyabs";
 
     fn task_memory(leaves: usize) -> u64 {
         dwmaxerr_algos::memory::greedy_abs_bytes(leaves)
+    }
+
+    fn root_trace(
+        &self,
+        root_coeffs: &[f64],
+        _averages: &[f64],
+    ) -> Result<Vec<Removal>, WaveletError> {
+        Ok(GreedyAbs::new_full(root_coeffs)?.run_to_empty())
     }
 
     fn run(&self, details: &[f64], _slice: &[f64], incoming: f64) -> (f64, Vec<Removal>) {
@@ -171,6 +114,13 @@ impl ErrHistEngine for AbsEngine {
     fn finish(&self, cut: Option<i64>, _floor: i64) -> f64 {
         cut.map_or(0.0, |bucket| bucket as f64)
     }
+
+    /// `max(cut error, ρ_k)`; the cut error goes back through
+    /// [`bucket_of`], which need not return the bucket it came from.
+    fn judge(&self, cut_bucket: &f64, rho_k: f64, bucket_width: f64) -> (f64, i64) {
+        let cut = cut_bucket * bucket_width;
+        (cut.max(rho_k), bucket_of(cut, bucket_width))
+    }
 }
 
 /// Runs DGreedyAbs over `data` with budget `b` on the given cluster.
@@ -180,146 +130,27 @@ pub fn dgreedy_abs(
     b: usize,
     cfg: &DGreedyAbsConfig,
 ) -> Result<DGreedyAbsResult, CoreError> {
-    let n = data.len();
-    let partition = BasePartition::new(n, cfg.base_leaves.min(n))?;
-    if cfg.bucket_width.is_nan() || cfg.bucket_width <= 0.0 {
-        return Err(CoreError::Protocol("bucket_width must be positive"));
-    }
-    if cfg.reducers == 0 {
-        return Err(CoreError::Protocol("reducers must be positive"));
-    }
-    let splits = aligned_splits(data, partition.base_leaves());
-
-    // ---- Job 0: base-slice averages -> root sub-tree coefficients ----
-    let avg_job = JobBuilder::new("dgreedyabs-averages")
-        .map(|split: &SliceSplit, ctx: &mut MapContext<u32, f64>| {
-            let avg = split.slice().iter().sum::<f64>() / split.len() as f64;
-            ctx.emit(split.id, avg);
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u32, f64>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let pipe = Pipeline::on(cluster)
-        .stage(&avg_job, &splits)?
-        .try_then(|(_, pairs)| {
-            let averages = partition.finite_averages(pairs)?;
-            Ok::<_, CoreError>(partition.root_coeffs_from_averages(&averages))
-        })?;
-    let root_coeffs = pipe.value().clone();
-
-    // ---- genRootSets (Algorithm 4): centralized GreedyAbs on the root ----
-    let r = partition.num_base();
-    let mut root_greedy = GreedyAbs::new_full(&root_coeffs)?;
-    let root_trace = root_greedy.run_to_empty();
-    let removal_order: Vec<usize> = root_trace.iter().map(|t| t.node as usize).collect();
-    let max_k = r.min(b).min(cfg.max_candidates.unwrap_or(usize::MAX));
-    // Residual floor per candidate: the root-run error after removing
-    // R - k nodes equals max_j |e_in,j|.
-    let rho: Vec<f64> = (0..=max_k)
-        .map(|k| {
-            let removed = r - k;
-            if removed == 0 {
-                0.0
-            } else {
-                root_trace[removed - 1].error_after
-            }
-        })
-        .collect();
-
-    let bc = Arc::new(Broadcast {
-        partition,
-        root_coeffs: root_coeffs.clone(),
-        removal_order,
-        max_k,
-        bucket_width: cfg.bucket_width,
-        budget: b,
-        reducers: cfg.reducers,
-    });
-
-    // ---- Job 1: ErrHistGreedyAbs (level 1) + combineResults (level 2) ----
-    let pipe = errhist_stage(pipe, &splits, &bc, &AbsEngine)?
-        // ---- Pick the best candidate: max(cut_k, rho_k), minimized ----
-        .try_then(|(_, pairs)| -> Result<_, CoreError> {
-            let mut best_k = 0usize;
-            let mut best_err = f64::INFINITY;
-            let mut best_cut = 0.0f64;
-            for (k, cut_bucket) in pairs {
-                let cut = cut_bucket * cfg.bucket_width;
-                let total = cut.max(rho[k as usize]);
-                // Canonical tie-break on the smaller candidate, so the
-                // winner is independent of the reduce output order (the
-                // incremental driver re-derives it iterating k ascending).
-                if total < best_err || (total == best_err && (k as usize) < best_k) {
-                    best_err = total;
-                    best_k = k as usize;
-                    best_cut = cut;
-                }
-            }
-            if !best_err.is_finite() {
-                return Err(CoreError::Protocol("no candidate produced a cut"));
-            }
-            Ok((best_k, best_err, best_cut))
-        })?;
-    let (best_k, best_err, best_cut) = *pipe.value();
-
-    // ---- Job 2: emit actual nodes for the winning C_root ----
-    let bc2 = Arc::clone(&bc);
-    let cut_bucket = bc.bucket(best_cut);
-    let keep_base = b - best_k;
-    let syn_job = JobBuilder::new("dgreedyabs-synopsis")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u8, (i64, u32, u32, f64)>| {
-                let bc = &bc2;
-                let (details, _avg) = bc.partition.base_details_from_data(split.slice());
-                let j = split.id as usize;
-                let e = bc
-                    .partition
-                    .incoming_error(&bc.root_coeffs, bc.removed_under(best_k), j);
-                let mut g = GreedyAbs::new_subtree(&details, e).expect("valid subtree");
-                let trace = g.run_to_empty();
-                // Running-max bucket per removal; only nodes at or above
-                // the winning cut (minus one bucket of slack) can be kept.
-                let mut max_bucket = i64::MIN;
-                for (idx, rem) in trace.iter().enumerate() {
-                    max_bucket = max_bucket.max(bc.bucket(rem.error_after));
-                    if max_bucket >= cut_bucket.saturating_sub(1) {
-                        let global = bc.partition.local_to_global(j, rem.node as usize);
-                        let coeff = details[rem.node as usize - 1];
-                        ctx.emit(0, (max_bucket, idx as u32, global as u32, coeff));
-                    }
-                }
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .reduce(move |_k: &u8, vals, ctx: &mut ReduceContext<u32, f64>| {
-            let mut nodes: Vec<(i64, u32, u32, f64)> = vals.collect();
-            // Most important first: later batches, later removals.
-            nodes.sort_unstable_by_key(|&(bucket, idx, _, _)| std::cmp::Reverse((bucket, idx)));
-            for (_, _, node, coeff) in nodes.into_iter().take(keep_base) {
-                ctx.emit(node, coeff);
-            }
-        });
-    let ((_, syn_pairs), metrics) = pipe.stage(&syn_job, &splits)?.finish();
-
-    // ---- Assemble the synopsis: winning C_root ∪ chosen base nodes ----
-    let mut entries: Vec<(u32, f64)> = bc
-        .retained_under(best_k)
-        .iter()
-        .map(|&a| (a as u32, root_coeffs[a]))
-        .collect();
-    entries.extend(syn_pairs);
-    let synopsis = Synopsis::from_entries(n, entries)?;
-
+    let shape = Shape::new(
+        data.len(),
+        b,
+        cfg.base_leaves,
+        cfg.bucket_width,
+        cfg.reducers,
+    )?
+    .capped(cfg.max_candidates);
+    let splits = aligned_splits(data, shape.partition.base_leaves());
+    let (pipe, roots) = errhist::build(cluster, &splits, &shape, &AbsEngine)?;
+    let ((best, base_nodes), metrics) = pipe.finish();
     Ok(DGreedyAbsResult {
-        synopsis,
-        estimated_error: best_err,
-        best_croot_size: best_k,
+        synopsis: roots.assemble(best.k, base_nodes)?,
+        estimated_error: best.score,
+        best_croot_size: best.k,
         metrics,
     })
 }
+
+#[cfg(test)]
+use crate::errhist::histogram_batches;
 
 #[cfg(test)]
 mod tests {

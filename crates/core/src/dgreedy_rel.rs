@@ -1,28 +1,27 @@
 //! DGreedyRel (Section 5.4): DGreedyAbs's pipeline with GreedyRel at the
 //! workers, minimizing maximum *relative* error under a sanity bound.
 //!
-//! The structure is identical to [`mod@crate::dgreedy_abs`]; the differences
-//! are (i) level-1 workers run the envelope-based GreedyRel, which needs
-//! the leaf values for its denominators, and (ii) the driver's residual
-//! floor `ρ_k` comes from a GreedyRel run on the root sub-tree whose
-//! pseudo-leaf denominators are the base-slice averages — an
-//! approximation of the true per-leaf denominators, so the final error is
-//! re-measured exactly by a distributed evaluation job.
+//! The steps *are* [`mod@crate::dgreedy_abs`]'s — one crate-private driver
+//! runs both. The differences, held by `RelEngine`: (i) level-1 workers
+//! run the envelope-based GreedyRel, which needs the leaf values for its
+//! denominators, and (ii) genRootSets orders the candidates by a GreedyRel
+//! run on the root sub-tree whose pseudo-leaf denominators are the
+//! base-slice averages — an approximation of the true per-leaf
+//! denominators, so the workers report the floors they carry and the final
+//! error is re-measured exactly by a distributed evaluation job.
 
-use std::sync::Arc;
+#![warn(clippy::too_many_lines)]
 
 use dwmaxerr_algos::greedy_rel::GreedyRel;
 use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
-use dwmaxerr_wavelet::Synopsis;
+use dwmaxerr_runtime::Cluster;
+use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
-use crate::dgreedy_abs::Broadcast;
-use crate::errhist::{errhist_stage, ErrHistEngine};
+use crate::errhist::{self, ErrHistEngine, Shape};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
-use crate::partition::BasePartition;
-use crate::splits::{aligned_splits, SliceSplit};
+use crate::splits::aligned_splits;
 
 /// Tuning knobs for DGreedyRel.
 #[derive(Debug, Clone)]
@@ -61,9 +60,9 @@ pub struct DGreedyRelResult {
     pub metrics: DriverMetrics,
 }
 
-/// DGreedyRel's errhist stage: GreedyRel at level 1; level 2 reports the
-/// cut bucket (`f64::MIN` when everything fits) and the estimate
-/// `max(cut, floor, 0)`.
+/// DGreedyRel's side of Section 5: GreedyRel at both levels; level 2
+/// reports the cut bucket (`f64::MIN` when everything fits) and the
+/// estimate `max(cut, floor, 0)`.
 pub(crate) struct RelEngine {
     pub(crate) sanity: f64,
 }
@@ -71,10 +70,18 @@ pub(crate) struct RelEngine {
 impl ErrHistEngine for RelEngine {
     type Out = (f64, f64);
 
-    const JOB: &'static str = "dgreedyrel-errhist";
+    const PREFIX: &'static str = "dgreedyrel";
 
     fn task_memory(leaves: usize) -> u64 {
         dwmaxerr_algos::memory::greedy_rel_bytes(leaves, 8)
+    }
+
+    fn root_trace(
+        &self,
+        root_coeffs: &[f64],
+        averages: &[f64],
+    ) -> Result<Vec<Removal>, WaveletError> {
+        Ok(GreedyRel::new_full(root_coeffs, averages, self.sanity)?.run_to_empty())
     }
 
     fn run(&self, details: &[f64], slice: &[f64], incoming: f64) -> (f64, Vec<Removal>) {
@@ -94,6 +101,17 @@ impl ErrHistEngine for RelEngine {
         let cut = cut.map_or(f64::MIN, |bucket| bucket as f64);
         (cut, cut.max(floor as f64).max(0.0))
     }
+
+    /// The workers' estimate; the root run's `ρ_k` is over averaged
+    /// denominators and stays out of it.
+    fn judge(&self, &(cut, estimate): &(f64, f64), _rho_k: f64, bucket_width: f64) -> (f64, i64) {
+        let cut_bucket = if cut == f64::MIN {
+            i64::MIN
+        } else {
+            cut as i64
+        };
+        (estimate * bucket_width, cut_bucket)
+    }
 }
 
 /// Runs DGreedyRel over `data` with budget `b`.
@@ -103,136 +121,21 @@ pub fn dgreedy_rel(
     b: usize,
     cfg: &DGreedyRelConfig,
 ) -> Result<DGreedyRelResult, CoreError> {
-    let n = data.len();
-    let partition = BasePartition::new(n, cfg.base_leaves.min(n))?;
-    if cfg.bucket_width.is_nan()
-        || cfg.bucket_width <= 0.0
-        || cfg.sanity.is_nan()
-        || cfg.sanity <= 0.0
-    {
-        return Err(CoreError::Protocol(
-            "bucket_width and sanity must be positive",
-        ));
-    }
-    if cfg.reducers == 0 {
-        return Err(CoreError::Protocol("reducers must be positive"));
-    }
-    let splits = aligned_splits(data, partition.base_leaves());
-
-    // ---- Job 0: averages -> root coefficients ----
-    let avg_job = JobBuilder::new("dgreedyrel-averages")
-        .map(|split: &SliceSplit, ctx: &mut MapContext<u32, f64>| {
-            let avg = split.slice().iter().sum::<f64>() / split.len() as f64;
-            ctx.emit(split.id, avg);
-        })
-        .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u32, f64>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        });
-    let pipe = Pipeline::on(cluster)
-        .stage(&avg_job, &splits)?
-        .try_then(|(_, pairs)| {
-            let averages = partition.finite_averages(pairs)?;
-            let root_coeffs = partition.root_coeffs_from_averages(&averages);
-            Ok::<_, CoreError>((averages, root_coeffs))
-        })?;
-    let (averages, root_coeffs) = pipe.value().clone();
-
-    // ---- genRootSets with GreedyRel over the averages ----
-    let r = partition.num_base();
-    let mut root_greedy = GreedyRel::new_full(&root_coeffs, &averages, cfg.sanity)?;
-    let root_trace = root_greedy.run_to_empty();
-    let removal_order: Vec<usize> = root_trace.iter().map(|t| t.node as usize).collect();
-    let max_k = r.min(b);
-
-    let bc = Arc::new(Broadcast {
-        partition,
-        root_coeffs: root_coeffs.clone(),
-        removal_order,
-        max_k,
-        bucket_width: cfg.bucket_width,
-        budget: b,
-        reducers: cfg.reducers,
-    });
-    let sanity = cfg.sanity;
-
-    // ---- Job 1: ErrHistGreedyRel + combineResults ----
-    let pipe = errhist_stage(pipe, &splits, &bc, &RelEngine { sanity })?.try_then(
-        |(_, pairs)| -> Result<_, CoreError> {
-            let mut best_k = 0usize;
-            let mut best_score = f64::INFINITY;
-            let mut best_cut = f64::MIN;
-            for (k, (cut, estimate)) in pairs {
-                let score = estimate * cfg.bucket_width;
-                // Canonical tie-break on the smaller candidate, as in
-                // DGreedyAbs: the winner must not depend on which reducer
-                // a candidate landed on.
-                if score < best_score || (score == best_score && (k as usize) < best_k) {
-                    best_score = score;
-                    best_k = k as usize;
-                    best_cut = cut;
-                }
-            }
-            if !best_score.is_finite() {
-                return Err(CoreError::Protocol("no candidate produced a cut"));
-            }
-            Ok((best_k, best_cut))
-        },
+    let shape = Shape::new(
+        data.len(),
+        b,
+        cfg.base_leaves,
+        cfg.bucket_width,
+        cfg.reducers,
     )?;
-    let (best_k, best_cut) = *pipe.value();
-
-    // ---- Job 2: emit actual nodes for the winning C_root ----
-    let bc2 = Arc::clone(&bc);
-    let cut_bucket = if best_cut == f64::MIN {
-        i64::MIN
-    } else {
-        best_cut as i64
-    };
-    let keep_base = b - best_k;
-    let syn_job = JobBuilder::new("dgreedyrel-synopsis")
-        .map(
-            move |split: &SliceSplit, ctx: &mut MapContext<u8, (i64, u32, u32, f64)>| {
-                let bc = &bc2;
-                let (details, _avg) = bc.partition.base_details_from_data(split.slice());
-                let j = split.id as usize;
-                let e = bc
-                    .partition
-                    .incoming_error(&bc.root_coeffs, bc.removed_under(best_k), j);
-                let mut g = GreedyRel::new_subtree(&details, split.slice(), e, sanity)
-                    .expect("valid subtree");
-                let trace = g.run_to_empty();
-                let mut max_bucket = i64::MIN;
-                for (idx, rem) in trace.iter().enumerate() {
-                    max_bucket = max_bucket.max(bc.bucket(rem.error_after));
-                    if max_bucket >= cut_bucket.saturating_sub(1) {
-                        let global = bc.partition.local_to_global(j, rem.node as usize);
-                        let coeff = details[rem.node as usize - 1];
-                        ctx.emit(0, (max_bucket, idx as u32, global as u32, coeff));
-                    }
-                }
-            },
-        )
-        .input_bytes(SliceSplit::bytes)
-        .reduce(move |_k: &u8, vals, ctx: &mut ReduceContext<u32, f64>| {
-            let mut nodes: Vec<(i64, u32, u32, f64)> = vals.collect();
-            nodes.sort_unstable_by_key(|&(bucket, idx, _, _)| std::cmp::Reverse((bucket, idx)));
-            for (_, _, node, coeff) in nodes.into_iter().take(keep_base) {
-                ctx.emit(node, coeff);
-            }
-        });
-    let pipe = pipe
-        .stage(&syn_job, &splits)?
-        .try_then(|(_, pairs)| -> Result<_, CoreError> {
-            let mut entries: Vec<(u32, f64)> = bc
-                .retained_under(best_k)
-                .iter()
-                .map(|&a| (a as u32, root_coeffs[a]))
-                .collect();
-            entries.extend(pairs);
-            Ok(Synopsis::from_entries(n, entries)?)
-        })?;
+    let sanity = cfg.sanity;
+    if sanity.is_nan() || sanity <= 0.0 {
+        return Err(CoreError::Protocol("sanity must be positive"));
+    }
+    let splits = aligned_splits(data, shape.partition.base_leaves());
+    let (pipe, roots) = errhist::build(cluster, &splits, &shape, &RelEngine { sanity })?;
+    let best_croot_size = pipe.value().0.k;
+    let pipe = pipe.try_then(|(best, base_nodes)| roots.assemble(best.k, base_nodes))?;
 
     let (error, eval_metrics) = max_error_job(
         pipe.cluster(),
@@ -246,7 +149,7 @@ pub fn dgreedy_rel(
     Ok(DGreedyRelResult {
         synopsis,
         error,
-        best_croot_size: best_k,
+        best_croot_size,
         metrics,
     })
 }

@@ -1,7 +1,15 @@
-//! The errhist stage of DGreedyAbs and DGreedyRel — Algorithm 3 at level 1,
-//! `combineResults` (Algorithm 5) at level 2 — written once. A driver
-//! plugs its greedy engine in through [`ErrHistEngine`]; grouping, block
-//! ownership, emission and the cut live here.
+//! Section 5 (Algorithm 6, described step by step in the module docs of
+//! [`mod@crate::dgreedy_abs`]) written once, in the order it runs: [`Shape`],
+//! [`averages_stage`], [`RootSets::generate`] (genRootSets),
+//! [`errhist_stage`], [`pick`], the synopsis job ([`removals`] at the
+//! workers, [`keep_top`] at its reducer) and [`RootSets::assemble`];
+//! [`build`] chains them. DGreedyAbs and DGreedyRel plug what differs
+//! between the two metrics in through [`ErrHistEngine`]; the incremental
+//! DGreedyAbs maintainer answers level 1 of the two big jobs from its
+//! caches and calls everything else as written here.
+//!
+//! The errhist stage is Algorithm 3 at level 1 and `combineResults`
+//! (Algorithm 5) at level 2:
 //!
 //! **Level 1** ([`emit_histograms`]). The worker of base sub-tree `j`
 //! groups the candidates `0..=max_k` by the bits of the incoming error
@@ -27,22 +35,88 @@
 
 use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
-use dwmaxerr_runtime::{JobBuilder, MapContext, Pipeline, ReduceContext, RuntimeError};
+use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext, RuntimeError};
+use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
-use crate::dgreedy_abs::{histogram_batches, Broadcast};
+use crate::error::CoreError;
+use crate::layered::forward;
+use crate::partition::BasePartition;
 use crate::splits::SliceSplit;
 
-/// What differs between the two drivers' errhist stages.
+/// The validated parameters of one Section-5 build.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shape {
+    pub(crate) partition: BasePartition,
+    /// The synopsis budget `B`.
+    pub(crate) budget: usize,
+    /// Error-bucket width `e_b`.
+    pub(crate) bucket_width: f64,
+    /// Level-2 workers of the errhist stage.
+    pub(crate) reducers: usize,
+    /// The candidates are the sets `k = 0..=max_k`.
+    pub(crate) max_k: usize,
+}
+
+impl Shape {
+    /// Every `min{R, B} + 1` candidate size is explored, as in the paper.
+    pub(crate) fn new(
+        n: usize,
+        budget: usize,
+        base_leaves: usize,
+        bucket_width: f64,
+        reducers: usize,
+    ) -> Result<Shape, CoreError> {
+        let partition = BasePartition::new(n, base_leaves.min(n))?;
+        if bucket_width.is_nan() || bucket_width <= 0.0 {
+            return Err(CoreError::Protocol("bucket_width must be positive"));
+        }
+        if reducers == 0 {
+            return Err(CoreError::Protocol("reducers must be positive"));
+        }
+        Ok(Shape {
+            partition,
+            budget,
+            bucket_width,
+            reducers,
+            max_k: partition.num_base().min(budget),
+        })
+    }
+
+    /// Explores candidate sizes up to `cap` only (`None`: no cap).
+    pub(crate) fn capped(mut self, cap: Option<usize>) -> Shape {
+        self.max_k = self.max_k.min(cap.unwrap_or(usize::MAX));
+        self
+    }
+
+    fn bucket(&self, error: f64) -> i64 {
+        bucket_of(error, self.bucket_width)
+    }
+}
+
+/// The error bucket of `error` at bucket width `width` (Algorithm 3).
+pub(crate) fn bucket_of(error: f64, width: f64) -> i64 {
+    (error / width).floor() as i64
+}
+
+/// What differs between the absolute and the relative metric.
 pub(crate) trait ErrHistEngine: Sync {
     /// What level 2 reports per candidate.
     type Out: Send;
 
-    /// The job's name.
-    const JOB: &'static str;
+    /// The jobs are `{PREFIX}-averages`, `-errhist` and `-synopsis`.
+    const PREFIX: &'static str;
 
     /// Declared working set of one [`ErrHistEngine::run`] over `leaves`
     /// values.
     fn task_memory(leaves: usize) -> u64;
+
+    /// The greedy run over the whole root sub-tree, whose pseudo-leaves are
+    /// the base sub-trees (their values the base-slice `averages`).
+    fn root_trace(
+        &self,
+        root_coeffs: &[f64],
+        averages: &[f64],
+    ) -> Result<Vec<Removal>, WaveletError>;
 
     /// One greedy run over a base sub-tree (`details` of `slice`) entered
     /// with `incoming` error: the error the sub-tree carries before any
@@ -54,6 +128,107 @@ pub(crate) trait ErrHistEngine: Sync {
     /// node excluded from its keep set (`None`: everything fits), `floor`
     /// the largest floor bucket over the bases.
     fn finish(&self, cut: Option<i64>, floor: i64) -> Self::Out;
+
+    /// The driver's reading of a candidate's reduce output, given its
+    /// residual floor `ρ_k` and the bucket width: the score the pick
+    /// minimizes and the bucket the synopsis stage filters at.
+    fn judge(&self, out: &Self::Out, rho_k: f64, bucket_width: f64) -> (f64, i64);
+}
+
+/// Runs the job `{prefix}-averages` over `splits`; the output pairs are
+/// `(base, average of its slice)`.
+pub(crate) fn averages_stage<'c, T>(
+    pipe: Pipeline<'c, T>,
+    prefix: &str,
+    splits: &[SliceSplit],
+) -> Result<StagedPipeline<'c, T, u32, f64>, RuntimeError> {
+    let job = JobBuilder::new(format!("{prefix}-averages"))
+        .map(|split: &SliceSplit, ctx: &mut MapContext<u32, f64>| {
+            let avg = split.slice().iter().sum::<f64>() / split.len() as f64;
+            ctx.emit(split.id, avg);
+        })
+        .input_bytes(SliceSplit::bytes)
+        .reduce(forward);
+    pipe.stage(&job, splits)
+}
+
+/// genRootSets' output (Algorithm 4), broadcast to the level-1 workers.
+#[derive(Debug, Clone)]
+pub(crate) struct RootSets {
+    pub(crate) shape: Shape,
+    root_coeffs: Vec<f64>,
+    /// Root-sub-tree removal order (`L_root`): candidate `k` retains its
+    /// last `k` nodes.
+    removal_order: Vec<usize>,
+    /// Residual floor per candidate: the root run's error after removing
+    /// `R − k` nodes, which for GreedyAbs is exactly `max_j |e_in,j|` (the
+    /// root tree's pseudo-leaves *are* the base sub-tree entry points).
+    rho: Vec<f64>,
+}
+
+impl RootSets {
+    pub(crate) fn generate<E: ErrHistEngine>(
+        shape: &Shape,
+        engine: &E,
+        averages: &[f64],
+    ) -> Result<RootSets, CoreError> {
+        let root_coeffs = shape.partition.root_coeffs_from_averages(averages);
+        let trace = engine.root_trace(&root_coeffs, averages)?;
+        let r = shape.partition.num_base();
+        let rho = (0..=shape.max_k)
+            .map(|k| match r - k {
+                0 => 0.0,
+                removed => trace[removed - 1].error_after,
+            })
+            .collect();
+        Ok(RootSets {
+            shape: *shape,
+            root_coeffs,
+            removal_order: trace.iter().map(|t| t.node as usize).collect(),
+            rho,
+        })
+    }
+
+    /// The signed incoming error candidate `k` sends to base sub-tree `j`.
+    pub(crate) fn incoming(&self, k: usize, j: usize) -> f64 {
+        let removed = &self.removal_order[..self.removal_order.len() - k];
+        self.shape
+            .partition
+            .incoming_error(&self.root_coeffs, removed, j)
+    }
+
+    /// The candidates grouped by the bits of the (few) distinct incoming
+    /// errors they send to base sub-tree `j`, in first-seen order so the
+    /// order is the same on every run; each group's `k` ascend.
+    pub(crate) fn groups(&self, j: usize) -> Vec<(f64, Vec<u32>)> {
+        let mut groups: Vec<(f64, Vec<u32>)> = Vec::new();
+        for k in 0..=self.shape.max_k {
+            let e = self.incoming(k, j);
+            match groups
+                .iter_mut()
+                .find(|(seen, _)| seen.to_bits() == e.to_bits())
+            {
+                Some((_, ks)) => ks.push(k as u32),
+                None => groups.push((e, vec![k as u32])),
+            }
+        }
+        groups
+    }
+
+    /// The synopsis of candidate `k`: its `C_root` ∪ the chosen base nodes.
+    pub(crate) fn assemble(
+        &self,
+        k: usize,
+        base_nodes: impl IntoIterator<Item = (u32, f64)>,
+    ) -> Result<Synopsis, WaveletError> {
+        let retained = &self.removal_order[self.removal_order.len() - k..];
+        let mut entries: Vec<(u32, f64)> = retained
+            .iter()
+            .map(|&a| (a as u32, self.root_coeffs[a]))
+            .collect();
+        entries.extend(base_nodes);
+        Synopsis::from_entries(self.shape.partition.n(), entries)
+    }
 }
 
 /// One histogram on the wire: the candidates of one incoming-error group
@@ -72,21 +247,21 @@ fn block_of(k: usize, candidates: usize, reducers: usize) -> usize {
 pub(crate) fn errhist_stage<'c, T, E: ErrHistEngine>(
     pipe: Pipeline<'c, T>,
     splits: &[SliceSplit],
-    bc: &Broadcast,
+    roots: &RootSets,
     engine: &E,
 ) -> Result<StagedPipeline<'c, T, u32, E::Out>, RuntimeError> {
-    let job = JobBuilder::new(E::JOB)
+    let job = JobBuilder::new(format!("{}-errhist", E::PREFIX))
         .map(
             |split: &SliceSplit, ctx: &mut MapContext<u32, HistRecord>| {
-                emit_histograms(bc, engine, split, ctx);
+                emit_histograms(roots, engine, split, ctx);
             },
         )
         .input_bytes(SliceSplit::bytes)
         .task_memory(|s: &SliceSplit| E::task_memory(s.len()))
-        .reducers(bc.reducers)
+        .reducers(roots.shape.reducers)
         .partition_by(|block: &u32, _parts| *block as usize)
         .reduce(|block: &u32, vals, ctx: &mut ReduceContext<u32, E::Out>| {
-            combine_block(bc, engine, *block as usize, vals, ctx);
+            combine_block(&roots.shape, engine, *block as usize, vals, ctx);
         });
     pipe.stage(&job, splits)
 }
@@ -95,50 +270,60 @@ pub(crate) fn errhist_stage<'c, T, E: ErrHistEngine>(
 /// error, its histogram emitted once per reducer block that owns any of
 /// the group's candidates.
 fn emit_histograms<E: ErrHistEngine>(
-    bc: &Broadcast,
+    roots: &RootSets,
     engine: &E,
     split: &SliceSplit,
     ctx: &mut MapContext<u32, HistRecord>,
 ) {
-    let (details, _avg) = bc.partition.base_details_from_data(split.slice());
-    let j = split.id as usize;
-    // Group the candidates by their (few) distinct incoming errors, in
-    // first-seen order so the emission order is the same on every run.
-    let mut groups: Vec<(f64, Vec<u32>)> = Vec::new();
-    for k in 0..=bc.max_k {
-        let e = bc
-            .partition
-            .incoming_error(&bc.root_coeffs, bc.removed_under(k), j);
-        match groups
-            .iter_mut()
-            .find(|(seen, _)| seen.to_bits() == e.to_bits())
-        {
-            Some((_, ks)) => ks.push(k as u32),
-            None => groups.push((e, vec![k as u32])),
-        }
-    }
+    let shape = &roots.shape;
+    let (details, _avg) = shape.partition.base_details_from_data(split.slice());
+    let groups = roots.groups(split.id as usize);
     ctx.add_counter("distinct_incoming_errors", groups.len() as u64);
-    let block = |k: u32| block_of(k as usize, bc.max_k + 1, bc.reducers);
+    let block = |k: u32| block_of(k as usize, shape.max_k + 1, shape.reducers);
     for (e, ks) in groups {
         let (floor, trace) = engine.run(&details, split.slice(), e);
         ctx.add_counter("greedy_runs", 1);
-        let batches = histogram_batches(&trace, bc.bucket_width);
+        let batches = histogram_batches(&trace, shape.bucket_width);
         // `ks` ascends, so each block's share of it is one chunk.
         for owned in ks.chunk_by(|&a, &b| block(a) == block(b)) {
             ctx.add_counter("histogram_entries", batches.len() as u64);
             ctx.emit(
                 block(owned[0]) as u32,
-                (owned.to_vec(), bc.bucket(floor), batches.clone()),
+                (owned.to_vec(), shape.bucket(floor), batches.clone()),
             );
         }
     }
+}
+
+/// Batches a removal trace into `(running-max bucket, count)` histogram
+/// entries (Algorithm 3's `discardNode`, histogram form).
+pub(crate) fn histogram_batches(trace: &[Removal], bucket_width: f64) -> Vec<(i64, u32)> {
+    let mut out = Vec::new();
+    let mut max_bucket = i64::MIN;
+    let mut count = 0u32;
+    for r in trace {
+        let b = bucket_of(r.error_after, bucket_width);
+        if b <= max_bucket {
+            count += 1;
+        } else {
+            if count > 0 {
+                out.push((max_bucket, count));
+            }
+            max_bucket = b;
+            count = 1;
+        }
+    }
+    if count > 0 {
+        out.push((max_bucket, count));
+    }
+    out
 }
 
 /// `combineResults` (Algorithm 5) for one block of candidates: per owned
 /// candidate, the cut over the `R` histograms that serve it — one per base
 /// sub-tree — and the largest floor among them.
 fn combine_block<E: ErrHistEngine>(
-    bc: &Broadcast,
+    shape: &Shape,
     engine: &E,
     block: usize,
     records: impl Iterator<Item = HistRecord>,
@@ -147,16 +332,16 @@ fn combine_block<E: ErrHistEngine>(
     let records: Vec<_> = records
         .map(|(ks, floor, batches)| (ks, floor, at_or_above(&batches)))
         .collect();
-    let candidates = bc.max_k + 1;
-    for k in (0..candidates).filter(|&k| block_of(k, candidates, bc.reducers) == block) {
+    let candidates = shape.max_k + 1;
+    for k in (0..candidates).filter(|&k| block_of(k, candidates, shape.reducers) == block) {
         let serving = || records.iter().filter(|(ks, ..)| ks.contains(&(k as u32)));
         let histograms: Vec<&[(i64, u64)]> = serving().map(|(.., h)| h.as_slice()).collect();
         assert_eq!(
             histograms.len(),
-            bc.partition.num_base(),
+            shape.partition.num_base(),
             "every base sub-tree serves every candidate once"
         );
-        let cut = select_cut(&histograms, (bc.budget - k) as u64);
+        let cut = select_cut(&histograms, (shape.budget - k) as u64);
         let floor = serving().map(|&(_, floor, _)| floor).max();
         ctx.emit(k as u32, engine.finish(cut, floor.unwrap_or(i64::MIN)));
     }
@@ -165,7 +350,7 @@ fn combine_block<E: ErrHistEngine>(
 /// Turns `(bucket, count)` batches — strictly ascending in bucket, as
 /// [`histogram_batches`] builds them — into `(bucket, nodes at or above
 /// this bucket)`.
-fn at_or_above(batches: &[(i64, u32)]) -> Vec<(i64, u64)> {
+pub(crate) fn at_or_above(batches: &[(i64, u32)]) -> Vec<(i64, u64)> {
     let mut out: Vec<(i64, u64)> = batches.iter().map(|&(b, c)| (b, u64::from(c))).collect();
     let mut above = 0u64;
     for entry in out.iter_mut().rev() {
@@ -180,7 +365,7 @@ fn at_or_above(batches: &[(i64, u32)]) -> Vec<(i64, u64)> {
 /// `keep` nodes at or above it, `None` when everything fits. A descending
 /// scan of the gathered entries stops at the same bucket — entries of
 /// equal bucket cannot change where its running sum first exceeds `keep`.
-fn select_cut(histograms: &[&[(i64, u64)]], keep: u64) -> Option<i64> {
+pub(crate) fn select_cut(histograms: &[&[(i64, u64)]], keep: u64) -> Option<i64> {
     let nodes_at_or_above = |x: i64| -> u64 {
         histograms
             .iter()
@@ -213,6 +398,137 @@ fn select_cut(histograms: &[&[(i64, u64)]], keep: u64) -> Option<i64> {
     Some(lo)
 }
 
+/// The winning candidate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pick {
+    /// `|C_root|`.
+    pub(crate) k: usize,
+    /// Its score under [`ErrHistEngine::judge`].
+    pub(crate) score: f64,
+    /// The bucket of the first node its keep set excludes.
+    pub(crate) cut_bucket: i64,
+}
+
+/// The candidate of smallest score; equal scores pick the smaller `k`, so
+/// the winner does not depend on the order the reducers' outputs arrive in.
+pub(crate) fn pick<E: ErrHistEngine>(
+    engine: &E,
+    roots: &RootSets,
+    outs: impl IntoIterator<Item = (u32, E::Out)>,
+) -> Result<Pick, CoreError> {
+    let judged = outs.into_iter().map(|(k, out)| {
+        let k = k as usize;
+        let (score, cut_bucket) = engine.judge(&out, roots.rho[k], roots.shape.bucket_width);
+        Pick {
+            k,
+            score,
+            cut_bucket,
+        }
+    });
+    judged
+        .filter(|c| c.score.is_finite())
+        .min_by(|a, b| {
+            a.score
+                .partial_cmp(&b.score)
+                .expect("finite")
+                .then(a.k.cmp(&b.k))
+        })
+        .ok_or(CoreError::Protocol("no candidate produced a cut"))
+}
+
+/// One removal of a synopsis-stage run: `(running-max bucket, removal
+/// index, global node, coefficient)`.
+pub(crate) type Removed = (i64, u32, u32, f64);
+
+/// Only nodes at or above the winning cut (minus one bucket of slack) can
+/// be kept.
+pub(crate) fn survives(bucket: i64, cut_bucket: i64) -> bool {
+    bucket >= cut_bucket.saturating_sub(1)
+}
+
+/// The synopsis stage's map body: reruns the engine over the base sub-tree
+/// of `split` (its `details`) entered with `incoming` error; the removals
+/// that [`survives`] lets through at `cut_bucket` — all of them at
+/// `i64::MIN` — in removal order.
+pub(crate) fn removals<'a, E: ErrHistEngine>(
+    shape: &'a Shape,
+    engine: &E,
+    details: &'a [f64],
+    split: &SliceSplit,
+    incoming: f64,
+    cut_bucket: i64,
+) -> impl Iterator<Item = Removed> + 'a {
+    let (_floor, trace) = engine.run(details, split.slice(), incoming);
+    let base = split.id as usize;
+    let mut max_bucket = i64::MIN;
+    trace.into_iter().enumerate().filter_map(move |(idx, rem)| {
+        max_bucket = max_bucket.max(shape.bucket(rem.error_after));
+        survives(max_bucket, cut_bucket).then(|| {
+            let local = rem.node as usize;
+            let global = shape.partition.local_to_global(base, local);
+            (max_bucket, idx as u32, global as u32, details[local - 1])
+        })
+    })
+}
+
+/// The synopsis stage's reduce body: the `keep` most important of `nodes`
+/// — later batches, later removals first.
+pub(crate) fn keep_top(mut nodes: Vec<Removed>, keep: usize) -> impl Iterator<Item = (u32, f64)> {
+    nodes.sort_unstable_by_key(|&(bucket, idx, _, _)| std::cmp::Reverse((bucket, idx)));
+    nodes
+        .into_iter()
+        .take(keep)
+        .map(|(_, _, node, coeff)| (node, coeff))
+}
+
+/// Runs the synopsis job for the winner `best`; the output pairs are the
+/// chosen base nodes.
+fn synopsis_stage<'c, T, E: ErrHistEngine>(
+    pipe: Pipeline<'c, T>,
+    splits: &[SliceSplit],
+    roots: &RootSets,
+    engine: &E,
+    best: Pick,
+) -> Result<StagedPipeline<'c, T, u32, f64>, RuntimeError> {
+    let keep = roots.shape.budget - best.k;
+    let job = JobBuilder::new(format!("{}-synopsis", E::PREFIX))
+        .map(|split: &SliceSplit, ctx: &mut MapContext<u8, Removed>| {
+            let shape = &roots.shape;
+            let (details, _avg) = shape.partition.base_details_from_data(split.slice());
+            let incoming = roots.incoming(best.k, split.id as usize);
+            for removed in removals(shape, engine, &details, split, incoming, best.cut_bucket) {
+                ctx.emit(0, removed);
+            }
+        })
+        .input_bytes(SliceSplit::bytes)
+        .reduce(move |_k: &u8, vals, ctx: &mut ReduceContext<u32, f64>| {
+            for (node, coeff) in keep_top(vals.collect(), keep) {
+                ctx.emit(node, coeff);
+            }
+        });
+    pipe.stage(&job, splits)
+}
+
+/// Algorithm 6 up to the synopsis job's output: the pipeline carries the
+/// winner and its chosen base nodes, to be joined by [`RootSets::assemble`].
+pub(crate) fn build<'c, E: ErrHistEngine>(
+    cluster: &'c Cluster,
+    splits: &[SliceSplit],
+    shape: &Shape,
+    engine: &E,
+) -> Result<(StagedPipeline<'c, Pick, u32, f64>, RootSets), CoreError> {
+    let pipe =
+        averages_stage(Pipeline::on(cluster), E::PREFIX, splits)?.try_then(|((), pairs)| {
+            let averages = shape.partition.finite_averages(pairs)?;
+            RootSets::generate(shape, engine, &averages)
+        })?;
+    let roots = pipe.value().clone();
+    let pipe = errhist_stage(pipe, splits, &roots, engine)?
+        .try_then(|(_, outs)| pick(engine, &roots, outs))?;
+    let best = *pipe.value();
+    Ok((synopsis_stage(pipe, splits, &roots, engine, best)?, roots))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,11 +536,11 @@ mod tests {
     use crate::dgreedy_rel::RelEngine;
     use proptest::prelude::*;
 
-    /// The oracle: the level-2 reducer bodies this module replaced, which
-    /// `progressive.rs`'s replay still runs — gather every entry of the
-    /// candidate, sort descending, scan to the cut. `count == 0` entries
-    /// are DGreedyRel's floors. Returns DGreedyAbs's and DGreedyRel's
-    /// reduce outputs.
+    /// The oracle, and the definition [`select_cut`] is checked against:
+    /// `combineResults` as Algorithm 5 states it — gather every entry of
+    /// the candidate, sort descending, scan to the cut. No driver runs it.
+    /// `count == 0` entries are DGreedyRel's floors. Returns DGreedyAbs's
+    /// and DGreedyRel's reduce outputs.
     fn gather_and_sort(entries: &[(i64, u32)], keep: u64) -> (f64, (f64, f64)) {
         let mut batches = entries.to_vec();
         batches.sort_unstable_by_key(|&(bucket, _)| std::cmp::Reverse(bucket));

@@ -20,7 +20,9 @@ pub enum CoreError {
     /// The input holds NaN or ±∞ (or values whose sum overflows) in base
     /// slice `base`: no error bound can be advertised over it.
     NonFiniteInput {
-        /// The first base slice (in base order) whose average is not finite.
+        /// The first base slice (in base order) whose average is not
+        /// finite — for a refused append, the slice its first such value
+        /// would have been written to.
         base: usize,
     },
 }

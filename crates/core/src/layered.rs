@@ -144,8 +144,13 @@ struct Group<R> {
 const FAIL_NODE: u64 = u64::MAX;
 const OFF_GRID_NODE: u64 = u64::MAX - 1;
 
-/// Every reducer of the framework forwards its records unchanged.
-fn forward<K: Clone, V>(key: &K, vals: &mut dyn Iterator<Item = V>, ctx: &mut ReduceContext<K, V>) {
+/// The identity reducer: forwards its records unchanged (every reducer of
+/// the framework, and the jobs whose selection happens driver-side).
+pub(crate) fn forward<K: Clone, V>(
+    key: &K,
+    vals: &mut dyn Iterator<Item = V>,
+    ctx: &mut ReduceContext<K, V>,
+) {
     for v in vals {
         ctx.emit(key.clone(), v);
     }

@@ -20,7 +20,7 @@
 //! |------------------------|------|
 //! | [`partition`]          | Locality-preserving error-tree partitioning: base partitions and [`LayerPlan`] |
 //! | `layered` (private)    | The one layered DP driver: validation via [`LayerPlan`], the `-layer0` / `-layer-up` / `-extract` / `-extract-base` jobs, hand-offs, global node ids |
-//! | `errhist` (private)    | The one errhist stage of DGreedyAbs / DGreedyRel: grouping by incoming error, block ownership, whole-histogram emission, the cut by selection |
+//! | `errhist` (private)    | The one Section-5 driver (DGreedyAbs, DGreedyRel, the incremental DGreedyAbs maintainer): validated shape, averages job, genRootSets, the errhist stage (grouping by incoming error, block ownership, whole-histogram emission, the cut by selection), the pick, the synopsis job |
 //! | `eval` (private)       | The `eval-max-abs` / `eval-max-rel` evaluation job |
 //! | [`splits`]             | Typed split payloads shipped to map tasks across all algorithms |
 //! | [`mod@dgreedy_abs`]    | DGreedyAbs: distributed greedy, max-abs error (Algorithms 3-4) |
@@ -30,7 +30,7 @@
 //! | [`mod@dhaar_plus`]     | DHaarPlus: the framework's Haar+ instance |
 //! | [`mod@dmin_rel_var`]   | DMinRelVar: the framework's MinRelVar instance |
 //! | [`conventional`]       | Appendix-A baselines: CON, Send-V, Send-Coef(-combined), H-WTopk |
-//! | [`progressive`]        | Streaming windows, incremental CON/DGreedyAbs maintenance, phased serving driver |
+//! | [`progressive`]        | Streaming windows, incremental CON/DGreedyAbs maintenance (caches around the batch drivers' own steps), phased serving driver; refuses non-finite appends |
 //! | [`query`]              | Bounded point/range-sum query API: every answer carries its error guarantee |
 //! | [`error`]              | [`CoreError`]: algorithm-level failures wrapping runtime errors |
 

@@ -13,17 +13,12 @@
 //! * [`StreamWindow`] — a power-of-two window over the stream, organized
 //!   as a ring of base slices with a zero-padded ragged tail, tracking
 //!   which base sub-trees each append invalidated.
-//! * [`IncrementalConventional`] — maintains the CON (L2-optimal)
-//!   synopsis under appends: only dirty bases re-run their local
-//!   transform job, the driver recombines with cached per-base partials.
-//!   Bit-identical to a from-scratch [`crate::conventional::con`] run.
-//! * [`IncrementalDGreedyAbs`] — maintains the exact max-abs synopsis:
-//!   per-base histogram/trace caches keyed by the incoming error's bits
-//!   mean merge/filter jobs re-run only for bases whose cached partials
-//!   no longer apply; the root recombination (candidate cuts, best-`k`
-//!   pick, final top-`B` filter) reuses unchanged partials driver-side.
-//!   Bit-identical to a from-scratch [`crate::dgreedy_abs::dgreedy_abs`]
-//!   run.
+//! * [`IncrementalConventional`] / [`IncrementalDGreedyAbs`] — maintain
+//!   the CON (L2-optimal) and the exact max-abs synopsis under appends:
+//!   per-base partials are cached, jobs re-run only over the bases whose
+//!   partials no longer apply, and the result is bit-identical to a
+//!   from-scratch [`crate::conventional::con`] /
+//!   [`crate::dgreedy_abs::dgreedy_abs`] run.
 //! * [`PhasedSynopsisDriver`] — ties it together: each
 //!   [`tick`](PhasedSynopsisDriver::tick) appends new values, publishes
 //!   the cheap conventional answer as a foreground snapshot, then runs
@@ -35,29 +30,46 @@
 //! Every cached partial is the output of the *same* floating-point
 //! computation the batch job would run on the same input bits: base
 //! averages and local Haar details depend only on the (unchanged) base
-//! slice, and a GreedyAbs error-histogram run depends only on
-//! `(details, incoming error)` — the cache key. Driver-side
-//! recombination replays the exact reduce-side code: the candidate cut is
-//! a function of the batch *multiset* (ties share a bucket), the best-`k`
-//! pick uses the canonical lower-`k` tie-break, and the final top-`B`
-//! filter re-sorts the per-base emissions concatenated in base order —
-//! which is precisely the order the sort-merge shuffle feeds a reducer
-//! (equal keys drain lowest-map-task-first).
+//! slice, and a GreedyAbs run depends only on `(details, incoming error)`
+//! — the cache key. Everything between the caches is not a replay of the
+//! batch drivers but their code: the maintainers call the steps of the
+//! crate-private `errhist` module (genRootSets, the grouping by incoming
+//! error, the cut by selection, the pick, the synopsis filter and
+//! `keep_top`) and of [`crate::conventional`] (the CON job and its top-`B`
+//! selection). The cut is a function of the histogram *multiset*, so cache
+//! provenance cannot change it, and the final top-`B` filter sorts the
+//! per-base removals concatenated in base order — which is precisely the
+//! order the sort-merge shuffle feeds a reducer (equal keys drain
+//! lowest-map-task-first).
+//!
+//! # Non-finite input
+//!
+//! Over NaN or ±∞ no error bound means anything. [`PhasedSynopsisDriver::tick`]
+//! refuses such values before they reach the window, and both maintainers
+//! refuse a base whose average is not finite
+//! ([`CoreError::NonFiniteInput`]) and keep it invalidated, so an update
+//! over repaired data recomputes it.
+
+#![warn(clippy::too_many_lines)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dwmaxerr_algos::greedy_abs::GreedyAbs;
+use dwmaxerr_runtime::codec::Wire;
 use dwmaxerr_runtime::metrics::DriverMetrics;
+use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{
-    Cluster, JobBuilder, MapContext, Phase, Pipeline, Progressive, ReduceContext, Snapshot,
+    Cluster, JobBuilder, MapContext, Phase, Pipeline, Progressive, RuntimeError, Snapshot,
 };
 use dwmaxerr_wavelet::metrics::max_abs;
 use dwmaxerr_wavelet::tree::DirtySet;
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
-use crate::dgreedy_abs::{bucket_of, histogram_batches, DGreedyAbsConfig};
+use crate::conventional::{con_stage, select_top_b};
+use crate::dgreedy_abs::{AbsEngine, DGreedyAbsConfig};
+use crate::errhist::{self, ErrHistEngine, Removed, RootSets, Shape};
 use crate::error::CoreError;
+use crate::layered::forward;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
 
@@ -174,7 +186,7 @@ impl StreamWindow {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental CON
+// What both maintainers keep
 // ---------------------------------------------------------------------------
 
 /// Per-update statistics of an incremental rebuild.
@@ -188,6 +200,90 @@ pub struct RebuildStats {
     pub greedy_runs: usize,
 }
 
+/// The state the two maintainers share: the window's partition, the base
+/// averages as of the last update and the bases invalidated since.
+#[derive(Debug)]
+struct Bases {
+    partition: BasePartition,
+    averages: Vec<f64>,
+    dirty: DirtySet,
+}
+
+impl Bases {
+    /// Every base starts invalidated.
+    fn new(partition: BasePartition) -> Self {
+        let mut this = Bases {
+            partition,
+            averages: vec![0.0; partition.num_base()],
+            dirty: DirtySet::new(),
+        };
+        this.invalidate_all();
+        this
+    }
+
+    fn invalidate(&mut self, j: usize) {
+        self.dirty.mark(self.partition.base_root(j));
+    }
+
+    fn invalidate_all(&mut self) {
+        for j in 0..self.partition.num_base() {
+            self.invalidate(j);
+        }
+    }
+
+    /// The stale bases in ascending order, and `data` cut into one split
+    /// per base. The marks stay until [`Bases::commit`], so an update that
+    /// fails before it leaves them for the next one.
+    fn stale(&self, data: &[f64]) -> Result<(Vec<usize>, Vec<SliceSplit>), CoreError> {
+        if data.len() != self.partition.n() {
+            return Err(CoreError::Protocol("window length changed between updates"));
+        }
+        let r = self.partition.num_base();
+        let stale = self.dirty.iter().map(|root| root - r).collect();
+        Ok((stale, aligned_splits(data, self.partition.base_leaves())))
+    }
+
+    /// Takes the stale bases' `fresh` averages and clears the marks — or
+    /// refuses, marks kept, at the first that is NaN or ±∞.
+    fn commit(&mut self, fresh: impl IntoIterator<Item = (usize, f64)>) -> Result<(), CoreError> {
+        for (base, avg) in fresh {
+            if !avg.is_finite() {
+                return Err(CoreError::NonFiniteInput { base });
+            }
+            self.averages[base] = avg;
+        }
+        self.dirty.clear();
+        Ok(())
+    }
+}
+
+/// A pipeline between two jobs of an update, and the last job's output.
+type Staged<'c, K, V> = (Pipeline<'c, ()>, Vec<(K, V)>);
+
+/// Runs `stage` over the splits of `bases` — no job when there are none —
+/// and returns its output pairs.
+fn stage_over<'c, K, V>(
+    pipe: Pipeline<'c, ()>,
+    splits: &[SliceSplit],
+    bases: &[usize],
+    stage: impl FnOnce(
+        Pipeline<'c, ()>,
+        &[SliceSplit],
+    ) -> Result<StagedPipeline<'c, (), K, V>, RuntimeError>,
+) -> Result<Staged<'c, K, V>, CoreError> {
+    if bases.is_empty() {
+        return Ok((pipe, Vec::new()));
+    }
+    let picked: Vec<SliceSplit> = bases.iter().map(|&j| splits[j].clone()).collect();
+    let mut out = Vec::new();
+    let pipe = stage(pipe, &picked)?.then(|((), pairs)| out = pairs);
+    Ok((pipe, out))
+}
+
+// ---------------------------------------------------------------------------
+// Incremental CON
+// ---------------------------------------------------------------------------
+
 /// Outcome of [`IncrementalConventional::update`].
 #[derive(Debug, Clone)]
 pub struct ConventionalUpdate {
@@ -200,18 +296,15 @@ pub struct ConventionalUpdate {
 /// Incrementally maintained CON (conventional / L2-optimal) synopsis.
 ///
 /// Caches each base's local-transform output — its `(global node,
-/// coefficient)` pairs and slice average. An update re-runs the transform
-/// job only over invalidated bases and recombines driver-side with
-/// [`crate::conventional`]'s order-independent top-`B` selection, so the
-/// result is bit-identical to a from-scratch [`crate::conventional::con`]
-/// run on the same array.
+/// coefficient)` pairs and slice average. An update re-runs
+/// [`crate::conventional::con`]'s job only over invalidated bases and hands
+/// cached and fresh partials to its order-independent top-`B` selection,
+/// so the result is bit-identical to a from-scratch run on the same array.
 #[derive(Debug)]
 pub struct IncrementalConventional {
-    partition: BasePartition,
+    bases: Bases,
     b: usize,
-    averages: Vec<f64>,
     details: Vec<Vec<(u64, f64)>>,
-    dirty: DirtySet,
 }
 
 impl IncrementalConventional {
@@ -219,16 +312,11 @@ impl IncrementalConventional {
     /// the given base slice size. Every base starts invalidated.
     pub fn new(n: usize, b: usize, base_leaves: usize) -> Result<Self, CoreError> {
         let partition = BasePartition::new(n, base_leaves.clamp(2, n))?;
-        let r = partition.num_base();
-        let mut this = IncrementalConventional {
-            partition,
+        Ok(IncrementalConventional {
+            bases: Bases::new(partition),
             b,
-            averages: vec![0.0; r],
-            details: vec![Vec::new(); r],
-            dirty: DirtySet::new(),
-        };
-        this.invalidate_all();
-        Ok(this)
+            details: vec![Vec::new(); partition.num_base()],
+        })
     }
 
     /// The synopsis budget.
@@ -238,19 +326,17 @@ impl IncrementalConventional {
 
     /// The window partition.
     pub fn partition(&self) -> BasePartition {
-        self.partition
+        self.bases.partition
     }
 
     /// Marks base `j`'s cached partials stale.
     pub fn invalidate(&mut self, j: usize) {
-        self.dirty.mark(self.partition.base_root(j));
+        self.bases.invalidate(j);
     }
 
     /// Marks every base stale (forces a full rebuild on the next update).
     pub fn invalidate_all(&mut self) {
-        for j in 0..self.partition.num_base() {
-            self.invalidate(j);
-        }
+        self.bases.invalidate_all();
     }
 
     /// Rebuilds the synopsis of `data`, re-running the local-transform job
@@ -261,75 +347,29 @@ impl IncrementalConventional {
         pipe: Pipeline<'c, ()>,
         data: &[f64],
     ) -> Result<(Pipeline<'c, ()>, ConventionalUpdate), CoreError> {
-        let n = data.len();
-        if n != self.partition.n() {
-            return Err(CoreError::Protocol("window length changed between updates"));
-        }
-        let stale_bases: Vec<usize> = self
-            .dirty
-            .drain()
-            .into_iter()
-            .map(|root| root - self.partition.num_base())
-            .collect();
-        let part = self.partition;
+        let (stale, splits) = self.bases.stale(data)?;
+        let part = self.bases.partition;
+        let (pipe, fresh) = stage_over(pipe, &splits, &stale, |pipe, picked| {
+            con_stage(pipe, "con-inc", part, picked)
+        })?;
+
         let num_base = part.num_base() as u64;
-
-        let mut captured: Vec<(u64, f64)> = Vec::new();
-        let pipe = if stale_bases.is_empty() {
-            pipe
-        } else {
-            let splits = aligned_splits(data, part.base_leaves());
-            let stale: Vec<SliceSplit> = stale_bases.iter().map(|&j| splits[j].clone()).collect();
-            let job = JobBuilder::new("con-inc")
-                .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
-                    // Same emissions as the batch CON mapper: every detail
-                    // coefficient on its global node id, the slice average
-                    // on the reserved key < R.
-                    let (details, avg) = part.base_details_from_data(split.slice());
-                    for (local, &c) in details.iter().enumerate() {
-                        let global = part.local_to_global(split.id as usize, local + 1);
-                        ctx.emit(global as u64, c);
-                    }
-                    ctx.emit(split.id as u64, avg);
-                })
-                .input_bytes(SliceSplit::bytes)
-                .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
-                    for v in vals {
-                        ctx.emit(*k, v);
-                    }
-                });
-            pipe.stage(&job, &stale)?.then(|(_, pairs)| {
-                captured = pairs;
-            })
-        };
-
-        // Replace the stale bases' cached partials.
-        for &j in &stale_bases {
+        let (averages, details): (Vec<_>, Vec<_>) =
+            fresh.into_iter().partition(|&(k, _)| k < num_base);
+        self.bases
+            .commit(averages.into_iter().map(|(j, avg)| (j as usize, avg)))?;
+        for &j in &stale {
             self.details[j].clear();
         }
-        for (k, v) in captured {
-            if k < num_base {
-                self.averages[k as usize] = v;
-            } else {
-                self.details[part.owner_of(k as usize)].push((k, v));
-            }
+        for (k, v) in details {
+            self.details[part.owner_of(k as usize)].push((k, v));
         }
 
-        // Driver-side recombination: cached partials + fresh ones feed the
-        // same order-independent top-B selection the batch reducer uses.
-        let root = part.root_coeffs_from_averages(&self.averages);
-        let mut coeff_pairs: Vec<(u64, f64)> = Vec::with_capacity(n);
-        for list in &self.details {
-            coeff_pairs.extend_from_slice(list);
-        }
-        coeff_pairs.extend(root.iter().enumerate().map(|(i, &c)| (i as u64, c)));
-        let entries = crate::conventional::top_b_by_normalized(coeff_pairs, n, self.b);
-        let synopsis = Synopsis::from_entries(n, entries)?;
         let update = ConventionalUpdate {
-            synopsis,
+            synopsis: select_top_b(part, &self.bases.averages, self.details.concat(), self.b)?,
             stats: RebuildStats {
-                dirty_bases: stale_bases.len(),
-                map_tasks: stale_bases.len(),
+                dirty_bases: stale.len(),
+                map_tasks: stale.len(),
                 greedy_runs: 0,
             },
         };
@@ -354,87 +394,141 @@ pub struct DGreedyAbsUpdate {
     pub stats: RebuildStats,
 }
 
-/// Full per-removal emission of a synopsis-phase GreedyAbs run:
-/// `(running-max bucket, removal index, global node, coefficient)`.
-type SynTraceEntry = (i64, u32, u32, f64);
+/// What level 1 of one of DGreedyAbs's two jobs answered, per base and
+/// per incoming error (its f64 bits): a GreedyAbs run depends on nothing
+/// else.
+#[derive(Debug)]
+struct RunCache<T> {
+    /// The job that fills it, and that job's reducer count.
+    job: &'static str,
+    reducers: usize,
+    runs: Vec<HashMap<u64, Vec<T>>>,
+}
 
-/// Per-base cache keyed by the incoming error's f64 bits.
-type ErrKeyed<T> = Vec<HashMap<u64, Arc<Vec<T>>>>;
+impl<T: Wire + Send> RunCache<T> {
+    fn new(job: &'static str, reducers: usize, num_base: usize) -> Self {
+        let runs = (0..num_base).map(|_| HashMap::new()).collect();
+        RunCache {
+            job,
+            reducers,
+            runs,
+        }
+    }
+
+    fn get(&self, j: usize, incoming: f64) -> Result<&[T], CoreError> {
+        let run = self.runs[j].get(&incoming.to_bits());
+        Ok(run.ok_or(CoreError::Protocol("run cache miss after refresh"))?)
+    }
+
+    /// Makes the cache hold base `j`'s run for every incoming error of
+    /// `wanted[j]`: one job over the bases that miss any, `run(details,
+    /// split, incoming)` once per miss.
+    fn fill<'c>(
+        &mut self,
+        pipe: Pipeline<'c, ()>,
+        shape: &Shape,
+        splits: &[SliceSplit],
+        wanted: &[Vec<f64>],
+        stats: &mut RebuildStats,
+        run: impl Fn(&[f64], &SliceSplit, f64) -> Vec<T> + Sync,
+    ) -> Result<Pipeline<'c, ()>, CoreError> {
+        let missing: Vec<Vec<f64>> = wanted
+            .iter()
+            .zip(&self.runs)
+            .map(|(errors, cached)| {
+                let lacks = |e: &&f64| !cached.contains_key(&e.to_bits());
+                errors.iter().filter(lacks).copied().collect()
+            })
+            .collect();
+        let bases: Vec<usize> = (0..missing.len())
+            .filter(|&j| !missing[j].is_empty())
+            .collect();
+        stats.map_tasks += bases.len();
+        stats.greedy_runs += missing.iter().map(Vec::len).sum::<usize>();
+        let (pipe, fresh) = stage_over(pipe, splits, &bases, |pipe, picked| {
+            let job = JobBuilder::new(self.job)
+                .map(
+                    |split: &SliceSplit, ctx: &mut MapContext<u32, (u64, Vec<T>)>| {
+                        let (details, _avg) = shape.partition.base_details_from_data(split.slice());
+                        for &e in &missing[split.id as usize] {
+                            ctx.add_counter("greedy_runs", 1);
+                            ctx.emit(split.id, (e.to_bits(), run(&details, split, e)));
+                        }
+                    },
+                )
+                .input_bytes(SliceSplit::bytes)
+                .task_memory(|s: &SliceSplit| AbsEngine::task_memory(s.len()))
+                .reducers(self.reducers)
+                .partition_by(|j: &u32, parts| *j as usize % parts)
+                .reduce(forward);
+            pipe.stage(&job, picked)
+        })?;
+        for (j, (bits, produced)) in fresh {
+            self.runs[j as usize].insert(bits, produced);
+        }
+        Ok(pipe)
+    }
+}
 
 /// Incrementally maintained DGreedyAbs synopsis.
 ///
-/// Two caches per base, both keyed by the incoming error's f64 bits:
+/// Two caches answer level 1 of [`crate::dgreedy_abs::dgreedy_abs`]'s two
+/// jobs:
 ///
-/// * **histogram cache** — the `(bucket, count)` batches of one
-///   ErrHistGreedyAbs run, reused by the driver-side `combineResults`
-///   replay for every candidate whose incoming error is unchanged;
-/// * **trace cache** — the *unfiltered* synopsis-phase removal trace
-///   (running-max bucket, index, node, coefficient), re-filterable for
+/// * **histogram cache** — the histogram of one ErrHistGreedyAbs run in
+///   its nodes-at-or-above form, which `combineResults`' selection reads
+///   for every candidate whose incoming error is unchanged;
+/// * **removal cache** — the *unfiltered* removals of one synopsis-stage
+///   run (running-max bucket, index, node, coefficient), re-filterable for
 ///   any winning cut without re-running the job.
 ///
 /// An update re-runs map tasks only for bases with at least one cache
-/// miss; everything else is root recombination on cached partials. The
-/// result is bit-identical to [`crate::dgreedy_abs::dgreedy_abs`] on the
-/// same array (see the module docs for the argument). Caches are never
-/// evicted — for the window sizes this simulation targets the bounded
-/// number of distinct incoming errors per base (`log R + 2` per root
-/// configuration) keeps them small.
+/// miss; every step between the caches is the batch driver's own, so the
+/// result is bit-identical to it on the same array (see the module docs).
+/// Caches are never evicted — for the window sizes this simulation targets
+/// the bounded number of distinct incoming errors per base (`log R + 2`
+/// per root configuration) keeps them small.
 #[derive(Debug)]
 pub struct IncrementalDGreedyAbs {
-    partition: BasePartition,
-    b: usize,
-    cfg: DGreedyAbsConfig,
-    averages: Vec<f64>,
-    hist_cache: ErrKeyed<(i64, u32)>,
-    trace_cache: ErrKeyed<SynTraceEntry>,
-    dirty: DirtySet,
+    bases: Bases,
+    shape: Shape,
+    histograms: RunCache<(i64, u64)>,
+    removals: RunCache<Removed>,
 }
 
 impl IncrementalDGreedyAbs {
     /// Creates the maintainer for `n`-value windows with budget `b`.
     /// Every base starts invalidated.
     pub fn new(n: usize, b: usize, cfg: &DGreedyAbsConfig) -> Result<Self, CoreError> {
-        let partition = BasePartition::new(n, cfg.base_leaves.min(n))?;
-        if cfg.bucket_width.is_nan() || cfg.bucket_width <= 0.0 {
-            return Err(CoreError::Protocol("bucket_width must be positive"));
-        }
-        if cfg.reducers == 0 {
-            return Err(CoreError::Protocol("reducers must be positive"));
-        }
-        let r = partition.num_base();
-        let mut this = IncrementalDGreedyAbs {
-            partition,
-            b,
-            cfg: cfg.clone(),
-            averages: vec![0.0; r],
-            hist_cache: vec![HashMap::new(); r],
-            trace_cache: vec![HashMap::new(); r],
-            dirty: DirtySet::new(),
-        };
-        this.invalidate_all();
-        Ok(this)
+        let shape = Shape::new(n, b, cfg.base_leaves, cfg.bucket_width, cfg.reducers)?
+            .capped(cfg.max_candidates);
+        let r = shape.partition.num_base();
+        Ok(IncrementalDGreedyAbs {
+            bases: Bases::new(shape.partition),
+            shape,
+            histograms: RunCache::new("dgreedyabs-inc-errhist", shape.reducers, r),
+            removals: RunCache::new("dgreedyabs-inc-synopsis", 1, r),
+        })
     }
 
     /// The synopsis budget.
     pub fn budget(&self) -> usize {
-        self.b
+        self.shape.budget
     }
 
     /// The window partition.
     pub fn partition(&self) -> BasePartition {
-        self.partition
+        self.shape.partition
     }
 
     /// Marks base `j`'s cached partials stale.
     pub fn invalidate(&mut self, j: usize) {
-        self.dirty.mark(self.partition.base_root(j));
+        self.bases.invalidate(j);
     }
 
     /// Marks every base stale (forces a full rebuild on the next update).
     pub fn invalidate_all(&mut self) {
-        for j in 0..self.partition.num_base() {
-            self.invalidate(j);
-        }
+        self.bases.invalidate_all();
     }
 
     /// Rebuilds the synopsis of `data`, re-running merge/filter jobs only
@@ -444,288 +538,70 @@ impl IncrementalDGreedyAbs {
         pipe: Pipeline<'c, ()>,
         data: &[f64],
     ) -> Result<(Pipeline<'c, ()>, DGreedyAbsUpdate), CoreError> {
-        let n = data.len();
-        if n != self.partition.n() {
-            return Err(CoreError::Protocol("window length changed between updates"));
-        }
-        let part = self.partition;
-        let r = part.num_base();
-        let width = self.cfg.bucket_width;
-        let b = self.b;
-        let stale_bases: Vec<usize> = self
-            .dirty
-            .drain()
-            .into_iter()
-            .map(|root| root - r)
-            .collect();
-        for &j in &stale_bases {
-            self.hist_cache[j].clear();
-            self.trace_cache[j].clear();
-        }
-        let splits = aligned_splits(data, part.base_leaves());
+        let shape = self.shape;
+        let (stale, splits) = self.bases.stale(data)?;
         let mut stats = RebuildStats {
-            dirty_bases: stale_bases.len(),
-            map_tasks: 0,
+            dirty_bases: stale.len(),
+            map_tasks: stale.len(),
             greedy_runs: 0,
         };
-
-        // ---- Stage 1: base averages, dirty bases only ----
-        let mut avg_pairs: Vec<(u32, f64)> = Vec::new();
-        let pipe = if stale_bases.is_empty() {
-            pipe
-        } else {
-            let stale: Vec<SliceSplit> = stale_bases.iter().map(|&j| splits[j].clone()).collect();
-            stats.map_tasks += stale.len();
-            let job = JobBuilder::new("dgreedyabs-inc-averages")
-                .map(|split: &SliceSplit, ctx: &mut MapContext<u32, f64>| {
-                    let avg = split.slice().iter().sum::<f64>() / split.len() as f64;
-                    ctx.emit(split.id, avg);
-                })
-                .input_bytes(SliceSplit::bytes)
-                .reduce(|k, vals, ctx: &mut ReduceContext<u32, f64>| {
-                    for v in vals {
-                        ctx.emit(*k, v);
-                    }
-                });
-            pipe.stage(&job, &stale)?.then(|(_, pairs)| {
-                avg_pairs = pairs;
-            })
-        };
-        for (j, avg) in avg_pairs {
-            self.averages[j as usize] = avg;
+        let (pipe, fresh) = stage_over(pipe, &splits, &stale, |pipe, picked| {
+            errhist::averages_stage(pipe, "dgreedyabs-inc", picked)
+        })?;
+        self.bases
+            .commit(fresh.into_iter().map(|(j, avg)| (j as usize, avg)))?;
+        for &j in &stale {
+            self.histograms.runs[j].clear();
+            self.removals.runs[j].clear();
         }
+        let roots = RootSets::generate(&shape, &AbsEngine, &self.bases.averages)?;
 
-        // ---- genRootSets on the (partially cached) averages ----
-        let root_coeffs = part.root_coeffs_from_averages(&self.averages);
-        let mut root_greedy = GreedyAbs::new_full(&root_coeffs)?;
-        let root_trace = root_greedy.run_to_empty();
-        let removal_order: Vec<usize> = root_trace.iter().map(|t| t.node as usize).collect();
-        let max_k = r.min(b).min(self.cfg.max_candidates.unwrap_or(usize::MAX));
-        let rho: Vec<f64> = (0..=max_k)
-            .map(|k| {
-                let removed = r - k;
-                if removed == 0 {
-                    0.0
-                } else {
-                    root_trace[removed - 1].error_after
-                }
-            })
-            .collect();
-        let removed_under = |k: usize| &removal_order[..removal_order.len() - k];
-        let retained_under = |k: usize| &removal_order[removal_order.len() - k..];
-
-        // ---- Which incoming errors does each base need this round? ----
-        // Distinct values in candidate order, exactly like the batch
-        // mapper's by_err grouping (at most log R + 2 per base).
-        let mut needed: Vec<Vec<f64>> = vec![Vec::new(); r];
-        for (j, need) in needed.iter_mut().enumerate() {
-            for k in 0..=max_k {
-                let e = part.incoming_error(&root_coeffs, removed_under(k), j);
-                if !need.iter().any(|&seen: &f64| seen.to_bits() == e.to_bits()) {
-                    need.push(e);
-                }
-            }
-        }
-
-        // ---- Stage 2: histogram runs for cache misses only ----
-        let missing: Vec<Vec<f64>> = needed
+        // The errhist stage: level 1 from the cache, level 2 as written.
+        let r = shape.partition.num_base();
+        let groups: Vec<_> = (0..r).map(|j| roots.groups(j)).collect();
+        let wanted: Vec<Vec<f64>> = groups
             .iter()
-            .enumerate()
-            .map(|(j, need)| {
-                need.iter()
-                    .copied()
-                    .filter(|e| !self.hist_cache[j].contains_key(&e.to_bits()))
-                    .collect()
-            })
+            .map(|of_base| of_base.iter().map(|&(e, _)| e).collect())
             .collect();
-        let hist_stale: Vec<SliceSplit> = (0..r)
-            .filter(|&j| !missing[j].is_empty())
-            .map(|j| splits[j].clone())
-            .collect();
-        let mut hist_pairs: Vec<(u32, (u64, i64, u32))> = Vec::new();
-        let pipe = if hist_stale.is_empty() {
-            pipe
-        } else {
-            stats.map_tasks += hist_stale.len();
-            stats.greedy_runs += missing.iter().map(Vec::len).sum::<usize>();
-            let miss_bc = Arc::new(missing.clone());
-            let job = JobBuilder::new("dgreedyabs-inc-errhist")
-                .map(
-                    move |split: &SliceSplit, ctx: &mut MapContext<u32, (u64, i64, u32)>| {
-                        let j = split.id as usize;
-                        let (details, _avg) = part.base_details_from_data(split.slice());
-                        for &e in &miss_bc[j] {
-                            let mut g = GreedyAbs::new_subtree(&details, e).expect("valid subtree");
-                            let trace = g.run_to_empty();
-                            ctx.add_counter("greedy_runs", 1);
-                            for &(bucket, count) in &histogram_batches(&trace, width) {
-                                ctx.emit(j as u32, (e.to_bits(), bucket, count));
-                            }
-                        }
-                    },
-                )
-                .input_bytes(SliceSplit::bytes)
-                .task_memory(|s: &SliceSplit| dwmaxerr_algos::memory::greedy_abs_bytes(s.len()))
-                .reducers(self.cfg.reducers)
-                .partition_by(|k: &u32, parts| *k as usize % parts)
-                .reduce(
-                    |k: &u32, vals, ctx: &mut ReduceContext<u32, (u64, i64, u32)>| {
-                        for v in vals {
-                            ctx.emit(*k, v);
-                        }
-                    },
-                );
-            pipe.stage(&job, &hist_stale)?.then(|(_, pairs)| {
-                hist_pairs = pairs;
-            })
+        let histogram = |details: &[f64], split: &SliceSplit, e: f64| {
+            let (_floor, trace) = AbsEngine.run(details, split.slice(), e);
+            errhist::at_or_above(&errhist::histogram_batches(&trace, shape.bucket_width))
         };
-        // Batches for one (base, error) arrive contiguously in emission
-        // order (the merge drains equal keys lowest-map-task-first and
-        // each base is one task).
-        for (j, (e_bits, bucket, count)) in hist_pairs {
-            Arc::make_mut(
-                self.hist_cache[j as usize]
-                    .entry(e_bits)
-                    .or_insert_with(|| Arc::new(Vec::new())),
-            )
-            .push((bucket, count));
+        let pipe = self
+            .histograms
+            .fill(pipe, &shape, &splits, &wanted, &mut stats, histogram)?;
+        let mut serving: Vec<Vec<&[(i64, u64)]>> = vec![Vec::new(); shape.max_k + 1];
+        for (j, of_base) in groups.iter().enumerate() {
+            for (e, ks) in of_base {
+                let histogram = self.histograms.get(j, *e)?;
+                ks.iter().for_each(|&k| serving[k as usize].push(histogram));
+            }
         }
+        let outs = serving.iter().enumerate().map(|(k, histograms)| {
+            let cut = errhist::select_cut(histograms, (shape.budget - k) as u64);
+            (k as u32, AbsEngine.finish(cut, i64::MIN))
+        });
+        let best = errhist::pick(&AbsEngine, &roots, outs)?;
 
-        // ---- combineResults replay on cached partials ----
-        // Exact replica of the batch reducer: per candidate, gather every
-        // base's batches, sort by bucket descending, read the error at the
-        // B - k cut. The cut is a function of the multiset, so cache
-        // provenance cannot change it.
-        let mut best_k = 0usize;
-        let mut best_err = f64::INFINITY;
-        let mut best_cut = 0.0f64;
-        for (k, &rho_k) in rho.iter().enumerate() {
-            let mut batches: Vec<(i64, u32)> = Vec::new();
-            for (j, need) in needed.iter().enumerate() {
-                // Find this candidate's incoming error for base j.
-                let e = part.incoming_error(&root_coeffs, removed_under(k), j);
-                debug_assert!(need.iter().any(|&x: &f64| x.to_bits() == e.to_bits()));
-                let cached = self.hist_cache[j]
-                    .get(&e.to_bits())
-                    .ok_or(CoreError::Protocol("histogram cache miss after refresh"))?;
-                batches.extend_from_slice(cached);
-            }
-            batches.sort_unstable_by_key(|&(bucket, _)| std::cmp::Reverse(bucket));
-            let keep = (b - k) as u64;
-            let mut cum = 0u64;
-            let mut cut_bucket = 0.0f64;
-            for (bucket, count) in batches {
-                if cum + u64::from(count) > keep {
-                    cut_bucket = bucket as f64;
-                    break;
-                }
-                cum += u64::from(count);
-            }
-            let cut = cut_bucket * width;
-            let total = cut.max(rho_k);
-            if total < best_err || (total == best_err && k < best_k) {
-                best_err = total;
-                best_k = k;
-                best_cut = cut;
-            }
-        }
-        if !best_err.is_finite() {
-            return Err(CoreError::Protocol("no candidate produced a cut"));
-        }
-
-        // ---- Stage 3: synopsis traces for cache misses only ----
-        let cut_bucket = bucket_of(best_cut, width);
-        let keep_base = b - best_k;
-        let e_best: Vec<f64> = (0..r)
-            .map(|j| part.incoming_error(&root_coeffs, removed_under(best_k), j))
-            .collect();
-        let syn_stale: Vec<SliceSplit> = (0..r)
-            .filter(|&j| !self.trace_cache[j].contains_key(&e_best[j].to_bits()))
-            .map(|j| splits[j].clone())
-            .collect();
-        let mut syn_pairs: Vec<(u32, SynTraceEntry)> = Vec::new();
-        let pipe = if syn_stale.is_empty() {
-            pipe
-        } else {
-            stats.map_tasks += syn_stale.len();
-            stats.greedy_runs += syn_stale.len();
-            let e_bc = Arc::new(e_best.clone());
-            let job = JobBuilder::new("dgreedyabs-inc-synopsis")
-                .map(
-                    move |split: &SliceSplit, ctx: &mut MapContext<u32, SynTraceEntry>| {
-                        let j = split.id as usize;
-                        let (details, _avg) = part.base_details_from_data(split.slice());
-                        let mut g =
-                            GreedyAbs::new_subtree(&details, e_bc[j]).expect("valid subtree");
-                        let trace = g.run_to_empty();
-                        ctx.add_counter("greedy_runs", 1);
-                        // Unfiltered: every removal with its running-max
-                        // bucket, so the driver can re-filter for any cut.
-                        let mut max_bucket = i64::MIN;
-                        for (idx, rem) in trace.iter().enumerate() {
-                            max_bucket = max_bucket.max(bucket_of(rem.error_after, width));
-                            let global = part.local_to_global(j, rem.node as usize);
-                            let coeff = details[rem.node as usize - 1];
-                            ctx.emit(j as u32, (max_bucket, idx as u32, global as u32, coeff));
-                        }
-                    },
-                )
-                .input_bytes(SliceSplit::bytes)
-                .task_memory(|s: &SliceSplit| dwmaxerr_algos::memory::greedy_abs_bytes(s.len()))
-                .reduce(
-                    |k: &u32, vals, ctx: &mut ReduceContext<u32, SynTraceEntry>| {
-                        for v in vals {
-                            ctx.emit(*k, v);
-                        }
-                    },
-                );
-            pipe.stage(&job, &syn_stale)?.then(|(_, pairs)| {
-                syn_pairs = pairs;
-            })
+        // The synopsis stage: the winner's removals unfiltered from the
+        // cache, then the reducer's input — the bases' removals that
+        // survive the cut, in base order.
+        let wanted: Vec<Vec<f64>> = (0..r).map(|j| vec![roots.incoming(best.k, j)]).collect();
+        let unfiltered = |details: &[f64], split: &SliceSplit, e: f64| {
+            errhist::removals(&shape, &AbsEngine, details, split, e, i64::MIN).collect()
         };
-        let mut fresh_traces: Vec<(usize, Vec<SynTraceEntry>)> = Vec::new();
-        for (j, entry) in syn_pairs {
-            match fresh_traces.last_mut() {
-                Some((last, list)) if *last == j as usize => list.push(entry),
-                _ => fresh_traces.push((j as usize, vec![entry])),
-            }
+        let pipe = self
+            .removals
+            .fill(pipe, &shape, &splits, &wanted, &mut stats, unfiltered)?;
+        let mut nodes: Vec<Removed> = Vec::new();
+        for (j, incoming) in wanted.iter().enumerate() {
+            let at_cut = |removed: &&Removed| errhist::survives(removed.0, best.cut_bucket);
+            nodes.extend(self.removals.get(j, incoming[0])?.iter().filter(at_cut));
         }
-        for (j, list) in fresh_traces {
-            self.trace_cache[j].insert(e_best[j].to_bits(), Arc::new(list));
-        }
-
-        // ---- Final filter replay: concatenate per-base traces in base
-        // order (= the shuffle's reduce input order), filter at the
-        // winning cut, sort, keep the top keep_base — byte for byte the
-        // batch reducer's logic. ----
-        let mut nodes: Vec<SynTraceEntry> = Vec::new();
-        for (j, e) in e_best.iter().enumerate() {
-            let cached = self.trace_cache[j]
-                .get(&e.to_bits())
-                .ok_or(CoreError::Protocol("trace cache miss after refresh"))?;
-            nodes.extend(
-                cached
-                    .iter()
-                    .filter(|&&(bkt, _, _, _)| bkt >= cut_bucket.saturating_sub(1))
-                    .copied(),
-            );
-        }
-        nodes.sort_unstable_by_key(|&(bucket, idx, _, _)| std::cmp::Reverse((bucket, idx)));
-        let mut entries: Vec<(u32, f64)> = retained_under(best_k)
-            .iter()
-            .map(|&a| (a as u32, root_coeffs[a]))
-            .collect();
-        entries.extend(
-            nodes
-                .into_iter()
-                .take(keep_base)
-                .map(|(_, _, node, coeff)| (node, coeff)),
-        );
-        let synopsis = Synopsis::from_entries(n, entries)?;
         let update = DGreedyAbsUpdate {
-            synopsis,
-            estimated_error: best_err,
-            best_croot_size: best_k,
+            synopsis: roots.assemble(best.k, errhist::keep_top(nodes, shape.budget - best.k))?,
+            estimated_error: best.score,
+            best_croot_size: best.k,
             stats,
         };
         Ok((pipe, update))
@@ -823,18 +699,28 @@ impl PhasedSynopsisDriver {
     }
 
     /// Appends `values` and runs one phased refinement plan.
+    ///
+    /// NaN or ±∞ among `values` is refused before anything is touched
+    /// ([`CoreError::NonFiniteInput`], naming the base slice the first such
+    /// value would land in): the window, the maintainers and the handle
+    /// stay as they were and the last snapshot keeps serving.
     pub fn tick(&mut self, cluster: &Cluster, values: &[f64]) -> Result<TickReport, CoreError> {
+        if let Some(at) = values.iter().position(|v| !v.is_finite()) {
+            let slot = (self.window.pushed + at as u64) % self.window.len() as u64;
+            let base = slot as usize / self.window.base_leaves;
+            return Err(CoreError::NonFiniteInput { base });
+        }
         self.window.push(values);
         let dirty = self.window.take_dirty_bases();
         for &j in &dirty {
             self.conventional.invalidate(j);
             self.dgreedy.invalidate(j);
         }
-        let data = self.window.data().to_vec();
+        let data = self.window.data();
 
         // Foreground: cheap conventional answer, published immediately.
         let pipe = Pipeline::on(cluster).enter_phase(Phase::Foreground);
-        let (pipe, coarse) = self.conventional.update(pipe, &data)?;
+        let (pipe, coarse) = self.conventional.update(pipe, data)?;
         let coarse_served = ServedSynopsis {
             synopsis: coarse.synopsis.clone(),
             guaranteed_error: None,
@@ -845,7 +731,7 @@ impl PhasedSynopsisDriver {
 
         // Background: exact answer refines the same handle.
         let pipe = pipe.then(|_| ()).enter_phase(Phase::Background(0));
-        let (pipe, exact) = self.dgreedy.update(pipe, &data)?;
+        let (pipe, exact) = self.dgreedy.update(pipe, data)?;
         let exact_served = ServedSynopsis {
             synopsis: exact.synopsis.clone(),
             guaranteed_error: Some(exact.estimated_error),
@@ -855,7 +741,7 @@ impl PhasedSynopsisDriver {
         let exact_snap = self.handle.latest().expect("just published");
         let metrics = pipe.into_metrics();
 
-        let coarse_error = max_abs(&data, &coarse.synopsis.reconstruct_all());
+        let coarse_error = max_abs(data, &coarse.synopsis.reconstruct_all());
         Ok(TickReport {
             coarse_version: coarse_snap.version,
             exact_version: exact_snap.version,

@@ -132,6 +132,8 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    use dwmaxerr_core::dgreedy_abs::dgreedy_abs;
+    use dwmaxerr_core::CoreError;
     use dwmaxerr_runtime::{Cluster, ClusterConfig};
 
     fn cluster() -> Cluster {
@@ -212,6 +214,13 @@ mod tests {
         let poisoned = Cluster::new(cfg);
         assert!(sd.tick(&poisoned, &int_data(16, 9)).is_err());
 
+        // So is a tick over values no bound can be advertised over.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let refused = sd.tick(&cluster(), &[4.0, bad]);
+            let non_finite = ServeError::Core(CoreError::NonFiniteInput { base: 1 });
+            assert_eq!(refused.err(), Some(non_finite), "{bad}");
+        }
+
         // The store was never touched: version 1 still serves, bit for
         // bit, to both old and fresh readers.
         assert_eq!(sd.store().version(), 1);
@@ -219,5 +228,18 @@ mod tests {
         assert_eq!(fresh.version(), 1);
         let after = fresh.point(5).unwrap();
         assert_eq!(after.value.to_bits(), before.value.to_bits());
+
+        // The next clean tick serves what a one-shot build of the window
+        // (which holds the failed tick's values, not the refused ones) gives.
+        let report = sd.tick(&cluster(), &int_data(4, 2)).unwrap();
+        assert_eq!(report.store_version, 2);
+        let window = sd.driver().window().data();
+        let one_shot = dgreedy_abs(&cluster(), window, n / 8, &dg_cfg()).unwrap();
+        let latest = sd.driver().latest().unwrap();
+        assert_eq!(latest.value.synopsis, one_shot.synopsis);
+        assert_eq!(
+            report.build.exact_error.to_bits(),
+            one_shot.estimated_error.to_bits()
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Acceptance tests for phased execution and incremental maintenance
 //! (the progressive serving layer).
 //!
-//! Four guarantees are pinned here:
+//! Five guarantees are pinned here:
 //!
 //! 1. **Golden digest** — the phased driver's *final* (background) synopsis
 //!    is bit-identical to a one-shot `dgreedy_abs` build of the same
@@ -16,6 +16,9 @@
 //!    DGreedyAbs synopses to equal from-scratch builds bit for bit.
 //! 4. **Golden tick schedule** — a fixed ten-tick schedule pins what each
 //!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served.
+//! 5. **Non-finite input** — NaN / ±∞ are refused with a typed error by
+//!    `tick` and by both maintainers, nothing moves, and the next clean
+//!    update is again bit-identical to a one-shot build.
 
 use std::time::Duration;
 
@@ -24,6 +27,7 @@ use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::progressive::{
     IncrementalConventional, IncrementalDGreedyAbs, PhasedSynopsisDriver, StreamWindow,
 };
+use dwmaxerr::core::CoreError;
 use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::trace::{self, summary};
 use dwmaxerr::runtime::{
@@ -320,6 +324,90 @@ fn tick_schedule_is_golden() {
         })
         .collect();
     assert_eq!(got, TICK_SCHEDULE, "measured:\n{}", listing.join("\n"));
+}
+
+/// NaN and ±∞ never get a bound advertised over them. `tick` refuses such
+/// values before the window sees them — nothing moves, the last snapshot
+/// keeps serving — and each maintainer refuses a base whose average is not
+/// finite and keeps it invalidated. The clean update that follows equals a
+/// one-shot build bit for bit. (`tick` used to panic inside the CON sort;
+/// `IncrementalDGreedyAbs::update` used to return a guarantee of 0 over a
+/// NaN and of 3.09 over a +∞.)
+#[test]
+fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
+    let cluster = cluster_on(SpillBackend::from_env(), None);
+    let reference = cluster_on(SpillBackend::Memory, None);
+    let budget = N / 8;
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut driver = PhasedSynopsisDriver::new(N, budget, &dg_cfg()).unwrap();
+        driver.tick(&cluster, &int_data(N, 3)).unwrap();
+        driver.tick(&cluster, &int_data(BASE + 2, 4)).unwrap();
+        let held = driver.window().data().to_vec();
+        let serving = driver.latest().unwrap();
+        // The third value would land in base 1 (slots 16..32).
+        let refused = driver.tick(&cluster, &[1.0, 2.0, bad]);
+        assert!(
+            matches!(refused, Err(CoreError::NonFiniteInput { base: 1 })),
+            "{bad}: {refused:?}"
+        );
+        assert_eq!(driver.window().data(), held);
+        assert_eq!(driver.window().pushed() as usize, N + BASE + 2);
+        assert!(driver.window().dirty().is_empty());
+        assert!(std::sync::Arc::ptr_eq(&driver.latest().unwrap(), &serving));
+        // Neither cache was touched: the next tick re-runs one base.
+        let report = driver.tick(&cluster, &[5.0, 6.0]).unwrap();
+        assert_eq!((report.dirty_bases, report.foreground_tasks), (1, 1));
+        let one_shot = dgreedy_abs(&reference, driver.window().data(), budget, &dg_cfg()).unwrap();
+        let latest = driver.latest().unwrap();
+        assert_eq!(latest.version, serving.version + 2);
+        assert_eq!(latest.value.synopsis, one_shot.synopsis, "{bad}");
+        assert_eq!(
+            report.exact_error.to_bits(),
+            one_shot.estimated_error.to_bits()
+        );
+
+        // Through each maintainer's `update`: one bad cell among 64 values.
+        let cfg = DGreedyAbsConfig {
+            base_leaves: 8,
+            ..dg_cfg()
+        };
+        let mut data = int_data(64, 6);
+        data[29] = bad;
+        let mut exact = IncrementalDGreedyAbs::new(64, 12, &cfg).unwrap();
+        let mut coarse = IncrementalConventional::new(64, 12, 8).unwrap();
+        for _ in 0..2 {
+            let refused = exact
+                .update(Pipeline::on(&cluster), &data)
+                .map(|(_, up)| up);
+            assert!(
+                matches!(refused, Err(CoreError::NonFiniteInput { base: 3 })),
+                "{bad}: {refused:?}"
+            );
+            let refused = coarse
+                .update(Pipeline::on(&cluster), &data)
+                .map(|(_, up)| up);
+            assert!(
+                matches!(refused, Err(CoreError::NonFiniteInput { base: 3 })),
+                "{bad}: {refused:?}"
+            );
+        }
+        // Repaired, and nobody invalidates base 3 again: the refusals kept it
+        // (and every other base of the first build) marked.
+        data[29] = 29.0;
+        let (_, up) = exact.update(Pipeline::on(&cluster), &data).unwrap();
+        let batch = dgreedy_abs(&reference, &data, 12, &cfg).unwrap();
+        assert_eq!(up.synopsis, batch.synopsis, "{bad}");
+        assert_eq!(
+            up.estimated_error.to_bits(),
+            batch.estimated_error.to_bits()
+        );
+        let (_, up) = coarse.update(Pipeline::on(&cluster), &data).unwrap();
+        assert_eq!(
+            up.synopsis,
+            con(&reference, &data, 12, 8).unwrap().0,
+            "{bad}"
+        );
+    }
 }
 
 /// Arbitrary window shape plus an append schedule: initial fill length
