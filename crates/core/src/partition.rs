@@ -146,17 +146,11 @@ impl BasePartition {
         dwmaxerr_wavelet::transform::forward(averages).expect("power-of-two averages")
     }
 
-    /// Base averages in base order from `(base, average)` records,
-    /// refusing non-finite data: any NaN or ±∞ value makes its base average
-    /// non-finite, and over such data no error bound means anything.
+    /// Base averages in base order from `(base, average)` records; see
+    /// [`store_finite_averages`].
     pub(crate) fn finite_averages(&self, pairs: Vec<(u32, f64)>) -> Result<Vec<f64>, CoreError> {
         let mut averages = vec![0.0; self.num_base()];
-        for (j, avg) in pairs {
-            if !avg.is_finite() {
-                return Err(CoreError::NonFiniteInput { base: j as usize });
-            }
-            averages[j as usize] = avg;
-        }
+        store_finite_averages(&mut averages, pairs)?;
         Ok(averages)
     }
 
@@ -188,6 +182,23 @@ impl BasePartition {
             .map(|&a| f64::from(topo.sign(a, j)) * root_coeffs[a])
             .sum::<f64>()
     }
+}
+
+/// Writes `(base, average)` records into `averages`, refusing non-finite
+/// data: any NaN or ±∞ value makes its base average non-finite, and over
+/// such data no error bound means anything.
+pub(crate) fn store_finite_averages<K: Into<u64>>(
+    averages: &mut [f64],
+    pairs: impl IntoIterator<Item = (K, f64)>,
+) -> Result<(), CoreError> {
+    for (j, avg) in pairs {
+        let base = j.into() as usize;
+        if !avg.is_finite() {
+            return Err(CoreError::NonFiniteInput { base });
+        }
+        averages[base] = avg;
+    }
+    Ok(())
 }
 
 /// The layer decomposition of Section 4 (Eq. 4): bottom-up layers of

@@ -70,7 +70,7 @@ use crate::dgreedy_abs::{AbsEngine, DGreedyAbsConfig};
 use crate::errhist::{self, ErrHistEngine, Removed, RootSets, Shape};
 use crate::error::CoreError;
 use crate::layered::forward;
-use crate::partition::BasePartition;
+use crate::partition::{store_finite_averages, BasePartition};
 use crate::splits::{aligned_splits, SliceSplit};
 
 // ---------------------------------------------------------------------------
@@ -245,13 +245,11 @@ impl Bases {
 
     /// Takes the stale bases' `fresh` averages and clears the marks — or
     /// refuses, marks kept, at the first that is NaN or ±∞.
-    fn commit(&mut self, fresh: impl IntoIterator<Item = (usize, f64)>) -> Result<(), CoreError> {
-        for (base, avg) in fresh {
-            if !avg.is_finite() {
-                return Err(CoreError::NonFiniteInput { base });
-            }
-            self.averages[base] = avg;
-        }
+    fn commit<K: Into<u64>>(
+        &mut self,
+        fresh: impl IntoIterator<Item = (K, f64)>,
+    ) -> Result<(), CoreError> {
+        store_finite_averages(&mut self.averages, fresh)?;
         self.dirty.clear();
         Ok(())
     }
@@ -356,8 +354,7 @@ impl IncrementalConventional {
         let num_base = part.num_base() as u64;
         let (averages, details): (Vec<_>, Vec<_>) =
             fresh.into_iter().partition(|&(k, _)| k < num_base);
-        self.bases
-            .commit(averages.into_iter().map(|(j, avg)| (j as usize, avg)))?;
+        self.bases.commit(averages)?;
         for &j in &stale {
             self.details[j].clear();
         }
@@ -548,8 +545,7 @@ impl IncrementalDGreedyAbs {
         let (pipe, fresh) = stage_over(pipe, &splits, &stale, |pipe, picked| {
             errhist::averages_stage(pipe, "dgreedyabs-inc", picked)
         })?;
-        self.bases
-            .commit(fresh.into_iter().map(|(j, avg)| (j as usize, avg)))?;
+        self.bases.commit(fresh)?;
         for &j in &stale {
             self.histograms.runs[j].clear();
             self.removals.runs[j].clear();
