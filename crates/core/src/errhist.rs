@@ -298,23 +298,14 @@ fn emit_histograms<E: ErrHistEngine>(
 /// Batches a removal trace into `(running-max bucket, count)` histogram
 /// entries (Algorithm 3's `discardNode`, histogram form).
 pub(crate) fn histogram_batches(trace: &[Removal], bucket_width: f64) -> Vec<(i64, u32)> {
-    let mut out = Vec::new();
+    let mut out: Vec<(i64, u32)> = Vec::new();
     let mut max_bucket = i64::MIN;
-    let mut count = 0u32;
     for r in trace {
-        let b = bucket_of(r.error_after, bucket_width);
-        if b <= max_bucket {
-            count += 1;
-        } else {
-            if count > 0 {
-                out.push((max_bucket, count));
-            }
-            max_bucket = b;
-            count = 1;
+        max_bucket = max_bucket.max(bucket_of(r.error_after, bucket_width));
+        match out.last_mut() {
+            Some((bucket, count)) if *bucket == max_bucket => *count += 1,
+            _ => out.push((max_bucket, 1)),
         }
-    }
-    if count > 0 {
-        out.push((max_bucket, count));
     }
     out
 }

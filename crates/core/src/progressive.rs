@@ -44,11 +44,10 @@
 //!
 //! # Non-finite input
 //!
-//! Over NaN or ±∞ no error bound means anything. [`PhasedSynopsisDriver::tick`]
-//! refuses such values before they reach the window, and both maintainers
-//! refuse a base whose average is not finite
-//! ([`CoreError::NonFiniteInput`]) and keep it invalidated, so an update
-//! over repaired data recomputes it.
+//! Over NaN or ±∞ no error bound means anything: `tick` refuses such values
+//! before they reach the window, and both maintainers refuse a base whose
+//! average is not finite ([`CoreError::NonFiniteInput`]) and keep it
+//! invalidated, so an update over repaired data recomputes it.
 
 #![warn(clippy::too_many_lines)]
 
@@ -470,21 +469,14 @@ impl<T: Wire + Send> RunCache<T> {
 /// Incrementally maintained DGreedyAbs synopsis.
 ///
 /// Two caches answer level 1 of [`crate::dgreedy_abs::dgreedy_abs`]'s two
-/// jobs:
-///
-/// * **histogram cache** — the histogram of one ErrHistGreedyAbs run in
-///   its nodes-at-or-above form, which `combineResults`' selection reads
-///   for every candidate whose incoming error is unchanged;
-/// * **removal cache** — the *unfiltered* removals of one synopsis-stage
-///   run (running-max bucket, index, node, coefficient), re-filterable for
-///   any winning cut without re-running the job.
-///
-/// An update re-runs map tasks only for bases with at least one cache
-/// miss; every step between the caches is the batch driver's own, so the
-/// result is bit-identical to it on the same array (see the module docs).
-/// Caches are never evicted — for the window sizes this simulation targets
-/// the bounded number of distinct incoming errors per base (`log R + 2`
-/// per root configuration) keeps them small.
+/// jobs: the histogram of an ErrHistGreedyAbs run in its nodes-at-or-above
+/// form, and the *unfiltered* removals of a synopsis-stage run,
+/// re-filterable for any winning cut. An update re-runs map tasks only for
+/// bases with at least one cache miss; every step between the caches is
+/// the batch driver's own, so the result is bit-identical to it on the
+/// same array (see the module docs). Caches are never evicted — the
+/// bounded number of distinct incoming errors per base (`log R + 2` per
+/// root configuration) keeps them small at the window sizes targeted.
 #[derive(Debug)]
 pub struct IncrementalDGreedyAbs {
     bases: Bases,
