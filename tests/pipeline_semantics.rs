@@ -367,3 +367,58 @@ fn per_stage_rows_partition_each_ledger() {
         assert_eq!(names.len(), stages.len(), "{name}: duplicate stage rows");
     }
 }
+
+/// What the searches *return*, beyond the synopsis digests above:
+/// `(synopsis digest, error.to_bits(), probes)` of DIndirectHaar on the
+/// golden workload (real-valued errors) and on a `build-dp`-shaped input
+/// (rounded uniform values ≤ 56, whole errors), and DGreedyRel's
+/// `error.to_bits()` — the numbers `max_error_job` measures — clean and
+/// under the golden fault plan. Captured while every probe ran its full
+/// chain and the evaluation job reconstructed value by value.
+#[test]
+fn search_outcomes_are_golden() {
+    let golden = uniform(256, 100.0, 42);
+    let dp_shaped: Vec<f64> = uniform(1 << 13, 56.0, 1901)
+        .into_iter()
+        .map(f64::round)
+        .collect();
+    for plan in [None, Some(golden_fault_plan())] {
+        for (data, b, base_leaves, want) in [
+            (&golden, 32, 32, (0x22a4c439ab01b27b, 0x4043dfad6c46dd3e, 7)),
+            (
+                &dp_shaped,
+                512,
+                512,
+                (0x53308395cc2ba9bc, 0x4039000000000000, 6),
+            ),
+        ] {
+            let probe = DmhsConfig {
+                base_leaves,
+                fan_in: 4,
+            };
+            let cfg = DIndirectHaarConfig { delta: 1.0, probe };
+            let r = dindirect_haar(&quiet_cluster(plan.clone()), data, b, &cfg).unwrap();
+            assert_eq!(
+                (syn_digest(&r.synopsis), r.error.to_bits(), r.probes),
+                want,
+                "dindirect_haar N={} B={b}: error {}",
+                data.len(),
+                r.error
+            );
+        }
+
+        let cfg = DGreedyRelConfig {
+            base_leaves: 32,
+            bucket_width: 0.05,
+            reducers: 2,
+            sanity: 1.0,
+        };
+        let r = dgreedy_rel(&quiet_cluster(plan), &golden, 32, &cfg).unwrap();
+        assert_eq!(
+            (syn_digest(&r.synopsis), r.error.to_bits()),
+            (0xb70da7aed7b443fe, 0x4017024b4bf3d652),
+            "dgreedy_rel: error {}",
+            r.error
+        );
+    }
+}
