@@ -14,25 +14,38 @@ pub fn l2(data: &[f64], approx: &[f64]) -> f64 {
     (sum / n).sqrt()
 }
 
-/// Maximum absolute error `max |d_hat - d|` (Eq. 2).
+/// The larger of two errors, NaN when either is: one step of a maximum
+/// that an unmeasurable cell poisons, where `f64::max` would drop it and
+/// report the largest error of the *other* cells as if it bounded all.
+#[inline]
+pub fn max_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
+}
+
+/// Maximum absolute error `max |d_hat - d|` (Eq. 2); NaN when any cell's
+/// error is.
 pub fn max_abs(data: &[f64], approx: &[f64]) -> f64 {
     assert_eq!(data.len(), approx.len());
     data.iter()
         .zip(approx)
         .map(|(d, a)| (a - d).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, max_or_nan)
 }
 
 /// Maximum relative error with sanity bound `s`:
 /// `max |d_hat - d| / max(|d|, s)` (Eq. 3). `s` must be positive to prevent
-/// division by zero on zero-valued data.
+/// division by zero on zero-valued data. NaN when any cell's error is.
 pub fn max_rel(data: &[f64], approx: &[f64], s: f64) -> f64 {
     assert_eq!(data.len(), approx.len());
     assert!(s > 0.0, "sanity bound must be positive");
     data.iter()
         .zip(approx)
         .map(|(d, a)| (a - d).abs() / d.abs().max(s))
-        .fold(0.0, f64::max)
+        .fold(0.0, max_or_nan)
 }
 
 /// Convenience bundle of all three metrics for a synopsis against the
@@ -79,6 +92,34 @@ mod tests {
         // sanity bound 1 dominates |d| = 0 everywhere.
         assert_eq!(max_rel(&d, &a, 1.0), 2.0);
         assert_eq!(max_rel(&d, &a, 4.0), 0.5);
+    }
+
+    #[test]
+    fn max_abs_propagates_a_nan_cell() {
+        // `fold(0.0, f64::max)` read this as 2.0: the NaN cell's error was
+        // dropped and the rest advertised as a bound over all four.
+        let d = [0.0, f64::NAN, 0.0, 0.0];
+        let a = [1.0, 5.0, -2.0, 0.0];
+        assert!(max_abs(&d, &a).is_nan());
+        assert!(max_abs(&a, &d).is_nan(), "NaN approximation");
+        assert!(max_abs(&[f64::NAN], &[f64::NAN]).is_nan());
+        // An infinite error is a number and stays one.
+        assert_eq!(max_abs(&[0.0, f64::INFINITY], &[1.0, 0.0]), f64::INFINITY);
+        assert_eq!(max_abs(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn max_rel_propagates_a_nan_cell() {
+        let d = [0.0, f64::NAN, 0.0, 10.0];
+        let a = [1.0, 5.0, -2.0, 10.0];
+        assert!(max_rel(&d, &a, 1.0).is_nan());
+        assert!(max_rel(&a, &d, 1.0).is_nan(), "NaN approximation");
+        // ∞ / ∞: the datum is infinite and so is its error.
+        assert!(max_rel(&[f64::INFINITY], &[0.0], 1.0).is_nan());
+        assert_eq!(
+            max_rel(&[0.0, 4.0], &[f64::INFINITY, 4.0], 1.0),
+            f64::INFINITY
+        );
     }
 
     #[test]

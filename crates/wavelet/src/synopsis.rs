@@ -110,6 +110,77 @@ impl Synopsis {
             .map(|(i, s)| f64::from(s) * self.value(i))
             .sum()
     }
+
+    /// Reconstructs the `len` values `d_start .. d_start + len` of a
+    /// dyadic-aligned block, each bit for bit what
+    /// [`Synopsis::reconstruct_value`] returns, in `O(len · log n)`
+    /// additions and `O(log n)` searches for the whole block instead of
+    /// `O(log n)` searches per value.
+    ///
+    /// A leaf's path is the block's own sub-tree below the ancestors the
+    /// whole block shares: the sub-tree's coefficients are scattered into a
+    /// dense local heap (one search per level), the shared ancestors'
+    /// signed terms are taken once, and every leaf then sums its terms in
+    /// [`TreeTopology::path_of_leaf`]'s order — deepest level first, `c_0`
+    /// last, an absent coefficient as `0.0` — because floating-point
+    /// addition is not associative and the terms need not be whole numbers.
+    ///
+    /// # Panics
+    ///
+    /// When `len` is not a power of two, `start` not a multiple of it or
+    /// the block ends beyond `n`.
+    pub fn reconstruct_block(&self, start: usize, len: usize) -> Vec<f64> {
+        assert!(
+            len.is_power_of_two() && start.is_multiple_of(len) && start + len <= self.n,
+            "block {start}+{len} is not a dyadic block of {} values",
+            self.n
+        );
+        let log_m = len.trailing_zeros();
+        // The block hangs below level `top`: levels `top..log n` are its own.
+        let top = self.n.trailing_zeros() - log_m;
+
+        // Local heap order: node `2^k + i` is the `i`-th block node of
+        // level `top + k`, global node `(root << k) + i`; slot 0 is unused.
+        let root = (1usize << top) + (start >> log_m);
+        let mut local = vec![0.0; len];
+        let mut rest = self.entries.as_slice();
+        for k in 0..log_m {
+            let (first, width) = (root << k, 1usize << k);
+            rest = &rest[rest.partition_point(|&(i, _)| (i as usize) < first)..];
+            for &(i, v) in rest
+                .iter()
+                .take_while(|&&(i, _)| (i as usize) < first + width)
+            {
+                local[width + i as usize - first] = v;
+            }
+        }
+
+        // What every leaf of the block adds after its own levels.
+        let topo = TreeTopology::new(self.n).expect("n validated at construction");
+        let shared: Vec<f64> = topo
+            .path_of_leaf(start)
+            .skip(log_m as usize)
+            .map(|(i, s)| f64::from(s) * self.value(i))
+            .collect();
+
+        (0..len)
+            .map(|leaf| {
+                (0..log_m)
+                    .rev()
+                    .map(|k| {
+                        let below = log_m - k;
+                        let sign = if (leaf >> (below - 1)) & 1 == 0 {
+                            1.0
+                        } else {
+                            -1.0
+                        };
+                        sign * local[(1 << k) + (leaf >> below)]
+                    })
+                    .chain(shared.iter().copied())
+                    .sum()
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

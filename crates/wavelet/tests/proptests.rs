@@ -133,3 +133,79 @@ proptest! {
         }
     }
 }
+
+/// A synopsis over `n` values whose coefficients are drawn, per node, from
+/// the values an accumulator can tell apart: `-0.0`, `0.0`, subnormals,
+/// whole numbers and reals of either sign. `density` of 4 keeps every node
+/// (`B = N`), 0 none.
+fn synopsis_of(n: usize, density: u64, seed: u64) -> Synopsis {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let entries = (0..n as u32)
+        .filter_map(|i| {
+            let (keep, kind, bits) = (next() % 4 < density, next() % 8, next());
+            let real = (bits >> 11) as f64 / (1u64 << 53) as f64 * 2_000.0 - 1_000.0;
+            let value = match kind {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::MIN_POSITIVE / 4.0 * real.signum(),
+                3 => real.round(),
+                _ => real,
+            };
+            keep.then_some((i, value))
+        })
+        .collect();
+    Synopsis::from_entries(n, entries).unwrap()
+}
+
+/// Every dyadic block of every size, against the per-value path sum.
+fn assert_blocks_match_values(syn: &Synopsis) {
+    let n = syn.data_len();
+    let want: Vec<u64> = (0..n).map(|j| syn.reconstruct_value(j).to_bits()).collect();
+    for len in (0..=n.trailing_zeros()).map(|k| 1usize << k) {
+        for start in (0..n).step_by(len) {
+            let got: Vec<u64> = syn
+                .reconstruct_block(start, len)
+                .into_iter()
+                .map(f64::to_bits)
+                .collect();
+            assert_eq!(got, want[start..start + len], "block {start}+{len} of {n}");
+        }
+    }
+}
+
+#[test]
+fn block_reconstruction_starts_its_sums_where_the_path_sum_does() {
+    // Leaf 0 adds c_2, c_1, c_0 — all `-0.0` here, so its value is the
+    // sign of the accumulator's start, which `Iterator::sum` does not take
+    // from `+0.0`; leaf 3 adds `-(-0.0)` terms and an absent `c_3`.
+    let syn = Synopsis::from_entries(4, vec![(0, -0.0), (1, -0.0), (2, -0.0)]).unwrap();
+    assert_blocks_match_values(&syn);
+    assert_blocks_match_values(&Synopsis::empty(1).unwrap());
+    assert_blocks_match_values(&Synopsis::empty(8).unwrap());
+    assert_blocks_match_values(&Synopsis::from_entries(1, vec![(0, -0.0)]).unwrap());
+}
+
+#[test]
+#[should_panic(expected = "not a dyadic block")]
+fn block_reconstruction_refuses_a_misaligned_block() {
+    Synopsis::empty(8).unwrap().reconstruct_block(2, 4);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn block_reconstruction_is_bit_identical_to_the_path_sum(
+        k in 0usize..4,
+        density in 0u64..=4,
+        seed in any::<u64>(),
+    ) {
+        assert_blocks_match_values(&synopsis_of([1, 2, 8, 1024][k], density, seed));
+    }
+}
