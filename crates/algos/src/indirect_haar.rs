@@ -23,9 +23,10 @@ pub struct IndirectHaarReport {
     pub synopsis: Synopsis,
     /// Its actual max-abs error.
     pub error: f64,
-    /// Number of Problem-2 probes executed (each is a full (D)MHaarSpace
-    /// run — the dominant cost, and a full MapReduce job chain in the
-    /// distributed case).
+    /// Number of Problem-2 probes executed — the dominant cost. Each is a
+    /// full MinHaarSpace run here; a distributed probe is a MapReduce job
+    /// chain, cut short after its bottom-up jobs when the size they yield
+    /// is over budget, since that size is all the search reads of it.
     pub probes: usize,
 }
 

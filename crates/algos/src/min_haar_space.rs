@@ -305,10 +305,13 @@ fn dead_row(lo: i64) -> Row {
     }
 }
 
+/// A grid window `lo ..= hi`.
+type Window = (i64, i64);
+
 /// The parent's window under children windows `a1 ..= b1` and `a2 ..= b2`:
 /// `v` is feasible iff some `z` puts `v + z` in the left window and
 /// `v − z` in the right, i.e. iff `2v` lies in their Minkowski sum.
-fn parent_window((a1, b1): (i64, i64), (a2, b2): (i64, i64)) -> (i64, i64) {
+fn parent_window((a1, b1): Window, (a2, b2): Window) -> Window {
     ((a1 + a2 + 1).div_euclid(2), (b1 + b2).div_euclid(2))
 }
 
@@ -327,20 +330,50 @@ pub fn combine(left: &Row, right: &Row) -> Row {
 
 /// [`combine`] with the caller's scratch buffer for [`Paired`].
 fn combine_with(left: &Row, right: &Row, scratch: &mut Vec<u32>) -> Row {
-    if left.all_infeasible() || right.all_infeasible() {
-        return dead_row(left.lo.min(right.lo));
+    let (mut costs, mut choices) = (Vec::new(), Vec::new());
+    let children = ((left.lo, &left.costs[..]), (right.lo, &right.costs[..]));
+    match combine_cells(children, scratch, &mut costs, Some(&mut choices)) {
+        Some(lo) => Row { lo, costs, choices },
+        None => dead_row(left.lo.min(right.lo)),
     }
-    debug_assert!(!left.costs.contains(&INFEASIBLE) && !right.costs.contains(&INFEASIBLE));
-    let (lo, hi) = parent_window((left.lo, left.hi() - 1), (right.lo, right.hi() - 1));
+}
+
+/// A row's window start and costs: all the recurrence reads of a child.
+type Costs<'a> = (i64, &'a [u32]);
+
+/// True for a dead row's costs (see [`Row::all_infeasible`]).
+fn all_infeasible(costs: &[u32]) -> bool {
+    costs.iter().all(|&c| c == INFEASIBLE)
+}
+
+/// The recurrence itself: overwrites `costs` — and `choices`, for a caller
+/// that will replay the row — with the parent's cells and returns the
+/// parent's `lo`, or `None` when the parent is dead.
+fn combine_cells(
+    (left, right): (Costs, Costs),
+    scratch: &mut Vec<u32>,
+    costs: &mut Vec<u32>,
+    mut choices: Option<&mut Vec<i32>>,
+) -> Option<i64> {
+    if all_infeasible(left.1) || all_infeasible(right.1) {
+        return None;
+    }
+    debug_assert!(!left.1.contains(&INFEASIBLE) && !right.1.contains(&INFEASIBLE));
+    let last = |(lo, costs): Costs| lo + costs.len() as i64 - 1;
+    let (lo, hi) = parent_window((left.0, last(left)), (right.0, last(right)));
     if hi < lo {
-        return dead_row(left.lo.min(right.lo));
+        return None;
     }
-    let pairs = Paired::new((left.lo, &left.costs), (right.lo, &right.costs), scratch);
-    let cheapest = |row: &Row| row.costs.iter().fold(INFEASIBLE, |m, &c| m.min(c));
-    let floor = cheapest(left) + cheapest(right);
+    let cheapest = |costs: &[u32]| costs.iter().fold(INFEASIBLE, |m, &c| m.min(c));
+    let floor = cheapest(left.1) + cheapest(right.1);
+    let pairs = Paired::new(left, right, scratch);
     let len = (hi - lo + 1) as usize;
-    let mut costs = Vec::with_capacity(len);
-    let mut choices = Vec::with_capacity(len);
+    costs.clear();
+    costs.reserve(len);
+    if let Some(choices) = choices.as_deref_mut() {
+        choices.clear();
+        choices.reserve(len);
+    }
     for v in lo..=hi {
         // The cell is `min over z of (z != 0) + L[v + z] + R[v − z]` with
         // ties to z = 0 (no benefit to a retained coefficient of equal
@@ -357,37 +390,70 @@ fn combine_with(left: &Row, right: &Row, scratch: &mut Vec<u32>) -> Row {
         } else {
             min_sum(l, r)
         };
-        if unretained <= m + 1 {
-            costs.push(unretained);
-            choices.push(0);
-        } else {
-            costs.push(m + 1);
-            choices.push((z_lo + first_sum(l, r, m) as i64) as i32);
+        let retain = unretained > m + 1;
+        costs.push(if retain { m + 1 } else { unretained });
+        if let Some(choices) = choices.as_deref_mut() {
+            choices.push(if retain {
+                (z_lo + first_sum(l, r, m) as i64) as i32
+            } else {
+                0
+            });
         }
     }
-    Row { lo, costs, choices }
+    Some(lo)
 }
 
 /// The row above two data leaves with windows `a1 ..= b1` and
-/// `a2 ..= b2`, in closed form: leaf cells all cost 0, so a cell costs 0
+/// `a2 ..= b2`, in closed form — leaf cells all cost 0, so a cell costs 0
 /// where both windows hold `v` and otherwise 1 with the smallest `z` that
-/// reaches both.
-fn leaf_pair_row((a1, b1): (i64, i64), (a2, b2): (i64, i64)) -> Row {
+/// reaches both — written like [`combine_cells`].
+fn leaf_pair_cells(
+    ((a1, b1), (a2, b2)): (Window, Window),
+    costs: &mut Vec<u32>,
+    choices: Option<&mut Vec<i32>>,
+) -> Option<i64> {
     let (lo, hi) = parent_window((a1, b1), (a2, b2));
     if hi < lo {
-        return dead_row(a1.min(a2));
+        return None;
     }
     let shared = a1.max(a2)..=b1.min(b2);
-    let (costs, choices) = (lo..=hi)
-        .map(|v| {
+    costs.clear();
+    costs.extend((lo..=hi).map(|v| u32::from(!shared.contains(&v))));
+    if let Some(choices) = choices {
+        choices.clear();
+        choices.extend((lo..=hi).map(|v| {
             if shared.contains(&v) {
-                (0, 0)
+                0
             } else {
-                (1, (a1 - v).max(v - b2) as i32)
+                (a1 - v).max(v - b2) as i32
             }
-        })
-        .unzip();
-    Row { lo, costs, choices }
+        }));
+    }
+    Some(lo)
+}
+
+/// [`leaf_pair_cells`] as a row.
+fn leaf_pair_row(w1: Window, w2: Window) -> Row {
+    let (mut costs, mut choices) = (Vec::new(), Vec::new());
+    match leaf_pair_cells((w1, w2), &mut costs, Some(&mut choices)) {
+        Some(lo) => Row { lo, costs, choices },
+        None => dead_row(w1.0.min(w2.0)),
+    }
+}
+
+/// The windows of the two data leaves of `pair`, the left leaf's failure
+/// before the right's.
+fn leaf_windows(pair: &[f64], p: &MhsParams) -> Result<(Window, Window), MhsError> {
+    Ok((leaf_window(pair[0], p)?, leaf_window(pair[1], p)?))
+}
+
+/// Checks the shape of a (sub)tree's data: a power of two, at least 2.
+fn ensure_subtree(m: usize) -> Result<(), MhsError> {
+    dwmaxerr_wavelet::error::ensure_pow2(m)?;
+    if m < 2 {
+        return Err(MhsError::BadParams("subtree needs at least 2 leaves"));
+    }
+    Ok(())
 }
 
 /// All DP rows of a (sub)tree over `data`: `rows[i]` is the row of local
@@ -395,10 +461,7 @@ fn leaf_pair_row((a1, b1): (i64, i64), (a2, b2): (i64, i64)) -> Row {
 /// root). `data.len()` must be a power of two and at least 2.
 pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<Row>, MhsError> {
     let m = data.len();
-    dwmaxerr_wavelet::error::ensure_pow2(m)?;
-    if m < 2 {
-        return Err(MhsError::BadParams("subtree needs at least 2 leaves"));
-    }
+    ensure_subtree(m)?;
     let mut rows = vec![Row::default(); m];
     let mut reversed = Vec::new();
     // Lowest internal level first: nodes m/2 .. m have leaf children.
@@ -406,8 +469,8 @@ pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<Row>, MhsError> {
         let row = if 2 * i < m {
             combine_with(&rows[2 * i], &rows[2 * i + 1], &mut reversed)
         } else {
-            let base = (i - m / 2) * 2;
-            leaf_pair_row(leaf_window(data[base], p)?, leaf_window(data[base + 1], p)?)
+            let (w1, w2) = leaf_windows(&data[(i - m / 2) * 2..][..2], p)?;
+            leaf_pair_row(w1, w2)
         };
         if row.all_infeasible() {
             return Err(MhsError::DeltaTooCoarse);
@@ -415,6 +478,61 @@ pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<Row>, MhsError> {
         rows[i] = row;
     }
     Ok(rows)
+}
+
+/// `subtree_rows(data, p)[1]`, field for field, or the same error — for a
+/// caller that ships the root row and nothing else (layer 0 of the
+/// distributed probe), in `O(log m)` live rows instead of `m`.
+///
+/// A post-order walk over the leaf pairs keeps the rows of the frontier on
+/// a stack and combines the top two whenever they are siblings. Only the
+/// root row is ever replayed by the caller, so every combine below it
+/// computes costs alone — no choice per cell, no second pass to name the
+/// `z` that attains a minimum — into buffers recycled from the rows it
+/// consumed; the last combine is the full one.
+pub fn subtree_root(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
+    ensure_subtree(data.len())?;
+    // `subtree_rows` solves every leaf pair, right to left, before its
+    // first combine: where the walk fails, that order names the error.
+    frontier_root(data, p).ok_or_else(|| {
+        let failure = |pair| match leaf_windows(pair, p) {
+            Ok((w1, w2)) => leaf_pair_row(w1, w2)
+                .all_infeasible()
+                .then_some(MhsError::DeltaTooCoarse),
+            Err(e) => Some(e),
+        };
+        let leaf_level = data.chunks_exact(2).rev().find_map(failure);
+        leaf_level.unwrap_or(MhsError::DeltaTooCoarse)
+    })
+}
+
+/// The walk of [`subtree_root`]; `None` where some row has no solution.
+fn frontier_root(data: &[f64], p: &MhsParams) -> Option<Row> {
+    let root_height = data.len().ilog2();
+    // (height, lo, costs) of the frontier, leftmost sub-tree at the bottom.
+    let mut frontier: Vec<(u32, i64, Vec<u32>)> = Vec::new();
+    let mut free: Vec<Vec<u32>> = Vec::new();
+    let (mut scratch, mut choices) = (Vec::new(), Vec::new());
+    for pair in data.chunks_exact(2) {
+        let mut costs = free.pop().unwrap_or_default();
+        let replayed = (root_height == 1).then_some(&mut choices);
+        let lo = leaf_pair_cells(leaf_windows(pair, p).ok()?, &mut costs, replayed)?;
+        frontier.push((1, lo, costs));
+        while let [.., (left_height, ..), (height, ..)] = frontier[..] {
+            if left_height != height {
+                break;
+            }
+            let (right, left) = (frontier.pop()?, frontier.pop()?);
+            let mut costs = free.pop().unwrap_or_default();
+            let replayed = (height + 1 == root_height).then_some(&mut choices);
+            let children = ((left.1, &left.2[..]), (right.1, &right.2[..]));
+            let lo = combine_cells(children, &mut scratch, &mut costs, replayed)?;
+            free.extend([left.2, right.2]);
+            frontier.push((height + 1, lo, costs));
+        }
+    }
+    let (_, lo, costs) = frontier.pop()?;
+    Some(Row { lo, costs, choices })
 }
 
 /// Result of a full MinHaarSpace run.

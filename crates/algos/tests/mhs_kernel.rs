@@ -1,10 +1,12 @@
 //! Kernel-level pins for the MinHaarSpace row recurrence, independent of
 //! any distributed driver: every cell of every row `subtree_rows` builds —
 //! window, cost and tie-broken choice — on the input shapes the drivers
-//! feed it.
+//! feed it, and `subtree_root` against `subtree_rows`' root row, errors
+//! included.
 
-use dwmaxerr_algos::min_haar_space::{subtree_rows, MhsError, MhsParams, Row};
+use dwmaxerr_algos::min_haar_space::{subtree_root, subtree_rows, MhsError, MhsParams, Row};
 use dwmaxerr_datagen::{uniform, wd_like};
+use proptest::prelude::*;
 
 /// FNV-1a over `(lo, costs, choices)` of every row, in heap order.
 fn rows_digest(rows: &[Row]) -> u64 {
@@ -198,5 +200,100 @@ fn off_grid_data_is_too_coarse_at_every_size() {
     for leaves in LEAVES {
         let data: Vec<f64> = (0..leaves).map(|i| (i % 9) as f64 + 0.45).collect();
         assert_eq!(subtree_rows(&data, &p), Err(MhsError::DeltaTooCoarse));
+    }
+}
+
+/// What `subtree_root` must return: the root row of all the rows, or the
+/// error that building them hits.
+fn root_of_all_rows(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
+    subtree_rows(data, p).map(|mut rows| rows.swap_remove(1))
+}
+
+#[test]
+fn subtree_root_is_the_root_of_subtree_rows_on_every_shape() {
+    for (name, data) in shapes() {
+        for leaves in [2, 4, 64, 512] {
+            // The prefix the goldens pin and the slice at the other end.
+            for slice in [&data[..leaves], &data[data.len() - leaves..]] {
+                for (eps, delta) in PARAMS {
+                    let p = MhsParams::new(eps, delta).unwrap();
+                    assert_eq!(
+                        subtree_root(slice, &p),
+                        root_of_all_rows(slice, &p),
+                        "{name} leaves={leaves} eps={eps} delta={delta}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn subtree_root_fails_as_subtree_rows_does() {
+    // Under ε = 0.4, δ = 1 a datum at x.45 is too coarse and NaN is off the
+    // grid. `subtree_rows` solves all leaf pairs, right to left, before it
+    // combines any, so the right-most bad pair names the error — and the
+    // left leaf of a pair before the right one.
+    let p = MhsParams::new(0.4, 1.0).unwrap();
+    let (nan, coarse) = (f64::NAN, 3.45);
+    for (data, want) in [
+        (vec![nan, 1.0, 2.0, coarse], MhsError::DeltaTooCoarse),
+        (vec![coarse, 1.0, 2.0, nan], MhsError::OffGrid),
+        (vec![1.0, 2.0, nan, coarse], MhsError::OffGrid),
+        (vec![1.0, 2.0, coarse, nan], MhsError::DeltaTooCoarse),
+        (vec![nan, coarse], MhsError::OffGrid),
+        (vec![coarse, nan], MhsError::DeltaTooCoarse),
+        // A pair of good leaves with no common parent cell, left of an
+        // off-grid leaf and right of one.
+        (vec![0.0, 1.0, nan, 1.0], MhsError::OffGrid),
+        (vec![nan, 1.0, 0.0, 1.0], MhsError::DeltaTooCoarse),
+        (vec![0.0, 1.0], MhsError::DeltaTooCoarse),
+        // Every leaf pair has a row (cells 1 and 2); their parent has none.
+        (vec![0.0, 2.0, 1.0, 3.0], MhsError::DeltaTooCoarse),
+        // ... and a leaf pair further left that the walk meets first.
+        (
+            vec![nan, 0.0, 5.0, 5.0, 0.0, 2.0, 1.0, 3.0],
+            MhsError::OffGrid,
+        ),
+    ] {
+        assert_eq!(root_of_all_rows(&data, &p), Err(want.clone()), "{data:?}");
+        assert_eq!(subtree_root(&data, &p), Err(want), "{data:?}");
+    }
+    for shape in [vec![], vec![1.0], vec![1.0; 3], vec![1.0; 6]] {
+        assert_eq!(
+            subtree_root(&shape, &p).err(),
+            subtree_rows(&shape, &p).err(),
+            "{shape:?}"
+        );
+        assert!(subtree_root(&shape, &p).is_err(), "{shape:?}");
+    }
+}
+
+/// A leaf: mostly small whole numbers (rows that tie), some reals, and —
+/// rarely — the two kinds of leaf a grid cannot serve.
+fn leaf() -> impl Strategy<Value = f64> {
+    (0u32..200, -20.0..60.0f64).prop_map(|(kind, x)| match kind {
+        0 => f64::NAN,
+        1 => 1e12,
+        2..=5 => x.round() + 0.45,
+        6..=40 => x,
+        _ => x.round(),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn subtree_root_is_the_root_of_subtree_rows(
+        log_m in 1u32..=6,
+        pool in prop::collection::vec(leaf(), 64..=64usize),
+        params in 0usize..7,
+    ) {
+        let (eps, delta) =
+            [(0.0, 1.0), (0.4, 1.0), (3.3, 1.0), (25.0, 1.0), (7.0, 3.0), (12.5, 0.5), (40.0, 1.0)][params];
+        let p = MhsParams::new(eps, delta).unwrap();
+        let data = &pool[..1 << log_m];
+        prop_assert_eq!(subtree_root(data, &p), root_of_all_rows(data, &p));
     }
 }
