@@ -19,7 +19,7 @@ use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
-use crate::dmin_haar_space::{dmin_haar_space, DmhsConfig};
+use crate::dmin_haar_space::{probe, DmhsConfig};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
 use crate::partition::BasePartition;
@@ -50,7 +50,9 @@ pub struct DIndirectHaarResult {
     pub synopsis: Synopsis,
     /// Its actual max-abs error.
     pub error: f64,
-    /// Number of DMHaarSpace probes (each a full job chain).
+    /// Number of DMHaarSpace probes. One whose synopsis fits the budget is
+    /// a full job chain; one whose synopsis does not is the bottom-up jobs
+    /// alone, which already hold the size Algorithm 2 reads.
     pub probes: usize,
     /// Metrics across every job of every probe plus the bound jobs.
     pub metrics: DriverMetrics,
@@ -138,17 +140,24 @@ pub fn dindirect_haar(
     let pipe = pipe.absorb(conv_metrics).record(eval_metrics);
 
     // ---- Binary search with DMHaarSpace probes ----
-    // Each probe is a full sub-pipeline; its ledger folds into this one.
+    // Each probe is a sub-pipeline; its ledger folds into this one. The
+    // search treats a synopsis over budget exactly as it treats no
+    // synopsis, so a probe that learns it is over budget extracts none.
     let mut probe_metrics = DriverMetrics::new();
     let report = indirect_haar(b, e_l, e_u, cfg.delta, |eps| {
         let params = match MhsParams::new(eps.max(0.0), cfg.delta) {
             Ok(p) => p,
             Err(_) => return Ok(None),
         };
-        match dmin_haar_space(cluster, data, &params, &cfg.probe) {
-            Ok(res) => {
+        match probe(cluster, data, &params, &cfg.probe, b) {
+            Ok(Ok(res)) => {
                 probe_metrics.merge(res.metrics);
                 Ok(Some((res.synopsis, res.actual_error)))
+            }
+            Ok(Err(over)) => {
+                debug_assert!(over.size > b);
+                probe_metrics.merge(over.metrics);
+                Ok(None)
             }
             Err(CoreError::Mhs(MhsError::DeltaTooCoarse)) => Ok(None),
             Err(e) => Err(e),

@@ -11,7 +11,7 @@
 #![warn(clippy::too_many_lines)]
 
 use dwmaxerr_algos::min_haar_space::{
-    combine, min_haar_space, subtree_rows, MhsError, MhsParams, Row,
+    combine, min_haar_space, subtree_root, subtree_rows, MhsError, MhsParams, Row,
 };
 use dwmaxerr_runtime::codec::{CodecError, Wire};
 use dwmaxerr_runtime::metrics::DriverMetrics;
@@ -69,6 +69,11 @@ impl LayeredDp for Mhs {
         Ok(((), subtree_rows(slice, &self.0)?))
     }
 
+    /// The frontier walk: `O(log S)` live rows, costs alone below the root.
+    fn base_root(&self, slice: &[f64]) -> Result<((), Row), CoreError> {
+        Ok(((), subtree_root(slice, &self.0)?))
+    }
+
     fn base_memory(&self, leaves: usize) -> u64 {
         dwmaxerr_algos::memory::min_haar_space_bytes(leaves, self.0.epsilon, self.0.delta)
     }
@@ -114,17 +119,48 @@ pub fn dmin_haar_space(
     params: &MhsParams,
     cfg: &DmhsConfig,
 ) -> Result<DmhsResult, CoreError> {
+    probe(cluster, data, params, cfg, usize::MAX)?
+        .map_err(|_| CoreError::Protocol("a probe under no budget stopped at its root row"))
+}
+
+/// A probe whose synopsis would not fit the budget it was given: it ran
+/// the bottom-up phase and nothing else.
+pub(crate) struct OverBudget {
+    /// Retained coefficients of the minimal synopsis, read off the root row.
+    pub(crate) size: usize,
+    /// Metrics of `dmhs-layer0` and the `dmhs-layer-up` jobs.
+    pub(crate) metrics: DriverMetrics,
+}
+
+/// [`dmin_haar_space`] for a caller that reads only the size of a synopsis
+/// larger than `budget` (Algorithm 2): the row of `c_1` holds that size when
+/// the bottom-up phase ends, so such a probe stops there — no extraction,
+/// no evaluation job. (One value has no bottom-up phase to stop after: the
+/// centralized answer comes back whatever its size.)
+pub(crate) fn probe(
+    cluster: &Cluster,
+    data: &[f64],
+    params: &MhsParams,
+    cfg: &DmhsConfig,
+    budget: usize,
+) -> Result<Result<DmhsResult, OverBudget>, CoreError> {
     let mut dp = Mhs(*params);
     let Some(up) = layered::bottom_up(cluster, data, cfg.base_leaves, cfg.fan_in, &mut dp)? else {
         let sol = min_haar_space(data, params)?;
-        return Ok(DmhsResult {
+        return Ok(Ok(DmhsResult {
             size: sol.size,
             actual_error: sol.actual_error,
             synopsis: sol.synopsis,
             metrics: DriverMetrics::new(),
-        });
+        }));
     };
     let (total, z0) = up.root.resolve_root().ok_or(MhsError::DeltaTooCoarse)?;
+    if total as usize > budget {
+        return Ok(Err(OverBudget {
+            size: total as usize,
+            metrics: up.abandon(),
+        }));
+    }
     let (picks, splits, mut metrics) = up.top_down(&dp, z0)?;
 
     let mut entries: Vec<(u32, f64)> = picks
@@ -142,12 +178,12 @@ pub fn dmin_haar_space(
         })?;
     metrics.push(eval_metrics);
 
-    Ok(DmhsResult {
+    Ok(Ok(DmhsResult {
         size: synopsis.size(),
         synopsis,
         actual_error,
         metrics,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -224,6 +260,92 @@ mod tests {
         let dist = run(&data, 3.0, 0.5, 16, 2);
         let central = min_haar_space(&data, &MhsParams::new(3.0, 0.5).unwrap()).unwrap();
         assert_eq!(dist.size, central.size);
+    }
+
+    fn job_names(metrics: &DriverMetrics) -> Vec<&str> {
+        metrics.jobs.iter().map(|j| j.name.as_str()).collect()
+    }
+
+    #[test]
+    fn an_over_budget_probe_stops_at_the_root_row() {
+        let data: Vec<f64> = (0..128).map(|i| ((i * 13) % 37) as f64).collect();
+        let params = MhsParams::new(4.0, 0.5).unwrap();
+        let cfg = DmhsConfig {
+            base_leaves: 8,
+            fan_in: 4,
+        };
+        let cluster = test_cluster();
+        let full = dmin_haar_space(&cluster, &data, &params, &cfg).unwrap();
+        assert!(full.size > 1);
+        let bottom_up = ["dmhs-layer0", "dmhs-layer-up", "dmhs-layer-up"];
+        let mut chain = bottom_up.to_vec();
+        chain.extend(["dmhs-extract", "dmhs-extract", "dmhs-extract-base"]);
+        chain.push("eval-max-abs");
+        assert_eq!(job_names(&full.metrics), chain);
+
+        // One coefficient short: the size and the bottom-up ledger, and no
+        // `-extract*` or `eval-*` job.
+        let Ok(Err(over)) = probe(&cluster, &data, &params, &cfg, full.size - 1) else {
+            panic!("a probe over its budget extracted a synopsis");
+        };
+        assert_eq!(over.size, full.size);
+        assert_eq!(job_names(&over.metrics), bottom_up);
+        let row_bytes = |m: &DriverMetrics| -> Vec<u64> {
+            m.jobs[..3].iter().map(|j| j.shuffle_bytes).collect()
+        };
+        assert_eq!(row_bytes(&over.metrics), row_bytes(&full.metrics));
+
+        // At its budget the probe is `dmin_haar_space`.
+        let Ok(Ok(within)) = probe(&cluster, &data, &params, &cfg, full.size) else {
+            panic!("a probe within its budget stopped early");
+        };
+        assert_eq!(within.synopsis, full.synopsis);
+        assert_eq!(within.actual_error.to_bits(), full.actual_error.to_bits());
+        assert_eq!(job_names(&within.metrics), chain);
+    }
+
+    #[test]
+    fn layer0_declares_the_chains_working_set_whatever_the_probe_will_run() {
+        // Layer 0's frontier holds O(log S) rows, `-extract-base` all S of
+        // them. A probe that may be extracted must be refused before it
+        // starts, so the boundary a task-memory budget draws sits at
+        // `dmhs-layer0` for a within- and an over-budget ε alike.
+        use dwmaxerr_algos::memory::min_haar_space_bytes;
+        use dwmaxerr_runtime::{RuntimeError, TraceEventKind};
+        let data: Vec<f64> = (0..128).map(|i| ((i * 13) % 37) as f64).collect();
+        let cfg = DmhsConfig {
+            base_leaves: 16,
+            fan_in: 2,
+        };
+        for (eps, budget) in [(4.0, usize::MAX), (4.0, 1), (20.0, usize::MAX)] {
+            let params = MhsParams::new(eps, 0.5).unwrap();
+            let model = min_haar_space_bytes(16, eps, 0.5);
+            let cluster_with = |task_memory_bytes| {
+                let mut c = ClusterConfig::with_slots(4, 2);
+                c.task_memory_bytes = task_memory_bytes;
+                Cluster::new(c)
+            };
+            let roomy = cluster_with(model);
+            let ran = probe(&roomy, &data, &params, &cfg, budget).unwrap();
+            assert_eq!(ran.is_ok(), budget == usize::MAX, "eps={eps}");
+
+            let tight = cluster_with(model - 1);
+            let refused = probe(&tight, &data, &params, &cfg, budget).map(|r| r.is_ok());
+            let oom = RuntimeError::TaskOutOfMemory {
+                needed: model,
+                available: model - 1,
+            };
+            assert_eq!(refused, Err(CoreError::Runtime(oom)), "eps={eps}");
+            let aborted: Vec<String> = tight
+                .trace_events()
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    TraceEventKind::TaskAborted { job, .. } => Some(job.clone()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(aborted, ["dmhs-layer0"], "eps={eps} budget={budget}");
+        }
     }
 
     #[test]

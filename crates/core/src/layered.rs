@@ -5,7 +5,8 @@
 //!
 //! **Bottom-up** ([`bottom_up`]). Layer 0's workers each own a base data
 //! slice, solve the DP locally and emit the row of their local root — the
-//! `M[j]` message whose size is Eq. 6's communication bound. Upper layers
+//! `M[j]` message whose size is Eq. 6's communication bound — which is all
+//! they need to keep ([`LayeredDp::base_root`]). Upper layers
 //! group `fan_in` sibling rows per worker (the locality-preserving
 //! partitioning of [`LayerPlan`]) and combine them through the worker's
 //! mini-tree into the next row, until the row of node `c_1` remains; the
@@ -17,6 +18,12 @@
 //! sub-tree"): every layer's workers recompute their rows, replay the
 //! optimal choices from the carry handed to their root, emit what each
 //! node contributes and hand a carry to each child sub-tree's next job.
+//!
+//! The two phases are separate calls because a caller may want only the
+//! first: the root row already answers "how large is the solution", and a
+//! DIndirectHaar probe whose answer is "over budget" runs `-layer0` and
+//! the `-layer-up` jobs and stops ([`BottomUp::abandon`]) — no `-extract`,
+//! no `-extract-base`, no evaluation.
 
 #![warn(clippy::too_many_lines)]
 
@@ -50,8 +57,19 @@ pub(crate) trait LayeredDp: Sync {
     /// solution.
     fn base_rows(&self, slice: &[f64]) -> Result<(Self::Report, Vec<Self::Row>), CoreError>;
 
+    /// What layer 0 ships of [`LayeredDp::base_rows`]: the report and the
+    /// root row. A family that can reach the root row without holding
+    /// every row below it overrides this.
+    fn base_root(&self, slice: &[f64]) -> Result<(Self::Report, Self::Row), CoreError> {
+        let (report, mut rows) = self.base_rows(slice)?;
+        Ok((report, rows.swap_remove(1)))
+    }
+
     /// Declared working set of [`LayeredDp::base_rows`] over `leaves`
-    /// values; the engine refuses tasks above the cluster's budget.
+    /// values; the engine refuses tasks above the cluster's budget. Layer 0
+    /// declares it too, whatever [`LayeredDp::base_root`] holds: a chain
+    /// that may go on to `-extract-base` should be refused at its first
+    /// job, not after the bottom-up phase has been paid for.
     fn base_memory(&self, _leaves: usize) -> u64 {
         0
     }
@@ -270,12 +288,11 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
         let job = JobBuilder::new(format!("{}-layer0", D::PREFIX))
             .map(
                 |split: &SliceSplit, ctx: &mut MapContext<u64, (D::Report, RowMsg<D>)>| match dp
-                    .base_rows(split.slice())
+                    .base_root(split.slice())
                 {
-                    Ok((report, mut rows)) => ctx.emit(
-                        num_base + u64::from(split.id),
-                        (report, RowMsg(rows.swap_remove(1))),
-                    ),
+                    Ok((report, root)) => {
+                        ctx.emit(num_base + u64::from(split.id), (report, RowMsg(root)))
+                    }
                     Err(e) => {
                         let key = match e {
                             CoreError::Mhs(MhsError::OffGrid) => OFF_GRID_NODE,
@@ -345,6 +362,12 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
 }
 
 impl<D: LayeredDp> BottomUp<'_, D> {
+    /// The ledger of a run that ends here: its caller read what it wanted
+    /// off [`BottomUp::root`] and extracts nothing.
+    pub(crate) fn abandon(self) -> DriverMetrics {
+        self.pipe.into_metrics()
+    }
+
     /// The extraction pass: node `c_1` is entered with `root_carry`.
     pub(crate) fn top_down(
         self,
@@ -388,6 +411,8 @@ impl<D: LayeredDp> BottomUp<'_, D> {
         }
 
         let num_base = self.splits.len() as u64;
+        // The one task that holds every row of a base sub-tree.
+        let memory = dp.base_memory(self.splits.first().map_or(0, SliceSplit::len));
         let base_carries = (0..num_base)
             .map(|j| hand_off(&mut carries, num_base + j))
             .collect::<Result<Vec<_>, _>>()?;
@@ -408,6 +433,7 @@ impl<D: LayeredDp> BottomUp<'_, D> {
                 );
             })
             .input_bytes(SliceSplit::bytes)
+            .task_memory(move |_| memory)
             .reduce(forward);
         let ((), metrics) = pipe
             .stage(&job, &self.splits)?
@@ -420,13 +446,25 @@ impl<D: LayeredDp> BottomUp<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_runtime::ClusterConfig;
+    use dwmaxerr_runtime::{ClusterConfig, RuntimeError};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A DP that only counts: a node's row is the number of data leaves
     /// under it, the carry entering a node is the global id that node
     /// should have, and every node contributes that carry.
     struct Census {
         n: u64,
+        /// What a base task declares, settable between the phases.
+        memory: AtomicU64,
+    }
+
+    impl Census {
+        fn over(n: usize) -> Self {
+            Census {
+                n: n as u64,
+                memory: AtomicU64::new(0),
+            }
+        }
     }
 
     impl LayeredDp for Census {
@@ -440,6 +478,10 @@ mod tests {
             let m = slice.len();
             let leaves = |i: usize| if i == 0 { 0 } else { (m >> i.ilog2()) as u64 };
             Ok(((), (0..m).map(leaves).collect()))
+        }
+
+        fn base_memory(&self, _leaves: usize) -> u64 {
+            self.memory.load(Ordering::Relaxed)
         }
 
         fn combine(&self, node: u64, left: &u64, right: &u64) -> u64 {
@@ -490,7 +532,7 @@ mod tests {
             let bases = (1..=n.ilog2()).map(|k| 1usize << k);
             for (s, fan_in) in bases.flat_map(|s| [2, 4, 64].map(|f| (s, f))) {
                 let tag = format!("n={n} base_leaves={s} fan_in={fan_in}");
-                let mut dp = Census { n: n as u64 };
+                let mut dp = Census::over(n);
                 let up = bottom_up(&cluster, &data, s, fan_in, &mut dp)
                     .unwrap()
                     .expect("n >= 2 is layered");
@@ -519,9 +561,38 @@ mod tests {
     }
 
     #[test]
+    fn both_base_jobs_declare_the_base_working_set() {
+        let mut cfg = ClusterConfig::with_slots(4, 2);
+        cfg.task_memory_bytes = 1000;
+        let cluster = Cluster::new(cfg);
+        let oom = |needed| {
+            CoreError::Runtime(RuntimeError::TaskOutOfMemory {
+                needed,
+                available: 1000,
+            })
+        };
+        let mut dp = Census::over(16);
+        dp.memory = AtomicU64::new(1001);
+        let refused = bottom_up(&cluster, &[0.0; 16], 4, 2, &mut dp).map(|up| up.is_some());
+        assert_eq!(refused, Err(oom(1001)), "layer 0");
+
+        // `-extract-base` is the task that holds every row of a base
+        // sub-tree: a declaration that grows between the phases stops it.
+        dp.memory = AtomicU64::new(1000);
+        let up = bottom_up(&cluster, &[0.0; 16], 4, 2, &mut dp)
+            .unwrap()
+            .expect("16 values are layered");
+        dp.memory.store(1002, Ordering::Relaxed);
+        let refused = up.top_down(&dp, 1).map(|(picks, ..)| picks.len());
+        assert_eq!(refused, Err(oom(1002)), "extract-base");
+        let ran: Vec<String> = cluster.history().into_iter().map(|j| j.name).collect();
+        assert_eq!(ran.last().map(String::as_str), Some("census-extract"));
+    }
+
+    #[test]
     fn one_value_is_not_layered_and_bad_shapes_are_typed_errors() {
         let cluster = test_cluster();
-        let mut dp = Census { n: 1 };
+        let mut dp = Census::over(1);
         assert!(bottom_up(&cluster, &[5.0], 8, 2, &mut dp)
             .unwrap()
             .is_none());
