@@ -31,7 +31,7 @@ use dwmaxerr::wavelet::Synopsis;
 
 /// Golden `(algorithm, synopsis digest, executed job-name sequence)` rows
 /// captured from the seed implementation. `dindirect_haar`'s sequence is
-/// assembled by [`dih_names`] (three bound jobs plus eight probe chains).
+/// assembled by [`dih_names`] (three bound jobs plus seven probes).
 const GOLDENS: &[(&str, u64, &str)] = &[
     (
         "dgreedy_abs",
@@ -91,12 +91,20 @@ const MHS_CHAIN: &str =
     "dmhs-layer0,dmhs-layer-up,dmhs-layer-up,dmhs-extract,dmhs-extract,dmhs-extract-base,\
      eval-max-abs";
 
+/// What a DIndirectHaar probe runs when the size on its root row is over
+/// budget: the bottom-up jobs, which is where that size is known.
+const MHS_BOTTOM_UP: &str = "dmhs-layer0,dmhs-layer-up,dmhs-layer-up";
+
 /// DIndirectHaar's golden job sequence: the lower-bound job, CON plus its
-/// evaluation for the upper bound, then seven binary-search probes, each a
-/// full DMHaarSpace chain.
+/// evaluation for the upper bound, then seven binary-search probes. Probes
+/// 4–6 come back over budget (sizes 49, 39 and 33 against B = 32); they
+/// were full chains in the seed's sequence, whose extraction and
+/// evaluation Algorithm 2 discarded unread.
 fn dih_names() -> String {
     let mut names = vec!["dih-lower-bound", "con", "eval-max-abs"];
-    names.extend(std::iter::repeat_n(MHS_CHAIN, 7));
+    names.extend(std::iter::repeat_n(MHS_CHAIN, 3));
+    names.extend(std::iter::repeat_n(MHS_BOTTOM_UP, 3));
+    names.push(MHS_CHAIN);
     names.join(",")
 }
 
