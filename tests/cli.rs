@@ -132,3 +132,47 @@ fn build_accepts_a_single_value() {
     }
     let _ = std::fs::remove_file(&data);
 }
+
+/// The CLI's row of the edge-input table: the conventional build does not
+/// refuse a NaN cell, so its report must not bound what it could not
+/// measure — `max_abs=0.0000` used to stand beside `L2=NaN`.
+#[test]
+fn build_over_a_nan_cell_reports_nan_errors() {
+    let data = tmp("nan.csv");
+    let syn = tmp("nan-syn.csv");
+    let values: String = (0..16)
+        .map(|i| {
+            if i == 6 {
+                "NaN\n".to_string()
+            } else {
+                format!("{}\n", (i * 5) % 11)
+            }
+        })
+        .collect();
+    std::fs::write(&data, values).unwrap();
+    let out = dwm()
+        .args(["build", "--input", data.to_str().unwrap()])
+        .args(["--budget", "4", "--algo", "conventional"])
+        .args(["--out", syn.to_str().unwrap()])
+        .output()
+        .expect("build runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("max_abs=NaN max_rel=NaN L2=NaN"),
+        "{stderr}"
+    );
+
+    let out = dwm()
+        .args(["eval", "--input", data.to_str().unwrap()])
+        .args(["--synopsis", syn.to_str().unwrap()])
+        .output()
+        .expect("eval runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("max_abs:      NaN"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_file(&syn);
+}
