@@ -81,8 +81,14 @@ impl LayeredDp for Mrv {
         Ok((w[0], rows))
     }
 
-    fn absorb(&mut self, averages: Vec<f64>) {
+    /// Any NaN or ±∞ value makes its slice average non-finite, and the
+    /// bound this DP advertises over such data would mean nothing.
+    fn absorb(&mut self, averages: Vec<f64>) -> Result<(), CoreError> {
+        if let Some(base) = averages.iter().position(|avg| !avg.is_finite()) {
+            return Err(CoreError::NonFiniteInput { base });
+        }
         self.root_coeffs = forward(&averages).expect("pow2 averages");
+        Ok(())
     }
 
     fn combine(&self, node: u64, left: &MrvRow, right: &MrvRow) -> MrvRow {
@@ -144,6 +150,10 @@ pub fn dmin_rel_var(
         root_coeffs: Vec::new(),
     };
     let Some(up) = layered::bottom_up(cluster, data, cfg.base_leaves, cfg.fan_in, &mut dp)? else {
+        // One value: its own average, refused as `absorb` refuses one.
+        if !data[0].is_finite() {
+            return Err(CoreError::NonFiniteInput { base: 0 });
+        }
         let sol = min_rel_var(data, b, &p, cfg.seed)?;
         return Ok(DmrvResult {
             synopsis: sol.synopsis,

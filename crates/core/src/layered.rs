@@ -74,8 +74,11 @@ pub(crate) trait LayeredDp: Sync {
         0
     }
 
-    /// Layer 0's reports, in base order, before any [`LayeredDp::combine`].
-    fn absorb(&mut self, _reports: Vec<Self::Report>) {}
+    /// Layer 0's reports, in base order, before any [`LayeredDp::combine`];
+    /// an error ends the run there.
+    fn absorb(&mut self, _reports: Vec<Self::Report>) -> Result<(), CoreError> {
+        Ok(())
+    }
 
     /// The row of global node `node` from its children's rows.
     fn combine(&self, node: u64, left: &Self::Row, right: &Self::Row) -> Self::Row;
@@ -312,8 +315,7 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
             .map(|(report, RowMsg(row))| (report, row))
             .unzip();
         layer = rows;
-        dp.absorb(reports);
-        Ok(())
+        dp.absorb(reports)
     })?;
 
     let dp = &*dp;

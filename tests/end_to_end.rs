@@ -5,12 +5,14 @@ use dwmaxerr::algos::conventional::conventional_synopsis;
 use dwmaxerr::algos::greedy_abs_synopsis;
 use dwmaxerr::algos::indirect_haar::indirect_haar_centralized;
 use dwmaxerr::algos::min_haar_space::{MhsError, MhsParams};
+use dwmaxerr::algos::min_rel_var::MrvParams;
 use dwmaxerr::core::conventional::{con, hwtopk, send_coef, send_v};
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
 use dwmaxerr::core::dhaar_plus::{dhaar_plus, DhpConfig};
 use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::{dmin_haar_space, DmhsConfig};
+use dwmaxerr::core::dmin_rel_var::{dmin_rel_var, DmrvConfig};
 use dwmaxerr::core::{CoreError, IncrementalDGreedyAbs};
 use dwmaxerr::datagen::{nyct_like, wd_like};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
@@ -330,7 +332,9 @@ fn greedy_drivers_survive_edge_inputs() {
 /// The DP drivers' rows of the same table. A MinHaarSpace leaf used to
 /// window a NaN datum as 0 and advertise `actual_error <= ε` over data it
 /// never looked at; `+∞` and `1e300` overflowed the window arithmetic
-/// (a panic in debug builds) and `-∞` panicked in every build.
+/// (a panic in debug builds) and `-∞` panicked in every build. DMinRelVar
+/// built over any of them and advertised `nse_bound` beside a NaN synopsis
+/// (over one NaN value: a bound of 0).
 #[test]
 fn dp_drivers_survive_edge_inputs() {
     let c = cluster();
@@ -406,6 +410,26 @@ fn dp_drivers_survive_edge_inputs() {
                     }
                     Err(e) => panic!("{tag}: {e}"),
                 }
+            }
+
+            // DMinRelVar advertises a bound on the normalized squared
+            // error and an expected size, not a max-abs error.
+            let mrv_cfg = DmrvConfig {
+                base_leaves,
+                fan_in: 2,
+                params: MrvParams::new(2, 1.0).unwrap(),
+                seed: 7,
+            };
+            let tag = format!("dmin_rel_var base_leaves={base_leaves} data={data:?}");
+            match dmin_rel_var(&c, data, b, &mrv_cfg) {
+                Ok(d) => {
+                    assert!(finite, "{tag}: built");
+                    assert!(d.expected_size <= b as f64 + 1e-9, "{tag}");
+                    assert!(d.synopsis.size() <= data.len(), "{tag}");
+                    assert!(!d.nse_bound.is_nan(), "{tag}");
+                }
+                Err(CoreError::NonFiniteInput { .. }) => assert!(!finite, "{tag}"),
+                Err(e) => panic!("{tag}: {e}"),
             }
         }
     }
