@@ -11,7 +11,9 @@
 //! 4. Speculative candidate count: truncating the `C_root` powerset.
 //! 5. Map-side combiner on Send-Coef's per-datapoint emissions.
 //! 6. Synopsis dictionary: Haar+ triads vs unrestricted Haar.
-//! 7. DP-framework communication: O(B·q) vs O(ε/δ) M-rows (Section 4).
+//! 7. DP-framework communication: O(B·q) vs O(ε/δ) M-rows (Section 4),
+//!    and — the one timed table — what a DMHaarSpace worker pays locally
+//!    for the root row and for the errors of a slice.
 
 use dwmaxerr_bench::report::{bytes, err, Table};
 use dwmaxerr_bench::setup::paper_cluster;
@@ -194,9 +196,78 @@ fn dictionary_ablation() -> Table {
     t
 }
 
+/// Lower-quartile microseconds of `reference` and `kernel`, called
+/// alternately so that both see the same host state.
+fn alternate_us(mut reference: impl FnMut(), mut kernel: impl FnMut()) -> (f64, f64) {
+    let calls = 400;
+    let (mut a, mut b) = (Vec::with_capacity(calls), Vec::with_capacity(calls));
+    for _ in 0..calls {
+        let t = std::time::Instant::now();
+        reference();
+        a.push(t.elapsed().as_secs_f64() * 1e6);
+        let t = std::time::Instant::now();
+        kernel();
+        b.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    a.sort_unstable_by(f64::total_cmp);
+    b.sort_unstable_by(f64::total_cmp);
+    (a[calls / 4], b[calls / 4])
+}
+
+/// What the two jobs that ship one number per base slice pay for it: layer
+/// 0's root row with every row held (`subtree_rows`) or on the frontier
+/// (`subtree_root`), and the evaluation job's slice value by value or as
+/// one block. Same outputs, bit for bit (`mhs_kernel`, wavelet proptests).
+fn dp_local_work_rows(t: &mut Table) {
+    use dwmaxerr_algos::conventional::conventional_synopsis;
+    use dwmaxerr_algos::min_haar_space::{subtree_root, subtree_rows, MhsParams};
+    use dwmaxerr_wavelet::transform::forward;
+    use std::hint::black_box;
+
+    // The `build-dp` shape: whole numbers ≤ 56, 512-leaf slices, B = N/16.
+    let data: Vec<f64> = dwmaxerr_datagen::uniform(1 << 13, 56.0, 37)
+        .into_iter()
+        .map(f64::round)
+        .collect();
+    let slice = &data[..512];
+    let mut row = |what: String, (reference, kernel): (f64, f64)| {
+        t.row(vec![
+            what,
+            format!("{reference:.1}"),
+            format!("{kernel:.1}"),
+            format!("{:.2}", kernel / reference),
+        ]);
+    };
+    for eps in [5.0, 25.0, 40.0] {
+        let p = MhsParams::new(eps, 1.0).expect("valid params");
+        let us = alternate_us(
+            || drop(black_box(subtree_rows(black_box(slice), &p))),
+            || drop(black_box(subtree_root(black_box(slice), &p))),
+        );
+        row(
+            format!("root row of 512 leaves, ε = {eps}: all rows → frontier"),
+            us,
+        );
+    }
+    let syn = conventional_synopsis(&forward(&data).expect("pow2"), 512).expect("builds");
+    let us = alternate_us(
+        || {
+            for j in 512..1024 {
+                black_box(syn.reconstruct_value(black_box(j)));
+            }
+        },
+        || drop(black_box(syn.reconstruct_block(black_box(512), 512))),
+    );
+    row(
+        "512 values of a B = 512 synopsis over 2^13: per value → one block".into(),
+        us,
+    );
+}
+
 /// The Section-4 communication analysis, measured: MinHaarSpace's
-/// `O(ε/δ)` rows vs MinRelVar's `O(B·q)` rows as the budget grows.
-fn dp_communication_ablation() -> Table {
+/// `O(ε/δ)` rows vs MinRelVar's `O(B·q)` rows as the budget grows — and,
+/// second table, the local work behind two of DMHaarSpace's jobs.
+fn dp_communication_ablation() -> [Table; 2] {
     use dwmaxerr_algos::min_haar_space::MhsParams;
     use dwmaxerr_algos::min_rel_var::MrvParams;
     use dwmaxerr_core::dmin_haar_space::dmin_haar_space;
@@ -253,18 +324,28 @@ fn dp_communication_ablation() -> Table {
             bytes(mhs_bytes),
         ]);
     }
-    t
+    let mut local = Table::new(
+        "Ablation — DP framework local work: one number per base slice (host µs, lower quartile of 400)",
+        "Section 4 bounds what a worker ships, not what it holds: layer 0 ships its root \
+         row, so it needs the O(log S) rows of a frontier (Guha's space-efficient \
+         construction), and the evaluation job ships one maximum per slice",
+        &["work", "reference µs", "kernel µs", "kernel ÷ reference"],
+    );
+    dp_local_work_rows(&mut local);
+    [t, local]
 }
 
 fn main() {
     // `cargo bench` passes flags like --bench; ignore them.
+    let [communication, local_work] = dp_communication_ablation();
     let tables = [
         bucket_width_ablation(),
         partitioning_ablation(),
         candidate_count_ablation(),
         combiner_ablation(),
         dictionary_ablation(),
-        dp_communication_ablation(),
+        communication,
+        local_work,
     ];
     for t in &tables {
         println!("{}", t.to_markdown());
