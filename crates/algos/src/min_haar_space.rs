@@ -156,7 +156,7 @@ impl Row {
     /// other row is wholly feasible (see [`combine`]), so this reads one
     /// cell of it.
     pub fn all_infeasible(&self) -> bool {
-        self.costs.iter().all(|&c| c == INFEASIBLE)
+        all_infeasible(&self.costs)
     }
 
     /// The replay rule of the top-down pass: entered with incoming grid
@@ -416,9 +416,14 @@ fn leaf_pair_cells(
     if hi < lo {
         return None;
     }
+    // Both windows hold `v` on `shared`, which lies inside `lo ..= hi`
+    // (there `z = 0` reaches both) and may be empty.
     let shared = a1.max(a2)..=b1.min(b2);
     costs.clear();
-    costs.extend((lo..=hi).map(|v| u32::from(!shared.contains(&v))));
+    costs.resize((hi - lo + 1) as usize, 1);
+    if !shared.is_empty() {
+        costs[(shared.start() - lo) as usize..=(shared.end() - lo) as usize].fill(0);
+    }
     if let Some(choices) = choices {
         choices.clear();
         choices.extend((lo..=hi).map(|v| {
@@ -496,9 +501,10 @@ pub fn subtree_root(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
     // first combine: where the walk fails, that order names the error.
     frontier_root(data, p).ok_or_else(|| {
         let failure = |pair| match leaf_windows(pair, p) {
-            Ok((w1, w2)) => leaf_pair_row(w1, w2)
-                .all_infeasible()
-                .then_some(MhsError::DeltaTooCoarse),
+            Ok((w1, w2)) => {
+                let (lo, hi) = parent_window(w1, w2);
+                (hi < lo).then_some(MhsError::DeltaTooCoarse)
+            }
             Err(e) => Some(e),
         };
         let leaf_level = data.chunks_exact(2).rev().find_map(failure);

@@ -28,6 +28,7 @@ use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
 use crate::layered::{self, LayeredDp};
+use crate::partition::store_finite_averages;
 
 /// DMinRelVar configuration.
 #[derive(Debug, Clone)]
@@ -84,10 +85,9 @@ impl LayeredDp for Mrv {
     /// Any NaN or ±∞ value makes its slice average non-finite, and the
     /// bound this DP advertises over such data would mean nothing.
     fn absorb(&mut self, averages: Vec<f64>) -> Result<(), CoreError> {
-        if let Some(base) = averages.iter().position(|avg| !avg.is_finite()) {
-            return Err(CoreError::NonFiniteInput { base });
-        }
-        self.root_coeffs = forward(&averages).expect("pow2 averages");
+        let mut finite = vec![0.0; averages.len()];
+        store_finite_averages(&mut finite, (0u32..).zip(averages))?;
+        self.root_coeffs = forward(&finite).expect("pow2 averages");
         Ok(())
     }
 
@@ -150,10 +150,8 @@ pub fn dmin_rel_var(
         root_coeffs: Vec::new(),
     };
     let Some(up) = layered::bottom_up(cluster, data, cfg.base_leaves, cfg.fan_in, &mut dp)? else {
-        // One value: its own average, refused as `absorb` refuses one.
-        if !data[0].is_finite() {
-            return Err(CoreError::NonFiniteInput { base: 0 });
-        }
+        // One value is its own base average.
+        dp.absorb(data.to_vec())?;
         let sol = min_rel_var(data, b, &p, cfg.seed)?;
         return Ok(DmrvResult {
             synopsis: sol.synopsis,
