@@ -45,12 +45,6 @@ pub fn indirect_haar_bytes(n: usize, e_upper: f64, delta: f64) -> u64 {
     min_haar_space_bytes(n, e_upper, delta)
 }
 
-/// Peak bytes for the conventional synopsis: the coefficient array and a
-/// sort permutation.
-pub fn conventional_bytes(n: usize) -> u64 {
-    (n as u64) * (8 + 8 + 4)
-}
-
 /// Peak reducer bytes for H-WTopk's first round: every mapper ships its
 /// `2k` extreme partials, all collected at one reducer
 /// (`records × (8-byte node + 4-byte mapper + 8-byte value)` plus the
@@ -152,7 +146,6 @@ mod tests {
     fn estimators_are_monotone() {
         assert!(greedy_abs_bytes(2048) > greedy_abs_bytes(1024));
         assert!(min_haar_space_bytes(1024, 100.0, 1.0) > min_haar_space_bytes(1024, 10.0, 1.0));
-        assert!(conventional_bytes(4096) < greedy_abs_bytes(4096));
     }
 
     #[test]

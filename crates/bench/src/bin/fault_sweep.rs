@@ -6,7 +6,9 @@
 //!
 //! * `--smoke` — force the quick scale and assert the sweep's invariants
 //!   (bit-identical outputs, visible re-execution on every killed-node
-//!   cell) instead of merely reporting them; the CI entry point.
+//!   cell, and on a host with two or more cores the widest executor
+//!   thread count within 1.10x of the serial wall time) instead of merely
+//!   reporting them; the CI entry point.
 //! * `DWM_FAULT_SEED=<u64>` — override the seed every cell's `FaultPlan`
 //!   derives from (default 41). The effective seed and its source are
 //!   printed and stamped into the JSON document.
@@ -20,6 +22,10 @@
 use std::path::PathBuf;
 
 use dwmaxerr_bench::{experiments, report, setup::Scale};
+
+/// `--smoke`, hosts with two or more cores: the widest thread count of the
+/// executor ladder may run at most this multiple of the serial wall time.
+const MAX_WALL_RATIO: f64 = 1.10;
 
 fn main() {
     let mut trace_dir: Option<PathBuf> = std::env::var_os("DWM_TRACE_DIR").map(PathBuf::from);
@@ -83,6 +89,24 @@ fn main() {
             exec.identical,
             "executor-threads sweep diverged: some thread count rebuilt a different synopsis"
         );
+        // The wall gate only binds when the host can actually run threads
+        // in parallel: on one core the pool can only tie the serial path.
+        let cores = report::host_cores();
+        let (_, serial_wall) = exec.walls[0];
+        let (threads, wall) = *exec.walls.last().expect("the ladder has rungs");
+        let wall_ratio = wall / serial_wall.max(1e-12);
+        if cores >= 2 {
+            assert!(
+                wall_ratio <= MAX_WALL_RATIO,
+                "{threads} executor threads ran {wall_ratio:.2}x the serial wall time on a \
+                 {cores}-core host — the pool must not lose to the serial path"
+            );
+        } else {
+            println!(
+                "note: single-core host — executor wall ratio {wall_ratio:.2}x at {threads} \
+                 threads reported, not gated"
+            );
+        }
         // Smoke gates: every cell recovered bit-identically, every
         // killed-node cell shows the recovery machinery actually firing.
         for s in &sweep.samples {

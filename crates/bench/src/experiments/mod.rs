@@ -5,11 +5,7 @@ mod comparison;
 mod conventional;
 mod datasets;
 mod faults;
-mod net_serve;
-mod progressive;
 mod scalability;
-mod serve;
-mod shuffle;
 
 pub use comparison::{fig8, fig9};
 pub use conventional::{fig10, fig11};
@@ -18,16 +14,7 @@ pub use faults::{
     executor_threads_sweep, fault_sweep, fault_sweep_traced, node_fault_sweep, node_fault_tables,
     ExecutorThreadsSweep, NodeFaultSample, NodeFaultSweep, DEFAULT_FAULT_SEED,
 };
-pub use net_serve::{net_serve_sweep, NetServeSample, NetServeSweep};
-pub use progressive::{progressive_sweep, ProgressiveSample, ProgressiveSweep};
 pub use scalability::{fig5a, fig5b, fig5c, fig5d};
-pub use serve::{serve_sweep, ServeSample, ServeSweep};
-pub use shuffle::{
-    pressure_sweep, pressure_table, pressure_to_json as shuffle_pressure_json, shuffle_sweep,
-    shuffle_table, thread_speedups, threads_sweep, threads_table,
-    threads_to_json as shuffle_threads_json, to_json as shuffle_json, PressureSample,
-    ShuffleSample, ThreadsSample,
-};
 
 use dwmaxerr_core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr_core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};

@@ -17,7 +17,15 @@
 //! The `fault_sweep` binary additionally exports the execution trace of
 //! its worst-case run (`--trace-dir`) as JSONL and Chrome trace-event
 //! JSON, and the `trace_check` binary validates exported traces — see
-//! `dwmaxerr_runtime::trace`.
+//! `dwmaxerr_runtime::trace`. `memory_model` prints the paper's
+//! out-of-memory boundaries from the working-set estimators.
+//!
+//! This crate holds what only it does: the paper's evaluation, the fault
+//! sweeps and the criterion ablations under `benches/`. How fast the
+//! product builds, shuffles, serves and streams is measured by the
+//! `perf/` package (`BENCHMARK.json`), one workload each, with a
+//! correctness gate on every operation and a parent-versus-change
+//! protocol; there is no wall-clock shuffle or serving bin here.
 //!
 //! # Module map
 //!

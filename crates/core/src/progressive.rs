@@ -86,8 +86,8 @@ use crate::splits::{aligned_splits, SliceSplit};
 /// never shifts data, so an append of `m` values dirties only the
 /// `O(m / base_leaves + 1)` base sub-trees it touches, which is what
 /// makes incremental maintenance cheap. The dirty set is keyed by
-/// subtree root node id (`num_base + j`), matching
-/// [`dwmaxerr_wavelet::IncrementalTree`].
+/// subtree root node id (`num_base + j`): base `j`'s coefficient
+/// sub-tree hangs off that node of the error tree.
 #[derive(Debug, Clone)]
 pub struct StreamWindow {
     data: Vec<f64>,

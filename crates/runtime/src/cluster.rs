@@ -108,16 +108,6 @@ pub struct ClusterConfig {
     /// Whether straggling tasks get speculative backup attempts (Hadoop's
     /// `mapreduce.map.speculative`, default on).
     pub speculative_execution: bool,
-    /// Speculate once an attempt has run this multiple of the median task
-    /// duration (default 1.5×).
-    pub speculative_slowdown: f64,
-    /// Never speculate before an attempt has run this long (Hadoop waits
-    /// 60 s; scaled default 50 ms), so timing noise on tiny tasks cannot
-    /// trigger backups.
-    pub speculative_min: Duration,
-    /// Delay between observing an attempt's failure and launching its
-    /// retry (default zero: Hadoop reschedules at the next heartbeat).
-    pub retry_backoff: Duration,
     /// Deterministic fault-injection plan; `None` simulates a perfect
     /// cluster (every attempt succeeds unless the task itself panics).
     pub fault_plan: Option<FaultPlan>,
@@ -148,12 +138,6 @@ pub struct ClusterConfig {
     /// triggers map re-execution (Hadoop's
     /// `mapreduce.reduce.shuffle.maxfetchfailures`-shaped knob).
     pub fetch_retries: usize,
-    /// Initial reduce-fetch retry backoff, doubled per retry (Hadoop's
-    /// `mapreduce.reduce.shuffle.retry-delay.base-ms`; scaled default
-    /// 10 ms).
-    pub fetch_retry_initial: Duration,
-    /// Cap on the exponential fetch retry backoff (scaled default 80 ms).
-    pub fetch_retry_cap: Duration,
 }
 
 impl Default for ClusterConfig {
@@ -169,9 +153,6 @@ impl Default for ClusterConfig {
             threads: threads_from_env(),
             max_attempts: 4,
             speculative_execution: true,
-            speculative_slowdown: 1.5,
-            speculative_min: Duration::from_millis(50),
-            retry_backoff: Duration::ZERO,
             fault_plan: None,
             io_sort_bytes: 100 << 20,
             io_sort_factor: 100,
@@ -179,8 +160,6 @@ impl Default for ClusterConfig {
             spill_backend: SpillBackend::Memory,
             nodes: 8,
             fetch_retries: 3,
-            fetch_retry_initial: Duration::from_millis(10),
-            fetch_retry_cap: Duration::from_millis(80),
         }
     }
 }
@@ -230,11 +209,6 @@ impl ClusterConfig {
         if self.max_attempts == 0 {
             return Err(crate::RuntimeError::InvalidConfig("max_attempts == 0"));
         }
-        if !self.speculative_slowdown.is_finite() || self.speculative_slowdown <= 1.0 {
-            return Err(crate::RuntimeError::InvalidConfig(
-                "speculative_slowdown must be finite and > 1",
-            ));
-        }
         if self.io_sort_bytes == 0 {
             return Err(crate::RuntimeError::InvalidConfig("io_sort_bytes == 0"));
         }
@@ -251,11 +225,6 @@ impl ClusterConfig {
         }
         if self.fetch_retries == 0 {
             return Err(crate::RuntimeError::InvalidConfig("fetch_retries == 0"));
-        }
-        if self.fetch_retry_initial.is_zero() || self.fetch_retry_cap < self.fetch_retry_initial {
-            return Err(crate::RuntimeError::InvalidConfig(
-                "fetch retry backoff must be positive and cap >= initial",
-            ));
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate()?;
@@ -378,11 +347,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = ClusterConfig {
             fetch_retries: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ClusterConfig {
-            fetch_retry_cap: Duration::from_millis(1),
             ..ClusterConfig::default()
         };
         assert!(c.validate().is_err());

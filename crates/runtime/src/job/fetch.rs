@@ -98,6 +98,14 @@ pub(super) struct Recovery {
     pub(super) disk_bytes: u64,
 }
 
+/// Initial reduce-fetch retry backoff in seconds, doubled per retry
+/// (Hadoop's `mapreduce.reduce.shuffle.retry-delay.base-ms`; scaled to
+/// 10 ms).
+const FETCH_RETRY_INITIAL_SECS: f64 = 0.010;
+/// Cap on the exponential fetch retry backoff, in seconds (scaled to
+/// 80 ms).
+const FETCH_RETRY_CAP_SECS: f64 = 0.080;
+
 /// The reduce side of the fault story: before a reducer may merge, every
 /// run it was promised must actually be fetchable. A run is unfetchable
 /// when the node hosting its (completed) map task died after the task
@@ -148,12 +156,11 @@ pub(super) fn recover(
     // exponential backoff, paid before the reducer gives up and reports
     // the map output lost.
     let retry_cost: f64 = {
-        let cap = config.fetch_retry_cap.as_secs_f64();
-        let mut delay = config.fetch_retry_initial.as_secs_f64();
+        let mut delay = FETCH_RETRY_INITIAL_SECS;
         let mut total = 0.0;
         for _ in 0..config.fetch_retries {
-            total += delay.min(cap);
-            delay = (delay * 2.0).min(cap);
+            total += delay.min(FETCH_RETRY_CAP_SECS);
+            delay = (delay * 2.0).min(FETCH_RETRY_CAP_SECS);
         }
         total
     };

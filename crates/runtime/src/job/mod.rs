@@ -291,6 +291,17 @@ fn run_attempts<T>(
     })
 }
 
+/// Speculate once an attempt has run this multiple of the median task
+/// duration.
+const SPECULATIVE_SLOWDOWN: f64 = 1.5;
+/// Never speculate before an attempt has run this many seconds (Hadoop
+/// waits 60 s; scaled to 50 ms), so timing noise on tiny tasks cannot
+/// trigger backups.
+const SPECULATIVE_MIN_SECS: f64 = 0.05;
+/// Seconds between observing an attempt's failure and launching its retry
+/// (zero: Hadoop reschedules at the next heartbeat).
+const RETRY_BACKOFF_SECS: f64 = 0.0;
+
 /// The job's simulated clock: the cluster's cost constants plus the fault
 /// plan's node failures, which live on the job-absolute timeline (seconds
 /// from submission) and are offset into each phase's own timeline on
@@ -341,10 +352,10 @@ impl<'a> SimClock<'a> {
             plans,
             slots,
             config.task_startup.as_secs_f64(),
-            config.retry_backoff.as_secs_f64(),
+            RETRY_BACKOFF_SECS,
             config.speculative_execution.then_some(SpeculationPolicy {
-                threshold: config.speculative_slowdown,
-                min_secs: config.speculative_min.as_secs_f64(),
+                threshold: SPECULATIVE_SLOWDOWN,
+                min_secs: SPECULATIVE_MIN_SECS,
             }),
             &faults,
         )

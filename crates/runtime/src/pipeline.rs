@@ -25,11 +25,11 @@
 //!   probes.
 //! * **Plans can be phased.** [`Pipeline::enter_phase`] tags the stages
 //!   that follow as [`Phase::Foreground`] work or
-//!   [`Phase::Background`] refinement, [`Pipeline::checkpoint`] publishes
-//!   a usable intermediate result into a [`Progressive`] handle, and
-//!   [`Pipeline::publish`] atomically swaps refined snapshots into that
-//!   handle as later stages land on the simulated clock. Consumers serve
-//!   the latest [`Snapshot`] while refinement runs behind it.
+//!   [`Phase::Background`] refinement, and [`Pipeline::publish`]
+//!   atomically swaps the plan's value into a [`Progressive`] handle — a
+//!   usable intermediate result first, refined snapshots as later stages
+//!   land on the simulated clock. Consumers serve the latest
+//!   [`Snapshot`] while refinement runs behind it.
 //!
 //! # Example
 //!
@@ -105,10 +105,10 @@ pub struct Snapshot<T> {
 
 /// A shared handle to the latest published result of a phased plan.
 ///
-/// [`Pipeline::checkpoint`] creates one and publishes the plan's current
-/// value into it; later [`Pipeline::publish`] calls atomically swap in
-/// refined versions while background stages keep running on the simulated
-/// clock. Clones share state, so a serving thread can hold the handle and
+/// The first [`Pipeline::publish`] into an [`empty`](Progressive::empty)
+/// handle makes the plan's current value servable; later calls atomically
+/// swap in refined versions while background stages keep running on the
+/// simulated clock. Clones share state, so a serving thread can hold the handle and
 /// always read a complete, immutable [`Snapshot`] — readers are never
 /// blocked by an in-flight refinement, they simply keep the `Arc` they
 /// already fetched.
@@ -326,10 +326,10 @@ impl<'c, T> Pipeline<'c, T> {
     /// `phase_started` marker at the current simulated instant.
     ///
     /// A phased plan's shape is `enter_phase(Foreground) → stages →
-    /// checkpoint → enter_phase(Background(p)) → refinement stages →
+    /// publish → enter_phase(Background(p)) → refinement stages →
     /// publish`: the foreground phase builds the result a caller waits
-    /// on, `checkpoint` makes it servable, and background stages continue
-    /// on the same simulated clock — their cost is real and traced, but a
+    /// on, the first `publish` makes it servable, and background stages
+    /// continue on the same simulated clock — their cost is real and traced, but a
     /// consumer holding the [`Progressive`] handle is already serving the
     /// phase-1 snapshot. Plans that never call this method emit no phase
     /// events and record `phase: None` everywhere, keeping pre-phase
@@ -350,22 +350,6 @@ impl<'c, T> Pipeline<'c, T> {
     /// first [`Pipeline::enter_phase`]).
     pub fn phase(&self) -> Option<Phase> {
         self.phase
-    }
-
-    /// Publishes the current threaded value as the first snapshot of a
-    /// new [`Progressive`] handle and keeps building.
-    ///
-    /// The returned handle already holds version 1 — a usable intermediate
-    /// result stamped with the current simulated time — while the
-    /// returned pipeline continues into its background stages. Equivalent
-    /// to [`Progressive::empty`] followed by [`Pipeline::publish`].
-    pub fn checkpoint(self, label: &str) -> (Progressive<T>, Self)
-    where
-        T: Clone,
-    {
-        let handle = Progressive::empty(label);
-        let this = self.publish(&handle);
-        (handle, this)
     }
 
     /// Atomically swaps the current threaded value into `handle` as its
@@ -586,7 +570,8 @@ mod tests {
             .stage(&sum, &[1, 2, 3])
             .unwrap()
             .then(|(_, pairs)| pairs[0].1);
-        let (handle, pipe) = pipe.checkpoint("total");
+        let handle = Progressive::empty("total");
+        let pipe = pipe.publish(&handle);
 
         // The phase-1 snapshot is already servable while refinement runs.
         let coarse = handle.latest().expect("published");
@@ -603,7 +588,7 @@ mod tests {
             .finish();
 
         // The handle atomically swapped to the refined version, stamped
-        // later on the simulated clock than the checkpoint.
+        // later on the simulated clock than the first publish.
         let exact = handle.latest().expect("refined");
         assert_eq!(exact.value, 60);
         assert_eq!(exact.version, 2);

@@ -523,9 +523,8 @@ trace_events! {
         phase: Phase,
     },
     /// A usable intermediate result was atomically swapped into a
-    /// [`crate::Progressive`] handle ([`crate::Pipeline::checkpoint`] /
-    /// [`crate::Pipeline::publish`]); `time` is the simulated instant the
-    /// snapshot became servable.
+    /// [`crate::Progressive`] handle ([`crate::Pipeline::publish`]);
+    /// `time` is the simulated instant the snapshot became servable.
     SnapshotPublished = "snapshot_published" {
         /// The progressive handle's label.
         label: String,

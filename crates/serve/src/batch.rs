@@ -135,17 +135,8 @@ fn sort_key(q: Query) -> u128 {
 /// shard, answers in input order. Strict: the first malformed query (in
 /// input order) fails the whole batch. See the [module docs](self).
 pub fn execute(reader: &StoreReader, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
-    execute_with_stats(reader, queries).map(|(answers, _)| answers)
-}
-
-/// [`execute`], also returning [`BatchStats`].
-pub fn execute_with_stats(
-    reader: &StoreReader,
-    queries: &[Query],
-) -> Result<(Vec<Answer>, BatchStats), ServeError> {
-    let (results, stats) = execute_partial_routed(reader, queries, None, None);
-    let answers = results.into_iter().collect::<Result<_, _>>()?;
-    Ok((answers, stats))
+    let (results, _) = execute_partial_routed(reader, queries, None, None);
+    results.into_iter().collect()
 }
 
 /// Lenient batch execution: every query gets its own result slot, in
@@ -314,7 +305,8 @@ mod tests {
             Query::Point { x: 0 },
             Query::Point { x: 6 },
         ];
-        let (_, stats) = execute_with_stats(&r, &queries).unwrap();
+        let (results, stats) = execute_partial_with_stats(&r, &queries);
+        assert!(results.iter().all(Result::is_ok));
         assert_eq!(stats.memo_hits, 2);
         assert_eq!(stats.evaluated, 3);
         assert_eq!(stats.shard_groups, 2);
@@ -336,7 +328,8 @@ mod tests {
             Query::RangeSum { l: 0, h: 7 },
             Query::Point { x: 7 },
         ];
-        let (serial, serial_stats) = execute_with_stats(&r, &queries).unwrap();
+        let (serial, serial_stats) = execute_partial_with_stats(&r, &queries);
+        let serial: Vec<Answer> = serial.into_iter().collect::<Result<_, _>>().unwrap();
         for threads in [1, 2, 4] {
             let pool = Executor::new(threads);
             let (par, par_stats) = execute_partial_routed(&r, &queries, None, Some(&pool));
@@ -421,11 +414,8 @@ mod tests {
             Query::Point { x: 6 },
             Query::RangeSum { l: 3, h: 3 },
         ];
-        let (strict, strict_stats) = execute_with_stats(&r, &queries).unwrap();
+        let strict = execute(&r, &queries).unwrap();
         let (partial, partial_stats) = execute_partial_with_stats(&r, &queries);
-        assert_eq!(partial_stats.shard_groups, strict_stats.shard_groups);
-        assert_eq!(partial_stats.memo_hits, strict_stats.memo_hits);
-        assert_eq!(partial_stats.evaluated, strict_stats.evaluated);
         assert_eq!(partial_stats.failed, 0);
         for (got, want) in partial.iter().zip(&strict) {
             let got = got.as_ref().unwrap();

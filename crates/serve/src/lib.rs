@@ -45,8 +45,7 @@ pub mod shard;
 pub mod store;
 
 pub use batch::{
-    execute, execute_partial, execute_partial_routed, execute_partial_with_stats,
-    execute_with_stats, BatchStats, Query,
+    execute, execute_partial, execute_partial_routed, execute_partial_with_stats, BatchStats, Query,
 };
 pub use error::ServeError;
 pub use net::{NetClient, NetServer, NetServerConfig, NetServerStats, QueryResponse, SlotResult};

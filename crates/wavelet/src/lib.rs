@@ -35,7 +35,7 @@
 //! | Module          | Role |
 //! |-----------------|------|
 //! | [`transform`]   | Forward/inverse unnormalized Haar transform over power-of-two arrays |
-//! | [`tree`]        | Error-tree index algebra: levels, root-to-leaf paths, subtree spans, signs; subtree-granular [`DirtySet`]/[`IncrementalTree`] maintenance |
+//! | [`tree`]        | Error-tree index algebra: levels, root-to-leaf paths, subtree spans, signs; subtree-granular [`DirtySet`] |
 //! | [`synopsis`]    | Sparse coefficient [`Synopsis`] — the object every algorithm produces |
 //! | [`reconstruct`] | Point and range-sum reconstruction from a synopsis |
 //! | [`metrics`]     | Aggregate error metrics: `l2`, `max_abs`, `max_rel` |
@@ -52,4 +52,4 @@ pub mod tree;
 
 pub use error::WaveletError;
 pub use synopsis::Synopsis;
-pub use tree::{DirtySet, ErrorTree, IncrementalTree};
+pub use tree::{DirtySet, ErrorTree};

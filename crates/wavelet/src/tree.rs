@@ -18,9 +18,9 @@
 //! power-of-two blocks and each block `j` owns the coefficient subtree
 //! rooted at node `R + j`, while nodes `0..R` form the *upper tree* — the
 //! Haar transform of the `R` block averages. [`DirtySet`] tracks which
-//! subtree roots have stale data and [`IncrementalTree`] rebuilds exactly
-//! those subtrees (plus the upper tree, `O(R)`) instead of re-running the
-//! full `O(N)` transform, producing bit-identical coefficients.
+//! subtree roots have stale data; the maintainers that rebuild exactly
+//! those subtrees (plus the upper tree, `O(R)`) live in
+//! `dwmaxerr_core::progressive`.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -384,209 +384,6 @@ impl DirtySet {
     }
 }
 
-/// An error tree whose coefficients are maintained incrementally at
-/// subtree granularity.
-///
-/// The `n` leaves are partitioned into `subtrees` equal blocks (both powers
-/// of two). Writing data through [`write`](IncrementalTree::write) marks
-/// the owning block's subtree root in the [`DirtySet`];
-/// [`rebuild`](IncrementalTree::rebuild) then re-runs the local Haar
-/// transform for *only* the dirty blocks and recomputes the `O(R)` upper
-/// tree from the per-block averages. Because the local transform performs
-/// the same pairwise average/difference operations on the same values as
-/// the full [`transform::forward`], the maintained coefficient array is
-/// **bit-identical** to a from-scratch transform after every rebuild.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalTree {
-    topo: TreeTopology,
-    subtrees: usize,
-    width: usize,
-    data: Vec<f64>,
-    coeffs: Vec<f64>,
-    averages: Vec<f64>,
-    dirty: DirtySet,
-}
-
-impl IncrementalTree {
-    /// Builds the tree of `data` partitioned into `subtrees` blocks.
-    ///
-    /// `data.len()` and `subtrees` must be powers of two with
-    /// `subtrees <= data.len()`. The initial build runs every subtree, so
-    /// the tree starts clean.
-    pub fn new(data: &[f64], subtrees: usize) -> Result<Self, WaveletError> {
-        ensure_pow2(data.len())?;
-        ensure_pow2(subtrees)?;
-        if subtrees > data.len() {
-            return Err(WaveletError::BudgetTooLarge {
-                budget: subtrees,
-                coefficients: data.len(),
-            });
-        }
-        let n = data.len();
-        let mut tree = IncrementalTree {
-            topo: TreeTopology::new(n)?,
-            subtrees,
-            width: n / subtrees,
-            data: data.to_vec(),
-            coeffs: vec![0.0; n],
-            averages: vec![0.0; subtrees],
-            dirty: DirtySet::new(),
-        };
-        for j in 0..subtrees {
-            tree.dirty.mark(tree.subtree_root(j));
-        }
-        tree.rebuild();
-        Ok(tree)
-    }
-
-    /// Number of data leaves.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Always false: trees have at least one leaf.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of blocks (`R`).
-    pub fn subtree_count(&self) -> usize {
-        self.subtrees
-    }
-
-    /// Leaves per block (`n / R`).
-    pub fn subtree_width(&self) -> usize {
-        self.width
-    }
-
-    /// The tree's index algebra.
-    pub fn topology(&self) -> TreeTopology {
-        self.topo
-    }
-
-    /// The root node id of block `j`'s subtree: `R + j`.
-    ///
-    /// For `R == 1` this is node 1, whose subtree holds every detail
-    /// coefficient; the upper tree degenerates to `c_0` alone. For
-    /// width-1 blocks (`R == n`) the subtree is empty and `R + j` is not a
-    /// real node — the id still serves as the block's stable dirty-set
-    /// key.
-    pub fn subtree_root(&self, j: usize) -> usize {
-        debug_assert!(j < self.subtrees);
-        self.subtrees + j
-    }
-
-    /// The block index owning leaf `j`.
-    pub fn subtree_of_leaf(&self, j: usize) -> usize {
-        debug_assert!(j < self.data.len());
-        j / self.width
-    }
-
-    /// The leaf range of block `j`.
-    pub fn subtree_leaves(&self, j: usize) -> Range<usize> {
-        debug_assert!(j < self.subtrees);
-        j * self.width..(j + 1) * self.width
-    }
-
-    /// The maintained data array.
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// The maintained coefficient array (`c_0` first). Stale until the
-    /// next [`rebuild`](IncrementalTree::rebuild) if the dirty set is
-    /// non-empty.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// Per-block averages (the inputs to the upper tree).
-    pub fn averages(&self) -> &[f64] {
-        &self.averages
-    }
-
-    /// The pending stale subtrees.
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
-    }
-
-    /// Overwrites leaf `j` and marks its block's subtree stale.
-    pub fn write(&mut self, j: usize, value: f64) {
-        self.data[j] = value;
-        let root = self.subtree_root(self.subtree_of_leaf(j));
-        self.dirty.mark(root);
-    }
-
-    /// Overwrites `values.len()` leaves starting at `start`, marking every
-    /// touched block stale.
-    pub fn write_range(&mut self, start: usize, values: &[f64]) {
-        assert!(
-            start + values.len() <= self.data.len(),
-            "write past the end of the data array"
-        );
-        self.data[start..start + values.len()].copy_from_slice(values);
-        if values.is_empty() {
-            return;
-        }
-        let first = self.subtree_of_leaf(start);
-        let last = self.subtree_of_leaf(start + values.len() - 1);
-        for j in first..=last {
-            let root = self.subtree_root(j);
-            self.dirty.mark(root);
-        }
-    }
-
-    /// Re-runs the local transform for every dirty subtree, then rebuilds
-    /// the upper tree from the block averages. Returns the rebuilt subtree
-    /// roots in ascending order (empty when nothing was stale — the upper
-    /// tree is skipped too in that case).
-    pub fn rebuild(&mut self) -> Vec<usize> {
-        let rebuilt = self.dirty.drain();
-        if rebuilt.is_empty() {
-            return rebuilt;
-        }
-        for &root in &rebuilt {
-            let j = root - self.subtrees;
-            self.rebuild_subtree(j);
-        }
-        // Upper tree: nodes 0..R are exactly the Haar transform of the R
-        // block averages (same pairwise passes the full transform runs
-        // after it has reduced each block to its average).
-        let upper = transform::forward(&self.averages).expect("subtree count is a power of two");
-        self.coeffs[..self.subtrees].copy_from_slice(&upper);
-        rebuilt
-    }
-
-    /// Local forward transform of block `j`: fills the subtree's detail
-    /// coefficients and the block average.
-    fn rebuild_subtree(&mut self, j: usize) {
-        let span = self.subtree_leaves(j);
-        let local = transform::forward(&self.data[span]).expect("block width is a power of two");
-        self.averages[j] = local[0];
-        // Local node 2^l + o maps to global node (R + j) * 2^l + o: the
-        // block's subtree root is local node 1, and child arithmetic
-        // (i -> 2i, 2i+1) is preserved by the map.
-        let mut level_start = 1usize;
-        let mut global_start = self.subtrees + j;
-        while level_start < local.len() {
-            let width = level_start;
-            self.coeffs[global_start..global_start + width]
-                .copy_from_slice(&local[level_start..level_start + width]);
-            level_start *= 2;
-            global_start *= 2;
-        }
-    }
-
-    /// A snapshot of the current coefficients as an [`ErrorTree`].
-    /// Call [`rebuild`](IncrementalTree::rebuild) first if dirty.
-    pub fn to_error_tree(&self) -> ErrorTree {
-        ErrorTree {
-            topo: self.topo,
-            coeffs: self.coeffs.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,91 +504,6 @@ mod tests {
         let anc: Vec<_> = t.ancestors(11).collect();
         assert_eq!(anc, vec![5, 2, 1, 0]);
         assert_eq!(t.ancestors(0).count(), 0);
-    }
-
-    #[test]
-    fn incremental_matches_full_transform_on_build() {
-        let data = [5.0, 5.0, 0.0, 26.0, 1.0, 3.0, 14.0, 2.0];
-        for subtrees in [1usize, 2, 4, 8] {
-            let inc = IncrementalTree::new(&data, subtrees).unwrap();
-            let full = transform::forward(&data).unwrap();
-            assert_eq!(inc.coefficients(), &full[..], "R = {subtrees}");
-            assert!(inc.dirty().is_empty());
-        }
-    }
-
-    #[test]
-    fn write_marks_only_the_owning_subtree() {
-        let data = [5.0, 5.0, 0.0, 26.0, 1.0, 3.0, 14.0, 2.0];
-        let mut inc = IncrementalTree::new(&data, 4).unwrap();
-        inc.write(5, 100.0); // leaf 5 lives in block 2 (leaves 4..6)
-        assert_eq!(inc.dirty().len(), 1);
-        assert!(inc.dirty().contains(inc.subtree_root(2)));
-        assert_eq!(inc.subtree_root(2), 6);
-        assert_eq!(inc.subtree_leaves(2), 4..6);
-        let rebuilt = inc.rebuild();
-        assert_eq!(rebuilt, vec![6]);
-        let mut fresh = data;
-        fresh[5] = 100.0;
-        let full = transform::forward(&fresh).unwrap();
-        assert_eq!(inc.coefficients(), &full[..]);
-        // Bit-identity, not approximate equality.
-        for (a, b) in inc.coefficients().iter().zip(&full) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn write_range_spanning_blocks_marks_each() {
-        let data = vec![1.0; 16];
-        let mut inc = IncrementalTree::new(&data, 4).unwrap();
-        inc.write_range(3, &[9.0, 9.0]); // leaves 3 and 4: blocks 0 and 1
-        let roots: Vec<usize> = inc.dirty().iter().collect();
-        assert_eq!(roots, vec![4, 5]);
-        inc.rebuild();
-        let mut fresh = data;
-        fresh[3] = 9.0;
-        fresh[4] = 9.0;
-        assert_eq!(inc.coefficients(), &transform::forward(&fresh).unwrap()[..]);
-    }
-
-    #[test]
-    fn rebuild_with_nothing_dirty_is_a_no_op() {
-        let data = [3.0, 1.0, 4.0, 1.0];
-        let mut inc = IncrementalTree::new(&data, 2).unwrap();
-        let before = inc.coefficients().to_vec();
-        assert!(inc.rebuild().is_empty());
-        assert_eq!(inc.coefficients(), &before[..]);
-    }
-
-    #[test]
-    fn incremental_rejects_bad_partitions() {
-        let data = [1.0, 2.0, 3.0, 4.0];
-        assert!(IncrementalTree::new(&data, 3).is_err());
-        assert!(IncrementalTree::new(&data, 8).is_err());
-        assert!(IncrementalTree::new(&[1.0, 2.0, 3.0], 1).is_err());
-    }
-
-    #[test]
-    fn width_one_blocks_still_rebuild_exactly() {
-        let data = [2.0, 7.0, 1.0, 8.0];
-        let mut inc = IncrementalTree::new(&data, 4).unwrap();
-        assert_eq!(inc.subtree_width(), 1);
-        inc.write(2, -3.0);
-        inc.rebuild();
-        let mut fresh = data;
-        fresh[2] = -3.0;
-        assert_eq!(inc.coefficients(), &transform::forward(&fresh).unwrap()[..]);
-    }
-
-    #[test]
-    fn to_error_tree_reconstructs() {
-        let data = [5.0, 5.0, 0.0, 26.0, 1.0, 3.0, 14.0, 2.0];
-        let inc = IncrementalTree::new(&data, 2).unwrap();
-        let tree = inc.to_error_tree();
-        for (j, &d) in data.iter().enumerate() {
-            assert!((tree.reconstruct_value(j) - d).abs() < 1e-12);
-        }
     }
 
     #[test]

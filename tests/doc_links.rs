@@ -16,6 +16,13 @@
 //! 3. every `§N` reference on a line that names `DESIGN.md` points at a
 //!    real `## N.`-numbered DESIGN section, so section renumbering
 //!    can't silently strand the README/EXPERIMENTS cross-references.
+//!
+//! And for the run instructions — `README.md`, `DESIGN.md`,
+//! `EXPERIMENTS.md` and the CI workflow; `ROADMAP.md` and `CHANGES.md`
+//! are plans and history and may name a bin that is gone — that
+//!
+//! 4. every `--bin NAME` names a binary target that exists,
+//!    `crates/bench/src/bin/NAME.rs` or `src/bin/NAME.rs`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -158,6 +165,51 @@ fn design_section_references_resolve() {
     assert!(
         broken.is_empty(),
         "stale DESIGN.md section references:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
+fn named_bins_exist() {
+    let sources = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".github/workflows/ci.yml",
+    ];
+    let mut named = 0;
+    let mut broken = Vec::new();
+    for doc in sources {
+        let text = std::fs::read_to_string(repo_root().join(doc)).expect(doc);
+        for (lineno, line) in text.lines().enumerate() {
+            for rest in line.split("--bin").skip(1) {
+                let name: String = rest
+                    .trim_start()
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+                    .collect();
+                // `--bin <name>` and the like: a placeholder, not a target.
+                if name.is_empty() {
+                    continue;
+                }
+                named += 1;
+                let dirs = ["bench/src/bin", "src/bin"];
+                if !dirs
+                    .iter()
+                    .any(|d| path_resolves(&format!("{d}/{name}.rs")))
+                {
+                    broken.push(format!("{doc}:{}: no bin named {name}", lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        named > 0,
+        "sanity: the docs and CI no longer name any bin — did the syntax change?"
+    );
+    assert!(
+        broken.is_empty(),
+        "run instructions for bins that do not exist:\n{}",
         broken.join("\n")
     );
 }
