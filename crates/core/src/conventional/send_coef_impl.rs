@@ -10,10 +10,16 @@
 //! Sub-tree locality is *not* preserved, which is exactly why CON beats it
 //! by ~1.5× (Figure 10): mapper work is `O(S log N)` and boundary
 //! coefficients cross the wire several times.
+//!
+//! The map function is [`algorithm7`] and nothing else: the walk streams
+//! `(node, value)` into `ctx.emit` — contained coefficients by ascending
+//! node, then the per-datapoint partials — with no intermediate list. That
+//! order is load-bearing: the spill sort is stable, so it fixes the order in
+//! which the reducer's `vals.sum()` adds, and with it every output bit.
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
-use dwmaxerr_wavelet::basis::algorithm7_emissions;
+use dwmaxerr_wavelet::basis::algorithm7;
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
@@ -64,9 +70,9 @@ fn send_coef_inner(
             // Algorithm 7: fully-contained coefficients are emitted once,
             // complete; boundary coefficients are emitted per datapoint —
             // the O(S(logN - logS)) communication the paper analyses.
-            for (node, value) in algorithm7_emissions(n, split.start(), split.slice()) {
-                ctx.emit(node as u64, value);
-            }
+            algorithm7(n, split.start(), split.slice(), |node, value| {
+                ctx.emit(node as u64, value)
+            });
         })
         .input_bytes(SliceSplit::bytes);
     let stage = if with_combiner {

@@ -232,8 +232,13 @@ impl Executor {
     }
 
     /// Runs `f(i, &items[i])` for every item, returning results in item
-    /// order regardless of completion order.
-    pub fn run_indexed<T, R>(&self, items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R>
+    /// order regardless of completion order. Results may borrow from
+    /// `items`.
+    pub fn run_indexed<'a, T, R>(
+        &self,
+        items: &'a [T],
+        f: impl Fn(usize, &'a T) -> R + Sync,
+    ) -> Vec<R>
     where
         T: Sync,
         R: Send,

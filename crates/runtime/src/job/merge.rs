@@ -58,10 +58,10 @@ fn run_beats<K: Ord, V>(cursors: &[RunCursor<'_, K, V>], a: u32, b: u32) -> bool
 /// Ordering is maintained by a *loser tree* (tournament tree, the classic
 /// Hadoop/DB merge structure): each internal node stores the run that lost
 /// the match played there, and the overall winner is kept aside. Popping
-/// the winner replays exactly one leaf-to-root path — one comparison per
-/// level, ⌈log₂ k⌉ total — where the binary-heap merge this replaces paid
-/// up to two comparisons per level on its sift-down, the ~2× saving that
-/// matters at high fan-in. Exhausted runs stay in the tree as automatic
+/// the winner replays at most one leaf-to-root path — one comparison per
+/// level, ⌈log₂ k⌉ total, none when its run's next key is equal — where
+/// the binary-heap merge this replaces paid up to two comparisons per level
+/// on its sift-down, the ~2× saving that matters at high fan-in. Exhausted runs stay in the tree as automatic
 /// losers instead of being removed, so the structure never reshapes. The
 /// pop sequence is bit-identical to the heap's: both drain strictly by
 /// `(head key, run index)`, which is a total order over the live heads
@@ -131,7 +131,11 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
 
     /// The next pair in merged key order: takes the winner's head,
     /// advances its run, and replays the winner's leaf-to-root path to
-    /// crown the next winner.
+    /// crown the next winner — unless the run's new head carries an equal
+    /// key. The winner beat every other run under `(key, run index)` and
+    /// its new head has the same `(key, run index)`, so every match on the
+    /// path would come out as before: it is still the winner. (An exhausted
+    /// run or a decode error leaves no head and replays.)
     fn pop(&mut self) -> Option<(K, V)> {
         let w = self.winner;
         if w == u32::MAX {
@@ -141,6 +145,9 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
         let pair = cursor.head.take()?;
         if !cursor.advance() {
             self.decode_error = true;
+        }
+        if matches!(&cursor.head, Some((next, _)) if next.cmp(&pair.0).is_eq()) {
+            return Some(pair);
         }
         let k = self.cursors.len();
         let mut cand = w;
@@ -238,10 +245,6 @@ pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
     let mut disk_bytes = 0u64;
     let mut decode_error = false;
     while runs.len() > sort_factor {
-        // Each multi-run group merges independently on the pool. Merged
-        // buffers come back positionally and are stored sequentially in
-        // group order, so run ids, the pass ledger, and the byte
-        // accounting are identical to a serial pass-by-pass loop.
         let mut groups: Vec<Vec<RunBuf>> = Vec::new();
         let mut remaining = runs.into_iter();
         loop {
@@ -251,7 +254,15 @@ pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
             }
             groups.push(group);
         }
-        let merged: Vec<Option<(Vec<u8>, bool)>> = pool.run_indexed(&groups, |_, group| {
+        // Each multi-run group merges independently on the pool, and its
+        // task also stores the merged run (checksum or DWR3 frame) and reads
+        // it back (verified), so no hash pass waits on the reducer thread.
+        // Run ids are reserved in group order — only the tail group can be
+        // a singleton — and results come back positionally, so ids, the
+        // pass ledger and the byte accounting are those of a serial loop.
+        let multi = groups.iter().filter(|group| group.len() > 1).count();
+        let first_id = store.reserve_ids(multi as u64);
+        let merged = pool.run_indexed(&groups, |g, group| {
             if group.len() == 1 {
                 return None;
             }
@@ -262,25 +273,24 @@ pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
                 k.encode(&mut out);
                 v.encode(&mut out);
             }
-            Some((out, merge.decode_error))
+            let handle = store.write_as(first_id + g as u64, owner, out);
+            let run = store.read(handle).expect("just-written merge run");
+            Some((run, merge.decode_error))
         });
         runs = Vec::new();
         for (group, m) in groups.into_iter().zip(merged) {
-            let Some((out, group_decode_error)) = m else {
+            let Some((run, group_decode_error)) = m else {
                 // Singleton tail group: passes through to the next round
                 // unmerged.
                 runs.extend(group);
                 continue;
             };
             decode_error |= group_decode_error;
-            passes.push((group.len() as u64, out.len() as u64));
+            passes.push((group.len() as u64, run.len() as u64));
             // Charged twice: the pass writes the run out and the next pass
             // (or the final merge) reads it back.
-            disk_bytes += 2 * (out.len() as u64 + SPILL_FRAME_BYTES);
-            let handle = store.write(owner, out);
-            runs.push(RunBuf::Shared(
-                store.read(handle).expect("just-written merge run"),
-            ));
+            disk_bytes += 2 * (run.len() as u64 + SPILL_FRAME_BYTES);
+            runs.push(RunBuf::Shared(run));
         }
     }
     Merged {
@@ -415,17 +425,21 @@ mod tests {
 
     #[test]
     fn loser_tree_matches_heap_on_dup_heavy_runs() {
-        // Tiny key alphabet → massive duplication, so the (key, run index)
-        // tie-break carries most of the ordering. Values tag (run, seq) so
-        // a tie-break divergence cannot cancel out.
+        // At most four distinct keys → massive duplication, so the
+        // (key, run index) tie-break carries most of the ordering and the
+        // equal-key stretches `pop` does not replay cross run ends and span
+        // whole runs (alphabet 1: the run is one key). Values tag
+        // (run, seq) so a tie-break divergence cannot cancel out.
         let mut state = 0x5eed_cafe_u64;
-        for trial in 0..50 {
-            let k = (next_rand(&mut state) % 24) as usize; // fan-in 0..=23
-            let runs: Vec<Vec<u8>> = (0..k)
+        for _ in 0..200 {
+            let k = (next_rand(&mut state) % 21) as usize; // fan-in 0..=20
+            let mut runs: Vec<Vec<u8>> = (0..k)
                 .map(|run| {
                     let len = (next_rand(&mut state) % 20) as usize; // empties included
+                    let alphabet = 1 + next_rand(&mut state) % 4;
+                    let first = next_rand(&mut state) % 4;
                     let mut keys: Vec<u32> = (0..len)
-                        .map(|_| (next_rand(&mut state) % 4) as u32)
+                        .map(|_| ((first + next_rand(&mut state) % alphabet) % 4) as u32)
                         .collect();
                     keys.sort_unstable();
                     let pairs: Vec<(u32, u64)> = keys
@@ -437,7 +451,70 @@ mod tests {
                 })
                 .collect();
             assert_merge_equivalent::<u32, u64>(&runs);
-            let _ = trial;
+            // The same runs with one of them cut mid-pair — as likely as
+            // not inside an equal-key stretch: the flag is raised and the
+            // other runs still drain in order.
+            let live: Vec<usize> = (0..k).filter(|&r| !runs[r].is_empty()).collect();
+            if !live.is_empty() {
+                let cut = live[next_rand(&mut state) as usize % live.len()];
+                let keep = (next_rand(&mut state) as usize % runs[cut].len()) / 12 * 12 + 5;
+                runs[cut].truncate(keep);
+                assert_merge_equivalent::<u32, u64>(&runs);
+            }
+        }
+    }
+
+    #[test]
+    fn run_cut_inside_an_equal_key_stretch_raises_the_flag_and_the_rest_drains() {
+        let mut cut = encode_run(&[(1u32, 10u64), (1, 11), (1, 12), (1, 13)]);
+        cut.truncate(2 * 12 + 7);
+        let runs = [
+            cut,
+            encode_run(&[(1u32, 20u64), (1, 21), (2, 22)]),
+            encode_run(&[(0u32, 30u64), (1, 31)]),
+        ];
+        let mut merge = KWayMerge::<u32, u64>::new(runs.iter().map(Vec::as_slice));
+        assert!(!merge.decode_error);
+        let popped: Vec<(u32, u64)> = std::iter::from_fn(|| merge.pop()).collect();
+        let expect = [
+            (0, 30),
+            (1, 10),
+            (1, 11),
+            (1, 20),
+            (1, 21),
+            (1, 31),
+            (2, 22),
+        ];
+        assert_eq!(popped, expect);
+        assert!(merge.decode_error);
+        assert_merge_equivalent::<u32, u64>(&runs);
+    }
+
+    #[test]
+    fn next_group_starts_at_the_next_key_however_much_the_function_consumed() {
+        // Key 1's five values sit in three runs, two of them behind equal
+        // heads of the same run.
+        let runs = [
+            encode_run(&[(0u32, 1u64), (1, 10), (1, 11), (3, 30)]),
+            encode_run(&[(1u32, 12u64), (1, 13), (2, 20)]),
+            encode_run(&[(1u32, 14u64), (3, 31)]),
+        ];
+        for take in [0usize, 2, 5, 9] {
+            let mut merge = KWayMerge::<u32, u64>::new(runs.iter().map(Vec::as_slice));
+            let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
+            merge.for_each_group(|&key, values| groups.push((key, values.take(take).collect())));
+            let all = [
+                (0u32, vec![1u64]),
+                (1, vec![10, 11, 12, 13, 14]),
+                (2, vec![20]),
+                (3, vec![30, 31]),
+            ];
+            let expect: Vec<(u32, Vec<u64>)> = all
+                .into_iter()
+                .map(|(key, values)| (key, values.into_iter().take(take).collect()))
+                .collect();
+            assert_eq!(groups, expect, "take {take}");
+            assert!(!merge.decode_error);
         }
     }
 

@@ -1580,6 +1580,30 @@ mod spill_tests {
     }
 
     #[test]
+    fn merge_secs_is_the_merge_phase_inside_the_reduce_task() {
+        let splits = big_splits();
+        let mut constrained = quiet_cluster();
+        constrained.io_sort_bytes = 256;
+        constrained.io_sort_factor = 2;
+        for cfg in [quiet_cluster(), constrained] {
+            let metrics = sum_job(&Cluster::new(cfg), &splits).metrics;
+            assert_eq!(metrics.merge_secs.len(), metrics.reduce_task_secs.len());
+            for (task, (&merge, &total)) in metrics
+                .merge_secs
+                .iter()
+                .zip(&metrics.reduce_task_secs)
+                .enumerate()
+            {
+                assert!(merge <= total, "task {task}: merge {merge} of {total}");
+                assert!(
+                    metrics.merge_passes[task] == 0 || merge > 0.0,
+                    "task {task}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn budget_spills_agree_with_combiner() {
         // An associative combiner folded per spill must still reach the
         // same final answer as the single-spill path.

@@ -46,8 +46,10 @@ pub(super) struct ReduceTaskResult<OK, OV> {
     pub(super) out: Vec<(OK, OV)>,
     pub(super) counters: BTreeMap<&'static str, u64>,
     decode_error: bool,
-    /// Host seconds outside the user reduce function: opening the runs and
-    /// the k-way merge.
+    /// Host seconds of the merge phase: from task start until the final
+    /// tournament is built (runs opened and verified, intermediate passes
+    /// done, every run's first pair decoded). The final merge itself streams
+    /// inside the reduce function's value iterator and is not split out.
     pub(super) merge_secs: f64,
     /// `(fan_in, bytes)` per intermediate merge pass (empty when the final
     /// merge handled every run directly).
@@ -92,27 +94,24 @@ where
             |attempt| {
                 let task_start = Instant::now();
                 let mut ctx = ReduceContext::with_capacity(out_hint.load(Ordering::Relaxed));
+                // Opening a stored run verifies its checksum: on the pool.
                 let merged = merge_to_fan_in::<K, V>(
                     pool,
                     store,
                     (TaskPhase::Reduce, i, attempt),
-                    runs.iter().map(|run| run.run.open(store)).collect(),
+                    pool.run_indexed(runs, |_, run| run.run.open(store)),
                     sort_factor,
                 );
-                let mut fn_secs = 0.0;
                 let mut merge =
                     KWayMerge::<K, V>::new(merged.runs.iter().map(|run| run.as_slice()));
-                merge.for_each_group(|key, values| {
-                    let fn_start = Instant::now();
-                    reduce_fn(key, values, &mut ctx);
-                    fn_secs += fn_start.elapsed().as_secs_f64();
-                });
+                let merge_secs = task_start.elapsed().as_secs_f64();
+                merge.for_each_group(|key, values| reduce_fn(key, values, &mut ctx));
                 out_hint.fetch_max(ctx.out.len(), Ordering::Relaxed);
                 ReduceTaskResult {
                     out: ctx.out,
                     counters: ctx.counters,
                     decode_error: merged.decode_error | merge.decode_error,
-                    merge_secs: (task_start.elapsed().as_secs_f64() - fn_secs).max(0.0),
+                    merge_secs,
                     merge_passes: merged.passes,
                     disk_bytes: merged.disk_bytes,
                 }

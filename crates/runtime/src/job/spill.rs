@@ -132,13 +132,24 @@ impl SpillStore {
         self.dir.join(format!("run-{id}.spill"))
     }
 
-    /// Stores one sorted run, returning its handle. The payload's
+    /// Stores one sorted run under the next run id, returning its handle.
+    pub(super) fn write(&self, owner: AttemptTag, payload: Vec<u8>) -> RunHandle {
+        self.write_as(self.reserve_ids(1), owner, payload)
+    }
+
+    /// Reserves `count` consecutive run ids and returns the first, so a
+    /// caller fanning writes out over the pool can number them in its own
+    /// order instead of in completion order.
+    pub(super) fn reserve_ids(&self, count: u64) -> u64 {
+        self.next_id.fetch_add(count, Ordering::Relaxed)
+    }
+
+    /// Stores one sorted run under the reserved `id`. The payload's
     /// [`checksum64`] is recorded on both backends (on disk as the frame's
     /// footer) and verified on every read. A disk-backend I/O failure
     /// panics, which surfaces as an attempt failure and burns a retry —
     /// the Hadoop behaviour for a task that cannot spill.
-    pub(super) fn write(&self, owner: AttemptTag, payload: Vec<u8>) -> RunHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+    pub(super) fn write_as(&self, id: u64, owner: AttemptTag, payload: Vec<u8>) -> RunHandle {
         let len = payload.len() as u64;
         let data = match self.backend {
             SpillBackend::Memory => {
