@@ -12,8 +12,10 @@
 //! 5. Map-side combiner on Send-Coef's per-datapoint emissions.
 //! 6. Synopsis dictionary: Haar+ triads vs unrestricted Haar.
 //! 7. DP-framework communication: O(B·q) vs O(ε/δ) M-rows (Section 4),
-//!    and — the one timed table — what a DMHaarSpace worker pays locally
-//!    for the root row and for the errors of a slice.
+//!    and — timed — what a DMHaarSpace worker pays locally for the root
+//!    row and for the errors of a slice.
+//! 8. Tooling, timed: one DWQ2 request cycle by stage on `serve-scan`'s
+//!    synopsis and query stream.
 
 use dwmaxerr_bench::report::{bytes, err, Table};
 use dwmaxerr_bench::setup::paper_cluster;
@@ -335,6 +337,154 @@ fn dp_communication_ablation() -> [Table; 2] {
     [t, local]
 }
 
+/// `serve-scan`'s query stream (`perf`'s scan mix): Zipf(1.1) targets over
+/// `n` leaves, one query in four a range sum of width ≤ 256, one in 64
+/// out of range or inverted.
+fn scan_queries(n: usize, count: usize, seed: u64) -> Vec<dwmaxerr_serve::Query> {
+    use dwmaxerr_datagen::Distribution;
+    use dwmaxerr_serve::Query;
+
+    let targets = Distribution::Zipf(1.1).generate(count, (n - 1) as f64, seed);
+    let widths = Distribution::Uniform.generate(count, 255.0, seed ^ 0x9e37);
+    (0..count)
+        .map(|i| {
+            let x = (targets[i] as usize).min(n - 1);
+            match (i % 128, i % 4) {
+                (63, _) => Query::Point { x: n + x },
+                (127, _) => Query::RangeSum { l: n - 1, h: 0 },
+                (_, 3) => Query::RangeSum {
+                    l: x,
+                    h: (x + widths[i] as usize).min(n - 1),
+                },
+                _ => Query::Point { x },
+            }
+        })
+        .collect()
+}
+
+/// One DWQ2 request cycle, stage by stage, on `serve-scan`'s synopsis
+/// (DGreedyAbs, N = 2^16, B = 4096, 16 shards) and query stream (256
+/// batches of 1024), routed over 4 nodes × 2 replicas — in process, one
+/// thread, the server's inline pool. No sockets: what is left of a round
+/// trip beyond these rows is syscalls, loopback and wake-ups.
+fn request_cycle_by_stage() -> Table {
+    use dwmaxerr_core::query::ErrorBound;
+    use dwmaxerr_runtime::codec::encode_slice;
+    use dwmaxerr_runtime::codec::frame::{Format, LenWidth};
+    use dwmaxerr_runtime::codec::Wire;
+    use dwmaxerr_runtime::{Executor, NodeTopology};
+    use dwmaxerr_serve::net::encode_results;
+    use dwmaxerr_serve::{
+        execute_partial_routed, Query, QueryResponse, ShardRouter, SynopsisStore,
+    };
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    const DWQ2: Format = Format::new(*b"DWQ2", LenWidth::U32, 16 << 20);
+    const ROUNDS: usize = 5;
+    const BATCHES: usize = 256;
+    let n = 1usize << 16;
+    let data = dwmaxerr_datagen::wd_like(n, 2e-4, 54);
+    let cfg = DGreedyAbsConfig {
+        base_leaves: 1 << 10,
+        ..DGreedyAbsConfig::default()
+    };
+    let built = dgreedy_abs(&paper_cluster(), &data, n / 16, &cfg).expect("runs");
+    let store = SynopsisStore::new("stages", 16);
+    let bound = ErrorBound::abs(built.estimated_error + cfg.bucket_width);
+    store
+        .publish(&built.synopsis, bound, 0.0, 1)
+        .expect("publishes");
+    let reader = store.reader().expect("published");
+    let topology = NodeTopology {
+        nodes: 4,
+        slots_per_node: 2,
+    };
+    let router = ShardRouter::new(16, topology, 2).expect("2 replicas on 4 nodes");
+    let pool = Executor::new(1);
+    let stream = scan_queries(n, BATCHES * 1024, 54);
+
+    let stages = [
+        "client: encode request",
+        "server: decode `Vec<Query>`",
+        "server: `execute_partial_routed`",
+        "server: encode response",
+        "client: `QueryResponse::decode`",
+        "frame open + copy, both sides",
+    ];
+    // Per round, per stage: mean µs per request.
+    let mut rounds = vec![[0.0f64; 6]; ROUNDS];
+    let (mut request, mut response) = (Vec::new(), Vec::new());
+    for round in &mut rounds {
+        for (id, batch) in stream.chunks(1024).enumerate() {
+            let id = id as u64;
+            let t0 = Instant::now();
+            DWQ2.build(&mut request, |buf| {
+                id.encode(buf);
+                encode_slice(batch, buf);
+            })
+            .expect("under the cap");
+            let t1 = Instant::now();
+            let payload = DWQ2.read(&mut &request[..]).expect("valid").expect("whole");
+            let t2 = Instant::now();
+            let mut cursor = &payload[..];
+            let _ = u64::decode(&mut cursor).expect("id");
+            let queries = Vec::<Query>::decode(&mut cursor).expect("queries");
+            let t3 = Instant::now();
+            let (results, _) =
+                execute_partial_routed(&reader, &queries, Some(&router), Some(&pool));
+            let t4 = Instant::now();
+            DWQ2.build(&mut response, |buf| {
+                encode_results(id, reader.version(), &results, buf)
+            })
+            .expect("under the cap");
+            let t5 = Instant::now();
+            let body = DWQ2
+                .read(&mut &response[..])
+                .expect("valid")
+                .expect("whole");
+            let t6 = Instant::now();
+            black_box(QueryResponse::decode(&mut &body[..]).expect("decodes"));
+            let t7 = Instant::now();
+            let us = |a: Instant, b: Instant| (b - a).as_secs_f64() * 1e6 / BATCHES as f64;
+            round[0] += us(t0, t1);
+            round[1] += us(t2, t3);
+            round[2] += us(t3, t4);
+            round[3] += us(t4, t5);
+            round[4] += us(t6, t7);
+            round[5] += us(t1, t2) + us(t5, t6);
+        }
+    }
+
+    let median = |mut v: Vec<f64>| {
+        v.sort_unstable_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let total = median(rounds.iter().map(|r| r.iter().sum()).collect());
+    let mut t = Table::new(
+        "Tooling — one DWQ2 request cycle by stage (serve-scan's synopsis and stream; host µs per request, median of 5 rounds × 256 requests)",
+        "a DWQ2 request should cost its distinct queries and its bytes; the rows say \
+         which stage a serving change moved, without a scratch harness",
+        &["stage", "µs per request", "share"],
+    );
+    for (k, stage) in stages.iter().enumerate() {
+        let us = median(rounds.iter().map(|r| r[k]).collect());
+        t.row(vec![
+            stage.to_string(),
+            format!("{us:.1}"),
+            format!("{:.0}%", 100.0 * us / total),
+        ]);
+    }
+    t.row(vec!["total".into(), format!("{total:.1}"), "100%".into()]);
+    t.note(format!(
+        "last request {} on the wire, its response {}; encode rows include the frame's \
+         checksum, the open rows verify it",
+        bytes(request.len() as u64),
+        bytes(response.len() as u64)
+    ));
+    t
+}
+
 fn main() {
     // `cargo bench` passes flags like --bench; ignore them.
     let [communication, local_work] = dp_communication_ablation();
@@ -346,6 +496,7 @@ fn main() {
         dictionary_ablation(),
         communication,
         local_work,
+        request_cycle_by_stage(),
     ];
     for t in &tables {
         println!("{}", t.to_markdown());

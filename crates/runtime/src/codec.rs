@@ -363,13 +363,22 @@ pub fn encode_slice<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
     }
 }
 
+/// Elements to reserve for a decoded `Vec` announcing `len` with `present`
+/// bytes left: every element encodes to at least one byte, so a length the
+/// bytes cannot back reserves nothing for the lie — a 12-byte request
+/// announcing 2^20 queries would otherwise reserve 24 MiB. (A zero-width
+/// element is zero-sized and reserves nothing either way.)
+fn reservation(len: usize, present: usize) -> usize {
+    len.min(present).min(1 << 20)
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         encode_slice(self, buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = u32::decode(buf)? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        let mut out = Vec::with_capacity(reservation(len, buf.len()));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -558,6 +567,23 @@ mod tests {
         let buf = encoded(&String::from("hello"));
         let mut s = &buf[..buf.len() - 1];
         assert!(String::decode(&mut s).is_err());
+    }
+
+    #[test]
+    fn a_vec_reserves_no_more_than_its_bytes_can_hold() {
+        assert_eq!(reservation(1 << 20, 0), 0);
+        assert_eq!(reservation(u32::MAX as usize, 9), 9);
+        assert_eq!(reservation(3, 100), 3);
+        assert_eq!(reservation(usize::MAX, usize::MAX), 1 << 20);
+
+        // A length that lies: an error, not a reservation of what it claims.
+        let mut lie = encoded(&(1u32 << 20));
+        lie.extend_from_slice(&[0; 9]);
+        assert!(Vec::<u64>::decode(&mut lie.as_slice()).is_err());
+        // One byte per element is all a decoder may assume.
+        let bytes = encoded(&vec![7u8; 5]);
+        let back = Vec::<u8>::decode(&mut bytes.as_slice()).unwrap();
+        assert_eq!((back.len(), back.capacity()), (5, 5));
     }
 
     #[test]

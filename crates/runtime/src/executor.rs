@@ -12,7 +12,7 @@
 //! * mid-task spill sorts (one sub-task per reduce partition),
 //! * intermediate k-way merge passes (one sub-task per contiguous run
 //!   group),
-//! * shard-grouped batch query evaluation in the serving tier.
+//! * chunks of a batch's distinct queries in the serving tier.
 //!
 //! # Architecture
 //!

@@ -1,19 +1,20 @@
-//! Batched query execution: shard-grouped evaluation with repeats
-//! answered once, in a strict and a lenient (per-query) flavour.
+//! Batched query execution: every distinct query of a batch evaluated
+//! once, in a strict and a lenient (per-query) flavour.
 //!
 //! A serving tier rarely answers one query at a time — it drains a
-//! batch from the request queue. [`execute`] exploits that in two ways:
+//! batch from the request queue. Skewed (zipf) mixes hit the same hot
+//! leaves and ranges over and over, so the evaluator answers each
+//! *distinct* query once and copies the answer to its repeats. That is
+//! sound precisely because a batch runs against a single pinned snapshot
+//! — the same query cannot legally produce two different answers within
+//! one batch.
 //!
-//! 1. **Shard grouping.** Queries are bucketed by their primary shard
-//!    (the shard owning the point, or the range's left endpoint) and
-//!    evaluated group by group, so each group walks one shard's index
-//!    with warm caches instead of ping-ponging across the store.
-//! 2. **Repeat memoization.** Skewed (zipf) mixes hit the same hot
-//!    leaves and ranges over and over; each group is sorted by query, so
-//!    identical queries sit next to each other, are answered once and
-//!    the answer is reused. This is sound precisely because a batch runs
-//!    against a single pinned snapshot — the same query cannot legally
-//!    produce two different answers within one batch.
+//! The repeats are found by an open-addressed table of first-occurrence
+//! positions, keyed by the query packed into one `u128` and hashed with a
+//! multiplicative hash seeded once per batch from
+//! [`RandomState`] — so no client can choose keys that collide. The
+//! distinct queries keep their first-occurrence order, so nothing
+//! observable depends on the seed.
 //!
 //! Answers are returned in input order, every one stamped with the
 //! reader's pinned store version. A batch never observes a snapshot
@@ -41,15 +42,15 @@
 //! while the rest of the batch proceeds; the batch's node fan-out is
 //! reported in [`BatchStats::nodes`].
 //!
-//! Shard groups are independent — no query crosses groups, and repeats
-//! of a query always route to the same group — so given a work-stealing
-//! [`Executor`] the evaluator fans the groups across it: each group is
-//! sorted and evaluated on whatever worker picks it up, answers scatter
-//! back positionally, and stats fold in group order. The answers
-//! *and* the [`BatchStats`] are bit-identical to the serial path at any
-//! thread count.
+//! Given a work-stealing [`Executor`], the distinct queries are evaluated
+//! in chunks across it, collected positionally, and copied out in input
+//! order. The answers *and* the [`BatchStats`] are bit-identical at any
+//! thread count, with or without a pool.
 
 #![warn(clippy::too_many_lines)]
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use dwmaxerr_core::query::Answer;
 use dwmaxerr_runtime::Executor;
@@ -77,15 +78,17 @@ pub enum Query {
 }
 
 /// What one batch execution did — exposed so benches and tests can
-/// verify the grouping/memoization actually engages.
+/// verify the dedupe actually engages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Distinct primary shards the batch touched.
+    /// Distinct primary shards (a point's, a range's left endpoint's) of
+    /// the batch's answered queries.
     pub shard_groups: usize,
-    /// Queries answered from the in-batch memo instead of a fresh
-    /// evaluation.
+    /// Queries answered by copying the answer of an identical query
+    /// earlier in the batch instead of a fresh evaluation.
     pub memo_hits: usize,
-    /// Queries evaluated against shard data.
+    /// Queries evaluated against shard data: the batch's distinct valid
+    /// queries.
     pub evaluated: usize,
     /// Queries that errored individually (partial flavour only; the
     /// strict flavour fails the batch instead).
@@ -96,18 +99,28 @@ pub struct BatchStats {
     pub nodes: usize,
 }
 
-/// Validates `q` against the pinned representation and returns the
+/// Distinct queries per evaluation task handed to the [`Executor`].
+const CHUNK: usize = 256;
+
+/// An empty slot of the dedupe table.
+const EMPTY: u32 = u32::MAX;
+
+/// Validates `q` against the pinned representation and routes it: the
 /// shards it reads, primary first (twice the same for a point or a range
-/// inside one shard) — the single routing rule both flavours share.
-fn shards_of(sharded: &ShardedSynopsis, q: Query) -> Result<(usize, usize), ServeError> {
+/// inside one shard), each with a live replica when there is a router.
+fn shards_of(
+    sharded: &ShardedSynopsis,
+    router: Option<&ShardRouter>,
+    q: Query,
+) -> Result<(usize, usize), ServeError> {
     let n = sharded.n();
-    match q {
+    let (primary, other) = match q {
         Query::Point { x } => {
             if x >= n {
                 return Err(ServeError::OutOfRange { index: x, n });
             }
             let shard = sharded.shard_of_leaf(x);
-            Ok((shard, shard))
+            (shard, shard)
         }
         Query::RangeSum { l, h } => {
             if l > h {
@@ -116,24 +129,99 @@ fn shards_of(sharded: &ShardedSynopsis, q: Query) -> Result<(usize, usize), Serv
             if h >= n {
                 return Err(ServeError::OutOfRange { index: h, n });
             }
-            Ok(sharded.shards_of_range(l, h))
+            sharded.shards_of_range(l, h)
+        }
+    };
+    if let Some(r) = router {
+        r.route(primary)?;
+        if other != primary {
+            r.route(other)?;
         }
     }
+    Ok((primary, other))
 }
 
-/// A validated query as one integer — equal for equal queries, distinct
+/// A query as one integer, equal for equal queries and distinct
 /// otherwise (`h + 1 >= 1` keeps `RangeSum { l: x, h: x }` apart from
-/// `Point { x }`) — so a group sorts on a two-word compare.
-fn sort_key(q: Query) -> u128 {
+/// `Point { x }`).
+fn packed(q: Query) -> u128 {
     match q {
         Query::Point { x } => (x as u128) << 64,
         Query::RangeSum { l, h } => (l as u128) << 64 | (h as u128 + 1),
     }
 }
 
-/// Executes `queries` against the reader's pinned snapshot, grouped by
-/// shard, answers in input order. Strict: the first malformed query (in
-/// input order) fails the whole batch. See the [module docs](self).
+/// The distinct queries of one batch in first-occurrence order, found
+/// through an open-addressed, linearly probed table of their positions,
+/// at most half full.
+struct Distinct {
+    queries: Vec<Query>,
+    table: Vec<u32>,
+    /// `64 - log2(table.len())`: a hash's top bits index the table.
+    shift: u32,
+    seed: [u64; 2],
+}
+
+impl Distinct {
+    /// Room for the distinct queries among `n`, under a fresh seed.
+    fn with_capacity(n: usize) -> Distinct {
+        assert!(
+            n < EMPTY as usize,
+            "a batch holds fewer than 2^32 - 1 queries"
+        );
+        let slots = (2 * n).next_power_of_two().max(2);
+        let state = RandomState::new();
+        Distinct {
+            queries: Vec::with_capacity(n),
+            table: vec![EMPTY; slots],
+            shift: 64 - slots.trailing_zeros(),
+            seed: [state.hash_one(0u8), state.hash_one(1u8)],
+        }
+    }
+
+    /// Where `q`'s probe sequence starts. Both halves of the key enter one
+    /// 64 × 64 → 128-bit product whose halves are folded together, so keys
+    /// that agree in either half still spread.
+    fn home(&self, q: Query) -> usize {
+        let key = packed(q);
+        let a = (key >> 64) as u64 ^ self.seed[0];
+        let b = key as u64 ^ self.seed[1];
+        let product = u128::from(a) * u128::from(b);
+        ((product as u64 ^ (product >> 64) as u64) >> self.shift) as usize
+    }
+
+    /// `q`'s position in first-occurrence order, appending it when new.
+    fn position(&mut self, q: Query) -> u32 {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(q);
+        loop {
+            match self.table[i] {
+                EMPTY => {
+                    let pos = self.queries.len() as u32;
+                    self.table[i] = pos;
+                    self.queries.push(q);
+                    return pos;
+                }
+                pos if self.queries[pos as usize] == q => return pos,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
+/// The answer to a query [`shards_of`] accepted: everything evaluation
+/// could refuse was checked there, so this cannot fail.
+fn answer(reader: &StoreReader, q: Query) -> Answer {
+    match q {
+        Query::Point { x } => reader.point(x),
+        Query::RangeSum { l, h } => reader.range_sum(l, h),
+    }
+    .expect("a validated query always evaluates")
+}
+
+/// Executes `queries` against the reader's pinned snapshot, each distinct
+/// query once, answers in input order. Strict: the first malformed query
+/// (in input order) fails the whole batch. See the [module docs](self).
 pub fn execute(reader: &StoreReader, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
     let (results, _) = execute_partial_routed(reader, queries, None, None);
     results.into_iter().collect()
@@ -155,10 +243,9 @@ pub fn execute_partial_with_stats(
 }
 
 /// The evaluator behind every entry point: optional shard→node routing
-/// (queries on unroutable shards error individually) and optional
-/// parallel group fan-out across `pool` (results and stats bit-identical
-/// to the serial path). This is what the networked front calls per
-/// request.
+/// (queries on unroutable shards error individually) and optional chunked
+/// evaluation across `pool` (results and stats bit-identical without it).
+/// This is what the networked front calls per request.
 pub fn execute_partial_routed(
     reader: &StoreReader,
     queries: &[Query],
@@ -166,91 +253,55 @@ pub fn execute_partial_routed(
     pool: Option<&Executor>,
 ) -> (Vec<Result<Answer, ServeError>>, BatchStats) {
     let sharded = reader.sharded();
-    let mut stats = BatchStats::default();
-    let mut results: Vec<Result<Answer, ServeError>> = Vec::with_capacity(queries.len());
-
-    // Route every query to its primary shard's bucket, or to an
-    // individual error slot — nothing a single query does here can touch
-    // its siblings. A bucketed query's slot holds a stand-in until the
-    // scatter below overwrites it.
-    let mut buckets: Vec<Vec<(u128, usize)>> = vec![Vec::new(); sharded.num_shards()];
     let mut read = vec![false; sharded.num_shards()];
-    for (i, &q) in queries.iter().enumerate() {
-        let routed = shards_of(sharded, q).and_then(|(primary, other)| {
-            if let Some(r) = router {
-                r.route(primary)?;
-                if other != primary {
-                    r.route(other)?;
-                }
-            }
-            Ok((primary, other))
-        });
-        results.push(match routed {
-            Ok((primary, other)) => {
-                read[primary] = true;
-                read[other] = true;
-                buckets[primary].push((sort_key(q), i));
-                Err(ServeError::EmptyStore)
-            }
-            Err(e) => Err(e),
-        });
-    }
-    if let Some(r) = router {
-        stats.nodes = r.fanout((0..read.len()).filter(|&s| read[s]));
-    }
-    buckets.retain(|b| !b.is_empty());
+    let mut primary = vec![false; sharded.num_shards()];
+    let mut distinct = Distinct::with_capacity(queries.len());
 
-    // Evaluate one group: sorted, so the repeats of a query are
-    // neighbours (identical queries always share a primary shard, so a
-    // group sees every repeat the batch holds) and reuse the answer
-    // before them. Only successful answers are reused; validation already
-    // ran, so per-query evaluation errors are defensive.
-    type PartialGroup = (Vec<Result<Answer, ServeError>>, usize);
-    let eval_group = |_: usize, bucket: &mut Vec<(u128, usize)>| -> PartialGroup {
-        bucket.sort_unstable();
-        let mut out: Vec<Result<Answer, ServeError>> = Vec::with_capacity(bucket.len());
-        let mut hits = 0usize;
-        for (k, &(key, i)) in bucket.iter().enumerate() {
-            let answer = match out.last() {
-                Some(Ok(previous)) if bucket[k - 1].0 == key => {
-                    hits += 1;
-                    Ok(*previous)
-                }
-                _ => match queries[i] {
-                    Query::Point { x } => reader.point(x),
-                    Query::RangeSum { l, h } => reader.range_sum(l, h),
-                },
-            };
-            out.push(answer);
-        }
-        (out, hits)
+    // Validate, route and dedupe in input order: a slot holds its query's
+    // position among the distinct ones, or its own error — nothing a
+    // single query does here can touch its siblings.
+    let slots: Vec<Result<u32, ServeError>> = queries
+        .iter()
+        .map(|&q| {
+            let (p, o) = shards_of(sharded, router, q)?;
+            primary[p] = true;
+            read[p] = true;
+            read[o] = true;
+            Ok(distinct.position(q))
+        })
+        .collect();
+
+    let chunks: Vec<&[Query]> = distinct.queries.chunks(CHUNK).collect();
+    let eval = |_: usize, chunk: &&[Query]| -> Vec<Answer> {
+        chunk.iter().map(|&q| answer(reader, q)).collect()
     };
-    let group_results: Vec<PartialGroup> = match pool {
-        Some(pool) => pool.run_indexed_mut(&mut buckets, eval_group),
-        None => buckets
-            .iter_mut()
+    let answers: Vec<Vec<Answer>> = match pool {
+        Some(pool) => pool.run_indexed(&chunks, eval),
+        None => chunks
+            .iter()
             .enumerate()
-            .map(|(g, bucket)| eval_group(g, bucket))
+            .map(|(c, chunk)| eval(c, chunk))
             .collect(),
     };
 
-    // Scatter positionally and fold stats in group order — completion
-    // order never influences the output.
-    for (bucket, (group_out, hits)) in buckets.iter().zip(group_results) {
-        stats.shard_groups += 1;
-        stats.memo_hits += hits;
-        stats.evaluated += bucket.len() - hits;
-        for (&(_, i), result) in bucket.iter().zip(group_out) {
-            results[i] = result;
-        }
-    }
-    stats.failed = results.iter().filter(|r| r.is_err()).count();
+    let failed = slots.iter().filter(|s| s.is_err()).count();
+    let stats = BatchStats {
+        shard_groups: primary.iter().filter(|&&p| p).count(),
+        memo_hits: queries.len() - failed - distinct.queries.len(),
+        evaluated: distinct.queries.len(),
+        failed,
+        nodes: router.map_or(0, |r| r.fanout((0..read.len()).filter(|&s| read[s]))),
+    };
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.map(|d| answers[d as usize / CHUNK][d as usize % CHUNK]))
+        .collect();
     (results, stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::collections::HashSet;
 
     use super::*;
     use crate::store::SynopsisStore;
@@ -294,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn grouping_and_memoization_engage() {
+    fn repeats_and_shard_groups_are_counted() {
         let r = reader();
         // 3 repeats of the same hot point + two distinct queries in the
         // same shard + one in another shard.
@@ -311,36 +362,6 @@ mod tests {
         assert_eq!(stats.evaluated, 3);
         assert_eq!(stats.shard_groups, 2);
         assert_eq!(stats.failed, 0);
-    }
-
-    #[test]
-    fn parallel_batch_is_bit_identical_to_serial() {
-        let r = reader();
-        // A mix with repeats, cross-shard ranges, and hot points — every
-        // thread count must reproduce the serial answers and stats.
-        let queries = vec![
-            Query::Point { x: 1 },
-            Query::RangeSum { l: 0, h: 7 },
-            Query::Point { x: 1 },
-            Query::Point { x: 6 },
-            Query::RangeSum { l: 2, h: 5 },
-            Query::Point { x: 0 },
-            Query::RangeSum { l: 0, h: 7 },
-            Query::Point { x: 7 },
-        ];
-        let (serial, serial_stats) = execute_partial_with_stats(&r, &queries);
-        let serial: Vec<Answer> = serial.into_iter().collect::<Result<_, _>>().unwrap();
-        for threads in [1, 2, 4] {
-            let pool = Executor::new(threads);
-            let (par, par_stats) = execute_partial_routed(&r, &queries, None, Some(&pool));
-            assert_eq!(par_stats, serial_stats, "stats at threads={threads}");
-            for (a, b) in par.iter().zip(&serial) {
-                let a = a.as_ref().expect("valid query answered");
-                assert_eq!(a.value.to_bits(), b.value.to_bits());
-                assert_eq!(a.err_abs, b.err_abs);
-                assert_eq!(a.version, b.version);
-            }
-        }
     }
 
     #[test]
@@ -405,55 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_matches_strict_on_all_valid_input() {
-        let r = reader();
-        let queries = vec![
-            Query::Point { x: 1 },
-            Query::RangeSum { l: 0, h: 7 },
-            Query::Point { x: 1 },
-            Query::Point { x: 6 },
-            Query::RangeSum { l: 3, h: 3 },
-        ];
-        let strict = execute(&r, &queries).unwrap();
-        let (partial, partial_stats) = execute_partial_with_stats(&r, &queries);
-        assert_eq!(partial_stats.failed, 0);
-        for (got, want) in partial.iter().zip(&strict) {
-            let got = got.as_ref().unwrap();
-            assert_eq!(got.value.to_bits(), want.value.to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_partial_is_bit_identical_to_serial_partial() {
-        let r = reader();
-        let mixed = vec![
-            Query::Point { x: 1 },
-            Query::Point { x: 99 },
-            Query::RangeSum { l: 0, h: 7 },
-            Query::Point { x: 1 },
-            Query::RangeSum { l: 6, h: 1 },
-            Query::Point { x: 6 },
-            Query::Point { x: 0 },
-        ];
-        let (serial, serial_stats) = execute_partial_with_stats(&r, &mixed);
-        for threads in [1, 2, 4] {
-            let pool = Executor::new(threads);
-            let (par, par_stats) = execute_partial_routed(&r, &mixed, None, Some(&pool));
-            assert_eq!(par_stats, serial_stats, "stats at threads={threads}");
-            for (a, b) in par.iter().zip(&serial) {
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.value.to_bits(), b.value.to_bits());
-                        assert_eq!(a.version, b.version);
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    _ => panic!("slot kind diverged at threads={threads}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn routed_partial_isolates_dead_shards_and_counts_fanout() {
         let r = reader();
         // 4 shards over 4 nodes, no replication: shard j on node j.
@@ -494,95 +466,90 @@ mod tests {
         assert_eq!(stats.nodes, 3, "shard 2 failed over to node 3");
     }
 
-    /// The evaluator as it was before groups were sorted: an
-    /// `Option` slot per query, a `HashMap` memo per group, a second
-    /// vector for the results — bodies unchanged. Only the routing rule
-    /// is the one the evaluator uses today (both endpoint shards of a
-    /// range), since that rule is the bug fix and not what this oracle
-    /// is for.
-    fn execute_with_hash_memo(
+    /// The definition: a slot is the reader's own answer to its query, or
+    /// the error that refuses it (validation, then routing of the shards of
+    /// both endpoints); the stats are counts over sets.
+    fn oracle(
         reader: &StoreReader,
         queries: &[Query],
         router: Option<&ShardRouter>,
-        pool: Option<&Executor>,
     ) -> (Vec<Result<Answer, ServeError>>, BatchStats) {
         let sharded = reader.sharded();
-        let mut stats = BatchStats::default();
-        let mut slots: Vec<Option<Result<Answer, ServeError>>> = vec![None; queries.len()];
-
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); sharded.num_shards()];
-        let mut read = vec![false; sharded.num_shards()];
-        for (i, &q) in queries.iter().enumerate() {
-            match shards_of(sharded, q) {
-                Err(e) => slots[i] = Some(Err(e)),
-                Ok((shard, other)) => {
-                    if let Some(r) = router {
-                        if let Err(e) = r.route(shard).and_then(|_| r.route(other)) {
-                            slots[i] = Some(Err(e));
-                            continue;
-                        }
-                    }
-                    read[shard] = true;
-                    read[other] = true;
-                    buckets[shard].push(i);
-                }
-            }
-        }
-        if let Some(r) = router {
-            stats.nodes = r.fanout((0..read.len()).filter(|&s| read[s]));
-        }
-        buckets.retain(|b| !b.is_empty());
-
-        type PartialGroup = (Vec<Result<Answer, ServeError>>, usize, usize);
-        let eval_group = |bucket: &Vec<usize>| -> PartialGroup {
-            let mut memo: HashMap<Query, Answer> = HashMap::new();
-            let mut out = Vec::with_capacity(bucket.len());
-            let mut hits = 0usize;
-            let mut evaluated = 0usize;
-            for &i in bucket {
-                let q = queries[i];
-                if let Some(&hit) = memo.get(&q) {
-                    hits += 1;
-                    out.push(Ok(hit));
-                    continue;
-                }
-                evaluated += 1;
-                let fresh = match q {
-                    Query::Point { x } => reader.point(x),
-                    Query::RangeSum { l, h } => reader.range_sum(l, h),
+        let (mut primaries, mut read) = (HashSet::new(), HashSet::new());
+        let mut answered = Vec::new();
+        let results: Vec<Result<Answer, ServeError>> = queries
+            .iter()
+            .map(|&q| {
+                let (answer, first, last) = match q {
+                    Query::Point { x } => (reader.point(x)?, x, x),
+                    Query::RangeSum { l, h } => (reader.range_sum(l, h)?, l, h),
                 };
-                if let Ok(a) = fresh {
-                    memo.insert(q, a);
+                let shards = [sharded.shard_of_leaf(first), sharded.shard_of_leaf(last)];
+                if let Some(r) = router {
+                    for s in shards {
+                        r.route(s)?;
+                    }
                 }
-                out.push(fresh);
-            }
-            (out, hits, evaluated)
-        };
-        let group_results: Vec<PartialGroup> = match pool {
-            Some(pool) => pool.run_indexed(&buckets, |_, bucket| eval_group(bucket)),
-            None => buckets.iter().map(eval_group).collect(),
-        };
-
-        for (bucket, (group_out, hits, evaluated)) in buckets.iter().zip(group_results) {
-            stats.shard_groups += 1;
-            stats.memo_hits += hits;
-            stats.evaluated += evaluated;
-            for (&i, result) in bucket.iter().zip(group_out) {
-                slots[i] = Some(result);
-            }
-        }
-        let results: Vec<Result<Answer, ServeError>> = slots
-            .into_iter()
-            .map(|s| s.expect("every query routed to a bucket or an error slot"))
+                primaries.insert(shards[0]);
+                read.extend(shards);
+                answered.push(q);
+                Ok(answer)
+            })
             .collect();
-        stats.failed = results.iter().filter(|r| r.is_err()).count();
+        let distinct: HashSet<Query> = answered.iter().copied().collect();
+        let stats = BatchStats {
+            shard_groups: primaries.len(),
+            memo_hits: answered.len() - distinct.len(),
+            evaluated: distinct.len(),
+            failed: queries.len() - answered.len(),
+            nodes: router.map_or(0, |r| r.fanout(read.iter().copied())),
+        };
         (results, stats)
     }
 
-    /// Zipf targets (so batches repeat themselves), a quarter of them
-    /// ranges of width < 64, one query in 16 malformed either way.
-    fn zipf_batch(n: usize, count: usize, seed: u64) -> Vec<Query> {
-        let targets = Distribution::Zipf(1.1).generate(count, (n - 1) as f64, seed);
+    /// Every pool size, and none, against [`oracle`]: answers bit for bit,
+    /// stats field for field.
+    fn assert_matches_the_definition(
+        r: &StoreReader,
+        queries: &[Query],
+        router: Option<&ShardRouter>,
+    ) {
+        let (want, want_stats) = oracle(r, queries, router);
+        let pools: Vec<Option<Executor>> = [None, Some(1), Some(2), Some(3), Some(4)]
+            .into_iter()
+            .map(|t| t.map(Executor::new))
+            .collect();
+        for pool in &pools {
+            let threads = pool.as_ref().map(Executor::threads);
+            let (got, got_stats) = execute_partial_routed(r, queries, router, pool.as_ref());
+            assert_eq!(got_stats, want_stats, "threads {threads:?}");
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                if let (Ok(g), Ok(w)) = (g, w) {
+                    assert_eq!(g.value.to_bits(), w.value.to_bits(), "slot {i}");
+                }
+                assert_eq!(g, w, "slot {i}, threads {threads:?}");
+            }
+        }
+    }
+
+    /// A published store over `n` values, 16 shards.
+    fn store_of(n: usize) -> StoreReader {
+        let values = uniform(n, 200.0, 3);
+        let entries = (0..n as u32)
+            .filter(|i| i % 5 != 1)
+            .map(|i| (i, values[i as usize] - 100.0))
+            .collect();
+        let syn = Synopsis::from_entries(n, entries).unwrap();
+        let store = SynopsisStore::new("batch-oracle", 16);
+        store.publish(&syn, ErrorBound::abs(2.5), 0.0, 9).unwrap();
+        store.reader().unwrap()
+    }
+
+    /// Targets from `dist`, a quarter of them ranges of width < 64, one
+    /// query in 16 malformed either way.
+    fn batch_of(dist: Distribution, n: usize, count: usize, seed: u64) -> Vec<Query> {
+        let targets = dist.generate(count, (n - 1) as f64, seed);
         let widths = uniform(count, 63.0, seed ^ 0x9e37);
         (0..count)
             .map(|i| {
@@ -601,18 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_groups_report_what_the_hash_memo_reported() {
+    fn batches_match_the_definition_at_every_pool_size() {
         let n = 1 << 12;
-        let values = uniform(n, 200.0, 3);
-        let entries = (0..n as u32)
-            .filter(|i| i % 5 != 1)
-            .map(|i| (i, values[i as usize] - 100.0))
-            .collect();
-        let syn = Synopsis::from_entries(n, entries).unwrap();
-        let store = SynopsisStore::new("batch-oracle", 16);
-        store.publish(&syn, ErrorBound::abs(2.5), 0.0, 9).unwrap();
-        let r = store.reader().unwrap();
-
+        let r = store_of(n);
         let topo = NodeTopology {
             nodes: 4,
             slots_per_node: 2,
@@ -620,31 +578,51 @@ mod tests {
         let healthy = ShardRouter::new(16, topo, 1).unwrap();
         let mut degraded = healthy.clone();
         degraded.mark_down(1);
-        let pools: Vec<Option<Executor>> =
-            vec![None, Some(Executor::new(2)), Some(Executor::new(4))];
 
-        for seed in 0..4u64 {
-            let queries = zipf_batch(n, 1500, seed);
-            for router in [None, Some(&healthy), Some(&degraded)] {
-                let (want, want_stats) = execute_with_hash_memo(&r, &queries, router, None);
-                assert!(want_stats.memo_hits > 0 && want_stats.failed > 0);
-                for pool in &pools {
-                    let (got, got_stats) =
-                        execute_partial_routed(&r, &queries, router, pool.as_ref());
-                    assert_eq!(got_stats, want_stats, "seed {seed}");
-                    assert_eq!(got.len(), want.len());
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        match (g, w) {
-                            (Ok(g), Ok(w)) => {
-                                assert_eq!(g.value.to_bits(), w.value.to_bits(), "slot {i}");
-                                assert_eq!(g, w, "slot {i}: bounds and version");
-                            }
-                            _ => assert_eq!(g, w, "slot {i}"),
-                        }
-                    }
+        for seed in 0..3u64 {
+            let zipf = batch_of(Distribution::Zipf(1.1), n, 1500, seed);
+            let flat = batch_of(Distribution::Uniform, n, 1500, seed);
+            let same = vec![Query::RangeSum { l: 17, h: 90 }; 1500];
+            for queries in [zipf, flat, same] {
+                for router in [None, Some(&healthy), Some(&degraded)] {
+                    assert_matches_the_definition(&r, &queries, router);
                 }
             }
         }
+    }
+
+    /// Keys that agree in one half: 8 192 points (`x << 64`, every low bit
+    /// zero) and 8 192 ranges sharing `l`, each sent twice. A hash that
+    /// reads one half of the key piles one of the two sets into a single
+    /// probe run.
+    #[test]
+    fn keys_agreeing_in_one_half_still_spread() {
+        let n = 1 << 13;
+        let once: Vec<Query> = (0..n)
+            .map(|x| Query::Point { x })
+            .chain((0..n).map(|h| Query::RangeSum { l: 0, h }))
+            .collect();
+        let queries = [once.clone(), once].concat();
+
+        let mut distinct = Distinct::with_capacity(queries.len());
+        for &q in &queries {
+            distinct.position(q);
+        }
+        assert_eq!(distinct.queries.len(), 2 * n);
+        let mask = distinct.table.len() - 1;
+        let longest = (0..distinct.table.len())
+            .filter(|&i| distinct.table[i] != EMPTY)
+            .map(|i| {
+                let q = distinct.queries[distinct.table[i] as usize];
+                i.wrapping_sub(distinct.home(q)) & mask
+            })
+            .max();
+        assert!(longest < Some(64), "longest probe displacement {longest:?}");
+
+        let r = store_of(n);
+        let (_, stats) = execute_partial_with_stats(&r, &queries);
+        assert_eq!((stats.memo_hits, stats.evaluated), (2 * n, 2 * n));
+        assert_matches_the_definition(&r, &queries, None);
     }
 
     /// A range reads the shards of both its endpoints, so it needs both
@@ -683,7 +661,7 @@ mod tests {
         assert_eq!(stats.failed, 2);
         assert_eq!(
             stats.shard_groups, 1,
-            "both live ranges group under shard 0"
+            "both live ranges have their primary in shard 0"
         );
         assert_eq!(stats.nodes, 2, "nodes 0 and 1: the right endpoint counts");
 

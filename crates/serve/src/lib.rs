@@ -30,9 +30,9 @@
 //! |----------------|------|
 //! | [`shard`]      | [`ShardedSynopsis`]: the retained-coefficient representation re-cut along error-tree partitions, with per-shard pre-summed root paths |
 //! | [`store`]      | [`SynopsisStore`] / [`StoreReader`]: versioned atomic-swap store and lock-free pinned readers |
-//! | [`batch`]      | [`Query`] and the shard-grouped, memoizing batch executor — strict and lenient (per-query `Result`) flavours |
+//! | [`batch`]      | [`Query`] and the batch executor that evaluates each distinct query once — strict and lenient (per-query `Result`) flavours |
 //! | [`router`]     | [`ShardRouter`]: static shard→node routing table over the simulated topology, with replication and liveness |
-//! | [`net`]        | [`NetServer`] / [`NetClient`]: the out-of-process TCP front — length-prefixed wire protocol, load shedding, latency/QPS stats |
+//! | [`net`]        | [`NetServer`] / [`NetClient`]: the out-of-process TCP front — length-prefixed wire protocol with a fixed-width query / slot codec, answers encoded straight into the response frame, load shedding, latency/QPS stats |
 //! | [`serve_loop`] | [`ServeDriver`]: build→publish→serve glue over `PhasedSynopsisDriver` |
 //! | [`error`]      | [`ServeError`] and its pinned wire status codes |
 

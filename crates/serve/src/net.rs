@@ -5,11 +5,11 @@
 //! out-of-process so many client processes can drain query batches into
 //! one shared store. Each accepted connection gets its own thread that
 //! drains length-prefixed request frames; every request's batch runs
-//! through the lenient shard-grouped executor
-//! ([`execute_partial_routed`])
-//! fanned across a shared work-stealing [`Executor`], so batches from
-//! many clients evaluate in parallel on per-shard workers while every
-//! answer still carries its error bound and pinned store version.
+//! through the lenient batch executor ([`execute_partial_routed`]), which
+//! evaluates each distinct query once, in chunks across a shared
+//! work-stealing [`Executor`], so batches from many clients evaluate in
+//! parallel while every answer still carries its error bound and pinned
+//! store version.
 //!
 //! # Wire protocol (`DWQ2`)
 //!
@@ -40,6 +40,11 @@
 //!
 //! A frame is encoded in place and leaves in one `send`; it is received in
 //! two `recv`s (header, then payload and footer) when it arrives whole.
+//! The server encodes a response straight from the evaluator's results
+//! into a frame buffer its connection keeps — the bytes
+//! `QueryResponse::encode` writes, with no [`SlotResult`] in between —
+//! and a [`Query`] or [`SlotResult`] decodes with one length check per
+//! fixed-width run of fields.
 //! Bad magic, a length over the 16 MiB cap (checked before anything is
 //! allocated for it) and a checksum mismatch all answer `BAD_FRAME` and
 //! close the connection.
@@ -62,11 +67,13 @@
 //! Network arrival order is *not* deterministic — two runs interleave
 //! client requests differently. What stays deterministic is every
 //! individual response: a batch pins one snapshot for its whole
-//! evaluation, grouping is a pure function of the query, and answers
-//! scatter positionally, so a given `(store version, batch)` pair
-//! yields bit-identical answers regardless of thread count or
-//! co-batched traffic. See DESIGN.md §16.
+//! evaluation, its distinct queries keep their first-occurrence order
+//! whatever the dedupe's hash seed, and answers are collected and copied
+//! out positionally, so a given `(store version, batch)` pair yields
+//! bit-identical answers regardless of thread count or co-batched
+//! traffic. See DESIGN.md §16.
 
+use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -80,9 +87,7 @@ use dwmaxerr_runtime::codec::{encode_slice, CodecError, Wire, WireSink};
 use dwmaxerr_runtime::{threads_from_env, Executor};
 
 use crate::batch::{execute_partial_routed, Query};
-use crate::error::status;
-#[allow(unused_imports)] // doc links
-use crate::error::ServeError;
+use crate::error::{status, ServeError};
 use crate::router::ShardRouter;
 use crate::store::SynopsisStore;
 
@@ -91,57 +96,105 @@ use crate::store::SynopsisStore;
 /// hostile frame.
 const FRAME: Format = Format::new(*b"DWQ2", LenWidth::U32, 16 << 20);
 
+/// Response-buffer capacity a connection keeps between requests.
+const KEPT_FRAME_BYTES: usize = 1 << 20;
+
 // ---------------------------------------------------------------------------
 // Wire impls for the protocol types
 // ---------------------------------------------------------------------------
 
-impl Wire for Query {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match *self {
+impl Query {
+    /// The most bytes a query encodes to: a tag and two words.
+    const MAX_WIRE: usize = 17;
+
+    /// Hands `f` the query's encoding, built on the stack at its fixed
+    /// width: 9 bytes for a point, 17 for a range.
+    fn with_wire<R>(self, f: impl FnOnce(&[u8]) -> R) -> R {
+        match self {
             Query::Point { x } => {
-                0u8.encode(buf);
-                x.encode(buf);
+                let mut bytes = [0u8; 9];
+                bytes[1..].copy_from_slice(&(x as u64).to_le_bytes());
+                f(&bytes)
             }
             Query::RangeSum { l, h } => {
-                1u8.encode(buf);
-                l.encode(buf);
-                h.encode(buf);
+                let mut bytes = [1u8; Self::MAX_WIRE];
+                bytes[1..9].copy_from_slice(&(l as u64).to_le_bytes());
+                bytes[9..].copy_from_slice(&(h as u64).to_le_bytes());
+                f(&bytes)
             }
         }
     }
+}
 
+impl Wire for Query {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.with_wire(|bytes| buf.extend_from_slice(bytes));
+    }
+
+    /// The tag names the width, and the words behind it take one length
+    /// check; a short input is the `u64` it ends in, as it was when the
+    /// fields decoded one by one.
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(Query::Point {
-                x: usize::decode(buf)?,
-            }),
-            1 => Ok(Query::RangeSum {
-                l: usize::decode(buf)?,
-                h: usize::decode(buf)?,
-            }),
-            _ => Err(CodecError {
+        match buf.first() {
+            Some(0) => {
+                let run = take_run::<9>(buf, &[(1, "u8"), (8, "u64")])?;
+                Ok(Query::Point {
+                    x: le_u64(run, 1) as usize,
+                })
+            }
+            Some(1) => {
+                let run = take_run::<17>(buf, &[(1, "u8"), (8, "u64"), (8, "u64")])?;
+                Ok(Query::RangeSum {
+                    l: le_u64(run, 1) as usize,
+                    h: le_u64(run, 9) as usize,
+                })
+            }
+            Some(_) => Err(CodecError {
                 context: "unknown Query tag",
             }),
+            None => Err(CodecError { context: "u8" }),
         }
     }
 
     fn stream<S: WireSink>(&self, sink: &mut S) {
-        match *self {
-            Query::Point { x } => {
-                0u8.stream(sink);
-                x.stream(sink);
-            }
-            Query::RangeSum { l, h } => {
-                1u8.stream(sink);
-                l.stream(sink);
-                h.stream(sink);
-            }
-        }
+        self.with_wire(|bytes| sink.write(bytes));
     }
 
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         Self::decode(buf).map(|_| ())
     }
+}
+
+/// The next `N` bytes, a run of fixed-width `fields` (`(width, context)`
+/// pairs), in one length check. Input that ends inside the run is refused
+/// with the context of the field it ends in — the error decoding field by
+/// field gives.
+fn take_run<'a, const N: usize>(
+    buf: &mut &'a [u8],
+    fields: &[(usize, &'static str)],
+) -> Result<&'a [u8; N], CodecError> {
+    debug_assert_eq!(fields.iter().map(|&(w, _)| w).sum::<usize>(), N);
+    if let Some((run, rest)) = buf.split_first_chunk::<N>() {
+        *buf = rest;
+        return Ok(run);
+    }
+    let mut end = 0;
+    let mut context = "";
+    for &(width, field) in fields {
+        end += width;
+        context = field;
+        if end > buf.len() {
+            break;
+        }
+    }
+    Err(CodecError { context })
+}
+
+/// The little-endian word at `at` of a run.
+fn le_u64<const N: usize>(run: &[u8; N], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&run[at..at + 8]);
+    u64::from_le_bytes(word)
 }
 
 /// One per-query outcome inside a response: a bound-carrying answer, or
@@ -178,46 +231,87 @@ impl SlotResult {
     }
 }
 
+/// Appends an answer slot.
+fn encode_answer(a: &Answer, buf: &mut Vec<u8>) {
+    0u8.encode(buf);
+    a.value.encode(buf);
+    a.err_abs.encode(buf);
+    a.err_rel.map(|r| (r.epsilon, r.sanity)).encode(buf);
+    a.version.encode(buf);
+}
+
+/// Appends an error slot carrying `message` rendered, without rendering
+/// it into a `String` first.
+fn encode_error(code: u8, message: &impl fmt::Display, buf: &mut Vec<u8>) {
+    1u8.encode(buf);
+    code.encode(buf);
+    let at = buf.len();
+    0u32.encode(buf);
+    // Writing into a `Vec` cannot fail, and should a `Display` impl fail
+    // part-way, the length below still covers exactly what it wrote.
+    let _ = write!(buf, "{message}");
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Decodes an answer slot, tag included: three fixed-width runs, the
+/// second and third sized by the option tags before them.
+fn decode_answer(buf: &mut &[u8]) -> Result<Answer, CodecError> {
+    let option = |tag: u8| match tag {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CodecError {
+            context: "option tag value",
+        }),
+    };
+    let head = take_run::<10>(buf, &[(1, "u8"), (8, "f64"), (1, "option tag")])?;
+    let value = f64::from_bits(le_u64(head, 1));
+    let (err_abs, rel_tag) = if option(head[9])? {
+        let run = take_run::<9>(buf, &[(8, "f64"), (1, "option tag")])?;
+        (Some(f64::from_bits(le_u64(run, 0))), run[8])
+    } else {
+        (None, take_run::<1>(buf, &[(1, "option tag")])?[0])
+    };
+    let (err_rel, version) = if option(rel_tag)? {
+        let run = take_run::<24>(buf, &[(8, "f64"), (8, "f64"), (8, "u64")])?;
+        let rel = RelBound {
+            epsilon: f64::from_bits(le_u64(run, 0)),
+            sanity: f64::from_bits(le_u64(run, 8)),
+        };
+        (Some(rel), le_u64(run, 16))
+    } else {
+        (None, le_u64(take_run::<8>(buf, &[(8, "u64")])?, 0))
+    };
+    Ok(Answer {
+        value,
+        err_abs,
+        err_rel,
+        version,
+    })
+}
+
 impl Wire for SlotResult {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            SlotResult::Answer(a) => {
-                0u8.encode(buf);
-                a.value.encode(buf);
-                a.err_abs.encode(buf);
-                a.err_rel.map(|r| (r.epsilon, r.sanity)).encode(buf);
-                a.version.encode(buf);
-            }
-            SlotResult::Error { code, message } => {
-                1u8.encode(buf);
-                code.encode(buf);
-                message.encode(buf);
-            }
+            SlotResult::Answer(a) => encode_answer(a, buf),
+            SlotResult::Error { code, message } => encode_error(*code, message, buf),
         }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => {
-                let value = f64::decode(buf)?;
-                let err_abs = Option::<f64>::decode(buf)?;
-                let err_rel = Option::<(f64, f64)>::decode(buf)?
-                    .map(|(epsilon, sanity)| RelBound { epsilon, sanity });
-                let version = u64::decode(buf)?;
-                Ok(SlotResult::Answer(Answer {
-                    value,
-                    err_abs,
-                    err_rel,
-                    version,
-                }))
+        match buf.first() {
+            Some(0) => decode_answer(buf).map(SlotResult::Answer),
+            Some(1) => {
+                let head = take_run::<2>(buf, &[(1, "u8"), (1, "u8")])?;
+                Ok(SlotResult::Error {
+                    code: head[1],
+                    message: String::decode(buf)?,
+                })
             }
-            1 => Ok(SlotResult::Error {
-                code: u8::decode(buf)?,
-                message: String::decode(buf)?,
-            }),
-            _ => Err(CodecError {
+            Some(_) => Err(CodecError {
                 context: "unknown SlotResult tag",
             }),
+            None => Err(CodecError { context: "u8" }),
         }
     }
 
@@ -609,11 +703,25 @@ fn refuse(stream: &mut TcpStream, id: u64, status_code: u8) -> io::Result<()> {
     stream.write_all(&framed(|buf| response.encode(buf))?)
 }
 
+/// A request payload: its id and its queries, and nothing behind them.
+fn decode_request(payload: &[u8]) -> Result<(u64, Vec<Query>), CodecError> {
+    let mut cursor = payload;
+    let id = u64::decode(&mut cursor)?;
+    let queries = Vec::<Query>::decode(&mut cursor)?;
+    if !cursor.is_empty() {
+        return Err(CodecError {
+            context: "trailing bytes in request",
+        });
+    }
+    Ok((id, queries))
+}
+
 /// Drains one connection's request frames until EOF, timeout, shutdown,
 /// or a protocol violation.
 fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
     stream.set_read_timeout(Some(shared.cfg.read_timeout))?;
     stream.set_nodelay(true)?;
+    let mut frame = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
@@ -631,19 +739,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
             Err(e) => return Err(e), // timeout / reset: close quietly
         };
 
-        // Decode the request body.
-        let mut cursor: &[u8] = &payload;
-        let decoded = (|| -> Result<(u64, Vec<Query>), CodecError> {
-            let id = u64::decode(&mut cursor)?;
-            let queries = Vec::<Query>::decode(&mut cursor)?;
-            if !cursor.is_empty() {
-                return Err(CodecError {
-                    context: "trailing bytes in request",
-                });
-            }
-            Ok((id, queries))
-        })();
-        let (id, queries) = match decoded {
+        let (id, queries) = match decode_request(&payload) {
             Ok(req) => req,
             Err(_) => {
                 shared.bad_frames.fetch_add(1, Ordering::Relaxed);
@@ -669,47 +765,58 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         };
         let start = Instant::now();
         let router = shared.router.lock().expect("router lock").clone();
-        let (results, _stats) =
+        let (results, stats) =
             execute_partial_routed(&reader, &queries, router.as_deref(), Some(&shared.pool));
-        let mut failed = 0u64;
-        let slots: Vec<SlotResult> = results
-            .into_iter()
-            .map(|r| match r {
-                Ok(a) => SlotResult::Answer(a),
-                Err(e) => {
-                    failed += 1;
-                    SlotResult::Error {
-                        code: e.status_code(),
-                        message: e.to_string(),
-                    }
-                }
-            })
-            .collect();
-        let answered = slots.len() as u64 - failed;
-        let response = QueryResponse {
-            id,
-            status: status::OK,
-            version: reader.version(),
-            slots,
-        };
         // A batch under `max_batch` can still answer with more bytes than
         // a frame may carry (a slot outweighs its query): shed it like an
         // oversized batch rather than emit a frame the client must reject.
-        let Ok(frame) = framed(|buf| response.encode(buf)) else {
+        let version = reader.version();
+        if FRAME
+            .build(&mut frame, |buf| encode_results(id, version, &results, buf))
+            .is_ok()
+        {
+            // Record stats *before* writing the response: once a client
+            // holds the response, `NetServer::stats()` must already
+            // account for it.
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            shared.latency_hist[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            let failed = stats.failed as u64;
+            shared
+                .answered
+                .fetch_add(results.len() as u64 - failed, Ordering::Relaxed);
+            shared.failed_queries.fetch_add(failed, Ordering::Relaxed);
+            stream.write_all(&frame)?;
+        } else {
             shared.shed.fetch_add(1, Ordering::Relaxed);
             refuse(&mut stream, id, status::OVERLOADED)?;
-            continue;
-        };
+        }
+        // Keep a buffer the size of a typical response, not of the
+        // largest one this connection ever drew.
+        frame.clear();
+        frame.shrink_to(KEPT_FRAME_BYTES);
+    }
+}
 
-        // Record stats *before* writing the response: once a client holds
-        // the response, `NetServer::stats()` must already account for it.
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared.latency_hist[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        shared.answered.fetch_add(answered, Ordering::Relaxed);
-        shared.failed_queries.fetch_add(failed, Ordering::Relaxed);
-
-        stream.write_all(&frame)?;
+/// Appends the response payload the server sends for an executed batch:
+/// byte for byte what [`QueryResponse::encode`](Wire::encode) writes for
+/// `OK`, `version` and one [`SlotResult`] per result, encoded straight
+/// from [`execute_partial_routed`]'s results without building them.
+pub fn encode_results(
+    id: u64,
+    version: u64,
+    results: &[Result<Answer, ServeError>],
+    buf: &mut Vec<u8>,
+) {
+    id.encode(buf);
+    status::OK.encode(buf);
+    version.encode(buf);
+    (results.len() as u32).encode(buf);
+    for result in results {
+        match result {
+            Ok(a) => encode_answer(a, buf),
+            Err(e) => encode_error(e.status_code(), e, buf),
+        }
     }
 }
 
@@ -745,7 +852,10 @@ impl NetClient {
     pub fn request(&mut self, queries: &[Query]) -> io::Result<QueryResponse> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = framed(|buf| {
+        // One allocation: the id, the count and every query at its widest.
+        let payload = 12 + Query::MAX_WIRE * queries.len();
+        let mut frame = Vec::with_capacity(FRAME.overhead() + payload);
+        FRAME.build(&mut frame, |buf| {
             id.encode(buf);
             encode_slice(queries, buf);
         })?;
@@ -784,6 +894,7 @@ mod tests {
     use dwmaxerr_runtime::codec::encoded;
     use dwmaxerr_wavelet::transform::forward;
     use dwmaxerr_wavelet::Synopsis;
+    use proptest::prelude::*;
 
     const PAPER_DATA: [f64; 8] = [5.0, 5.0, 0.0, 26.0, 1.0, 3.0, 14.0, 2.0];
 
@@ -834,6 +945,261 @@ mod tests {
         let bytes = encoded(&response);
         let mut cursor: &[u8] = &bytes;
         assert_eq!(QueryResponse::decode(&mut cursor).unwrap(), response);
+    }
+
+    /// `Query` and `SlotResult` decoded field by field, as they were before
+    /// the fixed-width codec: the errors it must keep.
+    fn decode_query_by_field(buf: &mut &[u8]) -> Result<Query, CodecError> {
+        match u8::decode(buf)? {
+            0 => Ok(Query::Point {
+                x: usize::decode(buf)?,
+            }),
+            1 => Ok(Query::RangeSum {
+                l: usize::decode(buf)?,
+                h: usize::decode(buf)?,
+            }),
+            _ => Err(CodecError {
+                context: "unknown Query tag",
+            }),
+        }
+    }
+
+    fn decode_slot_by_field(buf: &mut &[u8]) -> Result<SlotResult, CodecError> {
+        match u8::decode(buf)? {
+            0 => {
+                let value = f64::decode(buf)?;
+                let err_abs = Option::<f64>::decode(buf)?;
+                let err_rel = Option::<(f64, f64)>::decode(buf)?
+                    .map(|(epsilon, sanity)| RelBound { epsilon, sanity });
+                let version = u64::decode(buf)?;
+                Ok(SlotResult::Answer(Answer {
+                    value,
+                    err_abs,
+                    err_rel,
+                    version,
+                }))
+            }
+            1 => Ok(SlotResult::Error {
+                code: u8::decode(buf)?,
+                message: String::decode(buf)?,
+            }),
+            _ => Err(CodecError {
+                context: "unknown SlotResult tag",
+            }),
+        }
+    }
+
+    /// The bytes a slot was encoded to field by field.
+    fn slot_bytes_by_field(slot: &SlotResult) -> Vec<u8> {
+        let mut buf = Vec::new();
+        match slot {
+            SlotResult::Answer(a) => {
+                0u8.encode(&mut buf);
+                a.value.encode(&mut buf);
+                a.err_abs.encode(&mut buf);
+                a.err_rel.map(|r| (r.epsilon, r.sanity)).encode(&mut buf);
+                a.version.encode(&mut buf);
+            }
+            SlotResult::Error { code, message } => {
+                1u8.encode(&mut buf);
+                code.encode(&mut buf);
+                message.encode(&mut buf);
+            }
+        }
+        buf
+    }
+
+    fn query() -> impl Strategy<Value = Query> {
+        (any::<bool>(), any::<u64>(), any::<u64>()).prop_map(|(point, a, b)| {
+            if point {
+                Query::Point { x: a as usize }
+            } else {
+                Query::RangeSum {
+                    l: a as usize,
+                    h: b as usize,
+                }
+            }
+        })
+    }
+
+    fn answer() -> impl Strategy<Value = Answer> {
+        (
+            any::<f64>(),
+            prop::option::of(any::<f64>()),
+            prop::option::of((any::<f64>(), any::<f64>())),
+            any::<u64>(),
+        )
+            .prop_map(|(value, err_abs, rel, version)| Answer {
+                value,
+                err_abs,
+                err_rel: rel.map(|(epsilon, sanity)| RelBound { epsilon, sanity }),
+                version,
+            })
+    }
+
+    /// A message of `len` two-byte characters and a few ASCII ones.
+    fn long_message(len: usize) -> String {
+        format!("{} — slot {len}", "κ".repeat(len))
+    }
+
+    /// Every status a slot can carry, with messages up to 8 KiB.
+    fn slot() -> impl Strategy<Value = SlotResult> {
+        (any::<bool>(), answer(), 0..=status::BAD_FRAME, 0usize..4096).prop_map(
+            |(ok, a, code, len)| {
+                if ok {
+                    SlotResult::Answer(a)
+                } else {
+                    SlotResult::Error {
+                        code,
+                        message: long_message(len),
+                    }
+                }
+            },
+        )
+    }
+
+    /// Every `ServeError` variant, two of them with long messages.
+    fn serve_error(kind: usize, a: usize, b: usize) -> ServeError {
+        let long: &'static str = Box::leak(long_message(a % 512).into_boxed_str());
+        match kind % 11 {
+            0 => ServeError::OutOfRange { index: a, n: b },
+            1 => ServeError::InvertedRange { l: a, h: b },
+            2 => ServeError::EmptyStore,
+            3 => ServeError::BadShardCount { shards: a, n: b },
+            4 => ServeError::SnapshotUnavailable,
+            5 => ServeError::BadReplication {
+                replication: a,
+                nodes: b,
+            },
+            6 => ServeError::ShardUnavailable { shard: a },
+            7 => ServeError::Overloaded,
+            8 => ServeError::BadFrame(long),
+            9 => ServeError::Wavelet(dwmaxerr_wavelet::WaveletError::NotPowerOfTwo(a)),
+            _ => ServeError::Core(dwmaxerr_core::CoreError::Protocol(long)),
+        }
+    }
+
+    fn result() -> impl Strategy<Value = Result<Answer, ServeError>> {
+        (
+            any::<bool>(),
+            answer(),
+            0usize..11,
+            0usize..1 << 12,
+            any::<u32>(),
+        )
+            .prop_map(|(ok, a, kind, x, y)| {
+                if ok {
+                    Ok(a)
+                } else {
+                    Err(serve_error(kind, x, y as usize))
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_query_keeps_its_bytes_and_its_errors(q in query()) {
+            let bytes = encoded(&q);
+            let mut streamed = Vec::new();
+            q.stream(&mut streamed);
+            prop_assert_eq!(&streamed, &bytes);
+            prop_assert_eq!(&decode_query_by_field(&mut &bytes[..]), &Ok(q));
+            let mut cursor = &bytes[..];
+            prop_assert_eq!(Query::decode(&mut cursor), Ok(q));
+            prop_assert!(cursor.is_empty());
+            for cut in 0..bytes.len() {
+                let got = Query::decode(&mut &bytes[..cut]);
+                prop_assert!(got.is_err(), "cut {cut}");
+                prop_assert_eq!(got, decode_query_by_field(&mut &bytes[..cut]));
+            }
+        }
+
+        #[test]
+        fn a_slot_keeps_its_bytes_and_its_errors(slot in slot()) {
+            let bytes = encoded(&slot);
+            prop_assert_eq!(&bytes, &slot_bytes_by_field(&slot));
+            let back = SlotResult::decode(&mut &bytes[..]).unwrap();
+            prop_assert_eq!(encoded(&back), bytes.clone(), "bit for bit");
+            for cut in 0..bytes.len() {
+                let got = SlotResult::decode(&mut &bytes[..cut]);
+                prop_assert!(got.is_err(), "cut {cut}");
+                prop_assert_eq!(got, decode_slot_by_field(&mut &bytes[..cut]));
+            }
+            // A tag or option tag no encoder writes: the same errors too.
+            for (at, bad) in [(0, 2u8), (0, 255), (9, 2), (9, 7)] {
+                let mut flipped = bytes.clone();
+                flipped[at] = bad;
+                prop_assert_eq!(
+                    SlotResult::decode(&mut &flipped[..]).err(),
+                    decode_slot_by_field(&mut &flipped[..]).err()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The server's direct encoder writes what `QueryResponse::encode`
+        // writes, and neither a request nor a response survives losing
+        // any suffix.
+        #[test]
+        fn requests_and_responses_refuse_every_truncation(
+            id in any::<u64>(),
+            version in any::<u64>(),
+            queries in prop::collection::vec(query(), 0..24),
+            results in prop::collection::vec(result(), 0..12),
+        ) {
+            let request = encoded(&(id, queries.clone()));
+            prop_assert_eq!(decode_request(&request), Ok((id, queries)));
+            for cut in 0..request.len() {
+                prop_assert!(decode_request(&request[..cut]).is_err(), "request cut {cut}");
+            }
+
+            let mut direct = Vec::new();
+            encode_results(id, version, &results, &mut direct);
+            let response = QueryResponse {
+                id,
+                status: status::OK,
+                version,
+                slots: results
+                    .iter()
+                    .map(|r| match r {
+                        Ok(a) => SlotResult::Answer(*a),
+                        Err(e) => SlotResult::Error {
+                            code: e.status_code(),
+                            message: e.to_string(),
+                        },
+                    })
+                    .collect(),
+            };
+            prop_assert_eq!(&direct, &encoded(&response));
+            prop_assert_eq!(QueryResponse::decode(&mut &direct[..]), Ok(response));
+            for cut in 0..direct.len() {
+                let got = QueryResponse::decode(&mut &direct[..cut]);
+                prop_assert!(got.is_err(), "response cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_tags_and_lying_lengths_are_refused() {
+        for tag in 2..=u8::MAX {
+            let bytes = [tag, 0, 0];
+            assert_eq!(
+                Query::decode(&mut &bytes[..]),
+                decode_query_by_field(&mut &bytes[..])
+            );
+        }
+        // A response announcing 2^20 slots in 21 bytes is refused, not
+        // reserved for.
+        let mut lie = Vec::new();
+        (7u64, status::OK, 1u64).encode(&mut lie);
+        (1u32 << 20).encode(&mut lie);
+        assert_eq!(lie.len(), 21);
+        assert!(QueryResponse::decode(&mut &lie[..]).is_err());
     }
 
     /// A valid request frame for `queries`, as [`NetClient::request`]
@@ -887,14 +1253,24 @@ mod tests {
         fnv_footer[footer..].copy_from_slice(&fnv.finish().to_le_bytes());
         let mut over_cap = good.clone();
         over_cap[4..8].copy_from_slice(&((16u32 << 20) + 1).to_le_bytes());
-        // A well-framed payload whose `Vec<Query>` length lies.
-        let lying_body = framed(|buf| {
-            1u64.encode(buf);
-            u32::MAX.encode(buf);
-        })
-        .unwrap();
+        // Well-framed payloads whose `Vec<Query>` length lies: by 2^32 - 1,
+        // and by the 2^20 queries (24 MiB as `Query`s) twelve bytes claim.
+        let lying_body = |len: u32| {
+            framed(|buf| {
+                1u64.encode(buf);
+                len.encode(buf);
+            })
+            .unwrap()
+        };
 
-        let hostile = [flipped_payload, old_magic, fnv_footer, over_cap, lying_body];
+        let hostile = [
+            flipped_payload,
+            old_magic,
+            fnv_footer,
+            over_cap,
+            lying_body(u32::MAX),
+            lying_body(1 << 20),
+        ];
         for (i, bytes) in hostile.iter().enumerate() {
             let mut client = NetClient::connect(server.local_addr()).unwrap();
             client

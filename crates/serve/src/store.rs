@@ -143,7 +143,7 @@ impl StoreReader {
         Ok(a)
     }
 
-    /// Executes a batch of queries grouped by shard (see
+    /// Executes a batch of queries, each distinct one once (see
     /// [`crate::batch`]), returning answers in input order, all from
     /// this reader's pinned version. Strict: one malformed query fails
     /// the whole batch.

@@ -82,7 +82,7 @@ fn main() {
     }
 
     // The dashboard's query side: bounded answers from the latest store
-    // version, via single queries and a shard-grouped batch.
+    // version, via single queries and a batch.
     let reader = store.reader().expect("store is live");
     let window = driver.driver().window();
     let x = n / 3;
