@@ -16,6 +16,8 @@
 //!    row and for the errors of a slice.
 //! 8. Tooling, timed: one DWQ2 request cycle by stage on `serve-scan`'s
 //!    synopsis and query stream.
+//! 9. Tooling, timed: Send-Coef's one reducer by phase on `build-shuffle`'s
+//!    shape, at one and two executor threads.
 
 use dwmaxerr_bench::report::{bytes, err, Table};
 use dwmaxerr_bench::setup::paper_cluster;
@@ -485,6 +487,77 @@ fn request_cycle_by_stage() -> Table {
     t
 }
 
+/// Send-Coef's one reducer by phase, on `perf`'s `build-shuffle` shape
+/// (WD-like, N = 2^20, B = N/16, 64 blocks, a 1 MiB sort buffer, fan-in
+/// 16), read from public `JobMetrics` fields only: the merge phase is
+/// `merge_secs`; the final merge is the rest of the reduce task once the
+/// simulated merge-pass I/O is taken out; the driver is the call's wall
+/// beyond the job's.
+fn send_coef_reducer_by_phase() -> Table {
+    use dwmaxerr_runtime::scheduler::io_secs;
+    use dwmaxerr_runtime::{Cluster, ClusterConfig, SpillBackend};
+    use std::time::Instant;
+
+    const BUILDS: usize = 7;
+    let n = 1usize << 20;
+    let data = dwmaxerr_datagen::wd_like(n, 2e-4, 17);
+    let median = |mut v: Vec<f64>| {
+        v.sort_unstable_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let phases = [
+        "open + passes (`merge_secs`)",
+        "final merge + `sum` (`reduce_task_secs − merge_secs −` merge I/O)",
+        "driver (call wall − `real_elapsed`)",
+        "one `send_coef` call",
+    ];
+    // Per thread count, per phase: median ms over the builds.
+    let mut columns = Vec::new();
+    for threads in [1, 2] {
+        let cfg = ClusterConfig {
+            threads,
+            spill_backend: SpillBackend::Memory,
+            io_sort_bytes: 1 << 20,
+            io_sort_factor: 16,
+            ..ClusterConfig::default()
+        };
+        let mut samples = vec![Vec::new(); phases.len()];
+        for _ in 0..BUILDS {
+            let cluster = Cluster::new(cfg.clone());
+            let start = Instant::now();
+            let (_, metrics) = send_coef(&cluster, &data, n / 16, 64).expect("Send-Coef");
+            let call = start.elapsed().as_secs_f64();
+            let job = &metrics.jobs[0];
+            let io = io_secs(job.disk_merge_bytes, cfg.disk_bytes_per_sec);
+            let ms = [
+                job.merge_secs[0],
+                job.reduce_task_secs[0] - job.merge_secs[0] - io,
+                call - job.real_elapsed.as_secs_f64(),
+                call,
+            ];
+            for (phase, secs) in samples.iter_mut().zip(ms) {
+                phase.push(secs * 1e3);
+            }
+        }
+        columns.push(samples.into_iter().map(median).collect::<Vec<f64>>());
+    }
+    let mut t = Table::new(
+        "Tooling — Send-Coef's reducer by phase (build-shuffle's shape; host ms, median of 7 builds)",
+        "Send-Coef's communication is the algorithm (Afrati–Ullman); what its one reducer \
+         does with the bytes is the runtime's cost. The rows say which reducer phase a \
+         merge change moved, from public JobMetrics fields alone",
+        &["phase", "T = 1", "T = 2"],
+    );
+    for (k, phase) in phases.iter().enumerate() {
+        t.row(vec![
+            phase.to_string(),
+            format!("{:.1}", columns[0][k]),
+            format!("{:.1}", columns[1][k]),
+        ]);
+    }
+    t
+}
+
 fn main() {
     // `cargo bench` passes flags like --bench; ignore them.
     let [communication, local_work] = dp_communication_ablation();
@@ -497,6 +570,7 @@ fn main() {
         communication,
         local_work,
         request_cycle_by_stage(),
+        send_coef_reducer_by_phase(),
     ];
     for t in &tables {
         println!("{}", t.to_markdown());

@@ -31,14 +31,20 @@ use crate::partition::BasePartition;
 /// The L2 normalization factor of node `i` in an `n`-value tree:
 /// `1 / sqrt(2^level(i))`.
 pub(crate) fn norm_factor(topo: &TreeTopology, i: usize) -> f64 {
-    1.0 / f64::from(1u32 << topo.level(i)).sqrt()
+    level_factor(topo.level(i))
+}
+
+/// The L2 normalization factor of every node at `level`.
+fn level_factor(level: u32) -> f64 {
+    1.0 / f64::from(1u32 << level).sqrt()
 }
 
 /// Keeps the `b` entries with the largest `|normalized value|` from
 /// `(node, raw value)` pairs, largest first; ties break to the lower node
-/// id. The magnitude is computed once per entry and only the kept `b` are
-/// sorted — the order is total, so selecting then sorting yields exactly
-/// the prefix a full sort would.
+/// id. The normalization factors are computed once per level (`log n + 1`
+/// of them, not one per entry), each magnitude once per entry, and only the
+/// kept `b` are sorted: the order is total, so selecting then sorting
+/// yields exactly the prefix a full sort would.
 pub(crate) fn top_b_by_normalized(
     pairs: impl IntoIterator<Item = (u64, f64)>,
     n: usize,
@@ -48,9 +54,10 @@ pub(crate) fn top_b_by_normalized(
         return Vec::new();
     }
     let topo = TreeTopology::new(n).expect("power-of-two n");
+    let factors: Vec<f64> = (0..=topo.levels()).map(level_factor).collect();
     let mut all: Vec<(f64, u64, f64)> = pairs
         .into_iter()
-        .map(|(i, v)| (v.abs() * norm_factor(&topo, i as usize), i, v))
+        .map(|(i, v)| (v.abs() * factors[topo.level(i as usize) as usize], i, v))
         .collect();
     let by_magnitude_then_node = |&(ni, i, _): &(f64, u64, f64), &(nj, j, _): &(f64, u64, f64)| {
         nj.total_cmp(&ni).then(i.cmp(&j))

@@ -247,6 +247,26 @@ pub trait Wire: Sized {
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         Self::decode(buf).map(|_| ())
     }
+
+    /// `Some(n)` when every value encodes to exactly `n` bytes.
+    ///
+    /// The reduce-side merge uses it to find records by arithmetic: a run
+    /// of `(K, V)` records whose widths are both known is an array of
+    /// `K::WIDTH + V::WIDTH`-byte records, searched by bisection. The merge
+    /// checks every record it decodes against the width, so an impl that
+    /// claims a width it does not keep fails the job with a codec error
+    /// (or, when the runs' lengths already rule the width out, is decoded
+    /// record by record) rather than having its bytes reordered. The
+    /// default, `None`, is always correct.
+    const WIDTH: Option<usize> = None;
+}
+
+/// The width of two fields in sequence: known only when both are.
+pub(crate) const fn sum_widths(a: Option<usize>, b: Option<usize>) -> Option<usize> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a + b),
+        _ => None,
+    }
 }
 
 macro_rules! wire_fixed {
@@ -269,6 +289,7 @@ macro_rules! wire_fixed {
             fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
                 take(buf, std::mem::size_of::<$t>(), $ctx).map(|_| ())
             }
+            const WIDTH: Option<usize> = Some(std::mem::size_of::<$t>());
         }
     )*};
 }
@@ -296,6 +317,7 @@ impl Wire for bool {
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         take(buf, 1, "bool").map(|_| ())
     }
+    const WIDTH: Option<usize> = Some(1);
 }
 
 impl Wire for usize {
@@ -315,6 +337,7 @@ impl Wire for usize {
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         u64::skip(buf)
     }
+    const WIDTH: Option<usize> = u64::WIDTH;
 }
 
 impl Wire for String {
@@ -454,6 +477,11 @@ macro_rules! wire_tuple {
                 $($name::skip(buf)?;)+
                 Ok(())
             }
+            const WIDTH: Option<usize> = {
+                let width = Some(0);
+                $(let width = sum_widths(width, $name::WIDTH);)+
+                width
+            };
         }
     };
 }
@@ -638,6 +666,30 @@ mod tests {
         stream_matches_encode(Option::<i64>::None);
         stream_matches_encode((1u32, -2i64, 3.0f64, String::from("x")));
         stream_matches_encode((1u8, 2u8, 3u8, 4u8, 5u8));
+    }
+
+    fn width_is_the_encoded_len<T: Wire>(v: T) {
+        assert_eq!(T::WIDTH, Some(encoded_len(&v)));
+    }
+
+    #[test]
+    fn fixed_widths_are_what_encode_writes() {
+        width_is_the_encoded_len(7u8);
+        width_is_the_encoded_len(-7i16);
+        width_is_the_encoded_len(u32::MAX);
+        width_is_the_encoded_len(f32::NAN);
+        width_is_the_encoded_len(f64::MIN);
+        width_is_the_encoded_len(usize::MAX);
+        width_is_the_encoded_len(true);
+        width_is_the_encoded_len((1u64, -2.5f64));
+        width_is_the_encoded_len((1u8, 2u16, 3u32, 4u64, 5i64));
+        // Anything with a length, a tag or no bytes at all has none.
+        assert_eq!(String::WIDTH, None);
+        assert_eq!(Vec::<u64>::WIDTH, None);
+        assert_eq!(Option::<u64>::WIDTH, None);
+        assert_eq!(<()>::WIDTH, None);
+        assert_eq!(<(u64, String)>::WIDTH, None);
+        assert_eq!(<(u64, (u32, Vec<u8>))>::WIDTH, None);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! * mid-task spill sorts (one sub-task per reduce partition),
 //! * intermediate k-way merge passes (one sub-task per contiguous run
 //!   group),
+//! * a big reducer's final merge (one sub-task per key range),
 //! * chunks of a batch's distinct queries in the serving tier.
 //!
 //! # Architecture

@@ -1,35 +1,76 @@
 //! Merge phase: the reduce-side k-way merge over sorted runs (a loser
-//! tree) and the `io.sort.factor` intermediate passes that bound its
-//! fan-in.
+//! tree), the `io.sort.factor` intermediate passes that bound its fan-in,
+//! and the cut of a reducer's final runs into key ranges.
 
 use super::spill::{AttemptTag, RunBuf, SpillStore, SPILL_FRAME_BYTES};
-use crate::codec::Wire;
+use crate::codec::{sum_widths, Wire};
 use crate::executor::Executor;
+
+/// The bytes of one `(K, V)` record when every record of `runs` has them:
+/// both widths known and not zero, and every run a whole number of records.
+/// `None` sends the merge down the decode-every-record path — which is also
+/// where a run cut mid-record raises the decode-error flag, as it always did.
+fn record_width<K: Wire, V: Wire>(runs: &[&[u8]]) -> Option<usize> {
+    sum_widths(K::WIDTH, V::WIDTH).filter(|&w| w > 0 && runs.iter().all(|run| run.len() % w == 0))
+}
+
+/// The key of record `j` of a run of `width`-byte records, decoded from
+/// that record's bytes alone.
+fn key_at<K: Wire>(run: &[u8], width: usize, j: usize) -> Option<K> {
+    K::decode(&mut &run[j * width..(j + 1) * width]).ok()
+}
+
+/// The first index of `lo..hi` at which `holds` fails, for a predicate that
+/// holds on a prefix of the range (bisection).
+fn first_failing(mut lo: usize, mut hi: usize, holds: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
 
 /// A streaming cursor over one sorted run.
 struct RunCursor<'a, K, V> {
+    /// The run from its head record on.
     rest: &'a [u8],
+    /// The head record, decoded — `None` once the run is exhausted or
+    /// failed to decode — and its length in bytes.
     head: Option<(K, V)>,
+    head_len: usize,
 }
 
 impl<K: Wire, V: Wire> RunCursor<'_, K, V> {
-    /// Decodes the run's next pair into `head` (left `None` when the run
-    /// is exhausted); returns false on a decode error, after which the run
-    /// is treated as exhausted.
-    fn advance(&mut self) -> bool {
+    /// Drops the first `n` bytes of the run (its head record, or a stretch
+    /// that starts with it) and decodes the record behind them into
+    /// `head`. With a record `width` the record is decoded from exactly
+    /// that many bytes and must use all of them. Returns false on a decode
+    /// error, after which the run is treated as exhausted.
+    fn advance(&mut self, n: usize, width: Option<usize>) -> bool {
+        self.rest = &self.rest[n..];
+        self.head = None;
         if self.rest.is_empty() {
             return true;
         }
-        match (K::decode(&mut self.rest), V::decode(&mut self.rest)) {
-            (Ok(k), Ok(v)) => {
+        let mut record = match width {
+            Some(w) => &self.rest[..w.min(self.rest.len())],
+            None => self.rest,
+        };
+        let available = record.len();
+        if let (Ok(k), Ok(v)) = (K::decode(&mut record), V::decode(&mut record)) {
+            let used = available - record.len();
+            if width.is_none_or(|w| w == used) {
                 self.head = Some((k, v));
-                true
-            }
-            _ => {
-                self.rest = &[];
-                false
+                self.head_len = used;
+                return true;
             }
         }
+        self.rest = &[];
+        false
     }
 }
 
@@ -51,53 +92,60 @@ fn run_beats<K: Ord, V>(cursors: &[RunCursor<'_, K, V>], a: u32, b: u32) -> bool
     }
 }
 
-/// Streaming k-way merge over pre-sorted runs. Pairs are decoded one at a
-/// time as the merge advances; nothing is buffered beyond one head pair
-/// per run.
+/// Streaming k-way merge over pre-sorted runs. Nothing is buffered beyond
+/// one decoded head record per run; the merge hands out either one record
+/// at a time ([`KWayMerge::for_each_group`], the final merge) or whole
+/// *stretches* of one run's bytes ([`KWayMerge::next_stretch`], the
+/// intermediate passes).
 ///
 /// Ordering is maintained by a *loser tree* (tournament tree, the classic
 /// Hadoop/DB merge structure): each internal node stores the run that lost
-/// the match played there, and the overall winner is kept aside. Popping
-/// the winner replays at most one leaf-to-root path — one comparison per
-/// level, ⌈log₂ k⌉ total, none when its run's next key is equal — where
-/// the binary-heap merge this replaces paid up to two comparisons per level
-/// on its sift-down, the ~2× saving that matters at high fan-in. Exhausted runs stay in the tree as automatic
+/// the match played there, and the overall winner is kept aside. Taking
+/// from the winner replays at most one leaf-to-root path — one comparison
+/// per level, ⌈log₂ k⌉ total. Exhausted runs stay in the tree as automatic
 /// losers instead of being removed, so the structure never reshapes. The
-/// pop sequence is bit-identical to the heap's: both drain strictly by
-/// `(head key, run index)`, which is a total order over the live heads
-/// (the test module keeps the heap as a reference implementation and
-/// checks equivalence).
+/// merge drains strictly by `(head key, run index)`, a total order over the
+/// live heads: its output is every run's records tagged with the run's
+/// index, concatenated and stably sorted by key (the test module checks it
+/// against exactly that).
 pub(super) struct KWayMerge<'a, K, V> {
     cursors: Vec<RunCursor<'a, K, V>>,
     /// `tree[n]` is the run that lost the match at internal node `n`
     /// (nodes `1..k`; index 0 is unused). Leaf `i` sits at conceptual
     /// position `k + i`, so its first match plays at node `(k + i) / 2`.
     tree: Vec<u32>,
-    /// Tournament winner: the run whose head is the merge's next pair.
+    /// Tournament winner: the run whose head is the merge's next record.
     /// `u32::MAX` when the merge was built over zero runs.
     winner: u32,
+    /// Bytes per record when every run is fixed-width ([`record_width`]).
+    width: Option<usize>,
     /// A run failed to decode; the job fails with a codec error once the
     /// reduce phase completes.
     pub(super) decode_error: bool,
 }
 
 impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
-    pub(super) fn new(runs: impl IntoIterator<Item = &'a [u8]>) -> Self {
+    pub(super) fn new(runs: &[&'a [u8]]) -> Self {
+        let width = record_width::<K, V>(runs);
         let mut decode_error = false;
-        let mut cursors: Vec<RunCursor<'a, K, V>> = Vec::new();
-        for run in runs {
-            let mut cursor = RunCursor {
-                rest: run,
-                head: None,
-            };
-            decode_error |= !cursor.advance();
-            cursors.push(cursor);
-        }
+        let cursors: Vec<RunCursor<'a, K, V>> = runs
+            .iter()
+            .map(|&run| {
+                let mut cursor = RunCursor {
+                    rest: run,
+                    head: None,
+                    head_len: 0,
+                };
+                decode_error |= !cursor.advance(0, width);
+                cursor
+            })
+            .collect();
         let k = cursors.len();
         let mut merge = KWayMerge {
             cursors,
             tree: vec![u32::MAX; k],
             winner: u32::MAX,
+            width,
             decode_error,
         };
         // Build by successive insertion: each run climbs from its leaf
@@ -129,26 +177,9 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
         merge
     }
 
-    /// The next pair in merged key order: takes the winner's head,
-    /// advances its run, and replays the winner's leaf-to-root path to
-    /// crown the next winner — unless the run's new head carries an equal
-    /// key. The winner beat every other run under `(key, run index)` and
-    /// its new head has the same `(key, run index)`, so every match on the
-    /// path would come out as before: it is still the winner. (An exhausted
-    /// run or a decode error leaves no head and replays.)
-    fn pop(&mut self) -> Option<(K, V)> {
-        let w = self.winner;
-        if w == u32::MAX {
-            return None;
-        }
-        let cursor = &mut self.cursors[w as usize];
-        let pair = cursor.head.take()?;
-        if !cursor.advance() {
-            self.decode_error = true;
-        }
-        if matches!(&cursor.head, Some((next, _)) if next.cmp(&pair.0).is_eq()) {
-            return Some(pair);
-        }
+    /// Replays run `w`'s leaf-to-root path after its head changed,
+    /// crowning the next winner.
+    fn replay(&mut self, w: u32) {
         let k = self.cursors.len();
         let mut cand = w;
         let mut node = (k + w as usize) / 2;
@@ -161,10 +192,109 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
             node /= 2;
         }
         self.winner = cand;
+    }
+
+    /// The best loser on run `w`'s leaf-to-root path: the run whose head
+    /// would win were `w` gone (every other run lost to it or to `w` on
+    /// the way up).
+    fn runner_up(&self, w: u32) -> Option<u32> {
+        let mut node = (self.cursors.len() + w as usize) / 2;
+        let mut best: Option<u32> = None;
+        while node > 0 {
+            let stored = self.tree[node];
+            if best.is_none_or(|b| run_beats(&self.cursors, stored, b)) {
+                best = Some(stored);
+            }
+            node /= 2;
+        }
+        best
+    }
+
+    /// The next record in merged key order: takes the winner's head,
+    /// advances its run, and replays the winner's path — unless the run's
+    /// new head carries an equal key. The winner beat every other run
+    /// under `(key, run index)` and its new head has the same
+    /// `(key, run index)`, so every match on the path would come out as
+    /// before: it is still the winner. (An exhausted run or a decode error
+    /// leaves no head and replays.)
+    fn pop(&mut self) -> Option<(K, V)> {
+        let w = self.winner;
+        if w == u32::MAX {
+            return None;
+        }
+        let cursor = &mut self.cursors[w as usize];
+        let pair = cursor.head.take()?;
+        if !cursor.advance(cursor.head_len, self.width) {
+            self.decode_error = true;
+        }
+        if matches!(&cursor.head, Some((next, _)) if next.cmp(&pair.0).is_eq()) {
+            return Some(pair);
+        }
+        self.replay(w);
         Some(pair)
     }
 
-    /// Whether the next pair (if any) carries exactly `key`.
+    /// The next *stretch* in merged order, as the winning run's own bytes:
+    /// the longest prefix of that run whose records all beat the runner-up
+    /// ([`KWayMerge::runner_up`]). Fixed-width runs find its end by
+    /// galloping over record indices (probes 1, 3, 7, 15, … then a
+    /// bisection), decoding only the keys they probe; other runs decode
+    /// each key and skip each value. The stretch ends where the runner-up
+    /// takes over, so consecutive stretches come from different runs and
+    /// their concatenation is the merge's records in merged order, byte
+    /// for byte — one tree replay per stretch, not per record.
+    pub(super) fn next_stretch(&mut self) -> Option<&'a [u8]> {
+        let w = self.winner;
+        if w == u32::MAX {
+            return None;
+        }
+        let cursor = &self.cursors[w as usize];
+        cursor.head.as_ref()?;
+        let (rest, head_len) = (cursor.rest, cursor.head_len);
+        let bound = self
+            .runner_up(w)
+            .and_then(|r| Some((&self.cursors[r as usize].head.as_ref()?.0, r)));
+        // Whether a record of run `w` keyed `key` drains before the
+        // runner-up's head; every record does when no live run is left.
+        let beats = |key: &K| bound.is_none_or(|(rk, r)| key.cmp(rk).then(w.cmp(&r)).is_lt());
+        let len = match self.width {
+            Some(width) => {
+                let count = rest.len() / width;
+                let holds = |j: usize| key_at::<K>(rest, width, j).is_some_and(|k| beats(&k));
+                let (mut lo, mut hi, mut step) = (1, count, 1);
+                while lo < hi {
+                    let probe = (lo + step - 1).min(hi - 1);
+                    if !holds(probe) {
+                        hi = probe;
+                        break;
+                    }
+                    lo = probe + 1;
+                    step *= 2;
+                }
+                first_failing(lo, hi, holds) * width
+            }
+            None => {
+                let mut len = head_len;
+                while len < rest.len() {
+                    let mut record = &rest[len..];
+                    let qualifies = K::decode(&mut record).is_ok_and(|k| beats(&k))
+                        && V::skip(&mut record).is_ok();
+                    if !qualifies {
+                        break;
+                    }
+                    len = rest.len() - record.len();
+                }
+                len
+            }
+        };
+        if !self.cursors[w as usize].advance(len, self.width) {
+            self.decode_error = true;
+        }
+        self.replay(w);
+        Some(&rest[..len])
+    }
+
+    /// Whether the next record (if any) carries exactly `key`.
     fn peek_is(&self, key: &K) -> bool {
         self.winner != u32::MAX
             && self.cursors[self.winner as usize]
@@ -173,7 +303,7 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
                 .is_some_and(|(k, _)| *k == *key)
     }
 
-    /// The final pass: streams pairs in total key order and feeds each
+    /// The final merge: streams records in total key order and feeds each
     /// key's values to `f` as they surface, then drains whatever `f` left
     /// unconsumed so the next group starts at the next key.
     pub(super) fn for_each_group(&mut self, mut f: impl FnMut(&K, &mut dyn Iterator<Item = V>)) {
@@ -216,6 +346,68 @@ impl<K: Wire + Ord, V: Wire> Iterator for GroupValues<'_, '_, K, V> {
     }
 }
 
+/// Samples per key range when [`cut_ranges`] picks its splitters.
+const SAMPLES_PER_RANGE: usize = 64;
+
+/// Cuts a reducer's final runs into at most `parts` key ranges of about
+/// equal size, so each range can be merged and reduced on its own. Range
+/// `i` holds, from every run, the records whose keys lie between splitters
+/// `i - 1` (inclusive) and `i` (exclusive): a key's records all land in one
+/// range, and every run keeps its index in every range, so the ranges'
+/// merges concatenated in order are the one merge over all runs. The
+/// splitters are keys sampled evenly by record from the runs; each run's
+/// cut points are found by bisection over its records. Returns the runs as
+/// one range unless `parts > 1` and every run is fixed-width
+/// ([`record_width`]).
+pub(super) fn cut_ranges<'r, K: Wire + Ord, V: Wire>(
+    runs: &[&'r [u8]],
+    parts: usize,
+) -> Vec<Vec<&'r [u8]>> {
+    let Some(width) = record_width::<K, V>(runs).filter(|_| parts > 1) else {
+        return vec![runs.to_vec()];
+    };
+    let records: Vec<usize> = runs.iter().map(|run| run.len() / width).collect();
+    let total = records.iter().sum::<usize>().max(1);
+    let wanted = parts * SAMPLES_PER_RANGE;
+    let mut samples: Vec<K> = Vec::with_capacity(wanted + runs.len());
+    for (run, &n) in runs.iter().zip(&records) {
+        let take = (n * wanted).div_ceil(total).min(n);
+        samples.extend((0..take).filter_map(|i| key_at(run, width, (2 * i + 1) * n / (2 * take))));
+    }
+    samples.sort_unstable();
+    let mut splitters: Vec<&K> = match samples.len() {
+        0 => Vec::new(),
+        len => (1..parts).map(|i| &samples[i * len / parts]).collect(),
+    };
+    splitters.dedup();
+    // Per run, its cut points: the first record at or past each splitter
+    // (a key that fails to decode counts as past it; cuts are kept
+    // monotone so the ranges still partition the run).
+    let cuts: Vec<Vec<usize>> = runs
+        .iter()
+        .zip(&records)
+        .map(|(run, &n)| {
+            let mut from = 0;
+            let mut cuts = vec![0];
+            for s in &splitters {
+                let below = |j| key_at::<K>(run, width, j).is_some_and(|k| k < **s);
+                from = first_failing(from, n, below);
+                cuts.push(from);
+            }
+            cuts.push(n);
+            cuts
+        })
+        .collect();
+    (0..=splitters.len())
+        .map(|i| {
+            runs.iter()
+                .zip(&cuts)
+                .map(|(run, c)| &run[c[i] * width..c[i + 1] * width])
+                .collect()
+        })
+        .collect()
+}
+
 /// What the intermediate merge passes left for the final streaming merge.
 pub(super) struct Merged<'a> {
     /// At most `sort_factor` runs, in tie-break order.
@@ -233,7 +425,8 @@ pub(super) struct Merged<'a> {
 /// to `sort_factor` runs into new stored runs owned by `owner`. Contiguity
 /// keeps the global (key, run index) tie order: a merged chunk drains its
 /// equal keys lowest-run-first and takes its chunk's position in the run
-/// sequence.
+/// sequence. A group's merged run is its stretches copied end to end: no
+/// record is decoded and re-encoded.
 pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
     pool: &Executor,
     store: &SpillStore,
@@ -266,12 +459,11 @@ pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
             if group.len() == 1 {
                 return None;
             }
-            let total: usize = group.iter().map(|g| g.as_slice().len()).sum();
-            let mut merge = KWayMerge::<K, V>::new(group.iter().map(RunBuf::as_slice));
-            let mut out = Vec::with_capacity(total);
-            while let Some((k, v)) = merge.pop() {
-                k.encode(&mut out);
-                v.encode(&mut out);
+            let slices: Vec<&[u8]> = group.iter().map(RunBuf::as_slice).collect();
+            let mut merge = KWayMerge::<K, V>::new(&slices);
+            let mut out = Vec::with_capacity(slices.iter().map(|s| s.len()).sum());
+            while let Some(stretch) = merge.next_stretch() {
+                out.extend_from_slice(stretch);
             }
             let handle = store.write_as(first_id + g as u64, owner, out);
             let run = store.read(handle).expect("just-written merge run");
@@ -303,77 +495,118 @@ pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::fmt::Debug;
+
     use super::*;
+    use crate::codec::CodecError;
+    use crate::job::reduce::{reduce_ranges, ReduceContext};
 
-    /// The pre-loser-tree binary-heap merge, kept verbatim as the
-    /// reference the loser tree must match pop-for-pop (same
-    /// `(key, run index)` total order).
-    struct HeapKWayMerge<'a, K, V> {
-        cursors: Vec<RunCursor<'a, K, V>>,
-        heap: Vec<u32>,
-        decode_error: bool,
-    }
+    /// One record as the definition sees it: key, run index, value, bytes.
+    type Record<'r, K, V> = (K, usize, V, &'r [u8]);
 
-    fn sift_down<K: Ord, V>(heap: &mut [u32], cursors: &[RunCursor<'_, K, V>], mut i: usize) {
-        loop {
-            let left = 2 * i + 1;
-            let right = 2 * i + 2;
-            let mut smallest = i;
-            if left < heap.len() && run_beats(cursors, heap[left], heap[smallest]) {
-                smallest = left;
-            }
-            if right < heap.len() && run_beats(cursors, heap[right], heap[smallest]) {
-                smallest = right;
-            }
-            if smallest == i {
-                return;
-            }
-            heap.swap(i, smallest);
-            i = smallest;
-        }
-    }
-
-    impl<'a, K: Wire + Ord, V: Wire> HeapKWayMerge<'a, K, V> {
-        fn new(runs: impl IntoIterator<Item = &'a [u8]>) -> Self {
-            let mut decode_error = false;
-            let mut cursors: Vec<RunCursor<'a, K, V>> = Vec::new();
-            for run in runs {
-                let mut cursor = RunCursor {
-                    rest: run,
-                    head: None,
+    /// The merge by definition: each run decoded record by record up to
+    /// its end or its first record that does not decode, every record
+    /// tagged with its run's index, the runs concatenated in order and
+    /// stably sorted by key. Also whether some run stopped early.
+    fn definition<K: Wire + Ord, V: Wire>(runs: &[Vec<u8>]) -> (Vec<Record<'_, K, V>>, bool) {
+        let mut records = Vec::new();
+        let mut failed = false;
+        for (run, bytes) in runs.iter().enumerate() {
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let start = rest;
+                let (Ok(key), Ok(value)) = (K::decode(&mut rest), V::decode(&mut rest)) else {
+                    failed = true;
+                    break;
                 };
-                decode_error |= !cursor.advance();
-                cursors.push(cursor);
-            }
-            let mut heap: Vec<u32> = (0..cursors.len() as u32)
-                .filter(|&i| cursors[i as usize].head.is_some())
-                .collect();
-            for i in (0..heap.len() / 2).rev() {
-                sift_down(&mut heap, &cursors, i);
-            }
-            HeapKWayMerge {
-                cursors,
-                heap,
-                decode_error,
+                records.push((key, run, value, &start[..start.len() - rest.len()]));
             }
         }
+        records.sort_by(|a, b| a.0.cmp(&b.0));
+        (records, failed)
+    }
 
-        fn pop(&mut self) -> Option<(K, V)> {
-            let &top = self.heap.first()?;
-            let cursor = &mut self.cursors[top as usize];
-            let pair = cursor.head.take().expect("heap entry has head");
-            if !cursor.advance() {
-                self.decode_error = true;
-            }
-            if self.cursors[top as usize].head.is_some() {
-                sift_down(&mut self.heap, &self.cursors, 0);
-            } else {
-                let last = self.heap.len() - 1;
-                self.heap.swap(0, last);
-                self.heap.pop();
-                sift_down(&mut self.heap, &self.cursors, 0);
-            }
-            Some(pair)
+    fn slices(runs: &[Vec<u8>]) -> Vec<&[u8]> {
+        runs.iter().map(Vec::as_slice).collect()
+    }
+
+    /// The record-at-a-time merge pops the definition's records in order,
+    /// `peek_is` agrees before each pop, and the flag is the definition's.
+    fn assert_pops<K, V>(runs: &[Vec<u8>])
+    where
+        K: Wire + Ord + Debug,
+        V: Wire + PartialEq + Debug,
+    {
+        let (want, failed) = definition::<K, V>(runs);
+        let slices = slices(runs);
+        let mut merge = KWayMerge::<K, V>::new(&slices);
+        for (n, (key, _, value, _)) in want.iter().enumerate() {
+            assert!(merge.peek_is(key), "peek_is disagrees at pop {n}");
+            let (k, v) = merge.pop().expect("a record left");
+            assert_eq!((&k, &v), (key, value), "pop {n} diverged");
+        }
+        assert!(merge.pop().is_none(), "records past the definition's");
+        assert_eq!(merge.decode_error, failed, "decode flag");
+    }
+
+    /// The stretches are the definition's maximal same-run stretches, byte
+    /// for byte — so a pass's output is the definition's records encoded
+    /// in order — and the flag is the definition's.
+    fn assert_stretches<K: Wire + Ord, V: Wire>(runs: &[Vec<u8>]) {
+        let (want, failed) = definition::<K, V>(runs);
+        let want: Vec<Vec<u8>> = want
+            .chunk_by(|a, b| a.1 == b.1)
+            .map(|stretch| stretch.iter().flat_map(|r| r.3).copied().collect())
+            .collect();
+        let slices = slices(runs);
+        let mut merge = KWayMerge::<K, V>::new(&slices);
+        let got: Vec<&[u8]> = std::iter::from_fn(|| merge.next_stretch()).collect();
+        assert_eq!(got, want, "stretches diverged");
+        assert_eq!(merge.decode_error, failed, "decode flag");
+    }
+
+    /// Cut into `parts` key ranges and reduced range by range, on a serial
+    /// and on a three-thread pool, the final merge emits the definition's
+    /// groups in order with their values in order, sums the counters over
+    /// all of them, and raises the definition's flag.
+    fn assert_range_merge<K, V>(runs: &[Vec<u8>], parts: usize)
+    where
+        K: Wire + Ord + Clone + Debug + Send,
+        V: Wire + Clone + PartialEq + Debug + Send,
+    {
+        let (want, failed) = definition::<K, V>(runs);
+        let groups: Vec<(K, Vec<V>)> = want
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|g| (g[0].0.clone(), g.iter().map(|r| r.2.clone()).collect()))
+            .collect();
+        let mut counters = BTreeMap::new();
+        if !groups.is_empty() {
+            counters.insert("groups", groups.len() as u64);
+            counters.insert("values", want.len() as u64);
+        }
+        let slices = slices(runs);
+        let ranges = cut_ranges::<K, V>(&slices, parts);
+        assert!(
+            (1..=parts).contains(&ranges.len()),
+            "{} ranges",
+            ranges.len()
+        );
+        let reduce =
+            |key: &K, values: &mut dyn Iterator<Item = V>, ctx: &mut ReduceContext<K, Vec<V>>| {
+                let values: Vec<V> = values.collect();
+                ctx.add_counter("groups", 1);
+                ctx.add_counter("values", values.len() as u64);
+                ctx.emit(key.clone(), values);
+            };
+        for threads in [1, 3] {
+            let (out, got_counters, decode_error) =
+                reduce_ranges(&Executor::new(threads), &ranges, &reduce, 0);
+            assert_eq!(out.len(), ranges.len(), "one output per range");
+            let out: Vec<(K, Vec<V>)> = out.into_iter().flatten().collect();
+            assert_eq!(out, groups, "parts {parts}, threads {threads}");
+            assert_eq!(got_counters, counters, "parts {parts}, threads {threads}");
+            assert_eq!(decode_error, failed, "parts {parts}, threads {threads}");
         }
     }
 
@@ -387,32 +620,6 @@ mod tests {
         out
     }
 
-    /// Asserts the loser tree and the reference heap produce the same pop
-    /// sequence and decode-error flag over `runs`.
-    fn assert_merge_equivalent<K, V>(runs: &[Vec<u8>])
-    where
-        K: Wire + Ord + std::fmt::Debug,
-        V: Wire + PartialEq + std::fmt::Debug,
-    {
-        let mut tree = KWayMerge::<K, V>::new(runs.iter().map(Vec::as_slice));
-        let mut heap = HeapKWayMerge::<K, V>::new(runs.iter().map(Vec::as_slice));
-        assert_eq!(tree.decode_error, heap.decode_error, "initial decode flag");
-        let mut n = 0usize;
-        loop {
-            let expect = heap.pop();
-            if let Some((k, _)) = &expect {
-                assert!(tree.peek_is(k), "peek_is disagrees at pop {n}");
-            }
-            let got = tree.pop();
-            assert_eq!(got, expect, "pop {n} diverged");
-            if expect.is_none() {
-                break;
-            }
-            n += 1;
-        }
-        assert_eq!(tree.decode_error, heap.decode_error, "final decode flag");
-    }
-
     /// Splitmix-style deterministic generator for the merge tests.
     fn next_rand(state: &mut u64) -> u64 {
         *state = state
@@ -423,43 +630,84 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// `k` sorted runs over at most four distinct keys: massive
+    /// duplication, so the `(key, run index)` tie-break carries most of
+    /// the ordering, equal-key stretches cross run ends and span whole
+    /// runs (alphabet 1: a run is one key), and some runs are long enough
+    /// for the gallop to probe deep. Values tag `(run, seq)` so a
+    /// tie-break divergence cannot cancel out.
+    fn dup_heavy_runs<V: Wire>(
+        state: &mut u64,
+        k: usize,
+        value: impl Fn(u64, usize) -> V,
+    ) -> Vec<Vec<u8>> {
+        (0..k)
+            .map(|run| {
+                let len = match next_rand(state) % 4 {
+                    0 => next_rand(state) % 200,
+                    _ => next_rand(state) % 20, // empties included
+                } as usize;
+                let alphabet = 1 + next_rand(state) % 4;
+                let first = next_rand(state) % 4;
+                let mut keys: Vec<u32> = (0..len)
+                    .map(|_| ((first + next_rand(state) % alphabet) % 4) as u32)
+                    .collect();
+                keys.sort_unstable();
+                let pairs: Vec<(u32, V)> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(seq, key)| (key, value(((run as u64) << 32) | seq as u64, seq)))
+                    .collect();
+                encode_run(&pairs)
+            })
+            .collect()
+    }
+
+    /// Every check of this module on `runs`, at every range count.
+    fn assert_merges<K, V>(runs: &[Vec<u8>])
+    where
+        K: Wire + Ord + Clone + Debug + Send,
+        V: Wire + Clone + PartialEq + Debug + Send,
+    {
+        assert_pops::<K, V>(runs);
+        assert_stretches::<K, V>(runs);
+        for parts in [1, 2, 3, 7] {
+            assert_range_merge::<K, V>(runs, parts);
+        }
+    }
+
     #[test]
-    fn loser_tree_matches_heap_on_dup_heavy_runs() {
-        // At most four distinct keys → massive duplication, so the
-        // (key, run index) tie-break carries most of the ordering and the
-        // equal-key stretches `pop` does not replay cross run ends and span
-        // whole runs (alphabet 1: the run is one key). Values tag
-        // (run, seq) so a tie-break divergence cannot cancel out.
+    fn merges_follow_the_definition_on_dup_heavy_runs() {
         let mut state = 0x5eed_cafe_u64;
-        for _ in 0..200 {
-            let k = (next_rand(&mut state) % 21) as usize; // fan-in 0..=20
-            let mut runs: Vec<Vec<u8>> = (0..k)
-                .map(|run| {
-                    let len = (next_rand(&mut state) % 20) as usize; // empties included
-                    let alphabet = 1 + next_rand(&mut state) % 4;
-                    let first = next_rand(&mut state) % 4;
-                    let mut keys: Vec<u32> = (0..len)
-                        .map(|_| ((first + next_rand(&mut state) % alphabet) % 4) as u32)
-                        .collect();
-                    keys.sort_unstable();
-                    let pairs: Vec<(u32, u64)> = keys
-                        .into_iter()
-                        .enumerate()
-                        .map(|(seq, key)| (key, ((run as u64) << 32) | seq as u64))
-                        .collect();
-                    encode_run(&pairs)
-                })
-                .collect();
-            assert_merge_equivalent::<u32, u64>(&runs);
-            // The same runs with one of them cut mid-pair — as likely as
+        for case in 0..300 {
+            // Fan-in 0..=20; fixed-width records (16 bytes) in even cases,
+            // variable-width ones in odd.
+            let k = (next_rand(&mut state) % 21) as usize;
+            let mut runs = if case % 2 == 0 {
+                dup_heavy_runs(&mut state, k, |tag, _| tag)
+            } else {
+                dup_heavy_runs(&mut state, k, |tag, seq| (tag, "ab"[..seq % 3].to_string()))
+            };
+            let check = |runs: &[Vec<u8>]| {
+                if case % 2 == 0 {
+                    assert_merges::<u32, u64>(runs);
+                } else {
+                    assert_merges::<u32, (u64, String)>(runs);
+                }
+            };
+            check(&runs);
+            // The same runs with one of them cut mid-record — as likely as
             // not inside an equal-key stretch: the flag is raised and the
-            // other runs still drain in order.
+            // other runs still drain in order. A fixed-width run cut off a
+            // record boundary is no longer a whole number of records, so
+            // the merge decodes every record of that merge.
             let live: Vec<usize> = (0..k).filter(|&r| !runs[r].is_empty()).collect();
             if !live.is_empty() {
                 let cut = live[next_rand(&mut state) as usize % live.len()];
-                let keep = (next_rand(&mut state) as usize % runs[cut].len()) / 12 * 12 + 5;
+                let at = next_rand(&mut state) as usize % runs[cut].len();
+                let keep = if case % 2 == 0 { at / 12 * 12 + 5 } else { at };
                 runs[cut].truncate(keep);
-                assert_merge_equivalent::<u32, u64>(&runs);
+                check(&runs);
             }
         }
     }
@@ -473,7 +721,8 @@ mod tests {
             encode_run(&[(1u32, 20u64), (1, 21), (2, 22)]),
             encode_run(&[(0u32, 30u64), (1, 31)]),
         ];
-        let mut merge = KWayMerge::<u32, u64>::new(runs.iter().map(Vec::as_slice));
+        let slices = slices(&runs);
+        let mut merge = KWayMerge::<u32, u64>::new(&slices);
         assert!(!merge.decode_error);
         let popped: Vec<(u32, u64)> = std::iter::from_fn(|| merge.pop()).collect();
         let expect = [
@@ -487,7 +736,7 @@ mod tests {
         ];
         assert_eq!(popped, expect);
         assert!(merge.decode_error);
-        assert_merge_equivalent::<u32, u64>(&runs);
+        assert_merges::<u32, u64>(&runs);
     }
 
     #[test]
@@ -499,8 +748,9 @@ mod tests {
             encode_run(&[(1u32, 12u64), (1, 13), (2, 20)]),
             encode_run(&[(1u32, 14u64), (3, 31)]),
         ];
+        let slices = slices(&runs);
         for take in [0usize, 2, 5, 9] {
-            let mut merge = KWayMerge::<u32, u64>::new(runs.iter().map(Vec::as_slice));
+            let mut merge = KWayMerge::<u32, u64>::new(&slices);
             let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
             merge.for_each_group(|&key, values| groups.push((key, values.take(take).collect())));
             let all = [
@@ -542,13 +792,14 @@ mod tests {
         fn encode(&self, buf: &mut Vec<u8>) {
             self.0.to_bits().encode(buf);
         }
-        fn decode(buf: &mut &[u8]) -> Result<Self, crate::codec::CodecError> {
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(TotalF64(f64::from_bits(u64::decode(buf)?)))
         }
+        const WIDTH: Option<usize> = Some(8);
     }
 
     #[test]
-    fn loser_tree_matches_heap_on_nan_keys() {
+    fn merges_follow_the_definition_on_nan_keys() {
         let specials = [
             f64::NAN,
             -f64::NAN,
@@ -577,29 +828,128 @@ mod tests {
                     encode_run(&pairs)
                 })
                 .collect();
-            assert_merge_equivalent::<TotalF64, u64>(&runs);
+            assert_merges::<TotalF64, u64>(&runs);
         }
     }
 
     #[test]
-    fn loser_tree_handles_empty_and_degenerate_inputs() {
-        // Zero runs.
-        assert_merge_equivalent::<u32, u64>(&[]);
-        // All runs empty.
-        assert_merge_equivalent::<u32, u64>(&[Vec::new(), Vec::new(), Vec::new()]);
-        // Single run.
-        assert_merge_equivalent::<u32, u64>(&[encode_run(&[(1u32, 10u64), (2, 20)])]);
-        // One live run among empties.
-        assert_merge_equivalent::<u32, u64>(&[Vec::new(), encode_run(&[(5u32, 1u64)]), Vec::new()]);
+    fn merges_handle_empty_and_degenerate_inputs() {
+        // Zero runs; all runs empty; a single run; one live run among
+        // empties; a truncated run beside a good one.
+        let mut bad = encode_run(&[(2u32, 2u64)]);
+        bad.truncate(bad.len() - 3);
+        for runs in [
+            vec![],
+            vec![Vec::new(), Vec::new(), Vec::new()],
+            vec![encode_run(&[(1u32, 10u64), (2, 20)])],
+            vec![Vec::new(), encode_run(&[(5u32, 1u64)]), Vec::new()],
+            vec![encode_run(&[(1u32, 1u64), (3, 3)]), bad],
+        ] {
+            assert_merges::<u32, u64>(&runs);
+        }
     }
 
     #[test]
-    fn loser_tree_flags_decode_errors_like_heap() {
-        // A truncated run trips the decode-error flag in both merges and
-        // the surviving runs still drain in order.
-        let good = encode_run(&[(1u32, 1u64), (3, 3)]);
-        let mut bad = encode_run(&[(2u32, 2u64)]);
-        bad.truncate(bad.len() - 3);
-        assert_merge_equivalent::<u32, u64>(&[good, bad]);
+    fn ranges_split_the_keys_evenly_and_keep_each_key_whole() {
+        // Eight runs over 4 096 keys, each key in one to three runs.
+        let runs: Vec<Vec<u8>> = (0..8u64)
+            .map(|run| {
+                let pairs: Vec<(u64, f64)> = (0..4096u64)
+                    .filter(|key| (key * 7 + run) % 8 < 3)
+                    .map(|key| (key, run as f64))
+                    .collect();
+                encode_run(&pairs)
+            })
+            .collect();
+        let all = slices(&runs);
+        let total: usize = all.iter().map(|s| s.len()).sum();
+        for parts in [2, 3, 7] {
+            let ranges = cut_ranges::<u64, f64>(&all, parts);
+            assert_eq!(ranges.len(), parts);
+            let mut last_key = None;
+            for range in &ranges {
+                let bytes: usize = range.iter().map(|s| s.len()).sum();
+                let share = bytes as f64 * parts as f64 / total as f64;
+                assert!((0.8..1.2).contains(&share), "parts {parts}: share {share}");
+                let live = range.iter().filter(|s| !s.is_empty());
+                let first = live
+                    .clone()
+                    .map(|s| key_at::<u64>(s, 16, 0))
+                    .min()
+                    .flatten();
+                let last = live
+                    .map(|s| key_at::<u64>(s, 16, s.len() / 16 - 1))
+                    .max()
+                    .flatten();
+                assert!(last_key < first, "a key in two ranges");
+                last_key = last;
+            }
+            assert_range_merge::<u64, f64>(&runs, parts);
+        }
+        // Variable-width records stay one range.
+        let runs = [
+            encode_run(&[(1u64, String::from("x"))]),
+            encode_run(&[(2u64, String::new())]),
+        ];
+        assert_eq!(cut_ranges::<u64, String>(&slices(&runs), 4).len(), 1);
+    }
+
+    /// A value that claims `CLAIM` bytes on the wire and writes four.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Lie<const CLAIM: usize>(u32);
+    impl<const CLAIM: usize> Wire for Lie<CLAIM> {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            self.0.encode(buf);
+        }
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+            Ok(Lie(u32::decode(buf)?))
+        }
+        const WIDTH: Option<usize> = Some(CLAIM);
+    }
+
+    /// Runs of `(u32, Lie)` records. When every run is a whole number of
+    /// claimed-width records, the merge acts on the width and every way of
+    /// merging must raise the flag; otherwise the width is ruled out and
+    /// the merge is the definition's.
+    fn assert_lie_is_caught<const CLAIM: usize>() {
+        for lens in [[3usize, 6, 0], [1, 2, 5], [9, 3, 6], [4, 7, 10]] {
+            let runs: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(run, &len)| {
+                    let pairs: Vec<(u32, Lie<CLAIM>)> = (0..len)
+                        .map(|i| (i as u32 / 2, Lie((run * 100 + i) as u32)))
+                        .collect();
+                    encode_run(&pairs)
+                })
+                .collect();
+            if runs.iter().any(|r| r.len() % (4 + CLAIM) != 0) {
+                assert_merges::<u32, Lie<CLAIM>>(&runs);
+                continue;
+            }
+            let slices = slices(&runs);
+            let mut merge = KWayMerge::<u32, Lie<CLAIM>>::new(&slices);
+            while merge.pop().is_some() {}
+            assert!(merge.decode_error, "pops, lens {lens:?}");
+            let mut merge = KWayMerge::<u32, Lie<CLAIM>>::new(&slices);
+            while merge.next_stretch().is_some() {}
+            assert!(merge.decode_error, "stretches, lens {lens:?}");
+            for parts in [1, 2, 3, 7] {
+                let ranges = cut_ranges::<u32, Lie<CLAIM>>(&slices, parts);
+                let reduce = |k: &u32,
+                              v: &mut dyn Iterator<Item = Lie<CLAIM>>,
+                              ctx: &mut ReduceContext<u32, usize>| {
+                    ctx.emit(*k, v.count());
+                };
+                let (_, _, flag) = reduce_ranges(&Executor::new(2), &ranges, &reduce, 0);
+                assert!(flag, "parts {parts}, lens {lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_width_that_lies_is_a_decode_error_or_unused() {
+        assert_lie_is_caught::<8>();
+        assert_lie_is_caught::<2>();
     }
 }

@@ -17,8 +17,8 @@
 //! | `map`    | `MapContext` (the collector), `SpillControl` (the `io.sort.mb` meter), the spill sort / combiner fold, `MapPhase` |
 //! | `spill`  | `SpillStore` and its `DWR3` run frame (`codec::frame`) |
 //! | `fetch`  | `ShuffleRun` routing, fetch verification, lost-map re-execution |
-//! | `merge`  | `KWayMerge` (loser tree) and the `io.sort.factor` intermediate passes |
-//! | `reduce` | `ReduceContext` and the reduce task body |
+//! | `merge`  | `KWayMerge` (loser tree), the `io.sort.factor` intermediate passes, the final merge's key-range cut |
+//! | `reduce` | `ReduceContext` and the reduce task body, range by range |
 //!
 //! This module is the driver: it validates the job, sequences the phases,
 //! schedules their attempts on the simulated clock, and applies side
@@ -778,9 +778,15 @@ where
         for (name, delta) in task_counters.flatten() {
             *counters.entry(*name).or_insert(0) += delta;
         }
-        let mut pairs = Vec::new();
-        for task in &mut reduce_results {
-            pairs.append(&mut task.out);
+        // Reducers in partition order, each one's key ranges in key order.
+        let total = reduce_results
+            .iter()
+            .flat_map(|t| &t.out)
+            .map(Vec::len)
+            .sum();
+        let mut pairs = Vec::with_capacity(total);
+        for range in reduce_results.iter_mut().flat_map(|t| &mut t.out) {
+            pairs.append(range);
         }
         let mut attempts = map_sched.attempts;
         attempts.extend(reduce_sched.attempts);

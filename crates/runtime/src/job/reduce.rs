@@ -1,14 +1,15 @@
 //! Reduce phase: each reducer opens its fetched runs, bounds their fan-in
 //! with intermediate merge passes, and streams the final merge into the
-//! user's reduce function.
+//! user's reduce function — key range by key range, on the pool, when the
+//! runs are big and fixed-width.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use super::fetch::ShuffleRun;
-use super::merge::{merge_to_fan_in, KWayMerge};
-use super::spill::SpillStore;
+use super::merge::{cut_ranges, merge_to_fan_in, KWayMerge};
+use super::spill::{RunBuf, SpillStore};
 use super::{run_attempts, PhaseOutcome};
 use crate::cluster::ClusterConfig;
 use crate::codec::{CodecError, Wire};
@@ -43,12 +44,14 @@ impl<OK, OV> ReduceContext<OK, OV> {
 }
 
 pub(super) struct ReduceTaskResult<OK, OV> {
-    pub(super) out: Vec<(OK, OV)>,
+    /// The reduce function's emissions, one `Vec` per key range of the
+    /// final merge, in range order.
+    pub(super) out: Vec<Vec<(OK, OV)>>,
     pub(super) counters: BTreeMap<&'static str, u64>,
     decode_error: bool,
     /// Host seconds of the merge phase: from task start until the final
-    /// tournament is built (runs opened and verified, intermediate passes
-    /// done, every run's first pair decoded). The final merge itself streams
+    /// merge's key ranges are cut (runs opened and verified, intermediate
+    /// passes done, splitters sampled). The final merge itself streams
     /// inside the reduce function's value iterator and is not split out.
     pub(super) merge_secs: f64,
     /// `(fan_in, bytes)` per intermediate merge pass (empty when the final
@@ -56,6 +59,60 @@ pub(super) struct ReduceTaskResult<OK, OV> {
     pub(super) merge_passes: Vec<(u64, u64)>,
     /// Framed bytes written + read back by intermediate passes.
     pub(super) disk_bytes: u64,
+}
+
+/// Bytes of fixed-width runs from which a reducer's final merge is cut
+/// into `pool.threads()` key ranges; below it the merge stays one range.
+/// Measured on 2 vCPUs at two threads, one reducer over 8 runs of
+/// `(u64, f64)` with half the records on seven keys, one range against
+/// two, interleaved (ms): 1 MiB 0.82 / 0.86 → 0.80 / 0.79 (a wash),
+/// 2 MiB 1.84 / 1.81 → 1.67 / 1.57, 4 MiB 3.64 / 3.55 → 3.16 / 3.13,
+/// 8 MiB 7.24 / 6.98 → 6.23 / 6.17; Send-Coef's 134 MB reducer
+/// 122–138 → 55–62. The split pays from about 2 MiB; 4 MiB keeps a factor
+/// of two of margin and ten times the largest fixed-width reducer of any
+/// other `perf` workload (408 KB).
+const PAR_FINAL_MERGE_MIN_BYTES: usize = 4 << 20;
+
+/// Merges and reduces each key range of `ranges` ([`cut_ranges`]) as one
+/// `run_indexed` task with its own [`ReduceContext`]. One range is the
+/// serial final merge. Returns each range's emissions in range order (the
+/// driver concatenates them straight into the job's output, so no
+/// reducer-sized buffer is copied twice), the counters summed over the
+/// ranges, and whether a run failed to decode.
+#[allow(clippy::type_complexity)] // one `Vec` of emissions per range, beside the counters
+pub(super) fn reduce_ranges<K, V, OK, OV, G>(
+    pool: &Executor,
+    ranges: &[Vec<&[u8]>],
+    reduce_fn: &G,
+    out_hint: usize,
+) -> (Vec<Vec<(OK, OV)>>, BTreeMap<&'static str, u64>, bool)
+where
+    K: Wire + Ord,
+    V: Wire,
+    OK: Send,
+    OV: Send,
+    G: Fn(&K, &mut dyn Iterator<Item = V>, &mut ReduceContext<OK, OV>) + Sync,
+{
+    let hint = out_hint / ranges.len().max(1);
+    let reduced = pool.run_indexed(ranges, |_, runs| {
+        let mut ctx = ReduceContext::with_capacity(hint);
+        let mut merge = KWayMerge::<K, V>::new(runs);
+        merge.for_each_group(|key, values| reduce_fn(key, values, &mut ctx));
+        (ctx, merge.decode_error)
+    });
+    let mut counters = BTreeMap::new();
+    let mut decode_error = false;
+    let out = reduced
+        .into_iter()
+        .map(|(ctx, range_decode_error)| {
+            for (name, delta) in ctx.counters {
+                *counters.entry(name).or_insert(0) += delta;
+            }
+            decode_error |= range_decode_error;
+            ctx.out
+        })
+        .collect();
+    (out, counters, decode_error)
 }
 
 /// Runs every reduce task through its attempt loop on the pool; results
@@ -93,7 +150,6 @@ where
             },
             |attempt| {
                 let task_start = Instant::now();
-                let mut ctx = ReduceContext::with_capacity(out_hint.load(Ordering::Relaxed));
                 // Opening a stored run verifies its checksum: on the pool.
                 let merged = merge_to_fan_in::<K, V>(
                     pool,
@@ -102,15 +158,22 @@ where
                     pool.run_indexed(runs, |_, run| run.run.open(store)),
                     sort_factor,
                 );
-                let mut merge =
-                    KWayMerge::<K, V>::new(merged.runs.iter().map(|run| run.as_slice()));
+                let runs: Vec<&[u8]> = merged.runs.iter().map(RunBuf::as_slice).collect();
+                let bytes: usize = runs.iter().map(|run| run.len()).sum();
+                let parts = if pool.is_parallel() && bytes >= PAR_FINAL_MERGE_MIN_BYTES {
+                    pool.threads()
+                } else {
+                    1
+                };
+                let ranges = cut_ranges::<K, V>(&runs, parts);
                 let merge_secs = task_start.elapsed().as_secs_f64();
-                merge.for_each_group(|key, values| reduce_fn(key, values, &mut ctx));
-                out_hint.fetch_max(ctx.out.len(), Ordering::Relaxed);
+                let (out, counters, decode_error) =
+                    reduce_ranges(pool, &ranges, reduce_fn, out_hint.load(Ordering::Relaxed));
+                out_hint.fetch_max(out.iter().map(Vec::len).sum(), Ordering::Relaxed);
                 ReduceTaskResult {
-                    out: ctx.out,
-                    counters: ctx.counters,
-                    decode_error: merged.decode_error | merge.decode_error,
+                    out,
+                    counters,
+                    decode_error: merged.decode_error | decode_error,
                     merge_secs,
                     merge_passes: merged.passes,
                     disk_bytes: merged.disk_bytes,

@@ -291,12 +291,14 @@ pub struct JobMetrics {
     /// task's entry in `map_task_secs`).
     pub spill_secs: Vec<f64>,
     /// Per-reduce-task host seconds of the *merge phase* (Hadoop's term):
-    /// from task start until the final tournament is built — fetched runs
-    /// opened and checksum-verified, intermediate `io_sort_factor` passes
-    /// run, every surviving run's first pair decoded. A subset of the
-    /// task's entry in `reduce_task_secs`. The final merge is *not* in it:
-    /// its values are pulled lazily inside the reduce function's iterator,
-    /// so it is interleaved with the function and only their sum is timed.
+    /// from task start until the final merge's key ranges are cut — fetched
+    /// runs opened and checksum-verified, intermediate `io_sort_factor`
+    /// passes run, splitters sampled and every run's cut points found (one
+    /// range needs no cut). A subset of the task's entry in
+    /// `reduce_task_secs`. The final merge is *not* in it: each range's
+    /// values are pulled lazily inside the reduce function's iterator, so
+    /// the merge is interleaved with the function and only their sum is
+    /// timed.
     pub merge_secs: Vec<f64>,
     /// Per-map-task count of non-empty sorted runs produced at spill time
     /// (one per reduce partition per spill pass; a task that stays under

@@ -724,4 +724,69 @@ mod corruption {
             .run(&cluster, &[0u8]);
         assert!(matches!(result, Err(RuntimeError::Codec(_))), "{result:?}");
     }
+
+    /// A Wire impl that encodes and decodes four bytes but claims eight:
+    /// `(u32, WideLie)` records say 12 bytes and take 8.
+    #[derive(Debug, Clone, PartialEq)]
+    struct WideLie(u32);
+
+    impl Wire for WideLie {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            self.0.encode(buf);
+        }
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+            Ok(WideLie(u32::decode(buf)?))
+        }
+        const WIDTH: Option<usize> = Some(8);
+    }
+
+    #[test]
+    fn a_lying_record_width_is_reported_or_unused() {
+        // Per map task, `emits` records on two keys, fan-in 2. A run of a
+        // multiple of three records is a whole number of claimed 12-byte
+        // records, so the merge acts on the width and must report the lie:
+        // one unspilled 3-record run, or 24-byte sort buffers that spill
+        // every three records into merge passes. Any other run length rules
+        // the width out, and the merge decodes record by record — the right
+        // answer: one 2-record run, or 16-byte buffers spilling every two.
+        for threads in [1, 2] {
+            for (emits, tasks, sort_bytes, reported) in [
+                (3, 1, 1 << 20, true),
+                (6, 4, 24, true),
+                (2, 1, 1 << 20, false),
+                (5, 3, 16, false),
+            ] {
+                let mut cfg = ClusterConfig::with_slots(4, 1);
+                cfg.threads = threads;
+                cfg.io_sort_bytes = sort_bytes;
+                cfg.io_sort_factor = 2;
+                let splits: Vec<u32> = (0..tasks).collect();
+                let result = JobBuilder::new("wide-liar")
+                    .map(move |&t: &u32, ctx: &mut MapContext<u32, WideLie>| {
+                        for i in 0..emits {
+                            ctx.emit(i % 2, WideLie(t * 10 + i));
+                        }
+                    })
+                    .reduce(|k, vals, ctx: &mut ReduceContext<u32, u32>| {
+                        ctx.emit(*k, vals.map(|v| v.0).sum());
+                    })
+                    .run(&Cluster::new(cfg), &splits);
+                let tag = format!("threads {threads}, {tasks} x {emits}");
+                if reported {
+                    assert!(
+                        matches!(result, Err(RuntimeError::Codec(_))),
+                        "{tag}: {result:?}"
+                    );
+                } else {
+                    let sum = |k: u32| -> u32 {
+                        (0..tasks)
+                            .flat_map(|t| (k..emits).step_by(2).map(move |i| t * 10 + i))
+                            .sum()
+                    };
+                    let pairs = result.expect("the width is unused").pairs;
+                    assert_eq!(pairs, vec![(0, sum(0)), (1, sum(1))], "{tag}");
+                }
+            }
+        }
+    }
 }

@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use dwmaxerr::runtime::trace::{self, TraceEvent};
+use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
 use dwmaxerr::runtime::{
     Cluster, ClusterConfig, DriverMetrics, FaultPlan, JobBuilder, MapContext, Pipeline,
     ReduceContext, SpillBackend, TaskPhase,
@@ -271,6 +271,105 @@ fn node_kill_recovery_ledger_is_thread_count_invariant() {
             run_scenario(&s, SpillBackend::Disk, threads),
             "recovery diverged at threads={threads}"
         );
+    }
+}
+
+/// A Send-Coef-shaped `(u64, f64)` job above the final merge's range-split
+/// crossover: 5 MiB of 16-byte records reach its one reducer (the split
+/// engages from 4 MiB of fixed-width runs on a parallel pool), half of
+/// them on seven keys, and a 256 KiB sort buffer under fan-in 4 forces
+/// three spills per map task and merge passes 24 → 6 → 2 runs. Its sums
+/// add floats in merge order, so a reordered value shows. At one thread
+/// the final merge is one range, at two and four it is cut into as many;
+/// output pairs, counters, the structural ledger, the trace digests and
+/// each pass's `(fan_in, bytes)` must not tell them apart, on either
+/// spill backend.
+#[test]
+fn range_split_final_merge_is_thread_count_invariant() {
+    let splits: Vec<u64> = (0..8).collect();
+    let run = |backend: SpillBackend, threads: usize| {
+        let mut cfg = ClusterConfig::with_slots(splits.len(), 1);
+        cfg.threads = threads;
+        cfg.task_startup = Duration::from_micros(10);
+        cfg.job_setup = Duration::from_micros(10);
+        cfg.speculative_execution = false;
+        cfg.spill_backend = backend;
+        cfg.io_sort_bytes = 256 << 10;
+        cfg.io_sort_factor = 4;
+        let cluster = Cluster::new(cfg);
+        let job = JobBuilder::new("send-coef-shaped")
+            .map(|&t: &u64, ctx: &mut MapContext<u64, f64>| {
+                for i in 0..40_960u64 {
+                    let key = if i % 2 == 0 {
+                        i % 7
+                    } else {
+                        7 + t * 40_960 + i
+                    };
+                    ctx.emit(
+                        key,
+                        (i as f64).sqrt() * if t % 2 == 0 { 1.0 } else { -1e-3 },
+                    );
+                }
+            })
+            .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
+                let (mut n, mut sum) = (0u64, 0.0);
+                for v in vals {
+                    n += 1;
+                    sum += v;
+                }
+                ctx.add_counter("groups", 1);
+                ctx.add_counter("values", n);
+                ctx.emit(*k, sum);
+            });
+        let done = Pipeline::on(&cluster)
+            .stage(&job, &splits)
+            .expect("job runs");
+        let pairs: Vec<(u64, u64)> = done
+            .value()
+            .1
+            .iter()
+            .map(|&(k, v)| (k, v.to_bits()))
+            .collect();
+        let metrics = done.into_metrics();
+        let events = cluster.trace_events();
+        trace::validate(&events).expect("trace is well-formed");
+        let passes: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::MergePass { fan_in, bytes, .. } => Some((fan_in, bytes)),
+                _ => None,
+            })
+            .collect();
+        let job = &metrics.jobs[0];
+        let counters = (job.counter("groups"), job.counter("values"));
+        let digests: Vec<String> = events.iter().map(TraceEvent::digest).collect();
+        (
+            pairs,
+            counters,
+            metrics.structural_digest(),
+            digests,
+            passes,
+            job.shuffle_bytes,
+        )
+    };
+    for backend in [SpillBackend::Memory, SpillBackend::Disk] {
+        let serial = run(backend, 1);
+        assert!(
+            serial.5 > 4 << 20,
+            "{} shuffled bytes stay under the split",
+            serial.5
+        );
+        assert_eq!(serial.1, (7 + 4 * 40_960, 8 * 40_960));
+        assert_eq!(
+            serial.4.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [4, 4, 4, 4, 4, 4, 4, 2]
+        );
+        for threads in [2, 4] {
+            assert!(
+                serial == run(backend, threads),
+                "{backend:?} at threads={threads}"
+            );
+        }
     }
 }
 
