@@ -9,6 +9,7 @@
 //!   per-reduce merge fan-in),
 //! * its traces pass [`trace::validate`].
 
+use dwmaxerr::core::conventional::send_coef;
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
 use dwmaxerr::datagen::synthetic::uniform;
@@ -256,6 +257,112 @@ fn syn_digest(s: &Synopsis) -> u64 {
         h.write(&v.to_bits().to_le_bytes());
     }
     h.finish()
+}
+
+/// FNV-1a over a list of words.
+fn words_digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = FnvHasher::new();
+    for w in words {
+        h.write(&w.to_le_bytes());
+    }
+    h.finish()
+}
+
+#[test]
+fn send_coef_spill_structure_is_golden() {
+    // Send-Coef's mapper fixes its records, not the order it emits them in:
+    // the spill sort is stable and the reducer adds each key's values in
+    // the order they were emitted, so an emission order that keeps every
+    // key's values in `j` order may move a record from one of a task's
+    // runs to another, and nothing else. Under a sort buffer of 64 records
+    // and fan-in 2, with unaligned blocks, this pins what may not move:
+    // every spill pass's (runs, bytes), every merge pass's (fan-in,
+    // bytes), the shuffle and disk totals, and the synopsis.
+    struct Golden {
+        parts: usize,
+        spill_runs: &'static [u64],
+        /// FNV-1a over (task, spill, runs, bytes) of every spill event.
+        spills: u64,
+        /// FNV-1a over (partition, pass, fan-in, bytes) of every merge pass.
+        merges: u64,
+        merge_passes: u64,
+        shuffle: (u64, u64),
+        disk: (u64, u64),
+        synopsis: u64,
+    }
+    const GOLDEN: [Golden; 2] = [
+        Golden {
+            parts: 7,
+            spill_runs: &[13, 16, 16, 15, 17, 16, 13],
+            spills: 0xba44aa2d6ea4662b,
+            merges: 0x46034675ebea8ebb,
+            merge_passes: 104,
+            shuffle: (105_216, 6_576),
+            disk: (107_336, 1_242_400),
+            synopsis: 0x925b44161e689828,
+        },
+        Golden {
+            parts: 13,
+            spill_runs: &[9, 10, 10, 10, 9, 10, 10, 10, 9, 10, 10, 10, 9],
+            spills: 0x290a8e017fa836e8,
+            merges: 0xaf28a57f112fd499,
+            merge_passes: 124,
+            shuffle: (120_720, 7_545),
+            disk: (123_240, 1_451_488),
+            synopsis: 0x925b44161e689828,
+        },
+    ];
+    let data = uniform(1 << 10, 1000.0, 5);
+    for want in GOLDEN {
+        let mut cfg = quiet_config();
+        cfg.io_sort_bytes = 64 * 16;
+        cfg.io_sort_factor = 2;
+        let cluster = Cluster::new(cfg);
+        let (synopsis, metrics) = send_coef(&cluster, &data, 64, want.parts).expect("send_coef");
+        let job = &metrics.jobs[0];
+        let events = cluster.trace_events();
+        trace::validate(&events).expect("trace validates");
+        let spills = events.iter().flat_map(|e| match e.kind {
+            TraceEventKind::Spill {
+                task,
+                spill,
+                runs,
+                bytes,
+                ..
+            } => vec![task as u64, spill as u64, runs, bytes],
+            _ => vec![],
+        });
+        let merges = events.iter().flat_map(|e| match e.kind {
+            TraceEventKind::MergePass {
+                partition,
+                pass,
+                fan_in,
+                bytes,
+                ..
+            } => vec![partition as u64, pass as u64, fan_in, bytes],
+            _ => vec![],
+        });
+        let at = format!("parts={}", want.parts);
+        assert_eq!(job.spill_runs, want.spill_runs, "{at}");
+        assert_eq!(words_digest(spills), want.spills, "{at}: spill passes");
+        assert_eq!(words_digest(merges), want.merges, "{at}: merge passes");
+        assert_eq!(
+            job.merge_passes.iter().sum::<u64>(),
+            want.merge_passes,
+            "{at}"
+        );
+        assert_eq!(
+            (job.shuffle_bytes, job.shuffle_records),
+            want.shuffle,
+            "{at}"
+        );
+        assert_eq!(
+            (job.disk_spill_bytes, job.disk_merge_bytes),
+            want.disk,
+            "{at}"
+        );
+        assert_eq!(syn_digest(&synopsis), want.synopsis, "{at}");
+    }
 }
 
 #[test]
