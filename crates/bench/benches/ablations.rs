@@ -16,8 +16,9 @@
 //!    row and for the errors of a slice.
 //! 8. Tooling, timed: one DWQ2 request cycle by stage on `serve-scan`'s
 //!    synopsis and query stream.
-//! 9. Tooling, timed: Send-Coef's one reducer by phase on `build-shuffle`'s
-//!    shape, at one and two executor threads.
+//! 9. Tooling, timed: Send-Coef by phase on `build-shuffle`'s shape — the
+//!    map function, H-WTopk's mapper, spills, the reducer and the driver —
+//!    at one and two executor threads.
 
 use dwmaxerr_bench::report::{bytes, err, Table};
 use dwmaxerr_bench::setup::paper_cluster;
@@ -487,27 +488,40 @@ fn request_cycle_by_stage() -> Table {
     t
 }
 
-/// Send-Coef's one reducer by phase, on `perf`'s `build-shuffle` shape
-/// (WD-like, N = 2^20, B = N/16, 64 blocks, a 1 MiB sort buffer, fan-in
-/// 16), read from public `JobMetrics` fields only: the merge phase is
+/// Send-Coef by phase, on `perf`'s `build-shuffle` shape (WD-like, N =
+/// 2^20, B = N/16, 64 unaligned blocks, a 1 MiB sort buffer, fan-in 16),
+/// from the public API and `JobMetrics` fields only. The map side: the
+/// map function alone (`algorithm7` into a checksum, no collector) and
+/// H-WTopk's `partial_coefficients`, each timed per block on
+/// a pool of the column's threads and summed; the map tasks' host time
+/// (`map_task_secs` once the simulated HDFS read and spill I/O are taken
+/// out) and their spills (`spill_secs`). The reducer: the merge phase is
 /// `merge_secs`; the final merge is the rest of the reduce task once the
-/// simulated merge-pass I/O is taken out; the driver is the call's wall
+/// simulated merge-pass I/O is taken out. The driver is the call's wall
 /// beyond the job's.
-fn send_coef_reducer_by_phase() -> Table {
+fn send_coef_by_phase() -> Table {
+    use dwmaxerr_core::splits::block_splits;
     use dwmaxerr_runtime::scheduler::io_secs;
-    use dwmaxerr_runtime::{Cluster, ClusterConfig, SpillBackend};
+    use dwmaxerr_runtime::{Cluster, ClusterConfig, Executor, SpillBackend};
+    use dwmaxerr_wavelet::basis::{algorithm7, partial_coefficients};
+    use std::hint::black_box;
     use std::time::Instant;
 
     const BUILDS: usize = 7;
     let n = 1usize << 20;
     let data = dwmaxerr_datagen::wd_like(n, 2e-4, 17);
+    let splits = block_splits(&data, 64).expect("64 blocks");
     let median = |mut v: Vec<f64>| {
         v.sort_unstable_by(f64::total_cmp);
         v[v.len() / 2]
     };
     let phases = [
-        "open + passes (`merge_secs`)",
-        "final merge + `sum` (`reduce_task_secs − merge_secs −` merge I/O)",
+        "map: `algorithm7` over the 64 blocks (task ms)",
+        "map: `partial_coefficients` over the 64 blocks (task ms)",
+        "map: tasks, host (Σ `map_task_secs −` read and spill I/O; task ms)",
+        "map: Σ `spill_secs` (task ms)",
+        "reduce: open + passes (`merge_secs`)",
+        "reduce: final merge + `sum` (`reduce_task_secs − merge_secs −` merge I/O)",
         "driver (call wall − `real_elapsed`)",
         "one `send_coef` call",
     ];
@@ -521,31 +535,58 @@ fn send_coef_reducer_by_phase() -> Table {
             io_sort_factor: 16,
             ..ClusterConfig::default()
         };
+        let pool = Executor::new(threads);
+        // Σ over blocks of the host seconds `walk` takes on one block.
+        let task_secs = |walk: &(dyn Fn(usize, &[f64]) + Sync)| -> f64 {
+            let secs = pool.run_indexed(&splits, |_, split| {
+                let start = Instant::now();
+                walk(split.start(), split.slice());
+                start.elapsed().as_secs_f64()
+            });
+            secs.iter().sum()
+        };
         let mut samples = vec![Vec::new(); phases.len()];
         for _ in 0..BUILDS {
+            let map_fn = task_secs(&|lo, block| {
+                let mut sink = 0u64;
+                algorithm7(n, lo, block, |i, v| {
+                    sink = sink.wrapping_add(i as u64 ^ v.to_bits())
+                });
+                black_box(sink);
+            });
+            let partials = task_secs(&|lo, block| {
+                black_box(partial_coefficients(n, lo, black_box(block)));
+            });
             let cluster = Cluster::new(cfg.clone());
             let start = Instant::now();
             let (_, metrics) = send_coef(&cluster, &data, n / 16, 64).expect("Send-Coef");
             let call = start.elapsed().as_secs_f64();
             let job = &metrics.jobs[0];
+            let map_io = io_secs(job.input_bytes, cfg.hdfs_bytes_per_sec)
+                + io_secs(job.disk_spill_bytes, cfg.disk_bytes_per_sec);
             let io = io_secs(job.disk_merge_bytes, cfg.disk_bytes_per_sec);
-            let ms = [
+            let secs = [
+                map_fn,
+                partials,
+                job.map_task_secs.iter().sum::<f64>() - map_io,
+                job.spill_secs.iter().sum(),
                 job.merge_secs[0],
                 job.reduce_task_secs[0] - job.merge_secs[0] - io,
                 call - job.real_elapsed.as_secs_f64(),
                 call,
             ];
-            for (phase, secs) in samples.iter_mut().zip(ms) {
+            for (phase, secs) in samples.iter_mut().zip(secs) {
                 phase.push(secs * 1e3);
             }
         }
         columns.push(samples.into_iter().map(median).collect::<Vec<f64>>());
     }
     let mut t = Table::new(
-        "Tooling — Send-Coef's reducer by phase (build-shuffle's shape; host ms, median of 7 builds)",
-        "Send-Coef's communication is the algorithm (Afrati–Ullman); what its one reducer \
-         does with the bytes is the runtime's cost. The rows say which reducer phase a \
-         merge change moved, from public JobMetrics fields alone",
+        "Tooling — Send-Coef by phase (build-shuffle's shape; host ms, median of 7 builds)",
+        "Send-Coef's communication is the algorithm (Afrati–Ullman); the order a mapper \
+         emits it in and what the one reducer does with the bytes are the runtime's cost. \
+         The rows say which phase a map- or merge-side change moved, from the public API \
+         and JobMetrics fields alone",
         &["phase", "T = 1", "T = 2"],
     );
     for (k, phase) in phases.iter().enumerate() {
@@ -555,6 +596,10 @@ fn send_coef_reducer_by_phase() -> Table {
             format!("{:.1}", columns[1][k]),
         ]);
     }
+    t.note(
+        "task ms are sums over tasks, so they exceed the wall when tasks overlap at T = 2; \
+         the map tasks' host time holds the map function, the collector and the spills",
+    );
     t
 }
 
@@ -570,7 +615,7 @@ fn main() {
         communication,
         local_work,
         request_cycle_by_stage(),
-        send_coef_reducer_by_phase(),
+        send_coef_by_phase(),
     ];
     for t in &tables {
         println!("{}", t.to_markdown());

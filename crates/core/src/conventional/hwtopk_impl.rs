@@ -88,6 +88,7 @@ pub fn hwtopk(
 ) -> Result<HWTopkReport, CoreError> {
     let n = data.len();
     dwmaxerr_wavelet::error::ensure_pow2(n)?;
+    let splits = block_splits(data, parts)?;
     if b == 0 {
         return Ok(HWTopkReport {
             synopsis: Synopsis::empty(n)?,
@@ -97,7 +98,6 @@ pub fn hwtopk(
             metrics: DriverMetrics::new(),
         });
     }
-    let splits = block_splits(data, parts);
     let m = splits.len();
     // Appendix A.5: with k = B, round 1 collects 2k records from every
     // mapper at one reducer; beyond the per-task memory budget the job

@@ -12,10 +12,12 @@
 //! coefficients cross the wire several times.
 //!
 //! The map function is [`algorithm7`] and nothing else: the walk streams
-//! `(node, value)` into `ctx.emit` — contained coefficients by ascending
-//! node, then the per-datapoint partials — with no intermediate list. That
-//! order is load-bearing: the spill sort is stable, so it fixes the order in
-//! which the reducer's `vals.sum()` adds, and with it every output bit.
+//! `(node, value)` into `ctx.emit` with no intermediate list, keys
+//! ascending and, per key, in `j` order. The second half is load-bearing:
+//! the spill sort is stable, so it fixes the order in which the reducer's
+//! `vals.sum()` adds, and with it every output bit — the same order the
+//! paper's datapoint-major walk gives. The first half is free speed: every
+//! partition reaches the spill sort already sorted.
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
@@ -58,7 +60,7 @@ fn send_coef_inner(
 ) -> Result<(Synopsis, DriverMetrics), CoreError> {
     let n = data.len();
     dwmaxerr_wavelet::error::ensure_pow2(n)?;
-    let splits = block_splits(data, parts);
+    let splits = block_splits(data, parts)?;
 
     let name = if with_combiner {
         "send-coef+combiner"

@@ -25,7 +25,7 @@ pub fn send_v(
 ) -> Result<(Synopsis, DriverMetrics), CoreError> {
     let n = data.len();
     dwmaxerr_wavelet::error::ensure_pow2(n)?;
-    let splits = block_splits(data, parts);
+    let splits = block_splits(data, parts)?;
 
     let job = JobBuilder::new("send-v")
         .map(|split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {

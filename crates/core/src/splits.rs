@@ -6,6 +6,8 @@
 
 use std::sync::Arc;
 
+use crate::error::CoreError;
+
 /// One mapper's input: a contiguous slice of the dataset.
 #[derive(Debug, Clone)]
 pub struct SliceSplit {
@@ -71,16 +73,18 @@ pub fn aligned_splits(data: &[f64], chunk: usize) -> Vec<SliceSplit> {
 /// Splits `data` into `parts` nearly-equal chunks with no alignment
 /// requirement — HDFS-block-style splits, as used by Send-Coef and
 /// H-WTopk (Appendix A: "the block size does not need to be aligned to a
-/// power of two").
-pub fn block_splits(data: &[f64], parts: usize) -> Vec<SliceSplit> {
-    assert!(parts > 0);
+/// power of two"). `parts == 0` is refused: no mapper could read the data.
+pub fn block_splits(data: &[f64], parts: usize) -> Result<Vec<SliceSplit>, CoreError> {
+    if parts == 0 {
+        return Err(CoreError::Protocol("parts must be positive"));
+    }
     let shared = Arc::new(data.to_vec());
     let n = data.len();
     let parts = parts.min(n.max(1));
     let base = n / parts;
     let extra = n % parts;
     let mut start = 0;
-    (0..parts)
+    Ok((0..parts)
         .map(|j| {
             let len = base + usize::from(j < extra);
             let split = SliceSplit {
@@ -92,7 +96,7 @@ pub fn block_splits(data: &[f64], parts: usize) -> Vec<SliceSplit> {
             start += len;
             split
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -120,7 +124,7 @@ mod tests {
     #[test]
     fn block_splits_cover_everything_unaligned() {
         let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let splits = block_splits(&data, 3);
+        let splits = block_splits(&data, 3).unwrap();
         assert_eq!(splits.len(), 3);
         let total: usize = splits.iter().map(SliceSplit::len).sum();
         assert_eq!(total, 10);
@@ -137,7 +141,11 @@ mod tests {
     #[test]
     fn block_splits_more_parts_than_items() {
         let data = [1.0, 2.0];
-        let splits = block_splits(&data, 5);
+        let splits = block_splits(&data, 5).unwrap();
         assert_eq!(splits.len(), 2);
+        assert!(matches!(
+            block_splits(&data, 0),
+            Err(CoreError::Protocol(_))
+        ));
     }
 }

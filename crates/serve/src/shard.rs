@@ -402,131 +402,6 @@ impl ShardedSynopsis {
     }
 }
 
-/// The representation this module served from before the rank index:
-/// sorted `(global id, value)` entries per shard and for the root
-/// sub-tree, every lookup a binary search. The bodies of `value`,
-/// `root_value`, `point_value` and `range_value` are unchanged; they are
-/// the oracle the index and the descents are checked against.
-#[cfg(test)]
-mod oracle {
-    use std::sync::Arc;
-
-    use dwmaxerr_core::partition::BasePartition;
-    use dwmaxerr_wavelet::reconstruct::range_multiplier;
-    use dwmaxerr_wavelet::tree::TreeTopology;
-    use dwmaxerr_wavelet::Synopsis;
-
-    pub struct Shard {
-        entries: Vec<(u32, f64)>,
-        pub root_incoming: f64,
-    }
-
-    impl Shard {
-        pub fn value(&self, id: usize) -> f64 {
-            match self.entries.binary_search_by_key(&(id as u32), |&(k, _)| k) {
-                Ok(pos) => self.entries[pos].1,
-                Err(_) => 0.0,
-            }
-        }
-    }
-
-    pub struct Sharded {
-        n: usize,
-        partition: BasePartition,
-        topo: TreeTopology,
-        root_entries: Arc<Vec<(u32, f64)>>,
-        pub shards: Vec<Shard>,
-    }
-
-    impl Sharded {
-        pub fn build(synopsis: &Synopsis, shards: usize) -> Self {
-            let n = synopsis.data_len();
-            let partition = BasePartition::new(n, n / shards).unwrap();
-            let topo = TreeTopology::new(n).unwrap();
-            let r = partition.num_base();
-
-            let mut root_entries = Vec::new();
-            let mut per_shard: Vec<Vec<(u32, f64)>> = vec![Vec::new(); r];
-            for &(id, v) in synopsis.entries() {
-                if (id as usize) < r {
-                    root_entries.push((id, v));
-                } else {
-                    per_shard[partition.owner_of(id as usize)].push((id, v));
-                }
-            }
-
-            let root_topo = partition.root_topology();
-            let shards = per_shard
-                .into_iter()
-                .enumerate()
-                .map(|(j, entries)| Shard {
-                    entries,
-                    root_incoming: root_entries
-                        .iter()
-                        .map(|&(a, v)| f64::from(root_topo.sign(a as usize, j)) * v)
-                        .sum(),
-                })
-                .collect();
-
-            Sharded {
-                n,
-                partition,
-                topo,
-                root_entries: Arc::new(root_entries),
-                shards,
-            }
-        }
-
-        fn shard_of_leaf(&self, x: usize) -> usize {
-            x / self.partition.base_leaves()
-        }
-
-        fn root_value(&self, id: usize) -> f64 {
-            match self
-                .root_entries
-                .binary_search_by_key(&(id as u32), |&(k, _)| k)
-            {
-                Ok(pos) => self.root_entries[pos].1,
-                Err(_) => 0.0,
-            }
-        }
-
-        pub fn point_value(&self, x: usize) -> f64 {
-            assert!(x < self.n, "point query out of range");
-            let r = self.partition.num_base();
-            let shard = &self.shards[self.shard_of_leaf(x)];
-            shard.root_incoming
-                + self
-                    .topo
-                    .path_of_leaf(x)
-                    .filter(|&(id, _)| id >= r)
-                    .map(|(id, s)| f64::from(s) * shard.value(id))
-                    .sum::<f64>()
-        }
-
-        pub fn range_value(&self, l: usize, h: usize) -> f64 {
-            assert!(l <= h && h < self.n, "range query out of range");
-            let r = self.partition.num_base();
-            let mut seen = Vec::with_capacity(2 * self.topo.levels() as usize + 2);
-            for (id, _) in self.topo.path_of_leaf(l).chain(self.topo.path_of_leaf(h)) {
-                if !seen.contains(&id) {
-                    seen.push(id);
-                }
-            }
-            seen.iter()
-                .map(|&id| {
-                    let c = if id < r {
-                        self.root_value(id)
-                    } else {
-                        self.shards[self.partition.owner_of(id)].value(id)
-                    };
-                    range_multiplier(&self.topo, id, l, h) as f64 * c
-                })
-                .sum()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn random_synopses_match_the_reference_evaluators_and_the_oracle() {
+    fn random_synopses_match_the_reference_evaluators() {
         for (n, seeds) in [(4usize, 0..6u64), (16, 0..6), (64, 0..4), (1 << 16, 0..1)] {
             for seed in seeds {
                 let density = [0.9, 0.4, 0.1, 1.0 / 16.0][seed as usize % 4];
@@ -676,24 +551,16 @@ mod tests {
                     }
                     let sh = ShardedSynopsis::build(&syn, shards, ErrorBound::none(), 0).unwrap();
                     assert_eq!(sh.size(), syn.size());
-                    // The oracle's build is quadratic in the shard count.
-                    let old = (shards <= 64).then(|| oracle::Sharded::build(&syn, shards));
                     let at = format!("n={n} seed={seed} shards={shards}");
                     let step = if n <= 64 { 1 } else { 97 };
                     for x in (0..n).step_by(step) {
                         let got = sh.point_value(x);
                         assert!(close(got, syn.reconstruct_value(x), 1e-12), "{at} x={x}");
-                        if let Some(old) = &old {
-                            assert!(close(got, old.point_value(x), 1e-12), "{at} x={x}");
-                        }
                     }
                     for (l, h) in ranges(n, seed) {
                         let got = sh.range_value(l, h);
                         let want = range_sum_synopsis(&syn, l, h);
                         assert!(close(got, want, 1e-9), "{at} {l}..={h}: {got} vs {want}");
-                        if let Some(old) = &old {
-                            assert!(close(got, old.range_value(l, h), 1e-9), "{at} {l}..={h}");
-                        }
                     }
                 }
             }
@@ -701,40 +568,47 @@ mod tests {
     }
 
     /// Every partial sum over whole-number data is exact, so there the
-    /// new order of the additions must not show at all: answers are the
-    /// oracle's bit for bit, and so is every lookup.
+    /// shard's order of the additions must not show at all: answers are
+    /// the reference evaluators' bit for bit, and every lookup is the
+    /// synopsis's coefficient, every `root_incoming` its root path's sum.
     #[test]
-    fn whole_number_data_is_bit_identical_to_the_oracle() {
+    fn whole_number_data_is_bit_identical_to_the_definition() {
         let n = 1 << 12;
         let w = forward(&wd_like(n, 2e-4, 11)).unwrap();
         let mut by_size: Vec<u32> = (0..n as u32).collect();
         by_size.sort_by(|&a, &b| w[b as usize].abs().total_cmp(&w[a as usize].abs()));
         let syn = Synopsis::retain_indices(&w, &by_size[..n / 16]).unwrap();
+        let mut coeffs = vec![0.0; n];
+        for &(i, v) in syn.entries() {
+            coeffs[i as usize] = v;
+        }
+        let topo = dwmaxerr_wavelet::tree::TreeTopology::new(n).unwrap();
         for shards in [1usize, 2, 16, n / 2] {
             let sh = ShardedSynopsis::build(&syn, shards, ErrorBound::none(), 0).unwrap();
-            let old = oracle::Sharded::build(&syn, shards);
             let p = sh.partition;
-            for (j, (shard, old_shard)) in sh.shards().iter().zip(&old.shards).enumerate() {
-                assert_eq!(
-                    shard.root_incoming().to_bits(),
-                    old_shard.root_incoming.to_bits()
-                );
+            for (j, shard) in sh.shards().iter().enumerate() {
+                let root_path = topo.path_of_leaf(shard.span().start);
+                let incoming: f64 = root_path
+                    .filter(|&(a, _)| a < p.num_base())
+                    .map(|(a, sign)| f64::from(sign) * coeffs[a])
+                    .sum();
+                assert_eq!(shard.root_incoming().to_bits(), incoming.to_bits());
                 for local in 1..p.base_leaves() {
-                    let want = old_shard.value(p.local_to_global(j, local));
+                    let want = coeffs[p.local_to_global(j, local)];
                     assert_eq!(shard.value(local).to_bits(), want.to_bits());
                 }
             }
             for x in 0..n {
                 assert_eq!(
                     sh.point_value(x).to_bits(),
-                    old.point_value(x).to_bits(),
+                    syn.reconstruct_value(x).to_bits(),
                     "shards={shards} x={x}"
                 );
             }
             for (l, h) in ranges(n, shards as u64) {
                 assert_eq!(
                     sh.range_value(l, h).to_bits(),
-                    old.range_value(l, h).to_bits(),
+                    range_sum_synopsis(&syn, l, h).to_bits(),
                     "shards={shards} {l}..={h}"
                 );
             }

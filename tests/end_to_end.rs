@@ -6,7 +6,7 @@ use dwmaxerr::algos::greedy_abs_synopsis;
 use dwmaxerr::algos::indirect_haar::indirect_haar_centralized;
 use dwmaxerr::algos::min_haar_space::{MhsError, MhsParams};
 use dwmaxerr::algos::min_rel_var::MrvParams;
-use dwmaxerr::core::conventional::{con, hwtopk, send_coef, send_v};
+use dwmaxerr::core::conventional::{con, hwtopk, send_coef, send_coef_combined, send_v};
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
 use dwmaxerr::core::dhaar_plus::{dhaar_plus, DhpConfig};
@@ -485,6 +485,43 @@ fn conventional_family_survives_edge_inputs() {
                 }
                 Err(MhsError::OffGrid) => assert!(!exact, "{tag}"),
                 Err(e) => panic!("{tag}: {e}"),
+            }
+        }
+    }
+}
+
+/// The block-split drivers' `parts` rows: any positive count of unaligned
+/// blocks, more than `N` included, gives the reference synopsis; `parts: 0`
+/// is a typed refusal. It used to reach `block_splits`' `assert!` and panic.
+#[test]
+fn block_split_drivers_take_any_parts_and_refuse_zero() {
+    let c = cluster();
+    let inputs = [vec![5.0], (0..16).map(|i| ((i * 5) % 11) as f64).collect()];
+    for data in &inputs {
+        let n = data.len();
+        for b in [0, n, n + 3] {
+            let reference = conventional_synopsis(&forward(data).unwrap(), b).unwrap();
+            for parts in [0, 1, n, n + 3] {
+                let built = [
+                    ("send_v", send_v(&c, data, b, parts).map(|r| r.0)),
+                    ("send_coef", send_coef(&c, data, b, parts).map(|r| r.0)),
+                    (
+                        "send_coef_combined",
+                        send_coef_combined(&c, data, b, parts).map(|r| r.0),
+                    ),
+                    ("hwtopk", hwtopk(&c, data, b, parts).map(|r| r.synopsis)),
+                ];
+                for (algo, outcome) in built {
+                    let tag = format!("{algo} n={n} b={b} parts={parts}");
+                    match outcome {
+                        Ok(synopsis) => {
+                            assert!(parts > 0, "{tag}: built");
+                            assert_eq!(synopsis, reference, "{tag}");
+                        }
+                        Err(CoreError::Protocol(_)) => assert_eq!(parts, 0, "{tag}"),
+                        Err(e) => panic!("{tag}: {e}"),
+                    }
+                }
             }
         }
     }
