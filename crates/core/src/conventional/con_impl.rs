@@ -10,6 +10,7 @@
 
 #![warn(clippy::too_many_lines)]
 
+use dwmaxerr_algos::conventional::conventional_synopsis;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, RuntimeError};
@@ -57,6 +58,12 @@ pub fn con(
     base_leaves: usize,
 ) -> Result<(Synopsis, DriverMetrics), CoreError> {
     let n = data.len();
+    if n < 2 {
+        // No tree to partition: one value is its own average, and none is
+        // the empty-input error Send-V, Send-Coef and H-WTopk give.
+        let coeffs = dwmaxerr_wavelet::transform::forward(data)?;
+        return Ok((conventional_synopsis(&coeffs, b)?, DriverMetrics::new()));
+    }
     let s = base_leaves.clamp(2, n);
     let partition = BasePartition::new(n, s)?;
     let splits = aligned_splits(data, s);
@@ -80,7 +87,6 @@ pub fn con(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_algos::conventional::conventional_synopsis;
     use dwmaxerr_runtime::ClusterConfig;
     use dwmaxerr_wavelet::transform::forward;
 

@@ -16,7 +16,7 @@ use dwmaxerr_algos::haar_plus::{
     HpRow, Role,
 };
 use dwmaxerr_algos::min_haar_space::{MhsError, MhsParams};
-use dwmaxerr_runtime::codec::{CodecError, Wire};
+use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::Cluster;
 
@@ -99,11 +99,11 @@ impl LayeredDp for Hp {
         (8 + row.costs.len() * 12) as u64
     }
 
-    fn encode_row(row: &HpRow, buf: &mut Vec<u8>) {
-        row.lo.encode(buf);
-        row.costs.encode(buf);
-        row.shift_l.encode(buf);
-        row.shift_r.encode(buf);
+    fn encode_row<S: WireSink>(row: &HpRow, sink: &mut S) {
+        row.lo.encode(sink);
+        row.costs.encode(sink);
+        row.shift_l.encode(sink);
+        row.shift_r.encode(sink);
     }
 
     fn decode_row(buf: &mut &[u8]) -> Result<HpRow, CodecError> {

@@ -13,7 +13,7 @@
 use dwmaxerr_algos::min_haar_space::{
     combine, min_haar_space, subtree_root, subtree_rows, MhsError, MhsParams, Row,
 };
-use dwmaxerr_runtime::codec::{CodecError, Wire};
+use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::Cluster;
 use dwmaxerr_wavelet::Synopsis;
@@ -95,10 +95,10 @@ impl LayeredDp for Mhs {
         (16 + row.costs.len() * 8) as u64
     }
 
-    fn encode_row(row: &Row, buf: &mut Vec<u8>) {
-        row.lo.encode(buf);
-        row.costs.encode(buf);
-        row.choices.encode(buf);
+    fn encode_row<S: WireSink>(row: &Row, sink: &mut S) {
+        row.lo.encode(sink);
+        row.costs.encode(sink);
+        row.choices.encode(sink);
     }
 
     fn decode_row(buf: &mut &[u8]) -> Result<Row, CodecError> {

@@ -20,7 +20,7 @@
 use dwmaxerr_algos::min_rel_var::{
     combine, min_rel_var, subtree_rows, CoinFlipper, MrvCell, MrvParams, MrvRow,
 };
-use dwmaxerr_runtime::codec::{CodecError, Wire};
+use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::Cluster;
 use dwmaxerr_wavelet::transform::forward;
@@ -110,13 +110,13 @@ impl LayeredDp for Mrv {
         (12 + row.cells.len() * 14) as u64
     }
 
-    fn encode_row(row: &MrvRow, buf: &mut Vec<u8>) {
-        row.min_norm.encode(buf);
-        (row.cells.len() as u32).encode(buf);
+    fn encode_row<S: WireSink>(row: &MrvRow, sink: &mut S) {
+        row.min_norm.encode(sink);
+        (row.cells.len() as u32).encode(sink);
         for c in &row.cells {
-            c.v.encode(buf);
-            c.y.encode(buf);
-            c.l.encode(buf);
+            c.v.encode(sink);
+            c.y.encode(sink);
+            c.l.encode(sink);
         }
     }
 

@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 
 use dwmaxerr_algos::min_haar_space::MhsError;
-use dwmaxerr_runtime::codec::{CodecError, Wire};
+use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 
@@ -103,7 +103,7 @@ pub(crate) trait LayeredDp: Sync {
     fn row_bytes(row: &Self::Row) -> u64;
 
     /// The row's wire form (the Eq. 6 message).
-    fn encode_row(row: &Self::Row, buf: &mut Vec<u8>);
+    fn encode_row<S: WireSink>(row: &Self::Row, sink: &mut S);
 
     /// Inverse of [`LayeredDp::encode_row`].
     fn decode_row(buf: &mut &[u8]) -> Result<Self::Row, CodecError>;
@@ -113,8 +113,8 @@ pub(crate) trait LayeredDp: Sync {
 struct RowMsg<D: LayeredDp>(D::Row);
 
 impl<D: LayeredDp> Wire for RowMsg<D> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        D::encode_row(&self.0, buf);
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        D::encode_row(&self.0, sink);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         D::decode_row(buf).map(RowMsg)
@@ -129,15 +129,15 @@ enum Down<P, C> {
 }
 
 impl<P: Wire, C: Wire> Wire for Down<P, C> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, sink: &mut S) {
         match self {
             Down::Carry(c) => {
-                buf.push(0);
-                c.encode(buf);
+                sink.write(&[0]);
+                c.encode(sink);
             }
             Down::Pick(p) => {
-                buf.push(1);
-                p.encode(buf);
+                sink.write(&[1]);
+                p.encode(sink);
             }
         }
     }
@@ -510,8 +510,8 @@ mod tests {
             8
         }
 
-        fn encode_row(row: &u64, buf: &mut Vec<u8>) {
-            row.encode(buf);
+        fn encode_row<S: WireSink>(row: &u64, sink: &mut S) {
+            row.encode(sink);
         }
 
         fn decode_row(buf: &mut &[u8]) -> Result<u64, CodecError> {

@@ -308,7 +308,8 @@ impl IncrementalConventional {
     /// Creates the maintainer for `n`-value windows with budget `b` and
     /// the given base slice size. Every base starts invalidated.
     pub fn new(n: usize, b: usize, base_leaves: usize) -> Result<Self, CoreError> {
-        let partition = BasePartition::new(n, base_leaves.clamp(2, n))?;
+        // `n < 2` has no tree to maintain: the partition refuses it.
+        let partition = BasePartition::new(n, base_leaves.clamp(2, n.max(2)))?;
         Ok(IncrementalConventional {
             bases: Bases::new(partition),
             b,
@@ -662,7 +663,7 @@ pub struct PhasedSynopsisDriver {
 impl PhasedSynopsisDriver {
     /// Creates a driver over an `n`-value window with budget `b`.
     pub fn new(n: usize, b: usize, cfg: &DGreedyAbsConfig) -> Result<Self, CoreError> {
-        let base_leaves = cfg.base_leaves.clamp(2, n);
+        let base_leaves = cfg.base_leaves.clamp(2, n.max(2));
         Ok(PhasedSynopsisDriver {
             window: StreamWindow::new(n, base_leaves)?,
             conventional: IncrementalConventional::new(n, b, base_leaves)?,

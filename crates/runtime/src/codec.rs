@@ -13,8 +13,8 @@
 //! varint encoding would only obscure the comparison.
 //!
 //! Two 64-bit functions over bytes live here. [`FnvHasher`] *hashes*: the
-//! default partitioner, `structural_digest` and the test digests stream
-//! values through it, and goldens pin its output. [`checksum64`] *checks
+//! default partitioner, `structural_digest` and the test digests encode
+//! values into it, and goldens pin its output. [`checksum64`] *checks
 //! integrity*: it is the footer of every [`frame`] (spill runs on disk,
 //! query frames on the wire) and nothing else depends on its value.
 
@@ -46,9 +46,9 @@ fn take<'a>(buf: &mut &'a [u8], n: usize, context: &'static str) -> Result<&'a [
     Ok(head)
 }
 
-/// A byte sink that [`Wire::stream`] writes encoded fragments into.
+/// A byte sink that [`Wire::encode`] writes encoded fragments into.
 ///
-/// Implemented by `Vec<u8>` (appends, equivalent to [`Wire::encode`]) and by
+/// Implemented by `Vec<u8>` (appends), by [`CountingSink`] (counts) and by
 /// [`FnvHasher`] (folds the bytes into an FNV-1a state without storing
 /// them). The default partitioner hashes keys through this trait so that
 /// per-record hashing allocates nothing.
@@ -66,9 +66,9 @@ impl WireSink for Vec<u8> {
 
 /// A sink that counts wire bytes without storing them.
 ///
-/// Streaming a value through [`Wire::stream`] into a `CountingSink` yields
-/// exactly `codec::encoded_len(&value)` with no allocation — the map-side
-/// spill budget is tracked this way, one add per emitted record.
+/// Encoding a value into a `CountingSink` yields exactly
+/// `codec::encoded_len(&value)` with no allocation — the map-side spill
+/// budget is tracked this way, one add per emitted record.
 #[derive(Debug, Clone, Default)]
 pub struct CountingSink {
     /// Total bytes written so far.
@@ -91,10 +91,10 @@ impl WireSink for CountingSink {
 
 /// Streaming FNV-1a hasher over wire bytes.
 ///
-/// Feeding a value through [`Wire::stream`] yields exactly FNV-1a over
-/// `codec::encoded(&value)` — the default partitioner relies on this
-/// equivalence to keep partition assignment stable while skipping the
-/// per-record encode allocation.
+/// Encoding a value into it yields exactly FNV-1a over
+/// `codec::encoded(&value)` — the default partitioner relies on this to
+/// keep partition assignment stable while skipping the per-record encode
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct FnvHasher {
     state: u64,
@@ -219,31 +219,18 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 
 /// Types that can be serialized to and from the shuffle wire format.
 pub trait Wire: Sized {
-    /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    /// Writes the encoding of `self` into `sink`, fragment by fragment.
+    fn encode<S: WireSink>(&self, sink: &mut S);
     /// Decodes a value from the front of `buf`, advancing it.
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
-
-    /// Streams the encoding of `self` into `sink` fragment by fragment.
-    ///
-    /// Must produce exactly the bytes [`Wire::encode`] appends. The default
-    /// implementation encodes into a scratch `Vec` and forwards it — correct
-    /// for any impl, but allocating; every codec-provided impl overrides it
-    /// to write fragments directly, which is what makes streaming hashing
-    /// allocation-free.
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        sink.write(&buf);
-    }
 
     /// Advances `buf` past one encoded value without materialising it.
     ///
     /// Must consume exactly the bytes [`Wire::decode`] would. The default
     /// implementation decodes and drops the value; fixed-width and
     /// length-prefixed impls override it to advance by arithmetic alone —
-    /// the spill sorter uses this to find value boundaries without decoding
-    /// payloads.
+    /// the merge's stretch search uses this to find record boundaries in
+    /// variable-width runs without decoding payloads.
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         Self::decode(buf).map(|_| ())
     }
@@ -273,17 +260,13 @@ macro_rules! wire_fixed {
     ($($t:ty => $ctx:literal),* $(,)?) => {$(
         impl Wire for $t {
             #[inline]
-            fn encode(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
+            fn encode<S: WireSink>(&self, sink: &mut S) {
+                sink.write(&self.to_le_bytes());
             }
             #[inline]
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
                 let bytes = take(buf, std::mem::size_of::<$t>(), $ctx)?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact length")))
-            }
-            #[inline]
-            fn stream<S: WireSink>(&self, sink: &mut S) {
-                sink.write(&self.to_le_bytes());
             }
             #[inline]
             fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
@@ -302,16 +285,12 @@ wire_fixed! {
 
 impl Wire for bool {
     #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        sink.write(&[u8::from(*self)]);
     }
     #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(take(buf, 1, "bool")?[0] != 0)
-    }
-    #[inline]
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        sink.write(&[u8::from(*self)]);
     }
     #[inline]
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
@@ -322,16 +301,12 @@ impl Wire for bool {
 
 impl Wire for usize {
     #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as u64).encode(buf);
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        (*self as u64).encode(sink);
     }
     #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(u64::decode(buf)? as usize)
-    }
-    #[inline]
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        (*self as u64).stream(sink);
     }
     #[inline]
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
@@ -341,9 +316,9 @@ impl Wire for usize {
 }
 
 impl Wire for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        buf.extend_from_slice(self.as_bytes());
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        (self.len() as u32).encode(sink);
+        sink.write(self.as_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = u32::decode(buf)? as usize;
@@ -351,10 +326,6 @@ impl Wire for String {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError {
             context: "string utf8",
         })
-    }
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        (self.len() as u32).stream(sink);
-        sink.write(self.as_bytes());
     }
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         let len = u32::decode(buf)? as usize;
@@ -364,25 +335,19 @@ impl Wire for String {
 
 impl Wire for () {
     #[inline]
-    fn encode(&self, _buf: &mut Vec<u8>) {}
+    fn encode<S: WireSink>(&self, _sink: &mut S) {}
     #[inline]
     fn decode(_buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(())
     }
-    #[inline]
-    fn stream<S: WireSink>(&self, _sink: &mut S) {}
-    #[inline]
-    fn skip(_buf: &mut &[u8]) -> Result<(), CodecError> {
-        Ok(())
-    }
 }
 
-/// Appends the encoding of `items` to `buf` — byte for byte what
-/// `Vec<T>::encode` appends for an owned copy, without making one.
-pub fn encode_slice<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
-    (items.len() as u32).encode(buf);
+/// Writes the encoding of `items` into `sink` — byte for byte what
+/// `Vec<T>::encode` writes for an owned copy, without making one.
+pub fn encode_slice<T: Wire, S: WireSink>(items: &[T], sink: &mut S) {
+    (items.len() as u32).encode(sink);
     for item in items {
-        item.encode(buf);
+        item.encode(sink);
     }
 }
 
@@ -396,8 +361,8 @@ fn reservation(len: usize, present: usize) -> usize {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_slice(self, buf);
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        encode_slice(self, sink);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = u32::decode(buf)? as usize;
@@ -406,12 +371,6 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(buf)?);
         }
         Ok(out)
-    }
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        (self.len() as u32).stream(sink);
-        for item in self {
-            item.stream(sink);
-        }
     }
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         let len = u32::decode(buf)? as usize;
@@ -423,12 +382,12 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, sink: &mut S) {
         match self {
-            None => buf.push(0),
+            None => sink.write(&[0]),
             Some(v) => {
-                buf.push(1);
-                v.encode(buf);
+                sink.write(&[1]);
+                v.encode(sink);
             }
         }
     }
@@ -439,15 +398,6 @@ impl<T: Wire> Wire for Option<T> {
             _ => Err(CodecError {
                 context: "option tag value",
             }),
-        }
-    }
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        match self {
-            None => sink.write(&[0]),
-            Some(v) => {
-                sink.write(&[1]);
-                v.stream(sink);
-            }
         }
     }
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
@@ -464,14 +414,11 @@ impl<T: Wire> Wire for Option<T> {
 macro_rules! wire_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Wire),+> Wire for ($($name,)+) {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $(self.$idx.encode(buf);)+
+            fn encode<S: WireSink>(&self, sink: &mut S) {
+                $(self.$idx.encode(sink);)+
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(($($name::decode(buf)?,)+))
-            }
-            fn stream<S: WireSink>(&self, sink: &mut S) {
-                $(self.$idx.stream(sink);)+
             }
             fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
                 $($name::skip(buf)?;)+
@@ -499,9 +446,11 @@ pub fn encoded<T: Wire>(value: &T) -> Vec<u8> {
     buf
 }
 
-/// The encoded size of a value in bytes.
+/// The encoded size of a value in bytes, counted without allocating.
 pub fn encoded_len<T: Wire>(value: &T) -> usize {
-    encoded(value).len()
+    let mut sink = CountingSink::new();
+    value.encode(&mut sink);
+    sink.bytes
 }
 
 #[cfg(test)]
@@ -630,14 +579,11 @@ mod tests {
         assert_eq!(encoded_len(&vec![0u32; 10]), 4 + 40);
     }
 
-    fn stream_matches_encode<T: Wire>(v: T) {
-        let mut streamed = Vec::new();
-        v.stream(&mut streamed);
-        assert_eq!(streamed, encoded(&v), "stream bytes differ from encode");
-        // The streaming hasher over the value equals the buffer-level FNV-1a
-        // fold over the encoded bytes.
+    fn hash_and_skip_agree<T: Wire>(v: T) {
+        // Encoding into the hasher equals the buffer-level FNV-1a fold over
+        // the encoded bytes.
         let mut hasher = FnvHasher::new();
-        v.stream(&mut hasher);
+        v.encode(&mut hasher);
         let mut reference = FnvHasher::new();
         reference.write(&encoded(&v));
         assert_eq!(hasher.finish(), reference.finish());
@@ -649,23 +595,23 @@ mod tests {
     }
 
     #[test]
-    fn stream_and_skip_agree_with_encode_and_decode() {
-        stream_matches_encode(0u8);
-        stream_matches_encode(u64::MAX);
-        stream_matches_encode(-7i32);
-        stream_matches_encode(f64::NAN);
-        stream_matches_encode(true);
-        stream_matches_encode(usize::MAX);
-        stream_matches_encode(());
-        stream_matches_encode(String::from("hello κόσμος"));
-        stream_matches_encode(String::new());
-        stream_matches_encode(vec![1u32, 2, 3]);
-        stream_matches_encode(Vec::<f64>::new());
-        stream_matches_encode(vec![vec![1u8], vec![], vec![2, 3]]);
-        stream_matches_encode(Some(42i64));
-        stream_matches_encode(Option::<i64>::None);
-        stream_matches_encode((1u32, -2i64, 3.0f64, String::from("x")));
-        stream_matches_encode((1u8, 2u8, 3u8, 4u8, 5u8));
+    fn hashing_and_skip_agree_with_encode_and_decode() {
+        hash_and_skip_agree(0u8);
+        hash_and_skip_agree(u64::MAX);
+        hash_and_skip_agree(-7i32);
+        hash_and_skip_agree(f64::NAN);
+        hash_and_skip_agree(true);
+        hash_and_skip_agree(usize::MAX);
+        hash_and_skip_agree(());
+        hash_and_skip_agree(String::from("hello κόσμος"));
+        hash_and_skip_agree(String::new());
+        hash_and_skip_agree(vec![1u32, 2, 3]);
+        hash_and_skip_agree(Vec::<f64>::new());
+        hash_and_skip_agree(vec![vec![1u8], vec![], vec![2, 3]]);
+        hash_and_skip_agree(Some(42i64));
+        hash_and_skip_agree(Option::<i64>::None);
+        hash_and_skip_agree((1u32, -2i64, 3.0f64, String::from("x")));
+        hash_and_skip_agree((1u8, 2u8, 3u8, 4u8, 5u8));
     }
 
     fn width_is_the_encoded_len<T: Wire>(v: T) {
@@ -704,28 +650,6 @@ mod tests {
 
         let mut s: &[u8] = &[7u8];
         assert!(Option::<u8>::skip(&mut s).is_err());
-    }
-
-    #[test]
-    fn default_stream_falls_back_to_encode() {
-        // A custom impl that relies on the provided default `stream`.
-        #[derive(PartialEq, Debug)]
-        struct Custom(u32);
-        impl Wire for Custom {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                self.0.encode(buf);
-            }
-            fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-                Ok(Custom(u32::decode(buf)?))
-            }
-        }
-        let mut streamed = Vec::new();
-        Custom(9).stream(&mut streamed);
-        assert_eq!(streamed, encoded(&Custom(9)));
-        let buf = encoded(&Custom(9));
-        let mut s = buf.as_slice();
-        Custom::skip(&mut s).unwrap();
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! [`crate::job`] routes through:
 //!
 //! * map attempts and reduce attempts across a phase,
-//! * mid-task spill sorts (one sub-task per reduce partition),
 //! * intermediate k-way merge passes (one sub-task per contiguous run
 //!   group),
 //! * a big reducer's final merge (one sub-task per key range),
@@ -263,48 +262,6 @@ impl Executor {
             .collect()
     }
 
-    /// [`Executor::run_indexed`] over mutable items: `f(i, &mut
-    /// items[i])`, each index visited exactly once, results positional.
-    /// Backs the in-place parallel spill sorts, where each reduce
-    /// partition's pair buffer is sorted/folded independently.
-    pub fn run_indexed_mut<T, R>(
-        &self,
-        items: &mut [T],
-        f: impl Fn(usize, &mut T) -> R + Sync,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-    {
-        let n = items.len();
-        if !self.is_parallel() || n <= 1 {
-            return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        struct BasePtr<T>(*mut T);
-        // SAFETY: each index is dispatched to exactly one task, so the
-        // derived `&mut` references are disjoint; `T: Send` lets them
-        // cross threads.
-        unsafe impl<T: Send> Sync for BasePtr<T> {}
-        let base = BasePtr(items.as_mut_ptr());
-        // Borrow the wrapper (not the raw pointer) so the closure captures
-        // the `Sync` type.
-        let base = &base;
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.run_batch(n, &|i| {
-            let item = unsafe { &mut *base.0.add(i) };
-            let r = f(i, item);
-            *slots[i].lock().expect("result slot") = Some(r);
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot")
-                    .expect("every index filled")
-            })
-            .collect()
-    }
-
     /// Distributes `n` task indices round-robin across the worker
     /// deques, then helps execute until the batch completes. Re-raises
     /// the first task panic on this thread.
@@ -400,20 +357,6 @@ mod tests {
         let empty: Vec<u32> = pool.run_indexed(&[] as &[u32], |_, &x| x);
         assert!(empty.is_empty());
         assert_eq!(pool.run_indexed(&[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn run_indexed_mut_mutates_in_place() {
-        let pool = Executor::new(3);
-        let mut items: Vec<Vec<u32>> = (0..17).map(|i| vec![i, i + 1]).collect();
-        let sums = pool.run_indexed_mut(&mut items, |_, v| {
-            v.push(99);
-            v.iter().sum::<u32>()
-        });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(v.len(), 3);
-            assert_eq!(sums[i], (i as u32) + (i as u32 + 1) + 99);
-        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ impl<K: Wire + Ord + Send, V: Wire + Send> MapContext<'_, K, V> {
             return;
         }
         let mut sink = CountingSink::new();
-        key.stream(&mut sink);
-        value.stream(&mut sink);
+        key.encode(&mut sink);
+        value.encode(&mut sink);
         self.parts[p].push((key, value));
         self.spill.buffered += sink.bytes;
         if self.spill.buffered >= self.spill.budget {
@@ -72,7 +72,7 @@ impl<K: Wire + Ord + Send, V: Wire + Send> MapContext<'_, K, V> {
 }
 
 /// The default partitioner, Hadoop's `HashPartitioner`: FNV-1a over the
-/// key's wire bytes, streamed straight into the hasher — no per-record
+/// key's wire bytes, encoded straight into the hasher — no per-record
 /// encode buffer — and no hash at all for a single reducer, where every
 /// key lands in partition 0 whatever it hashes to.
 pub fn default_partition<K: Wire>(key: &K, parts: usize) -> usize {
@@ -80,7 +80,7 @@ pub fn default_partition<K: Wire>(key: &K, parts: usize) -> usize {
         return 0;
     }
     let mut hasher = FnvHasher::new();
-    key.stream(&mut hasher);
+    key.encode(&mut hasher);
     (hasher.finish() % parts as u64) as usize
 }
 
@@ -255,8 +255,6 @@ fn spill_one_partition<K: Wire + Ord, V: Wire>(
 /// `io.sort.mb` budget, the metered buffered bytes, and the runs spilled
 /// so far (per partition, in spill order).
 struct SpillControl<'a, K, V> {
-    /// Executor that fans the per-partition spill sorts across cores.
-    pool: &'a Executor,
     /// Wire bytes the task may buffer before spilling
     /// (`min(io_sort_bytes, task_memory_bytes)`).
     budget: usize,
@@ -281,7 +279,7 @@ struct SpillControl<'a, K, V> {
     disk_bytes: u64,
 }
 
-impl<K: Wire + Ord + Send, V: Wire + Send> SpillControl<'_, K, V> {
+impl<K: Wire + Ord, V: Wire> SpillControl<'_, K, V> {
     /// The map-side spill: sorts (or combiner-folds) each partition's
     /// buffered pairs, serializes them as one run per non-empty partition,
     /// clears the buffers (capacity kept, so mapping can continue into
@@ -292,30 +290,19 @@ impl<K: Wire + Ord + Send, V: Wire + Send> SpillControl<'_, K, V> {
     /// byte-identical per run to what the unconstrained path would have
     /// produced for the same pairs.
     fn spill(&mut self, parts: &mut [Vec<(K, V)>], external: bool) {
-        // Partitions sort independently, so a big spill fans its partition
-        // sorts across the executor; tiny spills stay inline — the
-        // cross-thread handoff would cost more than the sort. Results come
-        // back positionally and the capacity hints are monotone
-        // `fetch_max`es, so the spilled bytes (and the hints' final values)
-        // are identical either way.
-        const PAR_SPILL_MIN_PAIRS: usize = 4096;
         let spill_start = Instant::now();
-        let total_pairs: usize = parts.iter().map(Vec::len).sum();
-        let (combiner, byte_hints, pair_hints) =
-            (self.combiner, self.partition_hints, self.pair_hints);
-        let spill_one = |p: usize, pairs: &mut Vec<(K, V)>| {
-            spill_one_partition(pairs, combiner, &byte_hints[p], &pair_hints[p])
-        };
-        let spilled: Vec<(Vec<u8>, u64)> =
-            if self.pool.is_parallel() && parts.len() > 1 && total_pairs >= PAR_SPILL_MIN_PAIRS {
-                self.pool.run_indexed_mut(parts, spill_one)
-            } else {
-                parts
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(p, pairs)| spill_one(p, pairs))
-                    .collect()
-            };
+        let spilled: Vec<(Vec<u8>, u64)> = parts
+            .iter_mut()
+            .enumerate()
+            .map(|(p, pairs)| {
+                spill_one_partition(
+                    pairs,
+                    self.combiner,
+                    &self.partition_hints[p],
+                    &self.pair_hints[p],
+                )
+            })
+            .collect();
         self.spill_secs += spill_start.elapsed().as_secs_f64();
         let mut runs = 0u64;
         let mut bytes = 0u64;
@@ -421,7 +408,6 @@ where
             partitioner: self.partitioner,
             bad_partition: None,
             spill: SpillControl {
-                pool: self.pool,
                 // `io.sort.mb` is further clamped to the task memory
                 // budget — a task must be able to spill before it
                 // exhausts its memory.
@@ -517,8 +503,8 @@ mod tests {
     }
 
     /// The historical default-partitioner formula: FNV-1a over the fully
-    /// encoded key bytes. The production path now streams key bytes through
-    /// [`FnvHasher`] without materialising the encoding; this test pins the
+    /// encoded key bytes. The production path encodes the key straight into
+    /// [`FnvHasher`] without materialising the bytes; this test pins the
     /// two formulations to identical partition assignments.
     fn fnv1a_reference(bytes: &[u8]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -533,7 +519,7 @@ mod tests {
         let mut encoded = Vec::new();
         key.encode(&mut encoded);
         let mut hasher = FnvHasher::new();
-        key.stream(&mut hasher);
+        key.encode(&mut hasher);
         assert_eq!(
             hasher.finish(),
             fnv1a_reference(&encoded),
@@ -558,7 +544,7 @@ mod tests {
             let mut enc = Vec::new();
             k.encode(&mut enc);
             let mut h = FnvHasher::new();
-            k.stream(&mut h);
+            k.encode(&mut h);
             for parts in [1usize, 2, 3, 7, 16] {
                 let reference = (fnv1a_reference(&enc) % parts as u64) as usize;
                 assert_eq!((h.finish() % parts as u64) as usize, reference);

@@ -499,7 +499,7 @@ mod tests {
     use std::fmt::Debug;
 
     use super::*;
-    use crate::codec::CodecError;
+    use crate::codec::{CodecError, WireSink};
     use crate::job::reduce::{reduce_ranges, ReduceContext};
 
     /// One record as the definition sees it: key, run index, value, bytes.
@@ -789,8 +789,8 @@ mod tests {
         }
     }
     impl Wire for TotalF64 {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            self.0.to_bits().encode(buf);
+        fn encode<S: WireSink>(&self, sink: &mut S) {
+            self.0.to_bits().encode(sink);
         }
         fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(TotalF64(f64::from_bits(u64::decode(buf)?)))
@@ -898,8 +898,8 @@ mod tests {
     #[derive(Debug, Clone, PartialEq)]
     struct Lie<const CLAIM: usize>(u32);
     impl<const CLAIM: usize> Wire for Lie<CLAIM> {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            self.0.encode(buf);
+        fn encode<S: WireSink>(&self, sink: &mut S) {
+            self.0.encode(sink);
         }
         fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(Lie(u32::decode(buf)?))

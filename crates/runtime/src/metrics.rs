@@ -26,11 +26,6 @@ impl SimTime {
     pub fn secs(self) -> f64 {
         self.0
     }
-
-    /// Converts to a `Duration` (saturating at zero).
-    pub fn as_duration(self) -> Duration {
-        Duration::from_secs_f64(self.0.max(0.0))
-    }
 }
 
 impl Add for SimTime {
@@ -383,11 +378,6 @@ impl JobMetrics {
         self.attempt_stats.retried
     }
 
-    /// Speculative backup attempts launched.
-    pub fn speculative_attempts(&self) -> u64 {
-        self.attempt_stats.speculative
-    }
-
     /// Simulated seconds of work that produced no output.
     pub fn wasted_secs(&self) -> f64 {
         self.attempt_stats.wasted_secs
@@ -693,7 +683,6 @@ mod tests {
         b += SimTime(3.0);
         assert_eq!(b.secs(), 3.0);
         assert!(SimTime(1.0) < SimTime(2.0));
-        assert_eq!(SimTime(2.0).as_duration(), Duration::from_secs(2));
     }
 
     #[test]

@@ -310,7 +310,7 @@ mod shuffle_equivalence {
     //! payloads, memory pressure, both spill backends and node faults are
     //! all exercised by the generators.
 
-    use dwmaxerr_runtime::codec::{encoded, FnvHasher, Wire, WireSink};
+    use dwmaxerr_runtime::codec::{encoded, encoded_len, FnvHasher, Wire, WireSink};
     use dwmaxerr_runtime::reference::shuffle_reduce;
     use dwmaxerr_runtime::trace::TraceEventKind;
     use dwmaxerr_runtime::{
@@ -491,26 +491,24 @@ mod shuffle_equivalence {
         }
 
         #[test]
-        fn streaming_encode_matches_buffered_encode(
+        fn every_sink_sees_the_buffered_encoding(
             key in any::<u64>(),
             text in prop::collection::vec(any::<u8>(), 0..12)
                 .prop_map(|bs| bs.iter().map(|b| char::from(b % 26 + b'a')).collect::<String>()),
             list in prop::collection::vec(any::<u32>(), 0..6),
             opt in prop::option::of(any::<i64>()),
         ) {
-            // `Wire::stream` into a Vec sink must write exactly the bytes
-            // `Wire::encode` would, and streaming into FnvHasher must hash
-            // exactly those bytes — the zero-alloc partitioner's contract.
+            // Encoding into FnvHasher must hash exactly the bytes encoding
+            // into a Vec writes — the zero-alloc partitioner's contract —
+            // and a CountingSink must count them.
             fn check<T: Wire>(v: &T) {
                 let buffered = encoded(v);
-                let mut streamed = Vec::new();
-                v.stream(&mut streamed);
-                assert_eq!(streamed, buffered);
                 let mut hasher = FnvHasher::new();
-                v.stream(&mut hasher);
+                v.encode(&mut hasher);
                 let mut reference = FnvHasher::new();
                 reference.write(&buffered);
                 assert_eq!(hasher.finish(), reference.finish());
+                assert_eq!(encoded_len(v), buffered.len());
             }
             check(&key);
             check(&text);
@@ -681,7 +679,7 @@ mod frame_codec {
 }
 
 mod corruption {
-    use dwmaxerr_runtime::codec::{CodecError, Wire};
+    use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
     use dwmaxerr_runtime::{
         Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext, RuntimeError,
     };
@@ -692,9 +690,9 @@ mod corruption {
     struct Liar;
 
     impl Wire for Liar {
-        fn encode(&self, buf: &mut Vec<u8>) {
+        fn encode<S: WireSink>(&self, sink: &mut S) {
             // Claims 8 bytes of payload but writes none.
-            8u32.encode(buf);
+            8u32.encode(sink);
         }
         fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             let len = u32::decode(buf)? as usize;
@@ -731,8 +729,8 @@ mod corruption {
     struct WideLie(u32);
 
     impl Wire for WideLie {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            self.0.encode(buf);
+        fn encode<S: WireSink>(&self, sink: &mut S) {
+            self.0.encode(sink);
         }
         fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(WideLie(u32::decode(buf)?))

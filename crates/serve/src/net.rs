@@ -127,8 +127,8 @@ impl Query {
 }
 
 impl Wire for Query {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.with_wire(|bytes| buf.extend_from_slice(bytes));
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        self.with_wire(|bytes| sink.write(bytes));
     }
 
     /// The tag names the width, and the words behind it take one length
@@ -154,14 +154,6 @@ impl Wire for Query {
             }),
             None => Err(CodecError { context: "u8" }),
         }
-    }
-
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        self.with_wire(|bytes| sink.write(bytes));
-    }
-
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        Self::decode(buf).map(|_| ())
     }
 }
 
@@ -231,13 +223,13 @@ impl SlotResult {
     }
 }
 
-/// Appends an answer slot.
-fn encode_answer(a: &Answer, buf: &mut Vec<u8>) {
-    0u8.encode(buf);
-    a.value.encode(buf);
-    a.err_abs.encode(buf);
-    a.err_rel.map(|r| (r.epsilon, r.sanity)).encode(buf);
-    a.version.encode(buf);
+/// Writes an answer slot.
+fn encode_answer<S: WireSink>(a: &Answer, sink: &mut S) {
+    0u8.encode(sink);
+    a.value.encode(sink);
+    a.err_abs.encode(sink);
+    a.err_rel.map(|r| (r.epsilon, r.sanity)).encode(sink);
+    a.version.encode(sink);
 }
 
 /// Appends an error slot carrying `message` rendered, without rendering
@@ -291,10 +283,14 @@ fn decode_answer(buf: &mut &[u8]) -> Result<Answer, CodecError> {
 }
 
 impl Wire for SlotResult {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, sink: &mut S) {
         match self {
-            SlotResult::Answer(a) => encode_answer(a, buf),
-            SlotResult::Error { code, message } => encode_error(*code, message, buf),
+            SlotResult::Answer(a) => encode_answer(a, sink),
+            SlotResult::Error { code, message } => {
+                1u8.encode(sink);
+                code.encode(sink);
+                message.encode(sink);
+            }
         }
     }
 
@@ -313,16 +309,6 @@ impl Wire for SlotResult {
             }),
             None => Err(CodecError { context: "u8" }),
         }
-    }
-
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        sink.write(&buf);
-    }
-
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        Self::decode(buf).map(|_| ())
     }
 }
 
@@ -344,11 +330,11 @@ pub struct QueryResponse {
 }
 
 impl Wire for QueryResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.status.encode(buf);
-        self.version.encode(buf);
-        self.slots.encode(buf);
+    fn encode<S: WireSink>(&self, sink: &mut S) {
+        self.id.encode(sink);
+        self.status.encode(sink);
+        self.version.encode(sink);
+        self.slots.encode(sink);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -358,16 +344,6 @@ impl Wire for QueryResponse {
             version: u64::decode(buf)?,
             slots: Vec::<SlotResult>::decode(buf)?,
         })
-    }
-
-    fn stream<S: WireSink>(&self, sink: &mut S) {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        sink.write(&buf);
-    }
-
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        Self::decode(buf).map(|_| ())
     }
 }
 
@@ -1102,9 +1078,6 @@ mod tests {
         #[test]
         fn a_query_keeps_its_bytes_and_its_errors(q in query()) {
             let bytes = encoded(&q);
-            let mut streamed = Vec::new();
-            q.stream(&mut streamed);
-            prop_assert_eq!(&streamed, &bytes);
             prop_assert_eq!(&decode_query_by_field(&mut &bytes[..]), &Ok(q));
             let mut cursor = &bytes[..];
             prop_assert_eq!(Query::decode(&mut cursor), Ok(q));

@@ -283,11 +283,6 @@ impl ErrorTree {
         &self.coeffs
     }
 
-    /// Consumes the tree, returning the coefficient array.
-    pub fn into_coefficients(self) -> Vec<f64> {
-        self.coeffs
-    }
-
     /// Number of coefficients / data values.
     #[inline]
     pub fn len(&self) -> usize {

@@ -23,6 +23,12 @@
 //!
 //! 4. every `--bin NAME` names a binary target that exists,
 //!    `crates/bench/src/bin/NAME.rs` or `src/bin/NAME.rs`.
+//!
+//! And for DESIGN.md's module maps, that
+//!
+//! 5. in every table row whose first cell is a backticked `.rs` path,
+//!    each backticked plain identifier of the second cell occurs as a
+//!    word in that file, so a map cannot keep naming a deleted type.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -210,6 +216,64 @@ fn named_bins_exist() {
     assert!(
         broken.is_empty(),
         "run instructions for bins that do not exist:\n{}",
+        broken.join("\n")
+    );
+}
+
+/// Whether `word` occurs in `text` with no identifier character on
+/// either side.
+fn has_word(text: &str, word: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + word.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+#[test]
+fn module_map_rows_name_what_their_file_defines() {
+    let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).expect("DESIGN.md");
+    let mut rows = 0;
+    let mut broken = Vec::new();
+    for (lineno, line) in design.lines().enumerate() {
+        let mut cells = line.split('|').skip(1).map(str::trim);
+        let (Some(first), Some(second)) = (cells.next(), cells.next()) else {
+            continue;
+        };
+        let Some(path) = first
+            .strip_prefix('`')
+            .and_then(|c| c.strip_suffix('`'))
+            .filter(|p| p.ends_with(".rs") && !p.contains('`'))
+        else {
+            continue;
+        };
+        let file = [
+            repo_root().join(path),
+            repo_root().join("crates").join(path),
+        ]
+        .into_iter()
+        .find_map(|f| std::fs::read_to_string(f).ok())
+        .unwrap_or_else(|| panic!("DESIGN.md:{}: no file `{path}`", lineno + 1));
+        rows += 1;
+        for name in between(second, "`", "`") {
+            let plain = name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+            if plain && !has_word(&file, name) {
+                broken.push(format!(
+                    "DESIGN.md:{}: `{name}` does not occur in {path}",
+                    lineno + 1
+                ));
+            }
+        }
+    }
+    assert!(
+        rows > 0,
+        "sanity: DESIGN.md has no module-map rows — did the table syntax change?"
+    );
+    assert!(
+        broken.is_empty(),
+        "module maps naming what their file does not define:\n{}",
         broken.join("\n")
     );
 }

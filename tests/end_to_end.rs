@@ -13,9 +13,12 @@ use dwmaxerr::core::dhaar_plus::{dhaar_plus, DhpConfig};
 use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use dwmaxerr::core::dmin_rel_var::{dmin_rel_var, DmrvConfig};
-use dwmaxerr::core::{CoreError, IncrementalDGreedyAbs};
+use dwmaxerr::core::{
+    CoreError, IncrementalConventional, IncrementalDGreedyAbs, PhasedSynopsisDriver,
+};
 use dwmaxerr::datagen::{nyct_like, wd_like};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
+use dwmaxerr::serve::{ServeDriver, ServeError};
 use dwmaxerr::wavelet::metrics::{evaluate, max_abs};
 use dwmaxerr::wavelet::transform::forward;
 
@@ -439,6 +442,9 @@ fn dp_drivers_survive_edge_inputs() {
 /// Send-Coef, H-WTopk, the centralized reference they must equal, and the
 /// centralized IndirectHaar search. Each of them used to sort with
 /// `partial_cmp(..).expect("finite")`, so one NaN cell aborted the process.
+/// Where the reference refuses the shape (N = 0, N not a power of two),
+/// every algorithm refuses it with the same error; CON used to panic at
+/// N ∈ {0, 1} on `clamp(2, n)`.
 #[test]
 fn conventional_family_survives_edge_inputs() {
     let c = cluster();
@@ -457,24 +463,37 @@ fn conventional_family_survives_edge_inputs() {
         (with(0, f64::INFINITY), false),
         (with(15, f64::NEG_INFINITY), false),
         (with(9, 1e300), false),
+        (vec![], true),
+        (vec![5.0], true),
+        (base[..3].to_vec(), true),
+        (base[..12].to_vec(), true),
+        (vec![7.5; 16], true),
     ];
     for (data, exact) in &inputs {
         let n = data.len();
         let finite = data.iter().all(|v| v.is_finite());
         for b in [0, 1, n, n + 3] {
-            let reference = conventional_synopsis(&forward(data).unwrap(), b).unwrap();
+            let reference = forward(data).and_then(|w| conventional_synopsis(&w, b));
+            if let Ok(reference) = &reference {
+                assert!(reference.size() <= b, "reference b={b} data={data:?}");
+            }
             let built = [
-                ("reference", reference.clone()),
-                ("con", con(&c, data, b, 4).unwrap().0),
-                ("send_v", send_v(&c, data, b, 4).unwrap().0),
-                ("send_coef", send_coef(&c, data, b, 5).unwrap().0),
-                ("hwtopk", hwtopk(&c, data, b, 5).unwrap().synopsis),
+                ("con", con(&c, data, b, 4).map(|r| r.0)),
+                ("send_v", send_v(&c, data, b, 4).map(|r| r.0)),
+                ("send_coef", send_coef(&c, data, b, 5).map(|r| r.0)),
+                ("hwtopk", hwtopk(&c, data, b, 5).map(|r| r.synopsis)),
             ];
-            for (algo, synopsis) in &built {
+            for (algo, outcome) in built {
                 let tag = format!("{algo} b={b} data={data:?}");
-                assert!(synopsis.size() <= b, "{tag}: size {}", synopsis.size());
-                if *exact {
-                    assert_eq!(synopsis, &reference, "{tag}");
+                match (&reference, outcome) {
+                    (Ok(reference), Ok(synopsis)) => {
+                        assert!(synopsis.size() <= b, "{tag}: size {}", synopsis.size());
+                        if *exact {
+                            assert_eq!(&synopsis, reference, "{tag}");
+                        }
+                    }
+                    (Err(want), Err(CoreError::Wavelet(got))) => assert_eq!(&got, want, "{tag}"),
+                    (want, got) => panic!("{tag}: {got:?}, the reference {want:?}"),
                 }
             }
             let tag = format!("indirect_haar b={b} data={data:?}");
@@ -484,10 +503,45 @@ fn conventional_family_survives_edge_inputs() {
                     assert!(report.synopsis.size() <= b, "{tag}");
                 }
                 Err(MhsError::OffGrid) => assert!(!exact, "{tag}"),
+                Err(MhsError::Wavelet(got)) => assert_eq!(reference.err(), Some(got), "{tag}"),
                 Err(e) => panic!("{tag}: {e}"),
             }
         }
     }
+}
+
+/// Windows of fewer than two values have no tree to maintain: the
+/// incremental maintainers, the phased loop and the serving loop over them
+/// refuse them with a typed error. They used to panic on `clamp(2, n)`.
+#[test]
+fn incremental_constructors_refuse_windows_under_two_values() {
+    let cfg = DGreedyAbsConfig::default();
+    for n in [0, 1] {
+        assert!(
+            matches!(
+                IncrementalConventional::new(n, 1, 4),
+                Err(CoreError::Wavelet(_))
+            ),
+            "IncrementalConventional n={n}"
+        );
+        assert!(
+            matches!(
+                PhasedSynopsisDriver::new(n, 1, &cfg),
+                Err(CoreError::Wavelet(_))
+            ),
+            "PhasedSynopsisDriver n={n}"
+        );
+        assert!(
+            matches!(
+                ServeDriver::new(n, 1, &cfg, 2, "tiny"),
+                Err(ServeError::Core(CoreError::Wavelet(_)))
+            ),
+            "ServeDriver n={n}"
+        );
+    }
+    // Two values are the smallest window, whatever the base size asked for.
+    assert!(IncrementalConventional::new(2, 1, 4).is_ok());
+    assert!(PhasedSynopsisDriver::new(2, 1, &cfg).is_ok());
 }
 
 /// The block-split drivers' `parts` rows: any positive count of unaligned
