@@ -465,62 +465,32 @@ mod tests {
         MhsParams::new(e, d).unwrap()
     }
 
-    /// `combine` as it was before [`Paired`], body unchanged: the head
-    /// coupling scanned `h` by `h` through the bounds-checked accessor.
-    /// Kept as the oracle, tie-breaks included.
-    fn combine_by_scan(left: &HpRow, right: &HpRow) -> HpRow {
-        // The parent window spans both children's windows: any inside value is
-        // reachable; outside values are the parent's parent's problem.
-        let lo = left.lo.min(right.lo);
-        let hi = left.hi().max(right.hi());
-        let len = (hi - lo) as usize;
-        let (l_min_v, l_min_c) = left.min_cell();
-        let (r_min_v, r_min_c) = right.min_cell();
-        let mut costs = vec![INF; len];
-        let mut shift_l = vec![0i32; len];
-        let mut shift_r = vec![0i32; len];
-        for t in 0..len {
-            let v = lo + t as i64;
-            // Independent sides.
-            let (mut best_l, mut a_l) = (l_min_c.saturating_add(1), (l_min_v - v) as i32);
-            if left.cost(v) <= best_l {
-                best_l = left.cost(v);
-                a_l = 0;
-            }
-            let (mut best_r, mut a_r) = (r_min_c.saturating_add(1), (r_min_v - v) as i32);
-            if right.cost(v) <= best_r {
-                best_r = right.cost(v);
-                a_r = 0;
-            }
-            let mut best = best_l.saturating_add(best_r);
-            let (mut ba, mut bb) = (a_l, a_r);
-            // Head coupling: a = h, b = -h, h != 0, cost 1 total.
-            let h_lo = (left.lo - v).max(v - (right.hi() - 1));
-            let h_hi = ((left.hi() - 1) - v).min(v - right.lo);
-            for h in h_lo..=h_hi {
-                if h == 0 {
-                    continue;
-                }
-                let c = left
-                    .cost(v + h)
-                    .saturating_add(right.cost(v - h))
-                    .saturating_add(1);
-                if c < best {
-                    best = c;
-                    ba = h as i32;
-                    bb = -h as i32;
-                }
-            }
-            costs[t] = best;
-            shift_l[t] = ba;
-            shift_r[t] = bb;
+    /// The triad's price for child shifts `(a, b)`: the module doc's `c`.
+    fn price(a: i64, b: i64) -> u32 {
+        match (a, b) {
+            (0, 0) => 0,
+            _ if a == 0 || b == 0 || a == -b => 1,
+            _ => 2,
         }
-        HpRow {
-            lo,
-            costs,
-            shift_l,
-            shift_r,
-        }
+    }
+
+    /// `combine`'s costs by their definition: a cell `v` costs the least
+    /// `c(a, b) + L[v + a] + R[v + b]` over every pair of shifts that lands
+    /// in both children's windows, for every `v` the two windows span.
+    fn costs_by_definition(left: &HpRow, right: &HpRow) -> Vec<u32> {
+        let cell = |v: i64| {
+            (left.lo..left.hi())
+                .flat_map(|x| (right.lo..right.hi()).map(move |y| (x, y)))
+                .map(|(x, y)| {
+                    let paid = left.cost(x).saturating_add(right.cost(y));
+                    paid.saturating_add(price(x - v, y - v))
+                })
+                .min()
+                .unwrap_or(INF)
+        };
+        (left.lo.min(right.lo)..left.hi().max(right.hi()))
+            .map(cell)
+            .collect()
     }
 
     fn child_row() -> impl Strategy<Value = HpRow> {
@@ -536,8 +506,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         #[test]
-        fn combine_equals_the_per_shift_scan(left in child_row(), right in child_row()) {
-            prop_assert_eq!(combine(&left, &right), combine_by_scan(&left, &right));
+        fn combine_meets_the_definition(left in child_row(), right in child_row()) {
+            // Every cell's cost is the definition's, and the shifts it keeps
+            // for the top-down replay pay exactly that cost. Which of several
+            // cheapest shifts it keeps is pinned by the `dhaar_plus` golden
+            // of `tests/pipeline_semantics.rs`.
+            let row = combine(&left, &right);
+            prop_assert_eq!(row.lo, left.lo.min(right.lo));
+            prop_assert_eq!(&row.costs, &costs_by_definition(&left, &right));
+            for (t, &cost) in row.costs.iter().enumerate() {
+                let ((a, b), x, y) = row.step(row.lo + t as i64);
+                let paid = left.cost(x).saturating_add(right.cost(y));
+                prop_assert_eq!(paid.saturating_add(price(a, b)), cost);
+            }
         }
     }
 

@@ -631,68 +631,43 @@ mod tests {
         MhsParams::new(e, d).unwrap()
     }
 
-    /// `combine` as it was before the windowed pass, body unchanged: every
-    /// `z` of every cell of the union of the windows scanned through the
-    /// bounds-checked accessors, the row then trimmed to its feasible
-    /// interval. Kept as the oracle of the kernel, tie-breaks included.
-    fn combine_by_scan(left: &Row, right: &Row) -> Row {
-        let lo = left.lo.min(right.lo);
-        let hi = left.hi().max(right.hi());
-        let len = (hi - lo) as usize;
-        let mut costs = vec![INFEASIBLE; len];
-        let mut choices = vec![0i32; len];
-        for t in 0..len {
-            let v = lo + t as i64;
-            // z must put v+z inside the left window and v-z inside the right.
-            let z_lo = (left.lo - v).max(v - (right.hi() - 1));
-            let z_hi = ((left.hi() - 1) - v).min(v - right.lo);
-            let mut best = INFEASIBLE;
-            let mut best_z = 0i32;
-            let mut z = z_lo;
-            while z <= z_hi {
-                let cl = left.cost(v + z);
-                let cr = right.cost(v - z);
-                if cl != INFEASIBLE && cr != INFEASIBLE {
-                    let cost = cl + cr + u32::from(z != 0);
-                    // Prefer z = 0 on ties (cheaper synopsis, no benefit to a
-                    // retained coefficient of equal cost).
-                    if cost < best || (cost == best && z == 0) {
-                        best = cost;
-                        best_z = z as i32;
-                    }
-                }
-                z += 1;
-            }
-            costs[t] = best;
-            choices[t] = best_z;
-        }
-        trim(Row { lo, costs, choices })
-    }
-
-    /// The oracle's second half: shrinks a row to its feasible interval.
-    fn trim(row: Row) -> Row {
-        let first = row.costs.iter().position(|&c| c != INFEASIBLE);
-        let Some(first) = first else {
-            return Row {
-                lo: row.lo,
-                costs: vec![INFEASIBLE],
-                choices: vec![0],
-            };
+    /// `combine` by its definition: a cell `v` costs the least
+    /// `(z != 0) + L[v + z] + R[v - z]` over every `z` both children hold,
+    /// ties to `z = 0`, then to the smallest `z`. The row spans the cells
+    /// that have such a `z` (cells between them that have none stay
+    /// infeasible); with none at all it is the dead row at the children's
+    /// first cell.
+    fn combine_by_definition(left: &Row, right: &Row) -> Row {
+        let cell = |v: i64| {
+            (left.lo - v..left.hi() - v)
+                .filter(|&z| left.cost(v + z) != INFEASIBLE && right.cost(v - z) != INFEASIBLE)
+                .map(|z| {
+                    (
+                        left.cost(v + z) + right.cost(v - z) + u32::from(z != 0),
+                        z != 0,
+                        z,
+                    )
+                })
+                .min()
+                .map_or((INFEASIBLE, 0), |(cost, _, z)| (cost, z as i32))
         };
-        let last = row
-            .costs
-            .iter()
-            .rposition(|&c| c != INFEASIBLE)
-            .expect("first exists");
+        let lo = left.lo.min(right.lo);
+        let feasible: Vec<i64> = (lo..left.hi().max(right.hi()))
+            .filter(|&v| cell(v).0 != INFEASIBLE)
+            .collect();
+        let (Some(&first), Some(&last)) = (feasible.first(), feasible.last()) else {
+            return dead_row(lo);
+        };
+        let (costs, choices) = (first..=last).map(cell).unzip();
         Row {
-            lo: row.lo + first as i64,
-            costs: row.costs[first..=last].to_vec(),
-            choices: row.choices[first..=last].to_vec(),
+            lo: first,
+            costs,
+            choices,
         }
     }
 
     #[test]
-    fn leaf_pair_closed_form_equals_the_scan_over_leaf_rows() {
+    fn leaf_pair_closed_form_equals_the_definition_over_leaf_rows() {
         // Every pair of windows of 1..=4 cells up to 12 apart: disjoint,
         // touching, nested, equal, and the one-cell pairs whose odd sum
         // leaves the parent no grid point.
@@ -704,7 +679,7 @@ mod tests {
         };
         for w1 in windows(0) {
             for w2 in (-12..=12).flat_map(windows) {
-                let want = combine_by_scan(&zeros(w1), &zeros(w2));
+                let want = combine_by_definition(&zeros(w1), &zeros(w2));
                 assert_eq!(leaf_pair_row(w1, w2), want, "{w1:?} {w2:?}");
                 assert_eq!(combine(&zeros(w1), &zeros(w2)), want, "{w1:?} {w2:?}");
             }
@@ -731,8 +706,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         #[test]
-        fn combine_equals_the_per_cell_scan(left in child_row(), right in child_row()) {
-            prop_assert_eq!(combine(&left, &right), combine_by_scan(&left, &right));
+        fn combine_equals_the_definition(left in child_row(), right in child_row()) {
+            prop_assert_eq!(combine(&left, &right), combine_by_definition(&left, &right));
         }
     }
 

@@ -563,8 +563,8 @@ fn send_coef_by_phase() -> Table {
             let call = start.elapsed().as_secs_f64();
             let job = &metrics.jobs[0];
             let map_io = io_secs(job.input_bytes, cfg.hdfs_bytes_per_sec)
-                + io_secs(job.disk_spill_bytes, cfg.disk_bytes_per_sec);
-            let io = io_secs(job.disk_merge_bytes, cfg.disk_bytes_per_sec);
+                + io_secs(job.disk_spill_bytes(), cfg.disk_bytes_per_sec);
+            let io = io_secs(job.disk_merge_bytes(), cfg.disk_bytes_per_sec);
             let secs = [
                 map_fn,
                 partials,

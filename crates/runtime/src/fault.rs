@@ -54,8 +54,8 @@
 //!     .run(&cluster, &[1, 2, 3])
 //!     .unwrap();
 //! assert_eq!(out.pairs, vec![(0, 6)]); // identical to a fault-free run
-//! assert_eq!(out.metrics.retried_attempts(), 1);
-//! assert_eq!(out.metrics.failed_attempts(), 1);
+//! assert_eq!(out.metrics.attempt_stats.retried, 1);
+//! assert_eq!(out.metrics.attempt_stats.failed, 1);
 //! ```
 
 use crate::error::RuntimeError;

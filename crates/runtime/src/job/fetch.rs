@@ -94,8 +94,6 @@ pub(super) struct Recovery {
     pub(super) fetch_failures: Vec<(usize, usize, u64)>,
     /// `(map task, node re-executed on)` in re-execution order.
     pub(super) reexecuted: Vec<(usize, usize)>,
-    /// Framed spill bytes the re-executions wrote.
-    pub(super) disk_bytes: u64,
 }
 
 /// Initial reduce-fetch retry backoff in seconds, doubled per retry
@@ -127,7 +125,7 @@ pub(super) fn recover(
     node_events: &[NodeFailure],
     map_sched: &PhaseSchedule,
     map_plans: &[TaskPlan],
-    reexecute: impl Fn(usize) -> MapTaskResult,
+    mut reexecute: impl FnMut(usize) -> MapTaskResult,
 ) -> Result<Recovery, RuntimeError> {
     let mut rec = Recovery {
         secs: vec![0.0; inputs.len()],
@@ -207,7 +205,6 @@ pub(super) fn recover(
     // regenerated runs for the originals in every partition.
     for &t in &need_reexec {
         let result = reexecute(t);
-        rec.disk_bytes += result.disk_bytes;
         // Regenerated runs per [partition][seq].
         let mut regen: Vec<Vec<Option<Run>>> = result
             .runs

@@ -14,6 +14,7 @@ use crate::codec::{CountingSink, FnvHasher, Wire};
 use crate::error::RuntimeError;
 use crate::executor::Executor;
 use crate::fault::TaskPhase;
+use crate::metrics::TaskCost;
 use crate::scheduler;
 
 /// Context handed to map functions: typed emission into reduce partitions
@@ -23,7 +24,6 @@ pub struct MapContext<'a, K, V> {
     /// in-memory collector, records are encoded exactly once, at spill
     /// time, after the spill sort.
     parts: Vec<Vec<(K, V)>>,
-    records: u64,
     counters: BTreeMap<&'static str, u64>,
     partitioner: &'a (dyn Fn(&K, usize) -> usize + Sync),
     /// First out-of-range `(partition, reducers)` the partitioner produced;
@@ -61,7 +61,6 @@ impl<K: Wire + Ord + Send, V: Wire + Send> MapContext<'_, K, V> {
         if self.spill.buffered >= self.spill.budget {
             self.spill.spill(&mut self.parts, true);
         }
-        self.records += 1;
     }
 
     /// Adds `delta` to a named counter (merged across tasks into
@@ -211,7 +210,7 @@ impl<T> BufferPool<T> {
 
 /// Sorts (or combiner-folds) one partition's buffered pairs and serializes
 /// them into a wire buffer, clearing the pair buffer (capacity kept).
-/// Returns the serialized partition and its post-combiner record count.
+/// Returns the serialized partition and the records it holds.
 fn spill_one_partition<K: Wire + Ord, V: Wire>(
     pairs: &mut Vec<(K, V)>,
     combiner: Option<&Combiner<K, V>>,
@@ -219,9 +218,8 @@ fn spill_one_partition<K: Wire + Ord, V: Wire>(
     pair_hint: &AtomicUsize,
 ) -> (Vec<u8>, u64) {
     pair_hint.fetch_max(pairs.len(), Ordering::Relaxed);
-    let mut combined_records = 0u64;
     let mut out = Vec::with_capacity(byte_hint.load(Ordering::Relaxed));
-    if let Some(combiner) = combiner {
+    let records = if let Some(combiner) = combiner {
         // Fold into an ordered map: values accumulate per key in emission
         // order, the fold runs once per key, and iterating the map writes
         // the partition out already sorted — the combine *is* the spill
@@ -232,12 +230,13 @@ fn spill_one_partition<K: Wire + Ord, V: Wire>(
         for (k, v) in pairs.drain(..) {
             groups.entry(k).or_default().push(v);
         }
+        let records = groups.len();
         for (key, values) in groups {
             let folded = combiner(&key, &mut values.into_iter());
             key.encode(&mut out);
             folded.encode(&mut out);
-            combined_records += 1;
         }
+        records
     } else {
         // Stable: equal keys keep emission order.
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -245,15 +244,17 @@ fn spill_one_partition<K: Wire + Ord, V: Wire>(
             k.encode(&mut out);
             v.encode(&mut out);
         }
+        let records = pairs.len();
         pairs.clear();
-    }
+        records
+    };
     byte_hint.fetch_max(out.len(), Ordering::Relaxed);
-    (out, combined_records)
+    (out, records as u64)
 }
 
 /// Per-attempt spill state threaded through [`MapContext`]: the
-/// `io.sort.mb` budget, the metered buffered bytes, and the runs spilled
-/// so far (per partition, in spill order).
+/// `io.sort.mb` budget, the metered buffered bytes, the runs spilled so far
+/// (per partition, in spill order) and the task's [`TaskCost`].
 struct SpillControl<'a, K, V> {
     /// Wire bytes the task may buffer before spilling
     /// (`min(io_sort_bytes, task_memory_bytes)`).
@@ -269,14 +270,10 @@ struct SpillControl<'a, K, V> {
     /// each reducer as (map task, spill sequence), the order that keeps
     /// tie-breaking identical to the single-run path.
     runs: Vec<Vec<Run>>,
-    /// `(runs, bytes)` per spill pass that produced at least one run.
-    passes: Vec<(u64, u64)>,
-    /// Post-combiner record count accumulated across spills.
-    combined_records: u64,
+    /// Records shipped, spill passes and spill-store bytes so far.
+    cost: TaskCost,
     /// Host seconds spent sorting/folding/serializing across spills.
     spill_secs: f64,
-    /// Framed bytes written to the spill store (payload + frame overhead).
-    disk_bytes: u64,
 }
 
 impl<K: Wire + Ord, V: Wire> SpillControl<'_, K, V> {
@@ -306,22 +303,22 @@ impl<K: Wire + Ord, V: Wire> SpillControl<'_, K, V> {
         self.spill_secs += spill_start.elapsed().as_secs_f64();
         let mut runs = 0u64;
         let mut bytes = 0u64;
-        for (p, (buf, combined)) in spilled.into_iter().enumerate() {
-            self.combined_records += combined;
+        for (p, (buf, records)) in spilled.into_iter().enumerate() {
+            self.cost.records += records;
             if buf.is_empty() {
                 continue;
             }
             runs += 1;
             bytes += buf.len() as u64;
             self.runs[p].push(if external {
-                self.disk_bytes += buf.len() as u64 + SPILL_FRAME_BYTES;
+                self.cost.spilled_bytes += buf.len() as u64 + SPILL_FRAME_BYTES;
                 Run::Stored(self.store.write(self.owner, buf))
             } else {
                 Run::Inline(buf)
             });
         }
         if runs > 0 {
-            self.passes.push((runs, bytes));
+            self.cost.spills.push((runs, bytes));
         }
         self.buffered = 0;
     }
@@ -330,17 +327,10 @@ impl<K: Wire + Ord, V: Wire> SpillControl<'_, K, V> {
 pub(super) struct MapTaskResult {
     /// Per partition, the task's sorted runs in spill-sequence order.
     pub(super) runs: Vec<Vec<Run>>,
-    pub(super) records: u64,
     pub(super) counters: BTreeMap<&'static str, u64>,
     pub(super) bad_partition: Option<(usize, usize)>,
     /// Host seconds spent sorting spills / folding the combiner.
     pub(super) spill_secs: f64,
-    /// `(runs, bytes)` per spill pass — length 1 for a task that spilled
-    /// once at task end, longer when the budget forced mid-task spills.
-    pub(super) spill_passes: Vec<(u64, u64)>,
-    /// Framed bytes written through the spill store (0 on the in-memory
-    /// fast path).
-    pub(super) disk_bytes: u64,
 }
 
 /// One job run's map phase: everything a map task body needs, shared by
@@ -393,9 +383,13 @@ where
     /// One execution of map task `task`, writing any spill runs under
     /// `attempt`'s tag. Map functions are deterministic over their split,
     /// and every execution uses the same spill budget and combiner, so a
-    /// re-execution's runs are byte-identical per (partition, seq) to the
-    /// originals.
-    pub(super) fn run_task(&self, task: usize, split: &S, attempt: usize) -> MapTaskResult {
+    /// re-execution's runs and cost are identical to the originals.
+    pub(super) fn run_task(
+        &self,
+        task: usize,
+        split: &S,
+        attempt: usize,
+    ) -> (MapTaskResult, TaskCost) {
         let config = self.config;
         let mut ctx = MapContext {
             parts: self
@@ -403,7 +397,6 @@ where
                 .iter()
                 .map(|h| self.pair_pool.take(h.load(Ordering::Relaxed)))
                 .collect(),
-            records: 0,
             counters: BTreeMap::new(),
             partitioner: self.partitioner,
             bad_partition: None,
@@ -419,10 +412,8 @@ where
                 partition_hints: &self.partition_hints,
                 pair_hints: &self.pair_hints,
                 runs: self.pair_hints.iter().map(|_| Vec::new()).collect(),
-                passes: Vec::new(),
-                combined_records: 0,
+                cost: TaskCost::default(),
                 spill_secs: 0.0,
-                disk_bytes: 0,
             },
         };
         (self.stage.map_fn)(split, &mut ctx);
@@ -435,19 +426,13 @@ where
         for pairs in ctx.parts {
             self.pair_pool.put(pairs);
         }
-        MapTaskResult {
+        let result = MapTaskResult {
             runs: sp.runs,
-            records: if sp.combiner.is_some() {
-                sp.combined_records
-            } else {
-                ctx.records
-            },
             counters: ctx.counters,
             bad_partition: ctx.bad_partition,
             spill_secs: sp.spill_secs,
-            spill_passes: sp.passes,
-            disk_bytes: sp.disk_bytes,
-        }
+        };
+        (result, sp.cost)
     }
 
     /// Runs every map task through its attempt loop on the pool; results
@@ -465,27 +450,21 @@ where
                 config,
                 self.store,
                 read_secs,
-                // Spill I/O is part of the attempt's simulated duration —
-                // derived from the result because the spill volume is only
-                // known once the task has run.
-                |res: &MapTaskResult| scheduler::io_secs(res.disk_bytes, config.disk_bytes_per_sec),
                 |attempt| self.run_task(i, split, attempt),
             )
         });
-        let mut results = Vec::with_capacity(splits.len());
-        let mut plans = Vec::with_capacity(splits.len());
-        for task in raw {
-            let (result, plan) = task?;
-            if let Some((partition, reducers)) = result.bad_partition {
-                return Err(RuntimeError::BadPartitioner {
-                    partition,
-                    reducers,
-                });
-            }
-            results.push(result);
-            plans.push(plan);
-        }
-        Ok((results, plans))
+        raw.into_iter()
+            .map(|task| {
+                let task = task?;
+                match task.0.bad_partition {
+                    Some((partition, reducers)) => Err(RuntimeError::BadPartitioner {
+                        partition,
+                        reducers,
+                    }),
+                    None => Ok(task),
+                }
+            })
+            .collect()
     }
 }
 

@@ -2,7 +2,7 @@
 //! tree), the `io.sort.factor` intermediate passes that bound its fan-in,
 //! and the cut of a reducer's final runs into key ranges.
 
-use super::spill::{AttemptTag, RunBuf, SpillStore, SPILL_FRAME_BYTES};
+use super::spill::{AttemptTag, RunBuf, SpillStore};
 use crate::codec::{sum_widths, Wire};
 use crate::executor::Executor;
 
@@ -408,18 +408,6 @@ pub(super) fn cut_ranges<'r, K: Wire + Ord, V: Wire>(
         .collect()
 }
 
-/// What the intermediate merge passes left for the final streaming merge.
-pub(super) struct Merged<'a> {
-    /// At most `sort_factor` runs, in tie-break order.
-    pub(super) runs: Vec<RunBuf<'a>>,
-    /// `(fan_in, bytes)` per intermediate pass (empty when the final merge
-    /// can take every fetched run directly).
-    pub(super) passes: Vec<(u64, u64)>,
-    /// Framed bytes written + read back by the passes.
-    pub(super) disk_bytes: u64,
-    pub(super) decode_error: bool,
-}
-
 /// Intermediate merge passes (Hadoop's `io.sort.factor`): while more runs
 /// remain than the final merge may fan in, merge *contiguous* groups of up
 /// to `sort_factor` runs into new stored runs owned by `owner`. Contiguity
@@ -427,15 +415,18 @@ pub(super) struct Merged<'a> {
 /// equal keys lowest-run-first and takes its chunk's position in the run
 /// sequence. A group's merged run is its stretches copied end to end: no
 /// record is decoded and re-encoded.
+///
+/// Appends `(fan_in, bytes)` per pass to `passes` and returns the at most
+/// `sort_factor` runs left for the final streaming merge, in tie-break
+/// order, and whether a run failed to decode.
 pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
     pool: &Executor,
     store: &SpillStore,
     owner: AttemptTag,
     mut runs: Vec<RunBuf<'a>>,
     sort_factor: usize,
-) -> Merged<'a> {
-    let mut passes = Vec::new();
-    let mut disk_bytes = 0u64;
+    passes: &mut Vec<(u64, u64)>,
+) -> (Vec<RunBuf<'a>>, bool) {
     let mut decode_error = false;
     while runs.len() > sort_factor {
         let mut groups: Vec<Vec<RunBuf>> = Vec::new();
@@ -479,18 +470,10 @@ pub(super) fn merge_to_fan_in<'a, K: Wire + Ord + Send, V: Wire + Send>(
             };
             decode_error |= group_decode_error;
             passes.push((group.len() as u64, run.len() as u64));
-            // Charged twice: the pass writes the run out and the next pass
-            // (or the final merge) reads it back.
-            disk_bytes += 2 * (run.len() as u64 + SPILL_FRAME_BYTES);
             runs.push(RunBuf::Shared(run));
         }
     }
-    Merged {
-        runs,
-        passes,
-        disk_bytes,
-        decode_error,
-    }
+    (runs, decode_error)
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::codec::Wire;
 use crate::error::RuntimeError;
 use crate::fault::{FailureKind, NodeFailure, TaskPhase};
-use crate::metrics::{AttemptStats, JobMetrics, SimBreakdown};
+use crate::metrics::{AttemptStats, JobMetrics, SimBreakdown, TaskCost};
 use crate::scheduler::{
     self, AttemptPlan, NodeEvent, NodeFaults, NodeTopology, PhaseSchedule, SpeculationPolicy,
     TaskPlan,
@@ -56,6 +56,7 @@ use spill::SpillStore;
 
 pub use map::{default_partition, MapContext};
 pub use reduce::ReduceContext;
+pub(crate) use spill::SPILL_FRAME_BYTES;
 
 /// Output of a finished job: reducer emissions (in reduce-partition order,
 /// key-sorted within each partition) and the job's metrics.
@@ -99,9 +100,9 @@ type Partitioner<K> = Box<dyn Fn(&K, usize) -> usize + Sync>;
 type InputSize<S> = Box<dyn Fn(&S) -> u64 + Sync>;
 type TaskMemory<S> = Box<dyn Fn(&S) -> u64 + Sync>;
 type Combiner<K, V> = Box<dyn Fn(&K, &mut dyn Iterator<Item = V>) -> V + Sync>;
-/// A task phase's per-task results and attempt plans, positional by task
-/// id — or the first task (in task order) that failed the job.
-type PhaseOutcome<T> = Result<(Vec<T>, Vec<TaskPlan>), RuntimeError>;
+/// A task phase's per-task results, costs and attempt plans, positional by
+/// task id — or the first task (in task order) that failed the job.
+type PhaseOutcome<T> = Result<(Vec<T>, Vec<TaskCost>, Vec<TaskPlan>), RuntimeError>;
 
 /// A job with its map stage configured.
 pub struct MapStage<S, K, V, F> {
@@ -215,35 +216,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// attempts (without re-running `body`: an injected crash is charged
 /// `fail_point ×` the attempt's duration) and slow the task down as a
 /// straggler. `extra_secs` is time every attempt pays on top of the
-/// measured function time (the map-side HDFS read); `extra_from` derives
-/// more such time from the computed value (spill/merge disk I/O, known
-/// only once the task has run).
+/// measured function time (the map-side HDFS read); the task's disk I/O,
+/// known only once it has run, is charged off the [`TaskCost`] the body
+/// returns.
 ///
-/// Returns the task's value and its [`TaskPlan`] for the slot simulator, or
-/// [`RuntimeError::TaskFailed`] once `max_attempts` attempts have crashed.
+/// Returns the task's value, its cost and its [`TaskPlan`] for the slot
+/// simulator, or [`RuntimeError::TaskFailed`] once `max_attempts` attempts
+/// have crashed.
 fn run_attempts<T>(
     phase: TaskPhase,
     task: usize,
     config: &ClusterConfig,
     store: &SpillStore,
     extra_secs: f64,
-    extra_from: impl Fn(&T) -> f64,
-    body: impl Fn(usize) -> T,
-) -> Result<(T, TaskPlan), RuntimeError> {
+    body: impl Fn(usize) -> (T, TaskCost),
+) -> Result<(T, TaskCost, TaskPlan), RuntimeError> {
     let fault_plan = config.fault_plan.as_ref();
     let max_attempts = config.max_attempts;
     let slowdown = fault_plan.map_or(1.0, |p| p.slowdown(phase, task));
     let fail_point = fault_plan.map_or(0.5, |p| p.fail_point);
     let mut attempts: Vec<AttemptPlan> = Vec::new();
-    let mut done: Option<(T, f64)> = None;
+    let mut done: Option<((T, TaskCost), f64)> = None;
     let mut last_reason = String::new();
     for attempt in 1..=max_attempts {
-        let (value, secs) = match done.take() {
+        let ((value, cost), secs) = match done.take() {
             Some(v) => v,
             None => {
                 let start = Instant::now();
                 match catch_unwind(AssertUnwindSafe(|| body(attempt))) {
-                    Ok(value) => (value, start.elapsed().as_secs_f64()),
+                    Ok(output) => (output, start.elapsed().as_secs_f64()),
                     Err(payload) => {
                         store.remove_attempt((phase, task, attempt));
                         attempts.push(AttemptPlan {
@@ -256,7 +257,8 @@ fn run_attempts<T>(
                 }
             }
         };
-        let healthy = secs + extra_secs + extra_from(&value);
+        let disk_secs = scheduler::io_secs(cost.disk_bytes(), config.disk_bytes_per_sec);
+        let healthy = secs + extra_secs + disk_secs;
         let effective = slowdown * healthy;
         if fault_plan.is_some_and(|p| p.injects_failure(phase, task, attempt)) {
             attempts.push(AttemptPlan {
@@ -267,7 +269,7 @@ fn run_attempts<T>(
             // The computed result survives for the retry (its spill runs
             // stay owned by the attempt that wrote them); only the
             // simulated timeline re-pays the work.
-            done = Some((value, secs));
+            done = Some(((value, cost), secs));
             continue;
         }
         attempts.push(AttemptPlan {
@@ -276,6 +278,7 @@ fn run_attempts<T>(
         });
         return Ok((
             value,
+            cost,
             TaskPlan {
                 attempts,
                 // A speculative backup lands on a healthy node: no slowdown.
@@ -369,13 +372,9 @@ struct Timeline<'a> {
     sim: &'a SimBreakdown,
     map_sched: &'a PhaseSchedule,
     reduce_sched: &'a PhaseSchedule,
-    /// Per map task: `(runs, bytes)` per spill pass.
-    spill_passes: Vec<&'a [(u64, u64)]>,
-    /// Per reducer: `(bytes, runs)` fetched from the shuffle.
-    fetched: &'a [(u64, u64)],
+    map_costs: &'a [TaskCost],
+    reduce_costs: &'a [TaskCost],
     recovery: &'a Recovery,
-    /// Per reducer: `(fan_in, bytes)` per intermediate merge pass.
-    merge_passes: Vec<&'a [(u64, u64)]>,
 }
 
 impl Timeline<'_> {
@@ -489,8 +488,8 @@ impl Timeline<'_> {
             t0,
             TraceEventKind::JobBegin {
                 job: name(),
-                maps: self.spill_passes.len(),
-                reducers: self.fetched.len(),
+                maps: self.map_costs.len(),
+                reducers: self.reduce_costs.len(),
             },
         );
         // Node failures, stamped at their plan time clamped into the job's
@@ -514,10 +513,10 @@ impl Timeline<'_> {
             // (the single task-end spill is the unconstrained default and
             // would only add noise), stamped at the successful attempt's
             // end, when Hadoop's spill ledger becomes visible.
-            for (task, passes) in self.spill_passes.iter().enumerate() {
-                if passes.len() > 1 {
+            for (task, cost) in self.map_costs.iter().enumerate() {
+                if cost.spills.len() > 1 {
                     let end = self.map_sched.winner(task).map_or(sim.map, |a| a.sim_end);
-                    for (spill, &(runs, bytes)) in passes.iter().enumerate() {
+                    for (spill, &(runs, bytes)) in cost.spills.iter().enumerate() {
                         tr.emit(
                             map0 + end,
                             TraceEventKind::Spill {
@@ -533,14 +532,14 @@ impl Timeline<'_> {
             }
         });
         let reduce0 = self.phase_span(tr, JobPhase::Shuffle, 0, shuffle0, sim.shuffle, |tr| {
-            for (partition, &(bytes, runs)) in self.fetched.iter().enumerate() {
+            for (partition, cost) in self.reduce_costs.iter().enumerate() {
                 tr.emit(
                     shuffle0,
                     TraceEventKind::ShufflePartition {
                         job: name(),
                         partition,
-                        bytes,
-                        runs,
+                        bytes: cost.fetched_bytes,
+                        runs: cost.fetched_runs,
                     },
                 );
             }
@@ -593,8 +592,8 @@ impl Timeline<'_> {
         // Intermediate merge-pass instants — only when the `io.sort.factor`
         // cap actually forced extra passes, stamped at the successful
         // attempt's start (the merges precede the reduce function).
-        for (partition, passes) in self.merge_passes.iter().enumerate() {
-            for (pass, &(fan_in, bytes)) in passes.iter().enumerate() {
+        for (partition, cost) in self.reduce_costs.iter().enumerate() {
+            for (pass, &(fan_in, bytes)) in cost.merges.iter().enumerate() {
                 tr.emit(
                     reduce0 + started(partition),
                     TraceEventKind::MergePass {
@@ -610,12 +609,12 @@ impl Timeline<'_> {
     }
 }
 
-/// Per-task seconds of the *successful* attempt (function time plus I/O,
-/// times any straggler slowdown).
+/// Per-task seconds of the *successful* attempt, a plan's last (function
+/// time plus I/O, times any straggler slowdown).
 fn winning_secs(plans: &[TaskPlan]) -> Vec<f64> {
     plans
         .iter()
-        .map(|p| p.attempts.last().expect("non-empty plan").duration)
+        .map(|p| p.attempts.last().map_or(0.0, |a| a.duration))
         .collect()
 }
 
@@ -700,7 +699,7 @@ where
 
         // ---- Map ----
         let map = MapPhase::new(stage, config, pool, &store);
-        let (mut map_results, map_plans) = map.run(splits)?;
+        let (mut map_results, mut map_costs, map_plans) = map.run(splits)?;
         // Scheduled *before* the shuffle because fetch recovery needs to
         // know which node hosted each map task's winning attempt.
         let map_sched = clock.schedule(TaskPhase::Map, &map_plans, setup_secs);
@@ -710,16 +709,6 @@ where
         // can actually lose or corrupt map outputs.
         let node_faults = config.fault_plan.as_ref().filter(|p| p.has_node_faults());
         let mut inputs = fetch::route(&mut map_results, stage.reducers, node_faults, &store);
-        // Per reducer: `(bytes, runs)`. Recovery substitutes byte-identical
-        // runs, so the accounting is taken once, here.
-        let fetched: Vec<(u64, u64)> = inputs
-            .iter()
-            .map(|runs| (runs.iter().map(|r| r.run.len()).sum(), runs.len() as u64))
-            .collect();
-        let shuffle_secs = fetched
-            .iter()
-            .map(|&(bytes, _)| bytes as f64 / config.shuffle_bytes_per_sec)
-            .fold(0.0, f64::max);
         let mut recovery = match node_faults {
             Some(_) => fetch::recover(
                 &mut inputs,
@@ -728,7 +717,12 @@ where
                 &clock.node_events,
                 &map_sched,
                 &map_plans,
-                |t| map.run_task(t, &splits[t], config.max_attempts + 1),
+                |t| {
+                    // A re-execution writes the task's spills again.
+                    let (result, cost) = map.run_task(t, &splits[t], config.max_attempts + 1);
+                    map_costs[t].spilled_bytes += cost.spilled_bytes;
+                    result
+                },
             )?,
             None => Recovery {
                 secs: vec![0.0; stage.reducers],
@@ -737,7 +731,7 @@ where
         };
 
         // ---- Reduce ----
-        let (mut reduce_results, reduce_plans) = reduce::run_phase(
+        let (mut reduce_results, reduce_costs, reduce_plans) = reduce::run_phase(
             pool,
             &store,
             config,
@@ -745,6 +739,12 @@ where
             &inputs,
             &recovery.secs,
         )?;
+        // Recovery substitutes byte-identical runs, so what a reducer
+        // fetched is what the map side routed to it.
+        let shuffle_secs = reduce_costs
+            .iter()
+            .map(|c| c.fetched_bytes as f64 / config.shuffle_bytes_per_sec)
+            .fold(0.0, f64::max);
         let reduce_start = setup_secs + map_sched.makespan + shuffle_secs;
         let reduce_sched = clock.schedule(TaskPhase::Reduce, &reduce_plans, reduce_start);
         let sim = SimBreakdown {
@@ -763,10 +763,9 @@ where
             sim: &sim,
             map_sched: &map_sched,
             reduce_sched: &reduce_sched,
-            spill_passes: map_results.iter().map(|t| &t.spill_passes[..]).collect(),
-            fetched: &fetched,
+            map_costs: &map_costs,
+            reduce_costs: &reduce_costs,
             recovery: &recovery,
-            merge_passes: reduce_results.iter().map(|t| &t.merge_passes[..]).collect(),
         };
         cluster.trace().job_scope(|tr| timeline.emit(tr));
 
@@ -779,12 +778,7 @@ where
             *counters.entry(*name).or_insert(0) += delta;
         }
         // Reducers in partition order, each one's key ranges in key order.
-        let total = reduce_results
-            .iter()
-            .flat_map(|t| &t.out)
-            .map(Vec::len)
-            .sum();
-        let mut pairs = Vec::with_capacity(total);
+        let mut pairs = Vec::with_capacity(reduce_costs.iter().map(|c| c.records as usize).sum());
         for range in reduce_results.iter_mut().flat_map(|t| &mut t.out) {
             pairs.append(range);
         }
@@ -796,24 +790,6 @@ where
             reduce_task_secs: winning_secs(&reduce_plans),
             spill_secs: map_results.iter().map(|t| t.spill_secs).collect(),
             merge_secs: reduce_results.iter().map(|t| t.merge_secs).collect(),
-            spill_runs: map_results
-                .iter()
-                .map(|t| t.spill_passes.iter().map(|&(runs, _)| runs).sum())
-                .collect(),
-            spill_passes: map_results
-                .iter()
-                .map(|t| t.spill_passes.len() as u64)
-                .collect(),
-            merge_fan_in: fetched.iter().map(|&(_, runs)| runs).collect(),
-            merge_passes: reduce_results
-                .iter()
-                .map(|t| t.merge_passes.len() as u64)
-                .collect(),
-            disk_spill_bytes: map_results.iter().map(|t| t.disk_bytes).sum::<u64>()
-                + recovery.disk_bytes,
-            disk_merge_bytes: reduce_results.iter().map(|t| t.disk_bytes).sum(),
-            shuffle_bytes: fetched.iter().map(|&(bytes, _)| bytes).sum(),
-            shuffle_records: map_results.iter().map(|t| t.records).sum(),
             input_bytes: stage
                 .input_bytes
                 .as_ref()
@@ -826,7 +802,7 @@ where
             attempt_stats: AttemptStats::from_attempts(&attempts),
             attempts,
             recovery: recovery.stats,
-            phase: None,
+            ..JobMetrics::with_costs(map_costs, reduce_costs)
         };
         cluster.record(metrics.clone());
         Ok(JobOutput { pairs, metrics })
@@ -1135,9 +1111,9 @@ mod fault_tests {
             .with_targeted(TaskPhase::Reduce, 0, vec![1]);
         let faulty = sum_job(&faulty_cluster(plan), &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, faulty.pairs);
-        assert_eq!(faulty.metrics.failed_attempts(), 3);
-        assert_eq!(faulty.metrics.retried_attempts(), 3);
-        assert!(faulty.metrics.wasted_secs() > 0.0);
+        assert_eq!(faulty.metrics.attempt_stats.failed, 3);
+        assert_eq!(faulty.metrics.attempt_stats.retried, 3);
+        assert!(faulty.metrics.attempt_stats.wasted_secs > 0.0);
         assert!(faulty.metrics.simulated() > clean.metrics.simulated());
     }
 
@@ -1208,8 +1184,8 @@ mod fault_tests {
             .run(&cluster, &[41u64])
             .unwrap();
         assert_eq!(out.pairs, vec![(0, 41)]);
-        assert_eq!(out.metrics.failed_attempts(), 1);
-        assert_eq!(out.metrics.retried_attempts(), 1);
+        assert_eq!(out.metrics.attempt_stats.failed, 1);
+        assert_eq!(out.metrics.attempt_stats.retried, 1);
     }
 
     #[test]
@@ -1246,10 +1222,10 @@ mod fault_tests {
         let cluster = faulty_cluster(plan);
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs, "recovery must be byte-identical");
-        assert_eq!(out.metrics.nodes_failed(), 1);
-        assert!(out.metrics.maps_reexecuted() >= 1);
-        assert!(out.metrics.fetch_retries() > 0);
-        assert_eq!(out.metrics.corrupt_runs(), 0);
+        assert_eq!(out.metrics.recovery.nodes_failed, 1);
+        assert!(out.metrics.recovery.maps_reexecuted >= 1);
+        assert!(out.metrics.recovery.fetch_retries > 0);
+        assert_eq!(out.metrics.recovery.corrupt_runs, 0);
         // Fetch backoff plus the re-executed map show up on the clock.
         assert!(out.metrics.simulated() > clean.metrics.simulated());
         // The trace tells the whole story and stays well-formed.
@@ -1280,8 +1256,8 @@ mod fault_tests {
         let cluster = faulty_cluster(plan);
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs);
-        assert_eq!(out.metrics.nodes_failed(), 1);
-        assert!(out.metrics.maps_reexecuted() >= 1);
+        assert_eq!(out.metrics.recovery.nodes_failed, 1);
+        assert!(out.metrics.recovery.maps_reexecuted >= 1);
         let events = cluster.trace_events();
         assert!(events.iter().any(|e| matches!(
             e.kind,
@@ -1300,9 +1276,9 @@ mod fault_tests {
         let cluster = faulty_cluster(plan);
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs, "corruption must not reach output");
-        assert!(out.metrics.corrupt_runs() >= 1);
-        assert!(out.metrics.maps_reexecuted() >= 1);
-        assert_eq!(out.metrics.nodes_failed(), 0, "no node died");
+        assert!(out.metrics.recovery.corrupt_runs >= 1);
+        assert!(out.metrics.recovery.maps_reexecuted >= 1);
+        assert_eq!(out.metrics.recovery.nodes_failed, 0, "no node died");
         let events = cluster.trace_events();
         assert!(events
             .iter()
@@ -1320,10 +1296,10 @@ mod fault_tests {
             .with_corrupt_run(0);
         let out = sum_job(&faulty_cluster(plan), &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs);
-        assert_eq!(out.metrics.nodes_failed(), 1);
-        assert!(out.metrics.corrupt_runs() >= 1);
+        assert_eq!(out.metrics.recovery.nodes_failed, 1);
+        assert!(out.metrics.recovery.corrupt_runs >= 1);
         // Both the corrupt task and the killed node's tasks re-execute.
-        assert!(out.metrics.maps_reexecuted() >= 2);
+        assert!(out.metrics.recovery.maps_reexecuted >= 2);
     }
 
     #[test]
@@ -1413,9 +1389,9 @@ mod oracle_tests {
                 "combine={combine}"
             );
             assert_eq!(engine.metrics.shuffle_records, records);
-            // One spill-run count per map task, one fan-in per reducer.
-            assert_eq!(engine.metrics.spill_runs.len(), 4);
-            assert_eq!(engine.metrics.merge_fan_in.len(), 2);
+            // One cost per map task and per reducer.
+            assert_eq!(engine.metrics.map_costs.len(), 4);
+            assert_eq!(engine.metrics.reduce_costs.len(), 2);
         }
     }
 }
@@ -1532,10 +1508,14 @@ mod spill_tests {
         let splits = big_splits();
         // Unconstrained: every task spills once, fully in memory.
         let unconstrained = sum_job(&Cluster::new(quiet_cluster()), &splits);
-        assert!(unconstrained.metrics.spill_passes.iter().all(|&p| p == 1));
+        assert!(unconstrained
+            .metrics
+            .map_costs
+            .iter()
+            .all(|c| c.spills.len() == 1));
         assert!(unconstrained.metrics.merge_passes.iter().all(|&p| p == 0));
-        assert_eq!(unconstrained.metrics.disk_spill_bytes, 0);
-        assert_eq!(unconstrained.metrics.disk_merge_bytes, 0);
+        assert_eq!(unconstrained.metrics.disk_spill_bytes(), 0);
+        assert_eq!(unconstrained.metrics.disk_merge_bytes(), 0);
         for backend in [SpillBackend::Memory, SpillBackend::Disk] {
             // 12-byte pairs against a 256-byte budget: each 200-record task
             // is forced through many external spill passes, and fan-in 2
@@ -1556,9 +1536,13 @@ mod spill_tests {
                 unconstrained.metrics.shuffle_records
             );
             assert!(
-                constrained.metrics.spill_passes.iter().all(|&p| p > 1),
-                "spill_passes {:?}",
-                constrained.metrics.spill_passes
+                constrained
+                    .metrics
+                    .map_costs
+                    .iter()
+                    .all(|c| c.spills.len() > 1),
+                "map costs {:?}",
+                constrained.metrics.map_costs
             );
             assert!(constrained
                 .metrics
@@ -1571,8 +1555,8 @@ mod spill_tests {
                 "merge_passes {:?}",
                 constrained.metrics.merge_passes
             );
-            assert!(constrained.metrics.disk_spill_bytes > 0);
-            assert!(constrained.metrics.disk_merge_bytes > 0);
+            assert!(constrained.metrics.disk_spill_bytes() > 0);
+            assert!(constrained.metrics.disk_merge_bytes() > 0);
             crate::trace::validate(&cluster.trace_events()).unwrap();
             // The trace carries the spill / merge-pass story.
             let events = cluster.trace_events();
@@ -1582,6 +1566,92 @@ mod spill_tests {
             assert!(events
                 .iter()
                 .any(|e| matches!(e.kind, TraceEventKind::MergePass { .. })));
+        }
+    }
+
+    #[test]
+    fn task_costs_reconcile_with_the_job_totals() {
+        let splits = big_splits();
+        let tiny_sort = || {
+            let mut cfg = quiet_cluster();
+            cfg.io_sort_bytes = 256;
+            cfg.io_sort_factor = 2;
+            cfg
+        };
+        let mut faulty = tiny_sort();
+        faulty.nodes = 2;
+        faulty.fault_plan = Some(
+            FaultPlan::seeded(3)
+                .with_node_failure(0, 1000.0)
+                .with_corrupt_run(0),
+        );
+        for (case, cfg) in [
+            ("clean", quiet_cluster()),
+            ("tiny sort", tiny_sort()),
+            ("faulty", faulty),
+        ] {
+            let cluster = Cluster::new(cfg);
+            let out = sum_job(&cluster, &splits);
+            let events = cluster.trace_events();
+            let m = &out.metrics;
+            let sum =
+                |costs: &[TaskCost], f: fn(&TaskCost) -> u64| costs.iter().map(f).sum::<u64>();
+            let shipped = sum(&m.map_costs, |c| {
+                c.spills.iter().map(|&(_, bytes)| bytes).sum()
+            });
+            let fetched = sum(&m.reduce_costs, |c| c.fetched_bytes);
+            assert_eq!(
+                (shipped, fetched),
+                (m.shuffle_bytes, m.shuffle_bytes),
+                "{case}"
+            );
+            let runs = sum(&m.map_costs, |c| {
+                c.spills.iter().map(|&(runs, _)| runs).sum()
+            });
+            assert_eq!(sum(&m.reduce_costs, |c| c.fetched_runs), runs, "{case}");
+            assert_eq!(
+                sum(&m.map_costs, |c| c.records),
+                m.shuffle_records,
+                "{case}"
+            );
+            assert_eq!(
+                sum(&m.reduce_costs, |c| c.records),
+                m.output_records,
+                "{case}"
+            );
+            assert_eq!(m.output_records, out.pairs.len() as u64, "{case}");
+            // On the disk, by the trace: a task that spilled more than once
+            // wrote every run framed, and wrote them again when re-executed;
+            // a merge pass wrote its run framed and read it back.
+            let reexecuted: Vec<usize> = events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::MapReexecuted { task, .. } => Some(task),
+                    _ => None,
+                })
+                .collect();
+            let (mut spilled, mut merged) = (0, 0);
+            for e in &events {
+                match e.kind {
+                    TraceEventKind::Spill {
+                        task, runs, bytes, ..
+                    } => {
+                        let writes = 1 + reexecuted.iter().filter(|&&t| t == task).count() as u64;
+                        spilled += writes * (bytes + runs * SPILL_FRAME_BYTES);
+                    }
+                    TraceEventKind::MergePass { bytes, .. } => {
+                        merged += 2 * (bytes + SPILL_FRAME_BYTES);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(m.disk_spill_bytes(), spilled, "{case}");
+            assert_eq!(m.disk_merge_bytes(), merged, "{case}");
+            match case {
+                "clean" => assert_eq!(spilled + merged, 0),
+                "tiny sort" => assert!(spilled > 0 && merged > 0),
+                _ => assert!(m.recovery.maps_reexecuted > 0 && m.recovery.corrupt_runs > 0),
+            }
         }
     }
 
@@ -1637,7 +1707,11 @@ mod spill_tests {
         // Per-spill folding ships more (partial) records than one
         // task-level fold, but still far fewer than no combiner at all.
         assert!(constrained.metrics.shuffle_records >= unconstrained.metrics.shuffle_records);
-        assert!(constrained.metrics.spill_passes.iter().all(|&p| p > 1));
+        assert!(constrained
+            .metrics
+            .map_costs
+            .iter()
+            .all(|c| c.spills.len() > 1));
     }
 
     #[test]
@@ -1657,24 +1731,10 @@ mod spill_tests {
         assert_eq!(clean.pairs, faulted.pairs);
         // Attempt-level accounting of the retried run matches the clean
         // run exactly: nothing spilled or merged twice.
-        assert_eq!(clean.metrics.spill_runs, faulted.metrics.spill_runs);
-        assert_eq!(clean.metrics.spill_passes, faulted.metrics.spill_passes);
-        assert_eq!(clean.metrics.merge_fan_in, faulted.metrics.merge_fan_in);
-        assert_eq!(clean.metrics.merge_passes, faulted.metrics.merge_passes);
-        assert_eq!(
-            clean.metrics.disk_spill_bytes,
-            faulted.metrics.disk_spill_bytes
-        );
-        assert_eq!(
-            clean.metrics.disk_merge_bytes,
-            faulted.metrics.disk_merge_bytes
-        );
-        assert_eq!(
-            clean.metrics.shuffle_records,
-            faulted.metrics.shuffle_records
-        );
-        assert_eq!(faulted.metrics.failed_attempts(), 2);
-        assert_eq!(faulted.metrics.retried_attempts(), 2);
+        assert_eq!(clean.metrics.map_costs, faulted.metrics.map_costs);
+        assert_eq!(clean.metrics.reduce_costs, faulted.metrics.reduce_costs);
+        assert_eq!(faulted.metrics.attempt_stats.failed, 2);
+        assert_eq!(faulted.metrics.attempt_stats.retried, 2);
     }
 
     #[test]
@@ -1708,14 +1768,9 @@ mod spill_tests {
         assert_eq!(clean.pairs, crashed.pairs);
         // The crashed attempt's partial spills were orphan-removed; the
         // retry's fresh buffers and runs produce identical accounting.
-        assert_eq!(clean.metrics.spill_runs, crashed.metrics.spill_runs);
-        assert_eq!(clean.metrics.spill_passes, crashed.metrics.spill_passes);
-        assert_eq!(
-            clean.metrics.disk_spill_bytes,
-            crashed.metrics.disk_spill_bytes
-        );
-        assert_eq!(crashed.metrics.failed_attempts(), 1);
-        assert_eq!(crashed.metrics.retried_attempts(), 1);
+        assert_eq!(clean.metrics.map_costs, crashed.metrics.map_costs);
+        assert_eq!(crashed.metrics.attempt_stats.failed, 1);
+        assert_eq!(crashed.metrics.attempt_stats.retried, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::codec::{CodecError, Wire};
 use crate::error::RuntimeError;
 use crate::executor::Executor;
 use crate::fault::TaskPhase;
-use crate::scheduler::{self, TaskPlan};
+use crate::metrics::TaskCost;
 
 /// Context handed to reduce functions.
 pub struct ReduceContext<OK, OV> {
@@ -54,11 +54,6 @@ pub(super) struct ReduceTaskResult<OK, OV> {
     /// passes done, splitters sampled). The final merge itself streams
     /// inside the reduce function's value iterator and is not split out.
     pub(super) merge_secs: f64,
-    /// `(fan_in, bytes)` per intermediate merge pass (empty when the final
-    /// merge handled every run directly).
-    pub(super) merge_passes: Vec<(u64, u64)>,
-    /// Framed bytes written + read back by intermediate passes.
-    pub(super) disk_bytes: u64,
 }
 
 /// Bytes of fixed-width runs from which a reducer's final merge is cut
@@ -145,20 +140,23 @@ where
             config,
             store,
             recovery_secs[i],
-            |res: &ReduceTaskResult<OK, OV>| {
-                scheduler::io_secs(res.disk_bytes, config.disk_bytes_per_sec)
-            },
             |attempt| {
                 let task_start = Instant::now();
+                let mut cost = TaskCost {
+                    fetched_bytes: runs.iter().map(|r| r.run.len()).sum(),
+                    fetched_runs: runs.len() as u64,
+                    ..TaskCost::default()
+                };
                 // Opening a stored run verifies its checksum: on the pool.
-                let merged = merge_to_fan_in::<K, V>(
+                let (merged, merge_decode_error) = merge_to_fan_in::<K, V>(
                     pool,
                     store,
                     (TaskPhase::Reduce, i, attempt),
                     pool.run_indexed(runs, |_, run| run.run.open(store)),
                     sort_factor,
+                    &mut cost.merges,
                 );
-                let runs: Vec<&[u8]> = merged.runs.iter().map(RunBuf::as_slice).collect();
+                let runs: Vec<&[u8]> = merged.iter().map(RunBuf::as_slice).collect();
                 let bytes: usize = runs.iter().map(|run| run.len()).sum();
                 let parts = if pool.is_parallel() && bytes >= PAR_FINAL_MERGE_MIN_BYTES {
                     pool.threads()
@@ -169,25 +167,24 @@ where
                 let merge_secs = task_start.elapsed().as_secs_f64();
                 let (out, counters, decode_error) =
                     reduce_ranges(pool, &ranges, reduce_fn, out_hint.load(Ordering::Relaxed));
-                out_hint.fetch_max(out.iter().map(Vec::len).sum(), Ordering::Relaxed);
-                ReduceTaskResult {
+                let records = out.iter().map(Vec::len).sum();
+                out_hint.fetch_max(records, Ordering::Relaxed);
+                cost.records = records as u64;
+                let result = ReduceTaskResult {
                     out,
                     counters,
-                    decode_error: merged.decode_error | decode_error,
+                    decode_error: merge_decode_error | decode_error,
                     merge_secs,
-                    merge_passes: merged.passes,
-                    disk_bytes: merged.disk_bytes,
-                }
+                };
+                (result, cost)
             },
         )
     });
-    let tasks = raw.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let (results, plans): (Vec<ReduceTaskResult<OK, OV>>, Vec<TaskPlan>) =
-        tasks.into_iter().unzip();
-    if results.iter().any(|t| t.decode_error) {
+    let phase: (Vec<ReduceTaskResult<_, _>>, _, _) = raw.into_iter().collect::<Result<_, _>>()?;
+    if phase.0.iter().any(|t| t.decode_error) {
         return Err(RuntimeError::Codec(CodecError {
             context: "shuffle stream",
         }));
     }
-    Ok((results, plans))
+    Ok(phase)
 }

@@ -25,7 +25,7 @@ const RUN_FRAME: Format = Format::new(*b"DWR3", LenWidth::U64, isize::MAX as usi
 /// Frame overhead per run (20 bytes: magic, u64 length, checksum footer).
 /// Charged to disk-byte accounting on both backends so Memory and Disk
 /// runs cost the same on the simulated clock.
-pub(super) const SPILL_FRAME_BYTES: u64 = RUN_FRAME.overhead() as u64;
+pub(crate) const SPILL_FRAME_BYTES: u64 = RUN_FRAME.overhead() as u64;
 
 /// A run stored in the job's [`SpillStore`]: an opaque id plus the
 /// payload length (kept on the handle so shuffle byte accounting never

@@ -77,7 +77,7 @@
 //! | [`executor`]  | Work-stealing thread pool: map/reduce attempts, merge passes and final-merge key ranges on real cores, deterministically |
 //! | [`fault`]     | Seeded [`FaultPlan`]: targeted/probabilistic attempt failures and stragglers |
 //! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; a driver over the map / spill / fetch / merge / reduce phase modules |
-//! | [`metrics`]   | Per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
+//! | [`metrics`]   | Per-task [`TaskCost`], per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
 //! | [`mod@reference`] | The shuffle oracle the engine is tested against: concatenate, stable-sort, group, reduce |
 //! | [`pipeline`]  | Declarative multi-stage [`Pipeline`] driver with glue, loops, and phased execution ([`Progressive`] snapshot handles) |
 //! | [`scheduler`] | Slot-limited wave scheduler: attempts → simulated makespan |
@@ -104,7 +104,7 @@ pub use fault::{
 pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext};
 pub use metrics::{
     AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Phase, PhaseMetrics,
-    RecoveryStats, SimTime, StageMetrics, TaskAttempt,
+    RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,
 };
 pub use pipeline::{Pipeline, Progressive, Snapshot};
 pub use scheduler::{NodeEvent, NodeFaults, NodeTopology};

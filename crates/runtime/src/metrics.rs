@@ -273,12 +273,67 @@ impl AddAssign for RecoveryStats {
     }
 }
 
+/// What one map or reduce task did, in the deterministic units the engine
+/// counts: records, wire bytes, runs, and the task's spill and merge passes
+/// — Afrati–Ullman's communication (wire bytes) and reducer size (records)
+/// per task. A map task leaves the `fetched_*` fields and `merges` empty, a
+/// reduce task `spills` and `spilled_bytes`; no field is derived from
+/// another. It holds no host time, so a task's cost is the same at every
+/// executor thread count and on either spill backend.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TaskCost {
+    /// Records a map task shipped to the shuffle (after any combiner), or
+    /// records a reduce task's function emitted.
+    pub records: u64,
+    /// Wire bytes a reduce task fetched from the shuffle.
+    pub fetched_bytes: u64,
+    /// Sorted runs a reduce task fetched: its merge fan-in before any
+    /// intermediate pass collapses them.
+    pub fetched_runs: u64,
+    /// `(runs, bytes)` per map-side spill pass that produced a run (one
+    /// run per non-empty partition): a single pass for a task that stayed
+    /// under the `io_sort_bytes` budget. The bytes are what the task ships.
+    pub spills: Vec<(u64, u64)>,
+    /// Framed bytes a map task's spills wrote to the spill store (payloads
+    /// plus frame overhead; 0 when every run went to its reducer in
+    /// memory). A map task re-executed because a reducer could not fetch
+    /// its runs writes them again, and those bytes are added here.
+    pub spilled_bytes: u64,
+    /// `(fan_in, bytes)` per intermediate reduce-side merge pass, run
+    /// because the fetched runs outnumbered `io_sort_factor` (empty when
+    /// the final merge took every run directly).
+    pub merges: Vec<(u64, u64)>,
+}
+
+impl TaskCost {
+    /// Bytes the task moved through its node's disk, which the simulated
+    /// clock charges at `disk_bytes_per_sec`: a map task's spills, written
+    /// once, and a reduce task's merge passes, each run written and read
+    /// back.
+    pub fn disk_bytes(&self) -> u64 {
+        let framed = |&(_, bytes): &(u64, u64)| 2 * (bytes + crate::job::SPILL_FRAME_BYTES);
+        self.spilled_bytes + self.merges.iter().map(framed).sum::<u64>()
+    }
+}
+
 /// Metrics of a single executed job.
 #[derive(Debug, Clone, Default)]
 pub struct JobMetrics {
     /// Job name (for reports).
     pub name: String,
-    /// Measured per-map-task CPU seconds (host wall clock inside the task).
+    /// What each map task did, in task order.
+    pub map_costs: Vec<TaskCost>,
+    /// What each reduce task did, in partition order.
+    pub reduce_costs: Vec<TaskCost>,
+    /// Per map task, the runs of all its spill passes; per reduce task, its
+    /// intermediate merge passes. Views of `map_costs` / `reduce_costs`,
+    /// filled with them in one place, kept as fields because
+    /// `perf/src/builds.rs` sums them (l. 367–368).
+    pub spill_runs: Vec<u64>,
+    /// See [`JobMetrics::spill_runs`].
+    pub merge_passes: Vec<u64>,
+    /// Host-seconds sidecar of the task costs, per map task: measured CPU
+    /// seconds (host wall clock inside the task).
     pub map_task_secs: Vec<f64>,
     /// Measured per-reduce-task seconds.
     pub reduce_task_secs: Vec<f64>,
@@ -295,31 +350,11 @@ pub struct JobMetrics {
     /// the merge is interleaved with the function and only their sum is
     /// timed.
     pub merge_secs: Vec<f64>,
-    /// Per-map-task count of non-empty sorted runs produced at spill time
-    /// (one per reduce partition per spill pass; a task that stays under
-    /// the `io_sort_bytes` budget spills exactly once).
-    pub spill_runs: Vec<u64>,
-    /// Per-map-task count of spill passes (1 unless the task's buffered
-    /// emission crossed the `io_sort_bytes` budget mid-map).
-    pub spill_passes: Vec<u64>,
-    /// Per-reduce-task merge fan-in: the number of sorted runs fetched
-    /// from the shuffle for the task's k-way merge (before any
-    /// intermediate passes collapse them).
-    pub merge_fan_in: Vec<u64>,
-    /// Per-reduce-task count of *intermediate* merge passes run because
-    /// the fetched run count exceeded `io_sort_factor` (0 when the final
-    /// streaming merge handled all runs directly).
-    pub merge_passes: Vec<u64>,
-    /// Wire bytes written to local disk by map-side spills (framed run
-    /// payloads; 0 when every task stayed within one spill and the run
-    /// handoff is in-memory).
-    pub disk_spill_bytes: u64,
-    /// Wire bytes written + re-read by intermediate reduce merge passes
-    /// (each pass writes its merged run and the next pass reads it back).
-    pub disk_merge_bytes: u64,
-    /// Bytes crossing the map→reduce shuffle boundary (wire-encoded).
+    /// Bytes crossing the map→reduce shuffle boundary (wire-encoded): the
+    /// reducers' fetched bytes.
     pub shuffle_bytes: u64,
-    /// Key-value records crossing the shuffle boundary.
+    /// Key-value records crossing the shuffle boundary: the map tasks'
+    /// shipped records.
     pub shuffle_records: u64,
     /// Declared input bytes read from "HDFS".
     pub input_bytes: u64,
@@ -348,6 +383,24 @@ pub struct JobMetrics {
 }
 
 impl JobMetrics {
+    /// A job's metrics holding its task costs and the fields derived from
+    /// them — the per-task views and the shuffle totals — and nothing else
+    /// yet: the one place those are computed.
+    pub(crate) fn with_costs(map_costs: Vec<TaskCost>, reduce_costs: Vec<TaskCost>) -> Self {
+        JobMetrics {
+            spill_runs: map_costs
+                .iter()
+                .map(|c| c.spills.iter().map(|&(runs, _)| runs).sum())
+                .collect(),
+            merge_passes: reduce_costs.iter().map(|c| c.merges.len() as u64).collect(),
+            shuffle_bytes: reduce_costs.iter().map(|c| c.fetched_bytes).sum(),
+            shuffle_records: map_costs.iter().map(|c| c.records).sum(),
+            map_costs,
+            reduce_costs,
+            ..JobMetrics::default()
+        }
+    }
+
     /// End-to-end simulated job time.
     pub fn simulated(&self) -> SimTime {
         self.sim.total()
@@ -355,12 +408,12 @@ impl JobMetrics {
 
     /// Number of map tasks.
     pub fn map_tasks(&self) -> usize {
-        self.map_task_secs.len()
+        self.map_costs.len()
     }
 
     /// Number of reduce tasks.
     pub fn reduce_tasks(&self) -> usize {
-        self.reduce_task_secs.len()
+        self.reduce_costs.len()
     }
 
     /// Value of a user counter (0 when never incremented).
@@ -368,44 +421,21 @@ impl JobMetrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Attempts that crashed (panics plus injected faults).
-    pub fn failed_attempts(&self) -> u64 {
-        self.attempt_stats.failed
+    /// Bytes map-side spills wrote to local disk (framed; re-executed maps
+    /// included): 0 when every task stayed within one spill and handed its
+    /// runs over in memory.
+    pub fn disk_spill_bytes(&self) -> u64 {
+        self.map_costs.iter().map(TaskCost::disk_bytes).sum()
     }
 
-    /// Retry attempts launched after failures.
-    pub fn retried_attempts(&self) -> u64 {
-        self.attempt_stats.retried
-    }
-
-    /// Simulated seconds of work that produced no output.
-    pub fn wasted_secs(&self) -> f64 {
-        self.attempt_stats.wasted_secs
-    }
-
-    /// Distinct nodes that failed during the job.
-    pub fn nodes_failed(&self) -> u64 {
-        self.recovery.nodes_failed
-    }
-
-    /// Completed map tasks re-executed after fetch failures.
-    pub fn maps_reexecuted(&self) -> u64 {
-        self.recovery.maps_reexecuted
-    }
-
-    /// Reduce-side fetch retries paid before map re-execution.
-    pub fn fetch_retries(&self) -> u64 {
-        self.recovery.fetch_retries
-    }
-
-    /// Stored runs that failed checksum verification at fetch.
-    pub fn corrupt_runs(&self) -> u64 {
-        self.recovery.corrupt_runs
+    /// Bytes intermediate reduce merge passes wrote and read back.
+    pub fn disk_merge_bytes(&self) -> u64 {
+        self.reduce_costs.iter().map(TaskCost::disk_bytes).sum()
     }
 
     /// FNV-1a digest of the job's *structural* execution record: the
     /// fields that are a pure function of (job, input, cluster config,
-    /// fault plan) — task counts, spill/merge ledgers, byte and record
+    /// fault plan) — every task's [`TaskCost`], byte and record
     /// accounting, counters, recovery stats, and every attempt's
     /// `(phase, task, attempt, kind, outcome, failure)` record.
     ///
@@ -422,18 +452,11 @@ impl JobMetrics {
         let mut s = String::new();
         let _ = write!(
             s,
-            "job({}) tasks({}/{}) runs({:?}) passes({:?}) fan_in({:?}) merges({:?}) \
-             bytes({}/{}/{}/{}) records({}/{}) waves({}) counters({:?}) \
+            "job({}) costs({:?}/{:?}) bytes({}/{}) records({}/{}) waves({}) counters({:?}) \
              recovery({}/{}/{}/{}/{}) phase({:?})",
             self.name,
-            self.map_tasks(),
-            self.reduce_tasks(),
-            self.spill_runs,
-            self.spill_passes,
-            self.merge_fan_in,
-            self.merge_passes,
-            self.disk_spill_bytes,
-            self.disk_merge_bytes,
+            self.map_costs,
+            self.reduce_costs,
             self.shuffle_bytes,
             self.input_bytes,
             self.shuffle_records,
@@ -595,11 +618,11 @@ impl DriverMetrics {
     pub fn per_stage(&self) -> Vec<StageMetrics> {
         let mut stages: Vec<StageMetrics> = Vec::new();
         for j in &self.jobs {
-            let stage = match stages
-                .iter_mut()
-                .find(|s| s.name == j.name && s.phase == j.phase)
+            let at = match stages
+                .iter()
+                .position(|s| s.name == j.name && s.phase == j.phase)
             {
-                Some(s) => s,
+                Some(at) => at,
                 None => {
                     stages.push(StageMetrics {
                         name: j.name.clone(),
@@ -611,9 +634,10 @@ impl DriverMetrics {
                         attempt_stats: AttemptStats::default(),
                         recovery: RecoveryStats::default(),
                     });
-                    stages.last_mut().expect("just pushed")
+                    stages.len() - 1
                 }
             };
+            let stage = &mut stages[at];
             stage.runs += 1;
             stage.simulated += j.simulated();
             stage.shuffle_bytes += j.shuffle_bytes;
@@ -631,8 +655,8 @@ impl DriverMetrics {
     pub fn per_phase(&self) -> Vec<PhaseMetrics> {
         let mut phases: Vec<PhaseMetrics> = Vec::new();
         for j in &self.jobs {
-            let row = match phases.iter_mut().find(|p| p.phase == j.phase) {
-                Some(p) => p,
+            let at = match phases.iter().position(|p| p.phase == j.phase) {
+                Some(at) => at,
                 None => {
                     phases.push(PhaseMetrics {
                         phase: j.phase,
@@ -641,9 +665,10 @@ impl DriverMetrics {
                         shuffle_bytes: 0,
                         map_tasks: 0,
                     });
-                    phases.last_mut().expect("just pushed")
+                    phases.len() - 1
                 }
             };
+            let row = &mut phases[at];
             row.jobs += 1;
             row.simulated += j.simulated();
             row.shuffle_bytes += j.shuffle_bytes;
@@ -802,7 +827,7 @@ mod tests {
                 ..JobMetrics::default()
             };
             j.sim.map = map;
-            j.map_task_secs = vec![0.5; 3];
+            j.map_costs = vec![TaskCost::default(); 3];
             d.push(j);
         }
         let stages = d.per_stage();

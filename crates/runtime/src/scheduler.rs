@@ -58,10 +58,14 @@ pub fn makespan(durations: &[f64], slots: usize, startup: f64) -> f64 {
         .collect();
     let mut latest = 0.0f64;
     for &d in durations {
-        let Reverse(SlotFree { at, slot }) = heap.pop().expect("non-empty slots");
-        let end = at + startup + d.max(0.0);
+        // The heap holds one entry per used slot and is never empty: the
+        // earliest-free slot takes the task and re-enters at its end.
+        let Some(mut free) = heap.peek_mut() else {
+            break;
+        };
+        let end = free.0.at + startup + d.max(0.0);
         latest = latest.max(end);
-        heap.push(Reverse(SlotFree { at: end, slot }));
+        free.0.at = end;
     }
     latest
 }
@@ -267,26 +271,6 @@ struct Ready {
 /// Every attempt (including retries and backups) pays `startup` seconds of
 /// launch overhead inside its slot. The returned records are in assignment
 /// order; the makespan is the latest `sim_end` across all attempts.
-pub fn schedule_attempts(
-    phase: TaskPhase,
-    plans: &[TaskPlan],
-    slots: usize,
-    startup: f64,
-    backoff: f64,
-    speculation: Option<SpeculationPolicy>,
-) -> PhaseSchedule {
-    schedule_attempts_on(
-        phase,
-        plans,
-        slots,
-        startup,
-        backoff,
-        speculation,
-        &NodeFaults::none(slots),
-    )
-}
-
-/// [`schedule_attempts`] with node-level fault domains.
 ///
 /// Slots map to nodes through `faults.topology`; each attempt record
 /// carries the node it ran on. A [`NodeEvent`] at time `t` cuts every
@@ -379,11 +363,19 @@ pub fn schedule_attempts_on(
                      ready: f64|
      -> (usize, f64) {
         loop {
-            let (slot, &slot_free) = free_at
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .expect("non-empty slots");
+            // The first of the earliest-free slots; a retired (infinitely
+            // busy) slot is never picked while another is usable.
+            let (slot, slot_free) =
+                free_at
+                    .iter()
+                    .enumerate()
+                    .fold((0, f64::INFINITY), |best, (slot, &at)| {
+                        if at.total_cmp(&best.1).is_lt() {
+                            (slot, at)
+                        } else {
+                            best
+                        }
+                    });
             assert!(
                 slot_free.is_finite(),
                 "no usable slot survives the node fault plan"
@@ -408,15 +400,14 @@ pub fn schedule_attempts_on(
             .min_by(|a, b| a.at.total_cmp(&b.at))
     };
 
-    while !pending.is_empty() {
-        // Pop the earliest-ready attempt (FIFO among ties). Linear scan:
-        // attempt counts here are hundreds, not millions.
-        let next = pending
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.ready.total_cmp(&b.ready).then(a.seq.cmp(&b.seq)))
-            .map(|(i, _)| i)
-            .expect("non-empty pending");
+    // Pop the earliest-ready attempt (FIFO among ties). Linear scan:
+    // attempt counts here are hundreds, not millions.
+    while let Some(next) = pending
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.ready.total_cmp(&b.ready).then(a.seq.cmp(&b.seq)))
+        .map(|(i, _)| i)
+    {
         let item = pending.swap_remove(next);
 
         if item.kind == AttemptKind::Speculative {
@@ -702,7 +693,15 @@ mod tests {
         let durations = [0.5, 3.0, 1.0, 2.0, 0.25, 1.75, 0.5];
         for slots in 1..=4 {
             let plans: Vec<TaskPlan> = durations.iter().map(|&d| TaskPlan::healthy(d)).collect();
-            let sched = schedule_attempts(TaskPhase::Map, &plans, slots, 0.1, 0.0, None);
+            let sched = schedule_attempts_on(
+                TaskPhase::Map,
+                &plans,
+                slots,
+                0.1,
+                0.0,
+                None,
+                &NodeFaults::none(slots),
+            );
             let m = makespan(&durations, slots, 0.1);
             assert!((sched.makespan - m).abs() < 1e-12, "slots {slots}");
             assert_eq!(sched.attempts.len(), durations.len());
@@ -718,7 +717,15 @@ mod tests {
         // One task, one slot: attempt 1 fails after 1 s, retry (0.25 s
         // backoff) succeeds in 2 s. Startup 0.5 s per attempt.
         let plans = vec![failing(&[1.0], 2.0)];
-        let sched = schedule_attempts(TaskPhase::Map, &plans, 1, 0.5, 0.25, None);
+        let sched = schedule_attempts_on(
+            TaskPhase::Map,
+            &plans,
+            1,
+            0.5,
+            0.25,
+            None,
+            &NodeFaults::none(1),
+        );
         assert_eq!(sched.attempts.len(), 2);
         let fail = &sched.attempts[0];
         assert_eq!(fail.outcome, AttemptOutcome::Failed);
@@ -738,8 +745,24 @@ mod tests {
         let healthy: Vec<TaskPlan> = (0..6).map(|_| TaskPlan::healthy(1.0)).collect();
         let mut faulty = healthy.clone();
         faulty[2] = failing(&[0.5], 1.0);
-        let base = schedule_attempts(TaskPhase::Map, &healthy, 2, 0.1, 0.0, None);
-        let hurt = schedule_attempts(TaskPhase::Map, &faulty, 2, 0.1, 0.0, None);
+        let base = schedule_attempts_on(
+            TaskPhase::Map,
+            &healthy,
+            2,
+            0.1,
+            0.0,
+            None,
+            &NodeFaults::none(2),
+        );
+        let hurt = schedule_attempts_on(
+            TaskPhase::Map,
+            &faulty,
+            2,
+            0.1,
+            0.0,
+            None,
+            &NodeFaults::none(2),
+        );
         assert!(hurt.makespan > base.makespan);
     }
 
@@ -759,7 +782,15 @@ mod tests {
             threshold: 1.5,
             min_secs: 0.0,
         };
-        let sched = schedule_attempts(TaskPhase::Map, &plans, 5, 0.0, 0.0, Some(policy));
+        let sched = schedule_attempts_on(
+            TaskPhase::Map,
+            &plans,
+            5,
+            0.0,
+            0.0,
+            Some(policy),
+            &NodeFaults::none(5),
+        );
         // Backup ready at 1.5, finishes at 2.5 < 10: it wins, the regular
         // attempt is killed at 2.5.
         assert!((sched.makespan - 2.5).abs() < 1e-12);
@@ -795,7 +826,15 @@ mod tests {
             threshold: 1.5,
             min_secs: 0.0,
         };
-        let sched = schedule_attempts(TaskPhase::Map, &plans, 5, 0.0, 0.0, Some(policy));
+        let sched = schedule_attempts_on(
+            TaskPhase::Map,
+            &plans,
+            5,
+            0.0,
+            0.0,
+            Some(policy),
+            &NodeFaults::none(5),
+        );
         assert!((sched.makespan - 2.0).abs() < 1e-12);
         let spec: Vec<_> = sched
             .attempts
@@ -818,7 +857,15 @@ mod tests {
             }],
             healthy_duration: 0.001,
         });
-        let none = schedule_attempts(TaskPhase::Map, &plans, 5, 0.0, 0.0, None);
+        let none = schedule_attempts_on(
+            TaskPhase::Map,
+            &plans,
+            5,
+            0.0,
+            0.0,
+            None,
+            &NodeFaults::none(5),
+        );
         assert!(none
             .attempts
             .iter()
@@ -828,7 +875,15 @@ mod tests {
             threshold: 1.5,
             min_secs: 0.05,
         };
-        let floored = schedule_attempts(TaskPhase::Map, &plans, 5, 0.0, 0.0, Some(policy));
+        let floored = schedule_attempts_on(
+            TaskPhase::Map,
+            &plans,
+            5,
+            0.0,
+            0.0,
+            Some(policy),
+            &NodeFaults::none(5),
+        );
         assert!(floored
             .attempts
             .iter()
@@ -837,7 +892,15 @@ mod tests {
 
     #[test]
     fn empty_plan_list() {
-        let sched = schedule_attempts(TaskPhase::Reduce, &[], 4, 0.1, 0.0, None);
+        let sched = schedule_attempts_on(
+            TaskPhase::Reduce,
+            &[],
+            4,
+            0.1,
+            0.0,
+            None,
+            &NodeFaults::none(4),
+        );
         assert_eq!(sched.makespan, 0.0);
         assert!(sched.attempts.is_empty());
     }
@@ -858,13 +921,12 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_matches_node_free_schedule_and_tags_node_zero() {
+    fn node_free_schedule_tags_node_zero() {
         let plans: Vec<TaskPlan> = [1.0, 2.0, 0.5]
             .iter()
             .map(|&d| TaskPlan::healthy(d))
             .collect();
-        let a = schedule_attempts(TaskPhase::Map, &plans, 2, 0.1, 0.0, None);
-        let b = schedule_attempts_on(
+        let a = schedule_attempts_on(
             TaskPhase::Map,
             &plans,
             2,
@@ -873,7 +935,6 @@ mod tests {
             None,
             &NodeFaults::none(2),
         );
-        assert_eq!(a, b);
         assert!(a.attempts.iter().all(|r| r.node == 0));
         assert!(a.blacklisted.is_empty());
     }

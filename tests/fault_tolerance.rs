@@ -198,9 +198,9 @@ fn conventional_job_survives_node_kill_and_corruption_on_both_backends() {
         let killed = cluster_on(backend, Some(plan));
         let faulty = run(&killed).expect("recovers from node kill + corruption");
         assert_eq!(clean.pairs, faulty.pairs, "{backend:?}");
-        assert!(faulty.metrics.nodes_failed() > 0, "{backend:?}");
-        assert!(faulty.metrics.maps_reexecuted() > 0, "{backend:?}");
-        assert!(faulty.metrics.corrupt_runs() > 0, "{backend:?}");
+        assert!(faulty.metrics.recovery.nodes_failed > 0, "{backend:?}");
+        assert!(faulty.metrics.recovery.maps_reexecuted > 0, "{backend:?}");
+        assert!(faulty.metrics.recovery.corrupt_runs > 0, "{backend:?}");
         let events = killed.trace_events();
         trace::validate(&events).expect("trace validates");
         assert!(events

@@ -115,8 +115,14 @@ fn sort_merge_reports_spills_and_fan_in_reference_does_not() {
     let (merge, merge_events) = run_job(false);
 
     // One spill-run count per map task; one fan-in per reducer.
+    let fan_in: Vec<u64> = merge
+        .metrics
+        .reduce_costs
+        .iter()
+        .map(|c| c.fetched_runs)
+        .collect();
     assert_eq!(merge.metrics.spill_runs.len(), 4);
-    assert_eq!(merge.metrics.merge_fan_in.len(), 3);
+    assert_eq!(fan_in.len(), 3);
     assert_eq!(merge.metrics.spill_secs.len(), 4);
     assert_eq!(merge.metrics.merge_secs.len(), 3);
     // The empty split produced zero runs; the others at least one.
@@ -124,7 +130,7 @@ fn sort_merge_reports_spills_and_fan_in_reference_does_not() {
     assert!(merge.metrics.spill_runs.iter().sum::<u64>() > 0);
     // Fan-in totals match: every non-empty run lands on exactly one reducer.
     assert_eq!(
-        merge.metrics.merge_fan_in.iter().sum::<u64>(),
+        fan_in.iter().sum::<u64>(),
         merge.metrics.spill_runs.iter().sum::<u64>()
     );
 
@@ -136,7 +142,7 @@ fn sort_merge_reports_spills_and_fan_in_reference_does_not() {
             _ => None,
         })
         .collect();
-    assert_eq!(trace_runs, merge.metrics.merge_fan_in);
+    assert_eq!(trace_runs, fan_in);
 }
 
 #[test]
@@ -217,7 +223,7 @@ fn constrained_memory_runs_externally_and_stays_bit_identical() {
     };
 
     let (unconstrained, _) = run(false, SpillBackend::Memory);
-    assert_eq!(unconstrained.metrics.disk_spill_bytes, 0);
+    assert_eq!(unconstrained.metrics.disk_spill_bytes(), 0);
     for backend in [SpillBackend::Memory, SpillBackend::Disk] {
         let (constrained, events) = run(true, backend);
         assert_eq!(constrained.pairs, unconstrained.pairs, "{backend:?}");
@@ -226,7 +232,11 @@ fn constrained_memory_runs_externally_and_stays_bit_identical() {
             unconstrained.metrics.shuffle_bytes
         );
         // Every task crossed the budget repeatedly...
-        assert!(constrained.metrics.spill_passes.iter().all(|&p| p > 1));
+        assert!(constrained
+            .metrics
+            .map_costs
+            .iter()
+            .all(|c| c.spills.len() > 1));
         assert!(constrained
             .metrics
             .spill_runs
@@ -235,8 +245,8 @@ fn constrained_memory_runs_externally_and_stays_bit_identical() {
             .all(|(&c, &u)| c > u));
         // ...and fan-in 2 forced intermediate merge passes everywhere.
         assert!(constrained.metrics.merge_passes.iter().all(|&p| p >= 1));
-        assert!(constrained.metrics.disk_spill_bytes > 0);
-        assert!(constrained.metrics.disk_merge_bytes > 0);
+        assert!(constrained.metrics.disk_spill_bytes() > 0);
+        assert!(constrained.metrics.disk_merge_bytes() > 0);
         // The timeline records the spill/merge story and still validates.
         trace::validate(&events).expect("constrained trace validates");
         assert!(events
@@ -357,7 +367,7 @@ fn send_coef_spill_structure_is_golden() {
             "{at}"
         );
         assert_eq!(
-            (job.disk_spill_bytes, job.disk_merge_bytes),
+            (job.disk_spill_bytes(), job.disk_merge_bytes()),
             want.disk,
             "{at}"
         );
