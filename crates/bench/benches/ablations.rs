@@ -45,7 +45,6 @@ fn bucket_width_ablation() -> Table {
         ],
     );
     for e_b in [1e-6, 0.1, 1.0, 10.0, 100.0] {
-        cluster.clear_history();
         let cfg = DGreedyAbsConfig {
             base_leaves: 1 << 11,
             bucket_width: e_b,
@@ -90,9 +89,7 @@ fn partitioning_ablation() -> Table {
     for ln in [12u32, 14, 16] {
         let n = 1usize << ln;
         let data = nyct_like(n, 0.0, 33);
-        cluster.clear_history();
         let (_, m_con) = con(&cluster, &data, b, n / 16).expect("CON");
-        cluster.clear_history();
         let (_, m_sc) = send_coef(&cluster, &data, b, 16).expect("Send-Coef");
         let (cb, sb) = (m_con.total_shuffle_bytes(), m_sc.total_shuffle_bytes());
         t.row(vec![
@@ -118,7 +115,6 @@ fn candidate_count_ablation() -> Table {
         &["candidates", "max_abs", "chosen |C_root|", "shuffle bytes"],
     );
     for cap in [0usize, 1, 4, full_k] {
-        cluster.clear_history();
         let cfg = DGreedyAbsConfig {
             base_leaves: 1 << 10,
             bucket_width: 0.5,
@@ -151,11 +147,8 @@ fn combiner_ablation() -> Table {
     for ln in [12u32, 14, 16] {
         let n = 1usize << ln;
         let data = nyct_like(n, 0.0, 39);
-        cluster.clear_history();
         let (_, m_plain) = send_coef(&cluster, &data, b, 16).expect("Send-Coef");
-        cluster.clear_history();
         let (syn_c, m_comb) = send_coef_combined(&cluster, &data, b, 16).expect("combined");
-        cluster.clear_history();
         let (syn, m_con) = con(&cluster, &data, b, n / 16).expect("CON");
         assert_eq!(syn, syn_c, "combiner changed the synopsis");
         t.row(vec![
@@ -302,7 +295,6 @@ fn dp_communication_ablation() -> [Table; 2] {
             .sum::<u64>()
     };
     // MinHaarSpace's exchange is B-independent: measure once.
-    cluster.clear_history();
     let mhs = dmin_haar_space(
         &cluster,
         &data,
@@ -315,7 +307,6 @@ fn dp_communication_ablation() -> [Table; 2] {
     .expect("DMHaarSpace runs");
     let mhs_bytes = row_bytes(&mhs.metrics);
     for b in [8usize, 32, 128, 512] {
-        cluster.clear_history();
         let cfg = DmrvConfig {
             base_leaves: 64,
             fan_in: 4,

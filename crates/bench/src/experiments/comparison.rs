@@ -69,11 +69,9 @@ fn comparison(scale: Scale, spec: &ComparisonSpec) -> Vec<Table> {
         let ih = run_indirect_haar_centralized(&data, b, spec.delta);
         let dih = run_dindirect_haar(&cluster, &data, b, s, spec.delta);
 
-        cluster.clear_history();
         let (conv_syn, conv_m) = con(&cluster, &data, b, s).expect("CON runs");
         let conv_secs = conv_m.total_simulated().secs();
         let conv_err = max_abs(&data, &conv_syn.reconstruct_all());
-        cluster.clear_history();
         let (_, sc_m) = send_coef(&cluster, &data, b, n / s).expect("Send-Coef runs");
         let sc_secs = sc_m.total_simulated().secs();
 

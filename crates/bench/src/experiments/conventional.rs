@@ -14,13 +14,9 @@ fn conventional_row(
     s: usize,
     parts: usize,
 ) -> Vec<String> {
-    cluster.clear_history();
     let (_, m_con) = con(cluster, data, b, s).expect("CON");
-    cluster.clear_history();
     let (_, m_sv) = send_v(cluster, data, b, parts).expect("Send-V");
-    cluster.clear_history();
     let (_, m_sc) = send_coef(cluster, data, b, parts).expect("Send-Coef");
-    cluster.clear_history();
     // H-WTopk genuinely OOMs at B = N/8 once its round-1 reducer
     // collection exceeds the per-task memory budget (the paper's 8M+
     // failures); the engine reports that as TaskOutOfMemory.
@@ -98,9 +94,7 @@ pub fn fig11(scale: Scale) -> Vec<Table> {
         let mut row = vec![format!("2^{ln}")];
         row.extend(conventional_row(&cluster, &data, b, s, 16));
         // Shuffle-byte evidence for WHY H-WTopk wins at tiny B.
-        cluster.clear_history();
         let hw = hwtopk(&cluster, &data, b, 16).expect("H-WTopk");
-        cluster.clear_history();
         let (_, sc) = send_coef(&cluster, &data, b, 16).expect("Send-Coef");
         row.push(crate::report::bytes(hw.metrics.total_shuffle_bytes()));
         row.push(crate::report::bytes(sc.total_shuffle_bytes()));

@@ -455,7 +455,7 @@ const WALL_REPS: usize = 5;
 
 /// Wall-clock scaling of the hostile attempt-failure cell across executor
 /// thread counts: the same DGreedyAbs build under a 10% failure rate plus
-/// two stragglers, with the work-stealing pool pinned to 1, 2, 4 (and the
+/// two stragglers, with the executor's pool pinned to 1, 2, 4 (and the
 /// host's own core count when larger) threads. Recovery replays
 /// deterministically on the pool, so every row must reconstruct the
 /// serial row's synopsis bit for bit; only the wall clock may move.
@@ -488,7 +488,7 @@ pub fn executor_threads_sweep(scale: Scale, seed: u64) -> ExecutorThreadsSweep {
             "Fault sweep — wall clock vs executor threads (N=2^{}, 10% failures + stragglers)",
             n.trailing_zeros()
         ),
-        "recovery replays deterministically on the work-stealing pool: every \
+        "recovery replays deterministically on the executor's pool: every \
          thread count rebuilds the same synopsis bit for bit, only wall time moves",
         &["threads", "wall", "speedup", "sim time", "output identical"],
     );

@@ -43,7 +43,6 @@ pub(crate) fn run_dgreedy_abs(
     base_leaves: usize,
     bucket_width: f64,
 ) -> RunOutcome {
-    cluster.clear_history();
     let cfg = DGreedyAbsConfig {
         base_leaves,
         bucket_width,
@@ -67,7 +66,6 @@ pub(crate) fn run_dindirect_haar(
     base_leaves: usize,
     delta: f64,
 ) -> Option<RunOutcome> {
-    cluster.clear_history();
     let cfg = DIndirectHaarConfig {
         delta,
         probe: DmhsConfig {

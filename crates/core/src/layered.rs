@@ -448,7 +448,7 @@ impl<D: LayeredDp> BottomUp<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwmaxerr_runtime::{ClusterConfig, RuntimeError};
+    use dwmaxerr_runtime::{ClusterConfig, RuntimeError, TraceEventKind};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A DP that only counts: a node's row is the number of data leaves
@@ -587,8 +587,15 @@ mod tests {
         dp.memory.store(1002, Ordering::Relaxed);
         let refused = up.top_down(&dp, 1).map(|(picks, ..)| picks.len());
         assert_eq!(refused, Err(oom(1002)), "extract-base");
-        let ran: Vec<String> = cluster.history().into_iter().map(|j| j.name).collect();
-        assert_eq!(ran.last().map(String::as_str), Some("census-extract"));
+        let last_end = cluster
+            .trace_events()
+            .into_iter()
+            .rev()
+            .find_map(|e| match e.kind {
+                TraceEventKind::JobEnd { job, .. } => Some(job),
+                _ => None,
+            });
+        assert_eq!(last_end.as_deref(), Some("census-extract"));
     }
 
     #[test]

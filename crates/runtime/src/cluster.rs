@@ -3,11 +3,8 @@
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use std::sync::Mutex;
-
 use crate::executor::Executor;
 use crate::fault::FaultPlan;
-use crate::metrics::JobMetrics;
 use crate::trace::{TraceEvent, TraceSink};
 
 /// Executor thread count: the `DWM_THREADS` environment variable when set
@@ -94,7 +91,7 @@ pub struct ClusterConfig {
     /// with [`crate::RuntimeError::TaskOutOfMemory`] beyond this.
     pub task_memory_bytes: u64,
     /// Real host threads used to execute tasks — the size of the
-    /// cluster's work-stealing [`Executor`]. Defaults to `DWM_THREADS`
+    /// cluster's [`Executor`] pool. Defaults to `DWM_THREADS`
     /// when set, else the host's available parallelism (see
     /// [`threads_from_env`]); the *simulated* parallelism is governed by
     /// the slot counts, not by this, and job outputs/digests are
@@ -246,13 +243,13 @@ impl ClusterConfig {
     }
 }
 
-/// A handle to the simulated cluster: configuration, a ledger of every
-/// job it has executed (useful for end-of-run reports), and an always-on
-/// structured trace of those executions (see [`crate::trace`]).
+/// A handle to the simulated cluster: configuration, the executor task
+/// bodies run on, and an always-on structured trace of every job it has
+/// executed (see [`crate::trace`]). What each job did is returned to its
+/// caller as [`crate::JobMetrics`]; the cluster keeps no copy.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    history: Mutex<Vec<JobMetrics>>,
     trace: TraceSink,
     executor: Executor,
 }
@@ -273,7 +270,6 @@ impl Cluster {
         let executor = Executor::new(config.threads);
         Ok(Cluster {
             config,
-            history: Mutex::new(Vec::new()),
             trace: TraceSink::new(),
             executor,
         })
@@ -284,25 +280,10 @@ impl Cluster {
         &self.config
     }
 
-    /// The cluster's work-stealing executor: the real threads task bodies,
+    /// The cluster's executor: the real threads task bodies,
     /// spill sorts, and merge passes run on (see [`crate::executor`]).
     pub fn executor(&self) -> &Executor {
         &self.executor
-    }
-
-    /// Records a finished job in the ledger.
-    pub(crate) fn record(&self, metrics: JobMetrics) {
-        self.history.lock().expect("history lock").push(metrics);
-    }
-
-    /// Snapshot of all executed jobs' metrics.
-    pub fn history(&self) -> Vec<JobMetrics> {
-        self.history.lock().expect("history lock").clone()
-    }
-
-    /// Drops the recorded history (e.g. between benchmark repetitions).
-    pub fn clear_history(&self) {
-        self.history.lock().expect("history lock").clear();
     }
 
     /// The cluster's trace sink (for emitting driver-level events such as
@@ -460,19 +441,5 @@ mod tests {
             ..ClusterConfig::default()
         };
         let _ = Cluster::new(c);
-    }
-
-    #[test]
-    fn history_roundtrip() {
-        let cluster = Cluster::new(ClusterConfig::with_slots(4, 2));
-        assert!(cluster.history().is_empty());
-        cluster.record(JobMetrics {
-            name: "test".into(),
-            ..JobMetrics::default()
-        });
-        assert_eq!(cluster.history().len(), 1);
-        assert_eq!(cluster.history()[0].name, "test");
-        cluster.clear_history();
-        assert!(cluster.history().is_empty());
     }
 }

@@ -1,12 +1,11 @@
-//! Work-stealing thread pool: real-core execution under the simulated
-//! cost model.
+//! Thread pool: real-core execution under the simulated cost model.
 //!
 //! The runtime models *cluster* parallelism on a simulated clock (slots,
 //! waves, startup overheads — see [`crate::scheduler`]), but task bodies
 //! are real computations and deserve real cores. This module provides the
-//! [`Executor`]: a hand-rolled work-stealing pool (no external crates —
-//! the container is offline) that every task-granular site in
-//! [`crate::job`] routes through:
+//! [`Executor`]: a hand-rolled pool (no external crates — the build is
+//! offline) that every task-granular site in [`crate::job`] routes
+//! through:
 //!
 //! * map attempts and reduce attempts across a phase,
 //! * intermediate k-way merge passes (one sub-task per contiguous run
@@ -16,18 +15,19 @@
 //!
 //! # Architecture
 //!
-//! `threads - 1` worker threads each own a [`Mutex`]`<VecDeque>` deque.
-//! A batch submission pushes its task indices round-robin across the
-//! deques (task *i* lands on deque `i % workers`) and wakes the pool; a
-//! worker pops from the **front** of its own deque (the round-robin
-//! order) and, when empty, steals from the **back** of the other deques
-//! in cyclic order starting at its right-hand neighbour — the classic
-//! arrangement that keeps owners and thieves on opposite ends. The
-//! submitting thread does not idle: it helps by stealing until its batch
-//! completes, which also makes **nested** submission safe — a reduce
-//! task running on a worker can submit its merge-pass groups as a
-//! sub-batch and help drain the pool while it waits, so the pool never
-//! deadlocks on recursive parallelism.
+//! One `Mutex` guards the list of open batches, newest last, and one
+//! `Condvar` wakes idle threads. `threads - 1` workers and every
+//! submitting thread run the same loop: claim the next index of the
+//! newest open batch under the lock (the batch closes when its last index
+//! is claimed), run it outside the lock, and wake the pool when that run
+//! was the batch's last to finish. A worker loops until the pool shuts
+//! down; a submitter until its own batch has finished, helping any open
+//! batch meanwhile. A **nested** batch — a reduce task submitting its
+//! merge-pass groups — is the newest, so it is claimed first, and its
+//! submitter helps drain it: the pool never deadlocks on recursive
+//! parallelism. Every task is coarse (a map or reduce task, a merge
+//! group, a run open, a chunk of queries), so one lock per claimed index
+//! costs nothing that per-worker deques would save.
 //!
 //! With `threads == 1` the pool spawns no workers and every batch runs
 //! inline on the caller, in index order — the fully serial baseline that
@@ -38,18 +38,18 @@
 //! The pool executes closures concurrently but never *collects*
 //! concurrently: results are written positionally by task index
 //! ([`Executor::run_indexed`] returns `results[i] == f(i, &items[i])`
-//! regardless of completion order), panics are re-raised on the
-//! submitting thread, and nothing about scheduling (which worker ran
-//! which index, steal order, timing) is observable in the return value.
-//! Callers that fold worker output into shared state do so *after* the
-//! batch joins, in index order. See `DESIGN.md` §15 for the full
-//! cross-layer invariant.
+//! regardless of completion order), a panic is re-raised on the
+//! submitting thread (the lowest-index one if several tasks panic), and
+//! nothing about scheduling (which thread ran which index, timing) is
+//! observable in the return value. Callers that fold worker output into
+//! shared state do so *after* the batch joins, in index order. See
+//! `DESIGN.md` §15 for the full cross-layer invariant.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,6 +65,22 @@ pub fn worker_slot() -> usize {
     WORKER_SLOT.with(Cell::get)
 }
 
+/// Longest an idle thread sleeps before it re-checks the open batches.
+/// Correctness does not need it: everything a sleeper waits for (a batch
+/// opened, a batch's last run finished, shutdown) is changed under the
+/// lock and announced after it. It stays for speed: on 2 vCPUs at one
+/// worker, sleeping until notified read `stream-serve` `work_per_s`
+/// × 0.928 and × 0.979 in two rounds of three alternating pairs
+/// (EXPERIMENTS.md, "One list of open batches").
+const IDLE_RECHECK: Duration = Duration::from_millis(1);
+
+/// Locks `m`, taking a poisoned guard as is: no closure ever runs while
+/// a pool or result-slot lock is held, so a poisoned one still guards
+/// consistent data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Type-erased batch closure. The raw pointer outlives every execution
 /// because the submitting call blocks (helping) until `remaining` hits
 /// zero — the standard scoped-pool latch argument.
@@ -74,122 +90,86 @@ struct RawRun(*const (dyn Fn(usize) + Sync));
 unsafe impl Send for RawRun {}
 unsafe impl Sync for RawRun {}
 
-/// Shared state of one submitted batch.
+/// One submitted batch.
 struct Batch {
     run: RawRun,
-    /// Task executions not yet finished; the submitter's latch.
+    /// Runs not yet finished; the submitter's latch. Changed and read
+    /// only under the pool lock, whose unlock / lock pair orders it and
+    /// the result-slot writes before it.
     remaining: AtomicUsize,
-    /// First panic payload raised by any task, re-raised on the
-    /// submitting thread once the batch joins.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Wakes the submitter when `remaining` reaches zero.
-    done_mx: Mutex<bool>,
-    done_cv: Condvar,
 }
 
-impl Batch {
-    /// Executes one index of the batch, catching panics so a worker
-    /// thread survives a crashing task (the payload is re-raised on the
-    /// submitter, preserving serial semantics).
-    fn execute(&self, index: usize) {
-        // SAFETY: see `RawRun` — the submitter outlives the batch.
-        let run = unsafe { &*self.run.0 };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(index))) {
-            let mut slot = self.panic.lock().expect("panic slot");
-            slot.get_or_insert(payload);
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self.done_mx.lock().expect("done lock") = true;
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
+/// Everything the pool lock guards.
+struct State {
+    /// Batches with unclaimed indices, oldest first, each with the
+    /// indices not yet claimed (never empty).
+    open: Vec<(Arc<Batch>, Range<usize>)>,
+    shutdown: bool,
 }
 
-/// One queued task: an index of a batch.
-struct Task {
-    batch: Arc<Batch>,
-    index: usize,
+impl State {
+    /// Claims the next index of the newest open batch, closing the batch
+    /// when that index was its last.
+    fn claim(&mut self) -> Option<(Arc<Batch>, usize)> {
+        let (batch, unclaimed) = self.open.last_mut()?;
+        let index = unclaimed.next()?;
+        let batch = if unclaimed.start == unclaimed.end {
+            self.open.pop()?.0
+        } else {
+            Arc::clone(batch)
+        };
+        Some((batch, index))
+    }
 }
 
 /// Pool state shared between the handle and the workers.
 struct Shared {
-    /// One deque per worker; owners pop the front, thieves the back.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Sleep/wake coordination for idle workers.
-    idle_mx: Mutex<()>,
-    idle_cv: Condvar,
-    shutdown: AtomicBool,
+    state: Mutex<State>,
+    /// Wakes idle threads: a batch opened, a batch's last run finished,
+    /// or the pool is shutting down.
+    wake: Condvar,
 }
 
 impl Shared {
-    /// Pops the front of `own`'s deque, else steals the back of the
-    /// other deques in cyclic order starting after `own`. `own ==
-    /// usize::MAX` (a helping submitter) scans every deque from 0.
-    fn find_task(&self, own: usize) -> Option<Task> {
-        let n = self.queues.len();
-        if own < n {
-            if let Some(t) = self.queues[own].lock().expect("queue lock").pop_front() {
-                return Some(t);
-            }
-        }
-        let first = if own < n { own + 1 } else { 0 };
-        for k in 0..n {
-            let q = (first + k) % n;
-            if own < n && q == own {
+    /// The loop workers and submitters share: until `done`, claim an
+    /// index, run it outside the lock, and wake every sleeper when that
+    /// run was its batch's last to finish.
+    fn work(&self, done: impl Fn(&State) -> bool) {
+        let mut state = lock(&self.state);
+        while !done(&state) {
+            let Some((batch, index)) = state.claim() else {
+                state = self
+                    .wake
+                    .wait_timeout(state, IDLE_RECHECK)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
                 continue;
-            }
-            if let Some(t) = self.queues[q].lock().expect("queue lock").pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&self, id: usize) {
-        WORKER_SLOT.with(|s| s.set(id + 1));
-        loop {
-            if let Some(task) = self.find_task(id) {
-                task.batch.execute(task.index);
-                continue;
-            }
-            let guard = self.idle_mx.lock().expect("idle lock");
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            // Re-check under the lock (submission notifies under it), with
-            // a timeout as a lost-wakeup backstop.
-            let queued = self
-                .queues
-                .iter()
-                .any(|q| !q.lock().expect("queue lock").is_empty());
-            if !queued {
-                let _unused = self
-                    .idle_cv
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .expect("idle wait");
+            };
+            drop(state);
+            // SAFETY: see `RawRun` — this index has not finished, so its
+            // submitter is still waiting and the closure is alive.
+            unsafe { (*batch.run.0)(index) };
+            state = lock(&self.state);
+            if batch.remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.wake.notify_all();
             }
         }
     }
 }
 
-/// A work-stealing thread pool executing job-task bodies on real cores.
-/// See the [module docs](self) for the architecture and the determinism
+/// A thread pool executing job-task bodies on real cores. See the
+/// [module docs](self) for the architecture and the determinism
 /// contract. Owned by [`crate::Cluster`]; sized by
 /// [`crate::ClusterConfig::threads`].
-#[derive(Debug)]
 pub struct Executor {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for Shared {
+impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("workers", &self.queues.len())
+        f.debug_struct("Executor")
+            .field("threads", &self.threads())
             .finish()
     }
 }
@@ -199,19 +179,22 @@ impl Executor {
     /// `threads - 1` spawned workers. `threads == 1` spawns nothing and
     /// runs every batch inline (the serial baseline).
     pub fn new(threads: usize) -> Self {
-        let workers = threads.saturating_sub(1);
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle_mx: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            state: Mutex::new(State {
+                open: Vec::new(),
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
         });
-        let handles = (0..workers)
-            .map(|id| {
+        let handles = (1..threads)
+            .map(|slot| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("dwm-worker-{id}"))
-                    .spawn(move || shared.worker_loop(id))
+                    .name(format!("dwm-worker-{}", slot - 1))
+                    .spawn(move || {
+                        WORKER_SLOT.with(|s| s.set(slot));
+                        shared.work(|state| state.shutdown);
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
@@ -247,28 +230,30 @@ impl Executor {
         if !self.is_parallel() || n <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Each slot takes its index's result or panic payload, so a
+        // crashing task leaves its thread in the pool.
+        let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         self.run_batch(n, &|i| {
-            let r = f(i, &items[i]);
-            *slots[i].lock().expect("result slot") = Some(r);
+            let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+            *lock(&slots[i]) = Some(r);
         });
         slots
             .into_iter()
             .map(|s| {
-                s.into_inner()
-                    .expect("result slot")
-                    .expect("every index filled")
+                let r = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+                r.expect("every index filled")
+                    .unwrap_or_else(|payload| resume_unwind(payload))
             })
             .collect()
     }
 
-    /// Distributes `n` task indices round-robin across the worker
-    /// deques, then helps execute until the batch completes. Re-raises
-    /// the first task panic on this thread.
+    /// Opens a batch of `n ≥ 1` indices, then runs the shared loop until
+    /// every one of them has finished.
     fn run_batch(&self, n: usize, run: &(dyn Fn(usize) + Sync)) {
         // SAFETY: erasing the closure's lifetime is sound because this
         // function does not return until `remaining == 0`, i.e. until no
-        // execution of `run` is in flight or queued.
+        // execution of `run` is in flight or unclaimed.
         let run: *const (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync),
@@ -278,54 +263,20 @@ impl Executor {
         let batch = Arc::new(Batch {
             run: RawRun(run),
             remaining: AtomicUsize::new(n),
-            panic: Mutex::new(None),
-            done_mx: Mutex::new(false),
-            done_cv: Condvar::new(),
         });
-        let workers = self.shared.queues.len();
-        for i in 0..n {
-            self.shared.queues[i % workers]
-                .lock()
-                .expect("queue lock")
-                .push_back(Task {
-                    batch: Arc::clone(&batch),
-                    index: i,
-                });
-        }
-        {
-            let _guard = self.shared.idle_mx.lock().expect("idle lock");
-            self.shared.idle_cv.notify_all();
-        }
-        // Help: steal queued tasks (from this batch or any nested one)
-        // until every task of this batch has finished.
-        while !batch.is_done() {
-            match self.shared.find_task(usize::MAX) {
-                Some(task) => task.batch.execute(task.index),
-                None => {
-                    let guard = batch.done_mx.lock().expect("done lock");
-                    if !*guard && !batch.is_done() {
-                        let _unused = batch
-                            .done_cv
-                            .wait_timeout(guard, Duration::from_micros(200))
-                            .expect("done wait");
-                    }
-                }
-            }
-        }
-        let payload = batch.panic.lock().expect("panic slot").take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
+        lock(&self.shared.state)
+            .open
+            .push((Arc::clone(&batch), 0..n));
+        self.shared.wake.notify_all();
+        self.shared
+            .work(|_| batch.remaining.load(Ordering::Relaxed) == 0);
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            let _guard = self.shared.idle_mx.lock().expect("idle lock");
-            self.shared.shutdown.store(true, Ordering::Release);
-            self.shared.idle_cv.notify_all();
-        }
+        lock(&self.shared.state).shutdown = true;
+        self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -418,5 +369,72 @@ mod tests {
         });
         // Every observed slot is within 0..=workers (0 = helping caller).
         assert!(slots.iter().all(|&s| s <= 3));
+    }
+
+    /// The serving pattern: many connection threads share one pool, and
+    /// some of their tasks submit nested batches.
+    #[test]
+    fn threads_sharing_one_pool_get_positional_results() {
+        let pool = Executor::new(3);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for b in 0..200u64 {
+                        let len = (t * 7 + b * 13) % 64 + 1;
+                        let items: Vec<u64> = (0..len).map(|i| t << 32 | b << 16 | i).collect();
+                        let nested = b % 5 == 0;
+                        let got = pool.run_indexed(&items, |_, &x| {
+                            if nested {
+                                pool.run_indexed(&[x, x + 1, x + 2], |_, &y| y).iter().sum()
+                            } else {
+                                3 * x + 3
+                            }
+                        });
+                        let want: Vec<u64> = items.iter().map(|&x| 3 * x + 3).collect();
+                        assert_eq!(got, want, "thread {t} batch {b}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn nested_panic_reaches_the_outer_submitter() {
+        let pool = Executor::new(4);
+        let outer: Vec<usize> = (0..8).collect();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_indexed(&outer, |_, &o| {
+                let inner: Vec<usize> = (0..8).collect();
+                pool.run_indexed(&inner, |_, &i| {
+                    if o == 5 && i == 3 {
+                        panic!("nested boom");
+                    }
+                    i
+                })
+                .len()
+            })
+        }));
+        let payload = caught.expect_err("nested panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("nested boom"));
+        // The pool survives and stays usable.
+        let want: Vec<usize> = (1..9).collect();
+        assert_eq!(pool.run_indexed(&outer, |_, &x| x + 1), want);
+    }
+
+    /// A lost wake-up between a finishing run and its waiting submitter
+    /// shows up here as a hang (or, with the idle re-check, a stall of
+    /// every batch).
+    #[test]
+    fn many_tiny_batches_all_join() {
+        for threads in [2, 4] {
+            let pool = Executor::new(threads);
+            for b in 0..20_000u32 {
+                assert_eq!(
+                    pool.run_indexed(&[b, b + 1], |_, &x| x * 2),
+                    [b * 2, b * 2 + 2]
+                );
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! This module is the driver: it validates the job, sequences the phases,
 //! schedules their attempts on the simulated clock, and applies side
-//! effects (trace events, metrics, the cluster ledger) in task order. It
+//! effects (trace events, metrics) in task order. It
 //! never touches the codec, a sort, a merge or the spill store itself.
 //! What the engine must compute is pinned by the standalone oracle
 //! [`crate::reference::shuffle_reduce`].
@@ -64,7 +64,7 @@ pub(crate) use spill::SPILL_FRAME_BYTES;
 pub struct JobOutput<OK, OV> {
     /// All reducer-emitted records.
     pub pairs: Vec<(OK, OV)>,
-    /// Execution metrics (also recorded in the cluster's history ledger).
+    /// Execution metrics.
     pub metrics: JobMetrics,
 }
 
@@ -687,7 +687,7 @@ where
         let stage = &self.stage;
         // All task bodies — map attempts, reduce attempts, mid-task spill
         // sorts, intermediate merge passes — execute on the cluster's
-        // work-stealing pool. Results are always collected positionally by
+        // thread pool. Results are always collected positionally by
         // task id, so the pool's completion order never leaks into output,
         // metrics, or traces.
         let pool = cluster.executor();
@@ -756,7 +756,7 @@ where
         recovery.stats.nodes_blacklisted =
             (map_sched.blacklisted.len() + reduce_sched.blacklisted.len()) as u64;
 
-        // ---- Side effects, in task order: trace, metrics, ledger ----
+        // ---- Side effects, in task order: trace, metrics ----
         let timeline = Timeline {
             job: &stage.name,
             clock: &clock,
@@ -804,7 +804,6 @@ where
             recovery: recovery.stats,
             ..JobMetrics::with_costs(map_costs, reduce_costs)
         };
-        cluster.record(metrics.clone());
         Ok(JobOutput { pairs, metrics })
     }
 }
@@ -845,7 +844,7 @@ mod tests {
         assert_eq!(out.metrics.shuffle_bytes, 6 * 12);
         assert_eq!(out.metrics.map_tasks(), 2);
         assert_eq!(out.metrics.reduce_tasks(), 2);
-        assert_eq!(cluster.history().len(), 1);
+        assert_eq!(out.metrics.name, "wc");
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! while the rest of the batch proceeds; the batch's node fan-out is
 //! reported in [`BatchStats::nodes`].
 //!
-//! Given a work-stealing [`Executor`], the distinct queries are evaluated
+//! Given an [`Executor`], the distinct queries are evaluated
 //! in chunks across it, collected positionally, and copied out in input
 //! order. The answers *and* the [`BatchStats`] are bit-identical at any
 //! thread count, with or without a pool.
@@ -227,14 +227,9 @@ pub fn execute(reader: &StoreReader, queries: &[Query]) -> Result<Vec<Answer>, S
     results.into_iter().collect()
 }
 
-/// Lenient batch execution: every query gets its own result slot, in
-/// input order. Malformed queries error individually; their valid
-/// siblings are still answered. Never fails as a whole.
-pub fn execute_partial(reader: &StoreReader, queries: &[Query]) -> Vec<Result<Answer, ServeError>> {
-    execute_partial_routed(reader, queries, None, None).0
-}
-
-/// [`execute_partial`], also returning [`BatchStats`].
+/// Lenient batch execution with its [`BatchStats`]: every query gets its
+/// own result slot, in input order. Malformed queries error individually;
+/// their valid siblings are still answered. Never fails as a whole.
 pub fn execute_partial_with_stats(
     reader: &StoreReader,
     queries: &[Query],

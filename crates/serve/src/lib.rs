@@ -44,9 +44,7 @@ pub mod serve_loop;
 pub mod shard;
 pub mod store;
 
-pub use batch::{
-    execute, execute_partial, execute_partial_routed, execute_partial_with_stats, BatchStats, Query,
-};
+pub use batch::{execute, execute_partial_routed, execute_partial_with_stats, BatchStats, Query};
 pub use error::ServeError;
 pub use net::{NetClient, NetServer, NetServerConfig, NetServerStats, QueryResponse, SlotResult};
 pub use router::ShardRouter;

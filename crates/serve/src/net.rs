@@ -7,7 +7,7 @@
 //! drains length-prefixed request frames; every request's batch runs
 //! through the lenient batch executor ([`execute_partial_routed`]), which
 //! evaluates each distinct query once, in chunks across a shared
-//! work-stealing [`Executor`], so batches from many clients evaluate in
+//! [`Executor`] thread pool, so batches from many clients evaluate in
 //! parallel while every answer still carries its error bound and pinned
 //! store version.
 //!

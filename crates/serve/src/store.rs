@@ -150,14 +150,6 @@ impl StoreReader {
     pub fn execute(&self, queries: &[Query]) -> Result<Vec<Answer>, ServeError> {
         crate::batch::execute(self, queries)
     }
-
-    /// Lenient counterpart of [`execute`](Self::execute): every query
-    /// gets its own `Result` slot, so a malformed query errors
-    /// individually instead of poisoning its co-batched siblings. This
-    /// is the entry point the networked front uses per request.
-    pub fn execute_partial(&self, queries: &[Query]) -> Vec<Result<Answer, ServeError>> {
-        crate::batch::execute_partial(self, queries)
-    }
 }
 
 #[cfg(test)]

@@ -49,7 +49,6 @@ fn main() {
     );
 
     // (b) DMinRelVar: minimize max relative error under an expected budget.
-    cluster.clear_history();
     for b in [n / 64, n / 16, n / 8] {
         let cfg = DmrvConfig {
             base_leaves: 256,
@@ -70,7 +69,6 @@ fn main() {
              {} bytes of M-rows exchanged",
             sol.expected_size, sol.nse_bound, row_bytes
         );
-        cluster.clear_history();
     }
     println!(
         "\nThe MinRelVar rows grow with B (O(B·q) cells) while the MinHaarSpace \

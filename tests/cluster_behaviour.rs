@@ -120,22 +120,3 @@ fn shuffle_bytes_scale_with_data() {
         "shuffle scaling ratio {ratio}: {bytes:?}"
     );
 }
-
-#[test]
-fn job_history_ledger_records_everything() {
-    let c = cluster_with_slots(4, 2);
-    let n = 1 << 10;
-    let data = uniform(n, 100.0, 5);
-    let cfg = DGreedyAbsConfig {
-        base_leaves: 1 << 7,
-        bucket_width: 0.5,
-        reducers: 2,
-        max_candidates: None,
-    };
-    let d = dgreedy_abs(&c, &data, n / 8, &cfg).unwrap();
-    let history = c.history();
-    assert_eq!(history.len(), d.metrics.job_count());
-    assert!(history.iter().any(|j| j.name.contains("errhist")));
-    assert!(history.iter().any(|j| j.name.contains("averages")));
-    assert!(history.iter().any(|j| j.name.contains("synopsis")));
-}

@@ -1,4 +1,4 @@
-//! Executor-determinism acceptance tests: the work-stealing thread pool
+//! Executor-determinism acceptance tests: the executor's thread pool
 //! must be *observationally invisible*. Running the identical workload at
 //! `threads = 1` (fully inline, zero workers) and `threads = N` (real
 //! concurrency for map attempts, reduce attempts, spill sorts, and merge
