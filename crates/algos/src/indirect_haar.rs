@@ -28,6 +28,11 @@ pub struct IndirectHaarReport {
     /// chain, cut short after its bottom-up jobs when the size they yield
     /// is over budget, since that size is all the search reads of it.
     pub probes: usize,
+    /// DP cells the probes computed when they are in-process MinHaarSpace
+    /// runs ([`indirect_haar_centralized`]): `2ε/δ + 1` per internal node
+    /// per probe. 0 from the generic driver, whose probes report their own
+    /// work.
+    pub cells: u64,
 }
 
 /// Lower/upper error bounds for the search (Algorithm 2, lines 1-2):
@@ -119,6 +124,7 @@ pub fn indirect_haar<E>(
         synopsis: best_syn,
         error: best_err,
         probes,
+        cells: 0,
     })
 }
 
@@ -131,15 +137,21 @@ pub fn indirect_haar_centralized(
 ) -> Result<IndirectHaarReport, crate::min_haar_space::MhsError> {
     let coeffs = dwmaxerr_wavelet::transform::forward(data)?;
     let (e_l, e_u) = error_bounds(&coeffs, data, b);
-    indirect_haar(b, e_l, e_u, delta, |eps| {
+    let (internal, mut cells) = ((data.len() as u64).saturating_sub(1), 0u64);
+    let mut report = indirect_haar(b, e_l, e_u, delta, |eps| {
         let p = crate::min_haar_space::MhsParams::new(eps.max(0.0), delta)?;
+        // Saturating: an edge-case bound can be wider than any row built.
+        let width = ((2.0 * p.epsilon / p.delta) as u64).saturating_add(1);
+        cells = cells.saturating_add(internal.saturating_mul(width));
         match crate::min_haar_space::min_haar_space(data, &p) {
             Ok(sol) => Ok(Some((sol.synopsis, sol.actual_error))),
             // Quantization infeasibility is a normal search outcome.
             Err(crate::min_haar_space::MhsError::DeltaTooCoarse) => Ok(None),
             Err(e) => Err(e),
         }
-    })
+    })?;
+    report.cells = cells;
+    Ok(report)
 }
 
 #[cfg(test)]

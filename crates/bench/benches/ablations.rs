@@ -485,14 +485,12 @@ fn request_cycle_by_stage() -> Table {
 /// map function alone (`algorithm7` into a checksum, no collector) and
 /// H-WTopk's `partial_coefficients`, each timed per block on
 /// a pool of the column's threads and summed; the map tasks' host time
-/// (`map_task_secs` once the simulated HDFS read and spill I/O are taken
-/// out) and their spills (`spill_secs`). The reducer: the merge phase is
-/// `merge_secs`; the final merge is the rest of the reduce task once the
-/// simulated merge-pass I/O is taken out. The driver is the call's wall
-/// beyond the job's.
+/// (`map_task_secs`, host seconds inside the task bodies) and their spills
+/// (`spill_secs`). The reducer: the merge phase is `merge_secs`; the final
+/// merge is the rest of the reduce task's host seconds. The driver is the
+/// call's wall beyond the job's.
 fn send_coef_by_phase() -> Table {
     use dwmaxerr_core::splits::block_splits;
-    use dwmaxerr_runtime::scheduler::io_secs;
     use dwmaxerr_runtime::{Cluster, ClusterConfig, Executor, SpillBackend};
     use dwmaxerr_wavelet::basis::{algorithm7, partial_coefficients};
     use std::hint::black_box;
@@ -509,10 +507,10 @@ fn send_coef_by_phase() -> Table {
     let phases = [
         "map: `algorithm7` over the 64 blocks (task ms)",
         "map: `partial_coefficients` over the 64 blocks (task ms)",
-        "map: tasks, host (Σ `map_task_secs −` read and spill I/O; task ms)",
+        "map: tasks, host (Σ `map_task_secs`; task ms)",
         "map: Σ `spill_secs` (task ms)",
         "reduce: open + passes (`merge_secs`)",
-        "reduce: final merge + `sum` (`reduce_task_secs − merge_secs −` merge I/O)",
+        "reduce: final merge + `sum` (`reduce_task_secs − merge_secs`)",
         "driver (call wall − `real_elapsed`)",
         "one `send_coef` call",
     ];
@@ -553,16 +551,13 @@ fn send_coef_by_phase() -> Table {
             let (_, metrics) = send_coef(&cluster, &data, n / 16, 64).expect("Send-Coef");
             let call = start.elapsed().as_secs_f64();
             let job = &metrics.jobs[0];
-            let map_io = io_secs(job.input_bytes, cfg.hdfs_bytes_per_sec)
-                + io_secs(job.disk_spill_bytes(), cfg.disk_bytes_per_sec);
-            let io = io_secs(job.disk_merge_bytes(), cfg.disk_bytes_per_sec);
             let secs = [
                 map_fn,
                 partials,
-                job.map_task_secs.iter().sum::<f64>() - map_io,
+                job.map_task_secs.iter().sum::<f64>(),
                 job.spill_secs.iter().sum(),
                 job.merge_secs[0],
-                job.reduce_task_secs[0] - job.merge_secs[0] - io,
+                job.reduce_task_secs[0] - job.merge_secs[0],
                 call - job.real_elapsed.as_secs_f64(),
                 call,
             ];

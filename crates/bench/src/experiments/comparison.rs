@@ -11,6 +11,7 @@ use crate::setup::{paper_cluster, Scale};
 
 use super::{
     run_dgreedy_abs, run_dindirect_haar, run_greedy_abs_centralized, run_indirect_haar_centralized,
+    CENTRALIZED_NOTE,
 };
 
 struct ComparisonSpec {
@@ -102,6 +103,7 @@ fn comparison(scale: Scale, spec: &ComparisonSpec) -> Vec<Table> {
             err(conv_err),
         ]);
     }
+    time_t.note(CENTRALIZED_NOTE);
     vec![time_t, err_t]
 }
 

@@ -62,6 +62,7 @@ pub fn fig10(scale: Scale) -> Vec<Table> {
             row.extend(conventional_row(&cluster, &data, b, s, 16));
             t.row(row);
         }
+        t.note(super::CENTRALIZED_NOTE);
         tables.push(t);
     }
     tables
@@ -100,5 +101,6 @@ pub fn fig11(scale: Scale) -> Vec<Table> {
         row.push(crate::report::bytes(sc.total_shuffle_bytes()));
         t.row(row);
     }
+    t.note(super::CENTRALIZED_NOTE);
     vec![t]
 }

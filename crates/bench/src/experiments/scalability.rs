@@ -11,6 +11,7 @@ use crate::setup::{cluster_with_map_slots, paper_cluster, Scale};
 
 use super::{
     run_dgreedy_abs, run_dindirect_haar, run_greedy_abs_centralized, run_indirect_haar_centralized,
+    CENTRALIZED_NOTE,
 };
 
 const RANGE: f64 = 1_000.0;
@@ -109,10 +110,8 @@ pub fn fig5c(scale: Scale) -> Vec<Table> {
         }
         t.row(cells);
     }
-    t.note(
-        "centralized GreedyAbs runs the whole tree in one thread; the distributed \
-         columns are simulated cluster makespans over the measured task durations.",
-    );
+    t.note("every column is simulated seconds, each task priced from its TaskCost.");
+    t.note(CENTRALIZED_NOTE);
     vec![t]
 }
 
@@ -153,5 +152,6 @@ pub fn fig5d(scale: Scale) -> Vec<Table> {
         }
         t.row(cells);
     }
+    t.note(CENTRALIZED_NOTE);
     vec![t]
 }

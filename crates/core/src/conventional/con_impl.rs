@@ -13,7 +13,7 @@
 use dwmaxerr_algos::conventional::conventional_synopsis;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, RuntimeError};
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, RuntimeError};
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
@@ -33,6 +33,7 @@ pub(crate) fn con_stage<'c, T>(
 ) -> Result<StagedPipeline<'c, T, u64, f64>, RuntimeError> {
     let job = JobBuilder::new(name)
         .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
+            ctx.charge(Kernel::Values, split.len() as u64);
             let (details, avg) = partition.base_details_from_data(split.slice());
             for (local, &c) in details.iter().enumerate() {
                 let global = partition.local_to_global(split.id as usize, local + 1);

@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::basis::partial_coefficients;
 use dwmaxerr_wavelet::tree::TreeTopology;
 use dwmaxerr_wavelet::Synopsis;
@@ -116,6 +116,7 @@ pub fn hwtopk(
     let r1 = JobBuilder::new("hwtopk-round1")
         .map(
             move |split: &SliceSplit, ctx: &mut MapContext<u64, (u32, f64)>| {
+                ctx.charge(Kernel::Values, split.len() as u64);
                 let mut partials = local_partials(n, split);
                 partials.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));
                 let len = partials.len();
@@ -180,6 +181,7 @@ pub fn hwtopk(
     let r2 = JobBuilder::new("hwtopk-round2")
         .map(
             move |split: &SliceSplit, ctx: &mut MapContext<u64, (u32, f64)>| {
+                ctx.charge(Kernel::Values, split.len() as u64);
                 let mut partials = local_partials(n, split);
                 partials.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));
                 let len = partials.len();
@@ -241,6 +243,7 @@ pub fn hwtopk(
     let cand_map = Arc::clone(&cand);
     let r3 = JobBuilder::new("hwtopk-round3")
         .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
+            ctx.charge(Kernel::Values, split.len() as u64);
             for (node, v) in partial_coefficients(n, split.start(), split.slice()) {
                 if cand_map.contains(&(node as u64)) {
                     ctx.emit(node as u64, v);

@@ -20,7 +20,7 @@
 //! partition reaches the spill sort already sorted.
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::basis::algorithm7;
 use dwmaxerr_wavelet::Synopsis;
 
@@ -72,6 +72,7 @@ fn send_coef_inner(
             // Algorithm 7: fully-contained coefficients are emitted once,
             // complete; boundary coefficients are emitted per datapoint —
             // the O(S(logN - logS)) communication the paper analyses.
+            ctx.charge(Kernel::Values, split.len() as u64);
             algorithm7(n, split.start(), split.slice(), |node, value| {
                 ctx.emit(node as u64, value)
             });

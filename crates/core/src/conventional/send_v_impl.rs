@@ -8,7 +8,7 @@
 //! sequential reduce phase — the paper's Figure 10 shows it losing to
 //! every parallel alternative.
 
-use dwmaxerr_runtime::metrics::DriverMetrics;
+use dwmaxerr_runtime::metrics::{DriverMetrics, Kernel, TaskCost};
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
@@ -40,31 +40,34 @@ pub fn send_v(
             }
         });
 
-    let ((entries, _), metrics) = Pipeline::on(cluster)
+    let (entries, metrics) = Pipeline::on(cluster)
         .stage(&job, &splits)?
         // The single reducer's centralized work: rebuild the array (keys
         // arrive sorted), transform, threshold.
         .try_then(|(_, pairs)| -> Result<_, CoreError> {
-            let start = std::time::Instant::now();
             let mut rebuilt = vec![0.0; n];
             for (k, v) in pairs {
                 rebuilt[k as usize] = v;
             }
             let coeffs = dwmaxerr_wavelet::transform::forward(&rebuilt)?;
-            let entries = super::top_b_by_normalized(
+            Ok(super::top_b_by_normalized(
                 coeffs.iter().enumerate().map(|(i, &c)| (i as u64, c)),
                 n,
                 b,
-            );
-            Ok((entries, start.elapsed().as_secs_f64()))
+            ))
         })?
-        // Attribute the centralized work to the reduce phase by charging
-        // its wall time into the job's reduce task before the driver
-        // reports.
-        .amend_last(|&(_, central_secs), jm| {
-            if let Some(t) = jm.reduce_task_secs.first_mut() {
-                *t += central_secs;
-                jm.sim.reduce += central_secs;
+        // Attribute the centralized step to the reduce task: three passes
+        // over the `n` values (rebuild, transform, select), then a sort of
+        // the kept ones. Its units join the task's cost and their price the
+        // reduce phase.
+        .amend_last(|_, jm| {
+            let kept = b.min(n) as u64;
+            let units = 3 * n as u64 + kept * u64::from(kept.next_power_of_two().trailing_zeros());
+            let mut central = TaskCost::default();
+            central.charge(Kernel::Values, units);
+            jm.sim.reduce += central.secs(cluster.config().disk_bytes_per_sec);
+            if let Some(cost) = jm.reduce_costs.first_mut() {
+                cost.charge(Kernel::Values, units);
             }
         })
         .finish();

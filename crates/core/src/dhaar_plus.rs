@@ -99,6 +99,10 @@ impl LayeredDp for Hp {
         (8 + row.costs.len() * 12) as u64
     }
 
+    fn cells(row: &HpRow) -> u64 {
+        row.costs.len() as u64
+    }
+
     fn encode_row<S: WireSink>(row: &HpRow, sink: &mut S) {
         row.lo.encode(sink);
         row.costs.encode(sink);

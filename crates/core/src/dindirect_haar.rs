@@ -16,7 +16,7 @@
 use dwmaxerr_algos::indirect_haar::{indirect_haar, indirect_haar_centralized};
 use dwmaxerr_algos::min_haar_space::{MhsError, MhsParams};
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::dmin_haar_space::{probe, DmhsConfig};
@@ -91,6 +91,7 @@ pub fn dindirect_haar(
     let lb_job = JobBuilder::new("dih-lower-bound")
         .map(
             move |split: &SliceSplit, ctx: &mut MapContext<u8, (f64, f64)>| {
+                ctx.charge(Kernel::Values, split.len() as u64);
                 let (details, avg) = part.base_details_from_data(split.slice());
                 let mut mags: Vec<f64> = details.iter().map(|c| c.abs()).collect();
                 mags.sort_unstable_by(|a, b| b.total_cmp(a));

@@ -95,6 +95,10 @@ impl LayeredDp for Mhs {
         (16 + row.costs.len() * 8) as u64
     }
 
+    fn cells(row: &Row) -> u64 {
+        row.costs.len() as u64
+    }
+
     fn encode_row<S: WireSink>(row: &Row, sink: &mut S) {
         row.lo.encode(sink);
         row.costs.encode(sink);

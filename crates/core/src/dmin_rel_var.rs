@@ -110,6 +110,10 @@ impl LayeredDp for Mrv {
         (12 + row.cells.len() * 14) as u64
     }
 
+    fn cells(row: &MrvRow) -> u64 {
+        row.cells.len() as u64
+    }
+
     fn encode_row<S: WireSink>(row: &MrvRow, sink: &mut S) {
         row.min_norm.encode(sink);
         (row.cells.len() as u32).encode(sink);

@@ -35,7 +35,9 @@
 
 use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext, RuntimeError};
+use dwmaxerr_runtime::{
+    Cluster, JobBuilder, Kernel, MapContext, Pipeline, ReduceContext, RuntimeError,
+};
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
 use crate::error::CoreError;
@@ -144,6 +146,7 @@ pub(crate) fn averages_stage<'c, T>(
 ) -> Result<StagedPipeline<'c, T, u32, f64>, RuntimeError> {
     let job = JobBuilder::new(format!("{prefix}-averages"))
         .map(|split: &SliceSplit, ctx: &mut MapContext<u32, f64>| {
+            ctx.charge(Kernel::Values, split.len() as u64);
             let avg = split.slice().iter().sum::<f64>() / split.len() as f64;
             ctx.emit(split.id, avg);
         })
@@ -279,6 +282,12 @@ fn emit_histograms<E: ErrHistEngine>(
     let (details, _avg) = shape.partition.base_details_from_data(split.slice());
     let groups = roots.groups(split.id as usize);
     ctx.add_counter("distinct_incoming_errors", groups.len() as u64);
+    // One transform, then one greedy run to empty per group.
+    ctx.charge(Kernel::Values, split.len() as u64);
+    ctx.charge(
+        Kernel::GreedyDiscards,
+        (groups.len() * details.len()) as u64,
+    );
     let block = |k: u32| block_of(k as usize, shape.max_k + 1, shape.reducers);
     for (e, ks) in groups {
         let (floor, trace) = engine.run(&details, split.slice(), e);
@@ -486,6 +495,8 @@ fn synopsis_stage<'c, T, E: ErrHistEngine>(
         .map(|split: &SliceSplit, ctx: &mut MapContext<u8, Removed>| {
             let shape = &roots.shape;
             let (details, _avg) = shape.partition.base_details_from_data(split.slice());
+            ctx.charge(Kernel::Values, split.len() as u64);
+            ctx.charge(Kernel::GreedyDiscards, details.len() as u64);
             let incoming = roots.incoming(best.k, split.id as usize);
             for removed in removals(shape, engine, &details, split, incoming, best.cut_bucket) {
                 ctx.emit(0, removed);

@@ -1,7 +1,7 @@
 //! The distributed evaluation job: DMHaarSpace and DGreedyRel re-measure
 //! their synopsis with it, DIndirectHaar its upper bound (Algorithm 2 line 1).
 
-use dwmaxerr_runtime::{Cluster, JobBuilder, JobMetrics, MapContext, ReduceContext};
+use dwmaxerr_runtime::{Cluster, JobBuilder, JobMetrics, Kernel, MapContext, ReduceContext};
 use dwmaxerr_wavelet::metrics::max_or_nan;
 use dwmaxerr_wavelet::Synopsis;
 
@@ -22,6 +22,7 @@ pub(crate) fn max_error_job(
 ) -> Result<(f64, JobMetrics), CoreError> {
     let out = JobBuilder::new(name)
         .map(|split: &SliceSplit, ctx: &mut MapContext<u8, f64>| {
+            ctx.charge(Kernel::Values, split.len() as u64);
             let approx = synopsis.reconstruct_block(split.start(), split.len());
             let errors = approx
                 .into_iter()

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use dwmaxerr_algos::min_haar_space::MhsError;
 use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
-use dwmaxerr_runtime::metrics::DriverMetrics;
+use dwmaxerr_runtime::metrics::{DriverMetrics, Kernel};
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 
 use crate::error::CoreError;
@@ -101,6 +101,10 @@ pub(crate) trait LayeredDp: Sync {
 
     /// Logical bytes of one row (a `-layer-up` task's simulated read).
     fn row_bytes(row: &Self::Row) -> u64;
+
+    /// DP cells of one row: what computing it is charged, as
+    /// [`Kernel::DpCells`].
+    fn cells(row: &Self::Row) -> u64;
 
     /// The row's wire form (the Eq. 6 message).
     fn encode_row<S: WireSink>(row: &Self::Row, sink: &mut S);
@@ -194,9 +198,16 @@ fn sorted_layer<T>(mut pairs: Vec<(u64, T)>) -> Result<impl Iterator<Item = T>, 
     Ok(pairs.into_iter().map(|(_, record)| record))
 }
 
+/// DP cells a base sub-tree of `leaves` leaves is charged: one row per
+/// internal node, each as wide as its `root` row — the same count whether
+/// a task walks the frontier (layer 0) or keeps every row (extraction).
+fn base_cells<D: LayeredDp>(leaves: usize, root: &D::Row) -> u64 {
+    (leaves as u64 - 1) * D::cells(root)
+}
+
 /// All rows of the mini-tree above `group.rows`, heap order (`[1]` = the
-/// mini root, index 0 unused).
-fn mini_tree<D: LayeredDp>(dp: &D, group: &Group<D::Row>) -> Vec<D::Row> {
+/// mini root, index 0 unused), with the DP cells they took.
+fn mini_tree<D: LayeredDp>(dp: &D, group: &Group<D::Row>) -> (Vec<D::Row>, u64) {
     let f = group.rows.len();
     let mut rows = vec![D::Row::default(); f];
     for i in (1..f).rev() {
@@ -207,7 +218,8 @@ fn mini_tree<D: LayeredDp>(dp: &D, group: &Group<D::Row>) -> Vec<D::Row> {
             dp.combine(node, &group.rows[2 * i - f], &group.rows[2 * i - f + 1])
         };
     }
-    rows
+    let cells = rows[1..].iter().map(D::cells).sum();
+    (rows, cells)
 }
 
 /// Replays the optimal choices down the heap `rows` rooted at global node
@@ -294,6 +306,7 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
                     .base_root(split.slice())
                 {
                     Ok((report, root)) => {
+                        ctx.charge(Kernel::DpCells, base_cells::<D>(split.len(), &root));
                         ctx.emit(num_base + u64::from(split.id), (report, RowMsg(root)))
                     }
                     Err(e) => {
@@ -333,7 +346,9 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
         let job = JobBuilder::new(format!("{}-layer-up", D::PREFIX))
             .map(
                 |group: &Group<D::Row>, ctx: &mut MapContext<u64, RowMsg<D>>| {
-                    let root = mini_tree(dp, group).swap_remove(1);
+                    let (mut rows, cells) = mini_tree(dp, group);
+                    ctx.charge(Kernel::DpCells, cells);
+                    let root = rows.swap_remove(1);
                     let key = if D::dead(&root) {
                         FAIL_NODE
                     } else {
@@ -388,7 +403,8 @@ impl<D: LayeredDp> BottomUp<'_, D> {
                 .map(
                     |(group, carry): &(Group<D::Row>, D::Carry),
                      ctx: &mut MapContext<u64, Down<D::Pick, D::Carry>>| {
-                        let rows = mini_tree(dp, group);
+                        let (rows, cells) = mini_tree(dp, group);
+                        ctx.charge(Kernel::DpCells, cells);
                         replay(
                             dp,
                             &rows,
@@ -421,6 +437,7 @@ impl<D: LayeredDp> BottomUp<'_, D> {
         let job = JobBuilder::new(format!("{}-extract-base", D::PREFIX))
             .map(|split: &SliceSplit, ctx: &mut MapContext<u64, D::Pick>| {
                 let (_, rows) = dp.base_rows(split.slice()).expect("solved by layer 0");
+                ctx.charge(Kernel::DpCells, base_cells::<D>(split.len(), &rows[1]));
                 replay(
                     dp,
                     &rows,
@@ -508,6 +525,10 @@ mod tests {
 
         fn row_bytes(_: &u64) -> u64 {
             8
+        }
+
+        fn cells(_: &u64) -> u64 {
+            1
         }
 
         fn encode_row<S: WireSink>(row: &u64, sink: &mut S) {

@@ -58,7 +58,7 @@ use dwmaxerr_runtime::codec::Wire;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{
-    Cluster, JobBuilder, MapContext, Phase, Pipeline, Progressive, RuntimeError, Snapshot,
+    Cluster, JobBuilder, Kernel, MapContext, Phase, Pipeline, Progressive, RuntimeError, Snapshot,
 };
 use dwmaxerr_wavelet::metrics::max_abs;
 use dwmaxerr_wavelet::tree::DirtySet;
@@ -447,7 +447,10 @@ impl<T: Wire + Send> RunCache<T> {
                 .map(
                     |split: &SliceSplit, ctx: &mut MapContext<u32, (u64, Vec<T>)>| {
                         let (details, _avg) = shape.partition.base_details_from_data(split.slice());
-                        for &e in &missing[split.id as usize] {
+                        let runs = &missing[split.id as usize];
+                        ctx.charge(Kernel::Values, split.len() as u64);
+                        ctx.charge(Kernel::GreedyDiscards, (runs.len() * details.len()) as u64);
+                        for &e in runs {
                             ctx.add_counter("greedy_runs", 1);
                             ctx.emit(split.id, (e.to_bits(), run(&details, split, e)));
                         }

@@ -14,7 +14,7 @@ use crate::codec::{CountingSink, FnvHasher, Wire};
 use crate::error::RuntimeError;
 use crate::executor::Executor;
 use crate::fault::TaskPhase;
-use crate::metrics::TaskCost;
+use crate::metrics::{Kernel, TaskCost};
 use crate::scheduler;
 
 /// Context handed to map functions: typed emission into reduce partitions
@@ -67,6 +67,12 @@ impl<K: Wire + Ord + Send, V: Wire + Send> MapContext<'_, K, V> {
     /// [`crate::JobMetrics::counters`]).
     pub fn add_counter(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
+    }
+
+    /// Reports `units` of `kernel` work to the task's [`TaskCost`], the
+    /// clock's one input: in bulk, from sizes the kernel has, never per item.
+    pub fn charge(&mut self, kernel: Kernel, units: u64) {
+        self.spill.cost.charge(kernel, units);
     }
 }
 
@@ -329,7 +335,8 @@ pub(super) struct MapTaskResult {
     pub(super) runs: Vec<Vec<Run>>,
     pub(super) counters: BTreeMap<&'static str, u64>,
     pub(super) bad_partition: Option<(usize, usize)>,
-    /// Host seconds spent sorting spills / folding the combiner.
+    /// Host seconds of the task body and of its spills (sidecars).
+    pub(super) task_secs: f64,
     pub(super) spill_secs: f64,
 }
 
@@ -390,6 +397,7 @@ where
         split: &S,
         attempt: usize,
     ) -> (MapTaskResult, TaskCost) {
+        let start = Instant::now();
         let config = self.config;
         let mut ctx = MapContext {
             parts: self
@@ -430,6 +438,7 @@ where
             runs: sp.runs,
             counters: ctx.counters,
             bad_partition: ctx.bad_partition,
+            task_secs: start.elapsed().as_secs_f64(),
             spill_secs: sp.spill_secs,
         };
         (result, sp.cost)

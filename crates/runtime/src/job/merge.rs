@@ -484,6 +484,7 @@ mod tests {
     use super::*;
     use crate::codec::{CodecError, WireSink};
     use crate::job::reduce::{reduce_ranges, ReduceContext};
+    use crate::metrics::TaskCost;
 
     /// One record as the definition sees it: key, run index, value, bytes.
     type Record<'r, K, V> = (K, usize, V, &'r [u8]);
@@ -583,8 +584,13 @@ mod tests {
                 ctx.emit(key.clone(), values);
             };
         for threads in [1, 3] {
-            let (out, got_counters, decode_error) =
-                reduce_ranges(&Executor::new(threads), &ranges, &reduce, 0);
+            let (out, got_counters, decode_error) = reduce_ranges(
+                &Executor::new(threads),
+                &ranges,
+                &reduce,
+                0,
+                &mut TaskCost::default(),
+            );
             assert_eq!(out.len(), ranges.len(), "one output per range");
             let out: Vec<(K, Vec<V>)> = out.into_iter().flatten().collect();
             assert_eq!(out, groups, "parts {parts}, threads {threads}");
@@ -924,7 +930,8 @@ mod tests {
                               ctx: &mut ReduceContext<u32, usize>| {
                     ctx.emit(*k, v.count());
                 };
-                let (_, _, flag) = reduce_ranges(&Executor::new(2), &ranges, &reduce, 0);
+                let cost = &mut TaskCost::default();
+                let (_, _, flag) = reduce_ranges(&Executor::new(2), &ranges, &reduce, 0, cost);
                 assert!(flag, "parts {parts}, lens {lens:?}");
             }
         }

@@ -213,12 +213,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// failure, not a process abort; the crashed attempt's spill runs are
 /// orphans and are deleted from `store` before the retry (which writes
 /// under its own attempt tag) starts. The fault plan can additionally fail
-/// attempts (without re-running `body`: an injected crash is charged
-/// `fail_point ×` the attempt's duration) and slow the task down as a
-/// straggler. `extra_secs` is time every attempt pays on top of the
-/// measured function time (the map-side HDFS read); the task's disk I/O,
-/// known only once it has run, is charged off the [`TaskCost`] the body
-/// returns.
+/// attempts (without re-running `body`) and slow the task down as a
+/// straggler.
+///
+/// Every attempt is priced by one rule: the attempt that succeeds takes
+/// `slowdown × (extra_secs + price)`, where `extra_secs` is what every
+/// attempt pays besides its own work (the map-side HDFS read, a reducer's
+/// fetch recovery) and the price is [`TaskCost::secs`] of the cost the body
+/// returns; a crashed attempt — panicked or injected — is charged
+/// `fail_point ×` that. No host time enters the plan.
 ///
 /// Returns the task's value, its cost and its [`TaskPlan`] for the slot
 /// simulator, or [`RuntimeError::TaskFailed`] once `max_attempts` attempts
@@ -232,64 +235,54 @@ fn run_attempts<T>(
     body: impl Fn(usize) -> (T, TaskCost),
 ) -> Result<(T, TaskCost, TaskPlan), RuntimeError> {
     let fault_plan = config.fault_plan.as_ref();
-    let max_attempts = config.max_attempts;
     let slowdown = fault_plan.map_or(1.0, |p| p.slowdown(phase, task));
     let fail_point = fault_plan.map_or(0.5, |p| p.fail_point);
-    let mut attempts: Vec<AttemptPlan> = Vec::new();
-    let mut done: Option<((T, TaskCost), f64)> = None;
+    let mut failures: Vec<Option<FailureKind>> = Vec::new();
+    let mut done: Option<(T, TaskCost)> = None;
     let mut last_reason = String::new();
-    for attempt in 1..=max_attempts {
-        let ((value, cost), secs) = match done.take() {
+    for attempt in 1..=config.max_attempts {
+        let (value, cost) = match done.take() {
             Some(v) => v,
-            None => {
-                let start = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| body(attempt))) {
-                    Ok(output) => (output, start.elapsed().as_secs_f64()),
-                    Err(payload) => {
-                        store.remove_attempt((phase, task, attempt));
-                        attempts.push(AttemptPlan {
-                            duration: slowdown * (start.elapsed().as_secs_f64() + extra_secs),
-                            failure: Some(FailureKind::Panic),
-                        });
-                        last_reason = format!("panic: {}", panic_message(payload.as_ref()));
-                        continue;
-                    }
+            None => match catch_unwind(AssertUnwindSafe(|| body(attempt))) {
+                Ok(output) => output,
+                Err(payload) => {
+                    store.remove_attempt((phase, task, attempt));
+                    failures.push(Some(FailureKind::Panic));
+                    last_reason = format!("panic: {}", panic_message(payload.as_ref()));
+                    continue;
                 }
-            }
+            },
         };
-        let disk_secs = scheduler::io_secs(cost.disk_bytes(), config.disk_bytes_per_sec);
-        let healthy = secs + extra_secs + disk_secs;
-        let effective = slowdown * healthy;
         if fault_plan.is_some_and(|p| p.injects_failure(phase, task, attempt)) {
-            attempts.push(AttemptPlan {
-                duration: fail_point * effective,
-                failure: Some(FailureKind::Injected),
-            });
+            failures.push(Some(FailureKind::Injected));
             last_reason = "injected fault".to_string();
             // The computed result survives for the retry (its spill runs
             // stay owned by the attempt that wrote them); only the
             // simulated timeline re-pays the work.
-            done = Some(((value, cost), secs));
+            done = Some((value, cost));
             continue;
         }
-        attempts.push(AttemptPlan {
-            duration: effective,
-            failure: None,
-        });
-        return Ok((
-            value,
-            cost,
-            TaskPlan {
-                attempts,
-                // A speculative backup lands on a healthy node: no slowdown.
-                healthy_duration: healthy,
-            },
-        ));
+        let healthy = extra_secs + cost.secs(config.disk_bytes_per_sec);
+        let effective = slowdown * healthy;
+        failures.push(None);
+        let attempts = failures
+            .into_iter()
+            .map(|failure| AttemptPlan {
+                duration: failure.map_or(effective, |_| fail_point * effective),
+                failure,
+            })
+            .collect();
+        // A speculative backup lands on a healthy node: no slowdown.
+        let plan = TaskPlan {
+            attempts,
+            healthy_duration: healthy,
+        };
+        return Ok((value, cost, plan));
     }
     Err(RuntimeError::TaskFailed {
         phase,
         task,
-        attempts: max_attempts,
+        attempts: config.max_attempts,
         reason: last_reason,
     })
 }
@@ -297,9 +290,8 @@ fn run_attempts<T>(
 /// Speculate once an attempt has run this multiple of the median task
 /// duration.
 const SPECULATIVE_SLOWDOWN: f64 = 1.5;
-/// Never speculate before an attempt has run this many seconds (Hadoop
-/// waits 60 s; scaled to 50 ms), so timing noise on tiny tasks cannot
-/// trigger backups.
+/// Never speculate before an attempt has run this many seconds: Hadoop's
+/// 60 s floor, scaled to 50 ms like the cluster's other constants.
 const SPECULATIVE_MIN_SECS: f64 = 0.05;
 /// Seconds between observing an attempt's failure and launching its retry
 /// (zero: Hadoop reschedules at the next heartbeat).
@@ -609,15 +601,6 @@ impl Timeline<'_> {
     }
 }
 
-/// Per-task seconds of the *successful* attempt, a plan's last (function
-/// time plus I/O, times any straggler slowdown).
-fn winning_secs(plans: &[TaskPlan]) -> Vec<f64> {
-    plans
-        .iter()
-        .map(|p| p.attempts.last().map_or(0.0, |a| a.duration))
-        .collect()
-}
-
 impl<S, K, V, OK, OV, F, G> Job<S, K, V, OK, OV, F, G>
 where
     S: Sync,
@@ -786,8 +769,8 @@ where
         attempts.extend(reduce_sched.attempts);
         let metrics = JobMetrics {
             name: stage.name.clone(),
-            map_task_secs: winning_secs(&map_plans),
-            reduce_task_secs: winning_secs(&reduce_plans),
+            map_task_secs: map_results.iter().map(|t| t.task_secs).collect(),
+            reduce_task_secs: reduce_results.iter().map(|t| t.task_secs).collect(),
             spill_secs: map_results.iter().map(|t| t.spill_secs).collect(),
             merge_secs: reduce_results.iter().map(|t| t.merge_secs).collect(),
             input_bytes: stage
@@ -1189,27 +1172,20 @@ mod fault_tests {
 
     #[test]
     fn straggler_slows_simulated_clock_only() {
-        // The deterministic simulated HDFS read (4 MiB at the default
-        // 200 MiB/s = 0.02 s) dominates the host-measured body time, so
-        // the 50x multiplier is visible even when scheduler noise inflates
-        // a sub-microsecond measurement on a loaded single-core host.
-        let sized_sum = |cluster: &Cluster| {
-            JobBuilder::new("sum")
-                .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
-                .input_bytes(|_| 4 << 20)
-                .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()))
-                .run(cluster, &[1u64, 2])
-        };
-        let clean = sized_sum(&faulty_cluster(FaultPlan::seeded(0))).unwrap();
-        let slow = sized_sum(&faulty_cluster(FaultPlan::seeded(0).with_straggler(
-            TaskPhase::Map,
-            0,
-            50.0,
-        )))
-        .unwrap();
+        let clean = sum_job(&faulty_cluster(FaultPlan::seeded(0)), &[1, 2]).unwrap();
+        let plan = FaultPlan::seeded(0).with_straggler(TaskPhase::Map, 0, 50.0);
+        let slow = sum_job(&faulty_cluster(plan), &[1, 2]).unwrap();
         assert_eq!(clean.pairs, slow.pairs);
-        assert!(slow.metrics.sim.map > clean.metrics.sim.map);
-        assert!(slow.metrics.map_task_secs[0] > 10.0 * clean.metrics.map_task_secs[0].max(1e-9));
+        // The straggler did the same work; only its simulated time grew.
+        assert_eq!(clean.metrics.map_costs, slow.metrics.map_costs);
+        let disk = ClusterConfig::default().disk_bytes_per_sec;
+        let price = clean.metrics.map_costs[0].secs(disk);
+        let startup = 0.001;
+        assert_eq!(clean.metrics.sim.map, startup + price);
+        // 50 x a sub-microsecond task stays under the 50 ms speculation
+        // floor: no backup, the straggler runs to its end.
+        assert_eq!(slow.metrics.sim.map, startup + 50.0 * price);
+        assert_eq!(slow.metrics.attempt_stats.speculative, 0);
     }
 
     #[test]

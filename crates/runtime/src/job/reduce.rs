@@ -16,12 +16,13 @@ use crate::codec::{CodecError, Wire};
 use crate::error::RuntimeError;
 use crate::executor::Executor;
 use crate::fault::TaskPhase;
-use crate::metrics::TaskCost;
+use crate::metrics::{Kernel, TaskCost};
 
 /// Context handed to reduce functions.
 pub struct ReduceContext<OK, OV> {
     pub(crate) out: Vec<(OK, OV)>,
     counters: BTreeMap<&'static str, u64>,
+    cost: TaskCost,
 }
 
 impl<OK, OV> ReduceContext<OK, OV> {
@@ -29,6 +30,7 @@ impl<OK, OV> ReduceContext<OK, OV> {
         ReduceContext {
             out: Vec::with_capacity(capacity),
             counters: BTreeMap::new(),
+            cost: TaskCost::default(),
         }
     }
 
@@ -41,6 +43,12 @@ impl<OK, OV> ReduceContext<OK, OV> {
     pub fn add_counter(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
+
+    /// Reports `units` of `kernel` work to the task's [`TaskCost`] (see
+    /// [`crate::MapContext::charge`]).
+    pub fn charge(&mut self, kernel: Kernel, units: u64) {
+        self.cost.charge(kernel, units);
+    }
 }
 
 pub(super) struct ReduceTaskResult<OK, OV> {
@@ -49,10 +57,12 @@ pub(super) struct ReduceTaskResult<OK, OV> {
     pub(super) out: Vec<Vec<(OK, OV)>>,
     pub(super) counters: BTreeMap<&'static str, u64>,
     decode_error: bool,
-    /// Host seconds of the merge phase: from task start until the final
-    /// merge's key ranges are cut (runs opened and verified, intermediate
-    /// passes done, splitters sampled). The final merge itself streams
-    /// inside the reduce function's value iterator and is not split out.
+    /// Host seconds (reported sidecars) of the task and of its merge phase:
+    /// from task start until the final merge's key ranges are cut (runs
+    /// opened and verified, intermediate passes done, splitters sampled).
+    /// The final merge itself streams inside the reduce function's value
+    /// iterator and is not split out.
+    pub(super) task_secs: f64,
     pub(super) merge_secs: f64,
 }
 
@@ -73,13 +83,15 @@ const PAR_FINAL_MERGE_MIN_BYTES: usize = 4 << 20;
 /// serial final merge. Returns each range's emissions in range order (the
 /// driver concatenates them straight into the job's output, so no
 /// reducer-sized buffer is copied twice), the counters summed over the
-/// ranges, and whether a run failed to decode.
+/// ranges, and whether a run failed to decode; the ranges' kernel units
+/// are added to `cost`.
 #[allow(clippy::type_complexity)] // one `Vec` of emissions per range, beside the counters
 pub(super) fn reduce_ranges<K, V, OK, OV, G>(
     pool: &Executor,
     ranges: &[Vec<&[u8]>],
     reduce_fn: &G,
     out_hint: usize,
+    cost: &mut TaskCost,
 ) -> (Vec<Vec<(OK, OV)>>, BTreeMap<&'static str, u64>, bool)
 where
     K: Wire + Ord,
@@ -102,6 +114,9 @@ where
         .map(|(ctx, range_decode_error)| {
             for (name, delta) in ctx.counters {
                 *counters.entry(name).or_insert(0) += delta;
+            }
+            for (sum, units) in cost.kernel.iter_mut().zip(ctx.cost.kernel) {
+                *sum += units;
             }
             decode_error |= range_decode_error;
             ctx.out
@@ -165,8 +180,9 @@ where
                 };
                 let ranges = cut_ranges::<K, V>(&runs, parts);
                 let merge_secs = task_start.elapsed().as_secs_f64();
+                let hint = out_hint.load(Ordering::Relaxed);
                 let (out, counters, decode_error) =
-                    reduce_ranges(pool, &ranges, reduce_fn, out_hint.load(Ordering::Relaxed));
+                    reduce_ranges(pool, &ranges, reduce_fn, hint, &mut cost);
                 let records = out.iter().map(Vec::len).sum();
                 out_hint.fetch_max(records, Ordering::Relaxed);
                 cost.records = records as u64;
@@ -174,6 +190,7 @@ where
                     out,
                     counters,
                     decode_error: merge_decode_error | decode_error,
+                    task_secs: task_start.elapsed().as_secs_f64(),
                     merge_secs,
                 };
                 (result, cost)

@@ -26,12 +26,12 @@
 //!
 //! Because the host machine may have fewer cores than the simulated
 //! cluster has slots, tasks are *executed* on however many threads the host
-//! provides while their measured durations are *scheduled* onto the
-//! configured slots to produce a simulated makespan
-//! ([`metrics::JobMetrics::simulated`]). On a machine with as many cores as
-//! slots the simulated and real wall-clock times coincide; on a small host
-//! the simulated time is the faithful quantity, and it is what the
-//! benchmark harness reports.
+//! provides while their durations — priced from what each task did
+//! ([`metrics::TaskCost::secs`]), never timed on the host — are *scheduled*
+//! onto the configured slots to produce a simulated makespan
+//! ([`metrics::JobMetrics::simulated`]). The simulated time is the faithful
+//! quantity, the same on every host and at every thread count, and it is
+//! what the paper-figure binaries report.
 //!
 //! # Example
 //!
@@ -77,7 +77,7 @@
 //! | [`executor`]  | Thread pool over one lock and one list of open batches: map/reduce attempts, merge passes and final-merge key ranges on real cores, deterministically |
 //! | [`fault`]     | Seeded [`FaultPlan`]: targeted/probabilistic attempt failures and stragglers |
 //! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; a driver over the map / spill / fetch / merge / reduce phase modules |
-//! | [`metrics`]   | Per-task [`TaskCost`], per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
+//! | [`metrics`]   | Per-task [`TaskCost`] and its price in simulated seconds, per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
 //! | [`mod@reference`] | The shuffle oracle the engine is tested against: concatenate, stable-sort, group, reduce |
 //! | [`pipeline`]  | Declarative multi-stage [`Pipeline`] driver with glue, loops, and phased execution ([`Progressive`] snapshot handles) |
 //! | [`scheduler`] | Slot-limited wave scheduler: attempts → simulated makespan |
@@ -103,8 +103,8 @@ pub use fault::{
 };
 pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext};
 pub use metrics::{
-    AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Phase, PhaseMetrics,
-    RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,
+    AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Kernel, Phase,
+    PhaseMetrics, RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,
 };
 pub use pipeline::{Pipeline, Progressive, Snapshot};
 pub use scheduler::{NodeEvent, NodeFaults, NodeTopology};

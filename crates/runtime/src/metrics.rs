@@ -1,5 +1,5 @@
-//! Job metrics: measured task durations, shuffle volume, and the simulated
-//! cluster wall clock derived from them.
+//! Job metrics: task costs, the one function that prices them in simulated
+//! seconds ([`TaskCost::secs`]), shuffle volume, and the simulated clock.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -10,10 +10,10 @@ use crate::fault::{FailureKind, TaskPhase};
 
 /// Simulated cluster time, in seconds.
 ///
-/// Real per-task durations are measured on the host and then scheduled onto
-/// the configured cluster slots; `SimTime` is the resulting makespan. It is
-/// ordered and additive so that multi-job drivers (e.g. DIndirectHaar's
-/// binary search) can accumulate end-to-end simulated time.
+/// Every task attempt is priced from its [`TaskCost`] and scheduled onto
+/// the configured cluster slots; `SimTime` is the resulting makespan, never
+/// a host measurement. It is ordered and additive so that multi-job drivers
+/// (e.g. DIndirectHaar's binary search) can accumulate end-to-end time.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(pub f64);
 
@@ -273,15 +273,36 @@ impl AddAssign for RecoveryStats {
     }
 }
 
+/// A kind of kernel work a task body reports through
+/// [`crate::MapContext::charge`] / [`crate::ReduceContext::charge`], counted
+/// in bulk from sizes the kernel already has, never one element at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Cells of error-tree DP rows (MinHaarSpace, MinRelVar, HaarPlus).
+    DpCells,
+    /// Nodes a greedy thresholding run discarded (GreedyAbs, GreedyRel).
+    GreedyDiscards,
+    /// Values transformed or reconstructed (Haar transforms, Algorithm 7).
+    Values,
+}
+
+/// Simulated seconds per unit of each [`Kernel`], in declaration order, and
+/// per wire byte and merge comparison ([`TaskCost::secs`]).
+const SECS_PER_KERNEL_UNIT: [f64; 3] = [6.0e-9, 7.9e-8, 6.2e-10];
+const SECS_PER_WIRE_BYTE: f64 = 5.3e-10;
+const SECS_PER_MERGE_BYTE_LEVEL: f64 = 6.5e-11;
+
 /// What one map or reduce task did, in the deterministic units the engine
-/// counts: records, wire bytes, runs, and the task's spill and merge passes
-/// — Afrati–Ullman's communication (wire bytes) and reducer size (records)
-/// per task. A map task leaves the `fetched_*` fields and `merges` empty, a
-/// reduce task `spills` and `spilled_bytes`; no field is derived from
-/// another. It holds no host time, so a task's cost is the same at every
-/// executor thread count and on either spill backend.
+/// counts: kernel units, records, wire bytes, runs, and the task's spill
+/// and merge passes — Afrati–Ullman's communication (wire bytes) and
+/// reducer work per task. A map task leaves the `fetched_*` fields and
+/// `merges` empty, a reduce task `spills` and `spilled_bytes`; no field is
+/// derived from another. It holds no host time, so a task's cost and its
+/// price are the same at every executor thread count and on either backend.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskCost {
+    /// Kernel units the task body charged, indexed by [`Kernel`].
+    pub kernel: [u64; 3],
     /// Records a map task shipped to the shuffle (after any combiner), or
     /// records a reduce task's function emitted.
     pub records: u64,
@@ -306,6 +327,11 @@ pub struct TaskCost {
 }
 
 impl TaskCost {
+    /// Adds `units` of `kernel` work.
+    pub fn charge(&mut self, kernel: Kernel, units: u64) {
+        self.kernel[kernel as usize] += units;
+    }
+
     /// Bytes the task moved through its node's disk, which the simulated
     /// clock charges at `disk_bytes_per_sec`: a map task's spills, written
     /// once, and a reduce task's merge passes, each run written and read
@@ -313,6 +339,35 @@ impl TaskCost {
     pub fn disk_bytes(&self) -> u64 {
         let framed = |&(_, bytes): &(u64, u64)| 2 * (bytes + crate::job::SPILL_FRAME_BYTES);
         self.spilled_bytes + self.merges.iter().map(framed).sum::<u64>()
+    }
+
+    /// The task's simulated seconds, excluding its HDFS read and launch:
+    /// kernel units, wire bytes (shipped or fetched) and merge
+    /// comparisons — in wire bytes, each climbing `⌈log2 fan-in⌉` loser-tree
+    /// levels per pass and in the final merge — each at its rate, plus
+    /// [`TaskCost::disk_bytes`] at `disk_bytes_per_sec`. The rates are a
+    /// non-negative least-squares fit of task-body host seconds to these
+    /// units, one row per (job, phase) of the `perf` builds DGreedyAbs 2^18,
+    /// Send-Coef 2^20 and DIndirectHaar 2^13 on a 2-vCPU x86-64 container,
+    /// one thread: they price those builds at 0.86–1.18×, 1.15–1.40× and
+    /// 1.02–1.19× their host task seconds over four runs. Work unlike those
+    /// tasks is extrapolated: one GreedyAbs over 2^19 values is priced at
+    /// 0.17–0.26× its host seconds (EXPERIMENTS.md, "One input to the
+    /// simulated clock").
+    pub fn secs(&self, disk_bytes_per_sec: f64) -> f64 {
+        let levels = |fan_in: u64| u64::from(fan_in.max(1).next_power_of_two().trailing_zeros());
+        let (mut compared, mut runs) = (0, self.fetched_runs);
+        for &(fan_in, bytes) in &self.merges {
+            compared += bytes * levels(fan_in);
+            runs = runs.saturating_sub(fan_in.saturating_sub(1));
+        }
+        let shipped: u64 = self.spills.iter().map(|&(_, bytes)| bytes).sum();
+        let mut secs = crate::scheduler::io_secs(self.disk_bytes(), disk_bytes_per_sec);
+        for (&units, rate) in self.kernel.iter().zip(SECS_PER_KERNEL_UNIT) {
+            secs += units as f64 * rate;
+        }
+        secs + (shipped + self.fetched_bytes) as f64 * SECS_PER_WIRE_BYTE
+            + (compared + self.fetched_bytes * levels(runs)) as f64 * SECS_PER_MERGE_BYTE_LEVEL
     }
 }
 
@@ -332,10 +387,11 @@ pub struct JobMetrics {
     pub spill_runs: Vec<u64>,
     /// See [`JobMetrics::spill_runs`].
     pub merge_passes: Vec<u64>,
-    /// Host-seconds sidecar of the task costs, per map task: measured CPU
-    /// seconds (host wall clock inside the task).
+    /// Host-seconds sidecar of the task costs, per map task: host wall
+    /// clock inside the task. Reported only, like the other host vectors
+    /// and `real_elapsed`; the simulated clock never reads them.
     pub map_task_secs: Vec<f64>,
-    /// Measured per-reduce-task seconds.
+    /// Host seconds inside each reduce task.
     pub reduce_task_secs: Vec<f64>,
     /// Per-map-task seconds spent sorting spill buffers (subset of the
     /// task's entry in `map_task_secs`).
@@ -433,27 +489,31 @@ impl JobMetrics {
         self.reduce_costs.iter().map(TaskCost::disk_bytes).sum()
     }
 
-    /// FNV-1a digest of the job's *structural* execution record: the
-    /// fields that are a pure function of (job, input, cluster config,
-    /// fault plan) — every task's [`TaskCost`], byte and record
-    /// accounting, counters, recovery stats, and every attempt's
-    /// `(phase, task, attempt, kind, outcome, failure)` record.
+    /// FNV-1a digest of the job's execution record on the simulated
+    /// cluster: every task's [`TaskCost`], byte and record accounting,
+    /// counters, recovery stats, the simulated breakdown, and every
+    /// attempt in schedule order with its `sim_start`, `sim_end`, slot and
+    /// node (times by their bits).
     ///
-    /// Host-measured quantities are deliberately excluded: per-task
-    /// seconds, the simulated breakdown (derived from host timings),
-    /// real elapsed time, attempt sim times, and slot/node placement
-    /// (placement follows measured durations once tasks queue for
-    /// slots). What remains must be bit-identical between `threads=1`
-    /// and `threads=N` runs of the same job — the executor's
+    /// All of it is a pure function of (job, input, cluster config, fault
+    /// plan); only the host sidecars (`map_task_secs` and friends,
+    /// `real_elapsed`) stay out. It must be bit-identical between
+    /// `threads=1` and `threads=N` runs of the same job — the executor's
     /// determinism contract, enforced by the cross-thread proptests.
     pub fn structural_digest(&self) -> u64 {
         use crate::codec::WireSink;
         use std::fmt::Write as _;
         let mut s = String::new();
+        let sim = [
+            self.sim.setup,
+            self.sim.map,
+            self.sim.shuffle,
+            self.sim.reduce,
+        ];
         let _ = write!(
             s,
             "job({}) costs({:?}/{:?}) bytes({}/{}) records({}/{}) waves({}) counters({:?}) \
-             recovery({}/{}/{}/{}/{}) phase({:?})",
+             recovery({}/{}/{}/{}/{}) phase({:?}) sim({:?})",
             self.name,
             self.map_costs,
             self.reduce_costs,
@@ -469,28 +529,23 @@ impl JobMetrics {
             self.recovery.fetch_retries,
             self.recovery.corrupt_runs,
             self.phase,
+            sim.map(f64::to_bits),
         );
-        // Attempt records, sorted structurally so the digest is
-        // independent of the schedule's internal event ordering.
-        let mut attempts: Vec<String> = self
-            .attempts
-            .iter()
-            .map(|a| {
-                format!(
-                    "attempt({:?} {} a{} {} {} {:?})",
-                    a.phase,
-                    a.task,
-                    a.attempt,
-                    a.kind.as_str(),
-                    a.outcome.as_str(),
-                    a.failure,
-                )
-            })
-            .collect();
-        attempts.sort_unstable();
-        for a in &attempts {
-            s.push(' ');
-            s.push_str(a);
+        for a in &self.attempts {
+            let _ = write!(
+                s,
+                " attempt({:?} {} a{} {} {} {:?} slot{} node{} {:x}..{:x})",
+                a.phase,
+                a.task,
+                a.attempt,
+                a.kind.as_str(),
+                a.outcome.as_str(),
+                a.failure,
+                a.slot,
+                a.node,
+                a.sim_start.to_bits(),
+                a.sim_end.to_bits(),
+            );
         }
         let mut hasher = crate::codec::FnvHasher::new();
         hasher.write(s.as_bytes());

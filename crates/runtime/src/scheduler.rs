@@ -8,67 +8,8 @@
 //! this scheduling structure, which this module reproduces with greedy
 //! (FIFO, earliest-available-slot) list scheduling.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::fault::{FailureKind, TaskPhase};
 use crate::metrics::{AttemptKind, AttemptOutcome, TaskAttempt};
-
-/// A slot's next-free time, ordered for the scheduling min-heap: earliest
-/// time first, lowest slot index on ties — exactly the slot a linear
-/// earliest-available scan would pick, so heap-based placement is
-/// behavior-identical to the original O(tasks × slots) loop.
-#[derive(PartialEq)]
-struct SlotFree {
-    at: f64,
-    slot: usize,
-}
-
-impl Eq for SlotFree {}
-
-impl Ord for SlotFree {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .total_cmp(&other.at)
-            .then_with(|| self.slot.cmp(&other.slot))
-    }
-}
-
-impl PartialOrd for SlotFree {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Greedy FIFO list scheduling: assigns each task (in submission order) to
-/// the earliest-available slot; returns the makespan in seconds. Every task
-/// additionally pays `startup` seconds of launch overhead inside its slot.
-///
-/// With `tasks <= slots` the makespan is simply `startup + max(duration)`;
-/// beyond that, waves form and the makespan approaches
-/// `sum(durations) / slots`. Placement is O(tasks × log slots) via a
-/// min-heap of slot free-times.
-pub fn makespan(durations: &[f64], slots: usize, startup: f64) -> f64 {
-    assert!(slots > 0, "scheduler requires at least one slot");
-    if durations.is_empty() {
-        return 0.0;
-    }
-    let mut heap: BinaryHeap<Reverse<SlotFree>> = (0..slots.min(durations.len()))
-        .map(|slot| Reverse(SlotFree { at: 0.0, slot }))
-        .collect();
-    let mut latest = 0.0f64;
-    for &d in durations {
-        // The heap holds one entry per used slot and is never empty: the
-        // earliest-free slot takes the task and re-enters at its end.
-        let Some(mut free) = heap.peek_mut() else {
-            break;
-        };
-        let end = free.0.at + startup + d.max(0.0);
-        latest = latest.max(end);
-        free.0.at = end;
-    }
-    latest
-}
 
 /// Simulated seconds to move `bytes` through a device with the given
 /// throughput — the one formula behind every I/O charge in the cost model
@@ -98,13 +39,6 @@ pub struct AttemptPlan {
     /// `Some` when the attempt crashes instead of completing, carrying
     /// why (panic vs. injected fault) for the attempt record and trace.
     pub failure: Option<FailureKind>,
-}
-
-impl AttemptPlan {
-    /// Whether the attempt crashes instead of completing.
-    pub fn fails(&self) -> bool {
-        self.failure.is_some()
-    }
 }
 
 /// A task's full execution plan for the schedule simulator: zero or more
@@ -139,9 +73,8 @@ pub struct SpeculationPolicy {
     /// Speculate once an attempt has run `threshold ×` the median healthy
     /// task duration (Hadoop's "slowest relative to average" heuristic).
     pub threshold: f64,
-    /// Never speculate before an attempt has run this many seconds
-    /// (Hadoop waits 60 s; the engine's scaled default is 50 ms), which
-    /// keeps host-timing noise on tiny tasks from triggering backups.
+    /// Never speculate before an attempt has run this many seconds:
+    /// Hadoop's 60 s floor, scaled (the engine's default is 50 ms).
     pub min_secs: f64,
 }
 
@@ -256,10 +189,10 @@ struct Ready {
     idx: usize,
 }
 
-/// Event-driven FIFO scheduling of task *attempts* onto `slots` slots.
-///
-/// Unlike [`makespan`], which places a fixed task list, this simulator
-/// reproduces Hadoop's recovery timeline: a failed attempt occupies its
+/// Event-driven FIFO scheduling of task *attempts* onto `slots` slots:
+/// each launch takes the earliest-free slot, the lowest index on ties, so
+/// with `tasks <= slots` the makespan is `startup + max(duration)` and
+/// beyond that waves form. It reproduces Hadoop's recovery timeline: a failed attempt occupies its
 /// slot until the failure is observed, and only then (plus `backoff`) does
 /// its retry join the ready queue — retries are serialized *after* the
 /// failure, never hidden at submission time. With a [`SpeculationPolicy`],
@@ -499,7 +432,7 @@ pub fn schedule_attempts_on(
         }
         free_at[slot] = end;
 
-        if ap.fails() {
+        if ap.failure.is_some() {
             records.push(TaskAttempt {
                 phase,
                 task: item.task,
@@ -605,61 +538,59 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_wave_is_max_duration() {
-        let m = makespan(&[1.0, 2.0, 3.0], 4, 0.0);
-        assert!((m - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn io_secs_is_bytes_over_rate() {
         assert!((io_secs(1500, 1000.0) - 1.5).abs() < 1e-12);
         assert_eq!(io_secs(0, 150.0 * 1024.0 * 1024.0), 0.0);
     }
 
-    #[test]
-    fn startup_added_per_task() {
-        let m = makespan(&[1.0, 1.0], 2, 0.5);
-        assert!((m - 1.5).abs() < 1e-12);
+    /// Healthy plans of `durations` on `slots` slots: the makespan, with
+    /// every task run once and succeeding.
+    fn healthy_makespan(durations: &[f64], slots: usize, startup: f64) -> f64 {
+        let plans: Vec<TaskPlan> = durations.iter().map(|&d| TaskPlan::healthy(d)).collect();
+        let faults = NodeFaults::none(slots);
+        let sched =
+            schedule_attempts_on(TaskPhase::Map, &plans, slots, startup, 0.0, None, &faults);
+        assert_eq!(sched.attempts.len(), durations.len());
+        assert!(sched
+            .attempts
+            .iter()
+            .all(|a| a.outcome == AttemptOutcome::Succeeded && a.kind == AttemptKind::Regular));
+        sched.makespan
     }
 
     #[test]
-    fn two_waves_serialize() {
-        // 4 unit tasks on 2 slots: 2 waves => makespan 2.
-        let m = makespan(&[1.0; 4], 2, 0.0);
-        assert!((m - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn halving_slots_doubles_balanced_makespan() {
-        let durations = vec![1.0; 16];
-        let m8 = makespan(&durations, 8, 0.0);
-        let m4 = makespan(&durations, 4, 0.0);
-        assert!((m4 / m8 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_slot_sums_everything() {
-        let m = makespan(&[0.5, 1.5, 2.0], 1, 0.1);
-        assert!((m - (0.5 + 1.5 + 2.0 + 0.3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uneven_tasks_pack_greedily() {
-        // FIFO on 2 slots: [3] -> slot0, [1] -> slot1, [1] -> slot1 (free at 1),
-        // [1] -> slot1 (free at 2). Makespan 3.
-        let m = makespan(&[3.0, 1.0, 1.0, 1.0], 2, 0.0);
-        assert!((m - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_task_list() {
-        assert_eq!(makespan(&[], 4, 1.0), 0.0);
-    }
-
-    #[test]
-    fn negative_durations_clamped() {
-        let m = makespan(&[-1.0, 2.0], 1, 0.0);
-        assert!((m - 2.0).abs() < 1e-12);
+    fn wave_arithmetic_of_healthy_plans() {
+        let ones = [1.0; 16];
+        // (case, durations, slots, startup, makespan)
+        let table: [(&str, &[f64], usize, f64, f64); 10] = [
+            (
+                "one wave is the longest task",
+                &[1.0, 2.0, 3.0],
+                4,
+                0.0,
+                3.0,
+            ),
+            ("startup is added per task", &[1.0, 1.0], 2, 0.5, 1.5),
+            ("two waves serialise", &ones[..4], 2, 0.0, 2.0),
+            ("8 slots", &ones, 8, 0.0, 2.0),
+            ("halving slots doubles the makespan", &ones, 4, 0.0, 4.0),
+            ("one slot sums everything", &[0.5, 1.5, 2.0], 1, 0.1, 4.3),
+            // [3] -> slot 0, then three 1s queue on slot 1 (free at 1, 2).
+            (
+                "uneven tasks pack greedily",
+                &[3.0, 1.0, 1.0, 1.0],
+                2,
+                0.0,
+                3.0,
+            ),
+            ("no tasks", &[], 4, 1.0, 0.0),
+            ("negative durations clamp", &[-1.0, 2.0], 1, 0.0, 2.0),
+            ("more slots than tasks", &[0.5, 3.0, 1.0], 8, 0.1, 3.1),
+        ];
+        for (case, durations, slots, startup, want) in table {
+            let got = healthy_makespan(durations, slots, startup);
+            assert!((got - want).abs() < 1e-12, "{case}: {got} != {want}");
+        }
     }
 
     #[test]
@@ -685,30 +616,6 @@ mod tests {
         TaskPlan {
             attempts,
             healthy_duration: final_secs,
-        }
-    }
-
-    #[test]
-    fn healthy_plans_match_makespan() {
-        let durations = [0.5, 3.0, 1.0, 2.0, 0.25, 1.75, 0.5];
-        for slots in 1..=4 {
-            let plans: Vec<TaskPlan> = durations.iter().map(|&d| TaskPlan::healthy(d)).collect();
-            let sched = schedule_attempts_on(
-                TaskPhase::Map,
-                &plans,
-                slots,
-                0.1,
-                0.0,
-                None,
-                &NodeFaults::none(slots),
-            );
-            let m = makespan(&durations, slots, 0.1);
-            assert!((sched.makespan - m).abs() < 1e-12, "slots {slots}");
-            assert_eq!(sched.attempts.len(), durations.len());
-            assert!(sched
-                .attempts
-                .iter()
-                .all(|a| a.outcome == AttemptOutcome::Succeeded));
         }
     }
 

@@ -576,8 +576,8 @@ impl TraceEvent {
         })
     }
     /// A stable, timestamp-free structural rendering of the event, for
-    /// golden-sequence tests: measured durations vary run to run, the
-    /// *sequence* of events on a deterministic workload does not.
+    /// golden-sequence tests: it pins the *sequence* of events, not times
+    /// or placement, so a change to the pricing rates moves no golden.
     pub fn digest(&self) -> String {
         match &self.kind {
             TraceEventKind::JobBegin {

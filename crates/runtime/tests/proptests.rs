@@ -151,6 +151,7 @@ proptest! {
         let mut cfg = ClusterConfig::with_slots(slots, 1);
         cfg.task_startup = std::time::Duration::from_millis(10);
         cfg.job_setup = std::time::Duration::from_millis(5);
+        let disk_rate = cfg.disk_bytes_per_sec;
         let cluster = Cluster::new(cfg);
         let splits: Vec<u64> = (0..tasks as u64).collect();
         let out = JobBuilder::new("prop-sim")
@@ -159,10 +160,15 @@ proptest! {
             .run(&cluster, &splits)
             .unwrap();
         let m = &out.metrics;
-        // Waves × startup bounds the map phase from below.
+        // Every task costs the same, so the map phase is exactly its waves,
+        // each one startup plus the task's price.
+        let price = m.map_costs[0].secs(disk_rate);
+        prop_assert!(m.map_costs.iter().all(|c| c.secs(disk_rate) == price));
         let waves = tasks.div_ceil(slots) as f64;
-        prop_assert!(m.sim.map >= waves * 0.010 - 1e-9,
-            "map phase {} < {} waves x 10ms", m.sim.map, waves);
+        let want = waves * (0.010 + price);
+        prop_assert!((m.sim.map - want).abs() < 1e-12,
+            "map phase {} != {} waves x (10ms + {})", m.sim.map, waves, price);
+        prop_assert_eq!(m.sim.setup, 0.005);
         prop_assert!(m.simulated().secs() >= m.sim.map + m.sim.reduce);
         prop_assert_eq!(m.map_waves, tasks.div_ceil(slots));
     }
@@ -173,7 +179,7 @@ proptest! {
         slots in 1usize..16,
         startup in 0.0f64..0.5,
     ) {
-        let m = dwmaxerr_runtime::scheduler::makespan(&durations, slots, startup);
+        let m = healthy_makespan(&durations, slots, startup);
         // Lower bound: the longest single task (plus its startup) can never
         // be beaten by adding slots.
         let longest = durations.iter().copied().fold(0.0f64, f64::max);
@@ -189,10 +195,20 @@ proptest! {
         slots in 1usize..16,
         startup in 0.0f64..0.5,
     ) {
-        let tight = dwmaxerr_runtime::scheduler::makespan(&durations, slots, startup);
-        let roomy = dwmaxerr_runtime::scheduler::makespan(&durations, slots + 1, startup);
+        let tight = healthy_makespan(&durations, slots, startup);
+        let roomy = healthy_makespan(&durations, slots + 1, startup);
         prop_assert!(roomy <= tight + 1e-9, "{roomy} > {tight} with an extra slot");
     }
+}
+
+/// The makespan of one healthy attempt per duration, scheduled on `slots`
+/// slots with no faults and no speculation.
+fn healthy_makespan(durations: &[f64], slots: usize, startup: f64) -> f64 {
+    use dwmaxerr_runtime::scheduler::{schedule_attempts_on, NodeFaults, TaskPlan};
+    let plans: Vec<TaskPlan> = durations.iter().map(|&d| TaskPlan::healthy(d)).collect();
+    let faults = NodeFaults::none(slots);
+    let phase = dwmaxerr_runtime::TaskPhase::Map;
+    schedule_attempts_on(phase, &plans, slots, startup, 0.0, None, &faults).makespan
 }
 
 mod codec_edge_cases {

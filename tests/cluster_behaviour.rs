@@ -7,17 +7,16 @@ use dwmaxerr::runtime::{Cluster, ClusterConfig, JobBuilder, MapContext, ReduceCo
 
 fn cluster_with_slots(map: usize, reduce: usize) -> Cluster {
     let mut cfg = ClusterConfig::with_slots(map, reduce);
-    // Keep fixed overheads tiny relative to the busy-work below so the
-    // wave structure dominates the simulated makespan.
     cfg.task_startup = std::time::Duration::from_micros(20);
     cfg.job_setup = std::time::Duration::from_micros(20);
     Cluster::new(cfg)
 }
 
-/// A map phase whose per-task cost is dominated by a *deterministic*
-/// simulated HDFS read (1 MiB per split), so wave-structure assertions are
-/// immune to host timing noise while still exercising the full pipeline.
-fn busy_job(cluster: &Cluster, tasks: usize) -> f64 {
+/// A map phase of `tasks` identical tasks, each a 1 MiB simulated HDFS
+/// read plus its priced cost. Returns the map-phase makespan, the
+/// wave-structured quantity, and one task's slot time: startup + read +
+/// price.
+fn busy_job(cluster: &Cluster, tasks: usize) -> (f64, f64) {
     let splits: Vec<u64> = (0..tasks as u64).collect();
     let out = JobBuilder::new("busy")
         .map(|seed: &u64, ctx: &mut MapContext<u8, u64>| {
@@ -29,22 +28,31 @@ fn busy_job(cluster: &Cluster, tasks: usize) -> f64 {
         })
         .run(cluster, &splits)
         .unwrap();
-    // Use only the map-phase makespan: it is the wave-structured quantity.
-    out.metrics.sim.map
+    let cfg = cluster.config();
+    let task = cfg.task_startup.as_secs_f64()
+        + (1 << 20) as f64 / cfg.hdfs_bytes_per_sec
+        + out.metrics.map_costs[0].secs(cfg.disk_bytes_per_sec);
+    (out.metrics.sim.map, task)
+}
+
+/// `got` is `waves` back-to-back waves of `task` seconds.
+fn assert_waves(got: f64, waves: usize, task: f64) {
+    let want = waves as f64 * task;
+    assert!(
+        (got - want).abs() <= 1e-12 * want,
+        "{got} is not {waves} waves of {task}"
+    );
 }
 
 #[test]
 fn halving_slots_scales_simulated_time() {
     // Figure 5c/5d's resource scaling: with tasks >> slots, halving the
-    // map slots roughly doubles the simulated makespan.
-    let tasks = 32;
-    let t8 = busy_job(&cluster_with_slots(8, 2), tasks);
-    let t4 = busy_job(&cluster_with_slots(4, 2), tasks);
-    let ratio = t4 / t8;
-    assert!(
-        (1.6..=2.6).contains(&ratio),
-        "halving slots gave ratio {ratio} (t8={t8}, t4={t4})"
-    );
+    // map slots doubles the simulated makespan — 32 tasks are 4 waves on
+    // 8 slots and 8 waves on 4.
+    let (t8, task) = busy_job(&cluster_with_slots(8, 2), 32);
+    let (t4, _) = busy_job(&cluster_with_slots(4, 2), 32);
+    assert_waves(t8, 4, task);
+    assert_waves(t4, 8, task);
 }
 
 #[test]
@@ -53,18 +61,12 @@ fn saturation_then_linear_growth() {
     // processed fully in parallel, and is linearly growing as the cluster
     // is fully utilized."
     let c = cluster_with_slots(8, 2);
-    let t4 = busy_job(&c, 4); // under-utilized
-    let t8 = busy_job(&c, 8); // exactly one wave
-    let t32 = busy_job(&c, 32); // four waves
-    assert!(
-        t8 / t4 < 1.6,
-        "sub-saturation should be ~flat: {t4} -> {t8}"
-    );
-    assert!(
-        (2.8..=5.5).contains(&(t32 / t8)),
-        "4 waves should cost ~4x one wave: {}",
-        t32 / t8
-    );
+    let (t4, task) = busy_job(&c, 4); // under-utilized
+    let (t8, _) = busy_job(&c, 8); // exactly one wave
+    let (t32, _) = busy_job(&c, 32); // four waves
+    assert_waves(t4, 1, task);
+    assert_waves(t8, 1, task);
+    assert_waves(t32, 4, task);
 }
 
 #[test]

@@ -5,18 +5,19 @@
 //! passes) must produce
 //!
 //! * bit-identical output pairs,
-//! * identical JSONL trace exports modulo host-measured timestamps —
-//!   compared via the [`TraceEvent::digest`] redaction the golden-trace
-//!   tests pin (timestamps are wall-clock measurements and legitimately
-//!   differ run to run even at a fixed thread count),
-//! * identical [`DriverMetrics::structural_digest`] ledgers (task/attempt
-//!   structure, spill and merge ledgers, byte and record counters,
-//!   recovery stats — everything except measured seconds),
+//! * byte-identical JSONL trace exports — simulated times, slots and nodes
+//!   included, since every attempt is priced from its task's cost and never
+//!   from the host,
+//! * identical [`DriverMetrics::structural_digest`] ledgers (task costs,
+//!   the simulated breakdown, every attempt with its times and placement,
+//!   byte and record counters, recovery stats),
 //!
-//! including under an injected [`FaultPlan`] with targeted attempt
-//! failures, a node kill that loses completed map outputs, and corrupt
-//! stored runs — on both spill backends, with the spill buffer and merge
-//! fan-in squeezed so the external multi-pass merge paths all engage.
+//! on a cluster with fewer slots than tasks and speculation on — so later
+//! waves queue for slots — including under an injected [`FaultPlan`] with
+//! targeted attempt failures, a node kill that loses completed map outputs,
+//! and corrupt stored runs, on both spill backends, with the spill buffer
+//! and merge fan-in squeezed so the external multi-pass merge paths all
+//! engage.
 
 use std::time::Duration;
 
@@ -80,32 +81,26 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-/// Everything a run can leak about its schedule, host timings redacted.
+/// Everything a run can leak about its schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Fingerprint {
     pairs: Vec<(u64, u64)>,
-    /// [`TraceEvent::digest`] lines, parsed back from the JSONL export so
-    /// the comparison covers the serialized trace, not just the in-memory
-    /// events.
+    /// The JSONL export, byte for byte.
     trace: String,
     driver_digest: u64,
     jobs: usize,
 }
 
-/// Builds the scenario's cluster at `threads` host threads. Slots cover
-/// every task in *both* stages (single wave — stage 2 has at most one
-/// split per scatter key, and scatter keys live in `0..16`) and
-/// speculation is off, so the simulated schedule is forced; the thread
-/// count must then be unobservable. With fewer slots than tasks the
-/// scheduler places later waves on whichever slot the measured timings
-/// say frees first, which legitimately varies run to run.
+/// Builds the scenario's cluster at `threads` host threads: two map slots
+/// and one reduce slot, fewer than either stage's tasks whenever it has
+/// more than that, so tasks queue in waves; speculation stays on (the
+/// default).
 fn cluster_for(scenario: &Scenario, backend: SpillBackend, threads: usize) -> Cluster {
-    let mut cfg = ClusterConfig::with_slots(scenario.splits.len().max(16), scenario.reducers);
+    let mut cfg = ClusterConfig::with_slots(2, 1);
     cfg.threads = threads;
     cfg.nodes = 2;
     cfg.task_startup = Duration::from_micros(10);
     cfg.job_setup = Duration::from_micros(10);
-    cfg.speculative_execution = false;
     cfg.spill_backend = backend;
     if scenario.tiny_sort {
         cfg.io_sort_bytes = 256;
@@ -170,13 +165,9 @@ fn run_scenario(scenario: &Scenario, backend: SpillBackend, threads: usize) -> F
 
     let events = cluster.trace_events();
     trace::validate(&events).expect("trace is well-formed at every thread count");
-    let doc = trace::to_jsonl(&events);
-    let parsed = trace::from_jsonl(&doc).expect("JSONL export round-trips");
-    let trace = parsed
-        .iter()
-        .map(TraceEvent::digest)
-        .collect::<Vec<_>>()
-        .join("\n");
+    let trace = trace::to_jsonl(&events);
+    let parsed = trace::from_jsonl(&trace).expect("JSONL export round-trips");
+    assert_eq!(trace::to_jsonl(&parsed), trace, "JSONL export round-trips");
     Fingerprint {
         pairs,
         trace,
@@ -188,10 +179,10 @@ fn run_scenario(scenario: &Scenario, backend: SpillBackend, threads: usize) -> F
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Satellite 3: threads=1 vs threads=N are bitwise indistinguishable —
-    // output pairs, JSONL trace digests, and the DriverMetrics structural
-    // ledger — across random workloads, all three fault stories, and both
-    // spill backends.
+    // threads=1 vs threads=N are bitwise indistinguishable — output pairs,
+    // the JSONL export, and the DriverMetrics structural ledger — across
+    // random workloads, all three fault stories, and both spill backends,
+    // with tasks queueing for slots and speculation on.
     #[test]
     fn threaded_runs_are_bitwise_identical_to_serial(s in scenario()) {
         for backend in [SpillBackend::Memory, SpillBackend::Disk] {
@@ -392,4 +383,41 @@ fn structural_digest_distinguishes_different_workloads() {
         a.driver_digest, b.driver_digest,
         "digest blind to injected retries"
     );
+}
+
+/// Host time never reaches the simulated clock: a map body that sleeps a
+/// different host time on every run, and unevenly across its tasks, still
+/// gives bit-identical simulated breakdowns, attempt records (times,
+/// slots, nodes) and JSONL exports — with six tasks queueing for two
+/// slots and speculation on, where a host-timed clock would reorder the
+/// later waves.
+#[test]
+fn host_sleeps_in_task_bodies_leave_the_clock_alone() {
+    let run = |sleep_ms: [u64; 6]| {
+        let mut cfg = ClusterConfig::with_slots(2, 1);
+        cfg.threads = 2;
+        let cluster = Cluster::new(cfg);
+        let out = JobBuilder::new("sleepy")
+            .map(|&t: &usize, ctx: &mut MapContext<u64, u64>| {
+                std::thread::sleep(Duration::from_millis(sleep_ms[t]));
+                for i in 0..=t as u64 {
+                    ctx.emit(i, i * 7 + t as u64);
+                }
+            })
+            .input_bytes(|&t: &usize| 4096 * (t as u64 + 1))
+            .reduce(|k, vals, ctx: &mut ReduceContext<u64, u64>| ctx.emit(*k, vals.sum()))
+            .run(&cluster, &[0, 1, 2, 3, 4, 5])
+            .expect("job runs");
+        let m = out.metrics;
+        let sim = [m.sim.setup, m.sim.map, m.sim.shuffle, m.sim.reduce].map(f64::to_bits);
+        let jsonl = trace::to_jsonl(&cluster.trace_events());
+        (out.pairs, sim, m.attempts, jsonl, m.map_task_secs)
+    };
+    let (pairs, sim, attempts, jsonl, fast_host) = run([0, 1, 0, 2, 0, 1]);
+    let slow = run([9, 0, 6, 0, 12, 3]);
+    assert!(slow.4[4] > fast_host[4], "the host sidecar saw the sleep");
+    assert_eq!(pairs, slow.0);
+    assert_eq!(sim, slow.1);
+    assert_eq!(attempts, slow.2);
+    assert!(jsonl == slow.3, "JSONL exports differ");
 }

@@ -25,10 +25,10 @@ use dwmaxerr::runtime::{
 const N: usize = 1 << 13;
 const BASE_LEAVES: usize = 1 << 10;
 
-/// A small cluster whose map durations are dominated by a *deterministic*
-/// simulated HDFS read (8 KiB splits at 64 KiB/s = 125 ms/task), so
-/// makespan comparisons are immune to host-timing noise. Spill backend
-/// comes from `DWM_SPILL_BACKEND` (default memory).
+/// A small cluster whose map durations are dominated by a slow simulated
+/// HDFS read (8 KiB splits at 64 KiB/s = 125 ms/task), so stragglers
+/// outrun the speculation floor. Spill backend comes from
+/// `DWM_SPILL_BACKEND` (default memory).
 fn cluster(plan: Option<FaultPlan>) -> Cluster {
     cluster_on(SpillBackend::from_env(), plan)
 }
@@ -262,4 +262,53 @@ fn panicking_map_function_is_isolated_and_typed() {
         }
         other => panic!("expected TaskFailed, got {other:?}"),
     }
+}
+
+/// Regression test: a node kill must give one recovery story per kill
+/// time, whatever the host. Whether an attempt is cut, and whether a
+/// finished map's output is lost, is decided by comparing the kill time
+/// with attempt ends on the simulated clock — so those ends must not
+/// depend on how fast the host ran the task. DGreedyAbs over 32 base
+/// sub-trees on 4 map + 2 reduce slots across 2 nodes, node 0 killed at a
+/// grid of times across the map and reduce phases; at every time, threads
+/// 1 / 2 / 4 on both spill backends give one recovery ledger, one
+/// structural digest and one JSONL export.
+#[test]
+fn node_kill_at_any_time_gives_one_recovery_ledger() {
+    let n = 1 << 15;
+    let data = uniform(n, 1_000.0, 91);
+    let cfg = DGreedyAbsConfig {
+        base_leaves: n / 32,
+        bucket_width: 1.0,
+        reducers: 2,
+        max_candidates: None,
+    };
+    let mut recovered = 0;
+    // Each job's map phase runs from its 50 ms setup to about 0.22 s (8
+    // waves of 20 ms launches), its reduce phase shortly after.
+    for step in 0..8 {
+        let t = 0.06 + 0.03 * f64::from(step);
+        let mut runs = Vec::new();
+        for backend in [SpillBackend::Memory, SpillBackend::Disk] {
+            for threads in [1, 2, 4] {
+                let mut cc = ClusterConfig::with_slots(4, 2);
+                cc.nodes = 2;
+                cc.threads = threads;
+                cc.spill_backend = backend;
+                cc.fault_plan = Some(FaultPlan::seeded(0).with_node_failure(0, t));
+                let cluster = Cluster::new(cc);
+                let out = dgreedy_abs(&cluster, &data, n / 8, &cfg).expect("recovers");
+                let ledger: Vec<_> = out.metrics.jobs.iter().map(|j| j.recovery).collect();
+                let jsonl = trace::to_jsonl(&cluster.trace_events());
+                runs.push((ledger, out.metrics.structural_digest(), jsonl));
+            }
+        }
+        for (i, run) in runs.iter().enumerate().skip(1) {
+            assert_eq!(run.0, runs[0].0, "t={t}: run {i} recovered differently");
+            assert_eq!(run.1, runs[0].1, "t={t}: run {i} has another digest");
+            assert!(run.2 == runs[0].2, "t={t}: run {i} exported another trace");
+        }
+        recovered += usize::from(runs[0].0.iter().any(|r| r.maps_reexecuted > 0));
+    }
+    assert!(recovered > 0, "no kill time lost a finished map's output");
 }

@@ -1,8 +1,8 @@
 //! Trace subsystem guarantees, pinned at the workspace level:
 //!
-//! * a small deterministic job produces a **golden event sequence**
-//!   (timestamps redacted via [`TraceEvent::digest`] — measured durations
-//!   vary run to run, the structure must not),
+//! * a small job produces a **golden event sequence** (timestamps and
+//!   placement redacted via [`TraceEvent::digest`], so the golden pins the
+//!   structure and a change to the pricing rates moves none of it),
 //! * every trace a real pipeline produces passes [`trace::validate`]
 //!   (span pairing, phase ordering, per-slot non-overlap),
 //! * a fault-injected run records the recovery it performed: retry
