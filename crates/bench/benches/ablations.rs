@@ -509,7 +509,7 @@ fn send_coef_by_phase() -> Table {
         "map: `partial_coefficients` over the 64 blocks (task ms)",
         "map: tasks, host (Σ `map_task_secs`; task ms)",
         "map: Σ `spill_secs` (task ms)",
-        "reduce: open + passes (`merge_secs`)",
+        "reduce: open + cut (`merge_secs`)",
         "reduce: final merge + `sum` (`reduce_task_secs − merge_secs`)",
         "driver (call wall − `real_elapsed`)",
         "one `send_coef` call",

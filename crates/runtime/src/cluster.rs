@@ -25,7 +25,7 @@ pub fn threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Where map-side spill runs and intermediate merge runs live.
+/// Where map-side spill runs live.
 ///
 /// The `Memory` backend keeps every run as an in-process byte buffer — fully
 /// deterministic and filesystem-free, the right choice for tests and for the
@@ -115,9 +115,11 @@ pub struct ClusterConfig {
     pub io_sort_bytes: u64,
     /// Maximum merge fan-in on the reduce side (Hadoop's `io.sort.factor`,
     /// default 100). When a partition arrives as more runs than this, the
-    /// reducer performs intermediate merge passes — each combining up to
-    /// this many runs into one — until a single final merge can stream
-    /// into the reduce function.
+    /// reducer is priced for the intermediate merge passes Hadoop would run
+    /// — each combining up to this many runs into one — until a single
+    /// final merge could stream into the reduce function. The passes shape
+    /// the task's cost and trace only: the reducer merges every run it
+    /// fetched in one streaming pass.
     pub io_sort_factor: usize,
     /// Local-disk throughput in bytes/second for spill writes and merge-pass
     /// reads/writes (default 150 MiB/s — between HDFS and shuffle rates,
@@ -281,7 +283,7 @@ impl Cluster {
     }
 
     /// The cluster's executor: the real threads task bodies,
-    /// spill sorts, and merge passes run on (see [`crate::executor`]).
+    /// spill sorts, and merges run on (see [`crate::executor`]).
     pub fn executor(&self) -> &Executor {
         &self.executor
     }

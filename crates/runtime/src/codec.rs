@@ -224,17 +224,6 @@ pub trait Wire: Sized {
     /// Decodes a value from the front of `buf`, advancing it.
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
 
-    /// Advances `buf` past one encoded value without materialising it.
-    ///
-    /// Must consume exactly the bytes [`Wire::decode`] would. The default
-    /// implementation decodes and drops the value; fixed-width and
-    /// length-prefixed impls override it to advance by arithmetic alone —
-    /// the merge's stretch search uses this to find record boundaries in
-    /// variable-width runs without decoding payloads.
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        Self::decode(buf).map(|_| ())
-    }
-
     /// `Some(n)` when every value encodes to exactly `n` bytes.
     ///
     /// The reduce-side merge uses it to find records by arithmetic: a run
@@ -268,10 +257,6 @@ macro_rules! wire_fixed {
                 let bytes = take(buf, std::mem::size_of::<$t>(), $ctx)?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact length")))
             }
-            #[inline]
-            fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-                take(buf, std::mem::size_of::<$t>(), $ctx).map(|_| ())
-            }
             const WIDTH: Option<usize> = Some(std::mem::size_of::<$t>());
         }
     )*};
@@ -292,10 +277,6 @@ impl Wire for bool {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(take(buf, 1, "bool")?[0] != 0)
     }
-    #[inline]
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        take(buf, 1, "bool").map(|_| ())
-    }
     const WIDTH: Option<usize> = Some(1);
 }
 
@@ -307,10 +288,6 @@ impl Wire for usize {
     #[inline]
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(u64::decode(buf)? as usize)
-    }
-    #[inline]
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        u64::skip(buf)
     }
     const WIDTH: Option<usize> = u64::WIDTH;
 }
@@ -326,10 +303,6 @@ impl Wire for String {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError {
             context: "string utf8",
         })
-    }
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        let len = u32::decode(buf)? as usize;
-        take(buf, len, "string body").map(|_| ())
     }
 }
 
@@ -372,13 +345,6 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(out)
     }
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        let len = u32::decode(buf)? as usize;
-        for _ in 0..len {
-            T::skip(buf)?;
-        }
-        Ok(())
-    }
 }
 
 impl<T: Wire> Wire for Option<T> {
@@ -400,15 +366,6 @@ impl<T: Wire> Wire for Option<T> {
             }),
         }
     }
-    fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-        match take(buf, 1, "option tag")?[0] {
-            0 => Ok(()),
-            1 => T::skip(buf),
-            _ => Err(CodecError {
-                context: "option tag value",
-            }),
-        }
-    }
 }
 
 macro_rules! wire_tuple {
@@ -419,10 +376,6 @@ macro_rules! wire_tuple {
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
                 Ok(($($name::decode(buf)?,)+))
-            }
-            fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
-                $($name::skip(buf)?;)+
-                Ok(())
             }
             const WIDTH: Option<usize> = {
                 let width = Some(0);
@@ -579,7 +532,7 @@ mod tests {
         assert_eq!(encoded_len(&vec![0u32; 10]), 4 + 40);
     }
 
-    fn hash_and_skip_agree<T: Wire>(v: T) {
+    fn hash_agrees<T: Wire>(v: T) {
         // Encoding into the hasher equals the buffer-level FNV-1a fold over
         // the encoded bytes.
         let mut hasher = FnvHasher::new();
@@ -587,31 +540,26 @@ mod tests {
         let mut reference = FnvHasher::new();
         reference.write(&encoded(&v));
         assert_eq!(hasher.finish(), reference.finish());
-        // skip() consumes exactly what decode() would.
-        let buf = encoded(&v);
-        let mut s = buf.as_slice();
-        T::skip(&mut s).unwrap();
-        assert!(s.is_empty(), "skip left trailing bytes");
     }
 
     #[test]
-    fn hashing_and_skip_agree_with_encode_and_decode() {
-        hash_and_skip_agree(0u8);
-        hash_and_skip_agree(u64::MAX);
-        hash_and_skip_agree(-7i32);
-        hash_and_skip_agree(f64::NAN);
-        hash_and_skip_agree(true);
-        hash_and_skip_agree(usize::MAX);
-        hash_and_skip_agree(());
-        hash_and_skip_agree(String::from("hello κόσμος"));
-        hash_and_skip_agree(String::new());
-        hash_and_skip_agree(vec![1u32, 2, 3]);
-        hash_and_skip_agree(Vec::<f64>::new());
-        hash_and_skip_agree(vec![vec![1u8], vec![], vec![2, 3]]);
-        hash_and_skip_agree(Some(42i64));
-        hash_and_skip_agree(Option::<i64>::None);
-        hash_and_skip_agree((1u32, -2i64, 3.0f64, String::from("x")));
-        hash_and_skip_agree((1u8, 2u8, 3u8, 4u8, 5u8));
+    fn hashing_agrees_with_encode() {
+        hash_agrees(0u8);
+        hash_agrees(u64::MAX);
+        hash_agrees(-7i32);
+        hash_agrees(f64::NAN);
+        hash_agrees(true);
+        hash_agrees(usize::MAX);
+        hash_agrees(());
+        hash_agrees(String::from("hello κόσμος"));
+        hash_agrees(String::new());
+        hash_agrees(vec![1u32, 2, 3]);
+        hash_agrees(Vec::<f64>::new());
+        hash_agrees(vec![vec![1u8], vec![], vec![2, 3]]);
+        hash_agrees(Some(42i64));
+        hash_agrees(Option::<i64>::None);
+        hash_agrees((1u32, -2i64, 3.0f64, String::from("x")));
+        hash_agrees((1u8, 2u8, 3u8, 4u8, 5u8));
     }
 
     fn width_is_the_encoded_len<T: Wire>(v: T) {
@@ -636,20 +584,6 @@ mod tests {
         assert_eq!(<()>::WIDTH, None);
         assert_eq!(<(u64, String)>::WIDTH, None);
         assert_eq!(<(u64, (u32, Vec<u8>))>::WIDTH, None);
-    }
-
-    #[test]
-    fn skip_errors_on_truncation() {
-        let buf = encoded(&12345u64);
-        let mut s = &buf[..4];
-        assert!(u64::skip(&mut s).is_err());
-
-        let buf = encoded(&String::from("hello"));
-        let mut s = &buf[..buf.len() - 1];
-        assert!(String::skip(&mut s).is_err());
-
-        let mut s: &[u8] = &[7u8];
-        assert!(Option::<u8>::skip(&mut s).is_err());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! through:
 //!
 //! * map attempts and reduce attempts across a phase,
-//! * intermediate k-way merge passes (one sub-task per contiguous run
-//!   group),
+//! * the opening (checksum verification) of a reducer's fetched runs,
 //! * a big reducer's final merge (one sub-task per key range),
 //! * chunks of a batch's distinct queries in the serving tier.
 //!
@@ -22,11 +21,11 @@
 //! is claimed), run it outside the lock, and wake the pool when that run
 //! was the batch's last to finish. A worker loops until the pool shuts
 //! down; a submitter until its own batch has finished, helping any open
-//! batch meanwhile. A **nested** batch — a reduce task submitting its
-//! merge-pass groups — is the newest, so it is claimed first, and its
+//! batch meanwhile. A **nested** batch — a reduce task submitting its run
+//! opens or key ranges — is the newest, so it is claimed first, and its
 //! submitter helps drain it: the pool never deadlocks on recursive
-//! parallelism. Every task is coarse (a map or reduce task, a merge
-//! group, a run open, a chunk of queries), so one lock per claimed index
+//! parallelism. Every task is coarse (a map or reduce task, a key range,
+//! a run open, a chunk of queries), so one lock per claimed index
 //! costs nothing that per-worker deques would save.
 //!
 //! With `threads == 1` the pool spawns no workers and every batch runs

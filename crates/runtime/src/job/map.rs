@@ -457,7 +457,7 @@ where
                 TaskPhase::Map,
                 i,
                 config,
-                self.store,
+                Some(self.store),
                 read_secs,
                 |attempt| self.run_task(i, split, attempt),
             )

@@ -1,7 +1,7 @@
-//! Reduce phase: each reducer opens its fetched runs, bounds their fan-in
-//! with intermediate merge passes, and streams the final merge into the
-//! user's reduce function — key range by key range, on the pool, when the
-//! runs are big and fixed-width.
+//! Reduce phase: each reducer opens its fetched runs, prices the
+//! intermediate merge passes that would bound their fan-in, and streams one
+//! merge over all of them into the user's reduce function — key range by
+//! key range, on the pool, when the runs are big and fixed-width.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,7 +59,7 @@ pub(super) struct ReduceTaskResult<OK, OV> {
     decode_error: bool,
     /// Host seconds (reported sidecars) of the task and of its merge phase:
     /// from task start until the final merge's key ranges are cut (runs
-    /// opened and verified, intermediate passes done, splitters sampled).
+    /// opened and verified, splitters sampled).
     /// The final merge itself streams inside the reduce function's value
     /// iterator and is not split out.
     pub(super) task_secs: f64,
@@ -149,53 +149,41 @@ where
     // task observed, so later tasks pre-size `ctx.out`.
     let out_hint = AtomicUsize::new(0);
     let raw = pool.run_indexed(inputs, |i, runs| {
-        run_attempts(
-            TaskPhase::Reduce,
-            i,
-            config,
-            store,
-            recovery_secs[i],
-            |attempt| {
-                let task_start = Instant::now();
-                let mut cost = TaskCost {
-                    fetched_bytes: runs.iter().map(|r| r.run.len()).sum(),
-                    fetched_runs: runs.len() as u64,
-                    ..TaskCost::default()
-                };
-                // Opening a stored run verifies its checksum: on the pool.
-                let (merged, merge_decode_error) = merge_to_fan_in::<K, V>(
-                    pool,
-                    store,
-                    (TaskPhase::Reduce, i, attempt),
-                    pool.run_indexed(runs, |_, run| run.run.open(store)),
-                    sort_factor,
-                    &mut cost.merges,
-                );
-                let runs: Vec<&[u8]> = merged.iter().map(RunBuf::as_slice).collect();
-                let bytes: usize = runs.iter().map(|run| run.len()).sum();
-                let parts = if pool.is_parallel() && bytes >= PAR_FINAL_MERGE_MIN_BYTES {
-                    pool.threads()
-                } else {
-                    1
-                };
-                let ranges = cut_ranges::<K, V>(&runs, parts);
-                let merge_secs = task_start.elapsed().as_secs_f64();
-                let hint = out_hint.load(Ordering::Relaxed);
-                let (out, counters, decode_error) =
-                    reduce_ranges(pool, &ranges, reduce_fn, hint, &mut cost);
-                let records = out.iter().map(Vec::len).sum();
-                out_hint.fetch_max(records, Ordering::Relaxed);
-                cost.records = records as u64;
-                let result = ReduceTaskResult {
-                    out,
-                    counters,
-                    decode_error: merge_decode_error | decode_error,
-                    task_secs: task_start.elapsed().as_secs_f64(),
-                    merge_secs,
-                };
-                (result, cost)
-            },
-        )
+        run_attempts(TaskPhase::Reduce, i, config, None, recovery_secs[i], |_| {
+            let task_start = Instant::now();
+            let lens: Vec<u64> = runs.iter().map(|r| r.run.len()).collect();
+            let mut cost = TaskCost {
+                fetched_bytes: lens.iter().sum(),
+                fetched_runs: runs.len() as u64,
+                ..TaskCost::default()
+            };
+            cost.merges = merge_to_fan_in(lens, sort_factor);
+            // Opening a stored run verifies its checksum: on the pool.
+            let opened = pool.run_indexed(runs, |_, run| run.run.open(store));
+            let runs: Vec<&[u8]> = opened.iter().map(RunBuf::as_slice).collect();
+            let bytes: usize = runs.iter().map(|run| run.len()).sum();
+            let parts = if pool.is_parallel() && bytes >= PAR_FINAL_MERGE_MIN_BYTES {
+                pool.threads()
+            } else {
+                1
+            };
+            let ranges = cut_ranges::<K, V>(&runs, parts);
+            let merge_secs = task_start.elapsed().as_secs_f64();
+            let hint = out_hint.load(Ordering::Relaxed);
+            let (out, counters, decode_error) =
+                reduce_ranges(pool, &ranges, reduce_fn, hint, &mut cost);
+            let records = out.iter().map(Vec::len).sum();
+            out_hint.fetch_max(records, Ordering::Relaxed);
+            cost.records = records as u64;
+            let result = ReduceTaskResult {
+                out,
+                counters,
+                decode_error,
+                task_secs: task_start.elapsed().as_secs_f64(),
+                merge_secs,
+            };
+            (result, cost)
+        })
     });
     let phase: (Vec<ReduceTaskResult<_, _>>, _, _) = raw.into_iter().collect::<Result<_, _>>()?;
     if phase.0.iter().any(|t| t.decode_error) {

@@ -1,5 +1,5 @@
 //! Spill phase storage: the per-job [`SpillStore`] that holds map-side
-//! spill runs and intermediate merge runs, the `DWR3` instantiation of
+//! spill runs, the `DWR3` instantiation of
 //! [`codec::frame`](crate::codec::frame) its disk backend writes them in,
 //! and the [`Run`] handle a sorted run travels as.
 
@@ -96,7 +96,7 @@ impl RunBuf<'_> {
 #[derive(Debug)]
 pub(super) struct CorruptRun;
 
-/// Per-job storage for map-side spill runs and intermediate merge runs.
+/// Per-job storage for map-side spill runs.
 ///
 /// The [`SpillBackend::Memory`] backend keeps each run as an
 /// `Arc<Vec<u8>>` — reads are reference-count bumps, deterministic and
@@ -133,23 +133,12 @@ impl SpillStore {
     }
 
     /// Stores one sorted run under the next run id, returning its handle.
+    /// The payload's [`checksum64`] is recorded on both backends (on disk as
+    /// the frame's footer) and verified on every read. A disk-backend I/O
+    /// failure panics, which surfaces as an attempt failure and burns a
+    /// retry — the Hadoop behaviour for a task that cannot spill.
     pub(super) fn write(&self, owner: AttemptTag, payload: Vec<u8>) -> RunHandle {
-        self.write_as(self.reserve_ids(1), owner, payload)
-    }
-
-    /// Reserves `count` consecutive run ids and returns the first, so a
-    /// caller fanning writes out over the pool can number them in its own
-    /// order instead of in completion order.
-    pub(super) fn reserve_ids(&self, count: u64) -> u64 {
-        self.next_id.fetch_add(count, Ordering::Relaxed)
-    }
-
-    /// Stores one sorted run under the reserved `id`. The payload's
-    /// [`checksum64`] is recorded on both backends (on disk as the frame's
-    /// footer) and verified on every read. A disk-backend I/O failure
-    /// panics, which surfaces as an attempt failure and burns a retry —
-    /// the Hadoop behaviour for a task that cannot spill.
-    pub(super) fn write_as(&self, id: u64, owner: AttemptTag, payload: Vec<u8>) -> RunHandle {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let len = payload.len() as u64;
         let data = match self.backend {
             SpillBackend::Memory => {
@@ -245,8 +234,15 @@ impl SpillStore {
 
     /// Number of live runs (for orphan-cleanup tests).
     #[cfg(test)]
-    fn live_runs(&self) -> usize {
+    pub(super) fn live_runs(&self) -> usize {
         self.runs.lock().expect("spill lock").len()
+    }
+
+    /// Run ids issued so far, one per [`SpillStore::write`] (for tests that
+    /// a phase wrote nothing).
+    #[cfg(test)]
+    pub(super) fn runs_written(&self) -> u64 {
+        self.next_id.load(Ordering::Relaxed)
     }
 }
 

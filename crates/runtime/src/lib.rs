@@ -74,7 +74,7 @@
 //! | [`cluster`]   | [`ClusterConfig`] (slots, cost constants, fault plan) and the shared [`Cluster`] handle with its executor and trace sink |
 //! | [`codec`]     | The `Wire` byte format every key/value pays to cross the shuffle |
 //! | [`error`]     | [`RuntimeError`]: typed failures (task exhaustion, OOM, bad partitioner, codec) |
-//! | [`executor`]  | Thread pool over one lock and one list of open batches: map/reduce attempts, merge passes and final-merge key ranges on real cores, deterministically |
+//! | [`executor`]  | Thread pool over one lock and one list of open batches: map/reduce attempts, run opens and final-merge key ranges on real cores, deterministically |
 //! | [`fault`]     | Seeded [`FaultPlan`]: targeted/probabilistic attempt failures and stragglers |
 //! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; a driver over the map / spill / fetch / merge / reduce phase modules |
 //! | [`metrics`]   | Per-task [`TaskCost`] and its price in simulated seconds, per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |

@@ -320,9 +320,10 @@ pub struct TaskCost {
     /// memory). A map task re-executed because a reducer could not fetch
     /// its runs writes them again, and those bytes are added here.
     pub spilled_bytes: u64,
-    /// `(fan_in, bytes)` per intermediate reduce-side merge pass, run
+    /// `(fan_in, bytes)` per intermediate reduce-side merge pass, priced
     /// because the fetched runs outnumbered `io_sort_factor` (empty when
-    /// the final merge took every run directly).
+    /// they did not). The passes are not performed: the final merge takes
+    /// every fetched run.
     pub merges: Vec<(u64, u64)>,
 }
 
@@ -334,8 +335,8 @@ impl TaskCost {
 
     /// Bytes the task moved through its node's disk, which the simulated
     /// clock charges at `disk_bytes_per_sec`: a map task's spills, written
-    /// once, and a reduce task's merge passes, each run written and read
-    /// back.
+    /// once, and a reduce task's priced merge passes, each run written and
+    /// read back.
     pub fn disk_bytes(&self) -> u64 {
         let framed = |&(_, bytes): &(u64, u64)| 2 * (bytes + crate::job::SPILL_FRAME_BYTES);
         self.spilled_bytes + self.merges.iter().map(framed).sum::<u64>()
@@ -398,9 +399,9 @@ pub struct JobMetrics {
     pub spill_secs: Vec<f64>,
     /// Per-reduce-task host seconds of the *merge phase* (Hadoop's term):
     /// from task start until the final merge's key ranges are cut — fetched
-    /// runs opened and checksum-verified, intermediate `io_sort_factor`
-    /// passes run, splitters sampled and every run's cut points found (one
-    /// range needs no cut). A subset of the task's entry in
+    /// runs opened and checksum-verified, splitters sampled and every run's
+    /// cut points found (one range needs no cut; the intermediate
+    /// `io_sort_factor` passes are priced, not run). A subset of the task's entry in
     /// `reduce_task_secs`. The final merge is *not* in it: each range's
     /// values are pulled lazily inside the reduce function's iterator, so
     /// the merge is interleaved with the function and only their sum is
@@ -484,7 +485,8 @@ impl JobMetrics {
         self.map_costs.iter().map(TaskCost::disk_bytes).sum()
     }
 
-    /// Bytes intermediate reduce merge passes wrote and read back.
+    /// Bytes the priced intermediate reduce merge passes write and read
+    /// back.
     pub fn disk_merge_bytes(&self) -> u64 {
         self.reduce_costs.iter().map(TaskCost::disk_bytes).sum()
     }

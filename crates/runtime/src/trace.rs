@@ -409,11 +409,11 @@ trace_events! {
         /// Wire-encoded payload bytes written by this spill pass.
         bytes: u64,
     },
-    /// An intermediate merge pass: a reducer whose partition arrived as
-    /// more runs than `io_sort_factor` merged up to that many runs into
-    /// one new run. Emitted only when intermediate passes actually
-    /// happened (fan-in below run count); the final streaming merge is
-    /// not an event. `time` is the owning attempt's simulated start.
+    /// An intermediate merge pass, as priced: a reducer whose partition
+    /// arrived as more runs than `io_sort_factor` is charged for merging up
+    /// to that many runs into one new run (the reducer itself merges every
+    /// run in one pass). Emitted only when the ledger has passes (fan-in
+    /// below run count); the final streaming merge is not an event. `time` is the owning attempt's simulated start.
     MergePass = "merge_pass" {
         /// Owning job name.
         job: String,
