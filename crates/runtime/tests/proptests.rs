@@ -760,9 +760,10 @@ mod corruption {
         // multiple of three records is a whole number of claimed 12-byte
         // records, so the merge acts on the width and must report the lie:
         // one unspilled 3-record run, or 24-byte sort buffers that spill
-        // every three records into merge passes. Any other run length rules
-        // the width out, and the merge decodes record by record — the right
-        // answer: one 2-record run, or 16-byte buffers spilling every two.
+        // every three records (a reducer priced for merge passes). Any other
+        // run length rules the width out, and the merge decodes record by
+        // record — the right answer: one 2-record run, or 16-byte buffers
+        // spilling every two.
         for threads in [1, 2] {
             for (emits, tasks, sort_bytes, reported) in [
                 (3, 1, 1 << 20, true),
