@@ -1,9 +1,11 @@
 //! Microbenchmarks of the mini-MapReduce engine: codec throughput,
-//! shuffle sort-merge, and end-to-end job overhead.
+//! shuffle sort-merge, end-to-end job overhead, and a reducer's cost per
+//! record on Send-Coef's shuffle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dwmaxerr_runtime::codec::{encoded, Wire};
-use dwmaxerr_runtime::{Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext};
+use dwmaxerr_runtime::{Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext, Values};
+use dwmaxerr_wavelet::basis::algorithm7;
 
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec");
@@ -84,9 +86,63 @@ fn bench_jobs(c: &mut Criterion) {
     group.finish();
 }
 
+/// Send-Coef's shuffle at 2^16 values: 16 blocks of 4 096, each mapped by
+/// Algorithm 7 into its coefficients' partial contributions (a coefficient
+/// above the block once per covered value, so most of a reducer's records
+/// continue an equal-key stretch of one run), and one reducer summing each
+/// key's values — record by record (`for v in vals`), and by `vals.sum()`,
+/// whose fold takes a run's equal-key stretch in one loop. The two differ
+/// only in how the reducer consumes its values.
+fn bench_send_coef_reducer(c: &mut Criterion) {
+    let n = 1usize << 16;
+    let data: Vec<f64> = (0..n).map(|i| ((i * 7919) % 1000) as f64).collect();
+    let splits: Vec<(usize, &[f64])> = data
+        .chunks(4096)
+        .enumerate()
+        .map(|(b, block)| (b * 4096, block))
+        .collect();
+    let map = |&(lo, block): &(usize, &[f64]), ctx: &mut MapContext<u64, f64>| {
+        algorithm7(n, lo, block, |i, v| ctx.emit(i as u64, v));
+    };
+    let by_next = |k: &u64, vals: Values<'_, u64, f64>, ctx: &mut ReduceContext<u64, f64>| {
+        let mut sum = 0.0;
+        for v in vals {
+            sum += v;
+        }
+        ctx.emit(*k, sum);
+    };
+    let by_fold = |k: &u64, vals: Values<'_, u64, f64>, ctx: &mut ReduceContext<u64, f64>| {
+        ctx.emit(*k, vals.sum());
+    };
+    let cluster = quiet_cluster();
+    let records = JobBuilder::new("send-coef")
+        .map(map)
+        .reduce(by_fold)
+        .run(&cluster, &splits)
+        .unwrap()
+        .metrics
+        .shuffle_records;
+    let mut group = c.benchmark_group("send_coef_reducer");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(records));
+    group.bench_function("for_v_in_vals", |b| {
+        b.iter(|| {
+            let job = JobBuilder::new("send-coef").map(map).reduce(by_next);
+            job.run(&cluster, &splits).unwrap()
+        })
+    });
+    group.bench_function("vals_sum", |b| {
+        b.iter(|| {
+            let job = JobBuilder::new("send-coef").map(map).reduce(by_fold);
+            job.run(&cluster, &splits).unwrap()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_codec, bench_jobs
+    targets = bench_codec, bench_jobs, bench_send_coef_reducer
 }
 criterion_main!(benches);

@@ -20,7 +20,7 @@
 //! partition reaches the spill sort already sorted.
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, ReduceContext, Values};
 use dwmaxerr_wavelet::basis::algorithm7;
 use dwmaxerr_wavelet::Synopsis;
 
@@ -79,7 +79,7 @@ fn send_coef_inner(
         })
         .input_bytes(SliceSplit::bytes);
     let stage = if with_combiner {
-        stage.combine_with(|_k, vals: &mut dyn Iterator<Item = f64>| vals.sum())
+        stage.combine_with(|_k, vals: Values<'_, u64, f64>| vals.sum())
     } else {
         stage
     };

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use dwmaxerr_algos::min_haar_space::MhsError;
 use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::{DriverMetrics, Kernel};
-use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
+use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext, Values};
 
 use crate::error::CoreError;
 use crate::partition::{heap_descendant, LayerPlan};
@@ -171,9 +171,9 @@ const OFF_GRID_NODE: u64 = u64::MAX - 1;
 
 /// The identity reducer: forwards its records unchanged (every reducer of
 /// the framework, and the jobs whose selection happens driver-side).
-pub(crate) fn forward<K: Clone, V>(
+pub(crate) fn forward<K: Wire + Ord + Clone, V: Wire>(
     key: &K,
-    vals: &mut dyn Iterator<Item = V>,
+    vals: Values<'_, K, V>,
     ctx: &mut ReduceContext<K, V>,
 ) {
     for v in vals {

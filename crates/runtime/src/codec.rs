@@ -37,6 +37,10 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Splits the first `n` bytes off `buf`. Every fixed-width decode goes
+/// through it; inlined, so that a reduce function monomorphised in another
+/// crate does not call it out of line per field.
+#[inline]
 fn take<'a>(buf: &mut &'a [u8], n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
     if buf.len() < n {
         return Err(CodecError { context });

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use super::spill::{AttemptTag, Run, SpillStore, SPILL_FRAME_BYTES};
-use super::{run_attempts, Combiner, MapStage, PhaseOutcome};
+use super::{run_attempts, Combiner, MapStage, PhaseOutcome, Values};
 use crate::cluster::ClusterConfig;
 use crate::codec::{CountingSink, FnvHasher, Wire};
 use crate::error::RuntimeError;
@@ -238,7 +238,7 @@ fn spill_one_partition<K: Wire + Ord, V: Wire>(
         }
         let records = groups.len();
         for (key, values) in groups {
-            let folded = combiner(&key, &mut values.into_iter());
+            let folded = combiner(&key, Values::from(values));
             key.encode(&mut out);
             folded.encode(&mut out);
         }
@@ -553,10 +553,9 @@ mod tests {
                 ctx.emit(x, x * 2);
             }
         };
-        let reduce_fn =
-            |k: &u64, vals: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vals.sum());
-            };
+        let reduce_fn = |k: &u64, vals: Values<'_, u64, u64>, ctx: &mut ReduceContext<u64, u64>| {
+            ctx.emit(*k, vals.sum());
+        };
         let implicit = JobBuilder::new("implicit")
             .map(map_fn)
             .reducers(3)

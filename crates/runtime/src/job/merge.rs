@@ -1,6 +1,7 @@
 //! Merge phase: the reduce-side k-way merge over sorted runs (a loser
-//! tree), the `io.sort.factor` intermediate passes the clock prices, and
-//! the cut of a reducer's runs into key ranges.
+//! tree), the [`Values`] it hands each key group out as, the
+//! `io.sort.factor` intermediate passes the clock prices, and the cut of a
+//! reducer's runs into key ranges.
 
 use crate::codec::{sum_widths, Wire};
 
@@ -32,43 +33,58 @@ fn first_failing(mut lo: usize, mut hi: usize, holds: impl Fn(usize) -> bool) ->
     lo
 }
 
-/// A streaming cursor over one sorted run.
-struct RunCursor<'a, K, V> {
-    /// The run from its head record on.
-    rest: &'a [u8],
+/// Decodes the record at the front of `bytes`: from exactly `width` bytes,
+/// all of which it must use, when the record width is known. Returns the
+/// record and its length in bytes, or `None` on a decode error.
+#[inline(always)]
+fn decode_record<K: Wire, V: Wire>(bytes: &[u8], width: Option<usize>) -> Option<(K, V, usize)> {
+    let mut record = match width {
+        Some(w) => &bytes[..w.min(bytes.len())],
+        None => bytes,
+    };
+    let available = record.len();
+    if let (Ok(k), Ok(v)) = (K::decode(&mut record), V::decode(&mut record)) {
+        let used = available - record.len();
+        if width.is_none_or(|w| w == used) {
+            return Some((k, v, used));
+        }
+    }
+    None
+}
+
+/// A streaming cursor over one sorted run. It holds a byte offset, not the
+/// run: the runs sit beside the [`Tournament`] in [`KWayMerge`], so a
+/// [`Values`] can borrow both without naming the runs' lifetime.
+struct RunCursor<K, V> {
+    /// Byte offset of the head record in its run — the run's length once
+    /// the run is exhausted or failed to decode.
+    pos: usize,
     /// The head record, decoded — `None` once the run is exhausted or
     /// failed to decode — and its length in bytes.
     head: Option<(K, V)>,
     head_len: usize,
 }
 
-impl<K: Wire, V: Wire> RunCursor<'_, K, V> {
-    /// Drops the first `n` bytes of the run (its head record) and decodes
-    /// the record behind them into `head`. With a record `width` the record is decoded from exactly
-    /// that many bytes and must use all of them. Returns false on a decode
-    /// error, after which the run is treated as exhausted.
+impl<K: Wire, V: Wire> RunCursor<K, V> {
+    /// Drops the first `n` bytes of `run` from the cursor's offset on (its
+    /// head record) and decodes the record behind them into `head`
+    /// ([`decode_record`]). Returns false on a decode error, after which
+    /// the run is treated as exhausted.
     #[inline(always)]
-    fn advance(&mut self, n: usize, width: Option<usize>) -> bool {
-        self.rest = &self.rest[n..];
+    fn advance(&mut self, run: &[u8], n: usize, width: Option<usize>) -> bool {
+        self.pos += n;
         self.head = None;
-        if self.rest.is_empty() {
+        let rest = &run[self.pos..];
+        if rest.is_empty() {
             return true;
         }
-        let mut record = match width {
-            Some(w) => &self.rest[..w.min(self.rest.len())],
-            None => self.rest,
+        let Some((k, v, used)) = decode_record(rest, width) else {
+            self.pos = run.len();
+            return false;
         };
-        let available = record.len();
-        if let (Ok(k), Ok(v)) = (K::decode(&mut record), V::decode(&mut record)) {
-            let used = available - record.len();
-            if width.is_none_or(|w| w == used) {
-                self.head = Some((k, v));
-                self.head_len = used;
-                return true;
-            }
-        }
-        self.rest = &[];
-        false
+        self.head = Some((k, v));
+        self.head_len = used;
+        true
     }
 }
 
@@ -81,7 +97,7 @@ impl<K: Wire, V: Wire> RunCursor<'_, K, V> {
 /// exhausted run loses to every live run, and two exhausted runs order by
 /// index, keeping the relation a total order so tree replays stay
 /// consistent as runs drain.
-fn run_beats<K: Ord, V>(cursors: &[RunCursor<'_, K, V>], a: u32, b: u32) -> bool {
+fn run_beats<K: Ord, V>(cursors: &[RunCursor<K, V>], a: u32, b: u32) -> bool {
     match (&cursors[a as usize].head, &cursors[b as usize].head) {
         (Some((ka, _)), Some((kb, _))) => ka.cmp(kb).then(a.cmp(&b)).is_lt(),
         (Some(_), None) => true,
@@ -92,21 +108,28 @@ fn run_beats<K: Ord, V>(cursors: &[RunCursor<'_, K, V>], a: u32, b: u32) -> bool
 
 /// Streaming k-way merge over pre-sorted runs. Nothing is buffered beyond
 /// one decoded head record per run; [`KWayMerge::for_each_group`] hands
-/// the records out one key group at a time.
+/// the records out one key group at a time, as a [`Values`].
 ///
 /// Ordering is maintained by a *loser tree* (tournament tree, the classic
 /// Hadoop/DB merge structure): each internal node stores the run that lost
 /// the match played there, and the overall winner is kept aside. Taking
 /// from the winner replays at most one leaf-to-root path — one comparison
 /// per level, ⌈log₂ k⌉ total — and none while the winner's new head still
-/// beats the runner-up ([`KWayMerge::pop`]). Exhausted runs stay in the
+/// beats the runner-up ([`Tournament::pop`]). Exhausted runs stay in the
 /// tree as automatic losers instead of being removed, so the structure
 /// never reshapes. The merge drains strictly by `(head key, run index)`, a
 /// total order over the live heads: its output is every run's records
 /// tagged with the run's index, concatenated and stably sorted by key (the
 /// test module checks it against exactly that).
-pub(super) struct KWayMerge<'a, K, V> {
-    cursors: Vec<RunCursor<'a, K, V>>,
+pub(super) struct KWayMerge<'r, K, V> {
+    runs: Vec<&'r [u8]>,
+    tournament: Tournament<K, V>,
+}
+
+/// The loser tree of a [`KWayMerge`] and one cursor per run; every method
+/// that moves a cursor is handed the runs.
+struct Tournament<K, V> {
+    cursors: Vec<RunCursor<K, V>>,
     /// `tree[n]` is the run that lost the match at internal node `n`
     /// (nodes `1..k`; index 0 is unused). Leaf `i` sits at conceptual
     /// position `k + i`, so its first match plays at node `(k + i) / 2`.
@@ -114,8 +137,8 @@ pub(super) struct KWayMerge<'a, K, V> {
     /// Tournament winner: the run whose head is the merge's next record.
     /// `u32::MAX` when the merge was built over zero runs.
     winner: u32,
-    /// The winner's runner-up ([`KWayMerge::runner_up`]), cached until the
-    /// next replay: no other run's head moves while the winner keeps
+    /// The winner's runner-up ([`Tournament::runner_up`]), cached until
+    /// the next replay: no other run's head moves while the winner keeps
     /// winning.
     rival: Option<u32>,
     /// The last replay crowned the run it replayed: the winner has won
@@ -125,7 +148,7 @@ pub(super) struct KWayMerge<'a, K, V> {
     width: Option<usize>,
     /// A run failed to decode; the job fails with a codec error once the
     /// reduce phase completes.
-    pub(super) decode_error: bool,
+    decode_error: bool,
     /// Tree replays so far.
     #[cfg(test)]
     replays: usize,
@@ -134,24 +157,24 @@ pub(super) struct KWayMerge<'a, K, V> {
     runner_ups: usize,
 }
 
-impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
-    pub(super) fn new(runs: &[&'a [u8]]) -> Self {
+impl<'r, K: Wire + Ord, V: Wire> KWayMerge<'r, K, V> {
+    pub(super) fn new(runs: &[&'r [u8]]) -> Self {
         let width = record_width::<K, V>(runs);
         let mut decode_error = false;
-        let cursors: Vec<RunCursor<'a, K, V>> = runs
+        let cursors: Vec<RunCursor<K, V>> = runs
             .iter()
             .map(|&run| {
                 let mut cursor = RunCursor {
-                    rest: run,
+                    pos: 0,
                     head: None,
                     head_len: 0,
                 };
-                decode_error |= !cursor.advance(0, width);
+                decode_error |= !cursor.advance(run, 0, width);
                 cursor
             })
             .collect();
         let k = cursors.len();
-        let mut merge = KWayMerge {
+        let mut t = Tournament {
             cursors,
             tree: vec![u32::MAX; k],
             winner: u32::MAX,
@@ -175,28 +198,60 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
             let mut node = (k + i as usize) / 2;
             loop {
                 if node == 0 {
-                    merge.winner = cand;
+                    t.winner = cand;
                     break;
                 }
-                let stored = merge.tree[node];
+                let stored = t.tree[node];
                 if stored == u32::MAX {
-                    merge.tree[node] = cand;
+                    t.tree[node] = cand;
                     break;
                 }
-                if run_beats(&merge.cursors, stored, cand) {
-                    merge.tree[node] = cand;
+                if run_beats(&t.cursors, stored, cand) {
+                    t.tree[node] = cand;
                     cand = stored;
                 }
                 node /= 2;
             }
         }
-        merge
+        KWayMerge {
+            runs: runs.to_vec(),
+            tournament: t,
+        }
     }
 
+    /// Whether a run failed to decode.
+    pub(super) fn decode_error(&self) -> bool {
+        self.tournament.decode_error
+    }
+
+    /// The final merge: streams records in total key order and hands each
+    /// key's values to `f` as they surface, then drains whatever `f` left
+    /// unconsumed so the next group starts at the next key.
+    pub(super) fn for_each_group(&mut self, mut f: impl FnMut(&K, Values<'_, K, V>)) {
+        let runs = &self.runs[..];
+        let t = &mut self.tournament;
+        while let Some((key, first)) = t.pop(runs) {
+            f(
+                &key,
+                Values(Source::Merge {
+                    key: &key,
+                    first: Some(first),
+                    runs,
+                    tournament: &mut *t,
+                }),
+            );
+            while t.peek_is(&key) {
+                let _ = t.pop(runs);
+            }
+        }
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Tournament<K, V> {
     /// Replays run `w`'s leaf-to-root path after its head changed,
-    /// crowning the next winner. Out of line, like [`KWayMerge::runner_up`],
-    /// so that `pop` stays small enough to inline into the group loop (see
-    /// `pop`).
+    /// crowning the next winner. Out of line, like
+    /// [`Tournament::runner_up`]: it runs once per hand-over, not per
+    /// record.
     #[inline(never)]
     fn replay(&mut self, w: u32) {
         #[cfg(test)]
@@ -236,50 +291,49 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
         best
     }
 
+    /// Settles the winner `w` once its head no longer carries the key it
+    /// last handed out: keeps it without a replay while its new head beats
+    /// the runner-up, the best loser on its path — then it beats every
+    /// loser there, and every match on the path comes out as before. The
+    /// runner-up is only computed once the same run has won twice in a
+    /// row, so runs that interleave record by record pay one replay per
+    /// record and nothing more. An exhausted run or a decode error leaves
+    /// no head and replays.
+    #[inline(always)]
+    fn settle(&mut self, w: u32) {
+        let keeps = self.cursors[w as usize].head.is_some() && {
+            if self.rival.is_none() && self.repeat {
+                self.rival = self.runner_up(w);
+                #[cfg(test)]
+                {
+                    self.runner_ups += 1;
+                }
+            }
+            self.rival.is_some_and(|r| run_beats(&self.cursors, w, r))
+        };
+        if !keeps {
+            self.replay(w);
+        }
+    }
+
     /// The next record in merged key order: takes the winner's head,
     /// advances its run, and keeps the winner without a replay while its
-    /// new head still wins — when the head carries an equal key (it beat
-    /// every other run under `(key, run index)` and still has the same
-    /// `(key, run index)`), or when it beats the runner-up, the best loser
-    /// on its path: then it beats every loser there, and every match on
-    /// the path comes out as before. The runner-up is only computed once
-    /// the same run has won twice in a row, so runs that interleave record
-    /// by record pay one replay per record and nothing more. An exhausted
-    /// run or a decode error leaves no head and replays.
-    ///
-    /// `pop`, `peek_is` and `RunCursor::advance` are forced inline and the
-    /// tree walks kept out of line: left to the compiler, the inlining
-    /// into the group loop varied with unrelated code, and Send-Coef's
-    /// final merge over 128 runs (8.4 M pops, one core of a 2-vCPU host)
-    /// read at best 128–150 ms where forcing reads 97 ms (EXPERIMENTS.md,
-    /// "One streaming merge per reducer").
+    /// new head carries an equal key (it beat every other run under
+    /// `(key, run index)` and still has the same `(key, run index)`);
+    /// otherwise [`Tournament::settle`]s it.
     #[inline(always)]
-    fn pop(&mut self) -> Option<(K, V)> {
+    fn pop(&mut self, runs: &[&[u8]]) -> Option<(K, V)> {
         let w = self.winner;
         if w == u32::MAX {
             return None;
         }
         let cursor = &mut self.cursors[w as usize];
         let pair = cursor.head.take()?;
-        if !cursor.advance(cursor.head_len, self.width) {
+        if !cursor.advance(runs[w as usize], cursor.head_len, self.width) {
             self.decode_error = true;
         }
-        let keeps = match &cursor.head {
-            Some((next, _)) if next.cmp(&pair.0).is_eq() => true,
-            Some(_) => {
-                if self.rival.is_none() && self.repeat {
-                    self.rival = self.runner_up(w);
-                    #[cfg(test)]
-                    {
-                        self.runner_ups += 1;
-                    }
-                }
-                self.rival.is_some_and(|r| run_beats(&self.cursors, w, r))
-            }
-            None => false,
-        };
-        if !keeps {
-            self.replay(w);
+        if !matches!(&cursor.head, Some((next, _)) if next.cmp(&pair.0).is_eq()) {
+            self.settle(w);
         }
         Some(pair)
     }
@@ -294,45 +348,133 @@ impl<'a, K: Wire + Ord, V: Wire> KWayMerge<'a, K, V> {
                 .is_some_and(|(k, _)| *k == *key)
     }
 
-    /// The final merge: streams records in total key order and feeds each
-    /// key's values to `f` as they surface, then drains whatever `f` left
-    /// unconsumed so the next group starts at the next key.
-    pub(super) fn for_each_group(&mut self, mut f: impl FnMut(&K, &mut dyn Iterator<Item = V>)) {
-        while let Some((key, first)) = self.pop() {
-            f(
-                &key,
-                &mut GroupValues {
-                    key: &key,
-                    first: Some(first),
-                    merge: self,
-                },
-            );
-            while self.peek_is(&key) {
-                let _ = self.pop();
+    /// Folds every remaining record of `key`'s group into `acc`, a run's
+    /// equal-key stretch at a time: while the winner's head carries `key`,
+    /// folds the head and then the records behind it in the run's bytes
+    /// until one carries another key, which becomes the run's new head
+    /// (decoded once); then settles the winner as [`Tournament::pop`]
+    /// would after the stretch's last record. The records, the replays and
+    /// the runner-ups are exactly those of popping the group record by
+    /// record.
+    #[inline]
+    fn fold_group<B>(
+        &mut self,
+        runs: &[&[u8]],
+        key: &K,
+        mut acc: B,
+        mut f: impl FnMut(B, V) -> B,
+    ) -> B {
+        while self.peek_is(key) {
+            let w = self.winner;
+            let run = runs[w as usize];
+            let cursor = &mut self.cursors[w as usize];
+            let Some((_, value)) = cursor.head.take() else {
+                break;
+            };
+            acc = f(acc, value);
+            if let Some(width) = self.width {
+                // Every run is a whole number of `width`-byte records.
+                let mut pos = cursor.pos + width;
+                while pos < run.len() {
+                    let Some((k, v, _)) = decode_record::<K, V>(&run[pos..], Some(width)) else {
+                        self.decode_error = true;
+                        pos = run.len();
+                        break;
+                    };
+                    if k != *key {
+                        cursor.head = Some((k, v));
+                        break;
+                    }
+                    acc = f(acc, v);
+                    pos += width;
+                }
+                cursor.pos = pos;
+            } else {
+                loop {
+                    if !cursor.advance(run, cursor.head_len, None) {
+                        self.decode_error = true;
+                    }
+                    match cursor.head.take_if(|(k, _)| *k == *key) {
+                        Some((_, v)) => acc = f(acc, v),
+                        None => break,
+                    }
+                }
             }
+            self.settle(w);
         }
+        acc
     }
 }
 
-/// Streaming view of one key's values during the k-way merge: the reduce
-/// function consumes values as the merge produces them, so no per-group
-/// `Vec` is materialised.
-struct GroupValues<'g, 'a, K, V> {
-    key: &'g K,
-    first: Option<V>,
-    merge: &'g mut KWayMerge<'a, K, V>,
+/// One key's values, in merge order: what a reduce function, a combiner
+/// and [`crate::reference::shuffle_reduce`] are handed, by value.
+///
+/// Out of the reduce-side merge the values stream as the merge produces
+/// them — no per-group `Vec` is materialised. [`Iterator::fold`] (and so
+/// `sum`, `count`, `for_each`, and adapters such as `map(..).sum()`)
+/// consumes a run's equal-key stretch in one loop over the run's bytes;
+/// `next` (`for v in values`, `collect`, `take`) takes one record at a
+/// time. Both see the same values in the same order. Built from a `Vec`,
+/// the values are that `Vec`'s, in order.
+pub struct Values<'a, K, V>(Source<'a, K, V>);
+
+enum Source<'a, K, V> {
+    /// The group of `key` in a reduce-side merge, `first` its first value.
+    Merge {
+        key: &'a K,
+        first: Option<V>,
+        runs: &'a [&'a [u8]],
+        tournament: &'a mut Tournament<K, V>,
+    },
+    /// A decoded group: the map-side combiner's and the oracle's.
+    Owned(std::vec::IntoIter<V>),
 }
 
-impl<K: Wire + Ord, V: Wire> Iterator for GroupValues<'_, '_, K, V> {
+impl<K, V> From<Vec<V>> for Values<'_, K, V> {
+    fn from(values: Vec<V>) -> Self {
+        Values(Source::Owned(values.into_iter()))
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Iterator for Values<'_, K, V> {
     type Item = V;
+
     fn next(&mut self) -> Option<V> {
-        if let Some(v) = self.first.take() {
-            return Some(v);
+        match &mut self.0 {
+            Source::Merge {
+                key,
+                first,
+                runs,
+                tournament,
+            } => {
+                if let Some(v) = first.take() {
+                    return Some(v);
+                }
+                if tournament.peek_is(key) {
+                    tournament.pop(runs).map(|(_, v)| v)
+                } else {
+                    None
+                }
+            }
+            Source::Owned(values) => values.next(),
         }
-        if self.merge.peek_is(self.key) {
-            self.merge.pop().map(|(_, v)| v)
-        } else {
-            None
+    }
+
+    fn fold<B, F: FnMut(B, V) -> B>(self, init: B, mut f: F) -> B {
+        match self.0 {
+            Source::Merge {
+                key,
+                first,
+                runs,
+                tournament,
+            } => {
+                let acc = match first {
+                    Some(v) => f(init, v),
+                    None => init,
+                };
+                tournament.fold_group(runs, key, acc, f)
+            }
+            Source::Owned(values) => values.fold(init, f),
         }
     }
 }
@@ -467,6 +609,35 @@ mod tests {
         runs.iter().map(Vec::as_slice).collect()
     }
 
+    /// The merge record by record, as [`Values::next`] takes it.
+    impl<K: Wire + Ord, V: Wire> KWayMerge<'_, K, V> {
+        fn pop(&mut self) -> Option<(K, V)> {
+            self.tournament.pop(&self.runs)
+        }
+
+        fn peek_is(&self, key: &K) -> bool {
+            self.tournament.peek_is(key)
+        }
+    }
+
+    /// The ways a reduce function may consume a group: `None` collects it
+    /// record by record (`next`); `Some(k)` takes `k` values by `next` and
+    /// folds the rest — stretch by stretch, picking up mid-group and as
+    /// often as not mid-stretch.
+    const WAYS: [Option<usize>; 4] = [None, Some(0), Some(1), Some(3)];
+
+    /// The group's values, consumed `way` ([`WAYS`]).
+    fn consume<K: Wire + Ord, V: Wire>(mut values: Values<'_, K, V>, way: Option<usize>) -> Vec<V> {
+        let Some(k) = way else {
+            return values.collect();
+        };
+        let head: Vec<V> = values.by_ref().take(k).collect();
+        values.fold(head, |mut acc, v| {
+            acc.push(v);
+            acc
+        })
+    }
+
     /// The record-at-a-time merge pops the definition's records in order,
     /// `peek_is` agrees before each pop, and the flag is the definition's.
     fn assert_pops<K, V>(runs: &[Vec<u8>])
@@ -483,13 +654,14 @@ mod tests {
             assert_eq!((&k, &v), (key, value), "pop {n} diverged");
         }
         assert!(merge.pop().is_none(), "records past the definition's");
-        assert_eq!(merge.decode_error, failed, "decode flag");
+        assert_eq!(merge.decode_error(), failed, "decode flag");
     }
 
     /// Cut into `parts` key ranges and reduced range by range, on a serial
-    /// and on a three-thread pool, the final merge emits the definition's
-    /// groups in order with their values in order, sums the counters over
-    /// all of them, and raises the definition's flag.
+    /// and on a three-thread pool, with each group consumed every one of
+    /// the [`WAYS`], the final merge emits the definition's groups in order
+    /// with their values in order, sums the counters over all of them, and
+    /// raises the definition's flag.
     fn assert_range_merge<K, V>(runs: &[Vec<u8>], parts: usize)
     where
         K: Wire + Ord + Clone + Debug + Send,
@@ -512,14 +684,13 @@ mod tests {
             "{} ranges",
             ranges.len()
         );
-        let reduce =
-            |key: &K, values: &mut dyn Iterator<Item = V>, ctx: &mut ReduceContext<K, Vec<V>>| {
-                let values: Vec<V> = values.collect();
+        for (threads, way) in [1, 3].into_iter().flat_map(|t| WAYS.map(|way| (t, way))) {
+            let reduce = |key: &K, values: Values<'_, K, V>, ctx: &mut ReduceContext<K, Vec<V>>| {
+                let values = consume(values, way);
                 ctx.add_counter("groups", 1);
                 ctx.add_counter("values", values.len() as u64);
                 ctx.emit(key.clone(), values);
             };
-        for threads in [1, 3] {
             let (out, got_counters, decode_error) = reduce_ranges(
                 &Executor::new(threads),
                 &ranges,
@@ -527,11 +698,12 @@ mod tests {
                 0,
                 &mut TaskCost::default(),
             );
+            let at = format!("parts {parts}, threads {threads}, way {way:?}");
             assert_eq!(out.len(), ranges.len(), "one output per range");
             let out: Vec<(K, Vec<V>)> = out.into_iter().flatten().collect();
-            assert_eq!(out, groups, "parts {parts}, threads {threads}");
-            assert_eq!(got_counters, counters, "parts {parts}, threads {threads}");
-            assert_eq!(decode_error, failed, "parts {parts}, threads {threads}");
+            assert_eq!(out, groups, "{at}");
+            assert_eq!(got_counters, counters, "{at}");
+            assert_eq!(decode_error, failed, "{at}");
         }
     }
 
@@ -681,16 +853,33 @@ mod tests {
         }
     }
 
+    /// Replays and runner-up computations of the whole merge of `runs`,
+    /// drained by `drain`.
+    fn counts(runs: &[Vec<u8>], drain: impl FnOnce(&mut KWayMerge<u32, u64>)) -> (usize, usize) {
+        let slices = slices(runs);
+        let mut merge = KWayMerge::<u32, u64>::new(&slices);
+        drain(&mut merge);
+        (merge.tournament.replays, merge.tournament.runner_ups)
+    }
+
     /// Pops the whole merge of `runs`; returns its replays and runner-up
     /// computations, and the definition's run switches (adjacent records
-    /// from different runs) and record count.
+    /// from different runs) and record count. Consuming every group by
+    /// `fold` (or partly by `next`, then by `fold`) costs exactly the
+    /// replays and runner-ups the pops did.
     fn replay_counts(runs: &[Vec<u8>]) -> ((usize, usize), (usize, usize)) {
         let (want, _) = definition::<u32, u64>(runs);
         let switches = want.windows(2).filter(|w| w[0].1 != w[1].1).count();
-        let slices = slices(runs);
-        let mut merge = KWayMerge::<u32, u64>::new(&slices);
-        while merge.pop().is_some() {}
-        ((merge.replays, merge.runner_ups), (switches, want.len()))
+        let popped = counts(runs, |merge| while merge.pop().is_some() {});
+        for way in WAYS {
+            let folded = counts(runs, |merge| {
+                merge.for_each_group(|_, values| {
+                    consume(values, way);
+                });
+            });
+            assert_eq!(folded, popped, "way {way:?}");
+        }
+        (popped, (switches, want.len()))
     }
 
     #[test]
@@ -729,6 +918,40 @@ mod tests {
             let ((replays, runner_ups), (switches, records)) = replay_counts(&runs);
             assert_eq!(switches + 1, records, "k {k}");
             assert_eq!((replays, runner_ups), (records, 0), "k {k}");
+        }
+    }
+
+    #[test]
+    fn folding_a_stretch_costs_the_replays_popping_it_does() {
+        // Equal-key stretches inside runs and across them: a run of one key
+        // hands over to the next run's stretch of that key, and each run's
+        // stretch ends at a key another run holds too.
+        let runs: Vec<Vec<u8>> = (0..6u32)
+            .map(|run| {
+                let pairs: Vec<(u32, u64)> = (0..40u32)
+                    .map(|i| ((i / (run + 2)) * 3 + run % 2, u64::from(run * 100 + i)))
+                    .collect();
+                encode_run(&pairs)
+            })
+            .collect();
+        let ((replays, _), (switches, records)) = replay_counts(&runs);
+        assert!(
+            replays <= switches + 6,
+            "{replays} replays, {switches} switches"
+        );
+        assert!(
+            switches < records / 3,
+            "{switches} switches, {records} records"
+        );
+        // Duplicate-heavy and clustered runs, at fan-in up to 40.
+        let mut state = 0xf01d_u64;
+        for case in 0..40 {
+            let k = (next_rand(&mut state) % 41) as usize;
+            if case % 2 == 0 {
+                replay_counts(&dup_heavy_runs(&mut state, k, |tag, _| tag));
+            } else {
+                replay_counts(&clustered_runs(&mut state, k));
+            }
         }
     }
 
@@ -773,7 +996,7 @@ mod tests {
         ];
         let slices = slices(&runs);
         let mut merge = KWayMerge::<u32, u64>::new(&slices);
-        assert!(!merge.decode_error);
+        assert!(!merge.decode_error());
         let popped: Vec<(u32, u64)> = std::iter::from_fn(|| merge.pop()).collect();
         let expect = [
             (0, 30),
@@ -785,7 +1008,7 @@ mod tests {
             (2, 22),
         ];
         assert_eq!(popped, expect);
-        assert!(merge.decode_error);
+        assert!(merge.decode_error());
         assert_merges::<u32, u64>(&runs);
     }
 
@@ -814,7 +1037,7 @@ mod tests {
                 .map(|(key, values)| (key, values.into_iter().take(take).collect()))
                 .collect();
             assert_eq!(groups, expect, "take {take}");
-            assert!(!merge.decode_error);
+            assert!(!merge.decode_error());
         }
     }
 
@@ -944,6 +1167,59 @@ mod tests {
         assert_eq!(cut_ranges::<u64, String>(&slices(&runs), 4).len(), 1);
     }
 
+    /// A four-byte value whose decode refuses `u32::MAX`: a run of the
+    /// right width that still fails to decode part-way through.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Picky(u32);
+    impl Wire for Picky {
+        fn encode<S: WireSink>(&self, sink: &mut S) {
+            self.0.encode(sink);
+        }
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+            match u32::decode(buf)? {
+                u32::MAX => Err(CodecError { context: "picky" }),
+                v => Ok(Picky(v)),
+            }
+        }
+        const WIDTH: Option<usize> = Some(4);
+    }
+
+    #[test]
+    fn a_record_that_fails_to_decode_mid_stretch_raises_the_flag_on_every_path() {
+        // Run 0 holds a record that does not decode, at every position —
+        // inside key 1's stretch included: each way of consuming the groups
+        // must stop the run there and raise the flag.
+        let pairs = [(0u32, 1u32), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)];
+        for bad in 0..pairs.len() {
+            let run: Vec<(u32, Picky)> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, v))| (k, Picky(if i == bad { u32::MAX } else { v })))
+                .collect();
+            let runs = [
+                encode_run(&run),
+                encode_run(&[(1u32, Picky(7)), (1, Picky(8)), (3, Picky(9))]),
+            ];
+            assert!(definition::<u32, Picky>(&runs).1, "bad record {bad}");
+            assert_pops::<u32, Picky>(&runs);
+            assert_range_merge::<u32, Picky>(&runs, 1);
+            // Cut into key ranges, a later range starts the run past the
+            // bad record and drains records the definition does not; the
+            // job fails on the flag all the same.
+            let slices = slices(&runs);
+            for (parts, way) in [2, 3, 7].into_iter().flat_map(|p| WAYS.map(|w| (p, w))) {
+                let ranges = cut_ranges::<u32, Picky>(&slices, parts);
+                let reduce =
+                    |k: &u32, v: Values<'_, u32, Picky>, ctx: &mut ReduceContext<u32, _>| {
+                        ctx.emit(*k, consume(v, way));
+                    };
+                let cost = &mut TaskCost::default();
+                let (_, _, flag) = reduce_ranges(&Executor::new(2), &ranges, &reduce, 0, cost);
+                assert!(flag, "bad record {bad}, parts {parts}, way {way:?}");
+            }
+        }
+    }
+
     /// A value that claims `CLAIM` bytes on the wire and writes four.
     #[derive(Debug, Clone, PartialEq)]
     struct Lie<const CLAIM: usize>(u32);
@@ -980,11 +1256,11 @@ mod tests {
             let slices = slices(&runs);
             let mut merge = KWayMerge::<u32, Lie<CLAIM>>::new(&slices);
             while merge.pop().is_some() {}
-            assert!(merge.decode_error, "pops, lens {lens:?}");
+            assert!(merge.decode_error(), "pops, lens {lens:?}");
             for parts in [1, 2, 3, 7] {
                 let ranges = cut_ranges::<u32, Lie<CLAIM>>(&slices, parts);
                 let reduce = |k: &u32,
-                              v: &mut dyn Iterator<Item = Lie<CLAIM>>,
+                              v: Values<'_, u32, Lie<CLAIM>>,
                               ctx: &mut ReduceContext<u32, usize>| {
                     ctx.emit(*k, v.count());
                 };

@@ -3,7 +3,8 @@
 //! A job is built with [`JobBuilder`]: a map function over whole input
 //! splits (the paper's mappers each process one error-tree partition, so
 //! split-level granularity is the natural unit), an optional custom
-//! partitioner, and a reduce function over key-grouped values. Keys must
+//! partitioner, and a reduce function over key-grouped values (one
+//! [`Values`] per key, passed by value). Keys must
 //! implement [`Wire`] + `Ord`; the shuffle physically encodes every
 //! key-value pair, partitions it, and sort-merges it on the reduce side,
 //! exactly mirroring Hadoop's shuffle semantics (including total ordering
@@ -17,7 +18,7 @@
 //! | `map`    | `MapContext` (the collector), `SpillControl` (the `io.sort.mb` meter), the spill sort / combiner fold, `MapPhase` |
 //! | `spill`  | `SpillStore` and its `DWR3` run frame (`codec::frame`) |
 //! | `fetch`  | `ShuffleRun` routing, fetch verification, lost-map re-execution |
-//! | `merge`  | `KWayMerge` (loser tree), the ledger of the `io.sort.factor` intermediate passes, the final merge's key-range cut |
+//! | `merge`  | `KWayMerge` (loser tree), [`Values`] (a key's values, streamed out of the merge), the ledger of the `io.sort.factor` intermediate passes, the final merge's key-range cut |
 //! | `reduce` | `ReduceContext` and the reduce task body, range by range |
 //!
 //! This module is the driver: it validates the job, sequences the phases,
@@ -55,6 +56,7 @@ use map::MapPhase;
 use spill::SpillStore;
 
 pub use map::{default_partition, MapContext};
+pub use merge::Values;
 pub use reduce::ReduceContext;
 pub(crate) use spill::SPILL_FRAME_BYTES;
 
@@ -99,7 +101,7 @@ impl JobBuilder {
 type Partitioner<K> = Box<dyn Fn(&K, usize) -> usize + Sync>;
 type InputSize<S> = Box<dyn Fn(&S) -> u64 + Sync>;
 type TaskMemory<S> = Box<dyn Fn(&S) -> u64 + Sync>;
-type Combiner<K, V> = Box<dyn Fn(&K, &mut dyn Iterator<Item = V>) -> V + Sync>;
+type Combiner<K, V> = Box<dyn Fn(&K, Values<'_, K, V>) -> V + Sync>;
 /// A task phase's per-task results, costs and attempt plans, positional by
 /// task id — or the first task (in task order) that failed the job.
 type PhaseOutcome<T> = Result<(Vec<T>, Vec<TaskCost>, Vec<TaskPlan>), RuntimeError>;
@@ -155,20 +157,21 @@ where
     /// task finishes, its emitted pairs are grouped by key per partition
     /// and folded to a single value before crossing the shuffle —
     /// associative pre-aggregation that trades map CPU for shuffle bytes.
-    pub fn combine_with(
-        mut self,
-        f: impl Fn(&K, &mut dyn Iterator<Item = V>) -> V + Sync + 'static,
-    ) -> Self {
+    /// The combiner takes the same [`Values`] a reduce function does,
+    /// built from the task's buffered values of the key.
+    pub fn combine_with(mut self, f: impl Fn(&K, Values<'_, K, V>) -> V + Sync + 'static) -> Self {
         self.combiner = Some(Box::new(f));
         self
     }
 
-    /// Sets the reduce function, completing the job definition.
+    /// Sets the reduce function, completing the job definition. It is
+    /// called once per key, in key order, with the key's [`Values`];
+    /// whatever it leaves unconsumed is skipped.
     pub fn reduce<OK, OV, G>(self, reduce_fn: G) -> Job<S, K, V, OK, OV, F, G>
     where
         OK: Send,
         OV: Send,
-        G: Fn(&K, &mut dyn Iterator<Item = V>, &mut ReduceContext<OK, OV>) + Sync,
+        G: Fn(&K, Values<'_, K, V>, &mut ReduceContext<OK, OV>) + Sync,
     {
         Job {
             stage: self,
@@ -612,7 +615,7 @@ where
     OK: Send,
     OV: Send,
     F: Fn(&S, &mut MapContext<K, V>) + Sync,
-    G: Fn(&K, &mut dyn Iterator<Item = V>, &mut ReduceContext<OK, OV>) + Sync,
+    G: Fn(&K, Values<'_, K, V>, &mut ReduceContext<OK, OV>) + Sync,
 {
     /// Executes the job on `cluster` over the given input splits (one map
     /// task per split).
@@ -989,7 +992,7 @@ mod combiner_tests {
                 })
                 .reducers(2);
             let stage = if with_combiner {
-                stage.combine_with(|_k, vals: &mut dyn Iterator<Item = u64>| vals.sum())
+                stage.combine_with(|_k, vals: Values<'_, u32, u64>| vals.sum())
             } else {
                 stage
             };
@@ -1330,11 +1333,10 @@ mod oracle_tests {
     fn shuffle_paths_agree_with_and_without_combiner() {
         // The engine against the oracle: identical pairs, bytes, records.
         let splits: Vec<Vec<u32>> = vec![vec![9, 1, 9, 4], vec![4, 4, 2], vec![], vec![9]];
-        let sum = |_k: &u32, vals: &mut dyn Iterator<Item = u64>| vals.sum::<u64>();
-        let reduce =
-            |k: &u32, vals: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u32, u64>| {
-                ctx.emit(*k, vals.sum())
-            };
+        let sum = |_k: &u32, vals: Values<'_, u32, u64>| vals.sum::<u64>();
+        let reduce = |k: &u32, vals: Values<'_, u32, u64>, ctx: &mut ReduceContext<u32, u64>| {
+            ctx.emit(*k, vals.sum())
+        };
         for combine in [false, true] {
             let mut cfg = ClusterConfig::with_slots(4, 2);
             cfg.task_startup = std::time::Duration::from_millis(1);
@@ -1714,7 +1716,7 @@ mod spill_tests {
                     }
                 })
                 .reducers(3)
-                .combine_with(|_k, vals: &mut dyn Iterator<Item = u64>| vals.sum())
+                .combine_with(|_k, vals: Values<'_, u32, u64>| vals.sum())
                 .reduce(|k, vals, ctx: &mut ReduceContext<u32, u64>| ctx.emit(*k, vals.sum()))
                 .run(&cluster, &splits)
                 .unwrap()

@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use dwmaxerr_runtime::cluster::{Cluster, ClusterConfig};
-//! use dwmaxerr_runtime::job::{JobBuilder, MapContext, ReduceContext};
+//! use dwmaxerr_runtime::job::{JobBuilder, MapContext, ReduceContext, Values};
 //!
 //! let cluster = Cluster::new(ClusterConfig::default());
 //! // Word-count over two splits.
@@ -48,7 +48,7 @@
 //!             ctx.emit(w.to_string(), 1);
 //!         }
 //!     })
-//!     .reduce(|key: &String, vals: &mut dyn Iterator<Item = u64>,
+//!     .reduce(|key: &String, vals: Values<'_, String, u64>,
 //!              ctx: &mut ReduceContext<String, u64>| {
 //!         ctx.emit(key.clone(), vals.sum());
 //!     })
@@ -101,7 +101,7 @@ pub use executor::Executor;
 pub use fault::{
     FailureKind, FaultKind, FaultPlan, NodeFailure, Straggler, TargetedFault, TaskPhase,
 };
-pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext};
+pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext, Values};
 pub use metrics::{
     AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Kernel, Phase,
     PhaseMetrics, RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,

@@ -80,7 +80,7 @@ use std::sync::{Arc, RwLock};
 use crate::cluster::Cluster;
 use crate::codec::Wire;
 use crate::error::RuntimeError;
-use crate::job::{Job, MapContext, ReduceContext};
+use crate::job::{Job, MapContext, ReduceContext, Values};
 use crate::metrics::{DriverMetrics, JobMetrics};
 use crate::trace::TraceEventKind;
 
@@ -272,7 +272,7 @@ impl<'c, T> Pipeline<'c, T> {
         OK: Send,
         OV: Send,
         F: Fn(&S, &mut MapContext<K, V>) + Sync,
-        G: Fn(&K, &mut dyn Iterator<Item = V>, &mut ReduceContext<OK, OV>) + Sync,
+        G: Fn(&K, Values<'_, K, V>, &mut ReduceContext<OK, OV>) + Sync,
     {
         self.cluster.trace().instant(TraceEventKind::StageBegin {
             stage: job.name().to_string(),
@@ -470,7 +470,7 @@ mod tests {
         let cluster = small_cluster();
         let square = JobBuilder::new("square")
             .map(|s: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*s, s * s))
-            .reduce(|k, vals, ctx: &mut ReduceContext<u64, u64>| {
+            .reduce(|k, mut vals, ctx: &mut ReduceContext<u64, u64>| {
                 ctx.emit(*k, vals.next().expect("one value"))
             });
         let total = JobBuilder::new("total")
@@ -496,7 +496,7 @@ mod tests {
         let cluster = small_cluster();
         let halve = JobBuilder::new("halve")
             .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, s / 2))
-            .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| {
+            .reduce(|k, mut vals, ctx: &mut ReduceContext<u8, u64>| {
                 ctx.emit(*k, vals.next().expect("one"))
             });
         let pipe = Pipeline::with(&cluster, vec![16u64])

@@ -3,10 +3,12 @@
 //!
 //! [`shuffle_reduce`] is the specification the engine in [`crate::job`] is
 //! tested against — no cluster, no faults, no spills, no trace, no knobs.
-//! It shares exactly one thing with the engine: the default partitioner.
+//! It shares two things with the engine: the default partitioner, and the
+//! [`Values`] type a reduce function takes, which the oracle builds from
+//! each decoded group (a `Vec`), never from the engine's merge.
 
 use crate::codec::Wire;
-use crate::job::{default_partition, ReduceContext};
+use crate::job::{default_partition, ReduceContext, Values};
 
 /// Decodes a concatenated pair stream and sorts it by key — stably, so
 /// equal keys keep stream order.
@@ -48,8 +50,8 @@ fn for_each_group<K: Ord, V>(pairs: Vec<(K, V)>, mut f: impl FnMut(&K, Vec<V>)) 
 pub fn shuffle_reduce<K: Wire + Ord, V: Wire, OK, OV>(
     emitted: &[Vec<(K, V)>],
     reducers: usize,
-    combiner: Option<&dyn Fn(&K, &mut dyn Iterator<Item = V>) -> V>,
-    reduce_fn: impl Fn(&K, &mut dyn Iterator<Item = V>, &mut ReduceContext<OK, OV>),
+    combiner: Option<&dyn Fn(&K, Values<'_, K, V>) -> V>,
+    reduce_fn: impl Fn(&K, Values<'_, K, V>, &mut ReduceContext<OK, OV>),
 ) -> (Vec<(OK, OV)>, Vec<u64>, u64) {
     let mut partitions: Vec<Vec<u8>> = vec![Vec::new(); reducers];
     let mut records = 0u64;
@@ -70,7 +72,7 @@ pub fn shuffle_reduce<K: Wire + Ord, V: Wire, OK, OV>(
             };
             for_each_group(decode_sorted::<K, V>(&buf), |key, group| {
                 key.encode(partition);
-                combiner(key, &mut group.into_iter()).encode(partition);
+                combiner(key, Values::from(group)).encode(partition);
                 records += 1;
             });
         }
@@ -78,7 +80,7 @@ pub fn shuffle_reduce<K: Wire + Ord, V: Wire, OK, OV>(
     let mut ctx = ReduceContext::with_capacity(0);
     for partition in &partitions {
         for_each_group(decode_sorted::<K, V>(partition), |key, group| {
-            reduce_fn(key, &mut group.into_iter(), &mut ctx);
+            reduce_fn(key, Values::from(group), &mut ctx);
         });
     }
     let bytes = partitions.iter().map(|p| p.len() as u64).collect();

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use dwmaxerr_runtime::codec::encoded;
-use dwmaxerr_runtime::{Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext};
+use dwmaxerr_runtime::{Cluster, ClusterConfig, JobBuilder, MapContext, ReduceContext, Values};
 use proptest::prelude::*;
 
 fn quiet_cluster(reducers_hint: usize) -> Cluster {
@@ -70,7 +70,7 @@ proptest! {
                 })
                 .reducers(2);
             let stage = if combine {
-                stage.combine_with(|_k, vals: &mut dyn Iterator<Item = i64>| vals.sum())
+                stage.combine_with(|_k, vals: Values<'_, u32, i64>| vals.sum())
             } else {
                 stage
             };
@@ -331,6 +331,7 @@ mod shuffle_equivalence {
     use dwmaxerr_runtime::trace::TraceEventKind;
     use dwmaxerr_runtime::{
         Cluster, ClusterConfig, FaultPlan, JobBuilder, MapContext, ReduceContext, SpillBackend,
+        Values,
     };
     use proptest::prelude::*;
 
@@ -346,26 +347,24 @@ mod shuffle_equivalence {
     }
 
     /// Bit-preserving combiner: keep the first value per key.
-    fn first(_k: &u32, vals: &mut dyn Iterator<Item = f64>) -> f64 {
+    fn first(_k: &u32, mut vals: Values<'_, u32, f64>) -> f64 {
         vals.next().expect("non-empty group")
     }
 
     /// Without a combiner the reducer emits every value, so intra-group
-    /// order is observable. With one it applies the combiner's own fold —
+    /// order is observable — through `fold`, which takes a run's equal-key
+    /// stretch in one loop. With one it applies the combiner's own fold —
     /// Hadoop's contract: each spill carries its own partial fold, so only
     /// a reducer that finishes the same associative fold sees the same
     /// answer however often the map side spilled.
     fn reducer(
         combine: bool,
-    ) -> impl Fn(&u32, &mut dyn Iterator<Item = f64>, &mut ReduceContext<u32, f64>) + Copy + Sync
-    {
+    ) -> impl Fn(&u32, Values<'_, u32, f64>, &mut ReduceContext<u32, f64>) + Copy + Sync {
         move |k, vals, ctx| {
             if combine {
                 ctx.emit(*k, first(k, vals));
             } else {
-                for v in vals {
-                    ctx.emit(*k, v);
-                }
+                vals.fold((), |(), v| ctx.emit(*k, v));
             }
         }
     }

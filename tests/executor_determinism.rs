@@ -24,7 +24,7 @@ use std::time::Duration;
 use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
 use dwmaxerr::runtime::{
     Cluster, ClusterConfig, DriverMetrics, FaultPlan, JobBuilder, MapContext, Pipeline,
-    ReduceContext, SpillBackend, TaskPhase,
+    ReduceContext, SpillBackend, TaskPhase, Values,
 };
 use proptest::prelude::*;
 
@@ -127,7 +127,7 @@ fn cluster_for(scenario: &Scenario, backend: SpillBackend, threads: usize) -> Cl
 /// parallel spill sorts, the loser-tree merge, or parallel merge groups
 /// changes the output bits instead of vanishing into a commutative sum.
 fn run_scenario(scenario: &Scenario, backend: SpillBackend, threads: usize) -> Fingerprint {
-    let order_fold = |vals: &mut dyn Iterator<Item = u64>| {
+    let order_fold = |vals: Values<'_, u64, u64>| {
         vals.fold(0x811C_9DC5u64, |h, v| {
             h.rotate_left(5) ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         })

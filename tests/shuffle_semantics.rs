@@ -17,7 +17,7 @@ use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::reference;
 use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
 use dwmaxerr::runtime::{Cluster, ClusterConfig, DriverMetrics, JobBuilder, SpillBackend};
-use dwmaxerr::runtime::{JobOutput, MapContext, ReduceContext};
+use dwmaxerr::runtime::{JobOutput, MapContext, ReduceContext, Values};
 use dwmaxerr::wavelet::Synopsis;
 
 /// Backend comes from `DWM_SPILL_BACKEND` (default memory) so a CI leg
@@ -44,11 +44,11 @@ fn skewed_splits() -> Vec<Vec<u64>> {
     ]
 }
 
-fn sum(_k: &u64, vals: &mut dyn Iterator<Item = f64>) -> f64 {
+fn sum(_k: &u64, vals: Values<'_, u64, f64>) -> f64 {
     vals.sum()
 }
 
-fn emit_sum(k: &u64, vals: &mut dyn Iterator<Item = f64>, ctx: &mut ReduceContext<u64, f64>) {
+fn emit_sum(k: &u64, vals: Values<'_, u64, f64>, ctx: &mut ReduceContext<u64, f64>) {
     ctx.emit(*k, vals.sum())
 }
 
@@ -163,12 +163,11 @@ fn tie_order_matches_reference_under_duplicate_heavy_input() {
         .map(|s| (0..30).map(|i| (i % 3, s * 1000 + i)).collect())
         .collect();
     // Emit each value so intra-group order is observable.
-    let emit_all =
-        |k: &u64, vals: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-            for v in vals {
-                ctx.emit(*k, v);
-            }
-        };
+    let emit_all = |k: &u64, vals: Values<'_, u64, u64>, ctx: &mut ReduceContext<u64, u64>| {
+        for v in vals {
+            ctx.emit(*k, v);
+        }
+    };
     let engine = JobBuilder::new("ties")
         .map(|split: &Vec<(u64, u64)>, ctx: &mut MapContext<u64, u64>| {
             for &(k, v) in split {

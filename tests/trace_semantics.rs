@@ -178,7 +178,7 @@ fn aborted_job_leaves_abort_event() {
 fn looped_pipeline(cluster: &Cluster) -> dwmaxerr::runtime::DriverMetrics {
     let halve = JobBuilder::new("halve")
         .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, s / 2))
-        .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| {
+        .reduce(|k, mut vals, ctx: &mut ReduceContext<u8, u64>| {
             ctx.emit(*k, vals.next().expect("one"))
         });
     let total = JobBuilder::new("total")
