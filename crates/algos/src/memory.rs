@@ -32,11 +32,13 @@ pub fn greedy_rel_bytes(n: usize, avg_hull_lines: usize) -> u64 {
 }
 
 /// Peak bytes for a MinHaarSpace run: all `n` DP rows of `O(2ε/δ)` cells
-/// (8 bytes per cell: `u32` cost + `i32` choice), each behind a 56-byte
-/// `Row` header (a grid index and two `Vec`s), plus the 8-byte datum.
+/// in one arena (4 bytes per cell, a `u32` cost; choices are computed
+/// where the replay reads them), each node's 24-byte span into it (a grid
+/// index and a range), plus the 8-byte datum.
 pub fn min_haar_space_bytes(n: usize, epsilon: f64, delta: f64) -> u64 {
     let cells = (2.0 * epsilon / delta).ceil() as u64 + 2;
-    (n as u64) * (8 * cells + 56 + 8)
+    let span = std::mem::size_of::<crate::min_haar_space::Span>() as u64;
+    (n as u64) * (4 * cells + span + 8)
 }
 
 /// Peak bytes for IndirectHaar: the worst probe is at the upper bound
@@ -92,15 +94,14 @@ mod tests {
 
     #[test]
     fn min_haar_space_model_covers_the_rows_held() {
-        use crate::min_haar_space::{subtree_rows, MhsParams, Row};
+        use crate::min_haar_space::{subtree_rows, MhsParams, Span};
         use dwmaxerr_datagen::{uniform, wd_like};
-        // What `subtree_rows` holds when it returns: every node's cells
-        // (a `u32` cost and an `i32` choice each) and its `Row` header,
-        // beside the data it was given.
+        // What `subtree_rows` holds when it returns: every node's cells (a
+        // `u32` cost each) and its span, beside the data it was given.
         let held = |data: &[f64], eps: f64, delta: f64| {
             let rows = subtree_rows(data, &MhsParams::new(eps, delta).unwrap()).unwrap();
-            let cells: usize = rows.iter().map(|r| r.costs.len()).sum();
-            (cells * 8 + rows.len() * std::mem::size_of::<Row>() + data.len() * 8) as f64
+            let cells: usize = (1..rows.leaves()).map(|i| rows.costs(i).1.len()).sum();
+            (cells * 4 + rows.leaves() * std::mem::size_of::<Span>() + data.len() * 8) as f64
         };
         // `build-dp`'s base slices at the ε its search settles on, and the
         // WD surrogate at Figure 9's `(ε/δ)² ≈ 36`.

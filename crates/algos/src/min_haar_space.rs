@@ -15,6 +15,11 @@
 //! M[j][v] = min over z of  (z != 0) + M[2j][v + z] + M[2j+1][v - z]
 //! ```
 //!
+//! The bottom-up walk computes costs alone. The optimal `z` of a cell is
+//! named only where it is read — by the top-down replay, one cell per node,
+//! or for a row that is shipped with its choices — by one chooser that
+//! holds the tie rule ([`extract`], [`combine`]).
+//!
 //! # The `O(ε/δ)` window
 //!
 //! Detail coefficients below node `j` cancel across `leaves_j` (each
@@ -315,29 +320,6 @@ fn parent_window((a1, b1): Window, (a2, b2): Window) -> Window {
     ((a1 + a2 + 1).div_euclid(2), (b1 + b2).div_euclid(2))
 }
 
-/// Combines the rows of a node's two children into the node's row
-/// (the recurrence of Section 4, Figure 2).
-///
-/// Each child is either dead (one [`INFEASIBLE`] cell) or *wholly
-/// feasible*: leaf rows are, and the cells of a parent that admit a `z`
-/// are exactly those whose double lies in the Minkowski sum of the
-/// children's windows — an interval, which is the window this returns. So
-/// no cell is tested for feasibility and no row is ever trimmed, and every
-/// row keeps the paper's `O(2ε/δ)` size.
-pub fn combine(left: &Row, right: &Row) -> Row {
-    combine_with(left, right, &mut Vec::new())
-}
-
-/// [`combine`] with the caller's scratch buffer for [`Paired`].
-fn combine_with(left: &Row, right: &Row, scratch: &mut Vec<u32>) -> Row {
-    let (mut costs, mut choices) = (Vec::new(), Vec::new());
-    let children = ((left.lo, &left.costs[..]), (right.lo, &right.costs[..]));
-    match combine_cells(children, scratch, &mut costs, Some(&mut choices)) {
-        Some(lo) => Row { lo, costs, choices },
-        None => dead_row(left.lo.min(right.lo)),
-    }
-}
-
 /// A row's window start and costs: all the recurrence reads of a child.
 type Costs<'a> = (i64, &'a [u32]);
 
@@ -346,104 +328,171 @@ fn all_infeasible(costs: &[u32]) -> bool {
     costs.iter().all(|&c| c == INFEASIBLE)
 }
 
-/// The recurrence itself: overwrites `costs` — and `choices`, for a caller
-/// that will replay the row — with the parent's cells and returns the
-/// parent's `lo`, or `None` when the parent is dead.
-fn combine_cells(
-    (left, right): (Costs, Costs),
-    scratch: &mut Vec<u32>,
-    costs: &mut Vec<u32>,
-    mut choices: Option<&mut Vec<i32>>,
-) -> Option<i64> {
-    if all_infeasible(left.1) || all_infeasible(right.1) {
-        return None;
+/// What a node's row is combined from, ready for the recurrence.
+///
+/// Each child is either dead (one [`INFEASIBLE`] cell) or *wholly
+/// feasible*: leaves are, and the cells of a parent that admit a `z` are
+/// exactly those whose double lies in the Minkowski sum of the children's
+/// windows — an interval, which is the parent's window. So no cell is
+/// tested for feasibility and no row is ever trimmed, and every row keeps
+/// the paper's `O(2ε/δ)` size.
+enum Below<'a> {
+    /// Two live child rows: their pairs, the floor no cell's smallest sum
+    /// is below (the cheapest left cell plus the cheapest right one), and
+    /// the parent's window.
+    Rows {
+        pairs: Paired<'a>,
+        floor: u32,
+        window: Window,
+    },
+    /// Two data leaves, by their windows; a leaf costs 0 on its window.
+    Leaves(Window, Window),
+}
+
+impl<'a> Below<'a> {
+    /// Two child rows, or `None` when either is dead (so is the parent).
+    /// `scratch` is overwritten with the reversed right costs.
+    fn rows(left: Costs<'a>, right: Costs<'_>, scratch: &'a mut Vec<u32>) -> Option<Self> {
+        if all_infeasible(left.1) || all_infeasible(right.1) {
+            return None;
+        }
+        debug_assert!(!left.1.contains(&INFEASIBLE) && !right.1.contains(&INFEASIBLE));
+        let last = |(lo, costs): Costs| lo + costs.len() as i64 - 1;
+        let window = parent_window((left.0, last(left)), (right.0, last(right)));
+        let cheapest = |costs: &[u32]| costs.iter().fold(INFEASIBLE, |m, &c| m.min(c));
+        Some(Below::Rows {
+            floor: cheapest(left.1) + cheapest(right.1),
+            pairs: Paired::new(left, right, scratch),
+            window,
+        })
     }
-    debug_assert!(!left.1.contains(&INFEASIBLE) && !right.1.contains(&INFEASIBLE));
-    let last = |(lo, costs): Costs| lo + costs.len() as i64 - 1;
-    let (lo, hi) = parent_window((left.0, last(left)), (right.0, last(right)));
+
+    /// The parent's window; empty (`hi < lo`) when no cell admits a `z`.
+    fn window(&self) -> Window {
+        match *self {
+            Below::Rows { window, .. } => window,
+            Below::Leaves(w1, w2) => parent_window(w1, w2),
+        }
+    }
+
+    /// The tie rule, written once: the value `z` (grid steps; 0 = none)
+    /// that parent cell `v` retains — 0 when [`cell`] finds no coefficient
+    /// worth its cost, else the smallest `z` that attains the least sum.
+    /// Above two data leaves that is a closed form: 0 where both leaf
+    /// windows hold `v`, else the smallest `z` that reaches both. A cell
+    /// outside the window retains nothing.
+    fn choose(&self, v: i64) -> i32 {
+        let (lo, hi) = self.window();
+        if v < lo || v > hi {
+            return 0;
+        }
+        match *self {
+            Below::Rows {
+                ref pairs, floor, ..
+            } => {
+                let (z_lo, l, r) = pairs.at(v);
+                cell((z_lo, l, r), floor)
+                    .1
+                    .map_or(0, |m| (z_lo + first_sum(l, r, m) as i64) as i32)
+            }
+            Below::Leaves((a1, b1), (a2, b2)) => {
+                if a1.max(a2) <= v && v <= b1.min(b2) {
+                    0
+                } else {
+                    (a1 - v).max(v - b2) as i32
+                }
+            }
+        }
+    }
+
+    /// [`Below::choose`] for the `len` cells from grid index `lo`.
+    fn choices(&self, lo: i64, len: usize) -> Vec<i32> {
+        (lo..lo + len as i64).map(|v| self.choose(v)).collect()
+    }
+}
+
+/// The recurrence at one parent cell `v`, over its pairs `(z_lo, l, r)`
+/// ([`Paired::at`]): the least `(z != 0) + L[v + z] + R[v − z]`, ties to
+/// z = 0 (no benefit to a retained coefficient of equal cost), then to the
+/// smallest z. With `m` the smallest plain sum over the window, z = 0 wins
+/// iff its sum is at most `m + 1` — and no `m` is below `floor`, which
+/// settles most cells without the pass. Returns the cell's cost and, when
+/// a coefficient is retained, `m`.
+#[inline]
+fn cell((z_lo, l, r): (i64, &[u32], &[u32]), floor: u32) -> (u32, Option<u32>) {
+    let unretained = usize::try_from(-z_lo)
+        .ok()
+        .and_then(|at| Some(l.get(at)? + r.get(at)?))
+        .unwrap_or(INFEASIBLE);
+    let m = if unretained <= floor + 1 {
+        floor
+    } else {
+        min_sum(l, r)
+    };
+    if unretained > m + 1 {
+        (m + 1, Some(m))
+    } else {
+        (unretained, None)
+    }
+}
+
+/// The recurrence itself (Section 4, Figure 2), costs only: overwrites
+/// `costs` with the parent's cells and returns the parent's `lo`, or `None`
+/// when the parent is dead. A cell's choice is computed only where it is
+/// read ([`Below::choose`]).
+fn combine_cells(below: &Below, costs: &mut Vec<u32>) -> Option<i64> {
+    let (lo, hi) = below.window();
     if hi < lo {
         return None;
     }
-    let cheapest = |costs: &[u32]| costs.iter().fold(INFEASIBLE, |m, &c| m.min(c));
-    let floor = cheapest(left.1) + cheapest(right.1);
-    let pairs = Paired::new(left, right, scratch);
     let len = (hi - lo + 1) as usize;
     costs.clear();
-    costs.reserve(len);
-    if let Some(choices) = choices.as_deref_mut() {
-        choices.clear();
-        choices.reserve(len);
-    }
-    for v in lo..=hi {
-        // The cell is `min over z of (z != 0) + L[v + z] + R[v − z]` with
-        // ties to z = 0 (no benefit to a retained coefficient of equal
-        // cost), then to the smallest z: with `m` the smallest sum over
-        // the window, z = 0 wins iff its sum is at most `m + 1` — and no
-        // `m` is below `floor`, which settles most cells without the pass.
-        let (z_lo, l, r) = pairs.at(v);
-        let unretained = usize::try_from(-z_lo)
-            .ok()
-            .and_then(|at| Some(l.get(at)? + r.get(at)?))
-            .unwrap_or(INFEASIBLE);
-        let m = if unretained <= floor + 1 {
-            floor
-        } else {
-            min_sum(l, r)
-        };
-        let retain = unretained > m + 1;
-        costs.push(if retain { m + 1 } else { unretained });
-        if let Some(choices) = choices.as_deref_mut() {
-            choices.push(if retain {
-                (z_lo + first_sum(l, r, m) as i64) as i32
-            } else {
-                0
-            });
+    match *below {
+        Below::Rows {
+            ref pairs, floor, ..
+        } => {
+            costs.reserve(len);
+            for v in lo..=hi {
+                costs.push(cell(pairs.at(v), floor).0);
+            }
+        }
+        // Leaf cells all cost 0, so a cell costs 0 where both windows hold
+        // `v` — on `shared`, which lies inside `lo ..= hi` (there `z = 0`
+        // reaches both) and may be empty — and 1 elsewhere.
+        Below::Leaves((a1, b1), (a2, b2)) => {
+            let shared = a1.max(a2)..=b1.min(b2);
+            costs.resize(len, 1);
+            if !shared.is_empty() {
+                costs[(shared.start() - lo) as usize..=(shared.end() - lo) as usize].fill(0);
+            }
         }
     }
     Some(lo)
 }
 
-/// The row above two data leaves with windows `a1 ..= b1` and
-/// `a2 ..= b2`, in closed form — leaf cells all cost 0, so a cell costs 0
-/// where both windows hold `v` and otherwise 1 with the smallest `z` that
-/// reaches both — written like [`combine_cells`].
-fn leaf_pair_cells(
-    ((a1, b1), (a2, b2)): (Window, Window),
-    costs: &mut Vec<u32>,
-    choices: Option<&mut Vec<i32>>,
-) -> Option<i64> {
-    let (lo, hi) = parent_window((a1, b1), (a2, b2));
-    if hi < lo {
-        return None;
-    }
-    // Both windows hold `v` on `shared`, which lies inside `lo ..= hi`
-    // (there `z = 0` reaches both) and may be empty.
-    let shared = a1.max(a2)..=b1.min(b2);
-    costs.clear();
-    costs.resize((hi - lo + 1) as usize, 1);
-    if !shared.is_empty() {
-        costs[(shared.start() - lo) as usize..=(shared.end() - lo) as usize].fill(0);
-    }
-    if let Some(choices) = choices {
-        choices.clear();
-        choices.extend((lo..=hi).map(|v| {
-            if shared.contains(&v) {
-                0
-            } else {
-                (a1 - v).max(v - b2) as i32
-            }
-        }));
-    }
-    Some(lo)
+/// A node's row with every cell's choice, or `None` when it is dead.
+fn node_row(below: &Below) -> Option<Row> {
+    let mut costs = Vec::new();
+    let lo = combine_cells(below, &mut costs)?;
+    Some(Row {
+        lo,
+        choices: below.choices(lo, costs.len()),
+        costs,
+    })
 }
 
-/// [`leaf_pair_cells`] as a row.
-fn leaf_pair_row(w1: Window, w2: Window) -> Row {
-    let (mut costs, mut choices) = (Vec::new(), Vec::new());
-    match leaf_pair_cells((w1, w2), &mut costs, Some(&mut choices)) {
-        Some(lo) => Row { lo, costs, choices },
-        None => dead_row(w1.0.min(w2.0)),
-    }
+/// Combines the rows of a node's two children into the node's row, every
+/// cell's choice included — what a layer that ships the row needs. A
+/// dead child or an empty window gives the one-cell dead row.
+pub fn combine(left: &Row, right: &Row) -> Row {
+    let mut scratch = Vec::new();
+    Below::rows(
+        (left.lo, &left.costs),
+        (right.lo, &right.costs),
+        &mut scratch,
+    )
+    .and_then(|below| node_row(&below))
+    .unwrap_or_else(|| dead_row(left.lo.min(right.lo)))
 }
 
 /// The windows of the two data leaves of `pair`, the left leaf's failure
@@ -461,40 +510,123 @@ fn ensure_subtree(m: usize) -> Result<(), MhsError> {
     Ok(())
 }
 
-/// All DP rows of a (sub)tree over `data`: `rows[i]` is the row of local
-/// detail node `i` (heap order, `rows[0]` unused, `rows[1]` = subtree
-/// root). `data.len()` must be a power of two and at least 2.
-pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<Vec<Row>, MhsError> {
-    let m = data.len();
-    ensure_subtree(m)?;
-    let mut rows = vec![Row::default(); m];
-    let mut reversed = Vec::new();
-    // Lowest internal level first: nodes m/2 .. m have leaf children.
-    for i in (1..m).rev() {
-        let row = if 2 * i < m {
-            combine_with(&rows[2 * i], &rows[2 * i + 1], &mut reversed)
-        } else {
-            let (w1, w2) = leaf_windows(&data[(i - m / 2) * 2..][..2], p)?;
-            leaf_pair_row(w1, w2)
-        };
-        if row.all_infeasible() {
-            return Err(MhsError::DeltaTooCoarse);
-        }
-        rows[i] = row;
-    }
-    Ok(rows)
+/// Where one node's cells sit in a [`RowArena`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Span {
+    lo: i64,
+    start: usize,
+    len: usize,
 }
 
-/// `subtree_rows(data, p)[1]`, field for field, or the same error — for a
-/// caller that ships the root row and nothing else (layer 0 of the
-/// distributed probe), in `O(log m)` live rows instead of `m`.
+/// Every DP row of a (sub)tree, costs only, in one arena: node `i`'s cells
+/// (local heap order, `1` = the sub-tree root) are one stretch of a single
+/// `Vec<u32>`. No cell holds a choice; the top-down replay ([`extract`])
+/// computes one where it reaches a cell, one cell per node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowArena {
+    /// Per node, heap order; `[0]` unused.
+    spans: Vec<Span>,
+    costs: Vec<u32>,
+}
+
+impl RowArena {
+    /// Leaves of the sub-tree the rows were built over.
+    pub fn leaves(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Node `i`'s window start and costs.
+    pub fn costs(&self, i: usize) -> (i64, &[u32]) {
+        let span = self.spans[i];
+        (span.lo, &self.costs[span.start..][..span.len])
+    }
+
+    /// [`Row::resolve_root`] on the sub-tree root's row.
+    pub fn resolve_root(&self) -> Option<(u32, i64)> {
+        let (lo, costs) = self.costs(1);
+        resolve_root(lo, costs)
+    }
+
+    /// Node `i`'s row with every cell's choice, as [`combine`] gives it —
+    /// for a caller that ships or digests the row. `data` and `p` are
+    /// those the rows were built from.
+    pub fn row(&self, i: usize, data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
+        let (lo, costs) = self.costs(i);
+        let mut scratch = Vec::new();
+        Ok(Row {
+            lo,
+            costs: costs.to_vec(),
+            choices: self
+                .below(i, data, p, &mut scratch)?
+                .choices(lo, costs.len()),
+        })
+    }
+
+    /// What node `i` (in `1 .. leaves`) was combined from.
+    fn below<'a>(
+        &'a self,
+        i: usize,
+        data: &[f64],
+        p: &MhsParams,
+        scratch: &'a mut Vec<u32>,
+    ) -> Result<Below<'a>, MhsError> {
+        let m = self.leaves();
+        if data.len() != m {
+            return Err(MhsError::BadParams("rows replayed over other data"));
+        }
+        if 2 * i < m {
+            Below::rows(self.costs(2 * i), self.costs(2 * i + 1), scratch)
+                .ok_or(MhsError::DeltaTooCoarse)
+        } else {
+            let (w1, w2) = leaf_windows(&data[2 * i - m..][..2], p)?;
+            Ok(Below::Leaves(w1, w2))
+        }
+    }
+}
+
+/// All DP rows of a (sub)tree over `data`, costs only, in one arena.
+/// `data.len()` must be a power of two and at least 2.
+pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<RowArena, MhsError> {
+    let m = data.len();
+    ensure_subtree(m)?;
+    let mut arena = RowArena {
+        spans: vec![Span::default(); m],
+        costs: Vec::new(),
+    };
+    let (mut scratch, mut cells) = (Vec::new(), Vec::new());
+    // Lowest internal level first: nodes m/2 .. m have leaf children.
+    for i in (1..m).rev() {
+        let below = if 2 * i < m {
+            Below::rows(arena.costs(2 * i), arena.costs(2 * i + 1), &mut scratch)
+        } else {
+            let (w1, w2) = leaf_windows(&data[2 * i - m..][..2], p)?;
+            Some(Below::Leaves(w1, w2))
+        };
+        let lo = below
+            .and_then(|below| combine_cells(&below, &mut cells))
+            .ok_or(MhsError::DeltaTooCoarse)?;
+        if arena.costs.is_empty() {
+            // Rows are about as wide as the first.
+            arena.costs.reserve((m - 1) * cells.len());
+        }
+        arena.spans[i] = Span {
+            lo,
+            start: arena.costs.len(),
+            len: cells.len(),
+        };
+        arena.costs.extend_from_slice(&cells);
+    }
+    Ok(arena)
+}
+
+/// `subtree_rows(data, p)?.row(1, data, p)`, field for field, or the same
+/// error — for a caller that ships the root row and nothing else (layer 0
+/// of the distributed probe), in `O(log m)` live rows instead of `m`.
 ///
 /// A post-order walk over the leaf pairs keeps the rows of the frontier on
-/// a stack and combines the top two whenever they are siblings. Only the
-/// root row is ever replayed by the caller, so every combine below it
-/// computes costs alone — no choice per cell, no second pass to name the
-/// `z` that attains a minimum — into buffers recycled from the rows it
-/// consumed; the last combine is the full one.
+/// a stack and combines the top two whenever they are siblings, costs
+/// only, into buffers recycled from the rows it consumed. It stops at the
+/// root's two children, whose combine is the one that names choices.
 pub fn subtree_root(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
     ensure_subtree(data.len())?;
     // `subtree_rows` solves every leaf pair, right to left, before its
@@ -515,30 +647,40 @@ pub fn subtree_root(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
 /// The walk of [`subtree_root`]; `None` where some row has no solution.
 fn frontier_root(data: &[f64], p: &MhsParams) -> Option<Row> {
     let root_height = data.len().ilog2();
-    // (height, lo, costs) of the frontier, leftmost sub-tree at the bottom.
+    if root_height == 1 {
+        let (w1, w2) = leaf_windows(data, p).ok()?;
+        return node_row(&Below::Leaves(w1, w2));
+    }
+    // (height, lo, costs) of the frontier, leftmost sub-tree at the bottom;
+    // it ends as the root's two children.
     let mut frontier: Vec<(u32, i64, Vec<u32>)> = Vec::new();
     let mut free: Vec<Vec<u32>> = Vec::new();
-    let (mut scratch, mut choices) = (Vec::new(), Vec::new());
+    let mut scratch = Vec::new();
     for pair in data.chunks_exact(2) {
         let mut costs = free.pop().unwrap_or_default();
-        let replayed = (root_height == 1).then_some(&mut choices);
-        let lo = leaf_pair_cells(leaf_windows(pair, p).ok()?, &mut costs, replayed)?;
+        let (w1, w2) = leaf_windows(pair, p).ok()?;
+        let lo = combine_cells(&Below::Leaves(w1, w2), &mut costs)?;
         frontier.push((1, lo, costs));
         while let [.., (left_height, ..), (height, ..)] = frontier[..] {
-            if left_height != height {
+            if left_height != height || height + 1 == root_height {
                 break;
             }
             let (right, left) = (frontier.pop()?, frontier.pop()?);
             let mut costs = free.pop().unwrap_or_default();
-            let replayed = (height + 1 == root_height).then_some(&mut choices);
-            let children = ((left.1, &left.2[..]), (right.1, &right.2[..]));
-            let lo = combine_cells(children, &mut scratch, &mut costs, replayed)?;
+            let below = Below::rows((left.1, &left.2), (right.1, &right.2), &mut scratch)?;
+            let lo = combine_cells(&below, &mut costs)?;
             free.extend([left.2, right.2]);
             frontier.push((height + 1, lo, costs));
         }
     }
-    let (_, lo, costs) = frontier.pop()?;
-    Some(Row { lo, costs, choices })
+    let [(_, left_lo, left), (_, right_lo, right)] = &frontier[..] else {
+        return None;
+    };
+    node_row(&Below::rows(
+        (*left_lo, left),
+        (*right_lo, right),
+        &mut scratch,
+    )?)
 }
 
 /// Result of a full MinHaarSpace run.
@@ -552,30 +694,32 @@ pub struct MhsSolution {
     pub actual_error: f64,
 }
 
-/// Extracts the synopsis by replaying choices top-down from the stored
-/// rows. `v_root` is the chosen grid value for `c_0`.
-pub fn extract(rows: &[Row], z0: i64, p: &MhsParams) -> Vec<(u32, f64)> {
-    let m = rows.len();
-    let mut entries = Vec::new();
-    if z0 != 0 {
-        entries.push((0u32, z0 as f64 * p.delta));
-    }
-    if m < 2 {
-        return entries;
-    }
+/// The top-down replay: enters the sub-tree's root with incoming grid
+/// value `v` and calls `emit(i, z)` for every local node `i` (heap order)
+/// that retains `z ≠ 0`, computing each choice where it reaches the cell —
+/// one cell per node. `data` and `p` are those `rows` were built from.
+pub fn extract(
+    rows: &RowArena,
+    data: &[f64],
+    p: &MhsParams,
+    v: i64,
+    mut emit: impl FnMut(usize, i32),
+) -> Result<(), MhsError> {
+    let m = rows.leaves();
+    let mut scratch = Vec::new();
     // Stack of (node, incoming grid value).
-    let mut stack = vec![(1usize, z0)];
+    let mut stack = vec![(1usize, v)];
     while let Some((i, v)) = stack.pop() {
-        let (z, left, right) = rows[i].step(v);
+        let z = rows.below(i, data, p, &mut scratch)?.choose(v);
         if z != 0 {
-            entries.push((i as u32, f64::from(z) * p.delta));
+            emit(i, z);
         }
         if 2 * i < m {
-            stack.push((2 * i, left));
-            stack.push((2 * i + 1, right));
+            stack.push((2 * i, v + i64::from(z)));
+            stack.push((2 * i + 1, v - i64::from(z)));
         }
     }
-    entries
+    Ok(())
 }
 
 /// Runs MinHaarSpace end to end on a data array: returns the minimal-size
@@ -606,8 +750,14 @@ pub fn min_haar_space(data: &[f64], p: &MhsParams) -> Result<MhsSolution, MhsErr
         });
     }
     let rows = subtree_rows(data, p)?;
-    let (best_total, best_z0) = rows[1].resolve_root().ok_or(MhsError::DeltaTooCoarse)?;
-    let entries = extract(&rows, best_z0, p);
+    let (best_total, best_z0) = rows.resolve_root().ok_or(MhsError::DeltaTooCoarse)?;
+    let mut entries = Vec::with_capacity(best_total as usize);
+    if best_z0 != 0 {
+        entries.push((0u32, best_z0 as f64 * p.delta));
+    }
+    extract(&rows, data, p, best_z0, |i, z| {
+        entries.push((i as u32, f64::from(z) * p.delta));
+    })?;
     debug_assert_eq!(entries.len(), best_total as usize);
     let synopsis = Synopsis::from_entries(n, entries)?;
     let approx = synopsis.reconstruct_all();
@@ -666,6 +816,11 @@ mod tests {
         }
     }
 
+    /// The row above two data leaves with windows `w1` and `w2`.
+    fn leaf_pair_row(w1: Window, w2: Window) -> Row {
+        node_row(&Below::Leaves(w1, w2)).unwrap_or_else(|| dead_row(w1.0.min(w2.0)))
+    }
+
     #[test]
     fn leaf_pair_closed_form_equals_the_definition_over_leaf_rows() {
         // Every pair of windows of 1..=4 cells up to 12 apart: disjoint,
@@ -708,6 +863,47 @@ mod tests {
         #[test]
         fn combine_equals_the_definition(left in child_row(), right in child_row()) {
             prop_assert_eq!(combine(&left, &right), combine_by_definition(&left, &right));
+        }
+
+        #[test]
+        fn the_chooser_picks_the_definitions_z(left in child_row(), right in child_row()) {
+            let want = combine_by_definition(&left, &right);
+            let mut scratch = Vec::new();
+            let children = ((left.lo, &left.costs[..]), (right.lo, &right.costs[..]));
+            let Some(below) = Below::rows(children.0, children.1, &mut scratch) else {
+                prop_assert!(want.all_infeasible());
+                return Ok(());
+            };
+            for v in want.lo - 3..want.hi() + 3 {
+                prop_assert_eq!(below.choose(v), want.choice(v), "v = {}", v);
+            }
+        }
+
+        #[test]
+        fn the_chooser_keeps_the_leaf_pair_closed_form(
+            (a1, n1, a2, n2) in (-40i64..40, 0i64..12, -40i64..40, 0i64..12),
+        ) {
+            let (w1, w2) = ((a1, a1 + n1), (a2, a2 + n2));
+            let zeros = |(lo, hi): Window| (lo, vec![0; (hi - lo + 1) as usize]);
+            let (left, right) = (zeros(w1), zeros(w2));
+            let mut scratch = Vec::new();
+            let over_rows = Below::rows((left.0, &left.1), (right.0, &right.1), &mut scratch)
+                .expect("leaf rows are live");
+            let leaves = Below::Leaves(w1, w2);
+            let (lo, hi) = parent_window(w1, w2);
+            for v in lo..=hi {
+                // The closed form the leaf-pair rows were written with:
+                // 0 where both windows hold `v`, else the smallest `z`
+                // that reaches both.
+                let shared = a1.max(a2)..=(a1 + n1).min(a2 + n2);
+                let closed = if shared.contains(&v) {
+                    0
+                } else {
+                    (a1 - v).max(v - (a2 + n2)) as i32
+                };
+                prop_assert_eq!(leaves.choose(v), closed, "v = {}", v);
+                prop_assert_eq!(over_rows.choose(v), closed, "v = {}", v);
+            }
         }
     }
 

@@ -1,22 +1,26 @@
 //! Kernel-level pins for the MinHaarSpace row recurrence, independent of
 //! any distributed driver: every cell of every row `subtree_rows` builds —
-//! window, cost and tie-broken choice — on the input shapes the drivers
-//! feed it, and `subtree_root` against `subtree_rows`' root row, errors
-//! included.
+//! window, cost, and the tie-broken choice the chooser names for it — on
+//! the input shapes the drivers feed it, and `subtree_root` against
+//! `subtree_rows`' root row, errors included.
 
-use dwmaxerr_algos::min_haar_space::{subtree_root, subtree_rows, MhsError, MhsParams, Row};
+use dwmaxerr_algos::min_haar_space::{
+    subtree_root, subtree_rows, MhsError, MhsParams, Row, RowArena,
+};
 use dwmaxerr_datagen::{uniform, wd_like};
 use proptest::prelude::*;
 
-/// FNV-1a over `(lo, costs, choices)` of every row, in heap order.
-fn rows_digest(rows: &[Row]) -> u64 {
+/// FNV-1a over `(lo, costs, choices)` of every row, in heap order; each
+/// row's choices are the chooser's, cell by cell.
+fn rows_digest(rows: &RowArena, data: &[f64], p: &MhsParams) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut write = |bytes: &[u8]| {
         for &b in bytes {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for row in &rows[1..] {
+    for i in 1..rows.leaves() {
+        let row = rows.row(i, data, p).expect("the rows' own data");
         write(&row.lo.to_le_bytes());
         write(&(row.costs.len() as u64).to_le_bytes());
         for c in &row.costs {
@@ -174,10 +178,11 @@ fn subtree_rows_are_golden() {
         for (l, &leaves) in LEAVES.iter().enumerate() {
             for (k, &(eps, delta)) in PARAMS.iter().enumerate() {
                 let p = MhsParams::new(eps, delta).unwrap();
-                got[s][l][k] = match subtree_rows(&data[..leaves], &p) {
+                let data = &data[..leaves];
+                got[s][l][k] = match subtree_rows(data, &p) {
                     Ok(rows) => {
-                        assert_eq!(rows.len(), leaves);
-                        rows_digest(&rows)
+                        assert_eq!(rows.leaves(), leaves);
+                        rows_digest(&rows, data, &p)
                     }
                     Err(MhsError::DeltaTooCoarse) => TOO_COARSE,
                     Err(e) => panic!("unexpected error: {e}"),
@@ -206,7 +211,7 @@ fn off_grid_data_is_too_coarse_at_every_size() {
 /// What `subtree_root` must return: the root row of all the rows, or the
 /// error that building them hits.
 fn root_of_all_rows(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
-    subtree_rows(data, p).map(|mut rows| rows.swap_remove(1))
+    subtree_rows(data, p).and_then(|rows| rows.row(1, data, p))
 }
 
 #[test]

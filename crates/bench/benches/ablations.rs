@@ -194,31 +194,33 @@ fn dictionary_ablation() -> Table {
     t
 }
 
-/// Lower-quartile microseconds of `reference` and `kernel`, called
-/// alternately so that both see the same host state.
-fn alternate_us(mut reference: impl FnMut(), mut kernel: impl FnMut()) -> (f64, f64) {
+/// Lower-quartile microseconds of each of `work`, called in turn so that
+/// all see the same host state.
+fn alternate_us<const K: usize>(mut work: [&mut dyn FnMut(); K]) -> [f64; K] {
     let calls = 400;
-    let (mut a, mut b) = (Vec::with_capacity(calls), Vec::with_capacity(calls));
+    let mut us: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(calls));
     for _ in 0..calls {
-        let t = std::time::Instant::now();
-        reference();
-        a.push(t.elapsed().as_secs_f64() * 1e6);
-        let t = std::time::Instant::now();
-        kernel();
-        b.push(t.elapsed().as_secs_f64() * 1e6);
+        for (f, us) in work.iter_mut().zip(&mut us) {
+            let t = std::time::Instant::now();
+            f();
+            us.push(t.elapsed().as_secs_f64() * 1e6);
+        }
     }
-    a.sort_unstable_by(f64::total_cmp);
-    b.sort_unstable_by(f64::total_cmp);
-    (a[calls / 4], b[calls / 4])
+    us.map(|mut us| {
+        us.sort_unstable_by(f64::total_cmp);
+        us[calls / 4]
+    })
 }
 
-/// What the two jobs that ship one number per base slice pay for it: layer
-/// 0's root row with every row held (`subtree_rows`) or on the frontier
-/// (`subtree_root`), and the evaluation job's slice value by value or as
-/// one block. Same outputs, bit for bit (`mhs_kernel`, wavelet proptests).
+/// What DMHaarSpace's base jobs and the evaluation job pay per slice:
+/// layer 0's root row on the frontier (`subtree_root`) against
+/// `-extract-base`'s every row (`subtree_rows`) and its replay from the
+/// root's best carry (`extract`), and the evaluation job's slice value by
+/// value or as one block. Same outputs, bit for bit (`mhs_kernel`,
+/// wavelet proptests).
 fn dp_local_work_rows(t: &mut Table) {
     use dwmaxerr_algos::conventional::conventional_synopsis;
-    use dwmaxerr_algos::min_haar_space::{subtree_root, subtree_rows, MhsParams};
+    use dwmaxerr_algos::min_haar_space::{extract, subtree_root, subtree_rows, MhsParams};
     use dwmaxerr_wavelet::transform::forward;
     use std::hint::black_box;
 
@@ -228,7 +230,7 @@ fn dp_local_work_rows(t: &mut Table) {
         .map(f64::round)
         .collect();
     let slice = &data[..512];
-    let mut row = |what: String, (reference, kernel): (f64, f64)| {
+    let mut row = |what: String, [reference, kernel]: [f64; 2]| {
         t.row(vec![
             what,
             format!("{reference:.1}"),
@@ -238,24 +240,36 @@ fn dp_local_work_rows(t: &mut Table) {
     };
     for eps in [5.0, 25.0, 40.0] {
         let p = MhsParams::new(eps, 1.0).expect("valid params");
-        let us = alternate_us(
-            || drop(black_box(subtree_rows(black_box(slice), &p))),
-            || drop(black_box(subtree_root(black_box(slice), &p))),
+        let [frontier, rows, replayed] = alternate_us([
+            &mut || drop(black_box(subtree_root(black_box(slice), &p))),
+            &mut || drop(black_box(subtree_rows(black_box(slice), &p))),
+            &mut || {
+                let rows = subtree_rows(black_box(slice), &p).expect("solvable");
+                let (_, z0) = rows.resolve_root().expect("solvable");
+                extract(&rows, slice, &p, z0, |i, z| {
+                    black_box((i, z));
+                })
+                .expect("replays");
+            },
+        ]);
+        row(
+            format!("512 leaves, ε = {eps}: frontier root → all rows"),
+            [frontier, rows],
         );
         row(
-            format!("root row of 512 leaves, ε = {eps}: all rows → frontier"),
-            us,
+            format!("512 leaves, ε = {eps}: frontier root → all rows + replay"),
+            [frontier, replayed],
         );
     }
     let syn = conventional_synopsis(&forward(&data).expect("pow2"), 512).expect("builds");
-    let us = alternate_us(
-        || {
+    let us = alternate_us([
+        &mut || {
             for j in 512..1024 {
                 black_box(syn.reconstruct_value(black_box(j)));
             }
         },
-        || drop(black_box(syn.reconstruct_block(black_box(512), 512))),
-    );
+        &mut || drop(black_box(syn.reconstruct_block(black_box(512), 512))),
+    ]);
     row(
         "512 values of a B = 512 synopsis over 2^13: per value → one block".into(),
         us,

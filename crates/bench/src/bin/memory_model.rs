@@ -43,8 +43,11 @@ fn main() {
         ]);
     }
     t.note(
-        "the paper's Java heap roughly doubles these tight Rust layouts; either way \
-         the boundary falls between 17M (runs) and the next slice sizes (OOM).",
+        "both fit at 17M, as in the paper. IndirectHaar's rows hold costs only \
+         (4 bytes per cell; the replay computes each choice it reads), so this \
+         model also fits 34M, where the paper's Java implementation ran out of \
+         memory: the Java heap roughly doubles these tight Rust layouts. The \
+         model's boundary falls between 34M (fits) and 68M (OOM).",
     );
     println!("{}", t.to_markdown());
 

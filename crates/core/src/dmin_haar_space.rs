@@ -11,7 +11,7 @@
 #![warn(clippy::too_many_lines)]
 
 use dwmaxerr_algos::min_haar_space::{
-    combine, min_haar_space, subtree_root, subtree_rows, MhsError, MhsParams, Row,
+    combine, extract, min_haar_space, subtree_root, subtree_rows, MhsError, MhsParams, Row,
 };
 use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::DriverMetrics;
@@ -65,13 +65,22 @@ impl LayeredDp for Mhs {
     type Pick = i32;
     const PREFIX: &'static str = "dmhs";
 
-    fn base_rows(&self, slice: &[f64]) -> Result<((), Vec<Row>), CoreError> {
-        Ok(((), subtree_rows(slice, &self.0)?))
-    }
-
     /// The frontier walk: `O(log S)` live rows, costs alone below the root.
     fn base_root(&self, slice: &[f64]) -> Result<((), Row), CoreError> {
         Ok(((), subtree_root(slice, &self.0)?))
+    }
+
+    /// Every row's costs in one arena; the replay computes the choice of
+    /// each cell it reaches, one per node.
+    fn base_extract(
+        &self,
+        slice: &[f64],
+        v: i64,
+        emit: &mut dyn FnMut(u64, i32),
+    ) -> Result<u64, CoreError> {
+        let rows = subtree_rows(slice, &self.0)?;
+        extract(&rows, slice, &self.0, v, |node, z| emit(node as u64, z))?;
+        Ok(rows.costs(1).1.len() as u64)
     }
 
     fn base_memory(&self, leaves: usize) -> u64 {

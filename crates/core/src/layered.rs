@@ -39,7 +39,7 @@ use crate::partition::{heap_descendant, LayerPlan};
 use crate::splits::{aligned_splits, SliceSplit};
 
 /// One bottom-up error-tree DP, as the framework sees it.
-pub(crate) trait LayeredDp: Sync {
+pub(crate) trait LayeredDp: Sync + Sized {
     /// The DP row `M[j]` of one node.
     type Row: Clone + Default + Send + Sync;
     /// What a base worker reports beside its root row (often nothing).
@@ -47,15 +47,21 @@ pub(crate) trait LayeredDp: Sync {
     /// What a parent hands a child top-down (an incoming value, a budget).
     type Carry: Wire + Clone + Send + Sync;
     /// What a node contributes to the synopsis when it contributes.
-    type Pick: Wire + Send;
+    type Pick: Wire + Default + Send;
 
     /// Names the jobs: `{PREFIX}-layer0`, `-layer-up`, `-extract`, `-extract-base`.
     const PREFIX: &'static str;
 
     /// Solves one base slice: its report and all rows of its sub-tree in
     /// heap order (`rows[1]` = local root, `[0]` unused), or why it has no
-    /// solution.
-    fn base_rows(&self, slice: &[f64]) -> Result<(Self::Report, Vec<Self::Row>), CoreError>;
+    /// solution. Only the defaults of [`LayeredDp::base_root`] and
+    /// [`LayeredDp::base_extract`] call it; a family that overrides both
+    /// need not supply it.
+    fn base_rows(&self, _slice: &[f64]) -> Result<(Self::Report, Vec<Self::Row>), CoreError> {
+        Err(CoreError::Protocol(
+            "the family solves its base slices without a row per node",
+        ))
+    }
 
     /// What layer 0 ships of [`LayeredDp::base_rows`]: the report and the
     /// root row. A family that can reach the root row without holding
@@ -65,7 +71,29 @@ pub(crate) trait LayeredDp: Sync {
         Ok((report, rows.swap_remove(1)))
     }
 
-    /// Declared working set of [`LayeredDp::base_rows`] over `leaves`
+    /// `-extract-base`'s work on one slice: re-enters its sub-problem,
+    /// replays it from `carry` at the slice root and calls `emit(local
+    /// node, pick)` (heap order, `1` = the slice root) for every node that
+    /// contributes. Returns the DP cells of the root row, which prices the
+    /// task as layer 0's was. The default holds [`LayeredDp::base_rows`] and
+    /// steps every node's row; a family whose rows need not carry their
+    /// choices overrides it.
+    fn base_extract(
+        &self,
+        slice: &[f64],
+        carry: Self::Carry,
+        emit: &mut dyn FnMut(u64, Self::Pick),
+    ) -> Result<u64, CoreError> {
+        let (_, rows) = self.base_rows(slice)?;
+        replay(self, &rows, &[], 1, carry, &mut |node, msg| {
+            if let Down::Pick(pick) = msg {
+                emit(node, pick);
+            }
+        });
+        Ok(Self::cells(&rows[1]))
+    }
+
+    /// Declared working set of [`LayeredDp::base_extract`] over `leaves`
     /// values; the engine refuses tasks above the cluster's budget. Layer 0
     /// declares it too, whatever [`LayeredDp::base_root`] holds: a chain
     /// that may go on to `-extract-base` should be refused at its first
@@ -181,11 +209,19 @@ pub(crate) fn forward<K: Wire + Ord + Clone, V: Wire>(
     }
 }
 
-/// Driver glue after a bottom-up job: the layer's records in node order
-/// (a layer of `w` rows holds global nodes `w .. 2w`), or the failure a
-/// worker reported — bad data before a bad grid, whichever slice hit it
-/// first, because a caller searching over ε retries only the latter.
-fn sorted_layer<T>(mut pairs: Vec<(u64, T)>) -> Result<impl Iterator<Item = T>, CoreError> {
+/// The key under which a base worker reports why its slice has no
+/// solution.
+fn failure_key(e: &CoreError) -> u64 {
+    match e {
+        CoreError::Mhs(MhsError::OffGrid) => OFF_GRID_NODE,
+        _ => FAIL_NODE,
+    }
+}
+
+/// The failure a worker reported among a job's records, if any — bad data
+/// before a bad grid, whichever slice hit it first, because a caller
+/// searching over ε retries only the latter.
+fn reported_failure<T>(pairs: &[(u64, T)]) -> Result<(), CoreError> {
     for (key, failure) in [
         (OFF_GRID_NODE, MhsError::OffGrid),
         (FAIL_NODE, MhsError::DeltaTooCoarse),
@@ -194,15 +230,24 @@ fn sorted_layer<T>(mut pairs: Vec<(u64, T)>) -> Result<impl Iterator<Item = T>, 
             return Err(CoreError::Mhs(failure));
         }
     }
+    Ok(())
+}
+
+/// Driver glue after a bottom-up job: the layer's records in node order
+/// (a layer of `w` rows holds global nodes `w .. 2w`), or the failure a
+/// worker reported.
+fn sorted_layer<T>(mut pairs: Vec<(u64, T)>) -> Result<impl Iterator<Item = T>, CoreError> {
+    reported_failure(&pairs)?;
     pairs.sort_unstable_by_key(|&(node, _)| node);
     Ok(pairs.into_iter().map(|(_, record)| record))
 }
 
 /// DP cells a base sub-tree of `leaves` leaves is charged: one row per
-/// internal node, each as wide as its `root` row — the same count whether
-/// a task walks the frontier (layer 0) or keeps every row (extraction).
-fn base_cells<D: LayeredDp>(leaves: usize, root: &D::Row) -> u64 {
-    (leaves as u64 - 1) * D::cells(root)
+/// internal node, each as wide as its root row of `root_cells` — the same
+/// count whether a task walks the frontier (layer 0) or keeps every row
+/// (extraction).
+fn base_cells(leaves: usize, root_cells: u64) -> u64 {
+    (leaves as u64 - 1) * root_cells
 }
 
 /// All rows of the mini-tree above `group.rows`, heap order (`[1]` = the
@@ -306,16 +351,13 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
                     .base_root(split.slice())
                 {
                     Ok((report, root)) => {
-                        ctx.charge(Kernel::DpCells, base_cells::<D>(split.len(), &root));
+                        ctx.charge(Kernel::DpCells, base_cells(split.len(), D::cells(&root)));
                         ctx.emit(num_base + u64::from(split.id), (report, RowMsg(root)))
                     }
-                    Err(e) => {
-                        let key = match e {
-                            CoreError::Mhs(MhsError::OffGrid) => OFF_GRID_NODE,
-                            _ => FAIL_NODE,
-                        };
-                        ctx.emit(key, (D::Report::default(), RowMsg(D::Row::default())));
-                    }
+                    Err(e) => ctx.emit(
+                        failure_key(&e),
+                        (D::Report::default(), RowMsg(D::Row::default())),
+                    ),
                 },
             )
             .input_bytes(SliceSplit::bytes)
@@ -436,27 +478,26 @@ impl<D: LayeredDp> BottomUp<'_, D> {
             .collect::<Result<Vec<_>, _>>()?;
         let job = JobBuilder::new(format!("{}-extract-base", D::PREFIX))
             .map(|split: &SliceSplit, ctx: &mut MapContext<u64, D::Pick>| {
-                let (_, rows) = dp.base_rows(split.slice()).expect("solved by layer 0");
-                ctx.charge(Kernel::DpCells, base_cells::<D>(split.len(), &rows[1]));
-                replay(
-                    dp,
-                    &rows,
-                    &[],
-                    num_base + u64::from(split.id),
-                    base_carries[split.id as usize].clone(),
-                    &mut |node, msg| {
-                        if let Down::Pick(pick) = msg {
-                            ctx.emit(node, pick);
-                        }
-                    },
-                );
+                let root = num_base + u64::from(split.id);
+                let carry = base_carries[split.id as usize].clone();
+                let mut emit = |node, pick| ctx.emit(heap_descendant(root, node as usize), pick);
+                match dp.base_extract(split.slice(), carry, &mut emit) {
+                    Ok(root_cells) => {
+                        ctx.charge(Kernel::DpCells, base_cells(split.len(), root_cells));
+                    }
+                    Err(e) => ctx.emit(failure_key(&e), D::Pick::default()),
+                }
             })
             .input_bytes(SliceSplit::bytes)
             .task_memory(move |_| memory)
             .reduce(forward);
         let ((), metrics) = pipe
             .stage(&job, &self.splits)?
-            .then(|((), pairs)| picks.extend(pairs))
+            .try_then(|((), pairs)| -> Result<(), CoreError> {
+                reported_failure(&pairs)?;
+                picks.extend(pairs);
+                Ok(())
+            })?
             .finish();
         Ok((picks, self.splits, metrics))
     }
@@ -467,6 +508,7 @@ mod tests {
     use super::*;
     use dwmaxerr_runtime::{ClusterConfig, RuntimeError, TraceEventKind};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     /// A DP that only counts: a node's row is the number of data leaves
     /// under it, the carry entering a node is the global id that node
@@ -475,6 +517,9 @@ mod tests {
         n: u64,
         /// What a base task declares, settable between the phases.
         memory: AtomicU64,
+        /// Why every base slice has no solution from now on, if it has
+        /// none; settable between the phases.
+        failure: Mutex<Option<CoreError>>,
     }
 
     impl Census {
@@ -482,6 +527,7 @@ mod tests {
             Census {
                 n: n as u64,
                 memory: AtomicU64::new(0),
+                failure: Mutex::new(None),
             }
         }
     }
@@ -494,6 +540,9 @@ mod tests {
         const PREFIX: &'static str = "census";
 
         fn base_rows(&self, slice: &[f64]) -> Result<((), Vec<u64>), CoreError> {
+            if let Some(e) = self.failure.lock().unwrap().clone() {
+                return Err(e);
+            }
             let m = slice.len();
             let leaves = |i: usize| if i == 0 { 0 } else { (m >> i.ilog2()) as u64 };
             Ok(((), (0..m).map(leaves).collect()))
@@ -617,6 +666,29 @@ mod tests {
                 _ => None,
             });
         assert_eq!(last_end.as_deref(), Some("census-extract"));
+    }
+
+    #[test]
+    fn a_failed_base_extraction_reaches_the_driver_as_a_typed_error() {
+        // Layer 0 solved every slice; `-extract-base` re-enters them and
+        // finds none solvable. Its tasks report the failure under the keys
+        // layer 0 uses, and the driver returns the same error — bad data
+        // before a bad grid.
+        let cluster = test_cluster();
+        for failure in [MhsError::OffGrid, MhsError::DeltaTooCoarse] {
+            let mut dp = Census::over(16);
+            let up = bottom_up(&cluster, &[0.0; 16], 4, 2, &mut dp)
+                .unwrap()
+                .expect("16 values are layered");
+            *dp.failure.lock().unwrap() = Some(CoreError::Mhs(failure.clone()));
+            let got = up.top_down(&dp, 1).map(|(picks, ..)| picks.len());
+            assert_eq!(got, Err(CoreError::Mhs(failure)));
+        }
+        // Layer 0 reports the same way.
+        let mut dp = Census::over(16);
+        *dp.failure.lock().unwrap() = Some(CoreError::Mhs(MhsError::OffGrid));
+        let got = bottom_up(&cluster, &[0.0; 16], 4, 2, &mut dp).map(|up| up.is_some());
+        assert_eq!(got, Err(CoreError::Mhs(MhsError::OffGrid)));
     }
 
     #[test]
