@@ -213,11 +213,12 @@ impl From<MhsError> for HaarPlusError {
 /// A data leaf's pseudo-row: MinHaarSpace's window, with no shifts.
 fn leaf_row(d: f64, p: &MhsParams) -> Result<HpRow, HaarPlusError> {
     let leaf = crate::min_haar_space::leaf_row(d, p)?;
+    let zeros = vec![0; leaf.costs.len()];
     Ok(HpRow {
         lo: leaf.lo,
         costs: leaf.costs,
-        shift_l: leaf.choices.clone(),
-        shift_r: leaf.choices,
+        shift_l: zeros.clone(),
+        shift_r: zeros,
     })
 }
 

@@ -8,17 +8,17 @@
 //! The DP walks the error tree bottom-up. For node `j`, the row `M[j]`
 //! holds, for every quantized *incoming value* `v` (the partial
 //! reconstruction contributed by ancestors), the minimum number of
-//! coefficients needed inside `T_j` plus the optimal value to assign at
-//! `c_j` (Section 4 of the SIGMOD'16 paper). The recurrence is
+//! coefficients needed inside `T_j` (Section 4 of the SIGMOD'16 paper).
+//! The recurrence is
 //!
 //! ```text
 //! M[j][v] = min over z of  (z != 0) + M[2j][v + z] + M[2j+1][v - z]
 //! ```
 //!
-//! The bottom-up walk computes costs alone. The optimal `z` of a cell is
-//! named only where it is read — by the top-down replay, one cell per node,
-//! or for a row that is shipped with its choices — by one chooser that
-//! holds the tie rule ([`extract`], [`combine`]).
+//! Rows hold costs alone, in the arena of a sub-tree and on the wire. The
+//! optimal `z` of a cell is named only where the top-down replay reads it,
+//! one cell per node, by one chooser that holds the tie rule over the
+//! node's two child rows ([`choose`], [`RowArena::choose`]).
 //!
 //! # The `O(ε/δ)` window
 //!
@@ -116,16 +116,14 @@ impl From<WaveletError> for MhsError {
 
 /// A DP row: for each quantized incoming value in `[lo, lo + len)` (grid
 /// indices; value = index × δ), the minimal coefficient count inside the
-/// subtree and the optimal value `z` to assign at the subtree's root
-/// coefficient (in grid steps; 0 = do not retain).
+/// subtree. The value to assign at the subtree's root coefficient is not
+/// stored: [`choose`] names it from the two child rows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
     /// Grid index of the first cell.
     pub lo: i64,
     /// Minimal retained-coefficient counts ([`INFEASIBLE`] = no solution).
     pub costs: Vec<u32>,
-    /// Optimal assigned value per cell, in grid steps.
-    pub choices: Vec<i32>,
 }
 
 impl Row {
@@ -140,17 +138,6 @@ impl Row {
         }
     }
 
-    /// Choice at grid index `v` (0 outside the window).
-    #[inline]
-    pub fn choice(&self, v: i64) -> i32 {
-        let off = v - self.lo;
-        if off < 0 || off as usize >= self.choices.len() {
-            0
-        } else {
-            self.choices[off as usize]
-        }
-    }
-
     /// Grid index one past the last cell.
     #[inline]
     pub fn hi(&self) -> i64 {
@@ -162,15 +149,6 @@ impl Row {
     /// cell of it.
     pub fn all_infeasible(&self) -> bool {
         all_infeasible(&self.costs)
-    }
-
-    /// The replay rule of the top-down pass: entered with incoming grid
-    /// value `v`, the node retains `z` (grid steps; 0 = nothing) and its
-    /// children are entered with `v + z` and `v - z`.
-    #[inline]
-    pub fn step(&self, v: i64) -> (i32, i64, i64) {
-        let z = self.choice(v);
-        (z, v + i64::from(z), v - i64::from(z))
     }
 
     /// The root rule, for the row of node `c_1`: the cheapest total count
@@ -200,7 +178,7 @@ pub(crate) fn resolve_root(lo: i64, costs: &[u32]) -> Option<(u32, i64)> {
 
 /// Leaf windows must stay within this many grid steps of 0: every window
 /// of the tree then does too, and any retained value `z` — a difference of
-/// two window indices — fits a row's `i32` choices.
+/// two window indices — fits the chooser's `i32`.
 const GRID_LIMIT: f64 = (i32::MAX / 2) as f64;
 
 /// The grid window `lo ..= hi` of a single data leaf `d`: every grid point
@@ -222,11 +200,9 @@ pub(crate) fn leaf_window(d: f64, p: &MhsParams) -> Result<(i64, i64), MhsError>
 /// point within ε of `d`, infeasible elsewhere.
 pub fn leaf_row(d: f64, p: &MhsParams) -> Result<Row, MhsError> {
     let (lo, hi) = leaf_window(d, p)?;
-    let len = (hi - lo + 1) as usize;
     Ok(Row {
         lo,
-        costs: vec![0; len],
-        choices: vec![0; len],
+        costs: vec![0; (hi - lo + 1) as usize],
     })
 }
 
@@ -306,7 +282,6 @@ fn dead_row(lo: i64) -> Row {
     Row {
         lo,
         costs: vec![INFEASIBLE],
-        choices: vec![0],
     }
 }
 
@@ -404,11 +379,6 @@ impl<'a> Below<'a> {
             }
         }
     }
-
-    /// [`Below::choose`] for the `len` cells from grid index `lo`.
-    fn choices(&self, lo: i64, len: usize) -> Vec<i32> {
-        (lo..lo + len as i64).map(|v| self.choose(v)).collect()
-    }
 }
 
 /// The recurrence at one parent cell `v`, over its pairs `(z_lo, l, r)`
@@ -470,29 +440,30 @@ fn combine_cells(below: &Below, costs: &mut Vec<u32>) -> Option<i64> {
     Some(lo)
 }
 
-/// A node's row with every cell's choice, or `None` when it is dead.
-fn node_row(below: &Below) -> Option<Row> {
-    let mut costs = Vec::new();
-    let lo = combine_cells(below, &mut costs)?;
-    Some(Row {
-        lo,
-        choices: below.choices(lo, costs.len()),
-        costs,
-    })
+/// Combines the rows of a node's two children into the node's row. A dead
+/// child or an empty window gives the one-cell dead row.
+pub fn combine(left: &Row, right: &Row) -> Row {
+    let (mut scratch, mut costs) = (Vec::new(), Vec::new());
+    Below::rows(
+        (left.lo, &left.costs),
+        (right.lo, &right.costs),
+        &mut scratch,
+    )
+    .and_then(|below| combine_cells(&below, &mut costs))
+    .map_or_else(|| dead_row(left.lo.min(right.lo)), |lo| Row { lo, costs })
 }
 
-/// Combines the rows of a node's two children into the node's row, every
-/// cell's choice included — what a layer that ships the row needs. A
-/// dead child or an empty window gives the one-cell dead row.
-pub fn combine(left: &Row, right: &Row) -> Row {
+/// The value `z` (grid steps; 0 = none) that the parent of rows `left` and
+/// `right`, entered with incoming grid value `v`, retains — its children
+/// are then entered with `v + z` and `v − z`. A dead parent retains nothing.
+pub fn choose(left: &Row, right: &Row, v: i64) -> i32 {
     let mut scratch = Vec::new();
     Below::rows(
         (left.lo, &left.costs),
         (right.lo, &right.costs),
         &mut scratch,
     )
-    .and_then(|below| node_row(&below))
-    .unwrap_or_else(|| dead_row(left.lo.min(right.lo)))
+    .map_or(0, |below| below.choose(v))
 }
 
 /// The windows of the two data leaves of `pair`, the left leaf's failure
@@ -521,7 +492,8 @@ pub(crate) struct Span {
 /// Every DP row of a (sub)tree, costs only, in one arena: node `i`'s cells
 /// (local heap order, `1` = the sub-tree root) are one stretch of a single
 /// `Vec<u32>`. No cell holds a choice; the top-down replay ([`extract`])
-/// computes one where it reaches a cell, one cell per node.
+/// computes one where it reaches a cell, one cell per node, by the rule
+/// [`RowArena::choose`] names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowArena {
     /// Per node, heap order; `[0]` unused.
@@ -547,19 +519,12 @@ impl RowArena {
         resolve_root(lo, costs)
     }
 
-    /// Node `i`'s row with every cell's choice, as [`combine`] gives it —
-    /// for a caller that ships or digests the row. `data` and `p` are
-    /// those the rows were built from.
-    pub fn row(&self, i: usize, data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
-        let (lo, costs) = self.costs(i);
-        let mut scratch = Vec::new();
-        Ok(Row {
-            lo,
-            costs: costs.to_vec(),
-            choices: self
-                .below(i, data, p, &mut scratch)?
-                .choices(lo, costs.len()),
-        })
+    /// The value `z` that node `i` (in `1 .. leaves`), entered with
+    /// incoming grid value `v`, retains — [`choose`] over its two child rows,
+    /// or the closed form above two data leaves. `data` and `p` are those
+    /// the rows were built from.
+    pub fn choose(&self, i: usize, v: i64, data: &[f64], p: &MhsParams) -> Result<i32, MhsError> {
+        Ok(self.below(i, data, p, &mut Vec::new())?.choose(v))
     }
 
     /// What node `i` (in `1 .. leaves`) was combined from.
@@ -619,14 +584,14 @@ pub fn subtree_rows(data: &[f64], p: &MhsParams) -> Result<RowArena, MhsError> {
     Ok(arena)
 }
 
-/// `subtree_rows(data, p)?.row(1, data, p)`, field for field, or the same
-/// error — for a caller that ships the root row and nothing else (layer 0
-/// of the distributed probe), in `O(log m)` live rows instead of `m`.
+/// The root row of `subtree_rows(data, p)`, or the same error — for a
+/// caller that ships the root row and nothing else (layer 0 of the
+/// distributed probe), in `O(log m)` live rows instead of `m`.
 ///
 /// A post-order walk over the leaf pairs keeps the rows of the frontier on
-/// a stack and combines the top two whenever they are siblings, costs
-/// only, into buffers recycled from the rows it consumed. It stops at the
-/// root's two children, whose combine is the one that names choices.
+/// a stack and combines the top two whenever they are siblings, into
+/// buffers recycled from the rows it consumed, until the root alone is
+/// left.
 pub fn subtree_root(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
     ensure_subtree(data.len())?;
     // `subtree_rows` solves every leaf pair, right to left, before its
@@ -646,13 +611,8 @@ pub fn subtree_root(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
 
 /// The walk of [`subtree_root`]; `None` where some row has no solution.
 fn frontier_root(data: &[f64], p: &MhsParams) -> Option<Row> {
-    let root_height = data.len().ilog2();
-    if root_height == 1 {
-        let (w1, w2) = leaf_windows(data, p).ok()?;
-        return node_row(&Below::Leaves(w1, w2));
-    }
     // (height, lo, costs) of the frontier, leftmost sub-tree at the bottom;
-    // it ends as the root's two children.
+    // it ends as the root alone.
     let mut frontier: Vec<(u32, i64, Vec<u32>)> = Vec::new();
     let mut free: Vec<Vec<u32>> = Vec::new();
     let mut scratch = Vec::new();
@@ -662,7 +622,7 @@ fn frontier_root(data: &[f64], p: &MhsParams) -> Option<Row> {
         let lo = combine_cells(&Below::Leaves(w1, w2), &mut costs)?;
         frontier.push((1, lo, costs));
         while let [.., (left_height, ..), (height, ..)] = frontier[..] {
-            if left_height != height || height + 1 == root_height {
+            if left_height != height {
                 break;
             }
             let (right, left) = (frontier.pop()?, frontier.pop()?);
@@ -673,14 +633,8 @@ fn frontier_root(data: &[f64], p: &MhsParams) -> Option<Row> {
             frontier.push((height + 1, lo, costs));
         }
     }
-    let [(_, left_lo, left), (_, right_lo, right)] = &frontier[..] else {
-        return None;
-    };
-    node_row(&Below::rows(
-        (*left_lo, left),
-        (*right_lo, right),
-        &mut scratch,
-    )?)
+    let (_, lo, costs) = frontier.pop()?;
+    Some(Row { lo, costs })
 }
 
 /// Result of a full MinHaarSpace run.
@@ -781,44 +735,49 @@ mod tests {
         MhsParams::new(e, d).unwrap()
     }
 
-    /// `combine` by its definition: a cell `v` costs the least
+    /// A parent cell `v` by the recurrence's definition: the least
     /// `(z != 0) + L[v + z] + R[v - z]` over every `z` both children hold,
-    /// ties to `z = 0`, then to the smallest `z`. The row spans the cells
-    /// that have such a `z` (cells between them that have none stay
+    /// ties to `z = 0`, then to the smallest `z` — its cost and that `z`,
+    /// or `(INFEASIBLE, 0)` where no `z` is held.
+    fn cell_by_definition(left: &Row, right: &Row, v: i64) -> (u32, i32) {
+        (left.lo - v..left.hi() - v)
+            .filter(|&z| left.cost(v + z) != INFEASIBLE && right.cost(v - z) != INFEASIBLE)
+            .map(|z| {
+                (
+                    left.cost(v + z) + right.cost(v - z) + u32::from(z != 0),
+                    z != 0,
+                    z,
+                )
+            })
+            .min()
+            .map_or((INFEASIBLE, 0), |(cost, _, z)| (cost, z as i32))
+    }
+
+    /// `combine` by its definition: the row spans the cells that have a
+    /// `z` ([`cell_by_definition`]; cells between them that have none stay
     /// infeasible); with none at all it is the dead row at the children's
     /// first cell.
     fn combine_by_definition(left: &Row, right: &Row) -> Row {
-        let cell = |v: i64| {
-            (left.lo - v..left.hi() - v)
-                .filter(|&z| left.cost(v + z) != INFEASIBLE && right.cost(v - z) != INFEASIBLE)
-                .map(|z| {
-                    (
-                        left.cost(v + z) + right.cost(v - z) + u32::from(z != 0),
-                        z != 0,
-                        z,
-                    )
-                })
-                .min()
-                .map_or((INFEASIBLE, 0), |(cost, _, z)| (cost, z as i32))
-        };
         let lo = left.lo.min(right.lo);
         let feasible: Vec<i64> = (lo..left.hi().max(right.hi()))
-            .filter(|&v| cell(v).0 != INFEASIBLE)
+            .filter(|&v| cell_by_definition(left, right, v).0 != INFEASIBLE)
             .collect();
         let (Some(&first), Some(&last)) = (feasible.first(), feasible.last()) else {
             return dead_row(lo);
         };
-        let (costs, choices) = (first..=last).map(cell).unzip();
         Row {
             lo: first,
-            costs,
-            choices,
+            costs: (first..=last)
+                .map(|v| cell_by_definition(left, right, v).0)
+                .collect(),
         }
     }
 
     /// The row above two data leaves with windows `w1` and `w2`.
     fn leaf_pair_row(w1: Window, w2: Window) -> Row {
-        node_row(&Below::Leaves(w1, w2)).unwrap_or_else(|| dead_row(w1.0.min(w2.0)))
+        let mut costs = Vec::new();
+        combine_cells(&Below::Leaves(w1, w2), &mut costs)
+            .map_or_else(|| dead_row(w1.0.min(w2.0)), |lo| Row { lo, costs })
     }
 
     #[test]
@@ -830,7 +789,6 @@ mod tests {
         let zeros = |(lo, hi): (i64, i64)| Row {
             lo,
             costs: vec![0; (hi - lo + 1) as usize],
-            choices: vec![0; (hi - lo + 1) as usize],
         };
         for w1 in windows(0) {
             for w2 in (-12..=12).flat_map(windows) {
@@ -848,11 +806,7 @@ mod tests {
     fn child_row() -> impl Strategy<Value = Row> {
         let live = (-30i64..30, prop::collection::vec(0u32..5, 1..20usize));
         (prop::option::of(live), -30i64..30).prop_map(|(live, dead_lo)| match live {
-            Some((lo, costs)) => Row {
-                lo,
-                choices: vec![0; costs.len()],
-                costs,
-            },
+            Some((lo, costs)) => Row { lo, costs },
             None => dead_row(dead_lo),
         })
     }
@@ -867,15 +821,10 @@ mod tests {
 
         #[test]
         fn the_chooser_picks_the_definitions_z(left in child_row(), right in child_row()) {
-            let want = combine_by_definition(&left, &right);
-            let mut scratch = Vec::new();
-            let children = ((left.lo, &left.costs[..]), (right.lo, &right.costs[..]));
-            let Some(below) = Below::rows(children.0, children.1, &mut scratch) else {
-                prop_assert!(want.all_infeasible());
-                return Ok(());
-            };
-            for v in want.lo - 3..want.hi() + 3 {
-                prop_assert_eq!(below.choose(v), want.choice(v), "v = {}", v);
+            let lo = left.lo.min(right.lo);
+            for v in lo - 3..left.hi().max(right.hi()) + 3 {
+                let want = cell_by_definition(&left, &right, v).1;
+                prop_assert_eq!(choose(&left, &right, v), want, "v = {}", v);
             }
         }
 
@@ -884,11 +833,8 @@ mod tests {
             (a1, n1, a2, n2) in (-40i64..40, 0i64..12, -40i64..40, 0i64..12),
         ) {
             let (w1, w2) = ((a1, a1 + n1), (a2, a2 + n2));
-            let zeros = |(lo, hi): Window| (lo, vec![0; (hi - lo + 1) as usize]);
+            let zeros = |(lo, hi): Window| Row { lo, costs: vec![0; (hi - lo + 1) as usize] };
             let (left, right) = (zeros(w1), zeros(w2));
-            let mut scratch = Vec::new();
-            let over_rows = Below::rows((left.0, &left.1), (right.0, &right.1), &mut scratch)
-                .expect("leaf rows are live");
             let leaves = Below::Leaves(w1, w2);
             let (lo, hi) = parent_window(w1, w2);
             for v in lo..=hi {
@@ -902,7 +848,7 @@ mod tests {
                     (a1 - v).max(v - (a2 + n2)) as i32
                 };
                 prop_assert_eq!(leaves.choose(v), closed, "v = {}", v);
-                prop_assert_eq!(over_rows.choose(v), closed, "v = {}", v);
+                prop_assert_eq!(choose(&left, &right, v), closed, "v = {}", v);
             }
         }
     }
@@ -1109,13 +1055,11 @@ mod tests {
         let row = Row {
             lo: 10,
             costs: vec![INFEASIBLE, 3, 2, 5],
-            choices: vec![0, 1, -2, 0],
         };
         assert_eq!(row.resolve_root(), Some((3, 12)));
-        assert_eq!(row.step(12), (-2, 10, 14));
         assert_eq!(row.hi(), 14);
-        assert_eq!(row.choice(12), -2);
-        assert_eq!(row.choice(9), 0);
+        assert_eq!(row.cost(12), 2);
+        assert_eq!(row.cost(9), INFEASIBLE);
         assert!(!row.all_infeasible());
     }
 }

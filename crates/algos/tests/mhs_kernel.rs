@@ -11,7 +11,7 @@ use dwmaxerr_datagen::{uniform, wd_like};
 use proptest::prelude::*;
 
 /// FNV-1a over `(lo, costs, choices)` of every row, in heap order; each
-/// row's choices are the chooser's, cell by cell.
+/// row's choices are the arena chooser's, cell by cell.
 fn rows_digest(rows: &RowArena, data: &[f64], p: &MhsParams) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut write = |bytes: &[u8]| {
@@ -20,13 +20,14 @@ fn rows_digest(rows: &RowArena, data: &[f64], p: &MhsParams) -> u64 {
         }
     };
     for i in 1..rows.leaves() {
-        let row = rows.row(i, data, p).expect("the rows' own data");
-        write(&row.lo.to_le_bytes());
-        write(&(row.costs.len() as u64).to_le_bytes());
-        for c in &row.costs {
+        let (lo, costs) = rows.costs(i);
+        write(&lo.to_le_bytes());
+        write(&(costs.len() as u64).to_le_bytes());
+        for c in costs {
             write(&c.to_le_bytes());
         }
-        for z in &row.choices {
+        for v in lo..lo + costs.len() as i64 {
+            let z = rows.choose(i, v, data, p).expect("the rows' own data");
             write(&z.to_le_bytes());
         }
     }
@@ -211,7 +212,13 @@ fn off_grid_data_is_too_coarse_at_every_size() {
 /// What `subtree_root` must return: the root row of all the rows, or the
 /// error that building them hits.
 fn root_of_all_rows(data: &[f64], p: &MhsParams) -> Result<Row, MhsError> {
-    subtree_rows(data, p).and_then(|rows| rows.row(1, data, p))
+    subtree_rows(data, p).map(|rows| {
+        let (lo, costs) = rows.costs(1);
+        Row {
+            lo,
+            costs: costs.to_vec(),
+        }
+    })
 }
 
 #[test]

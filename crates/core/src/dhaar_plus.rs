@@ -95,10 +95,6 @@ impl LayeredDp for Hp {
         (pick, left, right)
     }
 
-    fn row_bytes(row: &HpRow) -> u64 {
-        (8 + row.costs.len() * 12) as u64
-    }
-
     fn cells(row: &HpRow) -> u64 {
         row.costs.len() as u64
     }
@@ -213,6 +209,13 @@ mod tests {
         for w in sizes.windows(2) {
             assert_eq!(w[0], w[1], "partitioning changed the result: {sizes:?}");
         }
+    }
+
+    #[test]
+    fn layer_up_reads_the_encoded_roots() {
+        let data: Vec<f64> = (0..128).map(|i| ((i * 13) % 37) as f64).collect();
+        let mut dp = Hp(MhsParams::new(4.0, 0.5).unwrap());
+        crate::layered::assert_layer_up_reads_the_encoded_roots(&mut dp, &data, 8, 4);
     }
 
     #[test]

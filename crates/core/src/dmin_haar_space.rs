@@ -11,7 +11,7 @@
 #![warn(clippy::too_many_lines)]
 
 use dwmaxerr_algos::min_haar_space::{
-    combine, extract, min_haar_space, subtree_root, subtree_rows, MhsError, MhsParams, Row,
+    choose, combine, extract, min_haar_space, subtree_root, subtree_rows, MhsError, MhsParams, Row,
 };
 use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
 use dwmaxerr_runtime::metrics::DriverMetrics;
@@ -95,13 +95,12 @@ impl LayeredDp for Mhs {
         row.all_infeasible()
     }
 
-    fn step(&self, row: &Row, _: Option<(&Row, &Row)>, v: &i64) -> (Option<i32>, i64, i64) {
-        let (z, left, right) = row.step(*v);
-        ((z != 0).then_some(z), left, right)
-    }
-
-    fn row_bytes(row: &Row) -> u64 {
-        (16 + row.costs.len() * 8) as u64
+    /// The chooser over the node's two child rows. Only the upper layers
+    /// step nodes here (`base_extract` replays the base sub-trees), and
+    /// their nodes always sit above two rows.
+    fn step(&self, _: &Row, children: Option<(&Row, &Row)>, v: &i64) -> (Option<i32>, i64, i64) {
+        let z = children.map_or(0, |(left, right)| choose(left, right, *v));
+        ((z != 0).then_some(z), v + i64::from(z), v - i64::from(z))
     }
 
     fn cells(row: &Row) -> u64 {
@@ -111,14 +110,12 @@ impl LayeredDp for Mhs {
     fn encode_row<S: WireSink>(row: &Row, sink: &mut S) {
         row.lo.encode(sink);
         row.costs.encode(sink);
-        row.choices.encode(sink);
     }
 
     fn decode_row(buf: &mut &[u8]) -> Result<Row, CodecError> {
         Ok(Row {
             lo: i64::decode(buf)?,
             costs: Vec::<u32>::decode(buf)?,
-            choices: Vec::<i32>::decode(buf)?,
         })
     }
 }
@@ -203,6 +200,7 @@ pub(crate) fn probe(
 mod tests {
     use super::*;
     use dwmaxerr_algos::min_haar_space::INFEASIBLE;
+    use dwmaxerr_datagen::uniform;
     use dwmaxerr_runtime::ClusterConfig;
     use dwmaxerr_wavelet::metrics::max_abs;
 
@@ -222,36 +220,54 @@ mod tests {
         dmin_haar_space(&test_cluster(), data, &params, &cfg).unwrap()
     }
 
+    /// Asserts that the distributed synopsis over `data` is the centralized
+    /// solver's, entry for entry, and that its measured error is its own.
+    fn assert_matches_centralized(data: &[f64], eps: f64, delta: f64, s: usize, f: usize) {
+        let tag = format!("eps={eps} delta={delta} base_leaves={s} fan_in={f}");
+        let central = min_haar_space(data, &MhsParams::new(eps, delta).unwrap()).unwrap();
+        let dist = run(data, eps, delta, s, f);
+        assert_eq!(dist.synopsis.entries(), central.synopsis.entries(), "{tag}");
+        assert_eq!(dist.size, central.size, "{tag}");
+        assert!(dist.actual_error <= eps + 1e-9, "{tag}");
+        let direct = max_abs(data, &dist.synopsis.reconstruct_all());
+        assert!((direct - dist.actual_error).abs() < 1e-9, "{tag}");
+    }
+
     #[test]
     fn matches_centralized_solver() {
-        let data: Vec<f64> = (0..64)
+        let spiky: Vec<f64> = (0..64)
             .map(|i| ((i * 29) % 17) as f64 * 2.0 + if i == 40 { 60.0 } else { 0.0 })
             .collect();
         for eps in [2.0, 5.0, 10.0, 25.0] {
-            let params = MhsParams::new(eps, 0.5).unwrap();
-            let central = min_haar_space(&data, &params).unwrap();
-            let dist = run(&data, eps, 0.5, 8, 2);
-            assert_eq!(
-                dist.size, central.size,
-                "eps={eps}: distributed {} vs centralized {}",
-                dist.size, central.size
-            );
-            assert!(dist.actual_error <= eps + 1e-9);
-            let direct = max_abs(&data, &dist.synopsis.reconstruct_all());
-            assert!((direct - dist.actual_error).abs() < 1e-9);
+            assert_matches_centralized(&spiky, eps, 0.5, 8, 2);
+        }
+        // Whole numbers, where sums tie often, and values off the grid.
+        for seed in [3, 17, 29, 64, 101] {
+            let ints: Vec<f64> = uniform(64, 56.0, seed)
+                .into_iter()
+                .map(f64::round)
+                .collect();
+            let reals = uniform(64, 40.0, seed + 1);
+            for data in [&ints, &reals] {
+                for (eps, delta) in [(3.0, 1.0), (8.5, 0.5), (20.0, 1.0), (6.0, 2.0)] {
+                    assert_matches_centralized(data, eps, delta, 8, 2);
+                }
+            }
         }
     }
 
     #[test]
     fn fan_in_and_subtree_size_do_not_change_result() {
-        let data: Vec<f64> = (0..128).map(|i| ((i * 13) % 37) as f64).collect();
-        let sizes = [(4usize, 2usize), (8, 4), (16, 2), (32, 8)];
-        let results: Vec<usize> = sizes
-            .iter()
-            .map(|&(s, f)| run(&data, 4.0, 0.5, s, f).size)
-            .collect();
-        for w in results.windows(2) {
-            assert_eq!(w[0], w[1], "partitioning changed the result: {results:?}");
+        let mut inputs = vec![(0..128)
+            .map(|i| ((i * 13) % 37) as f64)
+            .collect::<Vec<f64>>()];
+        inputs.extend([5, 41, 77].map(|seed| uniform(128, 60.0, seed)));
+        for data in &inputs {
+            for eps in [2.0, 4.0, 11.0, 30.0] {
+                for (s, f) in [(4, 2), (8, 4), (16, 2), (32, 8), (2, 2), (4, 64), (128, 2)] {
+                    assert_matches_centralized(data, eps, 0.5, s, f);
+                }
+            }
         }
     }
 
@@ -362,11 +378,17 @@ mod tests {
     }
 
     #[test]
+    fn layer_up_reads_the_encoded_roots() {
+        let data: Vec<f64> = (0..128).map(|i| ((i * 13) % 37) as f64).collect();
+        let mut dp = Mhs(MhsParams::new(4.0, 0.5).unwrap());
+        crate::layered::assert_layer_up_reads_the_encoded_roots(&mut dp, &data, 8, 4);
+    }
+
+    #[test]
     fn wire_row_roundtrip() {
         let row = Row {
             lo: -5,
             costs: vec![1, 2, INFEASIBLE],
-            choices: vec![0, -3, 7],
         };
         let mut buf = Vec::new();
         Mhs::encode_row(&row, &mut buf);

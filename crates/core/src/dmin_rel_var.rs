@@ -106,10 +106,6 @@ impl LayeredDp for Mrv {
         ((y > 0).then_some(y), left as u32, right as u32)
     }
 
-    fn row_bytes(row: &MrvRow) -> u64 {
-        (12 + row.cells.len() * 14) as u64
-    }
-
     fn cells(row: &MrvRow) -> u64 {
         row.cells.len() as u64
     }
@@ -284,6 +280,18 @@ mod tests {
             bytes(&large),
             bytes(&small)
         );
+    }
+
+    #[test]
+    fn layer_up_reads_the_encoded_roots() {
+        let data: Vec<f64> = (0..128).map(|i| ((i * 11) % 41) as f64).collect();
+        let params = MrvParams::new(4, 1.0).unwrap();
+        let mut dp = Mrv {
+            p: params,
+            cap: 16 * params.q as usize,
+            root_coeffs: Vec::new(),
+        };
+        crate::layered::assert_layer_up_reads_the_encoded_roots(&mut dp, &data, 16, 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 
 use dwmaxerr_algos::min_haar_space::MhsError;
-use dwmaxerr_runtime::codec::{CodecError, Wire, WireSink};
+use dwmaxerr_runtime::codec::{CodecError, CountingSink, Wire, WireSink};
 use dwmaxerr_runtime::metrics::{DriverMetrics, Kernel};
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext, Values};
 
@@ -76,8 +76,8 @@ pub(crate) trait LayeredDp: Sync + Sized {
     /// node, pick)` (heap order, `1` = the slice root) for every node that
     /// contributes. Returns the DP cells of the root row, which prices the
     /// task as layer 0's was. The default holds [`LayeredDp::base_rows`] and
-    /// steps every node's row; a family whose rows need not carry their
-    /// choices overrides it.
+    /// steps every node's row; a family that computes the choice of only
+    /// the cells the replay reaches overrides it.
     fn base_extract(
         &self,
         slice: &[f64],
@@ -127,9 +127,6 @@ pub(crate) trait LayeredDp: Sync + Sized {
         carry: &Self::Carry,
     ) -> (Option<Self::Pick>, Self::Carry, Self::Carry);
 
-    /// Logical bytes of one row (a `-layer-up` task's simulated read).
-    fn row_bytes(row: &Self::Row) -> u64;
-
     /// DP cells of one row: what computing it is charged, as
     /// [`Kernel::DpCells`].
     fn cells(row: &Self::Row) -> u64;
@@ -151,6 +148,13 @@ impl<D: LayeredDp> Wire for RowMsg<D> {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         D::decode_row(buf).map(RowMsg)
     }
+}
+
+/// Wire bytes of one row: what a `-layer-up` task reads of each input row.
+fn row_bytes<D: LayeredDp>(row: &D::Row) -> u64 {
+    let mut sink = CountingSink::new();
+    D::encode_row(row, &mut sink);
+    sink.bytes as u64
 }
 
 /// The upper layers' top-down message, keyed by global node id: what that
@@ -399,7 +403,7 @@ pub(crate) fn bottom_up<'c, D: LayeredDp>(
                     ctx.emit(key, RowMsg(root));
                 },
             )
-            .input_bytes(|g: &Group<D::Row>| g.rows.iter().map(D::row_bytes).sum())
+            .input_bytes(|g: &Group<D::Row>| g.rows.iter().map(row_bytes::<D>).sum())
             .reduce(forward);
         pipe = pipe
             .stage(&job, &groups)?
@@ -503,6 +507,33 @@ impl<D: LayeredDp> BottomUp<'_, D> {
     }
 }
 
+/// Asserts that the first `-layer-up` job over `data` declares as its input
+/// exactly the encoded bytes of layer 0's root rows — the Eq. 6 messages
+/// it reads.
+#[cfg(test)]
+pub(crate) fn assert_layer_up_reads_the_encoded_roots<D: LayeredDp>(
+    dp: &mut D,
+    data: &[f64],
+    base_leaves: usize,
+    fan_in: usize,
+) {
+    let encoded: usize = aligned_splits(data, base_leaves)
+        .iter()
+        .map(|split| {
+            let (_, root) = dp.base_root(split.slice()).expect("a solvable slice");
+            dwmaxerr_runtime::codec::encoded(&RowMsg::<D>(root)).len()
+        })
+        .sum();
+    let cluster = Cluster::new(dwmaxerr_runtime::ClusterConfig::with_slots(4, 2));
+    let metrics = bottom_up(&cluster, data, base_leaves, fan_in, dp)
+        .unwrap()
+        .expect("the data is layered")
+        .abandon();
+    let job = &metrics.jobs[1];
+    assert_eq!(job.name, format!("{}-layer-up", D::PREFIX));
+    assert_eq!(job.input_bytes, encoded as u64, "{}", D::PREFIX);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,10 +601,6 @@ mod tests {
             );
             assert_eq!(children.map_or(2, |(l, r)| l + r), *row, "node {id}");
             (Some(*id), 2 * id, 2 * id + 1)
-        }
-
-        fn row_bytes(_: &u64) -> u64 {
-            8
         }
 
         fn cells(_: &u64) -> u64 {

@@ -750,8 +750,7 @@ impl PhasedSynopsisDriver {
             guaranteed_error: None,
             exact: false,
         };
-        let pipe = pipe.then(|()| coarse_served).publish(&self.handle);
-        let coarse_snap = self.handle.latest().expect("just published");
+        let (pipe, coarse_snap) = pipe.then(|()| coarse_served).publish(&self.handle);
 
         // Background: exact answer refines the same handle.
         let pipe = pipe.then(|_| ()).enter_phase(Phase::Background(0));
@@ -761,8 +760,7 @@ impl PhasedSynopsisDriver {
             guaranteed_error: Some(exact.estimated_error),
             exact: true,
         };
-        let pipe = pipe.then(|()| exact_served).publish(&self.handle);
-        let exact_snap = self.handle.latest().expect("just published");
+        let (pipe, exact_snap) = pipe.then(|()| exact_served).publish(&self.handle);
         let metrics = pipe.into_metrics();
 
         let coarse_error = max_abs(data, &coarse.synopsis.reconstruct_all());

@@ -154,10 +154,18 @@ impl<T> Progressive<T> {
         self.latest().map_or(0, |s| s.version)
     }
 
-    /// Swaps in `snapshot` as the new latest version and returns it.
-    fn swap(&self, snapshot: Snapshot<T>) -> Arc<Snapshot<T>> {
-        let snap = Arc::new(snapshot);
-        *self.latest.write().expect("progressive lock") = Some(Arc::clone(&snap));
+    /// Swaps `value` in as the next version and returns its snapshot. The
+    /// version is read and the snapshot stored under one write guard, so
+    /// concurrent publishers never mint the same version.
+    fn push(&self, value: T, published_at: f64, phase: Option<Phase>) -> Arc<Snapshot<T>> {
+        let mut guard = self.latest.write().expect("progressive lock");
+        let snap = Arc::new(Snapshot {
+            value,
+            version: guard.as_ref().map_or(0, |s| s.version) + 1,
+            published_at,
+            phase,
+        });
+        *guard = Some(Arc::clone(&snap));
         snap
     }
 
@@ -177,16 +185,7 @@ impl<T> Progressive<T> {
     /// The swap is a single `RwLock` write; readers holding previously
     /// fetched `Arc<Snapshot>`s are never blocked or invalidated.
     pub fn publish_value(&self, value: T, published_at: f64) -> Arc<Snapshot<T>> {
-        let mut guard = self.latest.write().expect("progressive lock");
-        let version = guard.as_ref().map_or(0, |s| s.version) + 1;
-        let snap = Arc::new(Snapshot {
-            value,
-            version,
-            published_at,
-            phase: None,
-        });
-        *guard = Some(Arc::clone(&snap));
-        snap
+        self.push(value, published_at, None)
     }
 }
 
@@ -353,31 +352,25 @@ impl<'c, T> Pipeline<'c, T> {
     }
 
     /// Atomically swaps the current threaded value into `handle` as its
-    /// next snapshot version.
+    /// next snapshot version, and returns the plan with that snapshot.
     ///
     /// The snapshot is stamped with the cluster's simulated clock and the
     /// plan's current phase, and the trace records a `snapshot_published`
     /// instant. Consumers holding the handle (or a clone) see the new
     /// version on their next [`Progressive::latest`] call; snapshots they
     /// already fetched stay untouched.
-    pub fn publish(self, handle: &Progressive<T>) -> Self
+    pub fn publish(self, handle: &Progressive<T>) -> (Self, Arc<Snapshot<T>>)
     where
         T: Clone,
     {
-        let version = handle.version() + 1;
-        handle.swap(Snapshot {
-            value: self.value.clone(),
-            version,
-            published_at: self.cluster.trace().now(),
-            phase: self.phase,
-        });
+        let snap = handle.push(self.value.clone(), self.cluster.trace().now(), self.phase);
         self.cluster
             .trace()
             .instant(TraceEventKind::SnapshotPublished {
                 label: handle.label().to_string(),
-                version,
+                version: snap.version,
             });
-        self
+        (self, snap)
     }
 
     /// Runs `body` — itself a sequence of stages — while `cond` holds on
@@ -571,25 +564,25 @@ mod tests {
             .unwrap()
             .then(|(_, pairs)| pairs[0].1);
         let handle = Progressive::empty("total");
-        let pipe = pipe.publish(&handle);
+        let (pipe, coarse) = pipe.publish(&handle);
 
         // The phase-1 snapshot is already servable while refinement runs.
-        let coarse = handle.latest().expect("published");
+        assert_eq!(handle.latest(), Some(Arc::clone(&coarse)));
         assert_eq!(coarse.value, 6);
         assert_eq!(coarse.version, 1);
         assert_eq!(coarse.phase, Some(Phase::Foreground));
 
-        let (_, metrics) = pipe
+        let (pipe, exact) = pipe
             .enter_phase(Phase::Background(0))
             .stage(&refine, &[1, 2, 3])
             .unwrap()
             .then(|(_, pairs)| pairs[0].1)
-            .publish(&handle)
-            .finish();
+            .publish(&handle);
+        let (_, metrics) = pipe.finish();
 
         // The handle atomically swapped to the refined version, stamped
         // later on the simulated clock than the first publish.
-        let exact = handle.latest().expect("refined");
+        assert_eq!(handle.latest(), Some(Arc::clone(&exact)));
         assert_eq!(exact.value, 60);
         assert_eq!(exact.version, 2);
         assert_eq!(exact.phase, Some(Phase::Background(0)));
@@ -663,10 +656,10 @@ mod tests {
         assert_eq!(reader.label(), "shared");
         assert!(reader.latest().is_none());
         assert_eq!(reader.version(), 0);
-        let pipe = Pipeline::with(&cluster, 41u32).publish(&handle);
+        let (pipe, _) = Pipeline::with(&cluster, 41u32).publish(&handle);
         assert_eq!(reader.latest().expect("v1").value, 41);
-        let _ = pipe.then(|v| v + 1).publish(&handle).finish();
-        assert_eq!(reader.latest().expect("v2").value, 42);
+        let (_, v2) = pipe.then(|v| v + 1).publish(&handle);
+        assert_eq!(reader.latest(), Some(v2));
         assert_eq!(reader.version(), 2);
     }
 
