@@ -376,7 +376,6 @@ fn scan_queries(n: usize, count: usize, seed: u64) -> Vec<dwmaxerr_serve::Query>
 /// thread, the server's inline pool. No sockets: what is left of a round
 /// trip beyond these rows is syscalls, loopback and wake-ups.
 fn request_cycle_by_stage() -> Table {
-    use dwmaxerr_core::query::ErrorBound;
     use dwmaxerr_runtime::codec::encode_slice;
     use dwmaxerr_runtime::codec::frame::{Format, LenWidth};
     use dwmaxerr_runtime::codec::Wire;
@@ -399,9 +398,8 @@ fn request_cycle_by_stage() -> Table {
     };
     let built = dgreedy_abs(&paper_cluster(), &data, n / 16, &cfg).expect("runs");
     let store = SynopsisStore::new("stages", 16);
-    let bound = ErrorBound::abs(built.estimated_error + cfg.bucket_width);
     store
-        .publish(&built.synopsis, bound, 0.0, 1)
+        .publish(&built.synopsis, built.bound, 0.0, 1)
         .expect("publishes");
     let reader = store.reader().expect("published");
     let topology = NodeTopology {

@@ -41,6 +41,7 @@ use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
 use crate::errhist::{self, bucket_of, ErrHistEngine, Shape};
 use crate::error::CoreError;
+use crate::query::ErrorBound;
 use crate::splits::aligned_splits;
 
 /// Tuning knobs for DGreedyAbs.
@@ -76,8 +77,12 @@ impl Default for DGreedyAbsConfig {
 pub struct DGreedyAbsResult {
     /// The synopsis (root retained set ∪ chosen base nodes).
     pub synopsis: Synopsis,
-    /// The driver's error estimate (exact up to bucket width).
+    /// The driver's error estimate, exact up to one bucket width `e_b`;
+    /// not itself a bound (the measured error may exceed it).
     pub estimated_error: f64,
+    /// The max-abs bound this synopsis is served with: the estimate
+    /// widened by `e_b`.
+    pub bound: ErrorBound,
     /// `|C_root|` of the winning candidate.
     pub best_croot_size: usize,
     /// Per-job metrics of the whole pipeline.
@@ -144,6 +149,7 @@ pub fn dgreedy_abs(
     Ok(DGreedyAbsResult {
         synopsis: roots.assemble(best.k, base_nodes)?,
         estimated_error: best.score,
+        bound: shape.abs_bound(best.score),
         best_croot_size: best.k,
         metrics,
     })

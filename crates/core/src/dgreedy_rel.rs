@@ -21,6 +21,7 @@ use dwmaxerr_wavelet::{Synopsis, WaveletError};
 use crate::errhist::{self, ErrHistEngine, Shape};
 use crate::error::CoreError;
 use crate::eval::max_error_job;
+use crate::query::ErrorBound;
 use crate::splits::aligned_splits;
 
 /// Tuning knobs for DGreedyRel.
@@ -54,6 +55,10 @@ pub struct DGreedyRelResult {
     pub synopsis: Synopsis,
     /// Exact max relative error, measured by a distributed evaluation job.
     pub error: f64,
+    /// The relative bound this synopsis is served with: the measured
+    /// `error` (exact, so nothing is widened) under the build's sanity
+    /// constant.
+    pub bound: ErrorBound,
     /// `|C_root|` of the winning candidate.
     pub best_croot_size: usize,
     /// Pipeline metrics.
@@ -149,6 +154,7 @@ pub fn dgreedy_rel(
     Ok(DGreedyRelResult {
         synopsis,
         error,
+        bound: ErrorBound::rel(error, sanity),
         best_croot_size,
         metrics,
     })

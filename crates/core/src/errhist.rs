@@ -43,6 +43,7 @@ use dwmaxerr_wavelet::{Synopsis, WaveletError};
 use crate::error::CoreError;
 use crate::layered::forward;
 use crate::partition::BasePartition;
+use crate::query::ErrorBound;
 use crate::splits::SliceSplit;
 
 /// The validated parameters of one Section-5 build.
@@ -92,6 +93,16 @@ impl Shape {
 
     fn bucket(&self, error: f64) -> i64 {
         bucket_of(error, self.bucket_width)
+    }
+
+    /// The max-abs bound a DGreedyAbs build serves for its `estimate`. The
+    /// estimate reads the cut off histograms that floor every error into
+    /// a bucket of width `e_b`, so it can under-report by strictly less
+    /// than one bucket; widening it by `e_b` makes it an upper bound. This
+    /// is the one place that widening is written: the one-shot driver and
+    /// the incremental maintainer both serve what it returns.
+    pub(crate) fn abs_bound(&self, estimate: f64) -> ErrorBound {
+        ErrorBound::abs(estimate + self.bucket_width)
     }
 }
 

@@ -62,4 +62,4 @@ pub use progressive::{
     IncrementalConventional, IncrementalDGreedyAbs, PhasedSynopsisDriver, ServedSynopsis,
     StreamWindow, TickReport,
 };
-pub use query::{point_answer, range_answer, range_bound, Answer, ErrorBound, RelBound};
+pub use query::{point_answer, range_answer, Answer, ErrorBound, RelBound};

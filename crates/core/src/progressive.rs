@@ -70,6 +70,7 @@ use crate::errhist::{self, ErrHistEngine, Removed, RootSets, Shape};
 use crate::error::CoreError;
 use crate::layered::forward;
 use crate::partition::{store_finite_averages, BasePartition};
+use crate::query::ErrorBound;
 use crate::splits::{aligned_splits, SliceSplit};
 
 // ---------------------------------------------------------------------------
@@ -383,8 +384,13 @@ impl IncrementalConventional {
 pub struct DGreedyAbsUpdate {
     /// The maintained exact max-abs synopsis.
     pub synopsis: Synopsis,
-    /// The guaranteed max-abs error (exact up to bucket width).
+    /// The max-abs error estimate, as
+    /// [`DGreedyAbsResult::estimated_error`](crate::dgreedy_abs::DGreedyAbsResult::estimated_error):
+    /// exact up to one bucket width `e_b`, and not itself a bound.
     pub estimated_error: f64,
+    /// The max-abs bound this synopsis is served with: the estimate
+    /// widened by `e_b`.
+    pub bound: ErrorBound,
     /// `|C_root|` of the winning candidate.
     pub best_croot_size: usize,
     /// What the update re-ran.
@@ -625,6 +631,7 @@ impl IncrementalDGreedyAbs {
         let update = DGreedyAbsUpdate {
             synopsis: roots.assemble(best.k, errhist::keep_top(nodes, shape.budget - best.k))?,
             estimated_error: best.score,
+            bound: shape.abs_bound(best.score),
             best_croot_size: best.k,
             stats,
         };
@@ -636,19 +643,17 @@ impl IncrementalDGreedyAbs {
 // Phased serving driver
 // ---------------------------------------------------------------------------
 
-/// The value a [`PhasedSynopsisDriver`] publishes: a synopsis plus what
-/// kind of answer it is.
+/// The value a [`PhasedSynopsisDriver`] publishes: a synopsis and the
+/// bound it is served with. Which phase published it is the snapshot's
+/// [`Snapshot::phase`]: the foreground conventional answer carries
+/// [`ErrorBound::none`], the background DGreedyAbs answer its update's
+/// [`DGreedyAbsUpdate::bound`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedSynopsis {
     /// The synopsis being served.
     pub synopsis: Synopsis,
-    /// The guaranteed max-abs error, when the producer computes one
-    /// (`None` for the conventional phase-1 answer, which carries no
-    /// max-error guarantee).
-    pub guaranteed_error: Option<f64>,
-    /// True for the exact DGreedyAbs answer, false for the coarse
-    /// phase-1 answer.
-    pub exact: bool,
+    /// What every answer reconstructed from `synopsis` is promised.
+    pub bound: ErrorBound,
 }
 
 /// What one [`PhasedSynopsisDriver::tick`] did.
@@ -664,7 +669,10 @@ pub struct TickReport {
     pub staleness_secs: f64,
     /// Measured max-abs error of the coarse answer against the window.
     pub coarse_error: f64,
-    /// Guaranteed max-abs error of the exact answer.
+    /// The exact answer's max-abs error estimate
+    /// ([`DGreedyAbsUpdate::estimated_error`]): exact up to one bucket
+    /// width `e_b`. The bound it is served with is the published
+    /// [`ServedSynopsis::bound`].
     pub exact_error: f64,
     /// Bases the tick's appends dirtied.
     pub dirty_bases: usize,
@@ -747,8 +755,7 @@ impl PhasedSynopsisDriver {
         let (pipe, coarse) = self.conventional.update(pipe, data)?;
         let coarse_served = ServedSynopsis {
             synopsis: coarse.synopsis.clone(),
-            guaranteed_error: None,
-            exact: false,
+            bound: ErrorBound::none(),
         };
         let (pipe, coarse_snap) = pipe.then(|()| coarse_served).publish(&self.handle);
 
@@ -757,8 +764,7 @@ impl PhasedSynopsisDriver {
         let (pipe, exact) = self.dgreedy.update(pipe, data)?;
         let exact_served = ServedSynopsis {
             synopsis: exact.synopsis.clone(),
-            guaranteed_error: Some(exact.estimated_error),
-            exact: true,
+            bound: exact.bound,
         };
         let (pipe, exact_snap) = pipe.then(|()| exact_served).publish(&self.handle);
         let metrics = pipe.into_metrics();
@@ -875,6 +881,7 @@ mod tests {
                 "round {round}"
             );
             assert_eq!(up.best_croot_size, batch.best_croot_size, "round {round}");
+            assert_eq!(up.bound, batch.bound, "round {round}");
             window.push(&wavy(8, 4 + round as u64));
             for j in window.take_dirty_bases() {
                 inc.invalidate(j);
@@ -947,11 +954,16 @@ mod tests {
         assert_eq!(report.exact_version, 2);
         assert!(report.staleness_secs > 0.0);
         let latest = handle.latest().unwrap();
-        assert!(latest.value.exact);
-        assert_eq!(latest.value.guaranteed_error, Some(report.exact_error));
-        // The exact answer matches a one-shot build on the same window.
+        assert_eq!(latest.phase, Some(Phase::Background(0)));
+        // The exact answer, its estimate and the bound it is served with
+        // match a one-shot build on the same window.
         let batch = dgreedy_abs(&test_cluster(), driver.window().data(), 6, &dg_cfg(4)).unwrap();
         assert_eq!(latest.value.synopsis, batch.synopsis);
+        assert_eq!(
+            report.exact_error.to_bits(),
+            batch.estimated_error.to_bits()
+        );
+        assert_eq!(latest.value.bound, batch.bound);
         // Stage metrics carry the phases.
         let phases = report.metrics.per_phase();
         assert!(phases

@@ -7,12 +7,21 @@
 //! serving layer (`dwmaxerr-serve`):
 //!
 //! * [`ErrorBound`] — what the *build* guarantees about the synopsis:
-//!   an absolute per-point bound (`err_abs`, from DGreedyAbs), a
-//!   relative per-point bound (`err_rel` with its sanity constant, from
-//!   DGreedyRel), either, both, or neither (the conventional L2
-//!   synopsis guarantees nothing per point).
+//!   an absolute per-point bound (`err_abs`), a relative per-point bound
+//!   (`err_rel` with its sanity constant), either, both, or neither (the
+//!   conventional L2 synopsis guarantees nothing per point). The builders
+//!   that promise one hand it over with their result:
+//!   [`DGreedyAbsResult::bound`](crate::dgreedy_abs::DGreedyAbsResult::bound)
+//!   and the incremental maintainer's
+//!   [`DGreedyAbsUpdate::bound`](crate::progressive::DGreedyAbsUpdate::bound)
+//!   (the error estimate widened by one histogram bucket `e_b`, a widening
+//!   written once, in the crate-private `errhist::Shape::abs_bound` both
+//!   call), and [`DGreedyRelResult::bound`](crate::dgreedy_rel::DGreedyRelResult::bound)
+//!   (the measured error, exact, so not widened).
 //! * [`Answer`] — one query result: the value, the bound scaled to
 //!   *this* query, and the snapshot version it was computed from.
+//! * [`ErrorBound::answer`] — the one place a bound is scaled to a query;
+//!   the reference evaluators below and the sharded store both call it.
 //! * [`point_answer`] / [`range_answer`] — the reference (unsharded)
 //!   query evaluators over a plain [`Synopsis`]. The sharded store in
 //!   `dwmaxerr-serve` must agree with these up to floating-point
@@ -34,9 +43,6 @@
 
 use dwmaxerr_wavelet::reconstruct::range_sum_synopsis;
 use dwmaxerr_wavelet::Synopsis;
-
-use crate::dgreedy_abs::{DGreedyAbsConfig, DGreedyAbsResult};
-use crate::dgreedy_rel::{DGreedyRelConfig, DGreedyRelResult};
 
 /// The per-point guarantee a synopsis build established, attached to the
 /// synopsis when it enters a serving layer.
@@ -86,29 +92,28 @@ impl ErrorBound {
         }
     }
 
-    /// The guarantee established by a [`dgreedy_abs`](crate::dgreedy_abs::dgreedy_abs)
-    /// build.
-    ///
-    /// `estimated_error` is exact only up to the error-histogram bucket
-    /// width `e_b` (Algorithm 3 floor-buckets running-max errors, so the
-    /// cut it reads can under-report by strictly less than one bucket);
-    /// widening by `e_b` turns the estimate into a safe upper bound.
-    /// `tests/end_to_end.rs` pins `|actual - estimated| <= e_b`.
-    pub fn from_dgreedy_abs(result: &DGreedyAbsResult, cfg: &DGreedyAbsConfig) -> Self {
-        ErrorBound::abs(result.estimated_error + cfg.bucket_width)
-    }
-
-    /// The guarantee established by a [`dgreedy_rel`](crate::dgreedy_rel::dgreedy_rel)
-    /// build. Its `error` field is the *measured* exact maximum relative
-    /// error (a distributed evaluation job computes it against the data),
-    /// so no widening is needed.
-    pub fn from_dgreedy_rel(result: &DGreedyRelResult, cfg: &DGreedyRelConfig) -> Self {
-        ErrorBound::rel(result.error, cfg.sanity)
-    }
-
     /// True when neither bound is present.
     pub fn is_none(&self) -> bool {
         self.err_abs.is_none() && self.err_rel.is_none()
+    }
+
+    /// The answer `value` to a query over `range_width` points (`None`
+    /// for a point query), stamped with `version`, carrying this bound
+    /// scaled to the query: a point keeps both per-point bounds; a range
+    /// sum of `w` points gets `w · err_abs` and no relative bound (see the
+    /// module docs).
+    #[inline]
+    pub fn answer(&self, value: f64, range_width: Option<usize>, version: u64) -> Answer {
+        let (err_abs, err_rel) = match range_width {
+            None => (self.err_abs, self.err_rel),
+            Some(width) => (self.err_abs.map(|e| e * width as f64), None),
+        };
+        Answer {
+            value,
+            err_abs,
+            err_rel,
+            version,
+        }
     }
 }
 
@@ -131,11 +136,11 @@ pub struct Answer {
 }
 
 impl Answer {
-    /// The half-width of the certain interval around `value` when the
-    /// exact value is known to be `exact`-ish: checks the answer against
-    /// ground truth. Returns true when `exact` is consistent with every
-    /// bound the answer carries (used by tests and the bench verifier;
-    /// `slack` absorbs floating-point noise).
+    /// Checks the answer against the true value `exact`: true when
+    /// `|value - exact|` is within every bound the answer carries —
+    /// `err_abs`, and `err_rel · max(|exact|, sanity)` — each widened by
+    /// the absolute `slack` that absorbs floating-point noise. An answer
+    /// without bounds holds for any `exact`.
     pub fn bounds_hold(&self, exact: f64, slack: f64) -> bool {
         let diff = (self.value - exact).abs();
         if let Some(b) = self.err_abs {
@@ -152,15 +157,6 @@ impl Answer {
     }
 }
 
-/// Scales a build-level bound to a range query of `width` points:
-/// absolute bounds compose additively, relative bounds are dropped.
-pub fn range_bound(bound: &ErrorBound, width: usize) -> ErrorBound {
-    ErrorBound {
-        err_abs: bound.err_abs.map(|e| e * width as f64),
-        err_rel: None,
-    }
-}
-
 /// Reference point query: reconstructs `d̂_x` from the synopsis in
 /// `O(log n + log B)` and attaches the build's per-point bound.
 ///
@@ -168,12 +164,7 @@ pub fn range_bound(bound: &ErrorBound, width: usize) -> ErrorBound {
 /// Panics when `x >= synopsis.data_len()`.
 pub fn point_answer(synopsis: &Synopsis, bound: &ErrorBound, x: usize) -> Answer {
     assert!(x < synopsis.data_len(), "point query out of range");
-    Answer {
-        value: synopsis.reconstruct_value(x),
-        err_abs: bound.err_abs,
-        err_rel: bound.err_rel,
-        version: 0,
-    }
+    bound.answer(synopsis.reconstruct_value(x), None, 0)
 }
 
 /// Reference range-sum query: reconstructs `d̂(l:h)` (inclusive) via the
@@ -187,13 +178,7 @@ pub fn range_answer(synopsis: &Synopsis, bound: &ErrorBound, l: usize, h: usize)
         l <= h && h < synopsis.data_len(),
         "range query out of range"
     );
-    let scaled = range_bound(bound, h - l + 1);
-    Answer {
-        value: range_sum_synopsis(synopsis, l, h),
-        err_abs: scaled.err_abs,
-        err_rel: None,
-        version: 0,
-    }
+    bound.answer(range_sum_synopsis(synopsis, l, h), Some(h - l + 1), 0)
 }
 
 #[cfg(test)]

@@ -16,10 +16,11 @@
 //! distinct queries keep their first-occurrence order, so nothing
 //! observable depends on the seed.
 //!
-//! Answers are returned in input order, every one stamped with the
-//! reader's pinned store version. A batch never observes a snapshot
-//! swap part-way through: the [`StoreReader`] holds its `Arc` for the
-//! duration.
+//! Each query is validated once, by `Query::validate` as it is routed;
+//! past that, evaluating it cannot fail. Answers are returned in input
+//! order, every one stamped with the reader's pinned store version. A
+//! batch never observes a snapshot swap part-way through: the
+//! [`StoreReader`] holds its `Arc` for the duration.
 //!
 //! # Strict vs partial
 //!
@@ -77,6 +78,21 @@ pub enum Query {
     },
 }
 
+impl Query {
+    /// `self` when an `n`-value synopsis can answer it; otherwise the
+    /// refusal: a range with `l > h` ([`ServeError::InvertedRange`]), or
+    /// an index at or past `n` ([`ServeError::OutOfRange`]). Every entry
+    /// point validates here, so evaluation past it cannot fail.
+    pub(crate) fn validate(self, n: usize) -> Result<Query, ServeError> {
+        match self {
+            Query::Point { x } if x >= n => Err(ServeError::OutOfRange { index: x, n }),
+            Query::RangeSum { l, h } if l > h => Err(ServeError::InvertedRange { l, h }),
+            Query::RangeSum { h, .. } if h >= n => Err(ServeError::OutOfRange { index: h, n }),
+            _ => Ok(self),
+        }
+    }
+}
+
 /// What one batch execution did — exposed so benches and tests can
 /// verify the dedupe actually engages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,24 +129,9 @@ fn shards_of(
     router: Option<&ShardRouter>,
     q: Query,
 ) -> Result<(usize, usize), ServeError> {
-    let n = sharded.n();
-    let (primary, other) = match q {
-        Query::Point { x } => {
-            if x >= n {
-                return Err(ServeError::OutOfRange { index: x, n });
-            }
-            let shard = sharded.shard_of_leaf(x);
-            (shard, shard)
-        }
-        Query::RangeSum { l, h } => {
-            if l > h {
-                return Err(ServeError::InvertedRange { l, h });
-            }
-            if h >= n {
-                return Err(ServeError::OutOfRange { index: h, n });
-            }
-            sharded.shards_of_range(l, h)
-        }
+    let (primary, other) = match q.validate(sharded.n())? {
+        Query::Point { x } => sharded.shards_of_range(x, x),
+        Query::RangeSum { l, h } => sharded.shards_of_range(l, h),
     };
     if let Some(r) = router {
         r.route(primary)?;
@@ -227,16 +228,6 @@ impl Distinct {
     }
 }
 
-/// The answer to a query [`shards_of`] accepted: everything evaluation
-/// could refuse was checked there, so this cannot fail.
-fn answer(reader: &StoreReader, q: Query) -> Answer {
-    match q {
-        Query::Point { x } => reader.point(x),
-        Query::RangeSum { l, h } => reader.range_sum(l, h),
-    }
-    .expect("a validated query always evaluates")
-}
-
 /// Executes `queries` against the reader's pinned snapshot, each distinct
 /// query once, answers in input order. Strict: the first malformed query
 /// (in input order) fails the whole batch. See the [module docs](self).
@@ -286,7 +277,7 @@ pub fn execute_partial_routed(
 
     let chunks: Vec<&[Query]> = distinct.queries.chunks(CHUNK).collect();
     let eval = |_: usize, chunk: &&[Query]| -> Vec<Answer> {
-        chunk.iter().map(|&q| answer(reader, q)).collect()
+        chunk.iter().map(|&q| reader.answer(q)).collect()
     };
     let answers: Vec<Vec<Answer>> = match pool {
         Some(pool) => pool.run_indexed(&chunks, eval),

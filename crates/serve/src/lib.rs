@@ -14,14 +14,18 @@
 //! The flow:
 //!
 //! ```text
-//! PhasedSynopsisDriver ──tick──▶ exact Synopsis + guaranteed_error
-//!          │                               │
-//!          ▼                               ▼
-//!   (PR 7 build loop)            ShardedSynopsis::build
-//!                                          │  atomic swap
-//!                                          ▼
-//!                                   SynopsisStore ──reader()──▶ pinned
-//!                                                               queries
+//! PhasedSynopsisDriver ──tick──▶ ServedSynopsis { synopsis, bound }
+//!   (phased build loop)            │  bound: stated by the DGreedyAbs
+//!                                  │  maintainer, carried as published
+//!                                  ▼
+//!                        ShardedSynopsis::build
+//!                                  │  atomic swap
+//!                                  ▼
+//!                           SynopsisStore ──reader()──▶ StoreReader
+//!                                                            │
+//!                  Query::validate, then ErrorBound::answer: ◀┘
+//!                  the bound scaled to the query, the answer
+//!                  stamped with the pinned store version
 //! ```
 //!
 //! # Module map
@@ -30,7 +34,7 @@
 //! |----------------|------|
 //! | [`shard`]      | [`ShardedSynopsis`]: the retained-coefficient representation re-cut along error-tree partitions, with per-shard pre-summed root paths |
 //! | [`store`]      | [`SynopsisStore`] / [`StoreReader`]: versioned atomic-swap store and lock-free pinned readers |
-//! | [`batch`]      | [`Query`] and the batch executor that evaluates each distinct query once — strict and lenient (per-query `Result`) flavours |
+//! | [`batch`]      | [`Query`] with its one validation, and the batch executor that evaluates each distinct query once — strict and lenient (per-query `Result`) flavours |
 //! | [`router`]     | [`ShardRouter`]: static shard→node routing table over the simulated topology, with replication and liveness |
 //! | [`net`]        | [`NetServer`] / [`NetClient`]: the out-of-process TCP front — length-prefixed wire protocol with a fixed-width query / slot codec, answers encoded straight into the response frame, load shedding, latency/QPS stats |
 //! | [`serve_loop`] | [`ServeDriver`]: build→publish→serve glue over `PhasedSynopsisDriver` |

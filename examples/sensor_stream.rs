@@ -11,9 +11,10 @@
 //!    conventional (L2) synopsis — only the base sub-trees the batch
 //!    touched re-run — and publishes it immediately;
 //! 2. a **background** phase incrementally rebuilds the exact DGreedyAbs
-//!    synopsis, which the [`ServeDriver`] re-shards along error-tree
-//!    partitions and atomically swaps into the query store with its
-//!    guaranteed error bound attached.
+//!    synopsis together with the bound it is served with (its error
+//!    estimate widened by one histogram bucket), which the [`ServeDriver`]
+//!    re-shards along error-tree partitions and atomically swaps into the
+//!    query store.
 //!
 //! The dashboard side never touches snapshot internals: it takes a
 //! [`reader`](dwmaxerr::serve::SynopsisStore::reader) pinned to one

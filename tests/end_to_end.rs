@@ -302,7 +302,7 @@ fn greedy_drivers_survive_edge_inputs() {
                 let outcomes = [
                     dgreedy_abs(&c, data, b, &abs_cfg).map(|d| {
                         let measured = max_abs(data, &d.synopsis.reconstruct_all());
-                        let promised = d.estimated_error + abs_cfg.bucket_width + 1e-6;
+                        let promised = d.bound.err_abs.expect("a max-abs bound") + 1e-6;
                         (d.synopsis.size(), measured, promised)
                     }),
                     dgreedy_rel(&c, data, b, &rel_cfg).map(|d| {

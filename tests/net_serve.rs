@@ -21,7 +21,6 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig, DGreedyAbsResult};
-use dwmaxerr::core::query::ErrorBound;
 use dwmaxerr::datagen::uniform;
 use dwmaxerr::runtime::{Cluster, ClusterConfig, NodeTopology};
 use dwmaxerr::serve::error::status;
@@ -51,11 +50,8 @@ fn abs_cfg() -> DGreedyAbsConfig {
     }
 }
 
-fn build(data: &[f64], budget: usize) -> (DGreedyAbsResult, ErrorBound) {
-    let cfg = abs_cfg();
-    let result = dgreedy_abs(&cluster(), data, budget, &cfg).unwrap();
-    let bound = ErrorBound::from_dgreedy_abs(&result, &cfg);
-    (result, bound)
+fn build(data: &[f64], budget: usize) -> DGreedyAbsResult {
+    dgreedy_abs(&cluster(), data, budget, &abs_cfg()).unwrap()
 }
 
 fn prefix_sums(data: &[f64]) -> Vec<f64> {
@@ -158,11 +154,12 @@ fn check_response(
 fn concurrent_mixed_batches_across_a_publish_swap() {
     let data = uniform(N, 1000.0, 42);
     let prefix = prefix_sums(&data);
-    let (build1, bound1) = build(&data, 24);
-    let (build2, bound2) = build(&data, 48);
+    let (build1, build2) = (build(&data, 24), build(&data, 48));
 
     let store = SynopsisStore::new("net-accept", SHARDS);
-    store.publish(&build1.synopsis, bound1, 1.0, 1).unwrap();
+    store
+        .publish(&build1.synopsis, build1.bound, 1.0, 1)
+        .unwrap();
     let reader_v1 = store.reader().unwrap();
 
     let topology = NodeTopology {
@@ -206,7 +203,9 @@ fn concurrent_mixed_batches_across_a_publish_swap() {
     }
 
     barrier.wait(); // all clients sent their first half
-    store.publish(&build2.synopsis, bound2, 2.0, 2).unwrap();
+    store
+        .publish(&build2.synopsis, build2.bound, 2.0, 2)
+        .unwrap();
     let reader_v2 = store.reader().unwrap();
     assert_eq!(reader_v2.version(), 2);
     barrier.wait(); // release the second half
@@ -249,7 +248,7 @@ fn concurrent_mixed_batches_across_a_publish_swap() {
 #[test]
 fn node_kill_with_replication_stays_servable() {
     let data = uniform(N, 1000.0, 7);
-    let (b, bound) = build(&data, 32);
+    let b = build(&data, 32);
     let topology = NodeTopology {
         nodes: 4,
         slots_per_node: 2,
@@ -259,7 +258,7 @@ fn node_kill_with_replication_stays_servable() {
 
     for replication in [2usize, 1] {
         let store = SynopsisStore::new("net-kill", SHARDS);
-        store.publish(&b.synopsis, bound, 1.0, 1).unwrap();
+        store.publish(&b.synopsis, b.bound, 1.0, 1).unwrap();
         let router = ShardRouter::new(SHARDS, topology, replication).unwrap();
         let cfg = NetServerConfig {
             read_timeout: Duration::from_secs(2),

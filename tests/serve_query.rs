@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr::core::dgreedy_rel::{dgreedy_rel, DGreedyRelConfig};
-use dwmaxerr::core::query::{point_answer, range_answer, ErrorBound};
+use dwmaxerr::core::query::{point_answer, range_answer};
 use dwmaxerr::datagen::{uniform, zipf};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
 use dwmaxerr::serve::{Query, SynopsisStore};
@@ -93,7 +93,7 @@ proptest! {
         let prefix = prefix_sums(&data);
         let cfg = abs_cfg();
         let build = dgreedy_abs(&cluster(), &data, budget, &cfg).unwrap();
-        let bound = ErrorBound::from_dgreedy_abs(&build, &cfg);
+        let bound = build.bound;
 
         let store = SynopsisStore::new("proptest-abs", shards);
         store.publish(&build.synopsis, bound, 1.0, 1).unwrap();
@@ -128,7 +128,7 @@ proptest! {
         // pinned reader — bit-identical answers, still version 1.
         let build2 = dgreedy_abs(&cluster(), &data, budget / 2 + 8, &cfg).unwrap();
         store
-            .publish(&build2.synopsis, ErrorBound::from_dgreedy_abs(&build2, &cfg), 2.0, 2)
+            .publish(&build2.synopsis, build2.bound, 2.0, 2)
             .unwrap();
         let again = reader.execute(&queries).unwrap();
         for (a, b) in answers.iter().zip(&again) {
@@ -157,7 +157,7 @@ proptest! {
             sanity: 5.0,
         };
         let build = dgreedy_rel(&cluster(), &data, 24, &cfg).unwrap();
-        let bound = ErrorBound::from_dgreedy_rel(&build, &cfg);
+        let bound = build.bound;
 
         let store = SynopsisStore::new("proptest-rel", shards);
         store.publish(&build.synopsis, bound, 1.0, 1).unwrap();
@@ -183,8 +183,8 @@ fn readers_stay_pinned_under_concurrent_swaps() {
     let build_a = dgreedy_abs(&cluster(), &data, 24, &cfg).unwrap();
     let build_b = dgreedy_abs(&cluster(), &data, 48, &cfg).unwrap();
     assert_ne!(build_a.synopsis.entries(), build_b.synopsis.entries());
-    let bound_a = ErrorBound::from_dgreedy_abs(&build_a, &cfg);
-    let bound_b = ErrorBound::from_dgreedy_abs(&build_b, &cfg);
+    let bound_a = build_a.bound;
+    let bound_b = build_b.bound;
 
     let store = SynopsisStore::new("concurrent", 16);
     store.publish(&build_a.synopsis, bound_a, 1.0, 1).unwrap();
