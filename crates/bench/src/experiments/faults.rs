@@ -395,14 +395,18 @@ pub fn node_fault_sweep(scale: Scale, seed: u64, trace_dir: Option<&Path>) -> No
             "blacklisted",
         ],
     );
-    for r in summary::recovery_summary(&heaviest_events) {
+    for r in summary::per_stage(&heaviest_events) {
+        let c = r.recovery;
+        if c == summary::RecoveryCounts::default() {
+            continue;
+        }
         rt.row(vec![
-            r.job.clone(),
-            r.nodes_down.to_string(),
-            r.permanent.to_string(),
-            r.fetch_failures.to_string(),
-            r.maps_reexecuted.to_string(),
-            r.nodes_blacklisted.to_string(),
+            r.name,
+            c.nodes_down.to_string(),
+            c.permanent.to_string(),
+            c.fetch_failures.to_string(),
+            c.maps_reexecuted.to_string(),
+            c.nodes_blacklisted.to_string(),
         ]);
     }
     if let Some(dir) = trace_dir {

@@ -4,8 +4,8 @@ use std::fmt::Write as _;
 
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::trace::json::{self, Value};
-use dwmaxerr_runtime::trace::{summary, TraceEvent, TraceEventKind};
-use dwmaxerr_runtime::ClusterConfig;
+use dwmaxerr_runtime::trace::{summary, TraceEvent};
+use dwmaxerr_runtime::{ClusterConfig, TaskPhase};
 
 /// One experiment output table.
 #[derive(Debug, Clone)]
@@ -236,17 +236,22 @@ pub fn slot_utilisation_table(title: impl Into<String>, events: &[TraceEvent]) -
             "util",
         ],
     );
-    for r in summary::slot_utilisation(events) {
-        t.row(vec![
-            r.job.clone(),
-            r.phase.as_str().into(),
-            r.slots.to_string(),
-            secs(r.makespan_secs),
-            secs(r.busy_secs),
-            secs(r.wasted_secs),
-            r.attempts.to_string(),
-            format!("{:.0}%", 100.0 * r.utilisation()),
-        ]);
+    for r in summary::per_stage(events) {
+        for (phase, used, makespan) in [
+            (TaskPhase::Map, &r.map, r.map_secs),
+            (TaskPhase::Reduce, &r.reduce, r.reduce_secs),
+        ] {
+            t.row(vec![
+                r.name.clone(),
+                phase.as_str().into(),
+                used.slots.to_string(),
+                secs(makespan),
+                secs(used.busy_secs),
+                secs(used.wasted_secs),
+                used.attempts.to_string(),
+                format!("{:.0}%", 100.0 * used.utilisation(makespan)),
+            ]);
+        }
     }
     t
 }
@@ -254,41 +259,9 @@ pub fn slot_utilisation_table(title: impl Into<String>, events: &[TraceEvent]) -
 /// Builds a shuffle-structure table from a recorded trace: one row per
 /// stage (jobs grouped by name, summed over pipeline rounds) showing the
 /// physical shape of its shuffle — reduce partitions fetched, bytes moved,
-/// and total sorted-run fan-in the k-way merges consumed.
+/// and total sorted-run fan-in the k-way merges consumed. A stage that
+/// fetched no partition gets no row.
 pub fn shuffle_structure_table(title: impl Into<String>, events: &[TraceEvent]) -> Table {
-    struct Row {
-        partitions: u64,
-        bytes: u64,
-        runs: u64,
-        max_fan_in: u64,
-    }
-    let mut rows: Vec<(String, Row)> = Vec::new();
-    for e in events {
-        if let TraceEventKind::ShufflePartition {
-            job, bytes, runs, ..
-        } = &e.kind
-        {
-            let row = match rows.iter_mut().find(|(name, _)| name == job) {
-                Some((_, row)) => row,
-                None => {
-                    rows.push((
-                        job.clone(),
-                        Row {
-                            partitions: 0,
-                            bytes: 0,
-                            runs: 0,
-                            max_fan_in: 0,
-                        },
-                    ));
-                    &mut rows.last_mut().expect("just pushed").1
-                }
-            };
-            row.partitions += 1;
-            row.bytes += bytes;
-            row.runs += runs;
-            row.max_fan_in = row.max_fan_in.max(*runs);
-        }
-    }
     let mut t = Table::new(
         title,
         "map tasks spill one sorted run per non-empty partition; reducers k-way merge \
@@ -301,13 +274,16 @@ pub fn shuffle_structure_table(title: impl Into<String>, events: &[TraceEvent]) 
             "max fan-in",
         ],
     );
-    for (job, r) in rows {
+    for r in summary::per_stage(events)
+        .into_iter()
+        .filter(|r| r.shuffle.partitions > 0)
+    {
         t.row(vec![
-            job,
-            r.partitions.to_string(),
-            bytes(r.bytes),
-            r.runs.to_string(),
-            r.max_fan_in.to_string(),
+            r.name,
+            r.shuffle.partitions.to_string(),
+            bytes(r.shuffle.bytes),
+            r.shuffle.runs.to_string(),
+            r.shuffle.max_fan_in.to_string(),
         ]);
     }
     t
@@ -334,7 +310,7 @@ pub fn critical_path_table(title: impl Into<String>, events: &[TraceEvent]) -> T
             "longest attempt",
         ],
     );
-    for r in summary::critical_path(events) {
+    for r in summary::per_stage(events) {
         let longest = r.longest.as_ref().map_or_else(
             || "-".to_string(),
             |l| {
@@ -349,7 +325,7 @@ pub fn critical_path_table(title: impl Into<String>, events: &[TraceEvent]) -> T
             },
         );
         t.row(vec![
-            r.job.clone(),
+            r.name.clone(),
             r.runs.to_string(),
             secs(r.setup_secs),
             secs(r.map_secs),
@@ -434,6 +410,15 @@ mod tests {
             TraceEvent {
                 seq: 0,
                 time: 0.0,
+                kind: TraceEventKind::JobBegin {
+                    job: job.clone(),
+                    maps: 1,
+                    reducers: 0,
+                },
+            },
+            TraceEvent {
+                seq: 1,
+                time: 0.0,
                 kind: TraceEventKind::PhaseBegin {
                     job: job.clone(),
                     phase: JobPhase::Map,
@@ -441,7 +426,7 @@ mod tests {
                 },
             },
             TraceEvent {
-                seq: 1,
+                seq: 2,
                 time: 0.0,
                 kind: TraceEventKind::Attempt {
                     job: job.clone(),
@@ -457,7 +442,7 @@ mod tests {
                 },
             },
             TraceEvent {
-                seq: 2,
+                seq: 3,
                 time: 2.0,
                 kind: TraceEventKind::PhaseEnd {
                     job: job.clone(),
@@ -466,7 +451,7 @@ mod tests {
                 },
             },
             TraceEvent {
-                seq: 3,
+                seq: 4,
                 time: 2.0,
                 kind: TraceEventKind::JobEnd {
                     job: job.clone(),

@@ -965,13 +965,9 @@ mod tests {
         );
         assert_eq!(latest.value.bound, batch.bound);
         // Stage metrics carry the phases.
-        let phases = report.metrics.per_phase();
-        assert!(phases
-            .iter()
-            .any(|p| p.phase == Some(Phase::Foreground) && p.jobs > 0));
-        assert!(phases
-            .iter()
-            .any(|p| p.phase == Some(Phase::Background(0)) && p.jobs > 0));
+        let stages = report.metrics.per_stage();
+        assert!(stages.iter().any(|s| s.phase == Some(Phase::Foreground)));
+        assert!(stages.iter().any(|s| s.phase == Some(Phase::Background(0))));
         // A second tick keeps counting versions up on the same handle.
         let report2 = driver.tick(&cluster, &wavy(4, 12)).unwrap();
         assert_eq!(report2.coarse_version, 3);

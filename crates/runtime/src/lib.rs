@@ -104,7 +104,7 @@ pub use fault::{
 pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext, Values};
 pub use metrics::{
     AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Kernel, Phase,
-    PhaseMetrics, RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,
+    RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,
 };
 pub use pipeline::{Pipeline, Progressive, Snapshot};
 pub use scheduler::{NodeEvent, NodeFaults, NodeTopology};

@@ -704,53 +704,6 @@ impl DriverMetrics {
         }
         stages
     }
-
-    /// Groups the job ledger by execution phase, in first-execution order.
-    ///
-    /// Like [`DriverMetrics::per_stage`], the phase rows partition the
-    /// ledger exactly. An unphased plan collapses to one `None` row.
-    pub fn per_phase(&self) -> Vec<PhaseMetrics> {
-        let mut phases: Vec<PhaseMetrics> = Vec::new();
-        for j in &self.jobs {
-            let at = match phases.iter().position(|p| p.phase == j.phase) {
-                Some(at) => at,
-                None => {
-                    phases.push(PhaseMetrics {
-                        phase: j.phase,
-                        jobs: 0,
-                        simulated: SimTime::ZERO,
-                        shuffle_bytes: 0,
-                        map_tasks: 0,
-                    });
-                    phases.len() - 1
-                }
-            };
-            let row = &mut phases[at];
-            row.jobs += 1;
-            row.simulated += j.simulated();
-            row.shuffle_bytes += j.shuffle_bytes;
-            row.map_tasks += j.map_tasks();
-        }
-        phases
-    }
-}
-
-/// Aggregate metrics for one execution phase of a phased plan; produced by
-/// [`DriverMetrics::per_phase`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseMetrics {
-    /// The phase (`None`: jobs recorded outside any phase).
-    pub phase: Option<Phase>,
-    /// Jobs executed under this phase.
-    pub jobs: usize,
-    /// Total simulated time across the phase's jobs.
-    pub simulated: SimTime,
-    /// Total bytes crossing the shuffle boundary across the phase's jobs.
-    pub shuffle_bytes: u64,
-    /// Total map tasks run across the phase's jobs — the unit the
-    /// incremental-maintenance acceptance tests count, since the number of
-    /// re-run merge/filter map tasks is proportional to dirty subtrees.
-    pub map_tasks: usize,
 }
 
 #[cfg(test)]
@@ -884,7 +837,6 @@ mod tests {
                 ..JobMetrics::default()
             };
             j.sim.map = map;
-            j.map_costs = vec![TaskCost::default(); 3];
             d.push(j);
         }
         let stages = d.per_stage();
@@ -895,14 +847,6 @@ mod tests {
         assert_eq!(stages[1].runs, 2);
         // The rows still partition the ledger exactly.
         let sim: f64 = stages.iter().map(|s| s.simulated.secs()).sum();
-        assert_eq!(SimTime(sim), d.total_simulated());
-        // Phase rollup partitions it too, counting map tasks.
-        let phases = d.per_phase();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].jobs, 1);
-        assert_eq!(phases[1].jobs, 2);
-        assert_eq!(phases[1].map_tasks, 6);
-        let sim: f64 = phases.iter().map(|p| p.simulated.secs()).sum();
         assert_eq!(SimTime(sim), d.total_simulated());
     }
 
@@ -918,10 +862,6 @@ mod tests {
         let stages = d.per_stage();
         assert_eq!(stages.len(), 2);
         assert!(stages.iter().all(|s| s.phase.is_none()));
-        let phases = d.per_phase();
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].phase, None);
-        assert_eq!(phases[0].jobs, 3);
     }
 
     #[test]

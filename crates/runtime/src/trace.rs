@@ -45,6 +45,13 @@
 //! hand-written per kind, because the golden-sequence tests pin its exact
 //! strings.
 //!
+//! # Summaries
+//!
+//! [`summary::per_stage`] is the trace's one roll-up: a single pass that
+//! folds each job's contiguous event block into one
+//! [`summary::StageSummary`] row per job name. Every trace-derived report
+//! table reads its fields.
+//!
 //! # Example
 //!
 //! ```

@@ -1,68 +1,25 @@
-//! Derived summaries over a recorded trace: per-job span totals,
-//! per-phase slot utilisation, a critical-path decomposition, and
-//! phased-execution roll-ups (phase spans, snapshot publishes, and the
-//! refinement lag between consecutive snapshot versions).
+//! The trace's one roll-up: [`per_stage`] folds a recorded event log into
+//! one [`StageSummary`] row per job name — its runs and simulated time,
+//! the four phase makespans, each task phase's slot occupancy, the
+//! longest attempt, the node-fault and recovery counts, and the shape of
+//! its shuffle.
 //!
-//! These are pure functions of the event log — everything they report is
-//! recomputable by any external consumer of the JSONL export; they exist
-//! so reports can print the common roll-ups without each caller
-//! re-deriving them.
+//! It is a pure function of the event log — everything it reports is
+//! recomputable by any external consumer of the JSONL export; it exists
+//! so every trace-derived report table is a field read of one pass
+//! instead of a roll-up of its own. A new span kind is one more match arm
+//! in the fold [`per_stage`] runs over each event.
 
 use super::{JobPhase, TraceEvent, TraceEventKind};
 use crate::fault::TaskPhase;
-use crate::metrics::{AttemptKind, AttemptOutcome, Phase};
+use crate::metrics::{AttemptKind, AttemptOutcome};
 
-/// Total simulated seconds attributed to each distinct job name.
-///
-/// Jobs are grouped by name in first-appearance order and their
-/// [`TraceEventKind::JobEnd`] `sim_secs` summed in event order — exactly
-/// how [`crate::metrics::DriverMetrics::per_stage`] accumulates
-/// `simulated`, so for a traced pipeline the two reports agree to the
-/// last bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpanTotal {
-    /// Job (stage) name.
-    pub name: String,
-    /// Number of completed runs under this name.
-    pub runs: usize,
-    /// Sum of the runs' simulated durations, in event order.
-    pub sim_secs: f64,
-}
-
-/// Groups completed jobs by name and totals their simulated time.
-pub fn job_span_totals(events: &[TraceEvent]) -> Vec<JobSpanTotal> {
-    let mut totals: Vec<JobSpanTotal> = Vec::new();
-    for e in events {
-        if let TraceEventKind::JobEnd { job, sim_secs } = &e.kind {
-            match totals.iter_mut().find(|t| &t.name == job) {
-                Some(t) => {
-                    t.runs += 1;
-                    t.sim_secs += sim_secs;
-                }
-                None => totals.push(JobSpanTotal {
-                    name: job.clone(),
-                    runs: 1,
-                    sim_secs: *sim_secs,
-                }),
-            }
-        }
-    }
-    totals
-}
-
-/// How busy one job's map or reduce slots were, aggregated over all runs
-/// of that job name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotUtilisation {
-    /// Job (stage) name.
-    pub job: String,
-    /// Map or reduce.
-    pub phase: TaskPhase,
-    /// Configured slots for the phase.
+/// How busy one task phase's slots were, summed over a job name's runs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SlotUse {
+    /// Configured slots for the phase (the most any run had).
     pub slots: usize,
-    /// Summed phase makespan across runs (seconds).
-    pub makespan_secs: f64,
-    /// Summed attempt-occupancy (seconds) — every attempt, including
+    /// Summed attempt occupancy (seconds) — every attempt, including
     /// failed, killed, and speculative ones.
     pub busy_secs: f64,
     /// The subset of `busy_secs` spent on attempts that did not succeed
@@ -72,81 +29,17 @@ pub struct SlotUtilisation {
     pub attempts: usize,
 }
 
-impl SlotUtilisation {
-    /// Busy time over total slot capacity (`slots × makespan`), in `[0, 1]`
-    /// (0 when the phase never ran).
-    pub fn utilisation(&self) -> f64 {
-        let capacity = self.slots as f64 * self.makespan_secs;
+impl SlotUse {
+    /// Busy time over total slot capacity (`slots × makespan_secs`, the
+    /// phase's summed makespan), in `[0, 1]` (0 when the phase never ran).
+    pub fn utilisation(&self, makespan_secs: f64) -> f64 {
+        let capacity = self.slots as f64 * makespan_secs;
         if capacity > 0.0 {
             self.busy_secs / capacity
         } else {
             0.0
         }
     }
-}
-
-/// Aggregates slot occupancy per (job name, task phase).
-pub fn slot_utilisation(events: &[TraceEvent]) -> Vec<SlotUtilisation> {
-    let mut rows: Vec<SlotUtilisation> = Vec::new();
-    let row = |rows: &mut Vec<SlotUtilisation>, job: &str, phase: TaskPhase| -> usize {
-        if let Some(i) = rows.iter().position(|r| r.job == job && r.phase == phase) {
-            i
-        } else {
-            rows.push(SlotUtilisation {
-                job: job.to_string(),
-                phase,
-                slots: 0,
-                makespan_secs: 0.0,
-                busy_secs: 0.0,
-                wasted_secs: 0.0,
-                attempts: 0,
-            });
-            rows.len() - 1
-        }
-    };
-    for e in events {
-        match &e.kind {
-            TraceEventKind::PhaseBegin { job, phase, slots } => {
-                let task_phase = match phase {
-                    JobPhase::Map => TaskPhase::Map,
-                    JobPhase::Reduce => TaskPhase::Reduce,
-                    _ => continue,
-                };
-                let i = row(&mut rows, job, task_phase);
-                rows[i].slots = rows[i].slots.max(*slots);
-            }
-            TraceEventKind::PhaseEnd {
-                job,
-                phase,
-                sim_secs,
-            } => {
-                let task_phase = match phase {
-                    JobPhase::Map => TaskPhase::Map,
-                    JobPhase::Reduce => TaskPhase::Reduce,
-                    _ => continue,
-                };
-                let i = row(&mut rows, job, task_phase);
-                rows[i].makespan_secs += sim_secs;
-            }
-            TraceEventKind::Attempt {
-                job,
-                phase,
-                outcome,
-                end,
-                ..
-            } => {
-                let i = row(&mut rows, job, *phase);
-                let dur = (end - e.time).max(0.0);
-                rows[i].busy_secs += dur;
-                rows[i].attempts += 1;
-                if *outcome != AttemptOutcome::Succeeded {
-                    rows[i].wasted_secs += dur;
-                }
-            }
-            _ => {}
-        }
-    }
-    rows
 }
 
 /// The single longest attempt observed for a job name.
@@ -164,125 +57,9 @@ pub struct LongestAttempt {
     pub secs: f64,
 }
 
-/// Per-job-name critical-path decomposition: since phases are barriers,
-/// the job's end-to-end simulated time is exactly
-/// `setup + map + shuffle + reduce`, and within each task phase the
-/// makespan is lower-bounded by its longest attempt chain — the single
-/// longest attempt is reported as the straggler candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPath {
-    /// Job (stage) name.
-    pub job: String,
-    /// Number of completed runs.
-    pub runs: usize,
-    /// Summed setup seconds.
-    pub setup_secs: f64,
-    /// Summed map makespan seconds.
-    pub map_secs: f64,
-    /// Summed shuffle seconds.
-    pub shuffle_secs: f64,
-    /// Summed reduce makespan seconds.
-    pub reduce_secs: f64,
-    /// The longest single attempt across all runs, if any ran.
-    pub longest: Option<LongestAttempt>,
-}
-
-impl CriticalPath {
-    /// The phase dominating the job's simulated time.
-    pub fn dominant_phase(&self) -> JobPhase {
-        let pairs = [
-            (JobPhase::Setup, self.setup_secs),
-            (JobPhase::Map, self.map_secs),
-            (JobPhase::Shuffle, self.shuffle_secs),
-            (JobPhase::Reduce, self.reduce_secs),
-        ];
-        pairs
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(p, _)| p)
-            .expect("non-empty phase list")
-    }
-
-    /// Total across the four phase components.
-    pub fn total_secs(&self) -> f64 {
-        self.setup_secs + self.map_secs + self.shuffle_secs + self.reduce_secs
-    }
-}
-
-/// Decomposes each job name's simulated time into phase components and
-/// finds its longest attempt.
-pub fn critical_path(events: &[TraceEvent]) -> Vec<CriticalPath> {
-    let mut rows: Vec<CriticalPath> = Vec::new();
-    let idx = |rows: &mut Vec<CriticalPath>, job: &str| -> usize {
-        if let Some(i) = rows.iter().position(|r| r.job == job) {
-            i
-        } else {
-            rows.push(CriticalPath {
-                job: job.to_string(),
-                runs: 0,
-                setup_secs: 0.0,
-                map_secs: 0.0,
-                shuffle_secs: 0.0,
-                reduce_secs: 0.0,
-                longest: None,
-            });
-            rows.len() - 1
-        }
-    };
-    for e in events {
-        match &e.kind {
-            TraceEventKind::JobEnd { job, .. } => {
-                let i = idx(&mut rows, job);
-                rows[i].runs += 1;
-            }
-            TraceEventKind::PhaseEnd {
-                job,
-                phase,
-                sim_secs,
-            } => {
-                let i = idx(&mut rows, job);
-                match phase {
-                    JobPhase::Setup => rows[i].setup_secs += sim_secs,
-                    JobPhase::Map => rows[i].map_secs += sim_secs,
-                    JobPhase::Shuffle => rows[i].shuffle_secs += sim_secs,
-                    JobPhase::Reduce => rows[i].reduce_secs += sim_secs,
-                }
-            }
-            TraceEventKind::Attempt {
-                job,
-                phase,
-                task,
-                attempt,
-                kind,
-                end,
-                ..
-            } => {
-                let i = idx(&mut rows, job);
-                let secs = (end - e.time).max(0.0);
-                if rows[i].longest.as_ref().is_none_or(|l| secs > l.secs) {
-                    rows[i].longest = Some(LongestAttempt {
-                        phase: *phase,
-                        task: *task,
-                        attempt: *attempt,
-                        kind: *kind,
-                        secs,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    rows
-}
-
-/// Per-job-name roll-up of node-fault and recovery instants.
-///
-/// All five counters are recomputable from the JSONL export; a row is
-/// emitted only for job names that saw at least one such event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoverySummary {
-    /// Job (stage) name.
-    pub job: String,
+/// A job name's node-fault and recovery instants, counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryCounts {
     /// `node_down` instants recorded for the job.
     pub nodes_down: usize,
     /// The subset of `nodes_down` whose slots never came back.
@@ -296,182 +73,173 @@ pub struct RecoverySummary {
     pub nodes_blacklisted: usize,
 }
 
-/// Counts node-fault and recovery instants per job name, in
-/// first-appearance order.
-pub fn recovery_summary(events: &[TraceEvent]) -> Vec<RecoverySummary> {
-    let mut rows: Vec<RecoverySummary> = Vec::new();
-    let idx = |rows: &mut Vec<RecoverySummary>, job: &str| -> usize {
-        if let Some(i) = rows.iter().position(|r| r.job == job) {
-            i
-        } else {
-            rows.push(RecoverySummary {
-                job: job.to_string(),
-                nodes_down: 0,
-                permanent: 0,
-                fetch_failures: 0,
-                maps_reexecuted: 0,
-                nodes_blacklisted: 0,
-            });
-            rows.len() - 1
-        }
-    };
-    for e in events {
-        match &e.kind {
-            TraceEventKind::NodeDown { job, permanent, .. } => {
-                let i = idx(&mut rows, job);
-                rows[i].nodes_down += 1;
-                if *permanent {
-                    rows[i].permanent += 1;
-                }
-            }
-            TraceEventKind::FetchFailed { job, .. } => {
-                let i = idx(&mut rows, job);
-                rows[i].fetch_failures += 1;
-            }
-            TraceEventKind::MapReexecuted { job, .. } => {
-                let i = idx(&mut rows, job);
-                rows[i].maps_reexecuted += 1;
-            }
-            TraceEventKind::NodeBlacklisted { job, .. } => {
-                let i = idx(&mut rows, job);
-                rows[i].nodes_blacklisted += 1;
-            }
-            _ => {}
-        }
-    }
-    rows
+/// The physical shape of a job name's shuffle, from its
+/// `shuffle_partition` instants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShuffleShape {
+    /// Reduce partitions fetched.
+    pub partitions: u64,
+    /// Codec-encoded bytes those partitions fetched.
+    pub bytes: u64,
+    /// Sorted runs the reducers' k-way merges consumed.
+    pub runs: u64,
+    /// The widest single partition's merge fan-in.
+    pub max_fan_in: u64,
 }
 
-/// One execution phase's span on the driver timeline.
+/// Everything the trace records about one job name, summed over its runs
+/// in event order.
 ///
-/// A span opens at a `phase_started` marker and closes at the next one
-/// (or at the last event in the trace). Jobs and snapshot publishes are
-/// attributed to the span whose marker most recently preceded them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSpan {
-    /// The declared phase.
-    pub phase: Phase,
-    /// Simulated time of the `phase_started` marker.
-    pub begin: f64,
-    /// Simulated time of the next marker, or of the trace's last event.
-    pub end: f64,
-    /// Completed jobs inside the span.
-    pub jobs: usize,
-    /// Summed simulated seconds of those jobs.
+/// `runs` and `sim_secs` total the [`TraceEventKind::JobEnd`] events
+/// exactly how [`crate::metrics::DriverMetrics::per_stage`] accumulates
+/// `runs` and `simulated`, so for a traced unphased pipeline the two
+/// roll-ups agree to the last bit. Since phases are barriers, the job's
+/// time decomposes into `setup + map + shuffle + reduce`, and within each
+/// task phase the makespan is lower-bounded by its longest attempt chain
+/// — the single longest attempt is the straggler candidate.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StageSummary {
+    /// Job (stage) name.
+    pub name: String,
+    /// Number of completed runs.
+    pub runs: usize,
+    /// Sum of the runs' simulated durations.
     pub sim_secs: f64,
-    /// `snapshot_published` instants inside the span.
-    pub snapshots: usize,
+    /// Summed setup seconds.
+    pub setup_secs: f64,
+    /// Summed map makespan seconds.
+    pub map_secs: f64,
+    /// Summed shuffle seconds.
+    pub shuffle_secs: f64,
+    /// Summed reduce makespan seconds.
+    pub reduce_secs: f64,
+    /// The map slots' occupancy.
+    pub map: SlotUse,
+    /// The reduce slots' occupancy.
+    pub reduce: SlotUse,
+    /// The longest single attempt across all runs, if any ran.
+    pub longest: Option<LongestAttempt>,
+    /// Node-fault and recovery instants.
+    pub recovery: RecoveryCounts,
+    /// The shuffle's shape.
+    pub shuffle: ShuffleShape,
 }
 
-/// Tiles the driver timeline into phase spans, in marker order.
-///
-/// Returns one row per `phase_started` marker (the same phase may appear
-/// more than once if the driver re-enters it); events before the first
-/// marker belong to no span, matching the unphased-prefix semantics of
-/// [`crate::pipeline::Pipeline::enter_phase`].
-pub fn phase_spans(events: &[TraceEvent]) -> Vec<PhaseSpan> {
-    let mut rows: Vec<PhaseSpan> = Vec::new();
-    let last_time = events.last().map_or(0.0, |e| e.time);
-    for e in events {
-        match &e.kind {
-            TraceEventKind::PhaseStarted { phase } => {
-                if let Some(prev) = rows.last_mut() {
-                    prev.end = e.time;
-                }
-                rows.push(PhaseSpan {
-                    phase: *phase,
-                    begin: e.time,
-                    end: last_time,
-                    jobs: 0,
-                    sim_secs: 0.0,
-                    snapshots: 0,
-                });
+impl StageSummary {
+    /// The phase dominating the job's simulated time; a tie goes to the
+    /// later phase.
+    pub fn dominant_phase(&self) -> JobPhase {
+        let mut dominant = (JobPhase::Setup, self.setup_secs);
+        for pair in [
+            (JobPhase::Map, self.map_secs),
+            (JobPhase::Shuffle, self.shuffle_secs),
+            (JobPhase::Reduce, self.reduce_secs),
+        ] {
+            if pair.1.total_cmp(&dominant.1).is_ge() {
+                dominant = pair;
             }
+        }
+        dominant.0
+    }
+
+    /// Total across the four phase components.
+    pub fn total_secs(&self) -> f64 {
+        self.setup_secs + self.map_secs + self.shuffle_secs + self.reduce_secs
+    }
+
+    /// Folds one event of this job's block into the row.
+    fn add(&mut self, e: &TraceEvent) {
+        match &e.kind {
             TraceEventKind::JobEnd { sim_secs, .. } => {
-                if let Some(span) = rows.last_mut() {
-                    span.jobs += 1;
-                    span.sim_secs += sim_secs;
-                }
+                self.runs += 1;
+                self.sim_secs += sim_secs;
             }
-            TraceEventKind::SnapshotPublished { .. } => {
-                if let Some(span) = rows.last_mut() {
-                    span.snapshots += 1;
+            TraceEventKind::PhaseBegin { phase, slots, .. } => match phase {
+                JobPhase::Map => self.map.slots = self.map.slots.max(*slots),
+                JobPhase::Reduce => self.reduce.slots = self.reduce.slots.max(*slots),
+                JobPhase::Setup | JobPhase::Shuffle => {}
+            },
+            TraceEventKind::PhaseEnd {
+                phase, sim_secs, ..
+            } => match phase {
+                JobPhase::Setup => self.setup_secs += sim_secs,
+                JobPhase::Map => self.map_secs += sim_secs,
+                JobPhase::Shuffle => self.shuffle_secs += sim_secs,
+                JobPhase::Reduce => self.reduce_secs += sim_secs,
+            },
+            TraceEventKind::Attempt {
+                phase,
+                task,
+                attempt,
+                kind,
+                outcome,
+                end,
+                ..
+            } => {
+                let secs = (end - e.time).max(0.0);
+                let used = match phase {
+                    TaskPhase::Map => &mut self.map,
+                    TaskPhase::Reduce => &mut self.reduce,
+                };
+                used.busy_secs += secs;
+                used.attempts += 1;
+                if *outcome != AttemptOutcome::Succeeded {
+                    used.wasted_secs += secs;
                 }
-            }
-            _ => {}
-        }
-    }
-    rows
-}
-
-/// One `snapshot_published` instant, in trace order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotPublish {
-    /// The [`crate::pipeline::Progressive`] handle's label.
-    pub label: String,
-    /// Monotone 1-based version for the label.
-    pub version: u64,
-    /// Simulated publish time.
-    pub time: f64,
-    /// The phase the publish happened in, if any marker preceded it.
-    pub phase: Option<Phase>,
-}
-
-/// Lists every snapshot publish with the phase it landed in.
-pub fn snapshot_publishes(events: &[TraceEvent]) -> Vec<SnapshotPublish> {
-    let mut rows: Vec<SnapshotPublish> = Vec::new();
-    let mut current: Option<Phase> = None;
-    for e in events {
-        match &e.kind {
-            TraceEventKind::PhaseStarted { phase } => current = Some(*phase),
-            TraceEventKind::SnapshotPublished { label, version } => rows.push(SnapshotPublish {
-                label: label.clone(),
-                version: *version,
-                time: e.time,
-                phase: current,
-            }),
-            _ => {}
-        }
-    }
-    rows
-}
-
-/// The staleness window between two consecutive versions of one
-/// progressive result: a consumer that read `from_version` at its publish
-/// instant held it for `secs` simulated seconds before `to_version`
-/// superseded it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefinementLag {
-    /// The [`crate::pipeline::Progressive`] handle's label.
-    pub label: String,
-    /// The superseded version.
-    pub from_version: u64,
-    /// The superseding version.
-    pub to_version: u64,
-    /// Simulated seconds between the two publishes.
-    pub secs: f64,
-}
-
-/// Computes per-label gaps between consecutive snapshot publishes, in
-/// publish order. Labels with a single publish produce no rows.
-pub fn refinement_lags(events: &[TraceEvent]) -> Vec<RefinementLag> {
-    let mut rows: Vec<RefinementLag> = Vec::new();
-    // (label, last version, last publish time), first-appearance order.
-    let mut last: Vec<(String, u64, f64)> = Vec::new();
-    for e in events {
-        if let TraceEventKind::SnapshotPublished { label, version } = &e.kind {
-            match last.iter_mut().find(|(l, _, _)| l == label) {
-                Some((l, v, t)) => {
-                    rows.push(RefinementLag {
-                        label: l.clone(),
-                        from_version: *v,
-                        to_version: *version,
-                        secs: e.time - *t,
+                if self.longest.as_ref().is_none_or(|l| secs > l.secs) {
+                    self.longest = Some(LongestAttempt {
+                        phase: *phase,
+                        task: *task,
+                        attempt: *attempt,
+                        kind: *kind,
+                        secs,
                     });
-                    *v = *version;
-                    *t = e.time;
                 }
-                None => last.push((label.clone(), *version, e.time)),
+            }
+            TraceEventKind::ShufflePartition { bytes, runs, .. } => {
+                self.shuffle.partitions += 1;
+                self.shuffle.bytes += bytes;
+                self.shuffle.runs += runs;
+                self.shuffle.max_fan_in = self.shuffle.max_fan_in.max(*runs);
+            }
+            TraceEventKind::NodeDown { permanent, .. } => {
+                self.recovery.nodes_down += 1;
+                self.recovery.permanent += usize::from(*permanent);
+            }
+            TraceEventKind::FetchFailed { .. } => self.recovery.fetch_failures += 1,
+            TraceEventKind::MapReexecuted { .. } => self.recovery.maps_reexecuted += 1,
+            TraceEventKind::NodeBlacklisted { .. } => self.recovery.nodes_blacklisted += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Rolls a trace up into one row per job name, in the order the names
+/// first `job_begin`.
+///
+/// A job's events are one contiguous block from its `job_begin` to its
+/// `job_end` (what [`super::validate`] checks), so each event in a block
+/// is folded into that job's row; events outside every block — driver
+/// markers, and the `task_aborted` / `job_aborted` pair of a job that
+/// never produced a timeline — open no row.
+pub fn per_stage(events: &[TraceEvent]) -> Vec<StageSummary> {
+    let mut rows: Vec<StageSummary> = Vec::new();
+    // The row of the job whose block is open.
+    let mut open: Option<usize> = None;
+    for e in events {
+        if let TraceEventKind::JobBegin { job, .. } = &e.kind {
+            let at = rows.iter().position(|r| &r.name == job);
+            open = Some(at.unwrap_or_else(|| {
+                rows.push(StageSummary {
+                    name: job.clone(),
+                    ..StageSummary::default()
+                });
+                rows.len() - 1
+            }));
+        } else if let Some(at) = open {
+            rows[at].add(e);
+            if matches!(e.kind, TraceEventKind::JobEnd { .. }) {
+                open = None;
             }
         }
     }
@@ -487,10 +255,23 @@ mod tests {
         TraceEvent { seq, time, kind }
     }
 
+    fn begin(seq: u64, time: f64, job: &str) -> TraceEvent {
+        ev(
+            seq,
+            time,
+            TraceEventKind::JobBegin {
+                job: job.into(),
+                maps: 1,
+                reducers: 0,
+            },
+        )
+    }
+
     fn small_trace() -> Vec<TraceEvent> {
         vec![
+            begin(0, 0.0, "j"),
             ev(
-                0,
+                1,
                 0.0,
                 TraceEventKind::PhaseBegin {
                     job: "j".into(),
@@ -499,7 +280,7 @@ mod tests {
                 },
             ),
             ev(
-                1,
+                2,
                 0.0,
                 TraceEventKind::Attempt {
                     job: "j".into(),
@@ -515,7 +296,7 @@ mod tests {
                 },
             ),
             ev(
-                2,
+                3,
                 1.0,
                 TraceEventKind::Attempt {
                     job: "j".into(),
@@ -531,7 +312,7 @@ mod tests {
                 },
             ),
             ev(
-                3,
+                4,
                 4.0,
                 TraceEventKind::PhaseEnd {
                     job: "j".into(),
@@ -540,23 +321,25 @@ mod tests {
                 },
             ),
             ev(
-                4,
+                5,
                 4.0,
                 TraceEventKind::JobEnd {
                     job: "j".into(),
                     sim_secs: 4.0,
                 },
             ),
+            begin(6, 4.0, "k"),
             ev(
-                5,
+                7,
                 4.0,
                 TraceEventKind::JobEnd {
                     job: "k".into(),
                     sim_secs: 1.5,
                 },
             ),
+            begin(8, 5.5, "j"),
             ev(
-                6,
+                9,
                 5.5,
                 TraceEventKind::JobEnd {
                     job: "j".into(),
@@ -568,36 +351,34 @@ mod tests {
 
     #[test]
     fn span_totals_group_in_first_seen_order() {
-        let totals = job_span_totals(&small_trace());
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].name, "j");
-        assert_eq!(totals[0].runs, 2);
-        assert_eq!(totals[0].sim_secs, 6.0);
-        assert_eq!(totals[1].name, "k");
-        assert_eq!(totals[1].runs, 1);
+        let rows = per_stage(&small_trace());
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].name, "j");
+        assert_eq!(rows[0].runs, 2);
+        assert_eq!(rows[0].sim_secs, 6.0);
+        assert_eq!(rows[1].name, "k");
+        assert_eq!(rows[1].runs, 1);
     }
 
     #[test]
     fn utilisation_counts_failed_time_as_waste() {
-        let rows = slot_utilisation(&small_trace());
-        let map = rows
-            .iter()
-            .find(|r| r.job == "j" && r.phase == TaskPhase::Map)
-            .unwrap();
-        assert_eq!(map.slots, 2);
-        assert_eq!(map.attempts, 2);
-        assert_eq!(map.busy_secs, 4.0); // 1s failed + 3s retry
-        assert_eq!(map.wasted_secs, 1.0);
-        assert_eq!(map.makespan_secs, 4.0);
+        let rows = per_stage(&small_trace());
+        let j = rows.iter().find(|r| r.name == "j").unwrap();
+        assert_eq!(j.map.slots, 2);
+        assert_eq!(j.map.attempts, 2);
+        assert_eq!(j.map.busy_secs, 4.0); // 1s failed + 3s retry
+        assert_eq!(j.map.wasted_secs, 1.0);
+        assert_eq!(j.map_secs, 4.0);
         // 4 busy seconds over 2 slots × 4s capacity.
-        assert!((map.utilisation() - 0.5).abs() < 1e-12);
+        assert!((j.map.utilisation(j.map_secs) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn recovery_summary_counts_per_job() {
+    fn recovery_counts_per_job() {
         let events = vec![
+            begin(0, 0.0, "j"),
             ev(
-                0,
+                1,
                 0.0,
                 TraceEventKind::NodeDown {
                     job: "j".into(),
@@ -606,7 +387,7 @@ mod tests {
                 },
             ),
             ev(
-                1,
+                2,
                 0.1,
                 TraceEventKind::NodeDown {
                     job: "j".into(),
@@ -615,7 +396,7 @@ mod tests {
                 },
             ),
             ev(
-                2,
+                3,
                 0.2,
                 TraceEventKind::FetchFailed {
                     job: "j".into(),
@@ -625,7 +406,7 @@ mod tests {
                 },
             ),
             ev(
-                3,
+                4,
                 0.3,
                 TraceEventKind::MapReexecuted {
                     job: "j".into(),
@@ -633,8 +414,9 @@ mod tests {
                     node: 0,
                 },
             ),
+            begin(5, 0.4, "k"),
             ev(
-                4,
+                6,
                 0.4,
                 TraceEventKind::NodeBlacklisted {
                     job: "k".into(),
@@ -643,145 +425,60 @@ mod tests {
                 },
             ),
         ];
-        let rows = recovery_summary(&events);
+        let rows = per_stage(&events);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].job, "j");
-        assert_eq!(rows[0].nodes_down, 2);
-        assert_eq!(rows[0].permanent, 1);
-        assert_eq!(rows[0].fetch_failures, 1);
-        assert_eq!(rows[0].maps_reexecuted, 1);
-        assert_eq!(rows[0].nodes_blacklisted, 0);
-        assert_eq!(rows[1].job, "k");
-        assert_eq!(rows[1].nodes_blacklisted, 1);
+        assert_eq!(rows[0].name, "j");
+        assert_eq!(rows[0].recovery.nodes_down, 2);
+        assert_eq!(rows[0].recovery.permanent, 1);
+        assert_eq!(rows[0].recovery.fetch_failures, 1);
+        assert_eq!(rows[0].recovery.maps_reexecuted, 1);
+        assert_eq!(rows[0].recovery.nodes_blacklisted, 0);
+        assert_eq!(rows[1].name, "k");
+        assert_eq!(rows[1].recovery.nodes_blacklisted, 1);
     }
 
-    fn phased_trace() -> Vec<TraceEvent> {
-        vec![
-            // Pre-phase job: belongs to no span.
+    #[test]
+    fn aborted_job_opens_no_row_and_quiet_job_counts_no_recovery() {
+        let events = vec![
             ev(
                 0,
-                0.5,
-                TraceEventKind::JobEnd {
-                    job: "warmup".into(),
-                    sim_secs: 0.5,
+                0.0,
+                TraceEventKind::TaskAborted {
+                    job: "huge".into(),
+                    phase: TaskPhase::Map,
+                    task: 0,
+                    reason: "working set over task memory".into(),
                 },
             ),
             ev(
                 1,
-                1.0,
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Foreground,
+                0.0,
+                TraceEventKind::JobAborted {
+                    job: "huge".into(),
+                    reason: "task memory exceeded".into(),
                 },
             ),
-            ev(
-                2,
-                3.0,
-                TraceEventKind::JobEnd {
-                    job: "sketch".into(),
-                    sim_secs: 2.0,
-                },
-            ),
+            begin(2, 0.0, "quiet"),
             ev(
                 3,
-                3.0,
-                TraceEventKind::SnapshotPublished {
-                    label: "synopsis".into(),
-                    version: 1,
-                },
-            ),
-            ev(
-                4,
-                3.0,
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Background(0),
-                },
-            ),
-            ev(
-                5,
-                7.0,
+                1.0,
                 TraceEventKind::JobEnd {
-                    job: "exact".into(),
-                    sim_secs: 4.0,
+                    job: "quiet".into(),
+                    sim_secs: 1.0,
                 },
             ),
-            ev(
-                6,
-                7.5,
-                TraceEventKind::SnapshotPublished {
-                    label: "synopsis".into(),
-                    version: 2,
-                },
-            ),
-        ]
-    }
-
-    #[test]
-    fn phase_spans_tile_the_timeline() {
-        let spans = phase_spans(&phased_trace());
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].phase, Phase::Foreground);
-        assert_eq!(spans[0].begin, 1.0);
-        assert_eq!(spans[0].end, 3.0);
-        assert_eq!(spans[0].jobs, 1);
-        assert_eq!(spans[0].sim_secs, 2.0);
-        assert_eq!(spans[0].snapshots, 1);
-        assert_eq!(spans[1].phase, Phase::Background(0));
-        assert_eq!(spans[1].begin, 3.0);
-        assert_eq!(spans[1].end, 7.5); // trace's last event
-        assert_eq!(spans[1].jobs, 1);
-        assert_eq!(spans[1].snapshots, 1);
-        // The warmup job before any marker is attributed to no span.
-        assert_eq!(spans[0].jobs + spans[1].jobs, 2);
-    }
-
-    #[test]
-    fn snapshot_publishes_carry_their_phase() {
-        let rows = snapshot_publishes(&phased_trace());
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].label, "synopsis");
-        assert_eq!(rows[0].version, 1);
-        assert_eq!(rows[0].phase, Some(Phase::Foreground));
-        assert_eq!(rows[1].version, 2);
-        assert_eq!(rows[1].phase, Some(Phase::Background(0)));
-        assert_eq!(rows[1].time, 7.5);
-    }
-
-    #[test]
-    fn refinement_lags_measure_gaps_per_label() {
-        let mut events = phased_trace();
-        events.push(ev(
-            7,
-            8.0,
-            TraceEventKind::SnapshotPublished {
-                label: "other".into(),
-                version: 1,
-            },
-        ));
-        events.push(ev(
-            8,
-            9.25,
-            TraceEventKind::SnapshotPublished {
-                label: "synopsis".into(),
-                version: 3,
-            },
-        ));
-        let lags = refinement_lags(&events);
-        assert_eq!(lags.len(), 2);
-        assert_eq!(lags[0].label, "synopsis");
-        assert_eq!(lags[0].from_version, 1);
-        assert_eq!(lags[0].to_version, 2);
-        assert_eq!(lags[0].secs, 4.5);
-        assert_eq!(lags[1].from_version, 2);
-        assert_eq!(lags[1].to_version, 3);
-        assert_eq!(lags[1].secs, 1.75);
-        // "other" has a single publish: no lag row.
-        assert!(lags.iter().all(|l| l.label == "synopsis"));
+        ];
+        let rows = per_stage(&events);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].name, "quiet");
+        assert_eq!(rows[0].runs, 1);
+        assert_eq!(rows[0].recovery, RecoveryCounts::default());
     }
 
     #[test]
     fn critical_path_decomposes_and_finds_straggler() {
-        let rows = critical_path(&small_trace());
-        let j = rows.iter().find(|r| r.job == "j").unwrap();
+        let rows = per_stage(&small_trace());
+        let j = rows.iter().find(|r| r.name == "j").unwrap();
         assert_eq!(j.runs, 2);
         assert_eq!(j.map_secs, 4.0);
         assert_eq!(j.dominant_phase(), JobPhase::Map);

@@ -327,3 +327,54 @@ fn node_kill_with_replication_stays_servable() {
         server.shutdown();
     }
 }
+
+/// Integer data under a wide bucket (`e_b = 0.5`): a build's estimate can
+/// fall short of the error it actually makes by up to one bucket, and
+/// only the served bound's widening covers the gap. Every point of each
+/// build, requested over `DWQ2`, must hold its bound. The case is not
+/// vacuous: on at least one build the measured max-abs error exceeds the
+/// bare estimate, so a bound that dropped `e_b` fails here.
+#[test]
+fn wide_bucket_bound_holds_for_every_point_over_the_wire() {
+    let data: Vec<f64> = uniform(N, 1000.0, 23).iter().map(|v| v.round()).collect();
+    let cfg = DGreedyAbsConfig {
+        bucket_width: 0.5,
+        ..abs_cfg()
+    };
+    let store = SynopsisStore::new("net-wide-bucket", SHARDS);
+    let server_cfg = NetServerConfig {
+        read_timeout: Duration::from_secs(2),
+        threads: 1,
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::spawn(store.clone(), None, server_cfg).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let points: Vec<Query> = (0..N).map(|x| Query::Point { x }).collect();
+    let mut gap_seen = false;
+    for (version, budget) in [(1u64, 24usize), (2, 32), (3, 48)] {
+        let b = dgreedy_abs(&cluster(), &data, budget, &cfg).unwrap();
+        store
+            .publish(&b.synopsis, b.bound, version as f64, version)
+            .unwrap();
+        let response = client.request(&points).unwrap();
+        assert_eq!(response.status, status::OK);
+        assert_eq!(response.version, version);
+        let mut measured = 0.0f64;
+        for (x, slot) in response.slots.iter().enumerate() {
+            let a = slot
+                .as_answer()
+                .unwrap_or_else(|| panic!("point {x}: {slot:?}"));
+            assert!(
+                a.bounds_hold(data[x], 1e-6),
+                "point {x}: {} vs {}",
+                a.value,
+                data[x]
+            );
+            measured = measured.max((a.value - data[x]).abs());
+        }
+        gap_seen |= measured > b.estimated_error;
+    }
+    assert!(gap_seen, "no build's measured error exceeded its estimate");
+    drop(client);
+    server.shutdown();
+}

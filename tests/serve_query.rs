@@ -298,3 +298,40 @@ fn serve_driver_end_to_end_bounds_hold() {
         );
     }
 }
+
+/// Integer data under a wide bucket (`e_b = 0.5`). The histograms floor
+/// every error into half-unit buckets, so a build's estimate can fall
+/// short of the error it actually makes; only the served bound's
+/// one-bucket widening covers the gap. `ServeDriver` ticks publish into
+/// the store, and every point it serves must hold its bound. The case is
+/// not vacuous: on at least one tick the measured max-abs error exceeds
+/// the bare estimate, so a bound that dropped `e_b` fails here.
+#[test]
+fn serve_driver_wide_bucket_bound_covers_the_estimate() {
+    use dwmaxerr::serve::ServeDriver;
+
+    let n = 256;
+    let cfg = DGreedyAbsConfig {
+        bucket_width: 0.5,
+        ..abs_cfg()
+    };
+    let cluster = cluster();
+    let mut driver = ServeDriver::new(n, n / 8, &cfg, 8, "wide-bucket").unwrap();
+    let feed: Vec<f64> = uniform(2 * n, 1000.0, 17)
+        .iter()
+        .map(|v| v.round())
+        .collect();
+    let mut gap_seen = false;
+    for values in [&feed[..n], &feed[n..n + 32], &feed[n + 32..n + 96]] {
+        let report = driver.tick(&cluster, values).unwrap();
+        let reader = driver.store().reader().unwrap();
+        let mut measured = 0.0f64;
+        for (x, &d) in driver.driver().window().data().iter().enumerate() {
+            let a = reader.point(x).unwrap();
+            assert!(a.bounds_hold(d, 1e-6), "point {x}: {} vs {d}", a.value);
+            measured = measured.max((a.value - d).abs());
+        }
+        gap_seen |= measured > report.build.exact_error;
+    }
+    assert!(gap_seen, "no tick's measured error exceeded its estimate");
+}

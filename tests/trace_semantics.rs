@@ -211,7 +211,7 @@ fn per_stage_metrics_agree_with_trace_span_totals_bitwise() {
     // the sink's clock advances by each job's `sim.total()` in ledger
     // order, so no float tolerance is needed.
     let stages = metrics.per_stage();
-    let spans = summary::job_span_totals(&events);
+    let spans = summary::per_stage(&events);
     assert_eq!(stages.len(), spans.len(), "stage/span row mismatch");
     for (s, t) in stages.iter().zip(&spans) {
         assert_eq!(s.name, t.name);

@@ -26,7 +26,6 @@ const BUDGET: &[(&str, usize)] = &[
     ("crates/bench/src/experiments/conventional.rs", 5),
     ("crates/bench/src/experiments/faults.rs", 11),
     ("crates/bench/src/experiments/mod.rs", 3),
-    ("crates/bench/src/report.rs", 1),
     ("crates/core/src/conventional/hwtopk_impl.rs", 1),
     ("crates/core/src/conventional/mod.rs", 1),
     ("crates/core/src/dgreedy_abs.rs", 1),
@@ -44,7 +43,6 @@ const BUDGET: &[(&str, usize)] = &[
     ("crates/runtime/src/reference.rs", 3),
     ("crates/runtime/src/trace.rs", 5),
     ("crates/runtime/src/trace/json.rs", 5),
-    ("crates/runtime/src/trace/summary.rs", 1),
     ("crates/serve/src/net.rs", 5),
     ("crates/wavelet/src/basis.rs", 1),
     ("crates/wavelet/src/reconstruct.rs", 2),
