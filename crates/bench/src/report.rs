@@ -405,13 +405,12 @@ mod tests {
         use dwmaxerr_runtime::fault::TaskPhase;
         use dwmaxerr_runtime::metrics::{AttemptKind, AttemptOutcome};
         use dwmaxerr_runtime::trace::{JobPhase, TraceEvent, TraceEventKind};
-        let job = "stage-a".to_string();
         let events = vec![
             TraceEvent {
                 seq: 0,
                 time: 0.0,
                 kind: TraceEventKind::JobBegin {
-                    job: job.clone(),
+                    job: "stage-a".into(),
                     maps: 1,
                     reducers: 0,
                 },
@@ -420,7 +419,6 @@ mod tests {
                 seq: 1,
                 time: 0.0,
                 kind: TraceEventKind::PhaseBegin {
-                    job: job.clone(),
                     phase: JobPhase::Map,
                     slots: 2,
                 },
@@ -429,7 +427,6 @@ mod tests {
                 seq: 2,
                 time: 0.0,
                 kind: TraceEventKind::Attempt {
-                    job: job.clone(),
                     phase: TaskPhase::Map,
                     task: 0,
                     attempt: 1,
@@ -445,7 +442,6 @@ mod tests {
                 seq: 3,
                 time: 2.0,
                 kind: TraceEventKind::PhaseEnd {
-                    job: job.clone(),
                     phase: JobPhase::Map,
                     sim_secs: 2.0,
                 },
@@ -453,10 +449,7 @@ mod tests {
             TraceEvent {
                 seq: 4,
                 time: 2.0,
-                kind: TraceEventKind::JobEnd {
-                    job: job.clone(),
-                    sim_secs: 2.0,
-                },
+                kind: TraceEventKind::JobEnd { sim_secs: 2.0 },
             },
         ];
         let util = slot_utilisation_table("util", &events).to_markdown();

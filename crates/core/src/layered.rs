@@ -684,15 +684,15 @@ mod tests {
         dp.memory.store(1002, Ordering::Relaxed);
         let refused = up.top_down(&dp, 1).map(|(picks, ..)| picks.len());
         assert_eq!(refused, Err(oom(1002)), "extract-base");
-        let last_end = cluster
+        let last_run = cluster
             .trace_events()
             .into_iter()
             .rev()
             .find_map(|e| match e.kind {
-                TraceEventKind::JobEnd { job, .. } => Some(job),
+                TraceEventKind::JobBegin { job, .. } => Some(job),
                 _ => None,
             });
-        assert_eq!(last_end.as_deref(), Some("census-extract"));
+        assert_eq!(last_run.as_deref(), Some("census-extract"));
     }
 
     #[test]

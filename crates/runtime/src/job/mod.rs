@@ -388,25 +388,10 @@ impl Timeline<'_> {
         sim_secs: f64,
         body: impl FnOnce(&mut JobTrace),
     ) -> f64 {
-        let job = self.job.to_string();
-        tr.emit(
-            start,
-            TraceEventKind::PhaseBegin {
-                job: job.clone(),
-                phase,
-                slots,
-            },
-        );
+        tr.emit(start, TraceEventKind::PhaseBegin { phase, slots });
         body(tr);
         let end = start + sim_secs;
-        tr.emit(
-            end,
-            TraceEventKind::PhaseEnd {
-                job,
-                phase,
-                sim_secs,
-            },
-        );
+        tr.emit(end, TraceEventKind::PhaseEnd { phase, sim_secs });
         end
     }
 
@@ -416,7 +401,6 @@ impl Timeline<'_> {
     /// timeline; attempt and blacklist times are phase-relative in the
     /// schedule.
     fn emit_task_phase(&self, tr: &mut JobTrace, phase: TaskPhase, phase0: f64) {
-        let job = || self.job.to_string();
         let (sched, slots) = match phase {
             TaskPhase::Map => (self.map_sched, self.clock.config.map_slots),
             TaskPhase::Reduce => (self.reduce_sched, self.clock.config.reduce_slots),
@@ -426,7 +410,6 @@ impl Timeline<'_> {
             tr.emit(
                 phase0 + start,
                 TraceEventKind::Wave {
-                    job: job(),
                     phase,
                     wave,
                     started,
@@ -437,7 +420,6 @@ impl Timeline<'_> {
             tr.emit(
                 phase0 + a.sim_start,
                 TraceEventKind::Attempt {
-                    job: job(),
                     phase,
                     task: a.task,
                     attempt: a.attempt,
@@ -453,7 +435,6 @@ impl Timeline<'_> {
                 tr.emit(
                     phase0 + a.sim_end,
                     TraceEventKind::FaultInjected {
-                        job: job(),
                         phase,
                         task: a.task,
                         attempt: a.attempt,
@@ -465,7 +446,6 @@ impl Timeline<'_> {
             tr.emit(
                 phase0 + at,
                 TraceEventKind::NodeBlacklisted {
-                    job: job(),
                     node,
                     failures: self.clock.blacklist_after.unwrap_or(0),
                 },
@@ -480,12 +460,11 @@ impl Timeline<'_> {
     /// the timeline the way `DriverMetrics` sums them.
     fn emit(&self, tr: &mut JobTrace) {
         let (sim, config) = (self.sim, self.clock.config);
-        let name = || self.job.to_string();
         let t0 = tr.t0();
         tr.emit(
             t0,
             TraceEventKind::JobBegin {
-                job: name(),
+                job: self.job.to_string(),
                 maps: self.map_costs.len(),
                 reducers: self.reduce_costs.len(),
             },
@@ -498,7 +477,6 @@ impl Timeline<'_> {
             tr.emit(
                 (t0 + f.sim_time.max(0.0)).min(job_end),
                 TraceEventKind::NodeDown {
-                    job: name(),
                     node: f.node,
                     permanent: f.permanent,
                 },
@@ -518,7 +496,6 @@ impl Timeline<'_> {
                         tr.emit(
                             map0 + end,
                             TraceEventKind::Spill {
-                                job: name(),
                                 task,
                                 spill,
                                 runs,
@@ -534,7 +511,6 @@ impl Timeline<'_> {
                 tr.emit(
                     shuffle0,
                     TraceEventKind::ShufflePartition {
-                        job: name(),
                         partition,
                         bytes: cost.fetched_bytes,
                         runs: cost.fetched_runs,
@@ -550,7 +526,6 @@ impl Timeline<'_> {
         tr.emit(
             end,
             TraceEventKind::JobEnd {
-                job: name(),
                 sim_secs: sim.total().secs(),
             },
         );
@@ -560,7 +535,6 @@ impl Timeline<'_> {
     /// The reduce phase's recovery and merge-pass instants, pinned to the
     /// reducers they delayed.
     fn emit_recovery_and_merges(&self, tr: &mut JobTrace, reduce0: f64) {
-        let name = || self.job.to_string();
         // When reducer `p`'s winning attempt started, phase-relative.
         let started = |p| self.reduce_sched.winner(p).map_or(0.0, |a| a.sim_start);
         // Fetch failures surface when the affected reducer runs; the
@@ -570,7 +544,6 @@ impl Timeline<'_> {
             tr.emit(
                 reduce0 + started(partition),
                 TraceEventKind::FetchFailed {
-                    job: name(),
                     partition,
                     map_task,
                     retries,
@@ -578,14 +551,7 @@ impl Timeline<'_> {
             );
         }
         for &(task, node) in &self.recovery.reexecuted {
-            tr.emit(
-                reduce0,
-                TraceEventKind::MapReexecuted {
-                    job: name(),
-                    task,
-                    node,
-                },
-            );
+            tr.emit(reduce0, TraceEventKind::MapReexecuted { task, node });
         }
         // Intermediate merge-pass instants — only when the `io.sort.factor`
         // cap actually forced extra passes, stamped at the successful
@@ -595,7 +561,6 @@ impl Timeline<'_> {
                 tr.emit(
                     reduce0 + started(partition),
                     TraceEventKind::MergePass {
-                        job: name(),
                         partition,
                         pass,
                         fan_in,

@@ -255,10 +255,9 @@ impl<'c, T> Pipeline<'c, T> {
     /// data built by a previous stage's glue feeds this stage without
     /// cloning. The stage's [`JobMetrics`] are pushed onto the ledger under
     /// the job's name, and its output pairs are threaded alongside the
-    /// current value as `(T, pairs)`. The cluster trace brackets the
-    /// stage's job events with `stage_begin`/`stage_end` markers (the
-    /// `stage_end` is omitted when the job aborts — the abort event itself
-    /// closes the story).
+    /// current value as `(T, pairs)`. The trace records the stage as the
+    /// job's own block, `job_begin` to `job_end` (or a `job_aborted` when
+    /// the job fails); the stage adds no marker of its own.
     pub fn stage<S, K, V, OK, OV, F, G>(
         mut self,
         job: &Job<S, K, V, OK, OV, F, G>,
@@ -273,13 +272,7 @@ impl<'c, T> Pipeline<'c, T> {
         F: Fn(&S, &mut MapContext<K, V>) + Sync,
         G: Fn(&K, Values<'_, K, V>, &mut ReduceContext<OK, OV>) + Sync,
     {
-        self.cluster.trace().instant(TraceEventKind::StageBegin {
-            stage: job.name().to_string(),
-        });
         let out = job.run(self.cluster, splits)?;
-        self.cluster.trace().instant(TraceEventKind::StageEnd {
-            stage: job.name().to_string(),
-        });
         let mut job_metrics = out.metrics;
         job_metrics.phase = self.phase;
         self.metrics.push(job_metrics);
@@ -296,10 +289,9 @@ impl<'c, T> Pipeline<'c, T> {
     /// This is where a stage's output pairs are decoded into driver state
     /// or shaped into the next stage's input. The closure receives the
     /// value by move, so stage outputs flow onward without re-encoding.
-    /// Glue is free on the simulated clock; the trace records a `glue`
-    /// instant marking the transition point.
+    /// Glue is free on the simulated clock and records no trace event: the
+    /// next stage's `job_begin` marks the transition.
     pub fn then<U>(self, f: impl FnOnce(T) -> U) -> Pipeline<'c, U> {
-        self.cluster.trace().instant(TraceEventKind::Glue);
         Pipeline {
             cluster: self.cluster,
             metrics: self.metrics,
@@ -310,7 +302,6 @@ impl<'c, T> Pipeline<'c, T> {
 
     /// Fallible driver-side glue; the pipeline stops at the first error.
     pub fn try_then<U, E>(self, f: impl FnOnce(T) -> Result<U, E>) -> Result<Pipeline<'c, U>, E> {
-        self.cluster.trace().instant(TraceEventKind::Glue);
         Ok(Pipeline {
             cluster: self.cluster,
             metrics: self.metrics,
@@ -609,23 +600,31 @@ mod tests {
         // The trace understands the phased plan.
         let events = cluster.trace().snapshot();
         crate::trace::validate(&events).unwrap();
-        let digests: Vec<String> = events
-            .iter()
-            .filter(|e| {
+        let markers: Vec<TraceEventKind> = events
+            .into_iter()
+            .map(|e| e.kind)
+            .filter(|k| {
                 matches!(
-                    e.kind,
+                    k,
                     TraceEventKind::PhaseStarted { .. } | TraceEventKind::SnapshotPublished { .. }
                 )
             })
-            .map(|e| e.digest())
             .collect();
+        let published = |version| TraceEventKind::SnapshotPublished {
+            label: "total".into(),
+            version,
+        };
         assert_eq!(
-            digests,
+            markers,
             vec![
-                "phase_started(foreground)",
-                "snapshot_published(total v1)",
-                "phase_started(background(0))",
-                "snapshot_published(total v2)",
+                TraceEventKind::PhaseStarted {
+                    phase: Phase::Foreground
+                },
+                published(1),
+                TraceEventKind::PhaseStarted {
+                    phase: Phase::Background(0)
+                },
+                published(2),
             ]
         );
     }

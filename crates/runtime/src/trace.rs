@@ -18,11 +18,16 @@
 //!   slot,
 //! * wave boundaries, per-partition shuffle volumes, injected faults,
 //!   node-level fault and recovery milestones (`node_down`,
-//!   `fetch_failed`, `map_reexecuted`, `node_blacklisted`), pipeline
-//!   stage/glue transitions, and phased-driver markers (`phase_started`
-//!   when a plan enters a foreground/background phase,
-//!   `snapshot_published` when a [`crate::Progressive`] handle swaps in a
-//!   refined result) are instant events.
+//!   `fetch_failed`, `map_reexecuted`, `node_blacklisted`), and
+//!   phased-driver markers (`phase_started` when a plan enters a
+//!   foreground/background phase, `snapshot_published` when a
+//!   [`crate::Progressive`] handle swaps in a refined result) are instant
+//!   events.
+//!
+//! Each fact is recorded once. A job's events form one contiguous block
+//! opened by its `job_begin`, which alone names the job; the events of
+//! the block carry no job name of their own. Only `job_aborted` and
+//! `task_aborted`, emitted outside any block, name their job.
 //!
 //! Recording is lock-cheap: a job's events are appended under a single
 //! mutex acquisition after the job has finished executing, so tracing adds
@@ -41,9 +46,9 @@
 //! kind only where and how the event is drawn and taking `args` from the
 //! same field list. Both are written and parsed through the vendored
 //! [`json`] module (the build is offline, so serde is not available); no
-//! exporter spells JSON text by hand. Only [`TraceEvent::digest`] is
-//! hand-written per kind, because the golden-sequence tests pin its exact
-//! strings.
+//! exporter spells JSON text by hand. The golden-sequence tests pin whole
+//! JSONL lines — sequence numbers, times, slots, nodes and every field —
+//! so a change to the pricing rates shows up as a golden change.
 //!
 //! # Summaries
 //!
@@ -229,32 +234,24 @@ named_field!(AttemptKind, "an attempt kind": Regular, Retry, Speculative);
 named_field!(AttemptOutcome, "an attempt outcome": Succeeded, Failed, Killed);
 named_field!(FailureKind, "a failure kind": Panic, Injected, NodeLost);
 
-/// Reads field `key` of a parsed JSONL line. A field the schema declares
-/// with a default takes it when the key is absent or `null`: such fields
-/// were added after traces without them had been written.
-fn parse_field<T: Field>(
-    line: &json::Value,
-    key: &str,
-    default: Option<T>,
-) -> Result<T, TraceError> {
-    match (line.get(key), default) {
-        (None | Some(json::Value::Null), Some(default)) => Ok(default),
-        (None, None) => Err(TraceError(format!("missing field {key:?}"))),
-        (Some(v), _) => T::from_json(v)
-            .ok_or_else(|| TraceError(format!("field {key:?} is not {}", T::EXPECTED))),
-    }
+/// Reads field `key` of a parsed JSONL line.
+fn parse_field<T: Field>(line: &json::Value, key: &str) -> Result<T, TraceError> {
+    let v = line
+        .get(key)
+        .ok_or_else(|| TraceError(format!("missing field {key:?}")))?;
+    T::from_json(v).ok_or_else(|| TraceError(format!("field {key:?} is not {}", T::EXPECTED)))
 }
 
 /// Declares the event schema: each kind states its variant, its `ev` tag
-/// and its typed fields (in JSONL order, `= default` marking fields older
-/// traces lack) once, and the [`TraceEventKind`] enum, its tag, its
-/// ordered field list and its parser are all derived from that.
+/// and its typed fields (in JSONL order) once, and the
+/// [`TraceEventKind`] enum, its tag, its ordered field list and its parser
+/// are all derived from that.
 macro_rules! trace_events {
     ($(
         $(#[$vmeta:meta])*
         $variant:ident = $tag:literal $({$(
             $(#[$fmeta:meta])*
-            $field:ident: $ty:ty $(= $default:expr)?
+            $field:ident: $ty:ty
         ),* $(,)?})?
     ),* $(,)?) => {
         /// What a [`TraceEvent`] records.
@@ -288,11 +285,7 @@ macro_rules! trace_events {
             fn from_fields(tag: &str, line: &json::Value) -> Result<Self, TraceError> {
                 Ok(match tag {
                     $($tag => TraceEventKind::$variant $({$(
-                        $field: parse_field(
-                            line,
-                            stringify!($field),
-                            None $(.or(Some($default)))?,
-                        )?,
+                        $field: parse_field(line, stringify!($field))?,
                     )*})?,)*
                     other => return Err(TraceError(format!("unknown event type {other:?}"))),
                 })
@@ -304,7 +297,8 @@ macro_rules! trace_events {
 trace_events! {
     /// A job's simulated timeline begins (`time` is its start).
     JobBegin = "job_begin" {
-        /// Job name.
+        /// Job name. Every event up to the matching `job_end` belongs to
+        /// this job.
         job: String,
         /// Number of map tasks (= input splits).
         maps: usize,
@@ -313,8 +307,6 @@ trace_events! {
     },
     /// A job's simulated timeline ends (`time` is its end).
     JobEnd = "job_end" {
-        /// Job name.
-        job: String,
         /// The job's end-to-end simulated seconds. Carried explicitly so
         /// consumers never reconstruct the duration from `end − begin`
         /// subtraction (which could drift in the last float bit).
@@ -329,8 +321,6 @@ trace_events! {
     },
     /// A phase span opens at `time`.
     PhaseBegin = "phase_begin" {
-        /// Owning job name.
-        job: String,
         /// Which phase.
         phase: JobPhase,
         /// Simulated slots available to the phase (0 for the slot-less
@@ -339,8 +329,6 @@ trace_events! {
     },
     /// A phase span closes at `time`.
     PhaseEnd = "phase_end" {
-        /// Owning job name.
-        job: String,
         /// Which phase.
         phase: JobPhase,
         /// The phase's simulated makespan in seconds.
@@ -349,8 +337,6 @@ trace_events! {
     /// One task attempt as placed on the slot schedule; `time` is its
     /// simulated start.
     Attempt = "attempt" {
-        /// Owning job name.
-        job: String,
         /// Map or reduce.
         phase: TaskPhase,
         /// Task index within the phase (for map tasks: the split id).
@@ -363,19 +349,16 @@ trace_events! {
         outcome: AttemptOutcome,
         /// Slot index the attempt occupied.
         slot: usize,
-        /// Node hosting the slot (0 on single-node topologies and in
-        /// traces written before node fault domains existed).
-        node: usize = 0,
+        /// Node hosting the slot (0 on single-node topologies).
+        node: usize,
         /// Simulated end time (absolute, same timebase as `time`).
         end: f64,
         /// Why it crashed, when `outcome` is failed.
-        failure: Option<FailureKind> = None,
+        failure: Option<FailureKind>,
     },
     /// A scheduling wave opens: `started` first attempts were admitted
     /// together at `time`.
     Wave = "wave" {
-        /// Owning job name.
-        job: String,
         /// Map or reduce.
         phase: TaskPhase,
         /// 0-based wave index.
@@ -386,17 +369,14 @@ trace_events! {
     /// Wire-encoded bytes fetched by one reduce partition (emitted at the
     /// shuffle span's start).
     ShufflePartition = "shuffle_partition" {
-        /// Owning job name.
-        job: String,
         /// Reduce partition index.
         partition: usize,
         /// Codec-encoded bytes crossing the shuffle for this partition.
         bytes: u64,
         /// Sorted runs fetched by this partition's reducer (its merge
         /// fan-in): at most one non-empty run per map-task spill pass (one
-        /// per map task unless the spill budget forced extra passes). 0 in
-        /// traces written before merge fan-in was recorded.
-        runs: u64 = 0,
+        /// per map task unless the spill budget forced extra passes).
+        runs: u64,
     },
     /// A map task's buffered emission crossed the spill budget
     /// (`io_sort_bytes`) and was sorted and written out as one run per
@@ -405,8 +385,6 @@ trace_events! {
     /// keep the golden event sequences unchanged. `time` is the owning
     /// attempt's simulated end.
     Spill = "spill" {
-        /// Owning job name.
-        job: String,
         /// Map task index.
         task: usize,
         /// 0-based spill sequence number within the task.
@@ -422,8 +400,6 @@ trace_events! {
     /// run in one pass). Emitted only when the ledger has passes (fan-in
     /// below run count); the final streaming merge is not an event. `time` is the owning attempt's simulated start.
     MergePass = "merge_pass" {
-        /// Owning job name.
-        job: String,
         /// Reduce partition index.
         partition: usize,
         /// 0-based merge pass number within the partition.
@@ -439,7 +415,8 @@ trace_events! {
     /// phase timeline. Always followed by a [`TraceEventKind::JobAborted`]
     /// for the same job.
     TaskAborted = "task_aborted" {
-        /// Owning job name.
+        /// Name of the job the task belongs to (the event is emitted
+        /// outside any job block, so it names its job itself).
         job: String,
         /// Map or reduce.
         phase: TaskPhase,
@@ -451,8 +428,6 @@ trace_events! {
     /// A seeded [`crate::fault::FaultPlan`] crashed an attempt; `time` is
     /// when the failure was observed (the attempt's simulated end).
     FaultInjected = "fault_injected" {
-        /// Owning job name.
-        job: String,
         /// Map or reduce.
         phase: TaskPhase,
         /// Task index within the phase.
@@ -465,8 +440,6 @@ trace_events! {
     /// [`FailureKind::NodeLost`], and completed map outputs hosted there
     /// are lost for the shuffle.
     NodeDown = "node_down" {
-        /// Owning job name.
-        job: String,
         /// Node index that went down.
         node: usize,
         /// Whether the node's slots are gone for the rest of the job
@@ -477,8 +450,6 @@ trace_events! {
     /// A reducer exhausted its fetch retries against one map task's lost
     /// or corrupt output; `time` is the reducer attempt's simulated start.
     FetchFailed = "fetch_failed" {
-        /// Owning job name.
-        job: String,
         /// Reduce partition whose fetch failed.
         partition: usize,
         /// Map task whose output could not be fetched.
@@ -490,8 +461,6 @@ trace_events! {
     /// its output was lost or corrupt; its regenerated runs substitute
     /// bit-identically into every reducer's merge.
     MapReexecuted = "map_reexecuted" {
-        /// Owning job name.
-        job: String,
         /// Map task index that re-ran.
         task: usize,
         /// Surviving node the re-execution landed on.
@@ -500,27 +469,11 @@ trace_events! {
     /// A node crossed the failure threshold and stopped receiving new
     /// attempts for the rest of the phase (Hadoop node blacklisting).
     NodeBlacklisted = "node_blacklisted" {
-        /// Owning job name.
-        job: String,
         /// Blacklisted node index.
         node: usize,
         /// The configured failure threshold it crossed.
         failures: usize,
     },
-    /// A pipeline stage starts (wraps the stage's job span).
-    StageBegin = "stage_begin" {
-        /// Stage name (the job's name).
-        stage: String,
-    },
-    /// A pipeline stage ends.
-    StageEnd = "stage_end" {
-        /// Stage name (the job's name).
-        stage: String,
-    },
-    /// Driver-side glue ran between stages ([`crate::Pipeline::then`] /
-    /// `try_then`). Glue is free on the simulated clock; the event marks
-    /// the transition point in the plan.
-    Glue = "glue",
     /// The pipeline driver opened an execution phase
     /// ([`crate::Pipeline::enter_phase`]): stages that follow run under
     /// this tag until the next `phase_started`. Only phased plans emit it,
@@ -575,112 +528,12 @@ impl TraceEvent {
     /// Parses one JSONL line produced by [`TraceEvent::to_jsonl`].
     pub fn from_jsonl(line: &str) -> Result<TraceEvent, TraceError> {
         let v = json::parse(line).map_err(|e| TraceError(format!("bad JSON: {e}")))?;
-        let ev: String = parse_field(&v, "ev", None)?;
+        let ev: String = parse_field(&v, "ev")?;
         Ok(TraceEvent {
-            seq: parse_field(&v, "seq", None)?,
-            time: parse_field(&v, "t", None)?,
+            seq: parse_field(&v, "seq")?,
+            time: parse_field(&v, "t")?,
             kind: TraceEventKind::from_fields(&ev, &v)?,
         })
-    }
-    /// A stable, timestamp-free structural rendering of the event, for
-    /// golden-sequence tests: it pins the *sequence* of events, not times
-    /// or placement, so a change to the pricing rates moves no golden.
-    pub fn digest(&self) -> String {
-        match &self.kind {
-            TraceEventKind::JobBegin {
-                job,
-                maps,
-                reducers,
-            } => format!("job_begin({job} maps={maps} reducers={reducers})"),
-            TraceEventKind::JobEnd { job, .. } => format!("job_end({job})"),
-            TraceEventKind::JobAborted { job, .. } => format!("job_aborted({job})"),
-            TraceEventKind::PhaseBegin { job, phase, slots } => {
-                format!("phase_begin({job} {phase} slots={slots})")
-            }
-            TraceEventKind::PhaseEnd { job, phase, .. } => format!("phase_end({job} {phase})"),
-            TraceEventKind::Attempt {
-                job,
-                phase,
-                task,
-                attempt,
-                kind,
-                outcome,
-                failure,
-                ..
-            } => {
-                let failure = failure.map_or("-", FailureKind::as_str);
-                format!(
-                    "attempt({job} {phase}{task} a{attempt} {} {} {failure})",
-                    kind.as_str(),
-                    outcome.as_str()
-                )
-            }
-            TraceEventKind::Wave {
-                job,
-                phase,
-                wave,
-                started,
-            } => format!("wave({job} {phase} w{wave} started={started})"),
-            // `runs` is deliberately excluded: the golden-sequence tests pin
-            // this exact string.
-            TraceEventKind::ShufflePartition {
-                job,
-                partition,
-                bytes,
-                ..
-            } => format!("shuffle_partition({job} p{partition} bytes={bytes})"),
-            TraceEventKind::Spill {
-                job,
-                task,
-                spill,
-                runs,
-                bytes,
-            } => format!("spill({job} m{task} s{spill} runs={runs} bytes={bytes})"),
-            TraceEventKind::MergePass {
-                job,
-                partition,
-                pass,
-                fan_in,
-                bytes,
-            } => format!("merge_pass({job} p{partition} pass{pass} fan_in={fan_in} bytes={bytes})"),
-            TraceEventKind::TaskAborted {
-                job, phase, task, ..
-            } => format!("task_aborted({job} {phase}{task})"),
-            TraceEventKind::FaultInjected {
-                job,
-                phase,
-                task,
-                attempt,
-            } => format!("fault_injected({job} {phase}{task} a{attempt})"),
-            TraceEventKind::NodeDown {
-                job,
-                node,
-                permanent,
-            } => format!("node_down({job} n{node} permanent={permanent})"),
-            TraceEventKind::FetchFailed {
-                job,
-                partition,
-                map_task,
-                retries,
-            } => format!("fetch_failed({job} p{partition} m{map_task} retries={retries})"),
-            TraceEventKind::MapReexecuted { job, task, node } => {
-                format!("map_reexecuted({job} m{task} n{node})")
-            }
-            TraceEventKind::NodeBlacklisted {
-                job,
-                node,
-                failures,
-            } => format!("node_blacklisted({job} n{node} failures={failures})"),
-            TraceEventKind::StageBegin { stage } => format!("stage_begin({stage})"),
-            TraceEventKind::StageEnd { stage } => format!("stage_end({stage})"),
-            TraceEventKind::Glue => "glue".to_string(),
-            TraceEventKind::PhaseStarted { phase } => {
-                format!("phase_started({})", phase.label())
-            }
-            TraceEventKind::SnapshotPublished { label, version } => {
-                format!("snapshot_published({label} v{version})")
-            }
-        }
     }
 }
 
@@ -846,9 +699,8 @@ enum ChromeShape {
     /// Opens a span; the `Close` with the same name and category draws it.
     Open,
     /// Closes the innermost open span of the same name and category. The
-    /// span lasts the simulated seconds given, or, with `None`, until this
-    /// event's timestamp.
-    Close(Option<f64>),
+    /// span lasts the simulated seconds given.
+    Close(f64),
     /// A whole span, from the event's timestamp to the simulated end time
     /// given.
     Span(f64),
@@ -868,28 +720,25 @@ struct ChromeMark {
     name: String,
 }
 
-/// The per-kind drawing table of [`chrome_trace`].
-fn chrome_mark(kind: &TraceEventKind) -> ChromeMark {
+/// The per-kind drawing table of [`chrome_trace`]. `job` names the job
+/// whose block the event sits in (its `job_begin`'s name).
+fn chrome_mark(kind: &TraceEventKind, job: &str) -> ChromeMark {
     use ChromeShape::{Close, Counter, Instant, Open, Span};
     use TraceEventKind as K;
     let (tid, shape, cat, name) = match kind {
         K::JobBegin { job, .. } => (TID_DRIVER, Open, "job", job.clone()),
-        K::JobEnd { job, sim_secs } => (TID_DRIVER, Close(Some(*sim_secs)), "job", job.clone()),
+        K::JobEnd { sim_secs } => (TID_DRIVER, Close(*sim_secs), "job", job.to_string()),
         K::JobAborted { job, .. } => {
             let name = format!("aborted: {job}");
             (TID_DRIVER, Instant("p"), "fault", name)
         }
-        K::PhaseBegin { job, phase, .. } => {
+        K::PhaseBegin { phase, .. } => {
             let name = format!("{job} {phase}");
             (phase_tid(*phase), Open, "phase", name)
         }
-        K::PhaseEnd {
-            job,
-            phase,
-            sim_secs,
-        } => {
+        K::PhaseEnd { phase, sim_secs } => {
             let name = format!("{job} {phase}");
-            (phase_tid(*phase), Close(Some(*sim_secs)), "phase", name)
+            (phase_tid(*phase), Close(*sim_secs), "phase", name)
         }
         K::Attempt {
             phase,
@@ -921,7 +770,6 @@ fn chrome_mark(kind: &TraceEventKind) -> ChromeMark {
             phase,
             wave,
             started,
-            ..
         } => {
             let name = format!("{phase} wave {wave} (+{started})");
             (TID_DRIVER, Instant("p"), "wave", name)
@@ -948,14 +796,11 @@ fn chrome_mark(kind: &TraceEventKind) -> ChromeMark {
             phase,
             task,
             attempt,
-            ..
         } => {
             let name = format!("fault {phase}{task} a{attempt}");
             (TID_DRIVER, Instant("p"), "fault", name)
         }
-        K::NodeDown {
-            node, permanent, ..
-        } => {
+        K::NodeDown { node, permanent } => {
             let suffix = if *permanent { " (permanent)" } else { "" };
             let name = format!("node {node} down{suffix}");
             (TID_DRIVER, Instant("g"), "fault", name)
@@ -968,7 +813,7 @@ fn chrome_mark(kind: &TraceEventKind) -> ChromeMark {
             let name = format!("fetch failed p{partition} ← m{map_task}");
             (TID_SHUFFLE, Instant("p"), "fault", name)
         }
-        K::MapReexecuted { task, node, .. } => {
+        K::MapReexecuted { task, node } => {
             let name = format!("re-exec m{task} on n{node}");
             (TID_DRIVER, Instant("p"), "recovery", name)
         }
@@ -976,9 +821,6 @@ fn chrome_mark(kind: &TraceEventKind) -> ChromeMark {
             let name = format!("node {node} blacklisted");
             (TID_DRIVER, Instant("p"), "fault", name)
         }
-        K::StageBegin { stage } => (TID_PIPELINE, Open, "stage", stage.clone()),
-        K::StageEnd { stage } => (TID_PIPELINE, Close(None), "stage", stage.clone()),
-        K::Glue => (TID_PIPELINE, Instant("t"), "stage", "glue".to_string()),
         K::PhaseStarted { phase } => {
             let name = format!("phase {phase}");
             (TID_PIPELINE, Instant("t"), "phase", name)
@@ -1038,17 +880,22 @@ fn chrome_header(events: &[TraceEvent]) -> Vec<String> {
 ///
 /// Layout: one process (`pid` 1) with named threads — `driver` carries
 /// job and phase spans plus wave/fault instants, `shuffle` carries the
-/// shuffle span and per-partition byte counters, `pipeline` carries stage
-/// spans and glue instants, and every simulated map/reduce slot is its own
-/// thread carrying that slot's attempt spans. Timestamps are simulated
+/// shuffle span and per-partition byte counters, `pipeline` carries the
+/// phase and snapshot markers, and every simulated map/reduce slot is its
+/// own thread carrying that slot's attempt spans. Timestamps are simulated
 /// microseconds; every element's `args` is the event's full JSONL field
 /// list (for a begin/end pair, the end event's).
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut lines = chrome_header(events);
     // Open spans awaiting their end event: (category, name, begin time).
     let mut open: Vec<(String, String, f64)> = Vec::new();
+    // The job whose block the events belong to.
+    let mut job = "";
     for e in events {
-        let mark = chrome_mark(&e.kind);
+        if let TraceEventKind::JobBegin { job: name, .. } = &e.kind {
+            job = name;
+        }
+        let mark = chrome_mark(&e.kind, job);
         // (ph, begin, duration, instant scope) of the element to draw.
         let (ph, begin, dur, scope) = match mark.shape {
             ChromeShape::Open => {
@@ -1061,7 +908,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     continue;
                 };
                 let (_, _, begin) = open.remove(pos);
-                ("X", begin, Some(secs.unwrap_or(e.time - begin)), None)
+                ("X", begin, Some(secs), None)
             }
             ChromeShape::Span(end) => ("X", e.time, Some(end - e.time), None),
             ChromeShape::Instant(scope) => ("i", e.time, None, Some(scope)),
@@ -1092,8 +939,10 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 ///
 /// * sequence numbers strictly increase; all times are finite and
 ///   non-negative,
-/// * every `job_begin` is closed by a `job_end` for the same job before
-///   the next job begins, and the job's events are contiguous,
+/// * every `job_begin` is closed by a `job_end` before the next job
+///   begins: a job's events are one contiguous block, they belong to the
+///   job its `job_begin` names, and no job-scoped kind appears outside a
+///   block,
 /// * within a job, phases appear in `setup → map → shuffle → reduce`
 ///   order, each begin paired with its end, and the job's `sim_secs` is
 ///   the sum of its phases' (within float tolerance),
@@ -1110,13 +959,8 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 ///   reduce partition,
 /// * every `task_aborted` event is followed by a `job_aborted` for the
 ///   same job (task admission failures abort the whole job), and no
-///   `task_aborted` appears after its job's end span — an aborted task
-///   means the job never produced a timeline,
-/// * node-fault instants (`node_down`, `fetch_failed`, `map_reexecuted`,
-///   `node_blacklisted`) name the job whose block they appear in,
-/// * stage begin/end events nest properly; an unclosed stage is accepted
-///   only when a `job_aborted` event follows it (the error propagated
-///   out of the stage),
+///   `task_aborted` names a job whose block came before it — an aborted
+///   task means the job never produced a timeline,
 /// * `phase_started` and `snapshot_published` markers appear only between
 ///   jobs (they are driver instants; one inside a job's contiguous block
 ///   is an error), and each progressive label's snapshot versions count
@@ -1136,43 +980,15 @@ pub fn validate(events: &[TraceEvent]) -> Result<(), TraceError> {
         }
     }
 
-    // Job structure. Jobs are contiguous: scan for job_begin, consume
-    // until the matching job_end.
+    // Jobs are contiguous: scan for job_begin, consume until its job_end.
     let mut i = 0usize;
-    let mut stage_stack: Vec<(&str, u64)> = Vec::new();
     // Last snapshot version seen per progressive label.
     let mut snapshots: Vec<(&str, u64)> = Vec::new();
-    let aborted_after = |seq: u64| {
-        events
-            .iter()
-            .any(|e| e.seq > seq && matches!(e.kind, TraceEventKind::JobAborted { .. }))
-    };
     while i < events.len() {
-        let e = &events[i];
-        match &e.kind {
-            TraceEventKind::StageBegin { stage } => {
-                stage_stack.push((stage, e.seq));
-                i += 1;
-            }
-            TraceEventKind::StageEnd { stage } => {
-                match stage_stack.pop() {
-                    Some((open, _)) if open == stage => {}
-                    Some((open, _)) => {
-                        return err(format!("stage_end({stage}) closes stage_begin({open})"))
-                    }
-                    None => return err(format!("stage_end({stage}) without stage_begin")),
-                }
-                i += 1;
-            }
+        match &events[i].kind {
             TraceEventKind::JobBegin { job, .. } => {
-                let consumed = validate_job(events, i, job)?;
-                i = consumed;
-            }
-            // Driver phase markers carry no structure of their own beyond
-            // being driver-side instants: validate_job rejects one inside
-            // a job's contiguous block.
-            TraceEventKind::PhaseStarted { .. } => {
-                i += 1;
+                i = validate_job(events, i, job)?;
+                continue;
             }
             TraceEventKind::SnapshotPublished { label, version } => {
                 let expected = match snapshots.iter_mut().find(|(l, _)| l == label) {
@@ -1190,41 +1006,30 @@ pub fn validate(events: &[TraceEvent]) -> Result<(), TraceError> {
                         "snapshot_published({label}) version {version}, expected {expected}"
                     ));
                 }
-                i += 1;
             }
             TraceEventKind::TaskAborted { job, .. } => {
-                let aborted = events.iter().any(|later| {
-                    later.seq > e.seq
-                        && matches!(&later.kind,
-                            TraceEventKind::JobAborted { job: j, .. } if j == job)
+                let aborted = events[i + 1..].iter().any(|later| {
+                    matches!(&later.kind, TraceEventKind::JobAborted { job: j, .. } if j == job)
                 });
                 if !aborted {
                     return err(format!(
                         "task_aborted({job}) without a following job_aborted"
                     ));
                 }
-                // An aborted task means the job never produced a
-                // timeline: a task_aborted after the job's end span is
-                // incoherent.
-                let ended_before = events.iter().any(|earlier| {
-                    earlier.seq < e.seq
-                        && matches!(&earlier.kind,
-                            TraceEventKind::JobEnd { job: j, .. } if j == job)
+                // Every block before this event is closed (validate_job
+                // consumed it), so an earlier job_begin of this job means
+                // its end span came first.
+                let ended_before = events[..i].iter().any(|earlier| {
+                    matches!(&earlier.kind, TraceEventKind::JobBegin { job: j, .. } if j == job)
                 });
                 if ended_before {
                     return err(format!("task_aborted({job}) after its job's end span"));
                 }
-                i += 1;
             }
-            _ => {
-                i += 1;
-            }
+            TraceEventKind::JobAborted { .. } | TraceEventKind::PhaseStarted { .. } => {}
+            other => return err(format!("{} outside any job block", other.tag())),
         }
-    }
-    for (stage, seq) in stage_stack {
-        if !aborted_after(seq) {
-            return err(format!("stage_begin({stage}) never closed"));
-        }
+        i += 1;
     }
     Ok(())
 }
@@ -1294,24 +1099,16 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
     let mut extra_spills = 0u64;
     // (slot, start, end) per open task phase, for overlap checking.
     let mut spans: Vec<(TaskPhase, usize, f64, f64)> = Vec::new();
-    let mut i = begin + 1;
-    while i < events.len() {
-        let e = &events[i];
+    for (i, e) in events.iter().enumerate().skip(begin + 1) {
         match &e.kind {
-            TraceEventKind::JobEnd { job: j, sim_secs } => {
-                if j != job {
-                    return err(format!("job_end({j}) inside job {job}"));
-                }
+            TraceEventKind::JobEnd { sim_secs } => {
                 if let Some((p, _)) = open_phase {
                     return err(format!("{job}: job_end with open phase {p}"));
                 }
                 validate_job_end(job, *sim_secs, e.time - t_begin, phase_sum, &mut spans)?;
                 return Ok(i + 1);
             }
-            TraceEventKind::PhaseBegin { job: j, phase, .. } => {
-                if j != job {
-                    return err(format!("phase_begin for {j} inside job {job}"));
-                }
+            TraceEventKind::PhaseBegin { phase, .. } => {
                 if open_phase.is_some() {
                     return err(format!("{job}: nested phase_begin({phase})"));
                 }
@@ -1321,24 +1118,12 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                 open_phase = Some((*phase, e.time));
                 next_phase += 1;
             }
-            TraceEventKind::PhaseEnd {
-                job: j,
-                phase,
-                sim_secs,
-            } => {
-                if j != job {
-                    return err(format!("phase_end for {j} inside job {job}"));
-                }
-                match open_phase.take() {
-                    Some((open, _)) if open == *phase => phase_sum += sim_secs,
-                    Some((open, _)) => {
-                        return err(format!("{job}: phase_end({phase}) closes {open}"))
-                    }
-                    None => return err(format!("{job}: phase_end({phase}) without begin")),
-                }
-            }
+            TraceEventKind::PhaseEnd { phase, sim_secs } => match open_phase.take() {
+                Some((open, _)) if open == *phase => phase_sum += sim_secs,
+                Some((open, _)) => return err(format!("{job}: phase_end({phase}) closes {open}")),
+                None => return err(format!("{job}: phase_end({phase}) without begin")),
+            },
             TraceEventKind::Attempt {
-                job: j,
                 phase,
                 slot,
                 end,
@@ -1346,9 +1131,6 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                 failure,
                 ..
             } => {
-                if j != job {
-                    return err(format!("attempt for {j} inside job {job}"));
-                }
                 let expected = match phase {
                     TaskPhase::Map => JobPhase::Map,
                     TaskPhase::Reduce => JobPhase::Reduce,
@@ -1373,10 +1155,7 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                 }
                 spans.push((*phase, *slot, e.time, *end));
             }
-            TraceEventKind::ShufflePartition { job: j, runs, .. } => {
-                if j != job {
-                    return err(format!("event for {j} inside job {job}"));
-                }
+            TraceEventKind::ShufflePartition { runs, .. } => {
                 // A reducer draws at most one sorted run per map-task spill
                 // pass; single-spill tasks emit no spill events, so the
                 // bound is map count plus recorded extra passes.
@@ -1387,10 +1166,7 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                     ));
                 }
             }
-            TraceEventKind::Spill { job: j, task, .. } => {
-                if j != job {
-                    return err(format!("event for {j} inside job {job}"));
-                }
+            TraceEventKind::Spill { task, .. } => {
                 if !matches!(open_phase, Some((JobPhase::Map, _))) {
                     return err(format!("{job}: spill event outside the map phase"));
                 }
@@ -1399,12 +1175,7 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                 }
                 extra_spills += 1;
             }
-            TraceEventKind::MergePass {
-                job: j, partition, ..
-            } => {
-                if j != job {
-                    return err(format!("event for {j} inside job {job}"));
-                }
+            TraceEventKind::MergePass { partition, .. } => {
                 if !matches!(open_phase, Some((JobPhase::Reduce, _))) {
                     return err(format!("{job}: merge_pass event outside the reduce phase"));
                 }
@@ -1414,21 +1185,19 @@ fn validate_job(events: &[TraceEvent], begin: usize, job: &str) -> Result<usize,
                     ));
                 }
             }
-            TraceEventKind::Wave { job: j, .. }
-            | TraceEventKind::FaultInjected { job: j, .. }
-            | TraceEventKind::NodeDown { job: j, .. }
-            | TraceEventKind::FetchFailed { job: j, .. }
-            | TraceEventKind::MapReexecuted { job: j, .. }
-            | TraceEventKind::NodeBlacklisted { job: j, .. } => {
-                if j != job {
-                    return err(format!("event for {j} inside job {job}"));
-                }
-            }
+            TraceEventKind::Wave { .. }
+            | TraceEventKind::FaultInjected { .. }
+            | TraceEventKind::NodeDown { .. }
+            | TraceEventKind::FetchFailed { .. }
+            | TraceEventKind::MapReexecuted { .. }
+            | TraceEventKind::NodeBlacklisted { .. } => {}
             other => {
-                return err(format!("{job}: unexpected {other:?} inside job block"));
+                return err(format!(
+                    "{job}: unexpected {} inside job block",
+                    other.tag()
+                ));
             }
         }
-        i += 1;
     }
     err(format!("job_begin({job}) never closed"))
 }
@@ -1438,31 +1207,28 @@ pub mod summary;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use TraceEventKind as K;
 
     fn ev(seq: u64, time: f64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent { seq, time, kind }
     }
 
     /// One sample of every event kind, in an order [`chrome_trace`] can
-    /// pair: the job, phase and stage spans each open before they close.
+    /// pair: the job and phase spans each open before they close.
     /// Event `i` has `seq` `i` and time `i / 16`.
     fn all_kinds_samples() -> Vec<TraceEvent> {
-        use TraceEventKind as K;
         let job = || "j".to_string();
-        let quoted = || "a \"quoted\"\nname".to_string();
         let kinds = vec![
             K::JobBegin {
-                job: quoted(),
+                job: "a \"quoted\"\nname".into(),
                 maps: 3,
                 reducers: 2,
             },
             K::PhaseBegin {
-                job: job(),
                 phase: JobPhase::Map,
                 slots: 4,
             },
             K::Attempt {
-                job: job(),
                 phase: TaskPhase::Map,
                 task: 1,
                 attempt: 2,
@@ -1474,48 +1240,36 @@ mod tests {
                 failure: Some(FailureKind::Injected),
             },
             K::Wave {
-                job: job(),
                 phase: TaskPhase::Reduce,
                 wave: 1,
                 started: 4,
             },
             K::ShufflePartition {
-                job: job(),
                 partition: 0,
                 bytes: 123_456,
                 runs: 3,
             },
             K::FaultInjected {
-                job: job(),
                 phase: TaskPhase::Map,
                 task: 0,
                 attempt: 1,
             },
             K::PhaseEnd {
-                job: job(),
                 phase: JobPhase::Map,
                 sim_secs: 0.575,
             },
-            K::JobEnd {
-                job: quoted(),
-                sim_secs: 0.8,
-            },
+            K::JobEnd { sim_secs: 0.8 },
             K::JobAborted {
                 job: job(),
                 reason: "task failed: \\ backslash".into(),
             },
-            K::StageBegin { stage: "s".into() },
-            K::StageEnd { stage: "s".into() },
-            K::Glue,
             K::Spill {
-                job: job(),
                 task: 2,
                 spill: 1,
                 runs: 3,
                 bytes: 4096,
             },
             K::MergePass {
-                job: job(),
                 partition: 1,
                 pass: 0,
                 fan_in: 3,
@@ -1528,23 +1282,16 @@ mod tests {
                 reason: "needs 2000 bytes, budget 1000".into(),
             },
             K::NodeDown {
-                job: job(),
                 node: 3,
                 permanent: true,
             },
             K::FetchFailed {
-                job: job(),
                 partition: 1,
                 map_task: 2,
                 retries: 3,
             },
-            K::MapReexecuted {
-                job: job(),
-                task: 2,
-                node: 0,
-            },
+            K::MapReexecuted { task: 2, node: 0 },
             K::NodeBlacklisted {
-                job: job(),
                 node: 5,
                 failures: 3,
             },
@@ -1569,7 +1316,7 @@ mod tests {
         let mut tags: Vec<&str> = samples.iter().map(|e| e.kind.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), 21, "one sample per event kind");
+        assert_eq!(tags.len(), 18, "one sample per event kind");
         for e in &samples {
             let line = e.to_jsonl();
             let back = TraceEvent::from_jsonl(&line).expect(&line);
@@ -1581,8 +1328,7 @@ mod tests {
 
     #[test]
     fn jsonl_bytes_are_pinned() {
-        // One case per field type; the expected lines are the bytes the
-        // hand-written exporter produced before the schema table existed.
+        // One case per field type.
         let cases = [
             (
                 // Strings: quote, backslash, newline and a control char;
@@ -1590,7 +1336,7 @@ mod tests {
                 ev(
                     7,
                     0.1 + 0.2,
-                    TraceEventKind::JobAborted {
+                    K::JobAborted {
                         job: "a\"b\\c\nd\u{1}e\tf".into(),
                         reason: "µ ←".into(),
                     },
@@ -1602,8 +1348,7 @@ mod tests {
                 ev(
                     2,
                     0.25,
-                    TraceEventKind::Attempt {
-                        job: "j".into(),
+                    K::Attempt {
                         phase: TaskPhase::Reduce,
                         task: 1,
                         attempt: 2,
@@ -1615,15 +1360,14 @@ mod tests {
                         failure: None,
                     },
                 ),
-                r#"{"seq":2,"t":0.25,"ev":"attempt","job":"j","phase":"reduce","task":1,"attempt":2,"kind":"speculative","outcome":"killed","slot":3,"node":1,"end":0.3333333333333333,"failure":null}"#,
+                r#"{"seq":2,"t":0.25,"ev":"attempt","phase":"reduce","task":1,"attempt":2,"kind":"speculative","outcome":"killed","slot":3,"node":1,"end":0.3333333333333333,"failure":null}"#,
             ),
             (
                 // A present optional field; whole-number floats print bare.
                 ev(
                     3,
                     0.0,
-                    TraceEventKind::Attempt {
-                        job: "j".into(),
+                    K::Attempt {
                         phase: TaskPhase::Map,
                         task: 0,
                         attempt: 1,
@@ -1635,63 +1379,55 @@ mod tests {
                         failure: Some(FailureKind::NodeLost),
                     },
                 ),
-                r#"{"seq":3,"t":0,"ev":"attempt","job":"j","phase":"map","task":0,"attempt":1,"kind":"regular","outcome":"failed","slot":0,"node":0,"end":2,"failure":"node_lost"}"#,
+                r#"{"seq":3,"t":0,"ev":"attempt","phase":"map","task":0,"attempt":1,"kind":"regular","outcome":"failed","slot":0,"node":0,"end":2,"failure":"node_lost"}"#,
             ),
             (
                 // u64 fields.
                 ev(
                     4,
                     0.5,
-                    TraceEventKind::ShufflePartition {
-                        job: "j".into(),
+                    K::ShufflePartition {
                         partition: 0,
                         bytes: 123_456_789_012,
                         runs: 3,
                     },
                 ),
-                r#"{"seq":4,"t":0.5,"ev":"shuffle_partition","job":"j","partition":0,"bytes":123456789012,"runs":3}"#,
+                r#"{"seq":4,"t":0.5,"ev":"shuffle_partition","partition":0,"bytes":123456789012,"runs":3}"#,
             ),
             (
                 // A boolean.
                 ev(
                     15,
                     0.98,
-                    TraceEventKind::NodeDown {
-                        job: "j".into(),
+                    K::NodeDown {
                         node: 3,
                         permanent: true,
                     },
                 ),
-                r#"{"seq":15,"t":0.98,"ev":"node_down","job":"j","node":3,"permanent":true}"#,
+                r#"{"seq":15,"t":0.98,"ev":"node_down","node":3,"permanent":true}"#,
             ),
             (
                 // A job phase.
                 ev(
                     6,
                     1e-7,
-                    TraceEventKind::PhaseEnd {
-                        job: "j".into(),
+                    K::PhaseEnd {
                         phase: JobPhase::Shuffle,
                         sim_secs: 1.5e-9,
                     },
                 ),
-                r#"{"seq":6,"t":0.0000001,"ev":"phase_end","job":"j","phase":"shuffle","sim_secs":0.0000000015}"#,
+                r#"{"seq":6,"t":0.0000001,"ev":"phase_end","phase":"shuffle","sim_secs":0.0000000015}"#,
             ),
             (
                 // A pipeline phase label.
                 ev(
                     19,
                     1.0,
-                    TraceEventKind::PhaseStarted {
+                    K::PhaseStarted {
                         phase: Phase::Background(2),
                     },
                 ),
                 r#"{"seq":19,"t":1,"ev":"phase_started","phase":"background(2)"}"#,
-            ),
-            (
-                // No fields at all.
-                ev(11, 0.9, TraceEventKind::Glue),
-                r#"{"seq":11,"t":0.9,"ev":"glue"}"#,
             ),
         ];
         for (event, line) in cases {
@@ -1701,69 +1437,19 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_partition_lines_without_runs_parse_as_zero() {
-        // Traces written before merge fan-in was recorded lack "runs".
-        let line = "{\"seq\":4,\"t\":0.5,\"ev\":\"shuffle_partition\",\"job\":\"j\",\
-                    \"partition\":0,\"bytes\":18}";
-        let e = TraceEvent::from_jsonl(line).unwrap();
-        assert_eq!(
-            e.kind,
-            TraceEventKind::ShufflePartition {
-                job: "j".into(),
-                partition: 0,
-                bytes: 18,
-                runs: 0,
-            }
-        );
-        // The digest is independent of `runs` (golden sequences pin it).
-        let with_runs = TraceEvent {
-            kind: TraceEventKind::ShufflePartition {
-                job: "j".into(),
-                partition: 0,
-                bytes: 18,
-                runs: 7,
-            },
-            ..e.clone()
-        };
-        assert_eq!(e.digest(), with_runs.digest());
-        assert_eq!(e.digest(), "shuffle_partition(j p0 bytes=18)");
-    }
-
-    #[test]
-    fn attempt_lines_without_node_parse_as_zero() {
-        // Traces written before node fault domains lack "node".
-        let line = "{\"seq\":2,\"t\":0.25,\"ev\":\"attempt\",\"job\":\"j\",\"phase\":\"map\",\
-                    \"task\":1,\"attempt\":1,\"kind\":\"regular\",\"outcome\":\"ok\",\
-                    \"slot\":3,\"end\":0.375,\"failure\":null}";
-        let e = TraceEvent::from_jsonl(line).unwrap();
-        let TraceEventKind::Attempt { node, .. } = &e.kind else {
-            panic!("wrong kind");
-        };
-        assert_eq!(*node, 0);
-        // The digest is independent of `node` (golden sequences pin it).
-        let mut moved = e.clone();
-        if let TraceEventKind::Attempt { node, .. } = &mut moved.kind {
-            *node = 7;
-        }
-        assert_eq!(e.digest(), moved.digest());
-        assert_eq!(e.digest(), "attempt(j map1 a1 regular ok -)");
-    }
-
-    #[test]
     fn float_times_round_trip_exactly() {
         let t = 0.1 + 0.2; // 0.30000000000000004
         let e = ev(
             0,
             t,
-            TraceEventKind::JobEnd {
-                job: "x".into(),
+            K::JobEnd {
                 sim_secs: 1.0 / 3.0,
             },
         );
         let back = TraceEvent::from_jsonl(&e.to_jsonl()).unwrap();
         assert_eq!(back.time.to_bits(), t.to_bits());
         match back.kind {
-            TraceEventKind::JobEnd { sim_secs, .. } => {
+            K::JobEnd { sim_secs } => {
                 assert_eq!(sim_secs.to_bits(), (1.0f64 / 3.0).to_bits());
             }
             _ => panic!("wrong kind"),
@@ -1772,81 +1458,286 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_typed_errors() {
-        assert!(TraceEvent::from_jsonl("not json").is_err());
-        assert!(TraceEvent::from_jsonl("{}").is_err());
-        assert!(TraceEvent::from_jsonl("{\"seq\":0,\"t\":0,\"ev\":\"nope\"}").is_err());
-        // Missing a required field.
-        assert!(
-            TraceEvent::from_jsonl("{\"seq\":0,\"t\":0,\"ev\":\"job_begin\",\"job\":\"x\"}")
-                .is_err()
+        let parse = |line: &str| TraceEvent::from_jsonl(line).map_err(|e| e.0);
+        assert!(parse("not json").is_err());
+        assert!(parse("{}").is_err());
+        assert!(parse(r#"{"seq":0,"t":0,"ev":"nope"}"#).is_err());
+        // Missing a field: every field is required, optional ones included
+        // (they are written as null).
+        for (line, field) in [
+            (r#"{"seq":0,"t":0,"ev":"job_begin","job":"x"}"#, "maps"),
+            (
+                r#"{"seq":4,"t":0.5,"ev":"shuffle_partition","partition":0,"bytes":18}"#,
+                "runs",
+            ),
+            (
+                r#"{"seq":2,"t":0.25,"ev":"attempt","phase":"map","task":1,"attempt":1,"kind":"regular","outcome":"ok","slot":3,"end":0.375,"failure":null}"#,
+                "node",
+            ),
+            (
+                r#"{"seq":2,"t":0.25,"ev":"attempt","phase":"map","task":1,"attempt":1,"kind":"regular","outcome":"ok","slot":3,"node":0,"end":0.375}"#,
+                "failure",
+            ),
+        ] {
+            assert_eq!(parse(line), Err(format!("missing field {field:?}")));
+        }
+        // A field of the wrong type.
+        let msg = parse(r#"{"seq":0,"t":0,"ev":"node_down","node":"3","permanent":true}"#);
+        assert_eq!(
+            msg,
+            Err(r#"field "node" is not an unsigned integer"#.into())
         );
+    }
+
+    /// Numbers `(time, kind)` pairs as events `0, 1, …`.
+    fn numbered(kinds: Vec<(f64, TraceEventKind)>) -> Vec<TraceEvent> {
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, (time, kind))| ev(i as u64, time, kind))
+            .collect()
+    }
+
+    /// A successful map attempt of task 0 on `slot` from `start` to `end`.
+    fn attempt(start: f64, end: f64, slot: usize) -> (f64, TraceEventKind) {
+        let kind = K::Attempt {
+            phase: TaskPhase::Map,
+            task: 0,
+            attempt: 1,
+            kind: AttemptKind::Regular,
+            outcome: AttemptOutcome::Succeeded,
+            slot,
+            node: 0,
+            end,
+            failure: None,
+        };
+        (start, kind)
+    }
+
+    /// A well-formed job `"j"` of two map tasks and two reducers lasting
+    /// 2 s, all of it map time: `map`, `shuffle` and `reduce` are the
+    /// events of its three task-bearing phases.
+    fn job_block(
+        map: Vec<(f64, TraceEventKind)>,
+        shuffle: Vec<(f64, TraceEventKind)>,
+        reduce: Vec<(f64, TraceEventKind)>,
+    ) -> Vec<(f64, TraceEventKind)> {
+        let begin = |phase, slots| K::PhaseBegin { phase, slots };
+        let end = |phase, sim_secs| K::PhaseEnd { phase, sim_secs };
+        let mut block = vec![
+            (
+                0.0,
+                K::JobBegin {
+                    job: "j".into(),
+                    maps: 2,
+                    reducers: 2,
+                },
+            ),
+            (0.0, begin(JobPhase::Setup, 0)),
+            (0.0, end(JobPhase::Setup, 0.0)),
+            (0.0, begin(JobPhase::Map, 2)),
+        ];
+        block.extend(map);
+        block.push((2.0, end(JobPhase::Map, 2.0)));
+        block.push((2.0, begin(JobPhase::Shuffle, 0)));
+        block.extend(shuffle);
+        block.push((2.0, end(JobPhase::Shuffle, 0.0)));
+        block.push((2.0, begin(JobPhase::Reduce, 2)));
+        block.extend(reduce);
+        block.push((2.0, end(JobPhase::Reduce, 0.0)));
+        block.push((2.0, K::JobEnd { sim_secs: 2.0 }));
+        block
+    }
+
+    /// `validate`'s verdict on `kinds`: `Ok` or the error message.
+    fn verdict(kinds: Vec<(f64, TraceEventKind)>) -> Result<(), String> {
+        validate(&numbered(kinds)).map_err(|e| e.0)
+    }
+
+    /// Asserts `validate` rejects `kinds` with a message containing `what`.
+    fn rejects(kinds: Vec<(f64, TraceEventKind)>, what: &str) {
+        match verdict(kinds) {
+            Ok(()) => panic!("accepted; expected {what:?}"),
+            Err(msg) => assert!(msg.contains(what), "{msg:?} lacks {what:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_accepts_the_well_formed_job() {
+        let map = vec![attempt(0.0, 1.0, 0), attempt(0.5, 2.0, 1)];
+        verdict(job_block(map, vec![], vec![])).unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_misordered_or_unpaired_phases() {
+        let ok = job_block(vec![], vec![], vec![]);
+        let without = |at: usize| {
+            let mut k = ok.clone();
+            k.remove(at);
+            k
+        };
+        // Indices in `ok`: 1/2 setup begin/end, 3/4 map, 5/6 shuffle,
+        // 7/8 reduce, 9 job_end.
+        rejects(without(1), "without begin");
+        rejects(without(4), "nested phase_begin");
+        rejects(without(8), "job_end with open phase");
+        rejects(without(9), "never closed");
+        let mut swapped = ok.clone();
+        swapped.swap(1, 3);
+        swapped.swap(2, 4);
+        rejects(swapped, "out of order");
+        let mut crossed = ok.clone();
+        crossed[4].1 = K::PhaseEnd {
+            phase: JobPhase::Reduce,
+            sim_secs: 2.0,
+        };
+        rejects(crossed, "closes map");
+        let mut long = ok.clone();
+        long[9].1 = K::JobEnd { sim_secs: 3.0 };
+        rejects(long, "phase sim_secs sum");
+    }
+
+    #[test]
+    fn validate_rejects_slot_overlap() {
+        // Disjoint slots: fine.
+        let ok = vec![attempt(0.0, 1.0, 0), attempt(0.5, 1.5, 1)];
+        verdict(job_block(ok, vec![], vec![])).unwrap();
+        // Same slot, overlapping: rejected.
+        let bad = vec![attempt(0.0, 1.0, 0), attempt(0.5, 1.5, 0)];
+        rejects(job_block(bad, vec![], vec![]), "overlapping");
+    }
+
+    #[test]
+    fn validate_bounds_fan_in_by_maps_plus_spills() {
+        let partition = |runs| {
+            let kind = K::ShufflePartition {
+                partition: 0,
+                bytes: 18,
+                runs,
+            };
+            vec![(2.0, kind)]
+        };
+        let spill = |task| {
+            let kind = K::Spill {
+                task,
+                spill: 1,
+                runs: 1,
+                bytes: 8,
+            };
+            (1.0, kind)
+        };
+        verdict(job_block(vec![], partition(2), vec![])).unwrap();
+        rejects(job_block(vec![], partition(3), vec![]), "fan-in 3");
+        // One recorded extra spill pass allows one more run.
+        verdict(job_block(vec![spill(1)], partition(3), vec![])).unwrap();
+    }
+
+    #[test]
+    fn validate_places_spills_in_map_and_merges_in_reduce() {
+        let spill = |task| {
+            let kind = K::Spill {
+                task,
+                spill: 1,
+                runs: 1,
+                bytes: 8,
+            };
+            vec![(1.0, kind)]
+        };
+        let merge = |partition| {
+            let kind = K::MergePass {
+                partition,
+                pass: 0,
+                fan_in: 2,
+                bytes: 8,
+            };
+            vec![(2.0, kind)]
+        };
+        verdict(job_block(spill(1), vec![], merge(1))).unwrap();
+        rejects(job_block(vec![], vec![], spill(0)), "spill event outside");
+        rejects(job_block(spill(2), vec![], vec![]), "map task 2 of 2");
+        rejects(
+            job_block(merge(0), vec![], vec![]),
+            "merge_pass event outside",
+        );
+        rejects(job_block(vec![], vec![], merge(2)), "partition 2 of 2");
+    }
+
+    #[test]
+    fn job_scoped_kinds_outside_a_job_block_are_rejected() {
+        let stray = vec![attempt(0.0, 1.0, 0)];
+        rejects(stray, "attempt outside any job block");
+        let mut after = job_block(vec![], vec![], vec![]);
+        after.push((2.0, K::JobEnd { sim_secs: 0.0 }));
+        rejects(after, "job_end outside any job block");
     }
 
     #[test]
     fn snapshot_versions_must_count_up_per_label() {
-        let publish = |seq, label: &str, version| {
-            ev(
-                seq,
-                0.0,
-                TraceEventKind::SnapshotPublished {
-                    label: label.into(),
-                    version,
-                },
-            )
+        let publish = |label: &str, version| {
+            let kind = K::SnapshotPublished {
+                label: label.into(),
+                version,
+            };
+            (0.0, kind)
         };
+        let phase = |phase| (0.0, K::PhaseStarted { phase });
         // Independent labels each count from 1; interleaving is fine.
         let good = vec![
-            ev(
-                0,
-                0.0,
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Foreground,
-                },
-            ),
-            publish(1, "syn", 1),
-            publish(2, "hist", 1),
-            ev(
-                3,
-                0.0,
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Background(0),
-                },
-            ),
-            publish(4, "syn", 2),
-            publish(5, "hist", 2),
+            phase(Phase::Foreground),
+            publish("syn", 1),
+            publish("hist", 1),
+            phase(Phase::Background(0)),
+            publish("syn", 2),
+            publish("hist", 2),
         ];
-        validate(&good).unwrap();
+        verdict(good).unwrap();
         // A skipped version is rejected.
-        let skipped = vec![publish(0, "syn", 1), publish(1, "syn", 3)];
-        let msg = validate(&skipped).unwrap_err().0;
-        assert!(msg.contains("expected 2"), "{msg}");
+        rejects(vec![publish("syn", 1), publish("syn", 3)], "expected 2");
         // A label's first publish must be version 1.
-        let late_start = vec![publish(0, "syn", 2)];
-        assert!(validate(&late_start).is_err());
+        rejects(vec![publish("syn", 2)], "expected 1");
     }
 
     #[test]
     fn phase_markers_inside_a_job_block_are_rejected() {
-        let events = vec![
-            ev(
-                0,
-                0.0,
-                TraceEventKind::JobBegin {
-                    job: "j".into(),
-                    maps: 1,
-                    reducers: 1,
-                },
-            ),
-            ev(
-                1,
-                0.0,
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Foreground,
-                },
-            ),
-        ];
-        let msg = validate(&events).unwrap_err().0;
-        assert!(msg.contains("inside job block"), "{msg}");
+        let marker = (
+            1.0,
+            K::PhaseStarted {
+                phase: Phase::Foreground,
+            },
+        );
+        rejects(job_block(vec![marker], vec![], vec![]), "inside job block");
+    }
+
+    #[test]
+    fn task_aborted_needs_a_later_job_aborted_and_no_earlier_run() {
+        let task_aborted = (
+            2.0,
+            K::TaskAborted {
+                job: "j".into(),
+                phase: TaskPhase::Map,
+                task: 0,
+                reason: "late".into(),
+            },
+        );
+        let job_aborted = |job: &str| {
+            let kind = K::JobAborted {
+                job: job.into(),
+                reason: "late".into(),
+            };
+            (2.0, kind)
+        };
+        verdict(vec![task_aborted.clone(), job_aborted("j")]).unwrap();
+        rejects(
+            vec![task_aborted.clone()],
+            "without a following job_aborted",
+        );
+        rejects(
+            vec![task_aborted.clone(), job_aborted("k")],
+            "without a following job_aborted",
+        );
+        let mut after_end = job_block(vec![], vec![], vec![]);
+        after_end.extend([task_aborted, job_aborted("j")]);
+        rejects(after_end, "after its job's end span");
     }
 
     #[test]
@@ -1857,7 +1748,7 @@ mod tests {
             assert_eq!(tr.t0(), 0.0);
             tr.emit(
                 0.0,
-                TraceEventKind::JobBegin {
+                K::JobBegin {
                     job: "a".into(),
                     maps: 1,
                     reducers: 1,
@@ -1871,243 +1762,6 @@ mod tests {
         sink.clear();
         assert_eq!(sink.now(), 0.0);
         assert!(sink.snapshot().is_empty());
-    }
-
-    #[test]
-    fn validate_rejects_slot_overlap() {
-        let job = "j".to_string();
-        let mk_attempt = |seq, start: f64, end: f64, slot| {
-            ev(
-                seq,
-                start,
-                TraceEventKind::Attempt {
-                    job: job.clone(),
-                    phase: TaskPhase::Map,
-                    task: 0,
-                    attempt: 1,
-                    kind: AttemptKind::Regular,
-                    outcome: AttemptOutcome::Succeeded,
-                    slot,
-                    node: 0,
-                    end,
-                    failure: None,
-                },
-            )
-        };
-        let frame = |attempts: Vec<TraceEvent>| {
-            let mut events = vec![
-                ev(
-                    0,
-                    0.0,
-                    TraceEventKind::JobBegin {
-                        job: job.clone(),
-                        maps: 2,
-                        reducers: 1,
-                    },
-                ),
-                ev(
-                    1,
-                    0.0,
-                    TraceEventKind::PhaseBegin {
-                        job: job.clone(),
-                        phase: JobPhase::Setup,
-                        slots: 0,
-                    },
-                ),
-                ev(
-                    2,
-                    0.0,
-                    TraceEventKind::PhaseEnd {
-                        job: job.clone(),
-                        phase: JobPhase::Setup,
-                        sim_secs: 0.0,
-                    },
-                ),
-                ev(
-                    3,
-                    0.0,
-                    TraceEventKind::PhaseBegin {
-                        job: job.clone(),
-                        phase: JobPhase::Map,
-                        slots: 2,
-                    },
-                ),
-            ];
-            let mut seq = 4;
-            for mut a in attempts {
-                a.seq = seq;
-                seq += 1;
-                events.push(a);
-            }
-            for (phase, slots) in [(JobPhase::Map, 0), (JobPhase::Shuffle, 0)] {
-                let _ = slots;
-                events.push(ev(
-                    seq,
-                    2.0,
-                    TraceEventKind::PhaseEnd {
-                        job: job.clone(),
-                        phase,
-                        sim_secs: if phase == JobPhase::Map { 2.0 } else { 0.0 },
-                    },
-                ));
-                seq += 1;
-                if phase == JobPhase::Map {
-                    events.push(ev(
-                        seq,
-                        2.0,
-                        TraceEventKind::PhaseBegin {
-                            job: job.clone(),
-                            phase: JobPhase::Shuffle,
-                            slots: 0,
-                        },
-                    ));
-                    seq += 1;
-                }
-            }
-            for k in [
-                TraceEventKind::PhaseBegin {
-                    job: job.clone(),
-                    phase: JobPhase::Reduce,
-                    slots: 1,
-                },
-                TraceEventKind::PhaseEnd {
-                    job: job.clone(),
-                    phase: JobPhase::Reduce,
-                    sim_secs: 0.0,
-                },
-                TraceEventKind::JobEnd {
-                    job: job.clone(),
-                    sim_secs: 2.0,
-                },
-            ] {
-                events.push(ev(seq, 2.0, k));
-                seq += 1;
-            }
-            events
-        };
-        // Disjoint slots: fine.
-        let ok = frame(vec![mk_attempt(0, 0.0, 1.0, 0), mk_attempt(0, 0.5, 1.5, 1)]);
-        validate(&ok).unwrap();
-        // Same slot, overlapping: rejected.
-        let bad = frame(vec![mk_attempt(0, 0.0, 1.0, 0), mk_attempt(0, 0.5, 1.5, 0)]);
-        let e = validate(&bad).unwrap_err();
-        assert!(e.0.contains("overlapping"), "{e}");
-    }
-
-    #[test]
-    fn validate_rejects_task_aborted_after_job_end() {
-        let job = "j".to_string();
-        let events = vec![
-            ev(
-                0,
-                0.0,
-                TraceEventKind::JobBegin {
-                    job: job.clone(),
-                    maps: 1,
-                    reducers: 1,
-                },
-            ),
-            ev(
-                1,
-                0.0,
-                TraceEventKind::PhaseBegin {
-                    job: job.clone(),
-                    phase: JobPhase::Setup,
-                    slots: 0,
-                },
-            ),
-            ev(
-                2,
-                0.0,
-                TraceEventKind::PhaseEnd {
-                    job: job.clone(),
-                    phase: JobPhase::Setup,
-                    sim_secs: 0.0,
-                },
-            ),
-            ev(
-                3,
-                0.0,
-                TraceEventKind::PhaseBegin {
-                    job: job.clone(),
-                    phase: JobPhase::Map,
-                    slots: 1,
-                },
-            ),
-            ev(
-                4,
-                0.0,
-                TraceEventKind::PhaseEnd {
-                    job: job.clone(),
-                    phase: JobPhase::Map,
-                    sim_secs: 0.0,
-                },
-            ),
-            ev(
-                5,
-                0.0,
-                TraceEventKind::PhaseBegin {
-                    job: job.clone(),
-                    phase: JobPhase::Shuffle,
-                    slots: 0,
-                },
-            ),
-            ev(
-                6,
-                0.0,
-                TraceEventKind::PhaseEnd {
-                    job: job.clone(),
-                    phase: JobPhase::Shuffle,
-                    sim_secs: 0.0,
-                },
-            ),
-            ev(
-                7,
-                0.0,
-                TraceEventKind::PhaseBegin {
-                    job: job.clone(),
-                    phase: JobPhase::Reduce,
-                    slots: 1,
-                },
-            ),
-            ev(
-                8,
-                0.0,
-                TraceEventKind::PhaseEnd {
-                    job: job.clone(),
-                    phase: JobPhase::Reduce,
-                    sim_secs: 0.0,
-                },
-            ),
-            ev(
-                9,
-                0.0,
-                TraceEventKind::JobEnd {
-                    job: job.clone(),
-                    sim_secs: 0.0,
-                },
-            ),
-            ev(
-                10,
-                0.0,
-                TraceEventKind::TaskAborted {
-                    job: job.clone(),
-                    phase: TaskPhase::Map,
-                    task: 0,
-                    reason: "late".into(),
-                },
-            ),
-            ev(
-                11,
-                0.0,
-                TraceEventKind::JobAborted {
-                    job: job.clone(),
-                    reason: "late".into(),
-                },
-            ),
-        ];
-        let e = validate(&events).unwrap_err();
-        assert!(e.0.contains("after its job's end span"), "{e}");
     }
 
     #[test]
@@ -2141,21 +1795,24 @@ mod tests {
             assert!(matches!(e.get("args"), Some(json::Value::Obj(_))), "{e:?}");
             assert!(e.get("cat").and_then(json::Value::as_str).is_some());
         }
-        // 4 fixed metadata + 1 slot metadata; the job, phase, stage and
-        // attempt spans; the shuffle_partition counter; the 13 other kinds
-        // as instants.
-        let expected = [("C", 1), ("M", 5), ("X", 4), ("i", 13)];
+        // 4 fixed metadata + 1 slot metadata; the job, phase and attempt
+        // spans; the shuffle_partition counter; the 12 other kinds as
+        // instants.
+        let expected = [("C", 1), ("M", 5), ("X", 3), ("i", 12)];
         assert_eq!(count.into_iter().collect::<Vec<_>>(), expected);
         // The map slot 3 thread is named, and a span keeps its end event's
         // fields as args.
         assert!(doc.contains("map slot 3"));
-        let job_span = arr
-            .iter()
-            .find(|e| e.get("cat").and_then(json::Value::as_str) == Some("job"))
-            .unwrap();
+        let named = |cat: &str| {
+            arr.iter()
+                .find(|e| e.get("cat").and_then(json::Value::as_str) == Some(cat))
+                .unwrap()
+        };
+        let job_span = named("job");
+        let job = "a \"quoted\"\nname";
         assert_eq!(
             job_span.get("name").and_then(json::Value::as_str),
-            Some("a \"quoted\"\nname")
+            Some(job)
         );
         assert_eq!(job_span.get("ts").and_then(json::Value::as_f64), Some(0.0));
         assert_eq!(
@@ -2166,5 +1823,9 @@ mod tests {
             job_span.get("args").and_then(|a| a.get("sim_secs")),
             Some(&json::Value::Num(0.8))
         );
+        // A phase span takes its name from the open job's job_begin.
+        let phase_span = named("phase");
+        let name = phase_span.get("name").and_then(json::Value::as_str);
+        assert_eq!(name, Some(format!("{job} map").as_str()));
     }
 }

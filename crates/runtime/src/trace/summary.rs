@@ -7,8 +7,10 @@
 //! It is a pure function of the event log — everything it reports is
 //! recomputable by any external consumer of the JSONL export; it exists
 //! so every trace-derived report table is a field read of one pass
-//! instead of a roll-up of its own. A new span kind is one more match arm
-//! in the fold [`per_stage`] runs over each event.
+//! instead of a roll-up of its own. The events of a job's block carry no
+//! job name: the pass attributes each one to the job its block's
+//! `job_begin` names, as [`super::chrome_trace`] does. A new span kind is
+//! one more match arm in the fold [`per_stage`] runs over each event.
 
 use super::{JobPhase, TraceEvent, TraceEventKind};
 use crate::fault::TaskPhase;
@@ -219,9 +221,10 @@ impl StageSummary {
 ///
 /// A job's events are one contiguous block from its `job_begin` to its
 /// `job_end` (what [`super::validate`] checks), so each event in a block
-/// is folded into that job's row; events outside every block — driver
-/// markers, and the `task_aborted` / `job_aborted` pair of a job that
-/// never produced a timeline — open no row.
+/// is folded into the row of the job its `job_begin` names; events
+/// outside every block — driver markers, and the `task_aborted` /
+/// `job_aborted` pair of a job that never produced a timeline — open no
+/// row.
 pub fn per_stage(events: &[TraceEvent]) -> Vec<StageSummary> {
     let mut rows: Vec<StageSummary> = Vec::new();
     // The row of the job whose block is open.
@@ -274,7 +277,6 @@ mod tests {
                 1,
                 0.0,
                 TraceEventKind::PhaseBegin {
-                    job: "j".into(),
                     phase: JobPhase::Map,
                     slots: 2,
                 },
@@ -283,7 +285,6 @@ mod tests {
                 2,
                 0.0,
                 TraceEventKind::Attempt {
-                    job: "j".into(),
                     phase: TaskPhase::Map,
                     task: 0,
                     attempt: 1,
@@ -299,7 +300,6 @@ mod tests {
                 3,
                 1.0,
                 TraceEventKind::Attempt {
-                    job: "j".into(),
                     phase: TaskPhase::Map,
                     task: 0,
                     attempt: 2,
@@ -315,37 +315,15 @@ mod tests {
                 4,
                 4.0,
                 TraceEventKind::PhaseEnd {
-                    job: "j".into(),
                     phase: JobPhase::Map,
                     sim_secs: 4.0,
                 },
             ),
-            ev(
-                5,
-                4.0,
-                TraceEventKind::JobEnd {
-                    job: "j".into(),
-                    sim_secs: 4.0,
-                },
-            ),
+            ev(5, 4.0, TraceEventKind::JobEnd { sim_secs: 4.0 }),
             begin(6, 4.0, "k"),
-            ev(
-                7,
-                4.0,
-                TraceEventKind::JobEnd {
-                    job: "k".into(),
-                    sim_secs: 1.5,
-                },
-            ),
+            ev(7, 4.0, TraceEventKind::JobEnd { sim_secs: 1.5 }),
             begin(8, 5.5, "j"),
-            ev(
-                9,
-                5.5,
-                TraceEventKind::JobEnd {
-                    job: "j".into(),
-                    sim_secs: 2.0,
-                },
-            ),
+            ev(9, 5.5, TraceEventKind::JobEnd { sim_secs: 2.0 }),
         ]
     }
 
@@ -381,7 +359,6 @@ mod tests {
                 1,
                 0.0,
                 TraceEventKind::NodeDown {
-                    job: "j".into(),
                     node: 2,
                     permanent: true,
                 },
@@ -390,7 +367,6 @@ mod tests {
                 2,
                 0.1,
                 TraceEventKind::NodeDown {
-                    job: "j".into(),
                     node: 3,
                     permanent: false,
                 },
@@ -399,27 +375,17 @@ mod tests {
                 3,
                 0.2,
                 TraceEventKind::FetchFailed {
-                    job: "j".into(),
                     partition: 0,
                     map_task: 1,
                     retries: 3,
                 },
             ),
-            ev(
-                4,
-                0.3,
-                TraceEventKind::MapReexecuted {
-                    job: "j".into(),
-                    task: 1,
-                    node: 0,
-                },
-            ),
+            ev(4, 0.3, TraceEventKind::MapReexecuted { task: 1, node: 0 }),
             begin(5, 0.4, "k"),
             ev(
                 6,
                 0.4,
                 TraceEventKind::NodeBlacklisted {
-                    job: "k".into(),
                     node: 1,
                     failures: 3,
                 },
@@ -459,14 +425,7 @@ mod tests {
                 },
             ),
             begin(2, 0.0, "quiet"),
-            ev(
-                3,
-                1.0,
-                TraceEventKind::JobEnd {
-                    job: "quiet".into(),
-                    sim_secs: 1.0,
-                },
-            ),
+            ev(3, 1.0, TraceEventKind::JobEnd { sim_secs: 1.0 }),
         ];
         let rows = per_stage(&events);
         assert_eq!(rows.len(), 1);

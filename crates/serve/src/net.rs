@@ -59,8 +59,9 @@
 //! would not fit a response frame — are shed with `OVERLOADED`,
 //! connection kept), and a per-connection
 //! [`read_timeout`](NetServerConfig::read_timeout) that closes idle
-//! connections — which also bounds how long a graceful
-//! [`shutdown`](NetServer::shutdown) can take.
+//! connections. A graceful [`shutdown`](NetServer::shutdown) does not wait
+//! for it: it closes every connection's read side, so an idle connection
+//! ends at once and an in-flight response is still written.
 //!
 //! # Determinism caveat
 //!
@@ -75,7 +76,7 @@
 
 use std::fmt;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -414,7 +415,7 @@ pub struct NetServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
     /// Per-connection read timeout: an idle connection is closed after
-    /// this long, which also bounds graceful-shutdown latency.
+    /// this long. [`NetServer::shutdown`] does not wait for it.
     pub read_timeout: Duration,
     /// Connection bound: excess connections get one `OVERLOADED`
     /// response and are closed (explicit shedding, never a silent
@@ -490,8 +491,12 @@ pub struct NetServer {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Connection>>>,
 }
+
+/// A connection thread and a clone of its stream, through which
+/// [`NetServer::shutdown`] closes the connection's read side.
+type Connection = (JoinHandle<()>, TcpStream);
 
 impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -539,7 +544,7 @@ impl NetServer {
             latency_hist: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             started: Instant::now(),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Connection>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -605,9 +610,11 @@ impl NetServer {
         }
     }
 
-    /// Graceful shutdown: stop accepting, then join every connection
-    /// thread (bounded by the per-connection read timeout). Idempotent
-    /// via `Drop`, but calling it explicitly surfaces the join.
+    /// Graceful shutdown: stop accepting, close every connection's read
+    /// side, then join the connection threads. An idle connection's
+    /// blocked read ends at once; a request already read still gets its
+    /// response written. Idempotent via `Drop`, but calling it explicitly
+    /// surfaces the join.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -619,9 +626,9 @@ impl NetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.conns.lock().expect("conns lock"));
-        for h in handles {
+        let conns: Vec<Connection> = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
+        for (h, stream) in conns {
+            let _ = stream.shutdown(Shutdown::Read);
             let _ = h.join();
         }
     }
@@ -638,7 +645,7 @@ impl Drop for NetServer {
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<ServerShared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Connection>>>,
 ) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -655,15 +662,24 @@ fn accept_loop(
             continue;
         }
 
+        // A stream that cannot be cloned could not be interrupted at
+        // shutdown: drop it.
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
         shared.active.fetch_add(1, Ordering::SeqCst);
         let shared_conn = Arc::clone(&shared);
         let handle = std::thread::spawn(move || {
-            let _ = serve_connection(stream, &shared_conn);
+            let mut stream = stream;
+            let _ = serve_connection(&mut stream, &shared_conn);
+            // The server's clone keeps the socket open until it is
+            // pruned: close the connection now.
+            let _ = stream.shutdown(Shutdown::Both);
             shared_conn.active.fetch_sub(1, Ordering::SeqCst);
         });
         let mut guard = conns.lock().expect("conns lock");
-        guard.retain(|h| !h.is_finished());
-        guard.push(handle);
+        guard.retain(|(h, _)| !h.is_finished());
+        guard.push((handle, peer));
     }
 }
 
@@ -694,7 +710,7 @@ fn decode_request(payload: &[u8]) -> Result<(u64, Vec<Query>), CodecError> {
 
 /// Drains one connection's request frames until EOF, timeout, shutdown,
 /// or a protocol violation.
-fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
+fn serve_connection(stream: &mut TcpStream, shared: &ServerShared) -> io::Result<()> {
     stream.set_read_timeout(Some(shared.cfg.read_timeout))?;
     stream.set_nodelay(true)?;
     let mut frame = Vec::new();
@@ -702,14 +718,14 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let payload = match FRAME.read(&mut stream) {
+        let payload = match FRAME.read(stream) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // clean EOF
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Undecodable stream: tell the client why, then drop the
                 // connection (we can no longer find frame boundaries).
                 shared.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = refuse(&mut stream, 0, status::BAD_FRAME);
+                let _ = refuse(stream, 0, status::BAD_FRAME);
                 return Err(e);
             }
             Err(e) => return Err(e), // timeout / reset: close quietly
@@ -719,7 +735,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
             Ok(req) => req,
             Err(_) => {
                 shared.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = refuse(&mut stream, 0, status::BAD_FRAME);
+                let _ = refuse(stream, 0, status::BAD_FRAME);
                 return Err(bad_data("undecodable request body"));
             }
         };
@@ -727,7 +743,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         // Batch bound: shed oversized batches, keep the connection.
         if queries.len() > shared.cfg.max_batch {
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            refuse(&mut stream, id, status::OVERLOADED)?;
+            refuse(stream, id, status::OVERLOADED)?;
             continue;
         }
 
@@ -735,7 +751,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
         let reader = match shared.store.reader() {
             Ok(r) => r,
             Err(_) => {
-                refuse(&mut stream, id, status::EMPTY_STORE)?;
+                refuse(stream, id, status::EMPTY_STORE)?;
                 continue;
             }
         };
@@ -765,7 +781,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
             stream.write_all(&frame)?;
         } else {
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            refuse(&mut stream, id, status::OVERLOADED)?;
+            refuse(stream, id, status::OVERLOADED)?;
         }
         // Keep a buffer the size of a typical response, not of the
         // largest one this connection ever drew.

@@ -290,27 +290,35 @@ fn greedy_drivers_survive_edge_inputs() {
         let finite = data.iter().all(|v| v.is_finite());
         for b in [0, 1, n, n + 3] {
             for base_leaves in [4, 1 << 12] {
-                let abs_cfg = DGreedyAbsConfig {
-                    base_leaves,
-                    ..DGreedyAbsConfig::default()
-                };
                 let rel_cfg = DGreedyRelConfig {
                     base_leaves,
                     ..DGreedyRelConfig::default()
                 };
-                // (size, measured error, the most the result advertises)
-                let outcomes = [
-                    dgreedy_abs(&c, data, b, &abs_cfg).map(|d| {
-                        let measured = max_abs(data, &d.synopsis.reconstruct_all());
-                        let promised = d.bound.err_abs.expect("a max-abs bound") + 1e-6;
-                        (d.synopsis.size(), measured, promised)
-                    }),
+                // (algorithm, size, measured error, the most the result
+                // advertises)
+                let mut outcomes = vec![(
+                    "dgreedy_rel".to_string(),
                     dgreedy_rel(&c, data, b, &rel_cfg).map(|d| {
                         let measured = evaluate(data, &d.synopsis, rel_cfg.sanity).max_rel;
                         (d.synopsis.size(), measured, d.error + 1e-9)
                     }),
-                ];
-                for (algo, outcome) in ["dgreedy_abs", "dgreedy_rel"].iter().zip(outcomes) {
+                )];
+                // The default `e_b`, and half a unit: over the integer rows
+                // the estimate alone can then fall short of the error.
+                for bucket_width in [DGreedyAbsConfig::default().bucket_width, 0.5] {
+                    let abs_cfg = DGreedyAbsConfig {
+                        base_leaves,
+                        bucket_width,
+                        ..DGreedyAbsConfig::default()
+                    };
+                    let outcome = dgreedy_abs(&c, data, b, &abs_cfg).map(|d| {
+                        let measured = max_abs(data, &d.synopsis.reconstruct_all());
+                        let promised = d.bound.err_abs.expect("a max-abs bound") + 1e-6;
+                        (d.synopsis.size(), measured, promised)
+                    });
+                    outcomes.push((format!("dgreedy_abs e_b={bucket_width}"), outcome));
+                }
+                for (algo, outcome) in outcomes {
                     let tag = format!("{algo} b={b} base_leaves={base_leaves} data={data:?}");
                     match outcome {
                         Ok((size, measured, promised)) => {

@@ -21,9 +21,9 @@
 
 use std::time::Duration;
 
-use dwmaxerr::runtime::trace::{self, TraceEvent, TraceEventKind};
+use dwmaxerr::runtime::trace::{self, TraceEventKind};
 use dwmaxerr::runtime::{
-    Cluster, ClusterConfig, DriverMetrics, FaultPlan, JobBuilder, MapContext, Pipeline,
+    Cluster, ClusterConfig, DriverMetrics, FaultPlan, JobBuilder, Kernel, MapContext, Pipeline,
     ReduceContext, SpillBackend, TaskPhase, Values,
 };
 use proptest::prelude::*;
@@ -200,8 +200,8 @@ proptest! {
 }
 
 /// The golden-trace workload from `trace_semantics.rs`, replayed at every
-/// thread count: the exact event sequence the golden test pins must come
-/// out of the parallel executor too, not merely *some* stable sequence.
+/// thread count: the exact JSONL the golden test pins must come out of the
+/// parallel executor too, not merely *some* stable sequence.
 #[test]
 fn golden_trace_sequence_is_thread_count_invariant() {
     let run = |threads: usize| {
@@ -217,18 +217,19 @@ fn golden_trace_sequence_is_thread_count_invariant() {
         );
         let cluster = Cluster::new(cfg);
         JobBuilder::new("sum")
-            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
+            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| {
+                ctx.charge(Kernel::Values, 1);
+                ctx.emit(0, *s)
+            })
             .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()))
             .run(&cluster, &[1, 2])
             .expect("job succeeds");
-        cluster
-            .trace_events()
-            .iter()
-            .map(TraceEvent::digest)
-            .collect::<Vec<_>>()
+        trace::to_jsonl(&cluster.trace_events())
     };
     let serial = run(1);
-    assert!(serial.contains(&"attempt(sum map0 a1 regular failed injected)".to_string()));
+    assert!(serial.contains(
+        r#""ev":"attempt","phase":"map","task":0,"attempt":1,"kind":"regular","outcome":"failed""#
+    ));
     for threads in [2, 3, 4, 8] {
         assert_eq!(serial, run(threads), "trace drifted at threads={threads}");
     }
@@ -272,7 +273,7 @@ fn node_kill_recovery_ledger_is_thread_count_invariant() {
 /// three spills per map task and merge passes 24 → 6 → 2 runs. Its sums
 /// add floats in merge order, so a reordered value shows. At one thread
 /// the final merge is one range, at two and four it is cut into as many;
-/// output pairs, counters, the structural ledger, the trace digests and
+/// output pairs, counters, the structural ledger, the JSONL trace and
 /// each pass's `(fan_in, bytes)` must not tell them apart, on either
 /// spill backend.
 #[test]
@@ -333,12 +334,11 @@ fn range_split_final_merge_is_thread_count_invariant() {
             .collect();
         let job = &metrics.jobs[0];
         let counters = (job.counter("groups"), job.counter("values"));
-        let digests: Vec<String> = events.iter().map(TraceEvent::digest).collect();
         (
             pairs,
             counters,
             metrics.structural_digest(),
-            digests,
+            trace::to_jsonl(&events),
             passes,
             job.shuffle_bytes,
         )

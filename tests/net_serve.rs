@@ -18,7 +18,7 @@
 //!    dead node's shards error, individually.
 
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig, DGreedyAbsResult};
 use dwmaxerr::datagen::uniform;
@@ -377,4 +377,24 @@ fn wide_bucket_bound_holds_for_every_point_over_the_wire() {
     assert!(gap_seen, "no build's measured error exceeded its estimate");
     drop(client);
     server.shutdown();
+}
+
+/// Shutdown does not wait out an idle connection's read timeout: a client
+/// kept open across `shutdown` under the default config (a 5 s timeout)
+/// holds it up for well under a second, and then sees its connection
+/// closed.
+#[test]
+fn shutdown_does_not_wait_for_idle_connections() {
+    let store = SynopsisStore::new("net-shutdown", SHARDS);
+    let b = build(&uniform(N, 1000.0, 29), 32);
+    store.publish(&b.synopsis, b.bound, 1.0, 1).unwrap();
+    let server = NetServer::spawn(store, None, NetServerConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let point = [Query::Point { x: 3 }];
+    assert_eq!(client.request(&point).unwrap().status, status::OK);
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert!(client.request(&point).is_err(), "connection still open");
 }

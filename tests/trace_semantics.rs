@@ -1,8 +1,8 @@
 //! Trace subsystem guarantees, pinned at the workspace level:
 //!
-//! * a small job produces a **golden event sequence** (timestamps and
-//!   placement redacted via [`TraceEvent::digest`], so the golden pins the
-//!   structure and a change to the pricing rates moves none of it),
+//! * a small job produces a **golden event sequence**, pinned as whole
+//!   JSONL lines (timestamps, slots and nodes included, so a change to the
+//!   pricing rates moves it),
 //! * every trace a real pipeline produces passes [`trace::validate`]
 //!   (span pairing, phase ordering, per-slot non-overlap),
 //! * a fault-injected run records the recovery it performed: retry
@@ -14,7 +14,9 @@
 
 use dwmaxerr::runtime::metrics::AttemptKind;
 use dwmaxerr::runtime::trace::{self, json, summary, TraceEvent, TraceEventKind};
-use dwmaxerr::runtime::{Cluster, ClusterConfig, FaultPlan, JobBuilder, Pipeline, TaskPhase};
+use dwmaxerr::runtime::{
+    Cluster, ClusterConfig, FaultPlan, JobBuilder, Kernel, Pipeline, TaskPhase,
+};
 use dwmaxerr::runtime::{MapContext, ReduceContext};
 
 /// A 2-map-slot, 1-reduce-slot cluster with speculation off and targeted
@@ -33,10 +35,15 @@ fn golden_cluster() -> Cluster {
     Cluster::new(cfg)
 }
 
+/// Sums the splits; each map task charges its one value as a kernel unit,
+/// so the golden's times move with the kernel rates too.
 fn sum_job() -> impl Fn(&Cluster, &[u64]) -> Vec<TraceEvent> {
     |cluster, splits| {
         JobBuilder::new("sum")
-            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
+            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| {
+                ctx.charge(Kernel::Values, 1);
+                ctx.emit(0, *s)
+            })
             .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()))
             .run(cluster, splits)
             .expect("job succeeds");
@@ -47,50 +54,45 @@ fn sum_job() -> impl Fn(&Cluster, &[u64]) -> Vec<TraceEvent> {
 #[test]
 fn golden_event_sequence_for_deterministic_job() {
     let events = sum_job()(&golden_cluster(), &[1, 2]);
-    let digests: Vec<String> = events.iter().map(TraceEvent::digest).collect();
+    // Whole lines: sequence numbers, simulated times, slots, nodes and
+    // every field. A change to a pricing rate moves this golden.
     let expected = [
-        "job_begin(sum maps=2 reducers=1)",
-        "phase_begin(sum setup slots=0)",
-        "phase_end(sum setup)",
-        "phase_begin(sum map slots=2)",
-        "wave(sum map w0 started=2)",
-        "attempt(sum map0 a1 regular failed injected)",
-        "fault_injected(sum map0 a1)",
-        "attempt(sum map1 a1 regular ok -)",
-        "attempt(sum map0 a2 retry ok -)",
-        "phase_end(sum map)",
-        "phase_begin(sum shuffle slots=0)",
+        r#"{"seq":0,"t":0,"ev":"job_begin","job":"sum","maps":2,"reducers":1}"#,
+        r#"{"seq":1,"t":0,"ev":"phase_begin","phase":"setup","slots":0}"#,
+        r#"{"seq":2,"t":0.00001,"ev":"phase_end","phase":"setup","sim_secs":0.00001}"#,
+        r#"{"seq":3,"t":0.00001,"ev":"phase_begin","phase":"map","slots":2}"#,
+        r#"{"seq":4,"t":0.00001,"ev":"wave","phase":"map","wave":0,"started":2}"#,
+        r#"{"seq":5,"t":0.00001,"ev":"attempt","phase":"map","task":0,"attempt":1,"kind":"regular","outcome":"failed","slot":0,"node":0,"end":0.000020002695000000004,"failure":"injected"}"#,
+        r#"{"seq":6,"t":0.000020002695000000004,"ev":"fault_injected","phase":"map","task":0,"attempt":1}"#,
+        r#"{"seq":7,"t":0.00001,"ev":"attempt","phase":"map","task":1,"attempt":1,"kind":"regular","outcome":"ok","slot":1,"node":1,"end":0.000020005390000000003,"failure":null}"#,
+        r#"{"seq":8,"t":0.000020002695000000004,"ev":"attempt","phase":"map","task":0,"attempt":2,"kind":"retry","outcome":"ok","slot":0,"node":0,"end":0.000030008085000000007,"failure":null}"#,
+        r#"{"seq":9,"t":0.000030008085000000007,"ev":"phase_end","phase":"map","sim_secs":0.000020008085000000005}"#,
+        r#"{"seq":10,"t":0.000030008085000000007,"ev":"phase_begin","phase":"shuffle","slots":0}"#,
         // 2 records x (1-byte u8 key + 8-byte u64 value).
-        "shuffle_partition(sum p0 bytes=18)",
-        "phase_end(sum shuffle)",
-        "phase_begin(sum reduce slots=1)",
-        "wave(sum reduce w0 started=1)",
-        "attempt(sum reduce0 a1 regular failed injected)",
-        "fault_injected(sum reduce0 a1)",
-        "attempt(sum reduce0 a2 retry ok -)",
-        "phase_end(sum reduce)",
-        "job_end(sum)",
+        r#"{"seq":11,"t":0.000030008085000000007,"ev":"shuffle_partition","partition":0,"bytes":18,"runs":2}"#,
+        r#"{"seq":12,"t":0.000030179746376953132,"ev":"phase_end","phase":"shuffle","sim_secs":0.000000171661376953125}"#,
+        r#"{"seq":13,"t":0.000030179746376953132,"ev":"phase_begin","phase":"reduce","slots":1}"#,
+        r#"{"seq":14,"t":0.000030179746376953132,"ev":"wave","phase":"reduce","wave":0,"started":1}"#,
+        r#"{"seq":15,"t":0.000030179746376953132,"ev":"attempt","phase":"reduce","task":0,"attempt":1,"kind":"regular","outcome":"failed","slot":0,"node":0,"end":0.00004018510137695313,"failure":"injected"}"#,
+        r#"{"seq":16,"t":0.00004018510137695313,"ev":"fault_injected","phase":"reduce","task":0,"attempt":1}"#,
+        r#"{"seq":17,"t":0.00004018510137695313,"ev":"attempt","phase":"reduce","task":0,"attempt":2,"kind":"retry","outcome":"ok","slot":0,"node":0,"end":0.000050195811376953136,"failure":null}"#,
+        r#"{"seq":18,"t":0.000050195811376953136,"ev":"phase_end","phase":"reduce","sim_secs":0.000020016065}"#,
+        r#"{"seq":19,"t":0.000050195811376953136,"ev":"job_end","sim_secs":0.000050195811376953136}"#,
     ];
-    assert_eq!(digests, expected, "golden trace sequence drifted");
-    // Sequence numbers are dense from zero; the golden run is the sink's
-    // whole history.
-    let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-    assert_eq!(seqs, (0..events.len() as u64).collect::<Vec<_>>());
+    let jsonl = trace::to_jsonl(&events);
+    assert_eq!(
+        jsonl.lines().collect::<Vec<_>>(),
+        expected,
+        "golden trace drifted"
+    );
     trace::validate(&events).expect("golden trace is well-formed");
 }
 
 #[test]
 fn golden_sequence_is_stable_across_runs() {
-    let digest = |events: &[TraceEvent]| {
-        events
-            .iter()
-            .map(TraceEvent::digest)
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     let a = sum_job()(&golden_cluster(), &[1, 2]);
     let b = sum_job()(&golden_cluster(), &[1, 2]);
-    assert_eq!(digest(&a), digest(&b));
+    assert_eq!(trace::to_jsonl(&a), trace::to_jsonl(&b));
 }
 
 /// A paper-shaped cluster where map time is dominated by a deterministic
@@ -229,18 +231,23 @@ fn per_stage_metrics_agree_with_trace_span_totals_bitwise() {
         metrics.total_simulated().secs().to_bits()
     );
 
-    // Pipeline markers: one stage_begin/stage_end pair per executed job
-    // (3 halve runs + 1 total run) and one glue instant per `then`.
-    let count = |f: &dyn Fn(&TraceEventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
-    assert_eq!(
-        count(&|k| matches!(k, TraceEventKind::StageBegin { .. })),
-        metrics.job_count()
-    );
-    assert_eq!(
-        count(&|k| matches!(k, TraceEventKind::StageEnd { .. })),
-        metrics.job_count()
-    );
-    assert_eq!(count(&|k| matches!(k, TraceEventKind::Glue)), 3);
+    // The plan adds no event of its own: the trace is the executed jobs'
+    // blocks (3 halve runs + 1 total run), one job_begin per ledger entry
+    // in ledger order, and it ends with the last job's job_end.
+    let begun: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            TraceEventKind::JobBegin { job, .. } => Some(job.as_str()),
+            _ => None,
+        })
+        .collect();
+    let ran: Vec<&str> = metrics.jobs.iter().map(|j| j.name.as_str()).collect();
+    assert_eq!(begun, ["halve", "halve", "halve", "total"]);
+    assert_eq!(begun, ran);
+    assert!(matches!(
+        events.last().map(|e| &e.kind),
+        Some(TraceEventKind::JobEnd { .. })
+    ));
 }
 
 #[test]
