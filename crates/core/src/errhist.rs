@@ -33,6 +33,8 @@
 
 #![warn(clippy::too_many_lines)]
 
+use std::cmp::Ordering;
+
 use dwmaxerr_algos::Removal;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{
@@ -201,6 +203,12 @@ impl RootSets {
             removal_order: trace.iter().map(|t| t.node as usize).collect(),
             rho,
         })
+    }
+
+    /// The residual floor `ρ_k` of candidate `k`: a lower bound on its
+    /// [`ErrHistEngine::judge`] score under DGreedyAbs.
+    pub(crate) fn rho(&self, k: usize) -> f64 {
+        self.rho[k]
     }
 
     /// The signed incoming error candidate `k` sends to base sub-tree `j`.
@@ -429,7 +437,7 @@ pub(crate) fn pick<E: ErrHistEngine>(
 ) -> Result<Pick, CoreError> {
     let judged = outs.into_iter().map(|(k, out)| {
         let k = k as usize;
-        let (score, cut_bucket) = engine.judge(&out, roots.rho[k], roots.shape.bucket_width);
+        let (score, cut_bucket) = engine.judge(&out, roots.rho(k), roots.shape.bucket_width);
         Pick {
             k,
             score,
@@ -441,7 +449,7 @@ pub(crate) fn pick<E: ErrHistEngine>(
         .min_by(|a, b| {
             a.score
                 .partial_cmp(&b.score)
-                .expect("finite")
+                .unwrap_or(Ordering::Equal)
                 .then(a.k.cmp(&b.k))
         })
         .ok_or(CoreError::Protocol("no candidate produced a cut"))
@@ -658,6 +666,26 @@ mod tests {
             prop_assert_eq!(AbsEngine.finish(cut, floor).to_bits(), abs.to_bits());
             let got = RelEngine { sanity: 1.0 }.finish(cut, floor);
             prop_assert_eq!((got.0.to_bits(), got.1.to_bits()), (rel.0.to_bits(), rel.1.to_bits()));
+        }
+
+        // Fewer histograms can only lower the cut (`None` below every
+        // bucket): the incremental maintainer's `L ≤ U`.
+        #[test]
+        fn selection_over_a_subset_never_exceeds_the_full_set(
+            set in prop::collection::vec(histogram(), 1..=9),
+            chosen in any::<u64>(),
+            keep in 0u64..64,
+        ) {
+            let suffixed: Vec<Vec<(i64, u64)>> =
+                set.iter().map(|(_, batches)| at_or_above(batches)).collect();
+            let full: Vec<&[(i64, u64)]> = suffixed.iter().map(Vec::as_slice).collect();
+            let subset: Vec<&[(i64, u64)]> = full
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| chosen >> i & 1 == 1)
+                .map(|(_, h)| *h)
+                .collect();
+            prop_assert!(select_cut(&subset, keep) <= select_cut(&full, keep));
         }
     }
 

@@ -42,6 +42,15 @@
 //! order the sort-merge shuffle feeds a reducer (equal keys drain
 //! lowest-map-task-first).
 //!
+//! The incremental DGreedyAbs pick also skips candidates the batch driver
+//! scores, without changing its winner. A candidate's score is `max(cut,
+//! ρ_k) ≥ ρ_k`, and the all-retained candidate `max_k` is always scored:
+//! call its score `U`. The winner scores at most `U`, so a candidate with
+//! `ρ_k > U` scores strictly more than the winner — it can neither win nor
+//! tie, and leaving it (and the GreedyAbs runs only it needs) out leaves
+//! the synopsis, the estimate, the bound and `|C_root|` as they are. A NaN
+//! `ρ_k` or `U` is unordered and prunes nothing.
+//!
 //! # Non-finite input
 //!
 //! Over NaN or ±∞ no error bound means anything: `tick` refuses such values
@@ -51,6 +60,7 @@
 
 #![warn(clippy::too_many_lines)]
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -66,7 +76,7 @@ use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
 use crate::conventional::{con_stage, select_top_b};
 use crate::dgreedy_abs::{AbsEngine, DGreedyAbsConfig};
-use crate::errhist::{self, ErrHistEngine, Removed, RootSets, Shape};
+use crate::errhist::{self, ErrHistEngine, Pick, Removed, RootSets, Shape};
 use crate::error::CoreError;
 use crate::layered::forward;
 use crate::partition::{store_finite_averages, BasePartition};
@@ -198,6 +208,10 @@ pub struct RebuildStats {
     pub map_tasks: usize,
     /// GreedyAbs runs executed by those tasks (0 for conventional).
     pub greedy_runs: usize,
+    /// `C_root` candidates left out of level 2 because their residual
+    /// floor exceeds a score another candidate reaches (0 for
+    /// conventional).
+    pub pruned_candidates: usize,
 }
 
 /// The state the two maintainers share: the window's partition, the base
@@ -368,7 +382,7 @@ impl IncrementalConventional {
             stats: RebuildStats {
                 dirty_bases: stale.len(),
                 map_tasks: stale.len(),
-                greedy_runs: 0,
+                ..RebuildStats::default()
             },
         };
         Ok((pipe, update))
@@ -407,12 +421,16 @@ pub struct DGreedyAbsUpdate {
 /// bases, B = N/16, two threads on 2 vCPUs; three feeds): +8.7–10.2 % at
 /// 1, +2.2–3.9 % at 4, +0.9–1.8 % at 8, +0.2–0.7 % at 16. After 3 000
 /// one-value updates the process holds 57 MiB at 16 (50 at 8) where the
-/// unbounded cache holds 1 081 MiB.
+/// unbounded cache holds 1 081 MiB. These figures were taken before the
+/// errhist stage left out the candidates that cannot win, when every
+/// update wanted every group.
 const RUN_CACHE_UPDATES: u64 = 16;
 
-/// What level 1 of one of DGreedyAbs's two jobs answered, per base and
+/// What level 1 of one of DGreedyAbs's two big jobs answered, per base and
 /// per incoming error (its f64 bits): a GreedyAbs run depends on nothing
-/// else.
+/// else. An update calls [`RunCache::advance`] once, [`RunCache::fill`]
+/// once per job that may run, and [`RunCache::retire`] once, so retention
+/// counts updates, not jobs.
 #[derive(Debug)]
 struct RunCache<T> {
     /// The job that fills it, and that job's reducer count.
@@ -436,16 +454,26 @@ impl<T: Wire + Send> RunCache<T> {
         }
     }
 
+    /// Base `j`'s run for `incoming`, if cached.
+    fn cached(&self, j: usize, incoming: f64) -> Option<&[T]> {
+        let (_, run) = self.runs[j].get(&incoming.to_bits())?;
+        Some(run)
+    }
+
     fn get(&self, j: usize, incoming: f64) -> Result<&[T], CoreError> {
-        let run = self.runs[j].get(&incoming.to_bits());
-        let (_, run) = run.ok_or(CoreError::Protocol("run cache miss after refresh"))?;
-        Ok(run)
+        self.cached(j, incoming)
+            .ok_or(CoreError::Protocol("run cache miss after refresh"))
+    }
+
+    /// Starts an update: the [`RunCache::fill`]s until the next call mark
+    /// what they want with one update count.
+    fn advance(&mut self) {
+        self.updates += 1;
     }
 
     /// Makes the cache hold base `j`'s run for every incoming error of
     /// `wanted[j]`: one job over the bases that miss any, `run(details,
-    /// split, incoming)` once per miss. Then retires the runs that none of
-    /// the last [`RUN_CACHE_UPDATES`] fills wanted.
+    /// split, incoming)` once per miss.
     fn fill<'c>(
         &mut self,
         pipe: Pipeline<'c, ()>,
@@ -455,7 +483,6 @@ impl<T: Wire + Send> RunCache<T> {
         stats: &mut RebuildStats,
         run: impl Fn(&[f64], &SliceSplit, f64) -> Vec<T> + Sync,
     ) -> Result<Pipeline<'c, ()>, CoreError> {
-        self.updates += 1;
         let now = self.updates;
         let missing: Vec<Vec<f64>> = wanted
             .iter()
@@ -500,25 +527,34 @@ impl<T: Wire + Send> RunCache<T> {
         for (j, (bits, produced)) in fresh {
             self.runs[j as usize].insert(bits, (now, produced));
         }
+        Ok(pipe)
+    }
+
+    /// Ends an update: retires the runs that none of the last
+    /// [`RUN_CACHE_UPDATES`] updates wanted.
+    fn retire(&mut self) {
+        let now = self.updates;
         for cached in &mut self.runs {
             cached.retain(|_, (last, _)| now - *last < RUN_CACHE_UPDATES);
         }
-        Ok(pipe)
     }
 }
 
 /// Incrementally maintained DGreedyAbs synopsis.
 ///
 /// Two caches answer level 1 of [`crate::dgreedy_abs::dgreedy_abs`]'s two
-/// jobs: the histogram of an ErrHistGreedyAbs run in its nodes-at-or-above
-/// form, and the *unfiltered* removals of a synopsis-stage run,
-/// re-filterable for any winning cut. An update re-runs map tasks only for
-/// bases with at least one cache miss; every step between the caches is
-/// the batch driver's own, so the result is bit-identical to it on the
-/// same array (see the module docs). A cached run that
+/// big jobs: the histogram of an ErrHistGreedyAbs run in its
+/// nodes-at-or-above form, and the *unfiltered* removals of a
+/// synopsis-stage run, re-filterable for any winning cut. An update re-runs
+/// map tasks only for bases with at least one cache miss, and runs
+/// histograms only for the `C_root` candidates that can still win (the
+/// all-retained candidate's score bounds every winner's; see the module
+/// docs); every step between the caches is the batch driver's own, so the
+/// result is bit-identical to it on the same array. A cached run that
 /// `RUN_CACHE_UPDATES` (16) updates in a row did not want is retired, so
 /// each base holds at most that many updates' worth of distinct incoming
-/// errors (`log R + 2` per root configuration).
+/// errors (`log R + 2` per root configuration); the figures behind 16
+/// predate the pruning.
 #[derive(Debug)]
 pub struct IncrementalDGreedyAbs {
     bases: Bases,
@@ -574,7 +610,7 @@ impl IncrementalDGreedyAbs {
         let mut stats = RebuildStats {
             dirty_bases: stale.len(),
             map_tasks: stale.len(),
-            greedy_runs: 0,
+            ..RebuildStats::default()
         };
         let (pipe, fresh) = stage_over(pipe, &splits, &stale, |pipe, picked| {
             errhist::averages_stage(pipe, "dgreedyabs-inc", picked)
@@ -585,37 +621,14 @@ impl IncrementalDGreedyAbs {
             self.removals.runs[j].clear();
         }
         let roots = RootSets::generate(&shape, &AbsEngine, &self.bases.averages)?;
-
-        // The errhist stage: level 1 from the cache, level 2 as written.
-        let r = shape.partition.num_base();
-        let groups: Vec<_> = (0..r).map(|j| roots.groups(j)).collect();
-        let wanted: Vec<Vec<f64>> = groups
-            .iter()
-            .map(|of_base| of_base.iter().map(|&(e, _)| e).collect())
-            .collect();
-        let histogram = |details: &[f64], split: &SliceSplit, e: f64| {
-            let (_floor, trace) = AbsEngine.run(details, split.slice(), e);
-            errhist::at_or_above(&errhist::histogram_batches(&trace, shape.bucket_width))
-        };
-        let pipe = self
-            .histograms
-            .fill(pipe, &shape, &splits, &wanted, &mut stats, histogram)?;
-        let mut serving: Vec<Vec<&[(i64, u64)]>> = vec![Vec::new(); shape.max_k + 1];
-        for (j, of_base) in groups.iter().enumerate() {
-            for (e, ks) in of_base {
-                let histogram = self.histograms.get(j, *e)?;
-                ks.iter().for_each(|&k| serving[k as usize].push(histogram));
-            }
-        }
-        let outs = serving.iter().enumerate().map(|(k, histograms)| {
-            let cut = errhist::select_cut(histograms, (shape.budget - k) as u64);
-            (k as u32, AbsEngine.finish(cut, i64::MIN))
-        });
-        let best = errhist::pick(&AbsEngine, &roots, outs)?;
+        self.histograms.advance();
+        self.removals.advance();
+        let (pipe, best) = self.errhist_stage(pipe, &roots, &splits, &mut stats)?;
 
         // The synopsis stage: the winner's removals unfiltered from the
         // cache, then the reducer's input — the bases' removals that
         // survive the cut, in base order.
+        let r = shape.partition.num_base();
         let wanted: Vec<Vec<f64>> = (0..r).map(|j| vec![roots.incoming(best.k, j)]).collect();
         let unfiltered = |details: &[f64], split: &SliceSplit, e: f64| {
             errhist::removals(&shape, &AbsEngine, details, split, e, i64::MIN).collect()
@@ -628,6 +641,8 @@ impl IncrementalDGreedyAbs {
             let at_cut = |removed: &&Removed| errhist::survives(removed.0, best.cut_bucket);
             nodes.extend(self.removals.get(j, incoming[0])?.iter().filter(at_cut));
         }
+        self.histograms.retire();
+        self.removals.retire();
         let update = DGreedyAbsUpdate {
             synopsis: roots.assemble(best.k, errhist::keep_top(nodes, shape.budget - best.k))?,
             estimated_error: best.score,
@@ -636,6 +651,80 @@ impl IncrementalDGreedyAbs {
             stats,
         };
         Ok((pipe, update))
+    }
+
+    /// The errhist stage over the candidates with `ρ_k ≤ U`, `U` being the
+    /// all-retained candidate `max_k`'s score (why the others cannot win
+    /// is in the module docs). Level 1 comes from the cache, filled by at
+    /// most two jobs; level 2 and the pick are the batch driver's. Job 1
+    /// runs each base's missing histogram for `max_k`, and every missing
+    /// group that serves a candidate with `ρ_k ≤ L`, where `L` is
+    /// `max_k`'s score over the histograms cached before the job — a lower
+    /// bound on `U`, since fewer histograms can only lower the cut. Job 2
+    /// runs the groups still missing for the candidates with `ρ_k ≤ U`.
+    fn errhist_stage<'c>(
+        &mut self,
+        pipe: Pipeline<'c, ()>,
+        roots: &RootSets,
+        splits: &[SliceSplit],
+        stats: &mut RebuildStats,
+    ) -> Result<(Pipeline<'c, ()>, Pick), CoreError> {
+        let shape = self.shape;
+        let top = shape.max_k;
+        let r = shape.partition.num_base();
+        let groups: Vec<_> = (0..r).map(|j| roots.groups(j)).collect();
+        // Per base, the incoming errors of the groups that serve a
+        // candidate `serves` accepts.
+        let wanted = |serves: &dyn Fn(usize) -> bool| -> Vec<Vec<f64>> {
+            let serving = |ks: &[u32]| ks.iter().any(|&k| serves(k as usize));
+            let of_base = |base_groups: &Vec<(f64, Vec<u32>)>| {
+                let errors = base_groups.iter().filter(|(_, ks)| serving(ks));
+                errors.map(|&(e, _)| e).collect()
+            };
+            groups.iter().map(of_base).collect()
+        };
+        let cut = |k: usize, histograms: &[&[(i64, u64)]]| {
+            let keep = (shape.budget - k) as u64;
+            AbsEngine.finish(errhist::select_cut(histograms, keep), i64::MIN)
+        };
+        let score = |k: usize, histograms: &[&[(i64, u64)]]| {
+            let (score, _) = AbsEngine.judge(&cut(k, histograms), roots.rho(k), shape.bucket_width);
+            score
+        };
+        let histogram = |details: &[f64], split: &SliceSplit, e: f64| {
+            let (_floor, trace) = AbsEngine.run(details, split.slice(), e);
+            errhist::at_or_above(&errhist::histogram_batches(&trace, shape.bucket_width))
+        };
+
+        let cached: Vec<&[(i64, u64)]> = (0..r)
+            .filter_map(|j| self.histograms.cached(j, roots.incoming(top, j)))
+            .collect();
+        let lower = score(top, &cached);
+        let first = wanted(&|k| k == top || roots.rho(k) <= lower);
+        let pipe = self
+            .histograms
+            .fill(pipe, &shape, splits, &first, stats, histogram)?;
+        let every = (0..r).map(|j| self.histograms.get(j, roots.incoming(top, j)));
+        let upper = score(top, &every.collect::<Result<Vec<_>, _>>()?);
+        // A NaN is unordered and prunes nothing.
+        let kept = |k: usize| roots.rho(k).partial_cmp(&upper) != Some(Ordering::Greater);
+        let pipe = self
+            .histograms
+            .fill(pipe, &shape, splits, &wanted(&kept), stats, histogram)?;
+
+        stats.pruned_candidates = (0..=top).filter(|&k| !kept(k)).count();
+        let mut serving: Vec<Vec<&[(i64, u64)]>> = vec![Vec::new(); top + 1];
+        for (j, of_base) in groups.iter().enumerate() {
+            for (e, ks) in of_base {
+                for k in ks.iter().map(|&k| k as usize).filter(|&k| kept(k)) {
+                    serving[k].push(self.histograms.get(j, *e)?);
+                }
+            }
+        }
+        let outs = (0..=top)
+            .filter(|&k| kept(k))
+            .map(|k| (k as u32, cut(k, &serving[k])));
+        Ok((pipe, errhist::pick(&AbsEngine, roots, outs)?))
     }
 }
 
@@ -910,8 +999,17 @@ mod tests {
         driver.tick(&cluster, &wavy(64, 5)).unwrap();
         let mut per_update = [0, 0];
         for (tick, value) in wavy(3000, 9).iter().enumerate() {
+            let before = [
+                driver.dgreedy.histograms.updates,
+                driver.dgreedy.removals.updates,
+            ];
             driver.tick(&cluster, std::slice::from_ref(value)).unwrap();
             let dg = &driver.dgreedy;
+            assert_eq!(
+                [dg.histograms.updates, dg.removals.updates],
+                before.map(|u| u + 1),
+                "tick {tick}: one update advances each cache once"
+            );
             for (cache, (held, wanted)) in [sizes(&dg.histograms), sizes(&dg.removals)]
                 .into_iter()
                 .enumerate()

@@ -586,11 +586,11 @@ impl TraceSink {
         self.inner.lock().expect("trace lock").events.clone()
     }
 
-    /// Drops all recorded events and resets the clock and sequence counter
-    /// (e.g. between benchmark repetitions).
+    /// Drops all recorded events, and the memory that held them, and resets
+    /// the clock and sequence counter (e.g. between benchmark repetitions).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("trace lock");
-        inner.events.clear();
+        inner.events = Vec::new();
         inner.clock = 0.0;
         inner.seq = 0;
     }
@@ -1762,6 +1762,23 @@ mod tests {
         sink.clear();
         assert_eq!(sink.now(), 0.0);
         assert!(sink.snapshot().is_empty());
+    }
+
+    /// A sink cleared between feeds gives its peak back: nothing of the
+    /// event vector it held stays allocated.
+    #[test]
+    fn cleared_sink_holds_no_event_capacity() {
+        let sink = TraceSink::new();
+        for _ in 0..10_000 {
+            sink.instant(K::SnapshotPublished {
+                label: "s".into(),
+                version: 1,
+            });
+        }
+        let held = || sink.inner.lock().expect("trace lock").events.capacity();
+        assert!(held() >= 10_000);
+        sink.clear();
+        assert_eq!(held(), 0);
     }
 
     #[test]

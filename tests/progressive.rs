@@ -13,7 +13,9 @@
 //! 3. **Incremental ≡ from-scratch** — property tests drive random
 //!    append/slide schedules (power-of-two fills and ragged zero-padded
 //!    tails alike) and require the incrementally maintained CON and
-//!    DGreedyAbs synopses to equal from-scratch builds bit for bit.
+//!    DGreedyAbs synopses to equal from-scratch builds bit for bit; a
+//!    sliding wind-direction feed on `sensor_stream`'s shape does the same
+//!    while the errhist stage leaves out `C_root` candidates.
 //! 4. **Golden tick schedule** — a fixed ten-tick schedule pins what each
 //!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served.
 //! 5. **Non-finite input** — NaN / ±∞ are refused with a typed error by
@@ -29,6 +31,7 @@ use dwmaxerr::core::progressive::{
 };
 use dwmaxerr::core::query::point_answer;
 use dwmaxerr::core::CoreError;
+use dwmaxerr::datagen::wd_like;
 use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::trace::{self, TraceEventKind};
 use dwmaxerr::runtime::{
@@ -288,19 +291,22 @@ type TickRow = (usize, usize, usize, usize, u64, u64, u64, usize);
 
 /// What each tick of `tick_schedule_is_golden` re-ran and served, captured
 /// while Section 5 was still written three times (before `core::errhist`
-/// became the one driver). Which work an update repeats is the
-/// maintainers' contract; the tests above only bound it by inequalities.
+/// became the one driver). The work columns (background tasks, GreedyAbs
+/// runs) were captured again when the incremental errhist stage began to
+/// leave out the `C_root` candidates that cannot win; what each tick
+/// served did not move. Which work an update repeats is the maintainers'
+/// contract; the tests above only bound it by inequalities.
 #[rustfmt::skip]
 const TICK_SCHEDULE: &[TickRow] = &[
-    (16, 16, 48, 126, 0x4783f61835e1e8ab, 0x4989ac2abd97e857, 0x40446e8000000000, 1),
-    (1, 1, 3, 8, 0xf7552be0abf4e7e9, 0x4abefaa938e60961, 0x4044ee8000000000, 1),
-    (1, 1, 33, 75, 0x774e891f58d939b8, 0x3a5a18412d669b4d, 0x4045038000000000, 1),
-    (2, 2, 34, 78, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
+    (16, 16, 64, 110, 0x4783f61835e1e8ab, 0x4989ac2abd97e857, 0x40446e8000000000, 1),
+    (1, 1, 3, 7, 0xf7552be0abf4e7e9, 0x4abefaa938e60961, 0x4044ee8000000000, 1),
+    (1, 1, 33, 74, 0x774e891f58d939b8, 0x3a5a18412d669b4d, 0x4045038000000000, 1),
+    (2, 2, 34, 76, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
     (0, 0, 0, 0, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
-    (1, 1, 33, 73, 0xcecd2f4c6eacd9f4, 0xe03c04704ba8c5d8, 0x40450d0000000000, 1),
-    (15, 15, 47, 121, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
-    (1, 1, 3, 8, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
-    (1, 1, 3, 8, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
+    (1, 1, 33, 72, 0xcecd2f4c6eacd9f4, 0xe03c04704ba8c5d8, 0x40450d0000000000, 1),
+    (15, 15, 62, 106, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
+    (1, 1, 3, 7, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
+    (1, 1, 3, 7, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
     (0, 0, 0, 0, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
 ];
 
@@ -398,6 +404,90 @@ fn tick_schedule_is_golden() {
         })
         .collect();
     assert_eq!(got, TICK_SCHEDULE, "measured:\n{}", listing.join("\n"));
+}
+
+/// `sensor_stream`'s shape (a 4 096-value window of 256-value bases,
+/// budget 256, wind-direction readings arriving 256 per tick): every update
+/// serves what a one-shot build serves, bit for bit, while the errhist
+/// stage leaves out the `C_root` candidates whose residual floor is above
+/// the all-retained candidate's score.
+#[test]
+fn pruned_candidates_leave_every_sensor_tick_exact() {
+    let (n, base, batch, ticks) = (1 << 12, 1 << 8, 1 << 8, 24);
+    let cfg = DGreedyAbsConfig {
+        base_leaves: base,
+        bucket_width: 1e-6,
+        reducers: 2,
+        max_candidates: None,
+    };
+    let budget = n / 16;
+    let cluster = cluster_on(SpillBackend::from_env(), None);
+    let reference = cluster_on(SpillBackend::Memory, None);
+    let feed = wd_like(n + ticks * batch, 2e-4, 7);
+    let mut window = StreamWindow::new(n, base).unwrap();
+    let mut inc = IncrementalDGreedyAbs::new(n, budget, &cfg).unwrap();
+    let mut pruned = 0;
+    for (tick, chunk) in std::iter::once(&feed[..n])
+        .chain(feed[n..].chunks(batch))
+        .enumerate()
+    {
+        window.push(chunk);
+        for j in window.take_dirty_bases() {
+            inc.invalidate(j);
+        }
+        let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();
+        let _ = pipe.into_metrics();
+        let one_shot = dgreedy_abs(&reference, window.data(), budget, &cfg).unwrap();
+        assert_eq!(up.synopsis, one_shot.synopsis, "tick {tick}");
+        assert_eq!(
+            up.estimated_error.to_bits(),
+            one_shot.estimated_error.to_bits(),
+            "tick {tick}"
+        );
+        assert_eq!(up.bound, one_shot.bound, "tick {tick}");
+        assert_eq!(up.best_croot_size, one_shot.best_croot_size, "tick {tick}");
+        pruned = pruned.max(up.stats.pruned_candidates);
+    }
+    assert!(pruned > 0, "no tick left a candidate out");
+}
+
+/// A candidate whose residual floor equals the all-retained candidate's
+/// score `U` can still win: it ties at `U`, and equal scores pick the
+/// smaller `|C_root|`. On the first window the one-shot build picks
+/// `|C_root|` = 1 at an estimate of 1 where the all-retained candidate also
+/// scores 1; pruning at `ρ_k ≥ U` instead of `ρ_k > U` served
+/// `|C_root|` = 3. On the second a budget of the whole window lets the
+/// all-retained candidate keep everything at a score of 0 = `ρ_k`, and the
+/// same mistake pruned every candidate.
+#[test]
+fn candidates_tied_with_the_all_retained_score_are_kept() {
+    let cluster = cluster_on(SpillBackend::from_env(), None);
+    let tied = [
+        2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0, 1.0, 0.0, 1.0, 0.0, 0.0, 2.0, 2.0,
+        1.0, 1.0, 2.0, 0.0, 0.0, 2.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 1.0,
+    ];
+    let cases = [(tied.to_vec(), 4, 1, 1.0), (int_data(32, 3), 32, 16, 0.0)];
+    for (data, budget, croot, estimate) in cases {
+        let cfg = DGreedyAbsConfig {
+            base_leaves: 2,
+            bucket_width: 1.0,
+            reducers: 1,
+            max_candidates: None,
+        };
+        let mut inc = IncrementalDGreedyAbs::new(data.len(), budget, &cfg).unwrap();
+        let (_, up) = inc.update(Pipeline::on(&cluster), &data).unwrap();
+        let one_shot = dgreedy_abs(&cluster, &data, budget, &cfg).unwrap();
+        assert_eq!(up.synopsis, one_shot.synopsis, "budget {budget}");
+        assert_eq!(
+            up.estimated_error.to_bits(),
+            one_shot.estimated_error.to_bits()
+        );
+        assert_eq!(up.best_croot_size, one_shot.best_croot_size);
+        assert_eq!(
+            (one_shot.best_croot_size, one_shot.estimated_error),
+            (croot, estimate)
+        );
+    }
 }
 
 /// NaN and ±∞ never get a bound advertised over them. `tick` refuses such

@@ -31,7 +31,6 @@ const BUDGET: &[(&str, usize)] = &[
     ("crates/core/src/dgreedy_abs.rs", 1),
     ("crates/core/src/dgreedy_rel.rs", 1),
     ("crates/core/src/dmin_rel_var.rs", 3),
-    ("crates/core/src/errhist.rs", 1),
     ("crates/core/src/partition.rs", 3),
     ("crates/runtime/src/cluster.rs", 1),
     ("crates/runtime/src/codec.rs", 2),
