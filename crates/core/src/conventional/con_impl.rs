@@ -12,43 +12,13 @@
 
 use dwmaxerr_algos::conventional::conventional_synopsis;
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::pipeline::StagedPipeline;
-use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, RuntimeError};
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline};
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::error::CoreError;
 use crate::layered::forward;
 use crate::partition::BasePartition;
 use crate::splits::{aligned_splits, SliceSplit};
-
-/// Runs CON's job `name` over `splits`, base slices of `partition` (any
-/// subset of them): the output pairs are every detail coefficient on its
-/// global node id and every slice average on the reserved key `< R` (the
-/// split id — detail node ids are all `≥ R`).
-pub(crate) fn con_stage<'c, T>(
-    pipe: Pipeline<'c, T>,
-    name: &str,
-    partition: BasePartition,
-    splits: &[SliceSplit],
-) -> Result<StagedPipeline<'c, T, u64, f64>, RuntimeError> {
-    let job = JobBuilder::new(name)
-        .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
-            ctx.charge(Kernel::Values, split.len() as u64);
-            let (details, avg) = partition.base_details_from_data(split.slice());
-            for (local, &c) in details.iter().enumerate() {
-                let global = partition.local_to_global(split.id as usize, local + 1);
-                ctx.emit(global as u64, c);
-            }
-            ctx.emit(split.id as u64, avg);
-        })
-        .input_bytes(SliceSplit::bytes)
-        // Pass everything through; the top-B selection happens
-        // driver-side so the averages (keys < R) can be transformed
-        // into root coefficients first. The reducer still performs the
-        // sort-merge, as in the paper's design.
-        .reduce(forward);
-    pipe.stage(&job, splits)
-}
 
 /// Runs CON: the conventional B-term synopsis with locality-preserving
 /// partitioning into `base_leaves`-sized slices.
@@ -69,7 +39,27 @@ pub fn con(
     let partition = BasePartition::new(n, s)?;
     let splits = aligned_splits(data, s);
     let num_base = partition.num_base() as u64;
-    Ok(con_stage(Pipeline::on(cluster), "con", partition, &splits)?
+    // Every detail coefficient on its global node id, and every slice
+    // average on the reserved key `< R` (the split id — detail node ids
+    // are all `≥ R`).
+    let job = JobBuilder::new("con")
+        .map(move |split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
+            ctx.charge(Kernel::Values, split.len() as u64);
+            let (details, avg) = partition.base_details_from_data(split.slice());
+            for (local, &c) in details.iter().enumerate() {
+                let global = partition.local_to_global(split.id as usize, local + 1);
+                ctx.emit(global as u64, c);
+            }
+            ctx.emit(split.id as u64, avg);
+        })
+        .input_bytes(SliceSplit::bytes)
+        // Pass everything through; the top-B selection happens
+        // driver-side so the averages (keys < R) can be transformed
+        // into root coefficients first. The reducer still performs the
+        // sort-merge, as in the paper's design.
+        .reduce(forward);
+    Ok(Pipeline::on(cluster)
+        .stage(&job, &splits)?
         .try_then(|((), pairs)| {
             let mut averages = vec![0.0; num_base as usize];
             let mut details: Vec<(u64, f64)> = Vec::with_capacity(n);

@@ -17,7 +17,6 @@ mod send_coef_impl;
 mod send_v_impl;
 
 pub use con_impl::con;
-pub(crate) use con_impl::con_stage;
 pub use hwtopk_impl::{hwtopk, HWTopkReport};
 pub use send_coef_impl::{send_coef, send_coef_combined};
 pub use send_v_impl::send_v;
@@ -73,7 +72,7 @@ pub(crate) fn top_b_by_normalized(
 /// CON's driver side: the base `averages` become the root sub-tree's
 /// coefficients, which join the base sub-trees' `details` (`(global node,
 /// coefficient)`, any order); the `b` largest in normalized value stay.
-pub(crate) fn select_top_b(
+fn select_top_b(
     partition: BasePartition,
     averages: &[f64],
     mut details: Vec<(u64, f64)>,

@@ -1,29 +1,29 @@
 //! Progressive synopsis maintenance: sliding windows, incremental
-//! rebuilds, and the phased foreground/background serving driver.
+//! rebuilds, and the serving driver that publishes one exact synopsis per
+//! tick.
 //!
 //! The batch algorithms in this crate answer "build the best synopsis of
 //! this array" in one monolithic run. A serving system instead sees a
-//! stream of appends and needs a coarse answer *now* plus the exact
-//! DGreedyAbs answer as a background upgrade — and when only a sliver of
-//! the window changed, it should not pay for a full rebuild. This module
-//! provides that machinery on top of the runtime's phased pipelines
-//! ([`Pipeline::enter_phase`], [`Progressive`] snapshot handles) and the
-//! wavelet layer's dirty-subtree tracking ([`DirtySet`]):
+//! stream of appends and needs the exact DGreedyAbs answer after each —
+//! and when only a sliver of the window changed, it should not pay for a
+//! full rebuild. This module provides that machinery on top of the
+//! runtime's pipelines ([`Pipeline::publish`] into a [`Progressive`]
+//! snapshot handle) and the wavelet layer's dirty-subtree tracking
+//! ([`DirtySet`]):
 //!
 //! * [`StreamWindow`] — a power-of-two window over the stream, organized
 //!   as a ring of base slices with a zero-padded ragged tail, tracking
 //!   which base sub-trees each append invalidated.
-//! * [`IncrementalConventional`] / [`IncrementalDGreedyAbs`] — maintain
-//!   the CON (L2-optimal) and the exact max-abs synopsis under appends:
-//!   per-base partials are cached, jobs re-run only over the bases whose
-//!   partials no longer apply, and the result is bit-identical to a
-//!   from-scratch [`crate::conventional::con`] /
-//!   [`crate::dgreedy_abs::dgreedy_abs`] run.
+//! * [`IncrementalDGreedyAbs`] — maintains the exact max-abs synopsis
+//!   under appends: per-base partials are cached, jobs re-run only over
+//!   the bases whose partials no longer apply, and the result is
+//!   bit-identical to a from-scratch [`crate::dgreedy_abs::dgreedy_abs`]
+//!   run.
 //! * [`PhasedSynopsisDriver`] — ties it together: each
-//!   [`tick`](PhasedSynopsisDriver::tick) appends new values, publishes
-//!   the cheap conventional answer as a foreground snapshot, then runs
-//!   the exact incremental DGreedyAbs as a background phase and swaps the
-//!   refined snapshot into the same [`Progressive`] handle.
+//!   [`tick`](PhasedSynopsisDriver::tick) appends new values, runs the
+//!   incremental DGreedyAbs update, and publishes the result with the
+//!   bound it is served with into one [`Progressive`] handle, minting one
+//!   version.
 //!
 //! # Why the incremental results are bit-identical
 //!
@@ -32,11 +32,10 @@
 //! averages and local Haar details depend only on the (unchanged) base
 //! slice, and a GreedyAbs run depends only on `(details, incoming error)`
 //! — the cache key. Everything between the caches is not a replay of the
-//! batch drivers but their code: the maintainers call the steps of the
+//! batch driver but its code: the maintainer calls the steps of the
 //! crate-private `errhist` module (genRootSets, the grouping by incoming
 //! error, the cut by selection, the pick, the synopsis filter and
-//! `keep_top`) and of [`crate::conventional`] (the CON job and its top-`B`
-//! selection). The cut is a function of the histogram *multiset*, so cache
+//! `keep_top`). The cut is a function of the histogram *multiset*, so cache
 //! provenance cannot change it, and the final top-`B` filter sorts the
 //! per-base removals concatenated in base order — which is precisely the
 //! order the sort-merge shuffle feeds a reducer (equal keys drain
@@ -54,7 +53,7 @@
 //! # Non-finite input
 //!
 //! Over NaN or ±∞ no error bound means anything: `tick` refuses such values
-//! before they reach the window, and both maintainers refuse a base whose
+//! before they reach the window, and the maintainer refuses a base whose
 //! average is not finite ([`CoreError::NonFiniteInput`]) and keep it
 //! invalidated, so an update over repaired data recomputes it.
 
@@ -68,13 +67,11 @@ use dwmaxerr_runtime::codec::Wire;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{
-    Cluster, JobBuilder, Kernel, MapContext, Phase, Pipeline, Progressive, RuntimeError, Snapshot,
+    Cluster, JobBuilder, Kernel, MapContext, Pipeline, Progressive, RuntimeError, Snapshot,
 };
-use dwmaxerr_wavelet::metrics::max_abs;
 use dwmaxerr_wavelet::tree::DirtySet;
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
-use crate::conventional::{con_stage, select_top_b};
 use crate::dgreedy_abs::{AbsEngine, DGreedyAbsConfig};
 use crate::errhist::{self, ErrHistEngine, Pick, Removed, RootSets, Shape};
 use crate::error::CoreError;
@@ -196,7 +193,7 @@ impl StreamWindow {
 }
 
 // ---------------------------------------------------------------------------
-// What both maintainers keep
+// What the maintainer keeps
 // ---------------------------------------------------------------------------
 
 /// Per-update statistics of an incremental rebuild.
@@ -206,16 +203,15 @@ pub struct RebuildStats {
     pub dirty_bases: usize,
     /// Map tasks executed across all jobs of the update.
     pub map_tasks: usize,
-    /// GreedyAbs runs executed by those tasks (0 for conventional).
+    /// GreedyAbs runs executed by those tasks.
     pub greedy_runs: usize,
     /// `C_root` candidates left out of level 2 because their residual
-    /// floor exceeds a score another candidate reaches (0 for
-    /// conventional).
+    /// floor exceeds a score another candidate reaches.
     pub pruned_candidates: usize,
 }
 
-/// The state the two maintainers share: the window's partition, the base
-/// averages as of the last update and the bases invalidated since.
+/// The maintainer's view of the window: its partition, the base averages
+/// as of the last update and the bases invalidated since.
 #[derive(Debug)]
 struct Bases {
     partition: BasePartition,
@@ -226,23 +222,19 @@ struct Bases {
 impl Bases {
     /// Every base starts invalidated.
     fn new(partition: BasePartition) -> Self {
-        let mut this = Bases {
+        let mut dirty = DirtySet::new();
+        for j in 0..partition.num_base() {
+            dirty.mark(partition.base_root(j));
+        }
+        Bases {
             partition,
             averages: vec![0.0; partition.num_base()],
-            dirty: DirtySet::new(),
-        };
-        this.invalidate_all();
-        this
+            dirty,
+        }
     }
 
     fn invalidate(&mut self, j: usize) {
         self.dirty.mark(self.partition.base_root(j));
-    }
-
-    fn invalidate_all(&mut self) {
-        for j in 0..self.partition.num_base() {
-            self.invalidate(j);
-        }
     }
 
     /// The stale bases in ascending order, and `data` cut into one split
@@ -290,103 +282,6 @@ fn stage_over<'c, K, V>(
     let mut out = Vec::new();
     let pipe = stage(pipe, &picked)?.then(|((), pairs)| out = pairs);
     Ok((pipe, out))
-}
-
-// ---------------------------------------------------------------------------
-// Incremental CON
-// ---------------------------------------------------------------------------
-
-/// Outcome of [`IncrementalConventional::update`].
-#[derive(Debug, Clone)]
-pub struct ConventionalUpdate {
-    /// The maintained conventional synopsis.
-    pub synopsis: Synopsis,
-    /// What the update re-ran.
-    pub stats: RebuildStats,
-}
-
-/// Incrementally maintained CON (conventional / L2-optimal) synopsis.
-///
-/// Caches each base's local-transform output — its `(global node,
-/// coefficient)` pairs and slice average. An update re-runs
-/// [`crate::conventional::con`]'s job only over invalidated bases and hands
-/// cached and fresh partials to its order-independent top-`B` selection,
-/// so the result is bit-identical to a from-scratch run on the same array.
-#[derive(Debug)]
-pub struct IncrementalConventional {
-    bases: Bases,
-    b: usize,
-    details: Vec<Vec<(u64, f64)>>,
-}
-
-impl IncrementalConventional {
-    /// Creates the maintainer for `n`-value windows with budget `b` and
-    /// the given base slice size. Every base starts invalidated.
-    pub fn new(n: usize, b: usize, base_leaves: usize) -> Result<Self, CoreError> {
-        // `n < 2` has no tree to maintain: the partition refuses it.
-        let partition = BasePartition::new(n, base_leaves.clamp(2, n.max(2)))?;
-        Ok(IncrementalConventional {
-            bases: Bases::new(partition),
-            b,
-            details: vec![Vec::new(); partition.num_base()],
-        })
-    }
-
-    /// The synopsis budget.
-    pub fn budget(&self) -> usize {
-        self.b
-    }
-
-    /// The window partition.
-    pub fn partition(&self) -> BasePartition {
-        self.bases.partition
-    }
-
-    /// Marks base `j`'s cached partials stale.
-    pub fn invalidate(&mut self, j: usize) {
-        self.bases.invalidate(j);
-    }
-
-    /// Marks every base stale (forces a full rebuild on the next update).
-    pub fn invalidate_all(&mut self) {
-        self.bases.invalidate_all();
-    }
-
-    /// Rebuilds the synopsis of `data`, re-running the local-transform job
-    /// only over invalidated bases. The pipeline threads through so the
-    /// stage lands in the caller's phase and metrics ledger.
-    pub fn update<'c>(
-        &mut self,
-        pipe: Pipeline<'c, ()>,
-        data: &[f64],
-    ) -> Result<(Pipeline<'c, ()>, ConventionalUpdate), CoreError> {
-        let (stale, splits) = self.bases.stale(data)?;
-        let part = self.bases.partition;
-        let (pipe, fresh) = stage_over(pipe, &splits, &stale, |pipe, picked| {
-            con_stage(pipe, "con-inc", part, picked)
-        })?;
-
-        let num_base = part.num_base() as u64;
-        let (averages, details): (Vec<_>, Vec<_>) =
-            fresh.into_iter().partition(|&(k, _)| k < num_base);
-        self.bases.commit(averages)?;
-        for &j in &stale {
-            self.details[j].clear();
-        }
-        for (k, v) in details {
-            self.details[part.owner_of(k as usize)].push((k, v));
-        }
-
-        let update = ConventionalUpdate {
-            synopsis: select_top_b(part, &self.bases.averages, self.details.concat(), self.b)?,
-            stats: RebuildStats {
-                dirty_bases: stale.len(),
-                map_tasks: stale.len(),
-                ..RebuildStats::default()
-            },
-        };
-        Ok((pipe, update))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -578,24 +473,9 @@ impl IncrementalDGreedyAbs {
         })
     }
 
-    /// The synopsis budget.
-    pub fn budget(&self) -> usize {
-        self.shape.budget
-    }
-
-    /// The window partition.
-    pub fn partition(&self) -> BasePartition {
-        self.shape.partition
-    }
-
     /// Marks base `j`'s cached partials stale.
     pub fn invalidate(&mut self, j: usize) {
         self.bases.invalidate(j);
-    }
-
-    /// Marks every base stale (forces a full rebuild on the next update).
-    pub fn invalidate_all(&mut self) {
-        self.bases.invalidate_all();
     }
 
     /// Rebuilds the synopsis of `data`, re-running merge/filter jobs only
@@ -729,14 +609,11 @@ impl IncrementalDGreedyAbs {
 }
 
 // ---------------------------------------------------------------------------
-// Phased serving driver
+// Serving driver
 // ---------------------------------------------------------------------------
 
 /// The value a [`PhasedSynopsisDriver`] publishes: a synopsis and the
-/// bound it is served with. Which phase published it is the snapshot's
-/// [`Snapshot::phase`]: the foreground conventional answer carries
-/// [`ErrorBound::none`], the background DGreedyAbs answer its update's
-/// [`DGreedyAbsUpdate::bound`].
+/// bound it is served with, its update's [`DGreedyAbsUpdate::bound`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedSynopsis {
     /// The synopsis being served.
@@ -748,46 +625,34 @@ pub struct ServedSynopsis {
 /// What one [`PhasedSynopsisDriver::tick`] did.
 #[derive(Debug, Clone)]
 pub struct TickReport {
-    /// Version of the coarse (foreground) snapshot published this tick.
-    pub coarse_version: u64,
-    /// Version of the exact (background) snapshot published this tick.
-    pub exact_version: u64,
-    /// Simulated seconds the coarse answer was the freshest available —
-    /// the staleness window a consumer observes before the exact answer
-    /// supersedes it.
-    pub staleness_secs: f64,
-    /// Measured max-abs error of the coarse answer against the window.
-    pub coarse_error: f64,
-    /// The exact answer's max-abs error estimate
+    /// The snapshot this tick published; each tick that succeeds mints
+    /// the handle's next version.
+    pub snapshot: Arc<Snapshot<ServedSynopsis>>,
+    /// The published synopsis's max-abs error estimate
     /// ([`DGreedyAbsUpdate::estimated_error`]): exact up to one bucket
     /// width `e_b`. The bound it is served with is the published
     /// [`ServedSynopsis::bound`].
     pub exact_error: f64,
     /// Bases the tick's appends dirtied.
     pub dirty_bases: usize,
-    /// Map tasks the conventional (foreground) update ran.
-    pub foreground_tasks: usize,
-    /// Map tasks the exact (background) update ran.
+    /// Map tasks the incremental DGreedyAbs update ran.
     pub background_tasks: usize,
-    /// GreedyAbs runs across the background update's tasks.
+    /// GreedyAbs runs across those tasks.
     pub greedy_runs: usize,
-    /// The tick's full metrics ledger (stages tagged with their phase).
+    /// The tick's full metrics ledger.
     pub metrics: DriverMetrics,
 }
 
-/// Serves a continuously maintained synopsis with phased refinement.
+/// Serves a continuously maintained exact synopsis.
 ///
-/// Each [`tick`](PhasedSynopsisDriver::tick) appends new stream values
-/// and runs one phased plan on the cluster: a **foreground** phase
-/// rebuilds the cheap conventional synopsis incrementally and publishes
-/// it immediately, then a **background** phase rebuilds the exact
-/// DGreedyAbs synopsis (also incrementally) and atomically swaps it into
-/// the same [`Progressive`] handle. A consumer holding the handle always
-/// sees the freshest complete snapshot; versions count up across ticks.
+/// Each [`tick`](PhasedSynopsisDriver::tick) appends new stream values,
+/// rebuilds the DGreedyAbs synopsis incrementally on the cluster and
+/// atomically swaps it into a [`Progressive`] handle. A consumer holding
+/// the handle always sees the freshest complete snapshot; one version is
+/// minted per tick.
 #[derive(Debug)]
 pub struct PhasedSynopsisDriver {
     window: StreamWindow,
-    conventional: IncrementalConventional,
     dgreedy: IncrementalDGreedyAbs,
     handle: Progressive<ServedSynopsis>,
 }
@@ -795,10 +660,8 @@ pub struct PhasedSynopsisDriver {
 impl PhasedSynopsisDriver {
     /// Creates a driver over an `n`-value window with budget `b`.
     pub fn new(n: usize, b: usize, cfg: &DGreedyAbsConfig) -> Result<Self, CoreError> {
-        let base_leaves = cfg.base_leaves.clamp(2, n.max(2));
         Ok(PhasedSynopsisDriver {
-            window: StreamWindow::new(n, base_leaves)?,
-            conventional: IncrementalConventional::new(n, b, base_leaves)?,
+            window: StreamWindow::new(n, cfg.base_leaves.clamp(2, n.max(2)))?,
             dgreedy: IncrementalDGreedyAbs::new(n, b, cfg)?,
             handle: Progressive::empty("synopsis"),
         })
@@ -819,11 +682,11 @@ impl PhasedSynopsisDriver {
         self.handle.latest()
     }
 
-    /// Appends `values` and runs one phased refinement plan.
+    /// Appends `values`, rebuilds the exact synopsis and publishes it.
     ///
     /// NaN or ±∞ among `values` is refused before anything is touched
     /// ([`CoreError::NonFiniteInput`], naming the base slice the first such
-    /// value would land in): the window, the maintainers and the handle
+    /// value would land in): the window, the maintainer and the handle
     /// stay as they were and the last snapshot keeps serving.
     pub fn tick(&mut self, cluster: &Cluster, values: &[f64]) -> Result<TickReport, CoreError> {
         if let Some(at) = values.iter().position(|v| !v.is_finite()) {
@@ -834,42 +697,23 @@ impl PhasedSynopsisDriver {
         self.window.push(values);
         let dirty = self.window.take_dirty_bases();
         for &j in &dirty {
-            self.conventional.invalidate(j);
             self.dgreedy.invalidate(j);
         }
-        let data = self.window.data();
-
-        // Foreground: cheap conventional answer, published immediately.
-        let pipe = Pipeline::on(cluster).enter_phase(Phase::Foreground);
-        let (pipe, coarse) = self.conventional.update(pipe, data)?;
-        let coarse_served = ServedSynopsis {
-            synopsis: coarse.synopsis.clone(),
-            bound: ErrorBound::none(),
+        let (pipe, update) = self
+            .dgreedy
+            .update(Pipeline::on(cluster), self.window.data())?;
+        let served = ServedSynopsis {
+            synopsis: update.synopsis,
+            bound: update.bound,
         };
-        let (pipe, coarse_snap) = pipe.then(|()| coarse_served).publish(&self.handle);
-
-        // Background: exact answer refines the same handle.
-        let pipe = pipe.then(|_| ()).enter_phase(Phase::Background(0));
-        let (pipe, exact) = self.dgreedy.update(pipe, data)?;
-        let exact_served = ServedSynopsis {
-            synopsis: exact.synopsis.clone(),
-            bound: exact.bound,
-        };
-        let (pipe, exact_snap) = pipe.then(|()| exact_served).publish(&self.handle);
-        let metrics = pipe.into_metrics();
-
-        let coarse_error = max_abs(data, &coarse.synopsis.reconstruct_all());
+        let (pipe, snapshot) = pipe.then(|()| served).publish(&self.handle);
         Ok(TickReport {
-            coarse_version: coarse_snap.version,
-            exact_version: exact_snap.version,
-            staleness_secs: exact_snap.published_at - coarse_snap.published_at,
-            coarse_error,
-            exact_error: exact.estimated_error,
+            snapshot,
+            exact_error: update.estimated_error,
             dirty_bases: dirty.len(),
-            foreground_tasks: coarse.stats.map_tasks,
-            background_tasks: exact.stats.map_tasks,
-            greedy_runs: exact.stats.greedy_runs,
-            metrics,
+            background_tasks: update.stats.map_tasks,
+            greedy_runs: update.stats.greedy_runs,
+            metrics: pipe.into_metrics(),
         })
     }
 }
@@ -877,7 +721,6 @@ impl PhasedSynopsisDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conventional::con;
     use crate::dgreedy_abs::dgreedy_abs;
     use dwmaxerr_runtime::ClusterConfig;
 
@@ -919,33 +762,6 @@ mod tests {
         w.push(&[99.0]);
         assert_eq!(w.data()[0], 99.0);
         assert_eq!(w.take_dirty_bases(), vec![0]);
-    }
-
-    #[test]
-    fn incremental_conventional_matches_batch_con() {
-        let cluster = test_cluster();
-        let n = 64;
-        let mut window = StreamWindow::new(n, 8).unwrap();
-        let mut inc = IncrementalConventional::new(n, 10, 8).unwrap();
-        window.push(&wavy(40, 1)); // ragged tail
-        for j in window.take_dirty_bases() {
-            inc.invalidate(j);
-        }
-        let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();
-        let _ = pipe.into_metrics();
-        let (batch, _) = con(&test_cluster(), window.data(), 10, 8).unwrap();
-        assert_eq!(up.synopsis, batch);
-
-        // Append a little; only touched bases re-run.
-        window.push(&wavy(8, 2));
-        for j in window.take_dirty_bases() {
-            inc.invalidate(j);
-        }
-        let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();
-        let _ = pipe.into_metrics();
-        assert!(up.stats.map_tasks <= 2, "ran {} tasks", up.stats.map_tasks);
-        let (batch, _) = con(&test_cluster(), window.data(), 10, 8).unwrap();
-        assert_eq!(up.synopsis, batch);
     }
 
     #[test]
@@ -1043,18 +859,16 @@ mod tests {
     }
 
     #[test]
-    fn phased_driver_publishes_coarse_then_exact() {
+    fn driver_publishes_one_exact_version_per_tick() {
         let cluster = test_cluster();
         let mut driver = PhasedSynopsisDriver::new(32, 6, &dg_cfg(4)).unwrap();
         let handle = driver.handle();
         let report = driver.tick(&cluster, &wavy(32, 11)).unwrap();
-        assert_eq!(report.coarse_version, 1);
-        assert_eq!(report.exact_version, 2);
-        assert!(report.staleness_secs > 0.0);
         let latest = handle.latest().unwrap();
-        assert_eq!(latest.phase, Some(Phase::Background(0)));
-        // The exact answer, its estimate and the bound it is served with
-        // match a one-shot build on the same window.
+        assert!(Arc::ptr_eq(&report.snapshot, &latest));
+        assert_eq!(latest.version, 1);
+        // The answer, its estimate and the bound it is served with match a
+        // one-shot build on the same window.
         let batch = dgreedy_abs(&test_cluster(), driver.window().data(), 6, &dg_cfg(4)).unwrap();
         assert_eq!(latest.value.synopsis, batch.synopsis);
         assert_eq!(
@@ -1062,14 +876,9 @@ mod tests {
             batch.estimated_error.to_bits()
         );
         assert_eq!(latest.value.bound, batch.bound);
-        // Stage metrics carry the phases.
-        let stages = report.metrics.per_stage();
-        assert!(stages.iter().any(|s| s.phase == Some(Phase::Foreground)));
-        assert!(stages.iter().any(|s| s.phase == Some(Phase::Background(0))));
         // A second tick keeps counting versions up on the same handle.
         let report2 = driver.tick(&cluster, &wavy(4, 12)).unwrap();
-        assert_eq!(report2.coarse_version, 3);
-        assert_eq!(report2.exact_version, 4);
+        assert_eq!(report2.snapshot.version, 2);
         assert!(report2.dirty_bases <= 2);
     }
 }

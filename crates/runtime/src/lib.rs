@@ -79,7 +79,7 @@
 //! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; a driver over the map / spill / fetch / merge / reduce phase modules |
 //! | [`metrics`]   | Per-task [`TaskCost`] and its price in simulated seconds, per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
 //! | [`mod@reference`] | The shuffle oracle the engine is tested against: concatenate, stable-sort, group, reduce |
-//! | [`pipeline`]  | Declarative multi-stage [`Pipeline`] driver with glue, loops, and phased execution ([`Progressive`] snapshot handles) |
+//! | [`pipeline`]  | Declarative multi-stage [`Pipeline`] driver with glue, loops, and publishing into [`Progressive`] snapshot handles |
 //! | [`scheduler`] | Slot-limited wave scheduler: attempts → simulated makespan |
 //! | [`trace`]     | Structured event log: task/shuffle/fault spans, JSONL + Chrome exporters |
 
@@ -103,8 +103,8 @@ pub use fault::{
 };
 pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext, Values};
 pub use metrics::{
-    AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Kernel, Phase,
-    RecoveryStats, SimTime, StageMetrics, TaskAttempt, TaskCost,
+    AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Kernel, RecoveryStats,
+    SimTime, StageMetrics, TaskAttempt, TaskCost,
 };
 pub use pipeline::{Pipeline, Progressive, Snapshot};
 pub use scheduler::{NodeEvent, NodeFaults, NodeTopology};

@@ -198,53 +198,6 @@ impl AddAssign for AttemptStats {
     }
 }
 
-/// Execution phase a pipeline stage runs under.
-///
-/// A phased plan (see [`crate::pipeline::Pipeline::enter_phase`]) splits
-/// its stages into latency-critical **foreground** work — the rounds a
-/// caller is actively waiting on — and **background** refinement that
-/// upgrades an already-published snapshot on the same simulated clock.
-/// Background phases carry a priority (`0` is most urgent) so a driver
-/// can order several refinement passes.
-///
-/// Jobs run outside a phased plan carry no phase at all
-/// ([`JobMetrics::phase`] is `None`), which keeps every pre-phase metrics
-/// ledger and golden digest unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Phase {
-    /// Latency-critical work the caller is waiting on.
-    Foreground,
-    /// Refinement work behind a published snapshot; lower priority values
-    /// run sooner when several background phases queue up.
-    Background(u8),
-}
-
-impl Phase {
-    /// Stable lower-case label used by the trace event schema:
-    /// `"foreground"` or `"background(p)"`.
-    pub fn label(self) -> String {
-        match self {
-            Phase::Foreground => "foreground".to_string(),
-            Phase::Background(p) => format!("background({p})"),
-        }
-    }
-
-    /// Inverts [`Phase::label`].
-    pub fn parse_label(s: &str) -> Option<Phase> {
-        if s == "foreground" {
-            return Some(Phase::Foreground);
-        }
-        let inner = s.strip_prefix("background(")?.strip_suffix(')')?;
-        inner.parse::<u8>().ok().map(Phase::Background)
-    }
-}
-
-impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
 /// Node-failure recovery accounting for one job (all zero on a healthy
 /// run — these counters only move under node-level faults).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -433,10 +386,6 @@ pub struct JobMetrics {
     pub attempt_stats: AttemptStats,
     /// Node-failure recovery accounting (all zero on a healthy run).
     pub recovery: RecoveryStats,
-    /// Pipeline execution phase the job ran under; `None` (the default)
-    /// for jobs run outside a phased plan — plain pipelines and direct
-    /// `Job::run` calls never set it.
-    pub phase: Option<Phase>,
 }
 
 impl JobMetrics {
@@ -515,7 +464,7 @@ impl JobMetrics {
         let _ = write!(
             s,
             "job({}) costs({:?}/{:?}) bytes({}/{}) records({}/{}) waves({}) counters({:?}) \
-             recovery({}/{}/{}/{}/{}) phase({:?}) sim({:?})",
+             recovery({}/{}/{}/{}/{}) sim({:?})",
             self.name,
             self.map_costs,
             self.reduce_costs,
@@ -530,7 +479,6 @@ impl JobMetrics {
             self.recovery.maps_reexecuted,
             self.recovery.fetch_retries,
             self.recovery.corrupt_runs,
-            self.phase,
             sim.map(f64::to_bits),
         );
         for a in &self.attempts {
@@ -557,19 +505,14 @@ impl JobMetrics {
 
 /// Aggregate metrics for one named pipeline stage.
 ///
-/// A stage is identified by its job name and execution phase; jobs that
-/// run several times under the same name (e.g. one `dmhs-layer-up` job per
-/// error-tree layer, or one probe chain per binary-search step) fold into
-/// a single row, while the same job name run in different phases (a
-/// foreground pass and its background refinement) stays separate rows.
+/// A stage is identified by its job name; jobs that run several times
+/// under the same name (e.g. one `dmhs-layer-up` job per error-tree layer,
+/// or one probe chain per binary-search step) fold into a single row.
 /// Produced by [`DriverMetrics::per_stage`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageMetrics {
     /// Stage name (the job name shared by all runs of this stage).
     pub name: String,
-    /// Execution phase shared by all runs folded into this row; `None`
-    /// for stages of an unphased plan.
-    pub phase: Option<Phase>,
     /// Number of jobs executed under this stage name.
     pub runs: usize,
     /// Total simulated time across the stage's runs.
@@ -662,28 +605,21 @@ impl DriverMetrics {
         hasher.finish()
     }
 
-    /// Groups the job ledger by stage name and execution phase, in
-    /// first-execution order.
+    /// Groups the job ledger by stage name, in first-execution order.
     ///
     /// The stage rows partition the ledger: summing `simulated`
     /// (resp. `shuffle_bytes`, `attempt_stats`) over the rows reproduces
     /// [`DriverMetrics::total_simulated`]
     /// (resp. [`total_shuffle_bytes`](DriverMetrics::total_shuffle_bytes),
     /// [`total_attempt_stats`](DriverMetrics::total_attempt_stats)) exactly.
-    /// On an unphased plan every job's phase is `None`, so the grouping is
-    /// by name alone — identical to the pre-phase ledger.
     pub fn per_stage(&self) -> Vec<StageMetrics> {
         let mut stages: Vec<StageMetrics> = Vec::new();
         for j in &self.jobs {
-            let at = match stages
-                .iter()
-                .position(|s| s.name == j.name && s.phase == j.phase)
-            {
+            let at = match stages.iter().position(|s| s.name == j.name) {
                 Some(at) => at,
                 None => {
                     stages.push(StageMetrics {
                         name: j.name.clone(),
-                        phase: j.phase,
                         runs: 0,
                         simulated: SimTime::ZERO,
                         shuffle_bytes: 0,
@@ -806,62 +742,6 @@ mod tests {
     fn counters_default_zero() {
         let m = JobMetrics::default();
         assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn phase_labels_round_trip() {
-        for p in [
-            Phase::Foreground,
-            Phase::Background(0),
-            Phase::Background(7),
-        ] {
-            assert_eq!(Phase::parse_label(&p.label()), Some(p));
-        }
-        assert_eq!(Phase::Foreground.label(), "foreground");
-        assert_eq!(Phase::Background(3).label(), "background(3)");
-        assert_eq!(Phase::parse_label("background(256)"), None);
-        assert_eq!(Phase::parse_label("midground"), None);
-    }
-
-    #[test]
-    fn per_stage_splits_same_name_across_phases() {
-        let mut d = DriverMetrics::new();
-        for (phase, map) in [
-            (Some(Phase::Foreground), 1.0),
-            (Some(Phase::Background(0)), 2.0),
-            (Some(Phase::Background(0)), 4.0),
-        ] {
-            let mut j = JobMetrics {
-                name: "refine".into(),
-                phase,
-                ..JobMetrics::default()
-            };
-            j.sim.map = map;
-            d.push(j);
-        }
-        let stages = d.per_stage();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].phase, Some(Phase::Foreground));
-        assert_eq!(stages[0].runs, 1);
-        assert_eq!(stages[1].phase, Some(Phase::Background(0)));
-        assert_eq!(stages[1].runs, 2);
-        // The rows still partition the ledger exactly.
-        let sim: f64 = stages.iter().map(|s| s.simulated.secs()).sum();
-        assert_eq!(SimTime(sim), d.total_simulated());
-    }
-
-    #[test]
-    fn unphased_jobs_group_exactly_as_before() {
-        let mut d = DriverMetrics::new();
-        for name in ["a", "b", "a"] {
-            d.push(JobMetrics {
-                name: name.into(),
-                ..JobMetrics::default()
-            });
-        }
-        let stages = d.per_stage();
-        assert_eq!(stages.len(), 2);
-        assert!(stages.iter().all(|s| s.phase.is_none()));
     }
 
     #[test]

@@ -23,13 +23,11 @@
 //!   stages while a predicate over the threaded value holds — the shape of
 //!   the layered bottom-up jobs and of IndirectHaar's binary-search
 //!   probes.
-//! * **Plans can be phased.** [`Pipeline::enter_phase`] tags the stages
-//!   that follow as [`Phase::Foreground`] work or
-//!   [`Phase::Background`] refinement, and [`Pipeline::publish`]
-//!   atomically swaps the plan's value into a [`Progressive`] handle — a
-//!   usable intermediate result first, refined snapshots as later stages
-//!   land on the simulated clock. Consumers serve the latest
-//!   [`Snapshot`] while refinement runs behind it.
+//! * **Plans can publish.** [`Pipeline::publish`] atomically swaps the
+//!   plan's value into a [`Progressive`] handle as its next version,
+//!   stamped on the simulated clock. Consumers serve the latest
+//!   [`Snapshot`] while the next plan runs behind it, and the version
+//!   names the plan that produced it.
 //!
 //! # Example
 //!
@@ -84,8 +82,6 @@ use crate::job::{Job, MapContext, ReduceContext, Values};
 use crate::metrics::{DriverMetrics, JobMetrics};
 use crate::trace::TraceEventKind;
 
-pub use crate::metrics::Phase;
-
 /// One published state of a [`Progressive`] handle: the value together
 /// with its position on the simulated timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,21 +92,18 @@ pub struct Snapshot<T> {
     pub version: u64,
     /// Simulated time (seconds on the cluster trace clock) at which this
     /// snapshot became servable. The gap between consecutive versions'
-    /// `published_at` is the staleness window a phase-1 consumer observes.
+    /// `published_at` is how long a consumer served the older one.
     pub published_at: f64,
-    /// Execution phase of the publishing plan at publish time (`None`
-    /// when the plan never entered a phase).
-    pub phase: Option<Phase>,
 }
 
-/// A shared handle to the latest published result of a phased plan.
+/// A shared handle to the latest published result of a plan.
 ///
 /// The first [`Pipeline::publish`] into an [`empty`](Progressive::empty)
 /// handle makes the plan's current value servable; later calls atomically
-/// swap in refined versions while background stages keep running on the
+/// swap in newer versions while the next plan keeps running on the
 /// simulated clock. Clones share state, so a serving thread can hold the handle and
 /// always read a complete, immutable [`Snapshot`] — readers are never
-/// blocked by an in-flight refinement, they simply keep the `Arc` they
+/// blocked by an in-flight plan, they simply keep the `Arc` they
 /// already fetched.
 #[derive(Debug)]
 pub struct Progressive<T> {
@@ -157,13 +150,12 @@ impl<T> Progressive<T> {
     /// Swaps `value` in as the next version and returns its snapshot. The
     /// version is read and the snapshot stored under one write guard, so
     /// concurrent publishers never mint the same version.
-    fn push(&self, value: T, published_at: f64, phase: Option<Phase>) -> Arc<Snapshot<T>> {
+    fn push(&self, value: T, published_at: f64) -> Arc<Snapshot<T>> {
         let mut guard = self.latest.write().expect("progressive lock");
         let snap = Arc::new(Snapshot {
             value,
             version: guard.as_ref().map_or(0, |s| s.version) + 1,
             published_at,
-            phase,
         });
         *guard = Some(Arc::clone(&snap));
         snap
@@ -185,7 +177,7 @@ impl<T> Progressive<T> {
     /// The swap is a single `RwLock` write; readers holding previously
     /// fetched `Arc<Snapshot>`s are never blocked or invalidated.
     pub fn publish_value(&self, value: T, published_at: f64) -> Arc<Snapshot<T>> {
-        self.push(value, published_at, None)
+        self.push(value, published_at)
     }
 }
 
@@ -208,7 +200,6 @@ pub struct Pipeline<'c, T> {
     cluster: &'c Cluster,
     metrics: DriverMetrics,
     value: T,
-    phase: Option<Phase>,
 }
 
 impl<'c> Pipeline<'c, ()> {
@@ -218,7 +209,6 @@ impl<'c> Pipeline<'c, ()> {
             cluster,
             metrics: DriverMetrics::new(),
             value: (),
-            phase: None,
         }
     }
 }
@@ -230,7 +220,6 @@ impl<'c, T> Pipeline<'c, T> {
             cluster,
             metrics: DriverMetrics::new(),
             value,
-            phase: None,
         }
     }
 
@@ -273,14 +262,11 @@ impl<'c, T> Pipeline<'c, T> {
         G: Fn(&K, Values<'_, K, V>, &mut ReduceContext<OK, OV>) + Sync,
     {
         let out = job.run(self.cluster, splits)?;
-        let mut job_metrics = out.metrics;
-        job_metrics.phase = self.phase;
-        self.metrics.push(job_metrics);
+        self.metrics.push(out.metrics);
         Ok(Pipeline {
             cluster: self.cluster,
             metrics: self.metrics,
             value: (self.value, out.pairs),
-            phase: self.phase,
         })
     }
 
@@ -296,7 +282,6 @@ impl<'c, T> Pipeline<'c, T> {
             cluster: self.cluster,
             metrics: self.metrics,
             value: f(self.value),
-            phase: self.phase,
         }
     }
 
@@ -306,55 +291,21 @@ impl<'c, T> Pipeline<'c, T> {
             cluster: self.cluster,
             metrics: self.metrics,
             value: f(self.value)?,
-            phase: self.phase,
         })
-    }
-
-    /// Opens an execution phase: every stage that follows is tagged with
-    /// `phase` in the metrics ledger (see [`JobMetrics::phase`] and
-    /// [`crate::metrics::StageMetrics`]) and the trace records a
-    /// `phase_started` marker at the current simulated instant.
-    ///
-    /// A phased plan's shape is `enter_phase(Foreground) → stages →
-    /// publish → enter_phase(Background(p)) → refinement stages →
-    /// publish`: the foreground phase builds the result a caller waits
-    /// on, the first `publish` makes it servable, and background stages
-    /// continue on the same simulated clock — their cost is real and traced, but a
-    /// consumer holding the [`Progressive`] handle is already serving the
-    /// phase-1 snapshot. Plans that never call this method emit no phase
-    /// events and record `phase: None` everywhere, keeping pre-phase
-    /// ledgers and golden traces bit-identical.
-    pub fn enter_phase(self, phase: Phase) -> Self {
-        self.cluster
-            .trace()
-            .instant(TraceEventKind::PhaseStarted { phase });
-        Pipeline {
-            cluster: self.cluster,
-            metrics: self.metrics,
-            value: self.value,
-            phase: Some(phase),
-        }
-    }
-
-    /// The execution phase stages currently run under (`None` before the
-    /// first [`Pipeline::enter_phase`]).
-    pub fn phase(&self) -> Option<Phase> {
-        self.phase
     }
 
     /// Atomically swaps the current threaded value into `handle` as its
     /// next snapshot version, and returns the plan with that snapshot.
     ///
-    /// The snapshot is stamped with the cluster's simulated clock and the
-    /// plan's current phase, and the trace records a `snapshot_published`
-    /// instant. Consumers holding the handle (or a clone) see the new
+    /// The snapshot is stamped with the cluster's simulated clock, and the
+    /// trace records a `snapshot_published` instant. Consumers holding the handle (or a clone) see the new
     /// version on their next [`Progressive::latest`] call; snapshots they
     /// already fetched stay untouched.
     pub fn publish(self, handle: &Progressive<T>) -> (Self, Arc<Snapshot<T>>)
     where
         T: Clone,
     {
-        let snap = handle.push(self.value.clone(), self.cluster.trace().now(), self.phase);
+        let snap = handle.push(self.value.clone(), self.cluster.trace().now());
         self.cluster
             .trace()
             .instant(TraceEventKind::SnapshotPublished {
@@ -540,111 +491,46 @@ mod tests {
     }
 
     #[test]
-    fn phased_plan_tags_metrics_and_publishes_snapshots() {
+    fn publish_mints_one_version_and_one_trace_event_per_call() {
         let cluster = small_cluster();
         let sum = JobBuilder::new("sum")
             .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
             .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()));
-        let refine = JobBuilder::new("sum")
-            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, s * 10))
-            .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()));
-
-        let pipe = Pipeline::on(&cluster)
-            .enter_phase(Phase::Foreground)
-            .stage(&sum, &[1, 2, 3])
-            .unwrap()
-            .then(|(_, pairs)| pairs[0].1);
         let handle = Progressive::empty("total");
-        let (pipe, coarse) = pipe.publish(&handle);
-
-        // The phase-1 snapshot is already servable while refinement runs.
-        assert_eq!(handle.latest(), Some(Arc::clone(&coarse)));
-        assert_eq!(coarse.value, 6);
-        assert_eq!(coarse.version, 1);
-        assert_eq!(coarse.phase, Some(Phase::Foreground));
-
-        let (pipe, exact) = pipe
-            .enter_phase(Phase::Background(0))
-            .stage(&refine, &[1, 2, 3])
+        let (pipe, first) = Pipeline::on(&cluster)
+            .stage(&sum, &[1, 2, 3])
             .unwrap()
             .then(|(_, pairs)| pairs[0].1)
             .publish(&handle);
-        let (_, metrics) = pipe.finish();
+        assert_eq!(handle.latest(), Some(Arc::clone(&first)));
+        assert_eq!((first.value, first.version), (6, 1));
 
-        // The handle atomically swapped to the refined version, stamped
-        // later on the simulated clock than the first publish.
-        assert_eq!(handle.latest(), Some(Arc::clone(&exact)));
-        assert_eq!(exact.value, 60);
-        assert_eq!(exact.version, 2);
-        assert_eq!(exact.phase, Some(Phase::Background(0)));
-        assert!(exact.published_at > coarse.published_at);
-        assert_eq!(handle.version(), 2);
-        // An old snapshot fetched before the swap is untouched.
-        assert_eq!(coarse.value, 6);
+        let (_, second) = pipe
+            .then(|_| ())
+            .stage(&sum, &[4, 5])
+            .unwrap()
+            .then(|(_, pairs)| pairs[0].1)
+            .publish(&handle);
+        // The handle swapped to the newer version, stamped later on the
+        // simulated clock; the snapshot fetched before the swap is
+        // untouched.
+        assert_eq!(handle.latest(), Some(Arc::clone(&second)));
+        assert_eq!((second.value, second.version), (9, 2));
+        assert!(second.published_at > first.published_at);
+        assert_eq!(first.value, 6);
 
-        // Same job name, different phases: separate stage rows.
-        assert_eq!(metrics.job_count(), 2);
-        assert_eq!(metrics.jobs[0].phase, Some(Phase::Foreground));
-        assert_eq!(metrics.jobs[1].phase, Some(Phase::Background(0)));
-        let stages = metrics.per_stage();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(
-            (stages[0].name.as_str(), stages[0].phase),
-            ("sum", Some(Phase::Foreground))
-        );
-        assert_eq!(
-            (stages[1].name.as_str(), stages[1].phase),
-            ("sum", Some(Phase::Background(0)))
-        );
-
-        // The trace understands the phased plan.
         let events = cluster.trace().snapshot();
         crate::trace::validate(&events).unwrap();
-        let markers: Vec<TraceEventKind> = events
+        let published: Vec<TraceEventKind> = events
             .into_iter()
             .map(|e| e.kind)
-            .filter(|k| {
-                matches!(
-                    k,
-                    TraceEventKind::PhaseStarted { .. } | TraceEventKind::SnapshotPublished { .. }
-                )
-            })
+            .filter(|k| matches!(k, TraceEventKind::SnapshotPublished { .. }))
             .collect();
-        let published = |version| TraceEventKind::SnapshotPublished {
+        let at = |version| TraceEventKind::SnapshotPublished {
             label: "total".into(),
             version,
         };
-        assert_eq!(
-            markers,
-            vec![
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Foreground
-                },
-                published(1),
-                TraceEventKind::PhaseStarted {
-                    phase: Phase::Background(0)
-                },
-                published(2),
-            ]
-        );
-    }
-
-    #[test]
-    fn unphased_plans_emit_no_phase_events() {
-        let cluster = small_cluster();
-        let job = JobBuilder::new("sum")
-            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
-            .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()));
-        let (_, metrics) = Pipeline::on(&cluster)
-            .stage(&job, &[1, 2])
-            .unwrap()
-            .finish();
-        assert_eq!(metrics.jobs[0].phase, None);
-        assert_eq!(metrics.per_stage()[0].phase, None);
-        assert!(cluster.trace().snapshot().iter().all(|e| !matches!(
-            e.kind,
-            TraceEventKind::PhaseStarted { .. } | TraceEventKind::SnapshotPublished { .. }
-        )));
+        assert_eq!(published, vec![at(1), at(2)]);
     }
 
     #[test]

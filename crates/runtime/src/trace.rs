@@ -19,10 +19,8 @@
 //! * wave boundaries, per-partition shuffle volumes, injected faults,
 //!   node-level fault and recovery milestones (`node_down`,
 //!   `fetch_failed`, `map_reexecuted`, `node_blacklisted`), and
-//!   phased-driver markers (`phase_started` when a plan enters a
-//!   foreground/background phase, `snapshot_published` when a
-//!   [`crate::Progressive`] handle swaps in a refined result) are instant
-//!   events.
+//!   `snapshot_published` (a [`crate::Progressive`] handle swapped in a
+//!   plan's result, minting its next version) are instant events.
 //!
 //! Each fact is recorded once. A job's events form one contiguous block
 //! opened by its `job_begin`, which alone names the job; the events of
@@ -89,7 +87,7 @@
 use std::sync::Mutex;
 
 use crate::fault::{FailureKind, TaskPhase};
-use crate::metrics::{AttemptKind, AttemptOutcome, Phase};
+use crate::metrics::{AttemptKind, AttemptOutcome};
 
 pub mod json;
 
@@ -184,16 +182,6 @@ impl Field for bool {
     }
     fn from_json(v: &json::Value) -> Option<Self> {
         v.as_bool()
-    }
-}
-
-impl Field for Phase {
-    const EXPECTED: &'static str = "a pipeline phase";
-    fn to_json(&self) -> json::Value {
-        self.label().into()
-    }
-    fn from_json(v: &json::Value) -> Option<Self> {
-        Phase::parse_label(v.as_str()?)
     }
 }
 
@@ -474,15 +462,7 @@ trace_events! {
         /// The configured failure threshold it crossed.
         failures: usize,
     },
-    /// The pipeline driver opened an execution phase
-    /// ([`crate::Pipeline::enter_phase`]): stages that follow run under
-    /// this tag until the next `phase_started`. Only phased plans emit it,
-    /// so linear plans keep their golden event sequences unchanged.
-    PhaseStarted = "phase_started" {
-        /// The phase being entered (foreground or background refinement).
-        phase: Phase,
-    },
-    /// A usable intermediate result was atomically swapped into a
+    /// A plan's result was atomically swapped into a
     /// [`crate::Progressive`] handle ([`crate::Pipeline::publish`]);
     /// `time` is the simulated instant the snapshot became servable.
     SnapshotPublished = "snapshot_published" {
@@ -821,10 +801,6 @@ fn chrome_mark(kind: &TraceEventKind, job: &str) -> ChromeMark {
             let name = format!("node {node} blacklisted");
             (TID_DRIVER, Instant("p"), "fault", name)
         }
-        K::PhaseStarted { phase } => {
-            let name = format!("phase {phase}");
-            (TID_PIPELINE, Instant("t"), "phase", name)
-        }
         K::SnapshotPublished { label, version } => {
             let name = format!("publish {label} v{version}");
             (TID_PIPELINE, Instant("p"), "snapshot", name)
@@ -961,10 +937,10 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 ///   same job (task admission failures abort the whole job), and no
 ///   `task_aborted` names a job whose block came before it — an aborted
 ///   task means the job never produced a timeline,
-/// * `phase_started` and `snapshot_published` markers appear only between
-///   jobs (they are driver instants; one inside a job's contiguous block
-///   is an error), and each progressive label's snapshot versions count
-///   `1, 2, 3, …` in trace order.
+/// * `snapshot_published` markers appear only between jobs (they are
+///   driver instants; one inside a job's contiguous block is an error),
+///   and each progressive label's snapshot versions count `1, 2, 3, …` in
+///   trace order.
 pub fn validate(events: &[TraceEvent]) -> Result<(), TraceError> {
     let err = |msg: String| Err(TraceError(msg));
     let mut last_seq: Option<u64> = None;
@@ -1026,7 +1002,7 @@ pub fn validate(events: &[TraceEvent]) -> Result<(), TraceError> {
                     return err(format!("task_aborted({job}) after its job's end span"));
                 }
             }
-            TraceEventKind::JobAborted { .. } | TraceEventKind::PhaseStarted { .. } => {}
+            TraceEventKind::JobAborted { .. } => {}
             other => return err(format!("{} outside any job block", other.tag())),
         }
         i += 1;
@@ -1295,9 +1271,6 @@ mod tests {
                 node: 5,
                 failures: 3,
             },
-            K::PhaseStarted {
-                phase: Phase::Background(2),
-            },
             K::SnapshotPublished {
                 label: "synopsis \"v2\"".into(),
                 version: 3,
@@ -1316,7 +1289,7 @@ mod tests {
         let mut tags: Vec<&str> = samples.iter().map(|e| e.kind.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), 18, "one sample per event kind");
+        assert_eq!(tags.len(), 17, "one sample per event kind");
         for e in &samples {
             let line = e.to_jsonl();
             let back = TraceEvent::from_jsonl(&line).expect(&line);
@@ -1419,15 +1392,16 @@ mod tests {
                 r#"{"seq":6,"t":0.0000001,"ev":"phase_end","phase":"shuffle","sim_secs":0.0000000015}"#,
             ),
             (
-                // A pipeline phase label.
+                // A driver instant.
                 ev(
                     19,
                     1.0,
-                    K::PhaseStarted {
-                        phase: Phase::Background(2),
+                    K::SnapshotPublished {
+                        label: "synopsis".into(),
+                        version: 2,
                     },
                 ),
-                r#"{"seq":19,"t":1,"ev":"phase_started","phase":"background(2)"}"#,
+                r#"{"seq":19,"t":1,"ev":"snapshot_published","label":"synopsis","version":2}"#,
             ),
         ];
         for (event, line) in cases {
@@ -1680,13 +1654,10 @@ mod tests {
             };
             (0.0, kind)
         };
-        let phase = |phase| (0.0, K::PhaseStarted { phase });
         // Independent labels each count from 1; interleaving is fine.
         let good = vec![
-            phase(Phase::Foreground),
             publish("syn", 1),
             publish("hist", 1),
-            phase(Phase::Background(0)),
             publish("syn", 2),
             publish("hist", 2),
         ];
@@ -1698,14 +1669,40 @@ mod tests {
     }
 
     #[test]
-    fn phase_markers_inside_a_job_block_are_rejected() {
+    fn snapshot_markers_inside_a_job_block_are_rejected() {
         let marker = (
             1.0,
-            K::PhaseStarted {
-                phase: Phase::Foreground,
+            K::SnapshotPublished {
+                label: "syn".into(),
+                version: 1,
             },
         );
         rejects(job_block(vec![marker], vec![], vec![]), "inside job block");
+    }
+
+    /// Kinds the schema no longer has are refused by name, not skipped
+    /// and not a panic.
+    #[test]
+    fn retired_kinds_are_refused_by_tag() {
+        for (tag, line) in [
+            (
+                "stage_begin",
+                r#"{"seq":0,"t":0,"ev":"stage_begin","stage":"s"}"#,
+            ),
+            (
+                "stage_end",
+                r#"{"seq":1,"t":0,"ev":"stage_end","stage":"s"}"#,
+            ),
+            ("glue", r#"{"seq":2,"t":0,"ev":"glue"}"#),
+            (
+                "phase_started",
+                r#"{"seq":3,"t":0,"ev":"phase_started","phase":"foreground"}"#,
+            ),
+        ] {
+            let err = from_jsonl(line).expect_err(tag);
+            assert!(err.0.contains(&format!("{tag:?}")), "{tag}: {err}");
+            assert!(err.0.starts_with("line 1: unknown event type"), "{err}");
+        }
     }
 
     #[test]
@@ -1813,9 +1810,9 @@ mod tests {
             assert!(e.get("cat").and_then(json::Value::as_str).is_some());
         }
         // 4 fixed metadata + 1 slot metadata; the job, phase and attempt
-        // spans; the shuffle_partition counter; the 12 other kinds as
+        // spans; the shuffle_partition counter; the 11 other kinds as
         // instants.
-        let expected = [("C", 1), ("M", 5), ("X", 3), ("i", 12)];
+        let expected = [("C", 1), ("M", 5), ("X", 3), ("i", 11)];
         assert_eq!(count.into_iter().collect::<Vec<_>>(), expected);
         // The map slot 3 thread is named, and a span keeps its end event's
         // fields as args.

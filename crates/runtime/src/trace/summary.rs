@@ -94,7 +94,7 @@ pub struct ShuffleShape {
 ///
 /// `runs` and `sim_secs` total the [`TraceEventKind::JobEnd`] events
 /// exactly how [`crate::metrics::DriverMetrics::per_stage`] accumulates
-/// `runs` and `simulated`, so for a traced unphased pipeline the two
+/// `runs` and `simulated`, so for a traced pipeline the two
 /// roll-ups agree to the last bit. Since phases are barriers, the job's
 /// time decomposes into `setup + map + shuffle + reduce`, and within each
 /// task phase the makespan is lower-bounded by its longest attempt chain

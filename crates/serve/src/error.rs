@@ -75,7 +75,9 @@ pub enum ServeError {
     /// read.
     EmptyStore,
     /// A rebuild finished without leaving a publishable snapshot; the
-    /// store keeps serving its previous pinned version.
+    /// store keeps serving its previous pinned version. No in-process
+    /// path returns it; it stays for its wire status code
+    /// ([`status::SNAPSHOT_UNAVAILABLE`]).
     SnapshotUnavailable,
     /// Router-shape error: the replication factor must satisfy
     /// `1 <= replication <= nodes`.

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! PhasedSynopsisDriver ──tick──▶ ServedSynopsis { synopsis, bound }
-//!   (phased build loop)            │  bound: stated by the DGreedyAbs
+//!   (incremental build loop)       │  bound: stated by the DGreedyAbs
 //!                                  │  maintainer, carried as published
 //!                                  ▼
 //!                        ShardedSynopsis::build

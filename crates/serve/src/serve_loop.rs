@@ -2,27 +2,25 @@
 //! swaps each exact rebuild into the query store.
 //!
 //! [`ServeDriver`] owns both halves of the serving story. On every
-//! [`tick`](ServeDriver::tick) it (1) runs the phased incremental
-//! rebuild over the appended values (the foreground/background machinery
-//! of [`PhasedSynopsisDriver`]), then (2) re-shards the resulting *exact*
-//! DGreedyAbs synopsis and atomically swaps it into the [`SynopsisStore`]
-//! with the bound it was published with,
+//! [`tick`](ServeDriver::tick) it (1) runs the incremental DGreedyAbs
+//! rebuild over the appended values ([`PhasedSynopsisDriver::tick`]),
+//! which publishes one snapshot, then (2) re-shards that snapshot's
+//! synopsis and atomically swaps it into the [`SynopsisStore`] with the
+//! bound it was published with,
 //! [`ServedSynopsis::bound`](dwmaxerr_core::progressive::ServedSynopsis::bound).
 //! The driver computes nothing about that bound: the incremental
 //! maintainer states it (its estimate widened by one bucket width `e_b`,
 //! see [`DGreedyAbsUpdate::bound`](dwmaxerr_core::progressive::DGreedyAbsUpdate::bound)).
 //!
-//! Only the exact (background) snapshot is published to the query
-//! store: the coarse foreground answer carries no max-error guarantee,
-//! and the store's contract is that every answer does. The store swap
-//! reuses the producer snapshot's simulated-clock timestamp, so
-//! staleness measured through the store equals staleness measured at
-//! the build.
+//! Every snapshot the build publishes carries a max-error guarantee, as
+//! the store's contract requires of every answer. The store swap reuses
+//! the producer snapshot's simulated-clock timestamp, so staleness
+//! measured through the store equals staleness measured at the build.
 
 use dwmaxerr_core::dgreedy_abs::DGreedyAbsConfig;
 use dwmaxerr_core::progressive::{PhasedSynopsisDriver, TickReport};
 use dwmaxerr_core::query::ErrorBound;
-use dwmaxerr_runtime::{Cluster, Phase};
+use dwmaxerr_runtime::Cluster;
 
 use crate::error::ServeError;
 use crate::store::SynopsisStore;
@@ -31,7 +29,7 @@ use crate::store::SynopsisStore;
 /// store swap it triggered.
 #[derive(Debug, Clone)]
 pub struct ServeTickReport {
-    /// The phased rebuild's own report (versions, staleness, task
+    /// The rebuild's own report (the snapshot it published, task
     /// counts).
     pub build: TickReport,
     /// The store version the re-sharded exact synopsis was published
@@ -42,8 +40,8 @@ pub struct ServeTickReport {
     pub bound: ErrorBound,
 }
 
-/// Drives the phased incremental build and publishes each exact result
-/// into a sharded query store.
+/// Drives the incremental build and publishes each result into a sharded
+/// query store.
 #[derive(Debug)]
 pub struct ServeDriver {
     driver: PhasedSynopsisDriver,
@@ -75,38 +73,35 @@ impl ServeDriver {
         &self.store
     }
 
-    /// The underlying phased build driver (window access, producer-side
-    /// snapshot handle).
+    /// The underlying build driver (window access, producer-side snapshot
+    /// handle).
     #[inline]
     pub fn driver(&self) -> &PhasedSynopsisDriver {
         &self.driver
     }
 
-    /// Appends `values`, runs the phased rebuild, and swaps the exact
-    /// result into the query store with the bound it was published with.
+    /// Appends `values`, runs the incremental rebuild, and swaps the
+    /// snapshot it published into the query store with the bound it was
+    /// published with.
     ///
-    /// A failed rebuild (cluster fault past its retry budget, or a tick
-    /// that left no publishable snapshot) surfaces as a typed
-    /// [`ServeError`] instead of panicking the serving loop: the store
-    /// is not touched, so readers — and the networked front — keep
-    /// serving the previous pinned version.
+    /// A failed rebuild (cluster fault past its retry budget, or values
+    /// that are not finite) surfaces as a typed [`ServeError`] instead of
+    /// panicking the serving loop: the store is not touched, so readers —
+    /// and the networked front — keep serving the previous pinned
+    /// version.
     pub fn tick(
         &mut self,
         cluster: &Cluster,
         values: &[f64],
     ) -> Result<ServeTickReport, ServeError> {
         let build = self.driver.tick(cluster, values)?;
-        let latest = self
-            .driver
-            .latest()
-            .ok_or(ServeError::SnapshotUnavailable)?;
-        debug_assert_eq!(latest.phase, Some(Phase::Background(0)));
-        let bound = latest.value.bound;
+        let built = &build.snapshot;
+        let bound = built.value.bound;
         let snap = self.store.publish(
-            &latest.value.synopsis,
+            &built.value.synopsis,
             bound,
-            latest.published_at,
-            latest.version,
+            built.published_at,
+            built.version,
         )?;
         Ok(ServeTickReport {
             build,
@@ -156,6 +151,9 @@ mod tests {
         let data = int_data(n, 3);
         let report = sd.tick(&cluster, &data).unwrap();
         assert_eq!(report.store_version, 1);
+        // One tick mints one version, in the store and on the build's
+        // own handle alike.
+        assert_eq!(report.store_version, sd.driver().latest().unwrap().version);
         let window = sd.driver().window().data();
         let one_shot = dgreedy_abs(&cluster, window, n / 8, &dg_cfg()).unwrap();
         assert_eq!(report.bound, one_shot.bound);
@@ -179,6 +177,7 @@ mod tests {
         // old reader stays pinned.
         let report2 = sd.tick(&cluster, &int_data(16, 9)).unwrap();
         assert_eq!(report2.store_version, 2);
+        assert_eq!(report2.store_version, sd.driver().latest().unwrap().version);
         assert_eq!(reader.version(), 1);
         assert_eq!(sd.store().reader().unwrap().version(), 2);
     }
@@ -194,7 +193,8 @@ mod tests {
         let mut sd = ServeDriver::new(n, n / 8, &dg_cfg(), 8, "degrade-test").unwrap();
 
         // Tick 1 on a healthy cluster publishes version 1.
-        sd.tick(&cluster(), &int_data(n, 3)).unwrap();
+        let report = sd.tick(&cluster(), &int_data(n, 3)).unwrap();
+        assert_eq!(report.store_version, sd.driver().latest().unwrap().version);
         let pinned = sd.store().reader().unwrap();
         assert_eq!(pinned.version(), 1);
         let before = pinned.point(5).unwrap();
@@ -229,6 +229,7 @@ mod tests {
         // (which holds the failed tick's values, not the refused ones) gives.
         let report = sd.tick(&cluster(), &int_data(4, 2)).unwrap();
         assert_eq!(report.store_version, 2);
+        assert_eq!(report.store_version, sd.driver().latest().unwrap().version);
         let window = sd.driver().window().data();
         let one_shot = dgreedy_abs(&cluster(), window, n / 8, &dg_cfg()).unwrap();
         let latest = sd.driver().latest().unwrap();

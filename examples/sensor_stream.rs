@@ -1,20 +1,14 @@
-//! A live sensor feed built with phased refinement and served through
-//! the sharded query layer.
+//! A live sensor feed maintained incrementally and served through the
+//! sharded query layer.
 //!
 //! Wind-direction sensors (the paper's WD dataset) keep appending
 //! readings; a dashboard wants bounded answers about the last `n`
-//! readings *now*, not after the exact thresholding finishes. Each tick
-//! of the loop below appends a batch of readings and runs one phased
-//! plan on the simulated cluster:
-//!
-//! 1. a **foreground** phase incrementally rebuilds the cheap
-//!    conventional (L2) synopsis — only the base sub-trees the batch
-//!    touched re-run — and publishes it immediately;
-//! 2. a **background** phase incrementally rebuilds the exact DGreedyAbs
-//!    synopsis together with the bound it is served with (its error
-//!    estimate widened by one histogram bucket), which the [`ServeDriver`]
-//!    re-shards along error-tree partitions and atomically swaps into the
-//!    query store.
+//! readings. Each tick of the loop below appends a batch of readings and
+//! incrementally rebuilds the exact DGreedyAbs synopsis on the simulated
+//! cluster — only the base sub-trees the batch touched re-run — together
+//! with the bound it is served with (its error estimate widened by one
+//! histogram bucket). The [`ServeDriver`] re-shards it along error-tree
+//! partitions and atomically swaps it into the query store.
 //!
 //! The dashboard side never touches snapshot internals: it takes a
 //! [`reader`](dwmaxerr::serve::SynopsisStore::reader) pinned to one
@@ -55,8 +49,8 @@ fn main() {
     let mut offset = 0usize;
 
     println!(
-        "{:>4} {:>6} {:>6} {:>9} {:>12} {:>12} {:>7}",
-        "tick", "dirty", "tasks", "stale(s)", "coarse err", "bound", "store v"
+        "{:>4} {:>6} {:>6} {:>12} {:>7}",
+        "tick", "dirty", "tasks", "bound", "store v"
     );
     let mut first = true;
     let mut pinned = None; // a reader taken after tick 1, held across rebuilds
@@ -68,12 +62,10 @@ fn main() {
 
         let report = driver.tick(&cluster, chunk).expect("tick");
         println!(
-            "{:>4} {:>6} {:>6} {:>9.3} {:>11.2}° {:>11.2}° {:>7}",
+            "{:>4} {:>6} {:>6} {:>11.2}° {:>7}",
             report.store_version,
             report.build.dirty_bases,
-            report.build.foreground_tasks + report.build.background_tasks,
-            report.build.staleness_secs,
-            report.build.coarse_error,
+            report.build.background_tasks,
             report.bound.err_abs.expect("exact builds carry a bound"),
             report.store_version,
         );

@@ -34,3 +34,9 @@ pub use dwmaxerr_datagen as datagen;
 pub use dwmaxerr_runtime as runtime;
 pub use dwmaxerr_serve as serve;
 pub use dwmaxerr_wavelet as wavelet;
+
+/// README.md's code blocks, compiled (and, unless marked `no_run`, run) as
+/// doctests so its examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -13,9 +13,7 @@ use dwmaxerr::core::dhaar_plus::{dhaar_plus, DhpConfig};
 use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use dwmaxerr::core::dmin_rel_var::{dmin_rel_var, DmrvConfig};
-use dwmaxerr::core::{
-    CoreError, IncrementalConventional, IncrementalDGreedyAbs, PhasedSynopsisDriver,
-};
+use dwmaxerr::core::{CoreError, IncrementalDGreedyAbs, PhasedSynopsisDriver};
 use dwmaxerr::datagen::{nyct_like, wd_like};
 use dwmaxerr::runtime::{Cluster, ClusterConfig};
 use dwmaxerr::serve::{ServeDriver, ServeError};
@@ -519,7 +517,7 @@ fn conventional_family_survives_edge_inputs() {
 }
 
 /// Windows of fewer than two values have no tree to maintain: the
-/// incremental maintainers, the phased loop and the serving loop over them
+/// incremental maintainer, the driver and the serving loop over them
 /// refuse them with a typed error. They used to panic on `clamp(2, n)`.
 #[test]
 fn incremental_constructors_refuse_windows_under_two_values() {
@@ -527,10 +525,10 @@ fn incremental_constructors_refuse_windows_under_two_values() {
     for n in [0, 1] {
         assert!(
             matches!(
-                IncrementalConventional::new(n, 1, 4),
+                IncrementalDGreedyAbs::new(n, 1, &cfg),
                 Err(CoreError::Wavelet(_))
             ),
-            "IncrementalConventional n={n}"
+            "IncrementalDGreedyAbs n={n}"
         );
         assert!(
             matches!(
@@ -548,7 +546,7 @@ fn incremental_constructors_refuse_windows_under_two_values() {
         );
     }
     // Two values are the smallest window, whatever the base size asked for.
-    assert!(IncrementalConventional::new(2, 1, 4).is_ok());
+    assert!(IncrementalDGreedyAbs::new(2, 1, &cfg).is_ok());
     assert!(PhasedSynopsisDriver::new(2, 1, &cfg).is_ok());
 }
 

@@ -1,42 +1,38 @@
-//! Acceptance tests for phased execution and incremental maintenance
+//! Acceptance tests for incremental maintenance and the serving driver
 //! (the progressive serving layer).
 //!
 //! Five guarantees are pinned here:
 //!
-//! 1. **Golden digest** — the phased driver's *final* (background) synopsis
-//!    is bit-identical to a one-shot `dgreedy_abs` build of the same
-//!    window, on both spill backends, with and without injected faults.
+//! 1. **Golden digest** — the driver's published synopsis is
+//!    bit-identical to a one-shot `dgreedy_abs` build of the same window,
+//!    on both spill backends, with and without injected faults.
 //! 2. **Proportional work** — after appending ≤ 1/16 of the window, the
-//!    background refinement re-runs map tasks proportional to the dirty
-//!    subtrees (far fewer than a full rebuild), verified through
-//!    `TickReport` counters, phase-tagged `DriverMetrics`, and the trace.
-//! 3. **Incremental ≡ from-scratch** — property tests drive random
+//!    rebuild re-runs map tasks proportional to the dirty subtrees (far
+//!    fewer than a full rebuild), verified through `TickReport` counters,
+//!    the `DriverMetrics` ledger, and the trace.
+//! 3. **Incremental ≡ from-scratch** — a property test drives random
 //!    append/slide schedules (power-of-two fills and ragged zero-padded
-//!    tails alike) and require the incrementally maintained CON and
-//!    DGreedyAbs synopses to equal from-scratch builds bit for bit; a
-//!    sliding wind-direction feed on `sensor_stream`'s shape does the same
-//!    while the errhist stage leaves out `C_root` candidates.
+//!    tails alike) and requires the incrementally maintained DGreedyAbs
+//!    synopsis to equal from-scratch builds bit for bit; a sliding
+//!    wind-direction feed on `sensor_stream`'s shape does the same while
+//!    the errhist stage leaves out `C_root` candidates.
 //! 4. **Golden tick schedule** — a fixed ten-tick schedule pins what each
-//!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served.
+//!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served,
+//!    and that each tick mints exactly one version.
 //! 5. **Non-finite input** — NaN / ±∞ are refused with a typed error by
-//!    `tick` and by both maintainers, nothing moves, and the next clean
+//!    `tick` and by the maintainer, nothing moves, and the next clean
 //!    update is again bit-identical to a one-shot build.
 
 use std::time::Duration;
 
-use dwmaxerr::core::conventional::con;
 use dwmaxerr::core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
-use dwmaxerr::core::progressive::{
-    IncrementalConventional, IncrementalDGreedyAbs, PhasedSynopsisDriver, StreamWindow,
-};
+use dwmaxerr::core::progressive::{IncrementalDGreedyAbs, PhasedSynopsisDriver, StreamWindow};
 use dwmaxerr::core::query::point_answer;
 use dwmaxerr::core::CoreError;
 use dwmaxerr::datagen::wd_like;
 use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
 use dwmaxerr::runtime::trace::{self, TraceEventKind};
-use dwmaxerr::runtime::{
-    Cluster, ClusterConfig, FaultPlan, Phase, Pipeline, SpillBackend, TaskPhase,
-};
+use dwmaxerr::runtime::{Cluster, ClusterConfig, FaultPlan, Pipeline, SpillBackend, TaskPhase};
 use dwmaxerr::wavelet::metrics::max_abs;
 use dwmaxerr::wavelet::Synopsis;
 use proptest::prelude::*;
@@ -88,8 +84,8 @@ fn hostile_plan() -> FaultPlan {
         .with_straggler(TaskPhase::Map, 2, 3.0)
 }
 
-/// Satellite 1: the phased path's final synopsis is bit-identical to a
-/// one-shot DGreedyAbs build — on both spill backends, clean and under
+/// The driver's published synopsis is bit-identical to a one-shot
+/// DGreedyAbs build — on both spill backends, clean and under
 /// injected faults — and every produced trace validates.
 #[test]
 fn phased_final_synopsis_matches_one_shot_on_both_backends() {
@@ -112,11 +108,6 @@ fn phased_final_synopsis_matches_one_shot_on_both_backends() {
             let report = driver.tick(&cluster, &data).unwrap();
             let latest = driver.latest().unwrap();
             assert_eq!(
-                latest.phase,
-                Some(Phase::Background(0)),
-                "{backend:?} faulty={faulty}"
-            );
-            assert_eq!(
                 syn_digest(&latest.value.synopsis),
                 golden,
                 "final synopsis diverged on {backend:?} faulty={faulty}"
@@ -130,7 +121,6 @@ fn phased_final_synopsis_matches_one_shot_on_both_backends() {
                 latest.value.bound, reference.bound,
                 "{backend:?} faulty={faulty}"
             );
-            assert!(report.staleness_secs > 0.0);
             let events = cluster.trace().snapshot();
             trace::validate(&events)
                 .unwrap_or_else(|e| panic!("trace invalid on {backend:?} faulty={faulty}: {e}"));
@@ -167,7 +157,6 @@ fn handle_advertises_a_bound_that_holds_pointwise() {
     {
         let report = driver.tick(&cluster, values).unwrap();
         let snap = handle.latest().unwrap();
-        assert_eq!(snap.phase, Some(Phase::Background(0)), "tick {tick}");
         let window = driver.window().data();
         let bound = snap.value.bound;
         assert_eq!(
@@ -230,17 +219,10 @@ fn incremental_tick_work_is_proportional_to_dirty_subtrees() {
     );
     assert!(inc.background_tasks * 8 <= full.background_tasks);
     assert!(inc.greedy_runs <= full.greedy_runs / 8);
-    assert_eq!(inc.foreground_tasks, 1);
 
-    // Phase-tagged metrics agree with the counters.
-    let bg_map_tasks: usize = inc
-        .metrics
-        .jobs
-        .iter()
-        .filter(|j| j.phase == Some(Phase::Background(0)))
-        .map(|j| j.map_tasks())
-        .sum();
-    assert_eq!(bg_map_tasks, inc.background_tasks);
+    // The metrics ledger agrees with the counter.
+    let map_tasks: usize = inc.metrics.jobs.iter().map(|j| j.map_tasks()).sum();
+    assert_eq!(map_tasks, inc.background_tasks);
 
     // Bit-identity: the served exact synopsis equals a one-shot build of
     // the updated window.
@@ -262,9 +244,8 @@ fn incremental_tick_work_is_proportional_to_dirty_subtrees() {
     );
     assert_eq!(latest.value.bound, reference.bound);
 
-    // The trace tells the same story: two ticks → four publishes with
-    // monotone versions, phase markers, and a positive refinement lag
-    // between consecutive versions.
+    // The trace tells the same story: two ticks → two publishes with
+    // monotone versions, stamped later on the simulated clock each time.
     let events = cluster.trace().snapshot();
     trace::validate(&events).unwrap();
     let publishes: Vec<(u64, f64)> = events
@@ -276,18 +257,14 @@ fn incremental_tick_work_is_proportional_to_dirty_subtrees() {
         .collect();
     assert_eq!(
         publishes.iter().map(|p| p.0).collect::<Vec<_>>(),
-        vec![1, 2, 3, 4]
+        vec![1, 2]
     );
     assert!(publishes.windows(2).all(|w| w[1].1 > w[0].1));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e.kind, TraceEventKind::PhaseStarted { .. })));
 }
 
-/// One row of [`TICK_SCHEDULE`]: `(dirty_bases, foreground_tasks,
-/// background_tasks, greedy_runs, coarse digest, exact digest,
-/// exact_error bits, best |C_root|)`.
-type TickRow = (usize, usize, usize, usize, u64, u64, u64, usize);
+/// One row of [`TICK_SCHEDULE`]: `(dirty_bases, background_tasks,
+/// greedy_runs, exact digest, exact_error bits, best |C_root|)`.
+type TickRow = (usize, usize, usize, u64, u64, usize);
 
 /// What each tick of `tick_schedule_is_golden` re-ran and served, captured
 /// while Section 5 was still written three times (before `core::errhist`
@@ -298,16 +275,16 @@ type TickRow = (usize, usize, usize, usize, u64, u64, u64, usize);
 /// contract; the tests above only bound it by inequalities.
 #[rustfmt::skip]
 const TICK_SCHEDULE: &[TickRow] = &[
-    (16, 16, 64, 110, 0x4783f61835e1e8ab, 0x4989ac2abd97e857, 0x40446e8000000000, 1),
-    (1, 1, 3, 7, 0xf7552be0abf4e7e9, 0x4abefaa938e60961, 0x4044ee8000000000, 1),
-    (1, 1, 33, 74, 0x774e891f58d939b8, 0x3a5a18412d669b4d, 0x4045038000000000, 1),
-    (2, 2, 34, 76, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
-    (0, 0, 0, 0, 0x0a274049bab81683, 0x1456491f42bec560, 0x4045080000000000, 2),
-    (1, 1, 33, 72, 0xcecd2f4c6eacd9f4, 0xe03c04704ba8c5d8, 0x40450d0000000000, 1),
-    (15, 15, 62, 106, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
-    (1, 1, 3, 7, 0x8470ab1dcaed28b9, 0xf981053b9e669884, 0x4044ee0000000000, 4),
-    (1, 1, 3, 7, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
-    (0, 0, 0, 0, 0xafcb43a065f221b8, 0x0228186a10766920, 0x40451b0000000000, 4),
+    (16, 64, 110, 0x4989ac2abd97e857, 0x40446e8000000000, 1),
+    (1, 3, 7, 0x4abefaa938e60961, 0x4044ee8000000000, 1),
+    (1, 33, 74, 0x3a5a18412d669b4d, 0x4045038000000000, 1),
+    (2, 34, 76, 0x1456491f42bec560, 0x4045080000000000, 2),
+    (0, 0, 0, 0x1456491f42bec560, 0x4045080000000000, 2),
+    (1, 33, 72, 0xe03c04704ba8c5d8, 0x40450d0000000000, 1),
+    (15, 62, 106, 0xf981053b9e669884, 0x4044ee0000000000, 4),
+    (1, 3, 7, 0xf981053b9e669884, 0x4044ee0000000000, 4),
+    (1, 3, 7, 0x0228186a10766920, 0x40451b0000000000, 4),
+    (0, 0, 0, 0x0228186a10766920, 0x40451b0000000000, 4),
 ];
 
 /// Ten ticks over a 256-value ring of 16 bases, budget 32: the full fill;
@@ -332,6 +309,7 @@ fn tick_schedule_is_golden() {
     };
 
     let mut got: Vec<TickRow> = Vec::new();
+    let mut traced = 0;
     for tick in 0..10 {
         let held = driver.window().data();
         let values = match tick {
@@ -353,21 +331,16 @@ fn tick_schedule_is_golden() {
             "write position after tick {tick}"
         );
 
-        // The coarse snapshot is superseded before `tick` returns; it is
-        // pinned through the one-shot CON it must equal and the error the
-        // driver measured on its own copy.
-        let (coarse, _) = con(
-            &cluster_on(SpillBackend::Memory, None),
-            window,
-            budget,
-            BASE,
-        )
-        .unwrap();
-        assert_eq!(
-            report.coarse_error.to_bits(),
-            max_abs(window, &coarse.reconstruct_all()).to_bits(),
-            "tick {tick}"
-        );
+        // One tick, one version: the handle counts ticks, and the tick's
+        // slice of the trace publishes once.
+        assert_eq!(driver.handle().version(), tick as u64 + 1);
+        let events = cluster.trace().snapshot();
+        let published = events[traced..]
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::SnapshotPublished { .. }))
+            .count();
+        assert_eq!(published, 1, "tick {tick}");
+        traced = events.len();
         let one_shot = dgreedy_abs(
             &cluster_on(SpillBackend::Memory, None),
             window,
@@ -385,10 +358,8 @@ fn tick_schedule_is_golden() {
         assert_eq!(latest.value.bound, one_shot.bound, "tick {tick}");
         got.push((
             report.dirty_bases,
-            report.foreground_tasks,
             report.background_tasks,
             report.greedy_runs,
-            syn_digest(&coarse),
             syn_digest(&latest.value.synopsis),
             report.exact_error.to_bits(),
             one_shot.best_croot_size,
@@ -398,8 +369,8 @@ fn tick_schedule_is_golden() {
         .iter()
         .map(|r| {
             format!(
-                "({}, {}, {}, {}, {:#018x}, {:#018x}, {:#018x}, {}),",
-                r.0, r.1, r.2, r.3, r.4, r.5, r.6, r.7
+                "({}, {}, {}, {:#018x}, {:#018x}, {}),",
+                r.0, r.1, r.2, r.3, r.4, r.5
             )
         })
         .collect();
@@ -492,7 +463,7 @@ fn candidates_tied_with_the_all_retained_score_are_kept() {
 
 /// NaN and ±∞ never get a bound advertised over them. `tick` refuses such
 /// values before the window sees them — nothing moves, the last snapshot
-/// keeps serving — and each maintainer refuses a base whose average is not
+/// keeps serving — and the maintainer refuses a base whose average is not
 /// finite and keeps it invalidated. The clean update that follows equals a
 /// one-shot build bit for bit. (`tick` used to panic inside the CON sort;
 /// `IncrementalDGreedyAbs::update` used to return a guarantee of 0 over a
@@ -518,19 +489,27 @@ fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
         assert_eq!(driver.window().pushed() as usize, N + BASE + 2);
         assert!(driver.window().dirty().is_empty());
         assert!(std::sync::Arc::ptr_eq(&driver.latest().unwrap(), &serving));
-        // Neither cache was touched: the next tick re-runs one base.
+        // The maintainer was not touched: the next tick re-runs one base.
         let report = driver.tick(&cluster, &[5.0, 6.0]).unwrap();
-        assert_eq!((report.dirty_bases, report.foreground_tasks), (1, 1));
+        let averages = &report.metrics.jobs[0];
+        assert_eq!(
+            (
+                report.dirty_bases,
+                averages.name.as_str(),
+                averages.map_tasks()
+            ),
+            (1, "dgreedyabs-inc-averages", 1)
+        );
         let one_shot = dgreedy_abs(&reference, driver.window().data(), budget, &dg_cfg()).unwrap();
         let latest = driver.latest().unwrap();
-        assert_eq!(latest.version, serving.version + 2);
+        assert_eq!(latest.version, serving.version + 1);
         assert_eq!(latest.value.synopsis, one_shot.synopsis, "{bad}");
         assert_eq!(
             report.exact_error.to_bits(),
             one_shot.estimated_error.to_bits()
         );
 
-        // Through each maintainer's `update`: one bad cell among 64 values.
+        // Through the maintainer's `update`: one bad cell among 64 values.
         let cfg = DGreedyAbsConfig {
             base_leaves: 8,
             ..dg_cfg()
@@ -538,16 +517,8 @@ fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
         let mut data = int_data(64, 6);
         data[29] = bad;
         let mut exact = IncrementalDGreedyAbs::new(64, 12, &cfg).unwrap();
-        let mut coarse = IncrementalConventional::new(64, 12, 8).unwrap();
         for _ in 0..2 {
             let refused = exact
-                .update(Pipeline::on(&cluster), &data)
-                .map(|(_, up)| up);
-            assert!(
-                matches!(refused, Err(CoreError::NonFiniteInput { base: 3 })),
-                "{bad}: {refused:?}"
-            );
-            let refused = coarse
                 .update(Pipeline::on(&cluster), &data)
                 .map(|(_, up)| up);
             assert!(
@@ -564,12 +535,6 @@ fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
         assert_eq!(
             up.estimated_error.to_bits(),
             batch.estimated_error.to_bits()
-        );
-        let (_, up) = coarse.update(Pipeline::on(&cluster), &data).unwrap();
-        assert_eq!(
-            up.synopsis,
-            con(&reference, &data, 12, 8).unwrap().0,
-            "{bad}"
         );
     }
 }
@@ -589,7 +554,7 @@ fn append_schedule() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Satellite 2 (exact path): after every random append/slide the
+    // After every random append/slide the
     // incremental DGreedyAbs equals a from-scratch build bit for bit —
     // coefficient set and guaranteed error alike — through ragged
     // zero-padded prefixes and full ring wrap-around.
@@ -628,27 +593,6 @@ proptest! {
             prop_assert_eq!(up.synopsis.entries(), batch.synopsis.entries());
             prop_assert_eq!(up.estimated_error.to_bits(), batch.estimated_error.to_bits());
             prop_assert_eq!(up.best_croot_size, batch.best_croot_size);
-        }
-    }
-
-    // Satellite 2 (coarse path): the incrementally maintained CON
-    // synopsis equals a from-scratch `con` run after every append.
-    #[test]
-    fn incremental_conventional_equals_from_scratch((fill, appends) in append_schedule()) {
-        let n = 64;
-        let cluster = cluster_on(SpillBackend::from_env(), None);
-        let mut window = StreamWindow::new(n, 8).unwrap();
-        let mut inc = IncrementalConventional::new(n, 12, 8).unwrap();
-        window.push(&fill);
-        for chunk in std::iter::once(Vec::new()).chain(appends) {
-            window.push(&chunk);
-            for j in window.take_dirty_bases() {
-                inc.invalidate(j);
-            }
-            let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();
-            let _ = pipe.into_metrics();
-            let (batch, _) = con(&cluster_on(SpillBackend::Memory, None), window.data(), 12, 8).unwrap();
-            prop_assert_eq!(up.synopsis.entries(), batch.entries());
         }
     }
 }
