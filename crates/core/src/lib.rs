@@ -30,7 +30,7 @@
 //! | [`mod@dhaar_plus`]     | DHaarPlus: the framework's Haar+ instance |
 //! | [`mod@dmin_rel_var`]   | DMinRelVar: the framework's MinRelVar instance |
 //! | [`conventional`]       | Appendix-A baselines: CON, Send-V, Send-Coef(-combined), H-WTopk |
-//! | [`progressive`]        | Streaming windows, incremental DGreedyAbs maintenance (caches around the batch driver's own steps), the serving driver that publishes one exact version per tick; refuses non-finite appends |
+//! | [`progressive`]        | Streaming windows, incremental DGreedyAbs maintenance (caches around the batch driver's own steps), the streaming driver that rebuilds one exact synopsis per tick; refuses non-finite appends |
 //! | [`query`]              | Bounded point/range-sum query API: every answer carries its error guarantee |
 //! | [`error`]              | [`CoreError`]: algorithm-level failures wrapping runtime errors |
 
@@ -58,7 +58,5 @@ pub use dmin_haar_space::{dmin_haar_space, DmhsConfig, DmhsResult};
 pub use dmin_rel_var::{dmin_rel_var, DmrvConfig, DmrvResult};
 pub use error::CoreError;
 pub use partition::{BasePartition, LayerPlan};
-pub use progressive::{
-    IncrementalDGreedyAbs, PhasedSynopsisDriver, ServedSynopsis, StreamWindow, TickReport,
-};
+pub use progressive::{IncrementalDGreedyAbs, PhasedSynopsisDriver, StreamWindow, TickReport};
 pub use query::{point_answer, range_answer, Answer, ErrorBound, RelBound};

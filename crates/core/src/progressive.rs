@@ -1,29 +1,27 @@
 //! Progressive synopsis maintenance: sliding windows, incremental
-//! rebuilds, and the serving driver that publishes one exact synopsis per
-//! tick.
+//! rebuilds, and the driver that rebuilds one exact synopsis per tick.
 //!
 //! The batch algorithms in this crate answer "build the best synopsis of
 //! this array" in one monolithic run. A serving system instead sees a
 //! stream of appends and needs the exact DGreedyAbs answer after each —
 //! and when only a sliver of the window changed, it should not pay for a
 //! full rebuild. This module provides that machinery on top of the
-//! runtime's pipelines ([`Pipeline::publish`] into a [`Progressive`]
-//! snapshot handle) and the wavelet layer's dirty-subtree tracking
-//! ([`DirtySet`]):
+//! runtime's [`Pipeline`]s:
 //!
 //! * [`StreamWindow`] — a power-of-two window over the stream, organized
-//!   as a ring of base slices with a zero-padded ragged tail, tracking
-//!   which base sub-trees each append invalidated.
+//!   as a ring of base slices with a zero-padded ragged tail; each append
+//!   returns the base slices it touched.
 //! * [`IncrementalDGreedyAbs`] — maintains the exact max-abs synopsis
 //!   under appends: per-base partials are cached, jobs re-run only over
-//!   the bases whose partials no longer apply, and the result is
-//!   bit-identical to a from-scratch [`crate::dgreedy_abs::dgreedy_abs`]
-//!   run.
+//!   the bases whose partials no longer apply (the one stale set), and the
+//!   result is bit-identical to a from-scratch
+//!   [`crate::dgreedy_abs::dgreedy_abs`] run.
 //! * [`PhasedSynopsisDriver`] — ties it together: each
-//!   [`tick`](PhasedSynopsisDriver::tick) appends new values, runs the
-//!   incremental DGreedyAbs update, and publishes the result with the
-//!   bound it is served with into one [`Progressive`] handle, minting one
-//!   version.
+//!   [`tick`](PhasedSynopsisDriver::tick) appends new values, invalidates
+//!   the bases they touched and runs the incremental DGreedyAbs update.
+//!   It publishes nothing: the tick's [`DGreedyAbsUpdate`] — the synopsis
+//!   and the bound it is served with — goes back to the caller, and the
+//!   serving layer's store mints the one version a tick gets.
 //!
 //! # Why the incremental results are bit-identical
 //!
@@ -54,22 +52,18 @@
 //!
 //! Over NaN or ±∞ no error bound means anything: `tick` refuses such values
 //! before they reach the window, and the maintainer refuses a base whose
-//! average is not finite ([`CoreError::NonFiniteInput`]) and keep it
+//! average is not finite ([`CoreError::NonFiniteInput`]) and keeps it
 //! invalidated, so an update over repaired data recomputes it.
 
 #![warn(clippy::too_many_lines)]
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 
 use dwmaxerr_runtime::codec::Wire;
 use dwmaxerr_runtime::metrics::DriverMetrics;
 use dwmaxerr_runtime::pipeline::StagedPipeline;
-use dwmaxerr_runtime::{
-    Cluster, JobBuilder, Kernel, MapContext, Pipeline, Progressive, RuntimeError, Snapshot,
-};
-use dwmaxerr_wavelet::tree::DirtySet;
+use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, RuntimeError};
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
 
 use crate::dgreedy_abs::{AbsEngine, DGreedyAbsConfig};
@@ -91,18 +85,15 @@ use crate::splits::{aligned_splits, SliceSplit};
 /// than `n` values have arrived the tail is zero-filled (a *ragged
 /// tail*), and once full each new value overwrites the oldest physical
 /// slot. Synopses are built over the **physical** layout — the ring
-/// never shifts data, so an append of `m` values dirties only the
-/// `O(m / base_leaves + 1)` base sub-trees it touches, which is what
-/// makes incremental maintenance cheap. The dirty set is keyed by
-/// subtree root node id (`num_base + j`): base `j`'s coefficient
-/// sub-tree hangs off that node of the error tree.
+/// never shifts data, so an append of `m` values touches only the
+/// `O(m / base_leaves + 1)` base sub-trees it writes into, which is what
+/// makes incremental maintenance cheap.
 #[derive(Debug, Clone)]
 pub struct StreamWindow {
     data: Vec<f64>,
     base_leaves: usize,
     num_base: usize,
     pushed: u64,
-    dirty: DirtySet,
 }
 
 impl StreamWindow {
@@ -117,7 +108,6 @@ impl StreamWindow {
             base_leaves,
             num_base: partition.num_base(),
             pushed: 0,
-            dirty: DirtySet::new(),
         })
     }
 
@@ -147,48 +137,29 @@ impl StreamWindow {
         self.pushed
     }
 
-    /// Values currently resident (equals `len()` once full).
-    pub fn filled(&self) -> usize {
-        (self.pushed.min(self.data.len() as u64)) as usize
-    }
-
-    /// True once every slot holds stream data (no ragged tail left).
-    pub fn is_full(&self) -> bool {
-        self.pushed >= self.data.len() as u64
-    }
-
     /// The physical window contents (zero-padded while not full).
     pub fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Appends `values`: fills the ragged tail first, then slides by
-    /// overwriting the oldest slots in ring order. Every touched base
-    /// slice is marked dirty.
-    pub fn push(&mut self, values: &[f64]) {
+    /// overwriting the oldest slots in ring order. Returns the base slices
+    /// it wrote into, in ascending order.
+    pub fn push(&mut self, values: &[f64]) -> Vec<usize> {
         let n = self.data.len() as u64;
+        let mut touched = Vec::new();
         for &v in values {
             let pos = (self.pushed % n) as usize;
             self.data[pos] = v;
-            let root = self.num_base + pos / self.base_leaves;
-            self.dirty.mark(root);
+            let j = pos / self.base_leaves;
+            if touched.last() != Some(&j) {
+                touched.push(j);
+            }
             self.pushed += 1;
         }
-    }
-
-    /// The pending dirty subtree roots.
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
-    }
-
-    /// Drains the dirty set, returning the stale **base indices** in
-    /// ascending order.
-    pub fn take_dirty_bases(&mut self) -> Vec<usize> {
-        self.dirty
-            .drain()
-            .into_iter()
-            .map(|root| root - self.num_base)
-            .collect()
+        touched.sort_unstable();
+        touched.dedup();
+        touched
     }
 }
 
@@ -211,30 +182,23 @@ pub struct RebuildStats {
 }
 
 /// The maintainer's view of the window: its partition, the base averages
-/// as of the last update and the bases invalidated since.
+/// as of the last update and the bases invalidated since — the one stale
+/// set of the streaming path.
 #[derive(Debug)]
 struct Bases {
     partition: BasePartition,
     averages: Vec<f64>,
-    dirty: DirtySet,
+    stale: BTreeSet<usize>,
 }
 
 impl Bases {
     /// Every base starts invalidated.
     fn new(partition: BasePartition) -> Self {
-        let mut dirty = DirtySet::new();
-        for j in 0..partition.num_base() {
-            dirty.mark(partition.base_root(j));
-        }
         Bases {
             partition,
             averages: vec![0.0; partition.num_base()],
-            dirty,
+            stale: (0..partition.num_base()).collect(),
         }
-    }
-
-    fn invalidate(&mut self, j: usize) {
-        self.dirty.mark(self.partition.base_root(j));
     }
 
     /// The stale bases in ascending order, and `data` cut into one split
@@ -244,8 +208,7 @@ impl Bases {
         if data.len() != self.partition.n() {
             return Err(CoreError::Protocol("window length changed between updates"));
         }
-        let r = self.partition.num_base();
-        let stale = self.dirty.iter().map(|root| root - r).collect();
+        let stale = self.stale.iter().copied().collect();
         Ok((stale, aligned_splits(data, self.partition.base_leaves())))
     }
 
@@ -256,7 +219,7 @@ impl Bases {
         fresh: impl IntoIterator<Item = (K, f64)>,
     ) -> Result<(), CoreError> {
         store_finite_averages(&mut self.averages, fresh)?;
-        self.dirty.clear();
+        self.stale.clear();
         Ok(())
     }
 }
@@ -475,7 +438,7 @@ impl IncrementalDGreedyAbs {
 
     /// Marks base `j`'s cached partials stale.
     pub fn invalidate(&mut self, j: usize) {
-        self.bases.invalidate(j);
+        self.bases.stale.insert(j);
     }
 
     /// Rebuilds the synopsis of `data`, re-running merge/filter jobs only
@@ -609,52 +572,35 @@ impl IncrementalDGreedyAbs {
 }
 
 // ---------------------------------------------------------------------------
-// Serving driver
+// Streaming driver
 // ---------------------------------------------------------------------------
-
-/// The value a [`PhasedSynopsisDriver`] publishes: a synopsis and the
-/// bound it is served with, its update's [`DGreedyAbsUpdate::bound`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedSynopsis {
-    /// The synopsis being served.
-    pub synopsis: Synopsis,
-    /// What every answer reconstructed from `synopsis` is promised.
-    pub bound: ErrorBound,
-}
 
 /// What one [`PhasedSynopsisDriver::tick`] did.
 #[derive(Debug, Clone)]
 pub struct TickReport {
-    /// The snapshot this tick published; each tick that succeeds mints
-    /// the handle's next version.
-    pub snapshot: Arc<Snapshot<ServedSynopsis>>,
-    /// The published synopsis's max-abs error estimate
-    /// ([`DGreedyAbsUpdate::estimated_error`]): exact up to one bucket
-    /// width `e_b`. The bound it is served with is the published
-    /// [`ServedSynopsis::bound`].
-    pub exact_error: f64,
-    /// Bases the tick's appends dirtied.
+    /// The tick's update: the synopsis, its estimate and the bound it is
+    /// served with, and what the update re-ran.
+    pub update: DGreedyAbsUpdate,
+    /// Stale bases the update reprocessed: the tick's own appends and any
+    /// a failed tick left ([`RebuildStats::dirty_bases`]).
     pub dirty_bases: usize,
-    /// Map tasks the incremental DGreedyAbs update ran.
+    /// Map tasks the update ran ([`RebuildStats::map_tasks`]).
     pub background_tasks: usize,
-    /// GreedyAbs runs across those tasks.
+    /// GreedyAbs runs across those tasks ([`RebuildStats::greedy_runs`]).
     pub greedy_runs: usize,
     /// The tick's full metrics ledger.
     pub metrics: DriverMetrics,
 }
 
-/// Serves a continuously maintained exact synopsis.
+/// Maintains an exact synopsis of a sliding window.
 ///
-/// Each [`tick`](PhasedSynopsisDriver::tick) appends new stream values,
-/// rebuilds the DGreedyAbs synopsis incrementally on the cluster and
-/// atomically swaps it into a [`Progressive`] handle. A consumer holding
-/// the handle always sees the freshest complete snapshot; one version is
-/// minted per tick.
+/// Each [`tick`](PhasedSynopsisDriver::tick) appends new stream values and
+/// rebuilds the DGreedyAbs synopsis incrementally on the cluster. Serving
+/// the result — and minting its version — is the caller's.
 #[derive(Debug)]
 pub struct PhasedSynopsisDriver {
     window: StreamWindow,
     dgreedy: IncrementalDGreedyAbs,
-    handle: Progressive<ServedSynopsis>,
 }
 
 impl PhasedSynopsisDriver {
@@ -663,13 +609,7 @@ impl PhasedSynopsisDriver {
         Ok(PhasedSynopsisDriver {
             window: StreamWindow::new(n, cfg.base_leaves.clamp(2, n.max(2)))?,
             dgreedy: IncrementalDGreedyAbs::new(n, b, cfg)?,
-            handle: Progressive::empty("synopsis"),
         })
-    }
-
-    /// The serving handle (clones share the swap).
-    pub fn handle(&self) -> Progressive<ServedSynopsis> {
-        self.handle.clone()
     }
 
     /// The maintained window.
@@ -677,42 +617,30 @@ impl PhasedSynopsisDriver {
         &self.window
     }
 
-    /// The latest published snapshot, if any tick ran.
-    pub fn latest(&self) -> Option<Arc<Snapshot<ServedSynopsis>>> {
-        self.handle.latest()
-    }
-
-    /// Appends `values`, rebuilds the exact synopsis and publishes it.
+    /// Appends `values` and rebuilds the exact synopsis.
     ///
     /// NaN or ±∞ among `values` is refused before anything is touched
     /// ([`CoreError::NonFiniteInput`], naming the base slice the first such
-    /// value would land in): the window, the maintainer and the handle
-    /// stay as they were and the last snapshot keeps serving.
+    /// value would land in): the window and the maintainer stay as they
+    /// were.
     pub fn tick(&mut self, cluster: &Cluster, values: &[f64]) -> Result<TickReport, CoreError> {
         if let Some(at) = values.iter().position(|v| !v.is_finite()) {
             let slot = (self.window.pushed + at as u64) % self.window.len() as u64;
             let base = slot as usize / self.window.base_leaves;
             return Err(CoreError::NonFiniteInput { base });
         }
-        self.window.push(values);
-        let dirty = self.window.take_dirty_bases();
-        for &j in &dirty {
+        for j in self.window.push(values) {
             self.dgreedy.invalidate(j);
         }
         let (pipe, update) = self
             .dgreedy
             .update(Pipeline::on(cluster), self.window.data())?;
-        let served = ServedSynopsis {
-            synopsis: update.synopsis,
-            bound: update.bound,
-        };
-        let (pipe, snapshot) = pipe.then(|()| served).publish(&self.handle);
+        let stats = update.stats;
         Ok(TickReport {
-            snapshot,
-            exact_error: update.estimated_error,
-            dirty_bases: dirty.len(),
-            background_tasks: update.stats.map_tasks,
-            greedy_runs: update.stats.greedy_runs,
+            update,
+            dirty_bases: stats.dirty_bases,
+            background_tasks: stats.map_tasks,
+            greedy_runs: stats.greedy_runs,
             metrics: pipe.into_metrics(),
         })
     }
@@ -747,21 +675,21 @@ mod tests {
     }
 
     #[test]
-    fn window_ring_dirties_only_touched_bases() {
+    fn window_ring_returns_only_touched_bases() {
         let mut w = StreamWindow::new(16, 4).unwrap();
-        w.push(&[1.0, 2.0, 3.0]);
-        assert_eq!(w.filled(), 3);
-        assert!(!w.is_full());
-        assert_eq!(w.take_dirty_bases(), vec![0]);
-        w.push(&[4.0, 5.0]);
-        assert_eq!(w.take_dirty_bases(), vec![0, 1]);
+        assert_eq!(w.push(&[1.0, 2.0, 3.0]), vec![0]);
+        assert_eq!(w.push(&[4.0, 5.0]), vec![0, 1]);
+        assert_eq!(w.push(&[]), Vec::<usize>::new());
         // Fill up and wrap: the ring overwrites base 0 again.
-        w.push(&(6..=16).map(f64::from).collect::<Vec<_>>());
-        assert!(w.is_full());
-        let _ = w.take_dirty_bases();
-        w.push(&[99.0]);
+        assert_eq!(
+            w.push(&(6..=16).map(f64::from).collect::<Vec<_>>()),
+            vec![1, 2, 3]
+        );
+        assert_eq!(w.push(&[99.0]), vec![0]);
         assert_eq!(w.data()[0], 99.0);
-        assert_eq!(w.take_dirty_bases(), vec![0]);
+        // A wrap-around append lists each base once, in ascending order.
+        assert_eq!(w.push(&[0.0; 17]), vec![0, 1, 2, 3]);
+        assert_eq!(w.pushed(), 34);
     }
 
     #[test]
@@ -772,9 +700,6 @@ mod tests {
         let mut window = StreamWindow::new(n, 8).unwrap();
         let mut inc = IncrementalDGreedyAbs::new(n, 8, &cfg).unwrap();
         window.push(&wavy(64, 3));
-        for j in window.take_dirty_bases() {
-            inc.invalidate(j);
-        }
         for round in 0..3 {
             let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();
             let _ = pipe.into_metrics();
@@ -787,8 +712,7 @@ mod tests {
             );
             assert_eq!(up.best_croot_size, batch.best_croot_size, "round {round}");
             assert_eq!(up.bound, batch.bound, "round {round}");
-            window.push(&wavy(8, 4 + round as u64));
-            for j in window.take_dirty_bases() {
+            for j in window.push(&wavy(8, 4 + round as u64)) {
                 inc.invalidate(j);
             }
         }
@@ -859,26 +783,27 @@ mod tests {
     }
 
     #[test]
-    fn driver_publishes_one_exact_version_per_tick() {
+    fn driver_tick_serves_what_a_one_shot_build_serves() {
         let cluster = test_cluster();
         let mut driver = PhasedSynopsisDriver::new(32, 6, &dg_cfg(4)).unwrap();
-        let handle = driver.handle();
-        let report = driver.tick(&cluster, &wavy(32, 11)).unwrap();
-        let latest = handle.latest().unwrap();
-        assert!(Arc::ptr_eq(&report.snapshot, &latest));
-        assert_eq!(latest.version, 1);
-        // The answer, its estimate and the bound it is served with match a
-        // one-shot build on the same window.
-        let batch = dgreedy_abs(&test_cluster(), driver.window().data(), 6, &dg_cfg(4)).unwrap();
-        assert_eq!(latest.value.synopsis, batch.synopsis);
-        assert_eq!(
-            report.exact_error.to_bits(),
-            batch.estimated_error.to_bits()
-        );
-        assert_eq!(latest.value.bound, batch.bound);
-        // A second tick keeps counting versions up on the same handle.
-        let report2 = driver.tick(&cluster, &wavy(4, 12)).unwrap();
-        assert_eq!(report2.snapshot.version, 2);
-        assert!(report2.dirty_bases <= 2);
+        for (tick, values) in [wavy(32, 11), wavy(4, 12)].iter().enumerate() {
+            let report = driver.tick(&cluster, values).unwrap();
+            // The answer, its estimate and the bound it is served with match
+            // a one-shot build on the same window.
+            let batch =
+                dgreedy_abs(&test_cluster(), driver.window().data(), 6, &dg_cfg(4)).unwrap();
+            let up = &report.update;
+            assert_eq!(up.synopsis, batch.synopsis, "tick {tick}");
+            assert_eq!(
+                up.estimated_error.to_bits(),
+                batch.estimated_error.to_bits()
+            );
+            assert_eq!(up.bound, batch.bound, "tick {tick}");
+            // The report's counters are the update's own.
+            assert_eq!(report.dirty_bases, up.stats.dirty_bases);
+            assert_eq!(report.background_tasks, up.stats.map_tasks);
+            assert_eq!(report.greedy_runs, up.stats.greedy_runs);
+            assert_eq!(report.dirty_bases, [8, 1][tick], "tick {tick}");
+        }
     }
 }

@@ -23,11 +23,10 @@
 //!   stages while a predicate over the threaded value holds — the shape of
 //!   the layered bottom-up jobs and of IndirectHaar's binary-search
 //!   probes.
-//! * **Plans can publish.** [`Pipeline::publish`] atomically swaps the
-//!   plan's value into a [`Progressive`] handle as its next version,
-//!   stamped on the simulated clock. Consumers serve the latest
-//!   [`Snapshot`] while the next plan runs behind it, and the version
-//!   names the plan that produced it.
+//!
+//! A pipeline publishes nothing: a plan's result leaves it through
+//! [`Pipeline::finish`], and whoever serves it records the version it
+//! serves (`snapshot_published` in the [`crate::trace`]).
 //!
 //! # Example
 //!
@@ -73,113 +72,11 @@
 //! assert_eq!(stages[1].name, "histogram");
 //! ```
 
-use std::sync::{Arc, RwLock};
-
 use crate::cluster::Cluster;
 use crate::codec::Wire;
 use crate::error::RuntimeError;
 use crate::job::{Job, MapContext, ReduceContext, Values};
 use crate::metrics::{DriverMetrics, JobMetrics};
-use crate::trace::TraceEventKind;
-
-/// One published state of a [`Progressive`] handle: the value together
-/// with its position on the simulated timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot<T> {
-    /// The published value.
-    pub value: T,
-    /// 1-based publish count for the handle's label.
-    pub version: u64,
-    /// Simulated time (seconds on the cluster trace clock) at which this
-    /// snapshot became servable. The gap between consecutive versions'
-    /// `published_at` is how long a consumer served the older one.
-    pub published_at: f64,
-}
-
-/// A shared handle to the latest published result of a plan.
-///
-/// The first [`Pipeline::publish`] into an [`empty`](Progressive::empty)
-/// handle makes the plan's current value servable; later calls atomically
-/// swap in newer versions while the next plan keeps running on the
-/// simulated clock. Clones share state, so a serving thread can hold the handle and
-/// always read a complete, immutable [`Snapshot`] — readers are never
-/// blocked by an in-flight plan, they simply keep the `Arc` they
-/// already fetched.
-#[derive(Debug)]
-pub struct Progressive<T> {
-    label: Arc<str>,
-    latest: Arc<RwLock<Option<Arc<Snapshot<T>>>>>,
-}
-
-impl<T> Clone for Progressive<T> {
-    fn clone(&self) -> Self {
-        Progressive {
-            label: Arc::clone(&self.label),
-            latest: Arc::clone(&self.latest),
-        }
-    }
-}
-
-impl<T> Progressive<T> {
-    /// An empty handle with no published snapshot yet; the first
-    /// [`Pipeline::publish`] into it creates version 1.
-    pub fn empty(label: &str) -> Self {
-        Progressive {
-            label: Arc::from(label),
-            latest: Arc::new(RwLock::new(None)),
-        }
-    }
-
-    /// The handle's label (identifies it in `snapshot_published` trace
-    /// events).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The latest published snapshot, or `None` before the first publish.
-    /// The returned `Arc` stays valid (and immutable) across later swaps.
-    pub fn latest(&self) -> Option<Arc<Snapshot<T>>> {
-        self.latest.read().expect("progressive lock").clone()
-    }
-
-    /// The latest published version (0 before the first publish).
-    pub fn version(&self) -> u64 {
-        self.latest().map_or(0, |s| s.version)
-    }
-
-    /// Swaps `value` in as the next version and returns its snapshot. The
-    /// version is read and the snapshot stored under one write guard, so
-    /// concurrent publishers never mint the same version.
-    fn push(&self, value: T, published_at: f64) -> Arc<Snapshot<T>> {
-        let mut guard = self.latest.write().expect("progressive lock");
-        let snap = Arc::new(Snapshot {
-            value,
-            version: guard.as_ref().map_or(0, |s| s.version) + 1,
-            published_at,
-        });
-        *guard = Some(Arc::clone(&snap));
-        snap
-    }
-
-    /// Atomically swaps `value` in as the next snapshot version without a
-    /// running pipeline — the *snapshot handoff* path.
-    ///
-    /// [`Pipeline::publish`] is the producer-side entry point: it stamps
-    /// the cluster's simulated clock and emits a `snapshot_published`
-    /// trace event. A serving layer that derives a new representation
-    /// from an already-published snapshot (e.g. re-sharding a synopsis
-    /// for the query path) has no pipeline in hand; this method performs
-    /// the same atomic version-counted swap, stamped with the caller's
-    /// `published_at` (normally the source snapshot's own timestamp so
-    /// staleness accounting stays on the simulated clock). No trace event
-    /// is emitted — the handoff is driver-side glue, not cluster work.
-    ///
-    /// The swap is a single `RwLock` write; readers holding previously
-    /// fetched `Arc<Snapshot>`s are never blocked or invalidated.
-    pub fn publish_value(&self, value: T, published_at: f64) -> Arc<Snapshot<T>> {
-        self.push(value, published_at)
-    }
-}
 
 /// The pipeline produced by [`Pipeline::stage`]: the previous threaded
 /// value paired with the stage's output pairs.
@@ -292,27 +189,6 @@ impl<'c, T> Pipeline<'c, T> {
             metrics: self.metrics,
             value: f(self.value)?,
         })
-    }
-
-    /// Atomically swaps the current threaded value into `handle` as its
-    /// next snapshot version, and returns the plan with that snapshot.
-    ///
-    /// The snapshot is stamped with the cluster's simulated clock, and the
-    /// trace records a `snapshot_published` instant. Consumers holding the handle (or a clone) see the new
-    /// version on their next [`Progressive::latest`] call; snapshots they
-    /// already fetched stay untouched.
-    pub fn publish(self, handle: &Progressive<T>) -> (Self, Arc<Snapshot<T>>)
-    where
-        T: Clone,
-    {
-        let snap = handle.push(self.value.clone(), self.cluster.trace().now());
-        self.cluster
-            .trace()
-            .instant(TraceEventKind::SnapshotPublished {
-                label: handle.label().to_string(),
-                version: snap.version,
-            });
-        (self, snap)
     }
 
     /// Runs `body` — itself a sequence of stages — while `cond` holds on
@@ -488,64 +364,6 @@ mod tests {
             .reduce(|_k, _v, _c: &mut ReduceContext<u8, u64>| {});
         let result = Pipeline::on(&cluster).stage(&job, &[]);
         assert!(matches!(result, Err(RuntimeError::NoInput)));
-    }
-
-    #[test]
-    fn publish_mints_one_version_and_one_trace_event_per_call() {
-        let cluster = small_cluster();
-        let sum = JobBuilder::new("sum")
-            .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
-            .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()));
-        let handle = Progressive::empty("total");
-        let (pipe, first) = Pipeline::on(&cluster)
-            .stage(&sum, &[1, 2, 3])
-            .unwrap()
-            .then(|(_, pairs)| pairs[0].1)
-            .publish(&handle);
-        assert_eq!(handle.latest(), Some(Arc::clone(&first)));
-        assert_eq!((first.value, first.version), (6, 1));
-
-        let (_, second) = pipe
-            .then(|_| ())
-            .stage(&sum, &[4, 5])
-            .unwrap()
-            .then(|(_, pairs)| pairs[0].1)
-            .publish(&handle);
-        // The handle swapped to the newer version, stamped later on the
-        // simulated clock; the snapshot fetched before the swap is
-        // untouched.
-        assert_eq!(handle.latest(), Some(Arc::clone(&second)));
-        assert_eq!((second.value, second.version), (9, 2));
-        assert!(second.published_at > first.published_at);
-        assert_eq!(first.value, 6);
-
-        let events = cluster.trace().snapshot();
-        crate::trace::validate(&events).unwrap();
-        let published: Vec<TraceEventKind> = events
-            .into_iter()
-            .map(|e| e.kind)
-            .filter(|k| matches!(k, TraceEventKind::SnapshotPublished { .. }))
-            .collect();
-        let at = |version| TraceEventKind::SnapshotPublished {
-            label: "total".into(),
-            version,
-        };
-        assert_eq!(published, vec![at(1), at(2)]);
-    }
-
-    #[test]
-    fn progressive_clones_share_the_swap() {
-        let cluster = small_cluster();
-        let handle: Progressive<u32> = Progressive::empty("shared");
-        let reader = handle.clone();
-        assert_eq!(reader.label(), "shared");
-        assert!(reader.latest().is_none());
-        assert_eq!(reader.version(), 0);
-        let (pipe, _) = Pipeline::with(&cluster, 41u32).publish(&handle);
-        assert_eq!(reader.latest().expect("v1").value, 41);
-        let (_, v2) = pipe.then(|v| v + 1).publish(&handle);
-        assert_eq!(reader.latest(), Some(v2));
-        assert_eq!(reader.version(), 2);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * wave boundaries, per-partition shuffle volumes, injected faults,
 //!   node-level fault and recovery milestones (`node_down`,
 //!   `fetch_failed`, `map_reexecuted`, `node_blacklisted`), and
-//!   `snapshot_published` (a [`crate::Progressive`] handle swapped in a
-//!   plan's result, minting its next version) are instant events.
+//!   `snapshot_published` (a versioned store swapped in its next version;
+//!   the serving layer records one per tick it serves) are instant events.
 //!
 //! Each fact is recorded once. A job's events form one contiguous block
 //! opened by its `job_begin`, which alone names the job; the events of
@@ -462,11 +462,11 @@ trace_events! {
         /// The configured failure threshold it crossed.
         failures: usize,
     },
-    /// A plan's result was atomically swapped into a
-    /// [`crate::Progressive`] handle ([`crate::Pipeline::publish`]);
-    /// `time` is the simulated instant the snapshot became servable.
+    /// A result was atomically swapped into a versioned store as its next
+    /// version — the serving layer records one per tick it serves; `time`
+    /// is the simulated instant the snapshot became servable.
     SnapshotPublished = "snapshot_published" {
-        /// The progressive handle's label.
+        /// The store's label.
         label: String,
         /// 1-based publish count for the label; [`validate`] checks it
         /// increments by one per label across the trace.

@@ -14,12 +14,13 @@
 //! The flow:
 //!
 //! ```text
-//! PhasedSynopsisDriver ──tick──▶ ServedSynopsis { synopsis, bound }
+//! PhasedSynopsisDriver ──tick──▶ DGreedyAbsUpdate { synopsis, bound, … }
 //!   (incremental build loop)       │  bound: stated by the DGreedyAbs
-//!                                  │  maintainer, carried as published
+//!                                  │  maintainer, nothing recomputes it
 //!                                  ▼
 //!                        ShardedSynopsis::build
-//!                                  │  atomic swap
+//!                                  │  atomic swap, version v minted,
+//!                                  │  snapshot_published { label, v }
 //!                                  ▼
 //!                           SynopsisStore ──reader()──▶ StoreReader
 //!                                                            │
@@ -33,11 +34,11 @@
 //! | Module         | Role |
 //! |----------------|------|
 //! | [`shard`]      | [`ShardedSynopsis`]: the retained-coefficient representation re-cut along error-tree partitions, with per-shard pre-summed root paths |
-//! | [`store`]      | [`SynopsisStore`] / [`StoreReader`]: versioned atomic-swap store and lock-free pinned readers |
+//! | [`store`]      | [`SynopsisStore`] / [`StoreReader`]: the process's one snapshot cell — versioned atomic-swap store and lock-free pinned readers |
 //! | [`batch`]      | [`Query`] with its one validation, and the batch executor that evaluates each distinct query once — strict and lenient (per-query `Result`) flavours |
 //! | [`router`]     | [`ShardRouter`]: static shard→node routing table over the simulated topology, with replication and liveness |
 //! | [`net`]        | [`NetServer`] / [`NetClient`]: the out-of-process TCP front — length-prefixed wire protocol with a fixed-width query / slot codec, answers encoded straight into the response frame, load shedding, latency/QPS stats |
-//! | [`serve_loop`] | [`ServeDriver`]: build→publish→serve glue over `PhasedSynopsisDriver` |
+//! | [`serve_loop`] | [`ServeDriver`]: build→publish→serve glue over `PhasedSynopsisDriver`; records each served version on the trace |
 //! | [`error`]      | [`ServeError`] and its pinned wire status codes |
 
 pub mod batch;

@@ -1,26 +1,26 @@
 //! The build→publish→serve loop: drives `PhasedSynopsisDriver` and
-//! swaps each exact rebuild into the query store.
+//! publishes each exact rebuild into the query store.
 //!
 //! [`ServeDriver`] owns both halves of the serving story. On every
 //! [`tick`](ServeDriver::tick) it (1) runs the incremental DGreedyAbs
 //! rebuild over the appended values ([`PhasedSynopsisDriver::tick`]),
-//! which publishes one snapshot, then (2) re-shards that snapshot's
-//! synopsis and atomically swaps it into the [`SynopsisStore`] with the
-//! bound it was published with,
-//! [`ServedSynopsis::bound`](dwmaxerr_core::progressive::ServedSynopsis::bound).
-//! The driver computes nothing about that bound: the incremental
-//! maintainer states it (its estimate widened by one bucket width `e_b`,
-//! see [`DGreedyAbsUpdate::bound`](dwmaxerr_core::progressive::DGreedyAbsUpdate::bound)).
+//! then (2) re-shards the update's synopsis and atomically swaps it into
+//! the [`SynopsisStore`] with the bound the update states,
+//! [`DGreedyAbsUpdate::bound`](dwmaxerr_core::progressive::DGreedyAbsUpdate::bound)
+//! (its estimate widened by one bucket width `e_b`); the driver computes
+//! nothing about that bound. The store mints the tick's one version, and
+//! the tick records it on the cluster's trace as a `snapshot_published`
+//! instant under the store's label — the version every answer from that
+//! snapshot carries.
 //!
-//! Every snapshot the build publishes carries a max-error guarantee, as
-//! the store's contract requires of every answer. The store swap reuses
-//! the producer snapshot's simulated-clock timestamp, so staleness
-//! measured through the store equals staleness measured at the build.
+//! The publish is stamped with the cluster's simulated clock at the end of
+//! the rebuild, so staleness measured through the store is measured on the
+//! build's clock.
 
 use dwmaxerr_core::dgreedy_abs::DGreedyAbsConfig;
 use dwmaxerr_core::progressive::{PhasedSynopsisDriver, TickReport};
 use dwmaxerr_core::query::ErrorBound;
-use dwmaxerr_runtime::Cluster;
+use dwmaxerr_runtime::{Cluster, TraceEventKind};
 
 use crate::error::ServeError;
 use crate::store::SynopsisStore;
@@ -29,14 +29,14 @@ use crate::store::SynopsisStore;
 /// store swap it triggered.
 #[derive(Debug, Clone)]
 pub struct ServeTickReport {
-    /// The rebuild's own report (the snapshot it published, task
-    /// counts).
+    /// The rebuild's own report (the update it served, task counts).
     pub build: TickReport,
     /// The store version the re-sharded exact synopsis was published
     /// as.
     pub store_version: u64,
     /// The error guarantee attached to every answer served from this
-    /// version.
+    /// version: a copy of `build.update.bound`, kept for callers that
+    /// read it here.
     pub bound: ErrorBound,
 }
 
@@ -73,40 +73,41 @@ impl ServeDriver {
         &self.store
     }
 
-    /// The underlying build driver (window access, producer-side snapshot
-    /// handle).
+    /// The underlying build driver (window access).
     #[inline]
     pub fn driver(&self) -> &PhasedSynopsisDriver {
         &self.driver
     }
 
-    /// Appends `values`, runs the incremental rebuild, and swaps the
-    /// snapshot it published into the query store with the bound it was
-    /// published with.
+    /// Appends `values`, runs the incremental rebuild, publishes its
+    /// synopsis into the query store with the bound the update states,
+    /// and records the new version on `cluster`'s trace.
     ///
     /// A failed rebuild (cluster fault past its retry budget, or values
     /// that are not finite) surfaces as a typed [`ServeError`] instead of
-    /// panicking the serving loop: the store is not touched, so readers —
-    /// and the networked front — keep serving the previous pinned
-    /// version.
+    /// panicking the serving loop: the store is not touched and the trace
+    /// records no publish, so readers — and the networked front — keep
+    /// serving the previous pinned version.
     pub fn tick(
         &mut self,
         cluster: &Cluster,
         values: &[f64],
     ) -> Result<ServeTickReport, ServeError> {
         let build = self.driver.tick(cluster, values)?;
-        let built = &build.snapshot;
-        let bound = built.value.bound;
-        let snap = self.store.publish(
-            &built.value.synopsis,
-            bound,
-            built.published_at,
-            built.version,
-        )?;
+        let update = &build.update;
+        let trace = cluster.trace();
+        let version = self
+            .store
+            .publish(&update.synopsis, update.bound, trace.now(), 0)?
+            .version();
+        trace.instant(TraceEventKind::SnapshotPublished {
+            label: self.store.label().to_string(),
+            version,
+        });
         Ok(ServeTickReport {
+            bound: update.bound,
             build,
-            store_version: snap.version,
-            bound,
+            store_version: version,
         })
     }
 }
@@ -118,12 +119,23 @@ mod tests {
 
     use dwmaxerr_core::dgreedy_abs::dgreedy_abs;
     use dwmaxerr_core::CoreError;
-    use dwmaxerr_runtime::{Cluster, ClusterConfig};
+    use dwmaxerr_runtime::{Cluster, ClusterConfig, FaultPlan};
 
     fn cluster() -> Cluster {
         let mut cfg = ClusterConfig::with_slots(4, 2);
         cfg.task_startup = Duration::from_millis(1);
         cfg.job_setup = Duration::from_millis(1);
+        Cluster::new(cfg)
+    }
+
+    /// A cluster on which every attempt fails, so every rebuild exhausts
+    /// its retry budget.
+    fn poisoned() -> Cluster {
+        let mut cfg = ClusterConfig::with_slots(4, 2);
+        cfg.task_startup = Duration::from_millis(1);
+        cfg.job_setup = Duration::from_millis(1);
+        cfg.fault_plan = Some(FaultPlan::seeded(7).with_failure_prob(1.0));
+        cfg.max_attempts = 2;
         Cluster::new(cfg)
     }
 
@@ -151,17 +163,16 @@ mod tests {
         let data = int_data(n, 3);
         let report = sd.tick(&cluster, &data).unwrap();
         assert_eq!(report.store_version, 1);
-        // One tick mints one version, in the store and on the build's
-        // own handle alike.
-        assert_eq!(report.store_version, sd.driver().latest().unwrap().version);
         let window = sd.driver().window().data();
         let one_shot = dgreedy_abs(&cluster, window, n / 8, &dg_cfg()).unwrap();
-        assert_eq!(report.bound, one_shot.bound);
+        let update = &report.build.update;
+        assert_eq!(update.bound, one_shot.bound);
+        assert_eq!(report.bound, update.bound);
         // The served bound is the build's estimate widened by exactly one
         // bucket width.
         assert_eq!(
-            report.bound.err_abs,
-            Some(report.build.exact_error + dg_cfg().bucket_width)
+            update.bound.err_abs,
+            Some(update.estimated_error + dg_cfg().bucket_width)
         );
 
         // Every served point is within the advertised bound of the
@@ -177,7 +188,6 @@ mod tests {
         // old reader stays pinned.
         let report2 = sd.tick(&cluster, &int_data(16, 9)).unwrap();
         assert_eq!(report2.store_version, 2);
-        assert_eq!(report2.store_version, sd.driver().latest().unwrap().version);
         assert_eq!(reader.version(), 1);
         assert_eq!(sd.store().reader().unwrap().version(), 2);
     }
@@ -187,14 +197,12 @@ mod tests {
     /// previous pinned version.
     #[test]
     fn failed_tick_degrades_to_previous_snapshot() {
-        use dwmaxerr_runtime::FaultPlan;
-
         let n = 128;
         let mut sd = ServeDriver::new(n, n / 8, &dg_cfg(), 8, "degrade-test").unwrap();
 
         // Tick 1 on a healthy cluster publishes version 1.
         let report = sd.tick(&cluster(), &int_data(n, 3)).unwrap();
-        assert_eq!(report.store_version, sd.driver().latest().unwrap().version);
+        assert_eq!(report.store_version, 1);
         let pinned = sd.store().reader().unwrap();
         assert_eq!(pinned.version(), 1);
         let before = pinned.point(5).unwrap();
@@ -202,13 +210,7 @@ mod tests {
         // Tick 2 on a cluster whose every attempt fails: the rebuild
         // exhausts its retry budget and the tick errors — typed, not a
         // panic.
-        let mut cfg = ClusterConfig::with_slots(4, 2);
-        cfg.task_startup = Duration::from_millis(1);
-        cfg.job_setup = Duration::from_millis(1);
-        cfg.fault_plan = Some(FaultPlan::seeded(7).with_failure_prob(1.0));
-        cfg.max_attempts = 2;
-        let poisoned = Cluster::new(cfg);
-        assert!(sd.tick(&poisoned, &int_data(16, 9)).is_err());
+        assert!(sd.tick(&poisoned(), &int_data(16, 9)).is_err());
 
         // So is a tick over values no bound can be advertised over.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -229,14 +231,73 @@ mod tests {
         // (which holds the failed tick's values, not the refused ones) gives.
         let report = sd.tick(&cluster(), &int_data(4, 2)).unwrap();
         assert_eq!(report.store_version, 2);
-        assert_eq!(report.store_version, sd.driver().latest().unwrap().version);
         let window = sd.driver().window().data();
         let one_shot = dgreedy_abs(&cluster(), window, n / 8, &dg_cfg()).unwrap();
-        let latest = sd.driver().latest().unwrap();
-        assert_eq!(latest.value.synopsis, one_shot.synopsis);
+        let update = &report.build.update;
+        assert_eq!(update.synopsis, one_shot.synopsis);
         assert_eq!(
-            report.build.exact_error.to_bits(),
+            update.estimated_error.to_bits(),
             one_shot.estimated_error.to_bits()
         );
+        // It reprocessed base 0, which the failed tick left stale, and base
+        // 1, its own append: the count is the maintainer's, and so is the
+        // averages job's task count.
+        let averages = &report.build.metrics.jobs[0];
+        assert_eq!(averages.name, "dgreedyabs-inc-averages");
+        assert_eq!(report.build.dirty_bases, 2);
+        assert_eq!(averages.map_tasks(), report.build.dirty_bases);
+    }
+
+    /// Each tick that serves records exactly one `snapshot_published` on
+    /// its cluster's trace, under the store's label, carrying the version
+    /// its answers carry; a failed or refused tick records none.
+    #[test]
+    fn trace_names_the_served_version() {
+        use dwmaxerr_runtime::trace;
+
+        let n = 128;
+        let cluster = cluster();
+        let mut sd = ServeDriver::new(n, n / 8, &dg_cfg(), 8, "traced").unwrap();
+        let published = |from: usize| -> Vec<(String, u64, f64)> {
+            let events = cluster.trace().snapshot();
+            let of = |e: &trace::TraceEvent| match &e.kind {
+                TraceEventKind::SnapshotPublished { label, version } => {
+                    Some((label.clone(), *version, e.time))
+                }
+                _ => None,
+            };
+            events[from..].iter().filter_map(of).collect()
+        };
+        let mut traced = 0;
+        let mut last_time = f64::NEG_INFINITY;
+        for (tick, values) in [int_data(n, 3), int_data(16, 9), int_data(5, 1)]
+            .iter()
+            .enumerate()
+        {
+            let report = sd.tick(&cluster, values).unwrap();
+            let slice = published(traced);
+            traced = cluster.trace().snapshot().len();
+            assert_eq!(slice.len(), 1, "tick {tick}: {slice:?}");
+            let (label, version, time) = slice[0].clone();
+            assert_eq!(label, sd.store().label());
+            assert_eq!(version, report.store_version, "tick {tick}");
+            assert_eq!(version, sd.store().reader().unwrap().version());
+            assert!(time > last_time, "tick {tick}: published at {time}");
+            last_time = time;
+
+            // A refused tick records nothing, and neither does one that fails
+            // on its cluster.
+            assert!(sd.tick(&cluster, &[f64::NAN]).is_err());
+            assert!(published(traced).is_empty(), "tick {tick}");
+            let failing = poisoned();
+            assert!(sd.tick(&failing, &int_data(4, 5)).is_err());
+            assert!(failing
+                .trace()
+                .snapshot()
+                .iter()
+                .all(|e| !matches!(e.kind, TraceEventKind::SnapshotPublished { .. })));
+            assert_eq!(sd.store().version(), report.store_version);
+        }
+        trace::validate(&cluster.trace().snapshot()).unwrap();
     }
 }

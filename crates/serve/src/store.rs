@@ -1,26 +1,36 @@
 //! The versioned synopsis store and its lock-free readers.
 //!
-//! [`SynopsisStore`] wraps a [`Progressive`]`<`[`ShardedSynopsis`]`>`
-//! handle (PR 7's snapshot machinery): publishing re-shards a built
-//! synopsis and swaps the whole store atomically via
-//! [`Progressive::publish_value`], bumping the version counter under a
-//! single write lock. Readers never take that lock on the query path:
-//! [`SynopsisStore::reader`] clones the current `Arc<Snapshot>` once,
-//! and every subsequent query on the [`StoreReader`] runs against that
-//! pinned, immutable snapshot — a reader on version *v* stays on *v* no
-//! matter how many swaps land mid-batch, and drops its `Arc` when done.
-//! There are no torn reads because there is no partially-updated state
-//! to observe: the unit of publication is the entire sharded store.
+//! [`SynopsisStore`] holds the process's one snapshot cell: an
+//! `RwLock<Option<Arc<…>>>` over the latest sharded synopsis with its
+//! version and publish time. Publishing re-shards a built synopsis off to
+//! the side and swaps the whole store in under one write guard, which is
+//! also where the next version is minted, so concurrent publishers never
+//! mint the same one. Readers never take that lock on the query path:
+//! [`SynopsisStore::reader`] clones the current `Arc` once, and every
+//! subsequent query on the [`StoreReader`] runs against that pinned,
+//! immutable snapshot — a reader on version *v* stays on *v* no matter
+//! how many swaps land mid-batch, and drops its `Arc` when done. There
+//! are no torn reads because there is no partially-updated state to
+//! observe: the unit of publication is the entire sharded store.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use dwmaxerr_core::query::{Answer, ErrorBound};
-use dwmaxerr_runtime::{Progressive, Snapshot};
 use dwmaxerr_wavelet::Synopsis;
 
 use crate::batch::Query;
 use crate::error::ServeError;
 use crate::shard::ShardedSynopsis;
+
+/// One published state of a [`SynopsisStore`].
+#[derive(Debug)]
+struct Published {
+    value: ShardedSynopsis,
+    /// 1-based publish count of the store.
+    version: u64,
+    /// The caller's timestamp, normally the simulated clock of the build.
+    published_at: f64,
+}
 
 /// A sharded in-memory synopsis store with atomic whole-store swap.
 ///
@@ -29,7 +39,8 @@ use crate::shard::ShardedSynopsis;
 /// query threads read through others).
 #[derive(Debug, Clone)]
 pub struct SynopsisStore {
-    handle: Progressive<ShardedSynopsis>,
+    label: Arc<str>,
+    latest: Arc<RwLock<Option<Arc<Published>>>>,
     num_shards: usize,
 }
 
@@ -38,7 +49,8 @@ impl SynopsisStore {
     /// synopsis into `num_shards` error-tree partitions.
     pub fn new(label: &str, num_shards: usize) -> Self {
         SynopsisStore {
-            handle: Progressive::empty(label),
+            label: Arc::from(label),
+            latest: Arc::new(RwLock::new(None)),
             num_shards,
         }
     }
@@ -52,21 +64,26 @@ impl SynopsisStore {
     /// The store's label (for traces and logs).
     #[inline]
     pub fn label(&self) -> &str {
-        self.handle.label()
+        &self.label
     }
 
     /// The latest published store version (0 before the first publish).
     #[inline]
     pub fn version(&self) -> u64 {
-        self.handle.version()
+        self.latest().map_or(0, |snap| snap.version)
+    }
+
+    fn latest(&self) -> Option<Arc<Published>> {
+        self.latest.read().expect("store lock").clone()
     }
 
     /// Re-shards `synopsis`, attaches `bound`, and atomically swaps the
-    /// result in as the next store version. `published_at` is the
-    /// simulated-clock timestamp of the source build (so staleness
-    /// accounting stays on the producer's clock). The fourth argument is
-    /// ignored: answers carry the store's own version. It stays so that
-    /// existing callers, the `perf` harness among them, keep compiling.
+    /// result in as the next store version; returns a reader pinned to it.
+    /// `published_at` is the simulated-clock timestamp of the source build
+    /// (so staleness accounting stays on the producer's clock). The fourth
+    /// argument is ignored: answers carry the store's own version. It stays
+    /// so that existing callers, the `perf` harness among them, keep
+    /// compiling.
     ///
     /// Readers holding a [`StoreReader`] are neither blocked nor
     /// invalidated — they continue on their pinned snapshot.
@@ -76,16 +93,24 @@ impl SynopsisStore {
         bound: ErrorBound,
         published_at: f64,
         _source_version: u64,
-    ) -> Result<Arc<Snapshot<ShardedSynopsis>>, ServeError> {
-        let sharded = ShardedSynopsis::build(synopsis, self.num_shards, bound, 0)?;
-        Ok(self.handle.publish_value(sharded, published_at))
+    ) -> Result<StoreReader, ServeError> {
+        let value = ShardedSynopsis::build(synopsis, self.num_shards, bound, 0)?;
+        // The version is read and the snapshot stored under one write
+        // guard, so concurrent publishers never mint the same version.
+        let mut latest = self.latest.write().expect("store lock");
+        let snap = Arc::new(Published {
+            value,
+            version: latest.as_ref().map_or(0, |snap| snap.version) + 1,
+            published_at,
+        });
+        *latest = Some(Arc::clone(&snap));
+        Ok(StoreReader { snap })
     }
 
     /// Pins the latest snapshot for reading. Errors with
     /// [`ServeError::EmptyStore`] before the first publish.
     pub fn reader(&self) -> Result<StoreReader, ServeError> {
-        self.handle
-            .latest()
+        self.latest()
             .map(|snap| StoreReader { snap })
             .ok_or(ServeError::EmptyStore)
     }
@@ -98,7 +123,7 @@ impl SynopsisStore {
 /// until a new reader is taken. Cheap to clone (one `Arc` bump).
 #[derive(Debug, Clone)]
 pub struct StoreReader {
-    snap: Arc<Snapshot<ShardedSynopsis>>,
+    snap: Arc<Published>,
 }
 
 impl StoreReader {

@@ -17,12 +17,10 @@
 //! at **subtree granularity**: partition the `N` leaves into `R` equal
 //! power-of-two blocks and each block `j` owns the coefficient subtree
 //! rooted at node `R + j`, while nodes `0..R` form the *upper tree* — the
-//! Haar transform of the `R` block averages. [`DirtySet`] tracks which
-//! subtree roots have stale data; the maintainers that rebuild exactly
-//! those subtrees (plus the upper tree, `O(R)`) live in
+//! Haar transform of the `R` block averages. The maintainers that rebuild
+//! exactly the stale subtrees (plus the upper tree, `O(R)`) live in
 //! `dwmaxerr_core::progressive`.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use crate::error::{ensure_pow2, WaveletError};
@@ -323,62 +321,6 @@ impl ErrorTree {
     }
 }
 
-/// The set of stale error-tree subtrees, keyed by subtree root node id.
-///
-/// A `DirtySet` is how streaming drivers communicate *which part* of the
-/// tree an append or sliding-window advance invalidated: each entry is the
-/// root of one fixed-level subtree (node `R + j` for block `j` of an
-/// `R`-way partition). Iteration is always in ascending root order, so a
-/// rebuild touches subtrees deterministically.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DirtySet {
-    roots: BTreeSet<usize>,
-}
-
-impl DirtySet {
-    /// An empty dirty set.
-    pub fn new() -> Self {
-        DirtySet::default()
-    }
-
-    /// Marks the subtree rooted at `root` as stale. Idempotent.
-    pub fn mark(&mut self, root: usize) {
-        self.roots.insert(root);
-    }
-
-    /// True when `root` is marked stale.
-    pub fn contains(&self, root: usize) -> bool {
-        self.roots.contains(&root)
-    }
-
-    /// Number of stale subtrees.
-    pub fn len(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// True when nothing is stale.
-    pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
-    }
-
-    /// The stale roots in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.roots.iter().copied()
-    }
-
-    /// Empties the set, returning the roots it held in ascending order.
-    pub fn drain(&mut self) -> Vec<usize> {
-        let out: Vec<usize> = self.roots.iter().copied().collect();
-        self.roots.clear();
-        out
-    }
-
-    /// Discards all marks.
-    pub fn clear(&mut self) {
-        self.roots.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,17 +441,6 @@ mod tests {
         let anc: Vec<_> = t.ancestors(11).collect();
         assert_eq!(anc, vec![5, 2, 1, 0]);
         assert_eq!(t.ancestors(0).count(), 0);
-    }
-
-    #[test]
-    fn dirty_set_drains_in_order() {
-        let mut d = DirtySet::new();
-        d.mark(9);
-        d.mark(4);
-        d.mark(9);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.drain(), vec![4, 9]);
-        assert!(d.is_empty());
     }
 
     #[test]

@@ -61,12 +61,13 @@ fn main() {
         first = false;
 
         let report = driver.tick(&cluster, chunk).expect("tick");
+        let bound = report.build.update.bound.err_abs;
         println!(
             "{:>4} {:>6} {:>6} {:>11.2}° {:>7}",
             report.store_version,
             report.build.dirty_bases,
             report.build.background_tasks,
-            report.bound.err_abs.expect("exact builds carry a bound"),
+            bound.expect("exact builds carry a bound"),
             report.store_version,
         );
         if pinned.is_none() {

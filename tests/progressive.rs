@@ -1,9 +1,9 @@
-//! Acceptance tests for incremental maintenance and the serving driver
+//! Acceptance tests for incremental maintenance and the streaming driver
 //! (the progressive serving layer).
 //!
 //! Five guarantees are pinned here:
 //!
-//! 1. **Golden digest** — the driver's published synopsis is
+//! 1. **Golden digest** — the driver's synopsis is
 //!    bit-identical to a one-shot `dgreedy_abs` build of the same window,
 //!    on both spill backends, with and without injected faults.
 //! 2. **Proportional work** — after appending ≤ 1/16 of the window, the
@@ -17,8 +17,9 @@
 //!    wind-direction feed on `sensor_stream`'s shape does the same while
 //!    the errhist stage leaves out `C_root` candidates.
 //! 4. **Golden tick schedule** — a fixed ten-tick schedule pins what each
-//!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served,
-//!    and that each tick mints exactly one version.
+//!    tick re-ran (dirty bases, tasks, GreedyAbs runs) and what it served.
+//!    Which version a tick is served as, and its trace event, is the
+//!    serving layer's (`serve_loop`'s `trace_names_the_served_version`).
 //! 5. **Non-finite input** — NaN / ±∞ are refused with a typed error by
 //!    `tick` and by the maintainer, nothing moves, and the next clean
 //!    update is again bit-identical to a one-shot build.
@@ -31,7 +32,7 @@ use dwmaxerr::core::query::point_answer;
 use dwmaxerr::core::CoreError;
 use dwmaxerr::datagen::wd_like;
 use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
-use dwmaxerr::runtime::trace::{self, TraceEventKind};
+use dwmaxerr::runtime::trace;
 use dwmaxerr::runtime::{Cluster, ClusterConfig, FaultPlan, Pipeline, SpillBackend, TaskPhase};
 use dwmaxerr::wavelet::metrics::max_abs;
 use dwmaxerr::wavelet::Synopsis;
@@ -84,7 +85,7 @@ fn hostile_plan() -> FaultPlan {
         .with_straggler(TaskPhase::Map, 2, 3.0)
 }
 
-/// The driver's published synopsis is bit-identical to a one-shot
+/// The driver's synopsis is bit-identical to a one-shot
 /// DGreedyAbs build — on both spill backends, clean and under
 /// injected faults — and every produced trace validates.
 #[test]
@@ -105,22 +106,18 @@ fn phased_final_synopsis_matches_one_shot_on_both_backends() {
             let faulty = plan.is_some();
             let cluster = cluster_on(backend, plan);
             let mut driver = PhasedSynopsisDriver::new(N, budget, &dg_cfg()).unwrap();
-            let report = driver.tick(&cluster, &data).unwrap();
-            let latest = driver.latest().unwrap();
+            let update = driver.tick(&cluster, &data).unwrap().update;
             assert_eq!(
-                syn_digest(&latest.value.synopsis),
+                syn_digest(&update.synopsis),
                 golden,
                 "final synopsis diverged on {backend:?} faulty={faulty}"
             );
             assert_eq!(
-                report.exact_error.to_bits(),
+                update.estimated_error.to_bits(),
                 reference.estimated_error.to_bits(),
                 "{backend:?} faulty={faulty}"
             );
-            assert_eq!(
-                latest.value.bound, reference.bound,
-                "{backend:?} faulty={faulty}"
-            );
+            assert_eq!(update.bound, reference.bound, "{backend:?} faulty={faulty}");
             let events = cluster.trace().snapshot();
             trace::validate(&events)
                 .unwrap_or_else(|e| panic!("trace invalid on {backend:?} faulty={faulty}: {e}"));
@@ -128,15 +125,14 @@ fn phased_final_synopsis_matches_one_shot_on_both_backends() {
     }
 }
 
-/// The exact snapshot on the driver's own handle advertises a bound that
-/// holds for every value of the window it was built from. Wide buckets
-/// (`e_b` = 0.5) make the estimate read the cut a bucket low: on seed 0 it
-/// under-reports the measured max-abs on every tick (37 against
-/// 37.2421875 on the fill), which is what the handle used to advertise as
-/// its guarantee. Integer data keeps every reconstruction exact, so the
-/// check needs no slack.
+/// Each tick's update advertises a bound that holds for every value of the
+/// window it was built from. Wide buckets (`e_b` = 0.5) make the estimate
+/// read the cut a bucket low: on seed 0 it under-reports the measured
+/// max-abs on every tick (37 against 37.2421875 on the fill), which is
+/// what the driver once advertised as its guarantee. Integer data keeps
+/// every reconstruction exact, so the check needs no slack.
 #[test]
-fn handle_advertises_a_bound_that_holds_pointwise() {
+fn tick_advertises_a_bound_that_holds_pointwise() {
     const SEED: u64 = 0;
     let cluster = cluster_on(SpillBackend::from_env(), None);
     let cfg = DGreedyAbsConfig {
@@ -144,7 +140,6 @@ fn handle_advertises_a_bound_that_holds_pointwise() {
         ..dg_cfg()
     };
     let mut driver = PhasedSynopsisDriver::new(N, N / 8, &cfg).unwrap();
-    let handle = driver.handle();
     let mut under_reported = 0;
     for (tick, values) in [
         int_data(N, SEED),
@@ -155,25 +150,24 @@ fn handle_advertises_a_bound_that_holds_pointwise() {
     .iter()
     .enumerate()
     {
-        let report = driver.tick(&cluster, values).unwrap();
-        let snap = handle.latest().unwrap();
+        let update = driver.tick(&cluster, values).unwrap().update;
         let window = driver.window().data();
-        let bound = snap.value.bound;
+        let bound = update.bound;
         assert_eq!(
             bound.err_abs,
-            Some(report.exact_error + 0.5),
+            Some(update.estimated_error + 0.5),
             "tick {tick}: the bound is not the estimate widened by one bucket"
         );
         for (j, &d) in window.iter().enumerate() {
-            let a = point_answer(&snap.value.synopsis, &bound, j);
+            let a = point_answer(&update.synopsis, &bound, j);
             assert!(
                 a.bounds_hold(d, 0.0),
                 "tick {tick}, value {j}: {} is not within {bound:?} of {d}",
                 a.value
             );
         }
-        let measured = max_abs(window, &snap.value.synopsis.reconstruct_all());
-        under_reported += usize::from(measured > report.exact_error);
+        let measured = max_abs(window, &update.synopsis.reconstruct_all());
+        under_reported += usize::from(measured > update.estimated_error);
     }
     assert_eq!(
         under_reported, 4,
@@ -233,37 +227,20 @@ fn incremental_tick_work_is_proportional_to_dirty_subtrees() {
         &dg_cfg(),
     )
     .unwrap();
-    let latest = driver.latest().unwrap();
     assert_eq!(
-        syn_digest(&latest.value.synopsis),
+        syn_digest(&inc.update.synopsis),
         syn_digest(&reference.synopsis)
     );
     assert_eq!(
-        inc.exact_error.to_bits(),
+        inc.update.estimated_error.to_bits(),
         reference.estimated_error.to_bits()
     );
-    assert_eq!(latest.value.bound, reference.bound);
-
-    // The trace tells the same story: two ticks → two publishes with
-    // monotone versions, stamped later on the simulated clock each time.
-    let events = cluster.trace().snapshot();
-    trace::validate(&events).unwrap();
-    let publishes: Vec<(u64, f64)> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceEventKind::SnapshotPublished { version, .. } => Some((version, e.time)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        publishes.iter().map(|p| p.0).collect::<Vec<_>>(),
-        vec![1, 2]
-    );
-    assert!(publishes.windows(2).all(|w| w[1].1 > w[0].1));
+    assert_eq!(inc.update.bound, reference.bound);
+    trace::validate(&cluster.trace().snapshot()).unwrap();
 }
 
 /// One row of [`TICK_SCHEDULE`]: `(dirty_bases, background_tasks,
-/// greedy_runs, exact digest, exact_error bits, best |C_root|)`.
+/// greedy_runs, exact digest, estimated_error bits, best |C_root|)`.
 type TickRow = (usize, usize, usize, u64, u64, usize);
 
 /// What each tick of `tick_schedule_is_golden` re-ran and served, captured
@@ -309,7 +286,6 @@ fn tick_schedule_is_golden() {
     };
 
     let mut got: Vec<TickRow> = Vec::new();
-    let mut traced = 0;
     for tick in 0..10 {
         let held = driver.window().data();
         let values = match tick {
@@ -330,17 +306,6 @@ fn tick_schedule_is_golden() {
             [0, 16, 19, 39, 39, 40, 8, 16, 32, 32][tick],
             "write position after tick {tick}"
         );
-
-        // One tick, one version: the handle counts ticks, and the tick's
-        // slice of the trace publishes once.
-        assert_eq!(driver.handle().version(), tick as u64 + 1);
-        let events = cluster.trace().snapshot();
-        let published = events[traced..]
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::SnapshotPublished { .. }))
-            .count();
-        assert_eq!(published, 1, "tick {tick}");
-        traced = events.len();
         let one_shot = dgreedy_abs(
             &cluster_on(SpillBackend::Memory, None),
             window,
@@ -348,20 +313,20 @@ fn tick_schedule_is_golden() {
             &dg_cfg(),
         )
         .unwrap();
-        let latest = driver.latest().unwrap();
-        assert_eq!(latest.value.synopsis, one_shot.synopsis, "tick {tick}");
+        let update = &report.update;
+        assert_eq!(update.synopsis, one_shot.synopsis, "tick {tick}");
         assert_eq!(
-            report.exact_error.to_bits(),
+            update.estimated_error.to_bits(),
             one_shot.estimated_error.to_bits(),
             "tick {tick}"
         );
-        assert_eq!(latest.value.bound, one_shot.bound, "tick {tick}");
+        assert_eq!(update.bound, one_shot.bound, "tick {tick}");
         got.push((
             report.dirty_bases,
             report.background_tasks,
             report.greedy_runs,
-            syn_digest(&latest.value.synopsis),
-            report.exact_error.to_bits(),
+            syn_digest(&update.synopsis),
+            update.estimated_error.to_bits(),
             one_shot.best_croot_size,
         ));
     }
@@ -402,8 +367,7 @@ fn pruned_candidates_leave_every_sensor_tick_exact() {
         .chain(feed[n..].chunks(batch))
         .enumerate()
     {
-        window.push(chunk);
-        for j in window.take_dirty_bases() {
+        for j in window.push(chunk) {
             inc.invalidate(j);
         }
         let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();
@@ -462,8 +426,8 @@ fn candidates_tied_with_the_all_retained_score_are_kept() {
 }
 
 /// NaN and ±∞ never get a bound advertised over them. `tick` refuses such
-/// values before the window sees them — nothing moves, the last snapshot
-/// keeps serving — and the maintainer refuses a base whose average is not
+/// values before the window sees them — nothing moves — and the maintainer
+/// refuses a base whose average is not
 /// finite and keeps it invalidated. The clean update that follows equals a
 /// one-shot build bit for bit. (`tick` used to panic inside the CON sort;
 /// `IncrementalDGreedyAbs::update` used to return a guarantee of 0 over a
@@ -478,7 +442,6 @@ fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
         driver.tick(&cluster, &int_data(N, 3)).unwrap();
         driver.tick(&cluster, &int_data(BASE + 2, 4)).unwrap();
         let held = driver.window().data().to_vec();
-        let serving = driver.latest().unwrap();
         // The third value would land in base 1 (slots 16..32).
         let refused = driver.tick(&cluster, &[1.0, 2.0, bad]);
         assert!(
@@ -487,8 +450,6 @@ fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
         );
         assert_eq!(driver.window().data(), held);
         assert_eq!(driver.window().pushed() as usize, N + BASE + 2);
-        assert!(driver.window().dirty().is_empty());
-        assert!(std::sync::Arc::ptr_eq(&driver.latest().unwrap(), &serving));
         // The maintainer was not touched: the next tick re-runs one base.
         let report = driver.tick(&cluster, &[5.0, 6.0]).unwrap();
         let averages = &report.metrics.jobs[0];
@@ -501,11 +462,9 @@ fn non_finite_input_is_refused_and_the_next_clean_update_is_exact() {
             (1, "dgreedyabs-inc-averages", 1)
         );
         let one_shot = dgreedy_abs(&reference, driver.window().data(), budget, &dg_cfg()).unwrap();
-        let latest = driver.latest().unwrap();
-        assert_eq!(latest.version, serving.version + 1);
-        assert_eq!(latest.value.synopsis, one_shot.synopsis, "{bad}");
+        assert_eq!(report.update.synopsis, one_shot.synopsis, "{bad}");
         assert_eq!(
-            report.exact_error.to_bits(),
+            report.update.estimated_error.to_bits(),
             one_shot.estimated_error.to_bits()
         );
 
@@ -578,8 +537,7 @@ proptest! {
         let mut inc = IncrementalDGreedyAbs::new(n, 12, &cfg).unwrap();
         window.push(&fill);
         for chunk in std::iter::once(Vec::new()).chain(appends) {
-            window.push(&chunk);
-            for j in window.take_dirty_bases() {
+            for j in window.push(&chunk) {
                 inc.invalidate(j);
             }
             let (pipe, up) = inc.update(Pipeline::on(&cluster), window.data()).unwrap();

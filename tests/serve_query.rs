@@ -331,7 +331,7 @@ fn serve_driver_wide_bucket_bound_covers_the_estimate() {
             assert!(a.bounds_hold(d, 1e-6), "point {x}: {} vs {d}", a.value);
             measured = measured.max((a.value - d).abs());
         }
-        gap_seen |= measured > report.build.exact_error;
+        gap_seen |= measured > report.build.update.estimated_error;
     }
     assert!(gap_seen, "no tick's measured error exceeded its estimate");
 }

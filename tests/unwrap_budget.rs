@@ -38,11 +38,11 @@ const BUDGET: &[(&str, usize)] = &[
     ("crates/runtime/src/job/fetch.rs", 2),
     ("crates/runtime/src/job/map.rs", 2),
     ("crates/runtime/src/job/spill.rs", 15),
-    ("crates/runtime/src/pipeline.rs", 2),
     ("crates/runtime/src/reference.rs", 3),
     ("crates/runtime/src/trace.rs", 5),
     ("crates/runtime/src/trace/json.rs", 5),
     ("crates/serve/src/net.rs", 5),
+    ("crates/serve/src/store.rs", 2),
     ("crates/wavelet/src/basis.rs", 1),
     ("crates/wavelet/src/reconstruct.rs", 2),
     ("crates/wavelet/src/synopsis.rs", 3),
