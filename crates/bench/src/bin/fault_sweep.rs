@@ -117,7 +117,7 @@ fn main() {
             );
             if s.nodes_killed > 0 {
                 assert!(
-                    s.recovery.nodes_failed >= s.nodes_killed as u64,
+                    s.recovery.nodes_failed >= s.nodes_killed,
                     "cell kills={} saw only {} node failures",
                     s.nodes_killed,
                     s.recovery.nodes_failed

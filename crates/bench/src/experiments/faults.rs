@@ -21,8 +21,9 @@ use dwmaxerr_core::dgreedy_abs::{dgreedy_abs, DGreedyAbsConfig};
 use dwmaxerr_core::CoreError;
 use dwmaxerr_datagen::synthetic::uniform;
 use dwmaxerr_runtime::metrics::DriverMetrics;
-use dwmaxerr_runtime::trace::{self, json, summary, TraceEvent};
-use dwmaxerr_runtime::{AttemptStats, Cluster, ClusterConfig, FaultPlan, RecoveryStats, TaskPhase};
+use dwmaxerr_runtime::trace::summary::{self, RecoveryCounts};
+use dwmaxerr_runtime::trace::{self, json, TraceEvent};
+use dwmaxerr_runtime::{Cluster, ClusterConfig, FaultPlan, TaskPhase};
 
 use crate::report::{
     bench_document, critical_path_table, host_cores, secs, shuffle_structure_table,
@@ -77,21 +78,19 @@ pub fn fault_sweep_traced(scale: Scale, seed: u64, trace_dir: Option<&Path>) -> 
         max_candidates: None,
     };
 
-    type RunOutput = (Vec<f64>, f64, AttemptStats, DriverMetrics, Vec<TraceEvent>);
+    type RunOutput = (Vec<f64>, f64, DriverMetrics, Vec<TraceEvent>);
     let run = |plan: Option<FaultPlan>| -> Result<RunOutput, CoreError> {
         let cluster = faulty_cluster(plan);
         let res = dgreedy_abs(&cluster, &data, b, &cfg)?;
-        let stats = res.metrics.total_attempt_stats();
         Ok((
             res.synopsis.reconstruct_all(),
             res.metrics.total_simulated().secs(),
-            stats,
             res.metrics,
             cluster.trace_events(),
         ))
     };
 
-    let (clean_recon, clean_secs, _, _, _) = run(None).expect("fault-free run succeeds");
+    let (clean_recon, clean_secs, _, _) = run(None).expect("fault-free run succeeds");
 
     let mut t = Table::new(
         format!(
@@ -118,16 +117,25 @@ pub fn fault_sweep_traced(scale: Scale, seed: u64, trace_dir: Option<&Path>) -> 
             .with_straggler(TaskPhase::Map, 0, 6.0)
             .with_straggler(TaskPhase::Map, 1, 4.0);
         match run(Some(plan)) {
-            Ok((recon, sim_secs, stats, metrics, events)) => {
+            Ok((recon, sim_secs, metrics, events)) => {
                 let identical = recon == clean_recon;
+                let (mut failed, mut retried, mut speculative, mut wasted) = (0, 0, 0, 0.0);
+                for r in summary::per_stage(&events) {
+                    for used in [r.map, r.reduce] {
+                        failed += used.failed;
+                        retried += used.retried;
+                        speculative += used.speculative;
+                        wasted += used.wasted_secs;
+                    }
+                }
                 t.row(vec![
                     format!("{:.0}%", prob * 100.0),
                     secs(sim_secs),
                     format!("{:+.1}%", (sim_secs / clean_secs - 1.0) * 100.0),
-                    stats.failed.to_string(),
-                    stats.retried.to_string(),
-                    stats.speculative.to_string(),
-                    secs(stats.wasted_secs),
+                    failed.to_string(),
+                    retried.to_string(),
+                    speculative.to_string(),
+                    secs(wasted),
                     if identical { "yes" } else { "NO" }.to_string(),
                 ]);
                 // Keep the highest-failure-rate run that still completed for
@@ -165,9 +173,10 @@ pub fn fault_sweep_traced(scale: Scale, seed: u64, trace_dir: Option<&Path>) -> 
             "recovery cost concentrates in the map-heavy stages; the stage rows \
              partition the pipeline's job ledger exactly",
             &metrics,
+            &events,
         );
         bd.note(
-            "stage rows come from DriverMetrics::per_stage(): jobs grouped by name in \
+            "stage rows come from trace::summary::per_stage(): jobs grouped by name in \
              first-execution order, summing to the totals row.",
         );
         tables.push(bd);
@@ -225,8 +234,8 @@ pub struct NodeFaultSample {
     pub corruption: bool,
     /// Simulated pipeline makespan in seconds.
     pub sim_secs: f64,
-    /// Recovery counters summed over the pipeline's jobs.
-    pub recovery: RecoveryStats,
+    /// The trace's recovery counts, folded over the pipeline's stages.
+    pub recovery: RecoveryCounts,
     /// Whether the synopsis was bit-identical to the fault-free run.
     pub identical: bool,
 }
@@ -307,11 +316,16 @@ pub fn node_fault_sweep(scale: Scale, seed: u64, trace_dir: Option<&Path>) -> No
         // Node loss after map completion is always recoverable while a
         // node survives, so unlike the attempt sweep no cell may fail.
         let res = dgreedy_abs(&cluster, &data, b, &cfg).expect("node-kill recovery succeeds");
+        let events = cluster.trace_events();
+        let mut recovery = RecoveryCounts::default();
+        for r in summary::per_stage(&events) {
+            recovery += r.recovery;
+        }
         (
             res.synopsis.reconstruct_all(),
             res.metrics.total_simulated().secs(),
-            res.metrics.total_recovery_stats(),
-            cluster.trace_events(),
+            recovery,
+            events,
         )
     };
     let (clean_recon, clean_secs, _, _) = run(None);
@@ -397,7 +411,7 @@ pub fn node_fault_sweep(scale: Scale, seed: u64, trace_dir: Option<&Path>) -> No
     );
     for r in summary::per_stage(&heaviest_events) {
         let c = r.recovery;
-        if c == summary::RecoveryCounts::default() {
+        if c == RecoveryCounts::default() {
             continue;
         }
         rt.row(vec![
@@ -463,6 +477,10 @@ const WALL_REPS: usize = 5;
 /// host's own core count when larger) threads. Recovery replays
 /// deterministically on the pool, so every row must reconstruct the
 /// serial row's synopsis bit for bit; only the wall clock may move.
+///
+/// The builds are interleaved: each repetition runs every rung once, in
+/// ladder order, so a drift in host speed spreads over all rungs instead of
+/// landing on whichever rung ran while it lasted.
 pub fn executor_threads_sweep(scale: Scale, seed: u64) -> ExecutorThreadsSweep {
     let n: usize = 1 << scale.pick(15, 18);
     let b = n / 8;
@@ -487,26 +505,15 @@ pub fn executor_threads_sweep(scale: Scale, seed: u64) -> ExecutorThreadsSweep {
         counts.push(cores);
     }
 
-    let mut t = Table::new(
-        format!(
-            "Fault sweep — wall clock vs executor threads (N=2^{}, 10% failures + stragglers)",
-            n.trailing_zeros()
-        ),
-        "recovery replays deterministically on the executor's pool: every \
-         thread count rebuilds the same synopsis bit for bit, only wall time moves",
-        &["threads", "wall", "speedup", "sim time", "output identical"],
-    );
-    let mut identical = true;
+    // Per rung: best wall, simulated seconds, whether every build matched
+    // the first serial build.
+    let mut rungs: Vec<(f64, f64, bool)> = vec![(f64::INFINITY, 0.0, true); counts.len()];
     let mut serial_recon: Option<Vec<u64>> = None;
-    let mut walls: Vec<(usize, f64)> = Vec::new();
-    for &threads in &counts {
-        let mut config = faulty_config(Some(plan()));
-        config.threads = threads;
-        let mut wall = f64::INFINITY;
-        let mut sim = 0.0;
-        let mut same = true;
-        for _ in 0..WALL_REPS {
-            let cluster = Cluster::new(config.clone());
+    for _ in 0..WALL_REPS {
+        for (rung, &threads) in rungs.iter_mut().zip(&counts) {
+            let mut config = faulty_config(Some(plan()));
+            config.threads = threads;
+            let cluster = Cluster::new(config);
             let (res, rep_wall) = timed(|| {
                 dgreedy_abs(&cluster, &data, b, &cfg).expect("recovers under injected faults")
             });
@@ -516,16 +523,26 @@ pub fn executor_threads_sweep(scale: Scale, seed: u64) -> ExecutorThreadsSweep {
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();
-            wall = wall.min(rep_wall);
-            sim = res.metrics.total_simulated().secs();
+            rung.0 = rung.0.min(rep_wall);
+            rung.1 = res.metrics.total_simulated().secs();
             match &serial_recon {
                 None => serial_recon = Some(recon),
-                Some(base) => same &= *base == recon,
+                Some(base) => rung.2 &= *base == recon,
             }
         }
-        walls.push((threads, wall));
-        let base_wall = walls[0].1;
-        identical &= same;
+    }
+
+    let mut t = Table::new(
+        format!(
+            "Fault sweep — wall clock vs executor threads (N=2^{}, 10% failures + stragglers)",
+            n.trailing_zeros()
+        ),
+        "recovery replays deterministically on the executor's pool: every \
+         thread count rebuilds the same synopsis bit for bit, only wall time moves",
+        &["threads", "wall", "speedup", "sim time", "output identical"],
+    );
+    let base_wall = rungs[0].0;
+    for (&threads, &(wall, sim, same)) in counts.iter().zip(&rungs) {
         t.row(vec![
             threads.to_string(),
             secs(wall),
@@ -535,13 +552,14 @@ pub fn executor_threads_sweep(scale: Scale, seed: u64) -> ExecutorThreadsSweep {
         ]);
     }
     t.note(format!(
-        "wall is the best of {WALL_REPS} builds per thread count; host exposes {cores} \
-         core(s); speedup beyond 1.0x requires >1 physical core"
+        "wall is the best of {WALL_REPS} builds per thread count, the builds interleaved \
+         rung by rung; host exposes {cores} core(s); speedup beyond 1.0x requires >1 \
+         physical core"
     ));
     ExecutorThreadsSweep {
         table: t,
-        identical,
-        walls,
+        identical: rungs.iter().all(|&(_, _, same)| same),
+        walls: counts.iter().zip(&rungs).map(|(&n, r)| (n, r.0)).collect(),
     }
 }
 
@@ -558,19 +576,19 @@ mod tests {
                     nodes_killed: 0,
                     corruption: false,
                     sim_secs: 2.0,
-                    recovery: RecoveryStats::default(),
+                    recovery: RecoveryCounts::default(),
                     identical: true,
                 },
                 NodeFaultSample {
                     nodes_killed: 3,
                     corruption: true,
                     sim_secs: 3.0,
-                    recovery: RecoveryStats {
+                    recovery: RecoveryCounts {
                         nodes_failed: 3,
                         maps_reexecuted: 7,
                         fetch_retries: 21,
                         corrupt_runs: 2,
-                        nodes_blacklisted: 0,
+                        ..RecoveryCounts::default()
                     },
                     identical: true,
                 },

@@ -165,16 +165,17 @@ pub fn bytes(b: u64) -> String {
     }
 }
 
-/// Builds a per-stage breakdown table from a driver's job ledger.
+/// Builds a per-stage breakdown table of a traced pipeline.
 ///
-/// One row per pipeline stage (jobs grouped by name via
-/// [`DriverMetrics::per_stage`], in first-execution order), plus a `total`
-/// row that the stage rows sum to exactly — the breakdown partitions the
-/// ledger.
+/// One row per pipeline stage — [`summary::per_stage`]'s rows, jobs
+/// grouped by name in first-execution order — plus a `total` row folded
+/// from the stage rows. Each row's `input` is the declared HDFS input of
+/// the ledger's jobs of that name; every other column is the trace's.
 pub fn stage_breakdown(
     title: impl Into<String>,
     paper_claim: impl Into<String>,
     metrics: &DriverMetrics,
+    events: &[TraceEvent],
 ) -> Table {
     let mut t = Table::new(
         title,
@@ -190,29 +191,43 @@ pub fn stage_breakdown(
             "wasted slot-s",
         ],
     );
-    for s in metrics.per_stage() {
+    let (mut runs, mut sim, mut shuffle, mut input) = (0, 0.0, 0, 0);
+    let (mut failed, mut retried, mut wasted) = (0, 0, 0.0);
+    for r in summary::per_stage(events) {
+        let stage_input: u64 = metrics
+            .jobs
+            .iter()
+            .filter(|j| j.name == r.name)
+            .map(|j| j.input_bytes)
+            .sum();
+        let stage_wasted = r.map.wasted_secs + r.reduce.wasted_secs;
+        runs += r.runs;
+        sim += r.sim_secs;
+        shuffle += r.shuffle.bytes;
+        input += stage_input;
+        failed += r.map.failed + r.reduce.failed;
+        retried += r.map.retried + r.reduce.retried;
+        wasted += stage_wasted;
         t.row(vec![
-            s.name.clone(),
-            s.runs.to_string(),
-            secs(s.simulated.secs()),
-            bytes(s.shuffle_bytes),
-            bytes(s.input_bytes),
-            s.attempt_stats.failed.to_string(),
-            s.attempt_stats.retried.to_string(),
-            secs(s.attempt_stats.wasted_secs),
+            r.name,
+            r.runs.to_string(),
+            secs(r.sim_secs),
+            bytes(r.shuffle.bytes),
+            bytes(stage_input),
+            (r.map.failed + r.reduce.failed).to_string(),
+            (r.map.retried + r.reduce.retried).to_string(),
+            secs(stage_wasted),
         ]);
     }
-    let total_attempts = metrics.total_attempt_stats();
-    let total_input: u64 = metrics.jobs.iter().map(|j| j.input_bytes).sum();
     t.row(vec![
         "total".into(),
-        metrics.job_count().to_string(),
-        secs(metrics.total_simulated().secs()),
-        bytes(metrics.total_shuffle_bytes()),
-        bytes(total_input),
-        total_attempts.failed.to_string(),
-        total_attempts.retried.to_string(),
-        secs(total_attempts.wasted_secs),
+        runs.to_string(),
+        secs(sim),
+        bytes(shuffle),
+        bytes(input),
+        failed.to_string(),
+        retried.to_string(),
+        secs(wasted),
     ]);
     t
 }
@@ -376,28 +391,46 @@ mod tests {
     #[test]
     fn stage_breakdown_partitions_the_ledger() {
         use dwmaxerr_runtime::metrics::JobMetrics;
+        use dwmaxerr_runtime::trace::TraceEventKind;
         let mut d = DriverMetrics::new();
-        for (name, map_secs, shuffle) in [
+        let mut events = Vec::new();
+        let mut emit = |kind| {
+            let seq = events.len() as u64;
+            events.push(TraceEvent {
+                seq,
+                time: 0.0,
+                kind,
+            });
+        };
+        for (name, sim_secs, shuffle) in [
             ("layer-up", 1.0, 100),
             ("layer-up", 2.0, 200),
             ("extract", 4.0, 50),
         ] {
-            let mut j = JobMetrics {
+            d.push(JobMetrics {
                 name: name.into(),
-                shuffle_bytes: shuffle,
+                input_bytes: 1024,
                 ..JobMetrics::default()
-            };
-            j.sim.map = map_secs;
-            d.push(j);
+            });
+            emit(TraceEventKind::JobBegin {
+                job: name.into(),
+                maps: 1,
+                reducers: 1,
+            });
+            emit(TraceEventKind::ShufflePartition {
+                partition: 0,
+                bytes: shuffle,
+                runs: 1,
+            });
+            emit(TraceEventKind::JobEnd { sim_secs });
         }
-        let t = stage_breakdown("Stage breakdown", "claim", &d);
+        let t = stage_breakdown("Stage breakdown", "claim", &d, &events);
         let md = t.to_markdown();
         // Two stage rows plus the total row.
         assert_eq!(t.rows.len(), 3);
-        assert!(md.contains("| layer-up | 2    | 3.00s"));
-        assert!(md.contains("| extract  | 1    | 4.00s"));
-        assert!(md.contains("| total    | 3    | 7.00s"));
-        assert!(md.contains("350B"));
+        assert!(md.contains("| layer-up | 2    | 3.00s    | 300B    | 2048B |"));
+        assert!(md.contains("| extract  | 1    | 4.00s    | 50B     | 1024B |"));
+        assert!(md.contains("| total    | 3    | 7.00s    | 350B    | 3072B |"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! sequential reduce phase — the paper's Figure 10 shows it losing to
 //! every parallel alternative.
 
-use dwmaxerr_runtime::metrics::{DriverMetrics, Kernel, TaskCost};
+use dwmaxerr_runtime::metrics::{DriverMetrics, Kernel};
 use dwmaxerr_runtime::{Cluster, JobBuilder, MapContext, Pipeline, ReduceContext};
 use dwmaxerr_wavelet::Synopsis;
 
@@ -27,6 +27,12 @@ pub fn send_v(
     dwmaxerr_wavelet::error::ensure_pow2(n)?;
     let splits = block_splits(data, parts)?;
 
+    // The single reducer's centralized work — rebuild the array (keys
+    // arrive sorted), transform, threshold — is done by the driver below,
+    // but charged to the reducer: three passes over the values (one unit
+    // per key each), then a sort of the kept ones, once, on key 0.
+    let kept = b.min(n) as u64;
+    let sort_units = kept * u64::from(kept.next_power_of_two().trailing_zeros());
     let job = JobBuilder::new("send-v")
         .map(|split: &SliceSplit, ctx: &mut MapContext<u64, f64>| {
             for (off, &v) in split.slice().iter().enumerate() {
@@ -34,7 +40,8 @@ pub fn send_v(
             }
         })
         .input_bytes(SliceSplit::bytes)
-        .reduce(|k, vals, ctx: &mut ReduceContext<u64, f64>| {
+        .reduce(move |k, vals, ctx: &mut ReduceContext<u64, f64>| {
+            ctx.charge(Kernel::Values, 3 + if *k == 0 { sort_units } else { 0 });
             for v in vals {
                 ctx.emit(*k, v);
             }
@@ -42,8 +49,6 @@ pub fn send_v(
 
     let (entries, metrics) = Pipeline::on(cluster)
         .stage(&job, &splits)?
-        // The single reducer's centralized work: rebuild the array (keys
-        // arrive sorted), transform, threshold.
         .try_then(|(_, pairs)| -> Result<_, CoreError> {
             let mut rebuilt = vec![0.0; n];
             for (k, v) in pairs {
@@ -56,20 +61,6 @@ pub fn send_v(
                 b,
             ))
         })?
-        // Attribute the centralized step to the reduce task: three passes
-        // over the `n` values (rebuild, transform, select), then a sort of
-        // the kept ones. Its units join the task's cost and their price the
-        // reduce phase.
-        .amend_last(|_, jm| {
-            let kept = b.min(n) as u64;
-            let units = 3 * n as u64 + kept * u64::from(kept.next_power_of_two().trailing_zeros());
-            let mut central = TaskCost::default();
-            central.charge(Kernel::Values, units);
-            jm.sim.reduce += central.secs(cluster.config().disk_bytes_per_sec);
-            if let Some(cost) = jm.reduce_costs.first_mut() {
-                cost.charge(Kernel::Values, units);
-            }
-        })
         .finish();
 
     Ok((Synopsis::from_entries(n, entries)?, metrics))

@@ -61,7 +61,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 use dwmaxerr_runtime::codec::Wire;
-use dwmaxerr_runtime::metrics::DriverMetrics;
+use dwmaxerr_runtime::metrics::{DriverMetrics, JobMetrics};
 use dwmaxerr_runtime::pipeline::StagedPipeline;
 use dwmaxerr_runtime::{Cluster, JobBuilder, Kernel, MapContext, Pipeline, RuntimeError};
 use dwmaxerr_wavelet::{Synopsis, WaveletError};
@@ -167,15 +167,12 @@ impl StreamWindow {
 // What the maintainer keeps
 // ---------------------------------------------------------------------------
 
-/// Per-update statistics of an incremental rebuild.
+/// What an incremental rebuild decided; what it ran — map tasks and
+/// GreedyAbs runs — is in the update's metrics ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RebuildStats {
     /// Stale bases this update had to reprocess.
     pub dirty_bases: usize,
-    /// Map tasks executed across all jobs of the update.
-    pub map_tasks: usize,
-    /// GreedyAbs runs executed by those tasks.
-    pub greedy_runs: usize,
     /// `C_root` candidates left out of level 2 because their residual
     /// floor exceeds a score another candidate reaches.
     pub pruned_candidates: usize,
@@ -338,7 +335,6 @@ impl<T: Wire + Send> RunCache<T> {
         shape: &Shape,
         splits: &[SliceSplit],
         wanted: &[Vec<f64>],
-        stats: &mut RebuildStats,
         run: impl Fn(&[f64], &SliceSplit, f64) -> Vec<T> + Sync,
     ) -> Result<Pipeline<'c, ()>, CoreError> {
         let now = self.updates;
@@ -359,8 +355,6 @@ impl<T: Wire + Send> RunCache<T> {
         let bases: Vec<usize> = (0..missing.len())
             .filter(|&j| !missing[j].is_empty())
             .collect();
-        stats.map_tasks += bases.len();
-        stats.greedy_runs += missing.iter().map(Vec::len).sum::<usize>();
         let (pipe, fresh) = stage_over(pipe, splits, &bases, |pipe, picked| {
             let job = JobBuilder::new(self.job)
                 .map(
@@ -452,7 +446,6 @@ impl IncrementalDGreedyAbs {
         let (stale, splits) = self.bases.stale(data)?;
         let mut stats = RebuildStats {
             dirty_bases: stale.len(),
-            map_tasks: stale.len(),
             ..RebuildStats::default()
         };
         let (pipe, fresh) = stage_over(pipe, &splits, &stale, |pipe, picked| {
@@ -478,7 +471,7 @@ impl IncrementalDGreedyAbs {
         };
         let pipe = self
             .removals
-            .fill(pipe, &shape, &splits, &wanted, &mut stats, unfiltered)?;
+            .fill(pipe, &shape, &splits, &wanted, unfiltered)?;
         let mut nodes: Vec<Removed> = Vec::new();
         for (j, incoming) in wanted.iter().enumerate() {
             let at_cut = |removed: &&Removed| errhist::survives(removed.0, best.cut_bucket);
@@ -546,14 +539,14 @@ impl IncrementalDGreedyAbs {
         let first = wanted(&|k| k == top || roots.rho(k) <= lower);
         let pipe = self
             .histograms
-            .fill(pipe, &shape, splits, &first, stats, histogram)?;
+            .fill(pipe, &shape, splits, &first, histogram)?;
         let every = (0..r).map(|j| self.histograms.get(j, roots.incoming(top, j)));
         let upper = score(top, &every.collect::<Result<Vec<_>, _>>()?);
         // A NaN is unordered and prunes nothing.
         let kept = |k: usize| roots.rho(k).partial_cmp(&upper) != Some(Ordering::Greater);
         let pipe = self
             .histograms
-            .fill(pipe, &shape, splits, &wanted(&kept), stats, histogram)?;
+            .fill(pipe, &shape, splits, &wanted(&kept), histogram)?;
 
         stats.pruned_candidates = (0..=top).filter(|&k| !kept(k)).count();
         let mut serving: Vec<Vec<&[(i64, u64)]>> = vec![Vec::new(); top + 1];
@@ -584,9 +577,10 @@ pub struct TickReport {
     /// Stale bases the update reprocessed: the tick's own appends and any
     /// a failed tick left ([`RebuildStats::dirty_bases`]).
     pub dirty_bases: usize,
-    /// Map tasks the update ran ([`RebuildStats::map_tasks`]).
+    /// Map tasks the update ran, summed over the ledger's jobs.
     pub background_tasks: usize,
-    /// GreedyAbs runs across those tasks ([`RebuildStats::greedy_runs`]).
+    /// GreedyAbs runs across those tasks: the ledger's `greedy_runs`
+    /// counter.
     pub greedy_runs: usize,
     /// The tick's full metrics ledger.
     pub metrics: DriverMetrics,
@@ -635,13 +629,17 @@ impl PhasedSynopsisDriver {
         let (pipe, update) = self
             .dgreedy
             .update(Pipeline::on(cluster), self.window.data())?;
-        let stats = update.stats;
+        let metrics = pipe.into_metrics();
         Ok(TickReport {
+            dirty_bases: update.stats.dirty_bases,
+            background_tasks: metrics.jobs.iter().map(JobMetrics::map_tasks).sum(),
+            greedy_runs: metrics
+                .jobs
+                .iter()
+                .map(|j| j.counter("greedy_runs"))
+                .sum::<u64>() as usize,
             update,
-            dirty_bases: stats.dirty_bases,
-            background_tasks: stats.map_tasks,
-            greedy_runs: stats.greedy_runs,
-            metrics: pipe.into_metrics(),
+            metrics,
         })
     }
 }
@@ -772,12 +770,11 @@ mod tests {
         let mut inc = IncrementalDGreedyAbs::new(n, 6, &cfg).unwrap();
         let data = wavy(32, 7);
         let (pipe, first) = inc.update(Pipeline::on(&cluster), &data).unwrap();
-        let _ = pipe.into_metrics();
-        assert!(first.stats.map_tasks >= 8); // full rebuild
-                                             // Same data, nothing invalidated: pure cache replay, zero jobs.
+        let full: usize = pipe.metrics().jobs.iter().map(JobMetrics::map_tasks).sum();
+        assert!(full >= 8, "a full rebuild");
+        // Same data, nothing invalidated: pure cache replay, zero jobs.
         let (pipe, second) = inc.update(Pipeline::on(&cluster), &data).unwrap();
         let metrics = pipe.into_metrics();
-        assert_eq!(second.stats.map_tasks, 0);
         assert_eq!(metrics.job_count(), 0);
         assert_eq!(first.synopsis, second.synopsis);
     }
@@ -799,10 +796,13 @@ mod tests {
                 batch.estimated_error.to_bits()
             );
             assert_eq!(up.bound, batch.bound, "tick {tick}");
-            // The report's counters are the update's own.
+            // The report's counters are the update's and its ledger's.
             assert_eq!(report.dirty_bases, up.stats.dirty_bases);
-            assert_eq!(report.background_tasks, up.stats.map_tasks);
-            assert_eq!(report.greedy_runs, up.stats.greedy_runs);
+            let jobs = &report.metrics.jobs;
+            let tasks: usize = jobs.iter().map(JobMetrics::map_tasks).sum();
+            assert_eq!(report.background_tasks, tasks);
+            let runs: u64 = jobs.iter().map(|j| j.counter("greedy_runs")).sum();
+            assert_eq!(report.greedy_runs as u64, runs);
             assert_eq!(report.dirty_bases, [8, 1][tick], "tick {tick}");
         }
     }

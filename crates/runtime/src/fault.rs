@@ -16,8 +16,8 @@
 //! # Node-level fault domains
 //!
 //! Beyond per-attempt crashes, a plan can model the harder failure class:
-//! a whole *node* dies ([`FaultPlan::with_node_failure`] or the seeded
-//! [`FaultPlan::with_node_failure_prob`] variant). A node failure (a)
+//! a whole *node* dies ([`FaultPlan::with_node_failure`], or
+//! [`FaultPlan::with_transient_node_failure`] for a restart). A node failure (a)
 //! fails every attempt running on that node at the failure time, (b)
 //! marks every spill run and map output hosted on it as *lost*, so
 //! reducers hit fetch failures and the scheduler re-executes the owning
@@ -34,12 +34,13 @@
 //!
 //! Crash the first attempt of one map task and make another task straggle;
 //! the job still produces the fault-free answer, and the recovery shows up
-//! in the attempt-level metrics:
+//! in the trace, read through its roll-up:
 //!
 //! ```
 //! use dwmaxerr_runtime::cluster::{Cluster, ClusterConfig};
 //! use dwmaxerr_runtime::fault::{FaultPlan, TaskPhase};
 //! use dwmaxerr_runtime::job::{JobBuilder, MapContext, ReduceContext};
+//! use dwmaxerr_runtime::trace::summary;
 //!
 //! let mut cfg = ClusterConfig::with_slots(2, 1);
 //! cfg.fault_plan = Some(
@@ -54,8 +55,9 @@
 //!     .run(&cluster, &[1, 2, 3])
 //!     .unwrap();
 //! assert_eq!(out.pairs, vec![(0, 6)]); // identical to a fault-free run
-//! assert_eq!(out.metrics.attempt_stats.retried, 1);
-//! assert_eq!(out.metrics.attempt_stats.failed, 1);
+//! let job = &summary::per_stage(&cluster.trace_events())[0];
+//! assert_eq!(job.map.retried, 1);
+//! assert_eq!(job.map.failed, 1);
 //! ```
 
 use crate::error::RuntimeError;
@@ -185,38 +187,29 @@ pub struct NodeFailure {
     pub permanent: bool,
 }
 
+/// Fraction of an attempt's duration that elapses before its crash is
+/// observed: Hadoop notices a crash mid-task, not at launch.
+pub const FAIL_POINT: f64 = 0.5;
+
 /// A deterministic fault-injection plan.
 ///
 /// Probabilistic failures are decided by hashing `(seed, phase, task,
-/// attempt)` to a uniform value in `[0, 1)` and comparing against the
-/// phase's failure probability, so each attempt fails independently but
+/// attempt)` to a uniform value in `[0, 1)` and comparing against
+/// [`FaultPlan::failure_prob`], so each attempt fails independently but
 /// reproducibly. Targeted faults and stragglers name exact tasks; node
-/// failures name exact nodes and simulated times (or draw both from the
-/// seed).
+/// failures name exact nodes and simulated times.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the probabilistic failure decisions.
     pub seed: u64,
-    /// Probability that any given map attempt fails.
-    pub map_failure_prob: f64,
-    /// Probability that any given reduce attempt fails.
-    pub reduce_failure_prob: f64,
+    /// Probability that any given map or reduce attempt fails.
+    pub failure_prob: f64,
     /// Exact attempts that always fail.
     pub targeted: Vec<TargetedFault>,
     /// Tasks whose regular attempts run slow.
     pub stragglers: Vec<Straggler>,
-    /// Fraction of an attempt's duration that elapses before an injected
-    /// failure is observed (Hadoop notices a crash mid-task, not at launch;
-    /// default 0.5). Must lie in `(0, 1]`.
-    pub fail_point: f64,
     /// Exact node failures ([`FaultKind::NodeDown`] events).
     pub node_failures: Vec<NodeFailure>,
-    /// Probability that each node dies once, independently, at a seeded
-    /// time within [`FaultPlan::node_fail_horizon`].
-    pub node_failure_prob: f64,
-    /// Time window (seconds from job submission) in which probabilistic
-    /// node failures land. Must be positive. Default 1.0.
-    pub node_fail_horizon: f64,
     /// Probability that any given stored map-output run is corrupted
     /// ([`FaultKind::CorruptRun`]), decided per `(task, partition, run)`.
     pub corrupt_run_prob: f64,
@@ -233,14 +226,10 @@ impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
             seed: 0,
-            map_failure_prob: 0.0,
-            reduce_failure_prob: 0.0,
+            failure_prob: 0.0,
             targeted: Vec::new(),
             stragglers: Vec::new(),
-            fail_point: 0.5,
             node_failures: Vec::new(),
-            node_failure_prob: 0.0,
-            node_fail_horizon: 1.0,
             corrupt_run_prob: 0.0,
             corrupt_tasks: Vec::new(),
             blacklist_after: None,
@@ -265,10 +254,9 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the same failure probability for map and reduce attempts.
+    /// Sets the failure probability of every map and reduce attempt.
     pub fn with_failure_prob(mut self, p: f64) -> Self {
-        self.map_failure_prob = p;
-        self.reduce_failure_prob = p;
+        self.failure_prob = p;
         self
     }
 
@@ -315,19 +303,6 @@ impl FaultPlan {
         self
     }
 
-    /// Each node independently dies (permanently) with probability `p`
-    /// at a seeded time inside [`FaultPlan::node_fail_horizon`].
-    pub fn with_node_failure_prob(mut self, p: f64) -> Self {
-        self.node_failure_prob = p;
-        self
-    }
-
-    /// Sets the window for probabilistic node failures (seconds).
-    pub fn with_node_fail_horizon(mut self, secs: f64) -> Self {
-        self.node_fail_horizon = secs;
-        self
-    }
-
     /// Corrupts every stored output run of map task `task`.
     pub fn with_corrupt_run(mut self, task: usize) -> Self {
         self.corrupt_tasks.push(task);
@@ -357,11 +332,7 @@ impl FaultPlan {
         {
             return true;
         }
-        let prob = match phase {
-            TaskPhase::Map => self.map_failure_prob,
-            TaskPhase::Reduce => self.reduce_failure_prob,
-        };
-        if prob <= 0.0 {
+        if self.failure_prob <= 0.0 {
             return false;
         }
         let key = mix(self
@@ -374,7 +345,7 @@ impl FaultPlan {
                 TaskPhase::Reduce => 1,
             }));
         let unit = (key >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < prob
+        unit < self.failure_prob
     }
 
     /// The straggler slowdown multiplier for a task (1.0 when healthy).
@@ -386,10 +357,8 @@ impl FaultPlan {
             .fold(1.0, f64::max)
     }
 
-    /// All node failures for a topology of `nodes` nodes: the explicit
-    /// [`FaultPlan::node_failures`] plus, for each node, a seeded
-    /// probabilistic death inside [`FaultPlan::node_fail_horizon`].
-    /// Sorted by time (ties by node index). Pure and deterministic.
+    /// The [`FaultPlan::node_failures`] inside a topology of `nodes`
+    /// nodes, sorted by time (ties by node index).
     pub fn node_events(&self, nodes: usize) -> Vec<NodeFailure> {
         let mut events: Vec<NodeFailure> = self
             .node_failures
@@ -397,27 +366,6 @@ impl FaultPlan {
             .filter(|f| f.node < nodes)
             .copied()
             .collect();
-        if self.node_failure_prob > 0.0 {
-            for node in 0..nodes {
-                let key = mix(self
-                    .seed
-                    .wrapping_mul(0xd605_bbb5_8c8a_bc03)
-                    .wrapping_add((node as u64) << 24)
-                    .wrapping_add(2));
-                let unit = (key >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                if unit < self.node_failure_prob {
-                    // Independent draw for the death time so the decision
-                    // and the moment decorrelate.
-                    let tkey = mix(key.wrapping_add(0x9e37_79b9_7f4a_7c15));
-                    let frac = (tkey >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    events.push(NodeFailure {
-                        node,
-                        sim_time: frac * self.node_fail_horizon,
-                        permanent: true,
-                    });
-                }
-            }
-        }
         events.sort_by(|a, b| {
             a.sim_time
                 .partial_cmp(&b.sim_time)
@@ -447,12 +395,11 @@ impl FaultPlan {
         unit < self.corrupt_run_prob
     }
 
-    /// Whether the plan contains any node-level or corruption faults
-    /// (explicit or probabilistic). When `false`, the runtime skips the
-    /// whole fetch-verification machinery and behaves exactly as before.
+    /// Whether the plan contains any node-level or corruption faults.
+    /// When `false`, the runtime skips the whole fetch-verification
+    /// machinery and behaves exactly as before.
     pub fn has_node_faults(&self) -> bool {
         !self.node_failures.is_empty()
-            || self.node_failure_prob > 0.0
             || self.corrupt_run_prob > 0.0
             || !self.corrupt_tasks.is_empty()
     }
@@ -460,14 +407,9 @@ impl FaultPlan {
     /// Validates the plan's numeric fields.
     pub fn validate(&self) -> Result<(), RuntimeError> {
         let prob_ok = |p: f64| (0.0..=1.0).contains(&p);
-        if !prob_ok(self.map_failure_prob) || !prob_ok(self.reduce_failure_prob) {
+        if !prob_ok(self.failure_prob) {
             return Err(RuntimeError::InvalidConfig(
-                "fault plan failure probabilities must lie in [0, 1]",
-            ));
-        }
-        if !(self.fail_point > 0.0 && self.fail_point <= 1.0) {
-            return Err(RuntimeError::InvalidConfig(
-                "fault plan fail_point must lie in (0, 1]",
+                "fault plan failure probability must lie in [0, 1]",
             ));
         }
         if self
@@ -493,14 +435,9 @@ impl FaultPlan {
                 "node failure times must be finite and >= 0",
             ));
         }
-        if !prob_ok(self.node_failure_prob) || !prob_ok(self.corrupt_run_prob) {
+        if !prob_ok(self.corrupt_run_prob) {
             return Err(RuntimeError::InvalidConfig(
-                "node-failure and corrupt-run probabilities must lie in [0, 1]",
-            ));
-        }
-        if !(self.node_fail_horizon.is_finite() && self.node_fail_horizon > 0.0) {
-            return Err(RuntimeError::InvalidConfig(
-                "node_fail_horizon must be finite and positive",
+                "corrupt-run probability must lie in [0, 1]",
             ));
         }
         if self.blacklist_after == Some(0) {
@@ -593,28 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_node_failures_are_seeded_and_in_horizon() {
-        let plan = FaultPlan::seeded(13)
-            .with_node_failure_prob(0.5)
-            .with_node_fail_horizon(2.0);
-        let events = plan.node_events(64);
-        assert_eq!(events, plan.node_events(64));
-        assert!(!events.is_empty() && events.len() < 64);
-        assert!(events
-            .iter()
-            .all(|f| (0.0..2.0).contains(&f.sim_time) && f.permanent));
-        // A different seed yields a different kill set.
-        let other = FaultPlan::seeded(14)
-            .with_node_failure_prob(0.5)
-            .with_node_fail_horizon(2.0)
-            .node_events(64);
-        assert_ne!(
-            events.iter().map(|f| f.node).collect::<Vec<_>>(),
-            other.iter().map(|f| f.node).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn corruption_decisions_are_seeded_and_targeted() {
         let plan = FaultPlan::seeded(21).with_corrupt_run(4);
         assert!(plan.corrupts_run(4, 0, 0));
@@ -643,9 +558,6 @@ mod tests {
         assert!(FaultPlan::seeded(0)
             .with_node_failure(0, 0.1)
             .has_node_faults());
-        assert!(FaultPlan::seeded(0)
-            .with_node_failure_prob(0.1)
-            .has_node_faults());
         assert!(FaultPlan::seeded(0).with_corrupt_run(2).has_node_faults());
         assert!(FaultPlan::seeded(0)
             .with_corrupt_run_prob(0.1)
@@ -663,15 +575,7 @@ mod tests {
             .validate()
             .is_err());
         assert!(FaultPlan::seeded(0)
-            .with_node_failure_prob(1.5)
-            .validate()
-            .is_err());
-        assert!(FaultPlan::seeded(0)
             .with_corrupt_run_prob(-0.2)
-            .validate()
-            .is_err());
-        assert!(FaultPlan::seeded(0)
-            .with_node_fail_horizon(0.0)
             .validate()
             .is_err());
         let mut p = FaultPlan::seeded(0);
@@ -695,9 +599,6 @@ mod tests {
             .with_failure_prob(-0.1)
             .validate()
             .is_err());
-        let mut p = FaultPlan::seeded(0);
-        p.fail_point = 0.0;
-        assert!(p.validate().is_err());
         assert!(FaultPlan::seeded(0)
             .with_straggler(TaskPhase::Map, 0, 0.5)
             .validate()

@@ -2,7 +2,7 @@
 //! under a fault plan that can lose or corrupt map outputs — verifies each
 //! run is fetchable and re-executes the map tasks whose runs are not.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use super::map::MapTaskResult;
 use super::spill::{Run, SpillStore};
@@ -10,7 +10,6 @@ use crate::cluster::ClusterConfig;
 use crate::codec::checksum64;
 use crate::error::RuntimeError;
 use crate::fault::{FaultPlan, NodeFailure};
-use crate::metrics::RecoveryStats;
 use crate::scheduler::{PhaseSchedule, TaskPlan};
 
 /// One sorted run as routed to a reducer, tagged with the map task that
@@ -31,7 +30,7 @@ pub(super) struct ShuffleRun {
 }
 
 impl ShuffleRun {
-    fn is_corrupt(&self, store: &SpillStore) -> bool {
+    pub(super) fn is_corrupt(&self, store: &SpillStore) -> bool {
         match &self.run {
             Run::Inline(buf) => self.checksum.is_some_and(|sum| checksum64(buf) != sum),
             Run::Stored(handle) => store.read(*handle).is_err(),
@@ -86,12 +85,12 @@ pub(super) fn route(
 /// What fetch verification found and what recovering from it cost.
 #[derive(Default)]
 pub(super) struct Recovery {
-    pub(super) stats: RecoveryStats,
     /// Extra simulated seconds each reducer pays before it can merge:
     /// fetch backoff plus the wait for its re-executed maps.
     pub(super) secs: Vec<f64>,
-    /// `(partition, map task, retries paid)` per failed fetch group.
-    pub(super) fetch_failures: Vec<(usize, usize, u64)>,
+    /// `(partition, map task, retries paid, runs that failed their
+    /// checksum)` per failed fetch group.
+    pub(super) fetch_failures: Vec<(usize, usize, u64, u64)>,
     /// `(map task, node re-executed on)` in re-execution order.
     pub(super) reexecuted: Vec<(usize, usize)>,
 }
@@ -131,11 +130,6 @@ pub(super) fn recover(
         secs: vec![0.0; inputs.len()],
         ..Recovery::default()
     };
-    rec.stats.nodes_failed = node_events
-        .iter()
-        .map(|f| f.node)
-        .collect::<HashSet<_>>()
-        .len() as u64;
     // Map tasks whose winning attempt ran on a node that failed after the
     // attempt finished: their hosted outputs are gone. A restarting node
     // loses its local dirs too, so transient failures lose outputs just
@@ -169,20 +163,17 @@ pub(super) fn recover(
     // (reducer, owning map task) — Hadoop reports one fetch failure per
     // map output, not per spill file.
     for (p, runs) in inputs.iter().enumerate() {
-        let mut bad_tasks: BTreeSet<usize> = BTreeSet::new();
+        // Owning map task → how many of its runs failed their checksum.
+        let mut bad_tasks: BTreeMap<usize, u64> = BTreeMap::new();
         for run in runs {
             let corrupt = run.is_corrupt(store);
-            if corrupt {
-                rec.stats.corrupt_runs += 1;
-            }
             if corrupt || lost_tasks.contains(&run.map_task) {
-                bad_tasks.insert(run.map_task);
+                *bad_tasks.entry(run.map_task).or_insert(0) += u64::from(corrupt);
             }
         }
-        for &t in &bad_tasks {
-            rec.stats.fetch_retries += retries;
+        for (t, corrupt) in bad_tasks {
             rec.secs[p] += retry_cost + startup + map_plans[t].healthy_duration;
-            rec.fetch_failures.push((p, t, retries));
+            rec.fetch_failures.push((p, t, retries, corrupt));
             need_reexec.insert(t);
         }
     }
@@ -192,7 +183,7 @@ pub(super) fn recover(
         (0..config.nodes).find(|&n| !node_events.iter().any(|f| f.node == n && f.permanent));
     let reexec_node = match (reexec_node, rec.fetch_failures.first()) {
         (Some(n), _) => n,
-        (None, Some(&(partition, map_task, retries))) => {
+        (None, Some(&(partition, map_task, retries, _))) => {
             return Err(RuntimeError::FetchFailed {
                 partition,
                 map_task,
@@ -219,7 +210,6 @@ pub(super) fn recover(
                 run.checksum = None;
             }
         }
-        rec.stats.maps_reexecuted += 1;
         rec.reexecuted.push((t, reexec_node));
     }
     Ok(rec)

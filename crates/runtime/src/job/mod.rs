@@ -43,8 +43,8 @@ use std::time::Instant;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::codec::Wire;
 use crate::error::RuntimeError;
-use crate::fault::{FailureKind, NodeFailure, TaskPhase};
-use crate::metrics::{AttemptStats, JobMetrics, SimBreakdown, TaskCost};
+use crate::fault::{FailureKind, NodeFailure, TaskPhase, FAIL_POINT};
+use crate::metrics::{JobMetrics, SimBreakdown, TaskCost};
 use crate::scheduler::{
     self, AttemptPlan, NodeEvent, NodeFaults, NodeTopology, PhaseSchedule, SpeculationPolicy,
     TaskPlan,
@@ -225,7 +225,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// attempt pays besides its own work (the map-side HDFS read, a reducer's
 /// fetch recovery) and the price is [`TaskCost::secs`] of the cost the body
 /// returns; a crashed attempt — panicked or injected — is charged
-/// `fail_point ×` that. No host time enters the plan.
+/// [`FAIL_POINT`] `×` that. No host time enters the plan.
 ///
 /// Returns the task's value, its cost and its [`TaskPlan`] for the slot
 /// simulator, or [`RuntimeError::TaskFailed`] once `max_attempts` attempts
@@ -240,7 +240,6 @@ fn run_attempts<T>(
 ) -> Result<(T, TaskCost, TaskPlan), RuntimeError> {
     let fault_plan = config.fault_plan.as_ref();
     let slowdown = fault_plan.map_or(1.0, |p| p.slowdown(phase, task));
-    let fail_point = fault_plan.map_or(0.5, |p| p.fail_point);
     let mut failures: Vec<Option<FailureKind>> = Vec::new();
     let mut done: Option<(T, TaskCost)> = None;
     let mut last_reason = String::new();
@@ -274,7 +273,7 @@ fn run_attempts<T>(
         let attempts = failures
             .into_iter()
             .map(|failure| AttemptPlan {
-                duration: failure.map_or(effective, |_| fail_point * effective),
+                duration: failure.map_or(effective, |_| FAIL_POINT * effective),
                 failure,
             })
             .collect();
@@ -540,13 +539,14 @@ impl Timeline<'_> {
         // Fetch failures surface when the affected reducer runs; the
         // re-execution it forces is stamped at the reduce phase start (the
         // driver relaunches the map as soon as the loss is reported).
-        for &(partition, map_task, retries) in &self.recovery.fetch_failures {
+        for &(partition, map_task, retries, corrupt) in &self.recovery.fetch_failures {
             tr.emit(
                 reduce0 + started(partition),
                 TraceEventKind::FetchFailed {
                     partition,
                     map_task,
                     retries,
+                    corrupt,
                 },
             );
         }
@@ -662,7 +662,7 @@ where
         // can actually lose or corrupt map outputs.
         let node_faults = config.fault_plan.as_ref().filter(|p| p.has_node_faults());
         let mut inputs = fetch::route(&mut map_results, stage.reducers, node_faults, &store);
-        let mut recovery = match node_faults {
+        let recovery = match node_faults {
             Some(_) => fetch::recover(
                 &mut inputs,
                 &store,
@@ -706,8 +706,6 @@ where
             shuffle: shuffle_secs,
             reduce: reduce_sched.makespan,
         };
-        recovery.stats.nodes_blacklisted =
-            (map_sched.blacklisted.len() + reduce_sched.blacklisted.len()) as u64;
 
         // ---- Side effects, in task order: trace, metrics ----
         let timeline = Timeline {
@@ -735,8 +733,6 @@ where
         for range in reduce_results.iter_mut().flat_map(|t| &mut t.out) {
             pairs.append(range);
         }
-        let mut attempts = map_sched.attempts;
-        attempts.extend(reduce_sched.attempts);
         let metrics = JobMetrics {
             name: stage.name.clone(),
             map_task_secs: map_results.iter().map(|t| t.task_secs).collect(),
@@ -748,13 +744,9 @@ where
                 .as_ref()
                 .map_or(0, |f| splits.iter().map(f).sum()),
             output_records: pairs.len() as u64,
-            map_waves: scheduler::waves(splits.len(), config.map_slots),
             sim,
             real_elapsed: job_start.elapsed(),
             counters,
-            attempt_stats: AttemptStats::from_attempts(&attempts),
-            attempts,
-            recovery: recovery.stats,
             ..JobMetrics::with_costs(map_costs, reduce_costs)
         };
         Ok(JobOutput { pairs, metrics })
@@ -899,12 +891,25 @@ mod tests {
             Cluster::new(cfg)
         };
         let splits: Vec<u8> = vec![0; 5];
-        let out = JobBuilder::new("waves")
+        JobBuilder::new("waves")
             .map(|_s: &u8, ctx: &mut MapContext<u8, u8>| ctx.emit(0, 0))
             .reduce(|_k, _v, _c: &mut ReduceContext<u8, u8>| {})
             .run(&cluster, &splits)
             .unwrap();
-        assert_eq!(out.metrics.map_waves, 3);
+        let waves = cluster
+            .trace_events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceEventKind::Wave {
+                        phase: TaskPhase::Map,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(waves, 3);
     }
 
     #[test]
@@ -1037,7 +1042,8 @@ mod fault_tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::fault::FaultPlan;
-    use crate::metrics::RecoveryStats;
+    use crate::metrics::{AttemptKind, AttemptOutcome, TaskAttempt};
+    use crate::trace::summary::{self, RecoveryCounts, StageSummary};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn faulty_cluster(plan: FaultPlan) -> Cluster {
@@ -1046,6 +1052,13 @@ mod fault_tests {
         cfg.job_setup = std::time::Duration::from_millis(1);
         cfg.fault_plan = Some(plan);
         Cluster::new(cfg)
+    }
+
+    /// The trace's row of the one job `cluster` ran.
+    fn row(cluster: &Cluster) -> StageSummary {
+        let mut rows = summary::per_stage(&cluster.trace_events());
+        assert_eq!(rows.len(), 1, "one job ran");
+        rows.remove(0)
     }
 
     fn sum_job(cluster: &Cluster, splits: &[u64]) -> Result<JobOutput<u8, u64>, RuntimeError> {
@@ -1061,11 +1074,13 @@ mod fault_tests {
         let plan = FaultPlan::seeded(0)
             .with_targeted(TaskPhase::Map, 1, vec![1, 2])
             .with_targeted(TaskPhase::Reduce, 0, vec![1]);
-        let faulty = sum_job(&faulty_cluster(plan), &[1, 2, 3, 4]).unwrap();
+        let cluster = faulty_cluster(plan);
+        let faulty = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, faulty.pairs);
-        assert_eq!(faulty.metrics.attempt_stats.failed, 3);
-        assert_eq!(faulty.metrics.attempt_stats.retried, 3);
-        assert!(faulty.metrics.attempt_stats.wasted_secs > 0.0);
+        let r = row(&cluster);
+        assert_eq!((r.map.failed, r.reduce.failed), (2, 1));
+        assert_eq!((r.map.retried, r.reduce.retried), (2, 1));
+        assert!(r.map.wasted_secs > 0.0 && r.reduce.wasted_secs > 0.0);
         assert!(faulty.metrics.simulated() > clean.metrics.simulated());
     }
 
@@ -1136,15 +1151,16 @@ mod fault_tests {
             .run(&cluster, &[41u64])
             .unwrap();
         assert_eq!(out.pairs, vec![(0, 41)]);
-        assert_eq!(out.metrics.attempt_stats.failed, 1);
-        assert_eq!(out.metrics.attempt_stats.retried, 1);
+        let r = row(&cluster);
+        assert_eq!((r.map.failed, r.map.retried), (1, 1));
     }
 
     #[test]
     fn straggler_slows_simulated_clock_only() {
         let clean = sum_job(&faulty_cluster(FaultPlan::seeded(0)), &[1, 2]).unwrap();
         let plan = FaultPlan::seeded(0).with_straggler(TaskPhase::Map, 0, 50.0);
-        let slow = sum_job(&faulty_cluster(plan), &[1, 2]).unwrap();
+        let cluster = faulty_cluster(plan);
+        let slow = sum_job(&cluster, &[1, 2]).unwrap();
         assert_eq!(clean.pairs, slow.pairs);
         // The straggler did the same work; only its simulated time grew.
         assert_eq!(clean.metrics.map_costs, slow.metrics.map_costs);
@@ -1155,7 +1171,7 @@ mod fault_tests {
         // 50 x a sub-microsecond task stays under the 50 ms speculation
         // floor: no backup, the straggler runs to its end.
         assert_eq!(slow.metrics.sim.map, startup + 50.0 * price);
-        assert_eq!(slow.metrics.attempt_stats.speculative, 0);
+        assert_eq!(row(&cluster).map.speculative, 0);
     }
 
     #[test]
@@ -1167,10 +1183,11 @@ mod fault_tests {
         let cluster = faulty_cluster(plan);
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs, "recovery must be byte-identical");
-        assert_eq!(out.metrics.recovery.nodes_failed, 1);
-        assert!(out.metrics.recovery.maps_reexecuted >= 1);
-        assert!(out.metrics.recovery.fetch_retries > 0);
-        assert_eq!(out.metrics.recovery.corrupt_runs, 0);
+        let rec = row(&cluster).recovery;
+        assert_eq!(rec.nodes_failed, 1);
+        assert!(rec.maps_reexecuted >= 1);
+        assert!(rec.fetch_retries > 0);
+        assert_eq!(rec.corrupt_runs, 0);
         // Fetch backoff plus the re-executed map show up on the clock.
         assert!(out.metrics.simulated() > clean.metrics.simulated());
         // The trace tells the whole story and stays well-formed.
@@ -1201,8 +1218,9 @@ mod fault_tests {
         let cluster = faulty_cluster(plan);
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs);
-        assert_eq!(out.metrics.recovery.nodes_failed, 1);
-        assert!(out.metrics.recovery.maps_reexecuted >= 1);
+        let rec = row(&cluster).recovery;
+        assert_eq!(rec.nodes_failed, 1);
+        assert!(rec.maps_reexecuted >= 1);
         let events = cluster.trace_events();
         assert!(events.iter().any(|e| matches!(
             e.kind,
@@ -1221,9 +1239,10 @@ mod fault_tests {
         let cluster = faulty_cluster(plan);
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs, "corruption must not reach output");
-        assert!(out.metrics.recovery.corrupt_runs >= 1);
-        assert!(out.metrics.recovery.maps_reexecuted >= 1);
-        assert_eq!(out.metrics.recovery.nodes_failed, 0, "no node died");
+        let rec = row(&cluster).recovery;
+        assert!(rec.corrupt_runs >= 1);
+        assert!(rec.maps_reexecuted >= 1);
+        assert_eq!(rec.nodes_failed, 0, "no node died");
         let events = cluster.trace_events();
         assert!(events
             .iter()
@@ -1239,18 +1258,21 @@ mod fault_tests {
         let plan = FaultPlan::seeded(0)
             .with_node_failure(1, 1000.0)
             .with_corrupt_run(0);
-        let out = sum_job(&faulty_cluster(plan), &[1, 2, 3, 4]).unwrap();
+        let cluster = faulty_cluster(plan);
+        let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs);
-        assert_eq!(out.metrics.recovery.nodes_failed, 1);
-        assert!(out.metrics.recovery.corrupt_runs >= 1);
+        let rec = row(&cluster).recovery;
+        assert_eq!(rec.nodes_failed, 1);
+        assert!(rec.corrupt_runs >= 1);
         // Both the corrupt task and the killed node's tasks re-execute.
-        assert!(out.metrics.recovery.maps_reexecuted >= 2);
+        assert!(rec.maps_reexecuted >= 2);
     }
 
     #[test]
     fn healthy_run_has_zero_recovery_counters() {
-        let out = sum_job(&faulty_cluster(FaultPlan::seeded(0)), &[1, 2, 3]).unwrap();
-        assert_eq!(out.metrics.recovery, RecoveryStats::default());
+        let cluster = faulty_cluster(FaultPlan::seeded(0));
+        sum_job(&cluster, &[1, 2, 3]).unwrap();
+        assert_eq!(row(&cluster).recovery, RecoveryCounts::default());
     }
 
     #[test]
@@ -1264,12 +1286,124 @@ mod fault_tests {
         let clean = sum_job(&faulty_cluster(FaultPlan::seeded(0)), &[1, 2, 3, 4]).unwrap();
         let out = sum_job(&cluster, &[1, 2, 3, 4]).unwrap();
         assert_eq!(clean.pairs, out.pairs);
-        assert_eq!(out.metrics.recovery.nodes_blacklisted, 1);
+        assert_eq!(row(&cluster).recovery.nodes_blacklisted, 1);
         let events = cluster.trace_events();
         crate::trace::validate(&events).expect("blacklist timeline is well-formed");
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, TraceEventKind::NodeBlacklisted { failures: 1, .. })));
+    }
+
+    /// The trace's attempt and recovery counts against their definitions
+    /// over what the engine decided: each cell's phases are driven again by
+    /// hand, as `run_inner` drives them, and the counts are taken from both
+    /// phases' scheduled attempts and from what `fetch::recover` returned.
+    #[test]
+    fn trace_counts_match_the_schedules_and_the_recovery_across_a_fault_grid() {
+        let grid = [
+            FaultPlan::seeded(3)
+                .with_targeted(TaskPhase::Map, 1, vec![1])
+                .with_targeted(TaskPhase::Reduce, 0, vec![1]),
+            FaultPlan::seeded(3).with_straggler(TaskPhase::Map, 0, 6.0),
+            FaultPlan::seeded(3)
+                .with_node_failure(1, 1000.0)
+                .with_corrupt_run(0),
+            FaultPlan::seeded(3)
+                .with_targeted(TaskPhase::Map, 0, vec![1])
+                .with_blacklist_after(1),
+        ];
+        let job = JobBuilder::new("grid")
+            .map(|s: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(s % 3, *s))
+            .input_bytes(|_| 8 * 1024)
+            .reducers(2)
+            .reduce(|k, vals, ctx: &mut ReduceContext<u64, u64>| ctx.emit(*k, vals.sum()));
+        let splits: Vec<u64> = (0..8).collect();
+        let mut exercised = [0; 4];
+        for plan in grid {
+            let mut cfg = ClusterConfig::with_slots(4, 2);
+            // 100 ms of HDFS read per split: the straggler outruns the
+            // speculation floor.
+            cfg.hdfs_bytes_per_sec = 80.0 * 1024.0;
+            cfg.fault_plan = Some(plan);
+            let cluster = Cluster::new(cfg);
+            job.run(&cluster, &splits).unwrap();
+            let row = row(&cluster);
+
+            let config = cluster.config();
+            let (pool, store) = (cluster.executor(), SpillStore::new(config.spill_backend));
+            let clock = SimClock::new(config);
+            let setup = config.job_setup.as_secs_f64();
+            let map = MapPhase::new(&job.stage, config, pool, &store);
+            let (mut results, _, map_plans) = map.run(&splits).unwrap();
+            let map_sched = clock.schedule(TaskPhase::Map, &map_plans, setup);
+            let faults = config.fault_plan.as_ref().filter(|p| p.has_node_faults());
+            let mut inputs = fetch::route(&mut results, 2, faults, &store);
+            let corrupt = inputs.iter().flatten().filter(|r| r.is_corrupt(&store));
+            let corrupt_runs = corrupt.count() as u64;
+            let rec = match faults {
+                Some(_) => fetch::recover(
+                    &mut inputs,
+                    &store,
+                    config,
+                    &clock.node_events,
+                    &map_sched,
+                    &map_plans,
+                    |t| map.run_task(t, &splits[t], config.max_attempts + 1).0,
+                )
+                .unwrap(),
+                None => Recovery {
+                    secs: vec![0.0; 2],
+                    ..Recovery::default()
+                },
+            };
+            let (_, costs, plans) =
+                reduce::run_phase(pool, &store, config, &job.reduce_fn, &inputs, &rec.secs)
+                    .unwrap();
+            let shuffle = costs
+                .iter()
+                .map(|c| c.fetched_bytes as f64 / config.shuffle_bytes_per_sec)
+                .fold(0.0, f64::max);
+            let reduce_start = setup + map_sched.makespan + shuffle;
+            let reduce_sched = clock.schedule(TaskPhase::Reduce, &plans, reduce_start);
+
+            for (used, sched) in [(row.map, &map_sched), (row.reduce, &reduce_sched)] {
+                let count = |hit: &dyn Fn(&TaskAttempt) -> bool| {
+                    sched.attempts.iter().filter(|a| hit(a)).count()
+                };
+                assert_eq!(used.attempts, sched.attempts.len());
+                assert_eq!(used.failed, count(&|a| a.outcome == AttemptOutcome::Failed));
+                assert_eq!(used.retried, count(&|a| a.kind == AttemptKind::Retry));
+                let speculative = count(&|a| a.kind == AttemptKind::Speculative);
+                assert_eq!(used.speculative, speculative);
+                let wasted: f64 = sched
+                    .attempts
+                    .iter()
+                    .filter(|a| a.outcome != AttemptOutcome::Succeeded)
+                    .map(|a| a.sim_end - a.sim_start)
+                    .sum();
+                assert!((used.wasted_secs - wasted).abs() <= 1e-9, "{wasted}");
+                exercised[0] += used.failed;
+                exercised[1] += used.speculative;
+            }
+            let down: std::collections::BTreeSet<usize> =
+                clock.node_events.iter().map(|f| f.node).collect();
+            let blacklisted = map_sched.blacklisted.len() + reduce_sched.blacklisted.len();
+            let expected = RecoveryCounts {
+                nodes_down: clock.node_events.len(),
+                permanent: clock.node_events.iter().filter(|f| f.permanent).count(),
+                nodes_failed: down.len(),
+                fetch_failures: rec.fetch_failures.len(),
+                fetch_retries: rec.fetch_failures.iter().map(|f| f.2).sum(),
+                corrupt_runs,
+                maps_reexecuted: rec.reexecuted.len(),
+                nodes_blacklisted: blacklisted,
+            };
+            assert_eq!(row.recovery, expected);
+            exercised[2] += expected.nodes_failed * expected.corrupt_runs as usize;
+            exercised[3] += blacklisted;
+        }
+        // Every cell's fault took effect.
+        assert!(exercised.iter().all(|&n| n > 0), "{exercised:?}");
     }
 
     #[test]
@@ -1345,6 +1479,7 @@ mod spill_tests {
     use super::*;
     use crate::cluster::{ClusterConfig, SpillBackend};
     use crate::fault::FaultPlan;
+    use crate::trace::summary;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1635,7 +1770,10 @@ mod spill_tests {
             match case {
                 "clean" => assert_eq!(spilled + merged, 0),
                 "tiny sort" => assert!(spilled > 0 && merged > 0),
-                _ => assert!(m.recovery.maps_reexecuted > 0 && m.recovery.corrupt_runs > 0),
+                _ => {
+                    let rec = summary::per_stage(&events)[0].recovery;
+                    assert!(rec.maps_reexecuted > 0 && rec.corrupt_runs > 0);
+                }
             }
         }
     }
@@ -1707,10 +1845,12 @@ mod spill_tests {
             cfg.io_sort_bytes = 256;
             cfg.io_sort_factor = 2;
             cfg.fault_plan = Some(plan);
-            sum_job(&Cluster::new(cfg), &splits)
+            let cluster = Cluster::new(cfg);
+            let out = sum_job(&cluster, &splits);
+            (out, summary::per_stage(&cluster.trace_events()).remove(0))
         };
-        let clean = run(FaultPlan::seeded(7));
-        let faulted = run(FaultPlan::seeded(7)
+        let (clean, _) = run(FaultPlan::seeded(7));
+        let (faulted, row) = run(FaultPlan::seeded(7)
             .with_targeted(TaskPhase::Map, 1, vec![1])
             .with_targeted(TaskPhase::Reduce, 0, vec![1]));
         assert_eq!(clean.pairs, faulted.pairs);
@@ -1718,8 +1858,8 @@ mod spill_tests {
         // run exactly: nothing spilled or merged twice.
         assert_eq!(clean.metrics.map_costs, faulted.metrics.map_costs);
         assert_eq!(clean.metrics.reduce_costs, faulted.metrics.reduce_costs);
-        assert_eq!(faulted.metrics.attempt_stats.failed, 2);
-        assert_eq!(faulted.metrics.attempt_stats.retried, 2);
+        assert_eq!((row.map.failed, row.reduce.failed), (1, 1));
+        assert_eq!((row.map.retried, row.reduce.retried), (1, 1));
     }
 
     #[test]
@@ -1732,7 +1872,7 @@ mod spill_tests {
             cfg.spill_backend = SpillBackend::Disk;
             let cluster = Cluster::new(cfg);
             let tripped = AtomicBool::new(!panic_once);
-            JobBuilder::new("flaky-spill")
+            let out = JobBuilder::new("flaky-spill")
                 .map(move |split: &Vec<u32>, ctx: &mut MapContext<u32, u64>| {
                     for (n, &x) in split.iter().enumerate() {
                         // Crash one attempt mid-map, after several spills
@@ -1746,16 +1886,16 @@ mod spill_tests {
                 .reducers(3)
                 .reduce(|k, vals, ctx: &mut ReduceContext<u32, u64>| ctx.emit(*k, vals.sum()))
                 .run(&cluster, &splits)
-                .unwrap()
+                .unwrap();
+            (out, summary::per_stage(&cluster.trace_events()).remove(0))
         };
-        let clean = run(false);
-        let crashed = run(true);
+        let (clean, _) = run(false);
+        let (crashed, row) = run(true);
         assert_eq!(clean.pairs, crashed.pairs);
         // The crashed attempt's partial spills were orphan-removed; the
         // retry's fresh buffers and runs produce identical accounting.
         assert_eq!(clean.metrics.map_costs, crashed.metrics.map_costs);
-        assert_eq!(crashed.metrics.attempt_stats.failed, 1);
-        assert_eq!(crashed.metrics.attempt_stats.retried, 1);
+        assert_eq!((row.map.failed, row.map.retried), (1, 1));
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //!
 //! Multi-job driver programs declare their rounds as a
 //! [`pipeline::Pipeline`], which owns split handoff between stages and
-//! aggregates per-stage metrics into one [`metrics::DriverMetrics`].
+//! collects each job's metrics into one [`metrics::DriverMetrics`].
 //! Every execution is additionally recorded as a structured event log
 //! ([`trace`]) with simulated-time task/shuffle spans, exportable as
 //! JSONL or Chrome trace-event JSON for Perfetto.
@@ -75,13 +75,13 @@
 //! | [`codec`]     | The `Wire` byte format every key/value pays to cross the shuffle |
 //! | [`error`]     | [`RuntimeError`]: typed failures (task exhaustion, OOM, bad partitioner, codec) |
 //! | [`executor`]  | Thread pool over one lock and one list of open batches: map/reduce attempts, run opens and final-merge key ranges on real cores, deterministically |
-//! | [`fault`]     | Seeded [`FaultPlan`]: targeted/probabilistic attempt failures and stragglers |
+//! | [`fault`]     | Seeded [`FaultPlan`]: targeted/probabilistic attempt failures, stragglers, node kills and corrupt runs |
 //! | [`job`]       | [`JobBuilder`] → typed map/reduce jobs; a driver over the map / spill / fetch / merge / reduce phase modules |
-//! | [`metrics`]   | Per-task [`TaskCost`] and its price in simulated seconds, per-job [`JobMetrics`] / per-driver [`DriverMetrics`] aggregates, attempt records |
+//! | [`metrics`]   | What a job cost: per-task [`TaskCost`] and its price in simulated seconds, per-job [`JobMetrics`] / per-driver [`DriverMetrics`] ledgers |
 //! | [`mod@reference`] | The shuffle oracle the engine is tested against: concatenate, stable-sort, group, reduce |
 //! | [`pipeline`]  | Declarative multi-stage [`Pipeline`] driver with split handoff, glue and loops |
 //! | [`scheduler`] | Slot-limited wave scheduler: attempts → simulated makespan |
-//! | [`trace`]     | Structured event log: task/shuffle/fault spans, JSONL + Chrome exporters |
+//! | [`trace`]     | Structured event log, the one record of how each attempt ran and what recovery happened: task/shuffle/fault spans, JSONL + Chrome exporters, the `summary::per_stage` roll-up |
 
 pub mod cluster;
 pub mod codec;
@@ -103,8 +103,7 @@ pub use fault::{
 };
 pub use job::{JobBuilder, JobOutput, MapContext, ReduceContext, Values};
 pub use metrics::{
-    AttemptKind, AttemptOutcome, AttemptStats, DriverMetrics, JobMetrics, Kernel, RecoveryStats,
-    SimTime, StageMetrics, TaskAttempt, TaskCost,
+    AttemptKind, AttemptOutcome, DriverMetrics, JobMetrics, Kernel, SimTime, TaskAttempt, TaskCost,
 };
 pub use pipeline::Pipeline;
 pub use scheduler::{NodeEvent, NodeFaults, NodeTopology};

@@ -145,87 +145,6 @@ pub struct TaskAttempt {
     pub sim_end: f64,
 }
 
-impl TaskAttempt {
-    /// Simulated seconds this attempt occupied its slot.
-    pub fn slot_secs(&self) -> f64 {
-        self.sim_end - self.sim_start
-    }
-}
-
-/// Aggregate attempt-level accounting for one job.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AttemptStats {
-    /// Attempts that crashed (panics plus injected faults).
-    pub failed: u64,
-    /// Retry attempts launched after a failure.
-    pub retried: u64,
-    /// Speculative backup attempts launched.
-    pub speculative: u64,
-    /// Simulated seconds spent in attempts that produced no output
-    /// (failed and killed attempts, including their startup overhead).
-    pub wasted_secs: f64,
-}
-
-impl AttemptStats {
-    /// Derives the aggregate stats from a schedule's attempt records.
-    pub fn from_attempts(attempts: &[TaskAttempt]) -> Self {
-        let mut s = AttemptStats::default();
-        for a in attempts {
-            match a.kind {
-                AttemptKind::Retry => s.retried += 1,
-                AttemptKind::Speculative => s.speculative += 1,
-                AttemptKind::Regular => {}
-            }
-            match a.outcome {
-                AttemptOutcome::Failed => {
-                    s.failed += 1;
-                    s.wasted_secs += a.slot_secs();
-                }
-                AttemptOutcome::Killed => s.wasted_secs += a.slot_secs(),
-                AttemptOutcome::Succeeded => {}
-            }
-        }
-        s
-    }
-}
-
-impl AddAssign for AttemptStats {
-    fn add_assign(&mut self, rhs: AttemptStats) {
-        self.failed += rhs.failed;
-        self.retried += rhs.retried;
-        self.speculative += rhs.speculative;
-        self.wasted_secs += rhs.wasted_secs;
-    }
-}
-
-/// Node-failure recovery accounting for one job (all zero on a healthy
-/// run — these counters only move under node-level faults).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Distinct nodes that failed during the job.
-    pub nodes_failed: u64,
-    /// Completed map tasks re-executed because their outputs were lost
-    /// or corrupt when a reducer tried to fetch them.
-    pub maps_reexecuted: u64,
-    /// Reduce-side fetch retries paid (capped exponential backoff) before
-    /// giving up on lost runs and requesting re-execution.
-    pub fetch_retries: u64,
-    /// Stored runs whose checksum footer failed verification at fetch.
-    pub corrupt_runs: u64,
-    /// Nodes blacklisted after crossing the failure threshold.
-    pub nodes_blacklisted: u64,
-}
-
-impl AddAssign for RecoveryStats {
-    fn add_assign(&mut self, rhs: RecoveryStats) {
-        self.nodes_failed += rhs.nodes_failed;
-        self.maps_reexecuted += rhs.maps_reexecuted;
-        self.fetch_retries += rhs.fetch_retries;
-        self.corrupt_runs += rhs.corrupt_runs;
-        self.nodes_blacklisted += rhs.nodes_blacklisted;
-    }
-}
-
 /// A kind of kernel work a task body reports through
 /// [`crate::MapContext::charge`] / [`crate::ReduceContext::charge`], counted
 /// in bulk from sizes the kernel already has, never one element at a time.
@@ -370,22 +289,12 @@ pub struct JobMetrics {
     pub input_bytes: u64,
     /// Records emitted by reducers.
     pub output_records: u64,
-    /// Map waves (`ceil(map_tasks / map_slots)`).
-    pub map_waves: usize,
     /// Simulated-time breakdown.
     pub sim: SimBreakdown,
     /// Real host wall clock for the whole job.
     pub real_elapsed: Duration,
     /// User counters, merged across tasks.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Every task attempt (map and reduce) as scheduled, including failed,
-    /// retried, and speculative attempts.
-    pub attempts: Vec<TaskAttempt>,
-    /// Aggregate attempt accounting (failures, retries, speculation,
-    /// wasted simulated seconds).
-    pub attempt_stats: AttemptStats,
-    /// Node-failure recovery accounting (all zero on a healthy run).
-    pub recovery: RecoveryStats,
 }
 
 impl JobMetrics {
@@ -440,11 +349,10 @@ impl JobMetrics {
         self.reduce_costs.iter().map(TaskCost::disk_bytes).sum()
     }
 
-    /// FNV-1a digest of the job's execution record on the simulated
-    /// cluster: every task's [`TaskCost`], byte and record accounting,
-    /// counters, recovery stats, the simulated breakdown, and every
-    /// attempt in schedule order with its `sim_start`, `sim_end`, slot and
-    /// node (times by their bits).
+    /// FNV-1a digest of what the job cost on the simulated cluster: every
+    /// task's [`TaskCost`], byte and record accounting, counters and the
+    /// simulated breakdown (times by their bits). How each attempt ran is
+    /// the trace's record, not the ledger's.
     ///
     /// All of it is a pure function of (job, input, cluster config, fault
     /// plan); only the host sidecars (`map_task_secs` and friends,
@@ -453,18 +361,14 @@ impl JobMetrics {
     /// determinism contract, enforced by the cross-thread proptests.
     pub fn structural_digest(&self) -> u64 {
         use crate::codec::WireSink;
-        use std::fmt::Write as _;
-        let mut s = String::new();
         let sim = [
             self.sim.setup,
             self.sim.map,
             self.sim.shuffle,
             self.sim.reduce,
         ];
-        let _ = write!(
-            s,
-            "job({}) costs({:?}/{:?}) bytes({}/{}) records({}/{}) waves({}) counters({:?}) \
-             recovery({}/{}/{}/{}/{}) sim({:?})",
+        let s = format!(
+            "job({}) costs({:?}/{:?}) bytes({}/{}) records({}/{}) counters({:?}) sim({:?})",
             self.name,
             self.map_costs,
             self.reduce_costs,
@@ -472,60 +376,13 @@ impl JobMetrics {
             self.input_bytes,
             self.shuffle_records,
             self.output_records,
-            self.map_waves,
             self.counters,
-            self.recovery.nodes_failed,
-            self.recovery.nodes_blacklisted,
-            self.recovery.maps_reexecuted,
-            self.recovery.fetch_retries,
-            self.recovery.corrupt_runs,
             sim.map(f64::to_bits),
         );
-        for a in &self.attempts {
-            let _ = write!(
-                s,
-                " attempt({:?} {} a{} {} {} {:?} slot{} node{} {:x}..{:x})",
-                a.phase,
-                a.task,
-                a.attempt,
-                a.kind.as_str(),
-                a.outcome.as_str(),
-                a.failure,
-                a.slot,
-                a.node,
-                a.sim_start.to_bits(),
-                a.sim_end.to_bits(),
-            );
-        }
         let mut hasher = crate::codec::FnvHasher::new();
         hasher.write(s.as_bytes());
         hasher.finish()
     }
-}
-
-/// Aggregate metrics for one named pipeline stage.
-///
-/// A stage is identified by its job name; jobs that run several times
-/// under the same name (e.g. one `dmhs-layer-up` job per error-tree layer,
-/// or one probe chain per binary-search step) fold into a single row.
-/// Produced by [`DriverMetrics::per_stage`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageMetrics {
-    /// Stage name (the job name shared by all runs of this stage).
-    pub name: String,
-    /// Number of jobs executed under this stage name.
-    pub runs: usize,
-    /// Total simulated time across the stage's runs.
-    pub simulated: SimTime,
-    /// Total bytes crossing the shuffle boundary across the stage's runs.
-    pub shuffle_bytes: u64,
-    /// Total declared HDFS input bytes across the stage's runs.
-    pub input_bytes: u64,
-    /// Aggregate attempt accounting (failures, retries, speculation,
-    /// wasted simulated seconds) across the stage's runs.
-    pub attempt_stats: AttemptStats,
-    /// Aggregate node-failure recovery accounting across the stage's runs.
-    pub recovery: RecoveryStats,
 }
 
 /// Accumulates metrics across the jobs of a multi-job driver program.
@@ -568,24 +425,6 @@ impl DriverMetrics {
         self.jobs.len()
     }
 
-    /// Aggregate attempt-level accounting across all jobs.
-    pub fn total_attempt_stats(&self) -> AttemptStats {
-        let mut s = AttemptStats::default();
-        for j in &self.jobs {
-            s += j.attempt_stats;
-        }
-        s
-    }
-
-    /// Aggregate node-failure recovery accounting across all jobs.
-    pub fn total_recovery_stats(&self) -> RecoveryStats {
-        let mut s = RecoveryStats::default();
-        for j in &self.jobs {
-            s += j.recovery;
-        }
-        s
-    }
-
     /// Appends all of `other`'s jobs, preserving execution order — how a
     /// driver folds a sub-pipeline's ledger (e.g. one DMHaarSpace probe of
     /// DIndirectHaar's binary search) into its own.
@@ -603,42 +442,6 @@ impl DriverMetrics {
             hasher.write(&job.structural_digest().to_le_bytes());
         }
         hasher.finish()
-    }
-
-    /// Groups the job ledger by stage name, in first-execution order.
-    ///
-    /// The stage rows partition the ledger: summing `simulated`
-    /// (resp. `shuffle_bytes`, `attempt_stats`) over the rows reproduces
-    /// [`DriverMetrics::total_simulated`]
-    /// (resp. [`total_shuffle_bytes`](DriverMetrics::total_shuffle_bytes),
-    /// [`total_attempt_stats`](DriverMetrics::total_attempt_stats)) exactly.
-    pub fn per_stage(&self) -> Vec<StageMetrics> {
-        let mut stages: Vec<StageMetrics> = Vec::new();
-        for j in &self.jobs {
-            let at = match stages.iter().position(|s| s.name == j.name) {
-                Some(at) => at,
-                None => {
-                    stages.push(StageMetrics {
-                        name: j.name.clone(),
-                        runs: 0,
-                        simulated: SimTime::ZERO,
-                        shuffle_bytes: 0,
-                        input_bytes: 0,
-                        attempt_stats: AttemptStats::default(),
-                        recovery: RecoveryStats::default(),
-                    });
-                    stages.len() - 1
-                }
-            };
-            let stage = &mut stages[at];
-            stage.runs += 1;
-            stage.simulated += j.simulated();
-            stage.shuffle_bytes += j.shuffle_bytes;
-            stage.input_bytes += j.input_bytes;
-            stage.attempt_stats += j.attempt_stats;
-            stage.recovery += j.recovery;
-        }
-        stages
     }
 }
 
@@ -689,35 +492,42 @@ mod tests {
         assert_eq!(d.job_count(), 2);
     }
 
+    /// The trace's rows partition the ledger: a name's row sums that
+    /// name's jobs, rows open in first-execution order, and their runs,
+    /// simulated time and shuffle bytes sum to the ledger's totals.
     #[test]
     fn per_stage_groups_by_name_in_first_seen_order() {
+        use crate::cluster::{Cluster, ClusterConfig};
+        use crate::job::{JobBuilder, MapContext, ReduceContext};
+        use crate::trace::summary;
+        let cluster = Cluster::new(ClusterConfig::with_slots(2, 1));
         let mut d = DriverMetrics::new();
-        for (name, map, bytes) in [("a", 1.0, 10), ("b", 2.0, 20), ("a", 4.0, 40)] {
-            let mut j = JobMetrics {
-                name: name.into(),
-                shuffle_bytes: bytes,
-                input_bytes: bytes * 2,
-                ..JobMetrics::default()
-            };
-            j.sim.map = map;
-            j.attempt_stats.failed = 1;
-            d.push(j);
+        for (name, keys) in [("a", 1u64), ("b", 2), ("a", 4)] {
+            let out = JobBuilder::new(name)
+                .map(|s: &u64, ctx: &mut MapContext<u64, u64>| (0..*s).for_each(|k| ctx.emit(k, k)))
+                .input_bytes(|s| s * 1024)
+                .reduce(|k, vals, ctx: &mut ReduceContext<u64, u64>| ctx.emit(*k, vals.sum()))
+                .run(&cluster, &[keys, keys])
+                .unwrap();
+            d.push(out.metrics);
         }
-        let stages = d.per_stage();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].name, "a");
-        assert_eq!(stages[0].runs, 2);
-        assert_eq!(stages[0].simulated, SimTime(5.0));
-        assert_eq!(stages[0].shuffle_bytes, 50);
-        assert_eq!(stages[0].input_bytes, 100);
-        assert_eq!(stages[0].attempt_stats.failed, 2);
-        assert_eq!(stages[1].name, "b");
-        assert_eq!(stages[1].runs, 1);
-        // The stage rows partition the ledger exactly.
-        let sim: f64 = stages.iter().map(|s| s.simulated.secs()).sum();
-        assert_eq!(SimTime(sim), d.total_simulated());
-        let bytes: u64 = stages.iter().map(|s| s.shuffle_bytes).sum();
-        assert_eq!(bytes, d.total_shuffle_bytes());
+        let rows = summary::per_stage(&cluster.trace_events());
+        let names: Vec<(&str, usize)> = rows.iter().map(|r| (r.name.as_str(), r.runs)).collect();
+        assert_eq!(names, [("a", 2), ("b", 1)]);
+        for r in &rows {
+            let jobs = d.jobs.iter().filter(|j| j.name == r.name);
+            let sim = jobs.clone().fold(0.0, |acc, j| acc + j.simulated().secs());
+            assert_eq!(sim.to_bits(), r.sim_secs.to_bits(), "{}", r.name);
+            let shuffle: u64 = jobs.map(|j| j.shuffle_bytes).sum();
+            assert_eq!(shuffle, r.shuffle.bytes, "{}", r.name);
+        }
+        let runs: usize = rows.iter().map(|r| r.runs).sum();
+        assert_eq!(runs, d.job_count());
+        let sim: f64 = rows.iter().map(|r| r.sim_secs).sum();
+        let total = d.total_simulated().secs();
+        assert!((sim - total).abs() <= 1e-12 * total, "{sim} != {total}");
+        let shuffle: u64 = rows.iter().map(|r| r.shuffle.bytes).sum();
+        assert_eq!(shuffle, d.total_shuffle_bytes());
     }
 
     #[test]
@@ -742,33 +552,5 @@ mod tests {
     fn counters_default_zero() {
         let m = JobMetrics::default();
         assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn recovery_stats_accumulate_across_jobs_and_stages() {
-        let mut d = DriverMetrics::new();
-        for (name, reexec, retries) in [("a", 2, 5), ("a", 1, 3), ("b", 0, 0)] {
-            let mut j = JobMetrics {
-                name: name.into(),
-                ..JobMetrics::default()
-            };
-            j.recovery.maps_reexecuted = reexec;
-            j.recovery.fetch_retries = retries;
-            j.recovery.nodes_failed = u64::from(reexec > 0);
-            d.push(j);
-        }
-        let total = d.total_recovery_stats();
-        assert_eq!(total.maps_reexecuted, 3);
-        assert_eq!(total.fetch_retries, 8);
-        assert_eq!(total.nodes_failed, 2);
-        let stages = d.per_stage();
-        assert_eq!(stages[0].recovery.maps_reexecuted, 3);
-        assert_eq!(stages[1].recovery, RecoveryStats::default());
-        // The stage rows partition the recovery ledger too.
-        let mut sum = RecoveryStats::default();
-        for s in &stages {
-            sum += s.recovery;
-        }
-        assert_eq!(sum, total);
     }
 }

@@ -16,9 +16,11 @@
 //! * **Metrics aggregate automatically.** Every executed stage pushes its
 //!   [`JobMetrics`] into one [`DriverMetrics`] ledger; conditional probes
 //!   and sub-pipelines fold in through [`Pipeline::absorb`] /
-//!   [`Pipeline::record`]. Because each stage is tagged with its job name,
-//!   [`DriverMetrics::per_stage`] reports per-stage simulated time,
-//!   shuffle bytes, and fault/retry counts uniformly across algorithms.
+//!   [`Pipeline::record`]. Each stage's job is also a block of the
+//!   cluster's trace under its job name, so
+//!   [`crate::trace::summary::per_stage`] reports per-stage simulated
+//!   time, shuffle bytes, and fault/retry counts uniformly across
+//!   algorithms.
 //! * **Loops are part of the plan.** [`Pipeline::repeat`] runs a body of
 //!   stages while a predicate over the threaded value holds — the shape of
 //!   the layered bottom-up jobs and of IndirectHaar's binary-search
@@ -37,6 +39,7 @@
 //! use dwmaxerr_runtime::cluster::{Cluster, ClusterConfig};
 //! use dwmaxerr_runtime::job::{JobBuilder, MapContext, ReduceContext};
 //! use dwmaxerr_runtime::pipeline::Pipeline;
+//! use dwmaxerr_runtime::trace::summary;
 //!
 //! let cluster = Cluster::new(ClusterConfig::default());
 //! let docs: Vec<Vec<&str>> = vec![vec!["a", "b", "a"], vec!["b", "b"]];
@@ -67,7 +70,7 @@
 //!     .then(|(_, pairs)| pairs)
 //!     .finish();
 //! assert_eq!(metrics.job_count(), 2);
-//! let stages = metrics.per_stage();
+//! let stages = summary::per_stage(&cluster.trace_events());
 //! assert_eq!(stages[0].name, "count");
 //! assert_eq!(stages[1].name, "histogram");
 //! ```
@@ -222,19 +225,6 @@ impl<'c, T> Pipeline<'c, T> {
         self
     }
 
-    /// Adjusts the most recent stage's recorded metrics.
-    ///
-    /// For drivers that charge post-hoc work to a stage — e.g. Send-V
-    /// folds the driver-side thresholding time into its single job's
-    /// reduce clock. The closure sees the threaded value and the last
-    /// [`JobMetrics`] on the ledger; it is a no-op on an empty ledger.
-    pub fn amend_last(mut self, f: impl FnOnce(&T, &mut JobMetrics)) -> Self {
-        if let Some(last) = self.metrics.jobs.last_mut() {
-            f(&self.value, last);
-        }
-        self
-    }
-
     /// Ends the plan, returning the threaded value and the metrics ledger.
     pub fn finish(self) -> (T, DriverMetrics) {
         (self.value, self.metrics)
@@ -252,6 +242,7 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::fault::{FaultPlan, TaskPhase};
     use crate::job::JobBuilder;
+    use crate::trace::summary;
 
     fn small_cluster() -> Cluster {
         let mut cfg = ClusterConfig::with_slots(4, 2);
@@ -326,14 +317,14 @@ mod tests {
         // 16 -> 8 -> 4 -> 2 -> 1: four runs of the looped stage.
         let (_, metrics) = pipe.finish();
         assert_eq!(metrics.job_count(), 4);
-        let stages = metrics.per_stage();
+        let stages = summary::per_stage(&cluster.trace_events());
         assert_eq!(stages.len(), 1);
         assert_eq!(stages[0].name, "halve");
         assert_eq!(stages[0].runs, 4);
     }
 
     #[test]
-    fn absorb_record_and_amend_fold_external_metrics() {
+    fn absorb_and_record_fold_external_metrics() {
         let cluster = small_cluster();
         let mut sub = DriverMetrics::new();
         sub.push(JobMetrics {
@@ -344,12 +335,8 @@ mod tests {
             name: "eval".into(),
             ..JobMetrics::default()
         };
-        let pipe = Pipeline::with(&cluster, 7u32)
-            .absorb(sub)
-            .record(extra)
-            .amend_last(|&v, jm| jm.sim.reduce += f64::from(v));
+        let pipe = Pipeline::with(&cluster, 7u32).absorb(sub).record(extra);
         assert_eq!(pipe.metrics().job_count(), 2);
-        assert_eq!(pipe.metrics().jobs[1].sim.reduce, 7.0);
         let (value, metrics) = pipe.finish();
         assert_eq!(value, 7);
         let names: Vec<&str> = metrics.jobs.iter().map(|j| j.name.as_str()).collect();
@@ -380,13 +367,13 @@ mod tests {
         let job = JobBuilder::new("sum")
             .map(|s: &u64, ctx: &mut MapContext<u8, u64>| ctx.emit(0, *s))
             .reduce(|k, vals, ctx: &mut ReduceContext<u8, u64>| ctx.emit(*k, vals.sum()));
-        let ((_, pairs), metrics) = Pipeline::on(&cluster)
+        let ((_, pairs), _) = Pipeline::on(&cluster)
             .stage(&job, &[1, 2, 3])
             .unwrap()
             .finish();
         assert_eq!(pairs, vec![(0, 6)]);
-        let stats = metrics.per_stage()[0].attempt_stats;
-        assert_eq!(stats.failed, 2);
-        assert_eq!(stats.retried, 2);
+        let row = &summary::per_stage(&cluster.trace_events())[0];
+        assert_eq!(row.map.failed + row.reduce.failed, 2);
+        assert_eq!(row.map.retried + row.reduce.retried, 2);
     }
 }

@@ -23,12 +23,6 @@ pub fn io_secs(bytes: u64, bytes_per_sec: f64) -> f64 {
     bytes as f64 / bytes_per_sec
 }
 
-/// Number of scheduling waves: `ceil(tasks / slots)`.
-pub fn waves(tasks: usize, slots: usize) -> usize {
-    assert!(slots > 0);
-    tasks.div_ceil(slots)
-}
-
 /// One planned attempt of a task: how long it runs (excluding startup) and
 /// whether it ends in failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -515,10 +509,10 @@ pub fn schedule_attempts_on(
 ///
 /// A *wave* is a batch of first (regular) attempts admitted together:
 /// launches are ordered by simulated start time and chunked into groups of
-/// `slots`. On a healthy schedule this reproduces [`waves`] exactly
-/// (`ceil(tasks / slots)` boundaries); under retries and speculation the
-/// extra attempts do not open new waves — they fill holes in existing ones —
-/// so the boundary count stays the submission-wave count.
+/// `slots`. On a healthy schedule this gives `ceil(tasks / slots)`
+/// boundaries; under retries and speculation the extra attempts do not
+/// open new waves — they fill holes in existing ones — so the boundary
+/// count stays the submission-wave count.
 pub fn wave_boundaries(attempts: &[TaskAttempt], slots: usize) -> Vec<(f64, usize)> {
     assert!(slots > 0);
     let mut starts: Vec<f64> = attempts
@@ -591,14 +585,6 @@ mod tests {
             let got = healthy_makespan(durations, slots, startup);
             assert!((got - want).abs() < 1e-12, "{case}: {got} != {want}");
         }
-    }
-
-    #[test]
-    fn wave_count() {
-        assert_eq!(waves(0, 4), 0);
-        assert_eq!(waves(4, 4), 1);
-        assert_eq!(waves(5, 4), 2);
-        assert_eq!(waves(9, 4), 3);
     }
 
     fn failing(times: &[f64], final_secs: f64) -> TaskPlan {
@@ -751,7 +737,7 @@ mod tests {
         assert_eq!(spec.len(), 1);
         assert_eq!(spec[0].outcome, AttemptOutcome::Killed);
         // The killed backup occupied its slot from 1.5 to 2.0.
-        assert!((spec[0].slot_secs() - 0.5).abs() < 1e-12);
+        assert!((spec[0].sim_end - spec[0].sim_start - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -50,10 +50,13 @@
 //!
 //! # Summaries
 //!
-//! [`summary::per_stage`] is the trace's one roll-up: a single pass that
-//! folds each job's contiguous event block into one
-//! [`summary::StageSummary`] row per job name. Every trace-derived report
-//! table reads its fields.
+//! The trace is the only record of how each attempt ran and what recovery
+//! happened; [`crate::metrics::JobMetrics`] records what each job cost.
+//! [`summary::per_stage`] is the one roll-up: a single pass that folds
+//! each job's contiguous event block into one [`summary::StageSummary`]
+//! row per job name — attempts failed, retried and speculative, wasted
+//! slot seconds, node losses and fetch recovery included. Every report of
+//! a run's timeline reads its fields, and a total is a fold over its rows.
 //!
 //! # Example
 //!
@@ -444,6 +447,9 @@ trace_events! {
         map_task: usize,
         /// Retries spent (the configured cap) before giving up.
         retries: u64,
+        /// How many of the map task's runs for this partition failed their
+        /// checksum (0 when the output was lost with its node).
+        corrupt: u64,
     },
     /// A completed map task was re-executed on a surviving node because
     /// its output was lost or corrupt; its regenerated runs substitute
@@ -1265,6 +1271,7 @@ mod tests {
                 partition: 1,
                 map_task: 2,
                 retries: 3,
+                corrupt: 1,
             },
             K::MapReexecuted { task: 2, node: 0 },
             K::NodeBlacklisted {

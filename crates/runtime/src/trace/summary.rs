@@ -1,8 +1,9 @@
 //! The trace's one roll-up: [`per_stage`] folds a recorded event log into
 //! one [`StageSummary`] row per job name — its runs and simulated time,
-//! the four phase makespans, each task phase's slot occupancy, the
-//! longest attempt, the node-fault and recovery counts, and the shape of
-//! its shuffle.
+//! the four phase makespans, each task phase's slot occupancy and its
+//! failed, retried and speculative attempts, the longest attempt, the
+//! node-fault and recovery counts, and the shape of its shuffle. A total
+//! over a pipeline is a fold over the rows.
 //!
 //! It is a pure function of the event log — everything it reports is
 //! recomputable by any external consumer of the JSONL export; it exists
@@ -11,6 +12,8 @@
 //! job name: the pass attributes each one to the job its block's
 //! `job_begin` names, as [`super::chrome_trace`] does. A new span kind is
 //! one more match arm in the fold [`per_stage`] runs over each event.
+
+use std::ops::AddAssign;
 
 use super::{JobPhase, TraceEvent, TraceEventKind};
 use crate::fault::TaskPhase;
@@ -29,6 +32,12 @@ pub struct SlotUse {
     pub wasted_secs: f64,
     /// Total attempts scheduled.
     pub attempts: usize,
+    /// Attempts that crashed (panics, injected faults, lost nodes).
+    pub failed: usize,
+    /// Retry attempts launched after a failure.
+    pub retried: usize,
+    /// Speculative backup attempts launched.
+    pub speculative: usize,
 }
 
 impl SlotUse {
@@ -66,13 +75,34 @@ pub struct RecoveryCounts {
     pub nodes_down: usize,
     /// The subset of `nodes_down` whose slots never came back.
     pub permanent: usize,
+    /// Distinct nodes that went down, counted per run and summed over the
+    /// runs.
+    pub nodes_failed: usize,
     /// `fetch_failed` instants (reducer × lost/corrupt map output pairs
     /// that exhausted their retries).
     pub fetch_failures: usize,
+    /// Fetch retries those failures paid (their `retries`, summed).
+    pub fetch_retries: u64,
+    /// Stored runs that failed their checksum at fetch (their `corrupt`,
+    /// summed).
+    pub corrupt_runs: u64,
     /// `map_reexecuted` instants (completed maps re-run on a survivor).
     pub maps_reexecuted: usize,
     /// `node_blacklisted` instants.
     pub nodes_blacklisted: usize,
+}
+
+impl AddAssign for RecoveryCounts {
+    fn add_assign(&mut self, rhs: RecoveryCounts) {
+        self.nodes_down += rhs.nodes_down;
+        self.permanent += rhs.permanent;
+        self.nodes_failed += rhs.nodes_failed;
+        self.fetch_failures += rhs.fetch_failures;
+        self.fetch_retries += rhs.fetch_retries;
+        self.corrupt_runs += rhs.corrupt_runs;
+        self.maps_reexecuted += rhs.maps_reexecuted;
+        self.nodes_blacklisted += rhs.nodes_blacklisted;
+    }
 }
 
 /// The physical shape of a job name's shuffle, from its
@@ -92,10 +122,9 @@ pub struct ShuffleShape {
 /// Everything the trace records about one job name, summed over its runs
 /// in event order.
 ///
-/// `runs` and `sim_secs` total the [`TraceEventKind::JobEnd`] events
-/// exactly how [`crate::metrics::DriverMetrics::per_stage`] accumulates
-/// `runs` and `simulated`, so for a traced pipeline the two
-/// roll-ups agree to the last bit. Since phases are barriers, the job's
+/// `runs` and `sim_secs` total the [`TraceEventKind::JobEnd`] events, each
+/// run's `sim_secs` being its [`crate::metrics::JobMetrics::simulated`]
+/// bit for bit. Since phases are barriers, the job's
 /// time decomposes into `setup + map + shuffle + reduce`, and within each
 /// task phase the makespan is lower-bounded by its longest attempt chain
 /// — the single longest attempt is the straggler candidate.
@@ -188,6 +217,9 @@ impl StageSummary {
                 if *outcome != AttemptOutcome::Succeeded {
                     used.wasted_secs += secs;
                 }
+                used.failed += usize::from(*outcome == AttemptOutcome::Failed);
+                used.retried += usize::from(*kind == AttemptKind::Retry);
+                used.speculative += usize::from(*kind == AttemptKind::Speculative);
                 if self.longest.as_ref().is_none_or(|l| secs > l.secs) {
                     self.longest = Some(LongestAttempt {
                         phase: *phase,
@@ -208,7 +240,13 @@ impl StageSummary {
                 self.recovery.nodes_down += 1;
                 self.recovery.permanent += usize::from(*permanent);
             }
-            TraceEventKind::FetchFailed { .. } => self.recovery.fetch_failures += 1,
+            TraceEventKind::FetchFailed {
+                retries, corrupt, ..
+            } => {
+                self.recovery.fetch_failures += 1;
+                self.recovery.fetch_retries += retries;
+                self.recovery.corrupt_runs += corrupt;
+            }
             TraceEventKind::MapReexecuted { .. } => self.recovery.maps_reexecuted += 1,
             TraceEventKind::NodeBlacklisted { .. } => self.recovery.nodes_blacklisted += 1,
             _ => {}
@@ -227,8 +265,10 @@ impl StageSummary {
 /// row.
 pub fn per_stage(events: &[TraceEvent]) -> Vec<StageSummary> {
     let mut rows: Vec<StageSummary> = Vec::new();
-    // The row of the job whose block is open.
+    // The row of the job whose block is open, and the nodes the block has
+    // seen go down.
     let mut open: Option<usize> = None;
+    let mut down: Vec<usize> = Vec::new();
     for e in events {
         if let TraceEventKind::JobBegin { job, .. } = &e.kind {
             let at = rows.iter().position(|r| &r.name == job);
@@ -239,7 +279,14 @@ pub fn per_stage(events: &[TraceEvent]) -> Vec<StageSummary> {
                 });
                 rows.len() - 1
             }));
+            down.clear();
         } else if let Some(at) = open {
+            if let TraceEventKind::NodeDown { node, .. } = e.kind {
+                if !down.contains(&node) {
+                    down.push(node);
+                    rows[at].recovery.nodes_failed += 1;
+                }
+            }
             rows[at].add(e);
             if matches!(e.kind, TraceEventKind::JobEnd { .. }) {
                 open = None;
@@ -346,6 +393,7 @@ mod tests {
         assert_eq!(j.map.attempts, 2);
         assert_eq!(j.map.busy_secs, 4.0); // 1s failed + 3s retry
         assert_eq!(j.map.wasted_secs, 1.0);
+        assert_eq!((j.map.failed, j.map.retried, j.map.speculative), (1, 1, 0));
         assert_eq!(j.map_secs, 4.0);
         // 4 busy seconds over 2 slots × 4s capacity.
         assert!((j.map.utilisation(j.map_secs) - 0.5).abs() < 1e-12);
@@ -378,6 +426,7 @@ mod tests {
                     partition: 0,
                     map_task: 1,
                     retries: 3,
+                    corrupt: 2,
                 },
             ),
             ev(4, 0.3, TraceEventKind::MapReexecuted { task: 1, node: 0 }),
@@ -390,17 +439,40 @@ mod tests {
                     failures: 3,
                 },
             ),
+            // Node 2 restarts, then dies for good: two instants, one node.
+            ev(
+                7,
+                0.5,
+                TraceEventKind::NodeDown {
+                    node: 2,
+                    permanent: false,
+                },
+            ),
+            ev(
+                8,
+                0.6,
+                TraceEventKind::NodeDown {
+                    node: 2,
+                    permanent: true,
+                },
+            ),
         ];
         let rows = per_stage(&events);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "j");
         assert_eq!(rows[0].recovery.nodes_down, 2);
         assert_eq!(rows[0].recovery.permanent, 1);
+        assert_eq!(rows[0].recovery.nodes_failed, 2);
         assert_eq!(rows[0].recovery.fetch_failures, 1);
+        assert_eq!(rows[0].recovery.fetch_retries, 3);
+        assert_eq!(rows[0].recovery.corrupt_runs, 2);
         assert_eq!(rows[0].recovery.maps_reexecuted, 1);
         assert_eq!(rows[0].recovery.nodes_blacklisted, 0);
         assert_eq!(rows[1].name, "k");
         assert_eq!(rows[1].recovery.nodes_blacklisted, 1);
+        assert_eq!(rows[1].recovery.nodes_down, 2);
+        // Node 2 counts once per block: once in `j`'s, once in `k`'s.
+        assert_eq!(rows[1].recovery.nodes_failed, 1);
     }
 
     #[test]

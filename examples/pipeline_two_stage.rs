@@ -3,19 +3,20 @@
 //! Stage 1 computes per-chunk averages of a data vector; driver-side glue
 //! picks a threshold from them; stage 2 re-scans the same chunks and counts
 //! values above the threshold. The pipeline owns the split handoff and
-//! folds both jobs' metrics into one `DriverMetrics`, reported per stage at
-//! the end — the same machinery every distributed algorithm in
-//! `crates/core` now runs on. The run's execution trace is written next
-//! to the binary as `pipeline_two_stage.trace.jsonl` (structured event
-//! log) and `pipeline_two_stage.trace.json` — drag the latter into
-//! <https://ui.perfetto.dev> to see both stages on the simulated
-//! timeline.
+//! folds both jobs' metrics into one `DriverMetrics`; the trace's roll-up
+//! reports the run per stage at the end — the same machinery every
+//! distributed algorithm in `crates/core` runs on. The run's execution
+//! trace is written next to the binary as `pipeline_two_stage.trace.jsonl`
+//! (structured event log) and `pipeline_two_stage.trace.json` — drag the
+//! latter into <https://ui.perfetto.dev> to see both stages on the
+//! simulated timeline.
 //!
 //! Run with: `cargo run --release --example pipeline_two_stage`
 
 use dwmaxerr::datagen::synthetic::uniform;
+use dwmaxerr::runtime::trace::summary;
 use dwmaxerr::runtime::{
-    trace, Cluster, ClusterConfig, JobBuilder, MapContext, Pipeline, ReduceContext,
+    trace, Cluster, ClusterConfig, JobBuilder, MapContext, Pipeline, ReduceContext, SimTime,
 };
 
 fn main() {
@@ -64,11 +65,17 @@ fn main() {
         count,
         data.len()
     );
+    // The trace's roll-up: one row per stage.
+    let events = cluster.trace_events();
+    trace::validate(&events).expect("trace is well-formed");
     println!("\nper-stage breakdown:");
-    for s in metrics.per_stage() {
+    for s in summary::per_stage(&events) {
         println!(
             "  {:<14} runs={} sim={} shuffle={}B",
-            s.name, s.runs, s.simulated, s.shuffle_bytes
+            s.name,
+            s.runs,
+            SimTime(s.sim_secs),
+            s.shuffle.bytes
         );
     }
     println!(
@@ -81,8 +88,6 @@ fn main() {
 
     // Export the execution trace: JSONL for tooling, Chrome trace-event
     // JSON for Perfetto / chrome://tracing.
-    let events = cluster.trace_events();
-    trace::validate(&events).expect("trace is well-formed");
     std::fs::write("pipeline_two_stage.trace.jsonl", trace::to_jsonl(&events))
         .expect("write jsonl trace");
     std::fs::write(

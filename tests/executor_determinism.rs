@@ -411,13 +411,15 @@ fn host_sleeps_in_task_bodies_leave_the_clock_alone() {
         let m = out.metrics;
         let sim = [m.sim.setup, m.sim.map, m.sim.shuffle, m.sim.reduce].map(f64::to_bits);
         let jsonl = trace::to_jsonl(&cluster.trace_events());
-        (out.pairs, sim, m.attempts, jsonl, m.map_task_secs)
+        (out.pairs, sim, jsonl, m.map_task_secs)
     };
-    let (pairs, sim, attempts, jsonl, fast_host) = run([0, 1, 0, 2, 0, 1]);
+    let (pairs, sim, jsonl, fast_host) = run([0, 1, 0, 2, 0, 1]);
     let slow = run([9, 0, 6, 0, 12, 3]);
-    assert!(slow.4[4] > fast_host[4], "the host sidecar saw the sleep");
+    assert!(slow.3[4] > fast_host[4], "the host sidecar saw the sleep");
     assert_eq!(pairs, slow.0);
     assert_eq!(sim, slow.1);
-    assert_eq!(attempts, slow.2);
-    assert!(jsonl == slow.3, "JSONL exports differ");
+    assert!(
+        jsonl == slow.2,
+        "JSONL exports (attempt records included) differ"
+    );
 }

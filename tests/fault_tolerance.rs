@@ -16,6 +16,7 @@ use dwmaxerr::core::dindirect_haar::{dindirect_haar, DIndirectHaarConfig};
 use dwmaxerr::core::dmin_haar_space::DmhsConfig;
 use dwmaxerr::core::CoreError;
 use dwmaxerr::datagen::synthetic::uniform;
+use dwmaxerr::runtime::trace::summary::{self, RecoveryCounts};
 use dwmaxerr::runtime::trace::{self, TraceEventKind};
 use dwmaxerr::runtime::{
     Cluster, ClusterConfig, FaultPlan, JobBuilder, MapContext, ReduceContext, RuntimeError,
@@ -44,6 +45,30 @@ fn cluster_on(backend: SpillBackend, plan: Option<FaultPlan>) -> Cluster {
     Cluster::new(cfg)
 }
 
+/// The trace's attempt counts over every stage and both task phases:
+/// `(failed, retried, speculative, wasted slot seconds)`.
+fn attempt_counts(cluster: &Cluster) -> (usize, usize, usize, f64) {
+    let mut counts = (0, 0, 0, 0.0);
+    for row in summary::per_stage(&cluster.trace_events()) {
+        for used in [row.map, row.reduce] {
+            counts.0 += used.failed;
+            counts.1 += used.retried;
+            counts.2 += used.speculative;
+            counts.3 += used.wasted_secs;
+        }
+    }
+    counts
+}
+
+/// The trace's recovery counts, folded over every stage.
+fn recovery_counts(cluster: &Cluster) -> RecoveryCounts {
+    let mut total = RecoveryCounts::default();
+    for row in summary::per_stage(&cluster.trace_events()) {
+        total += row.recovery;
+    }
+    total
+}
+
 /// ≥10% attempt failures plus two map stragglers, as the acceptance
 /// criteria demand.
 fn hostile_plan() -> FaultPlan {
@@ -65,8 +90,8 @@ fn dgreedy_abs_is_bit_identical_under_faults() {
     };
 
     let clean = dgreedy_abs(&cluster(None), &data, b, &cfg).expect("fault-free run");
-    let faulty =
-        dgreedy_abs(&cluster(Some(hostile_plan())), &data, b, &cfg).expect("recovers from faults");
+    let hostile = cluster(Some(hostile_plan()));
+    let faulty = dgreedy_abs(&hostile, &data, b, &cfg).expect("recovers from faults");
 
     // Bit-identical synopsis: recovery must never change the answer.
     assert_eq!(
@@ -74,14 +99,11 @@ fn dgreedy_abs_is_bit_identical_under_faults() {
         faulty.synopsis.reconstruct_all()
     );
 
-    let stats = faulty.metrics.total_attempt_stats();
-    assert!(stats.failed > 0, "plan injected no failures: {stats:?}");
-    assert!(stats.retried > 0, "no retries recorded: {stats:?}");
-    assert!(
-        stats.speculative > 0,
-        "stragglers spawned no backups: {stats:?}"
-    );
-    assert!(stats.wasted_secs > 0.0);
+    let (failed, retried, speculative, wasted) = attempt_counts(&hostile);
+    assert!(failed > 0, "plan injected no failures");
+    assert!(retried > 0, "no retries recorded");
+    assert!(speculative > 0, "stragglers spawned no backups");
+    assert!(wasted > 0.0);
 
     // Recovery is paid in simulated time, serialized after each failure.
     let clean_secs = clean.metrics.total_simulated().secs();
@@ -109,7 +131,8 @@ fn dindirect_haar_is_bit_identical_under_faults() {
         .with_failure_prob(0.10)
         .with_straggler(TaskPhase::Map, 1, 5.0)
         .with_straggler(TaskPhase::Map, 2, 4.0);
-    let faulty = dindirect_haar(&cluster(Some(plan)), &data, b, &cfg).expect("recovers");
+    let hostile = cluster(Some(plan));
+    let faulty = dindirect_haar(&hostile, &data, b, &cfg).expect("recovers");
 
     assert_eq!(clean.error, faulty.error, "bitwise-equal achieved error");
     assert_eq!(
@@ -118,9 +141,12 @@ fn dindirect_haar_is_bit_identical_under_faults() {
     );
     assert_eq!(clean.probes, faulty.probes, "same binary-search trajectory");
 
-    let stats = faulty.metrics.total_attempt_stats();
-    assert!(stats.failed > 0 && stats.retried > 0, "{stats:?}");
-    assert!(stats.speculative > 0, "{stats:?}");
+    let (failed, retried, speculative, _) = attempt_counts(&hostile);
+    assert!(
+        failed > 0 && retried > 0,
+        "{failed} failed, {retried} retried"
+    );
+    assert!(speculative > 0, "stragglers spawned no backups");
     assert!(faulty.metrics.total_simulated() > clean.metrics.total_simulated());
 }
 
@@ -150,7 +176,7 @@ fn dgreedy_abs_survives_node_kill_after_maps_on_both_backends() {
             faulty.synopsis.reconstruct_all(),
             "{backend:?}: node-kill recovery changed the synopsis"
         );
-        let rec = faulty.metrics.total_recovery_stats();
+        let rec = recovery_counts(&killed);
         assert!(rec.nodes_failed > 0, "{backend:?}: {rec:?}");
         assert!(rec.maps_reexecuted > 0, "{backend:?}: {rec:?}");
         assert!(rec.fetch_retries > 0, "{backend:?}: {rec:?}");
@@ -198,9 +224,10 @@ fn conventional_job_survives_node_kill_and_corruption_on_both_backends() {
         let killed = cluster_on(backend, Some(plan));
         let faulty = run(&killed).expect("recovers from node kill + corruption");
         assert_eq!(clean.pairs, faulty.pairs, "{backend:?}");
-        assert!(faulty.metrics.recovery.nodes_failed > 0, "{backend:?}");
-        assert!(faulty.metrics.recovery.maps_reexecuted > 0, "{backend:?}");
-        assert!(faulty.metrics.recovery.corrupt_runs > 0, "{backend:?}");
+        let rec = recovery_counts(&killed);
+        assert!(rec.nodes_failed > 0, "{backend:?}: {rec:?}");
+        assert!(rec.maps_reexecuted > 0, "{backend:?}: {rec:?}");
+        assert!(rec.corrupt_runs > 0, "{backend:?}: {rec:?}");
         let events = killed.trace_events();
         trace::validate(&events).expect("trace validates");
         assert!(events
@@ -298,8 +325,12 @@ fn node_kill_at_any_time_gives_one_recovery_ledger() {
                 cc.fault_plan = Some(FaultPlan::seeded(0).with_node_failure(0, t));
                 let cluster = Cluster::new(cc);
                 let out = dgreedy_abs(&cluster, &data, n / 8, &cfg).expect("recovers");
-                let ledger: Vec<_> = out.metrics.jobs.iter().map(|j| j.recovery).collect();
-                let jsonl = trace::to_jsonl(&cluster.trace_events());
+                let events = cluster.trace_events();
+                let ledger: Vec<_> = summary::per_stage(&events)
+                    .iter()
+                    .map(|r| r.recovery)
+                    .collect();
+                let jsonl = trace::to_jsonl(&events);
                 runs.push((ledger, out.metrics.structural_digest(), jsonl));
             }
         }

@@ -13,7 +13,8 @@
 //!   recovery),
 //! * the three DP families' row exchange — records per job, bottom-up
 //!   bytes — is unchanged ([`DP_ROW_EXCHANGE`]), and
-//! * [`DriverMetrics::per_stage`] partitions the job ledger exactly.
+//! * the trace's `summary::per_stage` rows partition the job ledger, and
+//!   the trace's clock is the ledger's total bit for bit.
 
 use dwmaxerr::algos::min_haar_space::MhsParams;
 use dwmaxerr::algos::min_rel_var::MrvParams;
@@ -26,6 +27,7 @@ use dwmaxerr::core::dmin_haar_space::{dmin_haar_space, DmhsConfig};
 use dwmaxerr::core::dmin_rel_var::{dmin_rel_var, DmrvConfig};
 use dwmaxerr::datagen::synthetic::uniform;
 use dwmaxerr::runtime::codec::{FnvHasher, WireSink};
+use dwmaxerr::runtime::trace::{summary, TraceEventKind};
 use dwmaxerr::runtime::{Cluster, ClusterConfig, DriverMetrics, FaultPlan, TaskPhase};
 use dwmaxerr::wavelet::Synopsis;
 
@@ -160,9 +162,13 @@ fn job_names(m: &DriverMetrics) -> String {
         .join(",")
 }
 
-/// Runs all eleven algorithms on the golden workload, returning
-/// `(name, digest, job-name sequence, ledger)` per algorithm.
-fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMetrics)> {
+/// One algorithm's run: `(name, synopsis digest, job-name sequence,
+/// ledger, the cluster it ran on alone)`.
+type Run = (&'static str, u64, String, DriverMetrics, Cluster);
+
+/// Runs all eleven algorithms on the golden workload, each on a cluster of
+/// its own.
+fn run_all(plan: Option<FaultPlan>) -> Vec<Run> {
     let n = 256usize;
     let b = 32usize;
     let data = uniform(n, 100.0, 42);
@@ -182,7 +188,7 @@ fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMet
     )
     .unwrap();
     let names = job_names(&r.metrics);
-    out.push(("dgreedy_abs", syn_digest(&r.synopsis), names, r.metrics));
+    out.push(("dgreedy_abs", syn_digest(&r.synopsis), names, r.metrics, c));
 
     let c = quiet_cluster(plan.clone());
     let r = dgreedy_rel(
@@ -198,7 +204,7 @@ fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMet
     )
     .unwrap();
     let names = job_names(&r.metrics);
-    out.push(("dgreedy_rel", syn_digest(&r.synopsis), names, r.metrics));
+    out.push(("dgreedy_rel", syn_digest(&r.synopsis), names, r.metrics, c));
 
     let c = quiet_cluster(plan.clone());
     let r = dmin_haar_space(
@@ -212,7 +218,13 @@ fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMet
     )
     .unwrap();
     let names = job_names(&r.metrics);
-    out.push(("dmin_haar_space", syn_digest(&r.synopsis), names, r.metrics));
+    out.push((
+        "dmin_haar_space",
+        syn_digest(&r.synopsis),
+        names,
+        r.metrics,
+        c,
+    ));
 
     let c = quiet_cluster(plan.clone());
     let r = dindirect_haar(
@@ -229,7 +241,13 @@ fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMet
     )
     .unwrap();
     let names = job_names(&r.metrics);
-    out.push(("dindirect_haar", syn_digest(&r.synopsis), names, r.metrics));
+    out.push((
+        "dindirect_haar",
+        syn_digest(&r.synopsis),
+        names,
+        r.metrics,
+        c,
+    ));
 
     let c = quiet_cluster(plan.clone());
     let r = dmin_rel_var(
@@ -245,7 +263,7 @@ fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMet
     )
     .unwrap();
     let names = job_names(&r.metrics);
-    out.push(("dmin_rel_var", syn_digest(&r.synopsis), names, r.metrics));
+    out.push(("dmin_rel_var", syn_digest(&r.synopsis), names, r.metrics, c));
 
     let c = quiet_cluster(plan.clone());
     let r = dhaar_plus(
@@ -259,40 +277,40 @@ fn run_all(plan: Option<FaultPlan>) -> Vec<(&'static str, u64, String, DriverMet
     )
     .unwrap();
     let names = job_names(&r.metrics);
-    out.push(("dhaar_plus", hp_digest(&r.synopsis), names, r.metrics));
+    out.push(("dhaar_plus", hp_digest(&r.synopsis), names, r.metrics, c));
 
     let c = quiet_cluster(plan.clone());
     let (s, m) = con(&c, &data, b, 32).unwrap();
     let names = job_names(&m);
-    out.push(("con", syn_digest(&s), names, m));
+    out.push(("con", syn_digest(&s), names, m, c));
 
     let c = quiet_cluster(plan.clone());
     let (s, m) = send_v(&c, &data, b, 4).unwrap();
     let names = job_names(&m);
-    out.push(("send_v", syn_digest(&s), names, m));
+    out.push(("send_v", syn_digest(&s), names, m, c));
 
     let c = quiet_cluster(plan.clone());
     let (s, m) = send_coef(&c, &data, b, 4).unwrap();
     let names = job_names(&m);
-    out.push(("send_coef", syn_digest(&s), names, m));
+    out.push(("send_coef", syn_digest(&s), names, m, c));
 
     let c = quiet_cluster(plan.clone());
     let (s, m) = send_coef_combined(&c, &data, b, 4).unwrap();
     let names = job_names(&m);
-    out.push(("send_coef_combined", syn_digest(&s), names, m));
+    out.push(("send_coef_combined", syn_digest(&s), names, m, c));
 
     let c = quiet_cluster(plan);
     let r = hwtopk(&c, &data, b, 4).unwrap();
     let names = job_names(&r.metrics);
-    out.push(("hwtopk", syn_digest(&r.synopsis), names, r.metrics));
+    out.push(("hwtopk", syn_digest(&r.synopsis), names, r.metrics, c));
 
     out
 }
 
-fn assert_matches_goldens(results: &[(&'static str, u64, String, DriverMetrics)], tag: &str) {
+fn assert_matches_goldens(results: &[Run], tag: &str) {
     assert_eq!(results.len(), GOLDENS.len());
     let dih = dih_names();
-    for ((name, digest, names, _), (g_name, g_digest, g_names)) in results.iter().zip(GOLDENS) {
+    for ((name, digest, names, ..), (g_name, g_digest, g_names)) in results.iter().zip(GOLDENS) {
         let expected_names = if *g_name == "dindirect_haar" {
             dih.as_str()
         } else {
@@ -319,7 +337,7 @@ fn pipelines_reproduce_seed_synopses_bit_identically() {
 fn dp_row_exchange_is_golden() {
     let results = run_all(None);
     for (name, records, row_bytes) in DP_ROW_EXCHANGE {
-        let (_, _, _, metrics) = results
+        let (_, _, _, metrics, _) = results
             .iter()
             .find(|(n, ..)| n == name)
             .expect("a golden row per DP family");
@@ -334,47 +352,71 @@ fn dp_row_exchange_is_golden() {
 fn pipelines_reproduce_seed_synopses_under_injected_faults() {
     let results = run_all(Some(golden_fault_plan()));
     assert_matches_goldens(&results, "faulted");
-    // The plan must actually have been exercised: every algorithm's ledger
+    // The plan must actually have been exercised: every algorithm's trace
     // records failed first attempts and their retries.
-    for (name, _, _, metrics) in &results {
-        let stats = metrics.total_attempt_stats();
-        assert!(stats.failed > 0, "{name}: fault plan injected no failures");
-        assert!(stats.retried > 0, "{name}: no retries recorded");
+    for (name, .., cluster) in &results {
+        let (mut failed, mut retried) = (0, 0);
+        for row in summary::per_stage(&cluster.trace_events()) {
+            failed += row.map.failed + row.reduce.failed;
+            retried += row.map.retried + row.reduce.retried;
+        }
+        assert!(failed > 0, "{name}: fault plan injected no failures");
+        assert!(retried > 0, "{name}: no retries recorded");
     }
 }
 
 #[test]
 fn per_stage_rows_partition_each_ledger() {
-    for (name, _, _, metrics) in run_all(Some(golden_fault_plan())) {
-        let stages = metrics.per_stage();
+    for (name, _, _, metrics, cluster) in run_all(Some(golden_fault_plan())) {
+        let stages = summary::per_stage(&cluster.trace_events());
         let runs: usize = stages.iter().map(|s| s.runs).sum();
         assert_eq!(runs, metrics.job_count(), "{name}: stage runs != job count");
 
-        let sim: f64 = stages.iter().map(|s| s.simulated.secs()).sum();
+        let sim: f64 = stages.iter().map(|s| s.sim_secs).sum();
         let total_sim = metrics.total_simulated().secs();
         assert!(
             (sim - total_sim).abs() <= 1e-9 * total_sim.max(1.0),
             "{name}: stage sim {sim} != total {total_sim}"
         );
 
-        let shuffle: u64 = stages.iter().map(|s| s.shuffle_bytes).sum();
+        let shuffle: u64 = stages.iter().map(|s| s.shuffle.bytes).sum();
         assert_eq!(
             shuffle,
             metrics.total_shuffle_bytes(),
             "{name}: stage shuffle bytes don't sum to the total"
         );
 
-        let failed: u64 = stages.iter().map(|s| s.attempt_stats.failed).sum();
-        let retried: u64 = stages.iter().map(|s| s.attempt_stats.retried).sum();
-        let totals = metrics.total_attempt_stats();
-        assert_eq!(failed, totals.failed, "{name}: stage failed-attempt sum");
-        assert_eq!(retried, totals.retried, "{name}: stage retry sum");
-
         // Stage names are unique (grouping actually grouped).
         let mut names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), stages.len(), "{name}: duplicate stage rows");
+    }
+}
+
+/// The trace and the ledger hold one simulated clock: every algorithm,
+/// alone on its cluster, has its `job_end`s sum — and the sink's clock
+/// read — exactly the ledger's `total_simulated`, clean and under the
+/// golden fault plan. Send-V's central step counts: it is charged inside
+/// its reducer, so the reduce attempt is priced with it before the job is
+/// traced.
+#[test]
+fn trace_clock_is_the_ledger_total_bitwise() {
+    for plan in [None, Some(golden_fault_plan())] {
+        for (name, _, _, metrics, cluster) in run_all(plan) {
+            let total = metrics.total_simulated().secs();
+            let ended = cluster
+                .trace_events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::JobEnd { sim_secs } => Some(sim_secs),
+                    _ => None,
+                })
+                .fold(0.0, |acc, secs| acc + secs);
+            assert_eq!(ended.to_bits(), total.to_bits(), "{name}: Σ job_end");
+            let now = cluster.trace().now();
+            assert_eq!(now.to_bits(), total.to_bits(), "{name}: trace clock");
+        }
     }
 }
 

@@ -7,9 +7,10 @@
 //!   (span pairing, phase ordering, per-slot non-overlap),
 //! * a fault-injected run records the recovery it performed: retry
 //!   attempts, fault instants, and speculative attempts all appear,
-//! * the trace timeline and [`DriverMetrics`] agree **bit-for-bit**: the
-//!   per-stage simulated sums and the ledger total equal the span totals
-//!   and the sink's final clock,
+//! * the trace timeline and the job ledger agree **bit-for-bit**: each
+//!   job's `job_end` carries its ledger entry's simulated time, so the
+//!   roll-up's per-stage sums and the sink's final clock equal the
+//!   ledger's,
 //! * the JSONL export round-trips exactly and the Chrome export parses.
 
 use dwmaxerr::runtime::metrics::AttemptKind;
@@ -209,21 +210,14 @@ fn per_stage_metrics_agree_with_trace_span_totals_bitwise() {
     let events = cluster.trace_events();
     trace::validate(&events).expect("pipeline trace is well-formed");
 
-    // Same stages, same run counts, and *bit-identical* simulated sums:
-    // the sink's clock advances by each job's `sim.total()` in ledger
-    // order, so no float tolerance is needed.
-    let stages = metrics.per_stage();
-    let spans = summary::per_stage(&events);
-    assert_eq!(stages.len(), spans.len(), "stage/span row mismatch");
-    for (s, t) in stages.iter().zip(&spans) {
-        assert_eq!(s.name, t.name);
-        assert_eq!(s.runs, t.runs);
-        assert_eq!(
-            s.simulated.secs().to_bits(),
-            t.sim_secs.to_bits(),
-            "{}: per_stage simulated != trace span total",
-            s.name
-        );
+    // Each row's runs and *bit-identical* simulated sum are its name's
+    // ledger entries': each `job_end` carries its job's `sim.total()`, in
+    // ledger order, so no float tolerance is needed.
+    for row in summary::per_stage(&events) {
+        let jobs = metrics.jobs.iter().filter(|j| j.name == row.name);
+        assert_eq!(row.runs, jobs.clone().count(), "{}", row.name);
+        let sim = jobs.fold(0.0, |acc, j| acc + j.simulated().secs());
+        assert_eq!(sim.to_bits(), row.sim_secs.to_bits(), "{}", row.name);
     }
     // The sink's final clock equals the ledger's total, bit for bit.
     assert_eq!(
